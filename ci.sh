@@ -8,6 +8,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The repo benchmark (BENCHMARK.json) is a package of its own outside
+# the workspace, built against ../crates/*: run its tests here so an
+# engine change that breaks it fails locally, not in the pipeline.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 # Documentation gate: rustdoc must build warning-free (missing-docs are
 # hard errors in core/tcg/host-arm/host-tso via #![deny(missing_docs)]).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -48,27 +53,7 @@ test -s BENCH_pipeline.json
 # cheaper per guest instruction than the tier-1 IR pipeline (the
 # simulator's only wall-time gate; the measured gap is ≥ 5×, so a
 # strict < holds with wide margin on any machine).
-if command -v jq > /dev/null 2>&1; then
-    jq -e '(.kernels | length) == 16
-           and ([.kernels[] | select(.superblock
-                 and (.superblock | has("cycle_delta"))
-                 and (.superblock | has("fences_merged_cross"))
-                 and .tso
-                 and (.tso | has("cycles"))
-                 and (.tso | has("mfences"))
-                 and .tier0
-                 and (.tier0 | has("cycles"))
-                 and (.tier0.blocks > 0)
-                 and (.tier0 | has("ns_per_insn"))
-                 and .analysis
-                 and (.analysis | has("relaxed"))
-                 and (.analysis.cycle_delta_vs_off >= 0))] | length) == 16
-           and ([.kernels[] | select(.analysis.relaxed > 0)] | length) >= 1
-           and (.cold_start.tier0_insns > 0)
-           and (.cold_start.tier0_ns_per_insn < .cold_start.tier1_ns_per_insn)' \
-        BENCH_pipeline.json > /dev/null
-else
-    python3 - BENCH_pipeline.json <<'EOF'
+python3 - BENCH_pipeline.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert len(doc["kernels"]) == 16, len(doc["kernels"])
@@ -89,7 +74,6 @@ cold = doc["cold_start"]
 assert cold["tier0_insns"] > 0, cold
 assert cold["tier0_ns_per_insn"] < cold["tier1_ns_per_insn"], cold
 EOF
-fi
 
 # Codegen-performance gate: per-kernel simulated cycles must not exceed
 # the checked-in ceilings (BENCH_baseline.json) on either tier. The
@@ -119,15 +103,7 @@ EOF
 analysis_json="$(mktemp /tmp/analysis.XXXXXX.json)"
 cargo run -q --release -p risotto-bench --bin analyze -- \
     --smoke --json "$analysis_json" > /dev/null
-if command -v jq > /dev/null 2>&1; then
-    jq -e '(.version == 1)
-           and (.kernels | length) == 16
-           and ([.kernels[], .litmus[] | select((.lints | length) > 0)]
-                | length) == 0
-           and ([.kernels[] | select(.relaxable > 0)] | length) >= 1' \
-        "$analysis_json" > /dev/null
-else
-    python3 - "$analysis_json" <<'EOF'
+python3 - "$analysis_json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["version"] == 1
@@ -136,7 +112,6 @@ for img in doc["kernels"] + doc["litmus"]:
     assert img["lints"] == [], f'{img["name"]}: false-positive lints {img["lints"]}'
 assert any(k["relaxable"] > 0 for k in doc["kernels"]), "no relaxable kernel accesses"
 EOF
-fi
 rm -f "$analysis_json"
 
 # Metrics-artifact smoke: fig12 at CI scale must emit a parseable,
@@ -144,14 +119,7 @@ rm -f "$analysis_json"
 metrics_json="$(mktemp /tmp/fig12_metrics.XXXXXX.json)"
 cargo run -q --release -p risotto-bench --bin fig12_parsec_phoenix -- \
     --smoke --metrics-json "$metrics_json" > /dev/null
-if command -v jq > /dev/null 2>&1; then
-    jq -e '.version == 1 and (.workloads | length) == 16
-           and ([.workloads[]
-                 | select(.metrics.metrics["verify.violations"].value == 0
-                          and .metrics.metrics["verify.checked"].value > 0)]
-                | length) == 16' "$metrics_json" > /dev/null
-else
-    python3 - "$metrics_json" <<'EOF'
+python3 - "$metrics_json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["version"] == 1, doc["version"]
@@ -164,7 +132,6 @@ for w in doc["workloads"]:
     assert m["verify.violations"]["value"] == 0, w["name"]
     assert m["verify.checked"]["value"] > 0, w["name"]
 EOF
-fi
 rm -f "$metrics_json"
 
 # Differential-fuzz gate (docs/FUZZING.md): a seeded smoke run across
@@ -175,18 +142,10 @@ rm -f "$metrics_json"
 fuzz_json="$(mktemp /tmp/fuzz_metrics.XXXXXX.json)"
 cargo run -q --release -p risotto-bench --bin fuzz -- \
     --smoke --seed 0xC1 --metrics-json "$fuzz_json" > /dev/null
-if command -v jq > /dev/null 2>&1; then
-    jq -e '.version == 1
-           and (.workloads[0].metrics.metrics["fuzz.divergences"].value == 0)
-           and (.workloads[0].metrics.metrics["fuzz.programs"].value >= 300)
-           and (.workloads[0].metrics.metrics["fuzz.fault_runs"].value > 0)
-           and (.workloads[0].metrics.metrics["fuzz.configs_run"].value
-                == 7 * .workloads[0].metrics.metrics["fuzz.programs"].value)' \
-        "$fuzz_json" > /dev/null
-else
-    python3 - "$fuzz_json" <<'EOF'
+python3 - "$fuzz_json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
+assert doc["version"] == 1, doc["version"]
 m = doc["workloads"][0]["metrics"]["metrics"]
 assert m["fuzz.divergences"]["value"] == 0, m["fuzz.divergences"]
 assert m["fuzz.programs"]["value"] >= 300, m["fuzz.programs"]
@@ -196,7 +155,6 @@ assert m["fuzz.fault_runs"]["value"] > 0, m["fuzz.fault_runs"]
 # per program.
 assert m["fuzz.configs_run"]["value"] == 7 * m["fuzz.programs"]["value"], m
 EOF
-fi
 rm -f "$fuzz_json"
 
 # Remaining figure binaries, CI-sized: every figure in the paper's

@@ -28,8 +28,8 @@ use crate::idl::Idl;
 use crate::obs::{HotTb, MetricsSnapshot, NullSink, Obs, TraceSink, TraceStage};
 use risotto_analysis::{analyze_image, content_hash, event_sites, ir_hints, ImageFacts};
 use risotto_guest_x86::{
-    syscalls, AluOp, Flags, Gpr, GuestBinary, Insn, Operand, DATA_BASE, STACK_SIZE, STACK_TOP,
-    TEXT_BASE,
+    exec_insn, syscalls, Flags, Gpr, GuestBinary, GuestState, Insn, Step, DATA_BASE, STACK_SIZE,
+    STACK_TOP, TEXT_BASE,
 };
 use risotto_host_arm::{
     AllocStats, ArmBackend, AtomicEvent, BackendConfig, ChainStats, CoreStats, CostModel, Event,
@@ -144,16 +144,6 @@ impl Setup {
         match self {
             Setup::Qemu | Setup::NoFences => OptPolicy::QemuUnsound,
             _ => OptPolicy::Verified,
-        }
-    }
-
-    fn backend(self) -> BackendConfig {
-        match self {
-            Setup::Native => BackendConfig::native(),
-            // QEMU's helpers use casal with GCC ≥ 10 (§3.1); the RMW style
-            // here only affects direct `Cas` ops, which exist in the
-            // Risotto/NoFences frontends.
-            _ => BackendConfig::dbt(RmwStyle::Casal),
         }
     }
 
@@ -738,6 +728,40 @@ impl Quarantine {
     }
 }
 
+/// What the [`VerifyLevel::Full`] static passes compare
+/// (docs/VERIFIER.md): the unoptimized block the fence obligations are
+/// derived from, the optimized block that was lowered, and the
+/// verifier's own relaxation mask (empty = nothing relaxed).
+struct FullCheck {
+    reference: TcgBlock,
+    optimized: TcgBlock,
+    relax_mask: Vec<bool>,
+}
+
+/// Host code a tier's producer offers to [`Emulator::commit`]. The
+/// producers differ only in how `code` came to be; everything that makes
+/// it dispatchable is `commit`'s.
+struct Candidate {
+    head_pc: u64,
+    code: Vec<HostInsn>,
+    /// Guest pcs a superblock install evicts, head first; empty for a
+    /// single-block install.
+    relinks: Vec<u64>,
+    /// `Some` at [`VerifyLevel::Full`] from the producers that build IR
+    /// (tier-1, tier-2); templates and thunks have no per-block IR.
+    full: Option<FullCheck>,
+    /// The `Install` event's detail where it is not the plain host
+    /// instruction count (superblocks describe their shape).
+    detail: Option<String>,
+}
+
+impl Candidate {
+    /// A single-block candidate with nothing for the static passes.
+    fn block(head_pc: u64, code: Vec<HostInsn>) -> Candidate {
+        Candidate { head_pc, code, relinks: Vec::new(), full: None, detail: None }
+    }
+}
+
 /// What the core should do after a serviced syscall.
 enum SyscallOutcome {
     /// Continue at the pc following the syscall.
@@ -1159,7 +1183,7 @@ impl Emulator {
     /// Reads the env-slot block in the DBT setups and the pinned host
     /// registers in the native setup, so it is setup-agnostic.
     pub fn guest_reg(&self, core: usize, reg: Gpr) -> u64 {
-        self.read_guest_reg(core, reg)
+        self.read_env(core, reg.0)
     }
 
     /// The full 16-register guest file of `core`
@@ -1167,7 +1191,7 @@ impl Emulator {
     pub fn guest_regs(&self, core: usize) -> [u64; Gpr::COUNT] {
         let mut out = [0; Gpr::COUNT];
         for (i, v) in out.iter_mut().enumerate() {
-            *v = self.read_guest_reg(core, Gpr(i as u8));
+            *v = self.read_env(core, i as u8);
         }
         out
     }
@@ -1175,7 +1199,8 @@ impl Emulator {
     /// The architectural condition flags of `core`
     /// (see [`Emulator::guest_reg`]).
     pub fn guest_flags(&self, core: usize) -> Flags {
-        self.read_guest_flags(core)
+        let set = |slot: u8| self.read_env(core, slot) != 0;
+        Flags { zf: set(env::ZF), sf: set(env::SF), cf: set(env::CF), of: set(env::OF) }
     }
 
     /// Enables or disables the host machine's ordered atomic-access
@@ -1262,48 +1287,32 @@ impl Emulator {
         Self::env_base(core) + reg as u64 * 8
     }
 
-    fn read_guest_reg(&self, core: usize, reg: Gpr) -> u64 {
+    /// Guest env slot `slot` of `core` — registers 0–15, then the four
+    /// condition flags: the env block in machine memory in the DBT
+    /// setups, host register `X(6 + slot)` in the native convention.
+    fn read_env(&self, core: usize, slot: u8) -> u64 {
         if self.setup == Setup::Native {
-            self.machine.reg(core, Xreg(6 + reg.0))
+            self.machine.reg(core, Xreg(6 + slot))
         } else {
-            self.machine.mem.read_u64(Self::env_addr(core, reg.0))
+            self.machine.mem.read_u64(Self::env_addr(core, slot))
+        }
+    }
+
+    fn write_env(&mut self, core: usize, slot: u8, val: u64) {
+        if self.setup == Setup::Native {
+            self.machine.set_reg(core, Xreg(6 + slot), val);
+        } else {
+            self.machine.mem.write_u64(Self::env_addr(core, slot), val);
         }
     }
 
     fn write_guest_reg(&mut self, core: usize, reg: Gpr, val: u64) {
-        if self.setup == Setup::Native {
-            self.machine.set_reg(core, Xreg(6 + reg.0), val);
-        } else {
-            self.machine.mem.write_u64(Self::env_addr(core, reg.0), val);
-        }
-    }
-
-    /// Guest condition flags: env slots 16–19 in the DBT setups, X22–X25
-    /// in the native register convention.
-    fn read_guest_flags(&self, core: usize) -> Flags {
-        let get = |i: u8| {
-            if self.setup == Setup::Native {
-                self.machine.reg(core, Xreg(22 + (i - env::ZF)))
-            } else {
-                self.machine.mem.read_u64(Self::env_addr(core, i))
-            }
-        };
-        Flags {
-            zf: get(env::ZF) != 0,
-            sf: get(env::SF) != 0,
-            cf: get(env::CF) != 0,
-            of: get(env::OF) != 0,
-        }
+        self.write_env(core, reg.0, val);
     }
 
     fn write_guest_flags(&mut self, core: usize, f: Flags) {
-        let vals = [(env::ZF, f.zf), (env::SF, f.sf), (env::CF, f.cf), (env::OF, f.of)];
-        for (i, b) in vals {
-            if self.setup == Setup::Native {
-                self.machine.set_reg(core, Xreg(22 + (i - env::ZF)), b as u64);
-            } else {
-                self.machine.mem.write_u64(Self::env_addr(core, i), b as u64);
-            }
+        for (slot, b) in [(env::ZF, f.zf), (env::SF, f.sf), (env::CF, f.cf), (env::OF, f.of)] {
+            self.write_env(core, slot, b as u64);
         }
     }
 
@@ -1327,20 +1336,47 @@ impl Emulator {
         self.core_started[core] = true;
     }
 
-    /// A 16-byte instruction window at `pc` (zero-padded outside `.text`).
-    fn fetch_window(&self, pc: u64) -> [u8; 16] {
+    /// The 16-byte instruction window at `pc` (zero-padded outside
+    /// `.text`) — what every decoder in the engine reads through.
+    fn fetch(&self, pc: u64) -> [u8; 16] {
         let mut w = [0u8; 16];
-        for (i, slot) in w.iter_mut().enumerate() {
-            let byte = pc
-                .checked_sub(TEXT_BASE)
-                .and_then(|off| off.checked_add(i as u64))
-                .and_then(|off| usize::try_from(off).ok())
-                .and_then(|off| self.text.get(off));
-            if let Some(&b) = byte {
-                *slot = b;
+        let off = pc.checked_sub(TEXT_BASE).and_then(|off| usize::try_from(off).ok());
+        if let Some(tail) = off.and_then(|off| self.text.get(off..)) {
+            for (slot, byte) in w.iter_mut().zip(tail) {
+                *slot = *byte;
             }
         }
         w
+    }
+
+    /// The backend configuration every producer lowers with and the
+    /// encoding check decodes against.
+    fn backend_config(&self) -> BackendConfig {
+        match self.setup {
+            Setup::Native => BackendConfig::native(),
+            // QEMU's helpers use casal with GCC ≥ 10 (§3.1); the RMW
+            // style (§6.3 ablation) only affects direct `Cas` ops, which
+            // exist in the Risotto/NoFences frontends.
+            _ => BackendConfig::dbt(self.rmw_style),
+        }
+    }
+
+    /// Runs one pipeline stage under the stage clock. With stage timing
+    /// on, a stage that succeeds leaves its wall time in the `metric`
+    /// histogram and hands it back for the stage's trace event; a
+    /// failed stage leaves no sample.
+    fn timed<R>(
+        &mut self,
+        metric: &str,
+        stage: impl FnOnce(&mut Self) -> Result<R, TbFault>,
+    ) -> Result<(R, Option<u64>), TbFault> {
+        let t0 = self.obs.timing.then(Instant::now);
+        let out = stage(self)?;
+        let dur = t0.map(|t| t.elapsed().as_nanos() as u64);
+        if let Some(ns) = dur {
+            self.obs.registry.observe(metric, ns);
+        }
+        Ok((out, dur))
     }
 
     /// Fires a planned install-time corruption ([`FaultPlan::corrupt_install_at`])
@@ -1361,20 +1397,16 @@ impl Emulator {
     }
 
     /// Install-time read-back check: the bytes resident in the code
-    /// cache at `host` must be exactly the canonical encoding of the
-    /// instructions that were installed.
+    /// cache at `host` must be exactly `expect`, the canonical encoding
+    /// of the instructions that were installed.
     fn check_install_bytes(
         &self,
         guest_pc: u64,
         host: u64,
-        code: &[HostInsn],
+        expect: &[u8],
     ) -> Result<(), VerifyError> {
-        let mut expect = Vec::new();
-        for i in code {
-            i.encode(&mut expect);
-        }
         let got = self.machine.code_bytes(host).unwrap_or(&[]);
-        if got != expect.as_slice() {
+        if got != expect {
             let off = expect
                 .iter()
                 .zip(got)
@@ -1400,52 +1432,39 @@ impl Emulator {
             VerifyPass::FenceObligations => self.verify_fence += 1,
             VerifyPass::Encoding => self.verify_encoding += 1,
         }
-        if self.obs.tracing {
-            let tb_id = self.tb_ids.get(&e.guest_pc).copied();
-            self.obs.emit(TraceStage::Fault, core, Some(e.guest_pc), tb_id, None, e.to_string());
-        }
+        let tb_id = self.tb_ids.get(&e.guest_pc).copied();
+        self.obs.trace(TraceStage::Fault, core, Some(e.guest_pc), tb_id, None, || e.to_string());
     }
 
-    /// The translate-time static validation of [`VerifyLevel::Full`]:
-    /// IR lint, fence-obligation check of `optimized` against the
-    /// unoptimized `reference`, and the host decode-back encoding check
-    /// of `code`'s canonical bytes. On violation the counters/trace are
-    /// updated and the block is rejected into the quarantine path.
+    /// The static validation of [`VerifyLevel::Full`], run on a
+    /// candidate before it is installed: superblock relink structure,
+    /// IR lint, fence-obligation check of the optimized block against
+    /// the unoptimized reference, and the host decode-back encoding
+    /// check of the code's `canonical` bytes.
     fn verify_translation(
-        &mut self,
-        core: Option<usize>,
-        reference: &TcgBlock,
-        optimized: &TcgBlock,
-        code: &[HostInsn],
-        in_superblock: bool,
-        relax_mask: &[bool],
-    ) -> Result<(), TbFault> {
-        self.verify_checked += 1;
-        let mut backend = self.setup.backend();
-        if self.setup != Setup::Native {
-            backend.rmw = self.rmw_style;
+        &self,
+        cand: &Candidate,
+        full: &FullCheck,
+        canonical: &[u8],
+    ) -> Result<(), VerifyError> {
+        let in_superblock = !cand.relinks.is_empty();
+        if in_superblock {
+            Self::check_superblock_relinks(&full.optimized, &cand.relinks)?;
         }
-        let result = tcg_verify::lint(optimized, in_superblock)
-            .and_then(|()| {
-                tcg_verify::check_obligations_masked(
-                    reference,
-                    optimized,
-                    self.setup.frontend().fences,
-                    self.setup.opt_policy(),
-                    relax_mask,
-                )
-            })
-            .and_then(|()| {
-                let mut bytes = Vec::new();
-                for i in code {
-                    i.encode(&mut bytes);
-                }
-                self.backend_kind.host().check_encoding(optimized, code, &bytes, backend)
-            });
-        result.map_err(|e| {
-            self.record_verify_violation(core, &e);
-            TbFault::Verify
-        })
+        tcg_verify::lint(&full.optimized, in_superblock)?;
+        tcg_verify::check_obligations_masked(
+            &full.reference,
+            &full.optimized,
+            self.setup.frontend().fences,
+            self.setup.opt_policy(),
+            &full.relax_mask,
+        )?;
+        self.backend_kind.host().check_encoding(
+            &full.optimized,
+            &cand.code,
+            canonical,
+            self.backend_config(),
+        )
     }
 
     /// Full-level superblock structural check: the relink list the
@@ -1483,73 +1502,66 @@ impl Emulator {
         Ok(())
     }
 
-    /// Installs host code for `guest_pc` and updates the cache counters.
-    /// At any level above [`VerifyLevel::Off`] the installed bytes are
-    /// read back and checked *before* the translation is mapped; a
-    /// mismatch discards the region and quarantines the pc, so corrupt
-    /// code is never dispatchable.
-    fn install(
-        &mut self,
-        core: Option<usize>,
-        guest_pc: u64,
-        code: &[HostInsn],
-    ) -> Result<u64, TbFault> {
-        let t0 = self.obs.timing.then(Instant::now);
-        let host = self.machine.install_code(code);
-        self.maybe_corrupt_install(host);
+    /// The one path by which host code becomes dispatchable, whatever
+    /// tier produced it: Full-level static passes, install, the planned
+    /// corruption hook, read-back, then mapping and bookkeeping — or
+    /// rollback. At any level above [`VerifyLevel::Off`] the installed
+    /// bytes are read back and checked *before* a block is mapped; a
+    /// mismatch discards the region, so corrupt code is never
+    /// dispatchable. A superblock is mapped over its head by the install
+    /// itself, so its rollback evicts the head instead: the head and the
+    /// subsumed pcs refill as fresh tier-1 translations on miss.
+    fn commit(&mut self, core: Option<usize>, cand: Candidate) -> Result<u64, TbFault> {
+        // The canonical encoding both verifier levels compare against.
+        let mut canonical = Vec::new();
         if self.verify != VerifyLevel::Off {
+            for i in &cand.code {
+                i.encode(&mut canonical);
+            }
+        }
+        if let Some(full) = &cand.full {
             self.verify_checked += 1;
-            if let Err(e) = self.check_install_bytes(guest_pc, host, code) {
+            if let Err(e) = self.verify_translation(&cand, full, &canonical) {
                 self.record_verify_violation(core, &e);
-                self.machine.discard_region(host);
                 return Err(TbFault::Verify);
             }
         }
-        self.machine.map_tb(guest_pc, host);
-        self.tb_count += 1;
-        let tb_id = *self.tb_ids.entry(guest_pc).or_insert(self.tb_count as u64);
-        if !self.ever_translated.insert(guest_pc) {
-            self.retranslations += 1;
-        }
-        let dur = t0.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = dur {
-            self.obs.registry.observe("stage.install_ns", ns);
-        }
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Install,
-                core,
-                Some(guest_pc),
-                Some(tb_id),
-                dur,
-                format!("{} host insns", code.len()),
-            );
-        }
-        Ok(host)
-    }
-
-    /// Frontend-only translation for tier-2 trace formation.
-    ///
-    /// Never consults the [`FaultPlan`]: promotion is opportunistic and
-    /// must not advance the plan's deterministic fault sequence — a
-    /// tiered run sees exactly the injected faults a tier-1 run does.
-    fn translate_ir(&self, guest_pc: u64) -> Result<TcgBlock, TranslateError> {
-        let text = &self.text;
-        let fetch = |addr: u64| -> [u8; 16] {
-            let mut w = [0u8; 16];
-            for (i, slot) in w.iter_mut().enumerate() {
-                let byte = addr
-                    .checked_sub(TEXT_BASE)
-                    .and_then(|off| off.checked_add(i as u64))
-                    .and_then(|off| usize::try_from(off).ok())
-                    .and_then(|off| text.get(off));
-                if let Some(&b) = byte {
-                    *slot = b;
+        let Candidate { head_pc, code, relinks, detail, .. } = cand;
+        let superblock = !relinks.is_empty();
+        let (host, dur) = self.timed("stage.install_ns", |e| {
+            let host = if superblock {
+                e.machine.install_superblock(head_pc, &code, &relinks)
+            } else {
+                e.machine.install_code(&code)
+            };
+            e.maybe_corrupt_install(host);
+            if e.verify != VerifyLevel::Off {
+                e.verify_checked += 1;
+                if let Err(err) = e.check_install_bytes(head_pc, host, &canonical) {
+                    e.record_verify_violation(core, &err);
+                    if superblock {
+                        e.machine.unmap_tb(head_pc);
+                    } else {
+                        e.machine.discard_region(host);
+                    }
+                    return Err(TbFault::Verify);
                 }
             }
-            w
-        };
-        translate_block(guest_pc, self.setup.frontend(), fetch)
+            if !superblock {
+                e.machine.map_tb(head_pc, host);
+                e.tb_count += 1;
+                e.tb_ids.entry(head_pc).or_insert(e.tb_count as u64);
+                if !e.ever_translated.insert(head_pc) {
+                    e.retranslations += 1;
+                }
+            }
+            Ok(host)
+        })?;
+        let tb_id = self.tb_ids.get(&head_pc).copied();
+        self.obs.trace(TraceStage::Install, core, Some(head_pc), tb_id, dur, || {
+            detail.unwrap_or_else(|| format!("{} host insns", code.len()))
+        });
+        Ok(host)
     }
 
     /// Total observed entries into `guest_pc` — machine fast-path
@@ -1575,16 +1587,31 @@ impl Emulator {
     /// Walks the dominant chain from `head`: direct jumps are followed
     /// unconditionally, conditional exits only when decisively biased,
     /// and the trace stops at indirect/terminal exits, revisits (loop
-    /// back-edges), PLT thunks, quarantined pcs, and `max_tbs`. The
-    /// returned flag marks a *cyclic* trace — one whose last block's
-    /// on-trace successor is the head itself, i.e. a whole hot loop.
-    fn select_trace(&self, head: u64, cfg: TierConfig) -> (Vec<TcgBlock>, bool) {
+    /// back-edges), PLT thunks, quarantined pcs, and `max_tbs`. A
+    /// *cyclic* trace — one whose last block's on-trace successor is the
+    /// head itself, i.e. a whole hot loop — comes back rotated to its
+    /// best head.
+    ///
+    /// Frontend-only, and never consults the [`FaultPlan`]: promotion is
+    /// opportunistic and must not advance the plan's deterministic fault
+    /// sequence — a tiered run sees exactly the injected faults a tier-1
+    /// run does.
+    fn select_trace(&self, head: u64, cfg: TierConfig) -> Vec<TcgBlock> {
         let mut parts: Vec<TcgBlock> = Vec::new();
         let mut visited: HashSet<u64> = HashSet::new();
         let mut pc = head;
         loop {
             if !parts.is_empty() && pc == head {
-                return (parts, true);
+                // The trace is a whole loop: any rotation executes the
+                // same code, so re-head it where the region optimizer
+                // can merge the most cross-seam fences. The triggering
+                // block stays in the (subsumed) trace; a tier-1 refill
+                // covers the one transfer already in flight.
+                let r = superblock::best_rotation(&parts);
+                if r != 0 && !self.machine.is_sb_head(parts[r].guest_pc) {
+                    parts.rotate_left(r);
+                }
+                break;
             }
             if parts.len() >= cfg.max_tbs
                 || !visited.insert(pc)
@@ -1593,7 +1620,9 @@ impl Emulator {
             {
                 break;
             }
-            let Ok(block) = self.translate_ir(pc) else { break };
+            let Ok(block) = translate_block(pc, self.setup.frontend(), |a| self.fetch(a)) else {
+                break;
+            };
             let exit = block.exit.clone();
             parts.push(block);
             pc = match exit {
@@ -1607,7 +1636,7 @@ impl Emulator {
                 TbExit::JumpReg(_) | TbExit::Halt | TbExit::Syscall { .. } => break,
             };
         }
-        (parts, false)
+        parts
     }
 
     /// Routes [`Event::HotTb`] per the tier ladder: a tier-0 template
@@ -1632,6 +1661,16 @@ impl Emulator {
         }
     }
 
+    /// Whether the translation at `guest_pc` can move up a tier: it must
+    /// still be installed as a plain block — not a superblock head, not
+    /// a PLT thunk — and not quarantined.
+    fn promotable(&self, guest_pc: u64) -> bool {
+        self.machine.lookup_tb(guest_pc).is_some()
+            && !self.machine.is_sb_head(guest_pc)
+            && !self.plt_natives.contains_key(&guest_pc)
+            && !self.quarantine.contains(guest_pc)
+    }
+
     /// Promotes a warm tier-0 pc: the block re-translates through the
     /// full tier-1 pipeline (optimizer, register allocator, Full-level
     /// verifier passes when enabled) and the result is installed over
@@ -1639,19 +1678,15 @@ impl Emulator {
     /// code. Failure (injected or real) keeps the template translation:
     /// correctness never depends on promotion.
     fn promote_template(&mut self, core: usize, guest_pc: u64) {
-        if self.machine.lookup_tb(guest_pc).is_none()
-            || self.machine.is_sb_head(guest_pc)
-            || self.plt_natives.contains_key(&guest_pc)
-            || self.quarantine.contains(guest_pc)
-        {
+        if !self.promotable(guest_pc) {
             // Stale candidate: evicted, subsumed by a superblock, or
             // quarantined since it was marked.
             self.tier0_pcs.remove(&guest_pc);
             return;
         }
         let produced = self
-            .try_translate(Some(core), guest_pc)
-            .and_then(|code| self.install(Some(core), guest_pc, &code));
+            .produce(Some(core), guest_pc, false)
+            .and_then(|cand| self.commit(Some(core), cand));
         match produced {
             Ok(_) => {
                 self.tier0_pcs.remove(&guest_pc);
@@ -1661,179 +1696,152 @@ impl Emulator {
         }
     }
 
-    /// Services a tier-2 candidate: select → stitch → region-optimize →
-    /// lower → install. Failures at any stage leave the tier-1 world
-    /// untouched (counted, never fatal); the triggering core needs no
-    /// resume — its transfer completed before the event fired.
+    /// Services a tier-2 candidate: produce the superblock, commit it.
+    /// Failures at any stage leave the tier-1 world untouched (counted,
+    /// never fatal); the triggering core needs no resume — its transfer
+    /// completed before the event fired.
     fn try_promote(&mut self, core: usize, guest_pc: u64) {
         let Some(cfg) = self.tiering else { return };
-        if self.machine.lookup_tb(guest_pc).is_none()
-            || self.machine.is_sb_head(guest_pc)
-            || self.plt_natives.contains_key(&guest_pc)
-            || self.quarantine.contains(guest_pc)
-        {
+        if !self.promotable(guest_pc) {
             self.sb_stats.declined += 1;
             return;
         }
-        let t0 = self.obs.timing.then(Instant::now);
-        let (mut parts, cyclic) = self.select_trace(guest_pc, cfg);
-        if cyclic {
-            // The trace is a whole loop: any rotation executes the same
-            // code, so re-head it where the region optimizer can merge
-            // the most cross-seam fences. The triggering block stays in
-            // the (subsumed) trace; a tier-1 refill covers the one
-            // transfer already in flight.
-            let r = superblock::best_rotation(&parts);
-            if r != 0 && !self.machine.is_sb_head(parts[r].guest_pc) {
-                parts.rotate_left(r);
-            }
-        }
-        if let Some(ns) = t0.map(|t| t.elapsed().as_nanos() as u64) {
-            self.obs.registry.observe("sb.stage.select_ns", ns);
-        }
-        if parts.len() < cfg.min_tbs.max(2) {
-            self.sb_stats.declined += 1;
-            return;
-        }
-        let pcs: Vec<u64> = parts.iter().map(|b| b.guest_pc).collect();
-        let mut sb = match superblock::stitch(parts) {
-            Ok(sb) => sb,
-            Err(_) => {
-                self.sb_stats.failures += 1;
+        let committed = match self.produce_superblock(guest_pc, cfg) {
+            Ok(None) => {
+                self.sb_stats.declined += 1;
                 return;
             }
+            Ok(Some((cand, shape))) => self.commit(Some(core), cand).map(|_| shape),
+            Err(fault) => Err(fault),
         };
-        // The unoptimized stitched region is the fence-obligation
-        // reference the Full-level verifier validates against.
-        let reference = (self.verify == VerifyLevel::Full).then(|| sb.clone());
-        let t1 = self.obs.timing.then(Instant::now);
-        let stats = superblock::optimize_region(&mut sb, self.setup.opt_policy(), self.passes);
-        self.sb_opt += stats;
-        if let Some(ns) = t1.map(|t| t.elapsed().as_nanos() as u64) {
-            self.obs.registry.observe("sb.stage.opt_ns", ns);
-        }
-        let mut backend = self.setup.backend();
-        if self.setup != Setup::Native {
-            backend.rmw = self.rmw_style;
-        }
-        let t2 = self.obs.timing.then(Instant::now);
-        let code = match self.backend_kind.host().lower_block_with_stats(&sb, backend) {
-            Ok(out) => {
-                self.regalloc_totals += out.alloc;
-                out.insns
+        match committed {
+            Ok(shape) => {
+                self.sb_stats.promotions += 1;
+                self.sb_stats.tbs_merged += shape.tbs as u64;
+                self.sb_stats.side_exits += shape.side_exits as u64;
             }
-            Err(_) => {
-                self.sb_stats.failures += 1;
-                return;
-            }
-        };
-        let encode_ns = t2.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = encode_ns {
-            self.obs.registry.observe("sb.stage.encode_ns", ns);
-        }
-        if self.verify == VerifyLevel::Full {
-            if let Err(e) = Self::check_superblock_relinks(&sb, &pcs) {
-                self.record_verify_violation(Some(core), &e);
-                self.sb_stats.failures += 1;
-                return;
-            }
-        }
-        if let Some(reference) = reference.as_ref() {
-            if self.verify_translation(Some(core), reference, &sb, &code, true, &[]).is_err() {
-                self.sb_stats.failures += 1;
-                return;
-            }
-        }
-        let shape = superblock::shape_of(&sb);
-        let head_pc = sb.guest_pc;
-        let host = self.machine.install_superblock(head_pc, &code, &pcs);
-        self.maybe_corrupt_install(host);
-        if self.verify != VerifyLevel::Off {
-            self.verify_checked += 1;
-            if let Err(e) = self.check_install_bytes(head_pc, host, &code) {
-                self.record_verify_violation(Some(core), &e);
-                // Evict the damaged superblock; the head and subsumed
-                // pcs refill as fresh tier-1 translations on miss.
-                self.machine.unmap_tb(head_pc);
-                self.sb_stats.failures += 1;
-                return;
-            }
-        }
-        self.sb_stats.promotions += 1;
-        self.sb_stats.tbs_merged += shape.tbs as u64;
-        self.sb_stats.side_exits += shape.side_exits as u64;
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Install,
-                Some(core),
-                Some(head_pc),
-                self.tb_ids.get(&head_pc).copied(),
-                encode_ns,
-                format!(
-                    "superblock: {} tbs, {} side exits, {} cross-boundary fence merges",
-                    shape.tbs, shape.side_exits, stats.fences_merged_cross
-                ),
-            );
+            Err(_) => self.sb_stats.failures += 1,
         }
     }
 
-    /// Runs the full translation pipeline for one block, with fault
-    /// injection at the frontend and backend boundaries.
-    fn try_translate(
+    /// Tier-2 producer: select → stitch → region-optimize → lower.
+    /// `Ok(None)` declines a trace shorter than the policy's minimum.
+    fn produce_superblock(
+        &mut self,
+        head: u64,
+        cfg: TierConfig,
+    ) -> Result<Option<(Candidate, superblock::SuperblockShape)>, TbFault> {
+        let (parts, _) = self.timed("sb.stage.select_ns", |e| Ok(e.select_trace(head, cfg)))?;
+        if parts.len() < cfg.min_tbs.max(2) {
+            return Ok(None);
+        }
+        let relinks: Vec<u64> = parts.iter().map(|b| b.guest_pc).collect();
+        let mut sb = superblock::stitch(parts).map_err(|_| TbFault::Frontend)?;
+        // The unoptimized stitched region is the fence-obligation
+        // reference the Full-level verifier validates against.
+        let reference = (self.verify == VerifyLevel::Full).then(|| sb.clone());
+        let policy = self.setup.opt_policy();
+        let (stats, _) = self.timed("sb.stage.opt_ns", |e| {
+            Ok(superblock::optimize_region(&mut sb, policy, e.passes))
+        })?;
+        self.sb_opt += stats;
+        let (code, _) = self.lower(&sb, "sb.stage.encode_ns")?;
+        let (head_pc, shape) = (sb.guest_pc, superblock::shape_of(&sb));
+        let detail = self.obs.tracing.then(|| {
+            format!(
+                "superblock: {} tbs, {} side exits, {} cross-boundary fence merges",
+                shape.tbs, shape.side_exits, stats.fences_merged_cross
+            )
+        });
+        let full = reference.map(|reference| FullCheck {
+            reference,
+            optimized: sb,
+            relax_mask: Vec::new(),
+        });
+        Ok(Some((Candidate { head_pc, code, relinks, full, detail }, shape)))
+    }
+
+    /// Produces the candidate for one guest block: the marshaling thunk
+    /// behind a host-linked PLT entry, else a tier-0 template
+    /// instantiation (`tier0`) or the tier-1 IR pipeline. The two
+    /// translating tiers share the [`FaultPlan`]'s injection sites: the
+    /// frontend boundary here, before any decode, and the backend
+    /// boundary in [`Emulator::lower_fault`].
+    fn produce(
         &mut self,
         core: Option<usize>,
         guest_pc: u64,
-    ) -> Result<Vec<HostInsn>, TbFault> {
+        tier0: bool,
+    ) -> Result<Candidate, TbFault> {
+        if let Some(&(func, nargs)) = self.plt_natives.get(&guest_pc) {
+            return Ok(Candidate::block(guest_pc, self.build_native_thunk(func, nargs)));
+        }
         if self.plan.translate_fails(guest_pc) {
             self.faults_injected += 1;
             return Err(TbFault::Injected);
         }
-        let text = &self.text;
-        let fetch = |addr: u64| -> [u8; 16] {
-            let mut w = [0u8; 16];
-            for (i, slot) in w.iter_mut().enumerate() {
-                let byte = addr
-                    .checked_sub(TEXT_BASE)
-                    .and_then(|off| off.checked_add(i as u64))
-                    .and_then(|off| usize::try_from(off).ok())
-                    .and_then(|off| text.get(off));
-                if let Some(&b) = byte {
-                    *slot = b;
+        if tier0 {
+            self.produce_template(core, guest_pc)
+        } else {
+            self.produce_tier1(core, guest_pc)
+        }
+    }
+
+    /// The [`FaultPlan`]'s backend-boundary injection site: after the
+    /// tier-1 optimizer, after a tier-0 template instantiation.
+    fn lower_fault(&mut self, guest_pc: u64) -> Result<(), TbFault> {
+        if self.plan.lower_fails(guest_pc) {
+            self.faults_injected += 1;
+            return Err(TbFault::Injected);
+        }
+        Ok(())
+    }
+
+    /// Lowers `block` through the active backend under the `metric`
+    /// stage clock, folding the allocator statistics into the run's.
+    fn lower(
+        &mut self,
+        block: &TcgBlock,
+        metric: &str,
+    ) -> Result<(Vec<HostInsn>, Option<u64>), TbFault> {
+        let backend = self.backend_config();
+        self.timed(metric, |e| {
+            let out = e
+                .backend_kind
+                .host()
+                .lower_block_with_stats(block, backend)
+                .map_err(|_| TbFault::Backend)?;
+            e.regalloc_totals += out.alloc;
+            Ok(out.insns)
+        })
+    }
+
+    /// Tier-1 producer: frontend → analysis relaxation and hints →
+    /// optimizer → backend lowering, one trace event per stage.
+    fn produce_tier1(&mut self, core: Option<usize>, guest_pc: u64) -> Result<Candidate, TbFault> {
+        let frontend = self.setup.frontend();
+        let (mut block, dur) = self.timed("stage.decode_ns", |e| {
+            let block = translate_block(guest_pc, frontend, |a| e.fetch(a))
+                .map_err(|_| TbFault::Frontend)?;
+            for op in &block.ops {
+                if let TcgOp::Fence(k) = op {
+                    if let Some(i) = k.tcg_index() {
+                        e.fence_inserted[i] += 1;
+                    }
                 }
             }
-            w
-        };
-        let t0 = self.obs.timing.then(Instant::now);
-        let mut block = translate_block(guest_pc, self.setup.frontend(), fetch)
-            .map_err(|_| TbFault::Frontend)?;
-        for op in &block.ops {
-            if let TcgOp::Fence(k) = op {
-                if let Some(i) = k.tcg_index() {
-                    self.fence_inserted[i] += 1;
-                }
-            }
-        }
-        let decode_ns = t0.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = decode_ns {
-            self.obs.registry.observe("stage.decode_ns", ns);
-        }
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Decode,
-                core,
-                Some(guest_pc),
-                None,
-                decode_ns,
-                format!("{} ops", block.ops.len()),
-            );
-        }
+            Ok(block)
+        })?;
+        self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, dur, || {
+            format!("{} ops", block.ops.len())
+        });
         // Guest-instruction count for the per-tier translation-cost
         // metrics (`translate.insns`), re-decoded outside the timed
         // stages; decoding already succeeded above.
         let mut p = guest_pc;
         let end = guest_pc + block.guest_len as u64;
         while p < end {
-            match Insn::decode(&fetch(p)) {
+            match Insn::decode(&self.fetch(p)) {
                 Ok((_, len)) => {
                     self.tier1_insns += 1;
                     p += len as u64;
@@ -1847,166 +1855,85 @@ impl Emulator {
         // wrong "private" claim (e.g. an injected mutant) is rejected
         // by Pass 2 at install time.
         let masks = self.analysis.as_ref().map(|facts| {
-            let sites = event_sites(guest_pc, block.guest_len as u64, fetch);
+            let sites = event_sites(guest_pc, block.guest_len as u64, |a| self.fetch(a));
             let verifier: Vec<bool> =
                 sites.iter().map(|&(p, plain)| plain && facts.relaxable(p)).collect();
-            let engine: Vec<bool> = if self.forced_private.is_empty() {
-                verifier.clone()
-            } else {
-                sites
-                    .iter()
-                    .zip(&verifier)
-                    .map(|(&(p, plain), &v)| v || (plain && self.forced_private.contains(&p)))
-                    .collect()
-            };
+            let engine: Vec<bool> = sites
+                .iter()
+                .zip(&verifier)
+                .map(|(&(p, plain), &v)| v || (plain && self.forced_private.contains(&p)))
+                .collect();
             (engine, verifier)
         });
         // The unoptimized block is the fence-obligation reference the
         // Full-level verifier validates the optimized result against.
         let reference = (self.verify == VerifyLevel::Full).then(|| block.clone());
         if let Some((engine_mask, _)) = &masks {
-            let removed =
-                tcg_verify::relax_block(&mut block, self.setup.frontend().fences, engine_mask);
+            let removed = tcg_verify::relax_block(&mut block, frontend.fences, engine_mask);
             if removed > 0 {
                 self.analysis_relaxed += removed as u64;
                 self.analysis_relaxed_blocks += 1;
             }
-        }
-        // Known-bits hints (docs/ANALYSIS.md): IR-level value-range
-        // facts fold pure ops and prune statically-decided branches
-        // before the regular pass pipeline. Events and fences are never
-        // touched, so the verifier reference stays valid.
-        if self.analysis.is_some() {
+            // Known-bits hints (docs/ANALYSIS.md): IR-level value-range
+            // facts fold pure ops and prune statically-decided branches
+            // before the regular pass pipeline. Events and fences are
+            // never touched, so the verifier reference stays valid.
             let hints = ir_hints(&block);
             let hs = apply_hints(&mut block, &hints);
             self.hint_totals.folded += hs.folded;
             self.hint_totals.branches_pruned += hs.branches_pruned;
         }
-        let t1 = self.obs.timing.then(Instant::now);
-        let stats = optimize_with(&mut block, self.setup.opt_policy(), self.passes);
+        let policy = self.setup.opt_policy();
+        let (stats, dur) =
+            self.timed("stage.opt_ns", |e| Ok(optimize_with(&mut block, policy, e.passes)))?;
         self.opt_totals += stats;
-        let opt_ns = t1.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = opt_ns {
-            self.obs.registry.observe("stage.opt_ns", ns);
-        }
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Opt,
-                core,
-                Some(guest_pc),
-                None,
-                opt_ns,
-                format!(
-                    "folded {}, forwarded {}, fences merged {}, dce {}",
-                    stats.folded, stats.loads_forwarded, stats.fences_merged, stats.dce_removed
-                ),
-            );
-        }
-        if self.plan.lower_fails(guest_pc) {
-            self.faults_injected += 1;
-            return Err(TbFault::Injected);
-        }
-        let mut backend = self.setup.backend();
-        if self.setup != Setup::Native {
-            backend.rmw = self.rmw_style;
-        }
-        let t2 = self.obs.timing.then(Instant::now);
-        let code = self
-            .backend_kind
-            .host()
-            .lower_block_with_stats(&block, backend)
-            .map(|out| {
-                self.regalloc_totals += out.alloc;
-                out.insns
-            })
-            .map_err(|_| TbFault::Backend)?;
-        let encode_ns = t2.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = encode_ns {
-            self.obs.registry.observe("stage.encode_ns", ns);
-        }
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Encode,
-                core,
-                Some(guest_pc),
-                None,
-                encode_ns,
-                format!("{} host insns", code.len()),
-            );
-        }
-        if let Some(reference) = reference.as_ref() {
-            let mask = masks.as_ref().map(|(_, v)| v.as_slice()).unwrap_or(&[]);
-            self.verify_translation(core, reference, &block, &code, false, mask)?;
-        }
-        Ok(code)
+        self.obs.trace(TraceStage::Opt, core, Some(guest_pc), None, dur, || {
+            format!(
+                "folded {}, forwarded {}, fences merged {}, dce {}",
+                stats.folded, stats.loads_forwarded, stats.fences_merged, stats.dce_removed
+            )
+        });
+        self.lower_fault(guest_pc)?;
+        let (code, dur) = self.lower(&block, "stage.encode_ns")?;
+        self.obs.trace(TraceStage::Encode, core, Some(guest_pc), None, dur, || {
+            format!("{} host insns", code.len())
+        });
+        let full = reference.map(|reference| FullCheck {
+            reference,
+            optimized: block,
+            relax_mask: masks.map(|(_, verifier)| verifier).unwrap_or_default(),
+        });
+        Ok(Candidate { full, ..Candidate::block(guest_pc, code) })
     }
 
-    /// Tier-0: translates one block by IR-less template instantiation —
-    /// no `TcgOp` block is built and no optimizer, register allocator or
-    /// per-block static verifier pass runs. The template set is verified
-    /// once, statically, by the test suite (Theorem-1 per template per
-    /// backend); only the install-time encoding read-back remains on
-    /// this path. Fault-injection sites mirror tier-1: `translate_fails`
-    /// before decode, `lower_fails` after.
-    fn try_template(
+    /// Tier-0 producer: translates one block by IR-less template
+    /// instantiation — no `TcgOp` block is built and no optimizer,
+    /// register allocator or per-block static verifier pass runs. The
+    /// template set is verified once, statically, by the test suite
+    /// (Theorem-1 per template per backend); only the install-time
+    /// encoding read-back remains on this path.
+    fn produce_template(
         &mut self,
         core: Option<usize>,
         guest_pc: u64,
-    ) -> Result<Vec<HostInsn>, TbFault> {
-        if self.plan.translate_fails(guest_pc) {
-            self.faults_injected += 1;
-            return Err(TbFault::Injected);
-        }
-        let mut backend = self.setup.backend();
-        backend.rmw = self.rmw_style;
-        let text = &self.text;
-        let fetch = |addr: u64| -> [u8; 16] {
-            let mut w = [0u8; 16];
-            for (i, slot) in w.iter_mut().enumerate() {
-                let byte = addr
-                    .checked_sub(TEXT_BASE)
-                    .and_then(|off| off.checked_add(i as u64))
-                    .and_then(|off| usize::try_from(off).ok())
-                    .and_then(|off| text.get(off));
-                if let Some(&b) = byte {
-                    *slot = b;
-                }
-            }
-            w
-        };
-        let t0 = self.obs.timing.then(Instant::now);
-        let blk = translate_block_template(
-            guest_pc,
-            self.setup.frontend(),
-            backend,
-            self.backend_kind.ordering(),
-            fetch,
-        )
-        .map_err(|e| match e {
-            TemplateError::Decode(_) => TbFault::Frontend,
-            TemplateError::Lower(_) => TbFault::Backend,
+    ) -> Result<Candidate, TbFault> {
+        let (frontend, backend) = (self.setup.frontend(), self.backend_config());
+        let ordering = self.backend_kind.ordering();
+        let (blk, dur) = self.timed("stage.template_ns", |e| {
+            translate_block_template(guest_pc, frontend, backend, ordering, |a| e.fetch(a)).map_err(
+                |err| match err {
+                    TemplateError::Decode(_) => TbFault::Frontend,
+                    TemplateError::Lower(_) => TbFault::Backend,
+                },
+            )
         })?;
-        let template_ns = t0.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = template_ns {
-            self.obs.registry.observe("stage.template_ns", ns);
-        }
-        if self.plan.lower_fails(guest_pc) {
-            self.faults_injected += 1;
-            return Err(TbFault::Injected);
-        }
+        self.lower_fault(guest_pc)?;
         self.template_stats.blocks += 1;
         self.template_stats.insns += blk.insns as u64;
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Decode,
-                core,
-                Some(guest_pc),
-                None,
-                template_ns,
-                format!("tier-0 template: {} guest insns", blk.insns),
-            );
-        }
-        Ok(blk.code)
+        self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, dur, || {
+            format!("tier-0 template: {} guest insns", blk.insns)
+        });
+        Ok(Candidate::block(guest_pc, blk.code))
     }
 
     /// Ensures a translation exists for `guest_pc`; returns its host pc,
@@ -2026,24 +1953,15 @@ impl Emulator {
             // A bounded re-translate retry of a previously failing block.
             self.retranslations += 1;
         }
-        let produced = if let Some(&(func, nargs)) = self.plt_natives.get(&guest_pc) {
-            let code = self.build_native_thunk(func, nargs);
-            self.install(core, guest_pc, &code)
-        } else if self.tier0_active() {
-            // Cold code gets the near-zero-latency template tier; the
-            // profiler re-translates it through tier-1 when it warms up.
-            let produced = self
-                .try_template(core, guest_pc)
-                .and_then(|code| self.install(core, guest_pc, &code));
-            if produced.is_ok() {
-                self.tier0_pcs.insert(guest_pc);
-            }
-            produced
-        } else {
-            self.try_translate(core, guest_pc).and_then(|code| self.install(core, guest_pc, &code))
-        };
+        // Cold code gets the near-zero-latency template tier; the
+        // profiler re-translates it through tier-1 when it warms up.
+        let tier0 = self.tier0_active() && !self.plt_natives.contains_key(&guest_pc);
+        let produced = self.produce(core, guest_pc, tier0).and_then(|cand| self.commit(core, cand));
         match produced {
             Ok(host) => {
+                if tier0 {
+                    self.tier0_pcs.insert(guest_pc);
+                }
                 self.quarantine.clear(guest_pc);
                 Ok(host)
             }
@@ -2052,7 +1970,7 @@ impl Emulator {
                     self.fallback_blocks += 1;
                 }
                 self.quarantine.note_failure(guest_pc);
-                if self.obs.tracing {
+                self.obs.trace(TraceStage::Fault, core, Some(guest_pc), None, None, || {
                     let what = match fault {
                         TbFault::Injected => "injected fault",
                         TbFault::Frontend => "frontend decode failure",
@@ -2060,15 +1978,8 @@ impl Emulator {
                         TbFault::Verify => "translation verification failure",
                         TbFault::Quarantined => "quarantined",
                     };
-                    self.obs.emit(
-                        TraceStage::Fault,
-                        core,
-                        Some(guest_pc),
-                        None,
-                        None,
-                        format!("{what}; interpreter fallback (attempt {})", prior + 1),
-                    );
-                }
+                    format!("{what}; interpreter fallback (attempt {})", prior + 1)
+                });
                 Err(fault)
             }
         }
@@ -2078,16 +1989,8 @@ impl Emulator {
     /// when the pipeline can produce it, interpreted blocks otherwise,
     /// until a translatable pc is reached or the core halts.
     fn resume_at(&mut self, core: usize, guest_pc: u64) -> Result<(), EmuError> {
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Dispatch,
-                Some(core),
-                Some(guest_pc),
-                self.tb_ids.get(&guest_pc).copied(),
-                None,
-                String::new(),
-            );
-        }
+        let tb_id = self.tb_ids.get(&guest_pc).copied();
+        self.obs.trace(TraceStage::Dispatch, Some(core), Some(guest_pc), tb_id, None, String::new);
         let mut pc = guest_pc;
         loop {
             match self.ensure_translated(Some(core), pc) {
@@ -2114,8 +2017,11 @@ impl Emulator {
     /// shared machine memory and the core's guest register state. Returns
     /// the next guest pc, or `None` if the core halted.
     ///
-    /// The core's store buffer is drained first — the same
-    /// synchronization a helper or native call performs at its ABI
+    /// The instruction semantics are the reference interpreter's own
+    /// ([`exec_insn`], over [`CoreState`]); this loop only adds what the
+    /// engine owes the machine: interpretation cycles, fuel, and the
+    /// store-buffer drains. The core's buffer is drained first — the
+    /// same synchronization a helper or native call performs at its ABI
     /// boundary — and interpreted accesses are sequentially consistent,
     /// which is a legal (stricter) execution under both memory models.
     fn interpret_block(&mut self, core: usize, start_pc: u64) -> Result<Option<u64>, EmuError> {
@@ -2126,158 +2032,23 @@ impl Emulator {
                 return Err(EmuError::OutOfFuel);
             }
             self.interp_steps += 1;
-            let window = self.fetch_window(pc);
-            let (insn, len) = Insn::decode(&window).map_err(|cause| EmuError::Translate {
-                source: TranslateError { pc, cause },
-                core: Some(core),
-                tb_count: self.tb_count,
-            })?;
+            let (insn, len) =
+                Insn::decode(&self.fetch(pc)).map_err(|cause| EmuError::Translate {
+                    source: TranslateError { pc, cause },
+                    core: Some(core),
+                    tb_count: self.tb_count,
+                })?;
             let next = pc.wrapping_add(len as u64);
             self.machine.add_cycles(core, INTERP_CYCLES_PER_INSN);
-
-            let rd = |s: &Self, r: Gpr| s.read_guest_reg(core, r);
-            let operand = |s: &Self, o: Operand| match o {
-                Operand::Reg(r) => s.read_guest_reg(core, r),
-                Operand::Imm(i) => i,
-            };
-
-            match insn {
-                Insn::MovRI { dst, imm } => self.write_guest_reg(core, dst, imm),
-                Insn::MovRR { dst, src } => {
-                    let v = rd(self, src);
-                    self.write_guest_reg(core, dst, v);
-                }
-                Insn::Load { dst, base, disp } => {
-                    let addr = rd(self, base).wrapping_add(disp as i64 as u64);
-                    let v = self.machine.mem.read_u64(addr);
-                    self.write_guest_reg(core, dst, v);
-                }
-                Insn::Store { base, disp, src } => {
-                    let addr = rd(self, base).wrapping_add(disp as i64 as u64);
-                    let v = rd(self, src);
-                    self.machine.mem.write_u64(addr, v);
-                }
-                Insn::LoadB { dst, base, disp } => {
-                    let addr = rd(self, base).wrapping_add(disp as i64 as u64);
-                    let v = self.machine.mem.read_u8(addr) as u64;
-                    self.write_guest_reg(core, dst, v);
-                }
-                Insn::StoreB { base, disp, src } => {
-                    let addr = rd(self, base).wrapping_add(disp as i64 as u64);
-                    let v = rd(self, src) as u8;
-                    self.machine.mem.write_u8(addr, v);
-                }
-                Insn::MulWide { src } => {
-                    let a = rd(self, Gpr::RAX) as u128;
-                    let b = rd(self, src) as u128;
-                    let p = a * b;
-                    self.write_guest_reg(core, Gpr::RAX, p as u64);
-                    self.write_guest_reg(core, Gpr::RDX, (p >> 64) as u64);
-                }
-                Insn::Lea { dst, base, disp } => {
-                    let v = rd(self, base).wrapping_add(disp as i64 as u64);
-                    self.write_guest_reg(core, dst, v);
-                }
-                Insn::Alu { op, dst, src } => {
-                    let a = rd(self, dst);
-                    let b = operand(self, src);
-                    let r = op.apply(a, b);
-                    self.write_guest_reg(core, dst, r);
-                    let flags = match op {
-                        AluOp::Add => Flags::from_add(a, b),
-                        AluOp::Sub => Flags::from_sub(a, b),
-                        _ => Flags::from_logic(r),
-                    };
-                    self.write_guest_flags(core, flags);
-                }
-                Insn::Div { src } => {
-                    let d = rd(self, src);
-                    let a = rd(self, Gpr::RAX);
-                    // Div-by-zero yields (0, a) uniformly across all
-                    // layers of this project (Arm-style); see DESIGN.md.
-                    let (q, r) = (a.checked_div(d).unwrap_or(0), a.checked_rem(d).unwrap_or(a));
-                    self.write_guest_reg(core, Gpr::RAX, q);
-                    self.write_guest_reg(core, Gpr::RDX, r);
-                }
-                Insn::Fp { op, dst, src } => {
-                    let a = rd(self, dst);
-                    let b = rd(self, src);
-                    let v = op.apply(a, b);
-                    self.write_guest_reg(core, dst, v);
-                }
-                Insn::Cmp { a, b } => {
-                    let flags = Flags::from_sub(rd(self, a), operand(self, b));
-                    self.write_guest_flags(core, flags);
-                }
-                Insn::Test { a, b } => {
-                    let flags = Flags::from_logic(rd(self, a) & operand(self, b));
-                    self.write_guest_flags(core, flags);
-                }
-                Insn::Jcc { cond, rel } => {
-                    let taken = cond.eval(self.read_guest_flags(core));
-                    let target = if taken { next.wrapping_add(rel as i64 as u64) } else { next };
-                    return Ok(Some(target));
-                }
-                Insn::Jmp { rel } => return Ok(Some(next.wrapping_add(rel as i64 as u64))),
-                Insn::JmpReg { reg } => return Ok(Some(rd(self, reg))),
-                Insn::Call { rel } => {
-                    let sp = rd(self, Gpr::RSP).wrapping_sub(8);
-                    self.write_guest_reg(core, Gpr::RSP, sp);
-                    self.machine.mem.write_u64(sp, next);
-                    return Ok(Some(next.wrapping_add(rel as i64 as u64)));
-                }
-                Insn::CallReg { reg } => {
-                    let target = rd(self, reg);
-                    let sp = rd(self, Gpr::RSP).wrapping_sub(8);
-                    self.write_guest_reg(core, Gpr::RSP, sp);
-                    self.machine.mem.write_u64(sp, next);
-                    return Ok(Some(target));
-                }
-                Insn::Ret => {
-                    let sp = rd(self, Gpr::RSP);
-                    let ra = self.machine.mem.read_u64(sp);
-                    self.write_guest_reg(core, Gpr::RSP, sp.wrapping_add(8));
-                    return Ok(Some(ra));
-                }
-                Insn::Push { src } => {
-                    let v = rd(self, src);
-                    let sp = rd(self, Gpr::RSP).wrapping_sub(8);
-                    self.write_guest_reg(core, Gpr::RSP, sp);
-                    self.machine.mem.write_u64(sp, v);
-                }
-                Insn::Pop { dst } => {
-                    let sp = rd(self, Gpr::RSP);
-                    let v = self.machine.mem.read_u64(sp);
-                    self.write_guest_reg(core, dst, v);
-                    self.write_guest_reg(core, Gpr::RSP, sp.wrapping_add(8));
-                }
-                Insn::LockCmpxchg { base, disp, src } => {
-                    let addr = rd(self, base).wrapping_add(disp as i64 as u64);
-                    let expected = rd(self, Gpr::RAX);
-                    let newval = rd(self, src);
-                    let cur = self.machine.mem.read_u64(addr);
-                    if cur == expected {
-                        self.machine.mem.write_u64(addr, newval);
-                        self.write_guest_flags(core, Flags::from_sub(0, 0)); // ZF=1
-                    } else {
-                        self.write_guest_reg(core, Gpr::RAX, cur);
-                        self.write_guest_flags(core, Flags::from_sub(1, 0)); // ZF=0
-                    }
-                }
-                Insn::LockXadd { base, disp, src } => {
-                    let addr = rd(self, base).wrapping_add(disp as i64 as u64);
-                    let add = rd(self, src);
-                    let cur = self.machine.mem.read_u64(addr);
-                    self.machine.mem.write_u64(addr, cur.wrapping_add(add));
-                    self.write_guest_reg(core, src, cur);
-                }
-                Insn::Mfence => self.machine.drain_store_buffer(core),
-                Insn::Nop => {}
-                Insn::Hlt => {
+            match exec_insn(&mut CoreState { emu: self, core }, insn, next) {
+                Step::Next => {}
+                Step::Fence => self.machine.drain_store_buffer(core),
+                Step::Branch(target) => return Ok(Some(target)),
+                Step::Halt => {
                     self.machine.halt_core(core);
                     return Ok(None);
                 }
-                Insn::Syscall => {
+                Step::Syscall => {
                     return match self.do_syscall(core, next)? {
                         SyscallOutcome::Resume => Ok(Some(next)),
                         SyscallOutcome::Halted => Ok(None),
@@ -2369,22 +2140,15 @@ impl Emulator {
         self.syscall_attempts += 1;
         if self.plan.syscall_fails(nth) {
             self.faults_injected += 1;
-            if self.obs.tracing {
-                self.obs.emit(
-                    TraceStage::Fault,
-                    Some(core),
-                    Some(next),
-                    None,
-                    None,
-                    "injected syscall fault (unrecoverable)".to_owned(),
-                );
-            }
+            self.obs.trace(TraceStage::Fault, Some(core), Some(next), None, None, || {
+                "injected syscall fault (unrecoverable)".to_owned()
+            });
             return Err(EmuError::Injected { site: FaultSite::Syscall, core, pc: next });
         }
-        let n = self.read_guest_reg(core, Gpr::RAX);
-        let a1 = self.read_guest_reg(core, Gpr::RDI);
-        let a2 = self.read_guest_reg(core, Gpr::RSI);
-        let a3 = self.read_guest_reg(core, Gpr::RDX);
+        let n = self.guest_reg(core, Gpr::RAX);
+        let a1 = self.guest_reg(core, Gpr::RDI);
+        let a2 = self.guest_reg(core, Gpr::RSI);
+        let a3 = self.guest_reg(core, Gpr::RDX);
         match n {
             syscalls::EXIT => {
                 self.exit_vals[core] = Some(a1);
@@ -2393,6 +2157,9 @@ impl Emulator {
                 return Ok(SyscallOutcome::Halted);
             }
             syscalls::WRITE => {
+                if a3 > syscalls::WRITE_MAX {
+                    return Err(EmuError::BadSyscall { n, core, pc: next });
+                }
                 let bytes = self.machine.mem.read_bytes(a2, a3 as usize);
                 self.output.extend_from_slice(&bytes);
                 self.write_guest_reg(core, Gpr::RAX, a3);
@@ -2449,16 +2216,10 @@ impl Emulator {
         for pc in self.plan.pending_corruptions() {
             if self.machine.lookup_tb(pc).is_some() && self.plan.take_corrupt_tb(pc) {
                 self.machine.unmap_tb(pc);
-                if self.obs.tracing {
-                    self.obs.emit(
-                        TraceStage::Fault,
-                        None,
-                        Some(pc),
-                        self.tb_ids.get(&pc).copied(),
-                        None,
-                        "TB-cache corruption detected; entry discarded".to_owned(),
-                    );
-                }
+                let tb_id = self.tb_ids.get(&pc).copied();
+                self.obs.trace(TraceStage::Fault, None, Some(pc), tb_id, None, || {
+                    "TB-cache corruption detected; entry discarded".to_owned()
+                });
             }
         }
         if self.plan.tb_cache_strikes() {
@@ -2588,7 +2349,7 @@ impl Emulator {
         // HLT'd threads report guest RAX as their exit value.
         for core in 0..self.machine.n_cores() {
             if self.core_started[core] && self.exit_vals[core].is_none() {
-                self.exit_vals[core] = Some(self.read_guest_reg(core, Gpr::RAX));
+                self.exit_vals[core] = Some(self.guest_reg(core, Gpr::RAX));
             }
         }
         self.obs.sink.flush();
@@ -2723,6 +2484,42 @@ impl Emulator {
             let tb_id = self.tb_ids.get(&pc).copied().unwrap_or(0);
             self.obs.profiler.record(tb_id, pc, execs, misses);
         }
+    }
+}
+
+/// One simulated core's guest state as the reference semantics sees
+/// it: the register file and flags live in the core's env block in
+/// machine memory (pinned host registers in the native setup), memory
+/// is the machine's.
+struct CoreState<'a> {
+    emu: &'a mut Emulator,
+    core: usize,
+}
+
+impl GuestState for CoreState<'_> {
+    fn reg(&self, r: Gpr) -> u64 {
+        self.emu.guest_reg(self.core, r)
+    }
+    fn set_reg(&mut self, r: Gpr, v: u64) {
+        self.emu.write_guest_reg(self.core, r, v);
+    }
+    fn flags(&self) -> Flags {
+        self.emu.guest_flags(self.core)
+    }
+    fn set_flags(&mut self, f: Flags) {
+        self.emu.write_guest_flags(self.core, f);
+    }
+    fn load_u64(&self, addr: u64) -> u64 {
+        self.emu.machine.mem.read_u64(addr)
+    }
+    fn store_u64(&mut self, addr: u64, v: u64) {
+        self.emu.machine.mem.write_u64(addr, v);
+    }
+    fn load_u8(&self, addr: u64) -> u8 {
+        self.emu.machine.mem.read_u8(addr)
+    }
+    fn store_u8(&mut self, addr: u64, v: u8) {
+        self.emu.machine.mem.write_u8(addr, v);
     }
 }
 

@@ -77,17 +77,22 @@ impl Obs {
         }
     }
 
-    /// Constructs and records one event (only call when `tracing`).
+    /// Records one event when a sink is installed; `detail` is only
+    /// rendered then.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit(
+    pub(crate) fn trace(
         &mut self,
         stage: TraceStage,
         core: Option<usize>,
         guest_pc: Option<u64>,
         tb_id: Option<u64>,
         dur_ns: Option<u64>,
-        detail: String,
+        detail: impl FnOnce() -> String,
     ) {
+        if !self.tracing {
+            return;
+        }
+        let detail = detail();
         let ev = TraceEvent { seq: self.seq, stage, core, guest_pc, tb_id, dur_ns, detail };
         self.seq += 1;
         self.sink.record(&ev);

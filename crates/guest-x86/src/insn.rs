@@ -709,6 +709,10 @@ pub mod syscalls {
     pub const EXIT: u64 = 0;
     /// Write bytes: `RDI` = fd, `RSI` = buffer vaddr, `RDX` = length.
     pub const WRITE: u64 = 1;
+    /// Longest `WRITE` the virtual OS accepts. The length is a guest
+    /// register; every layer rejects a longer one as a bad syscall
+    /// before allocating for it.
+    pub const WRITE_MAX: u64 = 1 << 20;
     /// Spawn a thread: `RDI` = entry vaddr, `RSI` = argument, returns tid.
     pub const SPAWN: u64 = 2;
     /// Join a thread: `RDI` = tid; returns its exit value.

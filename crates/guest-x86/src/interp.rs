@@ -8,7 +8,7 @@
 //! not by this interpreter.)
 
 use crate::gelf::{GuestBinary, DATA_BASE, STACK_SIZE, STACK_TOP, TEXT_BASE};
-use crate::insn::{syscalls, Insn, Operand};
+use crate::insn::{syscalls, AluOp, Insn, Operand};
 use crate::regs::{Flags, Gpr};
 use std::collections::HashMap;
 use std::fmt;
@@ -41,11 +41,13 @@ impl SparseMem {
         page[(addr % PAGE as u64) as usize] = val;
     }
 
-    /// Reads a little-endian u64 (unaligned allowed).
+    /// Reads a little-endian u64 (unaligned allowed). Like every
+    /// multi-byte access here, it wraps around the top of the address
+    /// space: the address is a guest value.
     pub fn read_u64(&self, addr: u64) -> u64 {
         let mut b = [0u8; 8];
         for (i, slot) in b.iter_mut().enumerate() {
-            *slot = self.read_u8(addr + i as u64);
+            *slot = self.read_u8(addr.wrapping_add(i as u64));
         }
         u64::from_le_bytes(b)
     }
@@ -53,20 +55,20 @@ impl SparseMem {
     /// Writes a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, val: u64) {
         for (i, byte) in val.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr + i as u64, *byte);
+            self.write_u8(addr.wrapping_add(i as u64), *byte);
         }
     }
 
     /// Copies a byte slice in.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+            self.write_u8(addr.wrapping_add(i as u64), *b);
         }
     }
 
     /// Copies `len` bytes out.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        (0..len).map(|i| self.read_u8(addr.wrapping_add(i as u64))).collect()
     }
 
     /// Loads a guest binary's sections.
@@ -74,6 +76,150 @@ impl SparseMem {
         self.write_bytes(TEXT_BASE, &bin.text);
         self.write_bytes(DATA_BASE, &bin.data);
     }
+}
+
+/// The architectural state one MiniX86 instruction executes against:
+/// a register file, the condition flags and byte-addressed memory.
+/// Whoever owns the state implements this — [`Interp`] over its thread
+/// table, the DBT engine's fallback over the env block of a simulated
+/// core — and [`exec_insn`] is the one instruction semantics both run.
+pub trait GuestState {
+    /// Reads a general-purpose register.
+    fn reg(&self, r: Gpr) -> u64;
+    /// Writes a general-purpose register.
+    fn set_reg(&mut self, r: Gpr, v: u64);
+    /// Reads the condition flags.
+    fn flags(&self) -> Flags;
+    /// Writes the condition flags.
+    fn set_flags(&mut self, f: Flags);
+    /// Loads a little-endian u64 (unaligned allowed).
+    fn load_u64(&self, addr: u64) -> u64;
+    /// Stores a little-endian u64.
+    fn store_u64(&mut self, addr: u64, v: u64);
+    /// Loads one byte.
+    fn load_u8(&self, addr: u64) -> u8;
+    /// Stores one byte.
+    fn store_u8(&mut self, addr: u64, v: u8);
+}
+
+/// What [`exec_insn`] left for its caller to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Fall through to the next instruction.
+    Next,
+    /// Control transfers to this pc. Every branch reports one — a
+    /// not-taken `Jcc` reports the fall-through pc — so a caller that
+    /// works in basic blocks sees each block end.
+    Branch(u64),
+    /// `MFENCE`: order the caller's memory system, then fall through.
+    Fence,
+    /// `HLT`: the thread stops; its exit value is `RAX`.
+    Halt,
+    /// `SYSCALL`: the caller services it (arguments are in the registers).
+    Syscall,
+}
+
+/// Executes `insn` against `s`; `next` is the pc of the instruction
+/// after it. Register, flag and memory effects are applied here;
+/// what the instruction means for control flow, the memory system or
+/// the OS interface is returned as a [`Step`].
+pub fn exec_insn<S: GuestState>(s: &mut S, insn: Insn, next: u64) -> Step {
+    let operand = |s: &S, o: Operand| match o {
+        Operand::Reg(r) => s.reg(r),
+        Operand::Imm(i) => i,
+    };
+    let ea = |s: &S, base: Gpr, disp: i32| s.reg(base).wrapping_add(disp as i64 as u64);
+    let push = |s: &mut S, v: u64| {
+        let sp = s.reg(Gpr::RSP).wrapping_sub(8);
+        s.set_reg(Gpr::RSP, sp);
+        s.store_u64(sp, v);
+    };
+    let rel_target = |rel: i32| next.wrapping_add(rel as i64 as u64);
+
+    match insn {
+        Insn::MovRI { dst, imm } => s.set_reg(dst, imm),
+        Insn::MovRR { dst, src } => s.set_reg(dst, s.reg(src)),
+        Insn::Load { dst, base, disp } => s.set_reg(dst, s.load_u64(ea(s, base, disp))),
+        Insn::Store { base, disp, src } => s.store_u64(ea(s, base, disp), s.reg(src)),
+        Insn::LoadB { dst, base, disp } => s.set_reg(dst, s.load_u8(ea(s, base, disp)) as u64),
+        Insn::StoreB { base, disp, src } => s.store_u8(ea(s, base, disp), s.reg(src) as u8),
+        Insn::MulWide { src } => {
+            let p = s.reg(Gpr::RAX) as u128 * s.reg(src) as u128;
+            s.set_reg(Gpr::RAX, p as u64);
+            s.set_reg(Gpr::RDX, (p >> 64) as u64);
+        }
+        Insn::Lea { dst, base, disp } => s.set_reg(dst, ea(s, base, disp)),
+        Insn::Alu { op, dst, src } => {
+            let a = s.reg(dst);
+            let b = operand(s, src);
+            let r = op.apply(a, b);
+            s.set_reg(dst, r);
+            s.set_flags(match op {
+                AluOp::Add => Flags::from_add(a, b),
+                AluOp::Sub => Flags::from_sub(a, b),
+                _ => Flags::from_logic(r),
+            });
+        }
+        Insn::Div { src } => {
+            let d = s.reg(src);
+            let a = s.reg(Gpr::RAX);
+            // Div-by-zero yields (0, a) uniformly across all layers of
+            // this project (Arm-style), documented in DESIGN.md.
+            s.set_reg(Gpr::RAX, a.checked_div(d).unwrap_or(0));
+            s.set_reg(Gpr::RDX, a.checked_rem(d).unwrap_or(a));
+        }
+        Insn::Fp { op, dst, src } => s.set_reg(dst, op.apply(s.reg(dst), s.reg(src))),
+        Insn::Cmp { a, b } => s.set_flags(Flags::from_sub(s.reg(a), operand(s, b))),
+        Insn::Test { a, b } => s.set_flags(Flags::from_logic(s.reg(a) & operand(s, b))),
+        Insn::Jcc { cond, rel } => {
+            return Step::Branch(if cond.eval(s.flags()) { rel_target(rel) } else { next });
+        }
+        Insn::Jmp { rel } => return Step::Branch(rel_target(rel)),
+        Insn::JmpReg { reg } => return Step::Branch(s.reg(reg)),
+        Insn::Call { rel } => {
+            push(s, next);
+            return Step::Branch(rel_target(rel));
+        }
+        Insn::CallReg { reg } => {
+            let target = s.reg(reg);
+            push(s, next);
+            return Step::Branch(target);
+        }
+        Insn::Ret => {
+            let sp = s.reg(Gpr::RSP);
+            let ra = s.load_u64(sp);
+            s.set_reg(Gpr::RSP, sp.wrapping_add(8));
+            return Step::Branch(ra);
+        }
+        Insn::Push { src } => push(s, s.reg(src)),
+        Insn::Pop { dst } => {
+            let sp = s.reg(Gpr::RSP);
+            s.set_reg(dst, s.load_u64(sp));
+            s.set_reg(Gpr::RSP, sp.wrapping_add(8));
+        }
+        Insn::LockCmpxchg { base, disp, src } => {
+            let addr = ea(s, base, disp);
+            let cur = s.load_u64(addr);
+            if cur == s.reg(Gpr::RAX) {
+                s.store_u64(addr, s.reg(src));
+                s.set_flags(Flags::from_sub(0, 0)); // ZF=1
+            } else {
+                s.set_reg(Gpr::RAX, cur);
+                s.set_flags(Flags::from_sub(1, 0)); // ZF=0
+            }
+        }
+        Insn::LockXadd { base, disp, src } => {
+            let addr = ea(s, base, disp);
+            let cur = s.load_u64(addr);
+            s.store_u64(addr, cur.wrapping_add(s.reg(src)));
+            s.set_reg(src, cur);
+        }
+        Insn::Nop => {}
+        Insn::Mfence => return Step::Fence,
+        Insn::Hlt => return Step::Halt,
+        Insn::Syscall => return Step::Syscall,
+    }
+    Step::Next
 }
 
 /// One guest thread.
@@ -100,6 +246,40 @@ impl ThreadState {
             exit_val: 0,
             joining: None,
         }
+    }
+}
+
+/// [`Interp`]'s [`GuestState`]: one thread's registers over the shared
+/// sequentially consistent memory.
+struct ThreadView<'a> {
+    th: &'a mut ThreadState,
+    mem: &'a mut SparseMem,
+}
+
+impl GuestState for ThreadView<'_> {
+    fn reg(&self, r: Gpr) -> u64 {
+        self.th.regs[r.index()]
+    }
+    fn set_reg(&mut self, r: Gpr, v: u64) {
+        self.th.regs[r.index()] = v;
+    }
+    fn flags(&self) -> Flags {
+        self.th.flags
+    }
+    fn set_flags(&mut self, f: Flags) {
+        self.th.flags = f;
+    }
+    fn load_u64(&self, addr: u64) -> u64 {
+        self.mem.read_u64(addr)
+    }
+    fn store_u64(&mut self, addr: u64, v: u64) {
+        self.mem.write_u64(addr, v);
+    }
+    fn load_u8(&self, addr: u64) -> u8 {
+        self.mem.read_u8(addr)
+    }
+    fn store_u8(&mut self, addr: u64, v: u8) {
+        self.mem.write_u8(addr, v);
     }
 }
 
@@ -270,185 +450,72 @@ impl Interp {
         let window = self.mem.read_bytes(pc, 16);
         let (insn, len) =
             Insn::decode(&window).map_err(|cause| InterpError::Decode { pc, cause })?;
-        let next = pc + len as u64;
+        let next = pc.wrapping_add(len as u64);
         self.steps_executed += 1;
-
-        let get = |t: &ThreadState, r: Gpr| t.regs[r.index()];
-        let operand = |t: &ThreadState, o: Operand| match o {
-            Operand::Reg(r) => t.regs[r.index()],
-            Operand::Imm(i) => i,
-        };
 
         let th = &mut self.threads[tid];
         th.pc = next;
-        match insn {
-            Insn::MovRI { dst, imm } => th.regs[dst.index()] = imm,
-            Insn::MovRR { dst, src } => th.regs[dst.index()] = get(th, src),
-            Insn::Load { dst, base, disp } => {
-                let addr = get(th, base).wrapping_add(disp as i64 as u64);
-                th.regs[dst.index()] = self.mem.read_u64(addr);
-            }
-            Insn::Store { base, disp, src } => {
-                let addr = get(th, base).wrapping_add(disp as i64 as u64);
-                let v = get(th, src);
-                self.mem.write_u64(addr, v);
-            }
-            Insn::LoadB { dst, base, disp } => {
-                let addr = get(th, base).wrapping_add(disp as i64 as u64);
-                th.regs[dst.index()] = self.mem.read_u8(addr) as u64;
-            }
-            Insn::StoreB { base, disp, src } => {
-                let addr = get(th, base).wrapping_add(disp as i64 as u64);
-                let v = get(th, src) as u8;
-                self.mem.write_u8(addr, v);
-            }
-            Insn::MulWide { src } => {
-                let a = get(th, Gpr::RAX) as u128;
-                let b = get(th, src) as u128;
-                let p = a * b;
-                th.regs[Gpr::RAX.index()] = p as u64;
-                th.regs[Gpr::RDX.index()] = (p >> 64) as u64;
-            }
-            Insn::Lea { dst, base, disp } => {
-                th.regs[dst.index()] = get(th, base).wrapping_add(disp as i64 as u64);
-            }
-            Insn::Alu { op, dst, src } => {
-                let a = get(th, dst);
-                let b = operand(th, src);
-                let r = op.apply(a, b);
-                th.regs[dst.index()] = r;
-                th.flags = match op {
-                    crate::insn::AluOp::Add => Flags::from_add(a, b),
-                    crate::insn::AluOp::Sub => Flags::from_sub(a, b),
-                    _ => Flags::from_logic(r),
-                };
-            }
-            Insn::Div { src } => {
-                let d = get(th, src);
-                let a = get(th, Gpr::RAX);
-                // Div-by-zero yields (0, a) uniformly across all layers of
-                // this project (Arm-style), documented in DESIGN.md.
-                let (q, r) = (a.checked_div(d).unwrap_or(0), a.checked_rem(d).unwrap_or(a));
-                th.regs[Gpr::RAX.index()] = q;
-                th.regs[Gpr::RDX.index()] = r;
-            }
-            Insn::Fp { op, dst, src } => {
-                let a = get(th, dst);
-                let b = get(th, src);
-                th.regs[dst.index()] = op.apply(a, b);
-            }
-            Insn::Cmp { a, b } => {
-                th.flags = Flags::from_sub(get(th, a), operand(th, b));
-            }
-            Insn::Test { a, b } => {
-                th.flags = Flags::from_logic(get(th, a) & operand(th, b));
-            }
-            Insn::Jcc { cond, rel } => {
-                if cond.eval(th.flags) {
-                    th.pc = next.wrapping_add(rel as i64 as u64);
-                }
-            }
-            Insn::Jmp { rel } => th.pc = next.wrapping_add(rel as i64 as u64),
-            Insn::JmpReg { reg } => th.pc = get(th, reg),
-            Insn::Call { rel } => {
-                th.regs[Gpr::RSP.index()] = th.regs[Gpr::RSP.index()].wrapping_sub(8);
-                let sp = th.regs[Gpr::RSP.index()];
-                self.mem.write_u64(sp, next);
-                self.threads[tid].pc = next.wrapping_add(rel as i64 as u64);
-            }
-            Insn::CallReg { reg } => {
-                let target = get(th, reg);
-                th.regs[Gpr::RSP.index()] = th.regs[Gpr::RSP.index()].wrapping_sub(8);
-                let sp = th.regs[Gpr::RSP.index()];
-                self.mem.write_u64(sp, next);
-                self.threads[tid].pc = target;
-            }
-            Insn::Ret => {
-                let sp = th.regs[Gpr::RSP.index()];
-                th.regs[Gpr::RSP.index()] = sp.wrapping_add(8);
-                let ra = self.mem.read_u64(sp);
-                self.threads[tid].pc = ra;
-            }
-            Insn::Push { src } => {
-                let v = get(th, src);
-                th.regs[Gpr::RSP.index()] = th.regs[Gpr::RSP.index()].wrapping_sub(8);
-                let sp = th.regs[Gpr::RSP.index()];
-                self.mem.write_u64(sp, v);
-            }
-            Insn::Pop { dst } => {
-                let sp = th.regs[Gpr::RSP.index()];
-                th.regs[dst.index()] = self.mem.read_u64(sp);
-                th.regs[Gpr::RSP.index()] = sp.wrapping_add(8);
-            }
-            Insn::LockCmpxchg { base, disp, src } => {
-                let addr = get(th, base).wrapping_add(disp as i64 as u64);
-                let expected = get(th, Gpr::RAX);
-                let newval = get(th, src);
-                let cur = self.mem.read_u64(addr);
-                if cur == expected {
-                    self.mem.write_u64(addr, newval);
-                    self.threads[tid].flags = Flags::from_sub(0, 0); // ZF=1
-                } else {
-                    self.threads[tid].regs[Gpr::RAX.index()] = cur;
-                    self.threads[tid].flags = Flags::from_sub(1, 0); // ZF=0
-                }
-            }
-            Insn::LockXadd { base, disp, src } => {
-                let addr = get(th, base).wrapping_add(disp as i64 as u64);
-                let add = get(th, src);
-                let cur = self.mem.read_u64(addr);
-                self.mem.write_u64(addr, cur.wrapping_add(add));
-                self.threads[tid].regs[src.index()] = cur;
-            }
-            Insn::Mfence | Insn::Nop => {}
-            Insn::Hlt => {
+        match exec_insn(&mut ThreadView { th, mem: &mut self.mem }, insn, next) {
+            // Sequentially consistent memory: a fence has nothing to order.
+            Step::Next | Step::Fence => {}
+            Step::Branch(target) => th.pc = target,
+            Step::Halt => {
                 th.halted = true;
                 th.exit_val = th.regs[Gpr::RAX.index()];
             }
-            Insn::Syscall => {
-                let n = get(th, Gpr::RAX);
-                let a1 = get(th, Gpr::RDI);
-                let a2 = get(th, Gpr::RSI);
-                let a3 = get(th, Gpr::RDX);
-                match n {
-                    syscalls::EXIT => {
-                        th.halted = true;
-                        th.exit_val = a1;
-                    }
-                    syscalls::WRITE => {
-                        let _fd = a1;
-                        let buf = self.mem.read_bytes(a2, a3 as usize);
-                        self.output.extend_from_slice(&buf);
-                        self.threads[tid].regs[Gpr::RAX.index()] = a3;
-                    }
-                    syscalls::SPAWN => {
-                        let new_tid = self.threads.len();
-                        let stack_top = STACK_TOP - new_tid as u64 * STACK_SIZE;
-                        let mut t = ThreadState::new(a1, stack_top);
-                        t.regs[Gpr::RDI.index()] = a2;
-                        self.threads.push(t);
-                        self.threads[tid].regs[Gpr::RAX.index()] = new_tid as u64;
-                    }
-                    syscalls::JOIN => {
-                        let target = a1 as usize;
-                        if target >= self.threads.len() || target == tid {
-                            return Err(InterpError::BadJoin(a1));
-                        }
-                        if self.threads[target].halted {
-                            let v = self.threads[target].exit_val;
-                            self.threads[tid].regs[Gpr::RAX.index()] = v;
-                        } else {
-                            self.threads[tid].joining = Some(target);
-                            // Stay on the syscall… no: block at the *next*
-                            // pc; the scheduler delivers the result.
-                        }
-                    }
-                    syscalls::GETTID => {
-                        self.threads[tid].regs[Gpr::RAX.index()] = tid as u64;
-                    }
-                    other => return Err(InterpError::BadSyscall(other)),
+            Step::Syscall => self.syscall(tid)?,
+        }
+        Ok(())
+    }
+
+    /// Services the syscall thread `tid` just executed (the virtual OS
+    /// interface: exit / write / spawn / join / gettid).
+    fn syscall(&mut self, tid: usize) -> Result<(), InterpError> {
+        let th = &mut self.threads[tid];
+        let n = th.regs[Gpr::RAX.index()];
+        let a1 = th.regs[Gpr::RDI.index()];
+        let a2 = th.regs[Gpr::RSI.index()];
+        let a3 = th.regs[Gpr::RDX.index()];
+        match n {
+            syscalls::EXIT => {
+                th.halted = true;
+                th.exit_val = a1;
+            }
+            syscalls::WRITE => {
+                let _fd = a1;
+                if a3 > syscalls::WRITE_MAX {
+                    return Err(InterpError::BadSyscall(n));
+                }
+                let buf = self.mem.read_bytes(a2, a3 as usize);
+                self.output.extend_from_slice(&buf);
+                th.regs[Gpr::RAX.index()] = a3;
+            }
+            syscalls::SPAWN => {
+                let new_tid = self.threads.len();
+                let stack_top = STACK_TOP - new_tid as u64 * STACK_SIZE;
+                let mut t = ThreadState::new(a1, stack_top);
+                t.regs[Gpr::RDI.index()] = a2;
+                self.threads.push(t);
+                self.threads[tid].regs[Gpr::RAX.index()] = new_tid as u64;
+            }
+            syscalls::JOIN => {
+                let target = a1 as usize;
+                if target >= self.threads.len() || target == tid {
+                    return Err(InterpError::BadJoin(a1));
+                }
+                if self.threads[target].halted {
+                    let v = self.threads[target].exit_val;
+                    self.threads[tid].regs[Gpr::RAX.index()] = v;
+                } else {
+                    self.threads[tid].joining = Some(target);
+                    // Stay on the syscall… no: block at the *next*
+                    // pc; the scheduler delivers the result.
                 }
             }
+            syscalls::GETTID => {
+                self.threads[tid].regs[Gpr::RAX.index()] = tid as u64;
+            }
+            other => return Err(InterpError::BadSyscall(other)),
         }
         Ok(())
     }

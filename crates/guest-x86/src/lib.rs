@@ -17,7 +17,9 @@
 //! * [`GelfBuilder`] / [`GuestBinary`] — the GELF executable format with
 //!   `.text` / `.data` / `.dynsym`+PLT sections for the host linker, and
 //! * [`Interp`] — a reference interpreter used as the functional oracle in
-//!   differential tests.
+//!   differential tests, built on
+//! * [`exec_insn`] over a [`GuestState`] — the workspace's one MiniX86
+//!   instruction semantics (the DBT engine's fallback runs it too).
 //!
 //! ## Example
 //!
@@ -54,5 +56,5 @@ pub use gelf::{
     STACK_TOP, TEXT_BASE,
 };
 pub use insn::{disassemble, syscalls, AluOp, DecodeError, FpOp, Insn, Operand};
-pub use interp::{Interp, InterpError, SparseMem};
+pub use interp::{exec_insn, GuestState, Interp, InterpError, SparseMem, Step};
 pub use regs::{Cond, Flags, Gpr};

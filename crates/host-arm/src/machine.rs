@@ -874,7 +874,10 @@ impl Machine {
     }
 
     fn buffered_overlap(&self, core: usize, addr: u64) -> bool {
-        self.cores[core].store_buffer.iter().any(|&(a, _, _)| a != addr && a.abs_diff(addr) < 8)
+        // Distance around the address space: an access near the top
+        // wraps into the bytes at address zero.
+        let apart = |a: u64| a.wrapping_sub(addr).min(addr.wrapping_sub(a));
+        self.cores[core].store_buffer.iter().any(|&(a, _, _)| a != addr && apart(a) < 8)
     }
 
     /// Cycle cost of an exclusive/atomic access to `addr`: `base` plus the

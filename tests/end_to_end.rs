@@ -2,8 +2,10 @@
 //! round-trips through the on-disk GELF format into the DBT, guest I/O,
 //! error paths, and cross-setup agreement on library-heavy programs.
 
-use risotto::core::{EmuError, Emulator, Idl, Setup};
-use risotto::guest::{syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary, Interp};
+use risotto::core::{EmuError, Emulator, FaultPlan, FaultSite, Idl, Setup, TierConfig};
+use risotto::guest::{
+    syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary, Interp, InterpError, DATA_BASE,
+};
 use risotto::host::CostModel;
 use risotto::nativelib::hostlibs;
 
@@ -238,4 +240,75 @@ fn translation_cache_reuses_blocks() {
     assert!(r.tb_count <= 4, "10k iterations must reuse the cached TB, got {}", r.tb_count);
     assert!(r.code_bytes > 0);
     assert!(r.stats.insns > 10_000);
+}
+
+/// The four ways one guest program executes: the reference interpreter
+/// aside, tier-1 (the default), tier-0 templates only, and the fallback
+/// interpreter behind a plan that fails (nearly) every translation.
+fn dbt_paths(bin: &GuestBinary) -> [(&'static str, Emulator); 3] {
+    let tier1 = Emulator::new(bin, Setup::Risotto, 1, cost());
+    let mut tier0 = Emulator::new(bin, Setup::Risotto, 1, cost());
+    tier0.set_tiering(Some(TierConfig {
+        hot_threshold: u64::MAX,
+        warm_threshold: Some(u64::MAX),
+        ..TierConfig::default()
+    }));
+    let mut fallback = Emulator::new(bin, Setup::Risotto, 1, cost());
+    fallback.set_fault_plan(FaultPlan::seeded(1).rate(FaultSite::Translate, 65535));
+    [("tier-1", tier1), ("tier-0", tier0), ("fallback", fallback)]
+}
+
+/// The WRITE length is a guest register: a length no buffer could have
+/// is a bad syscall on every path, not an allocation of that size.
+#[test]
+fn oversized_write_is_a_typed_error() {
+    let mut b = GelfBuilder::new("main");
+    let msg = b.data_bytes(b"x");
+    b.asm.label("main");
+    b.asm.mov_ri(Gpr::RAX, syscalls::WRITE);
+    b.asm.mov_ri(Gpr::RDI, 1);
+    b.asm.mov_ri(Gpr::RSI, msg);
+    b.asm.mov_ri(Gpr::RDX, 1 << 60);
+    b.asm.syscall();
+    b.asm.hlt();
+    let bin = b.finish().unwrap();
+
+    let mut interp = Interp::new(&bin);
+    assert_eq!(interp.run(1_000), Err(InterpError::BadSyscall(syscalls::WRITE)));
+    for (path, mut emu) in dbt_paths(&bin) {
+        match emu.run(1_000_000) {
+            Err(EmuError::BadSyscall { n: syscalls::WRITE, core: 0, .. }) => {}
+            other => panic!("{path}: expected a bad-syscall error, got {other:?}"),
+        }
+    }
+}
+
+/// A 64-bit access four bytes below the top of the address space wraps
+/// to address zero — the same bytes on the interpreter and on every DBT
+/// path, in debug and release builds alike.
+#[test]
+fn access_wrapping_the_address_space_agrees_everywhere() {
+    let mut b = GelfBuilder::new("main");
+    let out = b.data_u64(&[0]);
+    b.asm.label("main");
+    b.asm.mov_ri(Gpr::RSI, u64::MAX - 3);
+    b.asm.mov_ri(Gpr::RBX, 0x1122_3344_5566_7788);
+    b.asm.store(Gpr::RSI, 0, Gpr::RBX);
+    b.asm.mov_ri(Gpr::RDI, 0);
+    b.asm.load(Gpr::RCX, Gpr::RDI, 0); // the four bytes that wrapped
+    b.asm.load(Gpr::RAX, Gpr::RSI, 0);
+    b.asm.mov_ri(Gpr::RDI, out);
+    b.asm.store(Gpr::RDI, 0, Gpr::RCX);
+    b.asm.hlt();
+    let bin = b.finish().unwrap();
+
+    let mut interp = Interp::new(&bin);
+    interp.run(1_000).unwrap();
+    assert_eq!(interp.exit_val(0), 0x1122_3344_5566_7788);
+    assert_eq!(interp.mem.read_u64(DATA_BASE), 0x1122_3344);
+    for (path, mut emu) in dbt_paths(&bin) {
+        let r = emu.run(1_000_000).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(r.exit_vals[0], Some(interp.exit_val(0)), "{path}: loaded value");
+        assert_eq!(emu.mem().read_u64(DATA_BASE), 0x1122_3344, "{path}: wrapped bytes");
+    }
 }

@@ -6,7 +6,8 @@
 //! [`EmuError`] — never a panic, never a silently wrong result.
 
 use risotto::core::{EmuError, Emulator, FaultPlan, FaultSite, SchedPolicy, Setup};
-use risotto::guest::{syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary, Interp};
+use risotto::fuzz::parse_corpus;
+use risotto::guest::{syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary, Interp, DATA_BASE};
 use risotto::host::CostModel;
 use risotto::workloads::kernels;
 
@@ -343,4 +344,54 @@ fn failed_host_link_uses_guest_implementation() {
     let guest = emu.run(FUEL).unwrap();
     assert_eq!(guest.exit_vals[0], native.exit_vals[0], "digest changed");
     assert_eq!(guest.stats.native_calls, 0);
+}
+
+/// With (nearly) every translation failing, whole programs run through
+/// the interpreter fallback — the reference semantics executing over the
+/// env-in-machine-memory guest state — and must end where the reference
+/// interpreter ends: exit values, WRITE output and `.data`, on the 16
+/// kernels and the checked-in fuzz corpus.
+#[test]
+fn forced_fallback_matches_the_interpreter_on_kernels_and_corpus() {
+    let mut programs: Vec<(String, GuestBinary, usize)> =
+        kernels::all().iter().map(|w| (w.name.to_owned(), (w.build)(6, 2), 2)).collect();
+    let corpus = [
+        ("cmpxchg_fail_path", include_str!("corpus/cmpxchg_fail_path.risotto")),
+        ("fp_nan_chain", include_str!("corpus/fp_nan_chain.risotto")),
+        ("fp_nan_cross_thread", include_str!("corpus/fp_nan_cross_thread.risotto")),
+        ("hot_loop_promotion", include_str!("corpus/hot_loop_promotion.risotto")),
+        ("spawn_cas_contention", include_str!("corpus/spawn_cas_contention.risotto")),
+        ("store_store_fence", include_str!("corpus/store_store_fence.risotto")),
+    ];
+    for (name, text) in corpus {
+        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
+        programs.push((
+            name.to_owned(),
+            spec.lower().expect("corpus program lowers"),
+            spec.cores(),
+        ));
+    }
+    assert_eq!(programs.len(), 22);
+
+    for (seed, (name, bin, cores)) in programs.iter().enumerate() {
+        let mut interp = Interp::new(bin);
+        interp.run(FUEL).unwrap_or_else(|e| panic!("{name}: reference interpreter: {e}"));
+
+        let mut emu = Emulator::new(bin, Setup::Risotto, *cores, cost());
+        emu.set_fault_plan(FaultPlan::seeded(seed as u64).rate(FaultSite::Translate, 65535));
+        let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{name}: forced fallback: {e}"));
+
+        for (tid, exit) in r.exit_vals.iter().enumerate() {
+            let Some(exit) = exit else { continue };
+            assert_eq!(*exit, interp.exit_val(tid), "{name}: exit value of thread {tid}");
+        }
+        assert_eq!(r.output, interp.output, "{name}: WRITE output");
+        assert_eq!(
+            emu.mem().read_bytes(DATA_BASE, bin.data.len()),
+            interp.mem.read_bytes(DATA_BASE, bin.data.len()),
+            "{name}: final .data"
+        );
+        assert!(r.fallback_blocks > 0, "{name}: nothing fell back");
+        assert!(emu.metrics().counter("translate.interp_steps") > 0, "{name}: nothing interpreted");
+    }
 }

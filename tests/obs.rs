@@ -16,9 +16,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use risotto::core::{
-    Emulator, HotTbProfiler, MetricsRegistry, MetricsSnapshot, RingBufferSink, Setup, TraceEvent,
-    TraceSink, TraceStage,
+    Emulator, FaultPlan, HotTbProfiler, MetricsRegistry, MetricsSnapshot, RingBufferSink, Setup,
+    TierConfig, TraceEvent, TraceSink, TraceStage, VerifyLevel,
 };
+use risotto::guest::{AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
 use risotto::host::CostModel;
 use risotto::memmodel::FenceKind;
 use risotto::workloads::kernels;
@@ -258,4 +259,98 @@ fn hot_tb_profiler_default_is_empty_and_top_n_breaks_ties_by_pc() {
     q.record(7, 0x5000, 2, 0);
     let only = q.top_n(1)[0];
     assert_eq!((only.tb_id, only.execs, only.chain_misses), (7, 3, 1));
+}
+
+/// A 400-iteration loop split over two blocks (`loop` jumps to `tail`,
+/// `tail` branches back), so a hot trace has a seam to stitch.
+fn two_block_loop() -> GuestBinary {
+    let mut b = GelfBuilder::new("main");
+    b.asm.label("main");
+    b.asm.mov_ri(Gpr::RCX, 400);
+    b.asm.mov_ri(Gpr::RAX, 0);
+    b.asm.label("loop");
+    b.asm.alu_ri(AluOp::Add, Gpr::RAX, 1);
+    b.asm.jmp_to("tail");
+    b.asm.label("tail");
+    b.asm.alu_ri(AluOp::Sub, Gpr::RCX, 1);
+    b.asm.cmp_ri(Gpr::RCX, 0);
+    b.asm.jcc_to(Cond::Ne, "loop");
+    b.asm.hlt();
+    b.finish().unwrap()
+}
+
+/// Runs `two_block_loop` at `VerifyLevel::Install` and returns its
+/// pipeline events (everything but `Dispatch`) cut into install
+/// attempts: each piece ends with an `Install`; events after the last
+/// one form the final piece.
+fn install_attempts(tiers: Option<TierConfig>, plan: FaultPlan) -> Vec<Vec<TraceEvent>> {
+    let ring = Rc::new(RefCell::new(RingBufferSink::new(4096)));
+    let mut emu = Emulator::new(&two_block_loop(), Setup::Risotto, 1, CostModel::thunderx2_like());
+    emu.set_verify(VerifyLevel::Install);
+    emu.set_tiering(tiers);
+    emu.set_fault_plan(plan);
+    emu.set_trace_sink(Box::new(SharedSink(Rc::clone(&ring))));
+    let r = emu.run(FUEL).expect("loop runs");
+    assert_eq!(r.exit_vals[0], Some(400));
+    let mut attempts = vec![Vec::new()];
+    for e in ring.borrow().events().filter(|e| e.stage != TraceStage::Dispatch) {
+        attempts.last_mut().unwrap().push(e.clone());
+        if e.stage == TraceStage::Install {
+            attempts.push(Vec::new());
+        }
+    }
+    attempts
+}
+
+/// Which tier's producer an install attempt's events came from.
+fn tier_of(attempt: &[TraceEvent]) -> &'static str {
+    use TraceStage::{Decode, Encode, Install, Opt};
+    let stages: Vec<TraceStage> = attempt.iter().map(|e| e.stage).collect();
+    let (first, last) = (&attempt[0].detail, &attempt[attempt.len() - 1].detail);
+    if stages == [Decode, Opt, Encode, Install] && !first.starts_with("tier-0") {
+        "tier-1"
+    } else if stages == [Decode, Install] && first.starts_with("tier-0") {
+        "tier-0"
+    } else if stages == [Install] && last.starts_with("superblock:") {
+        "tier-2"
+    } else {
+        panic!("install attempt fits no tier's event order: {attempt:#?}")
+    }
+}
+
+/// The event order external consumers parse (the repo benchmark's
+/// replay keys on `Decode` events and the `"tier-0"` detail prefix):
+/// tier-1 `Decode → Opt → Encode → Install`, tier-0 `Decode → Install`,
+/// tier-2 one `Install` — and an install the read-back rejects leaves
+/// its producer's events, a `Fault`, and no `Install`.
+#[test]
+fn trace_event_order_per_tier_and_on_rejected_installs() {
+    let ladder = TierConfig { hot_threshold: 16, warm_threshold: Some(4), ..TierConfig::default() };
+
+    let mut tier1 = install_attempts(None, FaultPlan::default());
+    assert!(tier1.pop().unwrap().is_empty(), "events after the last install");
+    assert!(tier1.iter().all(|a| tier_of(a) == "tier-1"));
+
+    let mut clean = install_attempts(Some(ladder), FaultPlan::default());
+    assert!(clean.pop().unwrap().is_empty(), "events after the last install");
+    let tiers: Vec<&str> = clean.iter().map(|a| tier_of(a)).collect();
+
+    for tier in ["tier-0", "tier-1", "tier-2"] {
+        let nth = tiers.iter().position(|t| *t == tier).unwrap_or_else(|| panic!("no {tier}"));
+        let plan = FaultPlan::seeded(1).corrupt_install_at(nth as u64);
+        let faulted = install_attempts(Some(ladder), plan);
+        assert_eq!(faulted[..nth], clean[..nth], "{tier}: installs before the corrupted one");
+        // The rejected attempt: the clean attempt's events with the
+        // `Install` replaced by the verifier's `Fault`.
+        let want = &clean[nth];
+        let got = &faulted[nth][..want.len()];
+        let key = |e: &TraceEvent| (e.stage, e.guest_pc);
+        let (produced, rejected) = (want.len() - 1, &got[want.len() - 1]);
+        assert!(
+            got[..produced].iter().map(key).eq(want[..produced].iter().map(key)),
+            "{tier}: producer events of the rejected attempt: {got:#?}"
+        );
+        assert_eq!(key(rejected), (TraceStage::Fault, want[produced].guest_pc), "{tier}");
+        assert!(rejected.detail.contains("installed bytes differ"), "{tier}: {rejected:?}");
+    }
 }
