@@ -32,9 +32,9 @@ use risotto_guest_x86::{
     STACK_TOP, TEXT_BASE,
 };
 use risotto_host_arm::{
-    AllocStats, ArmBackend, AtomicEvent, BackendConfig, ChainStats, CoreStats, CostModel, Event,
-    HostBackend, HostFaultKind, HostInsn, Machine, MemOrder, NativeFn, OrderingLowering, RmwStyle,
-    SchedPolicy, TbExitKind, Xreg, ENV_BASE, SPILL_BASE,
+    AOp, AllocStats, ArmBackend, AtomicEvent, BackendConfig, ChainStats, CoreStats, CostModel,
+    Event, HostBackend, HostFaultKind, HostInsn, Machine, MemOrder, NativeFn, OrderingLowering,
+    RmwStyle, SchedPolicy, TbExitKind, Xreg, ENV_BASE, SPILL_BASE,
 };
 use risotto_host_tso::TsoBackend;
 use risotto_memmodel::FenceKind;
@@ -1189,11 +1189,7 @@ impl Emulator {
     /// The full 16-register guest file of `core`
     /// (see [`Emulator::guest_reg`]).
     pub fn guest_regs(&self, core: usize) -> [u64; Gpr::COUNT] {
-        let mut out = [0; Gpr::COUNT];
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = self.read_env(core, i as u8);
-        }
-        out
+        std::array::from_fn(|i| self.read_env(core, i as u8))
     }
 
     /// The architectural condition flags of `core`
@@ -1318,14 +1314,10 @@ impl Emulator {
 
     fn init_core(&mut self, core: usize, arg: Option<u64>) {
         let stack_top = STACK_TOP - core as u64 * STACK_SIZE;
-        if self.setup == Setup::Native {
-            for g in 0..16 {
-                self.machine.set_reg(core, Xreg(6 + g), 0);
-            }
-        } else {
-            for r in 0..env::COUNT as u8 {
-                self.machine.mem.write_u64(Self::env_addr(core, r), 0);
-            }
+        for slot in 0..env::COUNT as u8 {
+            self.write_env(core, slot, 0);
+        }
+        if self.setup != Setup::Native {
             self.machine.set_reg(core, ENV_BASE, Self::env_base(core));
         }
         self.machine.set_reg(core, SPILL_BASE, SPILL_REGION + core as u64 * SPILL_STRIDE);
@@ -2068,68 +2060,41 @@ impl Emulator {
     /// guest code (§6.2): copy guest argument registers into the host
     /// ABI's, call, write the result back, and perform the guest `ret`.
     fn build_native_thunk(&self, func: u16, nargs: usize) -> Vec<HostInsn> {
+        let ldr = |dst, base, off| HostInsn::Ldr { dst, base, off, order: MemOrder::Plain };
+        let str = |src, base, off| HostInsn::Str { src, base, off, order: MemOrder::Plain };
+        let pop = |sp| HostInsn::AluImm { op: AOp::Add, dst: sp, a: sp, imm: 8 };
+        let env = |g: Gpr| g.0 as i32 * 8;
+        let args = Gpr::ARGS.iter().take(nargs).enumerate();
         let mut code = Vec::new();
         if self.setup == Setup::Native {
             // Native ABI: direct register moves, no memory marshaling.
-            for (i, g) in Gpr::ARGS.iter().take(nargs).enumerate() {
-                code.push(HostInsn::MovReg { dst: Xreg(i as u8), src: Xreg(6 + g.0) });
-            }
+            code.extend(
+                args.map(|(i, g)| HostInsn::MovReg { dst: Xreg(i as u8), src: Xreg(6 + g.0) }),
+            );
             code.push(HostInsn::NativeCall { func });
             code.push(HostInsn::MovReg { dst: Xreg(6 + Gpr::RAX.0), src: Xreg(0) });
             // ret: pop the return address from the guest stack (RSP = X10).
-            let rsp = Xreg(6 + Gpr::RSP.0);
-            code.push(HostInsn::Ldr { dst: Xreg(29), base: rsp, off: 0, order: MemOrder::Plain });
-            code.push(HostInsn::AluImm {
-                op: risotto_host_arm::AOp::Add,
-                dst: rsp,
-                a: rsp,
-                imm: 8,
-            });
-            code.push(HostInsn::ExitTb(TbExitKind::JumpReg { reg: Xreg(29) }));
+            let (sp, ra) = (Xreg(6 + Gpr::RSP.0), Xreg(29));
+            code.extend([
+                ldr(ra, sp, 0),
+                pop(sp),
+                HostInsn::ExitTb(TbExitKind::JumpReg { reg: ra }),
+            ]);
         } else {
             // DBT ABI: marshal through the env block — this load/store
             // traffic *is* the marshaling overhead visible in Fig. 14.
-            for (i, g) in Gpr::ARGS.iter().take(nargs).enumerate() {
-                code.push(HostInsn::Ldr {
-                    dst: Xreg(i as u8),
-                    base: ENV_BASE,
-                    off: g.0 as i32 * 8,
-                    order: MemOrder::Plain,
-                });
-            }
+            code.extend(args.map(|(i, g)| ldr(Xreg(i as u8), ENV_BASE, env(*g))));
             code.push(HostInsn::NativeCall { func });
-            code.push(HostInsn::Str {
-                src: Xreg(0),
-                base: ENV_BASE,
-                off: Gpr::RAX.0 as i32 * 8,
-                order: MemOrder::Plain,
-            });
+            code.push(str(Xreg(0), ENV_BASE, env(Gpr::RAX)));
             // Guest ret through the env'd RSP.
-            code.push(HostInsn::Ldr {
-                dst: Xreg(25),
-                base: ENV_BASE,
-                off: Gpr::RSP.0 as i32 * 8,
-                order: MemOrder::Plain,
-            });
-            code.push(HostInsn::Ldr {
-                dst: Xreg(26),
-                base: Xreg(25),
-                off: 0,
-                order: MemOrder::Plain,
-            });
-            code.push(HostInsn::AluImm {
-                op: risotto_host_arm::AOp::Add,
-                dst: Xreg(25),
-                a: Xreg(25),
-                imm: 8,
-            });
-            code.push(HostInsn::Str {
-                src: Xreg(25),
-                base: ENV_BASE,
-                off: Gpr::RSP.0 as i32 * 8,
-                order: MemOrder::Plain,
-            });
-            code.push(HostInsn::ExitTb(TbExitKind::JumpReg { reg: Xreg(26) }));
+            let (sp, ra) = (Xreg(25), Xreg(26));
+            code.extend([
+                ldr(sp, ENV_BASE, env(Gpr::RSP)),
+                ldr(ra, sp, 0),
+                pop(sp),
+                str(sp, ENV_BASE, env(Gpr::RSP)),
+                HostInsn::ExitTb(TbExitKind::JumpReg { reg: ra }),
+            ]);
         }
         code
     }
