@@ -1,0 +1,561 @@
+//! The engine's configuration and result vocabulary: evaluation setups,
+//! backend selection, tier and verifier policy, host-library linking
+//! types, errors, and the end-of-run report.
+
+use crate::faults::FaultSite;
+use risotto_host_arm::{
+    ArmBackend, ChainStats, CoreStats, CostModel, HostBackend, HostFaultKind, NativeFn,
+    OrderingLowering,
+};
+use risotto_host_tso::TsoBackend;
+use risotto_tcg::{FrontendConfig, OptPolicy, OptStats, TranslateError};
+use std::fmt;
+#[cfg(doc)]
+use {super::Emulator, crate::faults::FaultPlan, risotto_host_arm::BackendConfig};
+
+/// The evaluation setups of §7.1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Setup {
+    /// Vanilla QEMU 6.1: leading fences (Fig. 2), fence-oblivious
+    /// optimizer, helper-call RMWs.
+    Qemu,
+    /// QEMU with all guest-ordering fences removed — incorrect, used only
+    /// as the performance oracle.
+    NoFences,
+    /// QEMU with the verified mappings (Fig. 7) and sound optimizations,
+    /// but still helper-call RMWs.
+    TcgVer,
+    /// Full Risotto: verified mappings, fence merging, direct `casal`
+    /// CAS (§6.3), dynamic host linker (§6.2).
+    Risotto,
+    /// Native-oracle execution of the same program (see
+    /// [`BackendConfig::native`]).
+    Native,
+}
+
+impl Setup {
+    /// All five setups, in the paper's presentation order.
+    pub const ALL: [Setup; 5] =
+        [Setup::Qemu, Setup::NoFences, Setup::TcgVer, Setup::Risotto, Setup::Native];
+
+    /// Display name used in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Setup::Qemu => "qemu",
+            Setup::NoFences => "no-fences",
+            Setup::TcgVer => "tcg-ver",
+            Setup::Risotto => "risotto",
+            Setup::Native => "native",
+        }
+    }
+
+    pub(super) fn frontend(self) -> FrontendConfig {
+        match self {
+            Setup::Qemu => FrontendConfig::qemu(),
+            Setup::NoFences => FrontendConfig::no_fences(),
+            Setup::TcgVer => FrontendConfig::tcg_ver(),
+            Setup::Risotto => FrontendConfig::risotto(),
+            // The native oracle compiles from the same source; ordering
+            // comes from its own (Arm) primitives, not inserted fences.
+            Setup::Native => FrontendConfig::no_fences(),
+        }
+    }
+
+    pub(super) fn opt_policy(self) -> OptPolicy {
+        match self {
+            Setup::Qemu | Setup::NoFences => OptPolicy::QemuUnsound,
+            _ => OptPolicy::Verified,
+        }
+    }
+
+    /// Whether the dynamic host linker is active (§6.2).
+    pub fn host_linking(self) -> bool {
+        matches!(self, Setup::Risotto | Setup::Native)
+    }
+}
+
+/// Which [`HostBackend`] translates, verifies and costs the host code
+/// (docs/BACKENDS.md). Selected via [`Emulator::set_backend`] and the
+/// bench bins' `--backend` flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum BackendKind {
+    /// The MiniArm weak-memory host (`risotto-host-arm`) — the paper's
+    /// ThunderX2 stand-in and the default.
+    #[default]
+    Arm,
+    /// The MiniTSO (x86-TSO) host (`risotto-host-tso`): most fences are
+    /// free, only store→load obligations emit `MFENCE`.
+    Tso,
+}
+
+impl BackendKind {
+    /// Both backends, Arm first (the cross-backend differential oracle
+    /// iterates this).
+    pub const ALL: [BackendKind; 2] = [BackendKind::Arm, BackendKind::Tso];
+
+    /// The flag/artifact name (`"arm"` / `"tso"`).
+    pub fn name(self) -> &'static str {
+        self.host().name()
+    }
+
+    /// Parses a `--backend` flag value.
+    pub fn parse(s: &str) -> Option<BackendKind> {
+        match s {
+            "arm" => Some(BackendKind::Arm),
+            "tso" => Some(BackendKind::Tso),
+            _ => None,
+        }
+    }
+
+    /// The backend implementation behind this kind.
+    pub fn host(self) -> &'static dyn HostBackend {
+        match self {
+            BackendKind::Arm => &ArmBackend,
+            BackendKind::Tso => &TsoBackend,
+        }
+    }
+
+    /// The ordering dialect behind this kind — the fence/RMW lowering
+    /// hooks shared by the tier-1 lowering driver and the tier-0
+    /// template translator.
+    pub fn ordering(self) -> &'static dyn OrderingLowering {
+        match self {
+            BackendKind::Arm => &ArmBackend,
+            BackendKind::Tso => &TsoBackend,
+        }
+    }
+
+    /// This backend's calibrated cycle model (feed it to
+    /// [`Emulator::new`] so the simulated machine prices instructions
+    /// as this host would).
+    pub fn cost_model(self) -> CostModel {
+        self.host().cost_model()
+    }
+}
+
+/// One exported function of a [`HostLibrary`].
+pub struct HostExport {
+    /// Exported name, as imported by guest `.dynsym` entries.
+    pub name: String,
+    /// Number of parameters the native function expects. Checked against
+    /// the IDL declaration at link time.
+    pub arity: usize,
+    /// The native implementation.
+    pub func: NativeFn,
+}
+
+impl fmt::Debug for HostExport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HostExport").field("name", &self.name).field("arity", &self.arity).finish()
+    }
+}
+
+/// A native host shared library: named functions over machine memory.
+pub struct HostLibrary {
+    /// Library name (diagnostic only).
+    pub name: String,
+    /// Exported functions.
+    pub funcs: Vec<HostExport>,
+}
+
+impl HostLibrary {
+    /// An empty library named `name`.
+    pub fn new(name: &str) -> HostLibrary {
+        HostLibrary { name: name.to_owned(), funcs: Vec::new() }
+    }
+
+    /// Adds an export (builder style).
+    #[must_use]
+    pub fn export(mut self, name: &str, arity: usize, func: NativeFn) -> Self {
+        self.funcs.push(HostExport { name: name.to_owned(), arity, func });
+        self
+    }
+}
+
+impl fmt::Debug for HostLibrary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HostLibrary")
+            .field("name", &self.name)
+            .field("funcs", &self.funcs.iter().map(|e| e.name.clone()).collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// Errors from [`Emulator::link_library`]. Linking is atomic: on error,
+/// nothing from the offending library is linked.
+#[non_exhaustive]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LinkError {
+    /// The library exports a symbol the IDL does not describe; without a
+    /// signature the linker cannot marshal its arguments.
+    NotInIdl {
+        /// Offending library.
+        library: String,
+        /// The undescribed symbol.
+        symbol: String,
+    },
+    /// The library exports the same name twice.
+    DuplicateExport {
+        /// Offending library.
+        library: String,
+        /// The duplicated symbol.
+        symbol: String,
+    },
+    /// The export's parameter count disagrees with the IDL declaration.
+    ArityMismatch {
+        /// Offending library.
+        library: String,
+        /// The mismatched symbol.
+        symbol: String,
+        /// Parameter count per the IDL.
+        idl: usize,
+        /// Parameter count per the export.
+        export: usize,
+    },
+}
+
+impl fmt::Display for LinkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LinkError::NotInIdl { library, symbol } => {
+                write!(f, "{library}: export `{symbol}` is not described by the IDL")
+            }
+            LinkError::DuplicateExport { library, symbol } => {
+                write!(f, "{library}: export `{symbol}` appears more than once")
+            }
+            LinkError::ArityMismatch { library, symbol, idl, export } => write!(
+                f,
+                "{library}: export `{symbol}` takes {export} argument(s) but the IDL declares {idl}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LinkError {}
+
+/// One core's state at the moment of a stall (see [`EmuError::Stalled`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreDump {
+    /// Core index.
+    pub core: usize,
+    /// Host pc the core was executing.
+    pub host_pc: u64,
+    /// The core's local clock.
+    pub cycles: u64,
+    /// Whether the core had halted.
+    pub halted: bool,
+}
+
+impl fmt::Display for CoreDump {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "core {} at host pc {:#x}, {} cycles{}",
+            self.core,
+            self.host_pc,
+            self.cycles,
+            if self.halted { ", halted" } else { "" }
+        )
+    }
+}
+
+/// Engine errors. Every variant carries enough context to locate the
+/// failure: guest pc, core, and the failing layer.
+#[non_exhaustive]
+#[derive(Debug)]
+pub enum EmuError {
+    /// Guest instruction decoding failed during translation *and* the
+    /// interpreter fallback could not execute the block either (the guest
+    /// bytes themselves are undecodable).
+    Translate {
+        /// The underlying frontend fault (also via
+        /// [`std::error::Error::source`]).
+        source: TranslateError,
+        /// Core that needed the block, if known.
+        core: Option<usize>,
+        /// Translation-block count at the time of failure.
+        tb_count: usize,
+    },
+    /// The step budget was exhausted.
+    OutOfFuel,
+    /// `spawn` with no idle core left.
+    TooManyThreads {
+        /// Core performing the spawn.
+        core: usize,
+        /// Guest pc following the spawn syscall.
+        pc: u64,
+    },
+    /// Unknown guest syscall.
+    BadSyscall {
+        /// The unknown syscall number.
+        n: u64,
+        /// Core performing the syscall.
+        core: usize,
+        /// Guest pc following the syscall.
+        pc: u64,
+    },
+    /// `join` on an invalid thread.
+    BadJoin {
+        /// The invalid target thread id.
+        tid: u64,
+        /// Core performing the join.
+        core: usize,
+        /// Guest pc following the syscall.
+        pc: u64,
+    },
+    /// The livelock watchdog fired: no observable progress (new
+    /// translation, completed syscall, output, or core exit) for the
+    /// configured number of machine steps. Carries a per-core state dump.
+    Stalled {
+        /// Machine steps executed since the last observable progress.
+        steps: u64,
+        /// Per-core state at detection time.
+        cores: Vec<CoreDump>,
+    },
+    /// An injected, non-recoverable fault (see [`FaultPlan`]); only the
+    /// syscall layer produces these — translation-side injections are
+    /// absorbed by the interpreter fallback.
+    Injected {
+        /// The faulting pipeline layer.
+        site: FaultSite,
+        /// Core that hit the fault.
+        core: usize,
+        /// Guest pc at (or just after) the fault.
+        pc: u64,
+    },
+    /// The host machine hit unexecutable state (undecodable host bytes,
+    /// an unknown helper or native index). The generated code itself is
+    /// broken, so there is no safe re-execution point.
+    HostFault {
+        /// What kind of host fault.
+        kind: HostFaultKind,
+        /// The faulting core.
+        core: usize,
+        /// Host pc of the faulting instruction.
+        host_pc: u64,
+        /// Guest pc of the containing translation block, if it could be
+        /// recovered from the TB map.
+        guest_pc: Option<u64>,
+    },
+}
+
+impl fmt::Display for EmuError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EmuError::Translate { source, core, tb_count } => {
+                write!(f, "translation failed: {source}")?;
+                if let Some(c) = core {
+                    write!(f, " (core {c})")?;
+                }
+                write!(f, " after {tb_count} TBs")
+            }
+            EmuError::OutOfFuel => write!(f, "execution budget exhausted"),
+            EmuError::TooManyThreads { core, pc } => {
+                write!(f, "spawn on core {core} near guest pc {pc:#x}: no idle core")
+            }
+            EmuError::BadSyscall { n, core, pc } => {
+                write!(f, "unknown syscall {n} on core {core} near guest pc {pc:#x}")
+            }
+            EmuError::BadJoin { tid, core, pc } => {
+                write!(f, "join on invalid thread {tid} (core {core}, near guest pc {pc:#x})")
+            }
+            EmuError::Stalled { steps, cores } => {
+                write!(f, "no progress for {steps} steps:")?;
+                for d in cores {
+                    write!(f, " [{d}]")?;
+                }
+                Ok(())
+            }
+            EmuError::Injected { site, core, pc } => {
+                write!(f, "injected {site} fault on core {core} near guest pc {pc:#x}")
+            }
+            EmuError::HostFault { kind, core, host_pc, guest_pc } => {
+                write!(f, "host fault {kind:?} on core {core} at host pc {host_pc:#x}")?;
+                match guest_pc {
+                    Some(g) => write!(f, " (TB for guest pc {g:#x})"),
+                    None => write!(f, " (unmapped host code)"),
+                }
+            }
+        }
+    }
+}
+
+impl std::error::Error for EmuError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            EmuError::Translate { source, .. } => Some(source),
+            _ => None,
+        }
+    }
+}
+
+/// The result of a completed emulation.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Parallel runtime in simulated cycles (max core clock).
+    pub cycles: u64,
+    /// Translated blocks.
+    pub tb_count: usize,
+    /// Bytes of generated host code.
+    pub code_bytes: usize,
+    /// Aggregated core statistics.
+    pub stats: CoreStats,
+    /// Exit value per core (`None` if the core never ran).
+    pub exit_vals: Vec<Option<u64>>,
+    /// Bytes written via the `WRITE` syscall.
+    pub output: Vec<u8>,
+    /// Blocks that entered interpreter fallback after a translation or
+    /// lowering failure (quarantine episodes).
+    pub fallback_blocks: usize,
+    /// Translations performed beyond a block's first: cache-eviction /
+    /// corruption refills plus bounded retries of quarantined blocks.
+    pub retranslations: usize,
+    /// TB-chaining and dispatcher counters from the host machine.
+    pub chain: ChainStats,
+    /// Aggregated optimizer statistics over every translated block.
+    /// Tier-1 only — region passes over superblocks report under
+    /// [`Report::sb`] so non-tiered totals are unaffected by tiering.
+    pub opt: OptStats,
+    /// Tier-2 superblock statistics (all zero unless
+    /// [`Emulator::set_tiering`] enabled promotion).
+    pub sb: SbStats,
+    /// Tier-0 template-translation statistics (all zero unless
+    /// [`TierConfig::warm_threshold`] enabled the template tier).
+    pub template: TemplateStats,
+}
+
+/// Tier-2 promotion policy, enabled via [`Emulator::set_tiering`].
+///
+/// A profiled block whose entry count crosses `hot_threshold` becomes a
+/// promotion candidate: the engine walks its dominant successor chain
+/// (direct jumps always, conditional exits only when the profile is
+/// decisively biased), stitches up to `max_tbs` tier-1 blocks into one
+/// superblock, re-runs the full optimizer over the region — fence
+/// merging and memory-access eliminations now firing *across* former TB
+/// boundaries — and installs the result over the head, evicting the
+/// subsumed tier-1 bodies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TierConfig {
+    /// Entry count at which a block becomes a candidate. Every multiple
+    /// re-fires the event, so a declined candidate that stays hot is
+    /// re-offered later.
+    pub hot_threshold: u64,
+    /// Maximum tier-1 blocks merged into one superblock.
+    pub max_tbs: usize,
+    /// Minimum trace length worth promoting (clamped to ≥ 2: a
+    /// one-block "superblock" is just the tier-1 body again).
+    pub min_tbs: usize,
+    /// `Some(w)` enables the tier-0 template tier: cold blocks are first
+    /// translated by IR-less template instantiation (`risotto-template`)
+    /// and re-translated through the full tier-1 pipeline once their
+    /// entry count crosses `w`. `None` (the default) keeps the two-tier
+    /// engine: every block goes straight through tier-1.
+    pub warm_threshold: Option<u64>,
+}
+
+impl Default for TierConfig {
+    fn default() -> Self {
+        TierConfig { hot_threshold: 512, max_tbs: 8, min_tbs: 2, warm_threshold: None }
+    }
+}
+
+impl TierConfig {
+    /// The machine-side profiler threshold: the smallest entry count at
+    /// which any promotion decision (tier-0→1 at
+    /// [`TierConfig::warm_threshold`], tier-1→2 at
+    /// [`TierConfig::hot_threshold`]) can fire. The profile event
+    /// re-fires at every multiple, so the engine re-checks the larger
+    /// threshold on later crossings.
+    pub(super) fn machine_threshold(&self) -> u64 {
+        match self.warm_threshold {
+            Some(w) => w.min(self.hot_threshold),
+            None => self.hot_threshold,
+        }
+    }
+}
+
+/// Tier-2 superblock counters (see `docs/METRICS.md`, `sb.*`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SbStats {
+    /// Superblocks successfully installed.
+    pub promotions: u64,
+    /// Promotions abandoned mid-pipeline (stitch or lowering failure);
+    /// the tier-1 translations stay untouched.
+    pub failures: u64,
+    /// Hot-TB events declined before stitching: trace shorter than
+    /// `min_tbs`, PLT thunk, quarantined or untranslated head.
+    pub declined: u64,
+    /// Tier-1 blocks merged into superblocks (sum of trace lengths).
+    pub tbs_merged: u64,
+    /// `SideExit` guards emitted across all installed superblocks.
+    pub side_exits: u64,
+    /// Fence merges that crossed a former TB boundary — the cross-block
+    /// wins tier-1 cannot see (subset of the region passes' merges).
+    pub fences_merged_cross: u64,
+    /// Tier-1 translations evicted because a superblock subsumed them.
+    pub subsumed: u64,
+    /// Machine transfers that entered a superblock head.
+    pub entries: u64,
+}
+
+/// Tier-0 template-translation counters (see `docs/METRICS.md`,
+/// `template.*`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TemplateStats {
+    /// Blocks translated by template instantiation.
+    pub blocks: u64,
+    /// Guest instructions covered by template translations.
+    pub insns: u64,
+    /// Template blocks re-translated through the tier-1 IR pipeline
+    /// after crossing [`TierConfig::warm_threshold`].
+    pub promotions: u64,
+    /// Tier-0→1 promotions that failed (injected fault or pipeline
+    /// error); the template translation stays installed.
+    pub promotion_failures: u64,
+}
+
+impl Report {
+    /// Fraction of direct-jump exits resolved through a patched chain
+    /// slot rather than the dispatcher (0.0 when no direct exits ran).
+    pub fn chain_hit_rate(&self) -> f64 {
+        let total = self.chain.chain_hits + self.chain.chain_links;
+        if total == 0 {
+            0.0
+        } else {
+            self.chain.chain_hits as f64 / total as f64
+        }
+    }
+}
+
+/// How much of the static translation validator runs (docs/VERIFIER.md).
+///
+/// The validator is a pure observer: no level changes cycle counts,
+/// output, or exit values of a run whose translations all verify.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VerifyLevel {
+    /// No verification: the pipeline is trusted.
+    Off,
+    /// Install-time read-back only: every installed code region is read
+    /// back from the code cache and compared against the canonical
+    /// encoding of the lowered instructions *before* the translation
+    /// becomes dispatchable. Catches cache corruption, never executes
+    /// damaged code.
+    Install,
+    /// Full static validation on top of [`VerifyLevel::Install`]: the
+    /// IR lint, the fence-obligation translation validation against the
+    /// unoptimized reference block, and the host decode-back encoding
+    /// check run on every translated block and superblock.
+    Full,
+}
+
+impl Default for VerifyLevel {
+    /// [`VerifyLevel::Full`] under `debug_assertions`, otherwise
+    /// [`VerifyLevel::Off`].
+    fn default() -> Self {
+        if cfg!(debug_assertions) {
+            VerifyLevel::Full
+        } else {
+            VerifyLevel::Off
+        }
+    }
+}

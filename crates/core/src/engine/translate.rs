@@ -1,0 +1,900 @@
+//! Translation: one producer per tier — tier-0 template, tier-1 IR
+//! pipeline, tier-2 superblock, PLT native thunk — each handing a
+//! [`Candidate`] to the one [`Emulator::commit`] path that verifies,
+//! installs, reads back and maps it (or rolls it back), plus the
+//! quarantine bookkeeping behind the interpreter fallback.
+
+use super::{Emulator, Setup, TierConfig, VerifyLevel};
+use crate::obs::TraceStage;
+use risotto_analysis::{event_sites, ir_hints};
+use risotto_guest_x86::{Gpr, Insn, TEXT_BASE};
+use risotto_host_arm::{AOp, BackendConfig, HostInsn, MemOrder, TbExitKind, Xreg, ENV_BASE};
+use risotto_tcg::{
+    apply_hints, optimize_with, superblock, translate_block, verify as tcg_verify, TbExit,
+    TcgBlock, TcgOp, VerifyError, VerifyPass,
+};
+use risotto_template::{translate_block_template, TemplateError};
+use std::collections::{HashMap, HashSet};
+use std::time::Instant;
+#[cfg(doc)]
+use {super::EmuError, crate::faults::FaultPlan, risotto_host_arm::Event};
+
+/// How many times a failing block is re-offered to the translator before
+/// it is permanently interpreted.
+const QUARANTINE_RETRY_LIMIT: u32 = 3;
+
+/// Upper bound on tracked quarantined pcs; beyond it the
+/// least-recently-touched entry is evicted (see [`Quarantine`]).
+const QUARANTINE_CAPACITY: usize = 1024;
+
+/// Why a translation could not be produced right now. All variants are
+/// recoverable through the interpreter fallback; genuinely undecodable
+/// guest bytes resurface there as [`EmuError::Translate`].
+pub(super) enum TbFault {
+    /// A [`FaultPlan`] injection at the frontend or backend boundary.
+    Injected,
+    /// The frontend failed to decode the guest block.
+    Frontend,
+    /// The backend failed to lower the block.
+    Backend,
+    /// The translation verifier rejected the produced translation (IR
+    /// lint, fence-obligation check, or encoding read-back) and the
+    /// block was discarded before it could be dispatched.
+    Verify,
+    /// The pc exhausted its re-translation retries and is permanently
+    /// interpreted.
+    Quarantined,
+}
+
+/// Bounded fallback bookkeeping: guest pc → failed translation attempts,
+/// with least-recently-touched eviction at [`QUARANTINE_CAPACITY`] so a
+/// guest sweeping an unbounded set of failing pcs cannot grow the map
+/// without limit. Eviction may forget a pc's retry count; the evicted
+/// block simply earns a fresh (still bounded) retry budget, which is
+/// safe — quarantine only ever trades translation attempts for
+/// interpreter time, never correctness.
+#[derive(Debug, Default)]
+pub(super) struct Quarantine {
+    /// pc → (failed attempts, last-touch stamp).
+    map: HashMap<u64, (u32, u64)>,
+    /// Monotonic touch stamp; unique per touch, so LRU victims are
+    /// deterministic even over `HashMap` iteration.
+    stamp: u64,
+}
+
+impl Quarantine {
+    /// Failed attempts recorded for `pc` (0 if untracked); refreshes
+    /// the entry's LRU stamp.
+    fn attempts(&mut self, pc: u64) -> u32 {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        match self.map.get_mut(&pc) {
+            Some(e) => {
+                e.1 = stamp;
+                e.0
+            }
+            None => 0,
+        }
+    }
+
+    /// Whether `pc` is currently quarantined (no LRU refresh).
+    fn contains(&self, pc: u64) -> bool {
+        self.map.contains_key(&pc)
+    }
+
+    /// Records one more failed attempt for `pc`, evicting the
+    /// least-recently-touched entry if the map is full.
+    fn note_failure(&mut self, pc: u64) {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        if let Some(e) = self.map.get_mut(&pc) {
+            e.0 += 1;
+            e.1 = stamp;
+            return;
+        }
+        if self.map.len() >= QUARANTINE_CAPACITY {
+            // Tie-break equal stamps on the guest pc: iteration order of
+            // the map is hash-seeded, and fault-sweep runs must be
+            // reproducible.
+            if let Some(victim) =
+                self.map.iter().min_by_key(|(&pc, &(_, s))| (s, pc)).map(|(&pc, _)| pc)
+            {
+                self.map.remove(&victim);
+            }
+        }
+        self.map.insert(pc, (1, stamp));
+    }
+
+    /// Clears `pc` (a successful translation ends its quarantine).
+    fn clear(&mut self, pc: u64) {
+        self.map.remove(&pc);
+    }
+
+    /// Number of tracked pcs (always ≤ [`QUARANTINE_CAPACITY`]).
+    pub(super) fn len(&self) -> usize {
+        self.map.len()
+    }
+}
+
+/// What the [`VerifyLevel::Full`] static passes compare
+/// (docs/VERIFIER.md): the unoptimized block the fence obligations are
+/// derived from, the optimized block that was lowered, and the
+/// verifier's own relaxation mask (empty = nothing relaxed).
+struct FullCheck {
+    reference: TcgBlock,
+    optimized: TcgBlock,
+    relax_mask: Vec<bool>,
+}
+
+/// Host code a tier's producer offers to [`Emulator::commit`]. The
+/// producers differ only in how `code` came to be; everything that makes
+/// it dispatchable is `commit`'s.
+struct Candidate {
+    head_pc: u64,
+    code: Vec<HostInsn>,
+    /// Guest pcs a superblock install evicts, head first; empty for a
+    /// single-block install.
+    relinks: Vec<u64>,
+    /// `Some` at [`VerifyLevel::Full`] from the producers that build IR
+    /// (tier-1, tier-2); templates and thunks have no per-block IR.
+    full: Option<FullCheck>,
+    /// The `Install` event's detail where it is not the plain host
+    /// instruction count (superblocks describe their shape).
+    detail: Option<String>,
+}
+
+impl Candidate {
+    /// A single-block candidate with nothing for the static passes.
+    fn block(head_pc: u64, code: Vec<HostInsn>) -> Candidate {
+        Candidate { head_pc, code, relinks: Vec::new(), full: None, detail: None }
+    }
+}
+
+impl Emulator {
+    /// The 16-byte instruction window at `pc` (zero-padded outside
+    /// `.text`) — what every decoder in the engine reads through.
+    pub(super) fn fetch(&self, pc: u64) -> [u8; 16] {
+        let mut w = [0u8; 16];
+        let off = pc.checked_sub(TEXT_BASE).and_then(|off| usize::try_from(off).ok());
+        if let Some(tail) = off.and_then(|off| self.text.get(off..)) {
+            for (slot, byte) in w.iter_mut().zip(tail) {
+                *slot = *byte;
+            }
+        }
+        w
+    }
+
+    /// The backend configuration every producer lowers with and the
+    /// encoding check decodes against.
+    fn backend_config(&self) -> BackendConfig {
+        match self.setup {
+            Setup::Native => BackendConfig::native(),
+            // QEMU's helpers use casal with GCC ≥ 10 (§3.1); the RMW
+            // style (§6.3 ablation) only affects direct `Cas` ops, which
+            // exist in the Risotto/NoFences frontends.
+            _ => BackendConfig::dbt(self.rmw_style),
+        }
+    }
+
+    /// Runs one pipeline stage under the stage clock. With stage timing
+    /// on, a stage that succeeds leaves its wall time in the `metric`
+    /// histogram and hands it back for the stage's trace event; a
+    /// failed stage leaves no sample.
+    fn timed<R>(
+        &mut self,
+        metric: &str,
+        stage: impl FnOnce(&mut Self) -> Result<R, TbFault>,
+    ) -> Result<(R, Option<u64>), TbFault> {
+        let t0 = self.obs.timing.then(Instant::now);
+        let out = stage(self)?;
+        let dur = t0.map(|t| t.elapsed().as_nanos() as u64);
+        if let Some(ns) = dur {
+            self.obs.registry.observe(metric, ns);
+        }
+        Ok((out, dur))
+    }
+
+    /// Fires a planned install-time corruption ([`FaultPlan::corrupt_install_at`])
+    /// against the freshly installed region at `host`, if one is due.
+    fn maybe_corrupt_install(&mut self, host: u64) {
+        let nth = self.installs_done;
+        self.installs_done += 1;
+        if !self.plan.take_install_corruption(nth) {
+            return;
+        }
+        let len = self.machine.code_bytes(host).map_or(0, <[u8]>::len);
+        if len > 0 {
+            let off = self.plan.pick(len);
+            if self.machine.corrupt_code_byte(host, off) {
+                self.faults_injected += 1;
+            }
+        }
+    }
+
+    /// Install-time read-back check: the bytes resident in the code
+    /// cache at `host` must be exactly `expect`, the canonical encoding
+    /// of the instructions that were installed.
+    fn check_install_bytes(
+        &self,
+        guest_pc: u64,
+        host: u64,
+        expect: &[u8],
+    ) -> Result<(), VerifyError> {
+        let got = self.machine.code_bytes(host).unwrap_or(&[]);
+        if got != expect {
+            let off = expect
+                .iter()
+                .zip(got)
+                .position(|(a, b)| a != b)
+                .unwrap_or_else(|| expect.len().min(got.len()));
+            return Err(VerifyError {
+                pass: VerifyPass::Encoding,
+                guest_pc,
+                op_index: None,
+                obligation: format!(
+                    "installed bytes differ from canonical encoding at code offset {off}"
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// Counts a verifier violation into the per-pass counters and emits
+    /// a fault trace event.
+    fn record_verify_violation(&mut self, core: Option<usize>, e: &VerifyError) {
+        match e.pass {
+            VerifyPass::IrLint => self.verify_ir += 1,
+            VerifyPass::FenceObligations => self.verify_fence += 1,
+            VerifyPass::Encoding => self.verify_encoding += 1,
+        }
+        let tb_id = self.tb_ids.get(&e.guest_pc).copied();
+        self.obs.trace(TraceStage::Fault, core, Some(e.guest_pc), tb_id, None, || e.to_string());
+    }
+
+    /// The static validation of [`VerifyLevel::Full`], run on a
+    /// candidate before it is installed: superblock relink structure,
+    /// IR lint, fence-obligation check of the optimized block against
+    /// the unoptimized reference, and the host decode-back encoding
+    /// check of the code's `canonical` bytes.
+    fn verify_translation(
+        &self,
+        cand: &Candidate,
+        full: &FullCheck,
+        canonical: &[u8],
+    ) -> Result<(), VerifyError> {
+        let in_superblock = !cand.relinks.is_empty();
+        if in_superblock {
+            Self::check_superblock_relinks(&full.optimized, &cand.relinks)?;
+        }
+        tcg_verify::lint(&full.optimized, in_superblock)?;
+        tcg_verify::check_obligations_masked(
+            &full.reference,
+            &full.optimized,
+            self.setup.frontend().fences,
+            self.setup.opt_policy(),
+            &full.relax_mask,
+        )?;
+        self.backend_kind.host().check_encoding(
+            &full.optimized,
+            &cand.code,
+            canonical,
+            self.backend_config(),
+        )
+    }
+
+    /// Full-level superblock structural check: the relink list the
+    /// machine will evict on install must be exactly the head plus the
+    /// stitched `TbBoundary` seams, so no unrelated tier-1 translation
+    /// is unmapped.
+    fn check_superblock_relinks(sb: &TcgBlock, pcs: &[u64]) -> Result<(), VerifyError> {
+        let err = |obligation: String| VerifyError {
+            pass: VerifyPass::Encoding,
+            guest_pc: sb.guest_pc,
+            op_index: None,
+            obligation,
+        };
+        if pcs.first() != Some(&sb.guest_pc) {
+            return Err(err(format!(
+                "superblock head {:#x} is not the first relink target",
+                sb.guest_pc
+            )));
+        }
+        let seams: HashSet<u64> = sb
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                TcgOp::TbBoundary { pc } => Some(*pc),
+                _ => None,
+            })
+            .collect();
+        for &pc in &pcs[1..] {
+            if !seams.contains(&pc) {
+                return Err(err(format!(
+                    "relink target {pc:#x} has no TbBoundary seam in the stitched region"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The one path by which host code becomes dispatchable, whatever
+    /// tier produced it: Full-level static passes, install, the planned
+    /// corruption hook, read-back, then mapping and bookkeeping — or
+    /// rollback. At any level above [`VerifyLevel::Off`] the installed
+    /// bytes are read back and checked *before* a block is mapped; a
+    /// mismatch discards the region, so corrupt code is never
+    /// dispatchable. A superblock is mapped over its head by the install
+    /// itself, so its rollback evicts the head instead: the head and the
+    /// subsumed pcs refill as fresh tier-1 translations on miss.
+    fn commit(&mut self, core: Option<usize>, cand: Candidate) -> Result<u64, TbFault> {
+        // The canonical encoding both verifier levels compare against.
+        let mut canonical = Vec::new();
+        if self.verify != VerifyLevel::Off {
+            for i in &cand.code {
+                i.encode(&mut canonical);
+            }
+        }
+        if let Some(full) = &cand.full {
+            self.verify_checked += 1;
+            if let Err(e) = self.verify_translation(&cand, full, &canonical) {
+                self.record_verify_violation(core, &e);
+                return Err(TbFault::Verify);
+            }
+        }
+        let Candidate { head_pc, code, relinks, detail, .. } = cand;
+        let superblock = !relinks.is_empty();
+        let (host, dur) = self.timed("stage.install_ns", |e| {
+            let host = if superblock {
+                e.machine.install_superblock(head_pc, &code, &relinks)
+            } else {
+                e.machine.install_code(&code)
+            };
+            e.maybe_corrupt_install(host);
+            if e.verify != VerifyLevel::Off {
+                e.verify_checked += 1;
+                if let Err(err) = e.check_install_bytes(head_pc, host, &canonical) {
+                    e.record_verify_violation(core, &err);
+                    if superblock {
+                        e.machine.unmap_tb(head_pc);
+                    } else {
+                        e.machine.discard_region(host);
+                    }
+                    return Err(TbFault::Verify);
+                }
+            }
+            if !superblock {
+                e.machine.map_tb(head_pc, host);
+                e.tb_count += 1;
+                e.tb_ids.entry(head_pc).or_insert(e.tb_count as u64);
+                if !e.ever_translated.insert(head_pc) {
+                    e.retranslations += 1;
+                }
+            }
+            Ok(host)
+        })?;
+        let tb_id = self.tb_ids.get(&head_pc).copied();
+        self.obs.trace(TraceStage::Install, core, Some(head_pc), tb_id, dur, || {
+            detail.unwrap_or_else(|| format!("{} host insns", code.len()))
+        });
+        Ok(host)
+    }
+
+    /// Total observed entries into `guest_pc` — machine fast-path
+    /// transfers plus engine dispatch-loop entries.
+    fn entry_count(&self, guest_pc: u64) -> u64 {
+        let machine =
+            self.machine.tb_profile().and_then(|p| p.get(&guest_pc)).map_or(0, |e| e.execs);
+        let resume = self.resume_profile.get(&guest_pc).map_or(0, |e| e.0);
+        machine + resume
+    }
+
+    /// The profiled direction of a conditional exit, if decisive: the
+    /// hotter successor must have real weight (≥ 8 entries) and dominate
+    /// the colder one 4:1, else the trace ends rather than gamble on a
+    /// side exit that would fire often.
+    fn biased_successor(&self, taken: u64, fallthrough: u64) -> Option<u64> {
+        let t = self.entry_count(taken);
+        let f = self.entry_count(fallthrough);
+        let (hot_pc, hi, lo) = if t >= f { (taken, t, f) } else { (fallthrough, f, t) };
+        (hi >= 8 && hi >= 4 * lo).then_some(hot_pc)
+    }
+
+    /// Walks the dominant chain from `head`: direct jumps are followed
+    /// unconditionally, conditional exits only when decisively biased,
+    /// and the trace stops at indirect/terminal exits, revisits (loop
+    /// back-edges), PLT thunks, quarantined pcs, and `max_tbs`. A
+    /// *cyclic* trace — one whose last block's on-trace successor is the
+    /// head itself, i.e. a whole hot loop — comes back rotated to its
+    /// best head.
+    ///
+    /// Frontend-only, and never consults the [`FaultPlan`]: promotion is
+    /// opportunistic and must not advance the plan's deterministic fault
+    /// sequence — a tiered run sees exactly the injected faults a tier-1
+    /// run does.
+    fn select_trace(&self, head: u64, cfg: TierConfig) -> Vec<TcgBlock> {
+        let mut parts: Vec<TcgBlock> = Vec::new();
+        let mut visited: HashSet<u64> = HashSet::new();
+        let mut pc = head;
+        loop {
+            if !parts.is_empty() && pc == head {
+                // The trace is a whole loop: any rotation executes the
+                // same code, so re-head it where the region optimizer
+                // can merge the most cross-seam fences. The triggering
+                // block stays in the (subsumed) trace; a tier-1 refill
+                // covers the one transfer already in flight.
+                let r = superblock::best_rotation(&parts);
+                if r != 0 && !self.machine.is_sb_head(parts[r].guest_pc) {
+                    parts.rotate_left(r);
+                }
+                break;
+            }
+            if parts.len() >= cfg.max_tbs
+                || !visited.insert(pc)
+                || self.plt_natives.contains_key(&pc)
+                || self.quarantine.contains(pc)
+            {
+                break;
+            }
+            let Ok(block) = translate_block(pc, self.setup.frontend(), |a| self.fetch(a)) else {
+                break;
+            };
+            let exit = block.exit.clone();
+            parts.push(block);
+            pc = match exit {
+                TbExit::Jump(t) => t,
+                TbExit::CondJump { taken, fallthrough, .. } => {
+                    match self.biased_successor(taken, fallthrough) {
+                        Some(t) => t,
+                        None => break,
+                    }
+                }
+                TbExit::JumpReg(_) | TbExit::Halt | TbExit::Syscall { .. } => break,
+            };
+        }
+        parts
+    }
+
+    /// Routes [`Event::HotTb`] per the tier ladder: a tier-0 template
+    /// block crossing [`TierConfig::warm_threshold`] re-translates
+    /// through the tier-1 IR pipeline; a tier-1 block crossing
+    /// [`TierConfig::hot_threshold`] becomes a tier-2 superblock
+    /// candidate. The machine profile fires at every multiple of the
+    /// smaller threshold, so the larger one is re-checked on later
+    /// crossings rather than missed.
+    pub(super) fn on_hot_tb(&mut self, core: usize, guest_pc: u64) {
+        let Some(cfg) = self.tiering else { return };
+        let Some(warm) = cfg.warm_threshold else {
+            self.try_promote(core, guest_pc);
+            return;
+        };
+        if self.tier0_pcs.contains(&guest_pc) {
+            if self.entry_count(guest_pc) >= warm {
+                self.promote_template(core, guest_pc);
+            }
+        } else if self.entry_count(guest_pc) >= cfg.hot_threshold {
+            self.try_promote(core, guest_pc);
+        }
+    }
+
+    /// Whether the translation at `guest_pc` can move up a tier: it must
+    /// still be installed as a plain block — not a superblock head, not
+    /// a PLT thunk — and not quarantined.
+    fn promotable(&self, guest_pc: u64) -> bool {
+        self.machine.lookup_tb(guest_pc).is_some()
+            && !self.machine.is_sb_head(guest_pc)
+            && !self.plt_natives.contains_key(&guest_pc)
+            && !self.quarantine.contains(guest_pc)
+    }
+
+    /// Promotes a warm tier-0 pc: the block re-translates through the
+    /// full tier-1 pipeline (optimizer, register allocator, Full-level
+    /// verifier passes when enabled) and the result is installed over
+    /// the template body — the rebind unlinks chain words into the old
+    /// code. Failure (injected or real) keeps the template translation:
+    /// correctness never depends on promotion.
+    fn promote_template(&mut self, core: usize, guest_pc: u64) {
+        if !self.promotable(guest_pc) {
+            // Stale candidate: evicted, subsumed by a superblock, or
+            // quarantined since it was marked.
+            self.tier0_pcs.remove(&guest_pc);
+            return;
+        }
+        let produced = self
+            .produce(Some(core), guest_pc, false)
+            .and_then(|cand| self.commit(Some(core), cand));
+        match produced {
+            Ok(_) => {
+                self.tier0_pcs.remove(&guest_pc);
+                self.template_stats.promotions += 1;
+            }
+            Err(_) => self.template_stats.promotion_failures += 1,
+        }
+    }
+
+    /// Services a tier-2 candidate: produce the superblock, commit it.
+    /// Failures at any stage leave the tier-1 world untouched (counted,
+    /// never fatal); the triggering core needs no resume — its transfer
+    /// completed before the event fired.
+    fn try_promote(&mut self, core: usize, guest_pc: u64) {
+        let Some(cfg) = self.tiering else { return };
+        if !self.promotable(guest_pc) {
+            self.sb_stats.declined += 1;
+            return;
+        }
+        let committed = match self.produce_superblock(guest_pc, cfg) {
+            Ok(None) => {
+                self.sb_stats.declined += 1;
+                return;
+            }
+            Ok(Some((cand, shape))) => self.commit(Some(core), cand).map(|_| shape),
+            Err(fault) => Err(fault),
+        };
+        match committed {
+            Ok(shape) => {
+                self.sb_stats.promotions += 1;
+                self.sb_stats.tbs_merged += shape.tbs as u64;
+                self.sb_stats.side_exits += shape.side_exits as u64;
+            }
+            Err(_) => self.sb_stats.failures += 1,
+        }
+    }
+
+    /// Tier-2 producer: select → stitch → region-optimize → lower.
+    /// `Ok(None)` declines a trace shorter than the policy's minimum.
+    fn produce_superblock(
+        &mut self,
+        head: u64,
+        cfg: TierConfig,
+    ) -> Result<Option<(Candidate, superblock::SuperblockShape)>, TbFault> {
+        let (parts, _) = self.timed("sb.stage.select_ns", |e| Ok(e.select_trace(head, cfg)))?;
+        if parts.len() < cfg.min_tbs.max(2) {
+            return Ok(None);
+        }
+        let relinks: Vec<u64> = parts.iter().map(|b| b.guest_pc).collect();
+        let mut sb = superblock::stitch(parts).map_err(|_| TbFault::Frontend)?;
+        // The unoptimized stitched region is the fence-obligation
+        // reference the Full-level verifier validates against.
+        let reference = (self.verify == VerifyLevel::Full).then(|| sb.clone());
+        let policy = self.setup.opt_policy();
+        let (stats, _) = self.timed("sb.stage.opt_ns", |e| {
+            Ok(superblock::optimize_region(&mut sb, policy, e.passes))
+        })?;
+        self.sb_opt += stats;
+        let (code, _) = self.lower(&sb, "sb.stage.encode_ns")?;
+        let (head_pc, shape) = (sb.guest_pc, superblock::shape_of(&sb));
+        let detail = self.obs.tracing.then(|| {
+            format!(
+                "superblock: {} tbs, {} side exits, {} cross-boundary fence merges",
+                shape.tbs, shape.side_exits, stats.fences_merged_cross
+            )
+        });
+        let full = reference.map(|reference| FullCheck {
+            reference,
+            optimized: sb,
+            relax_mask: Vec::new(),
+        });
+        Ok(Some((Candidate { head_pc, code, relinks, full, detail }, shape)))
+    }
+
+    /// Produces the candidate for one guest block: the marshaling thunk
+    /// behind a host-linked PLT entry, else a tier-0 template
+    /// instantiation (`tier0`) or the tier-1 IR pipeline. The two
+    /// translating tiers share the [`FaultPlan`]'s injection sites: the
+    /// frontend boundary here, before any decode, and the backend
+    /// boundary in [`Emulator::lower_fault`].
+    fn produce(
+        &mut self,
+        core: Option<usize>,
+        guest_pc: u64,
+        tier0: bool,
+    ) -> Result<Candidate, TbFault> {
+        if let Some(&(func, nargs)) = self.plt_natives.get(&guest_pc) {
+            return Ok(Candidate::block(guest_pc, self.build_native_thunk(func, nargs)));
+        }
+        if self.plan.translate_fails(guest_pc) {
+            self.faults_injected += 1;
+            return Err(TbFault::Injected);
+        }
+        if tier0 {
+            self.produce_template(core, guest_pc)
+        } else {
+            self.produce_tier1(core, guest_pc)
+        }
+    }
+
+    /// The [`FaultPlan`]'s backend-boundary injection site: after the
+    /// tier-1 optimizer, after a tier-0 template instantiation.
+    fn lower_fault(&mut self, guest_pc: u64) -> Result<(), TbFault> {
+        if self.plan.lower_fails(guest_pc) {
+            self.faults_injected += 1;
+            return Err(TbFault::Injected);
+        }
+        Ok(())
+    }
+
+    /// Lowers `block` through the active backend under the `metric`
+    /// stage clock, folding the allocator statistics into the run's.
+    fn lower(
+        &mut self,
+        block: &TcgBlock,
+        metric: &str,
+    ) -> Result<(Vec<HostInsn>, Option<u64>), TbFault> {
+        let backend = self.backend_config();
+        self.timed(metric, |e| {
+            let out = e
+                .backend_kind
+                .host()
+                .lower_block_with_stats(block, backend)
+                .map_err(|_| TbFault::Backend)?;
+            e.regalloc_totals += out.alloc;
+            Ok(out.insns)
+        })
+    }
+
+    /// Tier-1 producer: frontend → analysis relaxation and hints →
+    /// optimizer → backend lowering, one trace event per stage.
+    fn produce_tier1(&mut self, core: Option<usize>, guest_pc: u64) -> Result<Candidate, TbFault> {
+        let frontend = self.setup.frontend();
+        let (mut block, dur) = self.timed("stage.decode_ns", |e| {
+            let block = translate_block(guest_pc, frontend, |a| e.fetch(a))
+                .map_err(|_| TbFault::Frontend)?;
+            for op in &block.ops {
+                if let TcgOp::Fence(k) = op {
+                    if let Some(i) = k.tcg_index() {
+                        e.fence_inserted[i] += 1;
+                    }
+                }
+            }
+            Ok(block)
+        })?;
+        self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, dur, || {
+            format!("{} ops", block.ops.len())
+        });
+        // Guest-instruction count for the per-tier translation-cost
+        // metrics (`translate.insns`), re-decoded outside the timed
+        // stages; decoding already succeeded above.
+        let mut p = guest_pc;
+        let end = guest_pc + block.guest_len as u64;
+        while p < end {
+            match Insn::decode(&self.fetch(p)) {
+                Ok((_, len)) => {
+                    self.tier1_insns += 1;
+                    p += len as u64;
+                }
+                Err(_) => break,
+            }
+        }
+        // Analysis-driven relaxation (docs/ANALYSIS.md): the engine
+        // mask relaxes the frontend block before optimization; the
+        // verifier mask is re-derived from the pristine facts, so a
+        // wrong "private" claim (e.g. an injected mutant) is rejected
+        // by Pass 2 at install time.
+        let masks = self.analysis.as_ref().map(|facts| {
+            let sites = event_sites(guest_pc, block.guest_len as u64, |a| self.fetch(a));
+            let verifier: Vec<bool> =
+                sites.iter().map(|&(p, plain)| plain && facts.relaxable(p)).collect();
+            let engine: Vec<bool> = sites
+                .iter()
+                .zip(&verifier)
+                .map(|(&(p, plain), &v)| v || (plain && self.forced_private.contains(&p)))
+                .collect();
+            (engine, verifier)
+        });
+        // The unoptimized block is the fence-obligation reference the
+        // Full-level verifier validates the optimized result against.
+        let reference = (self.verify == VerifyLevel::Full).then(|| block.clone());
+        if let Some((engine_mask, _)) = &masks {
+            let removed = tcg_verify::relax_block(&mut block, frontend.fences, engine_mask);
+            if removed > 0 {
+                self.analysis_relaxed += removed as u64;
+                self.analysis_relaxed_blocks += 1;
+            }
+            // Known-bits hints (docs/ANALYSIS.md): IR-level value-range
+            // facts fold pure ops and prune statically-decided branches
+            // before the regular pass pipeline. Events and fences are
+            // never touched, so the verifier reference stays valid.
+            let hints = ir_hints(&block);
+            let hs = apply_hints(&mut block, &hints);
+            self.hint_totals.folded += hs.folded;
+            self.hint_totals.branches_pruned += hs.branches_pruned;
+        }
+        let policy = self.setup.opt_policy();
+        let (stats, dur) =
+            self.timed("stage.opt_ns", |e| Ok(optimize_with(&mut block, policy, e.passes)))?;
+        self.opt_totals += stats;
+        self.obs.trace(TraceStage::Opt, core, Some(guest_pc), None, dur, || {
+            format!(
+                "folded {}, forwarded {}, fences merged {}, dce {}",
+                stats.folded, stats.loads_forwarded, stats.fences_merged, stats.dce_removed
+            )
+        });
+        self.lower_fault(guest_pc)?;
+        let (code, dur) = self.lower(&block, "stage.encode_ns")?;
+        self.obs.trace(TraceStage::Encode, core, Some(guest_pc), None, dur, || {
+            format!("{} host insns", code.len())
+        });
+        let full = reference.map(|reference| FullCheck {
+            reference,
+            optimized: block,
+            relax_mask: masks.map(|(_, verifier)| verifier).unwrap_or_default(),
+        });
+        Ok(Candidate { full, ..Candidate::block(guest_pc, code) })
+    }
+
+    /// Tier-0 producer: translates one block by IR-less template
+    /// instantiation — no `TcgOp` block is built and no optimizer,
+    /// register allocator or per-block static verifier pass runs. The
+    /// template set is verified once, statically, by the test suite
+    /// (Theorem-1 per template per backend); only the install-time
+    /// encoding read-back remains on this path.
+    fn produce_template(
+        &mut self,
+        core: Option<usize>,
+        guest_pc: u64,
+    ) -> Result<Candidate, TbFault> {
+        let (frontend, backend) = (self.setup.frontend(), self.backend_config());
+        let ordering = self.backend_kind.ordering();
+        let (blk, dur) = self.timed("stage.template_ns", |e| {
+            translate_block_template(guest_pc, frontend, backend, ordering, |a| e.fetch(a)).map_err(
+                |err| match err {
+                    TemplateError::Decode(_) => TbFault::Frontend,
+                    TemplateError::Lower(_) => TbFault::Backend,
+                },
+            )
+        })?;
+        self.lower_fault(guest_pc)?;
+        self.template_stats.blocks += 1;
+        self.template_stats.insns += blk.insns as u64;
+        self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, dur, || {
+            format!("tier-0 template: {} guest insns", blk.insns)
+        });
+        Ok(Candidate::block(guest_pc, blk.code))
+    }
+
+    /// Ensures a translation exists for `guest_pc`; returns its host pc,
+    /// or the (recoverable) reason none could be produced. Verifier
+    /// rejections take the same quarantine path as pipeline failures:
+    /// bounded re-translation, interpreter fallback in between.
+    pub(super) fn ensure_translated(
+        &mut self,
+        core: Option<usize>,
+        guest_pc: u64,
+    ) -> Result<u64, TbFault> {
+        if let Some(host) = self.machine.lookup_tb(guest_pc) {
+            self.tbcache_hits += 1;
+            return Ok(host);
+        }
+        let prior = self.quarantine.attempts(guest_pc);
+        if prior > QUARANTINE_RETRY_LIMIT {
+            return Err(TbFault::Quarantined);
+        }
+        if prior > 0 {
+            // A bounded re-translate retry of a previously failing block.
+            self.retranslations += 1;
+        }
+        // Cold code gets the near-zero-latency template tier; the
+        // profiler re-translates it through tier-1 when it warms up.
+        let tier0 = self.tier0_active() && !self.plt_natives.contains_key(&guest_pc);
+        let produced = self.produce(core, guest_pc, tier0).and_then(|cand| self.commit(core, cand));
+        match produced {
+            Ok(host) => {
+                if tier0 {
+                    self.tier0_pcs.insert(guest_pc);
+                }
+                self.quarantine.clear(guest_pc);
+                Ok(host)
+            }
+            Err(fault) => {
+                if prior == 0 {
+                    self.fallback_blocks += 1;
+                }
+                self.quarantine.note_failure(guest_pc);
+                self.obs.trace(TraceStage::Fault, core, Some(guest_pc), None, None, || {
+                    let what = match fault {
+                        TbFault::Injected => "injected fault",
+                        TbFault::Frontend => "frontend decode failure",
+                        TbFault::Backend => "backend lowering failure",
+                        TbFault::Verify => "translation verification failure",
+                        TbFault::Quarantined => "quarantined",
+                    };
+                    format!("{what}; interpreter fallback (attempt {})", prior + 1)
+                });
+                Err(fault)
+            }
+        }
+    }
+
+    /// Builds the marshaling thunk that calls a native host function from
+    /// guest code (§6.2): copy guest argument registers into the host
+    /// ABI's, call, write the result back, and perform the guest `ret`.
+    fn build_native_thunk(&self, func: u16, nargs: usize) -> Vec<HostInsn> {
+        let ldr = |dst, base, off| HostInsn::Ldr { dst, base, off, order: MemOrder::Plain };
+        let str = |src, base, off| HostInsn::Str { src, base, off, order: MemOrder::Plain };
+        let pop = |sp| HostInsn::AluImm { op: AOp::Add, dst: sp, a: sp, imm: 8 };
+        let env = |g: Gpr| g.0 as i32 * 8;
+        let args = Gpr::ARGS.iter().take(nargs).enumerate();
+        let mut code = Vec::new();
+        if self.setup == Setup::Native {
+            // Native ABI: direct register moves, no memory marshaling.
+            code.extend(
+                args.map(|(i, g)| HostInsn::MovReg { dst: Xreg(i as u8), src: Xreg(6 + g.0) }),
+            );
+            code.push(HostInsn::NativeCall { func });
+            code.push(HostInsn::MovReg { dst: Xreg(6 + Gpr::RAX.0), src: Xreg(0) });
+            // ret: pop the return address from the guest stack (RSP = X10).
+            let (sp, ra) = (Xreg(6 + Gpr::RSP.0), Xreg(29));
+            code.extend([
+                ldr(ra, sp, 0),
+                pop(sp),
+                HostInsn::ExitTb(TbExitKind::JumpReg { reg: ra }),
+            ]);
+        } else {
+            // DBT ABI: marshal through the env block — this load/store
+            // traffic *is* the marshaling overhead visible in Fig. 14.
+            code.extend(args.map(|(i, g)| ldr(Xreg(i as u8), ENV_BASE, env(*g))));
+            code.push(HostInsn::NativeCall { func });
+            code.push(str(Xreg(0), ENV_BASE, env(Gpr::RAX)));
+            // Guest ret through the env'd RSP.
+            let (sp, ra) = (Xreg(25), Xreg(26));
+            code.extend([
+                ldr(sp, ENV_BASE, env(Gpr::RSP)),
+                ldr(ra, sp, 0),
+                pop(sp),
+                str(sp, ENV_BASE, env(Gpr::RSP)),
+                HostInsn::ExitTb(TbExitKind::JumpReg { reg: ra }),
+            ]);
+        }
+        code
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quarantine_counts_clears_and_bounds() {
+        let mut q = Quarantine::default();
+        assert_eq!(q.attempts(0x1000), 0);
+        q.note_failure(0x1000);
+        q.note_failure(0x1000);
+        assert_eq!(q.attempts(0x1000), 2);
+        assert!(q.contains(0x1000));
+        q.clear(0x1000);
+        assert!(!q.contains(0x1000));
+        assert_eq!(q.attempts(0x1000), 0);
+    }
+
+    #[test]
+    fn quarantine_capacity_is_enforced_with_lru_eviction() {
+        let mut q = Quarantine::default();
+        for pc in 0..QUARANTINE_CAPACITY as u64 {
+            q.note_failure(pc);
+        }
+        assert_eq!(q.len(), QUARANTINE_CAPACITY);
+        // Touch pc 0 so it is no longer the LRU victim.
+        assert_eq!(q.attempts(0), 1);
+        q.note_failure(0xDEAD_0000);
+        assert_eq!(q.len(), QUARANTINE_CAPACITY, "insertion beyond capacity must evict");
+        assert!(q.contains(0xDEAD_0000));
+        assert!(q.contains(0), "recently touched entry must survive eviction");
+        assert!(!q.contains(1), "least-recently-touched entry is the victim");
+        // A sweep of fresh failing pcs can never grow the map.
+        for pc in 0..10 * QUARANTINE_CAPACITY as u64 {
+            q.note_failure(0x4000_0000 + pc);
+            assert!(q.len() <= QUARANTINE_CAPACITY);
+        }
+    }
+
+    #[test]
+    fn quarantine_retry_counts_survive_unrelated_churn() {
+        let mut q = Quarantine::default();
+        q.note_failure(0x42);
+        q.note_failure(0x42);
+        q.note_failure(0x42);
+        for pc in 0..(QUARANTINE_CAPACITY / 2) as u64 {
+            q.note_failure(0x9000_0000 + pc);
+        }
+        assert_eq!(q.attempts(0x42), 3, "below capacity, counts are exact");
+    }
+}
