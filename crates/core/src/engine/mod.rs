@@ -652,7 +652,8 @@ impl Emulator {
     /// when the pipeline can produce it, interpreted blocks otherwise,
     /// until a translatable pc is reached or the core halts.
     fn resume_at(&mut self, core: usize, guest_pc: u64) -> Result<(), EmuError> {
-        let tb_id = self.tb_ids.get(&guest_pc).copied();
+        // Every resume passes here: no TB-id lookup unless someone listens.
+        let tb_id = self.obs.tracing.then(|| self.tb_ids.get(&guest_pc).copied()).flatten();
         self.obs.trace(TraceStage::Dispatch, Some(core), Some(guest_pc), tb_id, None, String::new);
         let mut pc = guest_pc;
         loop {

@@ -355,23 +355,16 @@ fn failed_host_link_uses_guest_implementation() {
 fn forced_fallback_matches_the_interpreter_on_kernels_and_corpus() {
     let mut programs: Vec<(String, GuestBinary, usize)> =
         kernels::all().iter().map(|w| (w.name.to_owned(), (w.build)(6, 2), 2)).collect();
-    let corpus = [
-        ("cmpxchg_fail_path", include_str!("corpus/cmpxchg_fail_path.risotto")),
-        ("fp_nan_chain", include_str!("corpus/fp_nan_chain.risotto")),
-        ("fp_nan_cross_thread", include_str!("corpus/fp_nan_cross_thread.risotto")),
-        ("hot_loop_promotion", include_str!("corpus/hot_loop_promotion.risotto")),
-        ("spawn_cas_contention", include_str!("corpus/spawn_cas_contention.risotto")),
-        ("store_store_fence", include_str!("corpus/store_store_fence.risotto")),
-    ];
-    for (name, text) in corpus {
-        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-        programs.push((
-            name.to_owned(),
-            spec.lower().expect("corpus program lowers"),
-            spec.cores(),
-        ));
+    let corpus_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
+    for entry in std::fs::read_dir(corpus_dir).expect("tests/corpus exists") {
+        let path = entry.expect("corpus entry").path();
+        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(&path).expect("corpus file reads");
+        let spec = parse_corpus(&text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
+        programs.push((name, spec.lower().expect("corpus program lowers"), spec.cores()));
     }
-    assert_eq!(programs.len(), 22);
+    programs.sort_by(|a, b| a.0.cmp(&b.0));
+    assert!(programs.len() >= 22, "16 kernels and the checked-in corpus, got {}", programs.len());
 
     for (seed, (name, bin, cores)) in programs.iter().enumerate() {
         let mut interp = Interp::new(bin);
