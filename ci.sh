@@ -35,6 +35,18 @@ RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test verifier
 # and stitched tier-2 superblocks, under both RMW styles.
 RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test determinism
 
+# Machine-loop gate, in the build the benchmark measures: a run cut into
+# single steps (a scheduler scan before every step) must leave the same
+# clocks, counters, memory and atomic order as one cut into run quanta,
+# under all three policies — hand-built multi-core programs in the
+# machine's unit suite, the CAS grid and five kernels through the engine
+# — and the pre-decoded code table must never serve an instruction from
+# bytes that were patched, corrupted, freed or reused (same unit suite;
+# `SparseMem`'s word-wide accessors against their byte-wise definition
+# ride along in guest-x86's).
+cargo test -q --release -p risotto-host-arm -p risotto-guest-x86
+cargo test -q --release --test slice_invariance
+
 # End-to-end pipeline bench in smoke mode: runs the 16-kernel suite at a
 # CI-sized scale and emits BENCH_pipeline.json (per-kernel cycles +
 # TB-chain hit rate + registry snapshot + tier-2 superblock delta).
@@ -73,6 +85,9 @@ assert any(k["analysis"]["relaxed"] > 0 for k in doc["kernels"]), \
 cold = doc["cold_start"]
 assert cold["tier0_insns"] > 0, cold
 assert cold["tier0_ns_per_insn"] < cold["tier1_ns_per_insn"], cold
+# The machine loop's wall time is recorded, not gated: an absolute
+# threshold would only measure the machine CI runs on.
+assert doc["machine_100k_steps_ns"] > 0, doc["machine_100k_steps_ns"]
 EOF
 
 # Codegen-performance gate: per-kernel simulated cycles must not exceed

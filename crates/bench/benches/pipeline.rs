@@ -9,7 +9,8 @@
 //!
 //! Besides the console table, the kernel-suite section writes
 //! `BENCH_pipeline.json` (per-kernel simulated cycles and TB-chain hit
-//! rate) for machine consumption. Pass `smoke` (or set
+//! rate, and the machine loop's `machine_100k_steps_ns`) for machine
+//! consumption. Pass `smoke` (or set
 //! `PIPELINE_BENCH=smoke`) to run a fast CI-sized configuration:
 //!
 //! ```sh
@@ -26,8 +27,8 @@ use risotto_tcg::{optimize, translate_block, FrontendConfig, OptPolicy};
 use risotto_workloads::kernels;
 
 /// Run `f` repeatedly for roughly `iters` iterations, three rounds, and
-/// print the best mean-per-iteration time.
-fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
+/// print and return the best mean-per-iteration time in nanoseconds.
+fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> f64 {
     // Warmup.
     for _ in 0..iters / 4 + 1 {
         black_box(f());
@@ -44,6 +45,7 @@ fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
         }
     }
     println!("{name:32} {:>12.1} ns/iter", best * 1e9);
+    best * 1e9
 }
 
 fn hot_block_bytes() -> Vec<u8> {
@@ -101,8 +103,9 @@ fn bench_pipeline() {
     });
 }
 
-fn bench_machine() {
-    // A tight host loop: measure simulated instructions per second.
+/// A tight host loop of 100k iterations (300k machine steps): the
+/// simulator's stepping speed, in ns per run.
+fn bench_machine() -> f64 {
     use risotto_host_arm::{ACond, AOp, HostInsn, Xreg};
     bench("machine_100k_steps", 20, || {
         let mut m = Machine::new(1, CostModel::uniform());
@@ -115,7 +118,7 @@ fn bench_machine() {
         ]);
         m.start_core(0, code);
         assert_eq!(m.run(1_000_000), Event::AllHalted);
-    });
+    })
 }
 
 /// Runs the 16 Fig. 12 kernels end-to-end under the risotto setup and
@@ -131,7 +134,7 @@ fn bench_machine() {
 /// top-level `"cold_start"` object (ns per guest instruction, tier-0 vs
 /// tier-1; ci.sh gates tier-0 strictly cheaper). `smoke` shrinks the
 /// scale for CI.
-fn bench_kernels(smoke: bool) {
+fn bench_kernels(smoke: bool, machine_100k_steps_ns: f64) {
     let (scale, threads) = if smoke { (4, 2) } else { (64, 2) };
     let mode = if smoke { "smoke" } else { "full" };
     println!("\nkernel suite ({mode}, scale {scale}, {threads} threads):");
@@ -330,6 +333,7 @@ fn bench_kernels(smoke: bool) {
     let json = format!(
         concat!(
             "{{\n  \"mode\": \"{mode}\",\n  \"scale\": {scale},\n  \"threads\": {threads},\n",
+            "  \"machine_100k_steps_ns\": {machine:.1},\n",
             "  \"cold_start\": {{\"tier0_ns_per_insn\": {t0:.2}, \"tier0_insns\": {t0i}, ",
             "\"tier1_ns_per_insn\": {t1:.2}, \"tier1_insns\": {t1i}, \"speedup\": {sp:.2}}},\n",
             "  \"kernels\": [\n{kernels}\n  ]\n}}\n"
@@ -337,6 +341,7 @@ fn bench_kernels(smoke: bool) {
         mode = mode,
         scale = scale,
         threads = threads,
+        machine = machine_100k_steps_ns,
         t0 = t0_per,
         t0i = cold_t0_insns,
         t1 = t1_per,
@@ -355,12 +360,13 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "smoke")
         || std::env::var("PIPELINE_BENCH").is_ok_and(|v| v == "smoke");
     if smoke {
-        // CI-sized: skip the slow wall-time microbenches, keep the
-        // end-to-end suite that produces the JSON artifact.
-        bench_kernels(true);
+        // CI-sized: skip the slow translate-path microbenches, keep the
+        // machine loop (a few tens of ms) and the end-to-end suite that
+        // produce the JSON artifact.
+        bench_kernels(true, bench_machine());
         return;
     }
     bench_pipeline();
-    bench_machine();
-    bench_kernels(false);
+    let machine_100k_steps_ns = bench_machine();
+    bench_kernels(false, machine_100k_steps_ns);
 }

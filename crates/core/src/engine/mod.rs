@@ -752,6 +752,20 @@ impl Emulator {
     /// instructions), syscall misuse, injected syscall faults, host-code
     /// faults, and — with [`Emulator::set_watchdog`] armed — stalls.
     pub fn run(&mut self, fuel: u64) -> Result<Report, EmuError> {
+        self.run_sliced_for_test(fuel, u64::MAX)
+    }
+
+    /// [`Emulator::run`], handing the machine at most `slice` steps at a
+    /// time. Without injected faults (which roll once per machine event)
+    /// nothing observable may depend on `slice`: a run cut into single
+    /// steps is the per-step definition of the machine's scheduler, which
+    /// is what the test suite holds its run quanta to.
+    ///
+    /// # Errors
+    ///
+    /// As [`Emulator::run`].
+    #[doc(hidden)]
+    pub fn run_sliced_for_test(&mut self, fuel: u64, slice: u64) -> Result<Report, EmuError> {
         self.fuel_limit = fuel;
         let base_steps = self.machine.total_steps();
         self.init_core(0, None);
@@ -762,12 +776,8 @@ impl Emulator {
         loop {
             let used = (self.machine.total_steps() - base_steps) + self.interp_steps;
             let remaining = fuel.saturating_sub(used);
-            let slice = match self.watchdog {
-                Some(w) => remaining.min(w),
-                None => remaining,
-            };
             let before = self.machine.total_steps();
-            let ev = self.machine.run(slice);
+            let ev = self.machine.run(remaining.min(slice).min(self.watchdog.unwrap_or(u64::MAX)));
             self.inject_tb_cache_faults();
             match ev {
                 Event::AllHalted => break,
@@ -784,8 +794,8 @@ impl Emulator {
                     if used >= fuel {
                         return Err(EmuError::OutOfFuel);
                     }
-                    // Otherwise just a watchdog slice boundary: fall
-                    // through to the progress check.
+                    // Otherwise just a slice boundary: fall through to
+                    // the progress check.
                 }
                 Event::HotTb { core, guest_pc } => {
                     // The transfer already completed: promotion (or a

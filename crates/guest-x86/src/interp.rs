@@ -12,13 +12,44 @@ use crate::insn::{syscalls, AluOp, Insn, Operand};
 use crate::regs::{Flags, Gpr};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE: usize = 4096;
+
+/// Hasher for page numbers: one multiply and a fold. The keys are the
+/// simulator's own page indices (small, dense integers), which is
+/// what SipHash's collision resistance is wasted on.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // The map takes its bucket from the low bits and its tag from
+        // the high ones: fold the well-mixed top half down.
+        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
 
 /// Sparse byte-addressed guest memory (zero-filled on first touch).
 #[derive(Debug, Clone, Default)]
 pub struct SparseMem {
-    pages: HashMap<u64, Box<[u8; PAGE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE]>, BuildHasherDefault<PageHasher>>,
+}
+
+/// Splits an address into its page number and the offset inside it.
+fn split(addr: u64) -> (u64, usize) {
+    (addr / PAGE as u64, (addr % PAGE as u64) as usize)
 }
 
 impl SparseMem {
@@ -27,18 +58,20 @@ impl SparseMem {
         SparseMem::default()
     }
 
+    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE] {
+        self.pages.entry(page).or_insert_with(|| Box::new([0u8; PAGE]))
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr / PAGE as u64)) {
-            Some(p) => p[(addr % PAGE as u64) as usize],
-            None => 0,
-        }
+        let (page, off) = split(addr);
+        self.pages.get(&page).map_or(0, |p| p[off])
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, val: u8) {
-        let page = self.pages.entry(addr / PAGE as u64).or_insert_with(|| Box::new([0u8; PAGE]));
-        page[(addr % PAGE as u64) as usize] = val;
+        let (page, off) = split(addr);
+        self.page_mut(page)[off] = val;
     }
 
     /// Reads a little-endian u64 (unaligned allowed). Like every
@@ -46,29 +79,48 @@ impl SparseMem {
     /// space: the address is a guest value.
     pub fn read_u64(&self, addr: u64) -> u64 {
         let mut b = [0u8; 8];
-        for (i, slot) in b.iter_mut().enumerate() {
-            *slot = self.read_u8(addr.wrapping_add(i as u64));
-        }
+        self.read_into(addr, &mut b);
         u64::from_le_bytes(b)
     }
 
     /// Writes a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, val: u64) {
-        for (i, byte) in val.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *byte);
+        self.write_bytes(addr, &val.to_le_bytes());
+    }
+
+    /// Copies a byte slice in, one page probe per page touched. The top
+    /// of the address space is a page boundary, so a wrapping access is
+    /// a page-straddling one.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let (page, off) = split(addr);
+            let (chunk, rest) = bytes.split_at(bytes.len().min(PAGE - off));
+            self.page_mut(page)[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            bytes = rest;
         }
     }
 
-    /// Copies a byte slice in.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+    /// Fills `out` from memory; an untouched page reads as zeros and is
+    /// not allocated.
+    fn read_into(&self, mut addr: u64, mut out: &mut [u8]) {
+        while !out.is_empty() {
+            let (page, off) = split(addr);
+            let (chunk, rest) = out.split_at_mut(out.len().min(PAGE - off));
+            match self.pages.get(&page) {
+                Some(p) => chunk.copy_from_slice(&p[off..off + chunk.len()]),
+                None => chunk.fill(0),
+            }
+            addr = addr.wrapping_add(chunk.len() as u64);
+            out = rest;
         }
     }
 
     /// Copies `len` bytes out.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr.wrapping_add(i as u64))).collect()
+        let mut out = vec![0u8; len];
+        self.read_into(addr, &mut out);
+        out
     }
 
     /// Loads a guest binary's sections.
@@ -531,6 +583,63 @@ mod tests {
         let mut i = Interp::new(bin);
         i.run(1_000_000).unwrap();
         i
+    }
+
+    /// Byte-at-a-time definitions of the multi-byte accessors.
+    fn read_bytewise(m: &SparseMem, addr: u64, len: usize) -> Vec<u8> {
+        (0..len).map(|i| m.read_u8(addr.wrapping_add(i as u64))).collect()
+    }
+
+    #[test]
+    fn wide_accesses_agree_with_the_bytewise_definition() {
+        let page = PAGE as u64;
+        // In-page, page-straddling (every split of the 8 bytes) and
+        // wrapping around the top of the address space.
+        let mut addrs = vec![0, 8, page - 8, 5 * page + 123];
+        addrs.extend((1..8).map(|k| 3 * page - k));
+        addrs.extend((0..8).map(|k| u64::MAX - k));
+        for &addr in &addrs {
+            let val = 0x0102_0304_0506_0708u64.wrapping_mul(addr | 1);
+            let mut wide = SparseMem::new();
+            wide.write_u64(addr, val);
+            let mut bytewise = SparseMem::new();
+            for (i, b) in val.to_le_bytes().iter().enumerate() {
+                bytewise.write_u8(addr.wrapping_add(i as u64), *b);
+            }
+            assert_eq!(wide.read_u64(addr), val, "{addr:#x}");
+            assert_eq!(read_bytewise(&wide, addr, 8), val.to_le_bytes(), "{addr:#x}");
+            let window = addr.wrapping_sub(16);
+            assert_eq!(wide.read_bytes(window, 40), read_bytewise(&bytewise, window, 40));
+            assert_eq!(wide.pages.len(), bytewise.pages.len(), "{addr:#x}: pages touched");
+            // Unaligned reads across what was written.
+            for k in 0..16 {
+                let a = window.wrapping_add(k);
+                let expect = u64::from_le_bytes(read_bytewise(&bytewise, a, 8).try_into().unwrap());
+                assert_eq!(wide.read_u64(a), expect, "{a:#x}");
+            }
+        }
+
+        // A buffer spanning three pages and the wrap.
+        let data: Vec<u8> = (0..2 * PAGE + 100).map(|i| (i * 7 + 1) as u8).collect();
+        for addr in [page - 50, u64::MAX - (PAGE as u64 + 20)] {
+            let mut m = SparseMem::new();
+            m.write_bytes(addr, &data);
+            assert_eq!(m.read_bytes(addr, data.len()), data);
+            assert_eq!(read_bytewise(&m, addr, data.len()), data);
+            assert_eq!(m.read_u8(addr.wrapping_sub(1)), 0);
+            assert_eq!(m.read_u8(addr.wrapping_add(data.len() as u64)), 0);
+        }
+    }
+
+    #[test]
+    fn reading_untouched_memory_allocates_nothing() {
+        let m = SparseMem::new();
+        assert_eq!(m.read_u64(0x1234), 0);
+        assert_eq!(m.read_u64(PAGE as u64 - 3), 0);
+        assert_eq!(m.read_u64(u64::MAX - 2), 0);
+        assert_eq!(m.read_u8(77), 0);
+        assert_eq!(m.read_bytes(PAGE as u64 - 10, 3 * PAGE), vec![0; 3 * PAGE]);
+        assert!(m.pages.is_empty());
     }
 
     #[test]

@@ -208,6 +208,73 @@ pub struct ChainStats {
     pub sb_entries: u64,
 }
 
+/// Distance between two addresses around the address space: an access
+/// near the top wraps into the bytes at address zero.
+fn apart(a: u64, b: u64) -> u64 {
+    a.wrapping_sub(b).min(b.wrapping_sub(a))
+}
+
+/// Cycles an ALU operation costs.
+fn alu_cost(cost: &CostModel, op: AOp) -> u64 {
+    match op {
+        AOp::Mul => cost.mul,
+        AOp::Udiv | AOp::Urem => cost.div,
+        _ => cost.alu,
+    }
+}
+
+/// Pre-decoded instructions, addressed by byte offset into the code
+/// cache: `slot[off]` says whether the bytes at `off` have been decoded
+/// yet, lie in a freed hole, or names the decoded entry. One `u32` per
+/// code byte plus one entry per instruction actually executed keeps the
+/// table a small multiple of the code it shadows.
+#[derive(Debug, Default)]
+struct DecodeTable {
+    /// Per code byte: [`Self::UNDECODED`], [`Self::HOLE`], or `index + 1`
+    /// into `entries`.
+    slot: Vec<u32>,
+    entries: Vec<(HostInsn, u16)>,
+    /// Indices into `entries` released by [`Self::clear`], reused first.
+    free: Vec<u32>,
+}
+
+impl DecodeTable {
+    const UNDECODED: u32 = 0;
+    /// Freed code: nothing may execute here until an install reuses it.
+    const HOLE: u32 = u32::MAX;
+
+    /// Extends the table over newly appended code bytes.
+    fn grow(&mut self, code_len: usize) {
+        self.slot.resize(code_len, Self::UNDECODED);
+    }
+
+    /// Remembers the instruction decoded at `off`.
+    fn fill(&mut self, off: usize, entry: (HostInsn, u16)) {
+        let idx = match self.free.pop() {
+            Some(i) => {
+                self.entries[i as usize] = entry;
+                i
+            }
+            None => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+        };
+        self.slot[off] = idx + 1;
+    }
+
+    /// Forgets every decode that starts in `off..off + len`, leaving the
+    /// range `mark`ed ([`Self::UNDECODED`] or [`Self::HOLE`]).
+    fn clear(&mut self, off: usize, len: usize, mark: u32) {
+        for s in &mut self.slot[off..off + len] {
+            if *s != Self::UNDECODED && *s != Self::HOLE {
+                self.free.push(*s - 1);
+            }
+            *s = mark;
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Core {
     regs: [u64; Xreg::COUNT],
@@ -245,6 +312,11 @@ impl Core {
         }
     }
 
+    /// `true` while the scheduler may step this core.
+    fn runnable(&self) -> bool {
+        self.started && !self.halted
+    }
+
     /// Next jitter value in 0..16 (xorshift, seeded per construction and
     /// perturbed by the core's own execution history).
     fn next_jitter(&mut self) -> u64 {
@@ -275,12 +347,17 @@ pub struct Machine {
     pub mem: SparseMem,
     cores: Vec<Core>,
     code: Vec<u8>,
-    decode_cache: HashMap<u64, (HostInsn, u16)>,
+    /// Decoded form of `code`; see [`Machine::fetch`] for who fills it
+    /// and DESIGN.md §11 for the list of places that must clear it.
+    decoded: DecodeTable,
     tb_map: HashMap<u64, u64>,
     natives: Vec<NativeFn>,
     cost: CostModel,
-    /// Recent RMW sites for the contention model: addr → (cycle, core).
+    /// Recent RMW sites for the contention model: addr → each core's
+    /// latest access inside the window, as (cycle, core).
     rmw_history: HashMap<u64, Vec<(u64, usize)>>,
+    /// Table size at which [`Machine::sweep_rmw_history`] next runs.
+    rmw_sweep_at: usize,
     total_steps: u64,
     sched: SchedPolicy,
     sched_state: u64,
@@ -339,11 +416,12 @@ impl Machine {
                 })
                 .collect(),
             code: Vec::new(),
-            decode_cache: HashMap::new(),
+            decoded: DecodeTable::default(),
             tb_map: HashMap::new(),
             natives: Vec::new(),
             cost,
             rmw_history: HashMap::new(),
+            rmw_sweep_at: 64,
             total_steps: 0,
             sched: SchedPolicy::Deterministic,
             sched_state: 0x243F_6A88_85A3_08D3,
@@ -487,6 +565,8 @@ impl Machine {
                 self.cache_stats.region_reuses += 1;
                 let (off, len) = self.free_list.swap_remove(slot);
                 self.code[off..off + bytes.len()].copy_from_slice(&bytes);
+                // The hole is code again; its tail, if any, stays a hole.
+                self.decoded.clear(off, bytes.len(), DecodeTable::UNDECODED);
                 if len > bytes.len() {
                     self.free_list.push((off + bytes.len(), len - bytes.len()));
                 }
@@ -495,6 +575,7 @@ impl Machine {
             None => {
                 let off = self.code.len();
                 self.code.extend_from_slice(&bytes);
+                self.decoded.grow(self.code.len());
                 CODE_BASE + off as u64
             }
         };
@@ -595,12 +676,13 @@ impl Machine {
     }
 
     /// Writes `target` into the chain word of the `ExitTb(Jump)` encoded
-    /// at host pc `site` and drops the now-stale decode-cache entry.
+    /// at host pc `site` and drops the now-stale decode of that exit.
     fn patch_chain(&mut self, site: u64, target: u64) {
-        let off = (site - CODE_BASE) as usize + JUMP_CHAIN_OFFSET;
+        let site = (site - CODE_BASE) as usize;
+        let off = site + JUMP_CHAIN_OFFSET;
         debug_assert!(off + 8 <= self.code.len(), "chain site outside code");
         self.code[off..off + 8].copy_from_slice(&target.to_le_bytes());
-        self.decode_cache.remove(&site);
+        self.decoded.clear(site, 1, DecodeTable::UNDECODED);
     }
 
     /// Un-patches every chain slot currently pointing at `guest_pc`'s
@@ -649,14 +731,15 @@ impl Machine {
 
     fn core_in_range(&self, start: u64, len: usize) -> bool {
         let end = start + len as u64;
-        self.cores.iter().any(|c| c.started && !c.halted && c.pc >= start && c.pc < end)
+        self.cores.iter().any(|c| c.runnable() && c.pc >= start && c.pc < end)
     }
 
-    /// Actually reclaims a region: purges decode-cache entries and
-    /// recorded chain sites inside it, then adds it to the free list.
+    /// Actually reclaims a region: turns it into an undecodable hole,
+    /// forgets the chain sites recorded inside it, then adds it to the
+    /// free list.
     fn do_free(&mut self, start: u64, len: usize) {
         let end = start + len as u64;
-        self.decode_cache.retain(|&pc, _| pc < start || pc >= end);
+        self.decoded.clear((start - CODE_BASE) as usize, len, DecodeTable::HOLE);
         // Chain sites *inside* the dead body must be forgotten, or a later
         // unmap of their target would patch bytes that now belong to a
         // different translation.
@@ -717,8 +800,7 @@ impl Machine {
         }
         let off = (host_start - CODE_BASE) as usize + offset;
         self.code[off] ^= 0xff;
-        let end = host_start + len as u64;
-        self.decode_cache.retain(|&pc, _| pc < host_start || pc >= end);
+        self.decoded.clear((host_start - CODE_BASE) as usize, len, DecodeTable::UNDECODED);
         true
     }
 
@@ -838,15 +920,19 @@ impl Machine {
         }
     }
 
+    /// Drains the stores at the head of the buffer that have aged out or
+    /// that overflow its capacity.
     fn drain_aged(&mut self, core: usize) {
         let now = self.cores[core].cycles;
-        while let Some(&(a, v, t)) = self.cores[core].store_buffer.front() {
-            if now.saturating_sub(t) < DRAIN_AGE
-                && self.cores[core].store_buffer.len() <= STORE_BUFFER_CAP
-            {
+        loop {
+            let buf = &mut self.cores[core].store_buffer;
+            let Some(&(a, v, t)) = buf.front() else {
+                break;
+            };
+            if now.saturating_sub(t) < DRAIN_AGE && buf.len() <= STORE_BUFFER_CAP {
                 break;
             }
-            self.cores[core].store_buffer.pop_front();
+            buf.pop_front();
             self.mem.write_u64(a, v);
             Self::invalidate_monitors(&mut self.cores, core, a);
         }
@@ -860,24 +946,23 @@ impl Machine {
         }
     }
 
-    /// Reads for core `core`: forwards from its own store buffer, else
-    /// global memory.
-    fn read_for(&self, core: usize, addr: u64) -> u64 {
-        let c = &self.cores[core];
-        for &(a, v, _) in c.store_buffer.iter().rev() {
-            if a == addr {
-                return v;
+    /// One pass over `core`'s store buffer for a 64-bit access at
+    /// `addr`: the newest buffered value for exactly `addr` (what a load
+    /// forwards), and whether some entry overlaps the access without
+    /// being equal to it — the u64-granular buffer cannot merge those, so
+    /// the caller drains first.
+    fn probe_buffer(&self, core: usize, addr: u64) -> (Option<u64>, bool) {
+        let mut newest = None;
+        for &(a, v, _) in self.cores[core].store_buffer.iter().rev() {
+            if a != addr {
+                if apart(a, addr) < 8 {
+                    return (None, true);
+                }
+            } else if newest.is_none() {
+                newest = Some(v);
             }
-            // Overlapping-but-unequal: conservative callers drain first.
         }
-        self.mem.read_u64(addr)
-    }
-
-    fn buffered_overlap(&self, core: usize, addr: u64) -> bool {
-        // Distance around the address space: an access near the top
-        // wraps into the bytes at address zero.
-        let apart = |a: u64| a.wrapping_sub(addr).min(addr.wrapping_sub(a));
-        self.cores[core].store_buffer.iter().any(|&(a, _, _)| a != addr && apart(a) < 8)
+        (newest, false)
     }
 
     /// Cycle cost of an exclusive/atomic access to `addr`: `base` plus the
@@ -887,64 +972,99 @@ impl Machine {
     fn atomic_cost(&mut self, core: usize, addr: u64, base: u64) -> u64 {
         let now = self.cores[core].cycles;
         let window = self.cost.contend_window;
+        if self.rmw_history.len() >= self.rmw_sweep_at {
+            self.sweep_rmw_history();
+        }
+        // Each core's latest access decides whether it is still in the
+        // window, so that is all a site keeps of it: dropping this core's
+        // older entry leaves the other cores, each counted once.
         let hist = self.rmw_history.entry(addr & !7).or_default();
-        hist.retain(|&(t, _)| now.saturating_sub(t) <= window);
-        let others: std::collections::HashSet<usize> =
-            hist.iter().filter(|&&(_, c)| c != core).map(|&(_, c)| c).collect();
+        hist.retain(|&(t, c)| c != core && now.saturating_sub(t) <= window);
+        let others = hist.len() as u64;
         hist.push((now, core));
         let jitter = self.cores[core].next_jitter();
-        base + self.cost.atomic_contend * others.len() as u64 + jitter
+        base + self.cost.atomic_contend * others + jitter
+    }
+
+    /// Drops the contention sites whose window has emptied: every access
+    /// there is older than the window as seen from the slowest running
+    /// core, so the next access would discard it unseen. (A core that
+    /// starts later starts at its spawner's clock, not behind it.)
+    /// Runs when the table has doubled since the last sweep.
+    fn sweep_rmw_history(&mut self) {
+        let window = self.cost.contend_window;
+        let running = self.cores.iter().filter(|c| c.runnable());
+        let floor = running.map(|c| c.cycles).min().unwrap_or(0);
+        self.rmw_history.retain(|_, h| h.iter().any(|&(t, _)| floor.saturating_sub(t) <= window));
+        self.rmw_sweep_at = (2 * self.rmw_history.len()).max(64);
     }
 
     /// Runs until an [`Event`] occurs, executing at most `fuel` steps.
+    ///
+    /// Cores run in quanta: one scheduler scan, then the picked core is
+    /// stepped for as long as a fresh scan would pick it again. A step
+    /// moves only its own core's clock and run state, so that is
+    /// decidable from the core alone against the bound the scan returned,
+    /// and the order of steps is the per-step order exactly (DESIGN.md
+    /// §6, "Host machine inner loop").
     pub fn run(&mut self, fuel: u64) -> Event {
         let mut budget = fuel;
         loop {
-            let core = match self.pick_core() {
-                Some(c) => c,
-                None => return Event::AllHalted,
-            };
             if budget == 0 {
-                return Event::OutOfFuel;
+                // Decided without a pick: a `Random` draw is spent only
+                // on a step that happens, whatever the fuel slicing.
+                let idle = !self.cores.iter().any(Core::runnable);
+                return if idle { Event::AllHalted } else { Event::OutOfFuel };
             }
-            budget -= 1;
-            if let Some(ev) = self.step(core) {
-                return ev;
+            let Some((core, until)) = self.pick_core() else {
+                return Event::AllHalted;
+            };
+            loop {
+                budget -= 1;
+                if let Some(ev) = self.step(core) {
+                    return ev;
+                }
+                let c = &self.cores[core];
+                if budget == 0 || c.halted || (c.cycles, core) >= until {
+                    break;
+                }
             }
         }
     }
 
-    /// Picks the next runnable core per the scheduling policy.
-    fn pick_core(&mut self) -> Option<usize> {
-        let runnable = |c: &Core| c.started && !c.halted;
+    /// Picks the next runnable core per the scheduling policy, and the
+    /// `(clock, index)` bound below which that core stays the pick: the
+    /// runner-up's under `Deterministic` (smallest clock first, lowest
+    /// index on a tie), none under `Adversarial` (the leader only gets
+    /// further ahead), and an immediate one under `Random`, which draws
+    /// afresh for every step.
+    fn pick_core(&mut self) -> Option<(usize, (u64, usize))> {
+        const NO_BOUND: (u64, usize) = (u64::MAX, usize::MAX);
         match self.sched {
             SchedPolicy::Deterministic => {
-                let mut pick: Option<usize> = None;
-                for (i, c) in self.cores.iter().enumerate() {
-                    if runnable(c) && pick.is_none_or(|p| c.cycles < self.cores[p].cycles) {
-                        pick = Some(i);
+                let (mut best, mut runner_up) = (NO_BOUND, NO_BOUND);
+                for (i, c) in self.cores.iter().enumerate().filter(|(_, c)| c.runnable()) {
+                    let key = (c.cycles, i);
+                    if key < best {
+                        (best, runner_up) = (key, best);
+                    } else if key < runner_up {
+                        runner_up = key;
                     }
                 }
-                pick
+                (best != NO_BOUND).then_some((best.1, runner_up))
             }
             SchedPolicy::Adversarial => {
                 let mut pick: Option<usize> = None;
                 for (i, c) in self.cores.iter().enumerate() {
-                    if runnable(c) && pick.is_none_or(|p| c.cycles > self.cores[p].cycles) {
+                    if c.runnable() && pick.is_none_or(|p| c.cycles > self.cores[p].cycles) {
                         pick = Some(i);
                     }
                 }
-                pick
+                pick.map(|p| (p, NO_BOUND))
             }
             SchedPolicy::Random(_) => {
-                let ids: Vec<usize> = self
-                    .cores
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| runnable(c))
-                    .map(|(i, _)| i)
-                    .collect();
-                if ids.is_empty() {
+                let n = self.cores.iter().filter(|c| c.runnable()).count() as u64;
+                if n == 0 {
                     return None;
                 }
                 let mut x = self.sched_state;
@@ -952,32 +1072,41 @@ impl Machine {
                 x ^= x >> 7;
                 x ^= x << 17;
                 self.sched_state = x;
-                Some(ids[(x % ids.len() as u64) as usize])
+                let pick = self
+                    .cores
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.runnable())
+                    .nth((x % n) as usize);
+                pick.map(|(i, _)| (i, (0, 0)))
             }
         }
     }
 
-    /// Decodes (with caching) at a host pc. `None` on undecodable bytes
-    /// or a pc outside the installed code cache.
+    /// The instruction at a host pc, decoded on its first fetch and
+    /// served from the side table after that. `None` on undecodable
+    /// bytes, a freed hole, or a pc outside the code cache.
     fn fetch(&mut self, pc: u64) -> Option<(HostInsn, u16)> {
-        if let Some(&hit) = self.decode_cache.get(&pc) {
-            return Some(hit);
-        }
         let off = usize::try_from(pc.checked_sub(CODE_BASE)?).ok()?;
-        if off >= self.code.len() {
-            return None;
+        match *self.decoded.slot.get(off)? {
+            DecodeTable::HOLE => None,
+            DecodeTable::UNDECODED => {
+                let (insn, len) = HostInsn::decode(&self.code[off..]).ok()?;
+                let entry = (insn, len as u16);
+                self.decoded.fill(off, entry);
+                Some(entry)
+            }
+            idx => Some(self.decoded.entries[idx as usize - 1]),
         }
-        let (insn, len) = HostInsn::decode(&self.code[off..]).ok()?;
-        let entry = (insn, len as u16);
-        self.decode_cache.insert(pc, entry);
-        Some(entry)
     }
 
     /// Executes one instruction on `core`; returns an event if the machine
     /// must suspend.
     fn step(&mut self, core: usize) -> Option<Event> {
         self.total_steps += 1;
-        self.drain_aged(core);
+        if !self.cores[core].store_buffer.is_empty() {
+            self.drain_aged(core);
+        }
         let pc = self.cores[core].pc;
         let Some((insn, len)) = self.fetch(pc) else {
             // Leave the core parked on the faulting pc; the engine owns
@@ -985,83 +1114,86 @@ impl Machine {
             return Some(Event::HostFault { core, host_pc: pc, kind: HostFaultKind::Decode });
         };
         let next = pc + len as u64;
-        let cost = &{ self.cost };
-        {
-            let c = &mut self.cores[core];
-            c.pc = next;
-            c.stats.insns += 1;
-        }
+        // Arms that touch only the core work through `c`; the ones that
+        // reach shared memory or other cores re-borrow after the call.
+        let c = &mut self.cores[core];
+        c.pc = next;
+        c.stats.insns += 1;
         use HostInsn::*;
         match insn {
             MovImm { dst, imm } => {
-                self.cores[core].set(dst, imm);
-                self.cores[core].cycles += cost.alu;
+                c.set(dst, imm);
+                c.cycles += self.cost.alu;
             }
             MovReg { dst, src } => {
-                let v = self.cores[core].get(src);
-                self.cores[core].set(dst, v);
-                self.cores[core].cycles += cost.alu;
+                let v = c.get(src);
+                c.set(dst, v);
+                c.cycles += self.cost.alu;
             }
             Ldr { dst, base, off, order } => {
-                let addr = self.cores[core].get(base).wrapping_add(off as i64 as u64);
-                if self.buffered_overlap(core, addr) {
+                let addr = c.get(base).wrapping_add(off as i64 as u64);
+                let (forwarded, overlap) = self.probe_buffer(core, addr);
+                if overlap {
                     self.drain_all(core);
                 }
-                let v = self.read_for(core, addr);
-                self.cores[core].set(dst, v);
-                self.cores[core].cycles +=
-                    cost.load + if order == MemOrder::Plain { 0 } else { cost.acq_rel_extra };
+                let v = forwarded.unwrap_or_else(|| self.mem.read_u64(addr));
+                let c = &mut self.cores[core];
+                c.set(dst, v);
+                c.cycles += self.cost.load
+                    + if order == MemOrder::Plain { 0 } else { self.cost.acq_rel_extra };
             }
             Str { src, base, off, order } => {
-                let addr = self.cores[core].get(base).wrapping_add(off as i64 as u64);
-                let v = self.cores[core].get(src);
-                if self.buffered_overlap(core, addr) {
+                let addr = c.get(base).wrapping_add(off as i64 as u64);
+                let v = c.get(src);
+                if self.probe_buffer(core, addr).1 {
                     self.drain_all(core);
                 }
                 // All stores go through the FIFO buffer; its order already
                 // gives release stores their prior-store ordering (the
                 // machine never delays loads), so `stlr` needs no drain —
                 // only its extra latency.
+                let c = &mut self.cores[core];
                 if order != MemOrder::Plain {
-                    self.cores[core].cycles += cost.acq_rel_extra;
+                    c.cycles += self.cost.acq_rel_extra;
                 }
-                let cyc = self.cores[core].cycles;
-                self.cores[core].store_buffer.push_back((addr, v, cyc));
-                self.cores[core].cycles += cost.store;
+                c.store_buffer.push_back((addr, v, c.cycles));
+                c.cycles += self.cost.store;
             }
             LdrB { dst, base, off } => {
-                let addr = self.cores[core].get(base).wrapping_add(off as i64 as u64);
+                let addr = c.get(base).wrapping_add(off as i64 as u64);
                 // Byte loads bypass the (u64-granular) store buffer: drain
                 // any overlapping entries first.
-                if self.cores[core].store_buffer.iter().any(|&(a, _, _)| a.abs_diff(addr) < 8) {
+                if c.store_buffer.iter().any(|&(a, _, _)| apart(a, addr) < 8) {
                     self.drain_all(core);
                 }
                 let v = self.mem.read_u8(addr) as u64;
-                self.cores[core].set(dst, v);
-                self.cores[core].cycles += cost.load;
+                let c = &mut self.cores[core];
+                c.set(dst, v);
+                c.cycles += self.cost.load;
             }
             StrB { src, base, off } => {
-                let addr = self.cores[core].get(base).wrapping_add(off as i64 as u64);
-                let v = self.cores[core].get(src) as u8;
+                let addr = c.get(base).wrapping_add(off as i64 as u64);
+                let v = c.get(src) as u8;
                 self.drain_all(core);
                 self.mem.write_u8(addr, v);
                 Self::invalidate_monitors(&mut self.cores, core, addr & !7);
-                self.cores[core].cycles += cost.store;
+                self.cores[core].cycles += self.cost.store;
             }
             Ldxr { dst, addr, acquire } => {
-                let a = self.cores[core].get(addr);
+                let a = c.get(addr);
                 self.drain_all(core);
                 let v = self.mem.read_u64(a);
-                self.cores[core].set(dst, v);
-                self.cores[core].monitor = Some(a);
+                let c = &mut self.cores[core];
+                c.set(dst, v);
+                c.monitor = Some(a);
                 // Taking the line exclusively pays the same ping-pong
                 // penalty as a single-instruction atomic.
-                let ac = self.atomic_cost(core, a, cost.exclusive);
-                self.cores[core].cycles += ac + if acquire { cost.acq_rel_extra } else { 0 };
+                let ac = self.atomic_cost(core, a, self.cost.exclusive);
+                self.cores[core].cycles += ac + if acquire { self.cost.acq_rel_extra } else { 0 };
             }
             Stxr { status, src, addr, release } => {
-                let a = self.cores[core].get(addr);
-                let v = self.cores[core].get(src);
+                let a = c.get(addr);
+                let v = c.get(src);
                 self.drain_all(core);
                 let ok = self.cores[core].monitor == Some(a);
                 self.cores[core].monitor = None;
@@ -1073,39 +1205,41 @@ impl Machine {
                     self.mem.write_u64(a, v);
                     Self::invalidate_monitors(&mut self.cores, core, a);
                 }
-                self.cores[core].set(status, if ok { 0 } else { 1 });
-                self.cores[core].stats.atomics += 1;
-                self.cores[core].cycles +=
-                    cost.exclusive + if release { cost.acq_rel_extra } else { 0 };
+                let c = &mut self.cores[core];
+                c.set(status, if ok { 0 } else { 1 });
+                c.stats.atomics += 1;
+                c.cycles += self.cost.exclusive + if release { self.cost.acq_rel_extra } else { 0 };
             }
             Cas { cmp_old, new, addr, acq_rel } => {
-                let a = self.cores[core].get(addr);
+                let a = c.get(addr);
+                let expected = c.get(cmp_old);
+                let newv = c.get(new);
                 self.drain_all(core);
-                let expected = self.cores[core].get(cmp_old);
-                let newv = self.cores[core].get(new);
                 let old = self.mem.read_u64(a);
                 if old == expected {
                     self.mem.write_u64(a, newv);
                     Self::invalidate_monitors(&mut self.cores, core, a);
                 }
                 self.log_atomic(core, a, old, if old == expected { newv } else { old });
-                self.cores[core].set(cmp_old, old);
-                self.cores[core].stats.atomics += 1;
-                let extra = if acq_rel { cost.acq_rel_extra } else { 0 };
-                let ac = self.atomic_cost(core, a, cost.atomic);
+                let c = &mut self.cores[core];
+                c.set(cmp_old, old);
+                c.stats.atomics += 1;
+                let extra = if acq_rel { self.cost.acq_rel_extra } else { 0 };
+                let ac = self.atomic_cost(core, a, self.cost.atomic);
                 self.cores[core].cycles += ac + extra;
             }
             LdaddAl { old, addend, addr } => {
-                let a = self.cores[core].get(addr);
+                let a = c.get(addr);
+                let add = c.get(addend);
                 self.drain_all(core);
-                let add = self.cores[core].get(addend);
                 let prev = self.mem.read_u64(a);
                 self.mem.write_u64(a, prev.wrapping_add(add));
                 Self::invalidate_monitors(&mut self.cores, core, a);
                 self.log_atomic(core, a, prev, prev.wrapping_add(add));
-                self.cores[core].set(old, prev);
-                self.cores[core].stats.atomics += 1;
-                let ac = self.atomic_cost(core, a, cost.atomic);
+                let c = &mut self.cores[core];
+                c.set(old, prev);
+                c.stats.atomics += 1;
+                let ac = self.atomic_cost(core, a, self.cost.atomic);
                 self.cores[core].cycles += ac;
             }
             Barrier(d) => {
@@ -1119,89 +1253,69 @@ impl Machine {
                 }
                 let c = &mut self.cores[core];
                 let cyc = match d {
-                    Dmb::Ld => cost.dmb_ld,
-                    Dmb::St => cost.dmb_st,
-                    Dmb::Ff => cost.dmb_ff,
+                    Dmb::Ld => self.cost.dmb_ld,
+                    Dmb::St => self.cost.dmb_st,
+                    Dmb::Ff => self.cost.dmb_ff,
                 };
                 c.stats.dmb[d as usize] += 1;
                 c.stats.fence_cycles += cyc;
                 c.cycles += cyc;
             }
             Alu { op, dst, a, b } => {
-                let c = &mut self.cores[core];
                 let r = op.apply(c.get(a), c.get(b));
                 c.set(dst, r);
-                c.cycles += match op {
-                    AOp::Mul => cost.mul,
-                    AOp::Udiv | AOp::Urem => cost.div,
-                    _ => cost.alu,
-                };
+                c.cycles += alu_cost(&self.cost, op);
             }
             AluImm { op, dst, a, imm } => {
-                let c = &mut self.cores[core];
                 let r = op.apply(c.get(a), imm);
                 c.set(dst, r);
-                c.cycles += match op {
-                    AOp::Mul => cost.mul,
-                    AOp::Udiv | AOp::Urem => cost.div,
-                    _ => cost.alu,
-                };
+                c.cycles += alu_cost(&self.cost, op);
             }
             Cmp { a, b } => {
-                let c = &mut self.cores[core];
                 c.nzcv = Nzcv::from_cmp(c.get(a), c.get(b));
-                c.cycles += cost.alu;
+                c.cycles += self.cost.alu;
             }
             CmpImm { a, imm } => {
-                let c = &mut self.cores[core];
                 c.nzcv = Nzcv::from_cmp(c.get(a), imm);
-                c.cycles += cost.alu;
+                c.cycles += self.cost.alu;
             }
             Cset { dst, cond } => {
-                let c = &mut self.cores[core];
                 let v = cond.eval(c.nzcv) as u64;
                 c.set(dst, v);
-                c.cycles += cost.alu;
+                c.cycles += self.cost.alu;
             }
             Fp { op, dst, a, b } => {
-                let c = &mut self.cores[core];
                 let r = op.apply(c.get(a), c.get(b));
                 c.set(dst, r);
-                c.cycles += cost.hardfloat;
+                c.cycles += self.cost.hardfloat;
             }
             BCond { cond, rel } => {
-                let c = &mut self.cores[core];
                 if cond.eval(c.nzcv) {
                     c.pc = next.wrapping_add(rel as i64 as u64);
                 }
-                c.cycles += cost.branch;
+                c.cycles += self.cost.branch;
             }
             B { rel } => {
-                let c = &mut self.cores[core];
                 c.pc = next.wrapping_add(rel as i64 as u64);
-                c.cycles += cost.branch;
+                c.cycles += self.cost.branch;
             }
             Br { reg } => {
-                let c = &mut self.cores[core];
                 c.pc = c.get(reg);
-                c.cycles += cost.branch;
+                c.cycles += self.cost.branch;
             }
             Bl { rel } => {
-                let c = &mut self.cores[core];
                 c.set(Xreg::LR, next);
                 c.pc = next.wrapping_add(rel as i64 as u64);
-                c.cycles += cost.call;
+                c.cycles += self.cost.call;
             }
             Blr { reg } => {
-                let c = &mut self.cores[core];
                 c.set(Xreg::LR, next);
                 c.pc = c.get(reg);
-                c.cycles += cost.call;
+                c.cycles += self.cost.call;
             }
             Ret => {
-                let c = &mut self.cores[core];
                 c.pc = c.get(Xreg::LR);
-                c.cycles += cost.call;
+                c.cycles += self.cost.call;
             }
             Hcall { helper } => {
                 if let Some(ev) = self.exec_helper(core, pc, helper) {
@@ -1210,29 +1324,23 @@ impl Machine {
             }
             NativeCall { func } => {
                 if self.natives.get(func as usize).is_none() {
-                    self.cores[core].pc = pc;
+                    c.pc = pc;
                     return Some(Event::HostFault {
                         core,
                         host_pc: pc,
                         kind: HostFaultKind::UnknownNative(func),
                     });
                 }
-                let args = [
-                    self.cores[core].get(Xreg(0)),
-                    self.cores[core].get(Xreg(1)),
-                    self.cores[core].get(Xreg(2)),
-                    self.cores[core].get(Xreg(3)),
-                    self.cores[core].get(Xreg(4)),
-                    self.cores[core].get(Xreg(5)),
-                ];
+                let args = [0, 1, 2, 3, 4, 5].map(|r| c.get(Xreg(r)));
                 // Native code runs with the host's own ordering; it
                 // synchronizes through its ABI boundary — drain first.
                 self.drain_all(core);
                 let f = &mut self.natives[func as usize];
                 let res = f(&mut self.mem, &args);
-                self.cores[core].set(Xreg(0), res.ret);
-                self.cores[core].stats.native_calls += 1;
-                self.cores[core].cycles += res.cost + cost.call;
+                let c = &mut self.cores[core];
+                c.set(Xreg(0), res.ret);
+                c.stats.native_calls += 1;
+                c.cycles += res.cost + self.cost.call;
             }
             ExitTb(kind) => {
                 return self.exit_tb(core, pc, kind);
@@ -1241,14 +1349,13 @@ impl Machine {
                 self.drain_all(core);
                 self.cores[core].halted = true;
             }
-            Nop => self.cores[core].cycles += cost.alu,
+            Nop => c.cycles += self.cost.alu,
         }
         None
     }
 
     fn exec_helper(&mut self, core: usize, pc: u64, helper: u8) -> Option<Event> {
         // Helper indices mirror risotto_tcg::Helper declaration order.
-        let cost = self.cost;
         if helper > 8 {
             // Park the core on the Hcall itself, as for other host faults.
             self.cores[core].pc = pc;
@@ -1259,7 +1366,7 @@ impl Machine {
             });
         }
         self.cores[core].stats.helper_calls += 1;
-        self.cores[core].cycles += cost.helper_overhead;
+        self.cores[core].cycles += self.cost.helper_overhead;
         let a0 = self.cores[core].get(Xreg(0));
         let a1 = self.cores[core].get(Xreg(1));
         let a2 = self.cores[core].get(Xreg(2));
@@ -1274,7 +1381,7 @@ impl Machine {
                 }
                 self.log_atomic(core, a0, old, if old == a1 { a2 } else { old });
                 self.cores[core].stats.atomics += 1;
-                let ac = self.atomic_cost(core, a0, cost.atomic);
+                let ac = self.atomic_cost(core, a0, self.cost.atomic);
                 self.cores[core].cycles += ac;
                 old
             }
@@ -1286,7 +1393,7 @@ impl Machine {
                 Self::invalidate_monitors(&mut self.cores, core, a0);
                 self.log_atomic(core, a0, old, old.wrapping_add(a1));
                 self.cores[core].stats.atomics += 1;
-                let ac = self.atomic_cost(core, a0, cost.atomic);
+                let ac = self.atomic_cost(core, a0, self.cost.atomic);
                 self.cores[core].cycles += ac;
                 old
             }
@@ -1294,31 +1401,31 @@ impl Machine {
             // semantics (risotto_guest_x86::softfloat), bit-identical
             // to the interpreter and the hardware-FP path.
             2 => {
-                self.cores[core].cycles += cost.softfloat;
+                self.cores[core].cycles += self.cost.softfloat;
                 softfloat::add(a0, a1)
             }
             3 => {
-                self.cores[core].cycles += cost.softfloat;
+                self.cores[core].cycles += self.cost.softfloat;
                 softfloat::sub(a0, a1)
             }
             4 => {
-                self.cores[core].cycles += cost.softfloat;
+                self.cores[core].cycles += self.cost.softfloat;
                 softfloat::mul(a0, a1)
             }
             5 => {
-                self.cores[core].cycles += cost.softfloat;
+                self.cores[core].cycles += self.cost.softfloat;
                 softfloat::div(a0, a1)
             }
             6 => {
-                self.cores[core].cycles += cost.softfloat * 2;
+                self.cores[core].cycles += self.cost.softfloat * 2;
                 softfloat::sqrt(a1)
             }
             7 => {
-                self.cores[core].cycles += cost.softfloat;
+                self.cores[core].cycles += self.cost.softfloat;
                 softfloat::cvt_if(a1)
             }
             8 => {
-                self.cores[core].cycles += cost.softfloat;
+                self.cores[core].cycles += self.cost.softfloat;
                 softfloat::cvt_fi(a1)
             }
             // invariant: helper > 8 returned HostFault above.
@@ -1329,7 +1436,6 @@ impl Machine {
     }
 
     fn exit_tb(&mut self, core: usize, pc: u64, kind: TbExitKind) -> Option<Event> {
-        let cost = self.cost;
         match kind {
             TbExitKind::Halt => {
                 self.drain_all(core);
@@ -1348,7 +1454,7 @@ impl Machine {
                     self.chain_stats.chain_hits += 1;
                     let hot = self.profile_entry(guest_pc, false);
                     self.cores[core].pc = chain;
-                    self.cores[core].cycles += cost.tb_chain;
+                    self.cores[core].cycles += self.cost.tb_chain;
                     if hot {
                         return Some(Event::HotTb { core, guest_pc });
                     }
@@ -1356,7 +1462,7 @@ impl Machine {
                 }
                 match self.tb_map.get(&guest_pc).copied() {
                     Some(host) => {
-                        self.cores[core].cycles += cost.tb_dispatch;
+                        self.cores[core].cycles += self.cost.tb_dispatch;
                         if self.chaining {
                             // Resolve once: patch the in-code chain word
                             // and record the site for later unlinking.
@@ -1386,7 +1492,7 @@ impl Machine {
                         self.chain_stats.dispatch_hits += 1;
                         let hot = self.profile_entry(guest_pc, false);
                         self.cores[core].pc = h;
-                        self.cores[core].cycles += cost.tb_chain;
+                        self.cores[core].cycles += self.cost.tb_chain;
                         if hot {
                             return Some(Event::HotTb { core, guest_pc });
                         }
@@ -1401,7 +1507,7 @@ impl Machine {
                         }
                         let hot = self.profile_entry(guest_pc, true);
                         self.cores[core].pc = host;
-                        self.cores[core].cycles += cost.tb_dispatch;
+                        self.cores[core].cycles += self.cost.tb_dispatch;
                         if hot {
                             return Some(Event::HotTb { core, guest_pc });
                         }
@@ -1952,5 +2058,283 @@ mod tests {
         // Once the core has left, the deferred free is honoured.
         let c = m.install_code(&[ExitTb(TbExitKind::Jump { guest_pc: 0x3000, chain: 0 })]);
         assert_eq!(c, a, "deferred region is reclaimed after the core moves on");
+    }
+    fn encoded_len(insns: &[HostInsn]) -> i32 {
+        let mut bytes = Vec::new();
+        for i in insns {
+            i.encode(&mut bytes);
+        }
+        bytes.len() as i32
+    }
+
+    /// `body` repeated `n` times (counted down in `counter`), then `Hlt`.
+    fn counted_loop(counter: Xreg, n: u64, body: &[HostInsn]) -> Vec<HostInsn> {
+        use HostInsn::*;
+        let mut code = vec![MovImm { dst: counter, imm: n }];
+        code.extend_from_slice(body);
+        let tail = [
+            AluImm { op: AOp::Sub, dst: counter, a: counter, imm: 1 },
+            CmpImm { a: counter, imm: 0 },
+            BCond { cond: ACond::Ne, rel: 0 },
+        ];
+        let back = encoded_len(body) + encoded_len(&tail);
+        code.extend_from_slice(&tail[..2]);
+        code.push(BCond { cond: ACond::Ne, rel: -back });
+        code.push(Hlt);
+        code
+    }
+
+    const SHARED: u64 = 0x5000;
+
+    /// Two cores: core 0 publishes through plain stores that only age
+    /// out of its buffer, bumps a counter with `ldaddal` and fences; core
+    /// 1 sums what it sees of them and runs `ldxr`/`stxr` and `casal`
+    /// against the words core 0 is still writing.
+    fn two_core_machine() -> Machine {
+        use HostInsn::*;
+        let mut m = Machine::new(2, CostModel::thunderx2_like());
+        let producer = counted_loop(
+            Xreg(4),
+            40,
+            &[
+                MovImm { dst: Xreg(1), imm: SHARED },
+                Str { src: Xreg(4), base: Xreg(1), off: 0, order: MemOrder::Plain },
+                MovImm { dst: Xreg(6), imm: 3 },
+                LdaddAl { old: Xreg(7), addend: Xreg(6), addr: Xreg(1) },
+                Str { src: Xreg(4), base: Xreg(1), off: 24, order: MemOrder::AcqRel },
+                Ldr { dst: Xreg(8), base: Xreg(1), off: 16, order: MemOrder::Plain },
+                Barrier(Dmb::Ff),
+                Str { src: Xreg(8), base: Xreg(1), off: 32, order: MemOrder::Plain },
+            ],
+        );
+        let mut consumer =
+            vec![MovImm { dst: Xreg(1), imm: SHARED }, MovImm { dst: Xreg(10), imm: SHARED + 16 }];
+        consumer.extend(counted_loop(
+            Xreg(4),
+            25,
+            &[
+                // Whatever has aged out of core 0's buffer by now.
+                Ldr { dst: Xreg(12), base: Xreg(1), off: 32, order: MemOrder::AcqRel },
+                Alu { op: AOp::Add, dst: Xreg(13), a: Xreg(13), b: Xreg(12) },
+                Ldxr { dst: Xreg(9), addr: Xreg(10), acquire: true },
+                AluImm { op: AOp::Add, dst: Xreg(9), a: Xreg(9), imm: 1 },
+                Stxr { status: Xreg(11), src: Xreg(9), addr: Xreg(10), release: true },
+                Ldr { dst: Xreg(0), base: Xreg(1), off: 0, order: MemOrder::Plain },
+                AluImm { op: AOp::Add, dst: Xreg(2), a: Xreg(0), imm: 1 },
+                Cas { cmp_old: Xreg(0), new: Xreg(2), addr: Xreg(1), acq_rel: true },
+            ],
+        ));
+        let (p, c) = (m.install_code(&producer), m.install_code(&consumer));
+        m.start_core(0, p);
+        m.start_core(1, c);
+        // A head start for core 1: under `Deterministic` core 0 opens
+        // with one long quantum, which every slice length must cut.
+        m.add_cycles(1, 700);
+        m
+    }
+
+    /// Four cores contending on one `casal` word and one `ldaddal` word,
+    /// each loop iteration leaving through a chained `ExitTb(Jump)`.
+    fn four_core_machine() -> Machine {
+        use HostInsn::*;
+        let mut m = Machine::new(4, CostModel::thunderx2_like());
+        for core in 0..4u64 {
+            let guest_pc = 0x1000 + core * 0x100;
+            let mut body = vec![
+                MovImm { dst: Xreg(1), imm: SHARED },
+                AluImm { op: AOp::Add, dst: Xreg(4), a: Xreg(4), imm: 1 },
+                Ldr { dst: Xreg(0), base: Xreg(1), off: 0, order: MemOrder::Plain },
+                AluImm { op: AOp::Add, dst: Xreg(2), a: Xreg(0), imm: 1 },
+                Cas { cmp_old: Xreg(0), new: Xreg(2), addr: Xreg(1), acq_rel: true },
+                MovImm { dst: Xreg(5), imm: SHARED + 8 },
+                LdaddAl { old: Xreg(7), addend: Xreg(4), addr: Xreg(5) },
+                // A private word per core: buffered, never fenced.
+                Str {
+                    src: Xreg(7),
+                    base: Xreg(1),
+                    off: 64 + 8 * core as i32,
+                    order: MemOrder::Plain,
+                },
+                CmpImm { a: Xreg(4), imm: 20 + 5 * core },
+            ];
+            let exit = ExitTb(TbExitKind::Jump { guest_pc, chain: 0 });
+            body.push(BCond { cond: ACond::Eq, rel: encoded_len(&[exit]) });
+            body.push(exit);
+            body.push(ExitTb(TbExitKind::Halt));
+            let host = m.install_code(&body);
+            m.map_tb(guest_pc, host);
+            m.start_core(core as usize, host);
+        }
+        m
+    }
+
+    /// Everything a run leaves behind that a schedule could change.
+    fn run_in_slices(mut m: Machine, policy: SchedPolicy, slice: u64) -> String {
+        m.set_sched_policy(policy);
+        m.set_atomic_log(true);
+        loop {
+            match m.run(slice) {
+                Event::AllHalted => break,
+                Event::OutOfFuel => assert!(m.total_steps() < 100_000, "runaway program"),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        let cores: Vec<_> = m.cores.iter().map(|c| (c.cycles, c.stats, c.regs, c.nzcv)).collect();
+        let words: Vec<u64> = (0..16).map(|i| m.mem.read_u64(SHARED + 8 * i)).collect();
+        format!(
+            "{cores:?} {:?} {:?} {} {words:?} {:?}",
+            m.chain_stats(),
+            m.cache_stats(),
+            m.total_steps(),
+            m.take_atomic_log()
+        )
+    }
+
+    #[test]
+    fn run_result_does_not_depend_on_how_the_fuel_is_sliced() {
+        let policies =
+            [SchedPolicy::Deterministic, SchedPolicy::Random(0xfeed), SchedPolicy::Adversarial];
+        for build in [two_core_machine as fn() -> Machine, four_core_machine] {
+            for policy in policies {
+                // One step per `run` is a fresh `pick_core` per step.
+                let per_step = run_in_slices(build(), policy, 1);
+                for slice in [7, 1000, u64::MAX] {
+                    assert_eq!(
+                        run_in_slices(build(), policy, slice),
+                        per_step,
+                        "{policy:?}, slices of {slice}"
+                    );
+                }
+            }
+        }
+        let log = |m: Machine| run_in_slices(m, SchedPolicy::Deterministic, u64::MAX);
+        assert!(log(two_core_machine()).contains("AtomicEvent"), "the atomics ran");
+        assert_ne!(log(two_core_machine()), log(four_core_machine()));
+    }
+
+    #[test]
+    fn fuel_runs_out_inside_a_quantum() {
+        let mut m = two_core_machine();
+        // Core 1 is 700 cycles ahead: core 0 owns the machine for a while.
+        assert_eq!(m.run(3), Event::OutOfFuel);
+        assert_eq!((m.stats(0).insns, m.stats(1).insns), (3, 0));
+        assert_eq!(m.total_steps(), 3);
+        assert_eq!(m.run(0), Event::OutOfFuel, "no fuel, no step");
+        assert_eq!(m.total_steps(), 3);
+    }
+
+    #[test]
+    fn contention_table_forgets_sites_whose_window_emptied() {
+        use HostInsn::*;
+        let mut m = Machine::new(1, CostModel::thunderx2_like());
+        // One `ldaddal` per word over far more words than the table's
+        // first sweep threshold, each a window apart from the next.
+        let code = counted_loop(
+            Xreg(4),
+            1000,
+            &[
+                AluImm { op: AOp::Add, dst: Xreg(1), a: Xreg(1), imm: 8 },
+                LdaddAl { old: Xreg(7), addend: Xreg(4), addr: Xreg(1) },
+            ],
+        );
+        let a = m.install_code(&code);
+        m.set_reg(0, Xreg(1), SHARED);
+        m.start_core(0, a);
+        assert_eq!(m.run(1_000_000), Event::AllHalted);
+        assert_eq!(m.stats(0).atomics, 1000);
+        assert!(m.rmw_history.len() < 200, "{} sites kept", m.rmw_history.len());
+    }
+
+    #[test]
+    fn reused_hole_executes_the_new_code() {
+        use HostInsn::*;
+        let mut m = Machine::new(1, CostModel::uniform());
+        let a = m.install_code(&[MovImm { dst: Xreg(1), imm: 1 }, ExitTb(TbExitKind::Halt)]);
+        m.map_tb(0x1000, a);
+        m.start_core(0, a);
+        assert_eq!(m.run(100), Event::AllHalted);
+        assert_eq!(m.reg(0, Xreg(1)), 1);
+
+        assert!(m.unmap_tb(0x1000));
+        let b = m.install_code(&[MovImm { dst: Xreg(1), imm: 2 }, ExitTb(TbExitKind::Halt)]);
+        assert_eq!(b, a, "same-length code lands in the hole");
+        m.start_core(0, b);
+        assert_eq!(m.run(100), Event::AllHalted);
+        assert_eq!(m.reg(0, Xreg(1)), 2, "A's decoded instructions must be gone");
+    }
+
+    #[test]
+    fn chain_word_is_reread_after_every_patch() {
+        use HostInsn::*;
+        let mut m = Machine::new(1, CostModel::uniform());
+        let a = m.install_code(&[ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 })]);
+        let body = [MovImm { dst: Xreg(1), imm: 9 }, ExitTb(TbExitKind::Halt)];
+        let b = m.install_code(&body);
+        m.map_tb(0x2000, b);
+        // Decoded unpatched, linked by the dispatcher...
+        m.start_core(0, a);
+        assert_eq!(m.run(100), Event::AllHalted);
+        assert_eq!((m.chain_stats().chain_links, m.chain_stats().chain_hits), (1, 0));
+        // ...re-decoded with the patched word: a hit...
+        m.start_core(0, a);
+        assert_eq!(m.run(100), Event::AllHalted);
+        assert_eq!((m.chain_stats().chain_links, m.chain_stats().chain_hits), (1, 1));
+        // ...and re-decoded again once unlinked: back to the dispatcher.
+        assert!(m.unmap_tb(0x2000));
+        m.start_core(0, a);
+        assert_eq!(m.run(100), Event::TranslationMiss { core: 0, guest_pc: 0x2000 });
+        let b2 = m.install_code(&body);
+        m.map_tb(0x2000, b2);
+        assert_eq!(m.run(100), Event::AllHalted);
+        assert_eq!((m.chain_stats().chain_links, m.chain_stats().chain_hits), (2, 1));
+        assert!(m.validate_chains().is_empty());
+    }
+
+    #[test]
+    fn corrupted_code_is_decoded_afresh() {
+        use HostInsn::*;
+        let code = [MovImm { dst: Xreg(1), imm: 5 }, Hlt];
+        // Every byte of the `MovImm`: opcode, register, immediate.
+        for offset in 0..encoded_len(&code[..1]) as usize {
+            let mut m = Machine::new(1, CostModel::uniform());
+            let a = m.install_code(&code);
+            m.start_core(0, a);
+            assert_eq!(m.run(100), Event::AllHalted);
+            assert_eq!(m.reg(0, Xreg(1)), 5);
+
+            assert!(m.corrupt_code_byte(a, offset));
+            m.set_reg(0, Xreg(1), 0);
+            m.start_core(0, a);
+            let ev = m.run(100);
+            let decode_fault =
+                Event::HostFault { core: 0, host_pc: a, kind: HostFaultKind::Decode };
+            assert!(
+                ev == decode_fault || m.reg(0, Xreg(1)) != 5,
+                "byte {offset}: the cached MovImm ran ({ev:?})"
+            );
+        }
+    }
+
+    #[test]
+    fn fetch_outside_live_code_is_a_decode_fault() {
+        use HostInsn::*;
+        let mut m = Machine::new(1, CostModel::uniform());
+        let a = m.install_code(&[MovImm { dst: Xreg(1), imm: 1 }, Hlt]);
+        let b = m.install_code(&[MovImm { dst: Xreg(1), imm: 2 }, Hlt]);
+        m.start_core(0, b);
+        assert_eq!(m.run(100), Event::AllHalted);
+        m.discard_region(b);
+        let past_the_end = CODE_BASE + m.code_size() as u64;
+        for pc in [0, CODE_BASE - 1, past_the_end, u64::MAX, b, b + 3] {
+            m.start_core(0, pc);
+            assert_eq!(
+                m.run(100),
+                Event::HostFault { core: 0, host_pc: pc, kind: HostFaultKind::Decode },
+                "pc {pc:#x}"
+            );
+        }
+        m.start_core(0, a);
+        assert_eq!(m.run(100), Event::AllHalted, "live code next to the hole still runs");
+        assert_eq!(m.reg(0, Xreg(1)), 1);
     }
 }

@@ -289,16 +289,20 @@ fn oversized_write_is_a_typed_error() {
 #[test]
 fn access_wrapping_the_address_space_agrees_everywhere() {
     let mut b = GelfBuilder::new("main");
-    let out = b.data_u64(&[0]);
+    let out = b.data_u64(&[0, 0]);
     b.asm.label("main");
     b.asm.mov_ri(Gpr::RSI, u64::MAX - 3);
     b.asm.mov_ri(Gpr::RBX, 0x1122_3344_5566_7788);
-    b.asm.store(Gpr::RSI, 0, Gpr::RBX);
     b.asm.mov_ri(Gpr::RDI, 0);
+    b.asm.store(Gpr::RSI, 0, Gpr::RBX);
+    // A byte of the wrapped half, read while the store may still sit in
+    // the core's store buffer: the first access after it.
+    b.asm.load_b(Gpr::RDX, Gpr::RDI, 1);
     b.asm.load(Gpr::RCX, Gpr::RDI, 0); // the four bytes that wrapped
     b.asm.load(Gpr::RAX, Gpr::RSI, 0);
     b.asm.mov_ri(Gpr::RDI, out);
     b.asm.store(Gpr::RDI, 0, Gpr::RCX);
+    b.asm.store(Gpr::RDI, 8, Gpr::RDX);
     b.asm.hlt();
     let bin = b.finish().unwrap();
 
@@ -306,9 +310,11 @@ fn access_wrapping_the_address_space_agrees_everywhere() {
     interp.run(1_000).unwrap();
     assert_eq!(interp.exit_val(0), 0x1122_3344_5566_7788);
     assert_eq!(interp.mem.read_u64(DATA_BASE), 0x1122_3344);
+    assert_eq!(interp.mem.read_u64(DATA_BASE + 8), 0x33);
     for (path, mut emu) in dbt_paths(&bin) {
         let r = emu.run(1_000_000).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(r.exit_vals[0], Some(interp.exit_val(0)), "{path}: loaded value");
         assert_eq!(emu.mem().read_u64(DATA_BASE), 0x1122_3344, "{path}: wrapped bytes");
+        assert_eq!(emu.mem().read_u64(DATA_BASE + 8), 0x33, "{path}: wrapped byte");
     }
 }
