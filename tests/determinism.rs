@@ -12,14 +12,23 @@
 //! reported allocation statistics are identical.
 //!
 //! `RISOTTO_VERIFY_SMOKE=1` bounds the sweep for CI.
+//!
+//! Determinism across *versions* is pinned too: [`PIPELINE_HASH`] is a
+//! checked-in hash of every host byte and every optimizer / allocator
+//! statistic the same corpora produce on both backends, so a change to
+//! the translate path that claims "same output, less host time" has to
+//! reproduce it.
 
 use risotto::fuzz::parse_corpus;
 use risotto::guest::{GuestBinary, TEXT_BASE};
-use risotto::host::{lower_block_with_stats, BackendConfig, HostInsn, RmwStyle};
+use risotto::host::{
+    lower_block_with_stats, AllocStats, ArmBackend, BackendConfig, HostBackend, HostInsn, RmwStyle,
+};
+use risotto::host_tso::TsoBackend;
 use risotto::litmus::corpus;
 use risotto::tcg::{
-    optimize_with, superblock, translate_block, FrontendConfig, OptPolicy, PassConfig, TbExit,
-    TcgBlock,
+    optimize_with, superblock, translate_block, FrontendConfig, OptPolicy, OptStats, PassConfig,
+    TbExit, TcgBlock,
 };
 use risotto::workloads::kernels;
 use risotto::workloads::litmus_compile::compile_litmus;
@@ -150,19 +159,20 @@ fn litmus_corpus_lowers_bit_identically() {
     }
 }
 
-/// The checked-in fuzz reproducers (`tests/corpus/*.risotto`) lower
-/// deterministically.
+/// The checked-in fuzz reproducers (`tests/corpus/*.risotto`).
+const FUZZ_CORPUS: [(&str, &str); 6] = [
+    ("store_store_fence", include_str!("corpus/store_store_fence.risotto")),
+    ("spawn_cas_contention", include_str!("corpus/spawn_cas_contention.risotto")),
+    ("hot_loop_promotion", include_str!("corpus/hot_loop_promotion.risotto")),
+    ("cmpxchg_fail_path", include_str!("corpus/cmpxchg_fail_path.risotto")),
+    ("fp_nan_chain", include_str!("corpus/fp_nan_chain.risotto")),
+    ("fp_nan_cross_thread", include_str!("corpus/fp_nan_cross_thread.risotto")),
+];
+
+/// The fuzz reproducers lower deterministically.
 #[test]
 fn fuzz_corpus_lowers_bit_identically() {
-    let corpus: [(&str, &str); 6] = [
-        ("store_store_fence", include_str!("corpus/store_store_fence.risotto")),
-        ("spawn_cas_contention", include_str!("corpus/spawn_cas_contention.risotto")),
-        ("hot_loop_promotion", include_str!("corpus/hot_loop_promotion.risotto")),
-        ("cmpxchg_fail_path", include_str!("corpus/cmpxchg_fail_path.risotto")),
-        ("fp_nan_chain", include_str!("corpus/fp_nan_chain.risotto")),
-        ("fp_nan_cross_thread", include_str!("corpus/fp_nan_cross_thread.risotto")),
-    ];
-    for (name, text) in corpus {
+    for (name, text) in FUZZ_CORPUS {
         let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
         let bin = spec.lower().unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
         for (cfg, policy) in configs() {
@@ -176,6 +186,36 @@ fn fuzz_corpus_lowers_bit_identically() {
     }
 }
 
+/// Chases direct-jump / fallthrough chains of up to four blocks from
+/// every block, forming traces the way tier-2 promotion would; chains
+/// shorter than two blocks are dropped.
+fn chains(blocks: &[TcgBlock]) -> Vec<Vec<TcgBlock>> {
+    let by_pc: std::collections::BTreeMap<u64, &TcgBlock> =
+        blocks.iter().map(|b| (b.guest_pc, b)).collect();
+    let mut out = Vec::new();
+    for head in blocks {
+        let mut parts = vec![head.clone()];
+        let mut cur = head;
+        while parts.len() < 4 {
+            let next_pc = match cur.exit {
+                TbExit::Jump(t) => t,
+                TbExit::CondJump { fallthrough, .. } => fallthrough,
+                _ => break,
+            };
+            let Some(next) = by_pc.get(&next_pc) else { break };
+            if parts.iter().any(|p| p.guest_pc == next_pc) {
+                break;
+            }
+            parts.push((*next).clone());
+            cur = next;
+        }
+        if parts.len() >= 2 {
+            out.push(parts);
+        }
+    }
+    out
+}
+
 /// Tier-2 superblocks — stitched multi-TB regions whose allocation
 /// state crosses `TbBoundary` seams — lower deterministically.
 #[test]
@@ -186,30 +226,7 @@ fn tier2_superblocks_lower_bit_identically() {
     for w in kernels::all() {
         let bin = (w.build)(scale, 2);
         for (cfg, policy) in configs() {
-            let blocks = discover_blocks(&bin, cfg, cap);
-            let by_pc: std::collections::BTreeMap<u64, &TcgBlock> =
-                blocks.iter().map(|b| (b.guest_pc, b)).collect();
-            // Chase direct-jump / fallthrough chains to form traces the
-            // way tier-2 promotion would.
-            for head in &blocks {
-                let mut parts = vec![head.clone()];
-                let mut cur = head;
-                while parts.len() < 4 {
-                    let next_pc = match cur.exit {
-                        TbExit::Jump(t) => t,
-                        TbExit::CondJump { fallthrough, .. } => fallthrough,
-                        _ => break,
-                    };
-                    let Some(next) = by_pc.get(&next_pc) else { break };
-                    if parts.iter().any(|p| p.guest_pc == next_pc) {
-                        break;
-                    }
-                    parts.push((*next).clone());
-                    cur = next;
-                }
-                if parts.len() < 2 {
-                    continue;
-                }
+            for parts in chains(&discover_blocks(&bin, cfg, cap)) {
                 let Ok(mut sb) = superblock::stitch(parts) else { continue };
                 superblock::optimize_region(&mut sb, policy, PassConfig::all());
                 for be in backends() {
@@ -223,4 +240,106 @@ fn tier2_superblocks_lower_bit_identically() {
         }
     }
     assert!(stitched > 0, "the sweep must stitch at least one superblock");
+}
+
+/// FNV-1a over a byte string, continuing from `h`.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn fnv_words(h: &mut u64, words: &[u64]) {
+    for w in words {
+        fnv(h, &w.to_le_bytes());
+    }
+}
+
+fn hash_opt_stats(h: &mut u64, s: &OptStats) {
+    let scalars =
+        [s.folded, s.loads_forwarded, s.stores_eliminated, s.fences_merged, s.fences_merged_cross];
+    for v in scalars.into_iter().chain(s.fences_merged_by_kind).chain([s.dce_removed]) {
+        fnv_words(h, &[v as u64]);
+    }
+}
+
+fn hash_alloc_stats(h: &mut u64, s: &AllocStats) {
+    fnv_words(
+        h,
+        &[
+            s.env_loads,
+            s.env_stores,
+            s.env_loads_eliminated,
+            s.env_stores_eliminated,
+            s.spills,
+            s.reloads,
+            s.pinned_regs,
+        ],
+    );
+}
+
+/// Folds what the pipeline makes of one already-optimized block into
+/// `h`: its host bytes and allocation statistics on both backends under
+/// both RMW styles.
+fn hash_lowerings(h: &mut u64, block: &TcgBlock, what: &str) {
+    let hosts: [&dyn HostBackend; 2] = [&ArmBackend, &TsoBackend];
+    for host in hosts {
+        for be in backends() {
+            let out = host
+                .lower_block_with_stats(block, be)
+                .unwrap_or_else(|e| panic!("{what}: {} lowering failed: {e}", host.name()));
+            fnv(h, &encode_all(&out.insns));
+            hash_alloc_stats(h, &out.alloc);
+        }
+    }
+}
+
+/// FNV-1a hash of everything [`pipeline_hash`] folds, generated by the
+/// commit *before* the translate path moved onto reusable scratch
+/// tables: host bytes, `OptStats` and `AllocStats` must not move.
+const PIPELINE_HASH: u64 = 0x5c5f_fe16_90d9_a575;
+
+/// Hashes host bytes + `OptStats` + `AllocStats` over the kernel,
+/// litmus, fuzz and superblock corpora. The sweep bounds are fixed
+/// (not `RISOTTO_VERIFY_SMOKE`-dependent) so one constant serves the
+/// debug and the release gate.
+fn pipeline_hash() -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut images: Vec<(String, GuestBinary)> =
+        kernels::all().iter().map(|w| (w.name.to_owned(), (w.build)(16, 2))).collect();
+    for prog in [corpus::mp(), corpus::sb(), corpus::sb_fenced(), corpus::lb(), corpus::iriw()] {
+        images.push((prog.name.clone(), compile_litmus(&prog, &[0, 0]).binary));
+    }
+    for (name, text) in FUZZ_CORPUS {
+        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
+        images.push((name.to_owned(), spec.lower().unwrap_or_else(|e| panic!("`{name}`: {e}"))));
+    }
+    for (name, bin) in &images {
+        for (cfg, policy) in configs() {
+            let blocks = discover_blocks(bin, cfg, 12);
+            for block in &blocks {
+                let mut block = block.clone();
+                hash_opt_stats(&mut h, &optimize_with(&mut block, policy, PassConfig::all()));
+                hash_lowerings(&mut h, &block, name);
+            }
+            // Superblocks: direct-jump / fallthrough chains of up to
+            // four blocks, the way the tier-2 test below forms them.
+            for parts in chains(&blocks).into_iter().take(6) {
+                let Ok(mut sb) = superblock::stitch(parts) else { continue };
+                hash_opt_stats(
+                    &mut h,
+                    &superblock::optimize_region(&mut sb, policy, PassConfig::all()),
+                );
+                hash_lowerings(&mut h, &sb, name);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn pipeline_output_matches_the_checked_in_hash() {
+    let got = pipeline_hash();
+    assert_eq!(got, PIPELINE_HASH, "host bytes, OptStats or AllocStats changed (got {got:#018x})");
 }
