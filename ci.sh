@@ -32,8 +32,18 @@ RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test verifier
 
 # Determinism gate: the same IR must lower to bit-identical host bytes
 # and allocation statistics twice, across the kernel/litmus/fuzz corpora
-# and stitched tier-2 superblocks, under both RMW styles.
+# and stitched tier-2 superblocks, under both RMW styles — and across
+# versions: host bytes, OptStats and AllocStats over the same corpora on
+# both backends must reproduce the checked-in hash, and a block must come
+# out of scratch tables that have seen the whole corpus (failed
+# translations included) exactly as it does out of fresh ones.
 RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test determinism
+
+# Allocation-budget gate, in the build the benchmark measures: heap
+# allocations per translated block (VerifyLevel::Full and Install) and
+# per Emulator::new stay under their ceilings (tests/alloc_budget.rs
+# prints the measured figures).
+cargo test -q --release --test alloc_budget
 
 # Machine-loop gate, in the build the benchmark measures: a run cut into
 # single steps (a scheduler scan before every step) must leave the same
@@ -63,8 +73,13 @@ test -s BENCH_pipeline.json
 # fences, or the analysis subsystem went dead. The top-level
 # "cold_start" object must show tier-0 template translation strictly
 # cheaper per guest instruction than the tier-1 IR pipeline (the
-# simulator's only wall-time gate; the measured gap is ≥ 5×, so a
-# strict < holds with wide margin on any machine).
+# simulator's only wall-time gate; the measured gap is 5.0–5.7× — about
+# 0.2 vs 1.2 µs per guest instruction at smoke scale, both sides having
+# gained from the shared assembler — so a strict < holds with wide
+# margin on any machine). The top-level "layers" object — the
+# translate-path micro-benches over one hot block, the perf ledger's
+# rows — must carry all four stages with a positive time; like the
+# machine loop's, the times are recorded, not gated.
 python3 - BENCH_pipeline.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -88,6 +103,8 @@ assert cold["tier0_ns_per_insn"] < cold["tier1_ns_per_insn"], cold
 # The machine loop's wall time is recorded, not gated: an absolute
 # threshold would only measure the machine CI runs on.
 assert doc["machine_100k_steps_ns"] > 0, doc["machine_100k_steps_ns"]
+for stage in ("template_ns", "frontend_ns", "optimizer_ns", "lower_ns"):
+    assert doc["layers"][stage] > 0, (stage, doc["layers"])
 EOF
 
 # Codegen-performance gate: per-kernel simulated cycles must not exceed

@@ -9,7 +9,8 @@
 //!
 //! Besides the console table, the kernel-suite section writes
 //! `BENCH_pipeline.json` (per-kernel simulated cycles and TB-chain hit
-//! rate, and the machine loop's `machine_100k_steps_ns`) for machine
+//! rate, the machine loop's `machine_100k_steps_ns`, and the
+//! translate-path micro-benches as the `layers` ledger rows) for machine
 //! consumption. Pass `smoke` (or set
 //! `PIPELINE_BENCH=smoke`) to run a fast CI-sized configuration:
 //!
@@ -75,10 +76,19 @@ fn fetcher(bytes: Vec<u8>) -> impl Fn(u64) -> [u8; 16] {
     }
 }
 
-fn bench_pipeline() {
+/// Wall time of each translate-path layer over one ~10-instruction hot
+/// block, in ns per block — the `layers` rows of `BENCH_pipeline.json`.
+struct Layers {
+    template_ns: f64,
+    frontend_ns: f64,
+    optimizer_ns: f64,
+    lower_ns: f64,
+}
+
+fn bench_pipeline(iters: u32) -> Layers {
     let bytes = hot_block_bytes();
     let fetch = fetcher(bytes);
-    bench("template_translate_block", 10_000, || {
+    let template_ns = bench("template_translate_block", iters, || {
         risotto_template::translate_block_template(
             0x1000,
             FrontendConfig::risotto(),
@@ -88,19 +98,24 @@ fn bench_pipeline() {
         )
         .expect("template translate")
     });
-    bench("frontend_translate_block", 10_000, || {
+    let frontend_ns = bench("frontend_translate_block", iters, || {
         translate_block(0x1000, FrontendConfig::risotto(), &fetch).expect("translate")
     });
     let block = translate_block(0x1000, FrontendConfig::risotto(), &fetch).expect("translate");
-    bench("optimizer_full_pipeline", 10_000, || {
+    // The optimizer works in place, so each iteration needs a fresh copy
+    // of the frontend's block; the copy is timed on its own and taken
+    // back out.
+    let copy_ns = bench("ir_block_clone", iters, || block.clone());
+    let optimizer_ns = bench("optimizer_full_pipeline (+ clone)", iters, || {
         let mut blk = block.clone();
         optimize(&mut blk, OptPolicy::Verified)
-    });
+    }) - copy_ns;
     let mut opt = block.clone();
     optimize(&mut opt, OptPolicy::Verified);
-    bench("backend_lower_block", 10_000, || {
+    let lower_ns = bench("backend_lower_block", iters, || {
         lower_block(&opt, BackendConfig::dbt(RmwStyle::Casal)).expect("lower")
     });
+    Layers { template_ns, frontend_ns, optimizer_ns, lower_ns }
 }
 
 /// A tight host loop of 100k iterations (300k machine steps): the
@@ -133,8 +148,10 @@ fn bench_machine() -> f64 {
 /// once, run once, per tier — is aggregated over all kernels into the
 /// top-level `"cold_start"` object (ns per guest instruction, tier-0 vs
 /// tier-1; ci.sh gates tier-0 strictly cheaper). `smoke` shrinks the
-/// scale for CI.
-fn bench_kernels(smoke: bool, machine_100k_steps_ns: f64) {
+/// scale for CI. The micro-bench results it is handed — `layers` and
+/// `machine_100k_steps_ns` — go into the artifact's top level as they
+/// are.
+fn bench_kernels(smoke: bool, layers: &Layers, machine_100k_steps_ns: f64) {
     let (scale, threads) = if smoke { (4, 2) } else { (64, 2) };
     let mode = if smoke { "smoke" } else { "full" };
     println!("\nkernel suite ({mode}, scale {scale}, {threads} threads):");
@@ -334,6 +351,8 @@ fn bench_kernels(smoke: bool, machine_100k_steps_ns: f64) {
         concat!(
             "{{\n  \"mode\": \"{mode}\",\n  \"scale\": {scale},\n  \"threads\": {threads},\n",
             "  \"machine_100k_steps_ns\": {machine:.1},\n",
+            "  \"layers\": {{\"template_ns\": {template:.1}, \"frontend_ns\": {frontend:.1}, ",
+            "\"optimizer_ns\": {optimizer:.1}, \"lower_ns\": {lower:.1}}},\n",
             "  \"cold_start\": {{\"tier0_ns_per_insn\": {t0:.2}, \"tier0_insns\": {t0i}, ",
             "\"tier1_ns_per_insn\": {t1:.2}, \"tier1_insns\": {t1i}, \"speedup\": {sp:.2}}},\n",
             "  \"kernels\": [\n{kernels}\n  ]\n}}\n"
@@ -342,6 +361,10 @@ fn bench_kernels(smoke: bool, machine_100k_steps_ns: f64) {
         scale = scale,
         threads = threads,
         machine = machine_100k_steps_ns,
+        template = layers.template_ns,
+        frontend = layers.frontend_ns,
+        optimizer = layers.optimizer_ns,
+        lower = layers.lower_ns,
         t0 = t0_per,
         t0i = cold_t0_insns,
         t1 = t1_per,
@@ -359,14 +382,8 @@ fn bench_kernels(smoke: bool, machine_100k_steps_ns: f64) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "smoke")
         || std::env::var("PIPELINE_BENCH").is_ok_and(|v| v == "smoke");
-    if smoke {
-        // CI-sized: skip the slow translate-path microbenches, keep the
-        // machine loop (a few tens of ms) and the end-to-end suite that
-        // produce the JSON artifact.
-        bench_kernels(true, bench_machine());
-        return;
-    }
-    bench_pipeline();
-    let machine_100k_steps_ns = bench_machine();
-    bench_kernels(false, machine_100k_steps_ns);
+    // CI-sized: fewer rounds of the micro-benches, and the end-to-end
+    // suite at a small scale; the JSON artifact has the same shape.
+    let layers = bench_pipeline(if smoke { 2_000 } else { 10_000 });
+    bench_kernels(smoke, &layers, bench_machine());
 }

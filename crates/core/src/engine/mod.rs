@@ -55,7 +55,7 @@ use risotto_tcg::{env, HintStats, OptStats, PassConfig};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use syscall::SyscallOutcome;
-use translate::Quarantine;
+use translate::{Quarantine, TranslateScratch};
 
 /// Per-core guest env block base (20 regs × 8 bytes, padded to 0x100).
 pub const ENV_REGION: u64 = 0xF000_0000;
@@ -196,6 +196,8 @@ pub struct Emulator {
     analysis_relaxed_blocks: u64,
     /// Known-bits hint statistics summed over tier-1 translations.
     hint_totals: HintStats,
+    /// The translate path's reusable working memory.
+    scratch: TranslateScratch,
 }
 
 impl Emulator {
@@ -255,6 +257,7 @@ impl Emulator {
             analysis_relaxed: 0,
             analysis_relaxed_blocks: 0,
             hint_totals: HintStats::default(),
+            scratch: TranslateScratch::default(),
         }
     }
 

@@ -7,11 +7,15 @@
 use super::{Emulator, Setup, TierConfig, VerifyLevel};
 use crate::obs::TraceStage;
 use risotto_analysis::{event_sites, ir_hints};
-use risotto_guest_x86::{Gpr, Insn, TEXT_BASE};
-use risotto_host_arm::{AOp, BackendConfig, HostInsn, MemOrder, TbExitKind, Xreg, ENV_BASE};
+use risotto_guest_x86::{Gpr, TEXT_BASE};
+use risotto_host_arm::{
+    AOp, BackendConfig, EncodingScratch, HostInsn, LowerScratch, MemOrder, TbExitKind, Xreg,
+    ENV_BASE,
+};
 use risotto_tcg::{
-    apply_hints, optimize_with, superblock, translate_block, verify as tcg_verify, TbExit,
-    TcgBlock, TcgOp, VerifyError, VerifyPass,
+    apply_hints, optimize_in, superblock, translate_block, translate_block_counted,
+    verify as tcg_verify, OptScratch, TbExit, TcgBlock, TcgOp, VerifyError, VerifyPass,
+    VerifyScratch,
 };
 use risotto_template::{translate_block_template, TemplateError};
 use std::collections::{HashMap, HashSet};
@@ -116,12 +120,32 @@ impl Quarantine {
     }
 }
 
-/// What the [`VerifyLevel::Full`] static passes compare
-/// (docs/VERIFIER.md): the unoptimized block the fence obligations are
-/// derived from, the optimized block that was lowered, and the
-/// verifier's own relaxation mask (empty = nothing relaxed).
+/// The translate path's working memory, one per [`Emulator`]: every
+/// table the optimizer, the register allocator, the assembler and the
+/// three verifier passes need per block, plus the buffer a candidate is
+/// encoded into. Stages clear what they use on entry and never shrink
+/// it, so once the largest block has been seen a translation allocates
+/// only what it hands to the code cache (DESIGN.md §6, "Translation
+/// scratch and allocation discipline") — and a stage
+/// that bailed out half-way cannot leak state into the next block.
+#[derive(Debug, Default)]
+pub(super) struct TranslateScratch {
+    opt: OptScratch,
+    lower: LowerScratch,
+    verify: VerifyScratch,
+    encoding: EncodingScratch,
+    /// The candidate's one encoding: what the encoding check reads,
+    /// what the code cache installs and what the read-back compares.
+    bytes: Vec<u8>,
+}
+
+/// What the [`VerifyLevel::Full`] static passes check
+/// (docs/VERIFIER.md): the optimized block that was lowered, and the
+/// verifier's own relaxation mask (empty = nothing relaxed). The
+/// unoptimized block the fence obligations are derived from is not kept:
+/// the producer captures what Pass 2 needs of it into the verifier
+/// scratch before optimizing it in place.
 struct FullCheck {
-    reference: TcgBlock,
     optimized: TcgBlock,
     relax_mask: Vec<bool>,
 }
@@ -255,31 +279,29 @@ impl Emulator {
     /// candidate before it is installed: superblock relink structure,
     /// IR lint, fence-obligation check of the optimized block against
     /// the unoptimized reference, and the host decode-back encoding
-    /// check of the code's `canonical` bytes.
+    /// check of the candidate's encoding `bytes`.
     fn verify_translation(
-        &self,
+        &mut self,
         cand: &Candidate,
         full: &FullCheck,
-        canonical: &[u8],
+        bytes: &[u8],
     ) -> Result<(), VerifyError> {
         let in_superblock = !cand.relinks.is_empty();
         if in_superblock {
             Self::check_superblock_relinks(&full.optimized, &cand.relinks)?;
         }
-        tcg_verify::lint(&full.optimized, in_superblock)?;
-        tcg_verify::check_obligations_masked(
-            &full.reference,
+        let (fences, policy) = (self.setup.frontend().fences, self.setup.opt_policy());
+        let (host, backend) = (self.backend_kind.host(), self.backend_config());
+        let scratch = &mut self.scratch;
+        tcg_verify::lint_in(&full.optimized, in_superblock, &mut scratch.verify)?;
+        tcg_verify::check_captured(
             &full.optimized,
-            self.setup.frontend().fences,
-            self.setup.opt_policy(),
+            fences,
+            policy,
             &full.relax_mask,
+            &mut scratch.verify,
         )?;
-        self.backend_kind.host().check_encoding(
-            &full.optimized,
-            &cand.code,
-            canonical,
-            self.backend_config(),
-        )
+        host.check_encoding_in(&full.optimized, &cand.code, bytes, backend, &mut scratch.encoding)
     }
 
     /// Full-level superblock structural check: the relink list the
@@ -327,16 +349,30 @@ impl Emulator {
     /// itself, so its rollback evicts the head instead: the head and the
     /// subsumed pcs refill as fresh tier-1 translations on miss.
     fn commit(&mut self, core: Option<usize>, cand: Candidate) -> Result<u64, TbFault> {
-        // The canonical encoding both verifier levels compare against.
-        let mut canonical = Vec::new();
-        if self.verify != VerifyLevel::Off {
-            for i in &cand.code {
-                i.encode(&mut canonical);
-            }
+        // Encoded once, here: these bytes are what the encoding check
+        // reads, what the cache installs and what the read-back
+        // compares against.
+        let mut bytes = std::mem::take(&mut self.scratch.bytes);
+        bytes.clear();
+        for i in &cand.code {
+            i.encode(&mut bytes);
         }
+        let committed = self.commit_encoded(core, cand, &bytes);
+        self.scratch.bytes = bytes;
+        committed
+    }
+
+    /// [`Emulator::commit`] past the encode: `bytes` is `cand.code`'s
+    /// encoding.
+    fn commit_encoded(
+        &mut self,
+        core: Option<usize>,
+        cand: Candidate,
+        bytes: &[u8],
+    ) -> Result<u64, TbFault> {
         if let Some(full) = &cand.full {
             self.verify_checked += 1;
-            if let Err(e) = self.verify_translation(&cand, full, &canonical) {
+            if let Err(e) = self.verify_translation(&cand, full, bytes) {
                 self.record_verify_violation(core, &e);
                 return Err(TbFault::Verify);
             }
@@ -344,15 +380,14 @@ impl Emulator {
         let Candidate { head_pc, code, relinks, detail, .. } = cand;
         let superblock = !relinks.is_empty();
         let (host, dur) = self.timed("stage.install_ns", |e| {
-            let host = if superblock {
-                e.machine.install_superblock(head_pc, &code, &relinks)
-            } else {
-                e.machine.install_code(&code)
-            };
+            let host = e.machine.install_bytes(bytes);
+            if superblock {
+                e.machine.map_superblock(head_pc, host, &relinks);
+            }
             e.maybe_corrupt_install(host);
             if e.verify != VerifyLevel::Off {
                 e.verify_checked += 1;
-                if let Err(err) = e.check_install_bytes(head_pc, host, &canonical) {
+                if let Err(err) = e.check_install_bytes(head_pc, host, bytes) {
                     e.record_verify_violation(core, &err);
                     if superblock {
                         e.machine.unmap_tb(head_pc);
@@ -554,10 +589,15 @@ impl Emulator {
         let mut sb = superblock::stitch(parts).map_err(|_| TbFault::Frontend)?;
         // The unoptimized stitched region is the fence-obligation
         // reference the Full-level verifier validates against.
-        let reference = (self.verify == VerifyLevel::Full).then(|| sb.clone());
+        let full = self.verify == VerifyLevel::Full;
+        if full {
+            self.scratch.verify.capture_reference(&sb, self.setup.frontend().fences, &[]);
+        }
         let policy = self.setup.opt_policy();
+        // The region pass is the tier-1 pipeline (`optimize_region`),
+        // over this emulator's scratch.
         let (stats, _) = self.timed("sb.stage.opt_ns", |e| {
-            Ok(superblock::optimize_region(&mut sb, policy, e.passes))
+            Ok(optimize_in(&mut sb, policy, e.passes, &mut e.scratch.opt))
         })?;
         self.sb_opt += stats;
         let (code, _) = self.lower(&sb, "sb.stage.encode_ns")?;
@@ -568,11 +608,7 @@ impl Emulator {
                 shape.tbs, shape.side_exits, stats.fences_merged_cross
             )
         });
-        let full = reference.map(|reference| FullCheck {
-            reference,
-            optimized: sb,
-            relax_mask: Vec::new(),
-        });
+        let full = full.then(|| FullCheck { optimized: sb, relax_mask: Vec::new() });
         Ok(Some((Candidate { head_pc, code, relinks, full, detail }, shape)))
     }
 
@@ -624,7 +660,7 @@ impl Emulator {
             let out = e
                 .backend_kind
                 .host()
-                .lower_block_with_stats(block, backend)
+                .lower_block_in(block, backend, &mut e.scratch.lower)
                 .map_err(|_| TbFault::Backend)?;
             e.regalloc_totals += out.alloc;
             Ok(out.insns)
@@ -636,8 +672,11 @@ impl Emulator {
     fn produce_tier1(&mut self, core: Option<usize>, guest_pc: u64) -> Result<Candidate, TbFault> {
         let frontend = self.setup.frontend();
         let (mut block, dur) = self.timed("stage.decode_ns", |e| {
-            let block = translate_block(guest_pc, frontend, |a| e.fetch(a))
+            let (block, insns) = translate_block_counted(guest_pc, frontend, |a| e.fetch(a))
                 .map_err(|_| TbFault::Frontend)?;
+            // The denominator of the per-tier translation-cost metrics
+            // (`translate.insns`).
+            e.tier1_insns += insns as u64;
             for op in &block.ops {
                 if let TcgOp::Fence(k) = op {
                     if let Some(i) = k.tcg_index() {
@@ -650,20 +689,6 @@ impl Emulator {
         self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, dur, || {
             format!("{} ops", block.ops.len())
         });
-        // Guest-instruction count for the per-tier translation-cost
-        // metrics (`translate.insns`), re-decoded outside the timed
-        // stages; decoding already succeeded above.
-        let mut p = guest_pc;
-        let end = guest_pc + block.guest_len as u64;
-        while p < end {
-            match Insn::decode(&self.fetch(p)) {
-                Ok((_, len)) => {
-                    self.tier1_insns += 1;
-                    p += len as u64;
-                }
-                Err(_) => break,
-            }
-        }
         // Analysis-driven relaxation (docs/ANALYSIS.md): the engine
         // mask relaxes the frontend block before optimization; the
         // verifier mask is re-derived from the pristine facts, so a
@@ -682,9 +707,18 @@ impl Emulator {
         });
         // The unoptimized block is the fence-obligation reference the
         // Full-level verifier validates the optimized result against.
-        let reference = (self.verify == VerifyLevel::Full).then(|| block.clone());
+        let full = self.verify == VerifyLevel::Full;
+        if full {
+            let verifier_mask = masks.as_ref().map_or(&[][..], |(_, verifier)| verifier);
+            self.scratch.verify.capture_reference(&block, frontend.fences, verifier_mask);
+        }
         if let Some((engine_mask, _)) = &masks {
-            let removed = tcg_verify::relax_block(&mut block, frontend.fences, engine_mask);
+            let removed = tcg_verify::relax_block_in(
+                &mut block,
+                frontend.fences,
+                engine_mask,
+                &mut self.scratch.verify,
+            );
             if removed > 0 {
                 self.analysis_relaxed += removed as u64;
                 self.analysis_relaxed_blocks += 1;
@@ -699,8 +733,9 @@ impl Emulator {
             self.hint_totals.branches_pruned += hs.branches_pruned;
         }
         let policy = self.setup.opt_policy();
-        let (stats, dur) =
-            self.timed("stage.opt_ns", |e| Ok(optimize_with(&mut block, policy, e.passes)))?;
+        let (stats, dur) = self.timed("stage.opt_ns", |e| {
+            Ok(optimize_in(&mut block, policy, e.passes, &mut e.scratch.opt))
+        })?;
         self.opt_totals += stats;
         self.obs.trace(TraceStage::Opt, core, Some(guest_pc), None, dur, || {
             format!(
@@ -713,8 +748,7 @@ impl Emulator {
         self.obs.trace(TraceStage::Encode, core, Some(guest_pc), None, dur, || {
             format!("{} host insns", code.len())
         });
-        let full = reference.map(|reference| FullCheck {
-            reference,
+        let full = full.then(|| FullCheck {
             optimized: block,
             relax_mask: masks.map(|(_, verifier)| verifier).unwrap_or_default(),
         });

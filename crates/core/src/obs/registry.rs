@@ -7,8 +7,10 @@
 //! execution, so enabling observability cannot change simulated cycles.
 
 use risotto_memmodel::FenceKind;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Schema version stamped into every [`MetricsSnapshot`].
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -113,11 +115,13 @@ fn spec(name: &str, kind: MetricKind, unit: &'static str, help: &str) -> MetricS
 ///
 /// Every metric of the static schema ([`MetricsRegistry::specs`]) is
 /// pre-registered at zero; per-index family members (`core.<i>.…`) are
-/// materialized on first write. Values live in a `BTreeMap`, so
+/// materialized on first write. Values live in a name-sorted table, so
 /// snapshots and their JSON exposition are deterministically ordered.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    values: BTreeMap<String, MetricValue>,
+    /// `(name, value)`, sorted by name. Schema names are borrowed from
+    /// the process-wide schema; only family members own theirs.
+    values: Vec<(Cow<'static, str>, MetricValue)>,
 }
 
 impl Default for MetricsRegistry {
@@ -126,22 +130,55 @@ impl Default for MetricsRegistry {
     }
 }
 
+/// The zeroed registry [`MetricsRegistry::new`] copies: every
+/// non-family metric of the schema, sorted by name. Built once per
+/// process — an `Emulator` is constructed per guest program, and the
+/// schema (a hundred `MetricSpec`s with their help strings) is
+/// documentation, not something to rebuild each time.
+fn zeroed() -> &'static [(Cow<'static, str>, MetricValue)] {
+    static SCHEMA: OnceLock<Vec<MetricSpec>> = OnceLock::new();
+    static ZEROED: OnceLock<Vec<(Cow<'static, str>, MetricValue)>> = OnceLock::new();
+    ZEROED.get_or_init(|| {
+        let mut values: Vec<_> = SCHEMA
+            .get_or_init(MetricsRegistry::specs)
+            .iter()
+            // A family's members are registered on first write.
+            .filter(|s| !s.name.contains("<i>"))
+            .map(|s| {
+                let zero = match s.kind {
+                    MetricKind::Counter => MetricValue::Counter(0),
+                    MetricKind::Gauge => MetricValue::Gauge(0),
+                    MetricKind::Histogram => MetricValue::Histogram(HistSummary::default()),
+                };
+                (Cow::Borrowed(s.name.as_str()), zero)
+            })
+            .collect();
+        values.sort_by(|a, b| a.0.cmp(&b.0));
+        values
+    })
+}
+
 impl MetricsRegistry {
     /// A registry with every non-family metric of the schema at zero.
     pub fn new() -> MetricsRegistry {
-        let mut values = BTreeMap::new();
-        for s in Self::specs() {
-            if s.name.contains("<i>") {
-                continue; // family: members registered on first write
+        MetricsRegistry { values: zeroed().to_vec() }
+    }
+
+    /// The slot of `name`, registered with `zero` if new.
+    fn slot(&mut self, name: &str, zero: MetricValue) -> &mut MetricValue {
+        let at = match self.values.binary_search_by(|(n, _)| n.as_ref().cmp(name)) {
+            Ok(at) => at,
+            Err(at) => {
+                self.values.insert(at, (Cow::Owned(name.to_owned()), zero));
+                at
             }
-            let v = match s.kind {
-                MetricKind::Counter => MetricValue::Counter(0),
-                MetricKind::Gauge => MetricValue::Gauge(0),
-                MetricKind::Histogram => MetricValue::Histogram(HistSummary::default()),
-            };
-            values.insert(s.name, v);
-        }
-        MetricsRegistry { values }
+        };
+        &mut self.values[at].1
+    }
+
+    fn get(&self, name: &str) -> Option<&MetricValue> {
+        let at = self.values.binary_search_by(|(n, _)| n.as_ref().cmp(name)).ok()?;
+        Some(&self.values[at].1)
     }
 
     /// The full metric schema: one [`MetricSpec`] per metric, including
@@ -278,7 +315,7 @@ impl MetricsRegistry {
 
     /// Adds `delta` to a counter (registering it as a counter if new).
     pub fn add(&mut self, name: &str, delta: u64) {
-        match self.values.entry(name.to_owned()).or_insert(MetricValue::Counter(0)) {
+        match self.slot(name, MetricValue::Counter(0)) {
             MetricValue::Counter(v) => *v += delta,
             other => debug_assert!(false, "add on non-counter {name}: {other:?}"),
         }
@@ -287,22 +324,18 @@ impl MetricsRegistry {
     /// Sets a counter to an absolute total (for counters mirrored from an
     /// authoritative accumulator rather than incremented in place).
     pub fn set_counter(&mut self, name: &str, v: u64) {
-        self.values.insert(name.to_owned(), MetricValue::Counter(v));
+        *self.slot(name, MetricValue::Counter(0)) = MetricValue::Counter(v);
     }
 
     /// Sets a gauge (registering it if new — how `core.<i>.…` family
     /// members materialize).
     pub fn set_gauge(&mut self, name: &str, v: u64) {
-        self.values.insert(name.to_owned(), MetricValue::Gauge(v));
+        *self.slot(name, MetricValue::Gauge(0)) = MetricValue::Gauge(v);
     }
 
     /// Records one histogram sample.
     pub fn observe(&mut self, name: &str, sample: u64) {
-        match self
-            .values
-            .entry(name.to_owned())
-            .or_insert(MetricValue::Histogram(HistSummary::default()))
-        {
+        match self.slot(name, MetricValue::Histogram(HistSummary::default())) {
             MetricValue::Histogram(h) => h.observe(sample),
             other => debug_assert!(false, "observe on non-histogram {name}: {other:?}"),
         }
@@ -310,7 +343,7 @@ impl MetricsRegistry {
 
     /// Reads a counter total (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
-        match self.values.get(name) {
+        match self.get(name) {
             Some(MetricValue::Counter(v)) => *v,
             _ => 0,
         }
@@ -318,7 +351,7 @@ impl MetricsRegistry {
 
     /// Reads a gauge (0 if absent).
     pub fn gauge(&self, name: &str) -> u64 {
-        match self.values.get(name) {
+        match self.get(name) {
             Some(MetricValue::Gauge(v)) => *v,
             _ => 0,
         }
@@ -326,7 +359,7 @@ impl MetricsRegistry {
 
     /// Reads a histogram summary (empty if absent).
     pub fn histogram(&self, name: &str) -> HistSummary {
-        match self.values.get(name) {
+        match self.get(name) {
             Some(MetricValue::Histogram(h)) => *h,
             _ => HistSummary::default(),
         }
@@ -334,7 +367,10 @@ impl MetricsRegistry {
 
     /// An immutable, versioned copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot { version: SNAPSHOT_VERSION, metrics: self.values.clone() }
+        MetricsSnapshot {
+            version: SNAPSHOT_VERSION,
+            metrics: self.values.iter().map(|(name, v)| (name.to_string(), *v)).collect(),
+        }
     }
 }
 

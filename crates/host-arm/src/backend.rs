@@ -22,10 +22,13 @@
 
 use crate::cost::CostModel;
 use crate::insn::{ACond, AFpOp, AOp, Dmb, HostInsn, MemOrder, TbExitKind, Xreg};
-use crate::regalloc::{AllocStats, Allocator};
+use crate::regalloc::{AllocScratch, AllocStats, Allocator};
+use crate::verify::EncodingScratch;
 use risotto_memmodel::FenceKind;
-use risotto_tcg::{BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, VerifyError};
-use std::collections::HashMap;
+use risotto_tcg::{
+    with_thread_scratch, BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, VerifyError,
+};
+use std::cell::RefCell;
 
 /// Errors surfaced by the TCG→MiniArm backend.
 ///
@@ -121,19 +124,37 @@ impl BackendConfig {
 // Host mini-assembler with labels.
 // ---------------------------------------------------------------------
 
-/// A small label-resolving assembler over [`HostInsn`].
+/// A small label-resolving assembler over [`HostInsn`]. Reusable:
+/// [`HostAsm::clear`] empties it and keeps its buffers.
+///
+/// Instructions go straight into the output stream; a branch to a label
+/// is emitted with a zero displacement and patched by
+/// [`finish`](HostAsm::finish), from byte offsets tracked through
+/// [`HostInsn::encoded_len`] as the stream grows — nothing is encoded
+/// to be sized.
 #[derive(Debug, Default)]
 pub struct HostAsm {
-    items: Vec<Item>,
-    next_label: u32,
+    insns: Vec<HostInsn>,
+    /// Encoded size of `insns`.
+    len: usize,
+    /// label id → byte offset it is bound at ([`UNBOUND`] until then).
+    label_at: Vec<usize>,
+    fixups: Vec<Fixup>,
 }
 
+/// A label not yet [`bind`](HostAsm::bind)-ed.
+const UNBOUND: usize = usize::MAX;
+
+/// A label branch awaiting its displacement.
 #[derive(Debug, Clone, Copy)]
-enum Item {
-    Insn(HostInsn),
-    Label(u32),
-    BCondTo(ACond, u32),
-    BTo(u32),
+struct Fixup {
+    /// Index of the branch in the instruction stream.
+    at: usize,
+    /// `b.cond` on this condition, or a plain `b`.
+    cond: Option<ACond>,
+    label: u32,
+    /// Byte offset of the branch's end, which its `rel` counts from.
+    end: usize,
 }
 
 impl HostAsm {
@@ -142,89 +163,78 @@ impl HostAsm {
         HostAsm::default()
     }
 
-    /// Allocates a fresh label id.
-    pub fn fresh_label(&mut self) -> u32 {
-        let l = self.next_label;
-        self.next_label += 1;
-        l
+    /// Forgets every instruction and label, keeping the buffers for the
+    /// next block.
+    pub fn clear(&mut self) {
+        self.insns.clear();
+        self.len = 0;
+        self.label_at.clear();
+        self.fixups.clear();
     }
 
-    /// Reserves room for `n` more items (instructions, labels or
-    /// branches) ahead of a burst of pushes.
+    /// Allocates a fresh label id.
+    pub fn fresh_label(&mut self) -> u32 {
+        self.label_at.push(UNBOUND);
+        (self.label_at.len() - 1) as u32
+    }
+
+    /// Reserves room for `n` more instructions ahead of a burst of
+    /// pushes.
     pub fn reserve(&mut self, n: usize) {
-        self.items.reserve(n);
+        self.insns.reserve(n);
     }
 
     /// Emits an instruction.
     pub fn push(&mut self, i: HostInsn) {
-        self.items.push(Item::Insn(i));
+        self.len += i.encoded_len();
+        self.insns.push(i);
     }
 
-    /// Binds a label here.
+    /// Binds a label (one [`fresh_label`](Self::fresh_label) handed
+    /// out) here.
     pub fn bind(&mut self, label: u32) {
-        self.items.push(Item::Label(label));
+        if let Some(at) = self.label_at.get_mut(label as usize) {
+            *at = self.len;
+        }
     }
 
     /// Conditional branch to a label.
     pub fn bcond_to(&mut self, cond: ACond, label: u32) {
-        self.items.push(Item::BCondTo(cond, label));
+        self.branch(Some(cond), label);
     }
 
     /// Unconditional branch to a label.
     pub fn b_to(&mut self, label: u32) {
-        self.items.push(Item::BTo(label));
+        self.branch(None, label);
     }
 
-    /// Resolves labels into relative branches.
+    fn branch(&mut self, cond: Option<ACond>, label: u32) {
+        self.push(Self::branch_insn(cond, 0));
+        self.fixups.push(Fixup { at: self.insns.len() - 1, cond, label, end: self.len });
+    }
+
+    fn branch_insn(cond: Option<ACond>, rel: i32) -> HostInsn {
+        match cond {
+            Some(cond) => HostInsn::BCond { cond, rel },
+            None => HostInsn::B { rel },
+        }
+    }
+
+    /// Resolves labels into relative branches and returns the
+    /// instruction stream. The assembler keeps its contents;
+    /// [`clear`](Self::clear) it before assembling another block.
     ///
     /// Returns [`BackendError::UnboundLabel`] if a branch targets a
     /// label that was never [`bind`](Self::bind)-ed.
-    pub fn finish(self) -> Result<Vec<HostInsn>, BackendError> {
-        // Pass 1: byte offsets. One scratch buffer serves every sizing
-        // encode — a fresh `Vec` per item made `finish` the hottest
-        // part of tier-0 template translation.
-        let mut scratch = Vec::with_capacity(16);
-        let mut size_of = |i: &Item| -> usize {
-            scratch.clear();
-            match i {
-                Item::Insn(insn) => insn.encode(&mut scratch),
-                Item::Label(_) => 0,
-                Item::BCondTo(..) => {
-                    HostInsn::BCond { cond: ACond::Eq, rel: 0 }.encode(&mut scratch)
-                }
-                Item::BTo(_) => HostInsn::B { rel: 0 }.encode(&mut scratch),
-            }
-        };
-        let mut offsets = Vec::with_capacity(self.items.len() + 1);
-        let mut labels: HashMap<u32, usize> = HashMap::new();
-        let mut off = 0usize;
-        for item in &self.items {
-            offsets.push(off);
-            if let Item::Label(l) = item {
-                labels.insert(*l, off);
-            }
-            off += size_of(item);
+    pub fn finish(&mut self) -> Result<Vec<HostInsn>, BackendError> {
+        for &Fixup { at, cond, label, end } in &self.fixups {
+            let target = match self.label_at.get(label as usize) {
+                Some(&bound) if bound != UNBOUND => bound,
+                _ => return Err(BackendError::UnboundLabel { label }),
+            };
+            self.insns[at] = Self::branch_insn(cond, target as i32 - end as i32);
         }
-        offsets.push(off);
-        // Pass 2: materialize. `offsets[idx + 1]` is the end of this
-        // item, so nothing needs re-sizing.
-        let mut out = Vec::with_capacity(self.items.len());
-        for (idx, item) in self.items.iter().enumerate() {
-            let next = offsets[idx + 1];
-            match item {
-                Item::Insn(i) => out.push(*i),
-                Item::Label(_) => {}
-                Item::BCondTo(c, l) => {
-                    let target = *labels.get(l).ok_or(BackendError::UnboundLabel { label: *l })?;
-                    out.push(HostInsn::BCond { cond: *c, rel: target as i32 - next as i32 });
-                }
-                Item::BTo(l) => {
-                    let target = *labels.get(l).ok_or(BackendError::UnboundLabel { label: *l })?;
-                    out.push(HostInsn::B { rel: target as i32 - next as i32 });
-                }
-            }
-        }
-        Ok(out)
+        Ok(self.insns.clone())
     }
 }
 
@@ -365,11 +375,18 @@ pub trait OrderingLowering {
     /// `cfg`. The default is the shared convention (X9–X26 for DBT mode,
     /// the scratch set in native direct-mapped mode); backends may shrink
     /// it to model ISAs with fewer registers.
-    fn alloc_pool(&self, cfg: BackendConfig) -> Vec<Xreg> {
+    fn alloc_pool(&self, cfg: BackendConfig) -> &'static [Xreg] {
+        const DIRECT: &[Xreg] =
+            &[Xreg(0), Xreg(1), Xreg(2), Xreg(3), Xreg(4), Xreg(5), Xreg(26), Xreg(29)];
+        #[rustfmt::skip]
+        const DBT: &[Xreg] = &[
+            Xreg(9), Xreg(10), Xreg(11), Xreg(12), Xreg(13), Xreg(14), Xreg(15), Xreg(16), Xreg(17),
+            Xreg(18), Xreg(19), Xreg(20), Xreg(21), Xreg(22), Xreg(23), Xreg(24), Xreg(25), Xreg(26),
+        ];
         if cfg.direct_regs {
-            [0, 1, 2, 3, 4, 5, 26, 29].iter().map(|&r| Xreg(r)).collect()
+            DIRECT
         } else {
-            (9..=26).map(Xreg).collect()
+            DBT
         }
     }
 }
@@ -463,14 +480,26 @@ pub trait HostBackend: OrderingLowering + std::fmt::Debug + Sync {
     fn name(&self) -> &'static str;
 
     /// Lowers an optimized TCG block to host instructions with
-    /// allocation statistics. The default routes through the shared
-    /// container lowering with this backend's ordering dialect.
+    /// allocation statistics, over a caller-owned [`LowerScratch`]. The
+    /// default routes through the shared container lowering with this
+    /// backend's ordering dialect.
+    fn lower_block_in(
+        &self,
+        block: &TcgBlock,
+        cfg: BackendConfig,
+        scratch: &mut LowerScratch,
+    ) -> Result<LowerOutput, BackendError> {
+        lower_block_with_dialect_in(block, cfg, self, scratch)
+    }
+
+    /// [`lower_block_in`](Self::lower_block_in) over the calling
+    /// thread's spare scratch.
     fn lower_block_with_stats(
         &self,
         block: &TcgBlock,
         cfg: BackendConfig,
     ) -> Result<LowerOutput, BackendError> {
-        lower_block_with_dialect(block, cfg, self)
+        with_thread_scratch(&SPARE, |scratch| self.lower_block_in(block, cfg, scratch))
     }
 
     /// The backend's calibrated cycle cost model (what
@@ -478,16 +507,32 @@ pub trait HostBackend: OrderingLowering + std::fmt::Debug + Sync {
     fn cost_model(&self) -> CostModel;
 
     /// Pass 3 of the translation validator: this backend's encoding
-    /// read-back. Must independently re-derive the expected ordering
-    /// points from the IR (not from the lowering) so a buggy shared
-    /// table cannot vouch for itself.
+    /// read-back, over a caller-owned [`EncodingScratch`]. Must
+    /// independently re-derive the expected ordering points from the IR
+    /// (not from the lowering) so a buggy shared table cannot vouch for
+    /// itself.
+    fn check_encoding_in(
+        &self,
+        block: &TcgBlock,
+        insns: &[HostInsn],
+        bytes: &[u8],
+        cfg: BackendConfig,
+        scratch: &mut EncodingScratch,
+    ) -> Result<(), VerifyError>;
+
+    /// [`check_encoding_in`](Self::check_encoding_in) over the calling
+    /// thread's spare scratch.
     fn check_encoding(
         &self,
         block: &TcgBlock,
         insns: &[HostInsn],
         bytes: &[u8],
         cfg: BackendConfig,
-    ) -> Result<(), VerifyError>;
+    ) -> Result<(), VerifyError> {
+        with_thread_scratch(&crate::verify::SPARE, |scratch| {
+            self.check_encoding_in(block, insns, bytes, cfg, scratch)
+        })
+    }
 }
 
 /// The MiniArm host backend: [`ArmOrdering`] dialect, the ThunderX2
@@ -533,14 +578,22 @@ impl HostBackend for ArmBackend {
         CostModel::thunderx2_like()
     }
 
-    fn check_encoding(
+    fn check_encoding_in(
         &self,
         block: &TcgBlock,
         insns: &[HostInsn],
         bytes: &[u8],
         cfg: BackendConfig,
+        scratch: &mut EncodingScratch,
     ) -> Result<(), VerifyError> {
-        crate::verify::check_encoding(block, insns, bytes, cfg)
+        crate::verify::check_encoding_in(
+            block,
+            insns,
+            bytes,
+            cfg,
+            &crate::verify::ArmEncodingDialect,
+            scratch,
+        )
     }
 }
 
@@ -594,9 +647,34 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
     cfg: BackendConfig,
     ord: &O,
 ) -> Result<LowerOutput, BackendError> {
+    with_thread_scratch(&SPARE, |scratch| lower_block_with_dialect_in(block, cfg, ord, scratch))
+}
+
+thread_local!(static SPARE: RefCell<LowerScratch> = RefCell::default());
+
+/// The lowering's reusable working memory — the register allocator's
+/// liveness and per-value tables and the label-resolving assembler —
+/// kept between blocks so a steady-state lowering allocates only the
+/// instruction stream it returns. Each lowering re-initializes all of
+/// it on entry, so a block abandoned on a [`BackendError`] leaves
+/// nothing the next one can see.
+#[derive(Debug, Default)]
+pub struct LowerScratch {
+    alloc: AllocScratch,
+    asm: HostAsm,
+}
+
+/// [`lower_block_with_dialect`] over a caller-owned [`LowerScratch`].
+pub fn lower_block_with_dialect_in<O: OrderingLowering + ?Sized>(
+    block: &TcgBlock,
+    cfg: BackendConfig,
+    ord: &O,
+    scratch: &mut LowerScratch,
+) -> Result<LowerOutput, BackendError> {
     let pool = ord.alloc_pool(cfg);
-    let mut alloc = Allocator::new(block, pool, !cfg.direct_regs);
-    let mut asm = HostAsm::new();
+    let mut alloc = Allocator::new(block, pool, !cfg.direct_regs, &mut scratch.alloc);
+    let asm = &mut scratch.asm;
+    asm.clear();
     let (mut get_regs, mut set_regs) = (0u64, 0u64);
 
     for (idx, op) in block.ops.iter().enumerate() {
@@ -612,14 +690,14 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
                 if let Some(c) = alloc.const_of(*src) {
                     alloc.def_const(*dst, c);
                 } else {
-                    let rs = alloc.read_temp(&mut asm, idx, idx, *src, &[])?;
-                    let rd = alloc.def_temp(&mut asm, idx, idx, *dst, &[rs])?;
+                    let rs = alloc.read_temp(asm, idx, idx, *src, &[])?;
+                    let rd = alloc.def_temp(asm, idx, idx, *dst, &[rs])?;
                     asm.push(HostInsn::MovReg { dst: rd, src: rs });
                 }
             }
             TcgOp::GetReg { dst, reg } => {
                 if cfg.direct_regs {
-                    let rd = alloc.def_temp(&mut asm, idx, idx, *dst, &[])?;
+                    let rd = alloc.def_temp(asm, idx, idx, *dst, &[])?;
                     asm.push(HostInsn::MovReg { dst: rd, src: direct_reg(*reg) });
                 } else {
                     // Zero-cost alias: the env value is pinned (loaded
@@ -629,44 +707,44 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
                 }
             }
             TcgOp::SetReg { reg, src } => {
-                let rs = alloc.read_temp(&mut asm, idx, idx, *src, &[])?;
+                let rs = alloc.read_temp(asm, idx, idx, *src, &[])?;
                 if cfg.direct_regs {
                     asm.push(HostInsn::MovReg { dst: direct_reg(*reg), src: rs });
                 } else {
                     set_regs += 1;
-                    alloc.write_env(&mut asm, idx, idx, *reg, *src, rs)?;
+                    alloc.write_env(asm, idx, idx, *reg, *src, rs)?;
                 }
             }
             TcgOp::Ld { dst, addr } => {
-                let ra = alloc.read_temp(&mut asm, idx, idx, *addr, &[])?;
-                let rd = alloc.def_temp(&mut asm, idx, idx, *dst, &[ra])?;
+                let ra = alloc.read_temp(asm, idx, idx, *addr, &[])?;
+                let rd = alloc.def_temp(asm, idx, idx, *dst, &[ra])?;
                 asm.push(HostInsn::Ldr { dst: rd, base: ra, off: 0, order: MemOrder::Plain });
             }
             TcgOp::St { addr, src } => {
-                let ra = alloc.read_temp(&mut asm, idx, idx, *addr, &[])?;
-                let rs = alloc.read_temp(&mut asm, idx, idx, *src, &[ra])?;
+                let ra = alloc.read_temp(asm, idx, idx, *addr, &[])?;
+                let rs = alloc.read_temp(asm, idx, idx, *src, &[ra])?;
                 asm.push(HostInsn::Str { src: rs, base: ra, off: 0, order: MemOrder::Plain });
             }
             TcgOp::Ld8 { dst, addr } => {
-                let ra = alloc.read_temp(&mut asm, idx, idx, *addr, &[])?;
-                let rd = alloc.def_temp(&mut asm, idx, idx, *dst, &[ra])?;
+                let ra = alloc.read_temp(asm, idx, idx, *addr, &[])?;
+                let rd = alloc.def_temp(asm, idx, idx, *dst, &[ra])?;
                 asm.push(HostInsn::LdrB { dst: rd, base: ra, off: 0 });
             }
             TcgOp::St8 { addr, src } => {
-                let ra = alloc.read_temp(&mut asm, idx, idx, *addr, &[])?;
-                let rs = alloc.read_temp(&mut asm, idx, idx, *src, &[ra])?;
+                let ra = alloc.read_temp(asm, idx, idx, *addr, &[])?;
+                let rs = alloc.read_temp(asm, idx, idx, *src, &[ra])?;
                 asm.push(HostInsn::StrB { src: rs, base: ra, off: 0 });
             }
             TcgOp::Bin { op, dst, a, b } => {
-                let ra = alloc.read_temp(&mut asm, idx, idx, *a, &[])?;
-                let rb = alloc.read_temp(&mut asm, idx, idx, *b, &[ra])?;
-                let rd = alloc.def_temp(&mut asm, idx, idx, *dst, &[ra, rb])?;
+                let ra = alloc.read_temp(asm, idx, idx, *a, &[])?;
+                let rb = alloc.read_temp(asm, idx, idx, *b, &[ra])?;
+                let rd = alloc.def_temp(asm, idx, idx, *dst, &[ra, rb])?;
                 asm.push(HostInsn::Alu { op: bin_op_of(*op), dst: rd, a: ra, b: rb });
             }
             TcgOp::Setcond { cond, dst, a, b } => {
-                let ra = alloc.read_temp(&mut asm, idx, idx, *a, &[])?;
-                let rb = alloc.read_temp(&mut asm, idx, idx, *b, &[ra])?;
-                let rd = alloc.def_temp(&mut asm, idx, idx, *dst, &[ra, rb])?;
+                let ra = alloc.read_temp(asm, idx, idx, *a, &[])?;
+                let rb = alloc.read_temp(asm, idx, idx, *b, &[ra])?;
+                let rd = alloc.def_temp(asm, idx, idx, *dst, &[ra, rb])?;
                 asm.push(HostInsn::Cmp { a: ra, b: rb });
                 asm.push(HostInsn::Cset { dst: rd, cond: cond_of(*cond) });
             }
@@ -680,23 +758,23 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
                 }
             }
             TcgOp::Cas { dst, addr, expect, new } => {
-                let ra = alloc.read_temp(&mut asm, idx, idx, *addr, &[])?;
-                let re = alloc.read_temp(&mut asm, idx, idx, *expect, &[ra])?;
-                let rn = alloc.read_temp(&mut asm, idx, idx, *new, &[ra, re])?;
-                let rd = alloc.def_temp(&mut asm, idx, idx, *dst, &[ra, re, rn])?;
+                let ra = alloc.read_temp(asm, idx, idx, *addr, &[])?;
+                let re = alloc.read_temp(asm, idx, idx, *expect, &[ra])?;
+                let rn = alloc.read_temp(asm, idx, idx, *new, &[ra, re])?;
+                let rd = alloc.def_temp(asm, idx, idx, *dst, &[ra, re, rn])?;
                 // Atomic sequences are env flush points: an exclusive
                 // monitor/contention path must never race a stale env.
                 // The stores land before the sequence begins, so nothing
                 // intrudes between LDXR and STXR.
-                alloc.flush_env(&mut asm, true);
-                ord.cas(&mut asm, rd, ra, re, rn, cfg);
+                alloc.flush_env(asm, true);
+                ord.cas(asm, rd, ra, re, rn, cfg);
             }
             TcgOp::AtomicAdd { dst, addr, val } => {
-                let ra = alloc.read_temp(&mut asm, idx, idx, *addr, &[])?;
-                let rv = alloc.read_temp(&mut asm, idx, idx, *val, &[ra])?;
-                let rd = alloc.def_temp(&mut asm, idx, idx, *dst, &[ra, rv])?;
-                alloc.flush_env(&mut asm, true);
-                ord.atomic_add(&mut asm, rd, ra, rv, cfg);
+                let ra = alloc.read_temp(asm, idx, idx, *addr, &[])?;
+                let rv = alloc.read_temp(asm, idx, idx, *val, &[ra])?;
+                let rd = alloc.def_temp(asm, idx, idx, *dst, &[ra, rv])?;
+                alloc.flush_env(asm, true);
+                ord.atomic_add(asm, rd, ra, rv, cfg);
             }
             TcgOp::SideExit { flag, stay_if, target } => {
                 // Guarded off-trace exit: fall through (stay on the
@@ -708,11 +786,11 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
                 // are safe between the compare and the exit): the hot
                 // stay path pays nothing, and the dirty bits survive for
                 // the next flush point.
-                let r = alloc.read_temp(&mut asm, idx, idx, *flag, &[])?;
+                let r = alloc.read_temp(asm, idx, idx, *flag, &[])?;
                 let l_stay = asm.fresh_label();
                 asm.push(HostInsn::CmpImm { a: r, imm: 0 });
                 asm.bcond_to(if *stay_if { ACond::Ne } else { ACond::Eq }, l_stay);
-                alloc.flush_env(&mut asm, false);
+                alloc.flush_env(asm, false);
                 asm.push(HostInsn::ExitTb(TbExitKind::Jump { guest_pc: *target, chain: 0 }));
                 asm.bind(l_stay);
             }
@@ -725,10 +803,10 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
             TcgOp::CallHelper { helper, args, ret } => {
                 if cfg.hardware_fp {
                     if let Some(fp) = fp_op_of(*helper) {
-                        let ra = alloc.read_temp(&mut asm, idx, idx, args[0], &[])?;
-                        let rb = alloc.read_temp(&mut asm, idx, idx, args[1], &[ra])?;
+                        let ra = alloc.read_temp(asm, idx, idx, args[0], &[])?;
+                        let rb = alloc.read_temp(asm, idx, idx, args[1], &[ra])?;
                         if let Some(r) = ret {
-                            let rd = alloc.def_temp(&mut asm, idx, idx, *r, &[ra, rb])?;
+                            let rd = alloc.def_temp(asm, idx, idx, *r, &[ra, rb])?;
                             asm.push(HostInsn::Fp { op: fp, dst: rd, a: ra, b: rb });
                         }
                         continue;
@@ -737,14 +815,14 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
                 // Out-of-line call: flush the env first (helpers model
                 // runtime code that may inspect guest state), then
                 // marshal args into X0.. and move the result out.
-                alloc.flush_env(&mut asm, true);
+                alloc.flush_env(asm, true);
                 for (i, a) in args.iter().enumerate() {
-                    let ra = alloc.read_temp(&mut asm, idx, idx, *a, &[])?;
+                    let ra = alloc.read_temp(asm, idx, idx, *a, &[])?;
                     asm.push(HostInsn::MovReg { dst: Xreg(i as u8), src: ra });
                 }
                 asm.push(HostInsn::Hcall { helper: helper_index(*helper) });
                 if let Some(r) = ret {
-                    let rd = alloc.def_temp(&mut asm, idx, idx, *r, &[])?;
+                    let rd = alloc.def_temp(asm, idx, idx, *r, &[])?;
                     asm.push(HostInsn::MovReg { dst: rd, src: Xreg(0) });
                 }
             }
@@ -758,19 +836,19 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
     alloc.free_dead(exit_idx);
     match &block.exit {
         TbExit::Jump(pc) => {
-            alloc.flush_env(&mut asm, true);
+            alloc.flush_env(asm, true);
             asm.push(HostInsn::ExitTb(TbExitKind::Jump { guest_pc: *pc, chain: 0 }));
         }
         TbExit::JumpReg(t) => {
-            let r = alloc.read_temp(&mut asm, exit_idx, exit_idx, *t, &[])?;
-            alloc.flush_env(&mut asm, true);
+            let r = alloc.read_temp(asm, exit_idx, exit_idx, *t, &[])?;
+            alloc.flush_env(asm, true);
             asm.push(HostInsn::ExitTb(TbExitKind::JumpReg { reg: r }));
         }
         TbExit::CondJump { flag, taken, fallthrough } => {
-            let r = alloc.read_temp(&mut asm, exit_idx, exit_idx, *flag, &[])?;
+            let r = alloc.read_temp(asm, exit_idx, exit_idx, *flag, &[])?;
             // Both arms leave the block, so one flush before the compare
             // serves them both.
-            alloc.flush_env(&mut asm, true);
+            alloc.flush_env(asm, true);
             let l_taken = asm.fresh_label();
             asm.push(HostInsn::CmpImm { a: r, imm: 0 });
             asm.bcond_to(ACond::Ne, l_taken);
@@ -779,11 +857,11 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
             asm.push(HostInsn::ExitTb(TbExitKind::Jump { guest_pc: *taken, chain: 0 }));
         }
         TbExit::Halt => {
-            alloc.flush_env(&mut asm, true);
+            alloc.flush_env(asm, true);
             asm.push(HostInsn::ExitTb(TbExitKind::Halt));
         }
         TbExit::Syscall { next } => {
-            alloc.flush_env(&mut asm, true);
+            alloc.flush_env(asm, true);
             asm.push(HostInsn::ExitTb(TbExitKind::Syscall { next: *next }));
         }
     }

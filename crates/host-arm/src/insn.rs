@@ -551,6 +551,28 @@ pub enum HostInsn {
 }
 
 impl HostInsn {
+    /// Bytes [`encode`](Self::encode) appends for this instruction — the
+    /// encoding's length table, for sizing code without producing it.
+    pub fn encoded_len(&self) -> usize {
+        use HostInsn::*;
+        match self {
+            Ret | Hlt | Nop => 1,
+            Br { .. } | Blr { .. } | Barrier(_) | Hcall { .. } => 2,
+            MovReg { .. } | Cmp { .. } | Cset { .. } | NativeCall { .. } => 3,
+            Ldxr { .. } | LdaddAl { .. } => 4,
+            Stxr { .. } | Cas { .. } | Alu { .. } | Fp { .. } | B { .. } | Bl { .. } => 5,
+            BCond { .. } => 6,
+            LdrB { .. } | StrB { .. } => 7,
+            Ldr { .. } | Str { .. } => 8,
+            MovImm { .. } | CmpImm { .. } => 10,
+            AluImm { .. } => 12,
+            ExitTb(TbExitKind::Halt) => 2,
+            ExitTb(TbExitKind::JumpReg { .. }) => 3,
+            ExitTb(TbExitKind::Syscall { .. }) => 10,
+            ExitTb(TbExitKind::Jump { .. }) => JUMP_CHAIN_OFFSET + 8,
+        }
+    }
+
     /// Appends the encoding to `out`; returns the encoded length.
     pub fn encode(&self, out: &mut Vec<u8>) -> usize {
         let start = out.len();
@@ -853,6 +875,7 @@ mod tests {
             let (d, len) = HostInsn::decode(&buf).unwrap();
             assert_eq!(d, i);
             assert_eq!(len, n);
+            assert_eq!(i.encoded_len(), n, "length table disagrees with the encoder on {i:?}");
         }
     }
 

@@ -38,8 +38,9 @@ mod verify;
 
 pub use backend::{
     arm_dmb_of, fp_op_of, helper_index, lower_block, lower_block_with_dialect,
-    lower_block_with_stats, ArmBackend, ArmOrdering, BackendConfig, BackendError, HostAsm,
-    HostBackend, LowerOutput, OrderingLowering, RmwStyle, ENV_BASE, SPILL_BASE,
+    lower_block_with_dialect_in, lower_block_with_stats, ArmBackend, ArmOrdering, BackendConfig,
+    BackendError, HostAsm, HostBackend, LowerOutput, LowerScratch, OrderingLowering, RmwStyle,
+    ENV_BASE, SPILL_BASE,
 };
 pub use cost::CostModel;
 pub use insn::{
@@ -51,5 +52,6 @@ pub use machine::{
 };
 pub use regalloc::AllocStats;
 pub use verify::{
-    check_encoding, check_encoding_with, encoding_err, ArmEncodingDialect, EncodingDialect, Point,
+    check_encoding, check_encoding_in, check_encoding_with, encoding_err, ArmEncodingDialect,
+    EncodingDialect, EncodingScratch, Point,
 };

@@ -554,17 +554,24 @@ impl Machine {
     /// Freed regions (from [`Machine::unmap_tb`]) are reused first-fit, so
     /// retranslation churn does not grow the code buffer without bound.
     pub fn install_code(&mut self, insns: &[HostInsn]) -> u64 {
-        let mut bytes = Vec::new();
+        let mut bytes = Vec::with_capacity(insns.iter().map(HostInsn::encoded_len).sum());
         for i in insns {
             i.encode(&mut bytes);
         }
+        self.install_bytes(&bytes)
+    }
+
+    /// [`Machine::install_code`] for instructions the caller has already
+    /// encoded — the engine encodes a translation once, verifies those
+    /// bytes, and installs the same bytes.
+    pub fn install_bytes(&mut self, bytes: &[u8]) -> u64 {
         self.retry_pending_frees();
         self.cache_stats.installs += 1;
         let addr = match self.free_list.iter().position(|&(_, len)| len >= bytes.len()) {
             Some(slot) => {
                 self.cache_stats.region_reuses += 1;
                 let (off, len) = self.free_list.swap_remove(slot);
-                self.code[off..off + bytes.len()].copy_from_slice(&bytes);
+                self.code[off..off + bytes.len()].copy_from_slice(bytes);
                 // The hole is code again; its tail, if any, stays a hole.
                 self.decoded.clear(off, bytes.len(), DecodeTable::UNDECODED);
                 if len > bytes.len() {
@@ -574,7 +581,7 @@ impl Machine {
             }
             None => {
                 let off = self.code.len();
-                self.code.extend_from_slice(&bytes);
+                self.code.extend_from_slice(bytes);
                 self.decoded.grow(self.code.len());
                 CODE_BASE + off as u64
             }
@@ -644,6 +651,13 @@ impl Machine {
     /// address of the installed superblock.
     pub fn install_superblock(&mut self, head: u64, code: &[HostInsn], subsumed: &[u64]) -> u64 {
         let host = self.install_code(code);
+        self.map_superblock(head, host, subsumed);
+        host
+    }
+
+    /// The mapping half of [`Machine::install_superblock`], for a
+    /// superblock whose code is already installed at `host`.
+    pub fn map_superblock(&mut self, head: u64, host: u64, subsumed: &[u64]) {
         self.cache_stats.sb_installs += 1;
         for &pc in subsumed {
             if pc != head && self.unmap_tb(pc) {
@@ -653,7 +667,6 @@ impl Machine {
         self.map_tb(head, host);
         // After map_tb: the remap branch demotes, then we promote.
         self.sb_heads.insert(head);
-        host
     }
 
     /// Audits the chain graph: every recorded incoming site must hold a

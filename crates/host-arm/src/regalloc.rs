@@ -45,7 +45,7 @@
 
 use crate::backend::{BackendError, HostAsm, ENV_BASE, SPILL_BASE};
 use crate::insn::{HostInsn, MemOrder, Xreg};
-use risotto_tcg::{env, TbExit, TcgBlock, TcgOp, Temp};
+use risotto_tcg::{env, reset, TbExit, TcgBlock, TcgOp, Temp};
 
 /// Per-block register-allocation statistics, summed by the engine into
 /// the `regalloc.*` registry metrics (docs/METRICS.md).
@@ -84,84 +84,102 @@ impl std::ops::AddAssign for AllocStats {
     }
 }
 
-/// The read positions and live ranges of every value in a block.
-#[derive(Debug)]
-struct Liveness {
-    /// Number of temp values (`>= block.n_temps`, robust against blocks
-    /// whose `n_temps` under-reports — the backend must not rely on the
-    /// IR lint having run).
-    n_temps: usize,
-    /// value id → sorted op positions where the value is *read*
-    /// (`ops.len()` is the block exit).
-    reads: Vec<Vec<usize>>,
-    /// value id → last position referencing the value (read or write).
-    last_ref: Vec<usize>,
+/// Turns per-key counts into bucket bounds. On entry `off[k + 2]` holds
+/// the number of items of key `k` (`off[0] = off[1] = 0`); on return
+/// `off[k + 1]` is where bucket `k` starts, so a scatter that writes
+/// item by item through `off[k + 1]` and bumps it leaves bucket `k` at
+/// `off[k]..off[k + 1]`.
+fn bucket_starts(off: &mut [usize]) {
+    for k in 1..off.len() {
+        off[k] += off[k - 1];
+    }
 }
 
+/// The read positions and live ranges of every value in a block, in
+/// flat tables that are recomputed — never reallocated — per block.
+#[derive(Debug, Default)]
+struct Liveness {
+    /// Number of temp values: the block's [`TcgBlock::temp_bound`], so
+    /// temp ids beyond an under-reporting `n_temps` are representable —
+    /// the backend must not rely on the IR lint having run.
+    n_temps: usize,
+    /// Value `v`'s sorted *read* positions (op index; `ops.len()` is the
+    /// block exit) are `read_pos[read_off[v]..read_off[v + 1]]`.
+    read_off: Vec<usize>,
+    read_pos: Vec<usize>,
+    /// `(value, position)` of every read in op order — what `read_pos`
+    /// is bucketed from.
+    reads_in_order: Vec<(usize, usize)>,
+    /// value id → last position referencing the value (read or write);
+    /// [`UNREFERENCED`] for a value the block never mentions.
+    last_ref: Vec<usize>,
+    /// The values whose last reference is position `p` are
+    /// `dead_vals[dead_off[p]..dead_off[p + 1]]`.
+    dead_off: Vec<usize>,
+    dead_vals: Vec<usize>,
+    /// temp → the env register it aliases and that register's write
+    /// generation when the alias formed (`compute` only).
+    alias: Vec<Option<(u8, u32)>>,
+}
+
+/// [`Liveness::last_ref`] of a value no op and no exit mentions. Such a
+/// value is never resident, so nothing ever compares its entry; it
+/// keeps the (many) temps the optimizer deleted out of the death lists.
+const UNREFERENCED: usize = usize::MAX;
+
 impl Liveness {
-    fn of(block: &TcgBlock, manage_env: bool) -> Liveness {
-        let mut max_temp = block.n_temps as usize;
-        let mut note = |t: Temp| max_temp = max_temp.max(t.0 as usize + 1);
-        for op in &block.ops {
-            for u in op.uses() {
-                note(u);
-            }
-            if let Some(d) = op.def() {
-                note(d);
-            }
-        }
-        match &block.exit {
-            TbExit::JumpReg(t) => note(*t),
-            TbExit::CondJump { flag, .. } => note(*flag),
-            _ => {}
-        }
+    fn compute(&mut self, block: &TcgBlock, manage_env: bool) {
+        let max_temp = block.temp_bound();
         let n_values = max_temp + if manage_env { env::COUNT } else { 0 };
-        let mut l = Liveness {
-            n_temps: max_temp,
-            reads: vec![Vec::new(); n_values],
-            last_ref: vec![0; n_values],
-        };
+        self.n_temps = max_temp;
+        reset(&mut self.last_ref, n_values, UNREFERENCED);
+        reset(&mut self.alias, max_temp, None);
+        self.reads_in_order.clear();
+        let Liveness { reads_in_order, last_ref, alias, .. } = self;
+        // (A read is a reference too: the bucketing below folds the
+        // reads into `last_ref`.)
+        let mut read = |v: usize, at: usize| reads_in_order.push((v, at));
         // `alias` mirrors the allocator's GetReg aliasing: while a temp
         // aliases an env value, its reads are the env value's reads (the
         // deferred pin fill happens at the first such read). The chain
         // breaks when the temp is redefined or the env register is
         // overwritten — exactly as it will during lowering, so the
-        // next-use information the Belady policy sees is exact.
-        let mut alias: Vec<Option<usize>> = vec![None; max_temp];
+        // next-use information the Belady policy sees is exact. A write
+        // bumps the register's generation, which breaks every alias to
+        // it at once.
+        let mut env_gen = [0u32; env::COUNT];
+        let live_alias = |a: Option<(u8, u32)>, env_gen: &[u32; env::COUNT]| {
+            a.filter(|&(reg, gen)| env_gen[reg as usize] == gen).map(|(reg, _)| reg)
+        };
         for (i, op) in block.ops.iter().enumerate() {
-            for u in op.uses() {
+            op.uses().for_each(|u| {
                 let t = u.0 as usize;
-                l.reads[t].push(i);
-                l.last_ref[t] = i;
-                if let Some(v) = alias[t] {
-                    l.reads[v].push(i);
-                    l.last_ref[v] = i;
+                read(t, i);
+                if let Some(reg) = live_alias(alias[t], &env_gen) {
+                    read(max_temp + reg as usize, i);
                 }
-            }
+            });
             if manage_env {
                 match op {
                     TcgOp::GetReg { dst, reg } => {
-                        alias[dst.0 as usize] = Some(max_temp + *reg as usize);
-                        l.last_ref[dst.0 as usize] = i;
+                        alias[dst.0 as usize] = Some((*reg, env_gen[*reg as usize]));
+                        last_ref[dst.0 as usize] = i;
                         continue;
                     }
                     TcgOp::SetReg { reg, src } => {
-                        let v = max_temp + *reg as usize;
                         // A self-copy (`src` aliases this very register)
                         // leaves the value unchanged: aliases survive.
-                        if alias[src.0 as usize] != Some(v) {
-                            for a in alias.iter_mut().filter(|a| **a == Some(v)) {
-                                *a = None;
-                            }
+                        if live_alias(alias[src.0 as usize], &env_gen) != Some(*reg) {
+                            env_gen[*reg as usize] += 1;
                         }
-                        l.last_ref[v] = i;
+                        last_ref[max_temp + *reg as usize] = i;
                     }
                     _ => {}
                 }
             }
             if let Some(d) = op.def() {
                 let t = d.0 as usize;
-                l.last_ref[t] = i;
+                last_ref[t] = i;
                 alias[t] = None;
             }
         }
@@ -169,111 +187,209 @@ impl Liveness {
         match &block.exit {
             TbExit::JumpReg(t) | TbExit::CondJump { flag: t, .. } => {
                 let t = t.0 as usize;
-                l.reads[t].push(exit_pos);
-                l.last_ref[t] = exit_pos;
-                if let Some(v) = alias[t] {
-                    l.reads[v].push(exit_pos);
-                    l.last_ref[v] = exit_pos;
+                read(t, exit_pos);
+                if let Some(reg) = live_alias(alias[t], &env_gen) {
+                    read(max_temp + reg as usize, exit_pos);
                 }
             }
             _ => {}
         }
-        l
+
+        // Bucket the reads by value (they were recorded in position
+        // order, so each bucket comes out sorted) and the values by
+        // their last reference.
+        reset(&mut self.read_off, n_values + 2, 0);
+        for &(v, _) in &self.reads_in_order {
+            self.read_off[v + 2] += 1;
+        }
+        bucket_starts(&mut self.read_off);
+        reset(&mut self.read_pos, self.reads_in_order.len(), 0);
+        for &(v, at) in &self.reads_in_order {
+            self.read_pos[self.read_off[v + 1]] = at;
+            self.read_off[v + 1] += 1;
+            let last = &mut self.last_ref[v];
+            if *last == UNREFERENCED || *last < at {
+                *last = at;
+            }
+        }
+        reset(&mut self.dead_off, exit_pos + 3, 0);
+        let referenced = || self.last_ref.iter().enumerate().filter(|(_, &at)| at != UNREFERENCED);
+        for (_, &at) in referenced() {
+            self.dead_off[at + 2] += 1;
+        }
+        bucket_starts(&mut self.dead_off);
+        reset(&mut self.dead_vals, self.dead_off[exit_pos + 2], 0);
+        for (v, &at) in referenced() {
+            self.dead_vals[self.dead_off[at + 1]] = v;
+            self.dead_off[at + 1] += 1;
+        }
     }
+
+    /// Sorted read positions of value `v`.
+    #[cfg(test)]
+    fn reads(&self, v: usize) -> &[usize] {
+        &self.read_pos[self.read_off[v]..self.read_off[v + 1]]
+    }
+
+    /// The values last referenced at position `at`.
+    fn dying_at(&self, at: usize) -> &[usize] {
+        &self.dead_vals[self.dead_off[at]..self.dead_off[at + 1]]
+    }
+}
+
+/// What the allocator tracks per value (the temp-only fields stay at
+/// their defaults for env values).
+#[derive(Debug, Clone, Copy, Default)]
+struct ValueState {
+    /// Currently assigned host register.
+    loc: Option<Xreg>,
+    /// The register copy is newer than the value's memory home.
+    dirty: bool,
+    /// The temp has been defined (in a register or its slot).
+    defined: bool,
+    /// The temp's spill slot holds the current value.
+    in_slot: bool,
+    /// The env value the temp currently aliases (set by `GetReg`,
+    /// broken by redefinition of either side).
+    alias: Option<usize>,
+    /// The value is a known constant (`MovI`, possibly propagated
+    /// through `Mov`). Constant temps are rematerialized with a 1-cycle
+    /// `MovImm` instead of being spilled/reloaded, and equal constants
+    /// share one host register.
+    const_val: Option<u64>,
+    /// Monotone cursor into `live.read_pos` (next-use scan).
+    cursor: usize,
+}
+
+/// The allocator's reusable per-block tables ([`Liveness`] and the
+/// per-value state), owned by the backend's lowering scratch.
+/// [`Allocator::new`] re-initializes every one of them, so no block sees
+/// what the previous one — finished or abandoned on an error — left.
+#[derive(Debug, Default)]
+pub(crate) struct AllocScratch {
+    live: Liveness,
+    /// value id → its allocation state.
+    val: Vec<ValueState>,
+    /// Every alias `GetReg` formed, as `(temp, next)` links of one
+    /// chain per env register (see [`Allocator::alias_head`]).
+    alias_links: Vec<(usize, usize)>,
+    /// The temps `write_env` found aliasing the register it overwrites.
+    aliasing: Vec<usize>,
 }
 
 /// The deterministic block-scoped allocator (see the module docs).
 #[derive(Debug)]
-pub(crate) struct Allocator {
-    live: Liveness,
-    pool: Vec<Xreg>,
+pub(crate) struct Allocator<'a> {
+    s: &'a mut AllocScratch,
+    pool: &'static [Xreg],
     /// Whether env registers participate (false in native/direct mode).
     manage_env: bool,
-    /// value id → currently assigned host register.
-    loc: Vec<Option<Xreg>>,
     /// host register number → value id held.
     holder: [Option<usize>; 32],
-    /// value id → register copy is newer than the value's memory home.
-    dirty: Vec<bool>,
-    /// temp id → the temp has been defined (in a register or its slot).
-    defined: Vec<bool>,
-    /// temp id → the spill slot holds the current value.
-    in_slot: Vec<bool>,
-    /// temp id → env value the temp currently aliases (set by `GetReg`,
-    /// broken by redefinition of either side).
-    alias: Vec<Option<usize>>,
-    /// value id → the value is a known constant (`MovI`, possibly
-    /// propagated through `Mov`). Constant temps are rematerialized
-    /// with a 1-cycle `MovImm` instead of being spilled/reloaded, and
-    /// equal constants share one host register.
-    const_val: Vec<Option<u64>>,
     /// host register number → constant the register is known to hold
     /// right now. Maintained at every instruction that writes a pool
     /// register; rebinding alone never changes register contents, so
     /// the knowledge survives ownership transfers and evictions.
     reg_const: [Option<u64>; 32],
-    /// value id → monotone cursor into `live.reads` (next-use scan).
-    cursor: Vec<usize>,
+    /// env index → head of the chain in `alias_links` of the temps that
+    /// aliased the register since it was last overwritten
+    /// ([`NO_LINK`] = none). Links whose temp has moved on are skipped
+    /// when the chain is read.
+    alias_head: [usize; env::COUNT],
+    /// Bit per env index: dead (past its last reference) but still
+    /// resident, because its deferred write-back was owed when it died.
+    dead_dirty: u32,
     /// env index → was ever pinned in a host register.
-    pinned: Vec<bool>,
+    pinned: [bool; env::COUNT],
     stats: AllocStats,
 }
 
-impl Allocator {
-    pub(crate) fn new(block: &TcgBlock, pool: Vec<Xreg>, manage_env: bool) -> Allocator {
-        let live = Liveness::of(block, manage_env);
-        let n_values = live.reads.len();
-        let n_temps = live.n_temps;
+/// End of an alias chain.
+const NO_LINK: usize = usize::MAX;
+
+impl<'a> Allocator<'a> {
+    pub(crate) fn new(
+        block: &TcgBlock,
+        pool: &'static [Xreg],
+        manage_env: bool,
+        s: &'a mut AllocScratch,
+    ) -> Allocator<'a> {
+        s.live.compute(block, manage_env);
+        let n_values = s.live.last_ref.len();
+        s.val.clear();
+        s.val.extend(
+            s.live.read_off[..n_values]
+                .iter()
+                .map(|&first_read| ValueState { cursor: first_read, ..ValueState::default() }),
+        );
+        s.alias_links.clear();
         Allocator {
-            live,
+            s,
             pool,
             manage_env,
-            loc: vec![None; n_values],
             holder: [None; 32],
-            dirty: vec![false; n_values],
-            defined: vec![false; n_temps],
-            in_slot: vec![false; n_temps],
-            alias: vec![None; n_temps],
-            const_val: vec![None; n_values],
             reg_const: [None; 32],
-            cursor: vec![0; n_values],
-            pinned: vec![false; env::COUNT],
+            alias_head: [NO_LINK; env::COUNT],
+            dead_dirty: 0,
+            pinned: [false; env::COUNT],
             stats: AllocStats::default(),
         }
     }
 
     fn is_env(&self, v: usize) -> bool {
-        v >= self.live.n_temps
+        v >= self.s.live.n_temps
     }
 
     /// First read position of `v` at or after `idx` (`usize::MAX` when
     /// the value is never read again).
     fn next_use(&mut self, v: usize, idx: usize) -> usize {
-        let c = &mut self.cursor[v];
-        let reads = &self.live.reads[v];
-        while *c < reads.len() && reads[*c] < idx {
+        let live = &self.s.live;
+        let c = &mut self.s.val[v].cursor;
+        let end = live.read_off[v + 1];
+        while *c < end && live.read_pos[*c] < idx {
             *c += 1;
         }
-        reads.get(*c).copied().unwrap_or(usize::MAX)
+        if *c < end {
+            live.read_pos[*c]
+        } else {
+            usize::MAX
+        }
     }
 
     fn bind(&mut self, r: Xreg, v: usize) {
-        self.loc[v] = Some(r);
+        self.s.val[v].loc = Some(r);
         self.holder[r.0 as usize] = Some(v);
     }
 
-    /// Frees registers whose value is dead (past its last reference).
-    /// Dirty env values survive — their deferred write-back is still
-    /// owed at the next flush point.
+    fn unbind(&mut self, v: usize) {
+        if let Some(r) = self.s.val[v].loc.take() {
+            self.s.val[v].dirty = false;
+            self.holder[r.0 as usize] = None;
+        }
+    }
+
+    /// Frees the registers of values that died at the previous position
+    /// (`idx` is the op about to be lowered; a value is dead past its
+    /// last reference). Dirty env values survive — their deferred
+    /// write-back is still owed — and go once a flush has paid it.
     pub(crate) fn free_dead(&mut self, idx: usize) {
-        for i in 0..self.pool.len() {
-            let r = self.pool[i];
-            if let Some(v) = self.holder[r.0 as usize] {
-                if self.live.last_ref[v] < idx && !(self.is_env(v) && self.dirty[v]) {
-                    self.loc[v] = None;
-                    self.dirty[v] = false;
-                    self.holder[r.0 as usize] = None;
-                }
+        let mut owed = self.dead_dirty;
+        while owed != 0 {
+            let reg = owed.trailing_zeros() as usize;
+            owed &= owed - 1;
+            let v = self.s.live.n_temps + reg;
+            if !self.s.val[v].dirty {
+                self.dead_dirty &= !(1 << reg);
+                self.unbind(v);
+            }
+        }
+        let Some(prev) = idx.checked_sub(1) else { return };
+        for i in 0..self.s.live.dying_at(prev).len() {
+            let v = self.s.live.dying_at(prev)[i];
+            if self.is_env(v) && self.s.val[v].dirty {
+                self.dead_dirty |= 1 << (v - self.s.live.n_temps);
+            } else {
+                self.unbind(v);
             }
         }
     }
@@ -282,8 +398,8 @@ impl Allocator {
     /// is stale (env: dirty write-back; temp: spill).
     fn evict(&mut self, asm: &mut HostAsm, r: Xreg, v: usize) {
         if self.is_env(v) {
-            if self.dirty[v] {
-                let reg = (v - self.live.n_temps) as i32;
+            if self.s.val[v].dirty {
+                let reg = (v - self.s.live.n_temps) as i32;
                 asm.push(HostInsn::Str {
                     src: r,
                     base: ENV_BASE,
@@ -291,9 +407,9 @@ impl Allocator {
                     order: MemOrder::Plain,
                 });
                 self.stats.env_stores += 1;
-                self.dirty[v] = false;
+                self.s.val[v].dirty = false;
             }
-        } else if !self.in_slot[v] && self.const_val[v].is_none() {
+        } else if !self.s.val[v].in_slot && self.s.val[v].const_val.is_none() {
             // Known constants are rematerialized by `MovImm` on the
             // next read — cheaper than a spill/reload round trip.
             asm.push(HostInsn::Str {
@@ -303,10 +419,10 @@ impl Allocator {
                 order: MemOrder::Plain,
             });
             self.stats.spills += 1;
-            self.in_slot[v] = true;
-            self.dirty[v] = false;
+            self.s.val[v].in_slot = true;
+            self.s.val[v].dirty = false;
         }
-        self.loc[v] = None;
+        self.s.val[v].loc = None;
         self.holder[r.0 as usize] = None;
     }
 
@@ -321,24 +437,22 @@ impl Allocator {
         at_op: usize,
         forbid: &[Xreg],
     ) -> Result<Xreg, BackendError> {
-        for i in 0..self.pool.len() {
-            let r = self.pool[i];
+        for &r in self.pool {
             if self.holder[r.0 as usize].is_none() && !forbid.contains(&r) {
                 return Ok(r);
             }
         }
         let mut best: Option<(Xreg, usize, usize, bool)> = None;
-        for i in 0..self.pool.len() {
-            let r = self.pool[i];
+        for &r in self.pool {
             if forbid.contains(&r) {
                 continue;
             }
             let Some(v) = self.holder[r.0 as usize] else { continue };
             let nu = self.next_use(v, idx);
             let store_free = if self.is_env(v) {
-                !self.dirty[v]
+                !self.s.val[v].dirty
             } else {
-                self.in_slot[v] || self.const_val[v].is_some()
+                self.s.val[v].in_slot || self.s.val[v].const_val.is_some()
             };
             let better = match best {
                 None => true,
@@ -370,20 +484,19 @@ impl Allocator {
         forbid: &[Xreg],
     ) -> Result<Xreg, BackendError> {
         let v = t.0 as usize;
-        if let Some(ev) = self.alias[v] {
+        if let Some(ev) = self.s.val[v].alias {
             // Aliased temps live in the env value's register; a missing
             // residence means the env value was evicted (its slot is
             // current — dirty values are never unbound) and refills here.
-            let reg = (ev - self.live.n_temps) as u8;
+            let reg = (ev - self.s.live.n_temps) as u8;
             return self.read_env(asm, idx, at_op, reg, forbid);
         }
-        if let Some(c) = self.const_val[v] {
+        if let Some(c) = self.s.val[v].const_val {
             // Constants share registers: any pool register already known
             // to hold these bits serves the read (ownership unchanged —
             // register contents only change at writes, and the caller's
             // forbid list protects the register for the whole op).
-            for i in 0..self.pool.len() {
-                let r = self.pool[i];
+            for &r in self.pool {
                 if self.reg_const[r.0 as usize] == Some(c) && !forbid.contains(&r) {
                     return Ok(r);
                 }
@@ -394,10 +507,10 @@ impl Allocator {
             self.bind(r, v);
             return Ok(r);
         }
-        if let Some(r) = self.loc[v] {
+        if let Some(r) = self.s.val[v].loc {
             return Ok(r);
         }
-        if !self.defined[v] {
+        if !self.s.val[v].defined {
             return Err(BackendError::UndefinedTemp { temp: t.0, at_op });
         }
         let r = self.take_reg(asm, idx, at_op, forbid)?;
@@ -408,7 +521,7 @@ impl Allocator {
             order: MemOrder::Plain,
         });
         self.stats.reloads += 1;
-        self.dirty[v] = false;
+        self.s.val[v].dirty = false;
         self.reg_const[r.0 as usize] = None;
         self.bind(r, v);
         Ok(r)
@@ -425,9 +538,9 @@ impl Allocator {
         forbid: &[Xreg],
     ) -> Result<Xreg, BackendError> {
         let v = t.0 as usize;
-        self.alias[v] = None;
-        self.const_val[v] = None;
-        let r = match self.loc[v] {
+        self.s.val[v].alias = None;
+        self.s.val[v].const_val = None;
+        let r = match self.s.val[v].loc {
             Some(r) => r,
             None => {
                 let r = self.take_reg(asm, idx, at_op, forbid)?;
@@ -435,9 +548,9 @@ impl Allocator {
                 r
             }
         };
-        self.defined[v] = true;
-        self.dirty[v] = true;
-        self.in_slot[v] = false;
+        self.s.val[v].defined = true;
+        self.s.val[v].dirty = true;
+        self.s.val[v].in_slot = false;
         // The caller writes `r` next; whatever constant it held is gone.
         self.reg_const[r.0 as usize] = None;
         Ok(r)
@@ -451,20 +564,20 @@ impl Allocator {
         let v = dst.0 as usize;
         // MovI (re)defines dst: drop any register or alias it held (the
         // old register still holds its old bits — no write happened).
-        if let Some(r) = self.loc[v] {
+        if let Some(r) = self.s.val[v].loc {
             self.holder[r.0 as usize] = None;
-            self.loc[v] = None;
+            self.s.val[v].loc = None;
         }
-        self.alias[v] = None;
-        self.const_val[v] = Some(val);
-        self.defined[v] = true;
-        self.dirty[v] = false;
-        self.in_slot[v] = false;
+        self.s.val[v].alias = None;
+        self.s.val[v].const_val = Some(val);
+        self.s.val[v].defined = true;
+        self.s.val[v].dirty = false;
+        self.s.val[v].in_slot = false;
     }
 
     /// The constant a temp is currently known to hold, if any.
     pub(crate) fn const_of(&self, t: Temp) -> Option<u64> {
-        self.const_val[t.0 as usize]
+        self.s.val[t.0 as usize].const_val
     }
 
     /// Register holding guest env register `reg`, `LDR`-ing its env
@@ -478,8 +591,8 @@ impl Allocator {
         forbid: &[Xreg],
     ) -> Result<Xreg, BackendError> {
         debug_assert!(self.manage_env);
-        let v = self.live.n_temps + reg as usize;
-        if let Some(r) = self.loc[v] {
+        let v = self.s.live.n_temps + reg as usize;
+        if let Some(r) = self.s.val[v].loc {
             return Ok(r);
         }
         let r = self.take_reg(asm, idx, at_op, forbid)?;
@@ -502,15 +615,17 @@ impl Allocator {
         debug_assert!(self.manage_env);
         let t = dst.0 as usize;
         // GetReg (re)defines dst: drop any register it held.
-        if let Some(r) = self.loc[t] {
+        if let Some(r) = self.s.val[t].loc {
             self.holder[r.0 as usize] = None;
-            self.loc[t] = None;
+            self.s.val[t].loc = None;
         }
-        self.alias[t] = Some(self.live.n_temps + reg as usize);
-        self.const_val[t] = None;
-        self.defined[t] = true;
-        self.dirty[t] = false;
-        self.in_slot[t] = false;
+        self.s.val[t].alias = Some(self.s.live.n_temps + reg as usize);
+        self.s.alias_links.push((t, self.alias_head[reg as usize]));
+        self.alias_head[reg as usize] = self.s.alias_links.len() - 1;
+        self.s.val[t].const_val = None;
+        self.s.val[t].defined = true;
+        self.s.val[t].dirty = false;
+        self.s.val[t].in_slot = false;
     }
 
     /// Lowers `SetReg { reg, src }` given `rs = read_temp(src)`: marks
@@ -528,45 +643,52 @@ impl Allocator {
         rs: Xreg,
     ) -> Result<(), BackendError> {
         debug_assert!(self.manage_env);
-        let v = self.live.n_temps + reg as usize;
+        let v = self.s.live.n_temps + reg as usize;
         let src_v = src.0 as usize;
         self.pinned[reg as usize] = true;
         // Self-copy: `src` aliases this very register, so the value is
         // unchanged and every alias stays valid. `read_temp` has just
         // made the env value resident (`rs` is its register).
-        if self.alias[src_v] == Some(v) {
-            debug_assert_eq!(self.loc[v], Some(rs));
-            self.dirty[v] = true;
+        if self.s.val[src_v].alias == Some(v) {
+            debug_assert_eq!(self.s.val[v].loc, Some(rs));
+            self.s.val[v].dirty = true;
             return Ok(());
         }
         // The old value dies: materialize live aliases into their own
         // registers (ascending temp order — deterministic) and break
         // the dead ones. The first live alias inherits the dying
         // value's register outright (zero code); the rest copy from it.
-        let mut home: Option<Xreg> = None;
-        for t in 0..self.alias.len() {
-            if self.alias[t] != Some(v) {
-                continue;
+        self.s.aliasing.clear();
+        let mut link = std::mem::replace(&mut self.alias_head[reg as usize], NO_LINK);
+        while link != NO_LINK {
+            let (t, next) = self.s.alias_links[link];
+            if self.s.val[t].alias == Some(v) {
+                self.s.aliasing.push(t);
             }
-            self.alias[t] = None;
-            if self.live.last_ref[t] <= idx {
+            link = next;
+        }
+        self.s.aliasing.sort_unstable();
+        self.s.aliasing.dedup();
+        let mut home: Option<Xreg> = None;
+        for i in 0..self.s.aliasing.len() {
+            let t = self.s.aliasing[i];
+            self.s.val[t].alias = None;
+            if self.s.live.last_ref[t] <= idx {
                 continue;
             }
             if home.is_none() {
-                if let Some(rv) = self.loc[v] {
+                if let Some(rv) = self.s.val[v].loc {
                     // Rebind: the env value is about to be overwritten,
                     // so its register simply becomes the alias's home.
-                    self.loc[v] = None;
-                    self.dirty[v] = false;
+                    self.s.val[v].loc = None;
+                    self.s.val[v].dirty = false;
                     self.bind(rv, t);
-                    self.in_slot[t] = false;
+                    self.s.val[t].in_slot = false;
                     home = Some(rv);
                     continue;
                 }
             }
-            let forbid = [Some(rs), home];
-            let forbid: Vec<Xreg> = forbid.into_iter().flatten().collect();
-            let rt = self.take_reg(asm, idx, at_op, &forbid)?;
+            let rt = self.take_reg(asm, idx, at_op, &[rs, home.unwrap_or(rs)])?;
             match home {
                 Some(rh) => {
                     asm.push(HostInsn::MovReg { dst: rt, src: rh });
@@ -587,16 +709,16 @@ impl Allocator {
                 }
             }
             self.bind(rt, t);
-            self.in_slot[t] = false;
+            self.s.val[t].in_slot = false;
         }
         // Final write: nothing later reads or rewrites this register,
         // so deferring would only add a register copy ahead of the same
         // `STR`. Store the source directly — exactly what naive per-op
         // codegen does — and leave nothing for the flush to do.
-        if self.live.last_ref[v] <= idx {
-            if let Some(r_old) = self.loc[v] {
+        if self.s.live.last_ref[v] <= idx {
+            if let Some(r_old) = self.s.val[v].loc {
                 self.holder[r_old.0 as usize] = None;
-                self.loc[v] = None;
+                self.s.val[v].loc = None;
             }
             asm.push(HostInsn::Str {
                 src: rs,
@@ -605,25 +727,25 @@ impl Allocator {
                 order: MemOrder::Plain,
             });
             self.stats.env_stores += 1;
-            self.dirty[v] = false;
+            self.s.val[v].dirty = false;
             return Ok(());
         }
         // Transfer: `src` owns `rs` and dies at this op — the register
         // simply becomes the env value's home.
-        if self.alias[src_v].is_none()
+        if self.s.val[src_v].alias.is_none()
             && self.holder[rs.0 as usize] == Some(src_v)
-            && self.live.last_ref[src_v] <= idx
+            && self.s.live.last_ref[src_v] <= idx
         {
-            if let Some(r_old) = self.loc[v] {
+            if let Some(r_old) = self.s.val[v].loc {
                 self.holder[r_old.0 as usize] = None;
             }
-            self.loc[src_v] = None;
+            self.s.val[src_v].loc = None;
             self.bind(rs, v);
-            self.dirty[v] = true;
+            self.s.val[v].dirty = true;
             return Ok(());
         }
         // Copy: ensure the env value has a register distinct from `rs`.
-        let re = match self.loc[v] {
+        let re = match self.s.val[v].loc {
             Some(r) => r,
             None => {
                 let r = self.take_reg(asm, idx, at_op, &[rs])?;
@@ -635,7 +757,7 @@ impl Allocator {
             asm.push(HostInsn::MovReg { dst: re, src: rs });
             self.reg_const[re.0 as usize] = self.reg_const[rs.0 as usize];
         }
-        self.dirty[v] = true;
+        self.s.val[v].dirty = true;
         Ok(())
     }
 
@@ -654,9 +776,9 @@ impl Allocator {
             return;
         }
         for reg in 0..env::COUNT {
-            let v = self.live.n_temps + reg;
-            if self.dirty[v] {
-                if let Some(r) = self.loc[v] {
+            let v = self.s.live.n_temps + reg;
+            if self.s.val[v].dirty {
+                if let Some(r) = self.s.val[v].loc {
                     asm.push(HostInsn::Str {
                         src: r,
                         base: ENV_BASE,
@@ -665,7 +787,7 @@ impl Allocator {
                     });
                     self.stats.env_stores += 1;
                     if clear_dirty {
-                        self.dirty[v] = false;
+                        self.s.val[v].dirty = false;
                     }
                 }
             }
@@ -703,20 +825,24 @@ mod tests {
             TbExit::JumpReg(t0),
             2,
         );
-        let l = Liveness::of(&b, true);
-        assert_eq!(l.reads[0], vec![2, 3], "t0 read by the Bin op and the exit");
-        assert_eq!(l.reads[1], vec![2]);
+        let mut l = Liveness::default();
+        l.compute(&b, true);
+        assert_eq!(l.reads(0), [2, 3], "t0 read by the Bin op and the exit");
+        assert_eq!(l.reads(1), [2]);
         // The GetReg defers the env read to t1's actual use (the Bin op
         // at position 2) via the alias chain.
-        assert_eq!(l.reads[l.n_temps + 3], vec![2], "env 3 is read where its alias t1 is used");
+        assert_eq!(l.reads(l.n_temps + 3), [2], "env 3 is read where its alias t1 is used");
         assert_eq!(l.last_ref[l.n_temps + 3], 2);
         assert_eq!(l.last_ref[0], 3);
+        assert_eq!(l.dying_at(3), [0], "only t0 lives to the exit");
+        assert!(l.dying_at(2).contains(&1) && l.dying_at(2).contains(&(l.n_temps + 3)));
     }
 
     #[test]
     fn liveness_is_robust_to_underreported_n_temps() {
         let b = block_with(vec![TcgOp::MovI { dst: Temp(7), val: 0 }], TbExit::Halt, 1);
-        let l = Liveness::of(&b, true);
+        let mut l = Liveness::default();
+        l.compute(&b, true);
         assert!(l.n_temps >= 8, "temp ids beyond n_temps must still be representable");
     }
 }

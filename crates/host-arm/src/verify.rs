@@ -24,7 +24,8 @@ use crate::backend::{
     arm_dmb_of, fp_op_of, helper_index, BackendConfig, RmwStyle, ENV_BASE, SPILL_BASE,
 };
 use crate::insn::{Dmb, HostInsn, MemOrder, TbExitKind};
-use risotto_tcg::{TbExit, TcgBlock, TcgOp, VerifyError, VerifyPass};
+use risotto_tcg::{with_thread_scratch, TbExit, TcgBlock, TcgOp, VerifyError, VerifyPass};
+use std::cell::RefCell;
 
 /// An ordering-relevant point in a host instruction stream.
 ///
@@ -216,6 +217,26 @@ fn actual_point(insn: &HostInsn) -> Option<Point> {
     }
 }
 
+thread_local!(pub(crate) static SPARE: RefCell<EncodingScratch> = RefCell::default());
+
+/// Pass 3's reusable working memory: the canonical re-encoding, the
+/// decoded stream and the expected/actual ordering-point lists, kept
+/// between blocks so a steady-state check allocates nothing. Every list
+/// is cleared before it is filled, so a check that returned early with
+/// an error leaves nothing a later one can observe.
+#[derive(Debug, Default)]
+pub struct EncodingScratch {
+    canonical: Vec<u8>,
+    decoded: Vec<HostInsn>,
+    expected: Vec<Point>,
+    /// expected point → the IR op it came from (`None`: the terminator).
+    expected_src: Vec<Option<usize>>,
+    /// The decoded stream's ordering points, with their host index.
+    actual: Vec<(Point, usize)>,
+    expected_jumps: Vec<u64>,
+    actual_jumps: Vec<u64>,
+}
+
 /// Pass 3: verifies `bytes` against the lowered instructions `insns`
 /// and the verified IR `block` they were lowered from, under the Arm
 /// encoding dialect.
@@ -248,12 +269,35 @@ pub fn check_encoding_with<D: EncodingDialect + ?Sized>(
     cfg: BackendConfig,
     dialect: &D,
 ) -> Result<(), VerifyError> {
+    with_thread_scratch(&SPARE, |scratch| {
+        check_encoding_in(block, insns, bytes, cfg, dialect, scratch)
+    })
+}
+
+/// [`check_encoding_with`] over a caller-owned [`EncodingScratch`].
+pub fn check_encoding_in<D: EncodingDialect + ?Sized>(
+    block: &TcgBlock,
+    insns: &[HostInsn],
+    bytes: &[u8],
+    cfg: BackendConfig,
+    dialect: &D,
+    scratch: &mut EncodingScratch,
+) -> Result<(), VerifyError> {
+    let EncodingScratch {
+        canonical: expect,
+        decoded,
+        expected,
+        expected_src,
+        actual,
+        expected_jumps,
+        actual_jumps,
+    } = scratch;
     // 1. Byte fidelity: canonical re-encoding matches...
-    let mut expect = Vec::with_capacity(bytes.len());
+    expect.clear();
     for i in insns {
-        i.encode(&mut expect);
+        i.encode(expect);
     }
-    if expect != bytes {
+    if expect.as_slice() != bytes {
         let at = expect.iter().zip(bytes).position(|(a, b)| a != b);
         return Err(err(
             block,
@@ -272,7 +316,7 @@ pub fn check_encoding_with<D: EncodingDialect + ?Sized>(
         ));
     }
     // ...and the bytes decode back to the same instruction stream.
-    let mut decoded: Vec<HostInsn> = Vec::with_capacity(insns.len());
+    decoded.clear();
     let mut off = 0usize;
     while off < bytes.len() {
         let (insn, len) = HostInsn::decode(&bytes[off..]).map_err(|e| {
@@ -281,7 +325,7 @@ pub fn check_encoding_with<D: EncodingDialect + ?Sized>(
         decoded.push(insn);
         off += len;
     }
-    if decoded != insns {
+    if decoded.as_slice() != insns {
         return Err(err(
             block,
             None,
@@ -292,30 +336,31 @@ pub fn check_encoding_with<D: EncodingDialect + ?Sized>(
     // 1b. Dialect restriction: the decoded stream must stay inside the
     // backend's instruction subset (a no-op for Arm, which owns the
     // whole container ISA).
-    dialect.check_dialect(block, &decoded)?;
+    dialect.check_dialect(block, decoded)?;
 
     // 2. Ordering placement: barrier/atomic/access/exit interleaving
     // matches the IR. Each expected point remembers the IR op it came
     // from (`None` for the block terminator) and each actual point its
     // host-instruction index, so the allocation-map check below can cut
     // the streams into per-exit segments.
-    let mut expected: Vec<Point> = Vec::new();
-    let mut expected_src: Vec<Option<usize>> = Vec::new();
+    expected.clear();
+    expected_src.clear();
     for (i, op) in block.ops.iter().enumerate() {
-        dialect.expected_points(op, cfg, &mut expected);
+        dialect.expected_points(op, cfg, expected);
         expected_src.resize(expected.len(), Some(i));
     }
-    exit_points(&block.exit, &mut expected);
+    exit_points(&block.exit, expected);
     expected_src.resize(expected.len(), None);
-    let actual: Vec<(Point, usize)> = decoded
-        .iter()
-        .enumerate()
-        .filter_map(|(pos, insn)| actual_point(insn).map(|p| (p, pos)))
-        .collect();
-    if expected.len() != actual.len() || expected.iter().zip(&actual).any(|(e, (a, _))| e != a) {
+    actual.clear();
+    actual.extend(
+        decoded.iter().enumerate().filter_map(|(pos, insn)| actual_point(insn).map(|p| (p, pos))),
+    );
+    if expected.len() != actual.len()
+        || expected.iter().zip(actual.iter()).any(|(e, (a, _))| e != a)
+    {
         let at = expected
             .iter()
-            .zip(&actual)
+            .zip(actual.iter())
             .position(|(e, (a, _))| e != a)
             .unwrap_or_else(|| expected.len().min(actual.len()));
         let have = actual.get(at).map(|(p, _)| p.name()).unwrap_or_else(|| "nothing".into());
@@ -346,13 +391,21 @@ pub fn check_encoding_with<D: EncodingDialect + ?Sized>(
             }
             let ir_end = expected_src[k].unwrap_or(block.ops.len());
             let host_end = actual[k].1;
+            // Env slot index (any `u8` register number) → the host
+            // segment stores to it.
+            let mut written_back = [false; 256];
+            for insn in &decoded[prev_host..host_end] {
+                if let HostInsn::Str { base, off, .. } = insn {
+                    if *base == ENV_BASE && *off % 8 == 0 {
+                        if let Some(slot) = written_back.get_mut((*off / 8) as usize) {
+                            *slot = true;
+                        }
+                    }
+                }
+            }
             for (i, op) in block.ops[prev_ir..ir_end].iter().enumerate() {
                 let TcgOp::SetReg { reg, .. } = op else { continue };
-                let covered = decoded[prev_host..host_end].iter().any(|insn| {
-                    matches!(insn, HostInsn::Str { base, off, .. }
-                        if *base == ENV_BASE && *off == *reg as i32 * 8)
-                });
-                if !covered {
+                if !written_back[*reg as usize] {
                     return Err(err(
                         block,
                         Some(prev_ir + i),
@@ -368,14 +421,11 @@ pub fn check_encoding_with<D: EncodingDialect + ?Sized>(
     }
 
     // 3. Exit integrity: chain words are zeroed, exit targets match.
-    let mut expected_jumps: Vec<u64> = block
-        .ops
-        .iter()
-        .filter_map(|op| match op {
-            TcgOp::SideExit { target, .. } => Some(*target),
-            _ => None,
-        })
-        .collect();
+    expected_jumps.clear();
+    expected_jumps.extend(block.ops.iter().filter_map(|op| match op {
+        TcgOp::SideExit { target, .. } => Some(*target),
+        _ => None,
+    }));
     match &block.exit {
         TbExit::Jump(pc) => expected_jumps.push(*pc),
         TbExit::CondJump { taken, fallthrough, .. } => {
@@ -384,8 +434,8 @@ pub fn check_encoding_with<D: EncodingDialect + ?Sized>(
         }
         _ => {}
     }
-    let mut actual_jumps: Vec<u64> = Vec::new();
-    for insn in &decoded {
+    actual_jumps.clear();
+    for insn in decoded.iter() {
         if let HostInsn::ExitTb(TbExitKind::Jump { guest_pc, chain }) = insn {
             if *chain != 0 {
                 return Err(err(

@@ -46,9 +46,10 @@
 #![warn(missing_debug_implementations)]
 
 use risotto_host_arm::{
-    check_encoding_with, encoding_err, fp_op_of, helper_index, lower_block_with_dialect,
-    BackendConfig, BackendError, CostModel, Dmb, EncodingDialect, HostAsm, HostBackend, HostInsn,
-    LowerOutput, MemOrder, OrderingLowering, Point, Xreg,
+    check_encoding_in, check_encoding_with, encoding_err, fp_op_of, helper_index,
+    lower_block_with_dialect, BackendConfig, BackendError, CostModel, Dmb, EncodingDialect,
+    EncodingScratch, HostAsm, HostBackend, HostInsn, LowerOutput, MemOrder, OrderingLowering,
+    Point, Xreg,
 };
 use risotto_memmodel::FenceKind;
 use risotto_tcg::{TcgBlock, TcgOp, VerifyError};
@@ -248,14 +249,15 @@ impl HostBackend for TsoBackend {
         x86_server_like()
     }
 
-    fn check_encoding(
+    fn check_encoding_in(
         &self,
         block: &TcgBlock,
         insns: &[HostInsn],
         bytes: &[u8],
         cfg: BackendConfig,
+        scratch: &mut EncodingScratch,
     ) -> Result<(), VerifyError> {
-        check_encoding_tso(block, insns, bytes, cfg)
+        check_encoding_in(block, insns, bytes, cfg, &TsoEncodingDialect, scratch)
     }
 }
 

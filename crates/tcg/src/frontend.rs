@@ -309,18 +309,38 @@ pub fn translate_block<F>(
 where
     F: Fn(u64) -> [u8; 16],
 {
+    translate_block_counted(pc, cfg, fetch).map(|(block, _)| block)
+}
+
+/// [`translate_block`], also returning how many guest instructions the
+/// block covers — the frontend has just decoded them, so nobody needs
+/// to decode the block a second time to count.
+///
+/// # Errors
+///
+/// Returns [`TranslateError`] if instruction decoding fails.
+pub fn translate_block_counted<F>(
+    pc: u64,
+    cfg: FrontendConfig,
+    fetch: F,
+) -> Result<(TcgBlock, usize), TranslateError>
+where
+    F: Fn(u64) -> [u8; 16],
+{
     let mut ctx = Ctx {
         block: TcgBlock {
             guest_pc: pc,
             guest_len: 0,
-            ops: Vec::new(),
+            // A typical block is 60–100 ops: one allocation, not the
+            // six a growing vector makes on the way there.
+            ops: Vec::with_capacity(128),
             exit: TbExit::Halt,
             n_temps: 0,
         },
         cfg,
     };
     let mut cur = pc;
-    for _ in 0..MAX_TB_INSNS {
+    for n in 0..MAX_TB_INSNS {
         let window = fetch(cur);
         let (insn, len) =
             Insn::decode(&window).map_err(|cause| TranslateError { pc: cur, cause })?;
@@ -444,31 +464,31 @@ where
                     fallthrough: next,
                 };
                 ctx.block.guest_len = (next - pc) as usize;
-                return Ok(ctx.block);
+                return Ok((ctx.block, n + 1));
             }
             Insn::Jmp { rel } => {
                 ctx.block.exit = TbExit::Jump(next.wrapping_add(rel as i64 as u64));
                 ctx.block.guest_len = (next - pc) as usize;
-                return Ok(ctx.block);
+                return Ok((ctx.block, n + 1));
             }
             Insn::JmpReg { reg } => {
                 let t = ctx.get_reg(reg);
                 ctx.block.exit = TbExit::JumpReg(t);
                 ctx.block.guest_len = (next - pc) as usize;
-                return Ok(ctx.block);
+                return Ok((ctx.block, n + 1));
             }
             Insn::Call { rel } => {
                 ctx.push_ra(next);
                 ctx.block.exit = TbExit::Jump(next.wrapping_add(rel as i64 as u64));
                 ctx.block.guest_len = (next - pc) as usize;
-                return Ok(ctx.block);
+                return Ok((ctx.block, n + 1));
             }
             Insn::CallReg { reg } => {
                 let target = ctx.get_reg(reg);
                 ctx.push_ra(next);
                 ctx.block.exit = TbExit::JumpReg(target);
                 ctx.block.guest_len = (next - pc) as usize;
-                return Ok(ctx.block);
+                return Ok((ctx.block, n + 1));
             }
             Insn::Ret => {
                 let sp = ctx.get_reg(Gpr::RSP);
@@ -478,7 +498,7 @@ where
                 ctx.set_reg(Gpr::RSP, nsp);
                 ctx.block.exit = TbExit::JumpReg(ra);
                 ctx.block.guest_len = (next - pc) as usize;
-                return Ok(ctx.block);
+                return Ok((ctx.block, n + 1));
             }
             Insn::Push { src } => {
                 let v = ctx.get_reg(src);
@@ -552,12 +572,12 @@ where
             Insn::Hlt => {
                 ctx.block.exit = TbExit::Halt;
                 ctx.block.guest_len = (next - pc) as usize;
-                return Ok(ctx.block);
+                return Ok((ctx.block, n + 1));
             }
             Insn::Syscall => {
                 ctx.block.exit = TbExit::Syscall { next };
                 ctx.block.guest_len = (next - pc) as usize;
-                return Ok(ctx.block);
+                return Ok((ctx.block, n + 1));
             }
         }
         cur = next;
@@ -565,7 +585,7 @@ where
     // TB size limit reached: end with a fallthrough jump.
     ctx.block.exit = TbExit::Jump(cur);
     ctx.block.guest_len = (cur - pc) as usize;
-    Ok(ctx.block)
+    Ok((ctx.block, MAX_TB_INSNS))
 }
 
 #[cfg(test)]

@@ -304,20 +304,30 @@ impl TcgOp {
         }
     }
 
-    /// The temps this op reads.
-    pub fn uses(&self) -> Vec<Temp> {
-        match self {
-            TcgOp::MovI { .. } | TcgOp::GetReg { .. } | TcgOp::Fence(_) => vec![],
-            TcgOp::TbBoundary { .. } => vec![],
-            TcgOp::SideExit { flag, .. } => vec![*flag],
-            TcgOp::Mov { src, .. } | TcgOp::SetReg { src, .. } => vec![*src],
-            TcgOp::Ld { addr, .. } | TcgOp::Ld8 { addr, .. } => vec![*addr],
-            TcgOp::St { addr, src } | TcgOp::St8 { addr, src } => vec![*addr, *src],
-            TcgOp::Bin { a, b, .. } | TcgOp::Setcond { a, b, .. } => vec![*a, *b],
-            TcgOp::Cas { addr, expect, new, .. } => vec![*addr, *expect, *new],
-            TcgOp::AtomicAdd { addr, val, .. } => vec![*addr, *val],
-            TcgOp::CallHelper { args, .. } => args.clone(),
-        }
+    /// The temps this op reads, in operand order. Yields from the op
+    /// itself: every optimizer pass, the verifier and the register
+    /// allocator walk this per op, so it must not allocate.
+    pub fn uses(&self) -> impl Iterator<Item = Temp> + '_ {
+        let none = Temp(0);
+        let (fixed, n, rest): ([Temp; 3], usize, &[Temp]) = match self {
+            TcgOp::MovI { .. }
+            | TcgOp::GetReg { .. }
+            | TcgOp::Fence(_)
+            | TcgOp::TbBoundary { .. } => ([none; 3], 0, &[]),
+            TcgOp::SideExit { flag: t, .. }
+            | TcgOp::Mov { src: t, .. }
+            | TcgOp::SetReg { src: t, .. }
+            | TcgOp::Ld { addr: t, .. }
+            | TcgOp::Ld8 { addr: t, .. } => ([*t, none, none], 1, &[]),
+            TcgOp::St { addr: a, src: b }
+            | TcgOp::St8 { addr: a, src: b }
+            | TcgOp::Bin { a, b, .. }
+            | TcgOp::Setcond { a, b, .. }
+            | TcgOp::AtomicAdd { addr: a, val: b, .. } => ([*a, *b, none], 2, &[]),
+            TcgOp::Cas { addr, expect, new, .. } => ([*addr, *expect, *new], 3, &[]),
+            TcgOp::CallHelper { args, .. } => ([none; 3], 0, args),
+        };
+        fixed.into_iter().take(n).chain(rest.iter().copied())
     }
 
     /// `true` if the op touches shared memory or guest state, calls out,
@@ -404,6 +414,27 @@ impl TcgBlock {
         t
     }
 
+    /// One past the highest temp id the block mentions anywhere — ops'
+    /// defs and uses, the exit — and never less than `n_temps`. Every
+    /// temp-indexed table (optimizer, lint, register allocator) is sized
+    /// by this, not by `n_temps` alone: a block whose `n_temps`
+    /// under-reports must reach the lint's structured error, not an
+    /// out-of-bounds index on the way there.
+    pub fn temp_bound(&self) -> usize {
+        let mut bound = self.n_temps as usize;
+        let mut mention = |t: Temp| bound = bound.max(t.0 as usize + 1);
+        for op in &self.ops {
+            op.uses().for_each(&mut mention);
+            if let Some(d) = op.def() {
+                mention(d);
+            }
+        }
+        if let TbExit::JumpReg(t) | TbExit::CondJump { flag: t, .. } = &self.exit {
+            mention(*t);
+        }
+        bound
+    }
+
     /// Counts ops matching a predicate (handy in tests and stats).
     pub fn count_ops<F: Fn(&TcgOp) -> bool>(&self, pred: F) -> usize {
         self.ops.iter().filter(|o| pred(o)).count()
@@ -433,7 +464,7 @@ mod tests {
     fn def_use_classification() {
         let op = TcgOp::Bin { op: BinOp::Add, dst: Temp(2), a: Temp(0), b: Temp(1) };
         assert_eq!(op.def(), Some(Temp(2)));
-        assert_eq!(op.uses(), vec![Temp(0), Temp(1)]);
+        assert_eq!(op.uses().collect::<Vec<_>>(), vec![Temp(0), Temp(1)]);
         assert!(!op.has_side_effect());
         let st = TcgOp::St { addr: Temp(0), src: Temp(1) };
         assert!(st.has_side_effect());
@@ -448,12 +479,12 @@ mod tests {
     fn superblock_marker_classification() {
         let se = TcgOp::SideExit { flag: Temp(4), stay_if: true, target: 0x2000 };
         assert_eq!(se.def(), None);
-        assert_eq!(se.uses(), vec![Temp(4)], "guard flag must stay live");
+        assert_eq!(se.uses().collect::<Vec<_>>(), vec![Temp(4)], "guard flag must stay live");
         assert!(se.has_side_effect(), "side exits are never DCE'd");
         assert!(!se.is_memory_access(), "fences may merge across a side exit");
         let tb = TcgOp::TbBoundary { pc: 0x2000 };
         assert_eq!(tb.def(), None);
-        assert!(tb.uses().is_empty());
+        assert_eq!(tb.uses().count(), 0);
         assert!(tb.has_side_effect());
         assert!(!tb.is_memory_access(), "seams don't block fence merging");
     }
@@ -466,6 +497,22 @@ mod tests {
         assert_eq!(BinOp::Shl.apply(1, 64), 1, "masked count");
         assert_eq!(CondOp::LtS.apply(u64::MAX, 0), 1);
         assert_eq!(CondOp::LtU.apply(u64::MAX, 0), 0);
+    }
+
+    #[test]
+    fn temp_bound_covers_every_mentioned_temp() {
+        let mut b = TcgBlock {
+            guest_pc: 0,
+            guest_len: 0,
+            ops: vec![TcgOp::Mov { dst: Temp(3), src: Temp(9) }],
+            exit: TbExit::JumpReg(Temp(12)),
+            n_temps: 2,
+        };
+        assert_eq!(b.temp_bound(), 13, "the exit temp is the highest");
+        b.exit = TbExit::Halt;
+        assert_eq!(b.temp_bound(), 10);
+        b.n_temps = 64;
+        assert_eq!(b.temp_bound(), 64, "never below n_temps");
     }
 
     #[test]

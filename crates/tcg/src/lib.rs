@@ -49,12 +49,41 @@ pub mod verify;
 
 pub use eval::{eval_block, EvalExit};
 pub use frontend::{
-    translate_block, CasStrategy, FencePlacement, FrontendConfig, TranslateError, MAX_TB_INSNS,
+    translate_block, translate_block_counted, CasStrategy, FencePlacement, FrontendConfig,
+    TranslateError, MAX_TB_INSNS,
 };
 pub use ir::{env, BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, Temp};
 pub use opt::{
-    apply_hints, constant_fold, dce, elim_may_cross, merge_fences, merge_fences_counted,
-    merge_fences_region, optimize, optimize_with, ElimKind, HintStats, IrHints, OptPolicy,
-    OptStats, PassConfig,
+    apply_hints, elim_may_cross, merge_fences, merge_fences_counted, merge_fences_region, optimize,
+    optimize_in, optimize_with, ElimKind, HintStats, IrHints, OptPolicy, OptScratch, OptStats,
+    PassConfig,
 };
-pub use verify::{VerifyError, VerifyPass};
+pub use verify::{VerifyError, VerifyPass, VerifyScratch};
+
+use std::cell::RefCell;
+use std::thread::LocalKey;
+
+/// Re-initializes a scratch table to `n` copies of `fill`, keeping its
+/// allocation — how every stage clears what it is about to read.
+pub fn reset<T: Clone>(table: &mut Vec<T>, n: usize, fill: T) {
+    table.clear();
+    table.resize(n, fill);
+}
+
+/// Runs `f` over the calling thread's spare scratch `S` — how the
+/// one-shot entry points (`optimize_with`, `verify::lint`, the
+/// backends' `lower_block_with_stats`, …) get the same reusable working
+/// memory the engine threads through their `_in` forms explicitly. A
+/// scratch carries no information between calls (every user
+/// re-initializes what it reads), so which thread's spare a call lands
+/// on is unobservable; a re-entrant call, whose spare is taken, works
+/// over a fresh one.
+pub fn with_thread_scratch<S: Default + 'static, R>(
+    spare: &'static LocalKey<RefCell<S>>,
+    f: impl FnOnce(&mut S) -> R,
+) -> R {
+    spare.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut S::default()),
+    })
+}

@@ -19,8 +19,9 @@
 //! every pass preserves that invariant.
 
 use crate::ir::{TbExit, TcgBlock, TcgOp, Temp};
+use crate::{reset, with_thread_scratch};
 use risotto_memmodel::FenceKind;
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 /// Which elimination side conditions the memory-forwarding pass uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +178,26 @@ pub fn apply_hints(block: &mut TcgBlock, hints: &IrHints) -> HintStats {
     stats
 }
 
+/// The optimizer's reusable working memory: the temp-indexed tables and
+/// work lists every pass needs, kept between blocks so a steady-state
+/// [`optimize_in`] call allocates nothing. Each pass re-initializes the
+/// tables it reads before it reads them (`clear` + `resize`, never a
+/// fresh `Vec`), so nothing a previous block — or a previous pass, or a
+/// pass that stopped half-way — left behind can be observed.
+#[derive(Debug, Default)]
+pub struct OptScratch {
+    /// temp → its known constant value (`constant_fold`).
+    konst: Vec<Option<u64>>,
+    /// temp → the temp it is a copy of, fully resolved (`constant_fold`).
+    alias: Vec<Option<Temp>>,
+    /// The accesses `forward_memory` can still forward from or delete.
+    tracked: Vec<Tracked>,
+    /// temp → live at the current point of `dce`'s backward walk.
+    live: Vec<bool>,
+    /// op index → survives `dce`.
+    keep: Vec<bool>,
+}
+
 /// Runs the full pass pipeline in place.
 pub fn optimize(block: &mut TcgBlock, policy: OptPolicy) -> OptStats {
     optimize_with(block, policy, PassConfig::all())
@@ -184,12 +205,27 @@ pub fn optimize(block: &mut TcgBlock, policy: OptPolicy) -> OptStats {
 
 /// Runs a configurable pass pipeline in place.
 pub fn optimize_with(block: &mut TcgBlock, policy: OptPolicy, passes: PassConfig) -> OptStats {
+    thread_local!(static SPARE: RefCell<OptScratch> = RefCell::default());
+    with_thread_scratch(&SPARE, |scratch| optimize_in(block, policy, passes, scratch))
+}
+
+/// [`optimize_with`] over a caller-owned [`OptScratch`] — what the
+/// engine calls, with the scratch of its `Emulator`.
+pub fn optimize_in(
+    block: &mut TcgBlock,
+    policy: OptPolicy,
+    passes: PassConfig,
+    scratch: &mut OptScratch,
+) -> OptStats {
     let mut stats = OptStats::default();
+    // No pass introduces a temp, so one bound sizes every table of
+    // every pass.
+    let bound = block.temp_bound();
     if passes.constant_fold {
-        stats.folded += constant_fold(block);
+        stats.folded += constant_fold(block, bound, scratch);
     }
     if passes.forward_memory {
-        forward_memory(block, policy, &mut stats);
+        forward_memory(block, policy, &mut stats, scratch);
     }
     if passes.merge_fences {
         let mut cross = 0usize;
@@ -198,14 +234,14 @@ pub fn optimize_with(block: &mut TcgBlock, policy: OptPolicy, passes: PassConfig
         stats.fences_merged_cross += cross;
     }
     if passes.dce {
-        stats.dce_removed += dce(block);
+        stats.dce_removed += dce(block, bound, scratch);
     }
     // A second fold round cleans up values exposed by forwarding.
     if passes.constant_fold {
-        stats.folded += constant_fold(block);
+        stats.folded += constant_fold(block, bound, scratch);
     }
     if passes.dce {
-        stats.dce_removed += dce(block);
+        stats.dce_removed += dce(block, bound, scratch);
     }
     stats
 }
@@ -214,124 +250,107 @@ pub fn optimize_with(block: &mut TcgBlock, policy: OptPolicy, passes: PassConfig
 // Constant folding + copy propagation.
 // ---------------------------------------------------------------------
 
-/// Folds constants and propagates copies; returns the number of ops
-/// rewritten.
-pub fn constant_fold(block: &mut TcgBlock) -> usize {
+/// Folds constants and propagates copies, each op rewritten where it
+/// stands; returns the number of ops rewritten. `bound` is the block's
+/// [`TcgBlock::temp_bound`].
+fn constant_fold(block: &mut TcgBlock, bound: usize, scratch: &mut OptScratch) -> usize {
     use crate::ir::BinOp;
-    let mut konst: HashMap<Temp, u64> = HashMap::new();
-    let mut alias: HashMap<Temp, Temp> = HashMap::new();
+    reset(&mut scratch.konst, bound, None);
+    reset(&mut scratch.alias, bound, None);
+    let (konst, alias) = (&mut scratch.konst, &mut scratch.alias);
     // Track which temp (if any) currently holds each env register's value,
     // so constants and copies propagate through SetReg/GetReg round-trips.
     let mut env_alias: [Option<Temp>; crate::ir::env::COUNT] = [None; crate::ir::env::COUNT];
     let mut changed = 0usize;
+    let ix = |t: Temp| t.0 as usize;
 
-    let ops = std::mem::take(&mut block.ops);
-    let mut out = Vec::with_capacity(ops.len());
-    for mut op in ops {
+    for op in &mut block.ops {
         // Canonicalize uses through the alias map.
-        rewrite_uses(&mut op, &alias);
+        rewrite_uses(op, alias);
         // Env-register forwarding: rewrite GetReg into a copy of the temp
         // last stored to that register.
-        if let TcgOp::GetReg { dst, reg } = op {
+        if let TcgOp::GetReg { dst, reg } = *op {
             if let Some(src) = env_alias[reg as usize] {
                 changed += 1;
-                op = TcgOp::Mov { dst, src };
+                *op = TcgOp::Mov { dst, src };
             }
         }
-        if let TcgOp::SetReg { reg, src } = &op {
-            env_alias[*reg as usize] = Some(resolve(&alias, *src));
+        if let TcgOp::SetReg { reg, src } = *op {
+            env_alias[reg as usize] = Some(resolve(alias, src));
         }
-        match &op {
+        let folded = match *op {
             TcgOp::MovI { dst, val } => {
-                konst.insert(*dst, *val);
+                konst[ix(dst)] = Some(val);
+                None
             }
-            TcgOp::Mov { dst, src } => {
-                if let Some(v) = konst.get(src).copied() {
-                    konst.insert(*dst, v);
-                    out.push(TcgOp::MovI { dst: *dst, val: v });
-                    changed += 1;
-                    continue;
-                }
-                alias.insert(*dst, resolve(&alias, *src));
-                out.push(op);
-                continue;
-            }
+            TcgOp::Mov { dst, src } => fold_copy(konst, alias, dst, src, &mut changed),
             TcgOp::Bin { op: bop, dst, a, b } => {
-                let ka = konst.get(a).copied();
-                let kb = konst.get(b).copied();
+                let (ka, kb) = (konst[ix(a)], konst[ix(b)]);
                 if let (Some(x), Some(y)) = (ka, kb) {
-                    let v = bop.apply(x, y);
-                    konst.insert(*dst, v);
-                    out.push(TcgOp::MovI { dst: *dst, val: v });
                     changed += 1;
-                    continue;
-                }
-                // Algebraic simplifications (false-dependency elimination,
-                // §6.1): results that no longer depend on the variable
-                // operand.
-                let simplified: Option<TcgOp> = match bop {
-                    BinOp::Mul if ka == Some(0) || kb == Some(0) => {
-                        Some(TcgOp::MovI { dst: *dst, val: 0 })
-                    }
-                    BinOp::And if ka == Some(0) || kb == Some(0) => {
-                        Some(TcgOp::MovI { dst: *dst, val: 0 })
-                    }
-                    BinOp::Xor | BinOp::Sub if a == b => Some(TcgOp::MovI { dst: *dst, val: 0 }),
-                    BinOp::Add | BinOp::Or | BinOp::Xor if ka == Some(0) => {
-                        Some(TcgOp::Mov { dst: *dst, src: *b })
-                    }
-                    BinOp::Add | BinOp::Sub | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
-                        if kb == Some(0) =>
-                    {
-                        Some(TcgOp::Mov { dst: *dst, src: *a })
-                    }
-                    BinOp::Mul if kb == Some(1) => Some(TcgOp::Mov { dst: *dst, src: *a }),
-                    BinOp::Mul if ka == Some(1) => Some(TcgOp::Mov { dst: *dst, src: *b }),
-                    _ => None,
-                };
-                if let Some(s) = simplified {
-                    changed += 1;
-                    match &s {
-                        TcgOp::MovI { dst, val } => {
-                            konst.insert(*dst, *val);
+                    Some(TcgOp::MovI { dst, val: bop.apply(x, y) })
+                } else {
+                    // Algebraic simplifications (false-dependency
+                    // elimination, §6.1): results that no longer depend
+                    // on the variable operand.
+                    let simplified = match bop {
+                        BinOp::Mul | BinOp::And if ka == Some(0) || kb == Some(0) => {
+                            Some(TcgOp::MovI { dst, val: 0 })
                         }
-                        TcgOp::Mov { dst, src } => {
-                            if let Some(v) = konst.get(src).copied() {
-                                konst.insert(*dst, v);
-                                out.push(TcgOp::MovI { dst: *dst, val: v });
-                                continue;
-                            }
-                            alias.insert(*dst, resolve(&alias, *src));
+                        BinOp::Xor | BinOp::Sub if a == b => Some(TcgOp::MovI { dst, val: 0 }),
+                        BinOp::Add | BinOp::Or | BinOp::Xor if ka == Some(0) => {
+                            Some(TcgOp::Mov { dst, src: b })
                         }
-                        _ => unreachable!(),
+                        BinOp::Add
+                        | BinOp::Sub
+                        | BinOp::Or
+                        | BinOp::Xor
+                        | BinOp::Shl
+                        | BinOp::Shr
+                            if kb == Some(0) =>
+                        {
+                            Some(TcgOp::Mov { dst, src: a })
+                        }
+                        BinOp::Mul if kb == Some(1) => Some(TcgOp::Mov { dst, src: a }),
+                        BinOp::Mul if ka == Some(1) => Some(TcgOp::Mov { dst, src: b }),
+                        _ => None,
+                    };
+                    changed += usize::from(simplified.is_some());
+                    match simplified {
+                        // The copy may itself fold (its rewrite is
+                        // already counted).
+                        Some(TcgOp::Mov { dst, src }) => {
+                            fold_copy(konst, alias, dst, src, &mut 0).or(simplified)
+                        }
+                        other => other,
                     }
-                    out.push(s);
-                    continue;
                 }
             }
-            TcgOp::Setcond { cond, dst, a, b } => {
-                if let (Some(x), Some(y)) = (konst.get(a).copied(), konst.get(b).copied()) {
-                    let v = cond.apply(x, y);
-                    konst.insert(*dst, v);
-                    out.push(TcgOp::MovI { dst: *dst, val: v });
+            TcgOp::Setcond { cond, dst, a, b } => match (konst[ix(a)], konst[ix(b)]) {
+                (Some(x), Some(y)) => {
                     changed += 1;
-                    continue;
+                    Some(TcgOp::MovI { dst, val: cond.apply(x, y) })
                 }
+                _ => None,
+            },
+            _ => None,
+        };
+        if let Some(new) = folded {
+            if let TcgOp::MovI { dst, val } = new {
+                konst[ix(dst)] = Some(val);
             }
-            _ => {}
+            *op = new;
         }
-        out.push(op);
     }
-    block.ops = out;
     // Exit operands also go through the alias map.
     match &mut block.exit {
-        TbExit::JumpReg(t) => *t = resolve(&alias, *t),
+        TbExit::JumpReg(t) => *t = resolve(alias, *t),
         TbExit::CondJump { flag, taken, fallthrough } => {
-            let f = resolve(&alias, *flag);
+            let f = resolve(alias, *flag);
             *flag = f;
             // A constant flag turns the conditional exit into a jump.
-            if let Some(v) = konst.get(&f) {
-                let target = if *v != 0 { *taken } else { *fallthrough };
+            if let Some(v) = konst[ix(f)] {
+                let target = if v != 0 { *taken } else { *fallthrough };
                 block.exit = TbExit::Jump(target);
                 changed += 1;
             }
@@ -341,15 +360,37 @@ pub fn constant_fold(block: &mut TcgBlock) -> usize {
     changed
 }
 
-fn resolve(alias: &HashMap<Temp, Temp>, t: Temp) -> Temp {
+/// `dst = src`: a copy of a constant becomes that constant (returned as
+/// the replacement `MovI`, counted into `changed`); any other copy is
+/// recorded in the alias table and stays.
+fn fold_copy(
+    konst: &[Option<u64>],
+    alias: &mut [Option<Temp>],
+    dst: Temp,
+    src: Temp,
+    changed: &mut usize,
+) -> Option<TcgOp> {
+    match konst[src.0 as usize] {
+        Some(val) => {
+            *changed += 1;
+            Some(TcgOp::MovI { dst, val })
+        }
+        None => {
+            alias[dst.0 as usize] = Some(resolve(alias, src));
+            None
+        }
+    }
+}
+
+fn resolve(alias: &[Option<Temp>], t: Temp) -> Temp {
     let mut cur = t;
-    while let Some(&next) = alias.get(&cur) {
+    while let Some(next) = alias[cur.0 as usize] {
         cur = next;
     }
     cur
 }
 
-fn rewrite_uses(op: &mut TcgOp, alias: &HashMap<Temp, Temp>) {
+fn rewrite_uses(op: &mut TcgOp, alias: &[Option<Temp>]) {
     let fix = |t: &mut Temp| *t = resolve(alias, *t);
     match op {
         TcgOp::Mov { src, .. } | TcgOp::SetReg { src, .. } => fix(src),
@@ -387,18 +428,29 @@ enum TrackedKind {
     Load { value: Temp },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Tracked {
     addr: Temp,
     kind: TrackedKind,
-    /// Fences encountered since this access.
-    fences_since: Vec<FenceKind>,
+    /// The kinds of fence encountered since this access, one bit per
+    /// [`FenceKind::tcg_index`] (see [`fence_bit`]). The side conditions
+    /// quantify over the *set* of crossed fences, so a bitset loses
+    /// nothing.
+    fences_since: u16,
     /// A superblock side exit was crossed since this access. Forwarding
     /// a *read* past a side exit stays sound (the value was already
     /// architecturally committed when the exit is taken), but deleting a
     /// store that the off-trace continuation would observe is not, so
     /// WAW elimination refuses when this is set.
     escaped: bool,
+}
+
+/// Bit 12 of a crossed-fence set: some fence that is not a TCG fence.
+const NON_TCG_FENCE: u16 = 1 << 12;
+
+/// The bit a fence contributes to [`Tracked::fences_since`].
+fn fence_bit(k: FenceKind) -> u16 {
+    k.tcg_index().map_or(NON_TCG_FENCE, |i| 1 << i)
 }
 
 /// Which Fig. 10 memory-access elimination is being attempted.
@@ -435,88 +487,99 @@ pub fn elim_may_cross(kind: ElimKind, f: FenceKind) -> bool {
     }
 }
 
-fn elim_allowed(kind: ElimKind, fences: &[FenceKind], policy: OptPolicy) -> bool {
-    fences.iter().all(|f| match policy {
-        OptPolicy::QemuUnsound => f.is_tcg(),
-        OptPolicy::Verified => elim_may_cross(kind, *f),
-    })
+/// Whether an elimination of `kind` may cross every fence of the set
+/// `crossed` (see [`fence_bit`]). A non-TCG fence admits nothing under
+/// either policy.
+fn elim_allowed(kind: ElimKind, crossed: u16, policy: OptPolicy) -> bool {
+    crossed & NON_TCG_FENCE == 0
+        && match policy {
+            OptPolicy::QemuUnsound => true,
+            OptPolicy::Verified => FenceKind::TCG_ALL
+                .iter()
+                .enumerate()
+                .all(|(i, f)| crossed & (1 << i) == 0 || elim_may_cross(kind, *f)),
+        }
 }
 
 /// Forwards loads and removes dead stores. Two addresses are considered
 /// the same only when they are the *same temp* (SSA makes this sound);
 /// distinct temps conservatively alias, flushing the tracking state.
-fn forward_memory(block: &mut TcgBlock, policy: OptPolicy, stats: &mut OptStats) {
-    let mut tracked: Vec<Tracked> = Vec::new();
-    let ops = std::mem::take(&mut block.ops);
-    let mut out: Vec<TcgOp> = Vec::with_capacity(ops.len());
-
-    for op in ops {
-        match &op {
+fn forward_memory(
+    block: &mut TcgBlock,
+    policy: OptPolicy,
+    stats: &mut OptStats,
+    scratch: &mut OptScratch,
+) {
+    let tracked = &mut scratch.tracked;
+    tracked.clear();
+    let ops = &mut block.ops;
+    let mut i = 0;
+    while i < ops.len() {
+        match ops[i] {
             TcgOp::Fence(k) => {
-                for t in &mut tracked {
-                    t.fences_since.push(*k);
+                for t in tracked.iter_mut() {
+                    t.fences_since |= fence_bit(k);
                 }
-                out.push(op);
             }
             TcgOp::SideExit { .. } => {
-                for t in &mut tracked {
+                for t in tracked.iter_mut() {
                     t.escaped = true;
                 }
-                out.push(op);
             }
             TcgOp::Ld { dst, addr } => {
-                if let Some(t) = tracked.iter().find(|t| t.addr == *addr) {
+                let forwarded = tracked.iter().find(|t| t.addr == addr).and_then(|t| {
                     let (value, kind) = match t.kind {
                         TrackedKind::Store { value } => (value, ElimKind::Raw),
                         TrackedKind::Load { value } => (value, ElimKind::Rar),
                     };
-                    if elim_allowed(kind, &t.fences_since, policy) {
-                        stats.loads_forwarded += 1;
-                        out.push(TcgOp::Mov { dst: *dst, src: value });
-                        continue;
-                    }
-                }
-                // A load from a different temp-address may alias a tracked
-                // store… loads don't invalidate stores; track this load.
-                tracked.retain(|t| t.addr != *addr);
-                tracked.push(Tracked {
-                    addr: *addr,
-                    kind: TrackedKind::Load { value: *dst },
-                    fences_since: Vec::new(),
-                    escaped: false,
+                    elim_allowed(kind, t.fences_since, policy).then_some(value)
                 });
-                out.push(op);
+                if let Some(src) = forwarded {
+                    stats.loads_forwarded += 1;
+                    ops[i] = TcgOp::Mov { dst, src };
+                } else {
+                    // A load from a different temp-address may alias a
+                    // tracked store… loads don't invalidate stores;
+                    // track this load.
+                    tracked.retain(|t| t.addr != addr);
+                    tracked.push(Tracked {
+                        addr,
+                        kind: TrackedKind::Load { value: dst },
+                        fences_since: 0,
+                        escaped: false,
+                    });
+                }
             }
             TcgOp::St { addr, src } => {
                 // WAW: a previous store to the same temp-address with no
                 // blocking fence and no intervening load of that address.
-                if let Some(pos) = tracked.iter().position(|t| t.addr == *addr) {
-                    let t = &tracked[pos];
-                    if let TrackedKind::Store { .. } = t.kind {
-                        if !t.escaped && elim_allowed(ElimKind::Waw, &t.fences_since, policy) {
-                            // Find the previous store in `out` and drop it.
-                            if let Some(idx) = out
-                                .iter()
-                                .rposition(|o| matches!(o, TcgOp::St { addr: a, .. } if a == addr))
-                            {
-                                out.remove(idx);
-                                stats.stores_eliminated += 1;
-                            }
+                if let Some(pos) = tracked.iter().position(|t| t.addr == addr) {
+                    let t = tracked.remove(pos);
+                    if matches!(t.kind, TrackedKind::Store { .. })
+                        && !t.escaped
+                        && elim_allowed(ElimKind::Waw, t.fences_since, policy)
+                    {
+                        // Find the previous store and drop it.
+                        if let Some(idx) = ops[..i]
+                            .iter()
+                            .rposition(|o| matches!(o, TcgOp::St { addr: a, .. } if *a == addr))
+                        {
+                            ops.remove(idx);
+                            i -= 1;
+                            stats.stores_eliminated += 1;
                         }
                     }
-                    tracked.remove(pos);
                 }
                 // Stores to *other* addresses may alias (different temps
                 // can hold the same address): invalidate everything except
                 // same-temp entries we just handled.
-                tracked.retain(|t| t.addr == *addr);
+                tracked.retain(|t| t.addr == addr);
                 tracked.push(Tracked {
-                    addr: *addr,
-                    kind: TrackedKind::Store { value: *src },
-                    fences_since: Vec::new(),
+                    addr,
+                    kind: TrackedKind::Store { value: src },
+                    fences_since: 0,
                     escaped: false,
                 });
-                out.push(op);
             }
             TcgOp::Ld8 { .. }
             | TcgOp::St8 { .. }
@@ -526,12 +589,11 @@ fn forward_memory(block: &mut TcgBlock, policy: OptPolicy, stats: &mut OptStats)
                 // Byte accesses may partially overlap tracked 64-bit
                 // locations; RMWs and helpers clobber arbitrarily.
                 tracked.clear();
-                out.push(op);
             }
-            _ => out.push(op),
+            _ => {}
         }
+        i += 1;
     }
-    block.ops = out;
 }
 
 // ---------------------------------------------------------------------
@@ -562,39 +624,43 @@ pub fn merge_fences_region(
     by_kind: &mut [usize; 12],
     cross: &mut usize,
 ) -> usize {
-    let ops = std::mem::take(&mut block.ops);
-    let mut out: Vec<TcgOp> = Vec::with_capacity(ops.len());
+    let ops = &mut block.ops;
+    // `ops[..kept]` is the output so far; the walk compacts in place.
+    let mut kept = 0usize;
+    // The fence a later one merges into — the last fence kept, while no
+    // memory access has been kept after it — with its current kind.
+    let mut open: Option<(usize, FenceKind)> = None;
+    // A seam or side exit was kept after the open fence.
+    let mut marker_since = false;
     let mut removed = 0usize;
-    for op in ops {
-        match op {
+    for i in 0..ops.len() {
+        match ops[i] {
             TcgOp::Fence(k) => {
                 debug_assert!(k.is_tcg(), "non-TCG fence in IR");
-                // Find a previous fence with no memory access in between.
-                let prev_fence = out.iter().rposition(|o| matches!(o, TcgOp::Fence(_)));
-                let mergeable = prev_fence
-                    .is_some_and(|idx| out[idx + 1..].iter().all(|o| !o.is_memory_access()));
-                if let (Some(idx), true) = (prev_fence, mergeable) {
-                    if let TcgOp::Fence(prev) = out[idx] {
-                        out[idx] = TcgOp::Fence(prev.tcg_join(k));
-                        removed += 1;
-                        if let Some(i) = k.tcg_index() {
-                            by_kind[i] += 1;
-                        }
-                        if out[idx + 1..]
-                            .iter()
-                            .any(|o| matches!(o, TcgOp::TbBoundary { .. } | TcgOp::SideExit { .. }))
-                        {
-                            *cross += 1;
-                        }
-                        continue;
+                if let Some((at, prev)) = open {
+                    let joined = prev.tcg_join(k);
+                    ops[at] = TcgOp::Fence(joined);
+                    open = Some((at, joined));
+                    removed += 1;
+                    if let Some(kind) = k.tcg_index() {
+                        by_kind[kind] += 1;
                     }
+                    *cross += usize::from(marker_since);
+                    continue;
                 }
-                out.push(TcgOp::Fence(k));
+                open = Some((kept, k));
+                marker_since = false;
             }
-            other => out.push(other),
+            TcgOp::TbBoundary { .. } | TcgOp::SideExit { .. } => marker_since = true,
+            ref op if op.is_memory_access() => open = None,
+            _ => {}
         }
+        if kept != i {
+            ops.swap(kept, i);
+        }
+        kept += 1;
     }
-    block.ops = out;
+    ops.truncate(kept);
     removed
 }
 
@@ -604,14 +670,16 @@ pub fn merge_fences_region(
 
 /// Removes ops whose results are unused (including irrelevant loads) and
 /// `SetReg`s overwritten before any read. Returns the number removed.
-pub fn dce(block: &mut TcgBlock) -> usize {
-    let mut live = vec![false; block.n_temps as usize];
+/// `bound` is the block's [`TcgBlock::temp_bound`].
+fn dce(block: &mut TcgBlock, bound: usize, scratch: &mut OptScratch) -> usize {
+    reset(&mut scratch.live, bound, false);
+    reset(&mut scratch.keep, block.ops.len(), true);
+    let (live, keep) = (&mut scratch.live, &mut scratch.keep);
     match &block.exit {
         TbExit::JumpReg(t) => live[t.0 as usize] = true,
         TbExit::CondJump { flag, .. } => live[flag.0 as usize] = true,
         _ => {}
     }
-    let mut keep = vec![true; block.ops.len()];
     let mut env_overwritten = [false; crate::ir::env::COUNT];
     for (i, op) in block.ops.iter().enumerate().rev() {
         let needed = match op {
@@ -642,9 +710,7 @@ pub fn dce(block: &mut TcgBlock) -> usize {
             other => other.def().map(|d| live[d.0 as usize]).unwrap_or(true),
         };
         if needed {
-            for u in op.uses() {
-                live[u.0 as usize] = true;
-            }
+            op.uses().for_each(|u| live[u.0 as usize] = true);
         } else {
             keep[i] = false;
         }
@@ -764,7 +830,7 @@ mod tests {
         ];
         let orig = b.clone();
         let mut stats = OptStats::default();
-        forward_memory(&mut b, OptPolicy::Verified, &mut stats);
+        forward_memory(&mut b, OptPolicy::Verified, &mut stats, &mut OptScratch::default());
         assert_eq!(stats.loads_forwarded, 1, "RAW across Fww is allowed");
         assert_eq!(b.count_ops(|o| matches!(o, TcgOp::Ld { .. })), 0);
         check_equivalent(&orig, &b);
@@ -773,14 +839,14 @@ mod tests {
         let mut c = orig.clone();
         c.ops[3] = TcgOp::Fence(FenceKind::Fmr);
         let mut stats = OptStats::default();
-        forward_memory(&mut c, OptPolicy::Verified, &mut stats);
+        forward_memory(&mut c, OptPolicy::Verified, &mut stats, &mut OptScratch::default());
         assert_eq!(stats.loads_forwarded, 0, "RAW across Fmr is unsound (FMR)");
 
         // …while QEMU's policy (unsoundly) forwards.
         let mut d = orig.clone();
         d.ops[3] = TcgOp::Fence(FenceKind::Fmr);
         let mut stats = OptStats::default();
-        forward_memory(&mut d, OptPolicy::QemuUnsound, &mut stats);
+        forward_memory(&mut d, OptPolicy::QemuUnsound, &mut stats, &mut OptScratch::default());
         assert_eq!(stats.loads_forwarded, 1);
     }
 
@@ -800,7 +866,7 @@ mod tests {
         ];
         let orig = b.clone();
         let mut stats = OptStats::default();
-        forward_memory(&mut b, OptPolicy::Verified, &mut stats);
+        forward_memory(&mut b, OptPolicy::Verified, &mut stats, &mut OptScratch::default());
         assert_eq!(stats.stores_eliminated, 1);
         assert_eq!(b.count_ops(|o| matches!(o, TcgOp::St { .. })), 1);
         check_equivalent(&orig, &b);
@@ -822,7 +888,7 @@ mod tests {
             TcgOp::St { addr, src: v2 },
         ];
         let mut stats = OptStats::default();
-        forward_memory(&mut b, policy, &mut stats);
+        forward_memory(&mut b, policy, &mut stats, &mut OptScratch::default());
         stats.stores_eliminated
     }
 
@@ -862,7 +928,7 @@ mod tests {
         ];
         let orig = b.clone();
         let mut stats = OptStats::default();
-        forward_memory(&mut b, OptPolicy::Verified, &mut stats);
+        forward_memory(&mut b, OptPolicy::Verified, &mut stats, &mut OptScratch::default());
         assert_eq!(stats.loads_forwarded, 1);
         check_equivalent(&orig, &b);
     }
@@ -973,6 +1039,25 @@ mod tests {
             0,
             "Cas is a memory access for fence merging"
         );
+    }
+
+    #[test]
+    fn underreported_n_temps_reaches_the_lint_instead_of_panicking() {
+        // Temp 7 in a block that claims one temp: the optimizer runs
+        // before the lint, so it must get through for the lint to say so.
+        let mut b = TcgBlock {
+            guest_pc: 0,
+            guest_len: 0,
+            ops: vec![TcgOp::MovI { dst: Temp(7), val: 3 }],
+            exit: TbExit::JumpReg(Temp(7)),
+            n_temps: 1,
+        };
+        let orig = b.clone();
+        let stats = optimize_with(&mut b, OptPolicy::Verified, PassConfig::all());
+        assert_eq!(b, orig, "nothing to fold, forward, merge or eliminate");
+        assert_eq!(stats, OptStats::default());
+        let e = crate::verify::lint(&b, false).unwrap_err();
+        assert!(e.obligation.contains("out-of-range temp t7"), "{e}");
     }
 
     #[test]

@@ -43,8 +43,11 @@
 use crate::frontend::FencePlacement;
 use crate::ir::{env, TbExit, TcgBlock, TcgOp, Temp};
 use crate::opt::{elim_may_cross, ElimKind, OptPolicy};
+use crate::{reset, with_thread_scratch};
 use risotto_memmodel::FenceKind;
-use std::collections::HashMap;
+use std::cell::RefCell;
+
+thread_local!(static SPARE: RefCell<VerifyScratch> = RefCell::default());
 
 /// Which verifier pass rejected the block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,9 +106,65 @@ impl std::error::Error for VerifyError {}
 // Pass 1: IR lint.
 // ---------------------------------------------------------------------
 
+/// Passes 1 and 2's reusable working memory (event lists, fence gaps,
+/// the event matching) — kept between blocks so a steady-state check
+/// allocates nothing. Every check re-initializes what it reads before
+/// reading it, so a previous block, or a check that returned early with
+/// an error, leaves nothing behind that a later check can observe.
+#[derive(Debug, Default)]
+pub struct VerifyScratch {
+    /// temp → defined so far ([`lint`]).
+    defined: Vec<bool>,
+    /// op index → scheme fence removed by the relaxation
+    /// ([`relax_block`], and Pass 2's relaxed view of its reference).
+    dropped: Vec<bool>,
+    /// The reference block's memory events and fence gaps.
+    reference: EventMap,
+    /// The optimized block's.
+    optimized: EventMap,
+    /// temp → index of the reference event defining it.
+    def_event: Vec<u32>,
+    /// optimized event → the reference event it was matched to.
+    partner: Vec<usize>,
+    /// Reference events no optimized event was matched to.
+    unmatched: Vec<usize>,
+    /// optimized event → its reference partner's obligation is relaxed.
+    relaxed: Vec<bool>,
+    /// Guest pc of the block `reference` was captured from, until a
+    /// check consumes the capture.
+    captured_pc: Option<u64>,
+}
+
+impl VerifyScratch {
+    /// Pass 2, first half: records what the proof needs of `reference`
+    /// — its memory events and the fence gaps around them, with the
+    /// scheme fences of the events set in `mask` relaxed away — so the
+    /// caller can go on to optimize the block in place instead of
+    /// keeping a copy of it. [`check_captured`] is the second half.
+    pub fn capture_reference(
+        &mut self,
+        reference: &TcgBlock,
+        placement: FencePlacement,
+        mask: &[bool],
+    ) {
+        mark_relaxed(reference, placement, mask, &mut self.dropped);
+        self.reference.extract(reference, &self.dropped);
+        self.captured_pc = Some(reference.guest_pc);
+    }
+}
+
 /// Pass 1: checks IR well-formedness. `in_superblock` admits the
 /// stitcher's marker ops; tier-1 blocks must not contain them.
 pub fn lint(block: &TcgBlock, in_superblock: bool) -> Result<(), VerifyError> {
+    with_thread_scratch(&SPARE, |scratch| lint_in(block, in_superblock, scratch))
+}
+
+/// [`lint`] over a caller-owned [`VerifyScratch`].
+pub fn lint_in(
+    block: &TcgBlock,
+    in_superblock: bool,
+    scratch: &mut VerifyScratch,
+) -> Result<(), VerifyError> {
     let err = |op_index: Option<usize>, obligation: String| VerifyError {
         pass: VerifyPass::IrLint,
         guest_pc: block.guest_pc,
@@ -113,7 +172,9 @@ pub fn lint(block: &TcgBlock, in_superblock: bool) -> Result<(), VerifyError> {
         obligation,
     };
     let n = block.n_temps;
-    let mut defined = vec![false; n as usize];
+    // Every index below is range-checked against `n` first.
+    reset(&mut scratch.defined, n as usize, false);
+    let defined = &mut scratch.defined;
     for (i, op) in block.ops.iter().enumerate() {
         for Temp(u) in op.uses() {
             if u >= n {
@@ -202,54 +263,74 @@ struct Ev {
     def: Option<Temp>,
 }
 
-/// The fence-relevant contents of the gap *before* event `i` (or after
-/// the last event, for the final gap).
-#[derive(Debug, Clone, Default)]
+/// The gap *before* event `i` (or after the last event, for the final
+/// gap): its fences, as a range of [`EventMap::fences`], and whether a
+/// side exit sits in it.
+#[derive(Debug, Clone, Copy, Default)]
 struct Gap {
-    fences: Vec<FenceKind>,
+    start: usize,
+    end: usize,
     side_exit: bool,
 }
 
-impl Gap {
-    fn join(&self) -> Option<FenceKind> {
-        self.fences.iter().copied().reduce(FenceKind::tcg_join)
-    }
+/// A block split into its memory-event sequence and the `events + 1`
+/// fence gaps around them. The gaps' fences lie back to back in one
+/// flat list, in block order.
+#[derive(Debug, Default)]
+struct EventMap {
+    events: Vec<Ev>,
+    gaps: Vec<Gap>,
+    fences: Vec<FenceKind>,
 }
 
-/// Splits a block into its memory-event sequence and the `events + 1`
-/// fence gaps around them.
-fn extract(block: &TcgBlock) -> (Vec<Ev>, Vec<Gap>) {
-    let mut events = Vec::new();
-    let mut gaps = vec![Gap::default()];
-    for (i, op) in block.ops.iter().enumerate() {
-        let shape = match op {
-            TcgOp::Ld { .. } => Some(Shape::Ld),
-            TcgOp::Ld8 { .. } => Some(Shape::Ld8),
-            TcgOp::St { .. } => Some(Shape::St),
-            TcgOp::St8 { .. } => Some(Shape::St8),
-            TcgOp::Cas { .. } => Some(Shape::Cas),
-            TcgOp::AtomicAdd { .. } => Some(Shape::AtomicAdd),
-            TcgOp::CallHelper { helper, .. } => Some(Shape::Helper(*helper)),
-            _ => None,
-        };
-        if let Some(shape) = shape {
-            events.push(Ev { shape, op_index: i, def: op.def() });
-            gaps.push(Gap::default());
-            continue;
+impl EventMap {
+    /// Maps `block` as it reads with the ops marked in `dropped`
+    /// removed (an empty slice removes none): event op indices count
+    /// the surviving ops only.
+    fn extract(&mut self, block: &TcgBlock, dropped: &[bool]) {
+        self.events.clear();
+        self.gaps.clear();
+        self.fences.clear();
+        let mut gap = Gap::default();
+        let survivors =
+            block.ops.iter().enumerate().filter(|(i, _)| !dropped.get(*i).is_some_and(|&d| d));
+        for (op_index, (_, op)) in survivors.enumerate() {
+            let shape = match op {
+                TcgOp::Ld { .. } => Some(Shape::Ld),
+                TcgOp::Ld8 { .. } => Some(Shape::Ld8),
+                TcgOp::St { .. } => Some(Shape::St),
+                TcgOp::St8 { .. } => Some(Shape::St8),
+                TcgOp::Cas { .. } => Some(Shape::Cas),
+                TcgOp::AtomicAdd { .. } => Some(Shape::AtomicAdd),
+                TcgOp::CallHelper { helper, .. } => Some(Shape::Helper(*helper)),
+                _ => None,
+            };
+            if let Some(shape) = shape {
+                self.events.push(Ev { shape, op_index, def: op.def() });
+                gap.end = self.fences.len();
+                self.gaps.push(gap);
+                gap = Gap { start: gap.end, end: gap.end, side_exit: false };
+                continue;
+            }
+            match op {
+                TcgOp::Fence(k) => self.fences.push(*k),
+                TcgOp::SideExit { .. } => gap.side_exit = true,
+                _ => {}
+            }
         }
-        let gap = gaps.last_mut().expect("at least one gap");
-        match op {
-            TcgOp::Fence(k) => gap.fences.push(*k),
-            TcgOp::SideExit { .. } => gap.side_exit = true,
-            _ => {}
-        }
+        gap.end = self.fences.len();
+        self.gaps.push(gap);
     }
-    (events, gaps)
-}
 
-/// Joins every fence in the gap range `lo..=hi`.
-fn join_gaps(gaps: &[Gap], lo: usize, hi: usize) -> Option<FenceKind> {
-    gaps[lo..=hi].iter().flat_map(|g| g.fences.iter().copied()).reduce(FenceKind::tcg_join)
+    /// The fences of the gap range `lo..=hi`, in block order.
+    fn fences_in(&self, lo: usize, hi: usize) -> &[FenceKind] {
+        &self.fences[self.gaps[lo].start..self.gaps[hi].end]
+    }
+
+    /// Joins every fence in the gap range `lo..=hi`.
+    fn join(&self, lo: usize, hi: usize) -> Option<FenceKind> {
+        self.fences_in(lo, hi).iter().copied().reduce(FenceKind::tcg_join)
+    }
 }
 
 /// `true` when the ordering provided by `have` covers the requirement
@@ -286,48 +367,38 @@ fn scheme_obligation(
     }
 }
 
-/// Checks that every event of `block` discharges its scheme obligation
-/// from the fences in its adjacent gaps. Events whose index is set in
-/// `relaxed` carry an analysis-relaxed obligation and are exempt (the
-/// relaxation itself was already recomputed from the analysis facts by
-/// [`check_obligations_masked`]).
+/// Checks that every event of `map` (a block at `guest_pc`) discharges
+/// its scheme obligation from the fences in its adjacent gaps. Events
+/// whose index is set in `relaxed` carry an analysis-relaxed obligation
+/// and are exempt (the relaxation itself was already recomputed from the
+/// analysis facts by [`check_obligations_masked`]).
 fn check_scheme(
-    block: &TcgBlock,
-    events: &[Ev],
-    gaps: &[Gap],
+    guest_pc: u64,
+    map: &EventMap,
     placement: FencePlacement,
     relaxed: &[bool],
 ) -> Result<(), VerifyError> {
-    for (i, ev) in events.iter().enumerate() {
+    for (i, ev) in map.events.iter().enumerate() {
         if relaxed.get(i).copied().unwrap_or(false) {
             continue;
         }
         let (before, after) = scheme_obligation(placement, ev.shape);
-        if !at_least(gaps[i].join(), before) {
-            return Err(VerifyError {
-                pass: VerifyPass::FenceObligations,
-                guest_pc: block.guest_pc,
-                op_index: Some(ev.op_index),
-                obligation: format!(
-                    "{} requires a leading fence >= {} but the preceding gap provides {}",
-                    ev.shape.name(),
-                    fence_name(before),
-                    fence_name(gaps[i].join()),
-                ),
-            });
-        }
-        if !at_least(gaps[i + 1].join(), after) {
-            return Err(VerifyError {
-                pass: VerifyPass::FenceObligations,
-                guest_pc: block.guest_pc,
-                op_index: Some(ev.op_index),
-                obligation: format!(
-                    "{} requires a trailing fence >= {} but the following gap provides {}",
-                    ev.shape.name(),
-                    fence_name(after),
-                    fence_name(gaps[i + 1].join()),
-                ),
-            });
+        for (side, gap, need) in [("leading", i, before), ("trailing", i + 1, after)] {
+            let have = map.join(gap, gap);
+            if !at_least(have, need) {
+                let position = if gap == i { "preceding" } else { "following" };
+                return Err(VerifyError {
+                    pass: VerifyPass::FenceObligations,
+                    guest_pc,
+                    op_index: Some(ev.op_index),
+                    obligation: format!(
+                        "{} requires a {side} fence >= {} but the {position} gap provides {}",
+                        ev.shape.name(),
+                        fence_name(need),
+                        fence_name(have),
+                    ),
+                });
+            }
         }
     }
     Ok(())
@@ -387,6 +458,34 @@ pub fn check_obligations(
 /// [`check_obligations_masked`] re-derives from the pristine facts at
 /// install time.
 pub fn relax_block(block: &mut TcgBlock, placement: FencePlacement, mask: &[bool]) -> u32 {
+    with_thread_scratch(&SPARE, |scratch| relax_block_in(block, placement, mask, scratch))
+}
+
+/// [`relax_block`] over a caller-owned [`VerifyScratch`].
+pub fn relax_block_in(
+    block: &mut TcgBlock,
+    placement: FencePlacement,
+    mask: &[bool],
+    scratch: &mut VerifyScratch,
+) -> u32 {
+    let removed = mark_relaxed(block, placement, mask, &mut scratch.dropped);
+    if removed > 0 {
+        let mut dropped = scratch.dropped.iter();
+        block.ops.retain(|_| !dropped.next().is_some_and(|&d| d));
+    }
+    removed
+}
+
+/// Marks in `dropped` (one entry per op) the scheme fence of each masked
+/// memory event of `block` and returns how many were marked; `dropped`
+/// comes back empty when nothing is relaxed.
+fn mark_relaxed(
+    block: &TcgBlock,
+    placement: FencePlacement,
+    mask: &[bool],
+    dropped: &mut Vec<bool>,
+) -> u32 {
+    dropped.clear();
     if placement == FencePlacement::None || !mask.iter().any(|&m| m) {
         return 0;
     }
@@ -396,7 +495,7 @@ pub fn relax_block(block: &mut TcgBlock, placement: FencePlacement, mask: &[bool
         Store,
         Other,
     }
-    let mut drop = vec![false; block.ops.len()];
+    dropped.resize(block.ops.len(), false);
     let mut event = 0usize;
     let mut removed = 0u32;
     for i in 0..block.ops.len() {
@@ -424,31 +523,23 @@ pub fn relax_block(block: &mut TcgBlock, placement: FencePlacement, mask: &[bool
             _ => None,
         };
         if let Some((j, want)) = expected {
-            if matches!(block.ops.get(j), Some(TcgOp::Fence(k)) if *k == want) && !drop[j] {
-                drop[j] = true;
+            if matches!(block.ops.get(j), Some(TcgOp::Fence(k)) if *k == want) && !dropped[j] {
+                dropped[j] = true;
                 removed += 1;
             }
         }
-    }
-    if removed > 0 {
-        let mut i = 0;
-        block.ops.retain(|_| {
-            let keep = !drop[i];
-            i += 1;
-            keep
-        });
     }
     removed
 }
 
 /// [`check_obligations`] against an analysis-relaxed reference: the
 /// obligations of events set in `mask` are recomputed as relaxed (their
-/// scheme fence removed via [`relax_block`] on a copy of `reference`)
-/// before the four-part proof runs. The caller must derive `mask` from
-/// the *pristine* analysis facts — never from the mask the translation
-/// pipeline actually applied — so a pipeline that relaxed an event the
-/// facts do not certify fails part 3/4 here with a structured
-/// [`VerifyError`].
+/// scheme fence removed from the checker's view of `reference`, exactly
+/// as [`relax_block`] would remove it) before the four-part proof runs.
+/// The caller must derive `mask` from the *pristine* analysis facts —
+/// never from the mask the translation pipeline actually applied — so a
+/// pipeline that relaxed an event the facts do not certify fails part
+/// 3/4 here with a structured [`VerifyError`].
 pub fn check_obligations_masked(
     reference: &TcgBlock,
     optimized: &TcgBlock,
@@ -456,21 +547,35 @@ pub fn check_obligations_masked(
     policy: OptPolicy,
     mask: &[bool],
 ) -> Result<(), VerifyError> {
-    if mask.iter().any(|&m| m) {
-        let mut relaxed = reference.clone();
-        relax_block(&mut relaxed, placement, mask);
-        obligations_impl(&relaxed, optimized, placement, policy, mask)
-    } else {
-        obligations_impl(reference, optimized, placement, policy, &[])
-    }
+    with_thread_scratch(&SPARE, |scratch| {
+        check_obligations_in(reference, optimized, placement, policy, mask, scratch)
+    })
 }
 
-fn obligations_impl(
+/// [`check_obligations_masked`] over a caller-owned [`VerifyScratch`].
+pub fn check_obligations_in(
     reference: &TcgBlock,
     optimized: &TcgBlock,
     placement: FencePlacement,
     policy: OptPolicy,
     mask: &[bool],
+    scratch: &mut VerifyScratch,
+) -> Result<(), VerifyError> {
+    scratch.capture_reference(reference, placement, mask);
+    check_captured(optimized, placement, policy, mask, scratch)
+}
+
+/// Pass 2, second half: the four-part proof of `optimized` against the
+/// reference [`VerifyScratch::capture_reference`] last recorded in
+/// `scratch`, under the same `placement` and `mask`. The capture is
+/// consumed: a check with none outstanding, or with one taken from a
+/// block at another guest pc, is a structured error.
+pub fn check_captured(
+    optimized: &TcgBlock,
+    placement: FencePlacement,
+    policy: OptPolicy,
+    mask: &[bool],
+    scratch: &mut VerifyScratch,
 ) -> Result<(), VerifyError> {
     let err = |op_index: Option<usize>, obligation: String| VerifyError {
         pass: VerifyPass::FenceObligations,
@@ -478,31 +583,39 @@ fn obligations_impl(
         op_index,
         obligation,
     };
-    if reference.guest_pc != optimized.guest_pc {
-        return Err(err(
-            None,
-            format!(
-                "reference block pc {:#x} does not match optimized pc {:#x}",
-                reference.guest_pc, optimized.guest_pc
-            ),
-        ));
+    match scratch.captured_pc.take() {
+        Some(pc) if pc == optimized.guest_pc => {}
+        Some(pc) => {
+            return Err(err(
+                None,
+                format!(
+                    "reference block pc {pc:#x} does not match optimized pc {:#x}",
+                    optimized.guest_pc
+                ),
+            ));
+        }
+        None => return Err(err(None, "no reference block was captured for this check".into())),
     }
 
-    let (re, rg) = extract(reference);
-    let (oe, og) = extract(optimized);
+    let VerifyScratch {
+        reference: re, optimized: oe, def_event, partner, unmatched, relaxed, ..
+    } = scratch;
+    oe.extract(optimized, &[]);
 
     // Scheme obligations hold for the frontend's (possibly analysis-
     // relaxed) output (part 4; the optimized block is checked after
     // event matching, when relaxed events can be mapped through).
-    check_scheme(reference, &re, &rg, placement, mask)?;
+    check_scheme(optimized.guest_pc, re, placement, mask)?;
 
     // Reference events by SSA result temp (the frontend allocates a
     // fresh temp per def, and superblock stitching renumbers, so defs
     // are unique).
-    let mut def_map: HashMap<u32, usize> = HashMap::new();
-    for (i, ev) in re.iter().enumerate() {
+    const NO_EVENT: u32 = u32::MAX;
+    let defs = re.events.iter().filter_map(|ev| ev.def);
+    reset(def_event, defs.map(|t| t.0 as usize + 1).max().unwrap_or(0), NO_EVENT);
+    for (i, ev) in re.events.iter().enumerate() {
         if let Some(Temp(t)) = ev.def {
-            if def_map.insert(t, i).is_some() {
+            if std::mem::replace(&mut def_event[t as usize], i as u32) != NO_EVENT {
                 return Err(err(
                     Some(ev.op_index),
                     format!("reference defines t{t} at two memory events (not SSA)"),
@@ -513,12 +626,12 @@ fn obligations_impl(
 
     // Part 1: match optimized events to reference events, walking
     // backwards so stores right-align within their segment.
-    let mut partner = vec![usize::MAX; oe.len()];
-    let mut unmatched: Vec<usize> = Vec::new();
-    let mut r: isize = re.len() as isize - 1;
-    for (o, ev) in oe.iter().enumerate().rev() {
+    reset(partner, oe.events.len(), usize::MAX);
+    unmatched.clear();
+    let mut r: isize = re.events.len() as isize - 1;
+    for (o, ev) in oe.events.iter().enumerate().rev() {
         let p = if let Some(Temp(t)) = ev.def {
-            let Some(&p) = def_map.get(&t) else {
+            let Some(p) = def_event.get(t as usize).copied().filter(|&p| p != NO_EVENT) else {
                 return Err(err(
                     Some(ev.op_index),
                     format!("{} defining t{t} has no reference counterpart", ev.shape.name()),
@@ -533,7 +646,7 @@ fn obligations_impl(
                     ),
                 ));
             }
-            p
+            p as usize
         } else {
             // A store: nearest same-shaped reference store at or before
             // the cursor.
@@ -545,45 +658,42 @@ fn obligations_impl(
                         format!("{} has no reference counterpart", ev.shape.name()),
                     ));
                 }
-                if re[p as usize].shape == ev.shape {
+                if re.events[p as usize].shape == ev.shape {
                     break;
                 }
                 p -= 1;
             }
             p as usize
         };
-        if re[p].shape != ev.shape {
+        let rev = &re.events[p];
+        if rev.shape != ev.shape {
             return Err(err(
                 Some(ev.op_index),
                 format!(
                     "access changed shape: reference op {} is a {}, optimized op {} a {}",
-                    re[p].op_index,
-                    re[p].shape.name(),
+                    rev.op_index,
+                    rev.shape.name(),
                     ev.op_index,
                     ev.shape.name()
                 ),
             ));
         }
-        for k in (p + 1)..=(r as usize) {
-            unmatched.push(k);
-        }
+        unmatched.extend((p + 1)..=(r as usize));
         partner[o] = p;
         r = p as isize - 1;
     }
-    for k in 0..=r {
-        unmatched.push(k as usize);
-    }
+    unmatched.extend(0..(r + 1) as usize);
 
     // Part 4 for the optimized block: scheme obligations per surviving
     // event, exempting events whose reference partner was relaxed.
-    let relaxed_o: Vec<bool> =
-        (0..oe.len()).map(|o| mask.get(partner[o]).copied().unwrap_or(false)).collect();
-    check_scheme(optimized, &oe, &og, placement, &relaxed_o)?;
+    relaxed.clear();
+    relaxed.extend(partner.iter().map(|&p| mask.get(p).copied().unwrap_or(false)));
+    check_scheme(optimized.guest_pc, oe, placement, relaxed)?;
 
     // Part 2: every eliminated reference event must have been legally
     // eliminable.
-    for &k in &unmatched {
-        let ev = &re[k];
+    for &k in unmatched.iter() {
+        let ev = &re.events[k];
         match ev.shape {
             // Load forwarding / irrelevant-read elimination is always
             // sound in the TCG model (reads impose no ord out-edges).
@@ -606,7 +716,7 @@ fn obligations_impl(
             Shape::St => {
                 // Find the overwriting store.
                 let mut killer = None;
-                for (j, later) in re.iter().enumerate().skip(k + 1) {
+                for (j, later) in re.events.iter().enumerate().skip(k + 1) {
                     match later.shape {
                         Shape::St => {
                             killer = Some(j);
@@ -622,14 +732,14 @@ fn obligations_impl(
                         "store eliminated with no overwriting store before the next atomic/helper or block end".into(),
                     ));
                 };
-                for gap in rg.iter().take(j + 1).skip(k + 1) {
-                    if gap.side_exit {
+                for gap in k + 1..=j {
+                    if re.gaps[gap].side_exit {
                         return Err(err(
                             Some(ev.op_index),
                             "store eliminated across a superblock side exit".into(),
                         ));
                     }
-                    for &f in &gap.fences {
+                    for &f in re.fences_in(gap, gap) {
                         if !waw_may_cross(f, policy) {
                             return Err(err(
                                 Some(ev.op_index),
@@ -648,13 +758,13 @@ fn obligations_impl(
     // Part 3: inter-access fence joins are preserved. Optimized gap i
     // spans the reference gaps between partner(i-1) and partner(i)
     // (block edges anchor the first and last segments).
-    for i in 0..=oe.len() {
+    for i in 0..=oe.events.len() {
         let lo = if i == 0 { 0 } else { partner[i - 1] + 1 };
-        let hi = if i == oe.len() { re.len() } else { partner[i] };
-        let need = join_gaps(&rg, lo, hi);
-        let have = og[i].join();
+        let hi = if i == oe.events.len() { re.events.len() } else { partner[i] };
+        let need = re.join(lo, hi);
+        let have = oe.join(i, i);
         if !at_least(have, need) {
-            let op_index = oe.get(i).map(|e| e.op_index);
+            let op_index = oe.events.get(i).map(|e| e.op_index);
             return Err(err(
                 op_index,
                 format!(
@@ -886,6 +996,28 @@ mod tests {
         let cfg = FrontendConfig::risotto();
         let mut block = crate::translate_block(0x1000, cfg, fetcher(bytes, 0x1000)).unwrap();
         assert_eq!(relax_block(&mut block, cfg.fences, &[true]), 0);
+    }
+
+    #[test]
+    fn a_capture_serves_one_check_of_its_own_block() {
+        let cfg = FrontendConfig::risotto();
+        let reference = sample_block(cfg);
+        let mut opt = reference.clone();
+        optimize(&mut opt, OptPolicy::Verified);
+        let mut scratch = VerifyScratch::default();
+        let check = |optimized: &TcgBlock, scratch: &mut VerifyScratch| {
+            check_captured(optimized, cfg.fences, OptPolicy::Verified, &[], scratch)
+        };
+        let e = check(&opt, &mut scratch).unwrap_err();
+        assert!(e.obligation.contains("no reference block"), "{e}");
+        scratch.capture_reference(&reference, cfg.fences, &[]);
+        check(&opt, &mut scratch).unwrap();
+        let e = check(&opt, &mut scratch).unwrap_err();
+        assert!(e.obligation.contains("no reference block"), "a capture is consumed: {e}");
+        scratch.capture_reference(&reference, cfg.fences, &[]);
+        let elsewhere = TcgBlock { guest_pc: 0x2000, ..opt.clone() };
+        let e = check(&elsewhere, &mut scratch).unwrap_err();
+        assert!(e.obligation.contains("does not match"), "{e}");
     }
 
     #[test]

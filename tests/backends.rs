@@ -185,10 +185,12 @@ fn trait_method_names() -> Vec<&'static str> {
     let _: fn(&ArmOrdering, &mut HostAsm, Xreg, Xreg, Xreg, Xreg, BackendConfig) = ArmOrdering::cas;
     let _: fn(&ArmOrdering, &mut HostAsm, Xreg, Xreg, Xreg, BackendConfig) =
         ArmOrdering::atomic_add;
-    let _: fn(&ArmOrdering, BackendConfig) -> Vec<Xreg> = ArmOrdering::alloc_pool;
+    let _: fn(&ArmOrdering, BackendConfig) -> &'static [Xreg] = ArmOrdering::alloc_pool;
     let _ = <risotto::host::ArmBackend as HostBackend>::name;
+    let _ = <risotto::host::ArmBackend as HostBackend>::lower_block_in;
     let _ = <risotto::host::ArmBackend as HostBackend>::lower_block_with_stats;
     let _ = <risotto::host::ArmBackend as HostBackend>::cost_model;
+    let _ = <risotto::host::ArmBackend as HostBackend>::check_encoding_in;
     let _ = <risotto::host::ArmBackend as HostBackend>::check_encoding;
     vec![
         // OrderingLowering
@@ -198,8 +200,10 @@ fn trait_method_names() -> Vec<&'static str> {
         "alloc_pool",
         // HostBackend
         "name",
+        "lower_block_in",
         "lower_block_with_stats",
         "cost_model",
+        "check_encoding_in",
         "check_encoding",
     ]
 }

@@ -17,18 +17,24 @@
 //! checked-in hash of every host byte and every optimizer / allocator
 //! statistic the same corpora produce on both backends, so a change to
 //! the translate path that claims "same output, less host time" has to
-//! reproduce it.
+//! reproduce it. And since that translate path works over reusable
+//! scratch tables, [`reused_scratch_matches_fresh_scratch`] holds it to
+//! the property that makes reuse invisible: whatever went through a
+//! scratch before — including a block that failed half-way — the next
+//! block comes out as it does from a fresh one.
 
 use risotto::fuzz::parse_corpus;
 use risotto::guest::{GuestBinary, TEXT_BASE};
 use risotto::host::{
-    lower_block_with_stats, AllocStats, ArmBackend, BackendConfig, HostBackend, HostInsn, RmwStyle,
+    lower_block_with_stats, AllocStats, ArmBackend, BackendConfig, EncodingScratch, HostBackend,
+    HostInsn, LowerScratch, RmwStyle,
 };
 use risotto::host_tso::TsoBackend;
 use risotto::litmus::corpus;
+use risotto::tcg::verify::{check_captured, check_obligations_in, lint_in};
 use risotto::tcg::{
-    optimize_with, superblock, translate_block, FrontendConfig, OptPolicy, OptStats, PassConfig,
-    TbExit, TcgBlock,
+    optimize_in, optimize_with, superblock, translate_block, BinOp, FrontendConfig, OptPolicy,
+    OptScratch, OptStats, PassConfig, TbExit, TcgBlock, TcgOp, Temp, VerifyScratch,
 };
 use risotto::workloads::kernels;
 use risotto::workloads::litmus_compile::compile_litmus;
@@ -295,6 +301,21 @@ fn hash_lowerings(h: &mut u64, block: &TcgBlock, what: &str) {
     }
 }
 
+/// Every image of the suite — the 16 kernels at a small scale, the
+/// litmus programs, the fuzz reproducers — by name.
+fn images() -> Vec<(String, GuestBinary)> {
+    let mut images: Vec<(String, GuestBinary)> =
+        kernels::all().iter().map(|w| (w.name.to_owned(), (w.build)(16, 2))).collect();
+    for prog in [corpus::mp(), corpus::sb(), corpus::sb_fenced(), corpus::lb(), corpus::iriw()] {
+        images.push((prog.name.clone(), compile_litmus(&prog, &[0, 0]).binary));
+    }
+    for (name, text) in FUZZ_CORPUS {
+        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
+        images.push((name.to_owned(), spec.lower().unwrap_or_else(|e| panic!("`{name}`: {e}"))));
+    }
+    images
+}
+
 /// FNV-1a hash of everything [`pipeline_hash`] folds, generated by the
 /// commit *before* the translate path moved onto reusable scratch
 /// tables: host bytes, `OptStats` and `AllocStats` must not move.
@@ -306,16 +327,7 @@ const PIPELINE_HASH: u64 = 0x5c5f_fe16_90d9_a575;
 /// debug and the release gate.
 fn pipeline_hash() -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut images: Vec<(String, GuestBinary)> =
-        kernels::all().iter().map(|w| (w.name.to_owned(), (w.build)(16, 2))).collect();
-    for prog in [corpus::mp(), corpus::sb(), corpus::sb_fenced(), corpus::lb(), corpus::iriw()] {
-        images.push((prog.name.clone(), compile_litmus(&prog, &[0, 0]).binary));
-    }
-    for (name, text) in FUZZ_CORPUS {
-        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-        images.push((name.to_owned(), spec.lower().unwrap_or_else(|e| panic!("`{name}`: {e}"))));
-    }
-    for (name, bin) in &images {
+    for (name, bin) in &images() {
         for (cfg, policy) in configs() {
             let blocks = discover_blocks(bin, cfg, 12);
             for block in &blocks {
@@ -342,4 +354,129 @@ fn pipeline_hash() -> u64 {
 fn pipeline_output_matches_the_checked_in_hash() {
     let got = pipeline_hash();
     assert_eq!(got, PIPELINE_HASH, "host bytes, OptStats or AllocStats changed (got {got:#018x})");
+}
+
+/// One scratch of each kind the translate path threads through its
+/// stages.
+#[derive(Default)]
+struct Scratches {
+    opt: OptScratch,
+    lower: LowerScratch,
+    verify: VerifyScratch,
+    encoding: EncodingScratch,
+}
+
+/// What one block comes to: optimized ops and exit, optimizer
+/// statistics, and per backend and RMW style the host bytes and
+/// allocation statistics.
+type Translation = (TcgBlock, OptStats, Vec<(Vec<u8>, AllocStats)>);
+
+/// Takes `block` through optimizer, Passes 1–2, both lowerings and
+/// Pass 3 over `s`, as the engine's tier-1 producer and commit do.
+fn translate_over(
+    s: &mut Scratches,
+    block: &TcgBlock,
+    cfg: FrontendConfig,
+    policy: OptPolicy,
+    in_superblock: bool,
+) -> Translation {
+    let mut optimized = block.clone();
+    s.verify.capture_reference(block, cfg.fences, &[]);
+    let stats = optimize_in(&mut optimized, policy, PassConfig::all(), &mut s.opt);
+    lint_in(&optimized, in_superblock, &mut s.verify).expect("clean block lints");
+    check_captured(&optimized, cfg.fences, policy, &[], &mut s.verify)
+        .expect("clean block keeps its obligations");
+    let mut lowered = Vec::new();
+    let hosts: [&dyn HostBackend; 2] = [&ArmBackend, &TsoBackend];
+    for host in hosts {
+        for be in backends() {
+            let out =
+                host.lower_block_in(&optimized, be, &mut s.lower).expect("clean block lowers");
+            let bytes = encode_all(&out.insns);
+            host.check_encoding_in(&optimized, &out.insns, &bytes, be, &mut s.encoding)
+                .expect("clean encoding verifies");
+            lowered.push((bytes, out.alloc));
+        }
+    }
+    (optimized, stats, lowered)
+}
+
+/// Drives every stage into an early error return over `s`: a block that
+/// lowers a few ops and then reads a temp nothing defined (the lint and
+/// both backends reject it half-way), a dropped fence (Pass 2), and a
+/// flipped host byte (Pass 3).
+fn fail_over(s: &mut Scratches, good: &TcgBlock, cfg: FrontendConfig, policy: OptPolicy) {
+    let (t0, t1, undefined) = (Temp(0), Temp(1), Temp(9));
+    let mut bad = TcgBlock {
+        guest_pc: 0x1000,
+        guest_len: 4,
+        ops: vec![
+            TcgOp::GetReg { dst: t0, reg: 1 },
+            TcgOp::Bin { op: BinOp::Add, dst: t1, a: t0, b: t0 },
+            TcgOp::SetReg { reg: 2, src: t1 },
+            TcgOp::SetReg { reg: 3, src: undefined },
+        ],
+        exit: TbExit::JumpReg(t1),
+        n_temps: 10,
+    };
+    optimize_in(&mut bad, policy, PassConfig::all(), &mut s.opt);
+    lint_in(&bad, false, &mut s.verify).expect_err("use of an undefined temp");
+    let be = backends()[0];
+    ArmBackend.lower_block_in(&bad, be, &mut s.lower).expect_err("read of an undefined temp");
+    TsoBackend.lower_block_in(&bad, be, &mut s.lower).expect_err("read of an undefined temp");
+
+    let mut optimized = good.clone();
+    optimize_in(&mut optimized, policy, PassConfig::all(), &mut s.opt);
+    let out = ArmBackend.lower_block_in(&optimized, be, &mut s.lower).expect("lowers");
+    let mut bytes = encode_all(&out.insns);
+    bytes[0] ^= 0xff;
+    ArmBackend
+        .check_encoding_in(&optimized, &out.insns, &bytes, be, &mut s.encoding)
+        .expect_err("a flipped byte");
+    if let Some(at) = optimized.ops.iter().position(|o| matches!(o, TcgOp::Fence(_))) {
+        optimized.ops.remove(at);
+        check_obligations_in(good, &optimized, cfg.fences, policy, &[], &mut s.verify)
+            .expect_err("a dropped fence");
+    }
+}
+
+/// Reuse is invisible: a block translated over scratches that have seen
+/// the whole corpus — in either order, with failed translations in
+/// between — comes out exactly as it does over fresh ones.
+#[test]
+fn reused_scratch_matches_fresh_scratch() {
+    let mut corpus: Vec<(TcgBlock, FrontendConfig, OptPolicy, bool)> = Vec::new();
+    for (_, bin) in &images() {
+        for (cfg, policy) in configs() {
+            let blocks = discover_blocks(bin, cfg, 12);
+            for parts in chains(&blocks).into_iter().take(3) {
+                if let Ok(sb) = superblock::stitch(parts) {
+                    corpus.push((sb, cfg, policy, true));
+                }
+            }
+            corpus.extend(blocks.into_iter().map(|b| (b, cfg, policy, false)));
+        }
+    }
+    let fresh: Vec<Translation> = corpus
+        .iter()
+        .map(|(b, cfg, policy, sb)| {
+            translate_over(&mut Scratches::default(), b, *cfg, *policy, *sb)
+        })
+        .collect();
+
+    let mut reused = Scratches::default();
+    let forward = 0..corpus.len();
+    for (n, i) in forward.clone().chain(forward.rev()).enumerate() {
+        let (block, cfg, policy, sb) = &corpus[i];
+        if n % 7 == 3 {
+            fail_over(&mut reused, block, *cfg, *policy);
+        }
+        let got = translate_over(&mut reused, block, *cfg, *policy, *sb);
+        assert!(
+            got == fresh[i],
+            "block {i} at {:#x} (translation {n} over the reused scratch) differs from its \
+             fresh-scratch translation",
+            block.guest_pc
+        );
+    }
 }
