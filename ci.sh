@@ -57,76 +57,73 @@ cargo test -q --release --test alloc_budget
 cargo test -q --release -p risotto-host-arm -p risotto-guest-x86
 cargo test -q --release --test slice_invariance
 
-# End-to-end pipeline bench in smoke mode: runs the 16-kernel suite at a
-# CI-sized scale and emits BENCH_pipeline.json (per-kernel cycles +
-# TB-chain hit rate + registry snapshot + tier-2 superblock delta).
+# Paper-figure artifact, its own baseline: BENCH_pipeline.json (the 16
+# kernels in smoke mode — simulated cycles, chain counters, the tier-2 /
+# MiniTSO / analysis / tier-0 legs, the base run's registry snapshot) is
+# a pure function of the source tree. Keep the checked-in copy aside,
+# regenerate, and fail if a kernel's cycles rose on either tier (a
+# genuine codegen or engine regression — the checked-in copy is put
+# back, so a re-run fails again) or if the regenerated file differs at
+# all (it is left in place: review the diff and commit it).
+checked_in="$(mktemp /tmp/bench_pipeline.XXXXXX.json)"
+cp BENCH_pipeline.json "$checked_in"
 cargo bench -q -p risotto-bench --bench pipeline -- smoke
-test -s BENCH_pipeline.json
-
-# Schema assert: every kernel entry must carry the tier-2 "superblock"
-# key with its cycle delta and cross-boundary fence-merge count, the
-# cross-backend "tso" key with its cycles and MFENCE count, the tier-0
-# "tier0" key with its template counters, and the whole-program
-# "analysis" key (docs/ANALYSIS.md) with its relaxed-fence count and
-# cycle delta — the delta must never be negative (analysis-on can only
-# remove ordering cost) and at least one kernel must actually relax
-# fences, or the analysis subsystem went dead. The top-level
-# "cold_start" object must show tier-0 template translation strictly
-# cheaper per guest instruction than the tier-1 IR pipeline (the
-# simulator's only wall-time gate; the measured gap is 5.0–5.7× — about
-# 0.2 vs 1.2 µs per guest instruction at smoke scale, both sides having
-# gained from the shared assembler — so a strict < holds with wide
-# margin on any machine). The top-level "layers" object — the
-# translate-path micro-benches over one hot block, the perf ledger's
-# rows — must carry all four stages with a positive time; like the
-# machine loop's, the times are recorded, not gated.
-python3 - BENCH_pipeline.json <<'EOF'
+# Every kernel entry must carry its four legs; analysis-on can only
+# remove ordering cost, and at least one kernel must actually relax
+# fences, or the analysis subsystem went dead.
+python3 - "$checked_in" BENCH_pipeline.json <<'EOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
+base = {k["kernel"]: k for k in json.load(open(sys.argv[1]))["kernels"]}
+doc = json.load(open(sys.argv[2]))
 assert len(doc["kernels"]) == 16, len(doc["kernels"])
+bad = []
 for k in doc["kernels"]:
-    sb = k["superblock"]
-    assert "cycle_delta" in sb and "fences_merged_cross" in sb, k["kernel"]
-    tso = k["tso"]
-    assert "cycles" in tso and "mfences" in tso, k["kernel"]
-    t0 = k["tier0"]
-    assert "cycles" in t0 and "ns_per_insn" in t0, k["kernel"]
-    assert t0["blocks"] > 0, k["kernel"]
-    an = k["analysis"]
-    assert "relaxed" in an, k["kernel"]
-    assert an["cycle_delta_vs_off"] >= 0, k["kernel"]
+    name, sb, b = k["kernel"], k["superblock"], base[k["kernel"]]
+    assert "cycle_delta" in sb and "fences_merged_cross" in sb, name
+    assert "cycles" in k["tso"] and "mfences" in k["tso"], name
+    assert k["tier0"]["blocks"] > 0 and k["tier0"]["cycles"] > 0, name
+    assert "relaxed" in k["analysis"], name
+    assert k["analysis"]["cycle_delta_vs_off"] >= 0, name
+    if k["cycles"] > b["cycles"]:
+        bad.append(f'{name}: tier-1 {k["cycles"]} > checked-in {b["cycles"]}')
+    if sb["tier2_cycles"] > b["superblock"]["tier2_cycles"]:
+        bad.append(f'{name}: tier-2 {sb["tier2_cycles"]}'
+                   f' > checked-in {b["superblock"]["tier2_cycles"]}')
 assert any(k["analysis"]["relaxed"] > 0 for k in doc["kernels"]), \
     "no kernel relaxed any fences"
-cold = doc["cold_start"]
-assert cold["tier0_insns"] > 0, cold
-assert cold["tier0_ns_per_insn"] < cold["tier1_ns_per_insn"], cold
-# The machine loop's wall time is recorded, not gated: an absolute
-# threshold would only measure the machine CI runs on.
-assert doc["machine_100k_steps_ns"] > 0, doc["machine_100k_steps_ns"]
-for stage in ("template_ns", "frontend_ns", "optimizer_ns", "lower_ns"):
-    assert doc["layers"][stage] > 0, (stage, doc["layers"])
+if bad:
+    open(sys.argv[2], "w").write(open(sys.argv[1]).read())
+    sys.exit("cycle regression vs the checked-in BENCH_pipeline.json:\n  " + "\n  ".join(bad))
 EOF
+if ! cmp -s "$checked_in" BENCH_pipeline.json; then
+    echo "ci: BENCH_pipeline.json is stale — review and commit the regenerated file" >&2
+    exit 1
+fi
+rm -f "$checked_in"
 
-# Codegen-performance gate: per-kernel simulated cycles must not exceed
-# the checked-in ceilings (BENCH_baseline.json) on either tier. The
-# simulator is deterministic, so any increase is a genuine codegen or
-# engine regression, not noise.
-python3 - BENCH_pipeline.json BENCH_baseline.json <<'EOF'
+# Host-time facts, from the one harness that measures host time (the
+# calibrated `benchmark/` package; `crates/bench` reports simulated
+# cycles only): tier-0 template translation must be cheaper per guest
+# instruction than the tier-1 IR pipeline measured in the same process
+# (`core.ir_overhead_ratio`, the figure ROADMAP item 4's tier-0 decision
+# gate reads), no operation may fail, and each translate stage and the
+# machine loop must report a positive time. Same-process ratios and
+# signs only: an absolute threshold would measure the machine CI runs on.
+layers_json="$(mktemp /tmp/translate_cold.XXXXXX.json)"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload translate_cold --smoke --trace 1 --out "$layers_json" > /dev/null
+python3 - "$layers_json" <<'EOF'
 import json, sys
-new = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))["kernels"]
-bad = []
-for k in new["kernels"]:
-    b = base[k["kernel"]]
-    if k["cycles"] > b["cycles"]:
-        bad.append(f'{k["kernel"]}: tier-1 {k["cycles"]} > baseline {b["cycles"]}')
-    if k["superblock"]["tier2_cycles"] > b["tier2_cycles"]:
-        bad.append(
-            f'{k["kernel"]}: tier-2 {k["superblock"]["tier2_cycles"]}'
-            f' > baseline {b["tier2_cycles"]}'
-        )
-assert not bad, "cycle regression vs BENCH_baseline.json:\n  " + "\n  ".join(bad)
+doc = json.load(open(sys.argv[1]))
+m = {name: v["value"] for name, v in doc["metrics"].items()}
+assert doc["failed"] == 0, doc["failed"]
+assert m["core.ir_overhead_ratio"] > 1, m["core.ir_overhead_ratio"]
+for row in ("template.translate_ns_per_insn", "tcg.frontend_ns_per_insn",
+            "tcg.opt_ns_per_insn", "host_arm.lower_ns_per_insn",
+            "host_arm.machine_step_ns.alu"):
+    assert m[row] > 0, (row, m[row])
 EOF
+rm -f "$layers_json"
 
 # Static-analysis gate (docs/ANALYSIS.md): the analyzer over the
 # 16-kernel and litmus corpora must report zero lint findings (the

@@ -6,22 +6,16 @@
 //! * `casal`   — Risotto's single-instruction translation (needs the
 //!   corrected Arm model of §3.3).
 
-use risotto_bench::{ops_per_sec, print_table, run, BenchCli};
-use risotto_core::{BackendKind, Emulator, RmwStyle, Setup};
-use risotto_host_arm::CostModel;
+use risotto_bench::{ops_per_sec, print_table, usage_error, BenchCli};
+use risotto_core::{RmwStyle, Setup};
 use risotto_workloads::cas::{cas_bench, FIG15_CONFIGS};
 
 fn main() {
     let cli = BenchCli::parse("ablation_cas");
-    if cli.backend != BackendKind::Arm {
-        // The rmw2+ff column is an exclusive-pair lowering; the MiniTSO
-        // dialect has no exclusives, so this ablation is Arm-only.
-        eprintln!(
-            "ablation_cas compares Arm CAS lowerings; --backend {} is not applicable",
-            cli.backend.name()
-        );
-        std::process::exit(2);
-    }
+    // The rmw2+ff column is an exclusive-pair lowering; the MiniTSO
+    // dialect has no exclusives, so this ablation is Arm-only.
+    cli.require_arm("the ablation compares Arm CAS lowerings")
+        .unwrap_or_else(|e| usage_error("ablation_cas", &e));
     println!("CAS-translation ablation (Mops/s; §6.3)\n");
     let iters = if cli.smoke { 200u64 } else { 2000u64 };
     let mut rows = Vec::new();
@@ -29,13 +23,13 @@ fn main() {
         let bin = cas_bench(iters, threads, vars);
         let total = iters * threads as u64;
         // helper: the qemu setup (helper-call CAS).
-        let helper = run(&bin, Setup::Qemu, threads, false);
+        let helper = cli.run(&bin, Setup::Qemu, threads, false, None);
         // direct, rmw2-fenced.
-        let mut emu = Emulator::new(&bin, Setup::Risotto, threads, CostModel::thunderx2_like());
+        let mut emu = cli.emulator(&bin, Setup::Risotto, threads);
         emu.set_rmw_style(RmwStyle::Rmw2Fenced);
         let rmw2 = emu.run(20_000_000_000).unwrap();
         // direct, casal.
-        let casal = run(&bin, Setup::Risotto, threads, false);
+        let casal = cli.run(&bin, Setup::Risotto, threads, false, None);
         for r in [&helper, &rmw2, &casal] {
             assert_eq!(r.exit_vals[0], Some(total));
         }

@@ -3,14 +3,15 @@
 //! notably the §6.1 fence-merging pass that the verified trailing/leading
 //! fence placement makes possible).
 
-use risotto_bench::{print_table, BenchCli};
-use risotto_core::{Emulator, Setup};
-use risotto_host_arm::CostModel;
+use risotto_bench::{print_table, usage_error, BenchCli};
+use risotto_core::Setup;
 use risotto_tcg::PassConfig;
 use risotto_workloads::kernels;
 
 fn main() {
     let cli = BenchCli::parse("ablation_passes");
+    cli.require_ir_pipeline("templates never run the optimizer passes being ablated")
+        .unwrap_or_else(|e| usage_error("ablation_passes", &e));
     let threads = 2;
     let scale = if cli.smoke { 256 } else { 1024 };
     println!("Optimizer-pass ablation (tcg-ver, % slowdown when the pass is disabled)\n");
@@ -29,11 +30,8 @@ fn main() {
         let mut base = 0u64;
         let mut expect = None;
         for (i, (_, passes)) in variants.iter().enumerate() {
-            let mut emu = Emulator::new(&bin, Setup::TcgVer, threads, CostModel::thunderx2_like());
+            let mut emu = cli.emulator(&bin, Setup::TcgVer, threads);
             emu.set_passes(*passes);
-            if let Some(tiers) = risotto_bench::tier_policy() {
-                emu.set_tiering(Some(tiers));
-            }
             let r = emu.run(10_000_000_000).unwrap();
             match expect {
                 None => expect = Some(r.exit_vals[0]),

@@ -12,10 +12,9 @@
 //! snapshot + hot-TB profile of that faulted-but-recovered run (nonzero
 //! `translate.fallback_blocks` / `fault.injected`) land in the artifact.
 
-use risotto_bench::{print_table, BenchCli, MetricsEntry, HOT_TB_TOP_N};
-use risotto_core::{Emulator, FaultPlan, FaultSite, Setup};
+use risotto_bench::{print_table, BenchCli, MetricsEntry};
+use risotto_core::{FaultPlan, FaultSite, Setup};
 use risotto_guest_x86::Interp;
-use risotto_host_arm::CostModel;
 use risotto_workloads::kernels;
 
 const FUEL: u64 = 2_000_000_000;
@@ -42,7 +41,7 @@ fn plan_for(seed: u64) -> FaultPlan {
 fn main() {
     let cli = BenchCli::parse("fault_sweep");
     let seeds: u64 = cli.positional.first().and_then(|a| a.parse().ok()).unwrap_or(200);
-    let metrics_path = cli.metrics_json;
+    let metrics_path = &cli.metrics_json;
     let mut metrics: Vec<MetricsEntry> = Vec::new();
     let setups = [Setup::Qemu, Setup::TcgVer, Setup::Risotto, Setup::Native];
     println!("Fault sweep: {seeds} seeded plans per workload, rotating setups\n");
@@ -58,12 +57,7 @@ fn main() {
         let (mut links, mut flushes) = (0u64, 0u64);
         for seed in 0..seeds {
             let setup = setups[(seed % setups.len() as u64) as usize];
-            let mut emu = Emulator::new(&bin, setup, 2, CostModel::thunderx2_like());
-            if setup != Setup::Native {
-                if let Some(tiers) = risotto_bench::tier_policy() {
-                    emu.set_tiering(Some(tiers));
-                }
-            }
+            let mut emu = cli.emulator(&bin, setup, 2);
             emu.set_fault_plan(plan_for(seed));
             match emu.run(FUEL) {
                 Ok(r) => {
@@ -88,21 +82,13 @@ fn main() {
                 .rate(FaultSite::Translate, 8000)
                 .rate(FaultSite::Lower, 8000)
                 .rate(FaultSite::TbCache, 8000);
-            let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-            if let Some(tiers) = risotto_bench::tier_policy() {
-                emu.set_tiering(Some(tiers));
-            }
+            let mut emu = cli.emulator(&bin, Setup::Risotto, 2);
             emu.set_fault_plan(plan);
             emu.set_stage_timing(true);
             emu.set_profiling(true);
             let r = emu.run(FUEL).expect("instrumented risotto run completes");
             assert_eq!(r.exit_vals[0], Some(ref_exit), "{} instrumented run diverged", w.name);
-            metrics.push(MetricsEntry {
-                name: w.name.to_string(),
-                setup: Setup::Risotto.name(),
-                snapshot: emu.metrics(),
-                hot_tbs: emu.hot_tbs(HOT_TB_TOP_N),
-            });
+            metrics.push(MetricsEntry::of(w.name, &mut emu));
         }
         rows.push(vec![
             w.name.to_string(),
@@ -127,7 +113,7 @@ fn main() {
         &rows,
     );
     if let Some(path) = metrics_path {
-        risotto_bench::write_metrics_json(&path, "fault_sweep", &metrics);
+        risotto_bench::write_metrics_json(path, "fault_sweep", &metrics);
     }
     println!();
     if divergences == 0 {

@@ -12,15 +12,14 @@
 //! hot-TB profile per kernel, collected under the risotto setup and
 //! cross-checked against the legacy `Report` counters).
 
-use risotto_bench::{print_table, run_on, run_with_metrics_on, BenchCli, MetricsEntry};
+use risotto_bench::{print_table, BenchCli};
 use risotto_core::Setup;
 use risotto_workloads::kernels;
 
 fn main() {
     let cli = BenchCli::parse("fig12_parsec_phoenix");
     let smoke = cli.smoke;
-    let backend = cli.backend;
-    let metrics_path = cli.metrics_json;
+    let mut metrics = cli.metrics_json.as_ref().map(|_| Vec::new());
     let threads = if smoke { 2 } else { 4 };
     println!("Figure 12 — PARSEC & Phoenix run time relative to QEMU ({threads} threads)");
     println!("(columns are % of qemu's runtime; lower is better)\n");
@@ -28,7 +27,6 @@ fn main() {
     let mut avgs = [0f64; 4]; // no-fences, tcg-ver, risotto, native
     let mut fence_shares: Vec<(String, f64)> = Vec::new();
     let mut chain_rows: Vec<Vec<String>> = Vec::new();
-    let mut metrics: Vec<MetricsEntry> = Vec::new();
     let (mut tot_hits, mut tot_links) = (0u64, 0u64);
     let workloads = kernels::all();
     for w in &workloads {
@@ -42,26 +40,14 @@ fn main() {
             }
         };
         let bin = (w.build)(scale, threads);
-        let qemu = run_on(&bin, Setup::Qemu, threads, false, backend);
+        let qemu = cli.run(&bin, Setup::Qemu, threads, false, None);
         let mut cells = vec![w.name.to_string()];
         for (i, s) in
             [Setup::NoFences, Setup::TcgVer, Setup::Risotto, Setup::Native].iter().enumerate()
         {
-            let r = if *s == Setup::Risotto {
-                // The risotto run carries the observability payload: the
-                // registry snapshot is verified against the legacy Report
-                // counters inside run_with_metrics.
-                let (r, snap, hot) = run_with_metrics_on(&bin, *s, threads, false, backend);
-                metrics.push(MetricsEntry {
-                    name: w.name.to_string(),
-                    setup: s.name(),
-                    snapshot: snap,
-                    hot_tbs: hot,
-                });
-                r
-            } else {
-                run_on(&bin, *s, threads, false, backend)
-            };
+            // The risotto run carries the observability payload.
+            let collect = metrics.as_mut().filter(|_| *s == Setup::Risotto).map(|m| (w.name, m));
+            let r = cli.run(&bin, *s, threads, false, collect);
             assert_eq!(r.exit_vals[0], qemu.exit_vals[0], "{} checksum mismatch", w.name);
             let rel = 100.0 * r.cycles as f64 / qemu.cycles as f64;
             avgs[i] += rel;
@@ -124,7 +110,7 @@ fn main() {
         &chain_rows,
     );
 
-    if let Some(path) = metrics_path {
-        risotto_bench::write_metrics_json(&path, "fig12_parsec_phoenix", &metrics);
+    if let (Some(path), Some(entries)) = (&cli.metrics_json, metrics) {
+        risotto_bench::write_metrics_json(path, "fig12_parsec_phoenix", &entries);
     }
 }

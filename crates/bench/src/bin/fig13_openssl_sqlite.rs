@@ -6,7 +6,7 @@
 //! (one registry snapshot + hot-TB profile per workload, risotto setup);
 //! `--smoke` shrinks buffers/iterations to a CI-sized configuration.
 
-use risotto_bench::{ops_per_sec, print_table, run_on, run_risotto_collecting, speedup, BenchCli};
+use risotto_bench::{ops_per_sec, print_table, speedup, BenchCli};
 use risotto_core::Setup;
 use risotto_workloads::libbench::{digest_bench, rsa_bench, sqlite_bench, DigestAlgo};
 
@@ -14,9 +14,7 @@ fn main() {
     println!("Figure 13 — OpenSSL & sqlite speedup over QEMU (higher is better)\n");
     let cli = BenchCli::parse("fig13_openssl_sqlite");
     let smoke = cli.smoke;
-    let backend = cli.backend;
-    let metrics_path = cli.metrics_json;
-    let mut metrics = metrics_path.as_ref().map(|_| Vec::new());
+    let mut metrics = cli.metrics_json.as_ref().map(|_| Vec::new());
     let mut rows = Vec::new();
 
     // Digests: md5/sha1/sha256 × {1024, 8192}-byte buffers (smoke: just
@@ -34,16 +32,11 @@ fn main() {
                 2
             };
             let bin = digest_bench(algo, len, iters);
-            let qemu = run_on(&bin, Setup::Qemu, 1, false, backend);
-            let ris = run_risotto_collecting(
-                &bin,
-                &format!("{name}-{len}"),
-                1,
-                true,
-                &mut metrics,
-                backend,
-            );
-            let nat = run_on(&bin, Setup::Native, 1, true, backend);
+            let label = format!("{name}-{len}");
+            let collect = metrics.as_mut().map(|m| (label.as_str(), m));
+            let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
+            let ris = cli.run(&bin, Setup::Risotto, 1, true, collect);
+            let nat = cli.run(&bin, Setup::Native, 1, true, None);
             assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "{name}-{len} digest mismatch");
             assert_eq!(qemu.exit_vals[0], nat.exit_vals[0]);
             rows.push(vec![
@@ -63,16 +56,11 @@ fn main() {
     for &(nlimbs, label) in rsa {
         for (sign, op) in [(true, "sign"), (false, "verify")] {
             let bin = rsa_bench(nlimbs, sign, 1);
-            let qemu = run_on(&bin, Setup::Qemu, 1, false, backend);
-            let ris = run_risotto_collecting(
-                &bin,
-                &format!("{label}-{op}"),
-                1,
-                true,
-                &mut metrics,
-                backend,
-            );
-            let nat = run_on(&bin, Setup::Native, 1, true, backend);
+            let name = format!("{label}-{op}");
+            let collect = metrics.as_mut().map(|m| (name.as_str(), m));
+            let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
+            let ris = cli.run(&bin, Setup::Risotto, 1, true, collect);
+            let nat = cli.run(&bin, Setup::Native, 1, true, None);
             assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "{label}-{op} result mismatch");
             rows.push(vec![
                 format!("{label}-{op}"),
@@ -88,9 +76,10 @@ fn main() {
     {
         let rows_n: u64 = if smoke { 4 } else { 20 };
         let bin = sqlite_bench(rows_n);
-        let qemu = run_on(&bin, Setup::Qemu, 1, false, backend);
-        let ris = run_risotto_collecting(&bin, "sqlite", 1, true, &mut metrics, backend);
-        let nat = run_on(&bin, Setup::Native, 1, true, backend);
+        let collect = metrics.as_mut().map(|m| ("sqlite", m));
+        let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
+        let ris = cli.run(&bin, Setup::Risotto, 1, true, collect);
+        let nat = cli.run(&bin, Setup::Native, 1, true, None);
         assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "sqlite checksum mismatch");
         rows.push(vec![
             "sqlite".into(),
@@ -102,7 +91,7 @@ fn main() {
     }
 
     print_table(&["benchmark", "risotto", "native", "qemu raw", "ris chain"], &rows);
-    if let (Some(path), Some(entries)) = (metrics_path, metrics) {
-        risotto_bench::write_metrics_json(&path, "fig13_openssl_sqlite", &entries);
+    if let (Some(path), Some(entries)) = (&cli.metrics_json, metrics) {
+        risotto_bench::write_metrics_json(path, "fig13_openssl_sqlite", &entries);
     }
 }

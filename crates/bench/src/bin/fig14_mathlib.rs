@@ -4,7 +4,7 @@
 //! risotto trails native here. `--smoke` shrinks the iteration count to
 //! a CI-sized configuration.
 
-use risotto_bench::{ops_per_sec, print_table, run_on, run_risotto_collecting, speedup, BenchCli};
+use risotto_bench::{ops_per_sec, print_table, speedup, BenchCli};
 use risotto_core::Setup;
 use risotto_nativelib::mathfn::MathFn;
 use risotto_workloads::libbench::math_bench;
@@ -12,9 +12,7 @@ use risotto_workloads::libbench::math_bench;
 fn main() {
     println!("Figure 14 — math library speedup over QEMU (higher is better)\n");
     let cli = BenchCli::parse("fig14_mathlib");
-    let backend = cli.backend;
-    let metrics_path = cli.metrics_json;
-    let mut metrics = metrics_path.as_ref().map(|_| Vec::new());
+    let mut metrics = cli.metrics_json.as_ref().map(|_| Vec::new());
     let iters = if cli.smoke { 8 } else { 60 };
     let mut rows = Vec::new();
     for f in MathFn::ALL {
@@ -25,9 +23,10 @@ fn main() {
             _ => 0.8,
         };
         let bin = math_bench(f.name(), x, iters);
-        let qemu = run_on(&bin, Setup::Qemu, 1, false, backend);
-        let ris = run_risotto_collecting(&bin, f.name(), 1, true, &mut metrics, backend);
-        let nat = run_on(&bin, Setup::Native, 1, true, backend);
+        let collect = metrics.as_mut().map(|m| (f.name(), m));
+        let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
+        let ris = cli.run(&bin, Setup::Risotto, 1, true, collect);
+        let nat = cli.run(&bin, Setup::Native, 1, true, None);
         rows.push(vec![
             f.name().to_string(),
             speedup(qemu.cycles, ris.cycles),
@@ -37,7 +36,7 @@ fn main() {
         ]);
     }
     print_table(&["function", "risotto", "native", "qemu raw", "ris chain"], &rows);
-    if let (Some(path), Some(entries)) = (metrics_path, metrics) {
-        risotto_bench::write_metrics_json(&path, "fig14_mathlib", &entries);
+    if let (Some(path), Some(entries)) = (&cli.metrics_json, metrics) {
+        risotto_bench::write_metrics_json(path, "fig14_mathlib", &entries);
     }
 }

@@ -1,14 +1,17 @@
 //! # risotto-bench
 //!
-//! The evaluation harness: shared runners and table formatting for the
-//! figure-regenerating binaries (`fig12_parsec_phoenix`,
-//! `fig13_openssl_sqlite`, `fig14_mathlib`, `fig15_cas`,
-//! `verify_mappings`) and the Criterion micro-benchmarks.
+//! The evaluation harness: the one emulator constructor and runner every
+//! binary goes through, table formatting for the figure-regenerating
+//! binaries (`fig12_parsec_phoenix`, `fig13_openssl_sqlite`,
+//! `fig14_mathlib`, `fig15_cas`, `verify_mappings`), and the kernel suite
+//! behind `BENCH_pipeline.json` ([`suite`]). Everything here reports the
+//! simulated clock; host wall time is measured by the `benchmark/`
+//! package alone.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::sync::OnceLock;
+pub mod suite;
 
 use risotto_core::obs::{HotTb, MetricsSnapshot};
 use risotto_core::{
@@ -22,207 +25,14 @@ pub const CLOCK_HZ: f64 = 2.0e9;
 /// How many hot TBs each workload records in the metrics artifact.
 pub const HOT_TB_TOP_N: usize = 10;
 
-/// The tier pin selected by `--tiers` for this process, applied by the
-/// shared runners to every DBT emulator they construct. Set once by
-/// [`BenchCli::parse_with`]; `None` (flag absent, or `--tiers 1`) keeps
-/// today's tier-1-only default.
-static TIER_POLICY: OnceLock<Option<TierConfig>> = OnceLock::new();
+/// Simulated-cycle budget of one harness run.
+pub(crate) const FUEL: u64 = 20_000_000_000;
 
-/// The process-wide tier pin from `--tiers`, if one was selected.
-pub fn tier_policy() -> Option<TierConfig> {
-    TIER_POLICY.get().copied().flatten()
-}
-
-/// The analysis toggle selected by `--analysis` for this process,
-/// applied by the shared runners to every DBT emulator they construct.
-/// Set once by [`BenchCli::parse_with`]; benchmarks default to **on**
-/// (the flag exists to measure the unrelaxed baseline).
-static ANALYSIS_POLICY: OnceLock<bool> = OnceLock::new();
-
-/// The process-wide analysis toggle from `--analysis` (default `true`).
-pub fn analysis_policy() -> bool {
-    ANALYSIS_POLICY.get().copied().unwrap_or(true)
-}
-
-/// Runs a binary under a setup, optionally linking the standard host
-/// libraries (libm + libcrypto + libkv).
-///
-/// # Panics
-///
-/// Panics on any emulation error — benchmarks must run clean.
-pub fn run(bin: &GuestBinary, setup: Setup, cores: usize, link: bool) -> Report {
-    run_on(bin, setup, cores, link, BackendKind::Arm)
-}
-
-/// The backend actually used for a setup: the native oracle models
-/// Arm-compiled binaries and stays on Arm whatever `--backend` says;
-/// every DBT setup honours the requested backend.
-pub fn effective_backend(setup: Setup, requested: BackendKind) -> BackendKind {
-    if setup == Setup::Native {
-        BackendKind::Arm
-    } else {
-        requested
-    }
-}
-
-/// Like [`run`], but on an explicit host backend (docs/BACKENDS.md).
-/// The machine is priced with that backend's cost model, so cycle
-/// numbers are comparable only within one backend.
-///
-/// # Panics
-///
-/// Panics on any emulation error — benchmarks must run clean.
-pub fn run_on(
-    bin: &GuestBinary,
-    setup: Setup,
-    cores: usize,
-    link: bool,
-    backend: BackendKind,
-) -> Report {
-    let backend = effective_backend(setup, backend);
-    let mut emu = Emulator::new(bin, setup, cores, backend.cost_model());
-    emu.set_backend(backend);
-    // Install-time read-back is free (no simulated cycles), so every
-    // benchmark run keeps it on: `verify.violations` must be zero in
-    // any artifact the harness produces.
-    emu.set_verify(VerifyLevel::Install);
-    // A `--tiers` pin and the `--analysis` toggle apply to every DBT
-    // setup; the native oracle runs precompiled host code and has
-    // neither translation tiers nor fence obligations to relax.
-    if setup != Setup::Native {
-        if let Some(cfg) = tier_policy() {
-            emu.set_tiering(Some(cfg));
-        }
-        emu.set_analysis(analysis_policy());
-    }
-    if link {
-        let idl = Idl::parse(risotto_nativelib::hostlibs::IDL_TEXT).expect("IDL parses");
-        for lib in [
-            risotto_nativelib::hostlibs::libm(),
-            risotto_nativelib::hostlibs::libcrypto(),
-            risotto_nativelib::hostlibs::libkv(),
-        ] {
-            let lib: HostLibrary = lib;
-            emu.link_library(bin, &idl, lib).expect("standard libraries match the IDL");
-        }
-    }
-    emu.run(20_000_000_000).unwrap_or_else(|e| panic!("{}: {e}", setup.name()))
-}
-
-/// Like [`run`], but with full observability enabled (stage timing +
-/// hot-TB profiling): returns the legacy [`Report`] alongside a
-/// [`MetricsSnapshot`] and the hottest TBs.
-///
-/// The snapshot is cross-checked against the report before returning —
-/// every fence / chain / fallback counter in the registry must equal its
-/// legacy `Report` source, so a `--metrics-json` run is self-verifying.
-///
-/// # Panics
-///
-/// Panics on any emulation error or on a registry/`Report` mismatch.
-pub fn run_with_metrics(
-    bin: &GuestBinary,
-    setup: Setup,
-    cores: usize,
-    link: bool,
-) -> (Report, MetricsSnapshot, Vec<HotTb>) {
-    run_with_metrics_on(bin, setup, cores, link, BackendKind::Arm)
-}
-
-/// Like [`run_with_metrics`], but on an explicit host backend. On the
-/// TSO backend the `fence.exec.dmb_ff` counter counts executed
-/// `MFENCE`s (the only barrier MiniTSO emits); `dmb_ld`/`dmb_st` stay 0.
-///
-/// # Panics
-///
-/// Panics on any emulation error or on a registry/`Report` mismatch.
-pub fn run_with_metrics_on(
-    bin: &GuestBinary,
-    setup: Setup,
-    cores: usize,
-    link: bool,
-    backend: BackendKind,
-) -> (Report, MetricsSnapshot, Vec<HotTb>) {
-    let backend = effective_backend(setup, backend);
-    let mut emu = Emulator::new(bin, setup, cores, backend.cost_model());
-    emu.set_backend(backend);
-    emu.set_verify(VerifyLevel::Install);
-    emu.set_stage_timing(true);
-    emu.set_profiling(true);
-    if setup != Setup::Native {
-        if let Some(cfg) = tier_policy() {
-            emu.set_tiering(Some(cfg));
-        }
-        emu.set_analysis(analysis_policy());
-    }
-    if link {
-        let idl = Idl::parse(risotto_nativelib::hostlibs::IDL_TEXT).expect("IDL parses");
-        for lib in [
-            risotto_nativelib::hostlibs::libm(),
-            risotto_nativelib::hostlibs::libcrypto(),
-            risotto_nativelib::hostlibs::libkv(),
-        ] {
-            let lib: HostLibrary = lib;
-            emu.link_library(bin, &idl, lib).expect("standard libraries match the IDL");
-        }
-    }
-    let report = emu.run(20_000_000_000).unwrap_or_else(|e| panic!("{}: {e}", setup.name()));
-    let snap = emu.metrics();
-    let hot = emu.hot_tbs(HOT_TB_TOP_N);
-    for (metric, legacy) in [
-        ("translate.blocks", report.tb_count as u64),
-        ("translate.retranslations", report.retranslations as u64),
-        ("translate.fallback_blocks", report.fallback_blocks as u64),
-        ("opt.fences_merged", report.opt.fences_merged as u64),
-        ("opt.loads_forwarded", report.opt.loads_forwarded as u64),
-        ("opt.stores_eliminated", report.opt.stores_eliminated as u64),
-        ("chain.hits", report.chain.chain_hits),
-        ("chain.links", report.chain.chain_links),
-        ("chain.flushes", report.chain.chain_flushes),
-        ("jcache.hits", report.chain.dispatch_hits),
-        ("jcache.misses", report.chain.dispatch_misses),
-        ("fence.exec.dmb_ld", report.stats.dmb[0]),
-        ("fence.exec.dmb_st", report.stats.dmb[1]),
-        ("fence.exec.dmb_ff", report.stats.dmb[2]),
-        ("fence.exec.cycles", report.stats.fence_cycles),
-        ("exec.insns", report.stats.insns),
-    ] {
-        assert_eq!(
-            snap.counter(metric),
-            legacy,
-            "metric `{metric}` diverged from its legacy Report source"
-        );
-    }
-    assert_eq!(snap.gauge("exec.cycles"), report.cycles, "exec.cycles gauge diverged");
-    (report, snap, hot)
-}
-
-/// Runs `bin` under [`Setup::Risotto`] on `backend`, collecting a
-/// [`MetricsEntry`] into `metrics` when it is `Some` (i.e. when
-/// `--metrics-json` was requested) and falling back to a plain
-/// [`run_on`] otherwise.
-pub fn run_risotto_collecting(
-    bin: &GuestBinary,
-    name: &str,
-    cores: usize,
-    link: bool,
-    metrics: &mut Option<Vec<MetricsEntry>>,
-    backend: BackendKind,
-) -> Report {
-    match metrics {
-        Some(entries) => {
-            let (report, snapshot, hot_tbs) =
-                run_with_metrics_on(bin, Setup::Risotto, cores, link, backend);
-            entries.push(MetricsEntry {
-                name: name.to_string(),
-                setup: Setup::Risotto.name(),
-                snapshot,
-                hot_tbs,
-            });
-            report
-        }
-        None => run_on(bin, Setup::Risotto, cores, link, backend),
-    }
+/// The tier policy that pins every block to the tier-0 template
+/// translator: both thresholds at `u64::MAX` never fire, so nothing is
+/// ever re-translated through the IR pipeline or promoted.
+pub fn templates_only() -> TierConfig {
+    TierConfig { hot_threshold: u64::MAX, warm_threshold: Some(u64::MAX), ..TierConfig::default() }
 }
 
 /// One workload's entry in a `--metrics-json` artifact.
@@ -236,6 +46,56 @@ pub struct MetricsEntry {
     pub snapshot: MetricsSnapshot,
     /// The hottest TBs ([`HOT_TB_TOP_N`]), hottest first.
     pub hot_tbs: Vec<HotTb>,
+}
+
+impl MetricsEntry {
+    /// The entry for the workload `name` that `emu` has just run.
+    pub fn of(name: &str, emu: &mut Emulator) -> MetricsEntry {
+        MetricsEntry {
+            name: name.to_string(),
+            setup: emu.setup().name(),
+            snapshot: emu.metrics(),
+            hot_tbs: emu.hot_tbs(HOT_TB_TOP_N),
+        }
+    }
+
+    /// Panics unless every registry counter that has a legacy [`Report`]
+    /// source equals it.
+    fn assert_matches(&self, report: &Report) {
+        let snap = &self.snapshot;
+        for (metric, legacy) in [
+            ("translate.blocks", report.tb_count as u64),
+            ("translate.retranslations", report.retranslations as u64),
+            ("translate.fallback_blocks", report.fallback_blocks as u64),
+            ("opt.fences_merged", report.opt.fences_merged as u64),
+            ("opt.loads_forwarded", report.opt.loads_forwarded as u64),
+            ("opt.stores_eliminated", report.opt.stores_eliminated as u64),
+            ("chain.hits", report.chain.chain_hits),
+            ("chain.links", report.chain.chain_links),
+            ("chain.flushes", report.chain.chain_flushes),
+            ("jcache.hits", report.chain.dispatch_hits),
+            ("jcache.misses", report.chain.dispatch_misses),
+            ("fence.exec.dmb_ld", report.stats.dmb[0]),
+            ("fence.exec.dmb_st", report.stats.dmb[1]),
+            ("fence.exec.dmb_ff", report.stats.dmb[2]),
+            ("fence.exec.cycles", report.stats.fence_cycles),
+            ("exec.insns", report.stats.insns),
+        ] {
+            assert_eq!(
+                snap.counter(metric),
+                legacy,
+                "metric `{metric}` diverged from its legacy Report source"
+            );
+        }
+        assert_eq!(snap.gauge("exec.cycles"), report.cycles, "exec.cycles gauge diverged");
+    }
+}
+
+/// Prints `msg` under `tool` and exits with status 2 — how every binary
+/// reports a command line it cannot honour.
+pub fn usage_error(tool: &str, msg: &str) -> ! {
+    eprintln!("{tool}: {msg}");
+    std::process::exit(2)
 }
 
 /// The common command line every `risotto-bench` binary accepts: the
@@ -252,7 +112,7 @@ pub struct BenchCli {
     pub metrics_json: Option<String>,
     /// Host backend from `--backend` (docs/BACKENDS.md); Arm when the
     /// flag is absent. The native-oracle setup always stays on Arm
-    /// (see [`effective_backend`]).
+    /// (see [`BenchCli::emulator`]).
     pub backend: BackendKind,
     /// Tier ceiling from `--tiers` (docs/ARCHITECTURE.md): `0` pins
     /// every block to the tier-0 template translator, `1` is today's
@@ -260,8 +120,8 @@ pub struct BenchCli {
     /// (templates → IR pipeline → superblocks). `None` when absent.
     pub tiers: Option<u8>,
     /// Whole-program analysis toggle from `--analysis on|off`
-    /// (docs/ANALYSIS.md). `None` when absent — the shared runners
-    /// default to on.
+    /// (docs/ANALYSIS.md). `None` when absent — [`BenchCli::emulator`]
+    /// defaults to on (the flag exists to measure the unrelaxed baseline).
     pub analysis: Option<bool>,
     /// Positional (non-flag) arguments, in order.
     pub positional: Vec<String>,
@@ -281,24 +141,15 @@ impl BenchCli {
     /// value-carrying flags (each named with its leading `--`, accepted
     /// as `--flag v` or `--flag=v`).
     pub fn parse_with(tool: &str, declared: &[&str]) -> BenchCli {
-        match Self::try_parse_with(std::env::args().skip(1), declared) {
-            Ok(cli) => {
-                // Publish the tier pin and analysis toggle for the
-                // shared runners; first parse in the process wins
-                // (binaries parse once).
-                let _ = TIER_POLICY.set(cli.tier_config());
-                let _ = ANALYSIS_POLICY.set(cli.analysis.unwrap_or(true));
-                cli
-            }
-            Err(msg) => {
-                eprintln!("{tool}: {msg}");
-                let extra: String = declared.iter().map(|f| format!(", {f} <value>")).collect();
-                eprintln!(
-                    "{tool}: supported flags: --smoke, --metrics-json <path>, --backend arm|tso, --tiers 0|1|2, --analysis on|off{extra}"
-                );
-                std::process::exit(2);
-            }
-        }
+        Self::try_parse_with(std::env::args().skip(1), declared).unwrap_or_else(|msg| {
+            let extra: String = declared.iter().map(|f| format!(", {f} <value>")).collect();
+            usage_error(
+                tool,
+                &format!(
+                    "{msg}\n{tool}: supported flags: --smoke, --metrics-json <path>, --backend arm|tso, --tiers 0|1|2, --analysis on|off{extra}"
+                ),
+            )
+        })
     }
 
     /// Flag parsing behind [`BenchCli::parse`], separated for testing.
@@ -377,11 +228,10 @@ impl BenchCli {
     }
 
     /// The tier policy the `--tiers` selection pins on every DBT
-    /// emulator the shared runners build:
+    /// emulator [`BenchCli::emulator`] builds:
     ///
-    /// * `--tiers 0` — templates only: every block stays tier-0 forever
-    ///   (both thresholds at `u64::MAX` never fire, so nothing is ever
-    ///   re-translated through the IR pipeline or promoted).
+    /// * `--tiers 0` — [`templates_only`]: every block stays tier-0
+    ///   forever.
     /// * `--tiers 1` (or no flag) — today's default: the IR pipeline
     ///   translates everything, no tiering at all (`None`).
     /// * `--tiers 2` — the full ladder: cold blocks via templates, warm
@@ -389,13 +239,99 @@ impl BenchCli {
     ///   superblocks at the default threshold.
     pub fn tier_config(&self) -> Option<TierConfig> {
         match self.tiers {
-            Some(0) => Some(TierConfig {
-                hot_threshold: u64::MAX,
-                warm_threshold: Some(u64::MAX),
-                ..TierConfig::default()
-            }),
+            Some(0) => Some(templates_only()),
             Some(2) => Some(TierConfig { warm_threshold: Some(32), ..TierConfig::default() }),
             _ => None,
+        }
+    }
+
+    /// The emulator every binary runs `bin` on — the one place the shared
+    /// flags are applied. The machine is priced with the backend's cost
+    /// model, so cycle numbers are comparable only within one backend.
+    /// Install-time read-back is free (no simulated cycles), so every
+    /// harness run keeps it on: `verify.violations` must be zero in any
+    /// artifact the harness produces. A `--tiers` pin and the
+    /// `--analysis` toggle apply to every DBT setup; the native oracle
+    /// runs precompiled Arm code whatever `--backend` says, and has
+    /// neither translation tiers nor fence obligations to relax.
+    pub fn emulator(&self, bin: &GuestBinary, setup: Setup, cores: usize) -> Emulator {
+        let dbt = setup != Setup::Native;
+        let backend = if dbt { self.backend } else { BackendKind::Arm };
+        let mut emu = Emulator::new(bin, setup, cores, backend.cost_model());
+        emu.set_backend(backend);
+        emu.set_verify(VerifyLevel::Install);
+        if dbt {
+            if let Some(cfg) = self.tier_config() {
+                emu.set_tiering(Some(cfg));
+            }
+            emu.set_analysis(self.analysis.unwrap_or(true));
+        }
+        emu
+    }
+
+    /// Runs `bin` to completion on [`BenchCli::emulator`], optionally
+    /// linking the standard host libraries (libm + libcrypto + libkv).
+    ///
+    /// With `collect` — a workload name and the `--metrics-json` entries
+    /// gathered so far — the run has stage timing and hot-TB profiling on
+    /// and appends its [`MetricsEntry`], cross-checked first: every fence /
+    /// chain / fallback counter in the registry must equal its legacy
+    /// [`Report`] source, so a `--metrics-json` artifact is self-verifying.
+    /// (On the TSO backend `fence.exec.dmb_ff` counts executed `MFENCE`s,
+    /// the only barrier MiniTSO emits; `dmb_ld`/`dmb_st` stay 0.)
+    ///
+    /// # Panics
+    ///
+    /// Panics on any emulation error — benchmarks must run clean — or on
+    /// a registry/`Report` mismatch.
+    pub fn run(
+        &self,
+        bin: &GuestBinary,
+        setup: Setup,
+        cores: usize,
+        link: bool,
+        collect: Option<(&str, &mut Vec<MetricsEntry>)>,
+    ) -> Report {
+        let mut emu = self.emulator(bin, setup, cores);
+        if collect.is_some() {
+            emu.set_stage_timing(true);
+            emu.set_profiling(true);
+        }
+        if link {
+            let idl = Idl::parse(risotto_nativelib::hostlibs::IDL_TEXT).expect("IDL parses");
+            for lib in [
+                risotto_nativelib::hostlibs::libm(),
+                risotto_nativelib::hostlibs::libcrypto(),
+                risotto_nativelib::hostlibs::libkv(),
+            ] {
+                let lib: HostLibrary = lib;
+                emu.link_library(bin, &idl, lib).expect("standard libraries match the IDL");
+            }
+        }
+        let report = emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", setup.name()));
+        if let Some((name, entries)) = collect {
+            let entry = MetricsEntry::of(name, &mut emu);
+            entry.assert_matches(&report);
+            entries.push(entry);
+        }
+        report
+    }
+
+    /// `Err` unless the run is on the Arm backend — for a binary whose
+    /// subject (`what`) exists only in the Arm dialect.
+    pub fn require_arm(&self, what: &str) -> Result<(), String> {
+        match self.backend {
+            BackendKind::Arm => Ok(()),
+            other => Err(format!("--backend {} is not applicable: {what}", other.name())),
+        }
+    }
+
+    /// `Err` under `--tiers 0` — for a binary whose subject (`what`)
+    /// lives in the IR pipeline, which a templates-only run never enters.
+    pub fn require_ir_pipeline(&self, what: &str) -> Result<(), String> {
+        match self.tiers {
+            Some(0) => Err(format!("--tiers 0 is not applicable: {what}")),
+            _ => Ok(()),
         }
     }
 
@@ -572,6 +508,43 @@ mod tests {
         assert!(parse(&["--analysis"]).is_err(), "missing value");
         assert!(parse(&["--analysis", "maybe"]).is_err(), "invalid value");
         assert!(parse(&["--analysis=1"]).is_err(), "numeric spelling rejected");
+    }
+
+    #[test]
+    fn every_emulator_gets_the_shared_flags_and_the_native_oracle_stays_on_arm() {
+        use risotto_core::{BackendKind, Setup, VerifyLevel};
+        let bin = (risotto_workloads::kernels::all()[0].build)(4, 2);
+        let default = parse(&[]).unwrap();
+        let flagged = parse(&["--backend", "tso", "--analysis", "off"]).unwrap();
+        for setup in [Setup::Qemu, Setup::TcgVer, Setup::Risotto] {
+            let emu = default.emulator(&bin, setup, 2);
+            assert_eq!(emu.backend_kind(), BackendKind::Arm);
+            assert_eq!(emu.verify_level(), VerifyLevel::Install);
+            assert!(emu.analysis_enabled(), "{setup:?}: harness runs default to analysis on");
+            let emu = flagged.emulator(&bin, setup, 2);
+            assert_eq!(emu.backend_kind(), BackendKind::Tso);
+            assert_eq!(emu.verify_level(), VerifyLevel::Install);
+            assert!(!emu.analysis_enabled(), "{setup:?}: --analysis off ignored");
+        }
+        for cli in [&default, &flagged] {
+            let emu = cli.emulator(&bin, Setup::Native, 2);
+            assert_eq!(emu.backend_kind(), BackendKind::Arm);
+            assert!(!emu.analysis_enabled(), "native code has no fence obligations to relax");
+        }
+    }
+
+    #[test]
+    fn inapplicable_flags_are_errors_not_silently_ignored() {
+        assert!(parse(&[]).unwrap().require_arm("x").is_ok());
+        assert!(parse(&["--backend=arm"]).unwrap().require_arm("x").is_ok());
+        let err = parse(&["--backend", "tso"]).unwrap().require_arm("Arm-only").unwrap_err();
+        assert!(err.contains("--backend tso") && err.contains("Arm-only"), "{err}");
+
+        for ok in [&[][..], &["--tiers", "1"], &["--tiers", "2"]] {
+            assert!(parse(ok).unwrap().require_ir_pipeline("x").is_ok(), "{ok:?}");
+        }
+        let err = parse(&["--tiers=0"]).unwrap().require_ir_pipeline("no IR").unwrap_err();
+        assert!(err.contains("--tiers 0") && err.contains("no IR"), "{err}");
     }
 
     #[test]

@@ -1,0 +1,164 @@
+//! The kernel suite behind `BENCH_pipeline.json`: the 16 Fig. 12 kernels
+//! under the risotto setup, once per [`LEGS`] entry, reported in simulated
+//! cycles and deterministic counters only — the artifact is a pure
+//! function of the source tree, which is what lets `ci.sh` use the
+//! checked-in copy as its own baseline.
+
+use risotto_core::obs::MetricsSnapshot;
+use risotto_core::{BackendKind, Emulator, Report, Setup, TierConfig};
+use risotto_workloads::kernels;
+
+/// Kernel scale in smoke (CI) mode.
+const SMOKE_SCALE: u64 = 4;
+
+/// One configuration each kernel runs under.
+struct Leg {
+    /// Name in panic messages.
+    name: &'static str,
+    backend: BackendKind,
+    configure: fn(&mut Emulator),
+}
+
+/// The legs, base run first: every later leg must reproduce the base
+/// run's exit values and output bit for bit — only cycles and counters
+/// may move. The base run keeps every observability feature off, so its
+/// numbers equal an uninstrumented build's.
+const LEGS: [Leg; 5] = [
+    Leg { name: "tier-1", backend: BackendKind::Arm, configure: |_| {} },
+    // Superblock promotion on.
+    Leg {
+        name: "tier-2",
+        backend: BackendKind::Arm,
+        configure: |e| {
+            e.set_tiering(Some(TierConfig { hot_threshold: 16, ..TierConfig::default() }))
+        },
+    },
+    // The x86-TSO host backend: most TCG fences are no-ops under TSO, only
+    // W→R orderings cost an MFENCE, which executes as a full barrier
+    // (`fence.exec.dmb_ff`). Cycles are priced by its own cost model.
+    Leg { name: "tso", backend: BackendKind::Tso, configure: |_| {} },
+    // Whole-program fence relaxation (docs/ANALYSIS.md).
+    Leg { name: "analysis", backend: BackendKind::Arm, configure: |e| e.set_analysis(true) },
+    // Cold start: every block pinned to the template translator.
+    Leg {
+        name: "tier-0",
+        backend: BackendKind::Arm,
+        configure: |e| e.set_tiering(Some(crate::templates_only())),
+    },
+];
+
+/// Runs the suite (`smoke` shrinks the scale for CI), prints one line per
+/// kernel, and returns the `BENCH_pipeline.json` text.
+///
+/// # Panics
+///
+/// Panics on any emulation error, if a leg's results differ from the
+/// base run's, if analysis costs cycles, or if the tier-0 leg translated
+/// anything through the IR pipeline.
+pub fn pipeline_json(smoke: bool) -> String {
+    let (scale, threads) = if smoke { (SMOKE_SCALE, 2) } else { (64, 2) };
+    let mode = if smoke { "smoke" } else { "full" };
+    println!("kernel suite ({mode}, scale {scale}, {threads} threads):");
+    let mut entries = Vec::new();
+    for w in kernels::all() {
+        let bin = (w.build)(scale, threads);
+        let runs: Vec<(Report, MetricsSnapshot)> = LEGS
+            .iter()
+            .map(|leg| {
+                let mut emu =
+                    Emulator::new(&bin, Setup::Risotto, threads, leg.backend.cost_model());
+                emu.set_backend(leg.backend);
+                (leg.configure)(&mut emu);
+                let r = emu
+                    .run(crate::FUEL)
+                    .unwrap_or_else(|e| panic!("{} ({}): {e}", w.name, leg.name));
+                (r, emu.metrics())
+            })
+            .collect();
+        let (r, base) = &runs[0];
+        for (leg, (other, _)) in LEGS.iter().zip(&runs).skip(1) {
+            assert_eq!(other.exit_vals, r.exit_vals, "{} ({}): exit values", w.name, leg.name);
+            assert_eq!(other.output, r.output, "{} ({}): output", w.name, leg.name);
+        }
+        let [_, (r2, _), (rt, tso), (ra, an), (r0, t0)] = &runs[..] else {
+            unreachable!("one run per leg")
+        };
+        assert!(
+            ra.cycles <= r.cycles,
+            "{}: analysis-on run regressed cycles ({} > {})",
+            w.name,
+            ra.cycles,
+            r.cycles
+        );
+        assert!(r0.template.blocks > 0, "{}: tier-0 leg translated nothing", w.name);
+        assert_eq!(t0.counter("translate.insns"), 0, "{}: tier-1 ran in the tier-0 leg", w.name);
+
+        println!(
+            "{:16} {:>10} cycles   chain {:>5.1}%   sb {:+6} cy ({} prom, {} xfence)   an {:+6} cy ({} relax)   tso {:>10} cy ({} mfence)   t0 {:>10} cy",
+            w.name,
+            r.cycles,
+            100.0 * r.chain_hit_rate(),
+            r.cycles as i64 - r2.cycles as i64,
+            r2.sb.promotions,
+            r2.sb.fences_merged_cross,
+            r.cycles as i64 - ra.cycles as i64,
+            an.counter("analysis.relaxed"),
+            rt.cycles,
+            tso.counter("fence.exec.dmb_ff"),
+            r0.cycles,
+        );
+        entries.push(format!(
+            concat!(
+                "    {{\"kernel\": \"{}\", \"cycles\": {}, \"chain_hit_rate\": {:.4}, ",
+                "\"chain_hits\": {}, \"chain_links\": {}, \"dispatch_hits\": {}, ",
+                "\"dispatch_misses\": {},\n     ",
+                "\"superblock\": {{\"tier1_cycles\": {}, \"tier2_cycles\": {}, ",
+                "\"cycle_delta\": {}, \"promotions\": {}, \"tbs_merged\": {}, ",
+                "\"side_exits\": {}, \"fences_merged_cross\": {}}},\n     ",
+                "\"tso\": {{\"cycles\": {}, \"mfences\": {}, \"arm_dmb_ff\": {}, ",
+                "\"cycle_delta_vs_arm\": {}}},\n     ",
+                "\"analysis\": {{\"cycles\": {}, \"cycle_delta_vs_off\": {}, ",
+                "\"relaxed\": {}, \"relaxable\": {}, \"sites\": {}, ",
+                "\"private\": {}, \"poisons\": {}, \"hint_folded\": {}, ",
+                "\"branches_pruned\": {}}},\n     ",
+                "\"tier0\": {{\"cycles\": {}, \"blocks\": {}, \"insns\": {}}},\n     ",
+                "\"metrics\": {}}}"
+            ),
+            w.name,
+            r.cycles,
+            r.chain_hit_rate(),
+            r.chain.chain_hits,
+            r.chain.chain_links,
+            r.chain.dispatch_hits,
+            r.chain.dispatch_misses,
+            r.cycles,
+            r2.cycles,
+            r.cycles as i64 - r2.cycles as i64,
+            r2.sb.promotions,
+            r2.sb.tbs_merged,
+            r2.sb.side_exits,
+            r2.sb.fences_merged_cross,
+            rt.cycles,
+            tso.counter("fence.exec.dmb_ff"),
+            base.counter("fence.exec.dmb_ff"),
+            r.cycles as i64 - rt.cycles as i64,
+            ra.cycles,
+            r.cycles as i64 - ra.cycles as i64,
+            an.counter("analysis.relaxed"),
+            an.counter("analysis.relaxable"),
+            an.counter("analysis.sites"),
+            an.counter("analysis.private"),
+            an.counter("analysis.poisons"),
+            an.counter("analysis.hint_folded"),
+            an.counter("analysis.branches_pruned"),
+            r0.cycles,
+            r0.template.blocks,
+            r0.template.insns,
+            base.to_json()
+        ));
+    }
+    format!(
+        "{{\n  \"mode\": \"{mode}\",\n  \"scale\": {scale},\n  \"threads\": {threads},\n  \"kernels\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n")
+    )
+}

@@ -9,14 +9,12 @@ impl Emulator {
     /// (the stage histograms are observed live during translation).
     pub(super) fn refresh_metrics(&mut self) {
         let chain = self.machine.chain_stats();
-        let cache = self.machine.cache_stats();
         let stats = self.machine.total_stats();
         let r = &mut self.obs.registry;
         r.set_counter("translate.blocks", self.tb_count as u64);
         r.set_counter("translate.retranslations", self.retranslations as u64);
         r.set_counter("translate.fallback_blocks", self.fallback_blocks as u64);
         r.set_counter("translate.interp_steps", self.interp_steps);
-        r.set_counter("translate.tbcache_hits", self.tbcache_hits);
         r.set_counter("translate.insns", self.tier1_insns);
         r.set_counter("fault.injected", self.faults_injected);
         r.set_counter("template.blocks", self.template_stats.blocks);
@@ -41,26 +39,14 @@ impl Emulator {
         r.set_counter("chain.flushes", chain.chain_flushes);
         r.set_counter("jcache.hits", chain.dispatch_hits);
         r.set_counter("jcache.misses", chain.dispatch_misses);
-        r.set_counter("tbcache.installs", cache.installs);
-        r.set_counter("tbcache.region_reuses", cache.region_reuses);
-        r.set_counter("tbcache.evictions", cache.evictions);
         r.set_counter("exec.insns", stats.insns);
         r.set_counter("exec.atomics", stats.atomics);
-        r.set_counter("exec.helper_calls", stats.helper_calls);
-        r.set_counter("exec.native_calls", stats.native_calls);
         r.set_counter("fence.exec.dmb_ld", stats.dmb[0]);
         r.set_counter("fence.exec.dmb_st", stats.dmb[1]);
         r.set_counter("fence.exec.dmb_ff", stats.dmb[2]);
         r.set_counter("fence.exec.cycles", stats.fence_cycles);
         r.set_counter("engine.syscalls", self.syscalls_completed);
         r.set_counter("sb.promotions", self.sb_stats.promotions);
-        r.set_counter("sb.promotion_failures", self.sb_stats.failures);
-        r.set_counter("sb.declined", self.sb_stats.declined);
-        r.set_counter("sb.installs", cache.sb_installs);
-        r.set_counter("sb.subsumed_tbs", cache.sb_subsumed);
-        r.set_counter("sb.entries", chain.sb_entries);
-        r.set_counter("sb.tbs_merged", self.sb_stats.tbs_merged);
-        r.set_counter("sb.side_exits", self.sb_stats.side_exits);
         r.set_counter("sb.fences_merged_cross", self.sb_opt.fences_merged_cross as u64);
         let violations = self.verify_ir + self.verify_fence + self.verify_encoding;
         r.set_counter("verify.checked", self.verify_checked);
@@ -69,17 +55,10 @@ impl Emulator {
         r.set_counter("verify.fence_violations", self.verify_fence);
         r.set_counter("verify.encoding_violations", self.verify_encoding);
         let asum = self.analysis.as_ref().map(|f| f.summary()).unwrap_or_default();
-        r.set_gauge("analysis.enabled", self.analysis.is_some() as u64);
         r.set_counter("analysis.sites", asum.sites);
         r.set_counter("analysis.private", asum.private);
-        r.set_counter("analysis.readonly", asum.readonly);
-        r.set_counter("analysis.shared", asum.shared);
-        r.set_counter("analysis.atomics", asum.atomics);
         r.set_counter("analysis.relaxable", asum.relaxable);
         r.set_counter("analysis.poisons", asum.poisons);
-        r.set_counter("analysis.lints", asum.lints);
-        r.set_counter("analysis.instances", asum.instances);
-        r.set_counter("analysis.refined_loops", asum.refined_loops);
         r.set_counter("analysis.relaxed", self.analysis_relaxed);
         r.set_counter("analysis.relaxed_blocks", self.analysis_relaxed_blocks);
         r.set_counter("analysis.cache_hits", self.analysis_cache_hits);
@@ -87,17 +66,10 @@ impl Emulator {
         r.set_counter("analysis.hint_folded", self.hint_totals.folded as u64);
         r.set_counter("analysis.branches_pruned", self.hint_totals.branches_pruned as u64);
         let ra = self.regalloc_totals;
-        r.set_counter("regalloc.env_loads", ra.env_loads);
-        r.set_counter("regalloc.env_stores", ra.env_stores);
         r.set_counter("regalloc.env_loads_eliminated", ra.env_loads_eliminated);
-        r.set_counter("regalloc.env_stores_eliminated", ra.env_stores_eliminated);
         r.set_counter("regalloc.spills", ra.spills);
-        r.set_counter("regalloc.reloads", ra.reloads);
-        r.set_counter("regalloc.pinned_regs", ra.pinned_regs);
         r.set_gauge("exec.cycles", self.machine.clock());
         r.set_gauge("exec.cores", self.machine.n_cores() as u64);
-        r.set_gauge("tbcache.resident", self.machine.mapped_tbs().len() as u64);
-        r.set_gauge("code.bytes", self.machine.code_size() as u64);
         for c in 0..self.machine.n_cores() {
             let s = self.machine.stats(c);
             r.set_gauge(&format!("core.{c}.insns"), s.insns);

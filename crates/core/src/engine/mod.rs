@@ -156,8 +156,6 @@ pub struct Emulator {
     /// Engine-side dispatch-loop profile: guest pc → (entries, misses);
     /// only filled while profiling is enabled.
     resume_profile: HashMap<u64, (u64, u64)>,
-    /// Engine-side TB-map lookups that found an existing translation.
-    tbcache_hits: u64,
     /// Injected faults encountered (translate / lower / syscall).
     faults_injected: u64,
     /// Guest instructions covered by tier-1 translations (denominator
@@ -240,7 +238,6 @@ impl Emulator {
             fence_inserted: [0; 12],
             tb_ids: HashMap::new(),
             resume_profile: HashMap::new(),
-            tbcache_hits: 0,
             faults_injected: 0,
             tier1_insns: 0,
             verify: VerifyLevel::default(),

@@ -795,7 +795,6 @@ impl Emulator {
         guest_pc: u64,
     ) -> Result<u64, TbFault> {
         if let Some(host) = self.machine.lookup_tb(guest_pc) {
-            self.tbcache_hits += 1;
             return Ok(host);
         }
         let prior = self.quarantine.attempts(guest_pc);

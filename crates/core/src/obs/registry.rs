@@ -3,8 +3,8 @@
 //!
 //! The registry is *passive*: it is filled from the authoritative
 //! sources (`Report`-era fields, [`risotto_tcg::OptStats`],
-//! `ChainStats`/`CacheStats`/`CoreStats`) and never feeds back into
-//! execution, so enabling observability cannot change simulated cycles.
+//! `ChainStats`/`CoreStats`) and never feeds back into execution, so
+//! enabling observability cannot change simulated cycles.
 
 use risotto_memmodel::FenceKind;
 use std::borrow::Cow;
@@ -133,7 +133,7 @@ impl Default for MetricsRegistry {
 /// The zeroed registry [`MetricsRegistry::new`] copies: every
 /// non-family metric of the schema, sorted by name. Built once per
 /// process — an `Emulator` is constructed per guest program, and the
-/// schema (a hundred `MetricSpec`s with their help strings) is
+/// schema (some ninety `MetricSpec`s with their help strings) is
 /// documentation, not something to rebuild each time.
 fn zeroed() -> &'static [(Cow<'static, str>, MetricValue)] {
     static SCHEMA: OnceLock<Vec<MetricSpec>> = OnceLock::new();
@@ -192,7 +192,6 @@ impl MetricsRegistry {
             spec("translate.retranslations", Counter, "blocks", "Translations beyond a block's first (evictions, corruption refills, quarantine retries)"),
             spec("translate.fallback_blocks", Counter, "blocks", "Quarantine episodes: blocks that entered interpreter fallback"),
             spec("translate.interp_steps", Counter, "insns", "Guest instructions executed by the fallback interpreter"),
-            spec("translate.tbcache_hits", Counter, "lookups", "Engine-side TB-map lookups that found an existing translation"),
             spec("translate.insns", Counter, "insns", "Guest instructions covered by tier-1 translations"),
             spec("template.blocks", Counter, "blocks", "Blocks translated by tier-0 template instantiation"),
             spec("template.insns", Counter, "insns", "Guest instructions covered by tier-0 template translations"),
@@ -209,60 +208,34 @@ impl MetricsRegistry {
             spec("chain.flushes", Counter, "slots", "Chain slots un-patched / jump-cache entries dropped on unmap"),
             spec("jcache.hits", Counter, "exits", "Indirect exits that hit the per-core jump cache"),
             spec("jcache.misses", Counter, "exits", "Indirect exits resolved by the full dispatcher lookup"),
-            spec("tbcache.installs", Counter, "regions", "Code regions installed into the TB cache"),
-            spec("tbcache.region_reuses", Counter, "regions", "Installs that reused a freed region"),
-            spec("tbcache.evictions", Counter, "blocks", "TB mappings removed (evictions, invalidations, rebinds)"),
             spec("exec.insns", Counter, "insns", "Host instructions retired, all cores"),
             spec("exec.atomics", Counter, "insns", "Atomic RMW instructions executed"),
-            spec("exec.helper_calls", Counter, "calls", "Helper calls executed"),
-            spec("exec.native_calls", Counter, "calls", "Native host-library calls executed"),
             spec("fence.exec.dmb_ld", Counter, "fences", "DMB LD barriers executed"),
             spec("fence.exec.dmb_st", Counter, "fences", "DMB ST barriers executed"),
             spec("fence.exec.dmb_ff", Counter, "fences", "DMB FF (SY) barriers executed"),
             spec("fence.exec.cycles", Counter, "cycles", "Cycles attributed to barriers"),
             spec("engine.syscalls", Counter, "calls", "Completed (non-busy-wait) guest syscalls"),
             spec("sb.promotions", Counter, "superblocks", "Tier-2 superblocks successfully installed"),
-            spec("sb.promotion_failures", Counter, "attempts", "Promotions abandoned mid-pipeline (stitch/lowering failure)"),
-            spec("sb.declined", Counter, "events", "Hot-TB events declined before stitching (short trace, PLT, quarantined)"),
-            spec("sb.installs", Counter, "installs", "Superblock code installs on the machine"),
-            spec("sb.subsumed_tbs", Counter, "blocks", "Tier-1 translations evicted because a superblock subsumed them"),
-            spec("sb.entries", Counter, "entries", "Machine transfers that entered a superblock head"),
-            spec("sb.tbs_merged", Counter, "blocks", "Tier-1 blocks merged into superblocks (sum of trace lengths)"),
-            spec("sb.side_exits", Counter, "guards", "SideExit guards emitted across installed superblocks"),
             spec("sb.fences_merged_cross", Counter, "fences", "Fence merges that crossed a former TB boundary"),
             spec("verify.checked", Counter, "checks", "Translation-verifier checks executed (static passes and install read-backs)"),
             spec("verify.violations", Counter, "violations", "Translations rejected by the verifier (sum of the per-pass counters)"),
             spec("verify.ir_violations", Counter, "violations", "IR-lint (pass 1) rejections"),
             spec("verify.fence_violations", Counter, "violations", "Fence-obligation (pass 2) rejections"),
             spec("verify.encoding_violations", Counter, "violations", "Encoding / install read-back (pass 3) rejections"),
-            spec("analysis.enabled", Gauge, "flag", "1 while whole-program analysis facts are active"),
             spec("analysis.sites", Counter, "sites", "Static memory-access sites the analysis discovered"),
             spec("analysis.private", Counter, "sites", "Sites proven core-private"),
-            spec("analysis.readonly", Counter, "sites", "Sites proven read-only-shared"),
-            spec("analysis.shared", Counter, "sites", "Sites possibly written by more than one core"),
-            spec("analysis.atomics", Counter, "sites", "Atomic RMW sites (never relaxable)"),
             spec("analysis.relaxable", Counter, "sites", "Private + read-only sites on a poison-free image"),
             spec("analysis.poisons", Counter, "poisons", "Soundness poisons (unresolved indirection, solver limits, ...)"),
-            spec("analysis.lints", Counter, "findings", "Guest lint findings"),
-            spec("analysis.instances", Counter, "cores", "Core instances analysed (root + spawned)"),
-            spec("analysis.refined_loops", Counter, "loops", "Counted loops refined by bounded unrolling"),
             spec("analysis.relaxed", Counter, "fences", "Fences removed by analysis-driven relaxation at translate time"),
             spec("analysis.relaxed_blocks", Counter, "blocks", "Tier-1 translations with at least one relaxed event"),
             spec("analysis.cache_hits", Counter, "lookups", "Analysis-cache lookups that found existing facts"),
             spec("analysis.cache_misses", Counter, "lookups", "Analysis-cache lookups that ran the full analysis"),
             spec("analysis.hint_folded", Counter, "ops", "Pure IR ops replaced by constants via known-bits hints"),
             spec("analysis.branches_pruned", Counter, "branches", "Conditional exits statically decided by known-bits hints"),
-            spec("regalloc.env_loads", Counter, "loads", "Env-slot LDRs emitted (first-use pin fills and refills)"),
-            spec("regalloc.env_stores", Counter, "stores", "Env-slot STRs emitted (deferred flush write-backs and dirty evictions)"),
             spec("regalloc.env_loads_eliminated", Counter, "loads", "GetReg ops served from a pinned host register (env LDRs avoided)"),
-            spec("regalloc.env_stores_eliminated", Counter, "stores", "SetReg ops coalesced into a deferred flush (env STRs avoided)"),
             spec("regalloc.spills", Counter, "stores", "Temp values spilled to the spill area under register pressure"),
-            spec("regalloc.reloads", Counter, "loads", "Temp values reloaded from the spill area"),
-            spec("regalloc.pinned_regs", Counter, "registers", "Distinct guest registers pinned in host registers, summed over blocks"),
             spec("exec.cycles", Gauge, "cycles", "Simulated parallel runtime (max core clock)"),
             spec("exec.cores", Gauge, "cores", "Cores configured for the run"),
-            spec("tbcache.resident", Gauge, "blocks", "TB mappings resident at snapshot time"),
-            spec("code.bytes", Gauge, "bytes", "Code-cache footprint (incl. holes awaiting reuse)"),
             spec("core.<i>.insns", Gauge, "insns", "Host instructions retired by core i"),
             spec("core.<i>.cycles", Gauge, "cycles", "Local clock of core i"),
             spec("stage.template_ns", Histogram, "ns", "Wall time of tier-0 template translation, per block"),
