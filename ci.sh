@@ -70,7 +70,9 @@ cp BENCH_pipeline.json "$checked_in"
 cargo bench -q -p risotto-bench --bench pipeline -- smoke
 # Every kernel entry must carry its four legs; analysis-on can only
 # remove ordering cost, and at least one kernel must actually relax
-# fences, or the analysis subsystem went dead.
+# fences, or the analysis subsystem went dead; tier-2 must never be
+# slower than tier-1, and at least four kernels must actually promote a
+# superblock, or the tier-2 numbers gate nothing.
 python3 - "$checked_in" BENCH_pipeline.json <<'EOF'
 import json, sys
 base = {k["kernel"]: k for k in json.load(open(sys.argv[1]))["kernels"]}
@@ -84,6 +86,7 @@ for k in doc["kernels"]:
     assert k["tier0"]["blocks"] > 0 and k["tier0"]["cycles"] > 0, name
     assert "relaxed" in k["analysis"], name
     assert k["analysis"]["cycle_delta_vs_off"] >= 0, name
+    assert sb["tier2_cycles"] <= k["cycles"], f'{name}: tier-2 slower than tier-1'
     if k["cycles"] > b["cycles"]:
         bad.append(f'{name}: tier-1 {k["cycles"]} > checked-in {b["cycles"]}')
     if sb["tier2_cycles"] > b["superblock"]["tier2_cycles"]:
@@ -91,6 +94,8 @@ for k in doc["kernels"]:
                    f' > checked-in {b["superblock"]["tier2_cycles"]}')
 assert any(k["analysis"]["relaxed"] > 0 for k in doc["kernels"]), \
     "no kernel relaxed any fences"
+promoted = [k["kernel"] for k in doc["kernels"] if k["superblock"]["promotions"] > 0]
+assert len(promoted) >= 4, f"tier-2 leg promoted on only {promoted}"
 if bad:
     open(sys.argv[2], "w").write(open(sys.argv[1]).read())
     sys.exit("cycle regression vs the checked-in BENCH_pipeline.json:\n  " + "\n  ".join(bad))

@@ -8,8 +8,10 @@ use risotto_core::obs::MetricsSnapshot;
 use risotto_core::{BackendKind, Emulator, Report, Setup, TierConfig};
 use risotto_workloads::kernels;
 
-/// Kernel scale in smoke (CI) mode.
-const SMOKE_SCALE: u64 = 4;
+/// Kernel scale in smoke (CI) mode: large enough that the tier-2 leg
+/// promotes superblocks on several kernels (none does at 4), so the
+/// `tier2_cycles` gate in `ci.sh` checks something.
+const SMOKE_SCALE: u64 = 16;
 
 /// One configuration each kernel runs under.
 struct Leg {
