@@ -68,11 +68,12 @@ cargo test -q --release --test slice_invariance
 checked_in="$(mktemp /tmp/bench_pipeline.XXXXXX.json)"
 cp BENCH_pipeline.json "$checked_in"
 cargo bench -q -p risotto-bench --bench pipeline -- smoke
-# Every kernel entry must carry its four legs; analysis-on can only
-# remove ordering cost, and at least one kernel must actually relax
-# fences, or the analysis subsystem went dead; tier-2 must never be
-# slower than tier-1, and at least four kernels must actually promote a
-# superblock, or the tier-2 numbers gate nothing.
+# The suite itself panics if a leg's results differ from the base run's,
+# if analysis-on costs cycles or if the tier-0 leg translates nothing.
+# On top: at least one kernel must actually relax fences, or the analysis
+# subsystem went dead; tier-2 must never be slower than tier-1, and at
+# least four kernels must actually promote a superblock, or the tier-2
+# numbers gate nothing.
 python3 - "$checked_in" BENCH_pipeline.json <<'EOF'
 import json, sys
 base = {k["kernel"]: k for k in json.load(open(sys.argv[1]))["kernels"]}
@@ -81,11 +82,6 @@ assert len(doc["kernels"]) == 16, len(doc["kernels"])
 bad = []
 for k in doc["kernels"]:
     name, sb, b = k["kernel"], k["superblock"], base[k["kernel"]]
-    assert "cycle_delta" in sb and "fences_merged_cross" in sb, name
-    assert "cycles" in k["tso"] and "mfences" in k["tso"], name
-    assert k["tier0"]["blocks"] > 0 and k["tier0"]["cycles"] > 0, name
-    assert "relaxed" in k["analysis"], name
-    assert k["analysis"]["cycle_delta_vs_off"] >= 0, name
     assert sb["tier2_cycles"] <= k["cycles"], f'{name}: tier-2 slower than tier-1'
     if k["cycles"] > b["cycles"]:
         bad.append(f'{name}: tier-1 {k["cycles"]} > checked-in {b["cycles"]}')

@@ -152,11 +152,6 @@ impl BenchCli {
         })
     }
 
-    /// Flag parsing behind [`BenchCli::parse`], separated for testing.
-    pub fn try_parse(args: impl Iterator<Item = String>) -> Result<BenchCli, String> {
-        Self::try_parse_with(args, &[])
-    }
-
     /// Flag parsing behind [`BenchCli::parse_with`], separated for
     /// testing.
     pub fn try_parse_with(
@@ -445,7 +440,7 @@ mod tests {
     use super::BenchCli;
 
     fn parse(args: &[&str]) -> Result<BenchCli, String> {
-        BenchCli::try_parse(args.iter().map(|s| s.to_string()))
+        BenchCli::try_parse_with(args.iter().map(|s| s.to_string()), &[])
     }
 
     #[test]

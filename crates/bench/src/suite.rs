@@ -1,5 +1,5 @@
 //! The kernel suite behind `BENCH_pipeline.json`: the 16 Fig. 12 kernels
-//! under the risotto setup, once per [`LEGS`] entry, reported in simulated
+//! under the risotto setup, once per `LEGS` entry, reported in simulated
 //! cycles and deterministic counters only — the artifact is a pure
 //! function of the source tree, which is what lets `ci.sh` use the
 //! checked-in copy as its own baseline.
