@@ -19,7 +19,7 @@ use risotto_workloads::kernels;
 fn main() {
     let cli = BenchCli::parse("fig12_parsec_phoenix");
     let smoke = cli.smoke;
-    let mut metrics = cli.metrics_json.as_ref().map(|_| Vec::new());
+    let mut metrics = Vec::new();
     let threads = if smoke { 2 } else { 4 };
     println!("Figure 12 — PARSEC & Phoenix run time relative to QEMU ({threads} threads)");
     println!("(columns are % of qemu's runtime; lower is better)\n");
@@ -46,7 +46,7 @@ fn main() {
             [Setup::NoFences, Setup::TcgVer, Setup::Risotto, Setup::Native].iter().enumerate()
         {
             // The risotto run carries the observability payload.
-            let collect = metrics.as_mut().filter(|_| *s == Setup::Risotto).map(|m| (w.name, m));
+            let collect = (*s == Setup::Risotto).then_some((w.name, &mut metrics));
             let r = cli.run(&bin, *s, threads, false, collect);
             assert_eq!(r.exit_vals[0], qemu.exit_vals[0], "{} checksum mismatch", w.name);
             let rel = 100.0 * r.cycles as f64 / qemu.cycles as f64;
@@ -110,7 +110,7 @@ fn main() {
         &chain_rows,
     );
 
-    if let (Some(path), Some(entries)) = (&cli.metrics_json, metrics) {
-        risotto_bench::write_metrics_json(path, "fig12_parsec_phoenix", &entries);
+    if let Some(path) = &cli.metrics_json {
+        risotto_bench::write_metrics_json(path, "fig12_parsec_phoenix", &metrics);
     }
 }

@@ -14,7 +14,7 @@ fn main() {
     println!("Figure 13 — OpenSSL & sqlite speedup over QEMU (higher is better)\n");
     let cli = BenchCli::parse("fig13_openssl_sqlite");
     let smoke = cli.smoke;
-    let mut metrics = cli.metrics_json.as_ref().map(|_| Vec::new());
+    let mut metrics = Vec::new();
     let mut rows = Vec::new();
 
     // Digests: md5/sha1/sha256 × {1024, 8192}-byte buffers (smoke: just
@@ -33,14 +33,13 @@ fn main() {
             };
             let bin = digest_bench(algo, len, iters);
             let label = format!("{name}-{len}");
-            let collect = metrics.as_mut().map(|m| (label.as_str(), m));
             let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
-            let ris = cli.run(&bin, Setup::Risotto, 1, true, collect);
+            let ris = cli.run(&bin, Setup::Risotto, 1, true, Some((&label, &mut metrics)));
             let nat = cli.run(&bin, Setup::Native, 1, true, None);
-            assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "{name}-{len} digest mismatch");
+            assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "{label} digest mismatch");
             assert_eq!(qemu.exit_vals[0], nat.exit_vals[0]);
             rows.push(vec![
-                format!("{name}-{len}"),
+                label,
                 speedup(qemu.cycles, ris.cycles),
                 speedup(qemu.cycles, nat.cycles),
                 format!("{:.0} ops/s", ops_per_sec(iters, qemu.cycles)),
@@ -57,13 +56,12 @@ fn main() {
         for (sign, op) in [(true, "sign"), (false, "verify")] {
             let bin = rsa_bench(nlimbs, sign, 1);
             let name = format!("{label}-{op}");
-            let collect = metrics.as_mut().map(|m| (name.as_str(), m));
             let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
-            let ris = cli.run(&bin, Setup::Risotto, 1, true, collect);
+            let ris = cli.run(&bin, Setup::Risotto, 1, true, Some((&name, &mut metrics)));
             let nat = cli.run(&bin, Setup::Native, 1, true, None);
-            assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "{label}-{op} result mismatch");
+            assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "{name} result mismatch");
             rows.push(vec![
-                format!("{label}-{op}"),
+                name,
                 speedup(qemu.cycles, ris.cycles),
                 speedup(qemu.cycles, nat.cycles),
                 format!("{:.0} ops/s", ops_per_sec(1, qemu.cycles)),
@@ -76,9 +74,8 @@ fn main() {
     {
         let rows_n: u64 = if smoke { 4 } else { 20 };
         let bin = sqlite_bench(rows_n);
-        let collect = metrics.as_mut().map(|m| ("sqlite", m));
         let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
-        let ris = cli.run(&bin, Setup::Risotto, 1, true, collect);
+        let ris = cli.run(&bin, Setup::Risotto, 1, true, Some(("sqlite", &mut metrics)));
         let nat = cli.run(&bin, Setup::Native, 1, true, None);
         assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "sqlite checksum mismatch");
         rows.push(vec![
@@ -91,7 +88,7 @@ fn main() {
     }
 
     print_table(&["benchmark", "risotto", "native", "qemu raw", "ris chain"], &rows);
-    if let (Some(path), Some(entries)) = (&cli.metrics_json, metrics) {
-        risotto_bench::write_metrics_json(path, "fig13_openssl_sqlite", &entries);
+    if let Some(path) = &cli.metrics_json {
+        risotto_bench::write_metrics_json(path, "fig13_openssl_sqlite", &metrics);
     }
 }

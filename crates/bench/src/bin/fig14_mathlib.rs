@@ -12,7 +12,7 @@ use risotto_workloads::libbench::math_bench;
 fn main() {
     println!("Figure 14 — math library speedup over QEMU (higher is better)\n");
     let cli = BenchCli::parse("fig14_mathlib");
-    let mut metrics = cli.metrics_json.as_ref().map(|_| Vec::new());
+    let mut metrics = Vec::new();
     let iters = if cli.smoke { 8 } else { 60 };
     let mut rows = Vec::new();
     for f in MathFn::ALL {
@@ -23,9 +23,8 @@ fn main() {
             _ => 0.8,
         };
         let bin = math_bench(f.name(), x, iters);
-        let collect = metrics.as_mut().map(|m| (f.name(), m));
         let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
-        let ris = cli.run(&bin, Setup::Risotto, 1, true, collect);
+        let ris = cli.run(&bin, Setup::Risotto, 1, true, Some((f.name(), &mut metrics)));
         let nat = cli.run(&bin, Setup::Native, 1, true, None);
         rows.push(vec![
             f.name().to_string(),
@@ -36,7 +35,7 @@ fn main() {
         ]);
     }
     print_table(&["function", "risotto", "native", "qemu raw", "ris chain"], &rows);
-    if let (Some(path), Some(entries)) = (&cli.metrics_json, metrics) {
-        risotto_bench::write_metrics_json(path, "fig14_mathlib", &entries);
+    if let Some(path) = &cli.metrics_json {
+        risotto_bench::write_metrics_json(path, "fig14_mathlib", &metrics);
     }
 }

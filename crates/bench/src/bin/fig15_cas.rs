@@ -10,7 +10,7 @@ use risotto_workloads::cas::{cas_bench, FIG15_CONFIGS};
 fn main() {
     println!("Figure 15 — CAS throughput (Mops/s) by (threads-vars) configuration\n");
     let cli = BenchCli::parse("fig15_cas");
-    let mut metrics = cli.metrics_json.as_ref().map(|_| Vec::new());
+    let mut metrics = Vec::new();
     let iters = if cli.smoke { 200u64 } else { 2000u64 };
     let mut rows = Vec::new();
     for (threads, vars) in FIG15_CONFIGS {
@@ -20,8 +20,7 @@ fn main() {
         let name = format!("cas-{threads}-{vars}");
         let mut chain = String::new();
         for setup in [Setup::Qemu, Setup::Risotto, Setup::Native] {
-            let collect =
-                metrics.as_mut().filter(|_| setup == Setup::Risotto).map(|m| (name.as_str(), m));
+            let collect = (setup == Setup::Risotto).then_some((name.as_str(), &mut metrics));
             let r = cli.run(&bin, setup, threads, false, collect);
             assert_eq!(r.exit_vals[0], Some(total_ops), "{setup:?} lost CAS increments");
             cells.push(format!("{:.1}", ops_per_sec(total_ops, r.cycles) / 1e6));
@@ -36,7 +35,7 @@ fn main() {
     print_table(&["config", "qemu", "risotto", "native", "ris chain"], &rows);
     println!("\n(expected shape: risotto > qemu when threads == vars — no contention —");
     println!(" and parity under contention, where the casal itself dominates; §7.4)");
-    if let (Some(path), Some(entries)) = (&cli.metrics_json, metrics) {
-        risotto_bench::write_metrics_json(path, "fig15_cas", &entries);
+    if let Some(path) = &cli.metrics_json {
+        risotto_bench::write_metrics_json(path, "fig15_cas", &metrics);
     }
 }

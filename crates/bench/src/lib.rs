@@ -267,11 +267,12 @@ impl BenchCli {
     /// Runs `bin` to completion on [`BenchCli::emulator`], optionally
     /// linking the standard host libraries (libm + libcrypto + libkv).
     ///
-    /// With `collect` — a workload name and the `--metrics-json` entries
-    /// gathered so far — the run has stage timing and hot-TB profiling on
-    /// and appends its [`MetricsEntry`], cross-checked first: every fence /
-    /// chain / fallback counter in the registry must equal its legacy
-    /// [`Report`] source, so a `--metrics-json` artifact is self-verifying.
+    /// `collect` names the run as a workload of the `--metrics-json`
+    /// artifact and is ignored unless that flag was passed: then the run
+    /// has stage timing and hot-TB profiling on and appends its
+    /// [`MetricsEntry`], cross-checked first — every fence / chain /
+    /// fallback counter in the registry must equal its legacy [`Report`]
+    /// source, so the artifact is self-verifying.
     /// (On the TSO backend `fence.exec.dmb_ff` counts executed `MFENCE`s,
     /// the only barrier MiniTSO emits; `dmb_ld`/`dmb_st` stay 0.)
     ///
@@ -287,6 +288,7 @@ impl BenchCli {
         link: bool,
         collect: Option<(&str, &mut Vec<MetricsEntry>)>,
     ) -> Report {
+        let collect = collect.filter(|_| self.metrics_json.is_some());
         let mut emu = self.emulator(bin, setup, cores);
         if collect.is_some() {
             emu.set_stage_timing(true);
@@ -355,8 +357,8 @@ impl BenchCli {
     }
 }
 
-/// Writes the versioned metrics artifact shared by every `fig*` binary
-/// and `fault_sweep`:
+/// Writes the versioned metrics artifact shared by every `fig*` binary,
+/// `fault_sweep` and `fuzz`:
 /// `{"version":1,"tool":…,"workloads":[{name,setup,hot_tbs,metrics},…]}`.
 ///
 /// # Panics
