@@ -70,10 +70,13 @@ cp BENCH_pipeline.json "$checked_in"
 cargo bench -q -p risotto-bench --bench pipeline -- smoke
 # The suite itself panics if a leg's results differ from the base run's,
 # if analysis-on costs cycles or if the tier-0 leg translates nothing.
-# On top: at least one kernel must actually relax fences, or the analysis
-# subsystem went dead; tier-2 must never be slower than tier-1, and at
-# least four kernels must actually promote a superblock, or the tier-2
-# numbers gate nothing.
+# On top: the kernels whose analysis leg actually removes fences must be
+# exactly the five named below (one fewer and the analysis got weaker,
+# one more and a relaxation appeared that nobody reviewed; swaptions,
+# relaxable at the scale 4 the `analyze --smoke` gate builds, carries a
+# poison at this suite's scale 16); tier-2 must never be slower than
+# tier-1, and at least four kernels must actually promote a superblock,
+# or the tier-2 numbers gate nothing.
 python3 - "$checked_in" BENCH_pipeline.json <<'EOF'
 import json, sys
 base = {k["kernel"]: k for k in json.load(open(sys.argv[1]))["kernels"]}
@@ -88,8 +91,9 @@ for k in doc["kernels"]:
     if sb["tier2_cycles"] > b["superblock"]["tier2_cycles"]:
         bad.append(f'{name}: tier-2 {sb["tier2_cycles"]}'
                    f' > checked-in {b["superblock"]["tier2_cycles"]}')
-assert any(k["analysis"]["relaxed"] > 0 for k in doc["kernels"]), \
-    "no kernel relaxed any fences"
+relaxed = {k["kernel"] for k in doc["kernels"] if k["analysis"]["relaxed"] > 0}
+assert relaxed == {"freqmine", "streamcluster", "linearregression", "pca", "stringmatch"}, \
+    f"kernels that relax fences changed: {sorted(relaxed)}"
 promoted = [k["kernel"] for k in doc["kernels"] if k["superblock"]["promotions"] > 0]
 assert len(promoted) >= 4, f"tier-2 leg promoted on only {promoted}"
 if bad:
@@ -126,21 +130,21 @@ for row in ("template.translate_ns_per_insn", "tcg.frontend_ns_per_insn",
 EOF
 rm -f "$layers_json"
 
-# Static-analysis gate (docs/ANALYSIS.md): the analyzer over the
-# 16-kernel and litmus corpora must report zero lint findings (the
-# corpora are known-clean; any finding is a false positive) and at
-# least one kernel with relaxable accesses.
+# Static-analysis gate (docs/ANALYSIS.md): over the 16-kernel corpus the
+# analyzer must find relaxable accesses in exactly the six kernels named
+# below — the poison-free ones with a private or read-only site.
 analysis_json="$(mktemp /tmp/analysis.XXXXXX.json)"
 cargo run -q --release -p risotto-bench --bin analyze -- \
     --smoke --json "$analysis_json" > /dev/null
 python3 - "$analysis_json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["version"] == 1
+assert doc["version"] == 2, doc["version"]
 assert len(doc["kernels"]) == 16, len(doc["kernels"])
-for img in doc["kernels"] + doc["litmus"]:
-    assert img["lints"] == [], f'{img["name"]}: false-positive lints {img["lints"]}'
-assert any(k["relaxable"] > 0 for k in doc["kernels"]), "no relaxable kernel accesses"
+relaxable = {k["name"] for k in doc["kernels"] if k["relaxable"] > 0}
+assert relaxable == {"freqmine", "streamcluster", "swaptions",
+                     "linearregression", "pca", "stringmatch"}, \
+    f"kernels with relaxable accesses changed: {sorted(relaxable)}"
 EOF
 rm -f "$analysis_json"
 

@@ -13,11 +13,10 @@
 //!
 //! The result is a partition of the reached text into [`Block`]s with
 //! typed terminators, plus the spawn-site list and an `unresolved` flag
-//! for indirection the scan could not chase (consumers must then treat
-//! reachability as incomplete). Byte-precise coverage feeds the
-//! unreachable-code lint; the escape analysis re-resolves all control
-//! flow with its full abstract domain but uses these blocks as its node
-//! universe.
+//! for indirection the scan could not chase (the block set is then a
+//! lower bound, and the escape analysis poisons the image). The escape
+//! analysis re-resolves all control flow with its full abstract domain
+//! but uses these blocks as its node universe.
 
 use risotto_guest_x86::{syscalls, Gpr, GuestBinary, Insn, TEXT_BASE};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -64,7 +63,7 @@ pub enum Term {
         ret: Option<u64>,
     },
     /// `ret` — the escape analysis resolves targets via its tracked
-    /// stack; plain reachability uses the call-site return edges.
+    /// stack.
     Ret,
     /// `hlt`.
     Halt,
@@ -92,13 +91,6 @@ pub struct Block {
     pub term: Term,
 }
 
-impl Block {
-    /// One-past-the-end pc of the block's bytes.
-    pub fn end(&self) -> u64 {
-        self.insns.last().map(|i| i.pc + i.len as u64).unwrap_or(self.start)
-    }
-}
-
 /// A statically discovered `SPAWN` site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpawnSite {
@@ -120,8 +112,8 @@ pub struct Cfg {
     /// Statically discovered spawn sites.
     pub spawns: Vec<SpawnSite>,
     /// `true` when some indirect jump/call target (or a syscall number)
-    /// could not be resolved by the local constant scan: reachability
-    /// and byte coverage are then lower bounds, not exact.
+    /// could not be resolved by the local constant scan: the block set
+    /// is then a lower bound, not exact.
     pub unresolved: bool,
 }
 
@@ -332,78 +324,6 @@ pub fn recover(bin: &GuestBinary) -> Cfg {
     Cfg { entry: bin.entry, blocks, spawns: spawns.into_values().collect(), unresolved }
 }
 
-impl Cfg {
-    /// The block containing `pc` as its start, if recovered.
-    pub fn block(&self, start: u64) -> Option<&Block> {
-        self.blocks.get(&start)
-    }
-
-    /// Direct intra-procedural successor edges (jump/cond/fall/syscall
-    /// resume), for loop detection. Calls, returns and indirection are
-    /// excluded on purpose.
-    pub fn direct_succs(&self) -> BTreeMap<u64, Vec<u64>> {
-        let mut m: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for (&start, b) in &self.blocks {
-            let succs = match b.term {
-                Term::Jump(t) | Term::ResolvedJump(t) | Term::Fall(t) => vec![t],
-                Term::Cond { taken, fall } => vec![taken, fall],
-                Term::Syscall { next } => vec![next],
-                _ => vec![],
-            };
-            m.insert(start, succs.into_iter().filter(|t| self.blocks.contains_key(t)).collect());
-        }
-        m
-    }
-
-    /// All reachability edges from the entry and spawn targets: direct
-    /// edges plus call targets, call-site return edges and resolved
-    /// indirect jumps. Used for byte coverage (unreachable-code lint).
-    pub fn reach_succs(&self) -> BTreeMap<u64, Vec<u64>> {
-        let mut m = self.direct_succs();
-        for (&start, b) in &self.blocks {
-            if let Term::Call { target, ret } = b.term {
-                let e = m.entry(start).or_default();
-                for t in [target, ret] {
-                    if self.blocks.contains_key(&t) {
-                        e.push(t);
-                    }
-                }
-            }
-            if let Term::Indirect { ret: Some(ret), .. } = b.term {
-                if self.blocks.contains_key(&ret) {
-                    m.entry(start).or_default().push(ret);
-                }
-            }
-        }
-        m
-    }
-
-    /// Set of block-start pcs reachable from the entry (and spawn
-    /// targets) over [`Cfg::reach_succs`].
-    pub fn reachable(&self) -> BTreeSet<u64> {
-        let succs = self.reach_succs();
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut work: Vec<u64> = Vec::new();
-        let seed = |pc: u64, work: &mut Vec<u64>, seen: &mut BTreeSet<u64>| {
-            if self.blocks.contains_key(&pc) && seen.insert(pc) {
-                work.push(pc);
-            }
-        };
-        seed(self.entry, &mut work, &mut seen);
-        for s in &self.spawns {
-            seed(s.target, &mut work, &mut seen);
-        }
-        while let Some(pc) = work.pop() {
-            for &s in succs.get(&pc).map(Vec::as_slice).unwrap_or(&[]) {
-                if seen.insert(s) {
-                    work.push(s);
-                }
-            }
-        }
-        seen
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,8 +344,7 @@ mod tests {
         });
         let cfg = recover(&bin);
         assert_eq!(cfg.blocks.len(), 1);
-        let b = cfg.block(cfg.entry).unwrap();
-        assert_eq!(b.term, Term::Halt);
+        assert_eq!(cfg.blocks[&cfg.entry].term, Term::Halt);
         assert!(!cfg.unresolved);
         assert!(cfg.spawns.is_empty());
     }
@@ -443,9 +362,13 @@ mod tests {
         });
         let cfg = recover(&bin);
         assert_eq!(cfg.blocks.len(), 3);
-        let entry = cfg.block(cfg.entry).unwrap();
-        assert!(matches!(entry.term, Term::Cond { .. }));
-        assert!(cfg.reachable().len() == 3);
+        let Term::Cond { taken, fall } = cfg.blocks[&cfg.entry].term else {
+            panic!("entry ends in {:?}", cfg.blocks[&cfg.entry].term);
+        };
+        // Both arms were explored into blocks of their own.
+        assert_ne!(taken, fall);
+        assert_eq!(cfg.blocks[&taken].term, Term::Halt);
+        assert_eq!(cfg.blocks[&fall].term, Term::Halt);
     }
 
     #[test]
@@ -467,8 +390,10 @@ mod tests {
         assert_eq!(s.arg, Some(1));
         assert!(cfg.blocks.contains_key(&s.target), "spawn target explored");
         assert!(!cfg.unresolved);
-        // The worker body is reachable only through the spawn edge.
-        assert!(cfg.reachable().contains(&s.target));
+        // The worker body is found only through the spawn edge: it is
+        // a block of its own, ending in its `EXIT` syscall.
+        assert!(matches!(cfg.blocks[&s.target].term, Term::Syscall { .. }));
+        assert_eq!(cfg.blocks.len(), 3);
     }
 
     #[test]
@@ -490,7 +415,9 @@ mod tests {
         });
         let cfg = recover(&bin);
         assert!(!cfg.unresolved);
-        let entry = cfg.block(cfg.entry).unwrap();
-        assert!(matches!(entry.term, Term::ResolvedJump(_)));
+        let Term::ResolvedJump(tgt) = cfg.blocks[&cfg.entry].term else {
+            panic!("entry ends in {:?}", cfg.blocks[&cfg.entry].term);
+        };
+        assert_eq!(cfg.blocks[&tgt].term, Term::Halt);
     }
 }

@@ -1,15 +1,10 @@
-//! The reusable dataflow framework: a generic lattice trait and a
-//! deterministic worklist solver.
+//! The dataflow framework: a generic lattice trait and a deterministic
+//! worklist solver.
 //!
-//! Two entry points cover the two shapes of client in this crate:
-//!
-//! * [`solve`] — the general solver over a [`Transfer`] whose successor
-//!   set is *dynamic* (returned by the transfer function itself). The
-//!   escape analysis needs this: which syscall/indirect edges are
-//!   realized depends on the abstract state flowing into them.
-//! * [`solve_on_graph`] — the classic fixed-graph solver, forward or
-//!   backward, for clients whose CFG is known up front (reachability,
-//!   the backward fence-before-exit lint).
+//! One entry point, [`solve`], over a [`Transfer`] whose successor set
+//! is *dynamic* (returned by the transfer function itself). The escape
+//! analysis, its one client, needs this: which syscall/indirect edges
+//! are realized depends on the abstract state flowing into them.
 //!
 //! Determinism is load-bearing: the engine's translation output must be
 //! bit-identical run to run (`tests/determinism.rs`), and analysis facts
@@ -117,120 +112,9 @@ pub fn solve<T: Transfer>(
     Solution { inputs, edges, steps, hit_limit }
 }
 
-/// Flow direction for [`solve_on_graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// States flow along edges.
-    Forward,
-    /// States flow against edges (the graph is reversed before solving).
-    Backward,
-}
-
-struct GraphTransfer<'a, S, F> {
-    succs: BTreeMap<u64, &'a [u64]>,
-    transfer: F,
-    _marker: std::marker::PhantomData<S>,
-}
-
-impl<S: Lattice, F: FnMut(u64, &S) -> S> Transfer for GraphTransfer<'_, S, F> {
-    type State = S;
-    fn flow(&mut self, node: u64, input: &S) -> Vec<(u64, S)> {
-        let out = (self.transfer)(node, input);
-        match self.succs.get(&node) {
-            Some(ss) => ss.iter().map(|&s| (s, out.clone())).collect(),
-            None => Vec::new(),
-        }
-    }
-}
-
-/// Fixed-graph solver: `succs` gives each node's successor list, `seeds`
-/// the boundary states, and `transfer` the per-node out-state. For
-/// [`Direction::Backward`] the edge set is reversed (seeds are then the
-/// exits, and each node's fixpoint input joins over its successors'
-/// out-states).
-pub fn solve_on_graph<S: Lattice, F: FnMut(u64, &S) -> S>(
-    succs: &BTreeMap<u64, Vec<u64>>,
-    dir: Direction,
-    seeds: &[(u64, S)],
-    transfer: F,
-    max_steps: u64,
-) -> Solution<S> {
-    let oriented: BTreeMap<u64, Vec<u64>> = match dir {
-        Direction::Forward => succs.clone(),
-        Direction::Backward => {
-            let mut rev: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            for (&from, tos) in succs {
-                rev.entry(from).or_default();
-                for &to in tos {
-                    rev.entry(to).or_default().push(from);
-                }
-            }
-            for tos in rev.values_mut() {
-                tos.sort_unstable();
-                tos.dedup();
-            }
-            rev
-        }
-    };
-    let mut gt = GraphTransfer {
-        succs: oriented.iter().map(|(&k, v)| (k, v.as_slice())).collect(),
-        transfer,
-        _marker: std::marker::PhantomData,
-    };
-    solve(&mut gt, seeds, max_steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Plain powerset-of-u64 lattice for tests.
-    #[derive(Debug, Clone, PartialEq, Default)]
-    struct Set(BTreeSet<u64>);
-
-    impl Lattice for Set {
-        fn join_from(&mut self, other: &Self) -> bool {
-            let before = self.0.len();
-            self.0.extend(other.0.iter().copied());
-            self.0.len() != before
-        }
-    }
-
-    #[test]
-    fn forward_reachability_on_a_diamond() {
-        // 1 -> {2,3} -> 4
-        let succs: BTreeMap<u64, Vec<u64>> =
-            [(1, vec![2, 3]), (2, vec![4]), (3, vec![4]), (4, vec![])].into();
-        let sol = solve_on_graph(
-            &succs,
-            Direction::Forward,
-            &[(1, Set([1].into()))],
-            |node, s: &Set| {
-                let mut out = s.clone();
-                out.0.insert(node);
-                out
-            },
-            1000,
-        );
-        assert!(!sol.hit_limit);
-        assert_eq!(sol.inputs[&4].0, [1, 2, 3].into());
-        // Join happened: node 4's input saw both branch paths.
-        assert_eq!(sol.edges[&(2, 4)].0, [1, 2].into());
-        assert_eq!(sol.edges[&(3, 4)].0, [1, 3].into());
-    }
-
-    #[test]
-    fn backward_direction_reverses_edges() {
-        let succs: BTreeMap<u64, Vec<u64>> = [(1, vec![2]), (2, vec![3]), (3, vec![])].into();
-        let sol = solve_on_graph(
-            &succs,
-            Direction::Backward,
-            &[(3, Set([3].into()))],
-            |_, s: &Set| s.clone(),
-            1000,
-        );
-        assert_eq!(sol.inputs[&1].0, [3].into());
-    }
 
     /// An infinite-height counter domain exercising the widening hook.
     #[derive(Debug, Clone, PartialEq)]
@@ -246,6 +130,31 @@ mod tests {
         fn widen(&mut self) {
             self.1 = u64::MAX;
         }
+    }
+
+    /// 1 -> {2, 3} -> 4, each node stretching the hull to cover itself.
+    struct Diamond;
+    impl Transfer for Diamond {
+        type State = Hull;
+        fn flow(&mut self, node: u64, input: &Hull) -> Vec<(u64, Hull)> {
+            let out = Hull(input.0.min(node), input.1.max(node));
+            let succs: &[u64] = match node {
+                1 => &[2, 3],
+                2 | 3 => &[4],
+                _ => &[],
+            };
+            succs.iter().map(|&s| (s, out.clone())).collect()
+        }
+    }
+
+    #[test]
+    fn merge_node_joins_both_paths_and_edges_keep_each() {
+        let sol = solve(&mut Diamond, &[(1, Hull(1, 1))], 1000);
+        assert!(!sol.hit_limit);
+        assert_eq!(sol.inputs[&4], Hull(1, 3), "node 4 saw both branch paths");
+        assert_eq!(sol.edges[&(2, 4)], Hull(1, 2));
+        assert_eq!(sol.edges[&(3, 4)], Hull(1, 3));
+        assert_eq!(sol.edges.len(), 4);
     }
 
     struct Loop;

@@ -42,6 +42,7 @@
 
 use crate::cfg::{Block, Cfg, Term};
 use crate::dataflow::{solve, Lattice, Solution, Transfer};
+use crate::ImageFacts;
 use risotto_guest_x86::{
     syscalls, AluOp, Cond, Gpr, GuestBinary, Insn, Operand, HEAP_BASE, STACK_SIZE, STACK_TOP,
     TEXT_BASE,
@@ -321,7 +322,8 @@ pub struct Site {
     pub width: u8,
     /// The meet of the per-instance classifications.
     pub class: SiteClass,
-    /// Hull of the access regions across instances (for lints).
+    /// Hull of the access regions across instances (reported by
+    /// `dump_translation --analysis on`; the engine reads only `class`).
     pub region: Region,
 }
 
@@ -345,33 +347,6 @@ pub struct InstanceInfo {
     pub spawned_at: Option<u64>,
     /// `true` if this static instance may stand for several cores.
     pub replicated: bool,
-}
-
-/// Result of the whole-image escape analysis.
-#[derive(Debug, Clone)]
-pub struct EscapeFacts {
-    /// Classification per static access pc.
-    pub sites: BTreeMap<u64, Site>,
-    /// Poison reasons, deduplicated and ordered. Non-empty means **no**
-    /// site is relaxable regardless of its recorded class.
-    pub poisons: Vec<Poison>,
-    /// The analyzed abstract cores.
-    pub instances: Vec<InstanceInfo>,
-    /// Number of counted loops refined by the affine-pin phase.
-    pub refined_loops: u32,
-}
-
-impl EscapeFacts {
-    /// `true` when any poison condition fired.
-    pub fn poisoned(&self) -> bool {
-        !self.poisons.is_empty()
-    }
-
-    /// Whether the access at `pc` (if any) may have its ordering
-    /// obligation dropped.
-    pub fn relaxable(&self, pc: u64) -> bool {
-        !self.poisoned() && self.sites.get(&pc).map(|s| s.class.relaxable()).unwrap_or(false)
-    }
 }
 
 /// Everything `exec_block` reports besides successor states.
@@ -1169,7 +1144,7 @@ fn ranges_meet(a: Region, b: Region, same_core: bool) -> bool {
 }
 
 /// Runs the whole-image escape analysis over a recovered CFG.
-pub fn analyze(bin: &GuestBinary, cfg: &Cfg) -> EscapeFacts {
+pub fn analyze(bin: &GuestBinary, cfg: &Cfg) -> ImageFacts {
     let mut poisons: BTreeSet<Poison> = BTreeSet::new();
     if cfg.unresolved {
         poisons.insert(Poison::UnresolvedIndirect);
@@ -1282,7 +1257,7 @@ pub fn analyze(bin: &GuestBinary, cfg: &Cfg) -> EscapeFacts {
         entry.region = region_join(entry.region, a.region);
     }
 
-    EscapeFacts { sites, poisons: poisons.into_iter().collect(), instances, refined_loops }
+    ImageFacts { sites, poisons: poisons.into_iter().collect(), instances, refined_loops }
 }
 
 /// Meet of two per-instance classes at one site.
@@ -1322,7 +1297,7 @@ mod tests {
     use crate::cfg::recover;
     use risotto_guest_x86::{Assembler, GelfBuilder};
 
-    fn facts(build: impl FnOnce(&mut GelfBuilder, &mut Vec<u64>)) -> (EscapeFacts, Vec<u64>) {
+    fn facts(build: impl FnOnce(&mut GelfBuilder, &mut Vec<u64>)) -> (ImageFacts, Vec<u64>) {
         let mut b = GelfBuilder::new("main");
         let mut addrs = Vec::new();
         b.asm.label("main");
@@ -1333,7 +1308,7 @@ mod tests {
     }
 
     /// Helper: asm-only image.
-    fn facts_asm(f: impl FnOnce(&mut Assembler)) -> EscapeFacts {
+    fn facts_asm(f: impl FnOnce(&mut Assembler)) -> ImageFacts {
         facts(|b, _| f(&mut b.asm)).0
     }
 

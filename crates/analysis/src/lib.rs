@@ -1,16 +1,17 @@
 //! Whole-program static analysis over loaded MiniX86 guest images.
 //!
 //! This crate recovers a control-flow graph from the guest text
-//! ([`mod@cfg`]), runs dataflow analyses over it ([`dataflow`] is the
-//! shared solver), and distils the results into [`ImageFacts`]: a
-//! per-site classification of every static memory access plus lint
-//! findings. The engine consumes the facts to *relax* fence/ordering
-//! obligations on provably core-private or read-only accesses before
-//! lowering; the translation verifier re-derives the relaxation mask
-//! from the same facts, so an engine (or a mutant) claiming a wrong
-//! "private" produces a structured verification error at install time.
+//! ([`mod@cfg`]), runs the escape analysis over it ([`dataflow`] is its
+//! solver), and distils the result into [`ImageFacts`]: a per-site
+//! classification of every static memory access — exactly what the
+//! translator reads. The engine consumes the facts to *relax*
+//! fence/ordering obligations on provably core-private or read-only
+//! accesses before lowering; the translation verifier re-derives the
+//! relaxation mask from the same facts, so an engine (or a mutant)
+//! claiming a wrong "private" produces a structured verification error
+//! at install time.
 //!
-//! The three analysis clients:
+//! The two analysis clients:
 //!
 //! * [`escape`] — shared-memory escape analysis: classifies every
 //!   static access as core-private / read-only-shared / shared /
@@ -18,8 +19,6 @@
 //! * [`knownbits`] — value-range / known-bits over translated TCG
 //!   blocks, feeding the optimizer's constant folding and dead-branch
 //!   pruning via `risotto_tcg::IrHints`.
-//! * [`mod@lint`] — guest program smells (unreachable code, misaligned or
-//!   mixed-size atomics, fences that order nothing before exit).
 
 #![deny(missing_docs)]
 
@@ -27,45 +26,12 @@ pub mod cfg;
 pub mod dataflow;
 pub mod escape;
 pub mod knownbits;
-pub mod lint;
 
-pub use escape::{AccessKind, EscapeFacts, InstanceInfo, Poison, Site, SiteClass};
+pub use escape::{AccessKind, InstanceInfo, Poison, Site, SiteClass};
 pub use knownbits::ir_hints;
-pub use lint::{lint, Finding, LintKind};
 
 use risotto_guest_x86::{GuestBinary, Insn};
 use std::collections::BTreeMap;
-
-/// 64-bit FNV-1a over the execution-relevant parts of a guest binary:
-/// entry point, text, data and the dynamic-symbol table. Debug symbols
-/// are excluded — they cannot change behaviour, so two binaries that
-/// differ only in labels share one analysis cache entry.
-pub fn content_hash(bin: &GuestBinary) -> u64 {
-    struct Fnv(u64);
-    impl Fnv {
-        fn eat(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        fn eat_u64(&mut self, v: u64) {
-            self.eat(&v.to_le_bytes());
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.eat_u64(bin.entry);
-    h.eat_u64(bin.text.len() as u64);
-    h.eat(&bin.text);
-    h.eat_u64(bin.data.len() as u64);
-    h.eat(&bin.data);
-    h.eat_u64(bin.dynsyms.len() as u64);
-    for sym in &bin.dynsyms {
-        h.eat(sym.name.as_bytes());
-        h.eat(&[0]);
-        h.eat_u64(sym.plt_vaddr);
-    }
-    h.0
-}
 
 /// Aggregate summary of an image's analysis (the `analyze` bench bin
 /// serialises this; `analysis.*` metrics mirror the counts).
@@ -86,8 +52,6 @@ pub struct AnalysisSummary {
     pub relaxable: u64,
     /// Soundness poisons (unresolved indirection, solver limits, …).
     pub poisons: u64,
-    /// Lint findings.
-    pub lints: u64,
     /// Core instances analysed (root + spawned).
     pub instances: u64,
     /// Counted loops refined by the bounded-unrolling pass.
@@ -96,25 +60,16 @@ pub struct AnalysisSummary {
 
 /// Everything the whole-program analysis learned about one image.
 ///
-/// Produced by [`analyze_image`]; cached by the engine keyed on
-/// [`content_hash`]. The struct is immutable after construction — the
-/// engine's relaxation mask and the verifier's re-derived mask both
-/// come from the same pristine facts.
+/// Produced by [`analyze_image`]; each `Emulator` with analysis on owns
+/// one. The struct is immutable after construction — the engine's
+/// relaxation mask and the verifier's re-derived mask both come from
+/// the same pristine facts.
 #[derive(Debug, Clone)]
 pub struct ImageFacts {
-    /// [`content_hash`] of the analysed binary (the cache key).
-    pub hash: u64,
-    /// Guest entry point.
-    pub entry: u64,
-    /// The CFG had unresolved indirect control flow (coverage facts are
-    /// lower bounds; the unreachable-code lint is suppressed).
-    pub unresolved_cfg: bool,
     /// Per-pc classification of every static memory access.
     pub sites: BTreeMap<u64, Site>,
     /// Soundness poisons; non-empty ⇒ nothing is relaxable.
     pub poisons: Vec<Poison>,
-    /// Lint findings.
-    pub lints: Vec<Finding>,
     /// Core instances analysed.
     pub instances: Vec<InstanceInfo>,
     /// Counted loops the escape analysis refined.
@@ -159,7 +114,6 @@ impl ImageFacts {
         let mut s = AnalysisSummary {
             sites: self.sites.len() as u64,
             poisons: self.poisons.len() as u64,
-            lints: self.lints.len() as u64,
             instances: self.instances.len() as u64,
             refined_loops: self.refined_loops as u64,
             ..AnalysisSummary::default()
@@ -218,22 +172,10 @@ pub fn event_sites(pc: u64, guest_len: u64, fetch: impl Fn(u64) -> [u8; 16]) -> 
     events
 }
 
-/// Runs the full whole-program pipeline over one image: CFG recovery,
-/// multi-instance escape analysis, and the lint pass.
+/// Runs the whole-program pipeline over one image: CFG recovery, then
+/// the multi-instance escape analysis.
 pub fn analyze_image(bin: &GuestBinary) -> ImageFacts {
-    let cfg = cfg::recover(bin);
-    let facts = escape::analyze(bin, &cfg);
-    let lints = lint::lint(bin, &cfg, &facts);
-    ImageFacts {
-        hash: content_hash(bin),
-        entry: bin.entry,
-        unresolved_cfg: cfg.unresolved,
-        sites: facts.sites,
-        poisons: facts.poisons,
-        lints,
-        instances: facts.instances,
-        refined_loops: facts.refined_loops,
-    }
+    escape::analyze(bin, &cfg::recover(bin))
 }
 
 #[cfg(test)]
@@ -247,32 +189,6 @@ mod tests {
         let mut addrs = Vec::new();
         build(&mut b, &mut addrs);
         b.finish().expect("image assembles")
-    }
-
-    /// Straight-line single-core program: one load, one store, exit.
-    fn simple() -> GuestBinary {
-        image(|b, addrs| {
-            let cell = b.data_u64(&[7]);
-            addrs.push(cell);
-            b.asm.mov_ri(Gpr::RBX, cell);
-            b.asm.load(Gpr::RCX, Gpr::RBX, 0);
-            b.asm.store(Gpr::RBX, 0, Gpr::RCX);
-            b.asm.mov_ri(Gpr::RAX, syscalls::EXIT);
-            b.asm.syscall();
-        })
-    }
-
-    #[test]
-    fn content_hash_is_stable_and_sensitive() {
-        let a = simple();
-        let b = simple();
-        assert_eq!(content_hash(&a), content_hash(&b), "identical builds hash alike");
-        let mut c = simple();
-        c.data[0] ^= 1;
-        assert_ne!(content_hash(&a), content_hash(&c), "data bytes are hashed");
-        let mut d = simple();
-        d.entry += 0; // no-op change keeps hash
-        assert_eq!(content_hash(&a), content_hash(&d));
     }
 
     #[test]
@@ -293,8 +209,6 @@ mod tests {
         assert_eq!(s.sites, 2);
         assert_eq!(s.private, 2, "single-core accesses are all private");
         assert_eq!(s.relaxable, 2);
-        assert_eq!(s.lints, 0);
-        assert_eq!(facts.hash, content_hash(&bin));
     }
 
     #[test]
@@ -316,20 +230,8 @@ mod tests {
         });
         let facts = analyze_image(&bin);
         assert!(!facts.poisoned());
-        let text = bin.text.clone();
-        let fetch = |addr: u64| {
-            let mut w = [0u8; 16];
-            for (i, slot) in w.iter_mut().enumerate() {
-                if let Some(&b) = addr
-                    .checked_sub(risotto_guest_x86::TEXT_BASE)
-                    .and_then(|o| text.get(o as usize + i))
-                {
-                    *slot = b;
-                }
-            }
-            w
-        };
-        let mask = facts.relax_mask(risotto_guest_x86::TEXT_BASE, bin.text.len() as u64, fetch);
+        let mask = facts
+            .relax_mask(risotto_guest_x86::TEXT_BASE, bin.text.len() as u64, |pc| bin.window(pc));
         // Atomic sites are classified Atomic (not relaxable); the two
         // plain accesses are private in a single-core program. But the
         // atomic makes the *cell* contended? No other core exists, so

@@ -15,9 +15,7 @@
 use risotto_analysis::{analyze_image, event_sites, SiteClass};
 use risotto_bench::BenchCli;
 use risotto_core::Setup;
-use risotto_guest_x86::{
-    disassemble, syscalls, AluOp, Assembler, FpOp, GelfBuilder, Gpr, Insn, TEXT_BASE,
-};
+use risotto_guest_x86::{disassemble, syscalls, AluOp, Assembler, FpOp, GelfBuilder, Gpr, Insn};
 use risotto_host_arm::{lower_block, BackendConfig, RmwStyle};
 use risotto_tcg::{optimize, translate_block, verify, FrontendConfig, OptPolicy};
 
@@ -54,7 +52,6 @@ fn dump_analysis() {
 
     let facts = analyze_image(&bin);
     println!("=== whole-program analysis (docs/ANALYSIS.md) ===");
-    println!("  image hash:    {:#018x}", facts.hash);
     println!(
         "  instances:     {} (root + {} spawned)",
         facts.instances.len(),
@@ -74,30 +71,17 @@ fn dump_analysis() {
             if relaxed { "RELAXED" } else { "kept" },
         );
     }
-    for finding in &facts.lints {
-        println!("  lint {:#07x}: {}", finding.pc, finding.detail);
-    }
 
     // The worker block is where relaxation bites: show the frontend IR
     // before and after `relax_block` removes the scheme fences of the
     // private/read-only events.
-    let text = bin.text.clone();
-    let fetch = move |addr: u64| {
-        let mut w = [0u8; 16];
-        for (i, slot) in w.iter_mut().enumerate() {
-            if let Some(&byte) = addr.checked_sub(TEXT_BASE).and_then(|o| text.get(o as usize + i))
-            {
-                *slot = byte;
-            }
-        }
-        w
-    };
+    let fetch = |pc: u64| bin.window(pc);
     let worker = bin.symbols["worker"];
     let fe = FrontendConfig::risotto();
-    let mut block = translate_block(worker, fe, &fetch).expect("worker translates");
-    let mask = facts.relax_mask(worker, block.guest_len as u64, &fetch);
+    let mut block = translate_block(worker, fe, fetch).expect("worker translates");
+    let mask = facts.relax_mask(worker, block.guest_len as u64, fetch);
     println!("\n--- relaxation mask for tb@{worker:#x} (event order) ---");
-    for ((pc, plain), m) in event_sites(worker, block.guest_len as u64, &fetch).iter().zip(&mask) {
+    for ((pc, plain), m) in event_sites(worker, block.guest_len as u64, fetch).iter().zip(&mask) {
         let class = facts.sites.get(pc).map(|s| s.class).unwrap_or(SiteClass::Shared);
         println!(
             "  event @{pc:#07x}  {}  {:<9} -> {}",

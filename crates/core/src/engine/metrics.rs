@@ -61,8 +61,6 @@ impl Emulator {
         r.set_counter("analysis.poisons", asum.poisons);
         r.set_counter("analysis.relaxed", self.analysis_relaxed);
         r.set_counter("analysis.relaxed_blocks", self.analysis_relaxed_blocks);
-        r.set_counter("analysis.cache_hits", self.analysis_cache_hits);
-        r.set_counter("analysis.cache_misses", self.analysis_cache_misses);
         r.set_counter("analysis.hint_folded", self.hint_totals.folded as u64);
         r.set_counter("analysis.branches_pruned", self.hint_totals.branches_pruned as u64);
         let ra = self.regalloc_totals;

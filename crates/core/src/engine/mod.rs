@@ -43,7 +43,7 @@ pub use config::{
 use crate::faults::FaultPlan;
 use crate::idl::Idl;
 use crate::obs::{HotTb, MetricsSnapshot, NullSink, Obs, TraceSink, TraceStage};
-use risotto_analysis::{analyze_image, content_hash, ImageFacts};
+use risotto_analysis::{analyze_image, ImageFacts};
 use risotto_guest_x86::{Flags, Gpr, GuestBinary, DATA_BASE, STACK_SIZE, STACK_TOP, TEXT_BASE};
 use risotto_host_arm::{
     AllocStats, AtomicEvent, CostModel, Event, Machine, RmwStyle, SchedPolicy, Xreg, ENV_BASE,
@@ -53,7 +53,6 @@ use risotto_host_arm::{
 use risotto_memmodel::FenceKind;
 use risotto_tcg::{env, HintStats, OptStats, PassConfig};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock};
 use syscall::SyscallOutcome;
 use translate::{Quarantine, TranslateScratch};
 
@@ -67,37 +66,11 @@ const ENV_STRIDE: u64 = 0x100;
 
 const SPILL_STRIDE: u64 = 0x10000;
 
-/// Bound on the process-wide analysis cache; reaching it clears the
-/// cache (simple and safe — facts are recomputable).
-const ANALYSIS_CACHE_CAPACITY: usize = 256;
-
-/// Process-wide whole-program-analysis cache keyed by image content
-/// hash, shared across emulator instances so a bench pipeline or fuzz
-/// campaign analyses each distinct image once (docs/ANALYSIS.md).
-static ANALYSIS_CACHE: OnceLock<Mutex<HashMap<u64, Arc<ImageFacts>>>> = OnceLock::new();
-
-/// Cache lookup; returns the facts plus whether the lookup hit.
-fn cached_analysis(bin: &GuestBinary) -> (Arc<ImageFacts>, bool) {
-    let hash = content_hash(bin);
-    let cache = ANALYSIS_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(f) = map.get(&hash) {
-        return (Arc::clone(f), true);
-    }
-    if map.len() >= ANALYSIS_CACHE_CAPACITY {
-        map.clear();
-    }
-    let facts = Arc::new(analyze_image(bin));
-    map.insert(hash, Arc::clone(&facts));
-    (facts, false)
-}
-
 /// The DBT engine.
 #[derive(Debug)]
 pub struct Emulator {
     setup: Setup,
     machine: Machine,
-    text: Vec<u8>,
     entry: u64,
     /// PLT vaddr → (native function id, arity) for host-linked imports.
     plt_natives: HashMap<u64, (u16, usize)>,
@@ -176,18 +149,15 @@ pub struct Emulator {
     /// Code installs so far (ordinal for
     /// [`FaultPlan::corrupt_install_at`]).
     installs_done: u64,
-    /// The loaded image, kept so analysis can run on demand.
+    /// The loaded image: what `fetch` decodes from and
+    /// [`Emulator::set_analysis`] analyses.
     binary: GuestBinary,
     /// Whole-program analysis facts driving fence relaxation
     /// (docs/ANALYSIS.md); `None` = analysis disabled (the default).
-    analysis: Option<Arc<ImageFacts>>,
+    analysis: Option<ImageFacts>,
     /// Test hook: guest pcs the relaxer pretends are private (mutant
     /// injection for verifier kill tests; see `force_private_for_test`).
     forced_private: HashSet<u64>,
-    /// Analysis-cache lookups that found existing facts.
-    analysis_cache_hits: u64,
-    /// Analysis-cache lookups that ran the full analysis.
-    analysis_cache_misses: u64,
     /// Fences removed by analysis-driven relaxation at translate time.
     analysis_relaxed: u64,
     /// Tier-1 translations with at least one relaxed event.
@@ -207,7 +177,6 @@ impl Emulator {
         Emulator {
             setup,
             machine,
-            text: binary.text.clone(),
             entry: binary.entry,
             plt_natives: HashMap::new(),
             exit_vals: vec![None; n_cores],
@@ -249,8 +218,6 @@ impl Emulator {
             binary: binary.clone(),
             analysis: None,
             forced_private: HashSet::new(),
-            analysis_cache_hits: 0,
-            analysis_cache_misses: 0,
             analysis_relaxed: 0,
             analysis_relaxed_blocks: 0,
             hint_totals: HintStats::default(),
@@ -314,27 +281,19 @@ impl Emulator {
     }
 
     /// Enables or disables whole-program analysis-driven fence
-    /// relaxation (docs/ANALYSIS.md). Facts are computed once per
-    /// distinct image and cached process-wide keyed by [`content_hash`];
-    /// already-installed translations are not retroactively changed, so
-    /// flip this before running. Relaxation never weakens verification:
-    /// the Full-level verifier re-derives its own mask from the pristine
-    /// facts and rejects any translation that relaxed more.
+    /// relaxation (docs/ANALYSIS.md). Turning it on analyses the loaded
+    /// image here, once, into facts this emulator owns (turning it on
+    /// again keeps them; off drops them); already-installed
+    /// translations are not retroactively changed, so flip this before
+    /// running. Relaxation never weakens verification: the Full-level
+    /// verifier re-derives its own mask from the pristine facts and
+    /// rejects any translation that relaxed more.
     pub fn set_analysis(&mut self, on: bool) {
         if !on {
             self.analysis = None;
-            return;
+        } else if self.analysis.is_none() {
+            self.analysis = Some(analyze_image(&self.binary));
         }
-        if self.analysis.is_some() {
-            return;
-        }
-        let (facts, hit) = cached_analysis(&self.binary);
-        if hit {
-            self.analysis_cache_hits += 1;
-        } else {
-            self.analysis_cache_misses += 1;
-        }
-        self.analysis = Some(facts);
     }
 
     /// Whether analysis-driven relaxation is enabled.
@@ -344,7 +303,7 @@ impl Emulator {
 
     /// The analysis facts for the loaded image (None while disabled).
     pub fn analysis_facts(&self) -> Option<&ImageFacts> {
-        self.analysis.as_deref()
+        self.analysis.as_ref()
     }
 
     /// Test hook (mutant injection): forces the relaxer to treat the

@@ -7,7 +7,7 @@
 use super::{Emulator, Setup, TierConfig, VerifyLevel};
 use crate::obs::TraceStage;
 use risotto_analysis::{event_sites, ir_hints};
-use risotto_guest_x86::{Gpr, TEXT_BASE};
+use risotto_guest_x86::Gpr;
 use risotto_host_arm::{
     AOp, BackendConfig, EncodingScratch, HostInsn, LowerScratch, MemOrder, TbExitKind, Xreg,
     ENV_BASE,
@@ -178,14 +178,7 @@ impl Emulator {
     /// The 16-byte instruction window at `pc` (zero-padded outside
     /// `.text`) — what every decoder in the engine reads through.
     pub(super) fn fetch(&self, pc: u64) -> [u8; 16] {
-        let mut w = [0u8; 16];
-        let off = pc.checked_sub(TEXT_BASE).and_then(|off| usize::try_from(off).ok());
-        if let Some(tail) = off.and_then(|off| self.text.get(off..)) {
-            for (slot, byte) in w.iter_mut().zip(tail) {
-                *slot = *byte;
-            }
-        }
-        w
+        self.binary.window(pc)
     }
 
     /// The backend configuration every producer lowers with and the

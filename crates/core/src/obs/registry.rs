@@ -228,8 +228,6 @@ impl MetricsRegistry {
             spec("analysis.poisons", Counter, "poisons", "Soundness poisons (unresolved indirection, solver limits, ...)"),
             spec("analysis.relaxed", Counter, "fences", "Fences removed by analysis-driven relaxation at translate time"),
             spec("analysis.relaxed_blocks", Counter, "blocks", "Tier-1 translations with at least one relaxed event"),
-            spec("analysis.cache_hits", Counter, "lookups", "Analysis-cache lookups that found existing facts"),
-            spec("analysis.cache_misses", Counter, "lookups", "Analysis-cache lookups that ran the full analysis"),
             spec("analysis.hint_folded", Counter, "ops", "Pure IR ops replaced by constants via known-bits hints"),
             spec("analysis.branches_pruned", Counter, "branches", "Conditional exits statically decided by known-bits hints"),
             spec("regalloc.env_loads_eliminated", Counter, "loads", "GetReg ops served from a pinned host register (env LDRs avoided)"),

@@ -236,6 +236,20 @@ impl GuestBinary {
     pub fn symbol(&self, name: &str) -> Option<u64> {
         self.symbols.get(name).copied()
     }
+
+    /// The 16-byte instruction window at `pc`, zero-padded outside
+    /// `.text` — the `fetch` every decoder over a loaded image reads
+    /// through.
+    pub fn window(&self, pc: u64) -> [u8; 16] {
+        let mut w = [0u8; 16];
+        let off = pc.checked_sub(TEXT_BASE).and_then(|off| usize::try_from(off).ok());
+        if let Some(tail) = off.and_then(|off| self.text.get(off..)) {
+            for (slot, byte) in w.iter_mut().zip(tail) {
+                *slot = *byte;
+            }
+        }
+        w
+    }
 }
 
 /// Builds a [`GuestBinary`] from assembly plus data and imports.
@@ -400,6 +414,24 @@ mod tests {
         b.asm.hlt();
         let bytes = b.finish().expect("builder").to_bytes();
         assert_eq!(GuestBinary::from_bytes(&bytes[..bytes.len() - 1]), Err(GelfError::Truncated));
+    }
+
+    #[test]
+    fn window_is_zero_padded_outside_text() {
+        let mut b = GelfBuilder::new("m");
+        b.asm.label("m");
+        b.asm.mov_ri(Gpr::RAX, 7);
+        b.asm.hlt();
+        let bin = b.finish().expect("builder");
+        let n = bin.text.len();
+        assert!(n < 16, "the image is shorter than one window");
+        let w = bin.window(TEXT_BASE);
+        assert_eq!(w[..n], bin.text[..]);
+        assert_eq!(w[n..], [0u8; 16][n..]);
+        assert_eq!(bin.window(TEXT_BASE + n as u64 - 1)[0], bin.text[n - 1]);
+        for outside in [0, TEXT_BASE - 1, TEXT_BASE + n as u64, u64::MAX] {
+            assert_eq!(bin.window(outside), [0u8; 16], "{outside:#x}");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!    correct result via the interpreter fallback. Forcing an access
 //!    the analysis already proved private is a no-op (negative
 //!    control).
-//! 4. **Caching** — a second emulator over the same image reuses the
-//!    process-wide analysis cache instead of re-running the analysis.
+//! 4. **Ownership** — facts live in the emulator that asked for them:
+//!    computed once per `set_analysis(true)`, dropped when turned off,
+//!    equal when re-derived, and equal across emulators over one image.
 
 use risotto::analysis::{AccessKind, SiteClass};
 use risotto::core::{BackendKind, Emulator, Setup, VerifyLevel};
@@ -233,30 +234,43 @@ fn forcing_an_already_private_site_is_harmless() {
     assert!(m.counter("analysis.relaxed") > 0, "pca should relax its private accesses");
 }
 
-/// The process-wide analysis cache: a second emulator over the same
-/// image must hit, not re-analyze.
+/// Facts belong to the emulator: `set_analysis(true)` analyses the image
+/// once and keeps that object, off-then-on re-derives equal facts, and
+/// two emulators over one image are independent and indistinguishable.
 #[test]
-fn analysis_cache_is_shared_across_emulators() {
-    // A binary unique to this test, so parallel tests cannot prefill
-    // its cache entry.
-    let bin = (kernels::all()[0].build)(3, 2);
-    let mut a = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
+fn facts_are_per_emulator_and_reproducible() {
+    let w = kernels::all().into_iter().find(|w| w.name == "pca").expect("pca kernel exists");
+    let bin = (w.build)(SCALE, THREADS);
+    let run = |emu: &mut Emulator| {
+        let report = emu.run(FUEL).expect("pca runs");
+        let analysis: Vec<_> = emu
+            .metrics()
+            .metrics
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("analysis."))
+            .collect();
+        (analysis, report.cycles, report.exit_vals, report.output)
+    };
+
+    let mut a = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
+    assert!(a.analysis_facts().is_none(), "analysis is off by default");
     a.set_analysis(true);
-    let ma = a.metrics();
-    let mut b = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-    b.set_analysis(true);
-    let mb = b.metrics();
-    // The first emulator either missed (cold cache) or hit (another
-    // test already analyzed this image — the cache is process-wide);
-    // the second must hit either way, with zero misses.
-    assert_eq!(
-        ma.counter("analysis.cache_hits") + ma.counter("analysis.cache_misses"),
-        1,
-        "first set_analysis must do exactly one lookup"
+    let facts = a.analysis_facts().expect("facts present after set_analysis");
+    let (first, summary) = (std::ptr::from_ref(facts), facts.summary());
+    assert!(summary.relaxable > 0, "pca should have relaxable accesses");
+    a.set_analysis(true);
+    assert!(
+        std::ptr::eq(first, a.analysis_facts().expect("facts kept")),
+        "turning analysis on twice must keep the facts it already has"
     );
-    assert_eq!(mb.counter("analysis.cache_hits"), 1, "second emulator must hit the cache");
-    assert_eq!(mb.counter("analysis.cache_misses"), 0);
-    // And toggling on an already-on emulator is a no-op.
+    a.set_analysis(false);
+    assert!(a.analysis_facts().is_none(), "turning analysis off drops the facts");
+    a.set_analysis(true);
+    assert_eq!(a.analysis_facts().expect("facts re-derived").summary(), summary);
+
+    let mut b = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
     b.set_analysis(true);
-    assert_eq!(b.metrics().counter("analysis.cache_hits"), 1);
+    let (ra, rb) = (run(&mut a), run(&mut b));
+    assert_eq!(ra, rb, "two emulators over one image must agree");
+    assert!(a.metrics().counter("analysis.relaxed") > 0, "pca should relax fences");
 }

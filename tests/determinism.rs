@@ -24,7 +24,7 @@
 //! block comes out as it does from a fresh one.
 
 use risotto::fuzz::parse_corpus;
-use risotto::guest::{GuestBinary, TEXT_BASE};
+use risotto::guest::GuestBinary;
 use risotto::host::{
     lower_block_with_stats, AllocStats, ArmBackend, BackendConfig, EncodingScratch, HostBackend,
     HostInsn, LowerScratch, RmwStyle,
@@ -57,27 +57,10 @@ fn backends() -> [BackendConfig; 2] {
     [BackendConfig::dbt(RmwStyle::Casal), BackendConfig::dbt(RmwStyle::Rmw2Fenced)]
 }
 
-fn fetcher(bin: &GuestBinary) -> impl Fn(u64) -> [u8; 16] + '_ {
-    move |addr: u64| {
-        let mut w = [0u8; 16];
-        for (i, slot) in w.iter_mut().enumerate() {
-            let byte = addr
-                .checked_sub(TEXT_BASE)
-                .and_then(|off| off.checked_add(i as u64))
-                .and_then(|off| usize::try_from(off).ok())
-                .and_then(|off| bin.text.get(off));
-            if let Some(&b) = byte {
-                *slot = b;
-            }
-        }
-        w
-    }
-}
-
 /// BFS over the static control flow from the entry point, like tier-1
 /// translation would walk it.
 fn discover_blocks(bin: &GuestBinary, cfg: FrontendConfig, cap: usize) -> Vec<TcgBlock> {
-    let fetch = fetcher(bin);
+    let fetch = |pc: u64| bin.window(pc);
     let mut seen = std::collections::HashSet::new();
     let mut queue = vec![bin.entry];
     let mut blocks = Vec::new();
@@ -85,7 +68,7 @@ fn discover_blocks(bin: &GuestBinary, cfg: FrontendConfig, cap: usize) -> Vec<Tc
         if blocks.len() >= cap || !seen.insert(pc) {
             continue;
         }
-        let Ok(block) = translate_block(pc, cfg, &fetch) else {
+        let Ok(block) = translate_block(pc, cfg, fetch) else {
             continue;
         };
         match block.exit {

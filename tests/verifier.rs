@@ -20,7 +20,7 @@
 //! kernel, fewer litmus staggers).
 
 use risotto::core::{Emulator, FaultPlan, Setup, VerifyLevel};
-use risotto::guest::{GuestBinary, TEXT_BASE};
+use risotto::guest::GuestBinary;
 use risotto::host::{check_encoding, lower_block, BackendConfig, CostModel, HostInsn, RmwStyle};
 use risotto::litmus::corpus;
 use risotto::memmodel::FenceKind;
@@ -45,27 +45,10 @@ fn configs() -> [(FrontendConfig, OptPolicy); 4] {
     ]
 }
 
-fn fetcher(bin: &GuestBinary) -> impl Fn(u64) -> [u8; 16] + '_ {
-    move |addr: u64| {
-        let mut w = [0u8; 16];
-        for (i, slot) in w.iter_mut().enumerate() {
-            let byte = addr
-                .checked_sub(TEXT_BASE)
-                .and_then(|off| off.checked_add(i as u64))
-                .and_then(|off| usize::try_from(off).ok())
-                .and_then(|off| bin.text.get(off));
-            if let Some(&b) = byte {
-                *slot = b;
-            }
-        }
-        w
-    }
-}
-
 /// BFS over the static control flow from the entry point: every block
 /// the tier-1 pipeline would translate, up to `cap` blocks.
 fn discover_blocks(bin: &GuestBinary, cfg: FrontendConfig, cap: usize) -> Vec<TcgBlock> {
-    let fetch = fetcher(bin);
+    let fetch = |pc: u64| bin.window(pc);
     let mut seen = std::collections::HashSet::new();
     let mut queue = vec![bin.entry];
     let mut blocks = Vec::new();
@@ -73,7 +56,7 @@ fn discover_blocks(bin: &GuestBinary, cfg: FrontendConfig, cap: usize) -> Vec<Tc
         if blocks.len() >= cap || !seen.insert(pc) {
             continue;
         }
-        let Ok(block) = translate_block(pc, cfg, &fetch) else {
+        let Ok(block) = translate_block(pc, cfg, fetch) else {
             continue; // PLT stubs / data — the engine quarantines these too
         };
         match block.exit {
