@@ -1842,6 +1842,64 @@ mod tests {
     }
 
     #[test]
+    fn a_store_drains_at_the_first_own_step_that_starts_at_drain_age() {
+        use HostInsn::*;
+        let mut m = Machine::new(1, CostModel::uniform());
+        let mut code = vec![
+            MovImm { dst: Xreg(1), imm: 0x5000 },
+            MovImm { dst: Xreg(2), imm: 9 },
+            Str { src: Xreg(2), base: Xreg(1), off: 0, order: MemOrder::Plain },
+        ];
+        code.extend([Nop; 100]);
+        code.push(Hlt);
+        let a = m.install_code(&code);
+        m.start_core(0, a);
+        // Unit costs: step k starts at clock k, so the store is buffered
+        // at clock 2.
+        let t = 2;
+        assert_eq!(m.run(t + DRAIN_AGE), Event::OutOfFuel);
+        assert_eq!(
+            m.core_cycles(0),
+            t + DRAIN_AGE,
+            "the last step started a cycle short of the age"
+        );
+        assert_eq!(m.mem.read_u64(0x5000), 0, "95 cycles old: still buffered");
+        assert_eq!(m.run(1), Event::OutOfFuel);
+        assert_eq!(m.mem.read_u64(0x5000), 9, "96 cycles old at the start of a step: drained");
+    }
+
+    #[test]
+    fn the_store_over_capacity_pushes_out_exactly_the_oldest() {
+        use HostInsn::*;
+        let mut m = Machine::new(1, CostModel::uniform());
+        let mut code = vec![MovImm { dst: Xreg(1), imm: 0x5000 }, MovImm { dst: Xreg(2), imm: 9 }];
+        let stores = STORE_BUFFER_CAP as u64 + 1;
+        code.extend((0..stores).map(|i| Str {
+            src: Xreg(2),
+            base: Xreg(1),
+            off: 8 * i as i32,
+            order: MemOrder::Plain,
+        }));
+        code.extend([Nop, Nop, Hlt]);
+        let a = m.install_code(&code);
+        m.start_core(0, a);
+        let visible = |m: &Machine| -> Vec<u64> {
+            (0..stores).filter(|i| m.mem.read_u64(0x5000 + 8 * i) == 9).collect()
+        };
+        // The seventeenth store is buffered like the others...
+        assert_eq!(m.run(2 + stores), Event::OutOfFuel);
+        assert!(m.core_cycles(0) < DRAIN_AGE, "nothing here is old enough to age out");
+        assert_eq!(visible(&m), [], "a store only leaves at the start of a later step");
+        // ...and the next step of its core makes room by draining one.
+        assert_eq!(m.run(1), Event::OutOfFuel);
+        assert_eq!(visible(&m), [0], "the oldest store, and only it");
+        assert_eq!(m.run(1), Event::OutOfFuel);
+        assert_eq!(visible(&m), [0], "sixteen stay buffered");
+        assert_eq!(m.run(1), Event::AllHalted);
+        assert_eq!(visible(&m).len() as u64, stores);
+    }
+
+    #[test]
     fn exclusive_monitor_cleared_by_foreign_drain() {
         use HostInsn::*;
         // Core 0 takes a monitor; core 1's buffered store to the same
@@ -2181,17 +2239,27 @@ mod tests {
         m
     }
 
-    /// Everything a run leaves behind that a schedule could change.
-    fn run_in_slices(mut m: Machine, policy: SchedPolicy, slice: u64) -> String {
-        m.set_sched_policy(policy);
-        m.set_atomic_log(true);
-        loop {
-            match m.run(slice) {
+    /// Runs `m` in `run(slice)` calls until every core has halted or the
+    /// machine has taken `stop_at` steps in all.
+    fn drive(m: &mut Machine, slice: u64, stop_at: u64) {
+        while m.total_steps() < stop_at {
+            match m.run(slice.min(stop_at - m.total_steps())) {
                 Event::AllHalted => break,
                 Event::OutOfFuel => assert!(m.total_steps() < 100_000, "runaway program"),
                 other => panic!("unexpected event {other:?}"),
             }
         }
+    }
+
+    /// Everything a run leaves behind that a schedule could change.
+    fn run_in_slices(mut m: Machine, policy: SchedPolicy, slice: u64) -> String {
+        m.set_sched_policy(policy);
+        m.set_atomic_log(true);
+        drive(&mut m, slice, u64::MAX);
+        outcome(m)
+    }
+
+    fn outcome(mut m: Machine) -> String {
         let cores: Vec<_> = m.cores.iter().map(|c| (c.cycles, c.stats, c.regs, c.nzcv)).collect();
         let words: Vec<u64> = (0..16).map(|i| m.mem.read_u64(SHARED + 8 * i)).collect();
         format!(
@@ -2223,6 +2291,34 @@ mod tests {
         let log = |m: Machine| run_in_slices(m, SchedPolicy::Deterministic, u64::MAX);
         assert!(log(two_core_machine()).contains("AtomicEvent"), "the atomics ran");
         assert_ne!(log(two_core_machine()), log(four_core_machine()));
+
+        // What the engine does between two `run` calls — a blocked wait
+        // charged to one core, a thread spawned on another — is seen by
+        // the next call whatever the slicing.
+        let engine_steps_in = |policy, slice| {
+            let mut m = four_core_machine();
+            let spawned = m.lookup_tb(0x1300).expect("core 3's block is mapped");
+            m.halt_core(3);
+            m.set_sched_policy(policy);
+            m.set_atomic_log(true);
+            drive(&mut m, slice, 150);
+            assert_eq!((m.total_steps(), m.stats(3).insns), (150, 0));
+            m.add_cycles(1, 500);
+            m.start_core(3, spawned);
+            drive(&mut m, slice, u64::MAX);
+            assert!(m.stats(3).insns > 0 && m.core_cycles(1) > 500);
+            outcome(m)
+        };
+        for policy in policies {
+            let per_step = engine_steps_in(policy, 1);
+            for slice in [7, 1000, u64::MAX] {
+                assert_eq!(
+                    engine_steps_in(policy, slice),
+                    per_step,
+                    "{policy:?}, slices of {slice}"
+                );
+            }
+        }
     }
 
     #[test]
