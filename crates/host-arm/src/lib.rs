@@ -34,6 +34,7 @@ mod cost;
 mod insn;
 mod machine;
 mod regalloc;
+mod store_buffer;
 mod verify;
 
 pub use backend::{

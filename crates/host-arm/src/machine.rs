@@ -18,8 +18,11 @@ use crate::cost::CostModel;
 #[cfg(test)]
 use crate::insn::ACond;
 use crate::insn::{AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg, JUMP_CHAIN_OFFSET};
+use crate::store_buffer::{Probe, StoreBuffer};
+#[cfg(test)]
+use crate::store_buffer::{DRAIN_AGE, STORE_BUFFER_CAP};
 use risotto_guest_x86::{softfloat, SparseMem};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Base address where translated host code lives (outside guest ranges).
 pub const CODE_BASE: u64 = 0x4000_0000;
@@ -27,11 +30,6 @@ pub const CODE_BASE: u64 = 0x4000_0000;
 /// Entries in each core's direct-mapped indirect-branch lookup cache
 /// (guest pc → host pc; the QEMU `tb_jmp_cache` analogue).
 const JCACHE_SIZE: usize = 64;
-
-/// Store-buffer capacity per core.
-const STORE_BUFFER_CAP: usize = 16;
-/// Age (cycles) after which a buffered store drains on its own.
-const DRAIN_AGE: u64 = 96;
 
 /// A result returned by a registered native host function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,12 +206,6 @@ pub struct ChainStats {
     pub sb_entries: u64,
 }
 
-/// Distance between two addresses around the address space: an access
-/// near the top wraps into the bytes at address zero.
-fn apart(a: u64, b: u64) -> u64 {
-    a.wrapping_sub(b).min(b.wrapping_sub(a))
-}
-
 /// Cycles an ALU operation costs.
 fn alu_cost(cost: &CostModel, op: AOp) -> u64 {
     match op {
@@ -248,8 +240,9 @@ impl DecodeTable {
         self.slot.resize(code_len, Self::UNDECODED);
     }
 
-    /// Remembers the instruction decoded at `off`.
-    fn fill(&mut self, off: usize, entry: (HostInsn, u16)) {
+    /// Remembers the instruction decoded at `off`; returns its index in
+    /// `entries`.
+    fn fill(&mut self, off: usize, entry: (HostInsn, u16)) -> usize {
         let idx = match self.free.pop() {
             Some(i) => {
                 self.entries[i as usize] = entry;
@@ -261,6 +254,7 @@ impl DecodeTable {
             }
         };
         self.slot[off] = idx + 1;
+        idx as usize
     }
 
     /// Forgets every decode that starts in `off..off + len`, leaving the
@@ -283,7 +277,6 @@ struct Core {
     cycles: u64,
     halted: bool,
     started: bool,
-    store_buffer: VecDeque<(u64, u64, u64)>, // (addr, value, insert_cycle)
     monitor: Option<u64>,
     stats: CoreStats,
     /// Direct-mapped guest-pc → host-pc cache for `JumpReg` exits.
@@ -293,6 +286,7 @@ struct Core {
     /// noise that breaks the phase-lock a discrete-event simulator
     /// otherwise falls into on contended atomics.
     jitter: u64,
+    sb: StoreBuffer,
 }
 
 impl Core {
@@ -304,17 +298,26 @@ impl Core {
             cycles: 0,
             halted: true,
             started: false,
-            store_buffer: VecDeque::new(),
             monitor: None,
             stats: CoreStats::default(),
             jcache: vec![(u64::MAX, 0); JCACHE_SIZE],
             jitter: 0x9E3779B97F4A7C15,
+            sb: StoreBuffer::new(),
         }
     }
 
     /// `true` while the scheduler may step this core.
     fn runnable(&self) -> bool {
         self.started && !self.halted
+    }
+
+    /// The core's entry in `Machine::sched_keys`.
+    fn sched_key(&self) -> u64 {
+        if self.runnable() {
+            self.cycles
+        } else {
+            u64::MAX
+        }
     }
 
     /// Next jitter value in 0..16 (xorshift, seeded per construction and
@@ -361,6 +364,9 @@ pub struct Machine {
     total_steps: u64,
     sched: SchedPolicy,
     sched_state: u64,
+    /// What the scheduler picks from during one [`Machine::run`] call:
+    /// per core, its clock, or `u64::MAX` if it is not runnable.
+    sched_keys: Vec<u64>,
     /// TB chaining on/off. Off = every exit takes the dispatcher path
     /// (the reference configuration for differential checks).
     chaining: bool,
@@ -425,6 +431,7 @@ impl Machine {
             total_steps: 0,
             sched: SchedPolicy::Deterministic,
             sched_state: 0x243F_6A88_85A3_08D3,
+            sched_keys: vec![u64::MAX; n_cores],
             chaining: true,
             chain_stats: ChainStats::default(),
             cache_stats: CacheStats::default(),
@@ -850,9 +857,8 @@ impl Machine {
 
     /// Halts a core (engine use: guest thread exit).
     pub fn halt_core(&mut self, core: usize) {
-        let c = &mut self.cores[core];
-        Self::drain_all_of(&mut c.store_buffer, &mut self.mem);
-        c.halted = true;
+        self.drain_all(core);
+        self.cores[core].halted = true;
     }
 
     /// `true` if the core has halted.
@@ -920,35 +926,19 @@ impl Machine {
         t
     }
 
-    fn drain_all_of(buf: &mut VecDeque<(u64, u64, u64)>, mem: &mut SparseMem) {
-        while let Some((a, v, _)) = buf.pop_front() {
-            mem.write_u64(a, v);
+    /// The one way a buffered store reaches shared memory: oldest first,
+    /// while the buffer has one due at clock `now` — aged out, or over
+    /// capacity.
+    fn drain_due(&mut self, core: usize, now: u64) {
+        while let Some((a, v)) = self.cores[core].sb.pop_due(now) {
+            self.mem.write_u64(a, v);
+            Self::invalidate_monitors(&mut self.cores, core, a);
         }
     }
 
+    /// Drains everything `core` has buffered.
     fn drain_all(&mut self, core: usize) {
-        while let Some((a, v, _)) = self.cores[core].store_buffer.pop_front() {
-            self.mem.write_u64(a, v);
-            Self::invalidate_monitors(&mut self.cores, core, a);
-        }
-    }
-
-    /// Drains the stores at the head of the buffer that have aged out or
-    /// that overflow its capacity.
-    fn drain_aged(&mut self, core: usize) {
-        let now = self.cores[core].cycles;
-        loop {
-            let buf = &mut self.cores[core].store_buffer;
-            let Some(&(a, v, t)) = buf.front() else {
-                break;
-            };
-            if now.saturating_sub(t) < DRAIN_AGE && buf.len() <= STORE_BUFFER_CAP {
-                break;
-            }
-            buf.pop_front();
-            self.mem.write_u64(a, v);
-            Self::invalidate_monitors(&mut self.cores, core, a);
-        }
+        self.drain_due(core, u64::MAX);
     }
 
     fn invalidate_monitors(cores: &mut [Core], writer: usize, addr: u64) {
@@ -957,25 +947,6 @@ impl Machine {
                 c.monitor = None;
             }
         }
-    }
-
-    /// One pass over `core`'s store buffer for a 64-bit access at
-    /// `addr`: the newest buffered value for exactly `addr` (what a load
-    /// forwards), and whether some entry overlaps the access without
-    /// being equal to it — the u64-granular buffer cannot merge those, so
-    /// the caller drains first.
-    fn probe_buffer(&self, core: usize, addr: u64) -> (Option<u64>, bool) {
-        let mut newest = None;
-        for &(a, v, _) in self.cores[core].store_buffer.iter().rev() {
-            if a != addr {
-                if apart(a, addr) < 8 {
-                    return (None, true);
-                }
-            } else if newest.is_none() {
-                newest = Some(v);
-            }
-        }
-        (newest, false)
     }
 
     /// Cycle cost of an exclusive/atomic access to `addr`: `base` plus the
@@ -1014,19 +985,26 @@ impl Machine {
 
     /// Runs until an [`Event`] occurs, executing at most `fuel` steps.
     ///
-    /// Cores run in quanta: one scheduler scan, then the picked core is
-    /// stepped for as long as a fresh scan would pick it again. A step
+    /// Cores run in quanta: one scheduler pick, then the picked core is
+    /// stepped for as long as a fresh pick would choose it again. A step
     /// moves only its own core's clock and run state, so that is
-    /// decidable from the core alone against the bound the scan returned,
+    /// decidable from the core alone against the bound the pick returned,
     /// and the order of steps is the per-step order exactly (DESIGN.md
     /// §6, "Host machine inner loop").
     pub fn run(&mut self, fuel: u64) -> Event {
+        // For the same reason the picks read a key per core instead of
+        // the cores: the keys are taken here, once per call — so whatever
+        // the engine did since the last one (`start_core`, `halt_core`,
+        // `add_cycles`) is seen — and only the stepped core's goes stale.
+        for (key, c) in self.sched_keys.iter_mut().zip(&self.cores) {
+            *key = c.sched_key();
+        }
         let mut budget = fuel;
         loop {
             if budget == 0 {
                 // Decided without a pick: a `Random` draw is spent only
                 // on a step that happens, whatever the fuel slicing.
-                let idle = !self.cores.iter().any(Core::runnable);
+                let idle = self.sched_keys.iter().all(|&k| k == u64::MAX);
                 return if idle { Event::AllHalted } else { Event::OutOfFuel };
             }
             let Some((core, until)) = self.pick_core() else {
@@ -1042,6 +1020,7 @@ impl Machine {
                     break;
                 }
             }
+            self.sched_keys[core] = self.cores[core].sched_key();
         }
     }
 
@@ -1053,30 +1032,34 @@ impl Machine {
     /// afresh for every step.
     fn pick_core(&mut self) -> Option<(usize, (u64, usize))> {
         const NO_BOUND: (u64, usize) = (u64::MAX, usize::MAX);
+        let runnable = self.sched_keys.iter().enumerate().filter(|&(_, &clock)| clock != u64::MAX);
         match self.sched {
             SchedPolicy::Deterministic => {
+                // Walked in index order, `<` on the clock alone is the
+                // `(clock, index)` order, and `u64::MAX` — not runnable —
+                // is below nothing.
                 let (mut best, mut runner_up) = (NO_BOUND, NO_BOUND);
-                for (i, c) in self.cores.iter().enumerate().filter(|(_, c)| c.runnable()) {
-                    let key = (c.cycles, i);
-                    if key < best {
-                        (best, runner_up) = (key, best);
-                    } else if key < runner_up {
-                        runner_up = key;
+                for (i, &clock) in self.sched_keys.iter().enumerate() {
+                    if clock < best.0 {
+                        (best, runner_up) = ((clock, i), best);
+                    } else if clock < runner_up.0 {
+                        runner_up = (clock, i);
                     }
                 }
                 (best != NO_BOUND).then_some((best.1, runner_up))
             }
             SchedPolicy::Adversarial => {
-                let mut pick: Option<usize> = None;
-                for (i, c) in self.cores.iter().enumerate() {
-                    if c.runnable() && pick.is_none_or(|p| c.cycles > self.cores[p].cycles) {
-                        pick = Some(i);
+                // The first of the most advanced.
+                let mut pick: Option<(usize, u64)> = None;
+                for (i, &clock) in runnable {
+                    if pick.is_none_or(|(_, leader)| clock > leader) {
+                        pick = Some((i, clock));
                     }
                 }
-                pick.map(|p| (p, NO_BOUND))
+                pick.map(|(i, _)| (i, NO_BOUND))
             }
             SchedPolicy::Random(_) => {
-                let n = self.cores.iter().filter(|c| c.runnable()).count() as u64;
+                let n = runnable.clone().count() as u64;
                 if n == 0 {
                     return None;
                 }
@@ -1085,55 +1068,60 @@ impl Machine {
                 x ^= x >> 7;
                 x ^= x << 17;
                 self.sched_state = x;
-                let pick = self
-                    .cores
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.runnable())
-                    .nth((x % n) as usize);
-                pick.map(|(i, _)| (i, (0, 0)))
+                let mut runnable = runnable;
+                runnable.nth((x % n) as usize).map(|(i, _)| (i, (0, 0)))
             }
         }
     }
 
-    /// The instruction at a host pc, decoded on its first fetch and
-    /// served from the side table after that. `None` on undecodable
-    /// bytes, a freed hole, or a pc outside the code cache.
-    fn fetch(&mut self, pc: u64) -> Option<(HostInsn, u16)> {
+    /// The decoded entry for the instruction at a host pc, as an index
+    /// into `decoded.entries`. `None` on undecodable bytes, a freed hole,
+    /// or a pc outside the code cache.
+    #[inline]
+    fn fetch(&mut self, pc: u64) -> Option<usize> {
         let off = usize::try_from(pc.checked_sub(CODE_BASE)?).ok()?;
         match *self.decoded.slot.get(off)? {
             DecodeTable::HOLE => None,
-            DecodeTable::UNDECODED => {
-                let (insn, len) = HostInsn::decode(&self.code[off..]).ok()?;
-                let entry = (insn, len as u16);
-                self.decoded.fill(off, entry);
-                Some(entry)
-            }
-            idx => Some(self.decoded.entries[idx as usize - 1]),
+            DecodeTable::UNDECODED => self.decode_at(off),
+            idx => Some(idx as usize - 1),
         }
+    }
+
+    /// The first fetch at `off`: decodes the bytes there and files the
+    /// instruction in the side table, which serves it from then on.
+    #[cold]
+    #[inline(never)]
+    fn decode_at(&mut self, off: usize) -> Option<usize> {
+        let (insn, len) = HostInsn::decode(&self.code[off..]).ok()?;
+        Some(self.decoded.fill(off, (insn, len as u16)))
     }
 
     /// Executes one instruction on `core`; returns an event if the machine
     /// must suspend.
     fn step(&mut self, core: usize) -> Option<Event> {
         self.total_steps += 1;
-        if !self.cores[core].store_buffer.is_empty() {
-            self.drain_aged(core);
+        let c = &self.cores[core];
+        let (pc, now) = (c.pc, c.cycles);
+        if now >= c.sb.due() {
+            self.drain_due(core, now);
         }
-        let pc = self.cores[core].pc;
-        let Some((insn, len)) = self.fetch(pc) else {
+        let Some(idx) = self.fetch(pc) else {
             // Leave the core parked on the faulting pc; the engine owns
             // the recovery decision.
             return Some(Event::HostFault { core, host_pc: pc, kind: HostFaultKind::Decode });
         };
-        let next = pc + len as u64;
+        // Matched where it lies: the bindings are copies, so each arm
+        // loads the operands it uses and the table is free again before
+        // the arm touches `self`.
+        let (insn, len) = &self.decoded.entries[idx];
+        let next = pc + *len as u64;
         // Arms that touch only the core work through `c`; the ones that
         // reach shared memory or other cores re-borrow after the call.
         let c = &mut self.cores[core];
         c.pc = next;
         c.stats.insns += 1;
         use HostInsn::*;
-        match insn {
+        match *insn {
             MovImm { dst, imm } => {
                 c.set(dst, imm);
                 c.cycles += self.cost.alu;
@@ -1145,11 +1133,14 @@ impl Machine {
             }
             Ldr { dst, base, off, order } => {
                 let addr = c.get(base).wrapping_add(off as i64 as u64);
-                let (forwarded, overlap) = self.probe_buffer(core, addr);
-                if overlap {
-                    self.drain_all(core);
-                }
-                let v = forwarded.unwrap_or_else(|| self.mem.read_u64(addr));
+                let v = match c.sb.probe(addr) {
+                    Probe::Forward(v) => v,
+                    Probe::Clear => self.mem.read_u64(addr),
+                    Probe::Overlap => {
+                        self.drain_all(core);
+                        self.mem.read_u64(addr)
+                    }
+                };
                 let c = &mut self.cores[core];
                 c.set(dst, v);
                 c.cycles += self.cost.load
@@ -1158,7 +1149,7 @@ impl Machine {
             Str { src, base, off, order } => {
                 let addr = c.get(base).wrapping_add(off as i64 as u64);
                 let v = c.get(src);
-                if self.probe_buffer(core, addr).1 {
+                if c.sb.probe(addr) == Probe::Overlap {
                     self.drain_all(core);
                 }
                 // All stores go through the FIFO buffer; its order already
@@ -1169,14 +1160,14 @@ impl Machine {
                 if order != MemOrder::Plain {
                     c.cycles += self.cost.acq_rel_extra;
                 }
-                c.store_buffer.push_back((addr, v, c.cycles));
+                c.sb.push(addr, v, c.cycles);
                 c.cycles += self.cost.store;
             }
             LdrB { dst, base, off } => {
                 let addr = c.get(base).wrapping_add(off as i64 as u64);
                 // Byte loads bypass the (u64-granular) store buffer: drain
-                // any overlapping entries first.
-                if c.store_buffer.iter().any(|&(a, _, _)| apart(a, addr) < 8) {
+                // first if any entry lies within a word of the byte.
+                if c.sb.probe(addr) != Probe::Clear {
                     self.drain_all(core);
                 }
                 let v = self.mem.read_u8(addr) as u64;
