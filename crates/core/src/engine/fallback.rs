@@ -97,12 +97,12 @@ impl GuestState for CoreState<'_> {
         self.emu.machine.mem.read_u64(addr)
     }
     fn store_u64(&mut self, addr: u64, v: u64) {
-        self.emu.machine.mem.write_u64(addr, v);
+        self.emu.machine.store_u64(self.core, addr, v);
     }
     fn load_u8(&self, addr: u64) -> u8 {
         self.emu.machine.mem.read_u8(addr)
     }
     fn store_u8(&mut self, addr: u64, v: u8) {
-        self.emu.machine.mem.write_u8(addr, v);
+        self.emu.machine.store_u8(self.core, addr, v);
     }
 }

@@ -879,6 +879,25 @@ impl Machine {
         self.drain_all(core);
     }
 
+    /// Stores a u64 to shared memory on `core`'s behalf (engine use: the
+    /// interpreter fallback). The store is globally visible at once —
+    /// after everything the core still has buffered — and, like a
+    /// drained one, clears every other core's exclusive monitor on
+    /// `addr`, so an `stxr` cannot succeed over it.
+    pub fn store_u64(&mut self, core: usize, addr: u64, v: u64) {
+        self.drain_all(core);
+        self.mem.write_u64(addr, v);
+        Self::invalidate_monitors(&mut self.cores, core, addr);
+    }
+
+    /// [`Machine::store_u64`] for one byte; it clears monitors on the
+    /// word the byte lies in, as the machine's own byte store does.
+    pub fn store_u8(&mut self, core: usize, addr: u64, v: u8) {
+        self.drain_all(core);
+        self.mem.write_u8(addr, v);
+        Self::invalidate_monitors(&mut self.cores, core, addr & !7);
+    }
+
     /// An idle core index (never started), if any.
     pub fn idle_core(&self) -> Option<usize> {
         self.cores.iter().position(|c| !c.started)
@@ -1178,9 +1197,7 @@ impl Machine {
             StrB { src, base, off } => {
                 let addr = c.get(base).wrapping_add(off as i64 as u64);
                 let v = c.get(src) as u8;
-                self.drain_all(core);
-                self.mem.write_u8(addr, v);
-                Self::invalidate_monitors(&mut self.cores, core, addr & !7);
+                self.store_u8(core, addr, v);
                 self.cores[core].cycles += self.cost.store;
             }
             Ldxr { dst, addr, acquire } => {
@@ -1920,6 +1937,47 @@ mod tests {
         assert_eq!(m.run(10_000), Event::AllHalted);
         assert_eq!(m.reg(0, Xreg(5)), 1, "stxr must fail after foreign write");
         assert_eq!(m.mem.read_u64(0x5000), 7, "the foreign write survives");
+    }
+
+    #[test]
+    fn exclusive_monitor_cleared_by_engine_side_writes() {
+        use HostInsn::*;
+        // Core 0 is between its ldxr and its stxr when the engine puts
+        // something into the monitored word on core 1's behalf.
+        let stxr_after = |engine: fn(&mut Machine)| {
+            let mut m = Machine::new(2, CostModel::uniform());
+            let c0 = m.install_code(&[
+                MovImm { dst: Xreg(1), imm: 0x5000 },
+                Ldxr { dst: Xreg(2), addr: Xreg(1), acquire: false },
+                MovImm { dst: Xreg(4), imm: 42 },
+                Stxr { status: Xreg(5), src: Xreg(4), addr: Xreg(1), release: false },
+                Hlt,
+            ]);
+            m.start_core(0, c0);
+            assert_eq!(m.run(2), Event::OutOfFuel);
+            engine(&mut m);
+            assert_eq!(m.run(100), Event::AllHalted);
+            (m.reg(0, Xreg(5)), m.mem.read_u64(0x5000))
+        };
+        assert_eq!(stxr_after(|_| {}), (0, 42), "undisturbed, the pair succeeds");
+        // The interpreter fallback's stores.
+        assert_eq!(stxr_after(|m| m.store_u64(1, 0x5000, 7)), (1, 7), "the foreign word survives");
+        assert_eq!(stxr_after(|m| m.store_u8(1, 0x5003, 7)), (1, 7 << 24), "and so does a byte");
+        // A thread exit that finds a store still buffered.
+        let exit_with_a_buffered_store = |m: &mut Machine| {
+            let c1 = m.install_code(&[
+                MovImm { dst: Xreg(1), imm: 0x5000 },
+                MovImm { dst: Xreg(2), imm: 7 },
+                Str { src: Xreg(2), base: Xreg(1), off: 0, order: MemOrder::Plain },
+                Hlt,
+            ]);
+            m.add_cycles(0, 50);
+            m.start_core(1, c1);
+            assert_eq!(m.run(3), Event::OutOfFuel);
+            assert_eq!((m.stats(1).insns, m.mem.read_u64(0x5000)), (3, 0));
+            m.halt_core(1);
+        };
+        assert_eq!(stxr_after(exit_with_a_buffered_store), (1, 7));
     }
 
     #[test]
