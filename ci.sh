@@ -41,8 +41,9 @@ RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test determinism
 
 # Allocation-budget gate, in the build the benchmark measures: heap
 # allocations per translated block (VerifyLevel::Full and Install) and
-# per Emulator::new stay under their ceilings (tests/alloc_budget.rs
-# prints the measured figures).
+# per Emulator::new stay under their ceilings, and stepping a warm loop
+# on a bare Machine allocates nothing (tests/alloc_budget.rs prints the
+# measured figures).
 cargo test -q --release --test alloc_budget
 
 # Machine-loop gate, in the build the benchmark measures: a run cut into
@@ -50,10 +51,12 @@ cargo test -q --release --test alloc_budget
 # clocks, counters, memory and atomic order as one cut into run quanta,
 # under all three policies — hand-built multi-core programs in the
 # machine's unit suite, the CAS grid and five kernels through the engine
-# — and the pre-decoded code table must never serve an instruction from
-# bytes that were patched, corrupted, freed or reused (same unit suite;
-# `SparseMem`'s word-wide accessors against their byte-wise definition
-# ride along in guest-x86's).
+# — the pre-decoded code table must never serve an instruction from
+# bytes that were patched, corrupted, freed or reused, and the ring store
+# buffer must drain, forward and report overlaps exactly as the
+# `VecDeque` it replaced over 200 000 seeded operations, deadline
+# included (same unit suite; `SparseMem`'s word-wide accessors against
+# their byte-wise definition ride along in guest-x86's).
 cargo test -q --release -p risotto-host-arm -p risotto-guest-x86
 cargo test -q --release --test slice_invariance
 

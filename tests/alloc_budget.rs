@@ -9,13 +9,16 @@
 //! heap allocations per translated block and per constructed emulator.
 //!
 //! `run` is measured whole — the machine's own allocations (guest
-//! memory pages, store buffers, the code cache growing) count against
-//! the per-block budget too, which is why the kernels run at a small
-//! scale. One `#[test]` only: the counter is process-wide.
+//! memory pages, the code cache growing) count against the per-block
+//! budget too, which is why the kernels run at a small scale. The
+//! execute path has a budget of its own: once a loop's pages and decoded
+//! instructions exist, stepping it allocates nothing. One `#[test]`
+//! only: the counter is process-wide.
 
 use risotto::core::{BackendKind, Emulator, Setup, VerifyLevel};
 use risotto::fuzz::parse_corpus;
 use risotto::guest::GuestBinary;
+use risotto::host::{AOp, CostModel, Event, HostInsn, Machine, MemOrder, Xreg};
 use risotto::workloads::kernels;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,4 +117,34 @@ fn translate_path_stays_inside_its_allocation_budget() {
     }
     println!("Emulator::new: at most {worst_new} allocations");
     assert!(worst_new <= PER_NEW, "Emulator::new made {worst_new} allocations (> {PER_NEW})");
+
+    let mut machine = store_load_loop();
+    assert_eq!(machine.run(1_000), Event::OutOfFuel, "warm-up: pages touched, code decoded");
+    let (event, in_steps) = counted(|| machine.run(100_000));
+    assert_eq!(event, Event::OutOfFuel);
+    println!("Machine::run: {in_steps} allocations in 100000 warm steps");
+    assert_eq!(in_steps, 0, "stepping a warm loop must not allocate");
+}
+
+/// A bare machine whose two cores each spin on a store, a load of what
+/// the other core stores, and an add — buffered stores, forwarding
+/// probes, aged drains and a scheduler pick every few steps.
+fn store_load_loop() -> Machine {
+    use HostInsn::*;
+    let mut m = Machine::new(2, CostModel::thunderx2_like());
+    for core in 0..2u64 {
+        let body = [
+            Str { src: Xreg(2), base: Xreg(1), off: 8 * core as i32, order: MemOrder::Plain },
+            Ldr { dst: Xreg(3), base: Xreg(1), off: 8 - 8 * core as i32, order: MemOrder::Plain },
+            AluImm { op: AOp::Add, dst: Xreg(2), a: Xreg(2), imm: 1 },
+        ];
+        let back =
+            body.iter().map(HostInsn::encoded_len).sum::<usize>() + B { rel: 0 }.encoded_len();
+        let mut code = vec![MovImm { dst: Xreg(1), imm: 0x5000 }];
+        code.extend(body);
+        code.push(B { rel: -(back as i32) });
+        let host = m.install_code(&code);
+        m.start_core(core as usize, host);
+    }
+    m
 }
