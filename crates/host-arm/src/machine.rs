@@ -1011,10 +1011,11 @@ impl Machine {
     /// and the order of steps is the per-step order exactly (DESIGN.md
     /// §6, "Host machine inner loop").
     pub fn run(&mut self, fuel: u64) -> Event {
-        // For the same reason the picks read a key per core instead of
-        // the cores: the keys are taken here, once per call — so whatever
-        // the engine did since the last one (`start_core`, `halt_core`,
-        // `add_cycles`) is seen — and only the stepped core's goes stale.
+        // The picks read one key per core, taken here. Until this call
+        // returns only the stepped core's clock and run state change, and
+        // its key is rewritten when its quantum ends; what the engine did
+        // since the last call (`start_core`, `halt_core`, `add_cycles`)
+        // is read now.
         for (key, c) in self.sched_keys.iter_mut().zip(&self.cores) {
             *key = c.sched_key();
         }
@@ -1051,7 +1052,8 @@ impl Machine {
     /// afresh for every step.
     fn pick_core(&mut self) -> Option<(usize, (u64, usize))> {
         const NO_BOUND: (u64, usize) = (u64::MAX, usize::MAX);
-        let runnable = self.sched_keys.iter().enumerate().filter(|&(_, &clock)| clock != u64::MAX);
+        let mut runnable =
+            self.sched_keys.iter().enumerate().filter(|&(_, &clock)| clock != u64::MAX);
         match self.sched {
             SchedPolicy::Deterministic => {
                 // Walked in index order, `<` on the clock alone is the
@@ -1087,7 +1089,6 @@ impl Machine {
                 x ^= x >> 7;
                 x ^= x << 17;
                 self.sched_state = x;
-                let mut runnable = runnable;
                 runnable.nth((x % n) as usize).map(|(i, _)| (i, (0, 0)))
             }
         }

@@ -115,7 +115,7 @@ impl StoreBuffer {
                 if near != 7 {
                     return Probe::Overlap;
                 }
-                if found == Probe::Clear {
+                if matches!(found, Probe::Clear) {
                     found = Probe::Forward(self.values[slot]);
                 }
             }
