@@ -56,8 +56,14 @@ cargo test -q --release --test alloc_budget
 # buffer must drain, forward and report overlaps exactly as the
 # `VecDeque` it replaced over 200 000 seeded operations, deadline
 # included (same unit suite; `SparseMem`'s word-wide accessors against
-# their byte-wise definition ride along in guest-x86's).
-cargo test -q --release -p risotto-host-arm -p risotto-guest-x86
+# their byte-wise definition ride along in guest-x86's). The code cache's
+# seeded churn (`code_cache.rs`: 50 000 install / map / remap / unmap /
+# superblock / discard / corrupt / link / park operations) must leave,
+# after every one, regions and holes tiling the buffer, every mapping on
+# a live region, no stale chain word, chain site, jump-cache entry or
+# decode; risotto-core's unit suite holds the engine's per-pc record
+# (stable id, tier-0 flag, resume count) to the same build.
+cargo test -q --release -p risotto-host-arm -p risotto-guest-x86 -p risotto-core
 cargo test -q --release --test slice_invariance
 
 # Paper-figure artifact, its own baseline: BENCH_pipeline.json (the 16

@@ -79,16 +79,12 @@ impl Emulator {
     /// plus the engine's dispatch-loop entries.
     pub(super) fn rebuild_profiler(&mut self) {
         self.obs.profiler.clear();
-        let resume: Vec<(u64, u64, u64)> =
-            self.resume_profile.iter().map(|(&pc, &(e, m))| (pc, e, m)).collect();
-        let machine: Vec<(u64, u64, u64)> = self
-            .machine
-            .tb_profile()
-            .map(|p| p.iter().map(|(&pc, t)| (pc, t.execs, t.chain_misses)).collect())
-            .unwrap_or_default();
-        for (pc, execs, misses) in resume.into_iter().chain(machine) {
-            let tb_id = self.tb_ids.get(&pc).copied().unwrap_or(0);
-            self.obs.profiler.record(tb_id, pc, execs, misses);
+        for (&pc, meta) in self.tbs.iter().filter(|(_, meta)| meta.resumes > 0) {
+            self.obs.profiler.record(meta.id.unwrap_or(0), pc, meta.resumes, meta.resumes);
+        }
+        for (pc, prof) in self.machine.tb_profile() {
+            let tb_id = self.tb_id(pc).unwrap_or(0);
+            self.obs.profiler.record(tb_id, pc, prof.execs, prof.chain_misses);
         }
     }
 }

@@ -66,6 +66,23 @@ const ENV_STRIDE: u64 = 0x100;
 
 const SPILL_STRIDE: u64 = 0x10000;
 
+/// What the engine knows about one guest pc across every translation it
+/// has had; created at the pc's first block install or resume, never
+/// removed.
+#[derive(Debug, Default)]
+struct TbMeta {
+    /// Stable engine TB id: the 1-based `tb_count` of the pc's first
+    /// block install. A block install that finds it set is a
+    /// re-translation.
+    id: Option<u64>,
+    /// The current translation is a tier-0 template block (a promotion
+    /// candidate for the tier-1 re-translate).
+    tier0: bool,
+    /// Dispatch-loop entries while profiling is enabled; each missed the
+    /// machine's fast paths by definition.
+    resumes: u64,
+}
+
 /// The DBT engine.
 #[derive(Debug)]
 pub struct Emulator {
@@ -87,8 +104,6 @@ pub struct Emulator {
     /// Bounded guest pc → failed-translation-attempt map (fallback
     /// bookkeeping, satellite of the translation verifier).
     quarantine: Quarantine,
-    /// Guest pcs that have ever had a successful translation installed.
-    ever_translated: HashSet<u64>,
     fallback_blocks: usize,
     retranslations: usize,
     /// Instructions executed by the fallback interpreter (counts against
@@ -106,9 +121,6 @@ pub struct Emulator {
     opt_totals: OptStats,
     /// Tier-2 promotion policy (`None` = tier-1 only).
     tiering: Option<TierConfig>,
-    /// Guest pcs whose current translation is a tier-0 template block
-    /// (promotion candidates for the tier-1 re-translate).
-    tier0_pcs: HashSet<u64>,
     /// Tier-0 template-translation counters.
     template_stats: TemplateStats,
     /// Engine-side superblock counters (`subsumed`/`entries` live on the
@@ -124,11 +136,8 @@ pub struct Emulator {
     /// Frontend-emitted fences counted pre-optimization, indexed per
     /// [`FenceKind::tcg_index`].
     fence_inserted: [u64; 12],
-    /// Guest pc → stable engine TB id (1-based first-install order).
-    tb_ids: HashMap<u64, u64>,
-    /// Engine-side dispatch-loop profile: guest pc → (entries, misses);
-    /// only filled while profiling is enabled.
-    resume_profile: HashMap<u64, (u64, u64)>,
+    /// Guest pc → its one engine-side record.
+    tbs: HashMap<u64, TbMeta>,
     /// Injected faults encountered (translate / lower / syscall).
     faults_injected: u64,
     /// Guest instructions covered by tier-1 translations (denominator
@@ -188,7 +197,6 @@ impl Emulator {
             backend_kind: BackendKind::Arm,
             plan: FaultPlan::default(),
             quarantine: Quarantine::default(),
-            ever_translated: HashSet::new(),
             fallback_blocks: 0,
             retranslations: 0,
             interp_steps: 0,
@@ -199,14 +207,12 @@ impl Emulator {
             obs: Obs::new(),
             opt_totals: OptStats::default(),
             tiering: None,
-            tier0_pcs: HashSet::new(),
             template_stats: TemplateStats::default(),
             sb_stats: SbStats::default(),
             sb_opt: OptStats::default(),
             regalloc_totals: AllocStats::default(),
             fence_inserted: [0; 12],
-            tb_ids: HashMap::new(),
-            resume_profile: HashMap::new(),
+            tbs: HashMap::new(),
             faults_injected: 0,
             tier1_insns: 0,
             verify: VerifyLevel::default(),
@@ -367,7 +373,7 @@ impl Emulator {
         // tiering is enabled; it must survive observability toggles.
         self.machine.set_profiling(on || self.tiering.is_some());
         if !on {
-            self.resume_profile.clear();
+            self.tbs.values_mut().for_each(|meta| meta.resumes = 0);
             self.obs.profiler.clear();
         }
     }
@@ -612,18 +618,14 @@ impl Emulator {
     /// until a translatable pc is reached or the core halts.
     fn resume_at(&mut self, core: usize, guest_pc: u64) -> Result<(), EmuError> {
         // Every resume passes here: no TB-id lookup unless someone listens.
-        let tb_id = self.obs.tracing.then(|| self.tb_ids.get(&guest_pc).copied()).flatten();
+        let tb_id = self.obs.tracing.then(|| self.tb_id(guest_pc)).flatten();
         self.obs.trace(TraceStage::Dispatch, Some(core), Some(guest_pc), tb_id, None, String::new);
         let mut pc = guest_pc;
         loop {
             match self.ensure_translated(Some(core), pc) {
                 Ok(host) => {
                     if self.obs.profiling {
-                        // Every dispatch-loop entry missed the machine's
-                        // fast paths by definition.
-                        let e = self.resume_profile.entry(pc).or_insert((0, 0));
-                        e.0 += 1;
-                        e.1 += 1;
+                        self.tbs.entry(pc).or_default().resumes += 1;
                     }
                     self.machine.start_core(core, host);
                     return Ok(());
@@ -647,7 +649,7 @@ impl Emulator {
         for pc in self.plan.pending_corruptions() {
             if self.machine.lookup_tb(pc).is_some() && self.plan.take_corrupt_tb(pc) {
                 self.machine.unmap_tb(pc);
-                let tb_id = self.tb_ids.get(&pc).copied();
+                let tb_id = self.tb_id(pc);
                 self.obs.trace(TraceStage::Fault, None, Some(pc), tb_id, None, || {
                     "TB-cache corruption detected; entry discarded".to_owned()
                 });
@@ -663,17 +665,9 @@ impl Emulator {
         }
     }
 
-    /// The guest pc whose translation contains `host_pc`, if recoverable.
-    fn guest_pc_of_host(&self, host_pc: u64) -> Option<u64> {
-        self.machine
-            .mapped_tbs()
-            .into_iter()
-            .filter_map(|g| self.machine.lookup_tb(g).map(|h| (g, h)))
-            .filter(|&(_, h)| h <= host_pc)
-            // `mapped_tbs` order is map-internal; tie-break equal host
-            // bases on the lowest guest pc so the answer is stable.
-            .max_by_key(|&(g, h)| (h, std::cmp::Reverse(g)))
-            .map(|(g, _)| g)
+    /// The stable engine id of the block at `guest_pc`, once it has one.
+    fn tb_id(&self, guest_pc: u64) -> Option<u64> {
+        self.tbs.get(&guest_pc)?.id
     }
 
     /// Observable-progress marker for the watchdog.
@@ -767,7 +761,7 @@ impl Emulator {
                         kind,
                         core,
                         host_pc,
-                        guest_pc: self.guest_pc_of_host(host_pc),
+                        guest_pc: self.machine.guest_pc_of_host(host_pc),
                     });
                 }
             }
@@ -808,5 +802,56 @@ impl Emulator {
             sb: self.sb_stats(),
             template: self.template_stats,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use risotto_guest_x86::{AluOp, Cond, GelfBuilder};
+
+    /// `rax = 3 * n` by a counted loop: an entry block that runs once, a
+    /// loop block, an exit block.
+    fn counted_loop(n: u64) -> GuestBinary {
+        let mut b = GelfBuilder::new("main");
+        b.asm.label("main");
+        b.asm.mov_ri(Gpr::RCX, n);
+        b.asm.label("loop");
+        b.asm.alu_ri(AluOp::Add, Gpr::RAX, 3);
+        b.asm.alu_ri(AluOp::Sub, Gpr::RCX, 1);
+        b.asm.cmp_ri(Gpr::RCX, 0);
+        b.asm.jcc_to(Cond::Ne, "loop");
+        b.asm.hlt();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn a_record_keeps_its_id_its_tier_and_its_resumes_while_profiling() {
+        let bin = counted_loop(40);
+        let mut emu = Emulator::new(&bin, Setup::Risotto, 1, CostModel::thunderx2_like());
+        emu.set_profiling(true);
+        emu.set_tiering(Some(TierConfig { warm_threshold: Some(8), ..TierConfig::default() }));
+        let report = emu.run(100_000).unwrap();
+        assert_eq!(report.exit_vals[0], Some(120));
+        // The entry block is a template still; the loop crossed the warm
+        // threshold, and a promotion re-installs a pc that has its id.
+        assert!(emu.tbs[&bin.entry].tier0);
+        let promoted = emu.tbs.values().filter(|meta| !meta.tier0).count();
+        assert!(promoted >= 1 && promoted as u64 == report.template.promotions, "{report:?}");
+        assert_eq!(report.retranslations, promoted);
+        let ids: HashSet<u64> = emu.tbs.values().filter_map(|meta| meta.id).collect();
+        let first_installs = (report.tb_count - promoted) as u64;
+        assert_eq!(ids.len() as u64, first_installs, "one id per first install");
+        // Each block entered the dispatch loop once: the miss that made it.
+        assert!(emu.tbs.values().all(|meta| meta.resumes == 1));
+        let entry = emu.hot_tbs(8).into_iter().find(|tb| tb.guest_pc == bin.entry).unwrap();
+        assert_eq!((entry.tb_id, entry.execs, entry.chain_misses), (1, 1, 1));
+
+        // Evicted and translated again: same id, one more retranslation.
+        assert!(emu.machine.unmap_tb(bin.entry));
+        assert!(emu.ensure_translated(None, bin.entry).is_ok());
+        assert_eq!((emu.tb_id(bin.entry), emu.retranslations), (Some(1), promoted + 1));
+        emu.set_profiling(false);
+        assert!(emu.tbs.values().all(|meta| meta.resumes == 0), "disabling discards the counts");
     }
 }

@@ -264,7 +264,7 @@ impl Emulator {
             VerifyPass::FenceObligations => self.verify_fence += 1,
             VerifyPass::Encoding => self.verify_encoding += 1,
         }
-        let tb_id = self.tb_ids.get(&e.guest_pc).copied();
+        let tb_id = self.tb_id(e.guest_pc);
         self.obs.trace(TraceStage::Fault, core, Some(e.guest_pc), tb_id, None, || e.to_string());
     }
 
@@ -393,14 +393,16 @@ impl Emulator {
             if !superblock {
                 e.machine.map_tb(head_pc, host);
                 e.tb_count += 1;
-                e.tb_ids.entry(head_pc).or_insert(e.tb_count as u64);
-                if !e.ever_translated.insert(head_pc) {
+                let meta = e.tbs.entry(head_pc).or_default();
+                if meta.id.is_some() {
                     e.retranslations += 1;
+                } else {
+                    meta.id = Some(e.tb_count as u64);
                 }
             }
             Ok(host)
         })?;
-        let tb_id = self.tb_ids.get(&head_pc).copied();
+        let tb_id = self.tb_id(head_pc);
         self.obs.trace(TraceStage::Install, core, Some(head_pc), tb_id, dur, || {
             detail.unwrap_or_else(|| format!("{} host insns", code.len()))
         });
@@ -410,10 +412,8 @@ impl Emulator {
     /// Total observed entries into `guest_pc` — machine fast-path
     /// transfers plus engine dispatch-loop entries.
     fn entry_count(&self, guest_pc: u64) -> u64 {
-        let machine =
-            self.machine.tb_profile().and_then(|p| p.get(&guest_pc)).map_or(0, |e| e.execs);
-        let resume = self.resume_profile.get(&guest_pc).map_or(0, |e| e.0);
-        machine + resume
+        let resumes = self.tbs.get(&guest_pc).map_or(0, |meta| meta.resumes);
+        self.machine.tb_prof(guest_pc).execs + resumes
     }
 
     /// The profiled direction of a conditional exit, if decisive: the
@@ -495,12 +495,19 @@ impl Emulator {
             self.try_promote(core, guest_pc);
             return;
         };
-        if self.tier0_pcs.contains(&guest_pc) {
+        if self.tbs.get(&guest_pc).is_some_and(|meta| meta.tier0) {
             if self.entry_count(guest_pc) >= warm {
                 self.promote_template(core, guest_pc);
             }
         } else if self.entry_count(guest_pc) >= cfg.hot_threshold {
             self.try_promote(core, guest_pc);
+        }
+    }
+
+    /// Sets the tier-0 mark of the block installed at `guest_pc`.
+    fn set_tier0(&mut self, guest_pc: u64, tier0: bool) {
+        if let Some(meta) = self.tbs.get_mut(&guest_pc) {
+            meta.tier0 = tier0;
         }
     }
 
@@ -524,7 +531,7 @@ impl Emulator {
         if !self.promotable(guest_pc) {
             // Stale candidate: evicted, subsumed by a superblock, or
             // quarantined since it was marked.
-            self.tier0_pcs.remove(&guest_pc);
+            self.set_tier0(guest_pc, false);
             return;
         }
         let produced = self
@@ -532,7 +539,7 @@ impl Emulator {
             .and_then(|cand| self.commit(Some(core), cand));
         match produced {
             Ok(_) => {
-                self.tier0_pcs.remove(&guest_pc);
+                self.set_tier0(guest_pc, false);
                 self.template_stats.promotions += 1;
             }
             Err(_) => self.template_stats.promotion_failures += 1,
@@ -805,7 +812,7 @@ impl Emulator {
         match produced {
             Ok(host) => {
                 if tier0 {
-                    self.tier0_pcs.insert(guest_pc);
+                    self.set_tier0(guest_pc, true);
                 }
                 self.quarantine.clear(guest_pc);
                 Ok(host)

@@ -8,7 +8,7 @@
 //!   translation, optimization, fences, TB caching and chaining,
 //!   execution totals, and per-stage wall times. It absorbs the legacy
 //!   `Report` / `ChainStats` counters behind one schema; snapshots
-//!   ([`MetricsSnapshot`]) round-trip through JSON.
+//!   ([`MetricsSnapshot`]) are written out as JSON.
 //! * [`TraceSink`] — span-style structured events
 //!   ([`TraceEvent`]) at the decode / opt / encode / install / dispatch
 //!   / fault boundaries, with guest-pc + core + TB-id context. Sinks:
@@ -29,7 +29,7 @@ mod trace;
 
 pub use profile::{HotTb, HotTbProfiler};
 pub use registry::{
-    HistSummary, JsonError, MetricKind, MetricSpec, MetricValue, MetricsRegistry, MetricsSnapshot,
+    HistSummary, MetricKind, MetricSpec, MetricValue, MetricsRegistry, MetricsSnapshot,
     SNAPSHOT_VERSION,
 };
 pub use trace::{JsonLinesSink, NullSink, RingBufferSink, TraceEvent, TraceSink, TraceStage};

@@ -9,7 +9,6 @@
 use risotto_memmodel::FenceKind;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::OnceLock;
 
 /// Schema version stamped into every [`MetricsSnapshot`].
@@ -346,10 +345,10 @@ impl MetricsRegistry {
 }
 
 /// A versioned, immutable copy of a [`MetricsRegistry`], with a JSON
-/// exposition that round-trips.
+/// exposition.
 ///
 /// ```
-/// use risotto_core::obs::{MetricsRegistry, MetricsSnapshot};
+/// use risotto_core::obs::MetricsRegistry;
 ///
 /// let mut reg = MetricsRegistry::new();
 /// reg.add("chain.hits", 7);
@@ -358,11 +357,10 @@ impl MetricsRegistry {
 /// reg.observe("stage.decode_ns", 200);
 ///
 /// let snap = reg.snapshot();
-/// let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-/// assert_eq!(back, snap);
-/// assert_eq!(back.counter("chain.hits"), 7);
-/// assert_eq!(back.gauge("exec.cycles"), 1234);
-/// assert_eq!(back.histogram("stage.decode_ns").sum, 1000);
+/// assert_eq!(snap.counter("chain.hits"), 7);
+/// assert_eq!(snap.gauge("exec.cycles"), 1234);
+/// assert_eq!(snap.histogram("stage.decode_ns").sum, 1000);
+/// assert!(snap.to_json().starts_with("{\"version\": 1, \"metrics\": {"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -421,176 +419,5 @@ impl MetricsSnapshot {
         }
         out.push_str("}}");
         out
-    }
-
-    /// Parses the [`MetricsSnapshot::to_json`] exposition back.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message on malformed input (position included).
-    pub fn from_json(s: &str) -> Result<MetricsSnapshot, JsonError> {
-        let mut p = Parser { b: s.as_bytes(), i: 0 };
-        p.expect(b'{')?;
-        let mut version = None;
-        let mut metrics = BTreeMap::new();
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "version" => version = Some(p.number()?),
-                "metrics" => {
-                    p.expect(b'{')?;
-                    if p.peek()? == b'}' {
-                        p.expect(b'}')?;
-                    } else {
-                        loop {
-                            let name = p.string()?;
-                            p.expect(b':')?;
-                            metrics.insert(name, p.metric_value()?);
-                            if !p.comma_or(b'}')? {
-                                break;
-                            }
-                        }
-                    }
-                }
-                other => return Err(p.err(&format!("unknown key `{other}`"))),
-            }
-            if !p.comma_or(b'}')? {
-                break;
-            }
-        }
-        let version = version.ok_or_else(|| p.err("missing `version`"))?;
-        Ok(MetricsSnapshot { version, metrics })
-    }
-}
-
-/// Error from [`MetricsSnapshot::from_json`]: what went wrong, and where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// Description of the failure.
-    pub msg: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad metrics JSON at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Minimal parser for exactly the subset of JSON that
-/// [`MetricsSnapshot::to_json`] emits (objects, strings without escapes,
-/// unsigned integers).
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError { at: self.i, msg: msg.to_owned() }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, JsonError> {
-        self.skip_ws();
-        self.b.get(self.i).copied().ok_or_else(|| self.err("unexpected end of input"))
-    }
-
-    fn expect(&mut self, ch: u8) -> Result<(), JsonError> {
-        let got = self.peek()?;
-        if got != ch {
-            return Err(self.err(&format!("expected `{}`, found `{}`", ch as char, got as char)));
-        }
-        self.i += 1;
-        Ok(())
-    }
-
-    /// Consumes `,` and returns `true`, or consumes `close` and returns
-    /// `false`.
-    fn comma_or(&mut self, close: u8) -> Result<bool, JsonError> {
-        let got = self.peek()?;
-        self.i += 1;
-        match got {
-            b',' => Ok(true),
-            c if c == close => Ok(false),
-            c => {
-                Err(self
-                    .err(&format!("expected `,` or `{}`, found `{}`", close as char, c as char)))
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i] != b'"' {
-            if self.b[self.i] == b'\\' {
-                return Err(self.err("escape sequences are not part of the metrics schema"));
-            }
-            self.i += 1;
-        }
-        if self.i >= self.b.len() {
-            return Err(self.err("unterminated string"));
-        }
-        let s = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| self.err("invalid UTF-8 in string"))?
-            .to_owned();
-        self.i += 1;
-        Ok(s)
-    }
-
-    fn number(&mut self) -> Result<u64, JsonError> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(self.err("expected a number"));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("number does not fit in u64"))
-    }
-
-    fn metric_value(&mut self) -> Result<MetricValue, JsonError> {
-        self.expect(b'{')?;
-        let mut ty = None;
-        let mut fields: BTreeMap<String, u64> = BTreeMap::new();
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            if key == "type" {
-                ty = Some(self.string()?);
-            } else {
-                fields.insert(key, self.number()?);
-            }
-            if !self.comma_or(b'}')? {
-                break;
-            }
-        }
-        let get = |k: &str| fields.get(k).copied().unwrap_or(0);
-        match ty.as_deref() {
-            Some("counter") => Ok(MetricValue::Counter(get("value"))),
-            Some("gauge") => Ok(MetricValue::Gauge(get("value"))),
-            Some("histogram") => Ok(MetricValue::Histogram(HistSummary {
-                count: get("count"),
-                sum: get("sum"),
-                min: get("min"),
-                max: get("max"),
-            })),
-            Some(other) => Err(self.err(&format!("unknown metric type `{other}`"))),
-            None => Err(self.err("metric value missing `type`")),
-        }
     }
 }

@@ -30,6 +30,7 @@
 #![warn(missing_debug_implementations)]
 
 mod backend;
+mod code_cache;
 mod cost;
 mod insn;
 mod machine;
@@ -43,13 +44,13 @@ pub use backend::{
     BackendError, HostAsm, HostBackend, LowerOutput, LowerScratch, OrderingLowering, RmwStyle,
     ENV_BASE, SPILL_BASE,
 };
+pub use code_cache::{CacheStats, ChainStats, TbProf, CODE_BASE};
 pub use cost::CostModel;
 pub use insn::{
     ACond, AFpOp, AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg, JUMP_CHAIN_OFFSET,
 };
 pub use machine::{
-    AtomicEvent, CacheStats, ChainStats, CoreStats, Event, HostFaultKind, Machine, NativeFn,
-    NativeResult, SchedPolicy, TbProf, CODE_BASE,
+    AtomicEvent, CoreStats, Event, HostFaultKind, Machine, NativeFn, NativeResult, SchedPolicy,
 };
 pub use regalloc::AllocStats;
 pub use verify::{

@@ -14,22 +14,16 @@
 //! see DESIGN.md §10. Fences, acquire/release and atomics still have
 //! their architectural *costs* and their buffer-drain semantics here.
 
+use crate::code_cache::{CodeCache, Via};
 use crate::cost::CostModel;
 #[cfg(test)]
 use crate::insn::ACond;
-use crate::insn::{AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg, JUMP_CHAIN_OFFSET};
+use crate::insn::{AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg};
 use crate::store_buffer::{Probe, StoreBuffer};
 #[cfg(test)]
 use crate::store_buffer::{DRAIN_AGE, STORE_BUFFER_CAP};
 use risotto_guest_x86::{softfloat, SparseMem};
-use std::collections::{HashMap, HashSet};
-
-/// Base address where translated host code lives (outside guest ranges).
-pub const CODE_BASE: u64 = 0x4000_0000;
-
-/// Entries in each core's direct-mapped indirect-branch lookup cache
-/// (guest pc → host pc; the QEMU `tb_jmp_cache` analogue).
-const JCACHE_SIZE: usize = 64;
+use std::collections::HashMap;
 
 /// A result returned by a registered native host function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,117 +149,12 @@ pub struct AtomicEvent {
     pub new: u64,
 }
 
-/// Counters for the translation-block code cache (machine-wide totals).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Code regions installed (one per translation, thunk included).
-    pub installs: u64,
-    /// Installs that reused a freed region instead of growing the cache.
-    pub region_reuses: u64,
-    /// Mappings removed by [`Machine::unmap_tb`] (evictions,
-    /// invalidations, and link-library rebinds).
-    pub evictions: u64,
-    /// Superblocks installed via [`Machine::install_superblock`].
-    pub sb_installs: u64,
-    /// Tier-1 translations evicted because a superblock subsumed them
-    /// (a subset of `evictions`).
-    pub sb_subsumed: u64,
-}
-
-/// Per-translation-block execution profile entry (see
-/// [`Machine::set_profiling`]). Keyed by guest pc in
-/// [`Machine::tb_profile`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TbProf {
-    /// Times the block was entered via a machine-resolved transfer
-    /// (patched chain, jump cache, or dispatcher lookup).
-    pub execs: u64,
-    /// Entries that missed the fast path (dispatcher lookup after an
-    /// unpatched chain slot or a jump-cache miss).
-    pub chain_misses: u64,
-}
-
-/// Counters for the TB-chaining machinery (machine-wide totals).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChainStats {
-    /// Direct-jump exits that followed an already-patched chain slot
-    /// (no map lookup; charged `cost.tb_chain`).
-    pub chain_hits: u64,
-    /// Direct-jump exits resolved through the dispatcher and then patched
-    /// (first traversal of a chain site; charged `cost.tb_dispatch`).
-    pub chain_links: u64,
-    /// Chain slots un-patched and jump-cache entries dropped because the
-    /// block they pointed to was unmapped or replaced.
-    pub chain_flushes: u64,
-    /// Indirect (`JumpReg`) exits that hit the per-core jump cache.
-    pub dispatch_hits: u64,
-    /// Indirect exits that went through the full dispatcher lookup.
-    pub dispatch_misses: u64,
-    /// Machine-resolved transfers that entered a superblock head
-    /// (tier-2 body executions; counted on every entry path).
-    pub sb_entries: u64,
-}
-
 /// Cycles an ALU operation costs.
 fn alu_cost(cost: &CostModel, op: AOp) -> u64 {
     match op {
         AOp::Mul => cost.mul,
         AOp::Udiv | AOp::Urem => cost.div,
         _ => cost.alu,
-    }
-}
-
-/// Pre-decoded instructions, addressed by byte offset into the code
-/// cache: `slot[off]` says whether the bytes at `off` have been decoded
-/// yet, lie in a freed hole, or names the decoded entry. One `u32` per
-/// code byte plus one entry per instruction actually executed keeps the
-/// table a small multiple of the code it shadows.
-#[derive(Debug, Default)]
-struct DecodeTable {
-    /// Per code byte: [`Self::UNDECODED`], [`Self::HOLE`], or `index + 1`
-    /// into `entries`.
-    slot: Vec<u32>,
-    entries: Vec<(HostInsn, u16)>,
-    /// Indices into `entries` released by [`Self::clear`], reused first.
-    free: Vec<u32>,
-}
-
-impl DecodeTable {
-    const UNDECODED: u32 = 0;
-    /// Freed code: nothing may execute here until an install reuses it.
-    const HOLE: u32 = u32::MAX;
-
-    /// Extends the table over newly appended code bytes.
-    fn grow(&mut self, code_len: usize) {
-        self.slot.resize(code_len, Self::UNDECODED);
-    }
-
-    /// Remembers the instruction decoded at `off`; returns its index in
-    /// `entries`.
-    fn fill(&mut self, off: usize, entry: (HostInsn, u16)) -> usize {
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.entries[i as usize] = entry;
-                i
-            }
-            None => {
-                self.entries.push(entry);
-                (self.entries.len() - 1) as u32
-            }
-        };
-        self.slot[off] = idx + 1;
-        idx as usize
-    }
-
-    /// Forgets every decode that starts in `off..off + len`, leaving the
-    /// range `mark`ed ([`Self::UNDECODED`] or [`Self::HOLE`]).
-    fn clear(&mut self, off: usize, len: usize, mark: u32) {
-        for s in &mut self.slot[off..off + len] {
-            if *s != Self::UNDECODED && *s != Self::HOLE {
-                self.free.push(*s - 1);
-            }
-            *s = mark;
-        }
     }
 }
 
@@ -279,9 +168,6 @@ struct Core {
     started: bool,
     monitor: Option<u64>,
     stats: CoreStats,
-    /// Direct-mapped guest-pc → host-pc cache for `JumpReg` exits.
-    /// `(u64::MAX, _)` marks an empty slot (never a valid guest pc here).
-    jcache: Vec<(u64, u64)>,
     /// Per-core deterministic jitter stream: real machines have timing
     /// noise that breaks the phase-lock a discrete-event simulator
     /// otherwise falls into on contended atomics.
@@ -300,7 +186,6 @@ impl Core {
             started: false,
             monitor: None,
             stats: CoreStats::default(),
-            jcache: vec![(u64::MAX, 0); JCACHE_SIZE],
             jitter: 0x9E3779B97F4A7C15,
             sb: StoreBuffer::new(),
         }
@@ -349,11 +234,8 @@ pub struct Machine {
     /// Shared memory (guest address space + runtime areas).
     pub mem: SparseMem,
     cores: Vec<Core>,
-    code: Vec<u8>,
-    /// Decoded form of `code`; see [`Machine::fetch`] for who fills it
-    /// and DESIGN.md §11 for the list of places that must clear it.
-    decoded: DecodeTable,
-    tb_map: HashMap<u64, u64>,
+    /// Translated code and everything keyed by guest pc (`code_cache.rs`).
+    pub(crate) cache: CodeCache,
     natives: Vec<NativeFn>,
     cost: CostModel,
     /// Recent RMW sites for the contention model: addr → each core's
@@ -367,32 +249,6 @@ pub struct Machine {
     /// What the scheduler picks from during one [`Machine::run`] call:
     /// per core, its clock, or `u64::MAX` if it is not runnable.
     sched_keys: Vec<u64>,
-    /// TB chaining on/off. Off = every exit takes the dispatcher path
-    /// (the reference configuration for differential checks).
-    chaining: bool,
-    chain_stats: ChainStats,
-    cache_stats: CacheStats,
-    /// Per-TB execution profile (guest pc → counts), `None` unless
-    /// enabled — the common case pays only this `Option` check.
-    profile: Option<HashMap<u64, TbProf>>,
-    /// Reverse chain index: target guest pc → host pcs of the
-    /// `ExitTb(Jump)` sites currently patched to point at its translation.
-    /// Consulted on unmap so every chain into a dead TB is unlinked
-    /// *before* the mapping (and the code bytes) go away.
-    incoming: HashMap<u64, Vec<u64>>,
-    /// Install regions: host start address → encoded byte length.
-    regions: HashMap<u64, usize>,
-    /// Reusable holes in `code`: (byte offset, length), unordered.
-    free_list: Vec<(usize, usize)>,
-    /// Regions whose free is deferred because a core was parked inside
-    /// them when they were unmapped; retried on later installs/unmaps.
-    pending_free: Vec<(u64, usize)>,
-    /// Hotness threshold for [`Event::HotTb`]; `None` disables tier-2
-    /// promotion signalling entirely (the default).
-    hot_threshold: Option<u64>,
-    /// Guest pcs whose current translation is a superblock. Suppresses
-    /// re-promotion signals and feeds `ChainStats::sb_entries`.
-    sb_heads: HashSet<u64>,
     /// Ordered atomic RMW event log; `None` (the default) disables
     /// recording entirely. See [`Machine::set_atomic_log`].
     atomic_log: Option<Vec<AtomicEvent>>,
@@ -402,8 +258,8 @@ impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
             .field("cores", &self.cores.len())
-            .field("code_bytes", &self.code.len())
-            .field("tbs", &self.tb_map.len())
+            .field("code_bytes", &self.code_size())
+            .field("tbs", &self.mapped_tbs().len())
             .field("natives", &self.natives.len())
             .finish()
     }
@@ -421,9 +277,7 @@ impl Machine {
                     c
                 })
                 .collect(),
-            code: Vec::new(),
-            decoded: DecodeTable::default(),
-            tb_map: HashMap::new(),
+            cache: CodeCache::new(n_cores),
             natives: Vec::new(),
             cost,
             rmw_history: HashMap::new(),
@@ -432,16 +286,6 @@ impl Machine {
             sched: SchedPolicy::Deterministic,
             sched_state: 0x243F_6A88_85A3_08D3,
             sched_keys: vec![u64::MAX; n_cores],
-            chaining: true,
-            chain_stats: ChainStats::default(),
-            cache_stats: CacheStats::default(),
-            profile: None,
-            incoming: HashMap::new(),
-            regions: HashMap::new(),
-            free_list: Vec::new(),
-            pending_free: Vec::new(),
-            hot_threshold: None,
-            sb_heads: HashSet::new(),
             atomic_log: None,
         }
     }
@@ -467,81 +311,6 @@ impl Machine {
         }
     }
 
-    /// Enables or disables TB chaining and the indirect jump cache.
-    ///
-    /// Disabled, every exit resolves through the `tb_map` dispatcher
-    /// (charged `cost.tb_dispatch`) — the reference configuration that
-    /// chained runs are differentially checked against. Chain slots
-    /// already patched keep being maintained (unmapping still unlinks
-    /// them) but are ignored, so the flag can be toggled at any point.
-    pub fn set_chaining(&mut self, on: bool) {
-        self.chaining = on;
-    }
-
-    /// Machine-wide chaining/dispatch counters.
-    pub fn chain_stats(&self) -> ChainStats {
-        self.chain_stats
-    }
-
-    /// Machine-wide code-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache_stats
-    }
-
-    /// Enables or disables the per-TB execution profile (off by default;
-    /// purely observational — never affects cycles or scheduling).
-    /// Disabling discards any collected profile; re-enabling an already
-    /// active profile keeps its counts.
-    pub fn set_profiling(&mut self, on: bool) {
-        if on {
-            if self.profile.is_none() {
-                self.profile = Some(HashMap::new());
-            }
-        } else {
-            self.profile = None;
-        }
-    }
-
-    /// The collected per-TB execution profile (guest pc → counts), or
-    /// `None` if profiling was never enabled.
-    pub fn tb_profile(&self) -> Option<&HashMap<u64, TbProf>> {
-        self.profile.as_ref()
-    }
-
-    /// Records a block entry in the profile, if enabled. Returns `true`
-    /// when the entry crossed the hotness threshold and the block is not
-    /// already a superblock head — the caller turns that into
-    /// [`Event::HotTb`] *after* completing the transfer.
-    fn profile_entry(&mut self, guest_pc: u64, miss: bool) -> bool {
-        if !self.sb_heads.is_empty() && self.sb_heads.contains(&guest_pc) {
-            self.chain_stats.sb_entries += 1;
-        }
-        if let Some(p) = &mut self.profile {
-            let e = p.entry(guest_pc).or_default();
-            e.execs += 1;
-            e.chain_misses += miss as u64;
-            if let Some(t) = self.hot_threshold {
-                return e.execs % t == 0 && !self.sb_heads.contains(&guest_pc);
-            }
-        }
-        false
-    }
-
-    /// Sets the execution-count threshold at which a profiled block
-    /// raises [`Event::HotTb`] (every `t` entries, so a declined
-    /// promotion retriggers later). Requires profiling
-    /// ([`Machine::set_profiling`]) to be on to have any effect;
-    /// `None` (the default) never raises the event. Values are clamped
-    /// to at least 1.
-    pub fn set_hot_threshold(&mut self, threshold: Option<u64>) {
-        self.hot_threshold = threshold.map(|t| t.max(1));
-    }
-
-    /// `true` if `guest_pc`'s current translation is a superblock.
-    pub fn is_sb_head(&self, guest_pc: u64) -> bool {
-        self.sb_heads.contains(&guest_pc)
-    }
-
     /// Selects the scheduling policy (see [`SchedPolicy`]).
     pub fn set_sched_policy(&mut self, policy: SchedPolicy) {
         self.sched = policy;
@@ -556,272 +325,10 @@ impl Machine {
         self.cores.len()
     }
 
-    /// Installs encoded host instructions; returns their start address.
-    ///
-    /// Freed regions (from [`Machine::unmap_tb`]) are reused first-fit, so
-    /// retranslation churn does not grow the code buffer without bound.
-    pub fn install_code(&mut self, insns: &[HostInsn]) -> u64 {
-        let mut bytes = Vec::with_capacity(insns.iter().map(HostInsn::encoded_len).sum());
-        for i in insns {
-            i.encode(&mut bytes);
-        }
-        self.install_bytes(&bytes)
-    }
-
-    /// [`Machine::install_code`] for instructions the caller has already
-    /// encoded — the engine encodes a translation once, verifies those
-    /// bytes, and installs the same bytes.
-    pub fn install_bytes(&mut self, bytes: &[u8]) -> u64 {
-        self.retry_pending_frees();
-        self.cache_stats.installs += 1;
-        let addr = match self.free_list.iter().position(|&(_, len)| len >= bytes.len()) {
-            Some(slot) => {
-                self.cache_stats.region_reuses += 1;
-                let (off, len) = self.free_list.swap_remove(slot);
-                self.code[off..off + bytes.len()].copy_from_slice(bytes);
-                // The hole is code again; its tail, if any, stays a hole.
-                self.decoded.clear(off, bytes.len(), DecodeTable::UNDECODED);
-                if len > bytes.len() {
-                    self.free_list.push((off + bytes.len(), len - bytes.len()));
-                }
-                CODE_BASE + off as u64
-            }
-            None => {
-                let off = self.code.len();
-                self.code.extend_from_slice(bytes);
-                self.decoded.grow(self.code.len());
-                CODE_BASE + off as u64
-            }
-        };
-        self.regions.insert(addr, bytes.len());
-        addr
-    }
-
-    /// Total bytes of installed host code (code-cache footprint,
-    /// including holes awaiting reuse).
-    pub fn code_size(&self) -> usize {
-        self.code.len()
-    }
-
-    /// Registers a translation: guest pc → host code address.
-    ///
-    /// Remapping a guest pc to a *different* host address first unlinks
-    /// every chain and jump-cache entry into the old translation and
-    /// releases its region (the engine's `link_library` rebinding path).
-    pub fn map_tb(&mut self, guest_pc: u64, host_pc: u64) {
-        if let Some(old) = self.tb_map.insert(guest_pc, host_pc) {
-            if old != host_pc {
-                self.unlink_incoming(guest_pc);
-                self.flush_jcache(guest_pc);
-                self.free_region(old);
-                // A rebound pc is a fresh tier-1 body; demote it so the
-                // profiler may promote the new translation later.
-                self.sb_heads.remove(&guest_pc);
-            }
-        }
-    }
-
-    /// Looks up a translation.
-    pub fn lookup_tb(&self, guest_pc: u64) -> Option<u64> {
-        self.tb_map.get(&guest_pc).copied()
-    }
-
-    /// Removes a translation mapping (cache eviction / invalidation).
-    ///
-    /// Ordering is the safety argument (DESIGN.md §11): first every chain
-    /// slot and jump-cache entry pointing into the dead translation is
-    /// unlinked — so no core can reach the stale body without going
-    /// through the dispatcher, which no longer finds it — and only then
-    /// is the mapping dropped and the code region released for reuse.
-    /// Returns `true` if a mapping existed.
-    pub fn unmap_tb(&mut self, guest_pc: u64) -> bool {
-        let Some(host) = self.tb_map.remove(&guest_pc) else {
-            return false;
-        };
-        self.cache_stats.evictions += 1;
-        self.sb_heads.remove(&guest_pc);
-        self.unlink_incoming(guest_pc);
-        self.flush_jcache(guest_pc);
-        self.free_region(host);
-        self.retry_pending_frees();
-        true
-    }
-
-    /// Installs a tier-2 superblock: `code` replaces `head`'s tier-1
-    /// translation, and every other trace member in `subsumed` is
-    /// evicted so future transfers to those pcs dispatch into fresh
-    /// tier-1 bodies (retranslated on miss) rather than stale copies.
-    ///
-    /// Uses only the existing [`Machine::unmap_tb`] / [`Machine::map_tb`]
-    /// paths, so the chain-unlink ordering, jump-cache flushes, and
-    /// deferred-free discipline all hold unchanged. Returns the host
-    /// address of the installed superblock.
-    pub fn install_superblock(&mut self, head: u64, code: &[HostInsn], subsumed: &[u64]) -> u64 {
-        let host = self.install_code(code);
-        self.map_superblock(head, host, subsumed);
-        host
-    }
-
-    /// The mapping half of [`Machine::install_superblock`], for a
-    /// superblock whose code is already installed at `host`.
-    pub fn map_superblock(&mut self, head: u64, host: u64, subsumed: &[u64]) {
-        self.cache_stats.sb_installs += 1;
-        for &pc in subsumed {
-            if pc != head && self.unmap_tb(pc) {
-                self.cache_stats.sb_subsumed += 1;
-            }
-        }
-        self.map_tb(head, host);
-        // After map_tb: the remap branch demotes, then we promote.
-        self.sb_heads.insert(head);
-    }
-
-    /// Audits the chain graph: every recorded incoming site must hold a
-    /// chain word that is either 0 (unlinked) or the current host address
-    /// of its target translation. Returns `(target_guest_pc, site,
-    /// stale_word)` for each violation — empty means no dangling chains.
-    pub fn validate_chains(&self) -> Vec<(u64, u64, u64)> {
-        let mut bad = Vec::new();
-        for (&target, sites) in &self.incoming {
-            let expect = self.tb_map.get(&target).copied();
-            for &site in sites {
-                let off = (site - CODE_BASE) as usize + JUMP_CHAIN_OFFSET;
-                let word = u64::from_le_bytes(self.code[off..off + 8].try_into().unwrap());
-                if word != 0 && Some(word) != expect {
-                    bad.push((target, site, word));
-                }
-            }
-        }
-        bad
-    }
-
-    /// Writes `target` into the chain word of the `ExitTb(Jump)` encoded
-    /// at host pc `site` and drops the now-stale decode of that exit.
-    fn patch_chain(&mut self, site: u64, target: u64) {
-        let site = (site - CODE_BASE) as usize;
-        let off = site + JUMP_CHAIN_OFFSET;
-        debug_assert!(off + 8 <= self.code.len(), "chain site outside code");
-        self.code[off..off + 8].copy_from_slice(&target.to_le_bytes());
-        self.decoded.clear(site, 1, DecodeTable::UNDECODED);
-    }
-
-    /// Un-patches every chain slot currently pointing at `guest_pc`'s
-    /// translation (writes 0 = unresolved back into each site).
-    fn unlink_incoming(&mut self, guest_pc: u64) {
-        if let Some(sites) = self.incoming.remove(&guest_pc) {
-            for site in sites {
-                self.patch_chain(site, 0);
-                self.chain_stats.chain_flushes += 1;
-            }
-        }
-    }
-
-    /// Drops `guest_pc` from every core's indirect jump cache.
-    fn flush_jcache(&mut self, guest_pc: u64) {
-        let idx = Self::jcache_idx(guest_pc);
-        for c in &mut self.cores {
-            if c.jcache[idx].0 == guest_pc {
-                c.jcache[idx] = (u64::MAX, 0);
-                self.chain_stats.chain_flushes += 1;
-            }
-        }
-    }
-
-    fn jcache_idx(guest_pc: u64) -> usize {
-        ((guest_pc ^ (guest_pc >> 6)) as usize) & (JCACHE_SIZE - 1)
-    }
-
-    /// Releases the install region starting at `host_start`, deferring if
-    /// a live core is still parked inside it.
-    fn free_region(&mut self, host_start: u64) {
-        let Some(len) = self.regions.remove(&host_start) else {
-            return;
-        };
-        // Defensive: never free a region another mapping still targets.
-        if self.tb_map.values().any(|&h| h == host_start) {
-            self.regions.insert(host_start, len);
-            return;
-        }
-        if self.core_in_range(host_start, len) {
-            self.pending_free.push((host_start, len));
-        } else {
-            self.do_free(host_start, len);
-        }
-    }
-
-    fn core_in_range(&self, start: u64, len: usize) -> bool {
-        let end = start + len as u64;
-        self.cores.iter().any(|c| c.runnable() && c.pc >= start && c.pc < end)
-    }
-
-    /// Actually reclaims a region: turns it into an undecodable hole,
-    /// forgets the chain sites recorded inside it, then adds it to the
-    /// free list.
-    fn do_free(&mut self, start: u64, len: usize) {
-        let end = start + len as u64;
-        self.decoded.clear((start - CODE_BASE) as usize, len, DecodeTable::HOLE);
-        // Chain sites *inside* the dead body must be forgotten, or a later
-        // unmap of their target would patch bytes that now belong to a
-        // different translation.
-        for sites in self.incoming.values_mut() {
-            sites.retain(|&s| s < start || s >= end);
-        }
-        self.incoming.retain(|_, v| !v.is_empty());
-        self.free_list.push(((start - CODE_BASE) as usize, len));
-    }
-
-    fn retry_pending_frees(&mut self) {
-        if self.pending_free.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending_free);
-        for (start, len) in pending {
-            if self.core_in_range(start, len) {
-                self.pending_free.push((start, len));
-            } else {
-                self.do_free(start, len);
-            }
-        }
-    }
-
-    /// Guest pcs with an installed translation, in unspecified order.
-    pub fn mapped_tbs(&self) -> Vec<u64> {
-        self.tb_map.keys().copied().collect()
-    }
-
-    /// The encoded bytes of the install region starting at `host_start`
-    /// (as returned by [`Machine::install_code`]), or `None` if no such
-    /// region exists. Used by the install-time encoding verifier to
-    /// read back what actually landed in the code cache.
-    pub fn code_bytes(&self, host_start: u64) -> Option<&[u8]> {
-        let len = *self.regions.get(&host_start)?;
-        let off = host_start.checked_sub(CODE_BASE)? as usize;
-        self.code.get(off..off + len)
-    }
-
-    /// Releases an install region that was never mapped (or already
-    /// unmapped) — the install-time verifier's rejection path, so a
-    /// quarantined translation doesn't leak code-cache space.
-    pub fn discard_region(&mut self, host_start: u64) {
-        self.free_region(host_start);
-    }
-
-    /// Flips one byte (xor `0xff`) inside the install region at
-    /// `host_start`, returning `true` if the offset was in bounds.
-    /// This is the fault-injection hook modelling code-cache corruption
-    /// *at install time* (bit flips between encoding and mapping);
-    /// `VerifyLevel::Install` must catch it before dispatch.
-    pub fn corrupt_code_byte(&mut self, host_start: u64, offset: usize) -> bool {
-        let Some(&len) = self.regions.get(&host_start) else {
-            return false;
-        };
-        if offset >= len {
-            return false;
-        }
-        let off = (host_start - CODE_BASE) as usize + offset;
-        self.code[off] ^= 0xff;
-        self.decoded.clear((host_start - CODE_BASE) as usize, len, DecodeTable::UNDECODED);
-        true
+    /// `true` if a live core's pc lies in `start..start + len`: the code
+    /// cache asks before it reuses a region.
+    pub(crate) fn core_parked_in(&self, start: u64, len: usize) -> bool {
+        self.cores.iter().any(|c| c.runnable() && c.pc >= start && c.pc - start < len as u64)
     }
 
     /// Registers a native host function; returns its index for
@@ -1094,28 +601,6 @@ impl Machine {
         }
     }
 
-    /// The decoded entry for the instruction at a host pc, as an index
-    /// into `decoded.entries`. `None` on undecodable bytes, a freed hole,
-    /// or a pc outside the code cache.
-    #[inline]
-    fn fetch(&mut self, pc: u64) -> Option<usize> {
-        let off = usize::try_from(pc.checked_sub(CODE_BASE)?).ok()?;
-        match *self.decoded.slot.get(off)? {
-            DecodeTable::HOLE => None,
-            DecodeTable::UNDECODED => self.decode_at(off),
-            idx => Some(idx as usize - 1),
-        }
-    }
-
-    /// The first fetch at `off`: decodes the bytes there and files the
-    /// instruction in the side table, which serves it from then on.
-    #[cold]
-    #[inline(never)]
-    fn decode_at(&mut self, off: usize) -> Option<usize> {
-        let (insn, len) = HostInsn::decode(&self.code[off..]).ok()?;
-        Some(self.decoded.fill(off, (insn, len as u16)))
-    }
-
     /// Executes one instruction on `core`; returns an event if the machine
     /// must suspend.
     fn step(&mut self, core: usize) -> Option<Event> {
@@ -1125,7 +610,7 @@ impl Machine {
         if now >= c.sb.due() {
             self.drain_due(core, now);
         }
-        let Some(idx) = self.fetch(pc) else {
+        let Some(idx) = self.cache.fetch(pc) else {
             // Leave the core parked on the faulting pc; the engine owns
             // the recovery decision.
             return Some(Event::HostFault { core, host_pc: pc, kind: HostFaultKind::Decode });
@@ -1133,7 +618,7 @@ impl Machine {
         // Matched where it lies: the bindings are copies, so each arm
         // loads the operands it uses and the table is free again before
         // the arm touches `self`.
-        let (insn, len) = &self.decoded.entries[idx];
+        let (insn, len) = self.cache.entry(idx);
         let next = pc + *len as u64;
         // Arms that touch only the core work through `c`; the ones that
         // reach shared memory or other cores re-borrow after the call.
@@ -1458,96 +943,47 @@ impl Machine {
     }
 
     fn exit_tb(&mut self, core: usize, pc: u64, kind: TbExitKind) -> Option<Event> {
-        match kind {
+        let (guest_pc, transfer) = match kind {
             TbExitKind::Halt => {
                 self.drain_all(core);
                 self.cores[core].halted = true;
-                None
+                return None;
             }
             TbExitKind::Syscall { next } => {
                 self.drain_all(core);
                 // Stay on this instruction; the engine redirects the pc.
                 self.cores[core].pc = pc;
-                Some(Event::GuestSyscall { core, next })
+                return Some(Event::GuestSyscall { core, next });
             }
             TbExitKind::Jump { guest_pc, chain } => {
-                if self.chaining && chain != 0 {
-                    // Patched chain slot: straight-line branch, no lookup.
-                    self.chain_stats.chain_hits += 1;
-                    let hot = self.profile_entry(guest_pc, false);
-                    self.cores[core].pc = chain;
-                    self.cores[core].cycles += self.cost.tb_chain;
-                    if hot {
-                        return Some(Event::HotTb { core, guest_pc });
-                    }
-                    return None;
-                }
-                match self.tb_map.get(&guest_pc).copied() {
-                    Some(host) => {
-                        self.cores[core].cycles += self.cost.tb_dispatch;
-                        if self.chaining {
-                            // Resolve once: patch the in-code chain word
-                            // and record the site for later unlinking.
-                            self.patch_chain(pc, host);
-                            self.incoming.entry(guest_pc).or_default().push(pc);
-                            self.chain_stats.chain_links += 1;
-                        }
-                        let hot = self.profile_entry(guest_pc, true);
-                        self.cores[core].pc = host;
-                        if hot {
-                            return Some(Event::HotTb { core, guest_pc });
-                        }
-                        None
-                    }
-                    None => {
-                        self.cores[core].pc = pc;
-                        Some(Event::TranslationMiss { core, guest_pc })
-                    }
-                }
+                (guest_pc, self.cache.follow_jump(pc, guest_pc, chain))
             }
             TbExitKind::JumpReg { reg } => {
                 let guest_pc = self.cores[core].get(reg);
-                let idx = Self::jcache_idx(guest_pc);
-                if self.chaining {
-                    let (g, h) = self.cores[core].jcache[idx];
-                    if g == guest_pc {
-                        self.chain_stats.dispatch_hits += 1;
-                        let hot = self.profile_entry(guest_pc, false);
-                        self.cores[core].pc = h;
-                        self.cores[core].cycles += self.cost.tb_chain;
-                        if hot {
-                            return Some(Event::HotTb { core, guest_pc });
-                        }
-                        return None;
-                    }
-                }
-                match self.tb_map.get(&guest_pc).copied() {
-                    Some(host) => {
-                        self.chain_stats.dispatch_misses += 1;
-                        if self.chaining {
-                            self.cores[core].jcache[idx] = (guest_pc, host);
-                        }
-                        let hot = self.profile_entry(guest_pc, true);
-                        self.cores[core].pc = host;
-                        self.cores[core].cycles += self.cost.tb_dispatch;
-                        if hot {
-                            return Some(Event::HotTb { core, guest_pc });
-                        }
-                        None
-                    }
-                    None => {
-                        self.cores[core].pc = pc;
-                        Some(Event::TranslationMiss { core, guest_pc })
-                    }
-                }
+                (guest_pc, self.cache.follow_jump_reg(core, guest_pc))
             }
-        }
+        };
+        let c = &mut self.cores[core];
+        let Some(t) = transfer else {
+            // Stay on the exit; it runs again once the engine has mapped one.
+            c.pc = pc;
+            return Some(Event::TranslationMiss { core, guest_pc });
+        };
+        // The one place a core enters a TB, however the exit found it.
+        c.pc = t.host;
+        c.cycles += match t.via {
+            Via::Chain | Via::JumpCache => self.cost.tb_chain,
+            Via::Dispatch => self.cost.tb_dispatch,
+        };
+        // The transfer is complete, so the event never perturbs execution.
+        t.hot.then_some(Event::HotTb { core, guest_pc })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CODE_BASE;
 
     fn machine_with(insns: &[HostInsn]) -> (Machine, u64) {
         let mut m = Machine::new(2, CostModel::uniform());
@@ -1693,7 +1129,7 @@ mod tests {
             Event::HotTb { core: 0, guest_pc: 0x2000 } => {}
             other => panic!("expected HotTb, got {other:?}"),
         }
-        assert_eq!(m.tb_profile().unwrap()[&0x2000].execs, 4, "fired at the threshold");
+        assert_eq!(m.tb_prof(0x2000).execs, 4, "fired at the threshold");
         // The transfer completed before the event: the core is parked at
         // the start of 0x2000's body with the iteration's work done, so
         // promotion never perturbs execution.
@@ -1704,16 +1140,16 @@ mod tests {
             Event::HotTb { core: 0, guest_pc: 0x2000 } => {}
             other => panic!("expected second HotTb, got {other:?}"),
         }
-        assert_eq!(m.tb_profile().unwrap()[&0x2000].execs, 8);
+        assert_eq!(m.tb_prof(0x2000).execs, 8);
         // Once the pc is a superblock head, the event stops firing and
         // entries are counted instead.
-        m.sb_heads.insert(0x2000);
+        m.map_superblock(0x2000, body, &[0x2000]);
         assert_eq!(m.run(50), Event::OutOfFuel);
         assert!(m.chain_stats().sb_entries > 0);
     }
 
     #[test]
-    fn install_superblock_evicts_subsumed_and_keeps_chains_clean() {
+    fn map_superblock_evicts_subsumed_and_keeps_chains_clean() {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
         // Two chained tier-1 blocks: A(0x2000) -> B(0x2008) -> halt.
@@ -1733,15 +1169,12 @@ mod tests {
         assert_eq!(m.chain_stats().chain_links, 1, "A chained into B");
 
         // Promote: a fused body replaces A, B is subsumed.
-        let sb = m.install_superblock(
-            0x2000,
-            &[
-                MovImm { dst: Xreg(0), imm: 1 },
-                AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 2 },
-                ExitTb(TbExitKind::Halt),
-            ],
-            &[0x2000, 0x2008],
-        );
+        let sb = m.install_code(&[
+            MovImm { dst: Xreg(0), imm: 1 },
+            AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 2 },
+            ExitTb(TbExitKind::Halt),
+        ]);
+        m.map_superblock(0x2000, sb, &[0x2000, 0x2008]);
         assert!(m.is_sb_head(0x2000));
         assert_eq!(m.lookup_tb(0x2000), Some(sb));
         assert_eq!(m.lookup_tb(0x2008), None, "subsumed TB evicted");

@@ -16,8 +16,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use risotto::core::{
-    Emulator, FaultPlan, HotTbProfiler, MetricsRegistry, MetricsSnapshot, RingBufferSink, Setup,
-    TierConfig, TraceEvent, TraceSink, TraceStage, VerifyLevel,
+    Emulator, FaultPlan, HotTbProfiler, MetricsRegistry, RingBufferSink, Setup, TierConfig,
+    TraceEvent, TraceSink, TraceStage, VerifyLevel,
 };
 use risotto::guest::{AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
 use risotto::host::CostModel;
@@ -204,23 +204,6 @@ fn metrics_md_documents_the_entire_schema() {
             "run emitted `{name}` (documented form `{doc_name}`) which is not in the schema"
         );
     }
-}
-
-#[test]
-fn snapshot_json_round_trips() {
-    let bin = (kernels::all()[0].build)(8, 2);
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-    emu.set_stage_timing(true);
-    emu.set_profiling(true);
-    emu.run(FUEL).expect("kernel runs");
-    let snap = emu.metrics();
-    let back = MetricsSnapshot::from_json(&snap.to_json()).expect("snapshot JSON parses");
-    assert_eq!(back, snap, "snapshot JSON exposition must round-trip losslessly");
-    assert_eq!(back.version, 1);
-
-    // Malformed input reports a position instead of panicking.
-    assert!(MetricsSnapshot::from_json("{\"version\": 1").is_err());
-    assert!(MetricsSnapshot::from_json("not json").is_err());
 }
 
 #[test]
