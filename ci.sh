@@ -62,13 +62,18 @@ cargo test -q --release --test alloc_budget
 # after every one, regions and holes tiling the buffer, every mapping on
 # a live region, no stale chain word, chain site, jump-cache entry or
 # decode; risotto-core's unit suite holds the engine's per-pc record
-# (stable id, tier-0 flag, resume count) to the same build.
+# (stable id, tier-0 flag, resume count) to the same build. So is what
+# that build reports about itself (tests/obs.rs): the metric table and
+# docs/METRICS.md name the same metrics, a snapshot's counters equal
+# their `Report` sources, every stage histogram has exactly one sample
+# per block that went through the stage on each tier, and `hot_tbs` is
+# empty unless profiling was asked for.
 cargo test -q --release -p risotto-host-arm -p risotto-guest-x86 -p risotto-core
-cargo test -q --release --test slice_invariance
+cargo test -q --release --test slice_invariance --test obs
 
 # Paper-figure artifact, its own baseline: BENCH_pipeline.json (the 16
 # kernels in smoke mode — simulated cycles, chain counters, the tier-2 /
-# MiniTSO / analysis / tier-0 legs, the base run's registry snapshot) is
+# MiniTSO / analysis / tier-0 legs, the base run's metrics snapshot) is
 # a pure function of the source tree. Keep the checked-in copy aside,
 # regenerate, and fail if a kernel's cycles rose on either tier (a
 # genuine codegen or engine regression — the checked-in copy is put

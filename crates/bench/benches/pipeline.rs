@@ -1,7 +1,7 @@
 //! Regenerates `BENCH_pipeline.json` at the workspace root from
 //! [`risotto_bench::suite`]: per-kernel simulated cycles, TB-chain
 //! counters, the tier-2 / MiniTSO / analysis / tier-0 legs and the base
-//! run's registry snapshot. No wall time — host-time rows live in the
+//! run's metrics snapshot. No wall time — host-time rows live in the
 //! `benchmark/` package. Pass `smoke` for the CI-sized configuration
 //! `ci.sh` gates on:
 //!

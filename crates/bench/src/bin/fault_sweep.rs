@@ -8,7 +8,7 @@
 //! ```
 //!
 //! With `--metrics-json`, each workload additionally runs once under the
-//! risotto setup with a fault plan covering every site, and the registry
+//! risotto setup with a fault plan covering every site, and the metrics
 //! snapshot + hot-TB profile of that faulted-but-recovered run (nonzero
 //! `translate.fallback_blocks` / `fault.injected`) land in the artifact.
 

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--smoke` shrinks every workload to a CI-sized scale; `--metrics-json`
-//! writes the versioned observability artifact (one registry snapshot +
+//! writes the versioned observability artifact (one metrics snapshot +
 //! hot-TB profile per kernel, collected under the risotto setup and
 //! cross-checked against the legacy `Report` counters).
 

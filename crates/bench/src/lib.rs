@@ -42,7 +42,7 @@ pub struct MetricsEntry {
     pub name: String,
     /// Setup the metrics were collected under.
     pub setup: &'static str,
-    /// The registry snapshot.
+    /// The metrics snapshot.
     pub snapshot: MetricsSnapshot,
     /// The hottest TBs ([`HOT_TB_TOP_N`]), hottest first.
     pub hot_tbs: Vec<HotTb>,
@@ -59,7 +59,7 @@ impl MetricsEntry {
         }
     }
 
-    /// Panics unless every registry counter that has a legacy [`Report`]
+    /// Panics unless every snapshot counter that has a legacy [`Report`]
     /// source equals it.
     fn assert_matches(&self, report: &Report) {
         let snap = &self.snapshot;
@@ -271,7 +271,7 @@ impl BenchCli {
     /// artifact and is ignored unless that flag was passed: then the run
     /// has stage timing and hot-TB profiling on and appends its
     /// [`MetricsEntry`], cross-checked first — every fence / chain /
-    /// fallback counter in the registry must equal its legacy [`Report`]
+    /// fallback counter in the snapshot must equal its legacy [`Report`]
     /// source, so the artifact is self-verifying.
     /// (On the TSO backend `fence.exec.dmb_ff` counts executed `MFENCE`s,
     /// the only barrier MiniTSO emits; `dmb_ld`/`dmb_st` stay 0.)
@@ -279,7 +279,7 @@ impl BenchCli {
     /// # Panics
     ///
     /// Panics on any emulation error — benchmarks must run clean — or on
-    /// a registry/`Report` mismatch.
+    /// a snapshot/`Report` mismatch.
     pub fn run(
         &self,
         bin: &GuestBinary,
@@ -425,11 +425,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row.clone());
     }
-}
-
-/// Formats a ratio as a percentage string.
-pub fn pct(part: u64, whole: u64) -> String {
-    format!("{:.1}%", 100.0 * part as f64 / whole as f64)
 }
 
 /// Formats a speedup.

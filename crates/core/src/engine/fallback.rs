@@ -34,15 +34,15 @@ impl Emulator {
         self.machine.drain_store_buffer(core);
         let mut pc = start_pc;
         for _ in 0..MAX_INTERP_BLOCK {
-            if self.interp_steps >= self.fuel_limit {
+            if self.counts.interp_steps >= self.fuel_limit {
                 return Err(EmuError::OutOfFuel);
             }
-            self.interp_steps += 1;
+            self.counts.interp_steps += 1;
             let (insn, len) =
                 Insn::decode(&self.fetch(pc)).map_err(|cause| EmuError::Translate {
                     source: TranslateError { pc, cause },
                     core: Some(core),
-                    tb_count: self.tb_count,
+                    tb_count: self.counts.tb_count,
                 })?;
             let next = pc.wrapping_add(len as u64);
             self.machine.add_cycles(core, INTERP_CYCLES_PER_INSN);

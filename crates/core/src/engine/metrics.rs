@@ -1,90 +1,264 @@
-//! Mirrors the engine's and the machine's counters into the metrics
-//! registry and the hot-TB profiler (docs/METRICS.md).
+//! What the engine counts, said once: the [`Counts`] it accumulates
+//! while it runs, and the one table ([`METRICS`]) that names every metric
+//! and says how to read it off an [`Emulator`]. The table is the schema
+//! ([`specs`]; docs/METRICS.md documents exactly it), the snapshot
+//! ([`Emulator::metrics`] walks it once) and the only place a metric
+//! name is spelled in this crate.
 
-use super::Emulator;
+use super::{Emulator, SbStats, TemplateStats};
+use crate::obs::{
+    HotTb, HotTbProfiler, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, Stage,
+    SNAPSHOT_VERSION,
+};
+#[cfg(doc)]
+use crate::{faults::FaultPlan, Report};
+use risotto_analysis::AnalysisSummary;
+use risotto_host_arm::AllocStats;
 use risotto_memmodel::FenceKind;
+use risotto_tcg::{HintStats, OptStats};
+use std::collections::BTreeMap;
 
-impl Emulator {
-    /// Mirrors every engine/machine counter into the metrics registry
-    /// (the stage histograms are observed live during translation).
-    pub(super) fn refresh_metrics(&mut self) {
-        let chain = self.machine.chain_stats();
-        let stats = self.machine.total_stats();
-        let r = &mut self.obs.registry;
-        r.set_counter("translate.blocks", self.tb_count as u64);
-        r.set_counter("translate.retranslations", self.retranslations as u64);
-        r.set_counter("translate.fallback_blocks", self.fallback_blocks as u64);
-        r.set_counter("translate.interp_steps", self.interp_steps);
-        r.set_counter("translate.insns", self.tier1_insns);
-        r.set_counter("fault.injected", self.faults_injected);
-        r.set_counter("template.blocks", self.template_stats.blocks);
-        r.set_counter("template.insns", self.template_stats.insns);
-        r.set_counter("template.promotions", self.template_stats.promotions);
-        r.set_counter("template.promotion_failures", self.template_stats.promotion_failures);
-        r.set_counter("opt.folded", self.opt_totals.folded as u64);
-        r.set_counter("opt.loads_forwarded", self.opt_totals.loads_forwarded as u64);
-        r.set_counter("opt.stores_eliminated", self.opt_totals.stores_eliminated as u64);
-        r.set_counter("opt.fences_merged", self.opt_totals.fences_merged as u64);
-        r.set_counter("opt.dce_removed", self.opt_totals.dce_removed as u64);
-        for (i, k) in FenceKind::TCG_ALL.iter().enumerate() {
-            let n = k.tcg_name().expect("TCG fence has a short name");
-            r.set_counter(&format!("fence.inserted.{n}"), self.fence_inserted[i]);
-            r.set_counter(
-                &format!("fence.merged.{n}"),
-                self.opt_totals.fences_merged_by_kind[i] as u64,
-            );
-        }
-        r.set_counter("chain.hits", chain.chain_hits);
-        r.set_counter("chain.links", chain.chain_links);
-        r.set_counter("chain.flushes", chain.chain_flushes);
-        r.set_counter("jcache.hits", chain.dispatch_hits);
-        r.set_counter("jcache.misses", chain.dispatch_misses);
-        r.set_counter("exec.insns", stats.insns);
-        r.set_counter("exec.atomics", stats.atomics);
-        r.set_counter("fence.exec.dmb_ld", stats.dmb[0]);
-        r.set_counter("fence.exec.dmb_st", stats.dmb[1]);
-        r.set_counter("fence.exec.dmb_ff", stats.dmb[2]);
-        r.set_counter("fence.exec.cycles", stats.fence_cycles);
-        r.set_counter("engine.syscalls", self.syscalls_completed);
-        r.set_counter("sb.promotions", self.sb_stats.promotions);
-        r.set_counter("sb.fences_merged_cross", self.sb_opt.fences_merged_cross as u64);
-        let violations = self.verify_ir + self.verify_fence + self.verify_encoding;
-        r.set_counter("verify.checked", self.verify_checked);
-        r.set_counter("verify.violations", violations);
-        r.set_counter("verify.ir_violations", self.verify_ir);
-        r.set_counter("verify.fence_violations", self.verify_fence);
-        r.set_counter("verify.encoding_violations", self.verify_encoding);
-        let asum = self.analysis.as_ref().map(|f| f.summary()).unwrap_or_default();
-        r.set_counter("analysis.sites", asum.sites);
-        r.set_counter("analysis.private", asum.private);
-        r.set_counter("analysis.relaxable", asum.relaxable);
-        r.set_counter("analysis.poisons", asum.poisons);
-        r.set_counter("analysis.relaxed", self.analysis_relaxed);
-        r.set_counter("analysis.relaxed_blocks", self.analysis_relaxed_blocks);
-        r.set_counter("analysis.hint_folded", self.hint_totals.folded as u64);
-        r.set_counter("analysis.branches_pruned", self.hint_totals.branches_pruned as u64);
-        let ra = self.regalloc_totals;
-        r.set_counter("regalloc.env_loads_eliminated", ra.env_loads_eliminated);
-        r.set_counter("regalloc.spills", ra.spills);
-        r.set_gauge("exec.cycles", self.machine.clock());
-        r.set_gauge("exec.cores", self.machine.n_cores() as u64);
-        for c in 0..self.machine.n_cores() {
-            let s = self.machine.stats(c);
-            r.set_gauge(&format!("core.{c}.insns"), s.insns);
-            r.set_gauge(&format!("core.{c}.cycles"), self.machine.core_cycles(c));
+/// Every total the engine keeps while it runs. [`Report`] and the
+/// metric table read them; the run loop's watchdog and the
+/// [`FaultPlan`]'s ordinals are the only things that steer by them.
+#[derive(Debug, Default)]
+pub(super) struct Counts {
+    /// Translations installed (retranslations and native thunks
+    /// included); a block's first install takes its id from it.
+    pub(super) tb_count: usize,
+    /// Quarantine episodes: blocks that entered interpreter fallback.
+    pub(super) fallback_blocks: usize,
+    /// Translations beyond a block's first: eviction / corruption
+    /// refills plus bounded retries of quarantined blocks.
+    pub(super) retranslations: usize,
+    /// Instructions executed by the fallback interpreter (counts against
+    /// the run's fuel).
+    pub(super) interp_steps: u64,
+    /// Syscall service attempts (drives [`FaultPlan::fail_syscall_at`]).
+    pub(super) syscall_attempts: u64,
+    /// Completed (non-busy-wait) syscalls — a watchdog progress marker.
+    pub(super) syscalls_completed: u64,
+    /// Optimizer statistics aggregated over every translated block.
+    pub(super) opt_totals: OptStats,
+    /// Tier-0 template-translation counters.
+    pub(super) template_stats: TemplateStats,
+    /// Engine-side superblock counters (`subsumed`/`entries` live on the
+    /// machine and are merged in by [`Emulator::sb_stats`]).
+    pub(super) sb_stats: SbStats,
+    /// Region-pass optimizer statistics over every installed superblock,
+    /// kept out of `opt_totals` so tier-1 reporting is unchanged by
+    /// tiering.
+    pub(super) sb_opt: OptStats,
+    /// Backend register-allocation statistics summed over every lowered
+    /// block (tier-1 and tier-2).
+    pub(super) regalloc_totals: AllocStats,
+    /// Frontend-emitted fences counted pre-optimization, indexed per
+    /// [`FenceKind::tcg_index`].
+    pub(super) fence_inserted: [u64; 12],
+    /// Injected faults encountered (translate / lower / syscall).
+    pub(super) faults_injected: u64,
+    /// Guest instructions covered by tier-1 translations (denominator
+    /// of the per-tier translation-cost comparison).
+    pub(super) tier1_insns: u64,
+    /// Verification checks executed (each level-applicable check on a
+    /// TB or superblock counts once; a Full-level TB counts twice —
+    /// translate-time static passes plus install-time read-back).
+    pub(super) verify_checked: u64,
+    /// IR-lint violations (pass 1).
+    pub(super) verify_ir: u64,
+    /// Fence-obligation violations (pass 2).
+    pub(super) verify_fence: u64,
+    /// Encoding / read-back violations (pass 3 and install checks).
+    pub(super) verify_encoding: u64,
+    /// Code installs so far (ordinal for
+    /// [`FaultPlan::corrupt_install_at`]).
+    pub(super) installs_done: u64,
+    /// Fences removed by analysis-driven relaxation at translate time.
+    pub(super) analysis_relaxed: u64,
+    /// Tier-1 translations with at least one relaxed event.
+    pub(super) analysis_relaxed_blocks: u64,
+    /// Known-bits hint statistics summed over tier-1 translations.
+    pub(super) hint_totals: HintStats,
+}
+
+/// How a metric is read off the engine — which also fixes its kind.
+#[derive(Clone, Copy)]
+enum Read {
+    Counter(fn(&Emulator) -> u64),
+    Gauge(fn(&Emulator) -> u64),
+    /// The wall-time histogram of one translation stage.
+    Hist(Stage),
+    /// A counter per TCG fence kind, read by [`FenceKind::tcg_index`]:
+    /// `<k>` in the row's name stands for [`FenceKind::tcg_name`], in its
+    /// help for the kind's `Debug` name.
+    PerFence(fn(&Emulator, usize) -> u64),
+    /// A gauge per core, read by core index: `<i>` in the row's name.
+    PerCore(fn(&Emulator, usize) -> u64),
+}
+use Read::{Counter, Gauge, Hist, PerCore, PerFence};
+
+/// One row of [`METRICS`].
+struct Metric {
+    name: &'static str,
+    unit: &'static str,
+    help: &'static str,
+    read: Read,
+}
+
+impl Metric {
+    fn kind(&self) -> MetricKind {
+        match self.read {
+            Counter(_) | PerFence(_) => MetricKind::Counter,
+            Gauge(_) | PerCore(_) => MetricKind::Gauge,
+            Hist(_) => MetricKind::Histogram,
         }
     }
+}
 
-    /// Rebuilds the hot-TB profiler from the machine's transfer profile
-    /// plus the engine's dispatch-loop entries.
-    pub(super) fn rebuild_profiler(&mut self) {
-        self.obs.profiler.clear();
-        for (&pc, meta) in self.tbs.iter().filter(|(_, meta)| meta.resumes > 0) {
-            self.obs.profiler.record(meta.id.unwrap_or(0), pc, meta.resumes, meta.resumes);
+const fn row(name: &'static str, unit: &'static str, help: &'static str, read: Read) -> Metric {
+    Metric { name, unit, help, read }
+}
+
+fn analysis(e: &Emulator) -> AnalysisSummary {
+    e.analysis.as_ref().map(|f| f.summary()).unwrap_or_default()
+}
+
+/// Every metric there is. The six `fuzz.*` rows are the differential
+/// fuzzing driver's, which counts them itself (docs/FUZZING.md): an
+/// emulator reads them as zero.
+#[rustfmt::skip]
+static METRICS: &[Metric] = &[
+    row("translate.blocks", "blocks", "Translations installed (incl. retranslations and native thunks)", Counter(|e| e.counts.tb_count as u64)),
+    row("translate.retranslations", "blocks", "Translations beyond a block's first (evictions, corruption refills, quarantine retries)", Counter(|e| e.counts.retranslations as u64)),
+    row("translate.fallback_blocks", "blocks", "Quarantine episodes: blocks that entered interpreter fallback", Counter(|e| e.counts.fallback_blocks as u64)),
+    row("translate.interp_steps", "insns", "Guest instructions executed by the fallback interpreter", Counter(|e| e.counts.interp_steps)),
+    row("translate.insns", "insns", "Guest instructions covered by tier-1 translations", Counter(|e| e.counts.tier1_insns)),
+    row("template.blocks", "blocks", "Blocks translated by tier-0 template instantiation", Counter(|e| e.counts.template_stats.blocks)),
+    row("template.insns", "insns", "Guest instructions covered by tier-0 template translations", Counter(|e| e.counts.template_stats.insns)),
+    row("template.promotions", "blocks", "Tier-0 blocks re-translated through the tier-1 pipeline on warming", Counter(|e| e.counts.template_stats.promotions)),
+    row("template.promotion_failures", "blocks", "Tier-0→1 promotions that failed; the template stays installed", Counter(|e| e.counts.template_stats.promotion_failures)),
+    row("fault.injected", "faults", "Injected translate/lower/syscall faults encountered", Counter(|e| e.counts.faults_injected)),
+    row("opt.folded", "ops", "Constants folded by the optimizer", Counter(|e| e.counts.opt_totals.folded as u64)),
+    row("opt.loads_forwarded", "ops", "Loads forwarded (RAR + RAW elimination)", Counter(|e| e.counts.opt_totals.loads_forwarded as u64)),
+    row("opt.stores_eliminated", "ops", "Dead stores removed (WAW elimination)", Counter(|e| e.counts.opt_totals.stores_eliminated as u64)),
+    row("opt.fences_merged", "fences", "Fences merged away (all kinds)", Counter(|e| e.counts.opt_totals.fences_merged as u64)),
+    row("opt.dce_removed", "ops", "Ops removed by dead-code elimination", Counter(|e| e.counts.opt_totals.dce_removed as u64)),
+    row("fence.inserted.<k>", "fences", "`<k>` fences emitted by the frontend (counted before optimization)", PerFence(|e, k| e.counts.fence_inserted[k])),
+    row("fence.merged.<k>", "fences", "`<k>` fences merged away by the optimizer", PerFence(|e, k| e.counts.opt_totals.fences_merged_by_kind[k] as u64)),
+    row("chain.hits", "exits", "Direct-jump exits through an already-patched chain slot", Counter(|e| e.machine.chain_stats().chain_hits)),
+    row("chain.links", "exits", "Direct-jump exits resolved by the dispatcher then patched", Counter(|e| e.machine.chain_stats().chain_links)),
+    row("chain.flushes", "slots", "Chain slots un-patched / jump-cache entries dropped on unmap", Counter(|e| e.machine.chain_stats().chain_flushes)),
+    row("jcache.hits", "exits", "Indirect exits that hit the per-core jump cache", Counter(|e| e.machine.chain_stats().dispatch_hits)),
+    row("jcache.misses", "exits", "Indirect exits resolved by the full dispatcher lookup", Counter(|e| e.machine.chain_stats().dispatch_misses)),
+    row("exec.insns", "insns", "Host instructions retired, all cores", Counter(|e| e.machine.total_stats().insns)),
+    row("exec.atomics", "insns", "Atomic RMW instructions executed", Counter(|e| e.machine.total_stats().atomics)),
+    row("fence.exec.dmb_ld", "fences", "DMB LD barriers executed", Counter(|e| e.machine.total_stats().dmb[0])),
+    row("fence.exec.dmb_st", "fences", "DMB ST barriers executed", Counter(|e| e.machine.total_stats().dmb[1])),
+    row("fence.exec.dmb_ff", "fences", "DMB FF (SY) barriers executed", Counter(|e| e.machine.total_stats().dmb[2])),
+    row("fence.exec.cycles", "cycles", "Cycles attributed to barriers", Counter(|e| e.machine.total_stats().fence_cycles)),
+    row("engine.syscalls", "calls", "Completed (non-busy-wait) guest syscalls", Counter(|e| e.counts.syscalls_completed)),
+    row("sb.promotions", "superblocks", "Tier-2 superblocks successfully installed", Counter(|e| e.counts.sb_stats.promotions)),
+    row("sb.fences_merged_cross", "fences", "Fence merges that crossed a former TB boundary", Counter(|e| e.counts.sb_opt.fences_merged_cross as u64)),
+    row("verify.checked", "checks", "Translation-verifier checks executed (static passes and install read-backs)", Counter(|e| e.counts.verify_checked)),
+    row("verify.violations", "violations", "Translations rejected by the verifier (sum of the per-pass counters)", Counter(|e| e.counts.verify_ir + e.counts.verify_fence + e.counts.verify_encoding)),
+    row("verify.ir_violations", "violations", "IR-lint (pass 1) rejections", Counter(|e| e.counts.verify_ir)),
+    row("verify.fence_violations", "violations", "Fence-obligation (pass 2) rejections", Counter(|e| e.counts.verify_fence)),
+    row("verify.encoding_violations", "violations", "Encoding / install read-back (pass 3) rejections", Counter(|e| e.counts.verify_encoding)),
+    row("analysis.sites", "sites", "Static memory-access sites the analysis discovered", Counter(|e| analysis(e).sites)),
+    row("analysis.private", "sites", "Sites proven core-private", Counter(|e| analysis(e).private)),
+    row("analysis.relaxable", "sites", "Private + read-only sites on a poison-free image", Counter(|e| analysis(e).relaxable)),
+    row("analysis.poisons", "poisons", "Soundness poisons (unresolved indirection, solver limits, ...)", Counter(|e| analysis(e).poisons)),
+    row("analysis.relaxed", "fences", "Fences removed by analysis-driven relaxation at translate time", Counter(|e| e.counts.analysis_relaxed)),
+    row("analysis.relaxed_blocks", "blocks", "Tier-1 translations with at least one relaxed event", Counter(|e| e.counts.analysis_relaxed_blocks)),
+    row("analysis.hint_folded", "ops", "Pure IR ops replaced by constants via known-bits hints", Counter(|e| e.counts.hint_totals.folded as u64)),
+    row("analysis.branches_pruned", "branches", "Conditional exits statically decided by known-bits hints", Counter(|e| e.counts.hint_totals.branches_pruned as u64)),
+    row("regalloc.env_loads_eliminated", "loads", "GetReg ops served from a pinned host register (env LDRs avoided)", Counter(|e| e.counts.regalloc_totals.env_loads_eliminated)),
+    row("regalloc.spills", "stores", "Temp values spilled to the spill area under register pressure", Counter(|e| e.counts.regalloc_totals.spills)),
+    row("exec.cycles", "cycles", "Simulated parallel runtime (max core clock)", Gauge(|e| e.machine.clock())),
+    row("exec.cores", "cores", "Cores configured for the run", Gauge(|e| e.machine.n_cores() as u64)),
+    row("core.<i>.insns", "insns", "Host instructions retired by core i", PerCore(|e, c| e.machine.stats(c).insns)),
+    row("core.<i>.cycles", "cycles", "Local clock of core i", PerCore(|e, c| e.machine.core_cycles(c))),
+    row("stage.template_ns", "ns", "Wall time of tier-0 template translation, per block", Hist(Stage::Template)),
+    row("stage.decode_ns", "ns", "Wall time of frontend decode+translate, per block", Hist(Stage::Decode)),
+    row("stage.opt_ns", "ns", "Wall time of the optimizer pipeline, per block", Hist(Stage::Opt)),
+    row("stage.encode_ns", "ns", "Wall time of backend lowering, per block", Hist(Stage::Encode)),
+    row("stage.install_ns", "ns", "Wall time of code install + TB mapping, per block", Hist(Stage::Install)),
+    row("sb.stage.select_ns", "ns", "Wall time of tier-2 trace selection, per promotion attempt", Hist(Stage::SbSelect)),
+    row("sb.stage.opt_ns", "ns", "Wall time of the region optimizer over a stitched superblock", Hist(Stage::SbOpt)),
+    row("sb.stage.encode_ns", "ns", "Wall time of backend lowering for a superblock", Hist(Stage::SbEncode)),
+    row("fuzz.programs", "programs", "Random programs generated and differentially executed", Counter(|_| 0)),
+    row("fuzz.configs_run", "runs", "Individual oracle-configuration executions (interpreter included)", Counter(|_| 0)),
+    row("fuzz.divergences", "divergences", "Programs whose oracle configurations disagreed (or tripped the validator)", Counter(|_| 0)),
+    row("fuzz.minimizer_steps", "steps", "Candidate reductions attempted while delta-debugging divergent programs", Counter(|_| 0)),
+    row("fuzz.fault_runs", "runs", "Fault-composed executions (random FaultPlan layered over a generated program)", Counter(|_| 0)),
+    row("fuzz.promoted", "programs", "Fuzz iterations whose tier-2 configuration installed at least one superblock", Counter(|_| 0)),
+];
+
+/// `name` with its `<k>` segment replaced by the short name of `kind`.
+fn fence_name(name: &str, kind: FenceKind) -> String {
+    name.replace("<k>", kind.tcg_name().expect("TCG fence has a short name"))
+}
+
+/// The full metric schema: one [`MetricSpec`] per metric, the per-kind
+/// fence counters spelled out and the per-core families as
+/// `core.<i>.…`. `docs/METRICS.md` must document exactly this list
+/// (enforced by `tests/obs.rs`).
+pub fn specs() -> Vec<MetricSpec> {
+    let mut specs = Vec::new();
+    for m in METRICS {
+        let spec = |name, help| MetricSpec { name, kind: m.kind(), unit: m.unit, help };
+        match m.read {
+            PerFence(_) => {
+                specs.extend(FenceKind::TCG_ALL.iter().map(|&k| {
+                    spec(fence_name(m.name, k), m.help.replace("<k>", &format!("{k:?}")))
+                }))
+            }
+            _ => specs.push(spec(m.name.to_owned(), m.help.to_owned())),
         }
-        for (pc, prof) in self.machine.tb_profile() {
-            let tb_id = self.tb_id(pc).unwrap_or(0);
-            self.obs.profiler.record(tb_id, pc, prof.execs, prof.chain_misses);
+    }
+    specs
+}
+
+impl Emulator {
+    /// A versioned snapshot of every metric, read off the engine and
+    /// machine state as they are now. Valid at any point — typically
+    /// read after [`Emulator::run`] returns. See `docs/METRICS.md`.
+    pub fn metrics(&mut self) -> MetricsSnapshot {
+        let e = &*self;
+        let mut metrics = BTreeMap::new();
+        let mut put = |name: String, value: MetricValue| {
+            metrics.insert(name, value);
+        };
+        for m in METRICS {
+            let name = || m.name.to_owned();
+            match m.read {
+                Counter(read) => put(name(), MetricValue::Counter(read(e))),
+                Gauge(read) => put(name(), MetricValue::Gauge(read(e))),
+                Hist(stage) => put(name(), MetricValue::Histogram(e.obs.stages[stage as usize])),
+                PerFence(read) => FenceKind::TCG_ALL.iter().enumerate().for_each(|(i, &k)| {
+                    put(fence_name(m.name, k), MetricValue::Counter(read(e, i)));
+                }),
+                PerCore(read) => (0..e.machine.n_cores()).for_each(|c| {
+                    put(m.name.replace("<i>", &c.to_string()), MetricValue::Gauge(read(e, c)));
+                }),
+            }
         }
+        MetricsSnapshot { version: SNAPSHOT_VERSION, metrics }
+    }
+
+    /// The `n` hottest translation blocks by execution count: the
+    /// machine's transfer profile plus the engine's dispatch-loop
+    /// entries (requires [`Emulator::set_profiling`]; empty otherwise).
+    pub fn hot_tbs(&mut self, n: usize) -> Vec<HotTb> {
+        let mut profiler = HotTbProfiler::new();
+        if self.obs.profiling {
+            for (&pc, meta) in self.tbs.iter().filter(|(_, meta)| meta.resumes > 0) {
+                profiler.record(meta.id.unwrap_or(0), pc, meta.resumes, meta.resumes);
+            }
+            for (pc, prof) in self.machine.tb_profile() {
+                profiler.record(self.tb_id(pc).unwrap_or(0), pc, prof.execs, prof.chain_misses);
+            }
+        }
+        profiler.top_n(n)
     }
 }

@@ -39,19 +39,18 @@ pub use config::{
     BackendKind, CoreDump, EmuError, HostExport, HostLibrary, LinkError, Report, SbStats, Setup,
     TemplateStats, TierConfig, VerifyLevel,
 };
+pub use metrics::specs;
 
 use crate::faults::FaultPlan;
 use crate::idl::Idl;
-use crate::obs::{HotTb, MetricsSnapshot, NullSink, Obs, TraceSink, TraceStage};
+use crate::obs::{Obs, TraceSink, TraceStage};
+use metrics::Counts;
 use risotto_analysis::{analyze_image, ImageFacts};
 use risotto_guest_x86::{Flags, Gpr, GuestBinary, DATA_BASE, STACK_SIZE, STACK_TOP, TEXT_BASE};
 use risotto_host_arm::{
-    AllocStats, AtomicEvent, CostModel, Event, Machine, RmwStyle, SchedPolicy, Xreg, ENV_BASE,
-    SPILL_BASE,
+    AtomicEvent, CostModel, Event, Machine, RmwStyle, SchedPolicy, Xreg, ENV_BASE, SPILL_BASE,
 };
-#[cfg(doc)]
-use risotto_memmodel::FenceKind;
-use risotto_tcg::{env, HintStats, OptStats, PassConfig};
+use risotto_tcg::{env, PassConfig};
 use std::collections::{HashMap, HashSet};
 use syscall::SyscallOutcome;
 use translate::{Quarantine, TranslateScratch};
@@ -88,12 +87,10 @@ struct TbMeta {
 pub struct Emulator {
     setup: Setup,
     machine: Machine,
-    entry: u64,
     /// PLT vaddr → (native function id, arity) for host-linked imports.
     plt_natives: HashMap<u64, (u16, usize)>,
     exit_vals: Vec<Option<u64>>,
     output: Vec<u8>,
-    tb_count: usize,
     core_started: Vec<bool>,
     passes: PassConfig,
     rmw_style: RmwStyle,
@@ -104,62 +101,22 @@ pub struct Emulator {
     /// Bounded guest pc → failed-translation-attempt map (fallback
     /// bookkeeping, satellite of the translation verifier).
     quarantine: Quarantine,
-    fallback_blocks: usize,
-    retranslations: usize,
-    /// Instructions executed by the fallback interpreter (counts against
-    /// the run's fuel).
-    interp_steps: u64,
     fuel_limit: u64,
     watchdog: Option<u64>,
-    /// Syscall service attempts (drives [`FaultPlan::fail_syscall_at`]).
-    syscall_attempts: u64,
-    /// Completed (non-busy-wait) syscalls — a watchdog progress marker.
-    syscalls_completed: u64,
-    /// Observability: metrics registry, trace sink, hot-TB profiler.
+    /// Every total the engine keeps (docs/METRICS.md).
+    counts: Counts,
+    /// Observability: stage histograms, trace sink, enable flags.
     obs: Obs,
-    /// Optimizer statistics aggregated over every translated block.
-    opt_totals: OptStats,
     /// Tier-2 promotion policy (`None` = tier-1 only).
     tiering: Option<TierConfig>,
-    /// Tier-0 template-translation counters.
-    template_stats: TemplateStats,
-    /// Engine-side superblock counters (`subsumed`/`entries` live on the
-    /// machine and are merged in at snapshot time).
-    sb_stats: SbStats,
-    /// Region-pass optimizer statistics over every installed superblock,
-    /// kept out of [`Emulator::opt_totals`] so tier-1 reporting is
-    /// unchanged by tiering.
-    sb_opt: OptStats,
-    /// Backend register-allocation statistics summed over every lowered
-    /// block (tier-1 and tier-2), mirrored into `regalloc.*` metrics.
-    regalloc_totals: AllocStats,
-    /// Frontend-emitted fences counted pre-optimization, indexed per
-    /// [`FenceKind::tcg_index`].
-    fence_inserted: [u64; 12],
     /// Guest pc → its one engine-side record.
     tbs: HashMap<u64, TbMeta>,
-    /// Injected faults encountered (translate / lower / syscall).
-    faults_injected: u64,
-    /// Guest instructions covered by tier-1 translations (denominator
-    /// of the per-tier translation-cost comparison).
-    tier1_insns: u64,
     /// Active translation-verifier level (docs/VERIFIER.md).
     verify: VerifyLevel,
-    /// Verification checks executed (each level-applicable check on a
-    /// TB or superblock counts once; a Full-level TB counts twice —
-    /// translate-time static passes plus install-time read-back).
-    verify_checked: u64,
-    /// IR-lint violations (pass 1).
-    verify_ir: u64,
-    /// Fence-obligation violations (pass 2).
-    verify_fence: u64,
-    /// Encoding / read-back violations (pass 3 and install checks).
-    verify_encoding: u64,
-    /// Code installs so far (ordinal for
-    /// [`FaultPlan::corrupt_install_at`]).
-    installs_done: u64,
-    /// The loaded image: what `fetch` decodes from and
-    /// [`Emulator::set_analysis`] analyses.
+    /// What the engine reads of the loaded image: its entry and the
+    /// `.text` that `fetch` decodes from and [`Emulator::set_analysis`]
+    /// analyses. Everything else is empty — `.data` is in machine
+    /// memory, the symbols are [`Emulator::link_library`]'s argument.
     binary: GuestBinary,
     /// Whole-program analysis facts driving fence relaxation
     /// (docs/ANALYSIS.md); `None` = analysis disabled (the default).
@@ -167,12 +124,6 @@ pub struct Emulator {
     /// Test hook: guest pcs the relaxer pretends are private (mutant
     /// injection for verifier kill tests; see `force_private_for_test`).
     forced_private: HashSet<u64>,
-    /// Fences removed by analysis-driven relaxation at translate time.
-    analysis_relaxed: u64,
-    /// Tier-1 translations with at least one relaxed event.
-    analysis_relaxed_blocks: u64,
-    /// Known-bits hint statistics summed over tier-1 translations.
-    hint_totals: HintStats,
     /// The translate path's reusable working memory.
     scratch: TranslateScratch,
 }
@@ -186,47 +137,31 @@ impl Emulator {
         Emulator {
             setup,
             machine,
-            entry: binary.entry,
             plt_natives: HashMap::new(),
             exit_vals: vec![None; n_cores],
             output: Vec::new(),
-            tb_count: 0,
             core_started: vec![false; n_cores],
             passes: PassConfig::all(),
             rmw_style: RmwStyle::Casal,
             backend_kind: BackendKind::Arm,
             plan: FaultPlan::default(),
             quarantine: Quarantine::default(),
-            fallback_blocks: 0,
-            retranslations: 0,
-            interp_steps: 0,
             fuel_limit: u64::MAX,
             watchdog: None,
-            syscall_attempts: 0,
-            syscalls_completed: 0,
+            counts: Counts::default(),
             obs: Obs::new(),
-            opt_totals: OptStats::default(),
             tiering: None,
-            template_stats: TemplateStats::default(),
-            sb_stats: SbStats::default(),
-            sb_opt: OptStats::default(),
-            regalloc_totals: AllocStats::default(),
-            fence_inserted: [0; 12],
             tbs: HashMap::new(),
-            faults_injected: 0,
-            tier1_insns: 0,
             verify: VerifyLevel::default(),
-            verify_checked: 0,
-            verify_ir: 0,
-            verify_fence: 0,
-            verify_encoding: 0,
-            installs_done: 0,
-            binary: binary.clone(),
+            binary: GuestBinary {
+                entry: binary.entry,
+                text: binary.text.clone(),
+                data: Vec::new(),
+                dynsyms: Vec::new(),
+                symbols: HashMap::new(),
+            },
             analysis: None,
             forced_private: HashSet::new(),
-            analysis_relaxed: 0,
-            analysis_relaxed_blocks: 0,
-            hint_totals: HintStats::default(),
             scratch: TranslateScratch::default(),
         }
     }
@@ -322,12 +257,6 @@ impl Emulator {
         self.forced_private.insert(pc);
     }
 
-    /// Number of guest pcs currently quarantined (bounded by the
-    /// engine's fixed quarantine capacity).
-    pub fn quarantined_pcs(&self) -> usize {
-        self.quarantine.len()
-    }
-
     /// Selects the host scheduling policy (see [`SchedPolicy`]).
     pub fn set_sched_policy(&mut self, policy: SchedPolicy) {
         self.machine.set_sched_policy(policy);
@@ -350,14 +279,6 @@ impl Emulator {
         self.obs.tracing = true;
     }
 
-    /// Removes the installed trace sink (replacing it with a
-    /// [`NullSink`] and disabling event emission) and returns it — the
-    /// way to inspect a [`crate::obs::RingBufferSink`] after a run.
-    pub fn take_trace_sink(&mut self) -> Box<dyn TraceSink> {
-        self.obs.tracing = false;
-        std::mem::replace(&mut self.obs.sink, Box::new(NullSink))
-    }
-
     /// Enables per-stage wall-clock histograms (`stage.*_ns` metrics).
     /// Off by default: the untimed pipeline takes no clock readings.
     pub fn set_stage_timing(&mut self, on: bool) {
@@ -374,7 +295,6 @@ impl Emulator {
         self.machine.set_profiling(on || self.tiering.is_some());
         if !on {
             self.tbs.values_mut().for_each(|meta| meta.resumes = 0);
-            self.obs.profiler.clear();
         }
     }
 
@@ -396,7 +316,7 @@ impl Emulator {
     /// Tier-0 template statistics so far (also in [`Report::template`]
     /// after a run).
     pub fn template_stats(&self) -> TemplateStats {
-        self.template_stats
+        self.counts.template_stats
     }
 
     /// `true` while the tier-0 template tier serves cold translations:
@@ -412,35 +332,15 @@ impl Emulator {
         SbStats {
             subsumed: cache.sb_subsumed,
             entries: self.machine.chain_stats().sb_entries,
-            fences_merged_cross: self.sb_opt.fences_merged_cross as u64,
-            ..self.sb_stats
+            fences_merged_cross: self.counts.sb_opt.fences_merged_cross as u64,
+            ..self.counts.sb_stats
         }
-    }
-
-    /// `true` if `guest_pc` currently executes as a tier-2 superblock.
-    pub fn is_superblock(&self, guest_pc: u64) -> bool {
-        self.machine.is_sb_head(guest_pc)
     }
 
     /// Audits the machine's chain graph; empty means every patched chain
     /// word points at a live translation (see `Machine::validate_chains`).
     pub fn validate_chains(&self) -> Vec<(u64, u64, u64)> {
         self.machine.validate_chains()
-    }
-
-    /// A versioned snapshot of every registry metric, refreshed from the
-    /// engine and machine state. Valid at any point — typically read
-    /// after [`Emulator::run`] returns. See `docs/METRICS.md`.
-    pub fn metrics(&mut self) -> MetricsSnapshot {
-        self.refresh_metrics();
-        self.obs.registry.snapshot()
-    }
-
-    /// The `n` hottest translation blocks by execution count (requires
-    /// [`Emulator::set_profiling`]; empty otherwise).
-    pub fn hot_tbs(&mut self, n: usize) -> Vec<HotTb> {
-        self.rebuild_profiler();
-        self.obs.profiler.top_n(n)
     }
 
     /// Arms the livelock watchdog: a run that makes no observable
@@ -675,13 +575,13 @@ impl Emulator {
         let halted = (0..self.machine.n_cores()).filter(|&c| self.machine.core_halted(c)).count();
         let exited = self.exit_vals.iter().filter(|v| v.is_some()).count();
         (
-            self.tb_count,
-            self.retranslations,
+            self.counts.tb_count,
+            self.counts.retranslations,
             self.output.len(),
-            self.syscalls_completed,
+            self.counts.syscalls_completed,
             halted,
             exited,
-            self.sb_stats.promotions,
+            self.counts.sb_stats.promotions,
         )
     }
 
@@ -722,12 +622,11 @@ impl Emulator {
         self.fuel_limit = fuel;
         let base_steps = self.machine.total_steps();
         self.init_core(0, None);
-        let entry = self.entry;
-        self.resume_at(0, entry)?;
+        self.resume_at(0, self.binary.entry)?;
         let mut last_marker = self.progress_marker();
         let mut no_progress: u64 = 0;
         loop {
-            let used = (self.machine.total_steps() - base_steps) + self.interp_steps;
+            let used = (self.machine.total_steps() - base_steps) + self.counts.interp_steps;
             let remaining = fuel.saturating_sub(used);
             let before = self.machine.total_steps();
             let ev = self.machine.run(remaining.min(slice).min(self.watchdog.unwrap_or(u64::MAX)));
@@ -743,7 +642,7 @@ impl Emulator {
                     }
                 }
                 Event::OutOfFuel => {
-                    let used = (self.machine.total_steps() - base_steps) + self.interp_steps;
+                    let used = (self.machine.total_steps() - base_steps) + self.counts.interp_steps;
                     if used >= fuel {
                         return Err(EmuError::OutOfFuel);
                     }
@@ -790,17 +689,17 @@ impl Emulator {
         self.obs.sink.flush();
         Ok(Report {
             cycles: self.machine.clock(),
-            tb_count: self.tb_count,
+            tb_count: self.counts.tb_count,
             code_bytes: self.machine.code_size(),
             stats: self.machine.total_stats(),
             exit_vals: self.exit_vals.clone(),
             output: self.output.clone(),
-            fallback_blocks: self.fallback_blocks,
-            retranslations: self.retranslations,
+            fallback_blocks: self.counts.fallback_blocks,
+            retranslations: self.counts.retranslations,
             chain: self.machine.chain_stats(),
-            opt: self.opt_totals,
+            opt: self.counts.opt_totals,
             sb: self.sb_stats(),
-            template: self.template_stats,
+            template: self.counts.template_stats,
         })
     }
 }
@@ -850,7 +749,7 @@ mod tests {
         // Evicted and translated again: same id, one more retranslation.
         assert!(emu.machine.unmap_tb(bin.entry));
         assert!(emu.ensure_translated(None, bin.entry).is_ok());
-        assert_eq!((emu.tb_id(bin.entry), emu.retranslations), (Some(1), promoted + 1));
+        assert_eq!((emu.tb_id(bin.entry), emu.counts.retranslations), (Some(1), promoted + 1));
         emu.set_profiling(false);
         assert!(emu.tbs.values().all(|meta| meta.resumes == 0), "disabling discards the counts");
     }

@@ -22,10 +22,10 @@ impl Emulator {
         core: usize,
         next: u64,
     ) -> Result<SyscallOutcome, EmuError> {
-        let nth = self.syscall_attempts;
-        self.syscall_attempts += 1;
+        let nth = self.counts.syscall_attempts;
+        self.counts.syscall_attempts += 1;
         if self.plan.syscall_fails(nth) {
-            self.faults_injected += 1;
+            self.counts.faults_injected += 1;
             self.obs.trace(TraceStage::Fault, Some(core), Some(next), None, None, || {
                 "injected syscall fault (unrecoverable)".to_owned()
             });
@@ -39,7 +39,7 @@ impl Emulator {
             syscalls::EXIT => {
                 self.exit_vals[core] = Some(a1);
                 self.machine.halt_core(core);
-                self.syscalls_completed += 1;
+                self.counts.syscalls_completed += 1;
                 return Ok(SyscallOutcome::Halted);
             }
             syscalls::WRITE => {
@@ -87,7 +87,7 @@ impl Emulator {
             }
             other => return Err(EmuError::BadSyscall { n: other, core, pc: next }),
         }
-        self.syscalls_completed += 1;
+        self.counts.syscalls_completed += 1;
         Ok(SyscallOutcome::Resume)
     }
 }

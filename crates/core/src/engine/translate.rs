@@ -5,7 +5,7 @@
 //! quarantine bookkeeping behind the interpreter fallback.
 
 use super::{Emulator, Setup, TierConfig, VerifyLevel};
-use crate::obs::TraceStage;
+use crate::obs::{Stage, TraceStage};
 use risotto_analysis::{event_sites, ir_hints};
 use risotto_guest_x86::Gpr;
 use risotto_host_arm::{
@@ -115,7 +115,8 @@ impl Quarantine {
     }
 
     /// Number of tracked pcs (always ≤ [`QUARANTINE_CAPACITY`]).
-    pub(super) fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.map.len()
     }
 }
@@ -194,19 +195,19 @@ impl Emulator {
     }
 
     /// Runs one pipeline stage under the stage clock. With stage timing
-    /// on, a stage that succeeds leaves its wall time in the `metric`
+    /// on, a stage that succeeds leaves its wall time in `stage`'s
     /// histogram and hands it back for the stage's trace event; a
     /// failed stage leaves no sample.
     fn timed<R>(
         &mut self,
-        metric: &str,
-        stage: impl FnOnce(&mut Self) -> Result<R, TbFault>,
+        stage: Stage,
+        run: impl FnOnce(&mut Self) -> Result<R, TbFault>,
     ) -> Result<(R, Option<u64>), TbFault> {
         let t0 = self.obs.timing.then(Instant::now);
-        let out = stage(self)?;
+        let out = run(self)?;
         let dur = t0.map(|t| t.elapsed().as_nanos() as u64);
         if let Some(ns) = dur {
-            self.obs.registry.observe(metric, ns);
+            self.obs.stages[stage as usize].observe(ns);
         }
         Ok((out, dur))
     }
@@ -214,8 +215,8 @@ impl Emulator {
     /// Fires a planned install-time corruption ([`FaultPlan::corrupt_install_at`])
     /// against the freshly installed region at `host`, if one is due.
     fn maybe_corrupt_install(&mut self, host: u64) {
-        let nth = self.installs_done;
-        self.installs_done += 1;
+        let nth = self.counts.installs_done;
+        self.counts.installs_done += 1;
         if !self.plan.take_install_corruption(nth) {
             return;
         }
@@ -223,7 +224,7 @@ impl Emulator {
         if len > 0 {
             let off = self.plan.pick(len);
             if self.machine.corrupt_code_byte(host, off) {
-                self.faults_injected += 1;
+                self.counts.faults_injected += 1;
             }
         }
     }
@@ -260,9 +261,9 @@ impl Emulator {
     /// a fault trace event.
     fn record_verify_violation(&mut self, core: Option<usize>, e: &VerifyError) {
         match e.pass {
-            VerifyPass::IrLint => self.verify_ir += 1,
-            VerifyPass::FenceObligations => self.verify_fence += 1,
-            VerifyPass::Encoding => self.verify_encoding += 1,
+            VerifyPass::IrLint => self.counts.verify_ir += 1,
+            VerifyPass::FenceObligations => self.counts.verify_fence += 1,
+            VerifyPass::Encoding => self.counts.verify_encoding += 1,
         }
         let tb_id = self.tb_id(e.guest_pc);
         self.obs.trace(TraceStage::Fault, core, Some(e.guest_pc), tb_id, None, || e.to_string());
@@ -364,7 +365,7 @@ impl Emulator {
         bytes: &[u8],
     ) -> Result<u64, TbFault> {
         if let Some(full) = &cand.full {
-            self.verify_checked += 1;
+            self.counts.verify_checked += 1;
             if let Err(e) = self.verify_translation(&cand, full, bytes) {
                 self.record_verify_violation(core, &e);
                 return Err(TbFault::Verify);
@@ -372,14 +373,14 @@ impl Emulator {
         }
         let Candidate { head_pc, code, relinks, detail, .. } = cand;
         let superblock = !relinks.is_empty();
-        let (host, dur) = self.timed("stage.install_ns", |e| {
+        let (host, dur) = self.timed(Stage::Install, |e| {
             let host = e.machine.install_bytes(bytes);
             if superblock {
                 e.machine.map_superblock(head_pc, host, &relinks);
             }
             e.maybe_corrupt_install(host);
             if e.verify != VerifyLevel::Off {
-                e.verify_checked += 1;
+                e.counts.verify_checked += 1;
                 if let Err(err) = e.check_install_bytes(head_pc, host, bytes) {
                     e.record_verify_violation(core, &err);
                     if superblock {
@@ -392,12 +393,12 @@ impl Emulator {
             }
             if !superblock {
                 e.machine.map_tb(head_pc, host);
-                e.tb_count += 1;
+                e.counts.tb_count += 1;
                 let meta = e.tbs.entry(head_pc).or_default();
                 if meta.id.is_some() {
-                    e.retranslations += 1;
+                    e.counts.retranslations += 1;
                 } else {
-                    meta.id = Some(e.tb_count as u64);
+                    meta.id = Some(e.counts.tb_count as u64);
                 }
             }
             Ok(host)
@@ -540,9 +541,9 @@ impl Emulator {
         match produced {
             Ok(_) => {
                 self.set_tier0(guest_pc, false);
-                self.template_stats.promotions += 1;
+                self.counts.template_stats.promotions += 1;
             }
-            Err(_) => self.template_stats.promotion_failures += 1,
+            Err(_) => self.counts.template_stats.promotion_failures += 1,
         }
     }
 
@@ -553,12 +554,12 @@ impl Emulator {
     fn try_promote(&mut self, core: usize, guest_pc: u64) {
         let Some(cfg) = self.tiering else { return };
         if !self.promotable(guest_pc) {
-            self.sb_stats.declined += 1;
+            self.counts.sb_stats.declined += 1;
             return;
         }
         let committed = match self.produce_superblock(guest_pc, cfg) {
             Ok(None) => {
-                self.sb_stats.declined += 1;
+                self.counts.sb_stats.declined += 1;
                 return;
             }
             Ok(Some((cand, shape))) => self.commit(Some(core), cand).map(|_| shape),
@@ -566,11 +567,11 @@ impl Emulator {
         };
         match committed {
             Ok(shape) => {
-                self.sb_stats.promotions += 1;
-                self.sb_stats.tbs_merged += shape.tbs as u64;
-                self.sb_stats.side_exits += shape.side_exits as u64;
+                self.counts.sb_stats.promotions += 1;
+                self.counts.sb_stats.tbs_merged += shape.tbs as u64;
+                self.counts.sb_stats.side_exits += shape.side_exits as u64;
             }
-            Err(_) => self.sb_stats.failures += 1,
+            Err(_) => self.counts.sb_stats.failures += 1,
         }
     }
 
@@ -581,7 +582,7 @@ impl Emulator {
         head: u64,
         cfg: TierConfig,
     ) -> Result<Option<(Candidate, superblock::SuperblockShape)>, TbFault> {
-        let (parts, _) = self.timed("sb.stage.select_ns", |e| Ok(e.select_trace(head, cfg)))?;
+        let (parts, _) = self.timed(Stage::SbSelect, |e| Ok(e.select_trace(head, cfg)))?;
         if parts.len() < cfg.min_tbs.max(2) {
             return Ok(None);
         }
@@ -596,11 +597,11 @@ impl Emulator {
         let policy = self.setup.opt_policy();
         // The region pass is the tier-1 pipeline (`optimize_region`),
         // over this emulator's scratch.
-        let (stats, _) = self.timed("sb.stage.opt_ns", |e| {
+        let (stats, _) = self.timed(Stage::SbOpt, |e| {
             Ok(optimize_in(&mut sb, policy, e.passes, &mut e.scratch.opt))
         })?;
-        self.sb_opt += stats;
-        let (code, _) = self.lower(&sb, "sb.stage.encode_ns")?;
+        self.counts.sb_opt += stats;
+        let (code, _) = self.lower(&sb, Stage::SbEncode)?;
         let (head_pc, shape) = (sb.guest_pc, superblock::shape_of(&sb));
         let detail = self.obs.tracing.then(|| {
             format!(
@@ -628,7 +629,7 @@ impl Emulator {
             return Ok(Candidate::block(guest_pc, self.build_native_thunk(func, nargs)));
         }
         if self.plan.translate_fails(guest_pc) {
-            self.faults_injected += 1;
+            self.counts.faults_injected += 1;
             return Err(TbFault::Injected);
         }
         if tier0 {
@@ -642,27 +643,27 @@ impl Emulator {
     /// tier-1 optimizer, after a tier-0 template instantiation.
     fn lower_fault(&mut self, guest_pc: u64) -> Result<(), TbFault> {
         if self.plan.lower_fails(guest_pc) {
-            self.faults_injected += 1;
+            self.counts.faults_injected += 1;
             return Err(TbFault::Injected);
         }
         Ok(())
     }
 
-    /// Lowers `block` through the active backend under the `metric`
-    /// stage clock, folding the allocator statistics into the run's.
+    /// Lowers `block` through the active backend under `stage`'s clock,
+    /// folding the allocator statistics into the run's.
     fn lower(
         &mut self,
         block: &TcgBlock,
-        metric: &str,
+        stage: Stage,
     ) -> Result<(Vec<HostInsn>, Option<u64>), TbFault> {
         let backend = self.backend_config();
-        self.timed(metric, |e| {
+        self.timed(stage, |e| {
             let out = e
                 .backend_kind
                 .host()
                 .lower_block_in(block, backend, &mut e.scratch.lower)
                 .map_err(|_| TbFault::Backend)?;
-            e.regalloc_totals += out.alloc;
+            e.counts.regalloc_totals += out.alloc;
             Ok(out.insns)
         })
     }
@@ -671,16 +672,16 @@ impl Emulator {
     /// optimizer → backend lowering, one trace event per stage.
     fn produce_tier1(&mut self, core: Option<usize>, guest_pc: u64) -> Result<Candidate, TbFault> {
         let frontend = self.setup.frontend();
-        let (mut block, dur) = self.timed("stage.decode_ns", |e| {
+        let (mut block, dur) = self.timed(Stage::Decode, |e| {
             let (block, insns) = translate_block_counted(guest_pc, frontend, |a| e.fetch(a))
                 .map_err(|_| TbFault::Frontend)?;
             // The denominator of the per-tier translation-cost metrics
             // (`translate.insns`).
-            e.tier1_insns += insns as u64;
+            e.counts.tier1_insns += insns as u64;
             for op in &block.ops {
                 if let TcgOp::Fence(k) = op {
                     if let Some(i) = k.tcg_index() {
-                        e.fence_inserted[i] += 1;
+                        e.counts.fence_inserted[i] += 1;
                     }
                 }
             }
@@ -720,8 +721,8 @@ impl Emulator {
                 &mut self.scratch.verify,
             );
             if removed > 0 {
-                self.analysis_relaxed += removed as u64;
-                self.analysis_relaxed_blocks += 1;
+                self.counts.analysis_relaxed += removed as u64;
+                self.counts.analysis_relaxed_blocks += 1;
             }
             // Known-bits hints (docs/ANALYSIS.md): IR-level value-range
             // facts fold pure ops and prune statically-decided branches
@@ -729,14 +730,14 @@ impl Emulator {
             // never touched, so the verifier reference stays valid.
             let hints = ir_hints(&block);
             let hs = apply_hints(&mut block, &hints);
-            self.hint_totals.folded += hs.folded;
-            self.hint_totals.branches_pruned += hs.branches_pruned;
+            self.counts.hint_totals.folded += hs.folded;
+            self.counts.hint_totals.branches_pruned += hs.branches_pruned;
         }
         let policy = self.setup.opt_policy();
-        let (stats, dur) = self.timed("stage.opt_ns", |e| {
+        let (stats, dur) = self.timed(Stage::Opt, |e| {
             Ok(optimize_in(&mut block, policy, e.passes, &mut e.scratch.opt))
         })?;
-        self.opt_totals += stats;
+        self.counts.opt_totals += stats;
         self.obs.trace(TraceStage::Opt, core, Some(guest_pc), None, dur, || {
             format!(
                 "folded {}, forwarded {}, fences merged {}, dce {}",
@@ -744,7 +745,7 @@ impl Emulator {
             )
         });
         self.lower_fault(guest_pc)?;
-        let (code, dur) = self.lower(&block, "stage.encode_ns")?;
+        let (code, dur) = self.lower(&block, Stage::Encode)?;
         self.obs.trace(TraceStage::Encode, core, Some(guest_pc), None, dur, || {
             format!("{} host insns", code.len())
         });
@@ -768,7 +769,7 @@ impl Emulator {
     ) -> Result<Candidate, TbFault> {
         let (frontend, backend) = (self.setup.frontend(), self.backend_config());
         let ordering = self.backend_kind.ordering();
-        let (blk, dur) = self.timed("stage.template_ns", |e| {
+        let (blk, dur) = self.timed(Stage::Template, |e| {
             translate_block_template(guest_pc, frontend, backend, ordering, |a| e.fetch(a)).map_err(
                 |err| match err {
                     TemplateError::Decode(_) => TbFault::Frontend,
@@ -777,8 +778,8 @@ impl Emulator {
             )
         })?;
         self.lower_fault(guest_pc)?;
-        self.template_stats.blocks += 1;
-        self.template_stats.insns += blk.insns as u64;
+        self.counts.template_stats.blocks += 1;
+        self.counts.template_stats.insns += blk.insns as u64;
         self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, dur, || {
             format!("tier-0 template: {} guest insns", blk.insns)
         });
@@ -803,7 +804,7 @@ impl Emulator {
         }
         if prior > 0 {
             // A bounded re-translate retry of a previously failing block.
-            self.retranslations += 1;
+            self.counts.retranslations += 1;
         }
         // Cold code gets the near-zero-latency template tier; the
         // profiler re-translates it through tier-1 when it warms up.
@@ -819,7 +820,7 @@ impl Emulator {
             }
             Err(fault) => {
                 if prior == 0 {
-                    self.fallback_blocks += 1;
+                    self.counts.fallback_blocks += 1;
                 }
                 self.quarantine.note_failure(guest_pc);
                 self.obs.trace(TraceStage::Fault, core, Some(guest_pc), None, None, || {

@@ -4,11 +4,11 @@
 //! for the metric reference and `docs/ARCHITECTURE.md` for where it sits
 //! in the pipeline):
 //!
-//! * [`MetricsRegistry`] — typed counters / gauges / histograms covering
+//! * [`MetricsSnapshot`] — typed counters / gauges / histograms covering
 //!   translation, optimization, fences, TB caching and chaining,
-//!   execution totals, and per-stage wall times. It absorbs the legacy
-//!   `Report` / `ChainStats` counters behind one schema; snapshots
-//!   ([`MetricsSnapshot`]) are written out as JSON.
+//!   execution totals, and per-stage wall times, read off the engine by
+//!   `Emulator::metrics` through the one table in `engine/metrics.rs`
+//!   ([`specs`] is that table's schema) and written out as JSON.
 //! * [`TraceSink`] — span-style structured events
 //!   ([`TraceEvent`]) at the decode / opt / encode / install / dispatch
 //!   / fault boundaries, with guest-pc + core + TB-id context. Sinks:
@@ -27,20 +27,40 @@ mod profile;
 mod registry;
 mod trace;
 
+pub use crate::engine::specs;
 pub use profile::{HotTb, HotTbProfiler};
 pub use registry::{
-    HistSummary, MetricKind, MetricSpec, MetricValue, MetricsRegistry, MetricsSnapshot,
-    SNAPSHOT_VERSION,
+    doc_name, HistSummary, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION,
 };
 pub use trace::{JsonLinesSink, NullSink, RingBufferSink, TraceEvent, TraceSink, TraceStage};
 
 use std::fmt;
 
-/// The engine's observability state: registry + sink + profiler and the
+/// A translation stage under the stage clock: the index of its wall-time
+/// histogram in [`Obs::stages`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    Template,
+    Decode,
+    Opt,
+    Encode,
+    Install,
+    SbSelect,
+    SbOpt,
+    SbEncode,
+}
+
+impl Stage {
+    const COUNT: usize = Stage::SbEncode as usize + 1;
+}
+
+/// The engine's observability state: stage histograms + sink and the
 /// enable flags. Internal to the crate; the `Emulator` exposes it
 /// through accessors.
 pub(crate) struct Obs {
-    pub(crate) registry: MetricsRegistry,
+    /// Per-stage wall times, indexed by [`Stage`]; the only metrics not
+    /// read off a count kept elsewhere.
+    pub(crate) stages: [HistSummary; Stage::COUNT],
     pub(crate) sink: Box<dyn TraceSink>,
     /// Events are only constructed when a sink is installed.
     pub(crate) tracing: bool,
@@ -49,7 +69,6 @@ pub(crate) struct Obs {
     /// Engine-side dispatch-loop profiling (the machine has its own
     /// flag, toggled in lockstep).
     pub(crate) profiling: bool,
-    pub(crate) profiler: HotTbProfiler,
     seq: u64,
 }
 
@@ -67,12 +86,11 @@ impl fmt::Debug for Obs {
 impl Obs {
     pub(crate) fn new() -> Obs {
         Obs {
-            registry: MetricsRegistry::new(),
+            stages: [HistSummary::default(); Stage::COUNT],
             sink: Box::new(NullSink),
             tracing: false,
             timing: false,
             profiling: false,
-            profiler: HotTbProfiler::new(),
             seq: 0,
         }
     }

@@ -1,15 +1,14 @@
-//! The unified metrics registry: every counter the engine, optimizer and
-//! host machine expose, under one schema (see `docs/METRICS.md`).
+//! The metric value types and the snapshot every counter the engine,
+//! optimizer and host machine expose is read into, under one schema (see
+//! `docs/METRICS.md`).
 //!
-//! The registry is *passive*: it is filled from the authoritative
-//! sources (`Report`-era fields, [`risotto_tcg::OptStats`],
-//! `ChainStats`/`CoreStats`) and never feeds back into execution, so
-//! enabling observability cannot change simulated cycles.
+//! There is no store behind a snapshot: `Emulator::metrics` walks the
+//! one table in `engine/metrics.rs` over the authoritative sources (the
+//! engine's counts, [`risotto_tcg::OptStats`], `ChainStats`/`CoreStats`)
+//! and nothing here feeds back into execution, so observability cannot
+//! change simulated cycles.
 
-use risotto_memmodel::FenceKind;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 /// Schema version stamped into every [`MetricsSnapshot`].
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -64,7 +63,8 @@ pub struct HistSummary {
 }
 
 impl HistSummary {
-    fn observe(&mut self, v: u64) {
+    /// Records one sample.
+    pub(crate) fn observe(&mut self, v: u64) {
         if self.count == 0 {
             self.min = v;
             self.max = v;
@@ -77,7 +77,7 @@ impl HistSummary {
     }
 }
 
-/// The value of one metric in a registry or snapshot.
+/// The value of one metric in a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricValue {
     /// A counter total.
@@ -106,257 +106,42 @@ impl MetricValue {
     }
 }
 
-fn spec(name: &str, kind: MetricKind, unit: &'static str, help: &str) -> MetricSpec {
-    MetricSpec { name: name.to_owned(), kind, unit, help: help.to_owned() }
-}
-
-/// The unified metrics registry.
-///
-/// Every metric of the static schema ([`MetricsRegistry::specs`]) is
-/// pre-registered at zero; per-index family members (`core.<i>.…`) are
-/// materialized on first write. Values live in a name-sorted table, so
-/// snapshots and their JSON exposition are deterministically ordered.
-#[derive(Debug, Clone)]
-pub struct MetricsRegistry {
-    /// `(name, value)`, sorted by name. Schema names are borrowed from
-    /// the process-wide schema; only family members own theirs.
-    values: Vec<(Cow<'static, str>, MetricValue)>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The zeroed registry [`MetricsRegistry::new`] copies: every
-/// non-family metric of the schema, sorted by name. Built once per
-/// process — an `Emulator` is constructed per guest program, and the
-/// schema (some ninety `MetricSpec`s with their help strings) is
-/// documentation, not something to rebuild each time.
-fn zeroed() -> &'static [(Cow<'static, str>, MetricValue)] {
-    static SCHEMA: OnceLock<Vec<MetricSpec>> = OnceLock::new();
-    static ZEROED: OnceLock<Vec<(Cow<'static, str>, MetricValue)>> = OnceLock::new();
-    ZEROED.get_or_init(|| {
-        let mut values: Vec<_> = SCHEMA
-            .get_or_init(MetricsRegistry::specs)
-            .iter()
-            // A family's members are registered on first write.
-            .filter(|s| !s.name.contains("<i>"))
-            .map(|s| {
-                let zero = match s.kind {
-                    MetricKind::Counter => MetricValue::Counter(0),
-                    MetricKind::Gauge => MetricValue::Gauge(0),
-                    MetricKind::Histogram => MetricValue::Histogram(HistSummary::default()),
-                };
-                (Cow::Borrowed(s.name.as_str()), zero)
-            })
-            .collect();
-        values.sort_by(|a, b| a.0.cmp(&b.0));
-        values
-    })
-}
-
-impl MetricsRegistry {
-    /// A registry with every non-family metric of the schema at zero.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry { values: zeroed().to_vec() }
-    }
-
-    /// The slot of `name`, registered with `zero` if new.
-    fn slot(&mut self, name: &str, zero: MetricValue) -> &mut MetricValue {
-        let at = match self.values.binary_search_by(|(n, _)| n.as_ref().cmp(name)) {
-            Ok(at) => at,
-            Err(at) => {
-                self.values.insert(at, (Cow::Owned(name.to_owned()), zero));
-                at
-            }
-        };
-        &mut self.values[at].1
-    }
-
-    fn get(&self, name: &str) -> Option<&MetricValue> {
-        let at = self.values.binary_search_by(|(n, _)| n.as_ref().cmp(name)).ok()?;
-        Some(&self.values[at].1)
-    }
-
-    /// The full metric schema: one [`MetricSpec`] per metric, including
-    /// the per-kind fence counters and the `core.<i>.…` per-core
-    /// families. `docs/METRICS.md` must document exactly this list
-    /// (enforced by `tests/obs.rs`).
-    pub fn specs() -> Vec<MetricSpec> {
-        use MetricKind::{Counter, Gauge, Histogram};
-        let mut v = vec![
-            spec("translate.blocks", Counter, "blocks", "Translations installed (incl. retranslations and native thunks)"),
-            spec("translate.retranslations", Counter, "blocks", "Translations beyond a block's first (evictions, corruption refills, quarantine retries)"),
-            spec("translate.fallback_blocks", Counter, "blocks", "Quarantine episodes: blocks that entered interpreter fallback"),
-            spec("translate.interp_steps", Counter, "insns", "Guest instructions executed by the fallback interpreter"),
-            spec("translate.insns", Counter, "insns", "Guest instructions covered by tier-1 translations"),
-            spec("template.blocks", Counter, "blocks", "Blocks translated by tier-0 template instantiation"),
-            spec("template.insns", Counter, "insns", "Guest instructions covered by tier-0 template translations"),
-            spec("template.promotions", Counter, "blocks", "Tier-0 blocks re-translated through the tier-1 pipeline on warming"),
-            spec("template.promotion_failures", Counter, "blocks", "Tier-0→1 promotions that failed; the template stays installed"),
-            spec("fault.injected", Counter, "faults", "Injected translate/lower/syscall faults encountered"),
-            spec("opt.folded", Counter, "ops", "Constants folded by the optimizer"),
-            spec("opt.loads_forwarded", Counter, "ops", "Loads forwarded (RAR + RAW elimination)"),
-            spec("opt.stores_eliminated", Counter, "ops", "Dead stores removed (WAW elimination)"),
-            spec("opt.fences_merged", Counter, "fences", "Fences merged away (all kinds)"),
-            spec("opt.dce_removed", Counter, "ops", "Ops removed by dead-code elimination"),
-            spec("chain.hits", Counter, "exits", "Direct-jump exits through an already-patched chain slot"),
-            spec("chain.links", Counter, "exits", "Direct-jump exits resolved by the dispatcher then patched"),
-            spec("chain.flushes", Counter, "slots", "Chain slots un-patched / jump-cache entries dropped on unmap"),
-            spec("jcache.hits", Counter, "exits", "Indirect exits that hit the per-core jump cache"),
-            spec("jcache.misses", Counter, "exits", "Indirect exits resolved by the full dispatcher lookup"),
-            spec("exec.insns", Counter, "insns", "Host instructions retired, all cores"),
-            spec("exec.atomics", Counter, "insns", "Atomic RMW instructions executed"),
-            spec("fence.exec.dmb_ld", Counter, "fences", "DMB LD barriers executed"),
-            spec("fence.exec.dmb_st", Counter, "fences", "DMB ST barriers executed"),
-            spec("fence.exec.dmb_ff", Counter, "fences", "DMB FF (SY) barriers executed"),
-            spec("fence.exec.cycles", Counter, "cycles", "Cycles attributed to barriers"),
-            spec("engine.syscalls", Counter, "calls", "Completed (non-busy-wait) guest syscalls"),
-            spec("sb.promotions", Counter, "superblocks", "Tier-2 superblocks successfully installed"),
-            spec("sb.fences_merged_cross", Counter, "fences", "Fence merges that crossed a former TB boundary"),
-            spec("verify.checked", Counter, "checks", "Translation-verifier checks executed (static passes and install read-backs)"),
-            spec("verify.violations", Counter, "violations", "Translations rejected by the verifier (sum of the per-pass counters)"),
-            spec("verify.ir_violations", Counter, "violations", "IR-lint (pass 1) rejections"),
-            spec("verify.fence_violations", Counter, "violations", "Fence-obligation (pass 2) rejections"),
-            spec("verify.encoding_violations", Counter, "violations", "Encoding / install read-back (pass 3) rejections"),
-            spec("analysis.sites", Counter, "sites", "Static memory-access sites the analysis discovered"),
-            spec("analysis.private", Counter, "sites", "Sites proven core-private"),
-            spec("analysis.relaxable", Counter, "sites", "Private + read-only sites on a poison-free image"),
-            spec("analysis.poisons", Counter, "poisons", "Soundness poisons (unresolved indirection, solver limits, ...)"),
-            spec("analysis.relaxed", Counter, "fences", "Fences removed by analysis-driven relaxation at translate time"),
-            spec("analysis.relaxed_blocks", Counter, "blocks", "Tier-1 translations with at least one relaxed event"),
-            spec("analysis.hint_folded", Counter, "ops", "Pure IR ops replaced by constants via known-bits hints"),
-            spec("analysis.branches_pruned", Counter, "branches", "Conditional exits statically decided by known-bits hints"),
-            spec("regalloc.env_loads_eliminated", Counter, "loads", "GetReg ops served from a pinned host register (env LDRs avoided)"),
-            spec("regalloc.spills", Counter, "stores", "Temp values spilled to the spill area under register pressure"),
-            spec("exec.cycles", Gauge, "cycles", "Simulated parallel runtime (max core clock)"),
-            spec("exec.cores", Gauge, "cores", "Cores configured for the run"),
-            spec("core.<i>.insns", Gauge, "insns", "Host instructions retired by core i"),
-            spec("core.<i>.cycles", Gauge, "cycles", "Local clock of core i"),
-            spec("stage.template_ns", Histogram, "ns", "Wall time of tier-0 template translation, per block"),
-            spec("stage.decode_ns", Histogram, "ns", "Wall time of frontend decode+translate, per block"),
-            spec("stage.opt_ns", Histogram, "ns", "Wall time of the optimizer pipeline, per block"),
-            spec("stage.encode_ns", Histogram, "ns", "Wall time of backend lowering, per block"),
-            spec("stage.install_ns", Histogram, "ns", "Wall time of code install + TB mapping, per block"),
-            spec("sb.stage.select_ns", Histogram, "ns", "Wall time of tier-2 trace selection, per promotion attempt"),
-            spec("sb.stage.opt_ns", Histogram, "ns", "Wall time of the region optimizer over a stitched superblock"),
-            spec("sb.stage.encode_ns", Histogram, "ns", "Wall time of backend lowering for a superblock"),
-            spec("fuzz.programs", Counter, "programs", "Random programs generated and differentially executed"),
-            spec("fuzz.configs_run", Counter, "runs", "Individual oracle-configuration executions (interpreter included)"),
-            spec("fuzz.divergences", Counter, "divergences", "Programs whose oracle configurations disagreed (or tripped the validator)"),
-            spec("fuzz.minimizer_steps", Counter, "steps", "Candidate reductions attempted while delta-debugging divergent programs"),
-            spec("fuzz.fault_runs", Counter, "runs", "Fault-composed executions (random FaultPlan layered over a generated program)"),
-            spec("fuzz.promoted", Counter, "programs", "Fuzz iterations whose tier-2 configuration installed at least one superblock"),
-        ];
-        for k in FenceKind::TCG_ALL {
-            let n = k.tcg_name().expect("TCG fence has a short name");
-            v.push(spec(
-                &format!("fence.inserted.{n}"),
-                Counter,
-                "fences",
-                &format!("`{k:?}` fences emitted by the frontend (counted before optimization)"),
-            ));
-            v.push(spec(
-                &format!("fence.merged.{n}"),
-                Counter,
-                "fences",
-                &format!("`{k:?}` fences merged away by the optimizer"),
-            ));
-        }
-        v
-    }
-
-    /// Normalizes a concrete metric name to its documented form: numeric
-    /// dot-segments become `<i>` (`core.3.insns` → `core.<i>.insns`).
-    pub fn doc_name(name: &str) -> String {
-        name.split('.')
-            .map(|seg| {
+/// Normalizes a concrete metric name to its documented form: numeric
+/// dot-segments become `<i>` (`core.3.insns` → `core.<i>.insns`).
+pub fn doc_name(name: &str) -> String {
+    name.split('.')
+        .map(
+            |seg| {
                 if seg.bytes().all(|b| b.is_ascii_digit()) && !seg.is_empty() {
                     "<i>"
                 } else {
                     seg
                 }
-            })
-            .collect::<Vec<_>>()
-            .join(".")
-    }
-
-    /// Adds `delta` to a counter (registering it as a counter if new).
-    pub fn add(&mut self, name: &str, delta: u64) {
-        match self.slot(name, MetricValue::Counter(0)) {
-            MetricValue::Counter(v) => *v += delta,
-            other => debug_assert!(false, "add on non-counter {name}: {other:?}"),
-        }
-    }
-
-    /// Sets a counter to an absolute total (for counters mirrored from an
-    /// authoritative accumulator rather than incremented in place).
-    pub fn set_counter(&mut self, name: &str, v: u64) {
-        *self.slot(name, MetricValue::Counter(0)) = MetricValue::Counter(v);
-    }
-
-    /// Sets a gauge (registering it if new — how `core.<i>.…` family
-    /// members materialize).
-    pub fn set_gauge(&mut self, name: &str, v: u64) {
-        *self.slot(name, MetricValue::Gauge(0)) = MetricValue::Gauge(v);
-    }
-
-    /// Records one histogram sample.
-    pub fn observe(&mut self, name: &str, sample: u64) {
-        match self.slot(name, MetricValue::Histogram(HistSummary::default())) {
-            MetricValue::Histogram(h) => h.observe(sample),
-            other => debug_assert!(false, "observe on non-histogram {name}: {other:?}"),
-        }
-    }
-
-    /// Reads a counter total (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        match self.get(name) {
-            Some(MetricValue::Counter(v)) => *v,
-            _ => 0,
-        }
-    }
-
-    /// Reads a gauge (0 if absent).
-    pub fn gauge(&self, name: &str) -> u64 {
-        match self.get(name) {
-            Some(MetricValue::Gauge(v)) => *v,
-            _ => 0,
-        }
-    }
-
-    /// Reads a histogram summary (empty if absent).
-    pub fn histogram(&self, name: &str) -> HistSummary {
-        match self.get(name) {
-            Some(MetricValue::Histogram(h)) => *h,
-            _ => HistSummary::default(),
-        }
-    }
-
-    /// An immutable, versioned copy of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            version: SNAPSHOT_VERSION,
-            metrics: self.values.iter().map(|(name, v)| (name.to_string(), *v)).collect(),
-        }
-    }
+            },
+        )
+        .collect::<Vec<_>>()
+        .join(".")
 }
 
-/// A versioned, immutable copy of a [`MetricsRegistry`], with a JSON
-/// exposition.
+/// A versioned, immutable copy of every metric, with a JSON exposition.
 ///
 /// ```
-/// use risotto_core::obs::MetricsRegistry;
+/// use risotto_core::obs::{HistSummary, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION};
 ///
-/// let mut reg = MetricsRegistry::new();
-/// reg.add("chain.hits", 7);
-/// reg.set_gauge("exec.cycles", 1234);
-/// reg.observe("stage.decode_ns", 800);
-/// reg.observe("stage.decode_ns", 200);
-///
-/// let snap = reg.snapshot();
+/// let snap = MetricsSnapshot {
+///     version: SNAPSHOT_VERSION,
+///     metrics: [
+///         ("chain.hits", MetricValue::Counter(7)),
+///         ("exec.cycles", MetricValue::Gauge(1234)),
+///         (
+///             "stage.decode_ns",
+///             MetricValue::Histogram(HistSummary { count: 2, sum: 1000, min: 200, max: 800 }),
+///         ),
+///     ]
+///     .into_iter()
+///     .map(|(name, value)| (name.to_owned(), value))
+///     .collect(),
+/// };
 /// assert_eq!(snap.counter("chain.hits"), 7);
 /// assert_eq!(snap.gauge("exec.cycles"), 1234);
 /// assert_eq!(snap.histogram("stage.decode_ns").sum, 1000);

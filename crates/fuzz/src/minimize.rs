@@ -20,7 +20,6 @@
 //! running the minimizer on its own output changes nothing (idempotence,
 //! covered by a property test).
 
-use crate::corpus::to_corpus_string;
 use crate::spec::{ProgSpec, Src, Stmt};
 
 /// Outcome of a minimization run.
@@ -272,10 +271,4 @@ pub fn regression_test_skeleton(spec: &ProgSpec, name: &str) -> String {
         note = if spec.note.is_empty() { "(none)" } else { &spec.note },
         fn_name = name.replace(['-', '.'], "_"),
     )
-}
-
-/// Renders the corpus file for a minimized spec (convenience wrapper so
-/// the bench bin and tests share one path).
-pub fn corpus_file(spec: &ProgSpec) -> String {
-    to_corpus_string(spec)
 }

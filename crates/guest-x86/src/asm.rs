@@ -192,11 +192,6 @@ impl Assembler {
         self
     }
 
-    /// Indirect call.
-    pub fn call_reg(&mut self, reg: Gpr) -> &mut Self {
-        self.insn(Insn::CallReg { reg })
-    }
-
     /// `ret`.
     pub fn ret(&mut self) -> &mut Self {
         self.insn(Insn::Ret)

@@ -203,11 +203,6 @@ impl HostAsm {
         self.branch(Some(cond), label);
     }
 
-    /// Unconditional branch to a label.
-    pub fn b_to(&mut self, label: u32) {
-        self.branch(None, label);
-    }
-
     fn branch(&mut self, cond: Option<ACond>, label: u32) {
         self.push(Self::branch_insn(cond, 0));
         self.fixups.push(Fixup { at: self.insns.len() - 1, cond, label, end: self.len });
@@ -247,20 +242,31 @@ impl HostAsm {
 // registers in host registers (loads once on first use, write-back
 // deferred to the flush points below) and spills temps Belady-style.
 
+/// The runtime-helper table: a helper's position here is its stable
+/// index in every backend's `Hcall` encoding.
+const HELPERS: [Helper; 9] = [
+    Helper::CmpxchgSc,
+    Helper::XaddSc,
+    Helper::FpAdd,
+    Helper::FpSub,
+    Helper::FpMul,
+    Helper::FpDiv,
+    Helper::FpSqrt,
+    Helper::FpCvtIF,
+    Helper::FpCvtFI,
+];
+
 /// The stable runtime-helper table index of a TCG [`Helper`], shared by
 /// every backend's `Hcall` lowering and the verifier's read-back.
 pub fn helper_index(h: Helper) -> u8 {
-    match h {
-        Helper::CmpxchgSc => 0,
-        Helper::XaddSc => 1,
-        Helper::FpAdd => 2,
-        Helper::FpSub => 3,
-        Helper::FpMul => 4,
-        Helper::FpDiv => 5,
-        Helper::FpSqrt => 6,
-        Helper::FpCvtIF => 7,
-        Helper::FpCvtFI => 8,
-    }
+    // invariant: `HELPERS` lists every `Helper` (unit-tested below).
+    HELPERS.iter().position(|&listed| listed == h).expect("helper is in the table") as u8
+}
+
+/// The [`Helper`] an `Hcall` index names — the inverse of
+/// [`helper_index`]; `None` past the end of the table.
+pub fn helper_at(index: u8) -> Option<Helper> {
+    HELPERS.get(usize::from(index)).copied()
 }
 
 /// The hardware-FP instruction behind a float [`Helper`], or `None` for
@@ -599,7 +605,7 @@ impl HostBackend for ArmBackend {
 
 /// The backend's lowering product: the host instruction stream plus the
 /// register-allocation statistics behind it (mirrored into the
-/// `regalloc.*` registry metrics by the engine).
+/// `regalloc.*` metrics by the engine).
 #[derive(Debug, Clone)]
 pub struct LowerOutput {
     /// Lowered host instructions, labels resolved.
@@ -876,6 +882,21 @@ pub fn lower_block_with_dialect_in<O: OrderingLowering + ?Sized>(
 mod tests {
     use super::*;
     use risotto_tcg::{FrontendConfig, OptPolicy};
+
+    #[test]
+    fn helper_numbering_round_trips() {
+        for (index, &h) in HELPERS.iter().enumerate() {
+            assert_eq!((helper_index(h), helper_at(index as u8)), (index as u8, Some(h)));
+            // Exhaustive on purpose: a tenth `Helper` stops compiling
+            // here until it has a row in `HELPERS`.
+            match h {
+                Helper::CmpxchgSc | Helper::XaddSc => {}
+                Helper::FpAdd | Helper::FpSub | Helper::FpMul | Helper::FpDiv => {}
+                Helper::FpSqrt | Helper::FpCvtIF | Helper::FpCvtFI => {}
+            }
+        }
+        assert_eq!((HELPERS.len(), helper_at(9), helper_at(u8::MAX)), (9, None, None));
+    }
 
     fn lower_snippet(
         f: impl FnOnce(&mut risotto_guest_x86::Assembler),

@@ -39,7 +39,7 @@ mod store_buffer;
 mod verify;
 
 pub use backend::{
-    arm_dmb_of, fp_op_of, helper_index, lower_block, lower_block_with_dialect,
+    arm_dmb_of, fp_op_of, helper_at, helper_index, lower_block, lower_block_with_dialect,
     lower_block_with_dialect_in, lower_block_with_stats, ArmBackend, ArmOrdering, BackendConfig,
     BackendError, HostAsm, HostBackend, LowerOutput, LowerScratch, OrderingLowering, RmwStyle,
     ENV_BASE, SPILL_BASE,

@@ -14,6 +14,7 @@
 //! see DESIGN.md §10. Fences, acquire/release and atomics still have
 //! their architectural *costs* and their buffer-drain semantics here.
 
+use crate::backend::helper_at;
 use crate::code_cache::{CodeCache, Via};
 use crate::cost::CostModel;
 #[cfg(test)]
@@ -23,6 +24,7 @@ use crate::store_buffer::{Probe, StoreBuffer};
 #[cfg(test)]
 use crate::store_buffer::{DRAIN_AGE, STORE_BUFFER_CAP};
 use risotto_guest_x86::{softfloat, SparseMem};
+use risotto_tcg::Helper;
 use std::collections::HashMap;
 
 /// A result returned by a registered native host function.
@@ -354,12 +356,6 @@ impl Machine {
     /// Reads a core register.
     pub fn reg(&self, core: usize, r: Xreg) -> u64 {
         self.cores[core].get(r)
-    }
-
-    /// Redirects a core to another host pc (engine use after servicing an
-    /// event).
-    pub fn set_pc(&mut self, core: usize, host_pc: u64) {
-        self.cores[core].pc = host_pc;
     }
 
     /// Halts a core (engine use: guest thread exit).
@@ -862,8 +858,7 @@ impl Machine {
     }
 
     fn exec_helper(&mut self, core: usize, pc: u64, helper: u8) -> Option<Event> {
-        // Helper indices mirror risotto_tcg::Helper declaration order.
-        if helper > 8 {
+        let Some(helper) = helper_at(helper) else {
             // Park the core on the Hcall itself, as for other host faults.
             self.cores[core].pc = pc;
             return Some(Event::HostFault {
@@ -871,15 +866,15 @@ impl Machine {
                 host_pc: pc,
                 kind: HostFaultKind::UnknownHelper(helper),
             });
-        }
+        };
         self.cores[core].stats.helper_calls += 1;
         self.cores[core].cycles += self.cost.helper_overhead;
         let a0 = self.cores[core].get(Xreg(0));
         let a1 = self.cores[core].get(Xreg(1));
         let a2 = self.cores[core].get(Xreg(2));
         let ret = match helper {
-            0 => {
-                // CmpxchgSc(addr, expected, new) — GCC builtin: casal.
+            Helper::CmpxchgSc => {
+                // (addr, expected, new) — GCC builtin: casal.
                 self.drain_all(core);
                 let old = self.mem.read_u64(a0);
                 if old == a1 {
@@ -892,8 +887,8 @@ impl Machine {
                 self.cores[core].cycles += ac;
                 old
             }
-            1 => {
-                // XaddSc(addr, addend).
+            Helper::XaddSc => {
+                // (addr, addend).
                 self.drain_all(core);
                 let old = self.mem.read_u64(a0);
                 self.mem.write_u64(a0, old.wrapping_add(a1));
@@ -907,36 +902,34 @@ impl Machine {
             // Soft-float helpers: the shared deterministic f64
             // semantics (risotto_guest_x86::softfloat), bit-identical
             // to the interpreter and the hardware-FP path.
-            2 => {
+            Helper::FpAdd => {
                 self.cores[core].cycles += self.cost.softfloat;
                 softfloat::add(a0, a1)
             }
-            3 => {
+            Helper::FpSub => {
                 self.cores[core].cycles += self.cost.softfloat;
                 softfloat::sub(a0, a1)
             }
-            4 => {
+            Helper::FpMul => {
                 self.cores[core].cycles += self.cost.softfloat;
                 softfloat::mul(a0, a1)
             }
-            5 => {
+            Helper::FpDiv => {
                 self.cores[core].cycles += self.cost.softfloat;
                 softfloat::div(a0, a1)
             }
-            6 => {
+            Helper::FpSqrt => {
                 self.cores[core].cycles += self.cost.softfloat * 2;
                 softfloat::sqrt(a1)
             }
-            7 => {
+            Helper::FpCvtIF => {
                 self.cores[core].cycles += self.cost.softfloat;
                 softfloat::cvt_if(a1)
             }
-            8 => {
+            Helper::FpCvtFI => {
                 self.cores[core].cycles += self.cost.softfloat;
                 softfloat::cvt_fi(a1)
             }
-            // invariant: helper > 8 returned HostFault above.
-            _ => unreachable!(),
         };
         self.cores[core].set(Xreg(0), ret);
         None

@@ -48,7 +48,7 @@ use crate::insn::{HostInsn, MemOrder, Xreg};
 use risotto_tcg::{env, reset, TbExit, TcgBlock, TcgOp, Temp};
 
 /// Per-block register-allocation statistics, summed by the engine into
-/// the `regalloc.*` registry metrics (docs/METRICS.md).
+/// the `regalloc.*` metrics (docs/METRICS.md).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AllocStats {
     /// Env-area `LDR`s emitted (first-use fills and post-eviction

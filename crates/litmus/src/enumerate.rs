@@ -24,11 +24,6 @@ pub struct Behavior {
 }
 
 impl Behavior {
-    /// The memory part alone — the paper's `Behav(X)`.
-    pub fn mem_only(&self) -> BTreeMap<Loc, u64> {
-        self.mem.clone()
-    }
-
     /// Convenience lookup of a register of a thread (0 if unset).
     pub fn reg(&self, thread: usize, reg: Reg) -> u64 {
         self.regs.get(thread).and_then(|m| m.get(&reg)).copied().unwrap_or(0)

@@ -289,11 +289,6 @@ pub fn eliminate_false_deps(prog: &Program) -> Program {
     }
 }
 
-/// `true` if the instruction is an RMW (eliminations never touch RMWs).
-pub fn is_rmw(i: &Instr) -> bool {
-    matches!(i, Instr::Rmw { .. })
-}
-
 /// The RMW kinds a TCG-level program may contain.
 pub const TCG_RMW: RmwKind = RmwKind::TcgSc;
 

@@ -110,16 +110,6 @@ impl Execution {
         )
     }
 
-    /// Reads belonging to *any* RMW (successful or failed) with the tag.
-    pub fn rmw_reads_tagged(&self, tag: RmwTag) -> EventSet {
-        self.rmw_pairs.iter().filter(|p| p.tag == tag).map(|p| p.read).collect()
-    }
-
-    /// All RMW reads, successful or failed, regardless of tag.
-    pub fn rmw_reads(&self) -> EventSet {
-        self.rmw_pairs.iter().map(|p| p.read).collect()
-    }
-
     /// Same-location restriction of `po` (`po|loc`).
     pub fn po_loc(&self) -> Relation {
         let mut r = Relation::empty(self.len());

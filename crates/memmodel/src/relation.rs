@@ -278,15 +278,6 @@ impl Relation {
         }
     }
 
-    /// Reflexive-transitive closure `r*`.
-    pub fn reflexive_transitive_closure(&self) -> Relation {
-        let mut out = self.transitive_closure();
-        for i in 0..self.n {
-            out.insert(EventId(i), EventId(i));
-        }
-        out
-    }
-
     /// `true` if no pair `(e, e)` is in the relation.
     pub fn is_irreflexive(&self) -> bool {
         self.rows.iter().enumerate().all(|(i, &row)| row >> i & 1 == 0)

@@ -87,6 +87,13 @@ impl std::error::Error for TranslateError {}
 /// Maximum guest instructions per translation block.
 pub const MAX_TB_INSNS: usize = 64;
 
+/// Width of a guest memory access: all eight bytes, or the low one.
+#[derive(Clone, Copy)]
+enum Width {
+    Quad,
+    Byte,
+}
+
 struct Ctx {
     block: TcgBlock,
     cfg: FrontendConfig,
@@ -146,12 +153,15 @@ impl Ctx {
     }
 
     /// Emits a guest load with the configured fence placement.
-    fn guest_load(&mut self, addr: Temp) -> Temp {
+    fn guest_load(&mut self, addr: Temp, width: Width) -> Temp {
         if self.cfg.fences == FencePlacement::QemuLeading {
             self.emit(TcgOp::Fence(FenceKind::Frr));
         }
         let dst = self.temp();
-        self.emit(TcgOp::Ld { dst, addr });
+        self.emit(match width {
+            Width::Quad => TcgOp::Ld { dst, addr },
+            Width::Byte => TcgOp::Ld8 { dst, addr },
+        });
         if self.cfg.fences == FencePlacement::VerifiedTrailing {
             self.emit(TcgOp::Fence(FenceKind::Frm));
         }
@@ -159,13 +169,16 @@ impl Ctx {
     }
 
     /// Emits a guest store with the configured fence placement.
-    fn guest_store(&mut self, addr: Temp, src: Temp) {
+    fn guest_store(&mut self, addr: Temp, src: Temp, width: Width) {
         match self.cfg.fences {
             FencePlacement::QemuLeading => self.emit(TcgOp::Fence(FenceKind::Fmw)),
             FencePlacement::VerifiedTrailing => self.emit(TcgOp::Fence(FenceKind::Fww)),
             FencePlacement::None => {}
         }
-        self.emit(TcgOp::St { addr, src });
+        self.emit(match width {
+            Width::Quad => TcgOp::St { addr, src },
+            Width::Byte => TcgOp::St8 { addr, src },
+        });
     }
 
     /// Flags for `a - b` with result `res`.
@@ -291,7 +304,7 @@ impl Ctx {
         let rat = self.movi(ra);
         // Stack traffic is thread-private: emitted as plain accesses, and
         // like QEMU we still apply the configured ordering fences.
-        self.guest_store(nsp, rat);
+        self.guest_store(nsp, rat, Width::Quad);
     }
 }
 
@@ -356,35 +369,23 @@ where
             }
             Insn::Load { dst, base, disp } => {
                 let addr = ctx.address(base, disp);
-                let v = ctx.guest_load(addr);
+                let v = ctx.guest_load(addr, Width::Quad);
                 ctx.set_reg(dst, v);
             }
             Insn::Store { base, disp, src } => {
                 let addr = ctx.address(base, disp);
                 let v = ctx.get_reg(src);
-                ctx.guest_store(addr, v);
+                ctx.guest_store(addr, v, Width::Quad);
             }
             Insn::LoadB { dst, base, disp } => {
                 let addr = ctx.address(base, disp);
-                if cfg.fences == FencePlacement::QemuLeading {
-                    ctx.emit(TcgOp::Fence(FenceKind::Frr));
-                }
-                let v = ctx.temp();
-                ctx.emit(TcgOp::Ld8 { dst: v, addr });
-                if cfg.fences == FencePlacement::VerifiedTrailing {
-                    ctx.emit(TcgOp::Fence(FenceKind::Frm));
-                }
+                let v = ctx.guest_load(addr, Width::Byte);
                 ctx.set_reg(dst, v);
             }
             Insn::StoreB { base, disp, src } => {
                 let addr = ctx.address(base, disp);
                 let v = ctx.get_reg(src);
-                match cfg.fences {
-                    FencePlacement::QemuLeading => ctx.emit(TcgOp::Fence(FenceKind::Fmw)),
-                    FencePlacement::VerifiedTrailing => ctx.emit(TcgOp::Fence(FenceKind::Fww)),
-                    FencePlacement::None => {}
-                }
-                ctx.emit(TcgOp::St8 { addr, src: v });
+                ctx.guest_store(addr, v, Width::Byte);
             }
             Insn::MulWide { src } => {
                 let a = ctx.get_reg(Gpr::RAX);
@@ -492,7 +493,7 @@ where
             }
             Insn::Ret => {
                 let sp = ctx.get_reg(Gpr::RSP);
-                let ra = ctx.guest_load(sp);
+                let ra = ctx.guest_load(sp, Width::Quad);
                 let eight = ctx.movi(8);
                 let nsp = ctx.bin(BinOp::Add, sp, eight);
                 ctx.set_reg(Gpr::RSP, nsp);
@@ -506,11 +507,11 @@ where
                 let eight = ctx.movi(8);
                 let nsp = ctx.bin(BinOp::Sub, sp, eight);
                 ctx.set_reg(Gpr::RSP, nsp);
-                ctx.guest_store(nsp, v);
+                ctx.guest_store(nsp, v, Width::Quad);
             }
             Insn::Pop { dst } => {
                 let sp = ctx.get_reg(Gpr::RSP);
-                let v = ctx.guest_load(sp);
+                let v = ctx.guest_load(sp, Width::Quad);
                 let eight = ctx.movi(8);
                 let nsp = ctx.bin(BinOp::Add, sp, eight);
                 ctx.set_reg(Gpr::RSP, nsp);

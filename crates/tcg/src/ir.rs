@@ -131,18 +131,6 @@ pub enum Helper {
     FpCvtFI,
 }
 
-impl Helper {
-    /// `true` for the soft-float helpers.
-    pub fn is_float(self) -> bool {
-        !matches!(self, Helper::CmpxchgSc | Helper::XaddSc)
-    }
-
-    /// `true` for the atomic (RMW) helpers.
-    pub fn is_atomic(self) -> bool {
-        matches!(self, Helper::CmpxchgSc | Helper::XaddSc)
-    }
-}
-
 /// One IR operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TcgOp {

@@ -45,17 +45,6 @@ pub fn emit_parallel_main(b: &mut GelfBuilder, threads: usize, result_addr: u64)
     b.asm.syscall();
 }
 
-/// Emits the per-thread slice computation: given `tid` in `RDI`, leaves
-/// `start = tid · (total/threads)` in `RSI` and `end = start +
-/// total/threads` in `RDX` (both as element indices).
-pub fn emit_slice(b: &mut GelfBuilder, total: u64, threads: usize) {
-    let chunk = total / threads as u64;
-    b.asm.mov_rr(Gpr::RSI, Gpr::RDI);
-    b.asm.alu_ri(AluOp::Mul, Gpr::RSI, chunk);
-    b.asm.mov_rr(Gpr::RDX, Gpr::RSI);
-    b.asm.alu_ri(AluOp::Add, Gpr::RDX, chunk);
-}
-
 /// Emits an atomic accumulate of `src` into the u64 at `addr` via
 /// `LOCK XADD` (the standard end-of-kernel reduction).
 pub fn emit_atomic_accumulate(b: &mut GelfBuilder, addr: u64, src: Gpr) {

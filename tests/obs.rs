@@ -1,28 +1,32 @@
-//! Acceptance tests for the observability layer (metrics registry,
+//! Acceptance tests for the observability layer (metrics snapshot,
 //! trace sinks, hot-TB profiler):
 //!
-//! * every registry counter equals its legacy `Report` source across the
-//!   full 16-kernel Fig. 12 suite (the registry is a view, not a second
+//! * every counter of a snapshot equals its legacy `Report` source across
+//!   the full 16-kernel Fig. 12 suite (a snapshot is a view, not a second
 //!   set of books);
 //! * a fully instrumented run (ring-buffer sink + stage timing + hot-TB
 //!   profiling) is bit-identical in architectural results and simulated
 //!   cycles to a default run — observability is passive;
 //! * `RingBufferSink` is bounded and overwrites oldest-first;
-//! * `docs/METRICS.md` documents 100% of the registry schema, and every
+//! * `docs/METRICS.md` documents 100% of the metric schema, and every
 //!   metric a real run emits maps back into that schema;
-//! * snapshots round-trip through their JSON exposition.
+//! * the stage histograms' sample counts reconcile with the counters of
+//!   the blocks that went through those stages, on every tier;
+//! * `hot_tbs` is empty unless profiling was asked for, tiering or not.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use risotto::core::obs::{doc_name, specs};
 use risotto::core::{
-    Emulator, FaultPlan, HotTbProfiler, MetricsRegistry, RingBufferSink, Setup, TierConfig,
-    TraceEvent, TraceSink, TraceStage, VerifyLevel,
+    Emulator, FaultPlan, HotTbProfiler, RingBufferSink, Setup, TierConfig, TraceEvent, TraceSink,
+    TraceStage, VerifyLevel,
 };
 use risotto::guest::{AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
 use risotto::host::CostModel;
 use risotto::memmodel::FenceKind;
 use risotto::workloads::kernels;
+use risotto_bench::templates_only;
 
 const FUEL: u64 = 400_000_000;
 
@@ -181,7 +185,7 @@ fn ring_buffer_sink_is_bounded_and_overwrites_oldest() {
 #[test]
 fn metrics_md_documents_the_entire_schema() {
     let doc = include_str!("../docs/METRICS.md");
-    for s in MetricsRegistry::specs() {
+    for s in specs() {
         assert!(
             doc.contains(&format!("`{}`", s.name)),
             "docs/METRICS.md is missing metric `{}` — document it (name, type, unit, source)",
@@ -191,19 +195,111 @@ fn metrics_md_documents_the_entire_schema() {
 
     // And the schema is closed: everything a real run emits normalizes
     // back to a documented spec name.
-    let documented: Vec<String> = MetricsRegistry::specs().into_iter().map(|s| s.name).collect();
+    let documented: Vec<String> = specs().into_iter().map(|s| s.name).collect();
     let bin = (kernels::all()[0].build)(8, 2);
     let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
     emu.set_stage_timing(true);
     emu.set_profiling(true);
     emu.run(FUEL).expect("kernel runs");
     for name in emu.metrics().metrics.keys() {
-        let doc_name = MetricsRegistry::doc_name(name);
+        let doc_name = doc_name(name);
         assert!(
             documented.contains(&doc_name),
             "run emitted `{name}` (documented form `{doc_name}`) which is not in the schema"
         );
     }
+}
+
+/// The three-tier policy the tiered tests below run `kmeans` under: low
+/// enough thresholds that templates warm up and superblocks promote.
+const LADDER: TierConfig =
+    TierConfig { hot_threshold: 16, max_tbs: 8, min_tbs: 2, warm_threshold: Some(4) };
+
+/// A kernel that promotes superblocks under [`LADDER`].
+fn kmeans() -> GuestBinary {
+    let kernel = kernels::all().into_iter().find(|w| w.name == "kmeans").expect("kmeans exists");
+    (kernel.build)(16, 2)
+}
+
+/// What a stage enum wired to the wrong table row would break: with the
+/// stage clock on and no fault plan, every stage's sample count is the
+/// count of blocks that went through it, on every tier; with it off no
+/// histogram has a sample.
+#[test]
+fn stage_histograms_reconcile_with_the_counters() {
+    let bin = kmeans();
+    let stages: Vec<String> =
+        specs().into_iter().map(|s| s.name).filter(|n| n.ends_with("_ns")).collect();
+    assert_eq!(stages.len(), 8, "{stages:?}");
+
+    for (leg, tiers) in
+        [("tier-1", None), ("templates", Some(templates_only())), ("three-tier", Some(LADDER))]
+    {
+        for timing in [true, false] {
+            let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
+            emu.set_tiering(tiers);
+            emu.set_stage_timing(timing);
+            emu.run(FUEL).unwrap_or_else(|e| panic!("{leg}: {e}"));
+            let snap = emu.metrics();
+            assert_eq!(snap, emu.metrics(), "{leg}: two snapshots of the same state differ");
+            if !timing {
+                for stage in &stages {
+                    assert_eq!(snap.histogram(stage).count, 0, "{leg}: `{stage}` timed while off");
+                }
+                continue;
+            }
+            let samples = |stage: &str| snap.histogram(stage).count;
+            let (decode, blocks) = (samples("stage.decode_ns"), snap.counter("translate.blocks"));
+            assert_eq!(decode, samples("stage.opt_ns"), "{leg}: decode vs opt");
+            assert_eq!(decode, samples("stage.encode_ns"), "{leg}: decode vs encode");
+            assert_eq!(samples("stage.template_ns"), snap.counter("template.blocks"), "{leg}");
+            assert_eq!(
+                samples("stage.install_ns"),
+                blocks + snap.counter("sb.promotions"),
+                "{leg}"
+            );
+            assert_eq!(samples("sb.stage.opt_ns"), samples("sb.stage.encode_ns"), "{leg}");
+            assert_eq!(
+                decode + samples("stage.template_ns"),
+                blocks,
+                "{leg}: a producer per block"
+            );
+            // Each leg exercises the rows it is there for.
+            let (templates, promoted) =
+                (snap.counter("template.blocks"), samples("sb.stage.opt_ns"));
+            match leg {
+                "tier-1" => assert!(decode > 0 && templates == 0 && promoted == 0, "{snap:?}"),
+                "templates" => assert!(decode == 0 && templates > 0 && promoted == 0, "{snap:?}"),
+                _ => assert!(decode > 0 && templates > 0 && promoted > 0, "{snap:?}"),
+            }
+        }
+    }
+}
+
+/// `hot_tbs` is the observational profile and nothing else: tiering
+/// turns the machine-side profile on for its promoter, which must not
+/// leak out as half a profile (transfers without dispatch-loop entries).
+#[test]
+fn hot_tbs_is_empty_unless_profiling_was_asked_for() {
+    let bin = kmeans();
+    let run = |profiling: bool| {
+        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
+        emu.set_tiering(Some(LADDER));
+        emu.set_profiling(profiling);
+        let r = emu.run(FUEL).expect("kmeans runs");
+        assert!(r.sb.promotions > 0, "the promoter's profile was live: {r:?}");
+        emu.hot_tbs(4)
+    };
+    assert!(run(false).is_empty(), "tiering alone must not surface a profile");
+    // With profiling on: what the commit before the fix listed for the
+    // same run — `(tb_id, guest_pc, execs, chain_misses)`, hottest first.
+    let hot: Vec<_> =
+        run(true).iter().map(|t| (t.tb_id, t.guest_pc, t.execs, t.chain_misses)).collect();
+    assert_eq!(
+        hot,
+        [(11, 0x100cd, 25, 10), (5, 0x1010d, 24, 11), (10, 0x10192, 22, 7), (7, 0x10135, 19, 8)],
+        "{hot:#x?}"
+    );
 }
 
 #[test]
