@@ -21,9 +21,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # suite (lowering, dialect verifier, mutant kill), then the standing
 # Arm-vs-TSO differential — kernels bit-identical at VerifyLevel::Full,
 # litmus containment, seeded fuzz matrix, engine-level Pass-3 mutant
-# kill, and the BACKENDS.md completeness test in both directions.
+# kill, and the BACKENDS.md completeness test in both directions — and
+# the tier-0 template suite, which holds the static check that TSO
+# templates stay inside the TSO dialect.
 cargo test -q --release -p risotto-host-tso
-cargo test -q --release --test backends
+cargo test -q --release --test backends --test templates
+# `dump_translation --backend tso` must show MiniTSO code on every leg:
+# no partial barrier, no exclusive pair, no Arm heading.
+tso_dump="$(mktemp /tmp/dump_tso.XXXXXX.txt)"
+cargo run -q --release -p risotto-bench --bin dump_translation -- all --backend tso > "$tso_dump"
+if grep -E 'Barrier\((Ld|St)\)|Ldxr|MiniArm' "$tso_dump"; then
+    echo "ci: dump_translation --backend tso printed Arm code" >&2
+    exit 1
+fi
+rm -f "$tso_dump"
 
 # Verifier gate: the translation-validator suite (mutation tests over
 # the 16-kernel corpus + litmus at VerifyLevel::Full) in bounded smoke

@@ -14,9 +14,9 @@
 
 use risotto_analysis::{analyze_image, event_sites, SiteClass};
 use risotto_bench::BenchCli;
-use risotto_core::Setup;
+use risotto_core::{BackendKind, Setup};
 use risotto_guest_x86::{disassemble, syscalls, AluOp, Assembler, FpOp, GelfBuilder, Gpr, Insn};
-use risotto_host_arm::{lower_block, BackendConfig, RmwStyle};
+use risotto_host_arm::RmwStyle;
 use risotto_tcg::{optimize, translate_block, verify, FrontendConfig, OptPolicy};
 
 /// The `--analysis on` mode: a two-worker image with disjoint private
@@ -145,42 +145,21 @@ fn main() {
     };
 
     for setup in setups {
-        let (fe, be, policy) = match setup {
-            Setup::Qemu => (
-                FrontendConfig::qemu(),
-                BackendConfig::dbt(RmwStyle::Casal),
-                OptPolicy::QemuUnsound,
-            ),
-            Setup::NoFences => (
-                FrontendConfig::no_fences(),
-                BackendConfig::dbt(RmwStyle::Casal),
-                OptPolicy::QemuUnsound,
-            ),
-            Setup::TcgVer => (
-                FrontendConfig::tcg_ver(),
-                BackendConfig::dbt(RmwStyle::Casal),
-                OptPolicy::Verified,
-            ),
-            Setup::Risotto => (
-                FrontendConfig::risotto(),
-                BackendConfig::dbt(RmwStyle::Casal),
-                OptPolicy::Verified,
-            ),
-            Setup::Native => {
-                (FrontendConfig::no_fences(), BackendConfig::native(), OptPolicy::Verified)
-            }
-        };
+        let (fe, be, policy) =
+            (setup.frontend(), setup.backend_config(RmwStyle::Casal), setup.opt_policy());
+        // The native oracle is Arm-compiled code whatever `--backend` says.
+        let backend = if setup == Setup::Native { BackendKind::Arm } else { cli.backend };
         println!("\n################ setup: {} ################", setup.name());
         // `--tiers 0`: show what the tier-0 template translator emits
         // for the same block — straight from guest bytes to host code,
         // no IR stage to print (the native oracle has no tiers).
         if cli.tiers == Some(0) && setup != Setup::Native {
-            let ord = cli.backend.ordering();
-            let tpl = risotto_template::translate_block_template(0x1000, fe, be, ord, fetch)
+            let host = backend.host();
+            let tpl = risotto_template::translate_block_template(0x1000, fe, be, host, fetch)
                 .expect("template translation");
             println!(
                 "--- tier-0 template host ({}, {} insns from {} guest insns) ---",
-                cli.backend.name(),
+                backend.name(),
                 tpl.code.len(),
                 tpl.insns
             );
@@ -206,8 +185,8 @@ fn main() {
             println!("  {op:?}");
         }
         println!("  exit: {:?}", block.exit);
-        let host = lower_block(&block, be).expect("lowering");
-        println!("--- host (MiniArm, {} insns) ---", host.len());
+        let host = backend.host().lower_block_with_stats(&block, be).expect("lowering").insns;
+        println!("--- host ({}, {} insns) ---", backend.name(), host.len());
         for insn in &host {
             println!("  {insn:?}");
         }

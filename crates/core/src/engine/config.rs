@@ -4,14 +4,14 @@
 
 use crate::faults::FaultSite;
 use risotto_host_arm::{
-    ArmBackend, ChainStats, CoreStats, CostModel, HostBackend, HostFaultKind, NativeFn,
-    OrderingLowering,
+    ArmBackend, BackendConfig, ChainStats, CoreStats, CostModel, HostBackend, HostFaultKind,
+    NativeFn, RmwStyle,
 };
 use risotto_host_tso::TsoBackend;
 use risotto_tcg::{FrontendConfig, OptPolicy, OptStats, TranslateError};
 use std::fmt;
 #[cfg(doc)]
-use {super::Emulator, crate::faults::FaultPlan, risotto_host_arm::BackendConfig};
+use {super::Emulator, crate::faults::FaultPlan};
 
 /// The evaluation setups of §7.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,7 +49,8 @@ impl Setup {
         }
     }
 
-    pub(super) fn frontend(self) -> FrontendConfig {
+    /// The frontend mapping scheme this setup translates with.
+    pub fn frontend(self) -> FrontendConfig {
         match self {
             Setup::Qemu => FrontendConfig::qemu(),
             Setup::NoFences => FrontendConfig::no_fences(),
@@ -61,10 +62,23 @@ impl Setup {
         }
     }
 
-    pub(super) fn opt_policy(self) -> OptPolicy {
+    /// The optimizer policy this setup runs.
+    pub fn opt_policy(self) -> OptPolicy {
         match self {
             Setup::Qemu | Setup::NoFences => OptPolicy::QemuUnsound,
             _ => OptPolicy::Verified,
+        }
+    }
+
+    /// The backend configuration this setup lowers with and the encoding
+    /// check decodes against, under the given RMW style.
+    pub fn backend_config(self, rmw: RmwStyle) -> BackendConfig {
+        match self {
+            Setup::Native => BackendConfig::native(),
+            // QEMU's helpers use casal with GCC ≥ 10 (§3.1); the RMW
+            // style (§6.3 ablation) only affects direct `Cas` ops, which
+            // exist in the Risotto/NoFences frontends.
+            _ => BackendConfig::dbt(rmw),
         }
     }
 
@@ -100,11 +114,7 @@ impl BackendKind {
 
     /// Parses a `--backend` flag value.
     pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "arm" => Some(BackendKind::Arm),
-            "tso" => Some(BackendKind::Tso),
-            _ => None,
-        }
+        BackendKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// The backend implementation behind this kind.
@@ -115,14 +125,10 @@ impl BackendKind {
         }
     }
 
-    /// The ordering dialect behind this kind — the fence/RMW lowering
-    /// hooks shared by the tier-1 lowering driver and the tier-0
-    /// template translator.
-    pub fn ordering(self) -> &'static dyn OrderingLowering {
-        match self {
-            BackendKind::Arm => &ArmBackend,
-            BackendKind::Tso => &TsoBackend,
-        }
+    /// Alias of [`host`](Self::host), kept for the frozen `benchmark/`
+    /// package (ROADMAP item 5(a)).
+    pub fn ordering(self) -> &'static dyn HostBackend {
+        self.host()
     }
 
     /// This backend's calibrated cycle model (feed it to
@@ -557,5 +563,19 @@ impl Default for VerifyLevel {
         } else {
             VerifyLevel::Off
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BackendKind;
+
+    #[test]
+    fn backend_names_round_trip_through_parse() {
+        for k in BackendKind::ALL {
+            assert_eq!(BackendKind::parse(k.name()), Some(k));
+        }
+        assert_eq!(BackendKind::parse("riscv"), None);
+        assert_eq!(BackendKind::parse(""), None);
     }
 }

@@ -185,13 +185,7 @@ impl Emulator {
     /// The backend configuration every producer lowers with and the
     /// encoding check decodes against.
     fn backend_config(&self) -> BackendConfig {
-        match self.setup {
-            Setup::Native => BackendConfig::native(),
-            // QEMU's helpers use casal with GCC ≥ 10 (§3.1); the RMW
-            // style (§6.3 ablation) only affects direct `Cas` ops, which
-            // exist in the Risotto/NoFences frontends.
-            _ => BackendConfig::dbt(self.rmw_style),
-        }
+        self.setup.backend_config(self.rmw_style)
     }
 
     /// Runs one pipeline stage under the stage clock. With stage timing
@@ -768,9 +762,9 @@ impl Emulator {
         guest_pc: u64,
     ) -> Result<Candidate, TbFault> {
         let (frontend, backend) = (self.setup.frontend(), self.backend_config());
-        let ordering = self.backend_kind.ordering();
+        let host = self.backend_kind.host();
         let (blk, dur) = self.timed(Stage::Template, |e| {
-            translate_block_template(guest_pc, frontend, backend, ordering, |a| e.fetch(a)).map_err(
+            translate_block_template(guest_pc, frontend, backend, host, |a| e.fetch(a)).map_err(
                 |err| match err {
                     TemplateError::Decode(_) => TbFault::Frontend,
                     TemplateError::Lower(_) => TbFault::Backend,

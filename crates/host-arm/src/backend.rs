@@ -23,7 +23,7 @@
 use crate::cost::CostModel;
 use crate::insn::{ACond, AFpOp, AOp, Dmb, HostInsn, MemOrder, TbExitKind, Xreg};
 use crate::regalloc::{AllocScratch, AllocStats, Allocator};
-use crate::verify::EncodingScratch;
+use crate::verify::{EncodingScratch, Point};
 use risotto_memmodel::FenceKind;
 use risotto_tcg::{
     with_thread_scratch, BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, VerifyError,
@@ -336,19 +336,35 @@ pub fn arm_dmb_of(k: FenceKind) -> Option<Dmb> {
 // The pluggable backend abstraction.
 // ---------------------------------------------------------------------
 
-/// The ordering-sensitive lowering hooks that differ per host ISA.
+/// A pluggable host backend: one table per host saying how each TCG
+/// **fence** and each **atomic RMW** materializes (Fig. 7b), what Pass 3
+/// of the translation validator must find in the encoded result, and
+/// what the instructions cost.
 ///
 /// [`HostInsn`] is the shared ISA-neutral *container*: ALU work, moves,
 /// env pinning, helper calls, spills and TB exits lower identically on
-/// every backend and live in [`lower_block_with_dialect`]. What
-/// distinguishes a host architecture is exactly how TCG **fences** and
-/// **atomic RMWs** materialize — those three decisions are this trait.
+/// every backend, in the driver behind
+/// [`lower_block_in`](Self::lower_block_in). The required methods are
+/// exactly what distinguishes a host architecture; the provided ones run
+/// the shared lowering driver and the shared Pass 3 checker over them,
+/// compiled once per implementing type.
 ///
-/// The Arm dialect ([`ArmOrdering`]) emits `DMB`s per the Fig. 7b table
-/// and `casal`/exclusive-pair RMWs; the MiniTSO dialect in
-/// `risotto-host-tso` emits `MFENCE` (a full [`HostInsn::Barrier`]) only
-/// for store→load obligations and `LOCK`-prefixed RMW forms.
-pub trait OrderingLowering {
+/// [`ArmBackend`] (this crate) emits `DMB`s per the Fig. 7b table and
+/// `casal`/exclusive-pair RMWs; `TsoBackend` in `risotto-host-tso` emits
+/// `MFENCE` (a full [`HostInsn::Barrier`]) only for store→load
+/// obligations and `LOCK`-prefixed RMW forms. The engine holds a
+/// `&'static dyn HostBackend` and routes every lowering, cost and Pass 3
+/// decision through it; Passes 1–2 stay backend-independent in
+/// `risotto-tcg`.
+pub trait HostBackend: std::fmt::Debug + Sync {
+    /// Short stable name (`"arm"`, `"tso"`), used by `--backend` flags
+    /// and artifact keys.
+    fn name(&self) -> &'static str;
+
+    /// The backend's calibrated cycle cost model (what
+    /// `Machine::new` should be fed when simulating this host).
+    fn cost_model(&self) -> CostModel;
+
     /// The host instruction implementing a TCG fence, or `None` when the
     /// fence is a no-op on this host. This is the per-backend
     /// fence-lowering table documented in docs/BACKENDS.md.
@@ -377,33 +393,106 @@ pub trait OrderingLowering {
         cfg: BackendConfig,
     );
 
-    /// Register-allocation hook: the allocatable host-register pool under
-    /// `cfg`. The default is the shared convention (X9–X26 for DBT mode,
-    /// the scratch set in native direct-mapped mode); backends may shrink
-    /// it to model ISAs with fewer registers.
-    fn alloc_pool(&self, cfg: BackendConfig) -> &'static [Xreg] {
-        const DIRECT: &[Xreg] =
-            &[Xreg(0), Xreg(1), Xreg(2), Xreg(3), Xreg(4), Xreg(5), Xreg(26), Xreg(29)];
-        #[rustfmt::skip]
-        const DBT: &[Xreg] = &[
-            Xreg(9), Xreg(10), Xreg(11), Xreg(12), Xreg(13), Xreg(14), Xreg(15), Xreg(16), Xreg(17),
-            Xreg(18), Xreg(19), Xreg(20), Xreg(21), Xreg(22), Xreg(23), Xreg(24), Xreg(25), Xreg(26),
-        ];
-        if cfg.direct_regs {
-            DIRECT
-        } else {
-            DBT
-        }
+    /// The ordering points ([`Point`]) Pass 3 must find in the encoded
+    /// stream for one IR op. Must be derived from the IR and the shared
+    /// fence tables, never by consulting [`fence`](Self::fence),
+    /// [`cas`](Self::cas) or [`atomic_add`](Self::atomic_add): Pass 3
+    /// may not vouch for itself, so a bug in the lowering has to
+    /// disagree with this table to be caught.
+    fn expected_points(&self, op: &TcgOp, cfg: BackendConfig, out: &mut Vec<Point>);
+
+    /// The dialect restriction over a decoded stream: the position and
+    /// reason of the first instruction this host has no equivalent for
+    /// (MiniTSO rejects exclusive pairs, load/store-only barriers,
+    /// acquire/release accesses and a CAS without its `LOCK`-equivalent
+    /// `acq_rel` flag; MiniArm owns the whole container ISA).
+    fn check_dialect(&self, decoded: &[HostInsn]) -> Result<(), (usize, &'static str)>;
+
+    /// Lowers an optimized TCG block to host instructions with
+    /// allocation statistics, over a caller-owned [`LowerScratch`].
+    ///
+    /// Guest env registers are pinned in host registers for the whole
+    /// block (loaded once on first use, including across `TbBoundary`
+    /// seams in superblocks); dirty env registers are written back at
+    /// every point where execution can leave the block or an external
+    /// observer could look at the env: all block exits, `SideExit`
+    /// deopt paths, helper calls, and `Cas`/`AtomicAdd` sequences.
+    ///
+    /// Returns a [`BackendError`] instead of panicking when lowering
+    /// cannot proceed (unbound label, unallocatable register
+    /// combination, temp read before definition).
+    fn lower_block_in(
+        &self,
+        block: &TcgBlock,
+        cfg: BackendConfig,
+        scratch: &mut LowerScratch,
+    ) -> Result<LowerOutput, BackendError> {
+        lower(self, block, cfg, scratch)
+    }
+
+    /// [`lower_block_in`](Self::lower_block_in) over the calling
+    /// thread's spare scratch.
+    fn lower_block_with_stats(
+        &self,
+        block: &TcgBlock,
+        cfg: BackendConfig,
+    ) -> Result<LowerOutput, BackendError> {
+        with_thread_scratch(&SPARE, |scratch| self.lower_block_in(block, cfg, scratch))
+    }
+
+    /// Pass 3 of the translation validator, over a caller-owned
+    /// [`EncodingScratch`]: `bytes` are the canonical encoding of
+    /// `insns` and decode back to them, the decoded stream passes
+    /// [`check_dialect`](Self::check_dialect), its ordering points
+    /// interleave as [`expected_points`](Self::expected_points) demands
+    /// of `block`, every env register the IR wrote is written back
+    /// before each exit, and direct-jump exits carry a zeroed chain
+    /// word and the IR's targets. `insns` must be the direct output of
+    /// lowering `block` under `cfg`; `bytes` the (possibly corrupted)
+    /// encoding under test — freshly encoded at translation time, read
+    /// back from the code cache at install time.
+    fn check_encoding_in(
+        &self,
+        block: &TcgBlock,
+        insns: &[HostInsn],
+        bytes: &[u8],
+        cfg: BackendConfig,
+        scratch: &mut EncodingScratch,
+    ) -> Result<(), VerifyError> {
+        crate::verify::check(self, block, insns, bytes, cfg, scratch)
+    }
+
+    /// [`check_encoding_in`](Self::check_encoding_in) over the calling
+    /// thread's spare scratch.
+    fn check_encoding(
+        &self,
+        block: &TcgBlock,
+        insns: &[HostInsn],
+        bytes: &[u8],
+        cfg: BackendConfig,
+    ) -> Result<(), VerifyError> {
+        with_thread_scratch(&crate::verify::SPARE, |scratch| {
+            self.check_encoding_in(block, insns, bytes, cfg, scratch)
+        })
     }
 }
 
-/// The Arm ordering dialect (Fig. 7b): minimal `DMB`s via
+/// The MiniArm host backend (Fig. 7b): minimal `DMB`s via
 /// [`arm_dmb_of`], RMWs as `casal`/`ldaddal` or the `DMBFF`-bracketed
-/// exclusive-pair loop per [`BackendConfig::rmw`].
+/// exclusive-pair loop per [`BackendConfig::rmw`], the ThunderX2 cost
+/// calibration, and no dialect restriction.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ArmOrdering;
+pub struct ArmBackend;
 
-impl OrderingLowering for ArmOrdering {
+impl HostBackend for ArmBackend {
+    fn name(&self) -> &'static str {
+        "arm"
+    }
+
+    fn cost_model(&self) -> CostModel {
+        CostModel::thunderx2_like()
+    }
+
     fn fence(&self, k: FenceKind) -> Option<HostInsn> {
         arm_dmb_of(k).map(HostInsn::Barrier)
     }
@@ -470,136 +559,49 @@ impl OrderingLowering for ArmOrdering {
             }
         }
     }
-}
 
-/// A pluggable host backend: the ordering dialect plus everything the
-/// engine needs to drive a translation target end to end.
-///
-/// Implementations exist for the MiniArm host ([`ArmBackend`], this
-/// crate) and the MiniTSO host (`TsoBackend` in `risotto-host-tso`).
-/// The engine holds a `&'static dyn HostBackend` and routes every
-/// lowering, cost and Pass 3 decision through it; Passes 1–2 of the
-/// translation validator stay backend-independent in `risotto-tcg`.
-pub trait HostBackend: OrderingLowering + std::fmt::Debug + Sync {
-    /// Short stable name (`"arm"`, `"tso"`), used by `--backend` flags
-    /// and artifact keys.
-    fn name(&self) -> &'static str;
-
-    /// Lowers an optimized TCG block to host instructions with
-    /// allocation statistics, over a caller-owned [`LowerScratch`]. The
-    /// default routes through the shared container lowering with this
-    /// backend's ordering dialect.
-    fn lower_block_in(
-        &self,
-        block: &TcgBlock,
-        cfg: BackendConfig,
-        scratch: &mut LowerScratch,
-    ) -> Result<LowerOutput, BackendError> {
-        lower_block_with_dialect_in(block, cfg, self, scratch)
+    fn expected_points(&self, op: &TcgOp, cfg: BackendConfig, out: &mut Vec<Point>) {
+        /// `DMBFF; LDXR; STXR; DMBFF`, the shape of both `Rmw2Fenced` RMWs.
+        const FENCED_PAIR: [Point; 4] = [
+            Point::Dmb(Dmb::Ff),
+            Point::ExclLoad { acquire: false },
+            Point::ExclStore { release: false },
+            Point::Dmb(Dmb::Ff),
+        ];
+        let plain = MemOrder::Plain;
+        match op {
+            TcgOp::Ld { .. } => out.push(Point::Access { load: true, byte: false, order: plain }),
+            TcgOp::Ld8 { .. } => out.push(Point::Access { load: true, byte: true, order: plain }),
+            TcgOp::St { .. } => out.push(Point::Access { load: false, byte: false, order: plain }),
+            TcgOp::St8 { .. } => out.push(Point::Access { load: false, byte: true, order: plain }),
+            TcgOp::Fence(k) => {
+                if let Some(d) = arm_dmb_of(*k) {
+                    out.push(Point::Dmb(d));
+                }
+            }
+            TcgOp::Cas { .. } => match cfg.rmw {
+                RmwStyle::Casal => out.push(Point::Cas { acq_rel: true }),
+                RmwStyle::Rmw2Fenced => out.extend(FENCED_PAIR),
+            },
+            TcgOp::AtomicAdd { .. } => match cfg.rmw {
+                RmwStyle::Casal => out.push(Point::Ldadd),
+                RmwStyle::Rmw2Fenced => out.extend(FENCED_PAIR),
+            },
+            // Hardware-FP float helpers lower to an in-line `Fp` insn (or
+            // nothing without a result); everything else is an
+            // out-of-line `Hcall`.
+            TcgOp::CallHelper { helper, .. }
+                if !(cfg.hardware_fp && fp_op_of(*helper).is_some()) =>
+            {
+                out.push(Point::Helper(helper_index(*helper)));
+            }
+            TcgOp::SideExit { .. } => out.push(Point::Exit),
+            _ => {}
+        }
     }
 
-    /// [`lower_block_in`](Self::lower_block_in) over the calling
-    /// thread's spare scratch.
-    fn lower_block_with_stats(
-        &self,
-        block: &TcgBlock,
-        cfg: BackendConfig,
-    ) -> Result<LowerOutput, BackendError> {
-        with_thread_scratch(&SPARE, |scratch| self.lower_block_in(block, cfg, scratch))
-    }
-
-    /// The backend's calibrated cycle cost model (what
-    /// `Machine::new` should be fed when simulating this host).
-    fn cost_model(&self) -> CostModel;
-
-    /// Pass 3 of the translation validator: this backend's encoding
-    /// read-back, over a caller-owned [`EncodingScratch`]. Must
-    /// independently re-derive the expected ordering points from the IR
-    /// (not from the lowering) so a buggy shared table cannot vouch for
-    /// itself.
-    fn check_encoding_in(
-        &self,
-        block: &TcgBlock,
-        insns: &[HostInsn],
-        bytes: &[u8],
-        cfg: BackendConfig,
-        scratch: &mut EncodingScratch,
-    ) -> Result<(), VerifyError>;
-
-    /// [`check_encoding_in`](Self::check_encoding_in) over the calling
-    /// thread's spare scratch.
-    fn check_encoding(
-        &self,
-        block: &TcgBlock,
-        insns: &[HostInsn],
-        bytes: &[u8],
-        cfg: BackendConfig,
-    ) -> Result<(), VerifyError> {
-        with_thread_scratch(&crate::verify::SPARE, |scratch| {
-            self.check_encoding_in(block, insns, bytes, cfg, scratch)
-        })
-    }
-}
-
-/// The MiniArm host backend: [`ArmOrdering`] dialect, the ThunderX2
-/// cost calibration, and the Arm Pass 3 read-back.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ArmBackend;
-
-impl OrderingLowering for ArmBackend {
-    fn fence(&self, k: FenceKind) -> Option<HostInsn> {
-        ArmOrdering.fence(k)
-    }
-
-    fn cas(
-        &self,
-        asm: &mut HostAsm,
-        dst: Xreg,
-        addr: Xreg,
-        expect: Xreg,
-        new: Xreg,
-        cfg: BackendConfig,
-    ) {
-        ArmOrdering.cas(asm, dst, addr, expect, new, cfg);
-    }
-
-    fn atomic_add(
-        &self,
-        asm: &mut HostAsm,
-        dst: Xreg,
-        addr: Xreg,
-        addend: Xreg,
-        cfg: BackendConfig,
-    ) {
-        ArmOrdering.atomic_add(asm, dst, addr, addend, cfg);
-    }
-}
-
-impl HostBackend for ArmBackend {
-    fn name(&self) -> &'static str {
-        "arm"
-    }
-
-    fn cost_model(&self) -> CostModel {
-        CostModel::thunderx2_like()
-    }
-
-    fn check_encoding_in(
-        &self,
-        block: &TcgBlock,
-        insns: &[HostInsn],
-        bytes: &[u8],
-        cfg: BackendConfig,
-        scratch: &mut EncodingScratch,
-    ) -> Result<(), VerifyError> {
-        crate::verify::check_encoding_in(
-            block,
-            insns,
-            bytes,
-            cfg,
-            &crate::verify::ArmEncodingDialect,
-            scratch,
-        )
+    fn check_dialect(&self, _decoded: &[HostInsn]) -> Result<(), (usize, &'static str)> {
+        Ok(())
     }
 }
 
@@ -612,48 +614,6 @@ pub struct LowerOutput {
     pub insns: Vec<HostInsn>,
     /// Allocation statistics for this block.
     pub alloc: AllocStats,
-}
-
-/// Lowers an (optimized) TCG block to host instructions.
-///
-/// Returns a [`BackendError`] instead of panicking when lowering cannot
-/// proceed (unbound label, unallocatable register combination, temp
-/// read before definition). Convenience wrapper over
-/// [`lower_block_with_stats`] for callers that do not consume the
-/// allocation statistics.
-pub fn lower_block(block: &TcgBlock, cfg: BackendConfig) -> Result<Vec<HostInsn>, BackendError> {
-    lower_block_with_stats(block, cfg).map(|out| out.insns)
-}
-
-/// Lowers an (optimized) TCG block and reports the allocation
-/// statistics ([`AllocStats`]) alongside the instruction stream.
-///
-/// Guest env registers are pinned in host registers for the whole block
-/// (loaded once on first use, including across `TbBoundary` seams in
-/// superblocks); dirty env registers are written back at every point
-/// where execution can leave the block or an external observer could
-/// look at the env: all block exits, `SideExit` deopt paths, helper
-/// calls, and `Cas`/`AtomicAdd` sequences.
-pub fn lower_block_with_stats(
-    block: &TcgBlock,
-    cfg: BackendConfig,
-) -> Result<LowerOutput, BackendError> {
-    lower_block_with_dialect(block, cfg, &ArmOrdering)
-}
-
-/// Lowers an (optimized) TCG block through an explicit ordering dialect.
-///
-/// This is the shared backend skeleton: register allocation, env
-/// pinning/write-back, ALU/branch/helper lowering and TB-exit shapes are
-/// identical for every host; the dialect (`ord`) decides what fences and
-/// atomic RMWs become. [`lower_block_with_stats`] is this function with
-/// [`ArmOrdering`]; the MiniTSO backend calls it with its own dialect.
-pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
-    block: &TcgBlock,
-    cfg: BackendConfig,
-    ord: &O,
-) -> Result<LowerOutput, BackendError> {
-    with_thread_scratch(&SPARE, |scratch| lower_block_with_dialect_in(block, cfg, ord, scratch))
 }
 
 thread_local!(static SPARE: RefCell<LowerScratch> = RefCell::default());
@@ -670,14 +630,34 @@ pub struct LowerScratch {
     asm: HostAsm,
 }
 
-/// [`lower_block_with_dialect`] over a caller-owned [`LowerScratch`].
-pub fn lower_block_with_dialect_in<O: OrderingLowering + ?Sized>(
+/// The allocatable host-register pool under `cfg`: X9–X26 for DBT mode,
+/// the scratch set in native direct-mapped mode.
+fn register_pool(cfg: BackendConfig) -> &'static [Xreg] {
+    const DIRECT: &[Xreg] =
+        &[Xreg(0), Xreg(1), Xreg(2), Xreg(3), Xreg(4), Xreg(5), Xreg(26), Xreg(29)];
+    #[rustfmt::skip]
+    const DBT: &[Xreg] = &[
+        Xreg(9), Xreg(10), Xreg(11), Xreg(12), Xreg(13), Xreg(14), Xreg(15), Xreg(16), Xreg(17),
+        Xreg(18), Xreg(19), Xreg(20), Xreg(21), Xreg(22), Xreg(23), Xreg(24), Xreg(25), Xreg(26),
+    ];
+    if cfg.direct_regs {
+        DIRECT
+    } else {
+        DBT
+    }
+}
+
+/// The shared lowering driver: register allocation, env
+/// pinning/write-back, ALU/branch/helper lowering and TB-exit shapes are
+/// identical for every host; `host` decides what fences and atomic RMWs
+/// become.
+fn lower<B: HostBackend + ?Sized>(
+    host: &B,
     block: &TcgBlock,
     cfg: BackendConfig,
-    ord: &O,
     scratch: &mut LowerScratch,
 ) -> Result<LowerOutput, BackendError> {
-    let pool = ord.alloc_pool(cfg);
+    let pool = register_pool(cfg);
     let mut alloc = Allocator::new(block, pool, !cfg.direct_regs, &mut scratch.alloc);
     let asm = &mut scratch.asm;
     asm.clear();
@@ -759,7 +739,7 @@ pub fn lower_block_with_dialect_in<O: OrderingLowering + ?Sized>(
                 // emits no guest-*ordering* fences, so any fence left in
                 // the IR is the programmer's own (MFENCE → Fsc) and must
                 // be honoured.
-                if let Some(barrier) = ord.fence(*k) {
+                if let Some(barrier) = host.fence(*k) {
                     asm.push(barrier);
                 }
             }
@@ -773,14 +753,14 @@ pub fn lower_block_with_dialect_in<O: OrderingLowering + ?Sized>(
                 // The stores land before the sequence begins, so nothing
                 // intrudes between LDXR and STXR.
                 alloc.flush_env(asm, true);
-                ord.cas(asm, rd, ra, re, rn, cfg);
+                host.cas(asm, rd, ra, re, rn, cfg);
             }
             TcgOp::AtomicAdd { dst, addr, val } => {
                 let ra = alloc.read_temp(asm, idx, idx, *addr, &[])?;
                 let rv = alloc.read_temp(asm, idx, idx, *val, &[ra])?;
                 let rd = alloc.def_temp(asm, idx, idx, *dst, &[ra, rv])?;
                 alloc.flush_env(asm, true);
-                ord.atomic_add(asm, rd, ra, rv, cfg);
+                host.atomic_add(asm, rd, ra, rv, cfg);
             }
             TcgOp::SideExit { flag, stay_if, target } => {
                 // Guarded off-trace exit: fall through (stay on the
@@ -919,7 +899,7 @@ mod tests {
         if opt {
             risotto_tcg::optimize(&mut block, OptPolicy::Verified);
         }
-        lower_block(&block, be).expect("lowering the snippet")
+        ArmBackend.lower_block_with_stats(&block, be).expect("lowering the snippet").insns
     }
 
     #[test]
@@ -1073,8 +1053,10 @@ mod tests {
                 block.ops.push(TcgOp::SetReg { reg: 0, src: d });
             }
         }
-        let code =
-            lower_block(&block, BackendConfig::dbt(RmwStyle::Casal)).expect("spilling lowering");
+        let code = ArmBackend
+            .lower_block_with_stats(&block, BackendConfig::dbt(RmwStyle::Casal))
+            .expect("spilling lowering")
+            .insns;
         let spls = code
             .iter()
             .filter(|i| matches!(i, HostInsn::Str { base, .. } if *base == SPILL_BASE))

@@ -39,10 +39,8 @@ mod store_buffer;
 mod verify;
 
 pub use backend::{
-    arm_dmb_of, fp_op_of, helper_at, helper_index, lower_block, lower_block_with_dialect,
-    lower_block_with_dialect_in, lower_block_with_stats, ArmBackend, ArmOrdering, BackendConfig,
-    BackendError, HostAsm, HostBackend, LowerOutput, LowerScratch, OrderingLowering, RmwStyle,
-    ENV_BASE, SPILL_BASE,
+    arm_dmb_of, fp_op_of, helper_at, helper_index, ArmBackend, BackendConfig, BackendError,
+    HostAsm, HostBackend, LowerOutput, LowerScratch, RmwStyle, ENV_BASE, SPILL_BASE,
 };
 pub use code_cache::{CacheStats, ChainStats, TbProf, CODE_BASE};
 pub use cost::CostModel;
@@ -53,7 +51,4 @@ pub use machine::{
     AtomicEvent, CoreStats, Event, HostFaultKind, Machine, NativeFn, NativeResult, SchedPolicy,
 };
 pub use regalloc::AllocStats;
-pub use verify::{
-    check_encoding, check_encoding_in, check_encoding_with, encoding_err, ArmEncodingDialect,
-    EncodingDialect, EncodingScratch, Point,
-};
+pub use verify::{EncodingScratch, Point};

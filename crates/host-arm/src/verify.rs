@@ -1,18 +1,21 @@
 //! Pass 3 of the translation validator: the host-encoding checker.
 //!
 //! After the backend lowers a verified TCG block and the engine encodes
-//! it, [`check_encoding`] decodes the Arm bytes back (via
-//! [`HostInsn::decode`]) and proves three things:
+//! it, [`HostBackend::check_encoding_in`] decodes the host bytes back
+//! (via [`HostInsn::decode`]) and proves three things:
 //!
 //! 1. **byte fidelity** — the bytes are exactly the canonical encoding
 //!    of the lowered instructions, and they decode back to the same
 //!    instruction sequence (any corrupted byte either changes a decoded
 //!    field, changes the framing, or fails to decode);
-//! 2. **ordering placement** — the interleaving of `DMB` barriers,
-//!    `casal`/`ldaddal`/exclusive-pair atomics, helper calls and guest
-//!    loads/stores in the decoded stream matches what the verified IR
-//!    demands under the given [`BackendConfig`] (env and spill traffic
-//!    through [`ENV_BASE`]/[`SPILL_BASE`] is host-private and ignored);
+//! 2. **ordering placement** — the decoded stream stays inside the
+//!    backend's instruction subset ([`HostBackend::check_dialect`]), and
+//!    its interleaving of `DMB` barriers, `casal`/`ldaddal`/
+//!    exclusive-pair atomics, helper calls and guest loads/stores
+//!    matches what the verified IR demands under the given
+//!    [`BackendConfig`] and that backend's
+//!    [`HostBackend::expected_points`] (env and spill traffic through
+//!    [`ENV_BASE`]/[`SPILL_BASE`] is host-private and ignored);
 //! 3. **exit integrity** — every direct-jump exit carries a zeroed
 //!    chain word at [`JUMP_CHAIN_OFFSET`] and the set of exit targets
 //!    (side exits plus block exits) matches the IR.
@@ -20,18 +23,16 @@
 //! Violations are reported as [`VerifyError`]s with
 //! [`VerifyPass::Encoding`], feeding the engine's quarantine path.
 
-use crate::backend::{
-    arm_dmb_of, fp_op_of, helper_index, BackendConfig, RmwStyle, ENV_BASE, SPILL_BASE,
-};
+use crate::backend::{BackendConfig, HostBackend, ENV_BASE, SPILL_BASE};
 use crate::insn::{Dmb, HostInsn, MemOrder, TbExitKind};
-use risotto_tcg::{with_thread_scratch, TbExit, TcgBlock, TcgOp, VerifyError, VerifyPass};
+use risotto_tcg::{TbExit, TcgBlock, TcgOp, VerifyError, VerifyPass};
 use std::cell::RefCell;
 
 /// An ordering-relevant point in a host instruction stream.
 ///
-/// Public so each backend's [`EncodingDialect`] can state its expected
-/// ordering stream in these terms; the shared [`check_encoding_with`]
-/// machinery matches them against the decoded bytes.
+/// Public so each backend's [`HostBackend::expected_points`] can state
+/// its expected ordering stream in these terms; the shared checker
+/// matches them against the decoded bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Point {
     /// A `DMB` barrier.
@@ -94,91 +95,8 @@ impl Point {
 }
 
 /// Builds an Encoding-pass [`VerifyError`] anchored at `block`.
-///
-/// Public so backend [`EncodingDialect`]s report their own violations
-/// (dialect-restriction failures, backend-specific obligations) in the
-/// same shape the shared checks use.
-pub fn encoding_err(block: &TcgBlock, op_index: Option<usize>, obligation: String) -> VerifyError {
-    VerifyError { pass: VerifyPass::Encoding, guest_pc: block.guest_pc, op_index, obligation }
-}
-
 fn err(block: &TcgBlock, op_index: Option<usize>, obligation: String) -> VerifyError {
-    encoding_err(block, op_index, obligation)
-}
-
-/// A backend's contribution to Pass 3: its expected-ordering-point
-/// table plus any dialect restrictions on the decoded stream.
-///
-/// The expected points MUST be derived from the IR independently of the
-/// lowering (re-consulting the shared fence tables, not the emitted
-/// instructions), so a bug in the lowering cannot vouch for itself.
-/// Byte fidelity, decode-back, point interleaving, env write-back
-/// coverage and exit integrity stay shared in [`check_encoding_with`].
-pub trait EncodingDialect {
-    /// The ordering points this backend must have emitted for one IR op.
-    fn expected_points(&self, op: &TcgOp, cfg: BackendConfig, out: &mut Vec<Point>);
-
-    /// Extra dialect restriction over the decoded stream — e.g. the TSO
-    /// backend rejects any instruction MiniTSO has no equivalent for
-    /// (exclusive pairs, load/store-only barriers, acquire/release
-    /// accesses, a CAS without its `LOCK`-equivalent `acq_rel` flag).
-    /// The default imposes nothing beyond the shared checks.
-    fn check_dialect(&self, _block: &TcgBlock, _decoded: &[HostInsn]) -> Result<(), VerifyError> {
-        Ok(())
-    }
-}
-
-/// The Arm encoding dialect: expected points per the Fig. 7b `DMB`
-/// table ([`arm_dmb_of`]) and the [`RmwStyle`]-selected RMW shapes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ArmEncodingDialect;
-
-impl EncodingDialect for ArmEncodingDialect {
-    fn expected_points(&self, op: &TcgOp, cfg: BackendConfig, out: &mut Vec<Point>) {
-        expected_points(op, cfg, out);
-    }
-}
-
-/// The ordering points the Arm backend must have emitted for one IR op.
-fn expected_points(op: &TcgOp, cfg: BackendConfig, out: &mut Vec<Point>) {
-    let plain = MemOrder::Plain;
-    match op {
-        TcgOp::Ld { .. } => out.push(Point::Access { load: true, byte: false, order: plain }),
-        TcgOp::Ld8 { .. } => out.push(Point::Access { load: true, byte: true, order: plain }),
-        TcgOp::St { .. } => out.push(Point::Access { load: false, byte: false, order: plain }),
-        TcgOp::St8 { .. } => out.push(Point::Access { load: false, byte: true, order: plain }),
-        TcgOp::Fence(k) => {
-            if let Some(d) = arm_dmb_of(*k) {
-                out.push(Point::Dmb(d));
-            }
-        }
-        TcgOp::Cas { .. } => match cfg.rmw {
-            RmwStyle::Casal => out.push(Point::Cas { acq_rel: true }),
-            RmwStyle::Rmw2Fenced => out.extend([
-                Point::Dmb(Dmb::Ff),
-                Point::ExclLoad { acquire: false },
-                Point::ExclStore { release: false },
-                Point::Dmb(Dmb::Ff),
-            ]),
-        },
-        TcgOp::AtomicAdd { .. } => match cfg.rmw {
-            RmwStyle::Casal => out.push(Point::Ldadd),
-            RmwStyle::Rmw2Fenced => out.extend([
-                Point::Dmb(Dmb::Ff),
-                Point::ExclLoad { acquire: false },
-                Point::ExclStore { release: false },
-                Point::Dmb(Dmb::Ff),
-            ]),
-        },
-        // Hardware-FP float helpers lower to an in-line `Fp` insn (or
-        // nothing without a result); everything else is an out-of-line
-        // `Hcall`.
-        TcgOp::CallHelper { helper, .. } if !(cfg.hardware_fp && fp_op_of(*helper).is_some()) => {
-            out.push(Point::Helper(helper_index(*helper)));
-        }
-        TcgOp::SideExit { .. } => out.push(Point::Exit),
-        _ => {}
-    }
+    VerifyError { pass: VerifyPass::Encoding, guest_pc: block.guest_pc, op_index, obligation }
 }
 
 /// The exit anchors the block's terminator must have produced.
@@ -237,50 +155,17 @@ pub struct EncodingScratch {
     actual_jumps: Vec<u64>,
 }
 
-/// Pass 3: verifies `bytes` against the lowered instructions `insns`
-/// and the verified IR `block` they were lowered from, under the Arm
-/// encoding dialect.
-///
-/// See the module docs for the three properties checked. `insns` must
-/// be the direct output of `lower_block(block, cfg)`; `bytes` the
-/// (possibly corrupted) encoding under test — freshly encoded at
-/// translation time, read back from the code cache at install time.
-pub fn check_encoding(
+/// Pass 3 for `host`, behind [`HostBackend::check_encoding_in`]: the
+/// shared checks (byte fidelity + decode-back, ordering-point
+/// interleaving against `host.expected_points`, env write-back coverage
+/// per exit segment, chain-word/exit-target integrity) and the
+/// backend's own `check_dialect` restriction.
+pub(crate) fn check<B: HostBackend + ?Sized>(
+    host: &B,
     block: &TcgBlock,
     insns: &[HostInsn],
     bytes: &[u8],
     cfg: BackendConfig,
-) -> Result<(), VerifyError> {
-    check_encoding_with(block, insns, bytes, cfg, &ArmEncodingDialect)
-}
-
-/// Pass 3 with an explicit backend [`EncodingDialect`].
-///
-/// Runs the shared checks (byte fidelity + decode-back, ordering-point
-/// interleaving against `dialect.expected_points`, env write-back
-/// coverage per exit segment, chain-word/exit-target integrity) and the
-/// dialect's own `check_dialect` restriction. [`check_encoding`] is
-/// this function with [`ArmEncodingDialect`]; `risotto-host-tso` calls
-/// it with the TSO dialect.
-pub fn check_encoding_with<D: EncodingDialect + ?Sized>(
-    block: &TcgBlock,
-    insns: &[HostInsn],
-    bytes: &[u8],
-    cfg: BackendConfig,
-    dialect: &D,
-) -> Result<(), VerifyError> {
-    with_thread_scratch(&SPARE, |scratch| {
-        check_encoding_in(block, insns, bytes, cfg, dialect, scratch)
-    })
-}
-
-/// [`check_encoding_with`] over a caller-owned [`EncodingScratch`].
-pub fn check_encoding_in<D: EncodingDialect + ?Sized>(
-    block: &TcgBlock,
-    insns: &[HostInsn],
-    bytes: &[u8],
-    cfg: BackendConfig,
-    dialect: &D,
     scratch: &mut EncodingScratch,
 ) -> Result<(), VerifyError> {
     let EncodingScratch {
@@ -336,7 +221,10 @@ pub fn check_encoding_in<D: EncodingDialect + ?Sized>(
     // 1b. Dialect restriction: the decoded stream must stay inside the
     // backend's instruction subset (a no-op for Arm, which owns the
     // whole container ISA).
-    dialect.check_dialect(block, decoded)?;
+    host.check_dialect(decoded).map_err(|(pos, what)| {
+        let name = host.name().to_ascii_uppercase();
+        err(block, None, format!("{name} dialect violation at host instruction {pos}: {what}"))
+    })?;
 
     // 2. Ordering placement: barrier/atomic/access/exit interleaving
     // matches the IR. Each expected point remembers the IR op it came
@@ -346,7 +234,7 @@ pub fn check_encoding_in<D: EncodingDialect + ?Sized>(
     expected.clear();
     expected_src.clear();
     for (i, op) in block.ops.iter().enumerate() {
-        dialect.expected_points(op, cfg, expected);
+        host.expected_points(op, cfg, expected);
         expected_src.resize(expected.len(), Some(i));
     }
     exit_points(&block.exit, expected);
@@ -466,7 +354,7 @@ pub fn check_encoding_in<D: EncodingDialect + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::lower_block;
+    use crate::backend::{ArmBackend, RmwStyle};
     use risotto_guest_x86::{Assembler, Gpr};
     use risotto_tcg::{optimize, FrontendConfig, OptPolicy};
 
@@ -486,7 +374,7 @@ mod tests {
         };
         let mut block = risotto_tcg::translate_block(0x1000, cfg, fetch).unwrap();
         optimize(&mut block, OptPolicy::Verified);
-        let insns = lower_block(&block, be).unwrap();
+        let insns = ArmBackend.lower_block_with_stats(&block, be).unwrap().insns;
         let mut enc = Vec::new();
         for i in &insns {
             i.encode(&mut enc);
@@ -498,7 +386,7 @@ mod tests {
     fn clean_encoding_verifies() {
         for be in [BackendConfig::dbt(RmwStyle::Casal), BackendConfig::dbt(RmwStyle::Rmw2Fenced)] {
             let (block, insns, enc) = pipeline(FrontendConfig::risotto(), be);
-            check_encoding(&block, &insns, &enc, be).unwrap();
+            ArmBackend.check_encoding(&block, &insns, &enc, be).unwrap();
         }
     }
 
@@ -510,7 +398,7 @@ mod tests {
             let mut bad = enc.clone();
             bad[off] ^= 0xff;
             assert!(
-                check_encoding(&block, &insns, &bad, be).is_err(),
+                ArmBackend.check_encoding(&block, &insns, &bad, be).is_err(),
                 "corruption at byte {off} not flagged"
             );
         }
@@ -526,7 +414,7 @@ mod tests {
         for i in &insns {
             i.encode(&mut enc);
         }
-        let e = check_encoding(&block, &insns, &enc, be).unwrap_err();
+        let e = ArmBackend.check_encoding(&block, &insns, &enc, be).unwrap_err();
         assert_eq!(e.pass, VerifyPass::Encoding);
     }
 
@@ -540,7 +428,7 @@ mod tests {
         for i in &insns {
             i.encode(&mut enc);
         }
-        assert!(check_encoding(&block, &insns, &enc, be).is_err());
+        assert!(ArmBackend.check_encoding(&block, &insns, &enc, be).is_err());
     }
 
     #[test]
@@ -563,7 +451,7 @@ mod tests {
         for i in &insns {
             i.encode(&mut enc);
         }
-        let e = check_encoding(&block, &insns, &enc, be).unwrap_err();
+        let e = ArmBackend.check_encoding(&block, &insns, &enc, be).unwrap_err();
         assert_eq!(e.pass, VerifyPass::Encoding);
         assert!(e.obligation.contains("write-back"), "unexpected obligation: {}", e.obligation);
     }
@@ -585,7 +473,7 @@ mod tests {
         for i in &insns {
             i.encode(&mut enc);
         }
-        assert!(check_encoding(&block, &insns, &enc, be).is_err());
+        assert!(ArmBackend.check_encoding(&block, &insns, &enc, be).is_err());
     }
 
     #[test]
@@ -606,6 +494,6 @@ mod tests {
         for i in &insns {
             i.encode(&mut enc);
         }
-        assert!(check_encoding(&block, &insns, &enc, be).is_err());
+        assert!(ArmBackend.check_encoding(&block, &insns, &enc, be).is_err());
     }
 }

@@ -46,35 +46,35 @@
 #![warn(missing_debug_implementations)]
 
 use risotto_host_arm::{
-    check_encoding_in, check_encoding_with, encoding_err, fp_op_of, helper_index,
-    lower_block_with_dialect, BackendConfig, BackendError, CostModel, Dmb, EncodingDialect,
-    EncodingScratch, HostAsm, HostBackend, HostInsn, LowerOutput, MemOrder, OrderingLowering,
-    Point, Xreg,
+    fp_op_of, helper_index, BackendConfig, CostModel, Dmb, HostAsm, HostBackend, HostInsn,
+    MemOrder, Point, Xreg,
 };
 use risotto_memmodel::FenceKind;
-use risotto_tcg::{TcgBlock, TcgOp, VerifyError};
+use risotto_tcg::TcgOp;
 
-/// The container instruction implementing a TCG fence on MiniTSO:
-/// `Barrier(Dmb::Ff)` (≙ `MFENCE`) iff the fence's ordering covers
-/// write→read, `None` otherwise. Thin wrapper over the shared
-/// [`FenceKind::tso_fence`] table so the lowering and the verifier
-/// consult one source of truth.
-pub fn tso_fence_insn(k: FenceKind) -> Option<HostInsn> {
-    k.tso_fence().map(|_| HostInsn::Barrier(Dmb::Ff))
-}
-
-/// The TSO ordering dialect: `MFENCE` only for store→load obligations,
-/// `LOCK`-prefixed RMWs.
+/// The MiniTSO host backend: `MFENCE` only for store→load obligations
+/// (the shared [`FenceKind::tso_fence`] table, so the lowering and the
+/// verifier consult one source of truth), `LOCK`-prefixed RMWs, the
+/// x86-server cost calibration, and a Pass 3 that restricts the decoded
+/// stream to the MiniTSO instruction subset.
 ///
 /// Unlike Arm's [`risotto_host_arm::RmwStyle`] choice, x86 has a single
 /// RMW idiom — `BackendConfig::rmw` is ignored (`LOCK` already carries
 /// the bracketing-fence semantics `Rmw2Fenced` emulates on Arm).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TsoOrdering;
+pub struct TsoBackend;
 
-impl OrderingLowering for TsoOrdering {
+impl HostBackend for TsoBackend {
+    fn name(&self) -> &'static str {
+        "tso"
+    }
+
+    fn cost_model(&self) -> CostModel {
+        x86_server_like()
+    }
+
     fn fence(&self, k: FenceKind) -> Option<HostInsn> {
-        tso_fence_insn(k)
+        k.tso_fence().map(|_| HostInsn::Barrier(Dmb::Ff)) // MFENCE
     }
 
     fn cas(
@@ -103,25 +103,7 @@ impl OrderingLowering for TsoOrdering {
         // LOCK XADD.
         asm.push(HostInsn::LdaddAl { old: dst, addend, addr });
     }
-}
 
-/// Lowers an (optimized) TCG block through the TSO dialect.
-///
-/// Convenience wrapper over the shared
-/// [`lower_block_with_dialect`] skeleton with [`TsoOrdering`].
-pub fn lower_block_tso(block: &TcgBlock, cfg: BackendConfig) -> Result<LowerOutput, BackendError> {
-    lower_block_with_dialect(block, cfg, &TsoOrdering)
-}
-
-/// The TSO encoding dialect for Pass 3 of the translation validator.
-///
-/// Re-derives the expected ordering points from the IR through
-/// [`FenceKind::tso_fence`] — independently of the lowering — and
-/// restricts the decoded stream to the MiniTSO instruction subset.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TsoEncodingDialect;
-
-impl EncodingDialect for TsoEncodingDialect {
     fn expected_points(&self, op: &TcgOp, cfg: BackendConfig, out: &mut Vec<Point>) {
         let plain = MemOrder::Plain;
         match op {
@@ -144,46 +126,29 @@ impl EncodingDialect for TsoEncodingDialect {
         }
     }
 
-    fn check_dialect(&self, block: &TcgBlock, decoded: &[HostInsn]) -> Result<(), VerifyError> {
+    fn check_dialect(&self, decoded: &[HostInsn]) -> Result<(), (usize, &'static str)> {
         for (pos, insn) in decoded.iter().enumerate() {
-            let violation = match insn {
+            let what = match insn {
                 HostInsn::Ldxr { .. } | HostInsn::Stxr { .. } => {
-                    Some("exclusive-pair instruction (no x86 equivalent)")
+                    "exclusive-pair instruction (no x86 equivalent)"
                 }
                 HostInsn::Barrier(Dmb::Ld) | HostInsn::Barrier(Dmb::St) => {
-                    Some("partial barrier (x86 has only MFENCE)")
+                    "partial barrier (x86 has only MFENCE)"
                 }
                 HostInsn::Ldr { order, .. } | HostInsn::Str { order, .. }
                     if !matches!(order, MemOrder::Plain) =>
                 {
-                    Some("acquire/release access ordering (TSO uses plain MOVs)")
+                    "acquire/release access ordering (TSO uses plain MOVs)"
                 }
                 HostInsn::Cas { acq_rel: false, .. } => {
-                    Some("CAS without the LOCK-equivalent acq_rel flag")
+                    "CAS without the LOCK-equivalent acq_rel flag"
                 }
-                _ => None,
+                _ => continue,
             };
-            if let Some(what) = violation {
-                return Err(encoding_err(
-                    block,
-                    None,
-                    format!("TSO dialect violation at host instruction {pos}: {what}"),
-                ));
-            }
+            return Err((pos, what));
         }
         Ok(())
     }
-}
-
-/// Pass 3 for MiniTSO code: the shared encoding checks under the
-/// [`TsoEncodingDialect`].
-pub fn check_encoding_tso(
-    block: &TcgBlock,
-    insns: &[HostInsn],
-    bytes: &[u8],
-    cfg: BackendConfig,
-) -> Result<(), VerifyError> {
-    check_encoding_with(block, insns, bytes, cfg, &TsoEncodingDialect)
 }
 
 /// The calibrated cycle model of the simulated x86 server host.
@@ -206,69 +171,27 @@ pub fn x86_server_like() -> CostModel {
     }
 }
 
-/// The MiniTSO host backend: [`TsoOrdering`] dialect, the x86-server
-/// cost calibration, and the TSO Pass 3 read-back.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TsoBackend;
-
-impl OrderingLowering for TsoBackend {
-    fn fence(&self, k: FenceKind) -> Option<HostInsn> {
-        TsoOrdering.fence(k)
-    }
-
-    fn cas(
-        &self,
-        asm: &mut HostAsm,
-        dst: Xreg,
-        addr: Xreg,
-        expect: Xreg,
-        new: Xreg,
-        cfg: BackendConfig,
-    ) {
-        TsoOrdering.cas(asm, dst, addr, expect, new, cfg);
-    }
-
-    fn atomic_add(
-        &self,
-        asm: &mut HostAsm,
-        dst: Xreg,
-        addr: Xreg,
-        addend: Xreg,
-        cfg: BackendConfig,
-    ) {
-        TsoOrdering.atomic_add(asm, dst, addr, addend, cfg);
-    }
-}
-
-impl HostBackend for TsoBackend {
-    fn name(&self) -> &'static str {
-        "tso"
-    }
-
-    fn cost_model(&self) -> CostModel {
-        x86_server_like()
-    }
-
-    fn check_encoding_in(
-        &self,
-        block: &TcgBlock,
-        insns: &[HostInsn],
-        bytes: &[u8],
-        cfg: BackendConfig,
-        scratch: &mut EncodingScratch,
-    ) -> Result<(), VerifyError> {
-        check_encoding_in(block, insns, bytes, cfg, &TsoEncodingDialect, scratch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use risotto_host_arm::RmwStyle;
-    use risotto_tcg::{FrontendConfig, OptPolicy, VerifyPass};
+    use risotto_host_arm::{ArmBackend, RmwStyle};
+    use risotto_tcg::{FrontendConfig, OptPolicy, TcgBlock, VerifyPass};
 
     fn tso_cfg() -> BackendConfig {
         BackendConfig::dbt(RmwStyle::Casal)
+    }
+
+    /// Serves `bytes` as guest text at `base` (decode windows
+    /// zero-padded).
+    fn fetcher(bytes: Vec<u8>, base: u64) -> impl Fn(u64) -> [u8; 16] {
+        move |addr| {
+            let mut w = [0u8; 16];
+            let off = (addr - base) as usize;
+            for (i, slot) in w.iter_mut().enumerate() {
+                *slot = bytes.get(off + i).copied().unwrap_or(0);
+            }
+            w
+        }
     }
 
     fn translate(
@@ -279,15 +202,8 @@ mod tests {
         let mut a = risotto_guest_x86::Assembler::new(0x1000);
         f(&mut a);
         let (bytes, _) = a.finish().expect("assembles");
-        let fetch = move |addr: u64| {
-            let mut w = [0u8; 16];
-            let off = (addr - 0x1000) as usize;
-            for (i, slot) in w.iter_mut().enumerate() {
-                *slot = bytes.get(off + i).copied().unwrap_or(0);
-            }
-            w
-        };
-        let mut block = risotto_tcg::translate_block(0x1000, fe, fetch).expect("translates");
+        let mut block =
+            risotto_tcg::translate_block(0x1000, fe, fetcher(bytes, 0x1000)).expect("translates");
         if opt {
             risotto_tcg::optimize(&mut block, OptPolicy::Verified);
         }
@@ -299,7 +215,8 @@ mod tests {
         fe: FrontendConfig,
     ) -> (TcgBlock, Vec<HostInsn>) {
         let block = translate(f, fe, true);
-        let insns = lower_block_tso(&block, tso_cfg()).expect("tso lowering").insns;
+        let insns =
+            TsoBackend.lower_block_with_stats(&block, tso_cfg()).expect("tso lowering").insns;
         (block, insns)
     }
 
@@ -314,7 +231,7 @@ mod tests {
     #[test]
     fn fence_hook_matches_shared_tso_table() {
         for k in FenceKind::TCG_ALL {
-            let lowered = TsoOrdering.fence(k);
+            let lowered = TsoBackend.fence(k);
             match k.tso_fence() {
                 Some(FenceKind::MFence) => {
                     assert_eq!(lowered, Some(HostInsn::Barrier(Dmb::Ff)), "{k:?}");
@@ -343,7 +260,7 @@ mod tests {
             FrontendConfig::tcg_ver(),
             false,
         );
-        let code = lower_block_tso(&block, tso_cfg()).unwrap().insns;
+        let code = TsoBackend.lower_block_with_stats(&block, tso_cfg()).unwrap().insns;
         assert!(
             !code.iter().any(|i| matches!(i, HostInsn::Barrier(_))),
             "ld→ld/st→st orderings must cost nothing on TSO"
@@ -389,21 +306,16 @@ mod tests {
     fn rmws_lower_to_lock_forms_regardless_of_rmw_style() {
         use risotto_guest_x86::Gpr;
         for rmw in [RmwStyle::Casal, RmwStyle::Rmw2Fenced] {
-            let mut a = risotto_guest_x86::Assembler::new(0x1000);
-            a.cmpxchg(Gpr::RDI, 0, Gpr::RSI);
-            a.hlt();
-            let (bytes, _) = a.finish().unwrap();
-            let fetch = move |addr: u64| {
-                let mut w = [0u8; 16];
-                let off = (addr - 0x1000) as usize;
-                for (i, slot) in w.iter_mut().enumerate() {
-                    *slot = bytes.get(off + i).copied().unwrap_or(0);
-                }
-                w
-            };
-            let block =
-                risotto_tcg::translate_block(0x1000, FrontendConfig::risotto(), fetch).unwrap();
-            let code = lower_block_tso(&block, BackendConfig::dbt(rmw)).unwrap().insns;
+            let block = translate(
+                |a| {
+                    a.cmpxchg(Gpr::RDI, 0, Gpr::RSI);
+                    a.hlt();
+                },
+                FrontendConfig::risotto(),
+                false,
+            );
+            let code =
+                TsoBackend.lower_block_with_stats(&block, BackendConfig::dbt(rmw)).unwrap().insns;
             assert!(
                 code.iter().any(|i| matches!(i, HostInsn::Cas { acq_rel: true, .. })),
                 "LOCK CMPXCHG under {rmw:?}"
@@ -428,7 +340,7 @@ mod tests {
             },
             FrontendConfig::risotto(),
         );
-        check_encoding_tso(&block, &insns, &encode(&insns), tso_cfg()).unwrap();
+        TsoBackend.check_encoding(&block, &insns, &encode(&insns), tso_cfg()).unwrap();
     }
 
     #[test]
@@ -445,7 +357,7 @@ mod tests {
         );
         let at = insns.iter().position(|i| matches!(i, HostInsn::Barrier(_))).unwrap();
         insns.remove(at);
-        let e = check_encoding_tso(&block, &insns, &encode(&insns), tso_cfg()).unwrap_err();
+        let e = TsoBackend.check_encoding(&block, &insns, &encode(&insns), tso_cfg()).unwrap_err();
         assert_eq!(e.pass, VerifyPass::Encoding);
     }
 
@@ -463,7 +375,7 @@ mod tests {
         if let HostInsn::Cas { acq_rel, .. } = &mut insns[at] {
             *acq_rel = false; // strip the LOCK prefix
         }
-        let e = check_encoding_tso(&block, &insns, &encode(&insns), tso_cfg()).unwrap_err();
+        let e = TsoBackend.check_encoding(&block, &insns, &encode(&insns), tso_cfg()).unwrap_err();
         assert_eq!(e.pass, VerifyPass::Encoding);
     }
 
@@ -474,25 +386,18 @@ mod tests {
         // Rmw2Fenced (exclusive pairs + partial barriers) and present
         // it to the TSO checker: every foreign instruction must fail
         // the dialect restriction.
-        let mut a = risotto_guest_x86::Assembler::new(0x1000);
-        a.load(Gpr::RAX, Gpr::RDI, 0);
-        a.cmpxchg(Gpr::RDI, 0, Gpr::RSI);
-        a.hlt();
-        let (bytes, _) = a.finish().unwrap();
-        let fetch = move |addr: u64| {
-            let mut w = [0u8; 16];
-            let off = (addr - 0x1000) as usize;
-            for (i, slot) in w.iter_mut().enumerate() {
-                *slot = bytes.get(off + i).copied().unwrap_or(0);
-            }
-            w
-        };
-        let mut block =
-            risotto_tcg::translate_block(0x1000, FrontendConfig::risotto(), fetch).unwrap();
-        risotto_tcg::optimize(&mut block, OptPolicy::Verified);
+        let block = translate(
+            |a| {
+                a.load(Gpr::RAX, Gpr::RDI, 0);
+                a.cmpxchg(Gpr::RDI, 0, Gpr::RSI);
+                a.hlt();
+            },
+            FrontendConfig::risotto(),
+            true,
+        );
         let cfg = BackendConfig::dbt(RmwStyle::Rmw2Fenced);
-        let arm = risotto_host_arm::lower_block(&block, cfg).unwrap();
-        let e = check_encoding_tso(&block, &arm, &encode(&arm), cfg).unwrap_err();
+        let arm = ArmBackend.lower_block_with_stats(&block, cfg).unwrap().insns;
+        let e = TsoBackend.check_encoding(&block, &arm, &encode(&arm), cfg).unwrap_err();
         assert!(e.obligation.contains("TSO dialect violation"), "{}", e.obligation);
     }
 
@@ -512,7 +417,7 @@ mod tests {
             let mut bad = enc.clone();
             bad[off] ^= 0xff;
             assert!(
-                check_encoding_tso(&block, &insns, &bad, tso_cfg()).is_err(),
+                TsoBackend.check_encoding(&block, &insns, &bad, tso_cfg()).is_err(),
                 "corruption at byte {off} not flagged"
             );
         }

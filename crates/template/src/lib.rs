@@ -32,7 +32,7 @@
 //! Memory-ordering decisions are **not** re-derived: guest fences are
 //! placed exactly as the verified frontend mapping places them
 //! ([`FencePlacement`]), then lowered through the same per-backend
-//! [`OrderingLowering`] hooks tier-1 uses (`fence`/`cas`/`atomic_add`).
+//! [`HostBackend`] hooks tier-1 uses (`fence`/`cas`/`atomic_add`).
 //! The template set is finite, so the memory-model argument is made
 //! *once, statically*: the repository test-suite enumerates every
 //! template per backend, projects it to litmus events, and runs the
@@ -46,8 +46,7 @@
 
 use risotto_guest_x86::{AluOp, Cond, Gpr, Insn, Operand};
 use risotto_host_arm::{
-    helper_index, BackendConfig, BackendError, HostAsm, HostInsn, OrderingLowering, TbExitKind,
-    Xreg,
+    helper_index, BackendConfig, BackendError, HostAsm, HostBackend, HostInsn, TbExitKind, Xreg,
 };
 use risotto_memmodel::FenceKind;
 use risotto_tcg::{
@@ -102,11 +101,11 @@ impl std::error::Error for TemplateError {}
 
 /// One template instantiation context: the output assembler plus the
 /// frontend/backend configuration the templates are parameterized on.
-struct Emit<'a, O: OrderingLowering + ?Sized> {
+struct Emit<'a, B: HostBackend + ?Sized> {
     asm: HostAsm,
     cfg: FrontendConfig,
     bcfg: BackendConfig,
-    ord: &'a O,
+    host: &'a B,
 }
 
 fn env_off(slot: u8) -> i32 {
@@ -141,7 +140,7 @@ fn fp_helper_of(op: risotto_guest_x86::FpOp) -> Helper {
     }
 }
 
-impl<O: OrderingLowering + ?Sized> Emit<'_, O> {
+impl<B: HostBackend + ?Sized> Emit<'_, B> {
     fn push(&mut self, i: HostInsn) {
         self.asm.push(i);
     }
@@ -177,7 +176,7 @@ impl<O: OrderingLowering + ?Sized> Emit<'_, O> {
     /// Lowers a TCG fence through the backend dialect (no-op fences
     /// vanish, exactly as in tier-1 lowering).
     fn fence(&mut self, k: FenceKind) {
-        if let Some(i) = self.ord.fence(k) {
+        if let Some(i) = self.host.fence(k) {
             self.push(i);
         }
     }
@@ -464,8 +463,7 @@ impl<O: OrderingLowering + ?Sized> Emit<'_, O> {
                 self.ld_gpr(T2, src);
                 match self.cfg.cas {
                     CasStrategy::TcgOp => {
-                        let (bcfg, ord) = (self.bcfg, self.ord);
-                        ord.cas(&mut self.asm, T3, T0, T1, T2, bcfg);
+                        self.host.cas(&mut self.asm, T3, T0, T1, T2, self.bcfg);
                     }
                     CasStrategy::Helper => self.hcall(Helper::CmpxchgSc, &[T0, T1, T2], T3),
                 }
@@ -483,8 +481,7 @@ impl<O: OrderingLowering + ?Sized> Emit<'_, O> {
                 self.ld_gpr(T1, src);
                 match self.cfg.cas {
                     CasStrategy::TcgOp => {
-                        let (bcfg, ord) = (self.bcfg, self.ord);
-                        ord.atomic_add(&mut self.asm, T2, T0, T1, bcfg);
+                        self.host.atomic_add(&mut self.asm, T2, T0, T1, self.bcfg);
                     }
                     CasStrategy::Helper => self.hcall(Helper::XaddSc, &[T0, T1], T2),
                 }
@@ -577,14 +574,14 @@ impl<O: OrderingLowering + ?Sized> Emit<'_, O> {
 ///
 /// Returns [`BackendError`] only on an internal label bug (templates
 /// bind every label they emit).
-pub fn insn_template<O: OrderingLowering + ?Sized>(
+pub fn insn_template<B: HostBackend + ?Sized>(
     insn: &Insn,
     pc: u64,
     cfg: FrontendConfig,
     bcfg: BackendConfig,
-    ord: &O,
+    host: &B,
 ) -> Result<Vec<HostInsn>, BackendError> {
-    let mut e = Emit { asm: HostAsm::new(), cfg, bcfg, ord };
+    let mut e = Emit { asm: HostAsm::new(), cfg, bcfg, host };
     let next = pc + insn.encoded_len() as u64;
     e.insn(insn, next);
     e.asm.finish()
@@ -601,18 +598,18 @@ pub fn insn_template<O: OrderingLowering + ?Sized>(
 ///
 /// Returns [`TemplateError::Decode`] when instruction decoding fails at
 /// some pc, [`TemplateError::Lower`] on an internal label bug.
-pub fn translate_block_template<O, F>(
+pub fn translate_block_template<B, F>(
     pc: u64,
     cfg: FrontendConfig,
     bcfg: BackendConfig,
-    ord: &O,
+    host: &B,
     fetch: F,
 ) -> Result<TemplateBlock, TemplateError>
 where
-    O: OrderingLowering + ?Sized,
+    B: HostBackend + ?Sized,
     F: Fn(u64) -> [u8; 16],
 {
-    let mut e = Emit { asm: HostAsm::new(), cfg, bcfg, ord };
+    let mut e = Emit { asm: HostAsm::new(), cfg, bcfg, host };
     // Typical templates expand to ~10 host insns per guest insn; one
     // up-front reservation keeps the emit loop reallocation-free.
     e.asm.reserve(MAX_TB_INSNS * 12);
@@ -643,7 +640,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use risotto_host_arm::ArmOrdering;
+    use risotto_host_arm::ArmBackend;
 
     fn fetch_of(bytes: Vec<u8>, base: u64) -> impl Fn(u64) -> [u8; 16] {
         move |pc| {
@@ -669,7 +666,7 @@ mod tests {
             0x1000,
             FrontendConfig::risotto(),
             BackendConfig::dbt(risotto_host_arm::RmwStyle::Casal),
-            &ArmOrdering,
+            &ArmBackend,
             fetch_of(bytes.clone(), 0x1000),
         )
         .unwrap();
@@ -685,7 +682,7 @@ mod tests {
             0x2000,
             FrontendConfig::risotto(),
             BackendConfig::dbt(risotto_host_arm::RmwStyle::Casal),
-            &ArmOrdering,
+            &ArmBackend,
             |_| [0xFFu8; 16],
         )
         .unwrap_err();
@@ -707,7 +704,7 @@ mod tests {
             0x1000,
             FrontendConfig::risotto(),
             BackendConfig::dbt(risotto_host_arm::RmwStyle::Casal),
-            &ArmOrdering,
+            &ArmBackend,
             fetch_of(bytes, 0x1000),
         )
         .unwrap();
@@ -730,7 +727,7 @@ mod tests {
             0x1000,
             FrontendConfig::no_fences(),
             BackendConfig::dbt(risotto_host_arm::RmwStyle::Casal),
-            &ArmOrdering,
+            &ArmBackend,
             fetch_of(bytes, 0x1000),
         )
         .unwrap();

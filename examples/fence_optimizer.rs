@@ -9,7 +9,7 @@
 //! ```
 
 use risotto::guest::{AluOp, Assembler, Gpr};
-use risotto::host::{lower_block, BackendConfig, RmwStyle};
+use risotto::host::{ArmBackend, BackendConfig, HostBackend, RmwStyle};
 use risotto::tcg::{optimize, translate_block, FrontendConfig, OptPolicy, TcgOp};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,7 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_fences(&block);
     println!("{block}");
 
-    let host = lower_block(&block, BackendConfig::dbt(RmwStyle::Casal))?;
+    let host =
+        ArmBackend.lower_block_with_stats(&block, BackendConfig::dbt(RmwStyle::Casal))?.insns;
     println!("=== after the TCG→Arm backend (Fig. 7b) ===");
     for insn in &host {
         println!("  {insn:?}");

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 use risotto::core::{BackendKind, Emulator, FaultPlan, Setup, VerifyLevel};
 use risotto::fuzz::{differential, generate, program_seed, GenConfig};
-use risotto::host::{ArmOrdering, HostBackend, OrderingLowering};
+use risotto::host::{ArmBackend, HostBackend};
 use risotto::litmus::{behaviors, corpus, Behavior, Program};
 use risotto::memmodel::{FenceKind, X86Tso};
 use risotto::workloads::kernels;
@@ -176,35 +176,45 @@ fn native_setup_rejects_tso_backend() {
     emu.set_backend(BackendKind::Tso);
 }
 
-/// The names the completeness test below checks against, tied to the
-/// real traits at compile time: if a method is renamed, this stops
-/// compiling before the doc check can silently rot.
+/// The last path segment of each item. Every path must resolve, so a
+/// renamed or deleted item stops this file compiling before the doc
+/// checks below can silently rot.
+macro_rules! item_names {
+    ($($item:expr),* $(,)?) => {
+        vec![$({
+            let _ = $item;
+            stringify!($item).rsplit("::").next().unwrap_or_default().trim()
+        }),*]
+    };
+}
+
+/// Every method of the one backend trait.
 fn trait_method_names() -> Vec<&'static str> {
-    use risotto::host::{BackendConfig, HostAsm, HostInsn, Xreg};
-    let _: fn(&ArmOrdering, FenceKind) -> Option<HostInsn> = ArmOrdering::fence;
-    let _: fn(&ArmOrdering, &mut HostAsm, Xreg, Xreg, Xreg, Xreg, BackendConfig) = ArmOrdering::cas;
-    let _: fn(&ArmOrdering, &mut HostAsm, Xreg, Xreg, Xreg, BackendConfig) =
-        ArmOrdering::atomic_add;
-    let _: fn(&ArmOrdering, BackendConfig) -> &'static [Xreg] = ArmOrdering::alloc_pool;
-    let _ = <risotto::host::ArmBackend as HostBackend>::name;
-    let _ = <risotto::host::ArmBackend as HostBackend>::lower_block_in;
-    let _ = <risotto::host::ArmBackend as HostBackend>::lower_block_with_stats;
-    let _ = <risotto::host::ArmBackend as HostBackend>::cost_model;
-    let _ = <risotto::host::ArmBackend as HostBackend>::check_encoding_in;
-    let _ = <risotto::host::ArmBackend as HostBackend>::check_encoding;
-    vec![
-        // OrderingLowering
-        "fence",
-        "cas",
-        "atomic_add",
-        "alloc_pool",
-        // HostBackend
-        "name",
-        "lower_block_in",
-        "lower_block_with_stats",
-        "cost_model",
-        "check_encoding_in",
-        "check_encoding",
+    item_names![
+        <ArmBackend as HostBackend>::name,
+        <ArmBackend as HostBackend>::cost_model,
+        <ArmBackend as HostBackend>::fence,
+        <ArmBackend as HostBackend>::cas,
+        <ArmBackend as HostBackend>::atomic_add,
+        <ArmBackend as HostBackend>::expected_points,
+        <ArmBackend as HostBackend>::check_dialect,
+        <ArmBackend as HostBackend>::lower_block_in,
+        <ArmBackend as HostBackend>::lower_block_with_stats,
+        <ArmBackend as HostBackend>::check_encoding_in,
+        <ArmBackend as HostBackend>::check_encoding,
+    ]
+}
+
+/// The free functions and inherent methods `docs/BACKENDS.md` may name.
+fn known_free() -> Vec<&'static str> {
+    item_names![
+        risotto::host::arm_dmb_of,
+        FenceKind::arm_dmb,
+        FenceKind::tso_fence,
+        Emulator::set_backend,
+        risotto::host::CostModel::thunderx2_like,
+        risotto::host_tso::x86_server_like,
+        risotto::mappings::scheme::verified_x86_to_tso,
     ]
 }
 
@@ -263,22 +273,8 @@ fn backends_md_names_nothing_that_does_not_exist() {
             if methods.contains(&name) {
                 continue; // trait method, exists by construction above
             }
-            let known_free = [
-                "arm_dmb_of",
-                "tso_fence",
-                "tso_fence_insn",
-                "arm_dmb",
-                "lower_block_with_dialect",
-                "check_encoding_with",
-                "expected_points",
-                "check_dialect",
-                "set_backend",
-                "thunderx2_like",
-                "x86_server_like",
-                "verified_x86_to_tso",
-            ];
             assert!(
-                known_free.contains(&name),
+                known_free().contains(&name),
                 "docs/BACKENDS.md names `{name}()` which this test does not know; \
                  add it to `known_free` with a compile-time tie if it is real"
             );
@@ -293,9 +289,9 @@ fn backends_md_names_nothing_that_does_not_exist() {
 fn lowering_hooks_agree_with_shared_fence_tables() {
     use risotto::host::{Dmb, HostInsn};
     for k in FenceKind::TCG_ALL {
-        let arm = ArmOrdering.fence(k);
+        let arm = ArmBackend.fence(k);
         assert_eq!(arm.is_some(), k.arm_dmb().is_some(), "{k:?}: Arm hook vs shared table");
-        let tso = risotto::host_tso::TsoOrdering.fence(k);
+        let tso = risotto::host_tso::TsoBackend.fence(k);
         assert_eq!(tso.is_some(), k.tso_fence().is_some(), "{k:?}: TSO hook vs shared table");
         if let Some(insn) = tso {
             assert_eq!(insn, HostInsn::Barrier(Dmb::Ff), "{k:?}: TSO fences are MFENCE only");

@@ -26,8 +26,8 @@
 use risotto::fuzz::parse_corpus;
 use risotto::guest::GuestBinary;
 use risotto::host::{
-    lower_block_with_stats, AllocStats, ArmBackend, BackendConfig, EncodingScratch, HostBackend,
-    HostInsn, LowerScratch, RmwStyle,
+    AllocStats, ArmBackend, BackendConfig, EncodingScratch, HostBackend, HostInsn, LowerScratch,
+    RmwStyle,
 };
 use risotto::host_tso::TsoBackend;
 use risotto::litmus::corpus;
@@ -96,9 +96,11 @@ fn encode_all(code: &[HostInsn]) -> Vec<u8> {
 /// Lowers `block` twice from fresh allocator state and asserts the
 /// encodings and allocation statistics agree bit-for-bit.
 fn assert_deterministic(block: &TcgBlock, be: BackendConfig, what: &str) {
-    let a = lower_block_with_stats(block, be)
+    let a = ArmBackend
+        .lower_block_with_stats(block, be)
         .unwrap_or_else(|e| panic!("{what}: first lowering failed: {e}"));
-    let b = lower_block_with_stats(block, be)
+    let b = ArmBackend
+        .lower_block_with_stats(block, be)
         .unwrap_or_else(|e| panic!("{what}: second lowering failed: {e}"));
     assert_eq!(
         encode_all(&a.insns),

@@ -592,7 +592,7 @@ fn dbt_matches_interpreter_on_branching_programs() {
 /// check at every exit anchor) accepts the result under both RMW styles.
 #[test]
 fn register_pressure_spills_deterministically_and_verifies() {
-    use risotto::host::{check_encoding, lower_block_with_stats, BackendConfig, RmwStyle};
+    use risotto::host::{ArmBackend, BackendConfig, HostBackend, RmwStyle};
 
     check("register_pressure_spills_deterministically_and_verifies", 48, |rng| {
         let mut block = TcgBlock {
@@ -650,8 +650,9 @@ fn register_pressure_spills_deterministically_and_verifies() {
 
         for rmw in [RmwStyle::Casal, RmwStyle::Rmw2Fenced] {
             let be = BackendConfig::dbt(rmw);
-            let a = lower_block_with_stats(&block, be).expect("pressure block lowers");
-            let b = lower_block_with_stats(&block, be).expect("pressure block lowers again");
+            let a = ArmBackend.lower_block_with_stats(&block, be).expect("pressure block lowers");
+            let b =
+                ArmBackend.lower_block_with_stats(&block, be).expect("pressure block lowers again");
             assert_eq!(a.insns, b.insns, "nondeterministic lowering under pressure");
             assert_eq!(a.alloc, b.alloc, "nondeterministic allocation stats");
             assert!(a.alloc.spills > 0, "pressure block must spill");
@@ -661,7 +662,8 @@ fn register_pressure_spills_deterministically_and_verifies() {
             for i in &a.insns {
                 i.encode(&mut bytes);
             }
-            check_encoding(&block, &a.insns, &bytes, be)
+            ArmBackend
+                .check_encoding(&block, &a.insns, &bytes, be)
                 .expect("pressure block passes the encoding verifier");
         }
     });

@@ -8,7 +8,10 @@
 //!    frontend fence scheme, both RMW styles and both host backends, the
 //!    template's ordering-relevant instruction stream (fences, guest
 //!    memory accesses, exclusives, CAS/LDADD, helper calls) is identical
-//!    to what the tier-1 frontend + unoptimized backend lowering emits.
+//!    to what the tier-1 frontend + unoptimized backend lowering emits;
+//!    and every template instantiated for the TSO backend stays inside
+//!    the MiniTSO dialect (tier-0 code has no IR, so Pass 3's dialect
+//!    restriction never sees it at runtime).
 //! 2. **Theorem 1 per template** — the templates themselves, projected
 //!    to litmus instructions, form a mapping scheme; that scheme is run
 //!    through the executable Theorem-1 checker against the axiomatic
@@ -24,10 +27,9 @@
 use risotto::core::{BackendKind, Emulator, FaultPlan, FaultSite, Setup, TierConfig, VerifyLevel};
 use risotto::guest::{AluOp, Cond, FpOp, GelfBuilder, Gpr, Insn, Operand};
 use risotto::host::{
-    lower_block_with_dialect, ArmOrdering, BackendConfig, Dmb, HostInsn, MemOrder,
-    OrderingLowering, RmwStyle, ENV_BASE, SPILL_BASE,
+    ArmBackend, BackendConfig, Dmb, HostBackend, HostInsn, MemOrder, RmwStyle, ENV_BASE, SPILL_BASE,
 };
-use risotto::host_tso::TsoOrdering;
+use risotto::host_tso::TsoBackend;
 use risotto::litmus::{behaviors, corpus, Instr, Program, RmwKind};
 use risotto::mappings::check::check_mapping;
 use risotto::mappings::scheme::MappingScheme;
@@ -197,6 +199,16 @@ fn project(insns: &[HostInsn]) -> Vec<Ev> {
     out
 }
 
+/// The four frontend fence schemes a template can be instantiated under.
+fn frontend_schemes() -> [(&'static str, FrontendConfig); 4] {
+    [
+        ("qemu", FrontendConfig::qemu()),
+        ("risotto", FrontendConfig::risotto()),
+        ("tcg-ver", FrontendConfig::tcg_ver()),
+        ("no-fences", FrontendConfig::no_fences()),
+    ]
+}
+
 /// Every template's ordering-relevant stream equals tier-1's, across
 /// all four frontend fence schemes, both RMW styles and both backends.
 /// This pins the templates to the *same* verified mapping placement the
@@ -204,17 +216,10 @@ fn project(insns: &[HostInsn]) -> Vec<Ev> {
 /// and no-fences schemes, which tier-0 must reproduce, bugs and all.
 #[test]
 fn template_streams_match_tier1_ordering_projection() {
-    let dialects: [(&str, &dyn OrderingLowering); 2] =
-        [("arm", &ArmOrdering), ("tso", &TsoOrdering)];
-    let cfgs = [
-        ("qemu", FrontendConfig::qemu()),
-        ("risotto", FrontendConfig::risotto()),
-        ("tcg-ver", FrontendConfig::tcg_ver()),
-        ("no-fences", FrontendConfig::no_fences()),
-    ];
+    let hosts: [&dyn HostBackend; 2] = [&ArmBackend, &TsoBackend];
     let mut checked = 0usize;
-    for (host, ord) in dialects {
-        for (cname, cfg) in cfgs {
+    for host in hosts {
+        for (cname, cfg) in frontend_schemes() {
             for rmw in [RmwStyle::Casal, RmwStyle::Rmw2Fenced] {
                 let bcfg = BackendConfig::dbt(rmw);
                 for insn in insn_matrix() {
@@ -226,17 +231,19 @@ fn template_streams_match_tier1_ordering_projection() {
                     let fetch = fetch_of(bytes, 0x4000);
                     let block = translate_block(0x4000, cfg, &fetch)
                         .unwrap_or_else(|e| panic!("{insn:?}: tier-1 frontend: {e}"));
-                    let tier1 = lower_block_with_dialect(&block, bcfg, ord)
+                    let tier1 = host
+                        .lower_block_with_stats(&block, bcfg)
                         .unwrap_or_else(|e| panic!("{insn:?}: tier-1 lowering: {e}"))
                         .insns;
-                    let tier0 = translate_block_template(0x4000, cfg, bcfg, ord, &fetch)
+                    let tier0 = translate_block_template(0x4000, cfg, bcfg, host, &fetch)
                         .unwrap_or_else(|e| panic!("{insn:?}: template: {e}"))
                         .code;
                     assert_eq!(
                         project(&tier0),
                         project(&tier1),
-                        "{insn:?} under {cname}/{host}/{rmw:?}: \
-                         template ordering stream diverges from tier-1"
+                        "{insn:?} under {cname}/{}/{rmw:?}: \
+                         template ordering stream diverges from tier-1",
+                        host.name()
                     );
                     checked += 1;
                 }
@@ -245,6 +252,42 @@ fn template_streams_match_tier1_ordering_projection() {
     }
     // 28 singleton kinds + 18 ALU + 7 FP + 12 Jcc = 65 per combination.
     assert_eq!(checked, 65 * 2 * 4 * 2, "matrix did not cover the full template table");
+}
+
+/// Tier-0 code has no IR, so the engine never runs Pass 3's dialect
+/// restriction on it; the template table is finite, so it is checked
+/// here instead, once. Every template instantiated for the TSO backend
+/// stays inside the MiniTSO instruction subset, under every frontend
+/// scheme and both RMW styles. Negative control: the RMW templates
+/// instantiated for Arm under `Rmw2Fenced` are exclusive-pair loops and
+/// must fail the same check.
+#[test]
+fn tso_templates_stay_inside_the_tso_dialect() {
+    for (cname, cfg) in frontend_schemes() {
+        for rmw in [RmwStyle::Casal, RmwStyle::Rmw2Fenced] {
+            for insn in insn_matrix() {
+                let code = insn_template(&insn, 0x4000, cfg, BackendConfig::dbt(rmw), &TsoBackend)
+                    .unwrap_or_else(|e| panic!("{insn:?}: template: {e}"));
+                assert_eq!(
+                    TsoBackend.check_dialect(&code),
+                    Ok(()),
+                    "{insn:?} under {cname}/{rmw:?}: TSO template leaves the TSO dialect"
+                );
+            }
+        }
+    }
+    let rmws = [
+        Insn::LockCmpxchg { base: Gpr::RBX, disp: 0, src: Gpr::RCX },
+        Insn::LockXadd { base: Gpr::RBX, disp: 0, src: Gpr::RCX },
+    ];
+    for insn in rmws {
+        let bcfg = BackendConfig::dbt(RmwStyle::Rmw2Fenced);
+        let code = insn_template(&insn, 0x4000, FrontendConfig::risotto(), bcfg, &ArmBackend)
+            .unwrap_or_else(|e| panic!("{insn:?}: template: {e}"));
+        let (at, what) = TsoBackend.check_dialect(&code).expect_err("exclusive pair accepted");
+        assert!(matches!(code[at], HostInsn::Ldxr { .. }), "{insn:?}: flagged {:?}", code[at]);
+        assert!(what.contains("exclusive-pair"), "{insn:?}: {what}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -259,7 +302,7 @@ struct TemplateScheme<'a> {
     nm: String,
     cfg: FrontendConfig,
     bcfg: BackendConfig,
-    ord: &'a dyn OrderingLowering,
+    host: &'a dyn HostBackend,
     /// Projection alphabet: `true` targets the x86-TSO model (`MFENCE`,
     /// `X86Lock`), `false` the Arm model (`DMB*`, `casal`, exclusives).
     tso_host: bool,
@@ -283,7 +326,7 @@ impl TemplateScheme<'_> {
     /// Instantiates the template for `g` and projects it around the
     /// litmus payload `body(out)` invoked once per guest memory event.
     fn walk(&self, g: &Insn, mut body: impl FnMut(&HostInsn, &mut Vec<Instr>)) -> Vec<Instr> {
-        let host = insn_template(g, 0x4000, self.cfg, self.bcfg, self.ord)
+        let host = insn_template(g, 0x4000, self.cfg, self.bcfg, self.host)
             .unwrap_or_else(|e| panic!("{}: template for {g:?}: {e}", self.nm));
         let mut out = Vec::new();
         let mut pending_acq = false;
@@ -340,7 +383,7 @@ impl MappingScheme for TemplateScheme<'_> {
                     desired: desired.clone(),
                     kind,
                 };
-                let host = insn_template(&g, 0x4000, self.cfg, self.bcfg, self.ord)
+                let host = insn_template(&g, 0x4000, self.cfg, self.bcfg, self.host)
                     .unwrap_or_else(|e| panic!("{}: template for {g:?}: {e}", self.nm));
                 let mut out = Vec::new();
                 let mut pending_acq = false;
@@ -414,7 +457,7 @@ fn verified_templates_satisfy_theorem1_per_backend() {
                     nm: format!("tier0-templates({cname}/arm/{rmw:?})"),
                     cfg,
                     bcfg: BackendConfig::dbt(rmw),
-                    ord: &ArmOrdering,
+                    host: &ArmBackend,
                     tso_host: false,
                 };
                 check_mapping(&s, &prog, &x86, &arm)
@@ -424,7 +467,7 @@ fn verified_templates_satisfy_theorem1_per_backend() {
                 nm: format!("tier0-templates({cname}/tso)"),
                 cfg,
                 bcfg: BackendConfig::dbt(RmwStyle::Casal),
-                ord: &TsoOrdering,
+                host: &TsoBackend,
                 tso_host: true,
             };
             check_mapping(&s, &prog, &x86, &x86)
@@ -442,7 +485,7 @@ fn fence_free_templates_fail_theorem1_on_arm() {
         nm: "tier0-templates(no-fences/arm)".into(),
         cfg: FrontendConfig::no_fences(),
         bcfg: BackendConfig::dbt(RmwStyle::Casal),
-        ord: &ArmOrdering,
+        host: &ArmBackend,
         tso_host: false,
     };
     assert!(

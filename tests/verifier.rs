@@ -21,7 +21,7 @@
 
 use risotto::core::{Emulator, FaultPlan, Setup, VerifyLevel};
 use risotto::guest::GuestBinary;
-use risotto::host::{check_encoding, lower_block, BackendConfig, CostModel, HostInsn, RmwStyle};
+use risotto::host::{ArmBackend, BackendConfig, CostModel, HostBackend, HostInsn, RmwStyle};
 use risotto::litmus::corpus;
 use risotto::memmodel::FenceKind;
 use risotto::tcg::{
@@ -85,7 +85,7 @@ fn full_verify(
 ) -> Result<(), risotto::tcg::VerifyError> {
     verify::lint(optimized, false)?;
     verify::check_obligations(reference, optimized, cfg.fences, policy)?;
-    check_encoding(optimized, code, bytes, BackendConfig::dbt(RmwStyle::Casal))
+    ArmBackend.check_encoding(optimized, code, bytes, BackendConfig::dbt(RmwStyle::Casal))
 }
 
 fn encode_all(code: &[HostInsn]) -> Vec<u8> {
@@ -111,8 +111,10 @@ fn translate_corpus(bin: &GuestBinary, cfg: FrontendConfig, policy: OptPolicy) -
         .map(|reference| {
             let mut optimized = reference.clone();
             optimize_with(&mut optimized, policy, PassConfig::all());
-            let code = lower_block(&optimized, BackendConfig::dbt(RmwStyle::Casal))
-                .expect("pipeline blocks lower");
+            let code = ArmBackend
+                .lower_block_with_stats(&optimized, BackendConfig::dbt(RmwStyle::Casal))
+                .expect("pipeline blocks lower")
+                .insns;
             let bytes = encode_all(&code);
             Translated { reference, optimized, code, bytes }
         })
@@ -202,13 +204,14 @@ fn verifier_kills_every_fence_and_encoding_mutant() {
                 let mut bad = t.bytes.clone();
                 bad[off] ^= 0xff;
                 assert!(
-                    check_encoding(
-                        &t.optimized,
-                        &t.code,
-                        &bad,
-                        BackendConfig::dbt(RmwStyle::Casal)
-                    )
-                    .is_err(),
+                    ArmBackend
+                        .check_encoding(
+                            &t.optimized,
+                            &t.code,
+                            &bad,
+                            BackendConfig::dbt(RmwStyle::Casal)
+                        )
+                        .is_err(),
                     "{}: corrupted byte {off} survived",
                     w.name
                 );
