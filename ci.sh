@@ -62,8 +62,15 @@ cargo test -q --release --test alloc_budget
 # clocks, counters, memory and atomic order as one cut into run quanta,
 # under all three policies — hand-built multi-core programs in the
 # machine's unit suite, the CAS grid and five kernels through the engine
-# — the pre-decoded code table must never serve an instruction from
-# bytes that were patched, corrupted, freed or reused, and the ring store
+# — an atomic must be the same read-modify-write as an instruction
+# (`casal`, `ldaddal`) and as a helper (`CmpxchgSc`, `XaddSc`): same
+# memory, atomic log, count, cleared foreign monitor and contention
+# charge, the lost compare-exchange included; each scheduler policy's
+# pick and bound over a hand-written clock array must be the documented
+# one, with no `Random` draw when nothing is runnable (same unit suite,
+# `machine.rs` and `sched.rs`); the pre-decoded code table must never
+# serve an instruction from bytes that were patched, corrupted, freed or
+# reused, and the ring store
 # buffer must drain, forward and report overlaps exactly as the
 # `VecDeque` it replaced over 200 000 seeded operations, deadline
 # included (same unit suite; `SparseMem`'s word-wide accessors against
@@ -220,6 +227,17 @@ rm -f "$fuzz_json"
 # evaluation gets exercised, not just fig12.
 cargo run -q --release -p risotto-bench --bin fig13_openssl_sqlite -- --smoke > /dev/null
 cargo run -q --release -p risotto-bench --bin fig14_mathlib -- --smoke > /dev/null
-cargo run -q --release -p risotto-bench --bin fig15_cas -- --smoke > /dev/null
+# fig15 is the run whose cycles move first if a scheduler pick or a
+# contention sweep stops being deterministic (the CAS grid at 1, 2 and 4
+# cores): run it twice and compare the tables.
+cas_a="$(mktemp /tmp/fig15_cas.XXXXXX.txt)"
+cas_b="$(mktemp /tmp/fig15_cas.XXXXXX.txt)"
+cargo run -q --release -p risotto-bench --bin fig15_cas -- --smoke > "$cas_a"
+cargo run -q --release -p risotto-bench --bin fig15_cas -- --smoke > "$cas_b"
+if ! cmp "$cas_a" "$cas_b"; then
+    echo "ci: fig15_cas --smoke printed two different tables" >&2
+    exit 1
+fi
+rm -f "$cas_a" "$cas_b"
 
 echo "ci: all green"

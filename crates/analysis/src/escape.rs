@@ -1068,19 +1068,26 @@ struct InstanceResult {
     refined: u32,
 }
 
-fn analyze_instance(bin: &GuestBinary, cfg: &Cfg, inst: usize, arg: Val) -> InstanceResult {
+/// One core instance: the image's `cfg`, which every instance shares,
+/// walked from the pc this one starts at.
+fn analyze_instance(
+    bin: &GuestBinary,
+    cfg: &Cfg,
+    entry: u64,
+    inst: usize,
+    arg: Val,
+) -> InstanceResult {
     let entry_state = State::entry(arg);
 
     // Phase 1: plain widening solve.
     let mut interp = Interp { bin, cfg, inst, pins: BTreeMap::new(), fx: BlockEffects::default() };
-    let sol1 = solve(&mut interp, &[(cfg.entry, entry_state.clone())], MAX_STEPS);
+    let sol1 = solve(&mut interp, &[(entry, entry_state.clone())], MAX_STEPS);
     let mut poisons = std::mem::take(&mut interp.fx.poisons);
     if sol1.hit_limit {
         poisons.insert(Poison::SolverLimit);
     }
 
     // Phases 2+3: counted-loop refinement, only on a clean phase 1.
-    let entry = cfg.entry;
     let mut refined = 0u32;
     let mut sol = sol1;
     if poisons.is_empty() {
@@ -1179,11 +1186,7 @@ pub fn analyze(bin: &GuestBinary, cfg: &Cfg) -> ImageFacts {
             spawned_at: p.spawned_at,
             replicated: p.replicated,
         });
-        // Per-instance entries are realized by swapping the cfg's entry
-        // in a clone; block structure is shared by construction.
-        let mut icfg = cfg.clone();
-        icfg.entry = p.entry;
-        let r = analyze_instance(bin, &icfg, inst, p.arg);
+        let r = analyze_instance(bin, cfg, p.entry, inst, p.arg);
         poisons.extend(r.poisons.iter().copied());
         refined_loops += r.refined;
         for a in &r.accesses {

@@ -51,11 +51,12 @@ impl Emulator {
                 self.write_guest_reg(core, Gpr::RAX, a3);
             }
             syscalls::SPAWN => {
-                // Pick the child by the engine-side started flag, not
-                // `Machine::idle_core`: a core whose entry block fell back
+                // Pick the child by the engine-side started flag; the
+                // machine cannot tell. A core whose entry block fell back
                 // to the interpreter is busy without ever having been
-                // `start_core`'d, and the machine alone would hand it out
-                // again (a spawn could then stomp the spawning core).
+                // `start_core`'d, and going by the machine's cores alone
+                // would hand it out again (a spawn could then stomp the
+                // spawning core).
                 let child = (0..self.machine.n_cores())
                     .find(|&c| !self.core_started[c])
                     .ok_or(EmuError::TooManyThreads { core, pc: next })?;

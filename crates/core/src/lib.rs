@@ -48,8 +48,8 @@ pub use engine::{
 pub use faults::{FaultPlan, FaultSite};
 pub use idl::{Idl, IdlError, IdlFunc, IdlType};
 pub use obs::{
-    HotTb, HotTbProfiler, JsonLinesSink, MetricsSnapshot, NullSink, RingBufferSink, TraceEvent,
-    TraceSink, TraceStage,
+    HotTb, HotTbProfiler, MetricsSnapshot, NullSink, RingBufferSink, TraceEvent, TraceSink,
+    TraceStage,
 };
 pub use risotto_host_arm::{AtomicEvent, RmwStyle, SchedPolicy};
 pub use risotto_tcg::{PassConfig, VerifyError, VerifyPass};

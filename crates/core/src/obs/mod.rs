@@ -12,7 +12,7 @@
 //! * [`TraceSink`] — span-style structured events
 //!   ([`TraceEvent`]) at the decode / opt / encode / install / dispatch
 //!   / fault boundaries, with guest-pc + core + TB-id context. Sinks:
-//!   [`NullSink`], [`RingBufferSink`], [`JsonLinesSink`].
+//!   [`NullSink`], [`RingBufferSink`].
 //! * [`HotTbProfiler`] — per-TB execution and chain-miss counts with a
 //!   [`HotTbProfiler::top_n`] report, fed by the engine dispatch loop
 //!   and the host machine's transfer paths.
@@ -32,7 +32,7 @@ pub use profile::{HotTb, HotTbProfiler};
 pub use registry::{
     doc_name, HistSummary, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION,
 };
-pub use trace::{JsonLinesSink, NullSink, RingBufferSink, TraceEvent, TraceSink, TraceStage};
+pub use trace::{NullSink, RingBufferSink, TraceEvent, TraceSink, TraceStage};
 
 use std::fmt;
 

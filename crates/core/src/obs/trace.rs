@@ -7,8 +7,6 @@
 //! they can never change simulated cycles.
 
 use std::collections::VecDeque;
-use std::fmt;
-use std::io::{BufWriter, Write};
 
 /// Which pipeline boundary an event marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,20 +27,6 @@ pub enum TraceStage {
     Fault,
 }
 
-impl TraceStage {
-    /// Lower-case stage name used in the JSON-lines exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceStage::Decode => "decode",
-            TraceStage::Opt => "opt",
-            TraceStage::Encode => "encode",
-            TraceStage::Install => "install",
-            TraceStage::Dispatch => "dispatch",
-            TraceStage::Fault => "fault",
-        }
-    }
-}
-
 /// One structured trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -60,39 +44,6 @@ pub struct TraceEvent {
     pub dur_ns: Option<u64>,
     /// Free-form detail (fault site, op counts, …).
     pub detail: String,
-}
-
-impl TraceEvent {
-    /// One-line JSON encoding (the JSON-lines file format).
-    pub fn to_json_line(&self) -> String {
-        let mut s = format!("{{\"seq\": {}, \"stage\": \"{}\"", self.seq, self.stage.name());
-        if let Some(c) = self.core {
-            s.push_str(&format!(", \"core\": {c}"));
-        }
-        if let Some(pc) = self.guest_pc {
-            s.push_str(&format!(", \"guest_pc\": {pc}"));
-        }
-        if let Some(id) = self.tb_id {
-            s.push_str(&format!(", \"tb_id\": {id}"));
-        }
-        if let Some(ns) = self.dur_ns {
-            s.push_str(&format!(", \"dur_ns\": {ns}"));
-        }
-        if !self.detail.is_empty() {
-            let escaped: String = self
-                .detail
-                .chars()
-                .flat_map(|c| match c {
-                    '"' | '\\' => vec!['\\', c],
-                    c if c.is_control() => " ".chars().collect(),
-                    c => vec![c],
-                })
-                .collect();
-            s.push_str(&format!(", \"detail\": \"{escaped}\""));
-        }
-        s.push('}');
-        s
-    }
 }
 
 /// Receiver of trace events. Implementations must be observational:
@@ -166,45 +117,5 @@ impl TraceSink for RingBufferSink {
             self.overwritten += 1;
         }
         self.events.push_back(event.clone());
-    }
-}
-
-/// Streams events as JSON lines to a file (one object per line).
-pub struct JsonLinesSink {
-    w: BufWriter<std::fs::File>,
-    path: String,
-}
-
-impl JsonLinesSink {
-    /// Creates (truncating) `path` and streams events into it.
-    ///
-    /// # Errors
-    ///
-    /// Any [`std::io::Error`] from creating the file.
-    pub fn create(path: &str) -> std::io::Result<JsonLinesSink> {
-        Ok(JsonLinesSink { w: BufWriter::new(std::fs::File::create(path)?), path: path.to_owned() })
-    }
-}
-
-impl fmt::Debug for JsonLinesSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonLinesSink").field("path", &self.path).finish()
-    }
-}
-
-impl TraceSink for JsonLinesSink {
-    fn record(&mut self, event: &TraceEvent) {
-        // Best effort: a full disk must not abort the emulation.
-        let _ = writeln!(self.w, "{}", event.to_json_line());
-    }
-
-    fn flush(&mut self) {
-        let _ = self.w.flush();
-    }
-}
-
-impl Drop for JsonLinesSink {
-    fn drop(&mut self) {
-        let _ = self.w.flush();
     }
 }

@@ -31,7 +31,7 @@ pub struct CostModel {
     pub dmb_st: u64,
     /// Branch (taken or not).
     pub branch: u64,
-    /// `BL`/`BLR`/`RET`.
+    /// Call and return around a native library call (`NativeCall`).
     pub call: u64,
     /// Single-instruction atomic (`cas`/`casal`/`ldaddal`), uncontended.
     pub atomic: u64,

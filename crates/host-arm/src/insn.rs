@@ -29,8 +29,6 @@ impl Xreg {
     pub const X2: Xreg = Xreg(2);
     /// Fourth argument.
     pub const X3: Xreg = Xreg(3);
-    /// Link register.
-    pub const LR: Xreg = Xreg(30);
     /// Zero register.
     pub const XZR: Xreg = Xreg(31);
     /// Number of addressable registers (including XZR).
@@ -513,23 +511,6 @@ pub enum HostInsn {
         /// Relative target.
         rel: i32,
     },
-    /// `br reg`.
-    Br {
-        /// Target register.
-        reg: Xreg,
-    },
-    /// `bl rel` (link in X30).
-    Bl {
-        /// Relative target.
-        rel: i32,
-    },
-    /// `blr reg`.
-    Blr {
-        /// Target register.
-        reg: Xreg,
-    },
-    /// `ret` (to X30).
-    Ret,
     /// Runtime helper call (QEMU-style out-of-line code): args in X0–X3,
     /// result in X0. Carries the DBT-runtime round-trip cost.
     Hcall {
@@ -556,11 +537,11 @@ impl HostInsn {
     pub fn encoded_len(&self) -> usize {
         use HostInsn::*;
         match self {
-            Ret | Hlt | Nop => 1,
-            Br { .. } | Blr { .. } | Barrier(_) | Hcall { .. } => 2,
+            Hlt | Nop => 1,
+            Barrier(_) | Hcall { .. } => 2,
             MovReg { .. } | Cmp { .. } | Cset { .. } | NativeCall { .. } => 3,
             Ldxr { .. } | LdaddAl { .. } => 4,
-            Stxr { .. } | Cas { .. } | Alu { .. } | Fp { .. } | B { .. } | Bl { .. } => 5,
+            Stxr { .. } | Cas { .. } | Alu { .. } | Fp { .. } | B { .. } => 5,
             BCond { .. } => 6,
             LdrB { .. } | StrB { .. } => 7,
             Ldr { .. } | Str { .. } => 8,
@@ -632,13 +613,7 @@ impl HostInsn {
                 out.push(0x11);
                 out.extend_from_slice(&rel.to_le_bytes());
             }
-            Br { reg } => out.extend_from_slice(&[0x12, reg.0]),
-            Bl { rel } => {
-                out.push(0x13);
-                out.extend_from_slice(&rel.to_le_bytes());
-            }
-            Blr { reg } => out.extend_from_slice(&[0x14, reg.0]),
-            Ret => out.push(0x15),
+            // 0x12–0x15 are unassigned.
             Hcall { helper } => out.extend_from_slice(&[0x16, helper]),
             NativeCall { func } => {
                 out.push(0x17);
@@ -783,10 +758,6 @@ impl HostInsn {
                 6,
             ),
             0x11 => (B { rel: i32_at(bytes, 1)? }, 5),
-            0x12 => (Br { reg: xr(bytes, 1)? }, 2),
-            0x13 => (Bl { rel: i32_at(bytes, 1)? }, 5),
-            0x14 => (Blr { reg: xr(bytes, 1)? }, 2),
-            0x15 => (Ret, 1),
             0x16 => (Hcall { helper: *bytes.get(1).ok_or("truncated")? }, 2),
             0x17 => (
                 NativeCall {
@@ -856,10 +827,6 @@ mod tests {
             Fp { op: AFpOp::Sqrt, dst: x(0), a: x(1), b: x(2) },
             BCond { cond: ACond::Ne, rel: -40 },
             B { rel: 1000 },
-            Br { reg: x(17) },
-            Bl { rel: 12 },
-            Blr { reg: x(9) },
-            Ret,
             Hcall { helper: 3 },
             NativeCall { func: 258 },
             ExitTb(TbExitKind::Jump { guest_pc: 0xdead, chain: 0 }),
@@ -910,6 +877,9 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(HostInsn::decode(&[]).is_err());
         assert!(HostInsn::decode(&[0xff]).is_err());
+        for unassigned in 0x12..=0x15 {
+            assert!(HostInsn::decode(&[unassigned, 1, 0, 0, 0]).is_err());
+        }
         assert!(HostInsn::decode(&[0x03, 1, 2]).is_err());
         assert!(HostInsn::decode(&[0x0a, 99, 0, 0, 0]).is_err());
     }

@@ -31,10 +31,12 @@
 
 mod backend;
 mod code_cache;
+mod contention;
 mod cost;
 mod insn;
 mod machine;
 mod regalloc;
+mod sched;
 mod store_buffer;
 mod verify;
 
@@ -47,8 +49,7 @@ pub use cost::CostModel;
 pub use insn::{
     ACond, AFpOp, AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg, JUMP_CHAIN_OFFSET,
 };
-pub use machine::{
-    AtomicEvent, CoreStats, Event, HostFaultKind, Machine, NativeFn, NativeResult, SchedPolicy,
-};
+pub use machine::{AtomicEvent, CoreStats, Event, HostFaultKind, Machine, NativeFn, NativeResult};
 pub use regalloc::AllocStats;
+pub use sched::SchedPolicy;
 pub use verify::{EncodingScratch, Point};

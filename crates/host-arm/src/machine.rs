@@ -14,18 +14,19 @@
 //! see DESIGN.md §10. Fences, acquire/release and atomics still have
 //! their architectural *costs* and their buffer-drain semantics here.
 
-use crate::backend::helper_at;
+use crate::backend::{fp_op_of, helper_at};
 use crate::code_cache::{CodeCache, Via};
+use crate::contention::Contention;
 use crate::cost::CostModel;
 #[cfg(test)]
 use crate::insn::ACond;
-use crate::insn::{AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg};
+use crate::insn::{AFpOp, AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg};
+use crate::sched::{xorshift, SchedPolicy, Scheduler};
 use crate::store_buffer::{Probe, StoreBuffer};
 #[cfg(test)]
 use crate::store_buffer::{DRAIN_AGE, STORE_BUFFER_CAP};
-use risotto_guest_x86::{softfloat, SparseMem};
+use risotto_guest_x86::SparseMem;
 use risotto_tcg::Helper;
-use std::collections::HashMap;
 
 /// A result returned by a registered native host function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,23 +98,6 @@ pub enum HostFaultKind {
     UnknownHelper(u8),
     /// A `NativeCall` named an unregistered native function index.
     UnknownNative(u16),
-}
-
-/// How [`Machine::run`] picks the next core to step.
-///
-/// All three policies are deterministic (the random policy is seeded),
-/// so any schedule-dependent failure reproduces exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Discrete-event order: the runnable core with the smallest local
-    /// clock runs next (the default; reported runtime = max core clock).
-    Deterministic,
-    /// Seeded pseudo-random choice among runnable cores.
-    Random(u64),
-    /// Adversarial: always run the *most advanced* runnable core,
-    /// maximizing clock skew between cores (worst case for code that
-    /// polls cross-core state).
-    Adversarial,
 }
 
 /// Per-core execution statistics.
@@ -198,22 +182,16 @@ impl Core {
         self.started && !self.halted
     }
 
-    /// The core's entry in `Machine::sched_keys`.
-    fn sched_key(&self) -> u64 {
-        if self.runnable() {
-            self.cycles
-        } else {
-            u64::MAX
-        }
+    /// What the scheduler knows of the core: its clock while it is
+    /// runnable.
+    fn sched_clock(&self) -> Option<u64> {
+        self.runnable().then_some(self.cycles)
     }
 
     /// Next jitter value in 0..16 (xorshift, seeded per construction and
     /// perturbed by the core's own execution history).
     fn next_jitter(&mut self) -> u64 {
-        self.jitter ^= self.jitter << 13;
-        self.jitter ^= self.jitter >> 7;
-        self.jitter ^= self.jitter << 17;
-        self.jitter & 15
+        xorshift(&mut self.jitter) & 15
     }
 
     fn get(&self, r: Xreg) -> u64 {
@@ -240,17 +218,11 @@ pub struct Machine {
     pub(crate) cache: CodeCache,
     natives: Vec<NativeFn>,
     cost: CostModel,
-    /// Recent RMW sites for the contention model: addr → each core's
-    /// latest access inside the window, as (cycle, core).
-    rmw_history: HashMap<u64, Vec<(u64, usize)>>,
-    /// Table size at which [`Machine::sweep_rmw_history`] next runs.
-    rmw_sweep_at: usize,
+    /// Who has recently taken which line exclusively (`contention.rs`).
+    contention: Contention,
     total_steps: u64,
-    sched: SchedPolicy,
-    sched_state: u64,
-    /// What the scheduler picks from during one [`Machine::run`] call:
-    /// per core, its clock, or `u64::MAX` if it is not runnable.
-    sched_keys: Vec<u64>,
+    /// Picks the core each run quantum steps (`sched.rs`).
+    sched: Scheduler,
     /// Ordered atomic RMW event log; `None` (the default) disables
     /// recording entirely. See [`Machine::set_atomic_log`].
     atomic_log: Option<Vec<AtomicEvent>>,
@@ -282,12 +254,9 @@ impl Machine {
             cache: CodeCache::new(n_cores),
             natives: Vec::new(),
             cost,
-            rmw_history: HashMap::new(),
-            rmw_sweep_at: 64,
+            contention: Contention::new(cost.contend_window),
             total_steps: 0,
-            sched: SchedPolicy::Deterministic,
-            sched_state: 0x243F_6A88_85A3_08D3,
-            sched_keys: vec![u64::MAX; n_cores],
+            sched: Scheduler::new(n_cores),
             atomic_log: None,
         }
     }
@@ -315,11 +284,7 @@ impl Machine {
 
     /// Selects the scheduling policy (see [`SchedPolicy`]).
     pub fn set_sched_policy(&mut self, policy: SchedPolicy) {
-        self.sched = policy;
-        if let SchedPolicy::Random(seed) = policy {
-            // Never let the xorshift state be zero.
-            self.sched_state = seed | 1;
-        }
+        self.sched.set_policy(policy);
     }
 
     /// Number of cores.
@@ -358,7 +323,8 @@ impl Machine {
         self.cores[core].get(r)
     }
 
-    /// Halts a core (engine use: guest thread exit).
+    /// Halts a core, behind everything it has buffered (`hlt`, a halting
+    /// TB exit, and engine use: guest thread exit).
     pub fn halt_core(&mut self, core: usize) {
         self.drain_all(core);
         self.cores[core].halted = true;
@@ -389,8 +355,7 @@ impl Machine {
     /// `addr`, so an `stxr` cannot succeed over it.
     pub fn store_u64(&mut self, core: usize, addr: u64, v: u64) {
         self.drain_all(core);
-        self.mem.write_u64(addr, v);
-        Self::invalidate_monitors(&mut self.cores, core, addr);
+        self.write_word(core, addr, v);
     }
 
     /// [`Machine::store_u64`] for one byte; it clears monitors on the
@@ -399,11 +364,6 @@ impl Machine {
         self.drain_all(core);
         self.mem.write_u8(addr, v);
         Self::invalidate_monitors(&mut self.cores, core, addr & !7);
-    }
-
-    /// An idle core index (never started), if any.
-    pub fn idle_core(&self) -> Option<usize> {
-        self.cores.iter().position(|c| !c.started)
     }
 
     /// The core's local clock.
@@ -453,14 +413,20 @@ impl Machine {
     /// capacity.
     fn drain_due(&mut self, core: usize, now: u64) {
         while let Some((a, v)) = self.cores[core].sb.pop_due(now) {
-            self.mem.write_u64(a, v);
-            Self::invalidate_monitors(&mut self.cores, core, a);
+            self.write_word(core, a, v);
         }
     }
 
     /// Drains everything `core` has buffered.
     fn drain_all(&mut self, core: usize) {
         self.drain_due(core, u64::MAX);
+    }
+
+    /// The one way a word `core` wrote becomes globally visible: no other
+    /// core's `stxr` may succeed over it.
+    fn write_word(&mut self, core: usize, addr: u64, v: u64) {
+        self.mem.write_u64(addr, v);
+        Self::invalidate_monitors(&mut self.cores, core, addr);
     }
 
     fn invalidate_monitors(cores: &mut [Core], writer: usize, addr: u64) {
@@ -476,33 +442,32 @@ impl Machine {
     /// little seeded jitter. The penalty is physical (line ownership), so
     /// it applies to `casal`/`ldaddal`, helper atomics *and* `ldxr`.
     fn atomic_cost(&mut self, core: usize, addr: u64, base: u64) -> u64 {
-        let now = self.cores[core].cycles;
-        let window = self.cost.contend_window;
-        if self.rmw_history.len() >= self.rmw_sweep_at {
-            self.sweep_rmw_history();
-        }
-        // Each core's latest access decides whether it is still in the
-        // window, so that is all a site keeps of it: dropping this core's
-        // older entry leaves the other cores, each counted once.
-        let hist = self.rmw_history.entry(addr & !7).or_default();
-        hist.retain(|&(t, c)| c != core && now.saturating_sub(t) <= window);
-        let others = hist.len() as u64;
-        hist.push((now, core));
+        let cores = &self.cores;
+        let slowest_running = || cores.iter().filter_map(Core::sched_clock).min().unwrap_or(0);
+        let others =
+            self.contention.others_in_window(core, addr, cores[core].cycles, slowest_running);
         let jitter = self.cores[core].next_jitter();
         base + self.cost.atomic_contend * others + jitter
     }
 
-    /// Drops the contention sites whose window has emptied: every access
-    /// there is older than the window as seen from the slowest running
-    /// core, so the next access would discard it unseen. (A core that
-    /// starts later starts at its spawner's clock, not behind it.)
-    /// Runs when the table has doubled since the last sweep.
-    fn sweep_rmw_history(&mut self) {
-        let window = self.cost.contend_window;
-        let running = self.cores.iter().filter(|c| c.runnable());
-        let floor = running.map(|c| c.cycles).min().unwrap_or(0);
-        self.rmw_history.retain(|_, h| h.iter().any(|&(t, _)| floor.saturating_sub(t) <= window));
-        self.rmw_sweep_at = (2 * self.rmw_history.len()).max(64);
+    /// The one way an atomic read-modify-write reaches shared memory:
+    /// behind everything `core` has buffered, `f` sees the word at `addr`
+    /// and says what to leave there (`None`: nothing, a failed
+    /// compare-exchange). Written or not, the access is logged, counted
+    /// and charged `CostModel::atomic` plus contention; returns the value
+    /// read.
+    fn rmw(&mut self, core: usize, addr: u64, f: impl FnOnce(u64) -> Option<u64>) -> u64 {
+        self.drain_all(core);
+        let old = self.mem.read_u64(addr);
+        let new = f(old);
+        if let Some(new) = new {
+            self.write_word(core, addr, new);
+        }
+        self.log_atomic(core, addr, old, new.unwrap_or(old));
+        self.cores[core].stats.atomics += 1;
+        let ac = self.atomic_cost(core, addr, self.cost.atomic);
+        self.cores[core].cycles += ac;
+        old
     }
 
     /// Runs until an [`Event`] occurs, executing at most `fuel` steps.
@@ -514,23 +479,20 @@ impl Machine {
     /// and the order of steps is the per-step order exactly (DESIGN.md
     /// §6, "Host machine inner loop").
     pub fn run(&mut self, fuel: u64) -> Event {
-        // The picks read one key per core, taken here. Until this call
-        // returns only the stepped core's clock and run state change, and
-        // its key is rewritten when its quantum ends; what the engine did
-        // since the last call (`start_core`, `halt_core`, `add_cycles`)
-        // is read now.
-        for (key, c) in self.sched_keys.iter_mut().zip(&self.cores) {
-            *key = c.sched_key();
+        // The scheduler reads one clock per core, taken here. Until this
+        // call returns only the stepped core's clock and run state
+        // change, and it is told again when its quantum ends; what the
+        // engine did since the last call (`start_core`, `halt_core`,
+        // `add_cycles`) is read now.
+        for (i, c) in self.cores.iter().enumerate() {
+            self.sched.set_clock(i, c.sched_clock());
         }
         let mut budget = fuel;
         loop {
             if budget == 0 {
-                // Decided without a pick: a `Random` draw is spent only
-                // on a step that happens, whatever the fuel slicing.
-                let idle = self.sched_keys.iter().all(|&k| k == u64::MAX);
-                return if idle { Event::AllHalted } else { Event::OutOfFuel };
+                return if self.sched.idle() { Event::AllHalted } else { Event::OutOfFuel };
             }
-            let Some((core, until)) = self.pick_core() else {
+            let Some((core, until)) = self.sched.pick() else {
                 return Event::AllHalted;
             };
             loop {
@@ -543,57 +505,7 @@ impl Machine {
                     break;
                 }
             }
-            self.sched_keys[core] = self.cores[core].sched_key();
-        }
-    }
-
-    /// Picks the next runnable core per the scheduling policy, and the
-    /// `(clock, index)` bound below which that core stays the pick: the
-    /// runner-up's under `Deterministic` (smallest clock first, lowest
-    /// index on a tie), none under `Adversarial` (the leader only gets
-    /// further ahead), and an immediate one under `Random`, which draws
-    /// afresh for every step.
-    fn pick_core(&mut self) -> Option<(usize, (u64, usize))> {
-        const NO_BOUND: (u64, usize) = (u64::MAX, usize::MAX);
-        let mut runnable =
-            self.sched_keys.iter().enumerate().filter(|&(_, &clock)| clock != u64::MAX);
-        match self.sched {
-            SchedPolicy::Deterministic => {
-                // Walked in index order, `<` on the clock alone is the
-                // `(clock, index)` order, and `u64::MAX` — not runnable —
-                // is below nothing.
-                let (mut best, mut runner_up) = (NO_BOUND, NO_BOUND);
-                for (i, &clock) in self.sched_keys.iter().enumerate() {
-                    if clock < best.0 {
-                        (best, runner_up) = ((clock, i), best);
-                    } else if clock < runner_up.0 {
-                        runner_up = (clock, i);
-                    }
-                }
-                (best != NO_BOUND).then_some((best.1, runner_up))
-            }
-            SchedPolicy::Adversarial => {
-                // The first of the most advanced.
-                let mut pick: Option<(usize, u64)> = None;
-                for (i, &clock) in runnable {
-                    if pick.is_none_or(|(_, leader)| clock > leader) {
-                        pick = Some((i, clock));
-                    }
-                }
-                pick.map(|(i, _)| (i, NO_BOUND))
-            }
-            SchedPolicy::Random(_) => {
-                let n = runnable.clone().count() as u64;
-                if n == 0 {
-                    return None;
-                }
-                let mut x = self.sched_state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                self.sched_state = x;
-                runnable.nth((x % n) as usize).map(|(i, _)| (i, (0, 0)))
-            }
+            self.sched.set_clock(core, self.cores[core].sched_clock());
         }
     }
 
@@ -705,8 +617,7 @@ impl Machine {
                         let prev = self.mem.read_u64(a);
                         self.log_atomic(core, a, prev, v);
                     }
-                    self.mem.write_u64(a, v);
-                    Self::invalidate_monitors(&mut self.cores, core, a);
+                    self.write_word(core, a, v);
                 }
                 let c = &mut self.cores[core];
                 c.set(status, if ok { 0 } else { 1 });
@@ -714,36 +625,16 @@ impl Machine {
                 c.cycles += self.cost.exclusive + if release { self.cost.acq_rel_extra } else { 0 };
             }
             Cas { cmp_old, new, addr, acq_rel } => {
-                let a = c.get(addr);
-                let expected = c.get(cmp_old);
-                let newv = c.get(new);
-                self.drain_all(core);
-                let old = self.mem.read_u64(a);
-                if old == expected {
-                    self.mem.write_u64(a, newv);
-                    Self::invalidate_monitors(&mut self.cores, core, a);
-                }
-                self.log_atomic(core, a, old, if old == expected { newv } else { old });
+                let (a, expected, new) = (c.get(addr), c.get(cmp_old), c.get(new));
+                let old = self.rmw(core, a, |old| (old == expected).then_some(new));
                 let c = &mut self.cores[core];
                 c.set(cmp_old, old);
-                c.stats.atomics += 1;
-                let extra = if acq_rel { self.cost.acq_rel_extra } else { 0 };
-                let ac = self.atomic_cost(core, a, self.cost.atomic);
-                self.cores[core].cycles += ac + extra;
+                c.cycles += if acq_rel { self.cost.acq_rel_extra } else { 0 };
             }
             LdaddAl { old, addend, addr } => {
-                let a = c.get(addr);
-                let add = c.get(addend);
-                self.drain_all(core);
-                let prev = self.mem.read_u64(a);
-                self.mem.write_u64(a, prev.wrapping_add(add));
-                Self::invalidate_monitors(&mut self.cores, core, a);
-                self.log_atomic(core, a, prev, prev.wrapping_add(add));
-                let c = &mut self.cores[core];
-                c.set(old, prev);
-                c.stats.atomics += 1;
-                let ac = self.atomic_cost(core, a, self.cost.atomic);
-                self.cores[core].cycles += ac;
+                let (a, add) = (c.get(addr), c.get(addend));
+                let prev = self.rmw(core, a, |prev| Some(prev.wrapping_add(add)));
+                self.cores[core].set(old, prev);
             }
             Barrier(d) => {
                 // Only the full barrier needs a drain: it orders prior
@@ -802,24 +693,6 @@ impl Machine {
                 c.pc = next.wrapping_add(rel as i64 as u64);
                 c.cycles += self.cost.branch;
             }
-            Br { reg } => {
-                c.pc = c.get(reg);
-                c.cycles += self.cost.branch;
-            }
-            Bl { rel } => {
-                c.set(Xreg::LR, next);
-                c.pc = next.wrapping_add(rel as i64 as u64);
-                c.cycles += self.cost.call;
-            }
-            Blr { reg } => {
-                c.set(Xreg::LR, next);
-                c.pc = c.get(reg);
-                c.cycles += self.cost.call;
-            }
-            Ret => {
-                c.pc = c.get(Xreg::LR);
-                c.cycles += self.cost.call;
-            }
             Hcall { helper } => {
                 if let Some(ev) = self.exec_helper(core, pc, helper) {
                     return Some(ev);
@@ -848,10 +721,7 @@ impl Machine {
             ExitTb(kind) => {
                 return self.exit_tb(core, pc, kind);
             }
-            Hlt => {
-                self.drain_all(core);
-                self.cores[core].halted = true;
-            }
+            Hlt => self.halt_core(core),
             Nop => c.cycles += self.cost.alu,
         }
         None
@@ -873,62 +743,25 @@ impl Machine {
         let a1 = self.cores[core].get(Xreg(1));
         let a2 = self.cores[core].get(Xreg(2));
         let ret = match helper {
-            Helper::CmpxchgSc => {
-                // (addr, expected, new) — GCC builtin: casal.
-                self.drain_all(core);
-                let old = self.mem.read_u64(a0);
-                if old == a1 {
-                    self.mem.write_u64(a0, a2);
-                    Self::invalidate_monitors(&mut self.cores, core, a0);
-                }
-                self.log_atomic(core, a0, old, if old == a1 { a2 } else { old });
-                self.cores[core].stats.atomics += 1;
-                let ac = self.atomic_cost(core, a0, self.cost.atomic);
-                self.cores[core].cycles += ac;
-                old
-            }
-            Helper::XaddSc => {
-                // (addr, addend).
-                self.drain_all(core);
-                let old = self.mem.read_u64(a0);
-                self.mem.write_u64(a0, old.wrapping_add(a1));
-                Self::invalidate_monitors(&mut self.cores, core, a0);
-                self.log_atomic(core, a0, old, old.wrapping_add(a1));
-                self.cores[core].stats.atomics += 1;
-                let ac = self.atomic_cost(core, a0, self.cost.atomic);
-                self.cores[core].cycles += ac;
-                old
-            }
+            // (addr, expected, new) — GCC builtin: casal.
+            Helper::CmpxchgSc => self.rmw(core, a0, |old| (old == a1).then_some(a2)),
+            // (addr, addend).
+            Helper::XaddSc => self.rmw(core, a0, |old| Some(old.wrapping_add(a1))),
             // Soft-float helpers: the shared deterministic f64
             // semantics (risotto_guest_x86::softfloat), bit-identical
-            // to the interpreter and the hardware-FP path.
-            Helper::FpAdd => {
-                self.cores[core].cycles += self.cost.softfloat;
-                softfloat::add(a0, a1)
-            }
-            Helper::FpSub => {
-                self.cores[core].cycles += self.cost.softfloat;
-                softfloat::sub(a0, a1)
-            }
-            Helper::FpMul => {
-                self.cores[core].cycles += self.cost.softfloat;
-                softfloat::mul(a0, a1)
-            }
-            Helper::FpDiv => {
-                self.cores[core].cycles += self.cost.softfloat;
-                softfloat::div(a0, a1)
-            }
-            Helper::FpSqrt => {
-                self.cores[core].cycles += self.cost.softfloat * 2;
-                softfloat::sqrt(a1)
-            }
-            Helper::FpCvtIF => {
-                self.cores[core].cycles += self.cost.softfloat;
-                softfloat::cvt_if(a1)
-            }
-            Helper::FpCvtFI => {
-                self.cores[core].cycles += self.cost.softfloat;
-                softfloat::cvt_fi(a1)
+            // to the interpreter and the hardware-FP path — they are
+            // that path's `AFpOp::apply`, at the soft-float price.
+            Helper::FpAdd
+            | Helper::FpSub
+            | Helper::FpMul
+            | Helper::FpDiv
+            | Helper::FpSqrt
+            | Helper::FpCvtIF
+            | Helper::FpCvtFI => {
+                let op = fp_op_of(helper).expect("every float helper names a float op");
+                let multiple = if op == AFpOp::Sqrt { 2 } else { 1 };
+                self.cores[core].cycles += self.cost.softfloat * multiple;
+                op.apply(a0, a1)
             }
         };
         self.cores[core].set(Xreg(0), ret);
@@ -938,8 +771,7 @@ impl Machine {
     fn exit_tb(&mut self, core: usize, pc: u64, kind: TbExitKind) -> Option<Event> {
         let (guest_pc, transfer) = match kind {
             TbExitKind::Halt => {
-                self.drain_all(core);
-                self.cores[core].halted = true;
+                self.halt_core(core);
                 return None;
             }
             TbExitKind::Syscall { next } => {
@@ -1064,6 +896,59 @@ mod tests {
         assert_eq!(m.reg(0, Xreg(0)), 0, "old value returned");
         assert_eq!(m.mem.read_u64(0x5000), 42);
         assert_eq!(m.stats(0).atomics, 1);
+    }
+
+    #[test]
+    fn an_atomic_is_one_rmw_whether_instruction_or_helper() {
+        use crate::backend::helper_index;
+        use HostInsn::*;
+        const WORD: u64 = 0x5000;
+        let cost = CostModel::thunderx2_like();
+        // Core 1 has just taken `WORD` exclusively; core 0 then runs one
+        // atomic on it, operands in X0–X2. What that leaves behind, and
+        // what it cost less the cycles only this form of the atomic pays.
+        let after = |atomic: HostInsn, ret: Xreg, own_cycles: u64, x1: u64, x2: u64| {
+            let mut m = Machine::new(2, cost);
+            m.set_atomic_log(true);
+            m.mem.write_u64(WORD, 10);
+            let taker =
+                m.install_code(&[Ldxr { dst: Xreg(2), addr: Xreg(0), acquire: false }, Hlt]);
+            let code = m.install_code(&[atomic, Hlt]);
+            m.set_reg(1, Xreg(0), WORD);
+            m.start_core(1, taker);
+            assert_eq!(m.run(10), Event::AllHalted);
+            for (r, v) in [(0, WORD), (1, x1), (2, x2)] {
+                m.set_reg(0, Xreg(r), v);
+            }
+            m.start_core(0, code);
+            assert_eq!(m.run(1), Event::OutOfFuel);
+            let word = m.mem.read_u64(WORD);
+            let left =
+                (m.reg(0, ret), word, m.take_atomic_log(), m.stats(0).atomics, m.cores[1].monitor);
+            (left, m.core_cycles(0) - own_cycles)
+        };
+        let cas = Cas { cmp_old: Xreg(1), new: Xreg(2), addr: Xreg(0), acq_rel: true };
+        let cas = (cas, Xreg(1), cost.acq_rel_extra, Helper::CmpxchgSc);
+        let ldadd = LdaddAl { old: Xreg(3), addend: Xreg(1), addr: Xreg(0) };
+        let ldadd = (ldadd, Xreg(3), 0, Helper::XaddSc);
+        let event = |new| vec![AtomicEvent { core: 0, addr: WORD, old: 10, new }];
+        for ((insn, ret, insn_cycles, helper), x1, x2, expect) in [
+            // A compare-exchange that wins: the foreign monitor is gone.
+            (cas, 10, 42, (10, 42, event(42), 1, None)),
+            // One that loses: no write, the monitor kept, still logged
+            // and counted.
+            (cas, 11, 42, (10, 10, event(10), 1, Some(WORD))),
+            (ldadd, 5, 0, (10, 15, event(15), 1, None)),
+        ] {
+            let hcall = Hcall { helper: helper_index(helper) };
+            let as_insn = after(insn, ret, insn_cycles, x1, x2);
+            let as_helper = after(hcall, Xreg(0), cost.helper_overhead, x1, x2);
+            assert_eq!(as_insn, as_helper, "{insn:?} / {helper:?}");
+            let (left, charge) = as_insn;
+            assert_eq!(left, expect, "{insn:?}");
+            let one_contender = cost.atomic + cost.atomic_contend;
+            assert!((one_contender..one_contender + 16).contains(&charge), "{insn:?}: {charge}");
+        }
     }
 
     #[test]
@@ -1753,7 +1638,7 @@ mod tests {
             [SchedPolicy::Deterministic, SchedPolicy::Random(0xfeed), SchedPolicy::Adversarial];
         for build in [two_core_machine as fn() -> Machine, four_core_machine] {
             for policy in policies {
-                // One step per `run` is a fresh `pick_core` per step.
+                // One step per `run` is a fresh scheduler pick per step.
                 let per_step = run_in_slices(build(), policy, 1);
                 for slice in [7, 1000, u64::MAX] {
                     assert_eq!(
@@ -1827,7 +1712,7 @@ mod tests {
         m.start_core(0, a);
         assert_eq!(m.run(1_000_000), Event::AllHalted);
         assert_eq!(m.stats(0).atomics, 1000);
-        assert!(m.rmw_history.len() < 200, "{} sites kept", m.rmw_history.len());
+        assert!(m.contention.sites() < 200, "{} sites kept", m.contention.sites());
     }
 
     #[test]
