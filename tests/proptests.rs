@@ -15,7 +15,10 @@
 use risotto::guest::{AluOp, Cond, FpOp, Gpr, Insn, Operand};
 use risotto::host::{HostInsn, Xreg};
 use risotto::memmodel::{EventId, FenceKind, Relation};
-use risotto::tcg::{env, eval_block, optimize, BinOp, CondOp, OptPolicy, TbExit, TcgBlock, TcgOp};
+use risotto::tcg::{
+    env, eval_block, optimize, optimize_with, BinOp, CondOp, OptPolicy, PassConfig, TbExit,
+    TcgBlock, TcgOp,
+};
 
 // ---------------------------------------------------------------------
 // Deterministic generator: the workspace-shared SplitMix64 stream (the
@@ -367,6 +370,26 @@ fn optimizer_never_strengthens_fence_count() {
         optimize(&mut optimized, OptPolicy::Verified);
         let after = optimized.count_ops(|o| matches!(o, TcgOp::Fence(_)));
         assert!(after <= before);
+    });
+}
+
+/// The optimizer's fold + DCE clean-up round runs only after a forward:
+/// without one, folding or eliminating dead code once more over its
+/// output finds nothing.
+#[test]
+fn cleanup_round_finds_nothing_without_a_forward() {
+    let only = |constant_fold, dce| PassConfig { constant_fold, dce, ..PassConfig::none() };
+    check("cleanup_round_finds_nothing_without_a_forward", 256, |rng| {
+        let mut block = arb_tcg_block(rng);
+        let stats = optimize(&mut block, OptPolicy::Verified);
+        if stats.loads_forwarded + stats.stores_eliminated > 0 {
+            return;
+        }
+        let before = block.clone();
+        let folded = optimize_with(&mut block, OptPolicy::Verified, only(true, false)).folded;
+        let removed = optimize_with(&mut block, OptPolicy::Verified, only(false, true)).dce_removed;
+        assert_eq!((folded, removed), (0, 0));
+        assert_eq!(block, before);
     });
 }
 
