@@ -45,7 +45,9 @@ RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test verifier
 # and allocation statistics twice, across the kernel/litmus/fuzz corpora
 # and stitched tier-2 superblocks, under both RMW styles — and across
 # versions: host bytes, OptStats and AllocStats over the same corpora on
-# both backends must reproduce the checked-in hash, and a block must come
+# both backends must reproduce the checked-in hash (and host bytes and
+# AllocStats alone a second one, generated before the frontend stopped
+# building overwritten flag updates), and a block must come
 # out of scratch tables that have seen the whole corpus (failed
 # translations included) exactly as it does out of fresh ones.
 RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test determinism
@@ -146,6 +148,10 @@ rm -f "$checked_in"
 # gate reads), no operation may fail, and each translate stage and the
 # machine loop must report a positive time. Same-process ratios and
 # signs only: an absolute threshold would measure the machine CI runs on.
+# The two op counts are deterministic, so they get thresholds: the
+# frontend must not go back to computing every flag writer's flags
+# (3.83 TCG ops per guest instruction, 7.52 when it did), and the
+# optimizer never hands on more ops than it was given.
 layers_json="$(mktemp /tmp/translate_cold.XXXXXX.json)"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload translate_cold --smoke --trace 1 --out "$layers_json" > /dev/null
@@ -155,6 +161,9 @@ doc = json.load(open(sys.argv[1]))
 m = {name: v["value"] for name, v in doc["metrics"].items()}
 assert doc["failed"] == 0, doc["failed"]
 assert m["core.ir_overhead_ratio"] > 1, m["core.ir_overhead_ratio"]
+assert m["tcg.frontend_ops_per_insn"] < 4.5, m["tcg.frontend_ops_per_insn"]
+assert m["tcg.opt_ops_per_insn"] <= m["tcg.frontend_ops_per_insn"], \
+    (m["tcg.opt_ops_per_insn"], m["tcg.frontend_ops_per_insn"])
 for row in ("template.translate_ns_per_insn", "tcg.frontend_ns_per_insn",
             "tcg.opt_ns_per_insn", "host_arm.lower_ns_per_insn",
             "host_arm.machine_step_ns.alu"):
