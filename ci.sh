@@ -42,14 +42,13 @@ rm -f "$tso_dump"
 RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test verifier
 
 # Determinism gate: the same IR must lower to bit-identical host bytes
-# and allocation statistics twice, across the kernel/litmus/fuzz corpora
-# and stitched tier-2 superblocks, under both RMW styles — and across
-# versions: host bytes, OptStats and AllocStats over the same corpora on
-# both backends must reproduce the checked-in hash (and host bytes and
-# AllocStats alone a second one, generated before the frontend stopped
-# building overwritten flag updates), and a block must come
-# out of scratch tables that have seen the whole corpus (failed
-# translations included) exactly as it does out of fresh ones.
+# and allocation statistics twice, across the kernel/litmus/fuzz
+# corpora, under both RMW styles — and across versions: host bytes,
+# OptStats and AllocStats over the same corpora on both backends must
+# reproduce the checked-in hash (and host bytes and AllocStats alone a
+# second one), and a block must come out of scratch tables that have
+# seen the whole corpus (failed translations included) exactly as it
+# does out of fresh ones.
 RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test determinism
 
 # Allocation-budget gate, in the build the benchmark measures: heap
@@ -78,7 +77,7 @@ cargo test -q --release --test alloc_budget
 # included (same unit suite; `SparseMem`'s word-wide accessors against
 # their byte-wise definition ride along in guest-x86's). The code cache's
 # seeded churn (`code_cache.rs`: 50 000 install / map / remap / unmap /
-# superblock / discard / corrupt / link / park operations) must leave,
+# replace / discard / corrupt / link / park operations) must leave,
 # after every one, regions and holes tiling the buffer, every mapping on
 # a live region, no stale chain word, chain site, jump-cache entry or
 # decode; risotto-core's unit suite holds the engine's per-pc record
@@ -92,13 +91,13 @@ cargo test -q --release -p risotto-host-arm -p risotto-guest-x86 -p risotto-core
 cargo test -q --release --test slice_invariance --test obs
 
 # Paper-figure artifact, its own baseline: BENCH_pipeline.json (the 16
-# kernels in smoke mode — simulated cycles, chain counters, the tier-2 /
-# MiniTSO / analysis / tier-0 legs, the base run's metrics snapshot) is
-# a pure function of the source tree. Keep the checked-in copy aside,
-# regenerate, and fail if a kernel's cycles rose on either tier (a
-# genuine codegen or engine regression — the checked-in copy is put
-# back, so a re-run fails again) or if the regenerated file differs at
-# all (it is left in place: review the diff and commit it).
+# kernels in smoke mode — simulated cycles, chain counters, the MiniTSO
+# / analysis / tier-0 legs, the base run's metrics snapshot) is a pure
+# function of the source tree. Keep the checked-in copy aside,
+# regenerate, and fail if a kernel's tier-1 cycles rose (a genuine
+# codegen or engine regression — the checked-in copy is put back, so a
+# re-run fails again) or if the regenerated file differs at all (it is
+# left in place: review the diff and commit it).
 checked_in="$(mktemp /tmp/bench_pipeline.XXXXXX.json)"
 cp BENCH_pipeline.json "$checked_in"
 cargo bench -q -p risotto-bench --bench pipeline -- smoke
@@ -108,9 +107,7 @@ cargo bench -q -p risotto-bench --bench pipeline -- smoke
 # exactly the five named below (one fewer and the analysis got weaker,
 # one more and a relaxation appeared that nobody reviewed; swaptions,
 # relaxable at the scale 4 the `analyze --smoke` gate builds, carries a
-# poison at this suite's scale 16); tier-2 must never be slower than
-# tier-1, and at least four kernels must actually promote a superblock,
-# or the tier-2 numbers gate nothing.
+# poison at this suite's scale 16).
 python3 - "$checked_in" BENCH_pipeline.json <<'EOF'
 import json, sys
 base = {k["kernel"]: k for k in json.load(open(sys.argv[1]))["kernels"]}
@@ -118,18 +115,12 @@ doc = json.load(open(sys.argv[2]))
 assert len(doc["kernels"]) == 16, len(doc["kernels"])
 bad = []
 for k in doc["kernels"]:
-    name, sb, b = k["kernel"], k["superblock"], base[k["kernel"]]
-    assert sb["tier2_cycles"] <= k["cycles"], f'{name}: tier-2 slower than tier-1'
+    name, b = k["kernel"], base[k["kernel"]]
     if k["cycles"] > b["cycles"]:
         bad.append(f'{name}: tier-1 {k["cycles"]} > checked-in {b["cycles"]}')
-    if sb["tier2_cycles"] > b["superblock"]["tier2_cycles"]:
-        bad.append(f'{name}: tier-2 {sb["tier2_cycles"]}'
-                   f' > checked-in {b["superblock"]["tier2_cycles"]}')
 relaxed = {k["kernel"] for k in doc["kernels"] if k["analysis"]["relaxed"] > 0}
 assert relaxed == {"freqmine", "streamcluster", "linearregression", "pca", "stringmatch"}, \
     f"kernels that relax fences changed: {sorted(relaxed)}"
-promoted = [k["kernel"] for k in doc["kernels"] if k["superblock"]["promotions"] > 0]
-assert len(promoted) >= 4, f"tier-2 leg promoted on only {promoted}"
 if bad:
     open(sys.argv[2], "w").write(open(sys.argv[1]).read())
     sys.exit("cycle regression vs the checked-in BENCH_pipeline.json:\n  " + "\n  ".join(bad))
@@ -211,9 +202,9 @@ rm -f "$metrics_json"
 
 # Differential-fuzz gate (docs/FUZZING.md): a seeded smoke run across
 # the full oracle matrix. The binary exits nonzero on any divergence,
-# validator violation, or fault-contract breach, and asserts the tier-2
-# promotion-rate floor; the corpus replay itself runs inside
-# `cargo test --test fuzz` above. Fixed seed: failures are replayable.
+# validator violation, or fault-contract breach; the corpus replay
+# itself runs inside `cargo test --test fuzz` above. Fixed seed:
+# failures are replayable.
 fuzz_json="$(mktemp /tmp/fuzz_metrics.XXXXXX.json)"
 cargo run -q --release -p risotto-bench --bin fuzz -- \
     --smoke --seed 0xC1 --metrics-json "$fuzz_json" > /dev/null
@@ -226,9 +217,8 @@ assert m["fuzz.divergences"]["value"] == 0, m["fuzz.divergences"]
 assert m["fuzz.programs"]["value"] >= 300, m["fuzz.programs"]
 assert m["fuzz.fault_runs"]["value"] > 0, m["fuzz.fault_runs"]
 # The full oracle matrix is interp + tier0 + tier1 + tier1-noopt +
-# tier2 + tier1-tso + tier1-analysis: exactly seven configurations
-# per program.
-assert m["fuzz.configs_run"]["value"] == 7 * m["fuzz.programs"]["value"], m
+# tier1-tso + tier1-analysis: exactly six configurations per program.
+assert m["fuzz.configs_run"]["value"] == 6 * m["fuzz.programs"]["value"], m
 EOF
 rm -f "$fuzz_json"
 

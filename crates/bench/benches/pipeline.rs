@@ -1,6 +1,6 @@
 //! Regenerates `BENCH_pipeline.json` at the workspace root from
 //! [`risotto_bench::suite`]: per-kernel simulated cycles, TB-chain
-//! counters, the tier-2 / MiniTSO / analysis / tier-0 legs and the base
+//! counters, the MiniTSO / analysis / tier-0 legs and the base
 //! run's metrics snapshot. No wall time — host-time rows live in the
 //! `benchmark/` package. Pass `smoke` for the CI-sized configuration
 //! `ci.sh` gates on:

@@ -1,8 +1,8 @@
 //! Differential fuzzing driver: seeded random MiniX86 programs through
 //! the full oracle matrix (interpreter, tier-1, tier-1 without the
-//! optimizer, tier-2 with a lowered promotion threshold), with the
-//! translation verifier as a second oracle on every DBT run
-//! (DESIGN.md §13, docs/FUZZING.md).
+//! optimizer, the tier-0 ladder with a lowered warm threshold, tier-1 on
+//! MiniTSO, tier-1 with analysis), with the translation verifier as a
+//! second oracle on every DBT run (DESIGN.md §13, docs/FUZZING.md).
 //!
 //! ```sh
 //! cargo run --release -p risotto-bench --bin fuzz -- \
@@ -36,11 +36,6 @@ const FAULT_EVERY: u64 = 8;
 /// Minimizer budget per divergent program.
 const MINIMIZE_STEPS: u64 = 20_000;
 
-/// Lower bound on the fraction of iterations whose tier-2 configuration
-/// actually promoted (percent). The generator guarantees a hot loop per
-/// program, so a collapse here means the tiering hook went dead.
-const MIN_PROMOTED_PCT: u64 = 20;
-
 /// Default run seed (arbitrary fixed constant — reruns are comparable).
 const DEFAULT_SEED: u64 = 0xD1FF_F022_2026_0808;
 
@@ -49,7 +44,7 @@ fn main() {
     if cli.tiers.is_some() {
         eprintln!(
             "fuzz: --tiers cannot be combined with the differential driver: \
-             the oracle matrix already runs every tier (interp, tier-0, tier-1, tier-2)"
+             the oracle matrix already runs every tier (interp, tier-0, tier-1)"
         );
         std::process::exit(2);
     }
@@ -61,9 +56,9 @@ fn main() {
     println!("Differential fuzz: seed {seed:#x}, {iters} iterations\n");
 
     let mut divergent: Vec<(u64, risotto_fuzz::ProgSpec, Vec<String>)> = Vec::new();
-    let (mut promoted, mut fault_completed, mut fault_degraded) = (0u64, 0u64, 0u64);
+    let (mut fault_completed, mut fault_degraded) = (0u64, 0u64);
     let mut multicore = 0u64;
-    // The `fuzz.*` metrics, with `iters` and `promoted`.
+    // The `fuzz.*` metrics, with `iters`.
     let (mut configs_run, mut divergences, mut fault_runs, mut minimizer_steps) = (0u64, 0, 0, 0);
 
     for i in 0..iters {
@@ -74,9 +69,6 @@ fn main() {
         }
         let result = differential(&spec);
         configs_run += result.configs_run;
-        if result.promoted {
-            promoted += 1;
-        }
         if !result.divergences.is_empty() {
             divergences += 1;
             let msgs = result.divergences.iter().map(|d| d.to_string()).collect();
@@ -101,11 +93,10 @@ fn main() {
     }
 
     print_table(
-        &["programs", "multicore", "promoted", "fault runs", "fault degraded", "divergent"],
+        &["programs", "multicore", "fault runs", "fault degraded", "divergent"],
         &[vec![
             iters.to_string(),
             multicore.to_string(),
-            promoted.to_string(),
             (fault_completed + fault_degraded).to_string(),
             fault_degraded.to_string(),
             divergent.len().to_string(),
@@ -157,7 +148,6 @@ fn main() {
             ("fuzz.divergences", divergences),
             ("fuzz.minimizer_steps", minimizer_steps),
             ("fuzz.fault_runs", fault_runs),
-            ("fuzz.promoted", promoted),
         ] {
             snapshot.metrics.insert(name.to_owned(), MetricValue::Counter(total));
         }
@@ -169,13 +159,6 @@ fn main() {
         }];
         risotto_bench::write_metrics_json(path, "fuzz", &entries);
     }
-
-    // Tier-2 liveness gate: the harness exists to exercise promotion.
-    let promoted_pct = promoted * 100 / iters.max(1);
-    assert!(
-        promoted_pct >= MIN_PROMOTED_PCT,
-        "only {promoted_pct}% of iterations promoted a superblock (floor {MIN_PROMOTED_PCT}%)"
-    );
 
     println!();
     if divergent.is_empty() {

@@ -29,10 +29,10 @@ pub const HOT_TB_TOP_N: usize = 10;
 pub(crate) const FUEL: u64 = 20_000_000_000;
 
 /// The tier policy that pins every block to the tier-0 template
-/// translator: both thresholds at `u64::MAX` never fire, so nothing is
-/// ever re-translated through the IR pipeline or promoted.
+/// translator: a warm threshold of `u64::MAX` never fires, so nothing is
+/// ever re-translated through the IR pipeline.
 pub fn templates_only() -> TierConfig {
-    TierConfig { hot_threshold: u64::MAX, warm_threshold: Some(u64::MAX), ..TierConfig::default() }
+    TierConfig { warm_threshold: Some(u64::MAX) }
 }
 
 /// One workload's entry in a `--metrics-json` artifact.
@@ -114,10 +114,10 @@ pub struct BenchCli {
     /// flag is absent. The native-oracle setup always stays on Arm
     /// (see [`BenchCli::emulator`]).
     pub backend: BackendKind,
-    /// Tier ceiling from `--tiers` (docs/ARCHITECTURE.md): `0` pins
+    /// Tier selection from `--tiers` (docs/ARCHITECTURE.md): `0` pins
     /// every block to the tier-0 template translator, `1` is today's
-    /// tier-1-only default, `2` enables the full three-tier ladder
-    /// (templates → IR pipeline → superblocks). `None` when absent.
+    /// tier-1-only default, `2` enables the two-tier ladder (templates,
+    /// then the IR pipeline once warm). `None` when absent.
     pub tiers: Option<u8>,
     /// Whole-program analysis toggle from `--analysis on|off`
     /// (docs/ANALYSIS.md). `None` when absent — [`BenchCli::emulator`]
@@ -229,13 +229,12 @@ impl BenchCli {
     ///   forever.
     /// * `--tiers 1` (or no flag) — today's default: the IR pipeline
     ///   translates everything, no tiering at all (`None`).
-    /// * `--tiers 2` — the full ladder: cold blocks via templates, warm
-    ///   blocks re-translated at 32 entries, hot traces promoted to
-    ///   superblocks at the default threshold.
+    /// * `--tiers 2` — the two-tier ladder: cold blocks via templates,
+    ///   re-translated through the IR pipeline at 32 entries.
     pub fn tier_config(&self) -> Option<TierConfig> {
         match self.tiers {
             Some(0) => Some(templates_only()),
-            Some(2) => Some(TierConfig { warm_threshold: Some(32), ..TierConfig::default() }),
+            Some(2) => Some(TierConfig { warm_threshold: Some(32) }),
             _ => None,
         }
     }
@@ -471,7 +470,6 @@ mod tests {
 
     #[test]
     fn tiers_flag_parses_and_rejects_invalid_combinations() {
-        use risotto_core::TierConfig;
         assert_eq!(parse(&[]).unwrap().tiers, None);
         assert_eq!(parse(&["--tiers", "0"]).unwrap().tiers, Some(0));
         assert_eq!(parse(&["--tiers=2"]).unwrap().tiers, Some(2));
@@ -481,14 +479,12 @@ mod tests {
         assert!(parse(&["--tiers=01"]).is_err(), "non-canonical spelling");
 
         // Tier 1 (and the flag's absence) keep the engine default; 0
-        // pins templates forever; 2 opens the whole ladder.
+        // pins templates forever; 2 opens the ladder.
         assert_eq!(parse(&[]).unwrap().tier_config(), None);
         assert_eq!(parse(&["--tiers", "1"]).unwrap().tier_config(), None);
         let t0 = parse(&["--tiers", "0"]).unwrap().tier_config().unwrap();
-        assert_eq!(t0.hot_threshold, u64::MAX);
         assert_eq!(t0.warm_threshold, Some(u64::MAX));
         let t2 = parse(&["--tiers", "2"]).unwrap().tier_config().unwrap();
-        assert_eq!(t2.hot_threshold, TierConfig::default().hot_threshold);
         assert_eq!(t2.warm_threshold, Some(32));
     }
 

@@ -5,12 +5,12 @@
 //! checked-in copy as its own baseline.
 
 use risotto_core::obs::MetricsSnapshot;
-use risotto_core::{BackendKind, Emulator, Report, Setup, TierConfig};
+use risotto_core::{BackendKind, Emulator, Report, Setup};
 use risotto_workloads::kernels;
 
-/// Kernel scale in smoke (CI) mode: large enough that the tier-2 leg
-/// promotes superblocks on several kernels (none does at 4), so the
-/// `tier2_cycles` gate in `ci.sh` checks something.
+/// Kernel scale in smoke (CI) mode. `ci.sh` names the kernels whose
+/// analysis leg relaxes fences at this scale, so changing it moves that
+/// gate too.
 const SMOKE_SCALE: u64 = 16;
 
 /// One configuration each kernel runs under.
@@ -25,16 +25,8 @@ struct Leg {
 /// run's exit values and output bit for bit — only cycles and counters
 /// may move. The base run keeps every observability feature off, so its
 /// numbers equal an uninstrumented build's.
-const LEGS: [Leg; 5] = [
+const LEGS: [Leg; 4] = [
     Leg { name: "tier-1", backend: BackendKind::Arm, configure: |_| {} },
-    // Superblock promotion on.
-    Leg {
-        name: "tier-2",
-        backend: BackendKind::Arm,
-        configure: |e| {
-            e.set_tiering(Some(TierConfig { hot_threshold: 16, ..TierConfig::default() }))
-        },
-    },
     // The x86-TSO host backend: most TCG fences are no-ops under TSO, only
     // W→R orderings cost an MFENCE, which executes as a full barrier
     // (`fence.exec.dmb_ff`). Cycles are priced by its own cost model.
@@ -82,9 +74,7 @@ pub fn pipeline_json(smoke: bool) -> String {
             assert_eq!(other.exit_vals, r.exit_vals, "{} ({}): exit values", w.name, leg.name);
             assert_eq!(other.output, r.output, "{} ({}): output", w.name, leg.name);
         }
-        let [_, (r2, _), (rt, tso), (ra, an), (r0, t0)] = &runs[..] else {
-            unreachable!("one run per leg")
-        };
+        let [_, (rt, tso), (ra, an), (r0, t0)] = &runs[..] else { unreachable!("one run per leg") };
         assert!(
             ra.cycles <= r.cycles,
             "{}: analysis-on run regressed cycles ({} > {})",
@@ -96,13 +86,10 @@ pub fn pipeline_json(smoke: bool) -> String {
         assert_eq!(t0.counter("translate.insns"), 0, "{}: tier-1 ran in the tier-0 leg", w.name);
 
         println!(
-            "{:16} {:>10} cycles   chain {:>5.1}%   sb {:+6} cy ({} prom, {} xfence)   an {:+6} cy ({} relax)   tso {:>10} cy ({} mfence)   t0 {:>10} cy",
+            "{:16} {:>10} cycles   chain {:>5.1}%   an {:+6} cy ({} relax)   tso {:>10} cy ({} mfence)   t0 {:>10} cy",
             w.name,
             r.cycles,
             100.0 * r.chain_hit_rate(),
-            r.cycles as i64 - r2.cycles as i64,
-            r2.sb.promotions,
-            r2.sb.fences_merged_cross,
             r.cycles as i64 - ra.cycles as i64,
             an.counter("analysis.relaxed"),
             rt.cycles,
@@ -114,9 +101,6 @@ pub fn pipeline_json(smoke: bool) -> String {
                 "    {{\"kernel\": \"{}\", \"cycles\": {}, \"chain_hit_rate\": {:.4}, ",
                 "\"chain_hits\": {}, \"chain_links\": {}, \"dispatch_hits\": {}, ",
                 "\"dispatch_misses\": {},\n     ",
-                "\"superblock\": {{\"tier1_cycles\": {}, \"tier2_cycles\": {}, ",
-                "\"cycle_delta\": {}, \"promotions\": {}, \"tbs_merged\": {}, ",
-                "\"side_exits\": {}, \"fences_merged_cross\": {}}},\n     ",
                 "\"tso\": {{\"cycles\": {}, \"mfences\": {}, \"arm_dmb_ff\": {}, ",
                 "\"cycle_delta_vs_arm\": {}}},\n     ",
                 "\"analysis\": {{\"cycles\": {}, \"cycle_delta_vs_off\": {}, ",
@@ -133,13 +117,6 @@ pub fn pipeline_json(smoke: bool) -> String {
             r.chain.chain_links,
             r.chain.dispatch_hits,
             r.chain.dispatch_misses,
-            r.cycles,
-            r2.cycles,
-            r.cycles as i64 - r2.cycles as i64,
-            r2.sb.promotions,
-            r2.sb.tbs_merged,
-            r2.sb.side_exits,
-            r2.sb.fences_merged_cross,
             rt.cycles,
             tso.counter("fence.exec.dmb_ff"),
             base.counter("fence.exec.dmb_ff"),

@@ -419,89 +419,21 @@ pub struct Report {
     /// TB-chaining and dispatcher counters from the host machine.
     pub chain: ChainStats,
     /// Aggregated optimizer statistics over every translated block.
-    /// Tier-1 only — region passes over superblocks report under
-    /// [`Report::sb`] so non-tiered totals are unaffected by tiering.
     pub opt: OptStats,
-    /// Tier-2 superblock statistics (all zero unless
-    /// [`Emulator::set_tiering`] enabled promotion).
-    pub sb: SbStats,
     /// Tier-0 template-translation statistics (all zero unless
     /// [`TierConfig::warm_threshold`] enabled the template tier).
     pub template: TemplateStats,
 }
 
-/// Tier-2 promotion policy, enabled via [`Emulator::set_tiering`].
-///
-/// A profiled block whose entry count crosses `hot_threshold` becomes a
-/// promotion candidate: the engine walks its dominant successor chain
-/// (direct jumps always, conditional exits only when the profile is
-/// decisively biased), stitches up to `max_tbs` tier-1 blocks into one
-/// superblock, re-runs the full optimizer over the region — fence
-/// merging and memory-access eliminations now firing *across* former TB
-/// boundaries — and installs the result over the head, evicting the
-/// subsumed tier-1 bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The tier ladder, set via [`Emulator::set_tiering`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Entry count at which a block becomes a candidate. Every multiple
-    /// re-fires the event, so a declined candidate that stays hot is
-    /// re-offered later.
-    pub hot_threshold: u64,
-    /// Maximum tier-1 blocks merged into one superblock.
-    pub max_tbs: usize,
-    /// Minimum trace length worth promoting (clamped to ≥ 2: a
-    /// one-block "superblock" is just the tier-1 body again).
-    pub min_tbs: usize,
     /// `Some(w)` enables the tier-0 template tier: cold blocks are first
     /// translated by IR-less template instantiation (`risotto-template`)
     /// and re-translated through the full tier-1 pipeline once their
-    /// entry count crosses `w`. `None` (the default) keeps the two-tier
+    /// entry count reaches `w`. `None` (the default) keeps the one-tier
     /// engine: every block goes straight through tier-1.
     pub warm_threshold: Option<u64>,
-}
-
-impl Default for TierConfig {
-    fn default() -> Self {
-        TierConfig { hot_threshold: 512, max_tbs: 8, min_tbs: 2, warm_threshold: None }
-    }
-}
-
-impl TierConfig {
-    /// The machine-side profiler threshold: the smallest entry count at
-    /// which any promotion decision (tier-0→1 at
-    /// [`TierConfig::warm_threshold`], tier-1→2 at
-    /// [`TierConfig::hot_threshold`]) can fire. The profile event
-    /// re-fires at every multiple, so the engine re-checks the larger
-    /// threshold on later crossings.
-    pub(super) fn machine_threshold(&self) -> u64 {
-        match self.warm_threshold {
-            Some(w) => w.min(self.hot_threshold),
-            None => self.hot_threshold,
-        }
-    }
-}
-
-/// Tier-2 superblock counters (see `docs/METRICS.md`, `sb.*`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SbStats {
-    /// Superblocks successfully installed.
-    pub promotions: u64,
-    /// Promotions abandoned mid-pipeline (stitch or lowering failure);
-    /// the tier-1 translations stay untouched.
-    pub failures: u64,
-    /// Hot-TB events declined before stitching: trace shorter than
-    /// `min_tbs`, PLT thunk, quarantined or untranslated head.
-    pub declined: u64,
-    /// Tier-1 blocks merged into superblocks (sum of trace lengths).
-    pub tbs_merged: u64,
-    /// `SideExit` guards emitted across all installed superblocks.
-    pub side_exits: u64,
-    /// Fence merges that crossed a former TB boundary — the cross-block
-    /// wins tier-1 cannot see (subset of the region passes' merges).
-    pub fences_merged_cross: u64,
-    /// Tier-1 translations evicted because a superblock subsumed them.
-    pub subsumed: u64,
-    /// Machine transfers that entered a superblock head.
-    pub entries: u64,
 }
 
 /// Tier-0 template-translation counters (see `docs/METRICS.md`,
@@ -550,7 +482,7 @@ pub enum VerifyLevel {
     /// Full static validation on top of [`VerifyLevel::Install`]: the
     /// IR lint, the fence-obligation translation validation against the
     /// unoptimized reference block, and the host decode-back encoding
-    /// check run on every translated block and superblock.
+    /// check run on every tier-1 block.
     Full,
 }
 

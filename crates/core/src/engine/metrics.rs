@@ -5,7 +5,7 @@
 //! ([`Emulator::metrics`] walks it once) and the only place a metric
 //! name is spelled in this crate.
 
-use super::{Emulator, SbStats, TemplateStats};
+use super::{Emulator, TemplateStats};
 use crate::obs::{
     HotTb, HotTbProfiler, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, Stage,
     SNAPSHOT_VERSION,
@@ -42,15 +42,8 @@ pub(super) struct Counts {
     pub(super) opt_totals: OptStats,
     /// Tier-0 template-translation counters.
     pub(super) template_stats: TemplateStats,
-    /// Engine-side superblock counters (`subsumed`/`entries` live on the
-    /// machine and are merged in by [`Emulator::sb_stats`]).
-    pub(super) sb_stats: SbStats,
-    /// Region-pass optimizer statistics over every installed superblock,
-    /// kept out of `opt_totals` so tier-1 reporting is unchanged by
-    /// tiering.
-    pub(super) sb_opt: OptStats,
     /// Backend register-allocation statistics summed over every lowered
-    /// block (tier-1 and tier-2).
+    /// tier-1 block.
     pub(super) regalloc_totals: AllocStats,
     /// Frontend-emitted fences counted pre-optimization, indexed per
     /// [`FenceKind::tcg_index`].
@@ -61,8 +54,8 @@ pub(super) struct Counts {
     /// of the per-tier translation-cost comparison).
     pub(super) tier1_insns: u64,
     /// Verification checks executed (each level-applicable check on a
-    /// TB or superblock counts once; a Full-level TB counts twice —
-    /// translate-time static passes plus install-time read-back).
+    /// TB counts once; a Full-level TB counts twice — translate-time
+    /// static passes plus install-time read-back).
     pub(super) verify_checked: u64,
     /// IR-lint violations (pass 1).
     pub(super) verify_ir: u64,
@@ -123,7 +116,7 @@ fn analysis(e: &Emulator) -> AnalysisSummary {
     e.analysis.as_ref().map(|f| f.summary()).unwrap_or_default()
 }
 
-/// Every metric there is. The six `fuzz.*` rows are the differential
+/// Every metric there is. The five `fuzz.*` rows are the differential
 /// fuzzing driver's, which counts them itself (docs/FUZZING.md): an
 /// emulator reads them as zero.
 #[rustfmt::skip]
@@ -157,8 +150,6 @@ static METRICS: &[Metric] = &[
     row("fence.exec.dmb_ff", "fences", "DMB FF (SY) barriers executed", Counter(|e| e.machine.total_stats().dmb[2])),
     row("fence.exec.cycles", "cycles", "Cycles attributed to barriers", Counter(|e| e.machine.total_stats().fence_cycles)),
     row("engine.syscalls", "calls", "Completed (non-busy-wait) guest syscalls", Counter(|e| e.counts.syscalls_completed)),
-    row("sb.promotions", "superblocks", "Tier-2 superblocks successfully installed", Counter(|e| e.counts.sb_stats.promotions)),
-    row("sb.fences_merged_cross", "fences", "Fence merges that crossed a former TB boundary", Counter(|e| e.counts.sb_opt.fences_merged_cross as u64)),
     row("verify.checked", "checks", "Translation-verifier checks executed (static passes and install read-backs)", Counter(|e| e.counts.verify_checked)),
     row("verify.violations", "violations", "Translations rejected by the verifier (sum of the per-pass counters)", Counter(|e| e.counts.verify_ir + e.counts.verify_fence + e.counts.verify_encoding)),
     row("verify.ir_violations", "violations", "IR-lint (pass 1) rejections", Counter(|e| e.counts.verify_ir)),
@@ -183,15 +174,11 @@ static METRICS: &[Metric] = &[
     row("stage.opt_ns", "ns", "Wall time of the optimizer pipeline, per block", Hist(Stage::Opt)),
     row("stage.encode_ns", "ns", "Wall time of backend lowering, per block", Hist(Stage::Encode)),
     row("stage.install_ns", "ns", "Wall time of code install + TB mapping, per block", Hist(Stage::Install)),
-    row("sb.stage.select_ns", "ns", "Wall time of tier-2 trace selection, per promotion attempt", Hist(Stage::SbSelect)),
-    row("sb.stage.opt_ns", "ns", "Wall time of the region optimizer over a stitched superblock", Hist(Stage::SbOpt)),
-    row("sb.stage.encode_ns", "ns", "Wall time of backend lowering for a superblock", Hist(Stage::SbEncode)),
     row("fuzz.programs", "programs", "Random programs generated and differentially executed", Counter(|_| 0)),
     row("fuzz.configs_run", "runs", "Individual oracle-configuration executions (interpreter included)", Counter(|_| 0)),
     row("fuzz.divergences", "divergences", "Programs whose oracle configurations disagreed (or tripped the validator)", Counter(|_| 0)),
     row("fuzz.minimizer_steps", "steps", "Candidate reductions attempted while delta-debugging divergent programs", Counter(|_| 0)),
     row("fuzz.fault_runs", "runs", "Fault-composed executions (random FaultPlan layered over a generated program)", Counter(|_| 0)),
-    row("fuzz.promoted", "programs", "Fuzz iterations whose tier-2 configuration installed at least one superblock", Counter(|_| 0)),
 ];
 
 /// `name` with its `<k>` segment replaced by the short name of `kind`.

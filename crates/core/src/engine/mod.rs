@@ -36,7 +36,7 @@ mod syscall;
 mod translate;
 
 pub use config::{
-    BackendKind, CoreDump, EmuError, HostExport, HostLibrary, LinkError, Report, SbStats, Setup,
+    BackendKind, CoreDump, EmuError, HostExport, HostLibrary, LinkError, Report, Setup,
     TemplateStats, TierConfig, VerifyLevel,
 };
 pub use metrics::specs;
@@ -78,7 +78,8 @@ struct TbMeta {
     /// candidate for the tier-1 re-translate).
     tier0: bool,
     /// Dispatch-loop entries while profiling is enabled; each missed the
-    /// machine's fast paths by definition.
+    /// machine's fast paths by definition. Read only by
+    /// [`Emulator::hot_tbs`]: nothing the engine decides depends on it.
     resumes: u64,
 }
 
@@ -107,8 +108,9 @@ pub struct Emulator {
     counts: Counts,
     /// Observability: stage histograms, trace sink, enable flags.
     obs: Obs,
-    /// Tier-2 promotion policy (`None` = tier-1 only).
-    tiering: Option<TierConfig>,
+    /// [`TierConfig::warm_threshold`] of the tier ladder (`None` =
+    /// tier-1 only).
+    warm_threshold: Option<u64>,
     /// Guest pc → its one engine-side record.
     tbs: HashMap<u64, TbMeta>,
     /// Active translation-verifier level (docs/VERIFIER.md).
@@ -150,7 +152,7 @@ impl Emulator {
             watchdog: None,
             counts: Counts::default(),
             obs: Obs::new(),
-            tiering: None,
+            warm_threshold: None,
             tbs: HashMap::new(),
             verify: VerifyLevel::default(),
             binary: GuestBinary {
@@ -290,27 +292,28 @@ impl Emulator {
     /// only). Disabling discards collected counts.
     pub fn set_profiling(&mut self, on: bool) {
         self.obs.profiling = on;
-        // The tier-2 promoter owns the machine-side profile while
-        // tiering is enabled; it must survive observability toggles.
-        self.machine.set_profiling(on || self.tiering.is_some());
+        // The tier-0 promoter owns the machine-side profile while the
+        // template tier is enabled; it must survive observability
+        // toggles.
+        self.machine.set_profiling(on || self.warm_threshold.is_some());
         if !on {
             self.tbs.values_mut().for_each(|meta| meta.resumes = 0);
         }
     }
 
-    /// Enables (or, with `None`, disables) tier-2 superblock promotion.
-    /// Tiering turns on the machine's transfer profile — the trace
-    /// selector needs branch-bias counts — but not the engine's
-    /// observational profiler ([`Emulator::set_profiling`]).
+    /// Sets the tier ladder (`None`: tier-1 only). With a
+    /// [`TierConfig::warm_threshold`], cold blocks start as tier-0
+    /// templates and the machine's transfer profile — on for as long as
+    /// the template tier is, whatever [`Emulator::set_profiling`] says —
+    /// raises the events that promote them.
     ///
-    /// Tiering never changes architectural results: superblocks are the
-    /// same guest instructions under the same (sound) optimizer, with
-    /// side-exit guards where the trace commits to a profiled direction.
-    /// Cycle counts *do* change — that is the point.
+    /// Tiering never changes architectural results: both tiers translate
+    /// the same guest instructions under verified mappings. Cycle counts
+    /// *do* change — that is the point.
     pub fn set_tiering(&mut self, cfg: Option<TierConfig>) {
-        self.tiering = cfg;
-        self.machine.set_hot_threshold(cfg.map(|c| c.machine_threshold()));
-        self.machine.set_profiling(self.obs.profiling || cfg.is_some());
+        self.warm_threshold = cfg.and_then(|c| c.warm_threshold);
+        self.machine.set_hot_threshold(self.warm_threshold);
+        self.machine.set_profiling(self.obs.profiling || self.warm_threshold.is_some());
     }
 
     /// Tier-0 template statistics so far (also in [`Report::template`]
@@ -323,18 +326,7 @@ impl Emulator {
     /// tiering must be on with a [`TierConfig::warm_threshold`], and the
     /// setup must be a DBT one (the native oracle has no guest decode).
     fn tier0_active(&self) -> bool {
-        self.setup != Setup::Native && self.tiering.is_some_and(|c| c.warm_threshold.is_some())
-    }
-
-    /// Tier-2 statistics so far (also in [`Report::sb`] after a run).
-    pub fn sb_stats(&self) -> SbStats {
-        let cache = self.machine.cache_stats();
-        SbStats {
-            subsumed: cache.sb_subsumed,
-            entries: self.machine.chain_stats().sb_entries,
-            fences_merged_cross: self.counts.sb_opt.fences_merged_cross as u64,
-            ..self.counts.sb_stats
-        }
+        self.setup != Setup::Native && self.warm_threshold.is_some()
     }
 
     /// Audits the machine's chain graph; empty means every patched chain
@@ -571,7 +563,7 @@ impl Emulator {
     }
 
     /// Observable-progress marker for the watchdog.
-    fn progress_marker(&self) -> (usize, usize, usize, u64, usize, usize, u64) {
+    fn progress_marker(&self) -> (usize, usize, usize, u64, usize, usize) {
         let halted = (0..self.machine.n_cores()).filter(|&c| self.machine.core_halted(c)).count();
         let exited = self.exit_vals.iter().filter(|v| v.is_some()).count();
         (
@@ -581,7 +573,6 @@ impl Emulator {
             self.counts.syscalls_completed,
             halted,
             exited,
-            self.counts.sb_stats.promotions,
         )
     }
 
@@ -650,9 +641,8 @@ impl Emulator {
                     // the progress check.
                 }
                 Event::HotTb { core, guest_pc } => {
-                    // The transfer already completed: promotion (or a
-                    // decline) needs no resume and cannot perturb the
-                    // core's execution.
+                    // The transfer already completed: a promotion needs
+                    // no resume and cannot perturb the core's execution.
                     self.on_hot_tb(core, guest_pc);
                 }
                 Event::HostFault { core, host_pc, kind } => {
@@ -698,7 +688,6 @@ impl Emulator {
             retranslations: self.counts.retranslations,
             chain: self.machine.chain_stats(),
             opt: self.counts.opt_totals,
-            sb: self.sb_stats(),
             template: self.counts.template_stats,
         })
     }
@@ -729,7 +718,7 @@ mod tests {
         let bin = counted_loop(40);
         let mut emu = Emulator::new(&bin, Setup::Risotto, 1, CostModel::thunderx2_like());
         emu.set_profiling(true);
-        emu.set_tiering(Some(TierConfig { warm_threshold: Some(8), ..TierConfig::default() }));
+        emu.set_tiering(Some(TierConfig { warm_threshold: Some(8) }));
         let report = emu.run(100_000).unwrap();
         assert_eq!(report.exit_vals[0], Some(120));
         // The entry block is a template still; the loop crossed the warm

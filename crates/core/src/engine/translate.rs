@@ -1,10 +1,10 @@
 //! Translation: one producer per tier — tier-0 template, tier-1 IR
-//! pipeline, tier-2 superblock, PLT native thunk — each handing a
-//! [`Candidate`] to the one [`Emulator::commit`] path that verifies,
-//! installs, reads back and maps it (or rolls it back), plus the
-//! quarantine bookkeeping behind the interpreter fallback.
+//! pipeline, PLT native thunk — each handing a [`Candidate`] to the one
+//! [`Emulator::commit`] path that verifies, installs, reads back and
+//! maps it (or rolls it back), plus the quarantine bookkeeping behind
+//! the interpreter fallback.
 
-use super::{Emulator, Setup, TierConfig, VerifyLevel};
+use super::{Emulator, Setup, VerifyLevel};
 use crate::obs::{Stage, TraceStage};
 use risotto_analysis::{event_sites, ir_hints};
 use risotto_guest_x86::Gpr;
@@ -13,15 +13,14 @@ use risotto_host_arm::{
     ENV_BASE,
 };
 use risotto_tcg::{
-    apply_hints, optimize_in, superblock, translate_block, translate_block_counted,
-    verify as tcg_verify, OptScratch, TbExit, TcgBlock, TcgOp, VerifyError, VerifyPass,
-    VerifyScratch,
+    apply_hints, optimize_in, translate_block_counted, verify as tcg_verify, OptScratch, TcgBlock,
+    TcgOp, VerifyError, VerifyPass, VerifyScratch,
 };
 use risotto_template::{translate_block_template, TemplateError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 #[cfg(doc)]
-use {super::EmuError, crate::faults::FaultPlan, risotto_host_arm::Event};
+use {super::EmuError, super::TierConfig, crate::faults::FaultPlan, risotto_host_arm::Event};
 
 /// How many times a failing block is re-offered to the translator before
 /// it is permanently interpreted.
@@ -155,23 +154,17 @@ struct FullCheck {
 /// producers differ only in how `code` came to be; everything that makes
 /// it dispatchable is `commit`'s.
 struct Candidate {
-    head_pc: u64,
+    guest_pc: u64,
     code: Vec<HostInsn>,
-    /// Guest pcs a superblock install evicts, head first; empty for a
-    /// single-block install.
-    relinks: Vec<u64>,
-    /// `Some` at [`VerifyLevel::Full`] from the producers that build IR
-    /// (tier-1, tier-2); templates and thunks have no per-block IR.
+    /// `Some` at [`VerifyLevel::Full`] from the producer that builds IR
+    /// (tier-1); templates and thunks have no per-block IR.
     full: Option<FullCheck>,
-    /// The `Install` event's detail where it is not the plain host
-    /// instruction count (superblocks describe their shape).
-    detail: Option<String>,
 }
 
 impl Candidate {
-    /// A single-block candidate with nothing for the static passes.
-    fn block(head_pc: u64, code: Vec<HostInsn>) -> Candidate {
-        Candidate { head_pc, code, relinks: Vec::new(), full: None, detail: None }
+    /// A candidate with nothing for the static passes.
+    fn block(guest_pc: u64, code: Vec<HostInsn>) -> Candidate {
+        Candidate { guest_pc, code, full: None }
     }
 }
 
@@ -264,24 +257,20 @@ impl Emulator {
     }
 
     /// The static validation of [`VerifyLevel::Full`], run on a
-    /// candidate before it is installed: superblock relink structure,
-    /// IR lint, fence-obligation check of the optimized block against
-    /// the unoptimized reference, and the host decode-back encoding
-    /// check of the candidate's encoding `bytes`.
+    /// candidate before it is installed: IR lint, fence-obligation check
+    /// of the optimized block against the unoptimized reference, and the
+    /// host decode-back encoding check of the candidate's encoding
+    /// `bytes`.
     fn verify_translation(
         &mut self,
         cand: &Candidate,
         full: &FullCheck,
         bytes: &[u8],
     ) -> Result<(), VerifyError> {
-        let in_superblock = !cand.relinks.is_empty();
-        if in_superblock {
-            Self::check_superblock_relinks(&full.optimized, &cand.relinks)?;
-        }
         let (fences, policy) = (self.setup.frontend().fences, self.setup.opt_policy());
         let (host, backend) = (self.backend_kind.host(), self.backend_config());
         let scratch = &mut self.scratch;
-        tcg_verify::lint_in(&full.optimized, in_superblock, &mut scratch.verify)?;
+        tcg_verify::lint_in(&full.optimized, &mut scratch.verify)?;
         tcg_verify::check_captured(
             &full.optimized,
             fences,
@@ -292,50 +281,13 @@ impl Emulator {
         host.check_encoding_in(&full.optimized, &cand.code, bytes, backend, &mut scratch.encoding)
     }
 
-    /// Full-level superblock structural check: the relink list the
-    /// machine will evict on install must be exactly the head plus the
-    /// stitched `TbBoundary` seams, so no unrelated tier-1 translation
-    /// is unmapped.
-    fn check_superblock_relinks(sb: &TcgBlock, pcs: &[u64]) -> Result<(), VerifyError> {
-        let err = |obligation: String| VerifyError {
-            pass: VerifyPass::Encoding,
-            guest_pc: sb.guest_pc,
-            op_index: None,
-            obligation,
-        };
-        if pcs.first() != Some(&sb.guest_pc) {
-            return Err(err(format!(
-                "superblock head {:#x} is not the first relink target",
-                sb.guest_pc
-            )));
-        }
-        let seams: HashSet<u64> = sb
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                TcgOp::TbBoundary { pc } => Some(*pc),
-                _ => None,
-            })
-            .collect();
-        for &pc in &pcs[1..] {
-            if !seams.contains(&pc) {
-                return Err(err(format!(
-                    "relink target {pc:#x} has no TbBoundary seam in the stitched region"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// The one path by which host code becomes dispatchable, whatever
     /// tier produced it: Full-level static passes, install, the planned
     /// corruption hook, read-back, then mapping and bookkeeping — or
     /// rollback. At any level above [`VerifyLevel::Off`] the installed
     /// bytes are read back and checked *before* a block is mapped; a
     /// mismatch discards the region, so corrupt code is never
-    /// dispatchable. A superblock is mapped over its head by the install
-    /// itself, so its rollback evicts the head instead: the head and the
-    /// subsumed pcs refill as fresh tier-1 translations on miss.
+    /// dispatchable.
     fn commit(&mut self, core: Option<usize>, cand: Candidate) -> Result<u64, TbFault> {
         // Encoded once, here: these bytes are what the encoding check
         // reads, what the cache installs and what the read-back
@@ -365,137 +317,44 @@ impl Emulator {
                 return Err(TbFault::Verify);
             }
         }
-        let Candidate { head_pc, code, relinks, detail, .. } = cand;
-        let superblock = !relinks.is_empty();
+        let Candidate { guest_pc, code, .. } = cand;
         let (host, dur) = self.timed(Stage::Install, |e| {
             let host = e.machine.install_bytes(bytes);
-            if superblock {
-                e.machine.map_superblock(head_pc, host, &relinks);
-            }
             e.maybe_corrupt_install(host);
             if e.verify != VerifyLevel::Off {
                 e.counts.verify_checked += 1;
-                if let Err(err) = e.check_install_bytes(head_pc, host, bytes) {
+                if let Err(err) = e.check_install_bytes(guest_pc, host, bytes) {
                     e.record_verify_violation(core, &err);
-                    if superblock {
-                        e.machine.unmap_tb(head_pc);
-                    } else {
-                        e.machine.discard_region(host);
-                    }
+                    e.machine.discard_region(host);
                     return Err(TbFault::Verify);
                 }
             }
-            if !superblock {
-                e.machine.map_tb(head_pc, host);
-                e.counts.tb_count += 1;
-                let meta = e.tbs.entry(head_pc).or_default();
-                if meta.id.is_some() {
-                    e.counts.retranslations += 1;
-                } else {
-                    meta.id = Some(e.counts.tb_count as u64);
-                }
+            e.machine.map_tb(guest_pc, host);
+            e.counts.tb_count += 1;
+            let meta = e.tbs.entry(guest_pc).or_default();
+            if meta.id.is_some() {
+                e.counts.retranslations += 1;
+            } else {
+                meta.id = Some(e.counts.tb_count as u64);
             }
             Ok(host)
         })?;
-        let tb_id = self.tb_id(head_pc);
-        self.obs.trace(TraceStage::Install, core, Some(head_pc), tb_id, dur, || {
-            detail.unwrap_or_else(|| format!("{} host insns", code.len()))
+        let tb_id = self.tb_id(guest_pc);
+        self.obs.trace(TraceStage::Install, core, Some(guest_pc), tb_id, dur, || {
+            format!("{} host insns", code.len())
         });
         Ok(host)
     }
 
-    /// Total observed entries into `guest_pc` — machine fast-path
-    /// transfers plus engine dispatch-loop entries.
-    fn entry_count(&self, guest_pc: u64) -> u64 {
-        let resumes = self.tbs.get(&guest_pc).map_or(0, |meta| meta.resumes);
-        self.machine.tb_prof(guest_pc).execs + resumes
-    }
-
-    /// The profiled direction of a conditional exit, if decisive: the
-    /// hotter successor must have real weight (≥ 8 entries) and dominate
-    /// the colder one 4:1, else the trace ends rather than gamble on a
-    /// side exit that would fire often.
-    fn biased_successor(&self, taken: u64, fallthrough: u64) -> Option<u64> {
-        let t = self.entry_count(taken);
-        let f = self.entry_count(fallthrough);
-        let (hot_pc, hi, lo) = if t >= f { (taken, t, f) } else { (fallthrough, f, t) };
-        (hi >= 8 && hi >= 4 * lo).then_some(hot_pc)
-    }
-
-    /// Walks the dominant chain from `head`: direct jumps are followed
-    /// unconditionally, conditional exits only when decisively biased,
-    /// and the trace stops at indirect/terminal exits, revisits (loop
-    /// back-edges), PLT thunks, quarantined pcs, and `max_tbs`. A
-    /// *cyclic* trace — one whose last block's on-trace successor is the
-    /// head itself, i.e. a whole hot loop — comes back rotated to its
-    /// best head.
-    ///
-    /// Frontend-only, and never consults the [`FaultPlan`]: promotion is
-    /// opportunistic and must not advance the plan's deterministic fault
-    /// sequence — a tiered run sees exactly the injected faults a tier-1
-    /// run does.
-    fn select_trace(&self, head: u64, cfg: TierConfig) -> Vec<TcgBlock> {
-        let mut parts: Vec<TcgBlock> = Vec::new();
-        let mut visited: HashSet<u64> = HashSet::new();
-        let mut pc = head;
-        loop {
-            if !parts.is_empty() && pc == head {
-                // The trace is a whole loop: any rotation executes the
-                // same code, so re-head it where the region optimizer
-                // can merge the most cross-seam fences. The triggering
-                // block stays in the (subsumed) trace; a tier-1 refill
-                // covers the one transfer already in flight.
-                let r = superblock::best_rotation(&parts);
-                if r != 0 && !self.machine.is_sb_head(parts[r].guest_pc) {
-                    parts.rotate_left(r);
-                }
-                break;
-            }
-            if parts.len() >= cfg.max_tbs
-                || !visited.insert(pc)
-                || self.plt_natives.contains_key(&pc)
-                || self.quarantine.contains(pc)
-            {
-                break;
-            }
-            let Ok(block) = translate_block(pc, self.setup.frontend(), |a| self.fetch(a)) else {
-                break;
-            };
-            let exit = block.exit.clone();
-            parts.push(block);
-            pc = match exit {
-                TbExit::Jump(t) => t,
-                TbExit::CondJump { taken, fallthrough, .. } => {
-                    match self.biased_successor(taken, fallthrough) {
-                        Some(t) => t,
-                        None => break,
-                    }
-                }
-                TbExit::JumpReg(_) | TbExit::Halt | TbExit::Syscall { .. } => break,
-            };
-        }
-        parts
-    }
-
-    /// Routes [`Event::HotTb`] per the tier ladder: a tier-0 template
-    /// block crossing [`TierConfig::warm_threshold`] re-translates
-    /// through the tier-1 IR pipeline; a tier-1 block crossing
-    /// [`TierConfig::hot_threshold`] becomes a tier-2 superblock
-    /// candidate. The machine profile fires at every multiple of the
-    /// smaller threshold, so the larger one is re-checked on later
-    /// crossings rather than missed.
+    /// Routes [`Event::HotTb`] up the tier ladder: a block still
+    /// installed as a tier-0 template re-translates through the tier-1
+    /// IR pipeline. The machine raises the event at every multiple of
+    /// [`TierConfig::warm_threshold`] entries, so a failed promotion is
+    /// re-offered later; it counts those entries itself, so no
+    /// observability setting moves a promotion.
     pub(super) fn on_hot_tb(&mut self, core: usize, guest_pc: u64) {
-        let Some(cfg) = self.tiering else { return };
-        let Some(warm) = cfg.warm_threshold else {
-            self.try_promote(core, guest_pc);
-            return;
-        };
         if self.tbs.get(&guest_pc).is_some_and(|meta| meta.tier0) {
-            if self.entry_count(guest_pc) >= warm {
-                self.promote_template(core, guest_pc);
-            }
-        } else if self.entry_count(guest_pc) >= cfg.hot_threshold {
-            self.try_promote(core, guest_pc);
+            self.promote_template(core, guest_pc);
         }
     }
 
@@ -507,11 +366,9 @@ impl Emulator {
     }
 
     /// Whether the translation at `guest_pc` can move up a tier: it must
-    /// still be installed as a plain block — not a superblock head, not
-    /// a PLT thunk — and not quarantined.
+    /// still be installed, not be a PLT thunk, and not be quarantined.
     fn promotable(&self, guest_pc: u64) -> bool {
         self.machine.lookup_tb(guest_pc).is_some()
-            && !self.machine.is_sb_head(guest_pc)
             && !self.plt_natives.contains_key(&guest_pc)
             && !self.quarantine.contains(guest_pc)
     }
@@ -524,8 +381,8 @@ impl Emulator {
     /// correctness never depends on promotion.
     fn promote_template(&mut self, core: usize, guest_pc: u64) {
         if !self.promotable(guest_pc) {
-            // Stale candidate: evicted, subsumed by a superblock, or
-            // quarantined since it was marked.
+            // Stale candidate: evicted or quarantined since it was
+            // marked.
             self.set_tier0(guest_pc, false);
             return;
         }
@@ -539,72 +396,6 @@ impl Emulator {
             }
             Err(_) => self.counts.template_stats.promotion_failures += 1,
         }
-    }
-
-    /// Services a tier-2 candidate: produce the superblock, commit it.
-    /// Failures at any stage leave the tier-1 world untouched (counted,
-    /// never fatal); the triggering core needs no resume — its transfer
-    /// completed before the event fired.
-    fn try_promote(&mut self, core: usize, guest_pc: u64) {
-        let Some(cfg) = self.tiering else { return };
-        if !self.promotable(guest_pc) {
-            self.counts.sb_stats.declined += 1;
-            return;
-        }
-        let committed = match self.produce_superblock(guest_pc, cfg) {
-            Ok(None) => {
-                self.counts.sb_stats.declined += 1;
-                return;
-            }
-            Ok(Some((cand, shape))) => self.commit(Some(core), cand).map(|_| shape),
-            Err(fault) => Err(fault),
-        };
-        match committed {
-            Ok(shape) => {
-                self.counts.sb_stats.promotions += 1;
-                self.counts.sb_stats.tbs_merged += shape.tbs as u64;
-                self.counts.sb_stats.side_exits += shape.side_exits as u64;
-            }
-            Err(_) => self.counts.sb_stats.failures += 1,
-        }
-    }
-
-    /// Tier-2 producer: select → stitch → region-optimize → lower.
-    /// `Ok(None)` declines a trace shorter than the policy's minimum.
-    fn produce_superblock(
-        &mut self,
-        head: u64,
-        cfg: TierConfig,
-    ) -> Result<Option<(Candidate, superblock::SuperblockShape)>, TbFault> {
-        let (parts, _) = self.timed(Stage::SbSelect, |e| Ok(e.select_trace(head, cfg)))?;
-        if parts.len() < cfg.min_tbs.max(2) {
-            return Ok(None);
-        }
-        let relinks: Vec<u64> = parts.iter().map(|b| b.guest_pc).collect();
-        let mut sb = superblock::stitch(parts).map_err(|_| TbFault::Frontend)?;
-        // The unoptimized stitched region is the fence-obligation
-        // reference the Full-level verifier validates against.
-        let full = self.verify == VerifyLevel::Full;
-        if full {
-            self.scratch.verify.capture_reference(&sb, self.setup.frontend().fences, &[]);
-        }
-        let policy = self.setup.opt_policy();
-        // The region pass is the tier-1 pipeline (`optimize_region`),
-        // over this emulator's scratch.
-        let (stats, _) = self.timed(Stage::SbOpt, |e| {
-            Ok(optimize_in(&mut sb, policy, e.passes, &mut e.scratch.opt))
-        })?;
-        self.counts.sb_opt += stats;
-        let (code, _) = self.lower(&sb, Stage::SbEncode)?;
-        let (head_pc, shape) = (sb.guest_pc, superblock::shape_of(&sb));
-        let detail = self.obs.tracing.then(|| {
-            format!(
-                "superblock: {} tbs, {} side exits, {} cross-boundary fence merges",
-                shape.tbs, shape.side_exits, stats.fences_merged_cross
-            )
-        });
-        let full = full.then(|| FullCheck { optimized: sb, relax_mask: Vec::new() });
-        Ok(Some((Candidate { head_pc, code, relinks, full, detail }, shape)))
     }
 
     /// Produces the candidate for one guest block: the marshaling thunk
@@ -641,25 +432,6 @@ impl Emulator {
             return Err(TbFault::Injected);
         }
         Ok(())
-    }
-
-    /// Lowers `block` through the active backend under `stage`'s clock,
-    /// folding the allocator statistics into the run's.
-    fn lower(
-        &mut self,
-        block: &TcgBlock,
-        stage: Stage,
-    ) -> Result<(Vec<HostInsn>, Option<u64>), TbFault> {
-        let backend = self.backend_config();
-        self.timed(stage, |e| {
-            let out = e
-                .backend_kind
-                .host()
-                .lower_block_in(block, backend, &mut e.scratch.lower)
-                .map_err(|_| TbFault::Backend)?;
-            e.counts.regalloc_totals += out.alloc;
-            Ok(out.insns)
-        })
     }
 
     /// Tier-1 producer: frontend → analysis relaxation and hints →
@@ -739,7 +511,16 @@ impl Emulator {
             )
         });
         self.lower_fault(guest_pc)?;
-        let (code, dur) = self.lower(&block, Stage::Encode)?;
+        let backend = self.backend_config();
+        let (code, dur) = self.timed(Stage::Encode, |e| {
+            let out = e
+                .backend_kind
+                .host()
+                .lower_block_in(&block, backend, &mut e.scratch.lower)
+                .map_err(|_| TbFault::Backend)?;
+            e.counts.regalloc_totals += out.alloc;
+            Ok(out.insns)
+        })?;
         self.obs.trace(TraceStage::Encode, core, Some(guest_pc), None, dur, || {
             format!("{} host insns", code.len())
         });

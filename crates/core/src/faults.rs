@@ -138,7 +138,7 @@ impl FaultPlan {
     }
 
     /// Flip one byte of the `nth` code install (0-based, counted across
-    /// the run, superblocks included) immediately after the bytes land
+    /// the run, every tier included) immediately after the bytes land
     /// in the code cache. The damage is only *detected* when the
     /// verifier's install-time read-back check is enabled
     /// ([`VerifyLevel::Install`](crate::VerifyLevel) or stronger), so

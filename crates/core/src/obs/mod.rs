@@ -45,13 +45,10 @@ pub(crate) enum Stage {
     Opt,
     Encode,
     Install,
-    SbSelect,
-    SbOpt,
-    SbEncode,
 }
 
 impl Stage {
-    const COUNT: usize = Stage::SbEncode as usize + 1;
+    const COUNT: usize = Stage::Install as usize + 1;
 }
 
 /// The engine's observability state: stage histograms + sink and the

@@ -1,11 +1,11 @@
 //! Cross-tier differential execution: one program, six observers.
 //!
 //! Every generated program runs through the reference interpreter and
-//! five DBT configurations — tier-1, tier-1 with the optimizer off,
-//! tier-2 with a lowered promotion threshold, the full three-tier
-//! ladder with the tier-0 template translator enabled (cold blocks are
-//! IR-less templates that promote through tier-1 to tier-2), and
-//! tier-1 on the MiniTSO host backend (the cross-backend oracle) — all with
+//! five DBT configurations — tier-1, tier-1 with the optimizer off, the
+//! tier ladder with the tier-0 template translator enabled (cold blocks
+//! are IR-less templates that promote to tier-1 at a lowered
+//! threshold), tier-1 on the MiniTSO host backend (the cross-backend
+//! oracle) and tier-1 with analysis-driven relaxation — all with
 //! [`VerifyLevel::Full`] as a second oracle. The comparison covers exit
 //! values, the `WRITE` byte stream, the final data-section image, final
 //! register files and flags (single-core), atomic-access event orderings
@@ -26,9 +26,9 @@ use risotto_core::{
 use risotto_guest_x86::{Flags, Gpr, GuestBinary, Interp};
 use risotto_host_arm::CostModel;
 
-/// Promotion threshold the fuzz harness wires into its tier-2
-/// configuration — low enough that the short generated loops actually
-/// promote (satellite: exercise tier-2 promotion/demotion on every run).
+/// Warm threshold the fuzz harness wires into its tier-0 configuration —
+/// low enough that the short generated loops actually promote from
+/// templates to tier-1.
 pub const FUZZ_HOT_THRESHOLD: u64 = 8;
 
 /// The DBT oracle configurations (the interpreter is always run too).
@@ -38,11 +38,8 @@ pub enum Config {
     Tier1,
     /// Tier-1 with every optimization pass disabled.
     Tier1NoOpt,
-    /// Tiered execution with a lowered promotion threshold.
-    Tier2,
-    /// The full three-tier ladder: cold blocks start as tier-0 IR-less
-    /// templates, re-translate through tier-1 at a low warm threshold,
-    /// and can still promote to tier-2 superblocks.
+    /// The tier ladder: cold blocks start as tier-0 IR-less templates
+    /// and re-translate through tier-1 at [`FUZZ_HOT_THRESHOLD`].
     Tier0,
     /// Tier-1 on the MiniTSO host backend (docs/BACKENDS.md): the
     /// standing cross-backend differential oracle — guest-visible
@@ -57,21 +54,14 @@ pub enum Config {
 
 impl Config {
     /// All DBT configurations, in comparison order.
-    pub const ALL: [Config; 6] = [
-        Config::Tier1,
-        Config::Tier1NoOpt,
-        Config::Tier2,
-        Config::Tier0,
-        Config::Tier1Tso,
-        Config::Tier1Analysis,
-    ];
+    pub const ALL: [Config; 5] =
+        [Config::Tier1, Config::Tier1NoOpt, Config::Tier0, Config::Tier1Tso, Config::Tier1Analysis];
 
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
             Config::Tier1 => "tier1",
             Config::Tier1NoOpt => "tier1-noopt",
-            Config::Tier2 => "tier2",
             Config::Tier0 => "tier0",
             Config::Tier1Tso => "tier1-tso",
             Config::Tier1Analysis => "tier1-analysis",
@@ -98,8 +88,6 @@ pub struct Outcome {
     pub atomics: Vec<AtomicEvent>,
     /// Total atomic RMWs executed (DBT runs only).
     pub atomic_total: u64,
-    /// Superblocks installed (tier-2 only).
-    pub promotions: u64,
     /// Verifier violation count (the second oracle; must stay 0).
     pub verify_violations: u64,
 }
@@ -124,8 +112,6 @@ impl std::fmt::Display for Divergence {
 pub struct DiffResult {
     /// Divergences found (empty = the program agrees everywhere).
     pub divergences: Vec<Divergence>,
-    /// Whether the tier-2 run installed at least one superblock.
-    pub promoted: bool,
     /// Oracle executions performed (interpreter included).
     pub configs_run: u64,
 }
@@ -174,7 +160,6 @@ pub fn run_interp(spec: &ProgSpec, bin: &GuestBinary) -> Result<Outcome, String>
         flags0: None,
         atomics: Vec::new(),
         atomic_total: 0,
-        promotions: 0,
         verify_violations: 0,
     })
 }
@@ -191,21 +176,11 @@ fn build_emulator(bin: &GuestBinary, cores: usize, config: Config) -> Emulator {
     match config {
         Config::Tier1 => {}
         Config::Tier1NoOpt => emu.set_passes(PassConfig::none()),
-        Config::Tier2 => emu.set_tiering(Some(TierConfig {
-            hot_threshold: FUZZ_HOT_THRESHOLD,
-            max_tbs: 8,
-            min_tbs: 2,
-            warm_threshold: None,
-        })),
-        // The three-tier ladder: templates at birth, tier-1 at half the
-        // (doubled) hot threshold, superblocks after that — every
-        // generated hot loop crosses all three tiers.
-        Config::Tier0 => emu.set_tiering(Some(TierConfig {
-            hot_threshold: FUZZ_HOT_THRESHOLD * 2,
-            max_tbs: 8,
-            min_tbs: 2,
-            warm_threshold: Some(FUZZ_HOT_THRESHOLD),
-        })),
+        // Templates at birth, tier-1 once warm: every generated hot loop
+        // crosses both tiers.
+        Config::Tier0 => {
+            emu.set_tiering(Some(TierConfig { warm_threshold: Some(FUZZ_HOT_THRESHOLD) }))
+        }
         Config::Tier1Tso => emu.set_backend(BackendKind::Tso),
         Config::Tier1Analysis => emu.set_analysis(true),
     }
@@ -237,7 +212,6 @@ pub fn run_config(spec: &ProgSpec, bin: &GuestBinary, config: Config) -> Result<
         flags0,
         atomics,
         atomic_total: report.stats.atomics,
-        promotions: report.sb.promotions,
         verify_violations: snap.counter("verify.violations"),
     })
 }
@@ -255,7 +229,6 @@ fn update_counts(events: &[AtomicEvent]) -> Vec<(u64, usize)> {
 /// Runs the full oracle matrix over `spec` and compares.
 pub fn differential(spec: &ProgSpec) -> DiffResult {
     let mut divs = Vec::new();
-    let mut promoted = false;
     let mut configs_run = 0u64;
 
     let bin = match spec.lower() {
@@ -263,7 +236,6 @@ pub fn differential(spec: &ProgSpec) -> DiffResult {
         Err(e) => {
             return DiffResult {
                 divergences: vec![Divergence { config: "lower", what: e.to_string() }],
-                promoted: false,
                 configs_run: 0,
             }
         }
@@ -277,7 +249,6 @@ pub fn differential(spec: &ProgSpec) -> DiffResult {
         Err(e) => {
             return DiffResult {
                 divergences: vec![Divergence { config: "interp", what: e }],
-                promoted: false,
                 configs_run: 1,
             }
         }
@@ -334,9 +305,6 @@ pub fn differential(spec: &ProgSpec) -> DiffResult {
                     reference.regs[0][first]
                 ),
             });
-        }
-        if *config == Config::Tier2 && o.promotions > 0 {
-            promoted = true;
         }
     }
 
@@ -396,7 +364,7 @@ pub fn differential(spec: &ProgSpec) -> DiffResult {
         }
     }
 
-    DiffResult { divergences: divs, promoted, configs_run }
+    DiffResult { divergences: divs, configs_run }
 }
 
 /// Returns true iff `spec` diverges (the minimizer's default predicate).

@@ -7,7 +7,7 @@
 //! (`fuzz <seed> <iters>`) possible.
 //!
 //! The default weights are tuned for path coverage rather than realism:
-//! loops are common (TB chaining, superblock promotion), atomics and
+//! loops are common (TB chaining, tier-0 → tier-1 promotion), atomics and
 //! fences are over-represented relative to real code (the paper's risk
 //! surface), and multi-threaded programs appear in a fixed fraction of
 //! draws. Every emitted spec satisfies [`ProgSpec::validate`] by
@@ -54,7 +54,7 @@ pub struct GenConfig {
     /// Maximum child threads of a multi-threaded program.
     pub max_children: usize,
     /// Guarantee at least one loop hot enough to cross the fuzz
-    /// harness's lowered tier-2 promotion threshold.
+    /// harness's lowered tier-0 warm threshold.
     pub ensure_hot_loop: bool,
 }
 
@@ -89,7 +89,7 @@ pub fn generate(cfg: &GenConfig, seed: u64) -> ProgSpec {
     let mut main = main_gen.body(&mut rng, main_len, 0);
     if cfg.ensure_hot_loop && !has_loop(&main) {
         // A hot counted loop over private state: crosses the lowered
-        // promotion threshold and gives the optimizer a real region.
+        // warm threshold, so its blocks run as templates and as tier-1.
         let n = 2 + rng.usize_below(3);
         let body = main_gen.body(&mut rng, n, 1);
         let trips = 24 + rng.below(u64::from(MAX_TRIPS) - 24 + 1) as u16;
@@ -190,7 +190,7 @@ impl BodyGen<'_> {
                 }
             }
             4 => {
-                // Biased toward trip counts that cross the fuzz tier-2
+                // Biased toward trip counts that cross the fuzz warm
                 // threshold so promotion paths run, with a short tail.
                 let trips = if rng.chance(3, 5) {
                     12 + rng.below(u64::from(MAX_TRIPS) - 12 + 1) as u16

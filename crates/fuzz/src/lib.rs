@@ -5,7 +5,7 @@
 //! translation against its fence obligations, but nothing was hunting
 //! for inputs on which the tiers *disagree*. This subsystem generates
 //! random well-formed MiniX86 programs ([`gen`]), runs each through the
-//! reference interpreter and three DBT configurations with the verifier
+//! reference interpreter and five DBT configurations with the verifier
 //! as a second oracle ([`diff`]), and delta-debugs any divergent program
 //! down to a minimal reproducer ([`mod@minimize`]) stored in the
 //! human-readable `.risotto` corpus format ([`corpus`]).

@@ -204,7 +204,7 @@ pub enum Stmt {
         else_body: Vec<Stmt>,
     },
     /// A counted loop with a backward conditional edge — the shape that
-    /// drives TB chaining and tier-2 promotion.
+    /// drives TB chaining and tier-0 → tier-1 promotion.
     Loop {
         /// Trip count (`1..=MAX_TRIPS`).
         trips: u16,

@@ -412,11 +412,10 @@ pub trait HostBackend: std::fmt::Debug + Sync {
     /// allocation statistics, over a caller-owned [`LowerScratch`].
     ///
     /// Guest env registers are pinned in host registers for the whole
-    /// block (loaded once on first use, including across `TbBoundary`
-    /// seams in superblocks); dirty env registers are written back at
-    /// every point where execution can leave the block or an external
-    /// observer could look at the env: all block exits, `SideExit`
-    /// deopt paths, helper calls, and `Cas`/`AtomicAdd` sequences.
+    /// block (loaded once on first use); dirty env registers are written
+    /// back at every point where execution can leave the block or an
+    /// external observer could look at the env: the block exit, helper
+    /// calls, and `Cas`/`AtomicAdd` sequences.
     ///
     /// Returns a [`BackendError`] instead of panicking when lowering
     /// cannot proceed (unbound label, unallocatable register
@@ -595,7 +594,6 @@ impl HostBackend for ArmBackend {
             {
                 out.push(Point::Helper(helper_index(*helper)));
             }
-            TcgOp::SideExit { .. } => out.push(Point::Exit),
             _ => {}
         }
     }
@@ -752,39 +750,15 @@ fn lower<B: HostBackend + ?Sized>(
                 // monitor/contention path must never race a stale env.
                 // The stores land before the sequence begins, so nothing
                 // intrudes between LDXR and STXR.
-                alloc.flush_env(asm, true);
+                alloc.flush_env(asm);
                 host.cas(asm, rd, ra, re, rn, cfg);
             }
             TcgOp::AtomicAdd { dst, addr, val } => {
                 let ra = alloc.read_temp(asm, idx, idx, *addr, &[])?;
                 let rv = alloc.read_temp(asm, idx, idx, *val, &[ra])?;
                 let rd = alloc.def_temp(asm, idx, idx, *dst, &[ra, rv])?;
-                alloc.flush_env(asm, true);
+                alloc.flush_env(asm);
                 host.atomic_add(asm, rd, ra, rv, cfg);
-            }
-            TcgOp::SideExit { flag, stay_if, target } => {
-                // Guarded off-trace exit: fall through (stay on the
-                // trace) when the flag's truth matches the profiled
-                // direction, otherwise leave via a chainable direct
-                // jump — side exits dispatch and chain exactly like a
-                // tier-1 `Jump` exit. The dirty-env write-back sits on
-                // the leave path only (stores do not touch nzcv, so they
-                // are safe between the compare and the exit): the hot
-                // stay path pays nothing, and the dirty bits survive for
-                // the next flush point.
-                let r = alloc.read_temp(asm, idx, idx, *flag, &[])?;
-                let l_stay = asm.fresh_label();
-                asm.push(HostInsn::CmpImm { a: r, imm: 0 });
-                asm.bcond_to(if *stay_if { ACond::Ne } else { ACond::Eq }, l_stay);
-                alloc.flush_env(asm, false);
-                asm.push(HostInsn::ExitTb(TbExitKind::Jump { guest_pc: *target, chain: 0 }));
-                asm.bind(l_stay);
-            }
-            TcgOp::TbBoundary { .. } => {
-                // Pure metadata: the seam generates no host code, and
-                // the allocation state (pinned env registers included)
-                // deliberately survives it — this is where superblock
-                // residency compounds.
             }
             TcgOp::CallHelper { helper, args, ret } => {
                 if cfg.hardware_fp {
@@ -801,7 +775,7 @@ fn lower<B: HostBackend + ?Sized>(
                 // Out-of-line call: flush the env first (helpers model
                 // runtime code that may inspect guest state), then
                 // marshal args into X0.. and move the result out.
-                alloc.flush_env(asm, true);
+                alloc.flush_env(asm);
                 for (i, a) in args.iter().enumerate() {
                     let ra = alloc.read_temp(asm, idx, idx, *a, &[])?;
                     asm.push(HostInsn::MovReg { dst: Xreg(i as u8), src: ra });
@@ -822,19 +796,19 @@ fn lower<B: HostBackend + ?Sized>(
     alloc.free_dead(exit_idx);
     match &block.exit {
         TbExit::Jump(pc) => {
-            alloc.flush_env(asm, true);
+            alloc.flush_env(asm);
             asm.push(HostInsn::ExitTb(TbExitKind::Jump { guest_pc: *pc, chain: 0 }));
         }
         TbExit::JumpReg(t) => {
             let r = alloc.read_temp(asm, exit_idx, exit_idx, *t, &[])?;
-            alloc.flush_env(asm, true);
+            alloc.flush_env(asm);
             asm.push(HostInsn::ExitTb(TbExitKind::JumpReg { reg: r }));
         }
         TbExit::CondJump { flag, taken, fallthrough } => {
             let r = alloc.read_temp(asm, exit_idx, exit_idx, *flag, &[])?;
             // Both arms leave the block, so one flush before the compare
             // serves them both.
-            alloc.flush_env(asm, true);
+            alloc.flush_env(asm);
             let l_taken = asm.fresh_label();
             asm.push(HostInsn::CmpImm { a: r, imm: 0 });
             asm.bcond_to(ACond::Ne, l_taken);
@@ -843,11 +817,11 @@ fn lower<B: HostBackend + ?Sized>(
             asm.push(HostInsn::ExitTb(TbExitKind::Jump { guest_pc: *taken, chain: 0 }));
         }
         TbExit::Halt => {
-            alloc.flush_env(asm, true);
+            alloc.flush_env(asm);
             asm.push(HostInsn::ExitTb(TbExitKind::Halt));
         }
         TbExit::Syscall { next } => {
-            alloc.flush_env(asm, true);
+            alloc.flush_env(asm);
             asm.push(HostInsn::ExitTb(TbExitKind::Syscall { next: *next }));
         }
     }

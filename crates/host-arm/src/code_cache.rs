@@ -56,16 +56,10 @@ pub struct CacheStats {
     /// Mappings removed by [`Machine::unmap_tb`] (evictions,
     /// invalidations, and link-library rebinds).
     pub evictions: u64,
-    /// Superblocks mapped via [`Machine::map_superblock`].
-    pub sb_installs: u64,
-    /// Tier-1 translations evicted because a superblock subsumed them
-    /// (a subset of `evictions`).
-    pub sb_subsumed: u64,
 }
 
 /// Per-translation-block execution profile (see
-/// [`Machine::set_profiling`]), read through [`Machine::tb_prof`] and
-/// [`Machine::tb_profile`].
+/// [`Machine::set_profiling`]), read through [`Machine::tb_profile`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TbProf {
     /// Times the block was entered via a machine-resolved transfer
@@ -92,9 +86,6 @@ pub struct ChainStats {
     pub dispatch_hits: u64,
     /// Indirect exits that went through the full dispatcher lookup.
     pub dispatch_misses: u64,
-    /// Machine-resolved transfers that entered a superblock head
-    /// (tier-2 body executions; counted on every entry path).
-    pub sb_entries: u64,
 }
 
 /// Pre-decoded instructions, addressed by byte offset into the code
@@ -147,15 +138,11 @@ impl DecodeTable {
 }
 
 /// Everything the cache knows about one guest pc. A record is never
-/// removed: the profile outlives unmap and remap, which the tier ladder's
-/// re-checked larger threshold depends on.
+/// removed: the profile outlives unmap and remap.
 #[derive(Debug, Default)]
 struct Tb {
     /// Host address of the current translation; `None` = not mapped.
     host: Option<u64>,
-    /// The current translation is a tier-2 superblock: it raises no
-    /// [`Transfer::hot`], and entries count as `sb_entries`.
-    superblock: bool,
     /// Host pcs of the `ExitTb(Jump)` sites currently patched to point
     /// at this translation, un-patched before the bytes go away.
     incoming: Vec<u64>,
@@ -240,21 +227,17 @@ impl CodeCache {
     }
 
     /// Counts one machine-resolved entry into `guest_pc`; `true` when it
-    /// crossed the hotness threshold on a block that is not a superblock.
+    /// crossed the hotness threshold.
     #[inline]
     fn count_entry(&mut self, guest_pc: u64, miss: bool) -> bool {
-        // No profile and no superblock to have entered: no lookup.
-        if !self.profiling && self.cache_stats.sb_installs == 0 {
-            return false;
-        }
-        let tb = self.tbs.entry(guest_pc).or_default();
-        self.chain_stats.sb_entries += tb.superblock as u64;
+        // No profile: no lookup.
         if !self.profiling {
             return false;
         }
+        let tb = self.tbs.entry(guest_pc).or_default();
         tb.prof.execs += 1;
         tb.prof.chain_misses += miss as u64;
-        self.hot_threshold.is_some_and(|t| tb.prof.execs.is_multiple_of(t) && !tb.superblock)
+        self.hot_threshold.is_some_and(|t| tb.prof.execs.is_multiple_of(t))
     }
 
     /// Resolves the `ExitTb(Jump)` at host pc `site`, whose chain word
@@ -363,12 +346,6 @@ impl Machine {
         }
     }
 
-    /// The execution profile of the block at `guest_pc`: zero if it was
-    /// never entered, or with profiling off.
-    pub fn tb_prof(&self, guest_pc: u64) -> TbProf {
-        self.cache.tbs.get(&guest_pc).map_or(TbProf::default(), |tb| tb.prof)
-    }
-
     /// The collected profile, `(guest pc, counts)` for every block
     /// entered since profiling was enabled, in unspecified order.
     pub fn tb_profile(&self) -> impl Iterator<Item = (u64, TbProf)> + '_ {
@@ -383,11 +360,6 @@ impl Machine {
     /// to at least 1.
     pub fn set_hot_threshold(&mut self, threshold: Option<u64>) {
         self.cache.hot_threshold = threshold.map(|t| t.max(1));
-    }
-
-    /// `true` if `guest_pc`'s current translation is a superblock.
-    pub fn is_sb_head(&self, guest_pc: u64) -> bool {
-        self.cache.tbs.get(&guest_pc).is_some_and(|tb| tb.superblock)
     }
 
     /// Installs encoded host instructions; returns their start address.
@@ -443,9 +415,8 @@ impl Machine {
     ///
     /// Remapping a guest pc to a *different* host address first unlinks
     /// every chain and jump-cache entry into the old translation and
-    /// releases its region (the engine's `link_library` rebinding path);
-    /// the rebound pc is a plain block again, so the profiler may promote
-    /// the new body later.
+    /// releases its region (the engine's `link_library` rebinding and
+    /// tier-0 → tier-1 promotion paths).
     pub fn map_tb(&mut self, guest_pc: u64, host_pc: u64) {
         let old = self.cache.tbs.entry(guest_pc).or_default().host.replace(host_pc);
         if old == Some(host_pc) {
@@ -478,23 +449,6 @@ impl Machine {
         true
     }
 
-    /// Maps a tier-2 superblock whose code is installed at `host`: it
-    /// replaces `head`'s tier-1 translation, and every other trace
-    /// member in `subsumed` is evicted so future transfers to those pcs
-    /// dispatch into fresh tier-1 bodies (retranslated on miss) rather
-    /// than stale copies.
-    pub fn map_superblock(&mut self, head: u64, host: u64, subsumed: &[u64]) {
-        self.cache.cache_stats.sb_installs += 1;
-        for &pc in subsumed {
-            if pc != head && self.unmap_tb(pc) {
-                self.cache.cache_stats.sb_subsumed += 1;
-            }
-        }
-        self.map_tb(head, host);
-        // After `map_tb`: a remap demotes, then this promotes.
-        self.cache.tbs.get_mut(&head).expect("mapped just above").superblock = true;
-    }
-
     /// The one way the translation of `guest_pc` at `host` — already taken
     /// out of the record — stops being reachable, in the order that is
     /// the safety argument (module docs): un-patch every chain into it,
@@ -502,7 +456,6 @@ impl Machine {
     fn retire(&mut self, guest_pc: u64, host: u64) {
         let cache = &mut self.cache;
         let tb = cache.tbs.get_mut(&guest_pc).expect("a retired translation has a record");
-        tb.superblock = false;
         for site in std::mem::take(&mut tb.incoming) {
             cache.patch_chain(site, 0);
             cache.chain_stats.chain_flushes += 1;
@@ -686,16 +639,11 @@ mod tests {
         }
         assert_eq!(at, c.code.len(), "step {step}: tiles end short of the buffer");
 
-        // A mapping names a live region, which counts it; a superblock is
-        // mapped.
+        // A mapping names a live region, which counts it.
         for (pc, tb) in &c.tbs {
             if let Some(host) = tb.host {
                 assert!(c.regions.contains_key(&host), "step {step}: {pc:#x} maps to {host:#x}");
             }
-            assert!(
-                !tb.superblock || tb.host.is_some(),
-                "step {step}: unmapped superblock {pc:#x}"
-            );
         }
         for (&start, r) in &c.regions {
             let targets = c.tbs.values().filter(|tb| tb.host == Some(start)).count();
@@ -802,10 +750,11 @@ mod tests {
                     2
                 }
                 16..=17 => {
+                    // A translation replaced by a fresh install, as a
+                    // promotion or a refill does.
                     let host = m.install_code(&body());
-                    let subsumed = [guest_pc(r2), guest_pc(r2 >> 8), guest_pc(r2 >> 16)];
-                    m.map_superblock(subsumed[0], host, &subsumed);
-                    assert!(m.is_sb_head(subsumed[0]));
+                    m.map_tb(guest_pc(r2), host);
+                    assert_eq!(m.lookup_tb(guest_pc(r2)), Some(host));
                     3
                 }
                 18..=19 => {
@@ -889,7 +838,7 @@ mod tests {
                 chain.chain_flushes,
                 chain.dispatch_hits,
                 cache.region_reuses,
-                cache.sb_subsumed,
+                cache.evictions,
             ];
             for (total, n) in seen.iter_mut().zip(round) {
                 *total += n;
@@ -898,7 +847,7 @@ mod tests {
         assert!(fired.iter().all(|&n| n > 500), "operations drawn: {fired:?}");
         assert!(
             seen.iter().all(|&n| n > 200),
-            "links, chain hits, flushes, jump-cache hits, region reuses, subsumed: {seen:?}"
+            "links, chain hits, flushes, jump-cache hits, region reuses, evictions: {seen:?}"
         );
     }
 }

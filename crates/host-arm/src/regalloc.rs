@@ -11,19 +11,18 @@
 //!
 //! * serves `GetReg` by *aliasing* the destination temp to the pinned
 //!   env value — no code at all; the env slot is `LDR`-ed once on the
-//!   first actual read and the value stays resident across the whole TB
-//!   (and across `TbBoundary` seams inside superblocks, where the
-//!   residency compounds). Aliases are broken — materialized into their
-//!   own register — only when the env register is overwritten while the
-//!   alias is still live, which real frontend IR almost never does;
+//!   first actual read and the value stays resident across the whole
+//!   TB. Aliases are broken — materialized into their own register —
+//!   only when the env register is overwritten while the alias is still
+//!   live, which real frontend IR almost never does;
 //! * turns `SetReg` into a *dirty* bit: when the source temp dies at
 //!   the write (the common compute-into-fresh-temp pattern) its
 //!   register is transferred to the env value outright, otherwise one
 //!   register move remains. The env `STR` is deferred to the next flush
-//!   point (block exits, `CallHelper`, `Cas`/exclusive sequences,
-//!   `SideExit` deopt paths), so the interpreter and fault-fallback
-//!   paths always observe a coherent env while straight-line code pays
-//!   no store traffic. The *final* write to an env register in a block
+//!   point (the block exit, `CallHelper`, `Cas`/exclusive sequences),
+//!   so the interpreter and fault-fallback paths always observe a
+//!   coherent env while straight-line code pays no store traffic. The
+//!   *final* write to an env register in a block
 //!   stores the source directly instead — deferring it would only
 //!   prepend a register copy to the same `STR`;
 //! * treats `MovI` as a zero-cost constant definition: the `MOV`
@@ -762,16 +761,9 @@ impl<'a> Allocator<'a> {
     }
 
     /// Writes every dirty env register back to its env slot, in
-    /// ascending env order (deterministic emission).
-    ///
-    /// `clear_dirty: true` is the in-line form (helper calls, atomic
-    /// sequences, unconditional exits): the write-back happened on the
-    /// continuing path, so the registers become clean. `clear_dirty:
-    /// false` is the *off-path* form used on `SideExit` leave paths —
-    /// the stores execute only when the exit is taken, so on the
-    /// fall-through path the registers are still dirty and the next
-    /// flush point owes them again.
-    pub(crate) fn flush_env(&mut self, asm: &mut HostAsm, clear_dirty: bool) {
+    /// ascending env order (deterministic emission); the registers are
+    /// clean afterwards.
+    pub(crate) fn flush_env(&mut self, asm: &mut HostAsm) {
         if !self.manage_env {
             return;
         }
@@ -786,9 +778,7 @@ impl<'a> Allocator<'a> {
                         order: MemOrder::Plain,
                     });
                     self.stats.env_stores += 1;
-                    if clear_dirty {
-                        self.s.val[v].dirty = false;
-                    }
+                    self.s.val[v].dirty = false;
                 }
             }
         }

@@ -17,8 +17,8 @@
 //!    [`HostBackend::expected_points`] (env and spill traffic through
 //!    [`ENV_BASE`]/[`SPILL_BASE`] is host-private and ignored);
 //! 3. **exit integrity** — every direct-jump exit carries a zeroed
-//!    chain word at [`JUMP_CHAIN_OFFSET`] and the set of exit targets
-//!    (side exits plus block exits) matches the IR.
+//!    chain word at [`JUMP_CHAIN_OFFSET`] and the exit targets match the
+//!    IR's block exit.
 //!
 //! Violations are reported as [`VerifyError`]s with
 //! [`VerifyPass::Encoding`], feeding the engine's quarantine path.
@@ -65,10 +65,9 @@ pub enum Point {
     },
     /// A runtime helper call (QEMU-style out-of-line memory op).
     Helper(u8),
-    /// A TB exit (`ExitTb` of any kind — block exits and `SideExit`
-    /// deopt points). Exits anchor the allocation-map check: every env
-    /// register the IR wrote in the segment leading up to an exit must
-    /// have its deferred write-back land before that exit.
+    /// A TB exit (`ExitTb` of any kind). The first one anchors the
+    /// allocation-map check: every env register the IR wrote must have
+    /// its deferred write-back land before it.
     Exit,
 }
 
@@ -146,10 +145,8 @@ thread_local!(pub(crate) static SPARE: RefCell<EncodingScratch> = RefCell::defau
 pub struct EncodingScratch {
     canonical: Vec<u8>,
     expected: Vec<Point>,
-    /// expected point → the IR op it came from (`None`: the terminator).
-    expected_src: Vec<Option<usize>>,
-    /// The decoded stream's ordering points, with their host index.
-    actual: Vec<(Point, usize)>,
+    /// The decoded stream's ordering points.
+    actual: Vec<Point>,
     expected_jumps: Vec<u64>,
     actual_jumps: Vec<u64>,
 }
@@ -157,7 +154,7 @@ pub struct EncodingScratch {
 /// Pass 3 for `host`, behind [`HostBackend::check_encoding_in`]: the
 /// shared checks (byte fidelity + decode-back, ordering-point
 /// interleaving against `host.expected_points`, env write-back coverage
-/// per exit segment, chain-word/exit-target integrity) and the
+/// before the first exit, chain-word/exit-target integrity) and the
 /// backend's own `check_dialect` restriction.
 pub(crate) fn check<B: HostBackend + ?Sized>(
     host: &B,
@@ -167,14 +164,8 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
     cfg: BackendConfig,
     scratch: &mut EncodingScratch,
 ) -> Result<(), VerifyError> {
-    let EncodingScratch {
-        canonical: expect,
-        expected,
-        expected_src,
-        actual,
-        expected_jumps,
-        actual_jumps,
-    } = scratch;
+    let EncodingScratch { canonical: expect, expected, actual, expected_jumps, actual_jumps } =
+        scratch;
     // 1. Byte fidelity: canonical re-encoding matches...
     expect.clear();
     for i in insns {
@@ -230,31 +221,21 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
     })?;
 
     // 2. Ordering placement: barrier/atomic/access/exit interleaving
-    // matches the IR. Each expected point remembers the IR op it came
-    // from (`None` for the block terminator) and each actual point its
-    // host-instruction index, so the allocation-map check below can cut
-    // the streams into per-exit segments.
+    // matches the IR.
     expected.clear();
-    expected_src.clear();
-    for (i, op) in block.ops.iter().enumerate() {
+    for op in &block.ops {
         host.expected_points(op, cfg, expected);
-        expected_src.resize(expected.len(), Some(i));
     }
     exit_points(&block.exit, expected);
-    expected_src.resize(expected.len(), None);
     actual.clear();
-    actual.extend(
-        insns.iter().enumerate().filter_map(|(pos, insn)| actual_point(insn).map(|p| (p, pos))),
-    );
-    if expected.len() != actual.len()
-        || expected.iter().zip(actual.iter()).any(|(e, (a, _))| e != a)
-    {
+    actual.extend(insns.iter().filter_map(actual_point));
+    if expected != actual {
         let at = expected
             .iter()
             .zip(actual.iter())
-            .position(|(e, (a, _))| e != a)
+            .position(|(e, a)| e != a)
             .unwrap_or_else(|| expected.len().min(actual.len()));
-        let have = actual.get(at).map(|(p, _)| p.name()).unwrap_or_else(|| "nothing".into());
+        let have = actual.get(at).map(|p| p.name()).unwrap_or_else(|| "nothing".into());
         let want = expected.get(at).map(|p| p.name()).unwrap_or_else(|| "nothing".into());
         return Err(err(
             block,
@@ -265,58 +246,45 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
         ));
     }
 
-    // 2b. Allocation map: deferred env write-backs cover every exit.
-    // The backend pins guest env registers in host registers and defers
-    // the env `STR` to flush points, so for each exit anchor the
-    // verifier proves that every env register the IR wrote (`SetReg`)
-    // since the previous anchor has a `STR` to its home slot somewhere
-    // in the corresponding host segment (flush-point stores and
-    // mid-segment dirty evictions both count). Skipped in direct-regs
-    // (native-oracle) mode, where there is no env to write back.
+    // 2b. Allocation map: deferred env write-backs cover the exit. The
+    // backend pins guest env registers in host registers and defers the
+    // env `STR` to flush points, so the verifier proves that every env
+    // register the IR wrote (`SetReg`) has a `STR` to its home slot
+    // before the first exit of the host stream (flush-point stores and
+    // dirty evictions both count); a `CondJump`'s second exit follows
+    // no further IR. Skipped in direct-regs (native-oracle) mode, where
+    // there is no env to write back.
     if !cfg.direct_regs {
-        let mut prev_ir = 0usize;
-        let mut prev_host = 0usize;
-        for (k, pt) in expected.iter().enumerate() {
-            if *pt != Point::Exit {
-                continue;
-            }
-            let ir_end = expected_src[k].unwrap_or(block.ops.len());
-            let host_end = actual[k].1;
-            // Env slot index (any `u8` register number) → the host
-            // segment stores to it.
-            let mut written_back = [false; 256];
-            for insn in &insns[prev_host..host_end] {
-                if let HostInsn::Str { base, off, .. } = insn {
-                    if *base == ENV_BASE && *off % 8 == 0 {
-                        if let Some(slot) = written_back.get_mut((*off / 8) as usize) {
-                            *slot = true;
-                        }
+        // The point streams matched, so the block exit put one here.
+        let first_exit =
+            insns.iter().position(|i| matches!(i, HostInsn::ExitTb(_))).unwrap_or(insns.len());
+        // Env slot index (any `u8` register number) → stored to.
+        let mut written_back = [false; 256];
+        for insn in &insns[..first_exit] {
+            if let HostInsn::Str { base, off, .. } = insn {
+                if *base == ENV_BASE && *off % 8 == 0 {
+                    if let Some(slot) = written_back.get_mut((*off / 8) as usize) {
+                        *slot = true;
                     }
                 }
             }
-            for (i, op) in block.ops[prev_ir..ir_end].iter().enumerate() {
-                let TcgOp::SetReg { reg, .. } = op else { continue };
-                if !written_back[*reg as usize] {
-                    return Err(err(
-                        block,
-                        Some(prev_ir + i),
-                        format!(
-                            "env register {reg} is written by the IR but has no write-back to its env slot before the exit at host instruction {host_end}"
-                        ),
-                    ));
-                }
+        }
+        for (i, op) in block.ops.iter().enumerate() {
+            let TcgOp::SetReg { reg, .. } = op else { continue };
+            if !written_back[*reg as usize] {
+                return Err(err(
+                    block,
+                    Some(i),
+                    format!(
+                        "env register {reg} is written by the IR but has no write-back to its env slot before the exit at host instruction {first_exit}"
+                    ),
+                ));
             }
-            prev_ir = ir_end;
-            prev_host = host_end;
         }
     }
 
     // 3. Exit integrity: chain words are zeroed, exit targets match.
     expected_jumps.clear();
-    expected_jumps.extend(block.ops.iter().filter_map(|op| match op {
-        TcgOp::SideExit { target, .. } => Some(*target),
-        _ => None,
-    }));
     match &block.exit {
         TbExit::Jump(pc) => expected_jumps.push(*pc),
         TbExit::CondJump { taken, fallthrough, .. } => {

@@ -121,7 +121,6 @@ impl HostBackend for TsoBackend {
             {
                 out.push(Point::Helper(helper_index(*helper)));
             }
-            TcgOp::SideExit { .. } => out.push(Point::Exit),
             _ => {}
         }
     }

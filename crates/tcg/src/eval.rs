@@ -100,12 +100,6 @@ pub fn eval_block(block: &TcgBlock, envr: &mut [u64; env::COUNT], mem: &mut Spar
                     temps[r.0 as usize] = result;
                 }
             }
-            TcgOp::SideExit { flag, stay_if, target } => {
-                if (temps[flag.0 as usize] != 0) != *stay_if {
-                    return EvalExit::Jump(*target);
-                }
-            }
-            TcgOp::TbBoundary { .. } => {}
         }
     }
     match &block.exit {

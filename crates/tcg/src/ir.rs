@@ -244,29 +244,6 @@ pub enum TcgOp {
         /// Optional result.
         ret: Option<Temp>,
     },
-    /// Superblock guard: leave the trace at `target` unless `flag`'s
-    /// truth matches the profiled direction. Only the superblock
-    /// stitcher emits this (from a constituent block's `CondJump`); it
-    /// never appears in tier-1 blocks. The optimizer treats it as a
-    /// partial barrier: env state and earlier stores must be
-    /// architecturally complete here (the off-trace continuation
-    /// observes them), but fences may still merge across it
-    /// (strengthening the exit path is sound).
-    SideExit {
-        /// Condition temp (0 or 1) from the original `CondJump`.
-        flag: Temp,
-        /// Execution stays on the trace when `(flag != 0) == stay_if`.
-        stay_if: bool,
-        /// Guest pc of the off-trace continuation.
-        target: u64,
-    },
-    /// Seam left where two translation blocks were stitched into a
-    /// superblock. Generates no host code; kept so cross-boundary
-    /// optimizations are attributable (and countable) in stats.
-    TbBoundary {
-        /// Guest pc of the block that starts here.
-        pc: u64,
-    },
 }
 
 impl TcgOp {
@@ -283,12 +260,7 @@ impl TcgOp {
             | TcgOp::Cas { dst, .. }
             | TcgOp::AtomicAdd { dst, .. } => Some(*dst),
             TcgOp::CallHelper { ret, .. } => *ret,
-            TcgOp::SetReg { .. }
-            | TcgOp::St { .. }
-            | TcgOp::St8 { .. }
-            | TcgOp::Fence(_)
-            | TcgOp::SideExit { .. }
-            | TcgOp::TbBoundary { .. } => None,
+            TcgOp::SetReg { .. } | TcgOp::St { .. } | TcgOp::St8 { .. } | TcgOp::Fence(_) => None,
         }
     }
 
@@ -298,12 +270,8 @@ impl TcgOp {
     pub fn uses(&self) -> impl Iterator<Item = Temp> + '_ {
         let none = Temp(0);
         let (fixed, n, rest): ([Temp; 3], usize, &[Temp]) = match self {
-            TcgOp::MovI { .. }
-            | TcgOp::GetReg { .. }
-            | TcgOp::Fence(_)
-            | TcgOp::TbBoundary { .. } => ([none; 3], 0, &[]),
-            TcgOp::SideExit { flag: t, .. }
-            | TcgOp::Mov { src: t, .. }
+            TcgOp::MovI { .. } | TcgOp::GetReg { .. } | TcgOp::Fence(_) => ([none; 3], 0, &[]),
+            TcgOp::Mov { src: t, .. }
             | TcgOp::SetReg { src: t, .. }
             | TcgOp::Ld { addr: t, .. }
             | TcgOp::Ld8 { addr: t, .. } => ([*t, none, none], 1, &[]),
@@ -332,8 +300,6 @@ impl TcgOp {
                 | TcgOp::Cas { .. }
                 | TcgOp::AtomicAdd { .. }
                 | TcgOp::CallHelper { .. }
-                | TcgOp::SideExit { .. }
-                | TcgOp::TbBoundary { .. }
         )
     }
 
@@ -461,20 +427,6 @@ mod tests {
         let ld = TcgOp::Ld { dst: Temp(3), addr: Temp(0) };
         assert!(!ld.has_side_effect(), "irrelevant loads are removable");
         assert!(ld.is_memory_access());
-    }
-
-    #[test]
-    fn superblock_marker_classification() {
-        let se = TcgOp::SideExit { flag: Temp(4), stay_if: true, target: 0x2000 };
-        assert_eq!(se.def(), None);
-        assert_eq!(se.uses().collect::<Vec<_>>(), vec![Temp(4)], "guard flag must stay live");
-        assert!(se.has_side_effect(), "side exits are never DCE'd");
-        assert!(!se.is_memory_access(), "fences may merge across a side exit");
-        let tb = TcgOp::TbBoundary { pc: 0x2000 };
-        assert_eq!(tb.def(), None);
-        assert_eq!(tb.uses().count(), 0);
-        assert!(tb.has_side_effect());
-        assert!(!tb.is_memory_access(), "seams don't block fence merging");
     }
 
     #[test]

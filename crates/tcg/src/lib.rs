@@ -44,7 +44,6 @@ mod eval;
 mod frontend;
 mod ir;
 mod opt;
-pub mod superblock;
 pub mod verify;
 
 pub use eval::{eval_block, EvalExit};
@@ -54,9 +53,8 @@ pub use frontend::{
 };
 pub use ir::{env, BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, Temp};
 pub use opt::{
-    apply_hints, elim_may_cross, merge_fences, merge_fences_counted, merge_fences_region, optimize,
-    optimize_in, optimize_with, ElimKind, HintStats, IrHints, OptPolicy, OptScratch, OptStats,
-    PassConfig,
+    apply_hints, elim_may_cross, merge_fences, merge_fences_counted, optimize, optimize_in,
+    optimize_with, ElimKind, HintStats, IrHints, OptPolicy, OptScratch, OptStats, PassConfig,
 };
 pub use verify::{VerifyError, VerifyPass, VerifyScratch};
 

@@ -12,10 +12,9 @@
 //! * fence merging: adjacent fences with no intervening memory access
 //!   merge into their join, placed at the earliest position,
 //! * dead code elimination (temp liveness + redundant `SetReg` removal:
-//!   a guest register written twice with no read in between, or flags a
-//!   later block of a superblock overwrites — within one block the
+//!   a guest register written twice with no read in between — the
 //!   frontend already leaves out every flag writer's flags but the
-//!   last's).
+//!   last's, so the flags are never such a pair in its own output).
 //!
 //! Blocks are in SSA form (the frontend allocates a fresh temp per def);
 //! every pass preserves that invariant.
@@ -51,11 +50,6 @@ pub struct OptStats {
     /// [`FenceKind::tcg_index`] over [`FenceKind::TCG_ALL`]. The entries
     /// sum to `fences_merged`.
     pub fences_merged_by_kind: [usize; 12],
-    /// The subset of `fences_merged` whose merge crossed a former TB
-    /// boundary (a [`TcgOp::TbBoundary`] or [`TcgOp::SideExit`] marker
-    /// sat between the two fences). Always zero for tier-1 blocks,
-    /// which contain no markers.
-    pub fences_merged_cross: usize,
     /// Ops removed by DCE.
     pub dce_removed: usize,
 }
@@ -69,7 +63,6 @@ impl std::ops::AddAssign for OptStats {
         for (a, b) in self.fences_merged_by_kind.iter_mut().zip(rhs.fences_merged_by_kind) {
             *a += b;
         }
-        self.fences_merged_cross += rhs.fences_merged_cross;
         self.dce_removed += rhs.dce_removed;
     }
 }
@@ -230,10 +223,7 @@ pub fn optimize_in(
         forward_memory(block, policy, &mut stats, scratch);
     }
     if passes.merge_fences {
-        let mut cross = 0usize;
-        stats.fences_merged +=
-            merge_fences_region(block, &mut stats.fences_merged_by_kind, &mut cross);
-        stats.fences_merged_cross += cross;
+        stats.fences_merged += merge_fences_counted(block, &mut stats.fences_merged_by_kind);
     }
     if passes.dce {
         stats.dce_removed += dce(block, bound, scratch);
@@ -421,8 +411,7 @@ fn rewrite_uses(op: &mut TcgOp, alias: &[Option<Temp>]) {
             fix(val);
         }
         TcgOp::CallHelper { args, .. } => args.iter_mut().for_each(fix),
-        TcgOp::SideExit { flag, .. } => fix(flag),
-        TcgOp::MovI { .. } | TcgOp::GetReg { .. } | TcgOp::Fence(_) | TcgOp::TbBoundary { .. } => {}
+        TcgOp::MovI { .. } | TcgOp::GetReg { .. } | TcgOp::Fence(_) => {}
     }
 }
 
@@ -445,12 +434,6 @@ struct Tracked {
     /// quantify over the *set* of crossed fences, so a bitset loses
     /// nothing.
     fences_since: u16,
-    /// A superblock side exit was crossed since this access. Forwarding
-    /// a *read* past a side exit stays sound (the value was already
-    /// architecturally committed when the exit is taken), but deleting a
-    /// store that the off-trace continuation would observe is not, so
-    /// WAW elimination refuses when this is set.
-    escaped: bool,
 }
 
 /// Bit 12 of a crossed-fence set: some fence that is not a TCG fence.
@@ -529,11 +512,6 @@ fn forward_memory(
                     t.fences_since |= fence_bit(k);
                 }
             }
-            TcgOp::SideExit { .. } => {
-                for t in tracked.iter_mut() {
-                    t.escaped = true;
-                }
-            }
             TcgOp::Ld { dst, addr } => {
                 let forwarded = tracked.iter().find(|t| t.addr == addr).and_then(|t| {
                     let (value, kind) = match t.kind {
@@ -554,7 +532,6 @@ fn forward_memory(
                         addr,
                         kind: TrackedKind::Load { value: dst },
                         fences_since: 0,
-                        escaped: false,
                     });
                 }
             }
@@ -564,7 +541,6 @@ fn forward_memory(
                 if let Some(pos) = tracked.iter().position(|t| t.addr == addr) {
                     let t = tracked.remove(pos);
                     if matches!(t.kind, TrackedKind::Store { .. })
-                        && !t.escaped
                         && elim_allowed(ElimKind::Waw, t.fences_since, policy)
                     {
                         // Find the previous store and drop it.
@@ -586,7 +562,6 @@ fn forward_memory(
                     addr,
                     kind: TrackedKind::Store { value: src },
                     fences_since: 0,
-                    escaped: false,
                 });
             }
             TcgOp::Ld8 { .. }
@@ -618,28 +593,12 @@ pub fn merge_fences(block: &mut TcgBlock) -> usize {
 /// [`merge_fences`], additionally tallying each removed fence by kind
 /// into `by_kind` (indexed per [`FenceKind::tcg_index`]).
 pub fn merge_fences_counted(block: &mut TcgBlock, by_kind: &mut [usize; 12]) -> usize {
-    merge_fences_region(block, by_kind, &mut 0)
-}
-
-/// Region-scoped [`merge_fences_counted`] for superblocks: merges may
-/// cross [`TcgOp::TbBoundary`] seams and [`TcgOp::SideExit`] guards
-/// (hoisting a later fence to an earlier position only *strengthens* the
-/// ordering an off-trace continuation observes), and each merge that did
-/// cross such a marker is additionally tallied into `cross` — the
-/// paper's intra-block pass can never perform these.
-pub fn merge_fences_region(
-    block: &mut TcgBlock,
-    by_kind: &mut [usize; 12],
-    cross: &mut usize,
-) -> usize {
     let ops = &mut block.ops;
     // `ops[..kept]` is the output so far; the walk compacts in place.
     let mut kept = 0usize;
     // The fence a later one merges into — the last fence kept, while no
     // memory access has been kept after it — with its current kind.
     let mut open: Option<(usize, FenceKind)> = None;
-    // A seam or side exit was kept after the open fence.
-    let mut marker_since = false;
     let mut removed = 0usize;
     for i in 0..ops.len() {
         match ops[i] {
@@ -653,13 +612,10 @@ pub fn merge_fences_region(
                     if let Some(kind) = k.tcg_index() {
                         by_kind[kind] += 1;
                     }
-                    *cross += usize::from(marker_since);
                     continue;
                 }
                 open = Some((kept, k));
-                marker_since = false;
             }
-            TcgOp::TbBoundary { .. } | TcgOp::SideExit { .. } => marker_since = true,
             ref op if op.is_memory_access() => open = None,
             _ => {}
         }
@@ -701,20 +657,11 @@ fn dce(block: &mut TcgBlock, bound: usize, scratch: &mut OptScratch) -> usize {
                 env_overwritten[*reg as usize] = false;
                 live[dst.0 as usize]
             }
-            TcgOp::SideExit { .. } => {
-                // The off-trace continuation re-enters the dispatcher and
-                // reads the whole env, so every `SetReg` above the exit
-                // is observable no matter what the on-trace suffix
-                // overwrites.
-                env_overwritten = [false; crate::ir::env::COUNT];
-                true
-            }
             TcgOp::St { .. }
             | TcgOp::Fence(_)
             | TcgOp::Cas { .. }
             | TcgOp::AtomicAdd { .. }
-            | TcgOp::CallHelper { .. }
-            | TcgOp::TbBoundary { .. } => true,
+            | TcgOp::CallHelper { .. } => true,
             other => other.def().map(|d| live[d.0 as usize]).unwrap_or(true),
         };
         if needed {
@@ -800,9 +747,9 @@ mod tests {
     #[test]
     fn dce_removes_overwritten_flag_updates() {
         // The frontend never emits a flag update that a later writer in
-        // the same block overwrites, but superblock seams and hand-built
-        // blocks can: `rax += 1` with its ZF, then a second ZF with no
-        // read of the first in between.
+        // the same block overwrites, but a hand-built block can: `rax +=
+        // 1` with its ZF, then a second ZF with no read of the first in
+        // between.
         let mut b =
             TcgBlock { guest_pc: 0, guest_len: 0, ops: vec![], exit: TbExit::Halt, n_temps: 0 };
         let [x, one, sum, zero, zf, zf2] = [(); 6].map(|()| b.new_temp());
@@ -1074,7 +1021,7 @@ mod tests {
         let stats = optimize_with(&mut b, OptPolicy::Verified, PassConfig::all());
         assert_eq!(b, orig, "nothing to fold, forward, merge or eliminate");
         assert_eq!(stats, OptStats::default());
-        let e = crate::verify::lint(&b, false).unwrap_err();
+        let e = crate::verify::lint_in(&b, &mut Default::default()).unwrap_err();
         assert!(e.obligation.contains("out-of-range temp t7"), "{e}");
     }
 

@@ -248,11 +248,7 @@ fn translation_cache_reuses_blocks() {
 fn dbt_paths(bin: &GuestBinary) -> [(&'static str, Emulator); 3] {
     let tier1 = Emulator::new(bin, Setup::Risotto, 1, cost());
     let mut tier0 = Emulator::new(bin, Setup::Risotto, 1, cost());
-    tier0.set_tiering(Some(TierConfig {
-        hot_threshold: u64::MAX,
-        warm_threshold: Some(u64::MAX),
-        ..TierConfig::default()
-    }));
+    tier0.set_tiering(Some(TierConfig { warm_threshold: Some(u64::MAX) }));
     let mut fallback = Emulator::new(bin, Setup::Risotto, 1, cost());
     fallback.set_fault_plan(FaultPlan::seeded(1).rate(FaultSite::Translate, 65535));
     [("tier-1", tier1), ("tier-0", tier0), ("fallback", fallback)]

@@ -6,7 +6,8 @@
 //!   set of books);
 //! * a fully instrumented run (ring-buffer sink + stage timing + hot-TB
 //!   profiling) is bit-identical in architectural results and simulated
-//!   cycles to a default run — observability is passive;
+//!   cycles to a default run — observability is passive, and on the tier
+//!   ladder it moves no promotion;
 //! * `RingBufferSink` is bounded and overwrites oldest-first;
 //! * `docs/METRICS.md` documents 100% of the metric schema, and every
 //!   metric a real run emits maps back into that schema;
@@ -122,37 +123,55 @@ fn registry_counters_equal_legacy_report_on_all_kernels() {
     }
 }
 
+/// Observability is passive on every tier: a run with a trace sink, the
+/// stage clock and the hot-TB profiler on is the default run, on tier-1
+/// alone and on the tier ladder at two warm thresholds — same cycles,
+/// exit values and output, and on the ladder the same promotions and
+/// translations, since nothing the profiler counts decides a promotion.
 #[test]
 fn instrumented_run_is_bit_identical_to_default_run() {
+    let ladders =
+        [None, Some(4), Some(32)].map(|w| w.map(|w| TierConfig { warm_threshold: Some(w) }));
     for w in kernels::all() {
         let bin = (w.build)(8, 2);
+        for tiers in ladders {
+            let leg = format!("{} ({tiers:?})", w.name);
+            let mut plain = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
+            plain.set_tiering(tiers);
+            let rp = plain.run(FUEL).unwrap_or_else(|e| panic!("{leg} plain: {e}"));
 
-        let mut plain = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-        let rp = plain.run(FUEL).unwrap_or_else(|e| panic!("{} (plain): {e}", w.name));
+            let ring = Rc::new(RefCell::new(RingBufferSink::new(4096)));
+            let mut traced = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
+            traced.set_tiering(tiers);
+            traced.set_trace_sink(Box::new(SharedSink(Rc::clone(&ring))));
+            traced.set_stage_timing(true);
+            traced.set_profiling(true);
+            let rt = traced.run(FUEL).unwrap_or_else(|e| panic!("{leg} traced: {e}"));
 
-        let ring = Rc::new(RefCell::new(RingBufferSink::new(4096)));
-        let mut traced = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-        traced.set_trace_sink(Box::new(SharedSink(Rc::clone(&ring))));
-        traced.set_stage_timing(true);
-        traced.set_profiling(true);
-        let rt = traced.run(FUEL).unwrap_or_else(|e| panic!("{} (traced): {e}", w.name));
+            assert_eq!(rp.cycles, rt.cycles, "{leg}: observing changed simulated cycles");
+            assert_eq!(rp.exit_vals, rt.exit_vals, "{leg}: observing changed exit values");
+            assert_eq!(rp.output, rt.output, "{leg}: observing changed guest output");
+            // `template.promotions` and the rest of the template tier's
+            // counts, and `translate.blocks`.
+            assert_eq!(rp.template, rt.template, "{leg}: observing moved the tier ladder");
+            assert_eq!(rp.tb_count, rt.tb_count, "{leg}: observing changed the translations");
+            if tiers.is_some() {
+                continue;
+            }
 
-        assert_eq!(rp.cycles, rt.cycles, "{}: tracing changed simulated cycles", w.name);
-        assert_eq!(rp.exit_vals, rt.exit_vals, "{}: tracing changed exit values", w.name);
-        assert_eq!(rp.output, rt.output, "{}: tracing changed guest output", w.name);
-
-        let ring = ring.borrow();
-        assert!(!ring.is_empty(), "{}: no trace events recorded", w.name);
-        assert!(
-            ring.events().any(|e| e.stage == TraceStage::Dispatch),
-            "{}: no dispatch events",
-            w.name
-        );
-        assert!(
-            ring.events().any(|e| e.stage == TraceStage::Decode && e.dur_ns.is_some()),
-            "{}: no timed decode events",
-            w.name
-        );
+            let ring = ring.borrow();
+            assert!(!ring.is_empty(), "{}: no trace events recorded", w.name);
+            assert!(
+                ring.events().any(|e| e.stage == TraceStage::Dispatch),
+                "{}: no dispatch events",
+                w.name
+            );
+            assert!(
+                ring.events().any(|e| e.stage == TraceStage::Decode && e.dur_ns.is_some()),
+                "{}: no timed decode events",
+                w.name
+            );
+        }
     }
 }
 
@@ -210,12 +229,11 @@ fn metrics_md_documents_the_entire_schema() {
     }
 }
 
-/// The three-tier policy the tiered tests below run `kmeans` under: low
-/// enough thresholds that templates warm up and superblocks promote.
-const LADDER: TierConfig =
-    TierConfig { hot_threshold: 16, max_tbs: 8, min_tbs: 2, warm_threshold: Some(4) };
+/// The tier ladder the tiered tests below run `kmeans` under: a warm
+/// threshold low enough that templates promote.
+const LADDER: TierConfig = TierConfig { warm_threshold: Some(4) };
 
-/// A kernel that promotes superblocks under [`LADDER`].
+/// A kernel that promotes templates under [`LADDER`].
 fn kmeans() -> GuestBinary {
     let kernel = kernels::all().into_iter().find(|w| w.name == "kmeans").expect("kmeans exists");
     (kernel.build)(16, 2)
@@ -230,10 +248,10 @@ fn stage_histograms_reconcile_with_the_counters() {
     let bin = kmeans();
     let stages: Vec<String> =
         specs().into_iter().map(|s| s.name).filter(|n| n.ends_with("_ns")).collect();
-    assert_eq!(stages.len(), 8, "{stages:?}");
+    assert_eq!(stages.len(), 5, "{stages:?}");
 
     for (leg, tiers) in
-        [("tier-1", None), ("templates", Some(templates_only())), ("three-tier", Some(LADDER))]
+        [("tier-1", None), ("templates", Some(templates_only())), ("ladder", Some(LADDER))]
     {
         for timing in [true, false] {
             let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
@@ -253,12 +271,7 @@ fn stage_histograms_reconcile_with_the_counters() {
             assert_eq!(decode, samples("stage.opt_ns"), "{leg}: decode vs opt");
             assert_eq!(decode, samples("stage.encode_ns"), "{leg}: decode vs encode");
             assert_eq!(samples("stage.template_ns"), snap.counter("template.blocks"), "{leg}");
-            assert_eq!(
-                samples("stage.install_ns"),
-                blocks + snap.counter("sb.promotions"),
-                "{leg}"
-            );
-            assert_eq!(samples("sb.stage.opt_ns"), samples("sb.stage.encode_ns"), "{leg}");
+            assert_eq!(samples("stage.install_ns"), blocks, "{leg}");
             assert_eq!(
                 decode + samples("stage.template_ns"),
                 blocks,
@@ -266,7 +279,7 @@ fn stage_histograms_reconcile_with_the_counters() {
             );
             // Each leg exercises the rows it is there for.
             let (templates, promoted) =
-                (snap.counter("template.blocks"), samples("sb.stage.opt_ns"));
+                (snap.counter("template.blocks"), snap.counter("template.promotions"));
             match leg {
                 "tier-1" => assert!(decode > 0 && templates == 0 && promoted == 0, "{snap:?}"),
                 "templates" => assert!(decode == 0 && templates > 0 && promoted == 0, "{snap:?}"),
@@ -276,9 +289,10 @@ fn stage_histograms_reconcile_with_the_counters() {
     }
 }
 
-/// `hot_tbs` is the observational profile and nothing else: tiering
-/// turns the machine-side profile on for its promoter, which must not
-/// leak out as half a profile (transfers without dispatch-loop entries).
+/// `hot_tbs` is the observational profile and nothing else: the tier
+/// ladder turns the machine-side profile on for its promoter, which must
+/// not leak out as half a profile (transfers without dispatch-loop
+/// entries).
 #[test]
 fn hot_tbs_is_empty_unless_profiling_was_asked_for() {
     let bin = kmeans();
@@ -287,17 +301,18 @@ fn hot_tbs_is_empty_unless_profiling_was_asked_for() {
         emu.set_tiering(Some(LADDER));
         emu.set_profiling(profiling);
         let r = emu.run(FUEL).expect("kmeans runs");
-        assert!(r.sb.promotions > 0, "the promoter's profile was live: {r:?}");
+        assert!(r.template.promotions > 0, "the promoter's profile was live: {r:?}");
         emu.hot_tbs(4)
     };
     assert!(run(false).is_empty(), "tiering alone must not surface a profile");
-    // With profiling on: what the commit before the fix listed for the
-    // same run — `(tb_id, guest_pc, execs, chain_misses)`, hottest first.
+    // With profiling on: the run's hottest blocks, `(tb_id, guest_pc,
+    // execs, chain_misses)`, hottest first — transfers and dispatch-loop
+    // entries together.
     let hot: Vec<_> =
         run(true).iter().map(|t| (t.tb_id, t.guest_pc, t.execs, t.chain_misses)).collect();
     assert_eq!(
         hot,
-        [(11, 0x100cd, 25, 10), (5, 0x1010d, 24, 11), (10, 0x10192, 22, 7), (7, 0x10135, 19, 8)],
+        [(5, 0x1010d, 32, 5), (11, 0x100cd, 30, 7), (7, 0x10135, 28, 4), (10, 0x10192, 22, 6)],
         "{hot:#x?}"
     );
 }
@@ -341,7 +356,7 @@ fn hot_tb_profiler_default_is_empty_and_top_n_breaks_ties_by_pc() {
 }
 
 /// A 400-iteration loop split over two blocks (`loop` jumps to `tail`,
-/// `tail` branches back), so a hot trace has a seam to stitch.
+/// `tail` branches back), so both blocks warm up.
 fn two_block_loop() -> GuestBinary {
     let mut b = GelfBuilder::new("main");
     b.asm.label("main");
@@ -385,13 +400,11 @@ fn install_attempts(tiers: Option<TierConfig>, plan: FaultPlan) -> Vec<Vec<Trace
 fn tier_of(attempt: &[TraceEvent]) -> &'static str {
     use TraceStage::{Decode, Encode, Install, Opt};
     let stages: Vec<TraceStage> = attempt.iter().map(|e| e.stage).collect();
-    let (first, last) = (&attempt[0].detail, &attempt[attempt.len() - 1].detail);
+    let first = &attempt[0].detail;
     if stages == [Decode, Opt, Encode, Install] && !first.starts_with("tier-0") {
         "tier-1"
     } else if stages == [Decode, Install] && first.starts_with("tier-0") {
         "tier-0"
-    } else if stages == [Install] && last.starts_with("superblock:") {
-        "tier-2"
     } else {
         panic!("install attempt fits no tier's event order: {attempt:#?}")
     }
@@ -399,25 +412,23 @@ fn tier_of(attempt: &[TraceEvent]) -> &'static str {
 
 /// The event order external consumers parse (the repo benchmark's
 /// replay keys on `Decode` events and the `"tier-0"` detail prefix):
-/// tier-1 `Decode → Opt → Encode → Install`, tier-0 `Decode → Install`,
-/// tier-2 one `Install` — and an install the read-back rejects leaves
-/// its producer's events, a `Fault`, and no `Install`.
+/// tier-1 `Decode → Opt → Encode → Install`, tier-0 `Decode → Install`
+/// — and an install the read-back rejects leaves its producer's events,
+/// a `Fault`, and no `Install`.
 #[test]
 fn trace_event_order_per_tier_and_on_rejected_installs() {
-    let ladder = TierConfig { hot_threshold: 16, warm_threshold: Some(4), ..TierConfig::default() };
-
     let mut tier1 = install_attempts(None, FaultPlan::default());
     assert!(tier1.pop().unwrap().is_empty(), "events after the last install");
     assert!(tier1.iter().all(|a| tier_of(a) == "tier-1"));
 
-    let mut clean = install_attempts(Some(ladder), FaultPlan::default());
+    let mut clean = install_attempts(Some(LADDER), FaultPlan::default());
     assert!(clean.pop().unwrap().is_empty(), "events after the last install");
     let tiers: Vec<&str> = clean.iter().map(|a| tier_of(a)).collect();
 
-    for tier in ["tier-0", "tier-1", "tier-2"] {
+    for tier in ["tier-0", "tier-1"] {
         let nth = tiers.iter().position(|t| *t == tier).unwrap_or_else(|| panic!("no {tier}"));
         let plan = FaultPlan::seeded(1).corrupt_install_at(nth as u64);
-        let faulted = install_attempts(Some(ladder), plan);
+        let faulted = install_attempts(Some(LADDER), plan);
         assert_eq!(faulted[..nth], clean[..nth], "{tier}: installs before the corrupted one");
         // The rejected attempt: the clean attempt's events with the
         // `Install` replaced by the verifier's `Fault`.

@@ -603,19 +603,21 @@ fn dbt_matches_interpreter_on_branching_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Backend register pressure: spill/reload and deopt write-back paths.
+// Backend register pressure: spill/reload and env write-back paths.
 // ---------------------------------------------------------------------
 
 /// Drives the backend allocator past its 18-register pool: more than 18
 /// simultaneously-live values (temps plus pinned/dirty guest registers),
-/// a mid-block `SideExit` deopt point, and a fold that keeps every temp
-/// live to its distant use. Checks that the spill/reload and deferred
-/// write-back machinery engages, that lowering is bit-deterministic, and
-/// that the encoding verifier (including its env write-back coverage
-/// check at every exit anchor) accepts the result under both RMW styles.
+/// a mid-block helper call (an env flush point), and a fold that keeps
+/// every temp live to its distant use. Checks that the spill/reload and
+/// deferred write-back machinery engages, that lowering is
+/// bit-deterministic, and that the encoding verifier (including its env
+/// write-back coverage check before the exit) accepts the result under
+/// both RMW styles.
 #[test]
 fn register_pressure_spills_deterministically_and_verifies() {
     use risotto::host::{ArmBackend, BackendConfig, HostBackend, RmwStyle};
+    use risotto::tcg::Helper;
 
     check("register_pressure_spills_deterministically_and_verifies", 48, |rng| {
         let mut block = TcgBlock {
@@ -647,15 +649,15 @@ fn register_pressure_spills_deterministically_and_verifies() {
             block.ops.push(TcgOp::GetReg { dst: t, reg: rng.u8_below(16) });
             temps.push(t);
         }
-        // Dirty a few guest registers so the deopt point owes write-backs.
+        // Dirty a few guest registers so the flush point owes write-backs.
         for _ in 0..(1 + rng.usize_below(4)) {
             let src = temps[rng.usize_below(temps.len())];
             block.ops.push(TcgOp::SetReg { reg: rng.u8_below(16), src });
         }
-        // Mid-block deopt: the off-trace path must see a coherent env.
-        let flag = block.new_temp();
-        block.ops.push(TcgOp::MovI { dst: flag, val: 1 });
-        block.ops.push(TcgOp::SideExit { flag, stay_if: true, target: 0x7000 });
+        // Mid-block helper call: the runtime it models must see a
+        // coherent env.
+        let args = vec![temps[0], temps[1]];
+        block.ops.push(TcgOp::CallHelper { helper: Helper::FpAdd, args, ret: None });
         // Fold every temp into an accumulator — each one stays live
         // until this distant use, forcing spill/reload traffic.
         let mut acc = temps[0];

@@ -22,7 +22,7 @@
 //!    hand-written instruction batteries produce bit-identical
 //!    guest-visible results with tier-0 enabled vs disabled, on both
 //!    backends, with the Pass 3 install read-back at Full level; plus a
-//!    promotion/demotion churn test across all three tiers.
+//!    promotion/demotion churn test across both tiers.
 
 use risotto::core::{BackendKind, Emulator, FaultPlan, FaultSite, Setup, TierConfig, VerifyLevel};
 use risotto::guest::{AluOp, Cond, FpOp, GelfBuilder, Gpr, Insn, Operand};
@@ -58,14 +58,14 @@ fn fetch_of(bytes: Vec<u8>, base: u64) -> impl Fn(u64) -> [u8; 16] {
 }
 
 /// A tier-0-only policy: templates serve everything, nothing ever warms
-/// up into tier-1 (`u64::MAX` thresholds never fire).
+/// up into tier-1 (a `u64::MAX` threshold never fires).
 fn tier0_only() -> TierConfig {
-    TierConfig { hot_threshold: u64::MAX, warm_threshold: Some(u64::MAX), ..TierConfig::default() }
+    TierConfig { warm_threshold: Some(u64::MAX) }
 }
 
-/// A full three-tier policy with CI-scale thresholds.
-fn three_tier() -> TierConfig {
-    TierConfig { hot_threshold: 16, warm_threshold: Some(4), ..TierConfig::default() }
+/// The two-tier ladder with a CI-scale warm threshold.
+fn ladder() -> TierConfig {
+    TierConfig { warm_threshold: Some(4) }
 }
 
 // ---------------------------------------------------------------------
@@ -591,15 +591,14 @@ fn litmus_through_tier0_stays_within_x86_behaviors() {
 }
 
 /// Tier churn on a single hot pc: the loop head starts as a tier-0
-/// template, warms into tier-1, promotes into a tier-2 superblock, and
-/// TB-cache strikes keep demoting it back to a cold tier-0 refill. The
-/// run stays bit-identical to an untiered one and every transition
-/// leaves the chain graph clean (no chain word into freed code).
+/// template, warms into tier-1, and TB-cache strikes keep demoting it
+/// back to a cold tier-0 refill. The run stays bit-identical to an
+/// untiered one and every transition leaves the chain graph clean (no
+/// chain word into freed code).
 #[test]
 fn tier_churn_on_same_pc_is_clean_and_bit_identical() {
-    // Two-block hot loop: the conditional exit of the head is decisively
-    // biased (taken only on the final iteration), so tier-2 trace
-    // selection finds a cyclic head→body→head trace of length 2.
+    // Two-block hot loop: the head exits conditionally (taken only on
+    // the final iteration), the body jumps back to it.
     let mut b = GelfBuilder::new("main");
     b.asm.label("main");
     b.asm.mov_ri(Gpr::RCX, 60_000);
@@ -619,14 +618,10 @@ fn tier_churn_on_same_pc_is_clean_and_bit_identical() {
     let r1 = reference.run(FUEL).expect("reference run");
 
     let mut emu = Emulator::new(&bin, Setup::Risotto, 1, BackendKind::Arm.cost_model());
-    emu.set_tiering(Some(TierConfig {
-        hot_threshold: 8,
-        warm_threshold: Some(2),
-        ..TierConfig::default()
-    }));
+    emu.set_tiering(Some(TierConfig { warm_threshold: Some(2) }));
     // Background TB-cache strikes evict translations — including the
-    // promoted superblock head — forcing cold tier-0 refills of the
-    // same pc and another climb up the tier ladder.
+    // promoted tier-1 head — forcing cold tier-0 refills of the same pc
+    // and another climb up the tier ladder.
     emu.set_fault_plan(FaultPlan::seeded(11).rate(FaultSite::TbCache, 400));
     let r = emu.run(FUEL).expect("churned run completes");
 
@@ -635,7 +630,6 @@ fn tier_churn_on_same_pc_is_clean_and_bit_identical() {
     let stats = emu.template_stats();
     assert!(stats.blocks > 0, "loop never entered through a template");
     assert!(stats.promotions > 0, "no tier-0 → tier-1 promotion happened");
-    assert!(r.sb.promotions > 0, "no tier-1 → tier-2 promotion happened");
     assert!(
         stats.blocks > stats.promotions,
         "every template promoted exactly once: eviction churn never refilled tier-0"
@@ -644,11 +638,11 @@ fn tier_churn_on_same_pc_is_clean_and_bit_identical() {
     assert!(bad.is_empty(), "dangling chain words after tier churn: {bad:x?}");
 }
 
-/// The three-tier configuration is bit-identical to tier-1 across all
-/// kernels (the tier-0 analogue of the tier-2 acceptance test), with
-/// real tier-0 → tier-1 promotions happening somewhere in the suite.
+/// The two-tier ladder is bit-identical to tier-1 across all kernels,
+/// with real tier-0 → tier-1 promotions happening somewhere in the
+/// suite.
 #[test]
-fn three_tier_runs_match_tier1_on_all_kernels() {
+fn two_tier_runs_match_tier1_on_all_kernels() {
     let mut total_promotions = 0u64;
     for w in kernels::all() {
         let bin = (w.build)(16, 2);
@@ -656,15 +650,15 @@ fn three_tier_runs_match_tier1_on_all_kernels() {
         let r1 = tier1.run(FUEL).unwrap_or_else(|e| panic!("{} (tier-1): {e}", w.name));
 
         let mut tiered = Emulator::new(&bin, Setup::Risotto, 2, BackendKind::Arm.cost_model());
-        tiered.set_tiering(Some(three_tier()));
-        let r3 = tiered.run(FUEL).unwrap_or_else(|e| panic!("{} (three-tier): {e}", w.name));
+        tiered.set_tiering(Some(ladder()));
+        let r2 = tiered.run(FUEL).unwrap_or_else(|e| panic!("{} (two-tier): {e}", w.name));
 
-        assert_eq!(r3.exit_vals, r1.exit_vals, "{}: three-tier exit values diverge", w.name);
-        assert_eq!(r3.output, r1.output, "{}: three-tier output diverges", w.name);
-        assert!(r3.template.blocks > 0, "{}: tier-0 never served a block", w.name);
+        assert_eq!(r2.exit_vals, r1.exit_vals, "{}: two-tier exit values diverge", w.name);
+        assert_eq!(r2.output, r1.output, "{}: two-tier output diverges", w.name);
+        assert!(r2.template.blocks > 0, "{}: tier-0 never served a block", w.name);
         let bad = tiered.validate_chains();
         assert!(bad.is_empty(), "{}: dangling chain words: {bad:x?}", w.name);
-        total_promotions += r3.template.promotions;
+        total_promotions += r2.template.promotions;
     }
     assert!(total_promotions > 0, "no kernel ever promoted tier-0 → tier-1");
 }
