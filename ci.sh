@@ -36,6 +36,27 @@ if grep -E 'Barrier\((Ld|St)\)|Ldxr|MiniArm' "$tso_dump"; then
 fi
 rm -f "$tso_dump"
 
+# Mapping-table gate. The x86→TCG fence placement and the Fig. 10
+# elimination rule each live once, in risotto-memmodel
+# (`FencePlacement::fences`, `OptPolicy::may_cross`), next to the
+# TCG→host tables (`FenceKind::arm_dmb`, `FenceKind::tso_fence`). The
+# frontend, the templates, the optimizer, the verifier and the litmus
+# schemes read them, so none of them may spell a TCG fence of its own
+# outside its tests…
+for f in crates/tcg/src/frontend.rs crates/tcg/src/verify.rs crates/tcg/src/opt.rs \
+    crates/template/src/lib.rs crates/mappings/src/scheme.rs crates/mappings/src/transform.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit }
+            /FenceKind::F(rr|rw|rm|wr|ww|wm|mr|mw|mm|sc)([^A-Za-z0-9_]|$)/ {
+                print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' "$f"; then
+        echo "ci: $f spells a TCG fence literal; read it off the shared table" >&2
+        exit 1
+    fi
+done
+# …and the full Theorem-1 sweep over the rows the engine runs must give
+# every scheme the paper's verdict (the binary asserts each one).
+cargo run -q --release -p risotto-bench --bin verify_mappings > /dev/null
+
 # Verifier gate: the translation-validator suite (mutation tests over
 # the 16-kernel corpus + litmus at VerifyLevel::Full) in bounded smoke
 # mode. Any clean-corpus violation or surviving mutant fails CI.

@@ -142,7 +142,7 @@ where
 mod tests {
     use super::*;
     use crate::scheme::{
-        qemu_x86_to_arm, verified_x86_to_arm, ArmCatsIntended, HelperStyle, NoFencesX86ToArm,
+        no_fences_x86_to_arm, qemu_x86_to_arm, verified_x86_to_arm, ArmCatsIntended, HelperStyle,
         RmwLowering,
     };
     use risotto_litmus::corpus;
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn no_fences_oracle_is_incorrect() {
-        let s = NoFencesX86ToArm;
+        let s = no_fences_x86_to_arm();
         assert!(check_mapping(&s, &corpus::mp(), &X86Tso::new(), &Arm::corrected()).is_err());
     }
 
@@ -205,7 +205,7 @@ mod tests {
         // On MP, the no-fences scheme's new behaviors are register-visible
         // only (final memory is always X=Y=1), so the MemoryOnly scope
         // passes while MemoryAndRegisters fails.
-        let s = NoFencesX86ToArm;
+        let s = no_fences_x86_to_arm();
         let tgt = s.map_program(&corpus::mp());
         assert!(check_translation(
             &corpus::mp(),

@@ -2,7 +2,10 @@
 //!
 //! Each scheme rewrites a litmus [`Program`] instruction-by-instruction,
 //! inserting the leading/trailing fences its translation table prescribes.
-//! The repertoire covers:
+//! The fence tables are the DBT's own: [`X86ToTcg`] reads
+//! [`FencePlacement::fences`], the TCG→host schemes read
+//! [`FenceKind::arm_dmb`] and [`FenceKind::tso_fence`]. The repertoire
+//! covers:
 //!
 //! * Qemu's erroneous schemes (Fig. 2), including both GCC helper flavours
 //!   the paper discusses (§3.1),
@@ -11,7 +14,7 @@
 //! * the fence-free oracle used by the evaluation's `no-fences` setup.
 
 use risotto_litmus::{Instr, Program, RmwKind};
-use risotto_memmodel::{AccessMode, FenceKind};
+use risotto_memmodel::{AccessMode, FenceKind, FencePlacement, GuestAccess};
 
 /// A translation scheme from one ISA's concurrency alphabet to another's.
 pub trait MappingScheme {
@@ -74,86 +77,61 @@ pub enum RmwLowering {
     Casal,
 }
 
+/// `rmw` (an [`Instr::Rmw`]) with its kind replaced by `kind`: every
+/// scheme maps an RMW to one of the same location, registers and values.
+fn rmw_as(rmw: &Instr, kind: RmwKind) -> Instr {
+    let mut out = rmw.clone();
+    if let Instr::Rmw { kind: k, .. } = &mut out {
+        *k = kind;
+    }
+    out
+}
+
 // ---------------------------------------------------------------------
 // x86 → TCG IR
 // ---------------------------------------------------------------------
 
-/// Qemu's x86→TCG mapping (Fig. 2): `RMOV → Fmr; ld`, `WMOV → Fmw; st`,
-/// RMW → helper call (SC semantics at the IR level), `MFENCE → Fsc`.
+/// The x86→TCG mapping: one row of the DBT frontend's own
+/// [`FencePlacement::fences`] table. Plain loads and stores get the row's
+/// leading/trailing fences, `MFENCE` its fence (`Fsc`), and a locked RMW
+/// becomes a TCG RMW with SC semantics (QEMU's helper call has the same
+/// semantics at the IR level).
 ///
-/// Note the *leading* fences — the source of both the performance problem
-/// (§3.4, unmergeable fences) and the `Fmr`/RAW unsoundness (§3.2, FMR).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QemuX86ToTcg;
+/// * `X86ToTcg(QemuLeading)` is Fig. 2 with the `Fmr → Frr` demotion
+///   QEMU applies for x86 guests (§3.1): `Frr; ld`, `Fmw; st`. The
+///   *leading* fences are the source of the performance problem of §3.4
+///   (unmergeable fences).
+/// * `X86ToTcg(VerifiedTrailing)` is Fig. 7a: `ld; Frm`, `Fww; st`. The
+///   trailing `Frm` and the leading `Fww` are proved minimal in §5.4
+///   (LB-IR and MP-IR witnesses).
+/// * `X86ToTcg(None)` is the `no-fences` oracle's IR: plain accesses,
+///   `MFENCE → Fsc`.
+#[derive(Debug, Clone, Copy)]
+pub struct X86ToTcg(pub FencePlacement);
 
-impl MappingScheme for QemuX86ToTcg {
+impl MappingScheme for X86ToTcg {
     fn name(&self) -> &str {
-        "qemu-x86-to-tcg"
+        match self.0 {
+            FencePlacement::QemuLeading => "qemu-x86-to-tcg",
+            FencePlacement::VerifiedTrailing => "verified-x86-to-tcg",
+            FencePlacement::None => "no-fences-x86-to-tcg",
+        }
     }
 
     fn map_instr(&self, instr: &Instr) -> Vec<Instr> {
-        match instr {
-            Instr::Load { dst, loc, mode: AccessMode::Plain } => vec![
-                Instr::Fence(FenceKind::Fmr),
-                Instr::Load { dst: *dst, loc: *loc, mode: AccessMode::Plain },
-            ],
-            Instr::Store { loc, val, mode: AccessMode::Plain } => vec![
-                Instr::Fence(FenceKind::Fmw),
-                Instr::Store { loc: *loc, val: val.clone(), mode: AccessMode::Plain },
-            ],
-            Instr::Rmw { dst, loc, expected, desired, kind: RmwKind::X86Lock } => {
-                vec![Instr::Rmw {
-                    dst: *dst,
-                    loc: *loc,
-                    expected: expected.clone(),
-                    desired: desired.clone(),
-                    kind: RmwKind::TcgSc,
-                }]
+        let access = match instr {
+            Instr::Load { mode: AccessMode::Plain, .. } => GuestAccess::Load,
+            Instr::Store { mode: AccessMode::Plain, .. } => GuestAccess::Store,
+            Instr::Fence(FenceKind::MFence) => GuestAccess::Mfence,
+            Instr::Rmw { kind: RmwKind::X86Lock, .. } => {
+                return vec![rmw_as(instr, RmwKind::TcgSc)]
             }
-            Instr::Fence(FenceKind::MFence) => vec![Instr::Fence(FenceKind::Fsc)],
-            Instr::Let { .. } => vec![instr.clone()],
+            Instr::Let { .. } => return vec![instr.clone()],
             other => panic!("{}: not an x86 instruction: {other:?}", self.name()),
-        }
-    }
-}
-
-/// The verified x86→TCG mapping (Fig. 7a): `RMOV → ld; Frm`,
-/// `WMOV → Fww; st`, `RMW → RMW`, `MFENCE → Fsc`.
-///
-/// The trailing `Frm` after loads and the leading `Fww` before stores are
-/// proved minimal in §5.4 (LB-IR and MP-IR witnesses), and — unlike Qemu's
-/// `Fmr`/`Fmw` — keep the RAW/WAW eliminations sound.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VerifiedX86ToTcg;
-
-impl MappingScheme for VerifiedX86ToTcg {
-    fn name(&self) -> &str {
-        "verified-x86-to-tcg"
-    }
-
-    fn map_instr(&self, instr: &Instr) -> Vec<Instr> {
-        match instr {
-            Instr::Load { dst, loc, mode: AccessMode::Plain } => vec![
-                Instr::Load { dst: *dst, loc: *loc, mode: AccessMode::Plain },
-                Instr::Fence(FenceKind::Frm),
-            ],
-            Instr::Store { loc, val, mode: AccessMode::Plain } => vec![
-                Instr::Fence(FenceKind::Fww),
-                Instr::Store { loc: *loc, val: val.clone(), mode: AccessMode::Plain },
-            ],
-            Instr::Rmw { dst, loc, expected, desired, kind: RmwKind::X86Lock } => {
-                vec![Instr::Rmw {
-                    dst: *dst,
-                    loc: *loc,
-                    expected: expected.clone(),
-                    desired: desired.clone(),
-                    kind: RmwKind::TcgSc,
-                }]
-            }
-            Instr::Fence(FenceKind::MFence) => vec![Instr::Fence(FenceKind::Fsc)],
-            Instr::Let { .. } => vec![instr.clone()],
-            other => panic!("{}: not an x86 instruction: {other:?}", self.name()),
-        }
+        };
+        let (lead, trail) = self.0.fences(access);
+        let body = (access != GuestAccess::Mfence).then(|| instr.clone());
+        [lead.map(Instr::Fence), body, trail.map(Instr::Fence)].into_iter().flatten().collect()
     }
 }
 
@@ -161,14 +139,7 @@ impl MappingScheme for VerifiedX86ToTcg {
 // TCG IR → Arm
 // ---------------------------------------------------------------------
 
-/// The weakest single Arm `DMB` implementing a TCG fence's ordering:
-/// `DMB LD` covers `R → M`, `DMB ST` covers `W → W`, everything else needs
-/// the full `DMB FF`. (`Facq`/`Frel` need nothing.)
-pub fn lower_tcg_fence(kind: FenceKind) -> Option<FenceKind> {
-    kind.arm_dmb()
-}
-
-/// Qemu's TCG→Arm lowering: fences via [`lower_tcg_fence`], RMWs via a
+/// Qemu's TCG→Arm lowering: fences via [`FenceKind::arm_dmb`], RMWs via a
 /// helper call whose atomic sequence depends on the GCC version.
 #[derive(Debug, Clone, Copy)]
 pub struct QemuTcgToArm {
@@ -189,31 +160,22 @@ impl MappingScheme for QemuTcgToArm {
             Instr::Load { mode: AccessMode::Plain, .. }
             | Instr::Store { mode: AccessMode::Plain, .. }
             | Instr::Let { .. } => vec![instr.clone()],
-            Instr::Rmw { dst, loc, expected, desired, kind: RmwKind::TcgSc } => {
+            Instr::Rmw { kind: RmwKind::TcgSc, .. } => {
                 let kind = match self.helper {
                     HelperStyle::Gcc9Lxsx => RmwKind::ArmLxsx { acq: true, rel: true },
                     HelperStyle::Gcc10Casal => RmwKind::ArmCasal,
                 };
-                vec![Instr::Rmw {
-                    dst: *dst,
-                    loc: *loc,
-                    expected: expected.clone(),
-                    desired: desired.clone(),
-                    kind,
-                }]
+                vec![rmw_as(instr, kind)]
             }
-            Instr::Fence(k) if k.is_tcg() => match lower_tcg_fence(*k) {
-                Some(dmb) => vec![Instr::Fence(dmb)],
-                None => vec![],
-            },
+            Instr::Fence(k) if k.is_tcg() => k.arm_dmb().map(Instr::Fence).into_iter().collect(),
             other => panic!("{}: not a TCG instruction: {other:?}", self.name()),
         }
     }
 }
 
 /// The verified TCG→Arm mapping (Fig. 7b): plain `ld`/`st` to `LDR`/`STR`,
-/// fences via the same minimal lowering, and RMWs either as
-/// `DMBFF; RMW2; DMBFF` or as `RMW1_AL`.
+/// fences via the same minimal [`FenceKind::arm_dmb`] lowering, and RMWs
+/// either as `DMBFF; RMW2; DMBFF` or as `RMW1_AL`.
 #[derive(Debug, Clone, Copy)]
 pub struct VerifiedTcgToArm {
     /// RMW lowering choice.
@@ -233,30 +195,15 @@ impl MappingScheme for VerifiedTcgToArm {
             Instr::Load { mode: AccessMode::Plain, .. }
             | Instr::Store { mode: AccessMode::Plain, .. }
             | Instr::Let { .. } => vec![instr.clone()],
-            Instr::Rmw { dst, loc, expected, desired, kind: RmwKind::TcgSc } => match self.rmw {
+            Instr::Rmw { kind: RmwKind::TcgSc, .. } => match self.rmw {
                 RmwLowering::Rmw2Fenced => vec![
                     Instr::Fence(FenceKind::DmbFf),
-                    Instr::Rmw {
-                        dst: *dst,
-                        loc: *loc,
-                        expected: expected.clone(),
-                        desired: desired.clone(),
-                        kind: RmwKind::ArmLxsx { acq: false, rel: false },
-                    },
+                    rmw_as(instr, RmwKind::ArmLxsx { acq: false, rel: false }),
                     Instr::Fence(FenceKind::DmbFf),
                 ],
-                RmwLowering::Casal => vec![Instr::Rmw {
-                    dst: *dst,
-                    loc: *loc,
-                    expected: expected.clone(),
-                    desired: desired.clone(),
-                    kind: RmwKind::ArmCasal,
-                }],
+                RmwLowering::Casal => vec![rmw_as(instr, RmwKind::ArmCasal)],
             },
-            Instr::Fence(k) if k.is_tcg() => match lower_tcg_fence(*k) {
-                Some(dmb) => vec![Instr::Fence(dmb)],
-                None => vec![],
-            },
+            Instr::Fence(k) if k.is_tcg() => k.arm_dmb().map(Instr::Fence).into_iter().collect(),
             other => panic!("{}: not a TCG instruction: {other:?}", self.name()),
         }
     }
@@ -266,16 +213,8 @@ impl MappingScheme for VerifiedTcgToArm {
 // TCG IR → x86-TSO
 // ---------------------------------------------------------------------
 
-/// The weakest x86 fence implementing a TCG fence's ordering on a TSO
-/// host: delegates to [`FenceKind::tso_fence`] — `MFENCE` exactly when
-/// the fence's ordering covers write→read (the only reordering TSO
-/// performs), nothing for every other TCG fence.
-pub fn lower_tcg_fence_tso(kind: FenceKind) -> Option<FenceKind> {
-    kind.tso_fence()
-}
-
 /// The verified TCG→x86-TSO mapping implemented by `risotto-host-tso`:
-/// plain `ld`/`st` to plain `MOV`s, fences via [`lower_tcg_fence_tso`]
+/// plain `ld`/`st` to plain `MOV`s, fences via [`FenceKind::tso_fence`]
 /// (most become no-ops), and TCG RMWs to a `LOCK`-prefixed `CMPXCHG`
 /// ([`RmwKind::X86Lock`], whose TSO semantics are a full fence).
 ///
@@ -295,19 +234,8 @@ impl MappingScheme for VerifiedTcgToTso {
             Instr::Load { mode: AccessMode::Plain, .. }
             | Instr::Store { mode: AccessMode::Plain, .. }
             | Instr::Let { .. } => vec![instr.clone()],
-            Instr::Rmw { dst, loc, expected, desired, kind: RmwKind::TcgSc } => {
-                vec![Instr::Rmw {
-                    dst: *dst,
-                    loc: *loc,
-                    expected: expected.clone(),
-                    desired: desired.clone(),
-                    kind: RmwKind::X86Lock,
-                }]
-            }
-            Instr::Fence(k) if k.is_tcg() => match lower_tcg_fence_tso(*k) {
-                Some(mfence) => vec![Instr::Fence(mfence)],
-                None => vec![],
-            },
+            Instr::Rmw { kind: RmwKind::TcgSc, .. } => vec![rmw_as(instr, RmwKind::X86Lock)],
+            Instr::Fence(k) if k.is_tcg() => k.tso_fence().map(Instr::Fence).into_iter().collect(),
             other => panic!("{}: not a TCG instruction: {other:?}", self.name()),
         }
     }
@@ -338,51 +266,8 @@ impl MappingScheme for ArmCatsIntended {
             Instr::Store { loc, val, mode: AccessMode::Plain } => {
                 vec![Instr::Store { loc: *loc, val: val.clone(), mode: AccessMode::Release }]
             }
-            Instr::Rmw { dst, loc, expected, desired, kind: RmwKind::X86Lock } => {
-                vec![Instr::Rmw {
-                    dst: *dst,
-                    loc: *loc,
-                    expected: expected.clone(),
-                    desired: desired.clone(),
-                    kind: RmwKind::ArmCasal,
-                }]
-            }
+            Instr::Rmw { kind: RmwKind::X86Lock, .. } => vec![rmw_as(instr, RmwKind::ArmCasal)],
             Instr::Fence(FenceKind::MFence) => vec![Instr::Fence(FenceKind::DmbFf)],
-            Instr::Let { .. } => vec![instr.clone()],
-            other => panic!("{}: not an x86 instruction: {other:?}", self.name()),
-        }
-    }
-}
-
-/// The fence-free oracle (§7.1's `no-fences` setup): plain loads/stores,
-/// `casal` RMWs, and **no** fences at all — knowingly incorrect, used only
-/// as a performance upper bound.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFencesX86ToArm;
-
-impl MappingScheme for NoFencesX86ToArm {
-    fn name(&self) -> &str {
-        "no-fences-x86-to-arm"
-    }
-
-    fn map_instr(&self, instr: &Instr) -> Vec<Instr> {
-        match instr {
-            Instr::Load { dst, loc, mode: AccessMode::Plain } => {
-                vec![Instr::Load { dst: *dst, loc: *loc, mode: AccessMode::Plain }]
-            }
-            Instr::Store { loc, val, mode: AccessMode::Plain } => {
-                vec![Instr::Store { loc: *loc, val: val.clone(), mode: AccessMode::Plain }]
-            }
-            Instr::Rmw { dst, loc, expected, desired, kind: RmwKind::X86Lock } => {
-                vec![Instr::Rmw {
-                    dst: *dst,
-                    loc: *loc,
-                    expected: expected.clone(),
-                    desired: desired.clone(),
-                    kind: RmwKind::ArmCasal,
-                }]
-            }
-            Instr::Fence(FenceKind::MFence) => vec![],
             Instr::Let { .. } => vec![instr.clone()],
             other => panic!("{}: not an x86 instruction: {other:?}", self.name()),
         }
@@ -422,42 +307,30 @@ impl<F: MappingScheme, S: MappingScheme> MappingScheme for Composed<F, S> {
 
 /// The end-to-end verified x86→Arm scheme of Fig. 7c.
 pub fn verified_x86_to_arm(rmw: RmwLowering) -> impl MappingScheme {
-    Composed::new(VerifiedX86ToTcg, VerifiedTcgToArm { rmw }, "verified-x86-to-arm")
+    let first = X86ToTcg(FencePlacement::VerifiedTrailing);
+    Composed::new(first, VerifiedTcgToArm { rmw }, "verified-x86-to-arm")
 }
 
 /// The end-to-end verified x86→x86 scheme through TCG IR and back onto a
 /// TSO host: the round trip the `risotto-host-tso` backend performs.
 pub fn verified_x86_to_tso() -> impl MappingScheme {
-    Composed::new(VerifiedX86ToTcg, VerifiedTcgToTso, "verified-x86-to-tso")
+    let first = X86ToTcg(FencePlacement::VerifiedTrailing);
+    Composed::new(first, VerifiedTcgToTso, "verified-x86-to-tso")
 }
 
-/// Qemu's end-to-end x86→Arm scheme (Fig. 2), with the `Fmr → Frr` demotion
-/// Qemu applies for x86 guests (§3.1) expressed in the fence lowering: the
-/// leading `Fmr`/`Fmw` become `DMB LD`/`DMB FF` as in Fig. 2.
+/// Qemu's end-to-end x86→Arm scheme (Fig. 2): the table's demoted
+/// leading `Frr`/`Fmw` become `DMB LD`/`DMB FF` as in Fig. 2.
 pub fn qemu_x86_to_arm(helper: HelperStyle) -> impl MappingScheme {
-    Composed::new(
-        Composed::new(QemuX86ToTcg, QemuDemoteFences, "qemu-x86-to-tcg+demote"),
-        QemuTcgToArm { helper },
-        "qemu-x86-to-arm",
-    )
+    let first = X86ToTcg(FencePlacement::QemuLeading);
+    Composed::new(first, QemuTcgToArm { helper }, "qemu-x86-to-arm")
 }
 
-/// Qemu's fence demotion for x86 guests: since x86 permits store→load
-/// reordering, the `Fmr` before loads is weakened to `Frr` (§3.1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QemuDemoteFences;
-
-impl MappingScheme for QemuDemoteFences {
-    fn name(&self) -> &str {
-        "qemu-demote-fences"
-    }
-
-    fn map_instr(&self, instr: &Instr) -> Vec<Instr> {
-        match instr {
-            Instr::Fence(FenceKind::Fmr) => vec![Instr::Fence(FenceKind::Frr)],
-            other => vec![other.clone()],
-        }
-    }
+/// The fence-free oracle (§7.1's `no-fences` setup), exactly as the DBT
+/// runs it: no access fences, `MFENCE → Fsc → DMB FF`, and `casal` RMWs
+/// — knowingly incorrect, used only as a performance upper bound.
+pub fn no_fences_x86_to_arm() -> impl MappingScheme {
+    let second = VerifiedTcgToArm { rmw: RmwLowering::Casal };
+    Composed::new(X86ToTcg(FencePlacement::None), second, "no-fences-x86-to-arm")
 }
 
 #[cfg(test)]
@@ -467,7 +340,7 @@ mod tests {
 
     #[test]
     fn verified_mapping_of_mp_matches_fig7c() {
-        let p = VerifiedX86ToTcg.map_program(&corpus::mp());
+        let p = X86ToTcg(FencePlacement::VerifiedTrailing).map_program(&corpus::mp());
         // T0: Fww; st X; Fww; st Y
         let t0 = &p.threads[0].instrs;
         assert!(matches!(t0[0], Instr::Fence(FenceKind::Fww)));
@@ -481,44 +354,11 @@ mod tests {
 
     #[test]
     fn qemu_mapping_inserts_leading_fences() {
-        let p = QemuX86ToTcg.map_program(&corpus::mp());
+        // The demoted `Frr` the DBT emits, not Fig. 2's raw `Fmr`.
+        let p = X86ToTcg(FencePlacement::QemuLeading).map_program(&corpus::mp());
         let t1 = &p.threads[1].instrs;
-        assert!(matches!(t1[0], Instr::Fence(FenceKind::Fmr)));
+        assert!(matches!(t1[0], Instr::Fence(FenceKind::Frr)));
         assert!(matches!(t1[1], Instr::Load { .. }));
-    }
-
-    #[test]
-    fn fence_lowering_matches_fig7b() {
-        assert_eq!(lower_tcg_fence(FenceKind::Frr), Some(FenceKind::DmbLd));
-        assert_eq!(lower_tcg_fence(FenceKind::Frw), Some(FenceKind::DmbLd));
-        assert_eq!(lower_tcg_fence(FenceKind::Frm), Some(FenceKind::DmbLd));
-        assert_eq!(lower_tcg_fence(FenceKind::Fww), Some(FenceKind::DmbSt));
-        assert_eq!(lower_tcg_fence(FenceKind::Fwr), Some(FenceKind::DmbFf));
-        assert_eq!(lower_tcg_fence(FenceKind::Fmm), Some(FenceKind::DmbFf));
-        assert_eq!(lower_tcg_fence(FenceKind::Fsc), Some(FenceKind::DmbFf));
-        assert_eq!(lower_tcg_fence(FenceKind::Fmw), Some(FenceKind::DmbFf));
-        assert_eq!(lower_tcg_fence(FenceKind::Facq), None);
-        assert_eq!(lower_tcg_fence(FenceKind::Frel), None);
-    }
-
-    #[test]
-    fn tso_fence_lowering_is_mfence_iff_store_load() {
-        // MFENCE exactly for the five W→R-covering kinds…
-        for k in [FenceKind::Fwr, FenceKind::Fwm, FenceKind::Fmr, FenceKind::Fmm, FenceKind::Fsc] {
-            assert_eq!(lower_tcg_fence_tso(k), Some(FenceKind::MFence), "{k:?}");
-        }
-        // …and a no-op for every other TCG fence.
-        for k in [
-            FenceKind::Frr,
-            FenceKind::Frw,
-            FenceKind::Frm,
-            FenceKind::Fww,
-            FenceKind::Fmw,
-            FenceKind::Facq,
-            FenceKind::Frel,
-        ] {
-            assert_eq!(lower_tcg_fence_tso(k), None, "{k:?}");
-        }
     }
 
     #[test]
@@ -573,10 +413,16 @@ mod tests {
     }
 
     #[test]
-    fn no_fences_drops_everything() {
-        let p = NoFencesX86ToArm.map_program(&corpus::sb_fenced());
-        for t in &p.threads {
-            assert!(t.instrs.iter().all(|i| !matches!(i, Instr::Fence(_))));
+    fn no_fences_drops_access_fences_and_keeps_mfence() {
+        let mp = no_fences_x86_to_arm().map_program(&corpus::mp());
+        for t in &mp.threads {
+            assert!(t.instrs.iter().all(|i| !matches!(i, Instr::Fence(_))), "{:?}", t.instrs);
+        }
+        // SB's programmer MFENCE stays a full fence, as in the DBT.
+        let sb = no_fences_x86_to_arm().map_program(&corpus::sb_fenced());
+        for t in &sb.threads {
+            let fences: Vec<_> = t.instrs.iter().filter(|i| matches!(i, Instr::Fence(_))).collect();
+            assert_eq!(fences, [&Instr::Fence(FenceKind::DmbFf)], "{:?}", t.instrs);
         }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Each transformation rewrites a thread's instruction list the way TCG's
 //! optimizer rewrites a basic block. The soundness side conditions of
-//! Fig. 10 are encoded in [`fence_allows_elimination`]; passing
-//! [`FencePolicy::AnyFence`] reproduces QEMU's *unsound* behavior (the FMR
-//! bug), which the test-suite demonstrates via Theorem 1.
+//! Fig. 10 are the optimizer's own, [`OptPolicy::may_cross`]; passing
+//! [`OptPolicy::QemuUnsound`] reproduces QEMU's *unsound* behavior (the
+//! FMR bug), which the test-suite demonstrates via Theorem 1.
 //!
 //! ```text
 //! R(X,v) · R(X,v')      ↝ R(X,v)            (RAR)
@@ -12,46 +12,17 @@
 //! W(X,v) · W(X,v')      ↝ W(X,v')           (WAW)
 //! R(X,v) · F_o · R(X,v') ↝ R(X,v) · F_o     (F-RAR, o ∈ {rm, ww})
 //! W(X,v) · F_τ · R(X,v)  ↝ W(X,v) · F_τ     (F-RAW, τ ∈ {sc, ww})
-//! W(X,v) · F_o · W(X,v') ↝ F_o · W(X,v')    (F-WAW, o ∈ {rm, ww})
+//! W(X,v) · F_o · W(X,v') ↝ F_o · W(X,v')    (F-WAW, o ∈ {rr, rw, rm})
 //! ```
+//!
+//! F-WAW departs from Fig. 10, whose published `o ∈ {rm, ww}` admits
+//! `Fww`: deleting a store across `Fww` drops the ordering that store
+//! had with later writes, which `tests/opt_soundness.rs`
+//! (`fww_waw_counterexample_is_real`) shows observable. A dead store may
+//! cross only a fence whose predecessor class is write-free.
 
-use risotto_litmus::{Expr, Instr, LocSpec, Program, RmwKind};
-use risotto_memmodel::{AccessMode, FenceKind};
-
-/// Which elimination of Fig. 10 to attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Elimination {
-    /// Read-after-read.
-    Rar,
-    /// Read-after-write (store-to-load forwarding).
-    Raw,
-    /// Write-after-write (dead store).
-    Waw,
-}
-
-/// Which intermediate fences an elimination may cross.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FencePolicy {
-    /// Only the fences Fig. 10 proves sound (`F_o` / `F_τ` per rule).
-    Verified,
-    /// Any fence — QEMU's historical behavior; unsound (see FMR, §3.2).
-    AnyFence,
-}
-
-/// `true` if `fence` may sit between the pair for `elim` under `policy`.
-pub fn fence_allows_elimination(elim: Elimination, fence: FenceKind, policy: FencePolicy) -> bool {
-    if policy == FencePolicy::AnyFence {
-        return fence.is_tcg();
-    }
-    match elim {
-        // F-RAR / F-WAW: o ∈ {rm, ww}.
-        Elimination::Rar | Elimination::Waw => {
-            matches!(fence, FenceKind::Frm | FenceKind::Fww)
-        }
-        // F-RAW: τ ∈ {sc, ww}.
-        Elimination::Raw => matches!(fence, FenceKind::Fsc | FenceKind::Fww),
-    }
-}
+use risotto_litmus::{Expr, Instr, LocSpec, Program};
+use risotto_memmodel::{AccessMode, ElimKind, FenceKind, OptPolicy};
 
 /// Attempts the elimination whose *first* access sits at `idx` in thread
 /// `tid`, optionally across one intermediate fence. Returns the rewritten
@@ -60,8 +31,8 @@ pub fn eliminate_at(
     prog: &Program,
     tid: usize,
     idx: usize,
-    elim: Elimination,
-    policy: FencePolicy,
+    elim: ElimKind,
+    policy: OptPolicy,
 ) -> Option<Program> {
     let instrs = &prog.threads.get(tid)?.instrs;
     let first = instrs.get(idx)?;
@@ -69,7 +40,7 @@ pub fn eliminate_at(
     // that the policy admits.
     let (second_idx, fence_between) = match instrs.get(idx + 1)? {
         Instr::Fence(k) => {
-            if !fence_allows_elimination(elim, *k, policy) {
+            if !policy.may_cross(elim, *k) {
                 return None;
             }
             (idx + 2, true)
@@ -81,7 +52,7 @@ pub fn eliminate_at(
     let replacement: Vec<Instr> = match (elim, first, second) {
         // R(X,v) · R(X,v') ↝ R(X,v); the second register becomes an alias.
         (
-            Elimination::Rar,
+            ElimKind::Rar,
             Instr::Load { dst: d1, loc: l1, mode: AccessMode::Plain },
             Instr::Load { dst: d2, loc: l2, mode: AccessMode::Plain },
         ) if l1.loc() == l2.loc() => {
@@ -94,7 +65,7 @@ pub fn eliminate_at(
         }
         // W(X,v) · R(X,v) ↝ W(X,v); the read's register takes the stored value.
         (
-            Elimination::Raw,
+            ElimKind::Raw,
             Instr::Store { loc: l1, val, mode: AccessMode::Plain },
             Instr::Load { dst, loc: l2, mode: AccessMode::Plain },
         ) if l1.loc() == l2.loc() => {
@@ -108,7 +79,7 @@ pub fn eliminate_at(
         }
         // W(X,v) · W(X,v') ↝ W(X,v') (fence, if any, moves before: F_o · W).
         (
-            Elimination::Waw,
+            ElimKind::Waw,
             Instr::Store { loc: l1, mode: AccessMode::Plain, .. },
             Instr::Store { loc: l2, val: v2, mode: AccessMode::Plain },
         ) if l1.loc() == l2.loc() => {
@@ -289,9 +260,6 @@ pub fn eliminate_false_deps(prog: &Program) -> Program {
     }
 }
 
-/// The RMW kinds a TCG-level program may contain.
-pub const TCG_RMW: RmwKind = RmwKind::TcgSc;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,7 +278,7 @@ mod tests {
                 t.store(X, 2).load(A, X);
             })
             .build();
-        let q = eliminate_at(&p, 0, 0, Elimination::Raw, FencePolicy::Verified).unwrap();
+        let q = eliminate_at(&p, 0, 0, ElimKind::Raw, OptPolicy::Verified).unwrap();
         assert_eq!(q.threads[0].instrs.len(), 2);
         assert!(matches!(q.threads[0].instrs[1], Instr::Let { .. }));
     }
@@ -322,8 +290,8 @@ mod tests {
                 t.store(X, 2).fence(FenceKind::Fmr).load(A, X);
             })
             .build();
-        assert!(eliminate_at(&p, 0, 0, Elimination::Raw, FencePolicy::Verified).is_none());
-        assert!(eliminate_at(&p, 0, 0, Elimination::Raw, FencePolicy::AnyFence).is_some());
+        assert!(eliminate_at(&p, 0, 0, ElimKind::Raw, OptPolicy::Verified).is_none());
+        assert!(eliminate_at(&p, 0, 0, ElimKind::Raw, OptPolicy::QemuUnsound).is_some());
     }
 
     #[test]
@@ -333,7 +301,7 @@ mod tests {
                 t.store(X, 2).fence(FenceKind::Fww).load(A, X);
             })
             .build();
-        let q = eliminate_at(&p, 0, 0, Elimination::Raw, FencePolicy::Verified).unwrap();
+        let q = eliminate_at(&p, 0, 0, ElimKind::Raw, OptPolicy::Verified).unwrap();
         assert!(matches!(q.threads[0].instrs[1], Instr::Fence(FenceKind::Fww)));
     }
 
@@ -341,11 +309,11 @@ mod tests {
     fn waw_keeps_last_store_and_moves_fence_before() {
         let p = Program::builder("waw")
             .thread(|t| {
-                t.store(X, 1).fence(FenceKind::Fww).store(X, 2);
+                t.store(X, 1).fence(FenceKind::Frm).store(X, 2);
             })
             .build();
-        let q = eliminate_at(&p, 0, 0, Elimination::Waw, FencePolicy::Verified).unwrap();
-        assert!(matches!(q.threads[0].instrs[0], Instr::Fence(FenceKind::Fww)));
+        let q = eliminate_at(&p, 0, 0, ElimKind::Waw, OptPolicy::Verified).unwrap();
+        assert!(matches!(q.threads[0].instrs[0], Instr::Fence(FenceKind::Frm)));
         assert!(matches!(q.threads[0].instrs[1], Instr::Store { val: Expr::Const(2), .. }));
     }
 
@@ -356,7 +324,7 @@ mod tests {
                 t.load(A, X).load(B, X);
             })
             .build();
-        let q = eliminate_at(&p, 0, 0, Elimination::Rar, FencePolicy::Verified).unwrap();
+        let q = eliminate_at(&p, 0, 0, ElimKind::Rar, OptPolicy::Verified).unwrap();
         assert!(matches!(q.threads[0].instrs[1], Instr::Let { dst: B, val: Expr::Reg(A) }));
     }
 
@@ -367,7 +335,7 @@ mod tests {
                 t.store(X, 1).load(A, Y);
             })
             .build();
-        assert!(eliminate_at(&p, 0, 0, Elimination::Raw, FencePolicy::Verified).is_none());
+        assert!(eliminate_at(&p, 0, 0, ElimKind::Raw, OptPolicy::Verified).is_none());
     }
 
     #[test]

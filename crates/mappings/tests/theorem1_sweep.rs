@@ -3,17 +3,20 @@
 //! The default run subsamples the generated family to keep CI fast; the
 //! `verify_mappings` binary in `risotto-bench` runs the full sweep.
 
-use risotto_litmus::corpus;
+use risotto_litmus::{corpus, Instr};
 use risotto_mappings::check::{check_translation, verify_suite, BehaviorScope};
 use risotto_mappings::gen::{generate_two_thread, x86_alphabet, x86_alphabet_small};
 use risotto_mappings::scheme::{
     qemu_x86_to_arm, verified_x86_to_arm, verified_x86_to_tso, HelperStyle, MappingScheme,
-    QemuX86ToTcg, RmwLowering, VerifiedTcgToArm, VerifiedTcgToTso, VerifiedX86ToTcg,
+    RmwLowering, VerifiedTcgToArm, VerifiedTcgToTso, X86ToTcg,
 };
 use risotto_mappings::transform::{
-    eliminate_at, eliminate_false_deps, merge_fences_at, reorder_at, Elimination, FencePolicy,
+    eliminate_at, eliminate_false_deps, merge_fences_at, reorder_at,
 };
-use risotto_memmodel::{Arm, TcgIr, X86Tso};
+use risotto_memmodel::{Arm, ElimKind, FencePlacement, OptPolicy, TcgIr, X86Tso};
+
+/// The verified x86→TCG row (Fig. 7a) of the DBT's own table.
+const VERIFIED: X86ToTcg = X86ToTcg(FencePlacement::VerifiedTrailing);
 
 /// x86-flavoured corpus programs (sources for x86→* mappings).
 fn x86_corpus() -> Vec<risotto_litmus::Program> {
@@ -34,7 +37,7 @@ fn x86_corpus() -> Vec<risotto_litmus::Program> {
 
 #[test]
 fn verified_x86_to_tcg_passes_corpus() {
-    let failures = verify_suite(&VerifiedX86ToTcg, &x86_corpus(), &X86Tso::new(), &TcgIr::new());
+    let failures = verify_suite(&VERIFIED, &x86_corpus(), &X86Tso::new(), &TcgIr::new());
     assert!(failures.is_empty(), "failures: {failures:?}");
 }
 
@@ -46,14 +49,19 @@ fn qemu_x86_to_tcg_already_loses_failed_rmw_ordering() {
     // (`[Rsc];po`), so the `a=Y → RMW-read` ordering of MPQ is lost — the
     // verified scheme's *trailing* `Frm` restores it. On RMW-free programs
     // Qemu's (over-strong) fences are sound.
-    let failures = verify_suite(&QemuX86ToTcg, &x86_corpus(), &X86Tso::new(), &TcgIr::new());
+    let failures = verify_suite(
+        &X86ToTcg(FencePlacement::QemuLeading),
+        &x86_corpus(),
+        &X86Tso::new(),
+        &TcgIr::new(),
+    );
     let names: Vec<&str> = failures.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(names, vec!["MPQ(x86)"], "unexpected failure set: {failures:?}");
 }
 
 #[test]
 fn verified_tcg_to_arm_passes_tcg_corpus() {
-    let tcg_corpus: Vec<_> = x86_corpus().iter().map(|p| VerifiedX86ToTcg.map_program(p)).collect();
+    let tcg_corpus: Vec<_> = x86_corpus().iter().map(|p| VERIFIED.map_program(p)).collect();
     for rmw in [RmwLowering::Rmw2Fenced, RmwLowering::Casal] {
         let failures =
             verify_suite(&VerifiedTcgToArm { rmw }, &tcg_corpus, &TcgIr::new(), &Arm::corrected());
@@ -68,7 +76,7 @@ fn verified_tcg_to_tso_passes_tcg_corpus() {
     // instead of the corrected Arm model. Theorem 1 requires
     // behaviors(target, X86Tso) ⊆ behaviors(source, TcgIr) even though the
     // scheme erases most fences.
-    let tcg_corpus: Vec<_> = x86_corpus().iter().map(|p| VerifiedX86ToTcg.map_program(p)).collect();
+    let tcg_corpus: Vec<_> = x86_corpus().iter().map(|p| VERIFIED.map_program(p)).collect();
     let failures = verify_suite(&VerifiedTcgToTso, &tcg_corpus, &TcgIr::new(), &X86Tso::new());
     assert!(failures.is_empty(), "failures: {failures:?}");
 }
@@ -222,21 +230,36 @@ fn verified_transformations_never_introduce_behaviors() {
                     t.store(x, 2).fence(FenceKind::Fww).load(Reg(1), x).store(y, 1);
                 })
                 .build(),
+            // F-WAW across a write-free fence; every other WAW site in
+            // this list crosses `Fww`, which the rule refuses.
+            Program::builder("elim-f-waw")
+                .thread(|t| {
+                    t.store(x, 1).fence(FenceKind::Frm).store(x, 2).store(y, 1);
+                })
+                .thread(|t| {
+                    t.load(Reg(0), y).fence(FenceKind::Frm).load(Reg(1), x);
+                })
+                .build(),
         ]
     };
     let sources: Vec<_> = x86_corpus()
         .iter()
-        .map(|p| VerifiedX86ToTcg.map_program(p))
+        .map(|p| VERIFIED.map_program(p))
         .chain([corpus::lb_ir(), corpus::mp_ir(), corpus::merge_example(), corpus::false_dep()])
         .chain(eliminable)
         .collect();
     let mut applied = 0;
+    let mut waw_across_fence = 0;
     for src in &sources {
         for tid in 0..src.threads.len() {
             for idx in 0..src.threads[tid].instrs.len() {
-                for elim in [Elimination::Rar, Elimination::Raw, Elimination::Waw] {
-                    if let Some(tgt) = eliminate_at(src, tid, idx, elim, FencePolicy::Verified) {
+                for elim in [ElimKind::Rar, ElimKind::Raw, ElimKind::Waw] {
+                    if let Some(tgt) = eliminate_at(src, tid, idx, elim, OptPolicy::Verified) {
                         applied += 1;
+                        let instrs = &src.threads[tid].instrs;
+                        if elim == ElimKind::Waw && matches!(instrs[idx + 1], Instr::Fence(_)) {
+                            waw_across_fence += 1;
+                        }
                         check_translation(src, &tcg, &tgt, &tcg, BehaviorScope::MemoryOnly)
                             .unwrap_or_else(|e| panic!("{elim:?} on {}: {e}", src.name));
                     }
@@ -258,6 +281,62 @@ fn verified_transformations_never_introduce_behaviors() {
             .unwrap_or_else(|e| panic!("false-dep elim on {}: {e}", src.name));
     }
     assert!(applied > 10, "sweep applied too few transformations ({applied})");
+    assert!(waw_across_fence > 0, "the sweep never applied F-WAW");
+}
+
+/// `opt_soundness`'s WAW shape A at the litmus level: deleting `St X=1`
+/// across `Fww` drops its `[W];po;[Fww];po;[W]` edge into `St Y=1`. The
+/// shared rule refuses the rewrite; QEMU's fence-oblivious policy makes
+/// it, and Theorem 1 rejects the result.
+#[test]
+fn f_waw_refuses_fww_and_the_qemu_rewrite_is_unsound() {
+    use risotto_litmus::{Program, Reg};
+    use risotto_memmodel::{FenceKind, Loc};
+    let (x, y) = (Loc(0), Loc(1));
+    let src = Program::builder("waw-A")
+        .thread(|t| {
+            t.store(x, 1).fence(FenceKind::Fww).store(x, 2).store(y, 1);
+        })
+        .thread(|t| {
+            t.load(Reg(0), y).fence(FenceKind::Frm).load(Reg(1), x);
+        })
+        .build();
+    assert!(eliminate_at(&src, 0, 0, ElimKind::Waw, OptPolicy::Verified).is_none());
+    let tgt = eliminate_at(&src, 0, 0, ElimKind::Waw, OptPolicy::QemuUnsound).unwrap();
+    let tcg = TcgIr::new();
+    let res = check_translation(&src, &tcg, &tgt, &tcg, BehaviorScope::MemoryAndRegisters);
+    assert!(res.is_err(), "WAW across Fww must be unsound");
+}
+
+/// §5.4's minimality witnesses, taken from the table's own output: the
+/// verified row maps LB and MP soundly, and dropping the trailing `Frm`
+/// after LB's first load, or the leading `Fww` before MP's second store,
+/// lets Theorem 1 fail.
+#[test]
+fn verified_row_fences_are_minimal_on_lb_and_mp() {
+    use risotto_litmus::Program;
+    use risotto_memmodel::FenceKind;
+    let (x86, tcg) = (X86Tso::new(), TcgIr::new());
+    let check = |src: &Program, tgt: &Program| {
+        check_translation(src, &x86, tgt, &tcg, BehaviorScope::MemoryAndRegisters)
+    };
+    let is = |k: FenceKind| move |i: &Instr| *i == Instr::Fence(k);
+    let (lb, mp) = (corpus::lb(), corpus::mp());
+    let (mut lb_tcg, mut mp_tcg) = (VERIFIED.map_program(&lb), VERIFIED.map_program(&mp));
+    check(&lb, &lb_tcg).expect("the verified row maps LB soundly");
+    check(&mp, &mp_tcg).expect("the verified row maps MP soundly");
+
+    let t0 = &mut lb_tcg.threads[0].instrs;
+    let frm = t0.iter().position(is(FenceKind::Frm)).expect("LB's load has a trailing Frm");
+    assert!(matches!(t0[frm - 1], Instr::Load { .. }));
+    t0.remove(frm);
+    assert!(check(&lb, &lb_tcg).is_err(), "LB without its trailing Frm must fail");
+
+    let t0 = &mut mp_tcg.threads[0].instrs;
+    let fww = t0.iter().rposition(is(FenceKind::Fww)).expect("MP's second store has an Fww");
+    assert!(matches!(t0[fww + 1], Instr::Store { .. }) && fww > 0);
+    t0.remove(fww);
+    assert!(check(&mp, &mp_tcg).is_err(), "MP without its leading Fww must fail");
 }
 
 /// QEMU's any-fence RAW policy is unsound: the FMR program is a concrete
@@ -276,7 +355,7 @@ fn any_fence_raw_policy_fails_theorem1_on_fmr() {
             |i| matches!(i, risotto_litmus::Instr::Store { loc, .. } if loc.loc() == corpus::Y),
         )
         .unwrap();
-    let tgt = eliminate_at(&src, 0, idx, Elimination::Raw, FencePolicy::AnyFence).unwrap();
+    let tgt = eliminate_at(&src, 0, idx, ElimKind::Raw, OptPolicy::QemuUnsound).unwrap();
     let res = check_translation(&src, &tcg, &tgt, &tcg, BehaviorScope::MemoryAndRegisters);
     assert!(res.is_err(), "RAW after an Fmr-bearing prefix must be unsound (FMR, §3.2)");
 }

@@ -15,6 +15,11 @@
 //!   *corrected* form whose `casal` strengthening the paper contributed
 //!   upstream (Fig. 5).
 //!
+//! It also holds the mapping tables every layer reads: the x86→TCG fence
+//! placement ([`FencePlacement::fences`]), the TCG→host fence lowerings
+//! ([`FenceKind::arm_dmb`], [`FenceKind::tso_fence`]) and the Fig. 10
+//! elimination rule ([`OptPolicy::may_cross`]).
+//!
 //! Programs and candidate-execution enumeration live in `risotto-litmus`;
 //! this crate only knows about finished executions.
 //!
@@ -51,6 +56,7 @@
 
 mod event;
 mod execution;
+mod mapping;
 pub mod models;
 mod relation;
 
@@ -58,6 +64,7 @@ pub use event::{
     AccessClass, AccessMode, Event, EventId, EventKind, FenceKind, Loc, RmwTag, Tid, Val,
 };
 pub use execution::{Execution, ExecutionBuilder, RmwPair};
+pub use mapping::{elim_may_cross, ElimKind, FencePlacement, GuestAccess, OptPolicy};
 pub use models::{
     atomicity, common_axioms, sc_per_loc, Arm, ArmVariant, MemoryModel, Sc, TcgIr, X86Tso,
 };

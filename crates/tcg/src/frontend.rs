@@ -1,34 +1,19 @@
 //! The guest (MiniX86) frontend: decodes one basic block and emits TCG IR.
 //!
 //! The frontend is where the x86→TCG mapping scheme of the paper is
-//! applied: [`FencePlacement::QemuLeading`] reproduces QEMU's Fig. 2
-//! (`Fmr; ld`, `Fmw; st`), [`FencePlacement::VerifiedTrailing`] the
-//! verified Fig. 7a (`ld; Frm`, `Fww; st`), and [`FencePlacement::None`]
-//! the `no-fences` oracle. RMW instructions go through a helper call
-//! (QEMU) or the direct `Cas`/`AtomicAdd` ops (Risotto, §6.3). Guest
-//! flags live in env registers; since each flag writer writes all four
-//! and only a block-ending `Jcc` reads them, a block computes only its
-//! last flag writer's flags, in place — the earlier writers' would be
-//! overwritten unread.
+//! applied: every guest load, store and `MFENCE` gets the fences the
+//! shared [`FencePlacement::fences`] table gives for the configured
+//! scheme — QEMU's Fig. 2, the verified Fig. 7a or the `no-fences`
+//! oracle. RMW instructions go through a helper call (QEMU) or the
+//! direct `Cas`/`AtomicAdd` ops (Risotto, §6.3). Guest flags live in env
+//! registers; since each flag writer writes all four and only a
+//! block-ending `Jcc` reads them, a block computes only its last flag
+//! writer's flags, in place — the earlier writers' would be overwritten
+//! unread.
 
 use crate::ir::{env, BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, Temp};
 use risotto_guest_x86::{AluOp, Cond, DecodeError, FpOp, Gpr, Insn, Operand};
-use risotto_memmodel::FenceKind;
-
-/// Where the guest-ordering fences go (the x86→TCG mapping scheme).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FencePlacement {
-    /// QEMU's Fig. 2: leading fences. QEMU generates `Fmr`/`Fmw` and then
-    /// demotes the `Fmr` to `Frr` for x86 guests (§3.1, store→load
-    /// reordering is allowed); we emit the demoted form directly, so loads
-    /// lower to `DMBLD; LDR` and stores to `DMBFF; STR` exactly as Fig. 2
-    /// shows.
-    QemuLeading,
-    /// The verified Fig. 7a: `Frm` after loads, `Fww` before stores.
-    VerifiedTrailing,
-    /// No fences (incorrect oracle).
-    None,
-}
+use risotto_memmodel::{FencePlacement, GuestAccess};
 
 /// How CAS-style guest RMWs are translated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,33 +140,33 @@ impl Ctx {
         self.bin(BinOp::Add, b, d)
     }
 
+    /// Emits `op` — `None` for `MFENCE`, which is its fence alone — with
+    /// the table's fences for `access` around it.
+    fn fenced(&mut self, access: GuestAccess, op: Option<TcgOp>) {
+        let (lead, trail) = self.cfg.fences.fences(access);
+        for op in [lead.map(TcgOp::Fence), op, trail.map(TcgOp::Fence)].into_iter().flatten() {
+            self.emit(op);
+        }
+    }
+
     /// Emits a guest load with the configured fence placement.
     fn guest_load(&mut self, addr: Temp, width: Width) -> Temp {
-        if self.cfg.fences == FencePlacement::QemuLeading {
-            self.emit(TcgOp::Fence(FenceKind::Frr));
-        }
         let dst = self.temp();
-        self.emit(match width {
+        let op = match width {
             Width::Quad => TcgOp::Ld { dst, addr },
             Width::Byte => TcgOp::Ld8 { dst, addr },
-        });
-        if self.cfg.fences == FencePlacement::VerifiedTrailing {
-            self.emit(TcgOp::Fence(FenceKind::Frm));
-        }
+        };
+        self.fenced(GuestAccess::Load, Some(op));
         dst
     }
 
     /// Emits a guest store with the configured fence placement.
     fn guest_store(&mut self, addr: Temp, src: Temp, width: Width) {
-        match self.cfg.fences {
-            FencePlacement::QemuLeading => self.emit(TcgOp::Fence(FenceKind::Fmw)),
-            FencePlacement::VerifiedTrailing => self.emit(TcgOp::Fence(FenceKind::Fww)),
-            FencePlacement::None => {}
-        }
-        self.emit(match width {
+        let op = match width {
             Width::Quad => TcgOp::St { addr, src },
             Width::Byte => TcgOp::St8 { addr, src },
-        });
+        };
+        self.fenced(GuestAccess::Store, Some(op));
     }
 
     /// Flags for `a - b` with result `res`.
@@ -597,7 +582,7 @@ where
                 };
                 ctx.set_reg(src, old);
             }
-            Insn::Mfence => ctx.emit(TcgOp::Fence(FenceKind::Fsc)),
+            Insn::Mfence => ctx.fenced(GuestAccess::Mfence, None),
             Insn::Nop => {}
             Insn::Hlt => ctx.block.exit = TbExit::Halt,
             Insn::Syscall => ctx.block.exit = TbExit::Syscall { next },
@@ -611,6 +596,7 @@ mod tests {
     use super::*;
     use crate::eval::{eval_block, EvalExit};
     use risotto_guest_x86::{exec_insn, Assembler, Flags, GuestState, SparseMem, Step};
+    use risotto_memmodel::FenceKind;
 
     fn assemble(f: impl FnOnce(&mut Assembler)) -> Vec<u8> {
         let mut a = Assembler::new(0x1000);

@@ -5,7 +5,8 @@
 //!
 //! The pipeline mirrors QEMU's (§2.3): guest basic blocks decode into
 //! [`TcgBlock`]s of [`TcgOp`]s, fences are inserted per the selected
-//! x86→TCG mapping scheme ([`FrontendConfig`]), the optimizer
+//! x86→TCG mapping scheme ([`FrontendConfig`], read off the shared
+//! [`FencePlacement::fences`] table), the optimizer
 //! ([`optimize`]) applies constant folding, the Fig. 10 memory-access
 //! eliminations (with either the verified fence side conditions or QEMU's
 //! unsound fence-oblivious ones), fence merging (§6.1) and DCE, and the
@@ -48,14 +49,17 @@ pub mod verify;
 
 pub use eval::{eval_block, EvalExit};
 pub use frontend::{
-    translate_block, translate_block_counted, CasStrategy, FencePlacement, FrontendConfig,
-    TranslateError, MAX_TB_INSNS,
+    translate_block, translate_block_counted, CasStrategy, FrontendConfig, TranslateError,
+    MAX_TB_INSNS,
 };
 pub use ir::{env, BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, Temp};
 pub use opt::{
-    apply_hints, elim_may_cross, merge_fences, merge_fences_counted, optimize, optimize_in,
-    optimize_with, ElimKind, HintStats, IrHints, OptPolicy, OptScratch, OptStats, PassConfig,
+    apply_hints, merge_fences, merge_fences_counted, optimize, optimize_in, optimize_with,
+    HintStats, IrHints, OptScratch, OptStats, PassConfig,
 };
+// The shared mapping tables (x86→TCG fence placement, Fig. 10
+// elimination rule) live in `risotto-memmodel`.
+pub use risotto_memmodel::{elim_may_cross, ElimKind, FencePlacement, OptPolicy};
 pub use verify::{VerifyError, VerifyPass, VerifyScratch};
 
 use std::cell::RefCell;

@@ -21,19 +21,8 @@
 
 use crate::ir::{TbExit, TcgBlock, TcgOp, Temp};
 use crate::{reset, with_thread_scratch};
-use risotto_memmodel::FenceKind;
+use risotto_memmodel::{ElimKind, FenceKind, OptPolicy};
 use std::cell::RefCell;
-
-/// Which elimination side conditions the memory-forwarding pass uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptPolicy {
-    /// Fig. 10: RAW may cross `Fsc`/`Fww`, RAR may cross `Frm`/`Fww`, and
-    /// WAW (which deletes a *write*) only fences with a read-only
-    /// predecessor class — `Frr`/`Frw`/`Frm`. See [`elim_may_cross`].
-    Verified,
-    /// QEMU's fence-oblivious eliminations (unsound across `Fmr`, §3.2).
-    QemuUnsound,
-}
 
 /// Statistics from one optimization run (exposed for tests and reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -444,52 +433,14 @@ fn fence_bit(k: FenceKind) -> u16 {
     k.tcg_index().map_or(NON_TCG_FENCE, |i| 1 << i)
 }
 
-/// Which Fig. 10 memory-access elimination is being attempted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElimKind {
-    /// Forward a store's value into a later load of the same address.
-    Raw,
-    /// Forward an earlier load's value into a later load.
-    Rar,
-    /// Delete an earlier store overwritten by a later one.
-    Waw,
-}
-
-/// `true` when an elimination of `kind` may cross the fence `f` under the
-/// verified policy (Fig. 10 side conditions).
-///
-/// RAW and RAR move a *read* of the location earlier (to the forwarded
-/// def), so the fences they may cross are the ones whose ordering the
-/// surviving access still provides: `Fsc`/`Fww` for RAW, `Frm`/`Fww` for
-/// RAR. WAW deletes the *first write*: every `[W];po;[F];po;[post(F)]`
-/// edge that write contributed disappears, and the surviving same-address
-/// write (coherence-after it) only inherits the in-edges. So deleting a
-/// store across `f` is sound exactly when writes are not in `f`'s
-/// predecessor class — `Frr`/`Frw`/`Frm`. In particular `Fww` (which the
-/// read eliminations may cross) makes WAW *unsound*: with
-/// `St x; Fww; St x; St y` the deleted store carries the `Fww` edge into
-/// `St y`, and dropping it lets an observer see `y` new but `x` stale
-/// (`tests/opt_soundness.rs` exercises the counterexample exhaustively).
-pub fn elim_may_cross(kind: ElimKind, f: FenceKind) -> bool {
-    match kind {
-        ElimKind::Raw => matches!(f, FenceKind::Fsc | FenceKind::Fww),
-        ElimKind::Rar => matches!(f, FenceKind::Frm | FenceKind::Fww),
-        ElimKind::Waw => f.tcg_order().is_some_and(|(pre, _)| !pre.writes),
-    }
-}
-
 /// Whether an elimination of `kind` may cross every fence of the set
-/// `crossed` (see [`fence_bit`]). A non-TCG fence admits nothing under
-/// either policy.
+/// `crossed` (see [`fence_bit`]) under `policy`'s
+/// [`OptPolicy::may_cross`]. A non-TCG fence admits nothing under either
+/// policy.
 fn elim_allowed(kind: ElimKind, crossed: u16, policy: OptPolicy) -> bool {
     crossed & NON_TCG_FENCE == 0
-        && match policy {
-            OptPolicy::QemuUnsound => true,
-            OptPolicy::Verified => FenceKind::TCG_ALL
-                .iter()
-                .enumerate()
-                .all(|(i, f)| crossed & (1 << i) == 0 || elim_may_cross(kind, *f)),
-        }
+        && (FenceKind::TCG_ALL.iter().enumerate())
+            .all(|(i, f)| crossed & (1 << i) == 0 || policy.may_cross(kind, *f))
 }
 
 /// Forwards loads and removes dead stores. Two addresses are considered

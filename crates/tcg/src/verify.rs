@@ -38,11 +38,9 @@
 //! eliminated store (or any eliminated atomic) fails the elimination
 //! side conditions, and both are reported as [`VerifyError`]s.
 
-use crate::frontend::FencePlacement;
 use crate::ir::{env, TbExit, TcgBlock, TcgOp, Temp};
-use crate::opt::{elim_may_cross, ElimKind, OptPolicy};
 use crate::{reset, with_thread_scratch};
-use risotto_memmodel::FenceKind;
+use risotto_memmodel::{ElimKind, FenceKind, FencePlacement, GuestAccess, OptPolicy};
 use std::cell::RefCell;
 
 thread_local!(static SPARE: RefCell<VerifyScratch> = RefCell::default());
@@ -232,6 +230,30 @@ enum Shape {
 }
 
 impl Shape {
+    /// The shape of `op`, when it is a memory event.
+    fn of(op: &TcgOp) -> Option<Shape> {
+        Some(match op {
+            TcgOp::Ld { .. } => Shape::Ld,
+            TcgOp::Ld8 { .. } => Shape::Ld8,
+            TcgOp::St { .. } => Shape::St,
+            TcgOp::St8 { .. } => Shape::St8,
+            TcgOp::Cas { .. } => Shape::Cas,
+            TcgOp::AtomicAdd { .. } => Shape::AtomicAdd,
+            TcgOp::CallHelper { helper, .. } => Shape::Helper(*helper),
+            _ => return None,
+        })
+    }
+
+    /// The x86→TCG table row of a plain guest access; RMWs and helper
+    /// calls carry their SC semantics in the op itself.
+    fn access(self) -> Option<GuestAccess> {
+        match self {
+            Shape::Ld | Shape::Ld8 => Some(GuestAccess::Load),
+            Shape::St | Shape::St8 => Some(GuestAccess::Store),
+            Shape::Cas | Shape::AtomicAdd | Shape::Helper(_) => None,
+        }
+    }
+
     fn name(self) -> &'static str {
         match self {
             Shape::Ld => "load",
@@ -286,17 +308,7 @@ impl EventMap {
         let survivors =
             block.ops.iter().enumerate().filter(|(i, _)| !dropped.get(*i).is_some_and(|&d| d));
         for (op_index, (_, op)) in survivors.enumerate() {
-            let shape = match op {
-                TcgOp::Ld { .. } => Some(Shape::Ld),
-                TcgOp::Ld8 { .. } => Some(Shape::Ld8),
-                TcgOp::St { .. } => Some(Shape::St),
-                TcgOp::St8 { .. } => Some(Shape::St8),
-                TcgOp::Cas { .. } => Some(Shape::Cas),
-                TcgOp::AtomicAdd { .. } => Some(Shape::AtomicAdd),
-                TcgOp::CallHelper { helper, .. } => Some(Shape::Helper(*helper)),
-                _ => None,
-            };
-            if let Some(shape) = shape {
+            if let Some(shape) = Shape::of(op) {
                 self.events.push(Ev { shape, op_index, def: op.def() });
                 gap.end = self.fences.len();
                 self.gaps.push(gap);
@@ -339,25 +351,10 @@ fn fence_name(f: Option<FenceKind>) -> String {
     }
 }
 
-/// The per-event obligations of a mapping scheme: the minimum fence
-/// join required before/after each event shape.
-fn scheme_obligation(
-    placement: FencePlacement,
-    shape: Shape,
-) -> (Option<FenceKind>, Option<FenceKind>) {
-    match (placement, shape) {
-        (FencePlacement::VerifiedTrailing, Shape::Ld | Shape::Ld8) => (None, Some(FenceKind::Frm)),
-        (FencePlacement::VerifiedTrailing, Shape::St | Shape::St8) => (Some(FenceKind::Fww), None),
-        (FencePlacement::QemuLeading, Shape::Ld | Shape::Ld8) => (Some(FenceKind::Frr), None),
-        (FencePlacement::QemuLeading, Shape::St | Shape::St8) => (Some(FenceKind::Fmw), None),
-        // RMWs and helper calls carry SC semantics in the op itself;
-        // FencePlacement::None is the (incorrect) fence-free oracle.
-        _ => (None, None),
-    }
-}
-
 /// Checks that every event of `map` (a block at `guest_pc`) discharges
-/// its scheme obligation from the fences in its adjacent gaps. Events
+/// its scheme obligation — the minimum fence join before and after it,
+/// which is the [`FencePlacement::fences`] table's own fences for its
+/// access shape — from the fences in its adjacent gaps. Events
 /// whose index is set in `relaxed` carry an analysis-relaxed obligation
 /// and are exempt (the relaxation itself was already recomputed from the
 /// analysis facts by [`check_obligations_masked`]).
@@ -371,7 +368,7 @@ fn check_scheme(
         if relaxed.get(i).copied().unwrap_or(false) {
             continue;
         }
-        let (before, after) = scheme_obligation(placement, ev.shape);
+        let (before, after) = ev.shape.access().map_or((None, None), |a| placement.fences(a));
         for (side, gap, need) in [("leading", i, before), ("trailing", i + 1, after)] {
             let have = map.join(gap, gap);
             if !at_least(have, need) {
@@ -393,15 +390,6 @@ fn check_scheme(
     Ok(())
 }
 
-/// `true` when deleting a store may cross fence `f` under `policy`
-/// (mirrors the optimizer's `elim_allowed`).
-fn waw_may_cross(f: FenceKind, policy: OptPolicy) -> bool {
-    match policy {
-        OptPolicy::QemuUnsound => f.is_tcg(),
-        OptPolicy::Verified => elim_may_cross(ElimKind::Waw, f),
-    }
-}
-
 /// Pass 2: proves the optimized block still discharges every ordering
 /// obligation of the reference (pre-optimization) block.
 ///
@@ -415,14 +403,16 @@ fn waw_may_cross(f: FenceKind, policy: OptPolicy) -> bool {
 ///    legally eliminable: plain (byte) loads always (irrelevant-read /
 ///    forwarding elimination), a plain store only when a later store
 ///    overwrites it with only loads in between and every crossed fence
-///    admitted by the policy's WAW side condition;
+///    admitted by [`OptPolicy::may_cross`] for WAW;
 ///    atomics, helper calls and byte stores never;
 /// 3. between any two surviving events (and the block edges) the
 ///    optimized fence join is at least the reference fence join — a
 ///    dropped, reordered or downgraded fence fails here;
 /// 4. each block independently satisfies the per-event scheme
-///    obligations of `placement` (e.g. `ld; >=Frm` / `>=Fww; st` for
-///    [`FencePlacement::VerifiedTrailing`]).
+///    obligations of `placement`, read off [`FencePlacement::fences`]
+///    (e.g. `ld; >=Frm` / `>=Fww; st` for
+///    [`FencePlacement::VerifiedTrailing`]) — an access emitted without
+///    its table fences fails here.
 pub fn check_obligations(
     reference: &TcgBlock,
     optimized: &TcgBlock,
@@ -464,9 +454,9 @@ pub fn relax_block_in(
     removed
 }
 
-/// Marks in `dropped` (one entry per op) the scheme fence of each masked
+/// Marks in `dropped` (one entry per op) the scheme fences of each masked
 /// memory event of `block` and returns how many were marked; `dropped`
-/// comes back empty when nothing is relaxed.
+/// comes back empty when no mask bit is set.
 fn mark_relaxed(
     block: &TcgBlock,
     placement: FencePlacement,
@@ -474,43 +464,23 @@ fn mark_relaxed(
     dropped: &mut Vec<bool>,
 ) -> u32 {
     dropped.clear();
-    if placement == FencePlacement::None || !mask.iter().any(|&m| m) {
+    if !mask.iter().any(|&m| m) {
         return 0;
-    }
-    #[derive(Clone, Copy, PartialEq)]
-    enum Kind {
-        Load,
-        Store,
-        Other,
     }
     dropped.resize(block.ops.len(), false);
     let mut event = 0usize;
     let mut removed = 0u32;
-    for i in 0..block.ops.len() {
-        let kind = match block.ops[i] {
-            TcgOp::Ld { .. } | TcgOp::Ld8 { .. } => Kind::Load,
-            TcgOp::St { .. } | TcgOp::St8 { .. } => Kind::Store,
-            TcgOp::Cas { .. } | TcgOp::AtomicAdd { .. } | TcgOp::CallHelper { .. } => Kind::Other,
-            _ => continue,
-        };
+    for (i, op) in block.ops.iter().enumerate() {
+        let Some(shape) = Shape::of(op) else { continue };
         let masked = mask.get(event).copied().unwrap_or(false);
         event += 1;
-        if !masked || kind == Kind::Other {
-            continue;
-        }
-        // The frontend emits each access's scheme fence directly adjacent
+        let Some(access) = shape.access().filter(|_| masked) else { continue };
+        // The frontend emits each access's table fences directly adjacent
         // to it; anything else (already-optimized IR, a hand-built block)
-        // conservatively relaxes nothing for this event.
-        let expected: Option<(usize, FenceKind)> = match (placement, kind) {
-            (FencePlacement::VerifiedTrailing, Kind::Load) => Some((i + 1, FenceKind::Frm)),
-            (FencePlacement::VerifiedTrailing, Kind::Store) if i > 0 => {
-                Some((i - 1, FenceKind::Fww))
-            }
-            (FencePlacement::QemuLeading, Kind::Load) if i > 0 => Some((i - 1, FenceKind::Frr)),
-            (FencePlacement::QemuLeading, Kind::Store) if i > 0 => Some((i - 1, FenceKind::Fmw)),
-            _ => None,
-        };
-        if let Some((j, want)) = expected {
+        // conservatively relaxes nothing on that side.
+        let (lead, trail) = placement.fences(access);
+        for (j, want) in [(i.checked_sub(1), lead), (Some(i + 1), trail)] {
+            let (Some(j), Some(want)) = (j, want) else { continue };
             if matches!(block.ops.get(j), Some(TcgOp::Fence(k)) if *k == want) && !dropped[j] {
                 dropped[j] = true;
                 removed += 1;
@@ -720,7 +690,7 @@ pub fn check_captured(
                     ));
                 };
                 for &f in re.fences_in(k + 1, j) {
-                    if !waw_may_cross(f, policy) {
+                    if !policy.may_cross(ElimKind::Waw, f) {
                         return Err(err(
                             Some(ev.op_index),
                             format!(

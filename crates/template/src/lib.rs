@@ -30,8 +30,9 @@
 //! ## Ordering and verification
 //!
 //! Memory-ordering decisions are **not** re-derived: guest fences are
-//! placed exactly as the verified frontend mapping places them
-//! ([`FencePlacement`]), then lowered through the same per-backend
+//! read off the same x86→TCG table the frontend reads
+//! ([`FencePlacement::fences`](risotto_memmodel::FencePlacement::fences)),
+//! then lowered through the same per-backend
 //! [`HostBackend`] hooks tier-1 uses (`fence`/`cas`/`atomic_add`).
 //! The template set is finite, so the memory-model argument is made
 //! *once, statically*: the repository test-suite enumerates every
@@ -48,10 +49,8 @@ use risotto_guest_x86::{AluOp, Cond, Gpr, Insn, Operand};
 use risotto_host_arm::{
     helper_index, BackendConfig, BackendError, HostAsm, HostBackend, HostInsn, TbExitKind, Xreg,
 };
-use risotto_memmodel::FenceKind;
-use risotto_tcg::{
-    env, CasStrategy, FencePlacement, FrontendConfig, Helper, TranslateError, MAX_TB_INSNS,
-};
+use risotto_memmodel::{FenceKind, GuestAccess};
+use risotto_tcg::{env, CasStrategy, FrontendConfig, Helper, TranslateError, MAX_TB_INSNS};
 
 /// Template scratch register 0 (`X9`).
 pub const T0: Xreg = Xreg(9);
@@ -173,37 +172,16 @@ impl<B: HostBackend + ?Sized> Emit<'_, B> {
         self.st_env(src, r.0);
     }
 
-    /// Lowers a TCG fence through the backend dialect (no-op fences
-    /// vanish, exactly as in tier-1 lowering).
-    fn fence(&mut self, k: FenceKind) {
-        if let Some(i) = self.host.fence(k) {
+    /// Emits `access` — `None` for `MFENCE`, which is its fence alone —
+    /// with the frontend mapping's table fences around it, each lowered
+    /// through the backend dialect (no-op fences vanish, exactly as in
+    /// tier-1 lowering).
+    fn fenced(&mut self, access: GuestAccess, insn: Option<HostInsn>) {
+        let (lead, trail) = self.cfg.fences.fences(access);
+        let lower = |k: Option<FenceKind>| k.and_then(|k| self.host.fence(k));
+        let (lead, trail) = (lower(lead), lower(trail));
+        for i in [lead, insn, trail].into_iter().flatten() {
             self.push(i);
-        }
-    }
-
-    /// The fence (if any) the frontend mapping emits *before* a guest
-    /// load.
-    fn load_lead_fence(&mut self) {
-        if self.cfg.fences == FencePlacement::QemuLeading {
-            self.fence(FenceKind::Frr);
-        }
-    }
-
-    /// The fence (if any) the frontend mapping emits *after* a guest
-    /// load.
-    fn load_trail_fence(&mut self) {
-        if self.cfg.fences == FencePlacement::VerifiedTrailing {
-            self.fence(FenceKind::Frm);
-        }
-    }
-
-    /// The fence (if any) the frontend mapping emits *before* a guest
-    /// store.
-    fn store_fence(&mut self) {
-        match self.cfg.fences {
-            FencePlacement::QemuLeading => self.fence(FenceKind::Fmw),
-            FencePlacement::VerifiedTrailing => self.fence(FenceKind::Fww),
-            FencePlacement::None => {}
         }
     }
 
@@ -231,15 +209,14 @@ impl<B: HostBackend + ?Sized> Emit<'_, B> {
     /// Guest 64-bit load: fences per the mapping scheme around a plain
     /// `Ldr` with the displacement folded into the addressing mode.
     fn guest_load(&mut self, dst: Xreg, base: Xreg, disp: i32) {
-        self.load_lead_fence();
-        self.push(HostInsn::Ldr { dst, base, off: disp, order: risotto_host_arm::MemOrder::Plain });
-        self.load_trail_fence();
+        let order = risotto_host_arm::MemOrder::Plain;
+        self.fenced(GuestAccess::Load, Some(HostInsn::Ldr { dst, base, off: disp, order }));
     }
 
-    /// Guest 64-bit store: mapping-scheme fence, then a plain `Str`.
+    /// Guest 64-bit store: mapping-scheme fences around a plain `Str`.
     fn guest_store(&mut self, src: Xreg, base: Xreg, disp: i32) {
-        self.store_fence();
-        self.push(HostInsn::Str { src, base, off: disp, order: risotto_host_arm::MemOrder::Plain });
+        let order = risotto_host_arm::MemOrder::Plain;
+        self.fenced(GuestAccess::Store, Some(HostInsn::Str { src, base, off: disp, order }));
     }
 
     /// `ZF ← (res == 0)`, `SF ← res >> 63` via `scratch`.
@@ -397,16 +374,19 @@ impl<B: HostBackend + ?Sized> Emit<'_, B> {
             }
             Insn::LoadB { dst, base, disp } => {
                 self.ld_gpr(T0, base);
-                self.load_lead_fence();
-                self.push(HostInsn::LdrB { dst: T1, base: T0, off: disp });
-                self.load_trail_fence();
+                self.fenced(
+                    GuestAccess::Load,
+                    Some(HostInsn::LdrB { dst: T1, base: T0, off: disp }),
+                );
                 self.st_gpr(T1, dst);
             }
             Insn::StoreB { base, disp, src } => {
                 self.ld_gpr(T1, src);
                 self.ld_gpr(T0, base);
-                self.store_fence();
-                self.push(HostInsn::StrB { src: T1, base: T0, off: disp });
+                self.fenced(
+                    GuestAccess::Store,
+                    Some(HostInsn::StrB { src: T1, base: T0, off: disp }),
+                );
             }
             Insn::Lea { dst, base, disp } => {
                 self.addr(T0, base, disp);
@@ -487,7 +467,7 @@ impl<B: HostBackend + ?Sized> Emit<'_, B> {
                 }
                 self.st_gpr(T2, src);
             }
-            Insn::Mfence => self.fence(FenceKind::Fsc),
+            Insn::Mfence => self.fenced(GuestAccess::Mfence, None),
             Insn::Nop => {}
             Insn::Jcc { cond, rel } => {
                 self.cond_flag(cond);

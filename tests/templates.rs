@@ -290,6 +290,94 @@ fn tso_templates_stay_inside_the_tso_dialect() {
     }
 }
 
+/// The shared x86→TCG table is the one oracle for three emitters: under
+/// every frontend scheme and for every guest access form, the frontend's
+/// IR, the tier-0 template (its fences lowered through
+/// `HostBackend::fence`, on both backends) and the litmus scheme
+/// `X86ToTcg::map_instr` place exactly the table's leading and trailing
+/// fences around the access.
+#[test]
+fn emitters_place_the_tables_fences_around_every_access() {
+    use risotto::litmus::Reg;
+    use risotto::mappings::scheme::X86ToTcg;
+    use risotto::memmodel::{GuestAccess, Loc};
+    use risotto::tcg::TcgOp;
+    let forms = [
+        (Insn::Load { dst: Gpr::RAX, base: Gpr::RBX, disp: 24 }, GuestAccess::Load),
+        (Insn::Store { base: Gpr::RBX, disp: -8, src: Gpr::RAX }, GuestAccess::Store),
+        (Insn::LoadB { dst: Gpr::RCX, base: Gpr::RDX, disp: 3 }, GuestAccess::Load),
+        (Insn::StoreB { base: Gpr::RDX, disp: 5, src: Gpr::RCX }, GuestAccess::Store),
+        (Insn::Push { src: Gpr::RBP }, GuestAccess::Store),
+        (Insn::Pop { dst: Gpr::RBP }, GuestAccess::Load),
+        (Insn::Call { rel: -16 }, GuestAccess::Store),
+        (Insn::Ret, GuestAccess::Load),
+        (Insn::Mfence, GuestAccess::Mfence),
+    ];
+    // Each emitter's stream as fences in order, `None` standing for the
+    // guest access itself.
+    for (cname, cfg) in frontend_schemes() {
+        for (insn, access) in forms {
+            let (lead, trail) = cfg.fences.fences(access);
+            let body = (access != GuestAccess::Mfence).then_some(None);
+            let want: Vec<_> =
+                [lead.map(Some), body, trail.map(Some)].into_iter().flatten().collect();
+
+            let mut bytes = Vec::new();
+            insn.encode(&mut bytes);
+            if !is_terminator(&insn) {
+                Insn::Hlt.encode(&mut bytes);
+            }
+            let block = translate_block(0x4000, cfg, fetch_of(bytes, 0x4000))
+                .unwrap_or_else(|e| panic!("{insn:?}: tier-1 frontend: {e}"));
+            let ir: Vec<_> = (block.ops.iter())
+                .filter_map(|op| match op {
+                    TcgOp::Fence(k) => Some(Some(*k)),
+                    op => op.is_memory_access().then_some(None),
+                })
+                .collect();
+            assert_eq!(ir, want, "{insn:?} under {cname}: frontend IR");
+
+            let litmus = Program::builder("access").thread(|t| {
+                match access {
+                    GuestAccess::Load => t.load(Reg(0), Loc(0)),
+                    GuestAccess::Store => t.store(Loc(0), 1),
+                    GuestAccess::Mfence => t.fence(FenceKind::MFence),
+                };
+            });
+            let mapped = X86ToTcg(cfg.fences).map_program(&litmus.build());
+            let scheme: Vec<_> = (mapped.threads[0].instrs.iter())
+                .map(|i| match i {
+                    Instr::Fence(k) => Some(*k),
+                    Instr::Load { .. } | Instr::Store { .. } => None,
+                    other => panic!("{insn:?} under {cname}: X86ToTcg emitted {other:?}"),
+                })
+                .collect();
+            assert_eq!(scheme, want, "{insn:?} under {cname}: X86ToTcg::map_instr");
+
+            let hosts: [&dyn HostBackend; 2] = [&ArmBackend, &TsoBackend];
+            for host in hosts {
+                let lowered: Vec<_> = (want.iter())
+                    .filter_map(|step| match step {
+                        Some(k) => host.fence(*k).map(Some),
+                        None => Some(None),
+                    })
+                    .collect();
+                let bcfg = BackendConfig::dbt(RmwStyle::Casal);
+                let code = insn_template(&insn, 0x4000, cfg, bcfg, host)
+                    .unwrap_or_else(|e| panic!("{insn:?}: template: {e}"));
+                let template: Vec<_> = (project(&code).into_iter())
+                    .map(|ev| match ev {
+                        Ev::Fence(d) => Some(HostInsn::Barrier(d)),
+                        Ev::Access { .. } => None,
+                        other => panic!("{insn:?} under {cname}: template emitted {other:?}"),
+                    })
+                    .collect();
+                assert_eq!(template, lowered, "{insn:?} under {cname}/{}: template", host.name());
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // 2. Theorem 1 per template, per backend
 // ---------------------------------------------------------------------
