@@ -22,14 +22,19 @@
 //! 4. **Ownership** — facts live in the emulator that asked for them:
 //!    computed once per `set_analysis(true)`, dropped when turned off,
 //!    equal when re-derived, and equal across emulators over one image.
+//!
+//! And across versions, [`FACTS_HASH`] pins the facts themselves over
+//! every corpus a gate or the benchmark analyses.
 
-use risotto::analysis::{AccessKind, SiteClass};
+use risotto::analysis::{analyze_image, AccessKind, SiteClass};
 use risotto::core::{BackendKind, Emulator, Setup, VerifyLevel};
+use risotto::fuzz::{generate, parse_corpus, program_seed, GenConfig};
+use risotto::guest::GuestBinary;
 use risotto::host::CostModel;
 use risotto::litmus::{behaviors, corpus};
 use risotto::memmodel::X86Tso;
-use risotto::workloads::kernels;
 use risotto::workloads::litmus_compile::compile_litmus;
+use risotto::workloads::{cas, kernels};
 
 const SCALE: u64 = 4;
 const THREADS: usize = 2;
@@ -273,4 +278,83 @@ fn facts_are_per_emulator_and_reproducible() {
     let (ra, rb) = (run(&mut a), run(&mut b));
     assert_eq!(ra, rb, "two emulators over one image must agree");
     assert!(a.metrics().counter("analysis.relaxed") > 0, "pca should relax fences");
+}
+
+/// FNV-1a over a byte string, continuing from `h`.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Every image whose facts a gate or the benchmark reads: the 16 kernels
+/// at the `analyze --smoke` and `BENCH_pipeline.json` scales with one
+/// and two threads, the CAS grid, the x86 litmus programs, the fuzz
+/// reproducers, and the first 400 programs of each generator
+/// configuration the benchmark draws from.
+fn analysed_images() -> Vec<GuestBinary> {
+    let mut images = Vec::new();
+    for w in kernels::all() {
+        for scale in [4, 16] {
+            for threads in [1, 2] {
+                images.push((w.build)(scale, threads));
+            }
+        }
+    }
+    for (threads, vars) in [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (4, 4)] {
+        images.push(cas::cas_bench(10_000, threads, vars));
+    }
+    let x86_litmus = [
+        corpus::mp(),
+        corpus::sb(),
+        corpus::sb_fenced(),
+        corpus::lb(),
+        corpus::iriw(),
+        corpus::two_plus_two_w(),
+        corpus::s_test(),
+        corpus::r_test(),
+        corpus::mpq_x86(),
+        corpus::sbq_x86(),
+        corpus::sbal_x86(),
+        corpus::lb_ir_unfenced(),
+    ];
+    for prog in &x86_litmus {
+        images.push(compile_litmus(prog, &vec![0; prog.threads.len()]).binary);
+    }
+    for text in [
+        include_str!("corpus/store_store_fence.risotto"),
+        include_str!("corpus/spawn_cas_contention.risotto"),
+        include_str!("corpus/hot_loop_promotion.risotto"),
+        include_str!("corpus/cmpxchg_fail_path.risotto"),
+        include_str!("corpus/fp_nan_chain.risotto"),
+        include_str!("corpus/fp_nan_cross_thread.risotto"),
+    ] {
+        images.push(parse_corpus(text).expect("corpus parses").lower().expect("corpus lowers"));
+    }
+    // `translate_cold` draws loop-free programs, `mixed_tiered` the
+    // defaults, both from corpus seed 1.
+    let mut cold = GenConfig { ensure_hot_loop: false, ..GenConfig::default() };
+    cold.weights.loops = 0;
+    for cfg in [cold, GenConfig::default()] {
+        for i in 0..400 {
+            images.push(generate(&cfg, program_seed(1, i)).lower().expect("generated spec lowers"));
+        }
+    }
+    images
+}
+
+/// FNV-1a hash of each image's `ImageFacts` (their `Debug` text: every
+/// site's kind, width, class and region, the poisons, the instances and
+/// the refined loops) over [`analysed_images`]: a change to the analysis
+/// that claims the same facts must reproduce it.
+const FACTS_HASH: u64 = 0xdbb6_93af_1870_1c34;
+
+#[test]
+fn facts_match_the_checked_in_hash() {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for bin in &analysed_images() {
+        fnv(&mut h, format!("{:?}", analyze_image(bin)).as_bytes());
+    }
+    assert_eq!(h, FACTS_HASH, "analysis facts changed (got {h:#018x})");
 }
