@@ -185,7 +185,11 @@ rm -f "$layers_json"
 
 # Static-analysis gate (docs/ANALYSIS.md): over the 16-kernel corpus the
 # analyzer must find relaxable accesses in exactly the six kernels named
-# below — the poison-free ones with a private or read-only site.
+# below — the poison-free ones with a private or read-only site. The
+# facts themselves (every site, poison, instance and refined loop over
+# the kernels, the CAS grid, the litmus and fuzz corpora and the
+# benchmark's generated programs) are pinned by `FACTS_HASH` in
+# tests/analysis.rs, which `cargo test` above runs.
 analysis_json="$(mktemp /tmp/analysis.XXXXXX.json)"
 cargo run -q --release -p risotto-bench --bin analyze -- \
     --smoke --json "$analysis_json" > /dev/null

@@ -4,7 +4,10 @@
 //! One entry point, [`solve`], over a [`Transfer`] whose successor set
 //! is *dynamic* (returned by the transfer function itself). The escape
 //! analysis, its one client, needs this: which syscall/indirect edges
-//! are realized depends on the abstract state flowing into them.
+//! are realized depends on the abstract state flowing into them. A
+//! node's successors can also depend on which nodes exist (a run walks
+//! into every node that starts inside it), so [`Transfer::reached`]
+//! names the nodes to flow again when a new one is reached.
 //!
 //! Determinism is load-bearing: the engine's translation output must be
 //! bit-identical run to run (`tests/determinism.rs`), and analysis facts
@@ -39,6 +42,13 @@ pub trait Transfer {
     /// Flow `input` through `node`. An empty result means the node has
     /// no realized successors (exit, halt, abstract dead end).
     fn flow(&mut self, node: u64, input: &Self::State) -> Vec<(u64, Self::State)>;
+
+    /// Called once, when `node` is first reached. Returns the nodes whose
+    /// successors that can change; the solver flows again those of them
+    /// it has reached.
+    fn reached(&mut self, _node: u64) -> Vec<u64> {
+        Vec::new()
+    }
 }
 
 /// A solved dataflow instance.
@@ -95,6 +105,8 @@ pub fn solve<T: Transfer>(
                 Some(cur) => cur.join_from(&out),
                 None => {
                     inputs.insert(succ, out);
+                    let again = transfer.reached(succ);
+                    work.extend(again.into_iter().filter(|n| inputs.contains_key(n)));
                     true
                 }
             };

@@ -7,29 +7,40 @@
 //! soundness is load-bearing. The analysis is a whole-program abstract
 //! interpretation built on the [`crate::dataflow`] solver:
 //!
+//! * **Nodes** — a node is the straight run of guest instructions from a
+//!   pc up to its first terminator, decoded the first time control flows
+//!   there. A jump into the middle of a run starts a node of its own, as
+//!   it starts a translation block, so nodes may overlap; there is no
+//!   leader pass, no size cap, and no control flow resolved outside the
+//!   domain below: indirect, return and spawn targets are whatever the
+//!   abstract state says they are. A run that walks over the start of
+//!   another node feeds that node the state it walks in with, so a
+//!   node's input joins every state that reaches its pc: a loop head
+//!   inside the run that enters the loop sees the entry values too.
 //! * **Domain** — [`Val`] tracks each register as an absolute-value
 //!   interval, an offset interval into the *executing core's own stack*,
 //!   or ⊤. A tracked stack map gives call/return resolution and stack
 //!   slot values. Widening collapses non-singleton intervals to ⊤
 //!   ([`crate::dataflow::WIDEN_AFTER`] joins at one node).
 //! * **Instances** — one abstract interpretation per *core*: the root
-//!   (image entry) plus one instance per statically discovered spawn
-//!   site, each with its own `RDI` argument and its own stack identity.
-//!   A spawn site whose block can re-reach itself (a spawn in a loop),
-//!   or whose parent is already replicated, produces a *replicated*
-//!   instance: one static instance standing for several cores, which
+//!   (image entry) plus one instance per spawn site the walk reaches,
+//!   each with its own `RDI` argument and its own stack identity.
+//!   A site can sit in several nodes: the child's argument is the join
+//!   of their `RSI`s, and if any of them can re-reach itself (a spawn in
+//!   a loop), or the parent is already replicated, the child is
+//!   *replicated*: one static instance standing for several cores, which
 //!   must additionally not conflict with itself.
 //! * **Counted-loop refinement** — interval domains widen induction
 //!   pointers to ⊤, which would make every in-loop access wild. Phase 2
-//!   pattern-matches the workload generator's counted-loop shape
-//!   (`sub c,1; cmp c,0; jne head` self-loop with a singleton trip
-//!   count) and computes, per register, the *affine hull* over all
-//!   iterations. Phase 3 re-solves with these hulls *forced* at the
-//!   loop head. The pin is justified structurally (the loop body is
-//!   straight-line and executes exactly `c₀` times), not inductively —
-//!   an interval domain cannot re-verify an affine pin. As a safety
-//!   net the refined solution is discarded unless it realizes a subset
-//!   of phase 1's edges with no new poison.
+//!   pattern-matches the workload generator's counted-loop shape (a
+//!   node ending `sub c,1; cmp c,0; jne head` that loops to itself, with
+//!   a singleton trip count) and computes, per register, the *affine
+//!   hull* over all iterations. Phase 3 re-solves with these hulls
+//!   *forced* at the loop head. The pin is justified structurally (the
+//!   loop body is straight-line and executes exactly `c₀` times), not
+//!   inductively — an interval domain cannot re-verify an affine pin.
+//!   As a safety net the refined solution is discarded unless it
+//!   realizes a subset of phase 1's edges with no new poison.
 //! * **Poison** — anything the analysis cannot bound (unresolved
 //!   indirect target, unknown syscall number, instance cap, solver
 //!   limit, …) poisons the *whole image*: no access is relaxable.
@@ -40,7 +51,6 @@
 //! shared by every core that executes it, so a site is only relaxable
 //! if the access is relaxable in **every** instance that reaches it.
 
-use crate::cfg::{Block, Cfg, Term};
 use crate::dataflow::{solve, Lattice, Solution, Transfer};
 use crate::ImageFacts;
 use risotto_guest_x86::{
@@ -261,9 +271,8 @@ pub enum Poison {
     InstanceCap,
     /// The worklist solver hit its step budget.
     SolverLimit,
-    /// Control flowed to a pc with no recovered block.
-    MissingBlock,
-    /// A block decodes past the end of the recovered run ([`Term::Bad`]).
+    /// A node runs into a pc where no instruction decodes (outside the
+    /// text, or a bad byte) before reaching a terminator.
     BadBlock,
 }
 
@@ -277,7 +286,6 @@ impl Poison {
             Poison::UnresolvedSpawnTarget => "unresolved-spawn-target",
             Poison::InstanceCap => "instance-cap",
             Poison::SolverLimit => "solver-limit",
-            Poison::MissingBlock => "missing-block",
             Poison::BadBlock => "bad-block",
         }
     }
@@ -347,6 +355,88 @@ pub struct InstanceInfo {
     pub spawned_at: Option<u64>,
     /// `true` if this static instance may stand for several cores.
     pub replicated: bool,
+}
+
+/// How a node ends.
+#[derive(Clone, Copy)]
+enum Term {
+    /// Unconditional direct jump.
+    Jump(u64),
+    /// Conditional branch: `taken` when `cond` holds, else `fall`.
+    Cond { cond: Cond, taken: u64, fall: u64 },
+    /// Direct call; `ret` is pushed on the guest stack.
+    Call { target: u64, ret: u64 },
+    /// `jmp reg` (`ret: None`) or `call reg` (`ret: Some(return pc)`).
+    Indirect { reg: Gpr, ret: Option<u64> },
+    /// `ret`; the target comes off the tracked stack.
+    Ret,
+    /// `hlt`.
+    Halt,
+    /// `syscall`; execution resumes at `next` unless it is `EXIT`.
+    Syscall { next: u64 },
+    /// No instruction decodes at `end` ([`Poison::BadBlock`]).
+    Bad,
+}
+
+/// One node: the straight run of instructions from its start pc up to
+/// and including the first terminator.
+struct Run {
+    /// Every instruction before the terminator, with its pc.
+    body: Vec<(u64, Insn)>,
+    /// Pc of the terminator (of the undecodable bytes for [`Term::Bad`]).
+    end: u64,
+    term: Term,
+}
+
+/// The guest text and every run decoded from it so far: one map that
+/// all instances share.
+struct Runs<'t> {
+    text: &'t [u8],
+    decoded: BTreeMap<u64, Run>,
+}
+
+impl Runs<'_> {
+    /// The run starting at `pc`, decoded on first visit.
+    fn at(&mut self, pc: u64) -> &Run {
+        let text = self.text;
+        self.decoded.entry(pc).or_insert_with(|| decode_run(text, pc))
+    }
+}
+
+fn in_text(text: &[u8], pc: u64) -> bool {
+    pc.checked_sub(TEXT_BASE).is_some_and(|off| off < text.len() as u64)
+}
+
+/// Decodes from `pc` up to and including the first terminator.
+fn decode_run(text: &[u8], mut pc: u64) -> Run {
+    let mut body = Vec::new();
+    loop {
+        let decoded = in_text(text, pc).then(|| Insn::decode(&text[(pc - TEXT_BASE) as usize..]));
+        let Some(Ok((insn, len))) = decoded else {
+            return Run { body, end: pc, term: Term::Bad };
+        };
+        let next = pc + len as u64;
+        let term = match insn {
+            Insn::Jmp { rel } => Term::Jump(next.wrapping_add_signed(rel as i64)),
+            Insn::Jcc { cond, rel } => {
+                Term::Cond { cond, taken: next.wrapping_add_signed(rel as i64), fall: next }
+            }
+            Insn::Call { rel } => {
+                Term::Call { target: next.wrapping_add_signed(rel as i64), ret: next }
+            }
+            Insn::JmpReg { reg } => Term::Indirect { reg, ret: None },
+            Insn::CallReg { reg } => Term::Indirect { reg, ret: Some(next) },
+            Insn::Ret => Term::Ret,
+            Insn::Hlt => Term::Halt,
+            Insn::Syscall => Term::Syscall { next },
+            _ => {
+                body.push((pc, insn));
+                pc = next;
+                continue;
+            }
+        };
+        return Run { body, end: pc, term };
+    }
 }
 
 /// Everything `exec_block` reports besides successor states.
@@ -582,23 +672,23 @@ fn smash_stack(state: &mut State, region: Region) {
     }
 }
 
-/// Interprets one recovered block: applies every non-terminator
-/// instruction to `state`, records effects, and returns the successor
-/// edge states implied by the terminator.
+/// Interprets one node: applies its body to `state`, records effects,
+/// and returns the successor edge states implied by the terminator, then
+/// an edge into each node of `nodes` that starts inside the run.
 fn exec_block(
-    bin: &GuestBinary,
-    block: &Block,
+    text: &[u8],
+    run: &Run,
     input: &State,
     inst: usize,
     fx: &mut BlockEffects,
+    nodes: &BTreeSet<u64>,
 ) -> Vec<(u64, State)> {
-    let text_end = TEXT_BASE + bin.text.len() as u64;
-    let is_text = |pc: u64| pc >= TEXT_BASE && pc < text_end;
+    let is_text = |pc: u64| in_text(text, pc);
     let mut st = input.clone();
-    for ci in &block.insns {
-        let insn = ci.insn;
-        if insn.is_terminator() {
-            break;
+    let mut walked = Vec::new();
+    for (i, &(pc, insn)) in run.body.iter().enumerate() {
+        if i > 0 && nodes.contains(&pc) {
+            walked.push((pc, st.clone()));
         }
         match insn {
             Insn::MovRI { dst, imm } => st.set(dst, Val::Int(imm, imm)),
@@ -612,7 +702,7 @@ fn exec_block(
             }
             Insn::Load { dst, base, disp } => {
                 let addr = st.get(base).add_disp(disp as i64);
-                let region = record(&mut st, fx, inst, ci.pc, AccessKind::Read, 8, addr);
+                let region = record(&mut st, fx, inst, pc, AccessKind::Read, 8, addr);
                 let v = match (region, addr) {
                     (Region::OwnStack(..), Val::Stack(o, o2)) if o == o2 => {
                         st.stack.get(&o).copied().unwrap_or(Val::Top)
@@ -623,27 +713,26 @@ fn exec_block(
             }
             Insn::LoadB { dst, base, disp } => {
                 let addr = st.get(base).add_disp(disp as i64);
-                record(&mut st, fx, inst, ci.pc, AccessKind::Read, 1, addr);
+                record(&mut st, fx, inst, pc, AccessKind::Read, 1, addr);
                 st.set(dst, Val::Int(0, 255));
             }
             Insn::Store { base, disp, src } => {
                 let addr = st.get(base).add_disp(disp as i64);
-                let region = record(&mut st, fx, inst, ci.pc, AccessKind::Write, 8, addr);
+                let region = record(&mut st, fx, inst, pc, AccessKind::Write, 8, addr);
                 if let (Region::OwnStack(..), Val::Stack(o, o2)) = (region, addr) {
                     if o == o2 {
                         st.stack.insert(o, st.get(src));
                     }
                 }
             }
-            Insn::StoreB { base, disp, src } => {
+            Insn::StoreB { base, disp, .. } => {
                 let addr = st.get(base).add_disp(disp as i64);
-                record(&mut st, fx, inst, ci.pc, AccessKind::Write, 1, addr);
-                let _ = src;
+                record(&mut st, fx, inst, pc, AccessKind::Write, 1, addr);
             }
             Insn::Push { src } => {
                 let v = st.get(src);
                 let rsp = st.get(Gpr::RSP).add_disp(-8);
-                let region = record(&mut st, fx, inst, ci.pc, AccessKind::Write, 8, rsp);
+                let region = record(&mut st, fx, inst, pc, AccessKind::Write, 8, rsp);
                 if let (Region::OwnStack(..), Val::Stack(o, o2)) = (region, rsp) {
                     if o == o2 {
                         st.stack.insert(o, v);
@@ -653,7 +742,7 @@ fn exec_block(
             }
             Insn::Pop { dst } => {
                 let rsp = st.get(Gpr::RSP);
-                let region = record(&mut st, fx, inst, ci.pc, AccessKind::Read, 8, rsp);
+                let region = record(&mut st, fx, inst, pc, AccessKind::Read, 8, rsp);
                 let v = match (region, rsp) {
                     (Region::OwnStack(..), Val::Stack(o, o2)) if o == o2 => {
                         st.stack.get(&o).copied().unwrap_or(Val::Top)
@@ -701,39 +790,34 @@ fn exec_block(
             Insn::Test { a, b } => st.flags = FlagsAbs::Test(st.get(a), st.operand(b)),
             Insn::LockCmpxchg { base, disp, .. } => {
                 let addr = st.get(base).add_disp(disp as i64);
-                record(&mut st, fx, inst, ci.pc, AccessKind::Atomic, 8, addr);
+                record(&mut st, fx, inst, pc, AccessKind::Atomic, 8, addr);
                 st.set(Gpr::RAX, Val::Top);
                 st.flags = FlagsAbs::Unknown;
             }
             Insn::LockXadd { base, disp, src } => {
                 let addr = st.get(base).add_disp(disp as i64);
-                record(&mut st, fx, inst, ci.pc, AccessKind::Atomic, 8, addr);
+                record(&mut st, fx, inst, pc, AccessKind::Atomic, 8, addr);
                 st.set(src, Val::Top);
                 st.flags = FlagsAbs::Unknown;
             }
-            Insn::Mfence | Insn::Nop => {}
-            // Terminators were skipped above.
+            // Fences and nops; a body holds no terminator.
             _ => {}
         }
     }
 
     // Terminator.
-    let last = block.insns.last().map(|ci| ci.insn);
-    match block.term {
-        Term::Jump(t) | Term::ResolvedJump(t) | Term::Fall(t) => vec![(t, st)],
-        Term::Cond { taken, fall } => {
-            let cond = match last {
-                Some(Insn::Jcc { cond, .. }) => Some(cond),
-                _ => None,
-            };
-            match cond.and_then(|c| decide(c, st.flags)) {
-                Some(true) => vec![(taken, st)],
-                Some(false) => vec![(fall, st)],
-                None => vec![(taken, st.clone()), (fall, st)],
-            }
-        }
+    let pc = run.end;
+    if !run.body.is_empty() && nodes.contains(&pc) {
+        walked.push((pc, st.clone()));
+    }
+    let mut out = match run.term {
+        Term::Jump(t) => vec![(t, st)],
+        Term::Cond { cond, taken, fall } => match decide(cond, st.flags) {
+            Some(true) => vec![(taken, st)],
+            Some(false) => vec![(fall, st)],
+            None => vec![(taken, st.clone()), (fall, st)],
+        },
         Term::Call { target, ret } => {
-            let pc = block.insns.last().map(|ci| ci.pc).unwrap_or(block.start);
             push_ret(&mut st, pc, ret, inst, fx);
             vec![(target, st)]
         }
@@ -742,7 +826,6 @@ fn exec_block(
             match target {
                 Some(t) => {
                     if let Some(r) = ret {
-                        let pc = block.insns.last().map(|ci| ci.pc).unwrap_or(block.start);
                         push_ret(&mut st, pc, r, inst, fx);
                     }
                     vec![(t, st)]
@@ -754,7 +837,6 @@ fn exec_block(
             }
         }
         Term::Ret => {
-            let pc = block.insns.last().map(|ci| ci.pc).unwrap_or(block.start);
             let rsp = st.get(Gpr::RSP);
             let region = record(&mut st, fx, inst, pc, AccessKind::Read, 8, rsp);
             let target = match (region, rsp) {
@@ -777,7 +859,6 @@ fn exec_block(
         }
         Term::Halt => vec![],
         Term::Syscall { next } => {
-            let pc = block.insns.last().map(|ci| ci.pc).unwrap_or(block.start);
             let nr = st.get(Gpr::RAX).singleton();
             st.set(Gpr::RAX, Val::Top);
             match nr {
@@ -835,7 +916,11 @@ fn exec_block(
             fx.poisons.insert(Poison::BadBlock);
             vec![]
         }
-    }
+    };
+    // Last, so that a run's edge to a node inside it records the state
+    // it walks in with (see `detect_pins`).
+    out.extend(walked);
+    out
 }
 
 /// Pushes the return address for a call terminator (a real store).
@@ -854,24 +939,23 @@ fn push_ret(st: &mut State, pc: u64, ret: u64, inst: usize, fx: &mut BlockEffect
     st.set(Gpr::RSP, rsp);
 }
 
-/// [`Transfer`] impl driving [`exec_block`] over the recovered CFG, with
-/// optional forced pins at refined loop heads.
-struct Interp<'a> {
-    bin: &'a GuestBinary,
-    cfg: &'a Cfg,
+/// [`Transfer`] impl driving [`exec_block`] over the runs, with optional
+/// forced pins at refined loop heads.
+struct Interp<'r, 't> {
+    runs: &'r mut Runs<'t>,
     inst: usize,
     pins: BTreeMap<u64, State>,
     fx: BlockEffects,
+    /// The nodes reached so far.
+    nodes: BTreeSet<u64>,
 }
 
-impl Transfer for Interp<'_> {
+impl Transfer for Interp<'_, '_> {
     type State = State;
     fn flow(&mut self, node: u64, input: &State) -> Vec<(u64, State)> {
-        let Some(block) = self.cfg.blocks.get(&node) else {
-            self.fx.poisons.insert(Poison::MissingBlock);
-            return vec![];
-        };
-        let mut out = exec_block(self.bin, block, input, self.inst, &mut self.fx);
+        let text = self.runs.text;
+        let run = self.runs.at(node);
+        let mut out = exec_block(text, run, input, self.inst, &mut self.fx, &self.nodes);
         // Accesses recorded while *solving* are discarded; only the
         // final collection walk's records are kept.
         self.fx.accesses.clear();
@@ -882,6 +966,13 @@ impl Transfer for Interp<'_> {
         }
         out
     }
+
+    /// Every run that walks over `node` must now feed it.
+    fn reached(&mut self, node: u64) -> Vec<u64> {
+        self.nodes.insert(node);
+        let over = |r: &Run| r.end == node || r.body.iter().skip(1).any(|&(pc, _)| pc == node);
+        self.runs.decoded.range(..node).filter(|(_, r)| over(r)).map(|(&pc, _)| pc).collect()
+    }
 }
 
 /// A detected counted self-loop and its affine head pin.
@@ -890,27 +981,7 @@ struct LoopPin {
     pin: State,
 }
 
-/// All sixteen registers in index order.
-const GPRS: [Gpr; 16] = [
-    Gpr::RAX,
-    Gpr::RCX,
-    Gpr::RDX,
-    Gpr::RBX,
-    Gpr::RSP,
-    Gpr::RBP,
-    Gpr::RSI,
-    Gpr::RDI,
-    Gpr::R8,
-    Gpr::R9,
-    Gpr::R10,
-    Gpr::R11,
-    Gpr::R12,
-    Gpr::R13,
-    Gpr::R14,
-    Gpr::R15,
-];
-
-/// Writes of an instruction to a register (including `RSP` updates).
+/// Writes of a body instruction to a register (including `RSP` updates).
 fn writes_reg(insn: &Insn, r: Gpr) -> bool {
     match *insn {
         Insn::MovRI { dst, .. }
@@ -924,49 +995,52 @@ fn writes_reg(insn: &Insn, r: Gpr) -> bool {
         Insn::MulWide { .. } | Insn::Div { .. } => r == Gpr::RAX || r == Gpr::RDX,
         Insn::LockCmpxchg { .. } => r == Gpr::RAX,
         Insn::LockXadd { src, .. } => src == r,
-        Insn::Syscall => r == Gpr::RAX,
-        Insn::Push { .. } | Insn::Call { .. } | Insn::CallReg { .. } | Insn::Ret => r == Gpr::RSP,
+        Insn::Push { .. } => r == Gpr::RSP,
         _ => false,
     }
 }
 
 /// Detects counted self-loops in `sol` and computes their forced pins.
 ///
-/// Shape (the workload generator's `CountedLoop`): a single block `B`
-/// whose conditional terminator targets its own start, ending
+/// Shape (the workload generator's `CountedLoop`): a node `B` whose
+/// conditional terminator targets its own start, ending
 /// `sub c, 1; cmp c, 0; jne B`, where `c` is written nowhere else in
-/// the block and enters the loop as a singleton `c₀ ≥ 1`. The loop body
+/// the node and enters the loop as a singleton `c₀ ≥ 1`. The loop body
 /// is straight-line and runs exactly `c₀` times, so at head entry of
 /// iteration `i ∈ [0, c₀)` every register whose per-iteration delta is
 /// a syntactic constant `s` holds `entry + i·s`; the pin is the hull of
 /// that family. Registers written any other way pin to ⊤.
-fn detect_pins(cfg: &Cfg, entry: u64, entry_state: &State, sol: &Solution<State>) -> Vec<LoopPin> {
+fn detect_pins(
+    runs: &mut Runs,
+    entry: u64,
+    entry_state: &State,
+    sol: &Solution<State>,
+) -> Vec<LoopPin> {
     let mut pins = Vec::new();
-    for (&start, b) in &cfg.blocks {
-        if !sol.inputs.contains_key(&start) {
-            continue;
-        }
-        let Term::Cond { taken, fall } = b.term else { continue };
+    for &start in sol.inputs.keys() {
+        let b = runs.at(start);
+        let Term::Cond { cond: Cond::Ne, taken, fall } = b.term else { continue };
         if taken != start || fall == start {
             continue;
         }
-        let n = b.insns.len();
-        if n < 3 {
+        let n = b.body.len();
+        if n < 2 {
             continue;
         }
-        let counter = match (b.insns[n - 3].insn, b.insns[n - 2].insn, b.insns[n - 1].insn) {
+        let counter = match (b.body[n - 2].1, b.body[n - 1].1) {
             (
                 Insn::Alu { op: AluOp::Sub, dst: c, src: Operand::Imm(1) },
                 Insn::Cmp { a, b: Operand::Imm(0) },
-                Insn::Jcc { cond: Cond::Ne, .. },
             ) if a == c => c,
             _ => continue,
         };
-        if b.insns[..n - 3].iter().any(|ci| writes_reg(&ci.insn, counter)) {
+        if b.body[..n - 2].iter().any(|(_, insn)| writes_reg(insn, counter)) {
             continue;
         }
         // Entry state: join of edges into the head from outside the loop
-        // (plus the instance entry state if the head is the entry).
+        // (plus the instance entry state if the head is the entry). A run
+        // that walks over the head enters the loop there; its edge holds
+        // that state, not its terminator's (the first iteration's) one.
         let mut ext: Option<State> = if start == entry { Some(entry_state.clone()) } else { None };
         for ((from, to), st) in &sol.edges {
             if *to == start && *from != start {
@@ -985,8 +1059,8 @@ fn detect_pins(cfg: &Cfg, entry: u64, entry_state: &State, sol: &Solution<State>
         }
         // Per-register syntactic deltas over one iteration.
         let mut delta: [Option<i64>; 16] = [Some(0); 16];
-        for ci in &b.insns[..n - 1] {
-            match ci.insn {
+        for &(_, insn) in &b.body {
+            match insn {
                 Insn::Alu { op: AluOp::Add, dst, src: Operand::Imm(k) } => {
                     if let Some(d) = delta[dst.index()] {
                         delta[dst.index()] = d.checked_add(k as i64);
@@ -1004,7 +1078,7 @@ fn detect_pins(cfg: &Cfg, entry: u64, entry_state: &State, sol: &Solution<State>
                 }
                 ref other => {
                     for (i, slot) in delta.iter_mut().enumerate() {
-                        if writes_reg(other, GPRS[i]) {
+                        if writes_reg(other, Gpr(i as u8)) {
                             *slot = None;
                         }
                     }
@@ -1040,9 +1114,9 @@ fn detect_pins(cfg: &Cfg, entry: u64, entry_state: &State, sol: &Solution<State>
         }
         // Tracked stack slots survive the pin only if the loop body
         // provably never writes memory.
-        let writes_mem = b.insns.iter().any(|ci| {
+        let writes_mem = b.body.iter().any(|(_, insn)| {
             matches!(
-                ci.insn,
+                insn,
                 Insn::Store { .. }
                     | Insn::StoreB { .. }
                     | Insn::Push { .. }
@@ -1062,25 +1136,26 @@ fn detect_pins(cfg: &Cfg, entry: u64, entry_state: &State, sol: &Solution<State>
 /// Result of analyzing one instance.
 struct InstanceResult {
     accesses: Vec<Access>,
-    spawns: Vec<(u64, u64, Val)>,
+    /// Per `(site pc, target)`: the child's argument and whether it is
+    /// replicated.
+    spawns: BTreeMap<(u64, u64), (Val, bool)>,
     poisons: BTreeSet<Poison>,
-    edges: BTreeSet<(u64, u64)>,
     refined: u32,
 }
 
-/// One core instance: the image's `cfg`, which every instance shares,
+/// One core instance: the image's runs, which every instance shares,
 /// walked from the pc this one starts at.
-fn analyze_instance(
-    bin: &GuestBinary,
-    cfg: &Cfg,
-    entry: u64,
-    inst: usize,
-    arg: Val,
-) -> InstanceResult {
+fn analyze_instance(runs: &mut Runs, entry: u64, inst: usize, arg: Val) -> InstanceResult {
     let entry_state = State::entry(arg);
 
     // Phase 1: plain widening solve.
-    let mut interp = Interp { bin, cfg, inst, pins: BTreeMap::new(), fx: BlockEffects::default() };
+    let mut interp = Interp {
+        runs: &mut *runs,
+        inst,
+        pins: BTreeMap::new(),
+        fx: BlockEffects::default(),
+        nodes: BTreeSet::from([entry]),
+    };
     let sol1 = solve(&mut interp, &[(entry, entry_state.clone())], MAX_STEPS);
     let mut poisons = std::mem::take(&mut interp.fx.poisons);
     if sol1.hit_limit {
@@ -1091,15 +1166,15 @@ fn analyze_instance(
     let mut refined = 0u32;
     let mut sol = sol1;
     if poisons.is_empty() {
-        let pins = detect_pins(cfg, entry, &entry_state, &sol);
+        let pins = detect_pins(runs, entry, &entry_state, &sol);
         if !pins.is_empty() {
             let n = pins.len() as u32;
             let mut interp3 = Interp {
-                bin,
-                cfg,
+                runs: &mut *runs,
                 inst,
                 pins: pins.into_iter().map(|p| (p.head, p.pin)).collect(),
                 fx: BlockEffects::default(),
+                nodes: BTreeSet::from([entry]),
             };
             let sol3 = solve(&mut interp3, &[(entry, entry_state.clone())], MAX_STEPS);
             let p1_edges: BTreeSet<(u64, u64)> = sol.edges.keys().copied().collect();
@@ -1114,27 +1189,25 @@ fn analyze_instance(
     }
 
     // Phase 4: deterministic collection walk over the fixpoint inputs.
+    // A spawn site can sit in several nodes (a jump into the middle of a
+    // run starts a node of its own): the site spawns one child, whose
+    // argument is the join of those nodes' `RSI`s and which stands for
+    // several cores if any of those nodes can reach itself.
+    let edges: BTreeSet<(u64, u64)> = sol.edges.keys().copied().collect();
     let mut fx = BlockEffects::default();
+    let mut spawns: BTreeMap<(u64, u64), (Val, bool)> = BTreeMap::new();
     for (&node, input) in &sol.inputs {
-        if let Some(block) = cfg.blocks.get(&node) {
-            exec_block(bin, block, input, inst, &mut fx);
+        exec_block(runs.text, runs.at(node), input, inst, &mut fx, &BTreeSet::new());
+        for (site, target, arg) in fx.spawns.drain(..) {
+            let loops = reaches_itself(node, &edges);
+            let (a, l) = spawns.entry((site, target)).or_insert((arg, loops));
+            *a = a.join(arg);
+            *l |= loops;
         }
     }
     poisons.extend(fx.poisons.iter().copied());
 
-    // Deduplicate spawn sites (a site interpreted in several walks still
-    // spawns once per realized site).
-    let mut seen = BTreeSet::new();
-    let spawns: Vec<(u64, u64, Val)> =
-        fx.spawns.into_iter().filter(|s| seen.insert((s.0, s.1))).collect();
-
-    InstanceResult {
-        accesses: fx.accesses,
-        spawns,
-        poisons,
-        edges: sol.edges.keys().copied().collect(),
-        refined,
-    }
+    InstanceResult { accesses: fx.accesses, spawns, poisons, refined }
 }
 
 /// `true` when access ranges may refer to the same bytes. `same_core`
@@ -1150,12 +1223,10 @@ fn ranges_meet(a: Region, b: Region, same_core: bool) -> bool {
     }
 }
 
-/// Runs the whole-image escape analysis over a recovered CFG.
-pub fn analyze(bin: &GuestBinary, cfg: &Cfg) -> ImageFacts {
+/// Runs the whole-image escape analysis.
+pub fn analyze(bin: &GuestBinary) -> ImageFacts {
+    let mut runs = Runs { text: &bin.text, decoded: BTreeMap::new() };
     let mut poisons: BTreeSet<Poison> = BTreeSet::new();
-    if cfg.unresolved {
-        poisons.insert(Poison::UnresolvedIndirect);
-    }
 
     // Instance discovery worklist. Entries are (entry pc, arg,
     // replicated, spawned_at); the root core has arg 0.
@@ -1186,18 +1257,13 @@ pub fn analyze(bin: &GuestBinary, cfg: &Cfg) -> ImageFacts {
             spawned_at: p.spawned_at,
             replicated: p.replicated,
         });
-        let r = analyze_instance(bin, cfg, p.entry, inst, p.arg);
+        let r = analyze_instance(&mut runs, p.entry, inst, p.arg);
         poisons.extend(r.poisons.iter().copied());
         refined_loops += r.refined;
         for a in &r.accesses {
             all_accesses.push((p.replicated, *a));
         }
-        for &(site_pc, target, arg) in &r.spawns {
-            // A spawn site whose block can re-reach itself spawns an
-            // unbounded family of cores: the child is replicated.
-            let site_block =
-                cfg.blocks.range(..=site_pc).next_back().map(|(&s, _)| s).unwrap_or(site_pc);
-            let loops = reaches_itself(site_block, &r.edges);
+        for (&(site_pc, target), &(arg, loops)) in &r.spawns {
             queue.push_back(Pending {
                 entry: target,
                 arg,
@@ -1276,14 +1342,14 @@ fn meet(a: SiteClass, b: SiteClass) -> SiteClass {
     }
 }
 
-/// Can `block` reach itself over the realized edge set?
-fn reaches_itself(block: u64, edges: &BTreeSet<(u64, u64)>) -> bool {
+/// Can `node` reach itself over the realized edge set?
+fn reaches_itself(node: u64, edges: &BTreeSet<(u64, u64)>) -> bool {
     let mut seen = BTreeSet::new();
-    let mut work = vec![block];
+    let mut work = vec![node];
     while let Some(n) = work.pop() {
         for &(f, t) in edges.range((n, 0)..=(n, u64::MAX)) {
             debug_assert_eq!(f, n);
-            if t == block {
+            if t == node {
                 return true;
             }
             if seen.insert(t) {
@@ -1297,17 +1363,19 @@ fn reaches_itself(block: u64, edges: &BTreeSet<(u64, u64)>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::recover;
     use risotto_guest_x86::{Assembler, GelfBuilder};
 
-    fn facts(build: impl FnOnce(&mut GelfBuilder, &mut Vec<u64>)) -> (ImageFacts, Vec<u64>) {
+    fn image(build: impl FnOnce(&mut GelfBuilder)) -> GuestBinary {
         let mut b = GelfBuilder::new("main");
-        let mut addrs = Vec::new();
         b.asm.label("main");
-        build(&mut b, &mut addrs);
-        let bin = b.finish().expect("valid image");
-        let cfg = recover(&bin);
-        (analyze(&bin, &cfg), addrs)
+        build(&mut b);
+        b.finish().expect("valid image")
+    }
+
+    fn facts(build: impl FnOnce(&mut GelfBuilder, &mut Vec<u64>)) -> (ImageFacts, Vec<u64>) {
+        let mut addrs = Vec::new();
+        let bin = image(|b| build(b, &mut addrs));
+        (analyze(&bin), addrs)
     }
 
     /// Helper: asm-only image.
@@ -1598,5 +1666,133 @@ mod tests {
         assert!(!fx.poisoned(), "poisons: {:?}", fx.poisons);
         let store = fx.sites.values().find(|s| s.kind == AccessKind::Write).unwrap();
         assert_eq!(store.class, SiteClass::Shared);
+    }
+
+    #[test]
+    fn register_jump_resolves_through_the_domain() {
+        let bin = image(|b| {
+            let cell = b.data_u64(&[0]);
+            let a = &mut b.asm;
+            a.mov_label(Gpr::R11, "tgt");
+            a.insn(Insn::JmpReg { reg: Gpr::R11 });
+            a.label("tgt");
+            a.mov_ri(Gpr::RBX, cell);
+            a.label("store");
+            a.store(Gpr::RBX, 0, Gpr::RAX);
+            a.hlt();
+        });
+        let fx = analyze(&bin);
+        assert!(!fx.poisoned(), "poisons: {:?}", fx.poisons);
+        let store = fx.sites.get(&bin.symbols["store"]).expect("the target's store is recorded");
+        assert_eq!(store.class, SiteClass::Private);
+
+        // A target the domain cannot pin down poisons the image.
+        let (fx, _) = facts(|b, _| {
+            let cell = b.data_u64(&[0]);
+            b.asm.mov_ri(Gpr::RBX, cell);
+            b.asm.load(Gpr::R11, Gpr::RBX, 0); // R11 = ⊤
+            b.asm.insn(Insn::JmpReg { reg: Gpr::R11 });
+        });
+        assert_eq!(fx.poisons, vec![Poison::UnresolvedIndirect]);
+    }
+
+    #[test]
+    fn spawn_site_in_two_nodes_joins_their_arguments() {
+        // The spawn ends two overlapping nodes: the run from the
+        // fallthrough (RSI = 1) and the run from `site`, entered by a
+        // jump into its middle (RSI = 0). The one child must be analysed
+        // with RSI ∈ [0, 1], so its store covers both 8-byte slots.
+        let mut out = 0;
+        let bin = image(|b| {
+            let cell = b.data_u64(&[0]);
+            out = b.data_zeroed(16);
+            let a = &mut b.asm;
+            a.mov_ri(Gpr::RBX, cell);
+            a.load(Gpr::RCX, Gpr::RBX, 0); // RCX = ⊤: both arms run
+            a.mov_ri(Gpr::RSI, 0);
+            a.cmp_ri(Gpr::RCX, 0);
+            a.jcc_to(Cond::E, "site");
+            a.mov_ri(Gpr::RSI, 1);
+            a.label("site");
+            a.mov_ri(Gpr::RAX, syscalls::SPAWN);
+            a.mov_label(Gpr::RDI, "worker");
+            a.label("spawn");
+            a.syscall();
+            a.hlt();
+            a.label("worker");
+            a.mov_rr(Gpr::RBX, Gpr::RDI);
+            a.alu_ri(AluOp::Mul, Gpr::RBX, 8);
+            a.alu_ri(AluOp::Add, Gpr::RBX, out);
+            a.label("store");
+            a.store(Gpr::RBX, 0, Gpr::RAX);
+            a.hlt();
+        });
+        let fx = analyze(&bin);
+        assert!(!fx.poisoned(), "poisons: {:?}", fx.poisons);
+        assert_eq!(fx.instances.len(), 2, "one site spawns one child");
+        let child = &fx.instances[1];
+        assert_eq!(child.spawned_at, Some(bin.symbols["spawn"]));
+        assert!(!child.replicated, "neither node loops");
+        let store = fx.sites[&bin.symbols["store"]];
+        assert_eq!(store.region, Region::Abs(out, out + 15));
+    }
+
+    #[test]
+    fn spawn_target_is_found_by_the_walk() {
+        // The worker is reachable only as a spawn target, and its entry
+        // reaches RDI through a register copy.
+        let bin = image(|b| {
+            let cell = b.data_u64(&[0]);
+            let a = &mut b.asm;
+            a.mov_label(Gpr::RBX, "worker");
+            a.mov_ri(Gpr::RAX, syscalls::SPAWN);
+            a.mov_rr(Gpr::RDI, Gpr::RBX);
+            a.mov_ri(Gpr::RSI, 7);
+            a.label("spawn");
+            a.syscall();
+            a.hlt();
+            a.label("worker");
+            a.mov_ri(Gpr::RBX, cell);
+            a.label("store");
+            a.store(Gpr::RBX, 0, Gpr::RDI);
+            a.mov_ri(Gpr::RAX, syscalls::EXIT);
+            a.syscall();
+        });
+        let fx = analyze(&bin);
+        assert!(!fx.poisoned(), "poisons: {:?}", fx.poisons);
+        assert_eq!(fx.instances.len(), 2);
+        assert_eq!(fx.instances[1].entry, bin.symbols["worker"]);
+        assert_eq!(fx.instances[1].spawned_at, Some(bin.symbols["spawn"]));
+        assert_eq!(fx.sites[&bin.symbols["store"]].class, SiteClass::Private);
+    }
+
+    #[test]
+    fn a_node_inside_a_run_joins_the_state_walking_into_it() {
+        // The loop head lies inside the entry run, which walks into it
+        // with RSI = 0; the back edge enters it with RSI = 8. The head is
+        // first reached after the entry run has flowed, so that run must
+        // flow again to feed it.
+        let bin = image(|b| {
+            let cell = b.data_u64(&[0]);
+            let a = &mut b.asm;
+            a.mov_ri(Gpr::RBX, cell);
+            a.mov_ri(Gpr::RSI, 0);
+            a.label("head");
+            a.load(Gpr::RCX, Gpr::RBX, 0); // RCX = ⊤: the loop may exit
+            a.mov_ri(Gpr::RSI, 8);
+            a.cmp_ri(Gpr::RCX, 0);
+            a.jcc_to(Cond::Ne, "head");
+            a.hlt();
+        });
+        let mut runs = Runs { text: &bin.text, decoded: BTreeMap::new() };
+        let mut interp = Interp {
+            runs: &mut runs,
+            inst: 0,
+            pins: BTreeMap::new(),
+            fx: BlockEffects::default(),
+            nodes: BTreeSet::from([bin.entry]),
+        };
+        let sol = solve(&mut interp, &[(bin.entry, State::entry(Val::Int(0, 0)))], MAX_STEPS);
+        assert_eq!(sol.inputs[&bin.symbols["head"]].get(Gpr::RSI), Val::Int(0, 8));
     }
 }

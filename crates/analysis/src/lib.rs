@@ -1,8 +1,8 @@
 //! Whole-program static analysis over loaded MiniX86 guest images.
 //!
-//! This crate recovers a control-flow graph from the guest text
-//! ([`mod@cfg`]), runs the escape analysis over it ([`dataflow`] is its
-//! solver), and distils the result into [`ImageFacts`]: a per-site
+//! This crate runs the escape analysis over the guest text, decoding
+//! its nodes as control reaches them ([`dataflow`] is its solver), and
+//! distils the result into [`ImageFacts`]: a per-site
 //! classification of every static memory access — exactly what the
 //! translator reads. The engine consumes the facts to *relax*
 //! fence/ordering obligations on provably core-private or read-only
@@ -22,7 +22,6 @@
 
 #![deny(missing_docs)]
 
-pub mod cfg;
 pub mod dataflow;
 pub mod escape;
 pub mod knownbits;
@@ -172,10 +171,10 @@ pub fn event_sites(pc: u64, guest_len: u64, fetch: impl Fn(u64) -> [u8; 16]) -> 
     events
 }
 
-/// Runs the whole-program pipeline over one image: CFG recovery, then
-/// the multi-instance escape analysis.
+/// Runs the whole-program pipeline over one image: the multi-instance
+/// escape analysis.
 pub fn analyze_image(bin: &GuestBinary) -> ImageFacts {
-    escape::analyze(bin, &cfg::recover(bin))
+    escape::analyze(bin)
 }
 
 #[cfg(test)]
@@ -246,10 +245,7 @@ mod tests {
             b.asm.insn(risotto_guest_x86::Insn::JmpReg { reg: Gpr::RBX });
         });
         let facts = analyze_image(&bin);
-        // Static recovery cannot resolve the register jump through an
-        // arbitrary constant? The CFG const-tracker resolves MovRI, so
-        // this may decode as a resolved jump to a bad pc instead; in
-        // either case the image must end poisoned and unrelaxable.
+        // The register holds a constant, but not a text address.
         assert!(facts.poisoned());
         assert_eq!(facts.summary().relaxable, 0);
         assert!(!facts.relaxable(risotto_guest_x86::TEXT_BASE));

@@ -34,8 +34,8 @@
 
 #![warn(missing_docs)]
 
-/// Whole-program static analysis: CFG recovery, dataflow, escape
-/// analysis driving sound fence relaxation (docs/ANALYSIS.md).
+/// Whole-program static analysis: dataflow and the escape analysis
+/// driving sound fence relaxation (docs/ANALYSIS.md).
 pub use risotto_analysis as analysis;
 /// The DBT engine and dynamic host linker.
 pub use risotto_core as core;
