@@ -5,14 +5,11 @@
 use super::syscall::SyscallOutcome;
 use super::{EmuError, Emulator};
 use risotto_guest_x86::{exec_insn, Flags, Gpr, GuestState, Insn, Step};
-use risotto_tcg::TranslateError;
+use risotto_tcg::{TranslateError, MAX_TB_INSNS};
 
 /// Cycle cost charged per interpreted guest instruction (interpretation
 /// is roughly an order of magnitude slower than translated code).
 const INTERP_CYCLES_PER_INSN: u64 = 12;
-
-/// Interpreted basic blocks are capped like translated ones.
-const MAX_INTERP_BLOCK: usize = 64;
 
 impl Emulator {
     /// Interprets one guest basic block on `core`'s behalf, against the
@@ -33,7 +30,8 @@ impl Emulator {
     ) -> Result<Option<u64>, EmuError> {
         self.machine.drain_store_buffer(core);
         let mut pc = start_pc;
-        for _ in 0..MAX_INTERP_BLOCK {
+        // Interpreted blocks are capped like translated ones.
+        for _ in 0..MAX_TB_INSNS {
             if self.counts.interp_steps >= self.fuel_limit {
                 return Err(EmuError::OutOfFuel);
             }
