@@ -11,7 +11,7 @@
 //! which the Arm model's `dob` consumes.
 
 use crate::program::{Expr, Instr, LocSpec, Program, Reg, Thread};
-use risotto_memmodel::{EventKind, FenceKind, Loc, RmwTag, Val};
+use risotto_memmodel::{EventKind, Loc, RmwTag, Val};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Cap on how many distinct values a location may take during the
@@ -339,10 +339,6 @@ pub fn elaborate_program(prog: &Program) -> Vec<Vec<ThreadTrace>> {
     let potential = potential_values(prog);
     prog.threads.iter().map(|t| elaborate_thread(t, &potential)).collect()
 }
-
-/// Well-known fence shorthand used across the corpus: the TCG `Frm` fence
-/// the verified mapping emits after loads.
-pub const TRAILING_LOAD_FENCE: FenceKind = FenceKind::Frm;
 
 #[cfg(test)]
 mod tests {

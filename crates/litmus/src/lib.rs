@@ -30,11 +30,9 @@
 pub mod corpus;
 pub mod elaborate;
 mod enumerate;
-mod parse;
 mod program;
 
 pub use enumerate::{allows, behaviors, for_each_consistent, Behavior};
-pub use parse::{parse_litmus, LitmusTest, OutcomeSpec, ParseError};
 pub use program::{
     Expr, Instr, LocSpec, Program, ProgramBuilder, Reg, RmwKind, Thread, ThreadBuilder,
 };
