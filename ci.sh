@@ -123,12 +123,15 @@ checked_in="$(mktemp /tmp/bench_pipeline.XXXXXX.json)"
 cp BENCH_pipeline.json "$checked_in"
 cargo bench -q -p risotto-bench --bench pipeline -- smoke
 # The suite itself panics if a leg's results differ from the base run's,
-# if analysis-on costs cycles or if the tier-0 leg translates nothing.
-# On top: the kernels whose analysis leg actually removes fences must be
-# exactly the five named below (one fewer and the analysis got weaker,
-# one more and a relaxation appeared that nobody reviewed; swaptions,
-# relaxable at the scale 4 the `analyze --smoke` gate builds, carries a
-# poison at this suite's scale 16).
+# if the analysis leg's cycles move without a relaxed fence or do not
+# fall with one, or if the tier-0 leg translates nothing. On top: the
+# same rule read off the file (analysis only removes fences, so a kernel
+# that relaxes none runs in exactly the analysis-off cycles), and the
+# kernels whose analysis leg actually removes fences must be exactly the
+# five named below (one fewer and the analysis got weaker, one more and
+# a relaxation appeared that nobody reviewed; swaptions, relaxable at
+# the scale 4 the `analyze --smoke` gate builds, carries a poison at
+# this suite's scale 16).
 python3 - "$checked_in" BENCH_pipeline.json <<'EOF'
 import json, sys
 base = {k["kernel"]: k for k in json.load(open(sys.argv[1]))["kernels"]}
@@ -139,6 +142,11 @@ for k in doc["kernels"]:
     name, b = k["kernel"], base[k["kernel"]]
     if k["cycles"] > b["cycles"]:
         bad.append(f'{name}: tier-1 {k["cycles"]} > checked-in {b["cycles"]}')
+    an = k["analysis"]
+    if an["relaxed"] == 0:
+        assert an["cycle_delta_vs_off"] == 0, f"{name}: nothing relaxed, yet {an}"
+    else:
+        assert an["cycle_delta_vs_off"] > 0, f"{name}: relaxed fences saved nothing: {an}"
 relaxed = {k["kernel"] for k in doc["kernels"] if k["analysis"]["relaxed"] > 0}
 assert relaxed == {"freqmine", "streamcluster", "linearregression", "pca", "stringmatch"}, \
     f"kernels that relax fences changed: {sorted(relaxed)}"

@@ -9,27 +9,21 @@
 //! accesses before lowering; the translation verifier re-derives the
 //! relaxation mask from the same facts, so an engine (or a mutant)
 //! claiming a wrong "private" produces a structured verification error
-//! at install time.
+//! at install time. Removing fences is the facts' only use.
 //!
-//! The two analysis clients:
-//!
-//! * [`escape`] — shared-memory escape analysis: classifies every
-//!   static access as core-private / read-only-shared / shared /
-//!   atomic across all spawned-core instances.
-//! * [`knownbits`] — value-range / known-bits over translated TCG
-//!   blocks, feeding the optimizer's constant folding and dead-branch
-//!   pruning via `risotto_tcg::IrHints`.
+//! [`escape`] is the shared-memory escape analysis: it classifies every
+//! static access as core-private / read-only-shared / shared / atomic
+//! across all spawned-core instances.
 
 #![deny(missing_docs)]
 
 pub mod dataflow;
 pub mod escape;
-pub mod knownbits;
 
 pub use escape::{AccessKind, InstanceInfo, Poison, Site, SiteClass};
-pub use knownbits::ir_hints;
 
 use risotto_guest_x86::{GuestBinary, Insn};
+use risotto_tcg::{IrHints, TcgBlock};
 use std::collections::BTreeMap;
 
 /// Aggregate summary of an image's analysis (the `analyze` bench bin
@@ -175,6 +169,13 @@ pub fn event_sites(pc: u64, guest_len: u64, fetch: impl Fn(u64) -> [u8; 16]) -> 
 /// escape analysis.
 pub fn analyze_image(bin: &GuestBinary) -> ImageFacts {
     escape::analyze(bin)
+}
+
+/// No hints: the known-bits IR pass is gone. Kept only because the
+/// frozen `benchmark/` replay still calls it; ROADMAP item 4 deletes it.
+#[doc(hidden)]
+pub fn ir_hints(_block: &TcgBlock) -> IrHints {
+    IrHints
 }
 
 #[cfg(test)]

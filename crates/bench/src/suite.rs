@@ -47,8 +47,9 @@ const LEGS: [Leg; 4] = [
 /// # Panics
 ///
 /// Panics on any emulation error, if a leg's results differ from the
-/// base run's, if analysis costs cycles, or if the tier-0 leg translated
-/// anything through the IR pipeline.
+/// base run's, if the analysis leg's cycles differ from the base run's
+/// without a relaxed fence or do not fall with one, or if the tier-0 leg
+/// translated anything through the IR pipeline.
 pub fn pipeline_json(smoke: bool) -> String {
     let (scale, threads) = if smoke { (SMOKE_SCALE, 2) } else { (64, 2) };
     let mode = if smoke { "smoke" } else { "full" };
@@ -75,9 +76,12 @@ pub fn pipeline_json(smoke: bool) -> String {
             assert_eq!(other.output, r.output, "{} ({}): output", w.name, leg.name);
         }
         let [_, (rt, tso), (ra, an), (r0, t0)] = &runs[..] else { unreachable!("one run per leg") };
+        // Analysis only removes fences: a leg that relaxed none runs in
+        // exactly the base cycles, one that relaxed some in fewer.
+        let relaxed = an.counter("analysis.relaxed");
         assert!(
-            ra.cycles <= r.cycles,
-            "{}: analysis-on run regressed cycles ({} > {})",
+            if relaxed == 0 { ra.cycles == r.cycles } else { ra.cycles < r.cycles },
+            "{}: analysis leg ran {} cycles against {} with {relaxed} fences relaxed",
             w.name,
             ra.cycles,
             r.cycles
@@ -91,7 +95,7 @@ pub fn pipeline_json(smoke: bool) -> String {
             r.cycles,
             100.0 * r.chain_hit_rate(),
             r.cycles as i64 - ra.cycles as i64,
-            an.counter("analysis.relaxed"),
+            relaxed,
             rt.cycles,
             tso.counter("fence.exec.dmb_ff"),
             r0.cycles,
@@ -105,8 +109,7 @@ pub fn pipeline_json(smoke: bool) -> String {
                 "\"cycle_delta_vs_arm\": {}}},\n     ",
                 "\"analysis\": {{\"cycles\": {}, \"cycle_delta_vs_off\": {}, ",
                 "\"relaxed\": {}, \"relaxable\": {}, \"sites\": {}, ",
-                "\"private\": {}, \"poisons\": {}, \"hint_folded\": {}, ",
-                "\"branches_pruned\": {}}},\n     ",
+                "\"private\": {}, \"poisons\": {}}},\n     ",
                 "\"tier0\": {{\"cycles\": {}, \"blocks\": {}, \"insns\": {}}},\n     ",
                 "\"metrics\": {}}}"
             ),
@@ -123,13 +126,11 @@ pub fn pipeline_json(smoke: bool) -> String {
             r.cycles as i64 - rt.cycles as i64,
             ra.cycles,
             r.cycles as i64 - ra.cycles as i64,
-            an.counter("analysis.relaxed"),
+            relaxed,
             an.counter("analysis.relaxable"),
             an.counter("analysis.sites"),
             an.counter("analysis.private"),
             an.counter("analysis.poisons"),
-            an.counter("analysis.hint_folded"),
-            an.counter("analysis.branches_pruned"),
             r0.cycles,
             r0.template.blocks,
             r0.template.insns,

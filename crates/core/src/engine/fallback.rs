@@ -32,7 +32,7 @@ impl Emulator {
         let mut pc = start_pc;
         // Interpreted blocks are capped like translated ones.
         for _ in 0..MAX_TB_INSNS {
-            if self.counts.interp_steps >= self.fuel_limit {
+            if self.fuel_left() == 0 {
                 return Err(EmuError::OutOfFuel);
             }
             self.counts.interp_steps += 1;

@@ -15,7 +15,7 @@ use crate::{faults::FaultPlan, Report};
 use risotto_analysis::AnalysisSummary;
 use risotto_host_arm::AllocStats;
 use risotto_memmodel::FenceKind;
-use risotto_tcg::{HintStats, OptStats};
+use risotto_tcg::OptStats;
 use std::collections::BTreeMap;
 
 /// Every total the engine keeps while it runs. [`Report`] and the
@@ -70,8 +70,6 @@ pub(super) struct Counts {
     pub(super) analysis_relaxed: u64,
     /// Tier-1 translations with at least one relaxed event.
     pub(super) analysis_relaxed_blocks: u64,
-    /// Known-bits hint statistics summed over tier-1 translations.
-    pub(super) hint_totals: HintStats,
 }
 
 /// How a metric is read off the engine — which also fixes its kind.
@@ -161,8 +159,6 @@ static METRICS: &[Metric] = &[
     row("analysis.poisons", "poisons", "Soundness poisons (unresolved indirection, solver limits, ...)", Counter(|e| analysis(e).poisons)),
     row("analysis.relaxed", "fences", "Fences removed by analysis-driven relaxation at translate time", Counter(|e| e.counts.analysis_relaxed)),
     row("analysis.relaxed_blocks", "blocks", "Tier-1 translations with at least one relaxed event", Counter(|e| e.counts.analysis_relaxed_blocks)),
-    row("analysis.hint_folded", "ops", "Pure IR ops replaced by constants via known-bits hints", Counter(|e| e.counts.hint_totals.folded as u64)),
-    row("analysis.branches_pruned", "branches", "Conditional exits statically decided by known-bits hints", Counter(|e| e.counts.hint_totals.branches_pruned as u64)),
     row("regalloc.env_loads_eliminated", "loads", "GetReg ops served from a pinned host register (env LDRs avoided)", Counter(|e| e.counts.regalloc_totals.env_loads_eliminated)),
     row("regalloc.spills", "stores", "Temp values spilled to the spill area under register pressure", Counter(|e| e.counts.regalloc_totals.spills)),
     row("exec.cycles", "cycles", "Simulated parallel runtime (max core clock)", Gauge(|e| e.machine.clock())),

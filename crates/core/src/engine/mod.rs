@@ -102,7 +102,9 @@ pub struct Emulator {
     /// Bounded guest pc → failed-translation-attempt map (fallback
     /// bookkeeping, satellite of the translation verifier).
     quarantine: Quarantine,
-    fuel_limit: u64,
+    /// Machine steps plus interpreted guest instructions at which the
+    /// current run is out of fuel (see [`Emulator::fuel_left`]).
+    fuel_end: u64,
     watchdog: Option<u64>,
     /// Every total the engine keeps (docs/METRICS.md).
     counts: Counts,
@@ -148,7 +150,7 @@ impl Emulator {
             backend_kind: BackendKind::Arm,
             plan: FaultPlan::default(),
             quarantine: Quarantine::default(),
-            fuel_limit: u64::MAX,
+            fuel_end: u64::MAX,
             watchdog: None,
             counts: Counts::default(),
             obs: Obs::new(),
@@ -557,6 +559,12 @@ impl Emulator {
         }
     }
 
+    /// Fuel the current run has left: what neither the machine's steps
+    /// nor the fallback's interpreted guest instructions have used up.
+    fn fuel_left(&self) -> u64 {
+        self.fuel_end.saturating_sub(self.machine.total_steps() + self.counts.interp_steps)
+    }
+
     /// The stable engine id of the block at `guest_pc`, once it has one.
     fn tb_id(&self, guest_pc: u64) -> Option<u64> {
         self.tbs.get(&guest_pc)?.id
@@ -610,17 +618,16 @@ impl Emulator {
     /// As [`Emulator::run`].
     #[doc(hidden)]
     pub fn run_sliced_for_test(&mut self, fuel: u64, slice: u64) -> Result<Report, EmuError> {
-        self.fuel_limit = fuel;
-        let base_steps = self.machine.total_steps();
+        self.fuel_end =
+            (self.machine.total_steps() + self.counts.interp_steps).saturating_add(fuel);
         self.init_core(0, None);
         self.resume_at(0, self.binary.entry)?;
         let mut last_marker = self.progress_marker();
         let mut no_progress: u64 = 0;
         loop {
-            let used = (self.machine.total_steps() - base_steps) + self.counts.interp_steps;
-            let remaining = fuel.saturating_sub(used);
             let before = self.machine.total_steps();
-            let ev = self.machine.run(remaining.min(slice).min(self.watchdog.unwrap_or(u64::MAX)));
+            let budget = self.fuel_left().min(slice).min(self.watchdog.unwrap_or(u64::MAX));
+            let ev = self.machine.run(budget);
             self.inject_tb_cache_faults();
             match ev {
                 Event::AllHalted => break,
@@ -633,8 +640,7 @@ impl Emulator {
                     }
                 }
                 Event::OutOfFuel => {
-                    let used = (self.machine.total_steps() - base_steps) + self.counts.interp_steps;
-                    if used >= fuel {
+                    if self.fuel_left() == 0 {
                         return Err(EmuError::OutOfFuel);
                     }
                     // Otherwise just a slice boundary: fall through to

@@ -6,15 +6,15 @@
 
 use super::{Emulator, Setup, VerifyLevel};
 use crate::obs::{Stage, TraceStage};
-use risotto_analysis::{event_sites, ir_hints};
+use risotto_analysis::event_sites;
 use risotto_guest_x86::Gpr;
 use risotto_host_arm::{
     AOp, BackendConfig, EncodingScratch, HostInsn, LowerScratch, MemOrder, TbExitKind, Xreg,
     ENV_BASE,
 };
 use risotto_tcg::{
-    apply_hints, optimize_in, translate_block_counted, verify as tcg_verify, OptScratch, TcgBlock,
-    TcgOp, VerifyError, VerifyPass, VerifyScratch,
+    optimize_in, translate_block_counted, verify as tcg_verify, OptScratch, TcgBlock, TcgOp,
+    VerifyError, VerifyPass, VerifyScratch,
 };
 use risotto_template::{translate_block_template, TemplateError};
 use std::collections::HashMap;
@@ -434,8 +434,8 @@ impl Emulator {
         Ok(())
     }
 
-    /// Tier-1 producer: frontend → analysis relaxation and hints →
-    /// optimizer → backend lowering, one trace event per stage.
+    /// Tier-1 producer: frontend → analysis relaxation → optimizer →
+    /// backend lowering, one trace event per stage.
     fn produce_tier1(&mut self, core: Option<usize>, guest_pc: u64) -> Result<Candidate, TbFault> {
         let frontend = self.setup.frontend();
         let (mut block, dur) = self.timed(Stage::Decode, |e| {
@@ -490,14 +490,6 @@ impl Emulator {
                 self.counts.analysis_relaxed += removed as u64;
                 self.counts.analysis_relaxed_blocks += 1;
             }
-            // Known-bits hints (docs/ANALYSIS.md): IR-level value-range
-            // facts fold pure ops and prune statically-decided branches
-            // before the regular pass pipeline. Events and fences are
-            // never touched, so the verifier reference stays valid.
-            let hints = ir_hints(&block);
-            let hs = apply_hints(&mut block, &hints);
-            self.counts.hint_totals.folded += hs.folded;
-            self.counts.hint_totals.branches_pruned += hs.branches_pruned;
         }
         let policy = self.setup.opt_policy();
         let (stats, dur) = self.timed(Stage::Opt, |e| {

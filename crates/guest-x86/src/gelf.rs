@@ -12,7 +12,6 @@
 use crate::asm::{AsmError, Assembler};
 use crate::regs::Gpr;
 use std::collections::HashMap;
-use std::fmt;
 
 /// Load address of `.text`.
 pub const TEXT_BASE: u64 = 0x0001_0000;
@@ -35,7 +34,7 @@ pub struct DynSym {
     pub plt_vaddr: u64,
 }
 
-/// A loaded (or built) guest binary.
+/// A guest binary, as [`GelfBuilder::finish`] builds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuestBinary {
     /// Entry point virtual address.
@@ -50,188 +49,7 @@ pub struct GuestBinary {
     pub symbols: HashMap<String, u64>,
 }
 
-const MAGIC: &[u8; 5] = b"GELF1";
-
-/// Errors from [`GuestBinary::from_bytes`] / [`GuestBinary::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum GelfError {
-    /// Bad magic number.
-    BadMagic,
-    /// The byte stream ended early or a length field is inconsistent.
-    Truncated,
-    /// A symbol name is not valid UTF-8.
-    BadString,
-    /// A section is too large for its address-space slot and would
-    /// overlap the next region (`.text` reaching into [`DATA_BASE`], or
-    /// `.data` reaching into [`HEAP_BASE`]).
-    SectionOverlap {
-        /// The offending section (`".text"` or `".data"`).
-        section: &'static str,
-        /// The section's end virtual address (exclusive).
-        end: u64,
-        /// The start of the region it collides with.
-        limit: u64,
-    },
-    /// The entry point lies outside `.text`.
-    EntryOutOfRange {
-        /// The declared entry vaddr.
-        entry: u64,
-    },
-    /// A `.dynsym` entry's PLT address lies outside `.text`.
-    SymbolOutOfRange {
-        /// The symbol's name.
-        name: String,
-        /// Its declared PLT vaddr.
-        plt_vaddr: u64,
-    },
-}
-
-impl fmt::Display for GelfError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GelfError::BadMagic => write!(f, "not a GELF binary"),
-            GelfError::Truncated => write!(f, "truncated GELF binary"),
-            GelfError::BadString => write!(f, "invalid symbol name encoding"),
-            GelfError::SectionOverlap { section, end, limit } => {
-                write!(f, "{section} ends at {end:#x}, overlapping the region at {limit:#x}")
-            }
-            GelfError::EntryOutOfRange { entry } => {
-                write!(f, "entry point {entry:#x} is outside .text")
-            }
-            GelfError::SymbolOutOfRange { name, plt_vaddr } => {
-                write!(f, "dynsym `{name}` points at {plt_vaddr:#x}, outside .text")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GelfError {}
-
 impl GuestBinary {
-    /// Serializes to the on-disk GELF format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&self.entry.to_le_bytes());
-        let put_bytes = |out: &mut Vec<u8>, b: &[u8]| {
-            out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-            out.extend_from_slice(b);
-        };
-        put_bytes(&mut out, &self.text);
-        put_bytes(&mut out, &self.data);
-        out.extend_from_slice(&(self.dynsyms.len() as u64).to_le_bytes());
-        for s in &self.dynsyms {
-            put_bytes(&mut out, s.name.as_bytes());
-            out.extend_from_slice(&s.plt_vaddr.to_le_bytes());
-        }
-        // Symbol table (informational).
-        let mut syms: Vec<_> = self.symbols.iter().collect();
-        syms.sort();
-        out.extend_from_slice(&(syms.len() as u64).to_le_bytes());
-        for (name, &addr) in syms {
-            put_bytes(&mut out, name.as_bytes());
-            out.extend_from_slice(&addr.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses the on-disk GELF format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GelfError`] for malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<GuestBinary, GelfError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], GelfError> {
-            let s = bytes.get(*pos..*pos + n).ok_or(GelfError::Truncated)?;
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 5)? != MAGIC {
-            return Err(GelfError::BadMagic);
-        }
-        let u64_at = |pos: &mut usize| -> Result<u64, GelfError> {
-            let arr: [u8; 8] = take(pos, 8)?.try_into().map_err(|_| GelfError::Truncated)?;
-            Ok(u64::from_le_bytes(arr))
-        };
-        let entry = u64_at(&mut pos)?;
-        // Length fields claiming more bytes than the stream holds are
-        // rejected up front: `usize` casts of huge u64s must not be
-        // allowed to wrap or trigger giant allocations.
-        let len_field = |pos: &mut usize| -> Result<usize, GelfError> {
-            let n = u64_at(pos)?;
-            let n = usize::try_from(n).map_err(|_| GelfError::Truncated)?;
-            if n > bytes.len() {
-                return Err(GelfError::Truncated);
-            }
-            Ok(n)
-        };
-        let tlen = len_field(&mut pos)?;
-        let text = take(&mut pos, tlen)?.to_vec();
-        let dlen = len_field(&mut pos)?;
-        let data = take(&mut pos, dlen)?.to_vec();
-        let nsyms = len_field(&mut pos)?;
-        let mut dynsyms = Vec::with_capacity(nsyms.min(1024));
-        for _ in 0..nsyms {
-            let nlen = u64_at(&mut pos)? as usize;
-            let name = std::str::from_utf8(take(&mut pos, nlen)?)
-                .map_err(|_| GelfError::BadString)?
-                .to_owned();
-            let plt_vaddr = u64_at(&mut pos)?;
-            dynsyms.push(DynSym { name, plt_vaddr });
-        }
-        let nlocal = len_field(&mut pos)?;
-        let mut symbols = HashMap::with_capacity(nlocal.min(4096));
-        for _ in 0..nlocal {
-            let nlen = u64_at(&mut pos)? as usize;
-            let name = std::str::from_utf8(take(&mut pos, nlen)?)
-                .map_err(|_| GelfError::BadString)?
-                .to_owned();
-            let addr = u64_at(&mut pos)?;
-            symbols.insert(name, addr);
-        }
-        let bin = GuestBinary { entry, text, data, dynsyms, symbols };
-        bin.validate()?;
-        Ok(bin)
-    }
-
-    /// Checks the layout invariants every loaded binary must satisfy:
-    /// sections fit their address-space slots, the entry point and every
-    /// `.dynsym` PLT address lie inside `.text`.
-    /// [`from_bytes`](Self::from_bytes) applies this automatically; loaders with other
-    /// sources (e.g. a builder bypass) can call it directly.
-    pub fn validate(&self) -> Result<(), GelfError> {
-        let text_end = TEXT_BASE + self.text.len() as u64;
-        if text_end > DATA_BASE {
-            return Err(GelfError::SectionOverlap {
-                section: ".text",
-                end: text_end,
-                limit: DATA_BASE,
-            });
-        }
-        let data_end = DATA_BASE + self.data.len() as u64;
-        if data_end > HEAP_BASE {
-            return Err(GelfError::SectionOverlap {
-                section: ".data",
-                end: data_end,
-                limit: HEAP_BASE,
-            });
-        }
-        if self.entry < TEXT_BASE || self.entry >= text_end {
-            return Err(GelfError::EntryOutOfRange { entry: self.entry });
-        }
-        for s in &self.dynsyms {
-            if s.plt_vaddr < TEXT_BASE || s.plt_vaddr >= text_end {
-                return Err(GelfError::SymbolOutOfRange {
-                    name: s.name.clone(),
-                    plt_vaddr: s.plt_vaddr,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Looks up a defined symbol.
     pub fn symbol(&self, name: &str) -> Option<u64> {
         self.symbols.get(name).copied()
@@ -339,7 +157,7 @@ impl GelfBuilder {
             .iter()
             .map(|name| {
                 let plt_vaddr = symbols[&plt_label(name)];
-                DynSym { name: clean_name(name), plt_vaddr }
+                DynSym { name: name.clone(), plt_vaddr }
             })
             .collect();
         Ok(GuestBinary { entry, text, data: self.data, dynsyms, symbols })
@@ -348,10 +166,6 @@ impl GelfBuilder {
 
 fn plt_label(name: &str) -> String {
     format!("{name}@plt")
-}
-
-fn clean_name(name: &str) -> String {
-    name.to_owned()
 }
 
 /// Convenience: the address register conventionally used to reach `.data`.
@@ -363,7 +177,7 @@ mod tests {
     use crate::insn::Insn;
 
     #[test]
-    fn build_serialize_parse_roundtrip() {
+    fn builder_records_entry_imports_and_data() {
         let mut b = GelfBuilder::new("main");
         let buf = b.data_u64(&[1, 2, 3]);
         b.asm.label("main");
@@ -379,10 +193,6 @@ mod tests {
         assert_eq!(bin.dynsyms[0].name, "sin");
         assert_eq!(bin.symbols["sin@plt"], bin.dynsyms[0].plt_vaddr);
         assert_eq!(bin.data.len(), 24);
-
-        let bytes = bin.to_bytes();
-        let parsed = GuestBinary::from_bytes(&bytes).expect("parse");
-        assert_eq!(parsed, bin);
     }
 
     #[test]
@@ -403,17 +213,6 @@ mod tests {
             }
             other => unreachable!("PLT stub is {other:?}, expected jmp"),
         }
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(GuestBinary::from_bytes(b"nope"), Err(GelfError::Truncated));
-        assert_eq!(GuestBinary::from_bytes(b"XXXXX____"), Err(GelfError::BadMagic));
-        let mut b = GelfBuilder::new("m");
-        b.asm.label("m");
-        b.asm.hlt();
-        let bytes = b.finish().expect("builder").to_bytes();
-        assert_eq!(GuestBinary::from_bytes(&bytes[..bytes.len() - 1]), Err(GelfError::Truncated));
     }
 
     #[test]

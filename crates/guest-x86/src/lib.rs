@@ -52,8 +52,8 @@ pub mod softfloat;
 
 pub use asm::{AsmError, Assembler};
 pub use gelf::{
-    DynSym, GelfBuilder, GelfError, GuestBinary, DATA_BASE, DATA_REG, HEAP_BASE, STACK_SIZE,
-    STACK_TOP, TEXT_BASE,
+    DynSym, GelfBuilder, GuestBinary, DATA_BASE, DATA_REG, HEAP_BASE, STACK_SIZE, STACK_TOP,
+    TEXT_BASE,
 };
 pub use insn::{disassemble, syscalls, AluOp, DecodeError, FpOp, Insn, Operand};
 pub use interp::{exec_insn, GuestState, Interp, InterpError, SparseMem, Step};

@@ -54,8 +54,8 @@ pub use frontend::{
 };
 pub use ir::{env, BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, Temp};
 pub use opt::{
-    apply_hints, merge_fences, merge_fences_counted, optimize, optimize_in, optimize_with,
-    HintStats, IrHints, OptScratch, OptStats, PassConfig,
+    apply_hints, merge_fences, merge_fences_counted, optimize, optimize_in, optimize_with, IrHints,
+    OptScratch, OptStats, PassConfig,
 };
 // The shared mapping tables (x86→TCG fence placement, Fig. 10
 // elimination rule) live in `risotto-memmodel`.

@@ -104,63 +104,17 @@ impl PassConfig {
     }
 }
 
-/// Facts an IR-level value-range analysis proved about a block, to be
-/// applied by [`apply_hints`] before the regular pass pipeline runs.
-/// Produced by `risotto-analysis::ir_hints` (known-bits over the
-/// straight-line IR); defined here so the optimizer does not depend on
-/// the analysis crate.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IrHints {
-    /// Temps proven to hold a single possible value, with that value.
-    /// Only temps defined by a *pure* op (`Mov`/`Bin`/`Setcond`) may be
-    /// listed — replacing the def of a memory access or helper would
-    /// change the event sequence.
-    pub const_temps: Vec<(Temp, u64)>,
-    /// The exit's `CondJump` flag is proven always non-zero (`Some(true)`)
-    /// or always zero (`Some(false)`) — the dead branch can be pruned.
-    pub exit_flag: Option<bool>,
-}
+/// Nothing: the known-bits IR pass that filled it is gone. Kept, with
+/// [`apply_hints`], only because the frozen `benchmark/` replay still
+/// names them; ROADMAP item 4 deletes both.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct IrHints;
 
-/// Statistics from one [`apply_hints`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HintStats {
-    /// Pure ops replaced by `MovI` constants.
-    pub folded: u32,
-    /// Conditional exits rewritten to unconditional jumps.
-    pub branches_pruned: u32,
-}
-
-/// Applies analysis-derived [`IrHints`] to a block in place: each listed
-/// pure op is replaced with a `MovI` of its proven value, and a decided
-/// `CondJump` exit becomes a `Jump` to the surviving target (dead-branch
-/// pruning). Run before [`optimize`] so folding/DCE can exploit the new
-/// constants. Memory events and fences are never touched, so verifier
-/// Pass 2 is oblivious to hint application.
-pub fn apply_hints(block: &mut TcgBlock, hints: &IrHints) -> HintStats {
-    let mut stats = HintStats::default();
-    for &(t, v) in &hints.const_temps {
-        for op in block.ops.iter_mut() {
-            let pure_def = match op {
-                TcgOp::Mov { dst, .. } | TcgOp::Bin { dst, .. } | TcgOp::Setcond { dst, .. } => {
-                    *dst == t
-                }
-                _ => false,
-            };
-            if pure_def {
-                *op = TcgOp::MovI { dst: t, val: v };
-                stats.folded += 1;
-                break;
-            }
-        }
-    }
-    if let Some(flag) = hints.exit_flag {
-        if let TbExit::CondJump { taken, fallthrough, .. } = block.exit {
-            block.exit = TbExit::Jump(if flag { taken } else { fallthrough });
-            stats.branches_pruned += 1;
-        }
-    }
-    stats
-}
+/// A no-op, kept for the frozen `benchmark/` replay; ROADMAP item 4
+/// deletes it (see [`IrHints`]).
+#[doc(hidden)]
+pub fn apply_hints(_block: &mut TcgBlock, _hints: &IrHints) {}
 
 /// The optimizer's reusable working memory: the temp-indexed tables and
 /// work lists every pass needs, kept between blocks so a steady-state

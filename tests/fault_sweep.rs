@@ -151,6 +151,35 @@ fn translate_fault_falls_back_to_interpreter() {
     }
 }
 
+/// Fuel counts machine steps and interpreted instructions together, in
+/// the fallback as in the run loop: a spin loop that is always
+/// interpreted, reached after a translated loop, stops once the two add
+/// up to the fuel, not after another full fuel of interpretation.
+#[test]
+fn interpreted_loop_after_translated_code_stops_at_the_fuel() {
+    let fuel = 50_000;
+    let mut b = GelfBuilder::new("main");
+    b.asm.label("main");
+    b.asm.mov_ri(Gpr::RCX, 1_000);
+    b.asm.label("count");
+    b.asm.alu_ri(AluOp::Sub, Gpr::RCX, 1);
+    b.asm.cmp_ri(Gpr::RCX, 0);
+    b.asm.jcc_to(Cond::Ne, "count");
+    b.asm.label("spin");
+    b.asm.alu_ri(AluOp::Add, Gpr::RBX, 1);
+    b.asm.jmp_to("spin");
+    let bin = b.finish().unwrap();
+    for setup in Setup::ALL {
+        let mut emu = Emulator::new(&bin, setup, 1, cost());
+        emu.set_fault_plan(FaultPlan::seeded(6).fail_translate_at(bin.symbols["spin"]));
+        assert!(matches!(emu.run(fuel), Err(EmuError::OutOfFuel)), "{}", setup.name());
+        let m = emu.metrics();
+        let (steps, interpreted) = (m.counter("exec.insns"), m.counter("translate.interp_steps"));
+        assert!(steps > 3_000 && interpreted > 0, "{}: {steps} + {interpreted}", setup.name());
+        assert!(steps + interpreted <= fuel, "{}: {steps} + {interpreted}", setup.name());
+    }
+}
+
 /// Backend (lowering) faults degrade the same way as frontend faults.
 #[test]
 fn lower_fault_falls_back_to_interpreter() {
