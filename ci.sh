@@ -105,8 +105,9 @@ cargo test -q --release --test alloc_budget
 # (stable id, tier-0 flag, resume count) to the same build. So is what
 # that build reports about itself (tests/obs.rs): the metric table and
 # docs/METRICS.md name the same metrics, a snapshot's counters equal
-# their `Report` sources, every stage histogram has exactly one sample
-# per block that went through the stage on each tier, and `hot_tbs` is
+# their `Report` sources, an instrumented run's snapshot equals the plain
+# run's as a whole and two traced runs record the same events, each tier
+# leg's counters show the blocks that went through it, and `hot_tbs` is
 # empty unless profiling was asked for.
 cargo test -q --release -p risotto-host-arm -p risotto-guest-x86 -p risotto-core
 cargo test -q --release --test slice_invariance --test obs
@@ -159,6 +160,14 @@ if ! cmp -s "$checked_in" BENCH_pipeline.json; then
     exit 1
 fi
 rm -f "$checked_in"
+
+# One host clock: `benchmark/` measures host time and nothing in the
+# workspace reads a clock, so every metric, trace event and artifact the
+# workspace produces is a deterministic count.
+if grep -rnE "std::time|Instant::|\.elapsed\(\)|SystemTime" crates src; then
+    echo "ci: host time is benchmark/'s; crates/ and src/ read no clock" >&2
+    exit 1
+fi
 
 # Host-time facts, from the one harness that measures host time (the
 # calibrated `benchmark/` package; `crates/bench` reports simulated
@@ -237,7 +246,8 @@ rm -f "$metrics_json"
 # the full oracle matrix. The binary exits nonzero on any divergence,
 # validator violation, or fault-contract breach; the corpus replay
 # itself runs inside `cargo test --test fuzz` above. Fixed seed:
-# failures are replayable.
+# failures are replayable. The artifact holds the driver's own five
+# counters (docs/FUZZING.md § Metrics), nothing else.
 fuzz_json="$(mktemp /tmp/fuzz_metrics.XXXXXX.json)"
 cargo run -q --release -p risotto-bench --bin fuzz -- \
     --smoke --seed 0xC1 --metrics-json "$fuzz_json" > /dev/null
@@ -246,6 +256,7 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["version"] == 1, doc["version"]
 m = doc["workloads"][0]["metrics"]["metrics"]
+assert all(name.startswith("fuzz.") for name in m), sorted(m)
 assert m["fuzz.divergences"]["value"] == 0, m["fuzz.divergences"]
 assert m["fuzz.programs"]["value"] >= 300, m["fuzz.programs"]
 assert m["fuzz.fault_runs"]["value"] > 0, m["fuzz.fault_runs"]

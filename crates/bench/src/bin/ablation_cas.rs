@@ -11,7 +11,7 @@ use risotto_core::{RmwStyle, Setup};
 use risotto_workloads::cas::{cas_bench, FIG15_CONFIGS};
 
 fn main() {
-    let cli = BenchCli::parse("ablation_cas");
+    let cli = BenchCli::parse("ablation_cas", &["--smoke", "--backend", "--tiers", "--analysis"]);
     // The rmw2+ff column is an exclusive-pair lowering; the MiniTSO
     // dialect has no exclusives, so this ablation is Arm-only.
     cli.require_arm("the ablation compares Arm CAS lowerings")

@@ -9,7 +9,8 @@ use risotto_tcg::PassConfig;
 use risotto_workloads::kernels;
 
 fn main() {
-    let cli = BenchCli::parse("ablation_passes");
+    let cli =
+        BenchCli::parse("ablation_passes", &["--smoke", "--backend", "--tiers", "--analysis"]);
     cli.require_ir_pipeline("templates never run the optimizer passes being ablated")
         .unwrap_or_else(|e| usage_error("ablation_passes", &e));
     let threads = 2;

@@ -82,7 +82,7 @@ impl Row {
 }
 
 fn main() {
-    let cli = BenchCli::parse_with("analyze", &["--json"]);
+    let cli = BenchCli::parse("analyze", &["--smoke", "--json"]);
     let which = cli.positional.first().map(String::as_str).unwrap_or("all");
     let (scale, threads) = if cli.smoke { (4, 2) } else { (64, 2) };
 

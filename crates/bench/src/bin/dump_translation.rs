@@ -107,7 +107,7 @@ fn dump_analysis() {
 }
 
 fn main() {
-    let cli = BenchCli::parse("dump_translation");
+    let cli = BenchCli::parse("dump_translation", &["--backend", "--tiers", "--analysis"]);
     if cli.analysis == Some(true) {
         dump_analysis();
         return;

@@ -17,9 +17,7 @@
 //! regression test land under `fuzz-failures/`, and the process exits 1.
 
 use risotto_bench::{print_table, BenchCli, MetricsEntry};
-use risotto_core::obs::{
-    specs, HistSummary, MetricKind, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION,
-};
+use risotto_core::obs::{MetricValue, MetricsSnapshot, SNAPSHOT_VERSION};
 use risotto_fuzz::{
     differential, diverges, fault_check, generate, minimize, program_seed, random_fault_plan,
     regression_test_skeleton, to_corpus_string, GenConfig,
@@ -40,14 +38,9 @@ const MINIMIZE_STEPS: u64 = 20_000;
 const DEFAULT_SEED: u64 = 0xD1FF_F022_2026_0808;
 
 fn main() {
-    let cli = BenchCli::parse_with("fuzz", &["--seed", "--iters"]);
-    if cli.tiers.is_some() {
-        eprintln!(
-            "fuzz: --tiers cannot be combined with the differential driver: \
-             the oracle matrix already runs every tier (interp, tier-0, tier-1)"
-        );
-        std::process::exit(2);
-    }
+    // No `--backend`, `--tiers` or `--analysis`: the oracle matrix
+    // already runs every backend, tier and analysis setting.
+    let cli = BenchCli::parse("fuzz", &["--smoke", "--metrics-json", "--seed", "--iters"]);
     let seed = cli.u64_value("--seed", DEFAULT_SEED).unwrap_or_else(die);
     let default_iters = if cli.smoke { SMOKE_ITERS } else { FULL_ITERS };
     let iters = cli.u64_value("--iters", default_iters).unwrap_or_else(die);
@@ -58,7 +51,7 @@ fn main() {
     let mut divergent: Vec<(u64, risotto_fuzz::ProgSpec, Vec<String>)> = Vec::new();
     let (mut fault_completed, mut fault_degraded) = (0u64, 0u64);
     let mut multicore = 0u64;
-    // The `fuzz.*` metrics, with `iters`.
+    // The driver's own counters (docs/FUZZING.md § Metrics), with `iters`.
     let (mut configs_run, mut divergences, mut fault_runs, mut minimizer_steps) = (0u64, 0, 0, 0);
 
     for i in 0..iters {
@@ -131,26 +124,19 @@ fn main() {
     }
 
     if let Some(path) = &cli.metrics_json {
-        // The standard artifact: every row of the schema at zero (no
-        // emulator, so no per-core rows), the `fuzz.*` counters filled in.
-        let zeroed = specs().into_iter().filter(|s| !s.name.contains("<i>")).map(|s| {
-            let zero = match s.kind {
-                MetricKind::Counter => MetricValue::Counter(0),
-                MetricKind::Gauge => MetricValue::Gauge(0),
-                MetricKind::Histogram => MetricValue::Histogram(HistSummary::default()),
-            };
-            (s.name, zero)
-        });
-        let mut snapshot = MetricsSnapshot { version: SNAPSHOT_VERSION, metrics: zeroed.collect() };
-        for (name, total) in [
+        // The standard artifact, holding the driver's five counters: no
+        // emulator ran under this name, so no engine metric belongs here.
+        let metrics = [
             ("fuzz.programs", iters),
             ("fuzz.configs_run", configs_run),
             ("fuzz.divergences", divergences),
             ("fuzz.minimizer_steps", minimizer_steps),
             ("fuzz.fault_runs", fault_runs),
-        ] {
-            snapshot.metrics.insert(name.to_owned(), MetricValue::Counter(total));
-        }
+        ]
+        .into_iter()
+        .map(|(name, total)| (name.to_owned(), MetricValue::Counter(total)))
+        .collect();
+        let snapshot = MetricsSnapshot { version: SNAPSHOT_VERSION, metrics };
         let entries = [MetricsEntry {
             name: "fuzz".to_string(),
             setup: "differential",

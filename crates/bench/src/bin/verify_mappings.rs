@@ -15,8 +15,8 @@ use risotto_mappings::scheme::*;
 use risotto_memmodel::{Arm, FencePlacement, TcgIr, X86Tso};
 
 fn main() {
-    // No binary-specific flags; parsing still rejects unknown ones.
-    let _ = BenchCli::parse("verify_mappings");
+    // It reads no flag; parsing rejects every one.
+    let _ = BenchCli::parse("verify_mappings", &[]);
     let x86 = X86Tso::new();
     let tcg = TcgIr::new();
     let arm = Arm::corrected();

@@ -98,12 +98,13 @@ pub fn usage_error(tool: &str, msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// The common command line every `risotto-bench` binary accepts: the
-/// shared flags (`--smoke`, `--metrics-json <path>` /
-/// `--metrics-json=<path>`, `--backend arm|tso`, `--tiers 0|1|2`), any
-/// value-carrying flags the binary declares up front (e.g. the fuzzer's
-/// `--seed` / `--iters`), plus whatever positional arguments the binary
-/// itself defines. Unknown `--flags` are rejected uniformly.
+/// The common command line of the `risotto-bench` binaries: the shared
+/// flags (`--smoke`, `--metrics-json <path>`, `--backend arm|tso`,
+/// `--tiers 0|1|2`, `--analysis on|off`), the value-carrying flags of a
+/// binary's own (e.g. the fuzzer's `--seed` / `--iters`), plus whatever
+/// positional arguments the binary itself defines. Every binary names
+/// the flags it reads; any other flag, shared or not, is a usage error,
+/// so no flag is accepted and then silently ignored.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct BenchCli {
     /// `--smoke` was passed (bounded quick mode).
@@ -125,81 +126,62 @@ pub struct BenchCli {
     pub analysis: Option<bool>,
     /// Positional (non-flag) arguments, in order.
     pub positional: Vec<String>,
-    /// Values of the declared extra flags, in the order given
-    /// (last occurrence wins via [`BenchCli::value`]).
+    /// Values of the binary's own flags, in the order given (last
+    /// occurrence wins via [`BenchCli::value`]).
     pub values: Vec<(String, String)>,
 }
 
 impl BenchCli {
-    /// Parses the process arguments; prints an error naming `tool` and
-    /// exits with status 2 on an unknown flag or a missing flag value.
-    pub fn parse(tool: &str) -> BenchCli {
-        Self::parse_with(tool, &[])
-    }
-
-    /// Like [`BenchCli::parse`], but additionally accepting the declared
-    /// value-carrying flags (each named with its leading `--`, accepted
-    /// as `--flag v` or `--flag=v`).
-    pub fn parse_with(tool: &str, declared: &[&str]) -> BenchCli {
-        Self::try_parse_with(std::env::args().skip(1), declared).unwrap_or_else(|msg| {
-            let extra: String = declared.iter().map(|f| format!(", {f} <value>")).collect();
-            usage_error(
-                tool,
-                &format!(
-                    "{msg}\n{tool}: supported flags: --smoke, --metrics-json <path>, --backend arm|tso, --tiers 0|1|2, --analysis on|off{extra}"
-                ),
-            )
+    /// Parses the process arguments against `reads`, the flags `tool`
+    /// reads (each named with its leading `--`; a name that is not a
+    /// shared flag is one of the binary's own, value-carrying flags,
+    /// accepted as `--flag v` or `--flag=v`). Prints an error naming
+    /// `tool` and exits with status 2 on any other flag or a bad value.
+    pub fn parse(tool: &str, reads: &[&str]) -> BenchCli {
+        Self::try_parse(std::env::args().skip(1), reads).unwrap_or_else(|msg| {
+            let usage = if reads.is_empty() { "none".to_owned() } else { reads.join(", ") };
+            usage_error(tool, &format!("{msg}\n{tool}: flags it reads: {usage}"))
         })
     }
 
-    /// Flag parsing behind [`BenchCli::parse_with`], separated for
-    /// testing.
-    pub fn try_parse_with(
-        args: impl Iterator<Item = String>,
-        declared: &[&str],
+    /// Flag parsing behind [`BenchCli::parse`], separated for testing.
+    pub fn try_parse(
+        mut args: impl Iterator<Item = String>,
+        reads: &[&str],
     ) -> Result<BenchCli, String> {
         let mut cli = BenchCli::default();
-        let mut args = args;
-        'arg: while let Some(a) = args.next() {
-            if a == "--smoke" {
-                cli.smoke = true;
-            } else if a == "--metrics-json" {
-                cli.metrics_json =
-                    Some(args.next().ok_or("--metrics-json requires a path".to_owned())?);
-            } else if let Some(p) = a.strip_prefix("--metrics-json=") {
-                cli.metrics_json = Some(p.to_owned());
-            } else if a == "--backend" {
-                let v = args.next().ok_or("--backend requires `arm` or `tso`".to_owned())?;
-                cli.backend = BackendKind::parse(&v)
-                    .ok_or(format!("--backend `{v}`: expected `arm` or `tso`"))?;
-            } else if let Some(v) = a.strip_prefix("--backend=") {
-                cli.backend = BackendKind::parse(v)
-                    .ok_or(format!("--backend `{v}`: expected `arm` or `tso`"))?;
-            } else if a == "--tiers" {
-                let v = args.next().ok_or("--tiers requires `0`, `1` or `2`".to_owned())?;
-                cli.tiers = Some(Self::parse_tiers(&v)?);
-            } else if let Some(v) = a.strip_prefix("--tiers=") {
-                cli.tiers = Some(Self::parse_tiers(v)?);
-            } else if a == "--analysis" {
-                let v = args.next().ok_or("--analysis requires `on` or `off`".to_owned())?;
-                cli.analysis = Some(Self::parse_analysis(&v)?);
-            } else if let Some(v) = a.strip_prefix("--analysis=") {
-                cli.analysis = Some(Self::parse_analysis(v)?);
-            } else if a.starts_with("--") {
-                for f in declared {
-                    if a == *f {
-                        let v = args.next().ok_or(format!("{f} requires a value"))?;
-                        cli.values.push((f.to_string(), v));
-                        continue 'arg;
-                    }
-                    if let Some(v) = a.strip_prefix(&format!("{f}=")) {
-                        cli.values.push((f.to_string(), v.to_owned()));
-                        continue 'arg;
-                    }
-                }
-                return Err(format!("unknown flag `{a}`"));
-            } else {
+        while let Some(a) = args.next() {
+            if !a.starts_with("--") {
                 cli.positional.push(a);
+                continue;
+            }
+            let (flag, inline) = match a.split_once('=') {
+                Some((flag, v)) => (flag, Some(v.to_owned())),
+                None => (a.as_str(), None),
+            };
+            if !reads.contains(&flag) {
+                return Err(format!("unknown flag `{a}`"));
+            }
+            if flag == "--smoke" {
+                if inline.is_some() {
+                    return Err("--smoke takes no value".to_owned());
+                }
+                cli.smoke = true;
+                continue;
+            }
+            let v = match inline {
+                Some(v) => v,
+                None => args.next().ok_or(format!("{flag} requires a value"))?,
+            };
+            match flag {
+                "--metrics-json" => cli.metrics_json = Some(v),
+                "--backend" => {
+                    cli.backend = BackendKind::parse(&v)
+                        .ok_or(format!("--backend `{v}`: expected `arm` or `tso`"))?;
+                }
+                "--tiers" => cli.tiers = Some(Self::parse_tiers(&v)?),
+                "--analysis" => cli.analysis = Some(Self::parse_analysis(&v)?),
+                _ => cli.values.push((flag.to_owned(), v)),
             }
         }
         Ok(cli)
@@ -268,7 +250,7 @@ impl BenchCli {
     ///
     /// `collect` names the run as a workload of the `--metrics-json`
     /// artifact and is ignored unless that flag was passed: then the run
-    /// has stage timing and hot-TB profiling on and appends its
+    /// has hot-TB profiling on and appends its
     /// [`MetricsEntry`], cross-checked first — every fence / chain /
     /// fallback counter in the snapshot must equal its legacy [`Report`]
     /// source, so the artifact is self-verifying.
@@ -290,7 +272,6 @@ impl BenchCli {
         let collect = collect.filter(|_| self.metrics_json.is_some());
         let mut emu = self.emulator(bin, setup, cores);
         if collect.is_some() {
-            emu.set_stage_timing(true);
             emu.set_profiling(true);
         }
         if link {
@@ -356,8 +337,8 @@ impl BenchCli {
     }
 }
 
-/// Writes the versioned metrics artifact shared by every `fig*` binary,
-/// `fault_sweep` and `fuzz`:
+/// Writes the versioned metrics artifact shared by every `fig*` binary
+/// and `fuzz`:
 /// `{"version":1,"tool":…,"workloads":[{name,setup,hot_tbs,metrics},…]}`.
 ///
 /// # Panics
@@ -435,8 +416,16 @@ pub fn speedup(base: u64, new: u64) -> String {
 mod tests {
     use super::BenchCli;
 
+    /// Every shared flag.
+    const SHARED: [&str; 5] = ["--smoke", "--metrics-json", "--backend", "--tiers", "--analysis"];
+
+    fn parse_reading(args: &[&str], reads: &[&str]) -> Result<BenchCli, String> {
+        BenchCli::try_parse(args.iter().map(|s| s.to_string()), reads)
+    }
+
+    /// A binary that reads every shared flag.
     fn parse(args: &[&str]) -> Result<BenchCli, String> {
-        BenchCli::try_parse_with(args.iter().map(|s| s.to_string()), &[])
+        parse_reading(args, &SHARED)
     }
 
     #[test]
@@ -454,7 +443,31 @@ mod tests {
     fn unknown_flags_and_missing_values_are_rejected() {
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--smokey"]).is_err());
+        assert!(parse(&["--smoke=1"]).is_err(), "--smoke takes no value");
         assert!(parse(&["--metrics-json"]).is_err());
+    }
+
+    /// A shared flag a binary does not read is as unknown to it as any
+    /// other: each case is a flag some binary once accepted and ignored.
+    #[test]
+    fn shared_flags_a_binary_does_not_read_are_rejected() {
+        let fuzz = ["--smoke", "--metrics-json", "--seed", "--iters"];
+        assert!(parse_reading(&["--smoke", "--metrics-json", "m.json"], &fuzz).is_ok());
+        for args in [&["--backend", "tso"][..], &["--tiers", "1"], &["--analysis=off"]] {
+            let err = parse_reading(args, &fuzz).unwrap_err();
+            assert!(err.contains(args[0].split('=').next().unwrap()), "{args:?}: {err}");
+        }
+        assert!(parse_reading(&["--metrics-json", "out.json"], &["--smoke", "--json"]).is_err());
+        assert!(parse_reading(&["--smoke"], &["--backend", "--tiers", "--analysis"]).is_err());
+        assert!(parse_reading(&["--tiers", "0"], &[]).is_err());
+        let ablation = ["--smoke", "--backend", "--tiers", "--analysis"];
+        assert!(parse_reading(&["--metrics-json=x"], &ablation).is_err());
+        // The check is by flag, not by value: a bad value of a flag the
+        // binary does not read is still reported as the flag.
+        let err = parse_reading(&["--backend", "riscv"], &fuzz).unwrap_err();
+        assert!(err.contains("unknown flag `--backend`"), "{err}");
+        // Positionals are the binary's own business.
+        assert_eq!(parse_reading(&["all"], &[]).unwrap().positional, ["all"]);
     }
 
     #[test]
@@ -537,9 +550,7 @@ mod tests {
 
     #[test]
     fn declared_flags_parse_in_both_spellings_and_last_wins() {
-        let parse_with = |args: &[&str]| {
-            BenchCli::try_parse_with(args.iter().map(|s| s.to_string()), &["--seed", "--iters"])
-        };
+        let parse_with = |args: &[&str]| parse_reading(args, &["--smoke", "--seed", "--iters"]);
         let cli =
             parse_with(&["--seed", "7", "--iters=100", "--smoke", "--seed=0x2a", "pos"]).unwrap();
         assert!(cli.smoke);

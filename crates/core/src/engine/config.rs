@@ -126,7 +126,7 @@ impl BackendKind {
     }
 
     /// Alias of [`host`](Self::host), kept for the frozen `benchmark/`
-    /// package (ROADMAP item 5(a)).
+    /// package (ROADMAP item 4(c)).
     pub fn ordering(self) -> &'static dyn HostBackend {
         self.host()
     }
@@ -468,11 +468,11 @@ impl Report {
 /// How much of the static translation validator runs (docs/VERIFIER.md).
 ///
 /// The validator is a pure observer: no level changes cycle counts,
-/// output, or exit values of a run whose translations all verify.
+/// output, or exit values of a run whose translations all verify. There
+/// is no level without the install-time read-back, so no fault plan can
+/// make corrupted code dispatchable (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VerifyLevel {
-    /// No verification: the pipeline is trusted.
-    Off,
     /// Install-time read-back only: every installed code region is read
     /// back from the code cache and compared against the canonical
     /// encoding of the lowered instructions *before* the translation
@@ -488,12 +488,12 @@ pub enum VerifyLevel {
 
 impl Default for VerifyLevel {
     /// [`VerifyLevel::Full`] under `debug_assertions`, otherwise
-    /// [`VerifyLevel::Off`].
+    /// [`VerifyLevel::Install`].
     fn default() -> Self {
         if cfg!(debug_assertions) {
             VerifyLevel::Full
         } else {
-            VerifyLevel::Off
+            VerifyLevel::Install
         }
     }
 }

@@ -7,8 +7,7 @@
 
 use super::{Emulator, TemplateStats};
 use crate::obs::{
-    HotTb, HotTbProfiler, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, Stage,
-    SNAPSHOT_VERSION,
+    HotTb, HotTbProfiler, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION,
 };
 #[cfg(doc)]
 use crate::{faults::FaultPlan, Report};
@@ -77,8 +76,6 @@ pub(super) struct Counts {
 enum Read {
     Counter(fn(&Emulator) -> u64),
     Gauge(fn(&Emulator) -> u64),
-    /// The wall-time histogram of one translation stage.
-    Hist(Stage),
     /// A counter per TCG fence kind, read by [`FenceKind::tcg_index`]:
     /// `<k>` in the row's name stands for [`FenceKind::tcg_name`], in its
     /// help for the kind's `Debug` name.
@@ -86,7 +83,7 @@ enum Read {
     /// A gauge per core, read by core index: `<i>` in the row's name.
     PerCore(fn(&Emulator, usize) -> u64),
 }
-use Read::{Counter, Gauge, Hist, PerCore, PerFence};
+use Read::{Counter, Gauge, PerCore, PerFence};
 
 /// One row of [`METRICS`].
 struct Metric {
@@ -101,7 +98,6 @@ impl Metric {
         match self.read {
             Counter(_) | PerFence(_) => MetricKind::Counter,
             Gauge(_) | PerCore(_) => MetricKind::Gauge,
-            Hist(_) => MetricKind::Histogram,
         }
     }
 }
@@ -114,9 +110,9 @@ fn analysis(e: &Emulator) -> AnalysisSummary {
     e.analysis.as_ref().map(|f| f.summary()).unwrap_or_default()
 }
 
-/// Every metric there is. The five `fuzz.*` rows are the differential
-/// fuzzing driver's, which counts them itself (docs/FUZZING.md): an
-/// emulator reads them as zero.
+/// Every metric there is: each one a count the engine or the machine
+/// keeps, so a snapshot is a deterministic function of the program and
+/// the configuration.
 #[rustfmt::skip]
 static METRICS: &[Metric] = &[
     row("translate.blocks", "blocks", "Translations installed (incl. retranslations and native thunks)", Counter(|e| e.counts.tb_count as u64)),
@@ -165,16 +161,6 @@ static METRICS: &[Metric] = &[
     row("exec.cores", "cores", "Cores configured for the run", Gauge(|e| e.machine.n_cores() as u64)),
     row("core.<i>.insns", "insns", "Host instructions retired by core i", PerCore(|e, c| e.machine.stats(c).insns)),
     row("core.<i>.cycles", "cycles", "Local clock of core i", PerCore(|e, c| e.machine.core_cycles(c))),
-    row("stage.template_ns", "ns", "Wall time of tier-0 template translation, per block", Hist(Stage::Template)),
-    row("stage.decode_ns", "ns", "Wall time of frontend decode+translate, per block", Hist(Stage::Decode)),
-    row("stage.opt_ns", "ns", "Wall time of the optimizer pipeline, per block", Hist(Stage::Opt)),
-    row("stage.encode_ns", "ns", "Wall time of backend lowering, per block", Hist(Stage::Encode)),
-    row("stage.install_ns", "ns", "Wall time of code install + TB mapping, per block", Hist(Stage::Install)),
-    row("fuzz.programs", "programs", "Random programs generated and differentially executed", Counter(|_| 0)),
-    row("fuzz.configs_run", "runs", "Individual oracle-configuration executions (interpreter included)", Counter(|_| 0)),
-    row("fuzz.divergences", "divergences", "Programs whose oracle configurations disagreed (or tripped the validator)", Counter(|_| 0)),
-    row("fuzz.minimizer_steps", "steps", "Candidate reductions attempted while delta-debugging divergent programs", Counter(|_| 0)),
-    row("fuzz.fault_runs", "runs", "Fault-composed executions (random FaultPlan layered over a generated program)", Counter(|_| 0)),
 ];
 
 /// `name` with its `<k>` segment replaced by the short name of `kind`.
@@ -217,7 +203,6 @@ impl Emulator {
             match m.read {
                 Counter(read) => put(name(), MetricValue::Counter(read(e))),
                 Gauge(read) => put(name(), MetricValue::Gauge(read(e))),
-                Hist(stage) => put(name(), MetricValue::Histogram(e.obs.stages[stage as usize])),
                 PerFence(read) => FenceKind::TCG_ALL.iter().enumerate().for_each(|(i, &k)| {
                     put(fence_name(m.name, k), MetricValue::Counter(read(e, i)));
                 }),

@@ -108,7 +108,7 @@ pub struct Emulator {
     watchdog: Option<u64>,
     /// Every total the engine keeps (docs/METRICS.md).
     counts: Counts,
-    /// Observability: stage histograms, trace sink, enable flags.
+    /// Observability: trace sink and profiling flag.
     obs: Obs,
     /// [`TierConfig::warm_threshold`] of the tier ladder (`None` =
     /// tier-1 only).
@@ -153,7 +153,7 @@ impl Emulator {
             fuel_end: u64::MAX,
             watchdog: None,
             counts: Counts::default(),
-            obs: Obs::new(),
+            obs: Obs::default(),
             warm_threshold: None,
             tbs: HashMap::new(),
             verify: VerifyLevel::default(),
@@ -213,7 +213,7 @@ impl Emulator {
 
     /// Selects the translation-verifier level (see [`VerifyLevel`];
     /// defaults to [`VerifyLevel::Full`] in debug builds,
-    /// [`VerifyLevel::Off`] in release builds). Verification is purely
+    /// [`VerifyLevel::Install`] in release builds). Verification is purely
     /// observational on clean translations: cycles, output and exit
     /// values are bit-identical across levels.
     pub fn set_verify(&mut self, level: VerifyLevel) {
@@ -279,14 +279,7 @@ impl Emulator {
     /// Tracing is purely observational: a traced run is bit-identical
     /// (cycles, output, exit values) to an untraced one.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.obs.sink = sink;
-        self.obs.tracing = true;
-    }
-
-    /// Enables per-stage wall-clock histograms (`stage.*_ns` metrics).
-    /// Off by default: the untimed pipeline takes no clock readings.
-    pub fn set_stage_timing(&mut self, on: bool) {
-        self.obs.timing = on;
+        self.obs.sink = Some(sink);
     }
 
     /// Enables the hot-TB profiler on both the engine dispatch loop and
@@ -512,8 +505,8 @@ impl Emulator {
     /// until a translatable pc is reached or the core halts.
     fn resume_at(&mut self, core: usize, guest_pc: u64) -> Result<(), EmuError> {
         // Every resume passes here: no TB-id lookup unless someone listens.
-        let tb_id = self.obs.tracing.then(|| self.tb_id(guest_pc)).flatten();
-        self.obs.trace(TraceStage::Dispatch, Some(core), Some(guest_pc), tb_id, None, String::new);
+        let tb_id = self.obs.sink.as_ref().and_then(|_| self.tb_id(guest_pc));
+        self.obs.trace(TraceStage::Dispatch, Some(core), Some(guest_pc), tb_id, String::new);
         let mut pc = guest_pc;
         loop {
             match self.ensure_translated(Some(core), pc) {
@@ -544,7 +537,7 @@ impl Emulator {
             if self.machine.lookup_tb(pc).is_some() && self.plan.take_corrupt_tb(pc) {
                 self.machine.unmap_tb(pc);
                 let tb_id = self.tb_id(pc);
-                self.obs.trace(TraceStage::Fault, None, Some(pc), tb_id, None, || {
+                self.obs.trace(TraceStage::Fault, None, Some(pc), tb_id, || {
                     "TB-cache corruption detected; entry discarded".to_owned()
                 });
             }
@@ -682,7 +675,9 @@ impl Emulator {
                 self.exit_vals[core] = Some(self.guest_reg(core, Gpr::RAX));
             }
         }
-        self.obs.sink.flush();
+        if let Some(sink) = &mut self.obs.sink {
+            sink.flush();
+        }
         Ok(Report {
             cycles: self.machine.clock(),
             tb_count: self.counts.tb_count,

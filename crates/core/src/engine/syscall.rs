@@ -26,7 +26,7 @@ impl Emulator {
         self.counts.syscall_attempts += 1;
         if self.plan.syscall_fails(nth) {
             self.counts.faults_injected += 1;
-            self.obs.trace(TraceStage::Fault, Some(core), Some(next), None, None, || {
+            self.obs.trace(TraceStage::Fault, Some(core), Some(next), None, || {
                 "injected syscall fault (unrecoverable)".to_owned()
             });
             return Err(EmuError::Injected { site: FaultSite::Syscall, core, pc: next });

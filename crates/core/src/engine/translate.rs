@@ -5,7 +5,7 @@
 //! the interpreter fallback.
 
 use super::{Emulator, Setup, VerifyLevel};
-use crate::obs::{Stage, TraceStage};
+use crate::obs::TraceStage;
 use risotto_analysis::event_sites;
 use risotto_guest_x86::Gpr;
 use risotto_host_arm::{
@@ -18,7 +18,6 @@ use risotto_tcg::{
 };
 use risotto_template::{translate_block_template, TemplateError};
 use std::collections::HashMap;
-use std::time::Instant;
 #[cfg(doc)]
 use {super::EmuError, super::TierConfig, crate::faults::FaultPlan, risotto_host_arm::Event};
 
@@ -181,24 +180,6 @@ impl Emulator {
         self.setup.backend_config(self.rmw_style)
     }
 
-    /// Runs one pipeline stage under the stage clock. With stage timing
-    /// on, a stage that succeeds leaves its wall time in `stage`'s
-    /// histogram and hands it back for the stage's trace event; a
-    /// failed stage leaves no sample.
-    fn timed<R>(
-        &mut self,
-        stage: Stage,
-        run: impl FnOnce(&mut Self) -> Result<R, TbFault>,
-    ) -> Result<(R, Option<u64>), TbFault> {
-        let t0 = self.obs.timing.then(Instant::now);
-        let out = run(self)?;
-        let dur = t0.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = dur {
-            self.obs.stages[stage as usize].observe(ns);
-        }
-        Ok((out, dur))
-    }
-
     /// Fires a planned install-time corruption ([`FaultPlan::corrupt_install_at`])
     /// against the freshly installed region at `host`, if one is due.
     fn maybe_corrupt_install(&mut self, host: u64) {
@@ -253,7 +234,7 @@ impl Emulator {
             VerifyPass::Encoding => self.counts.verify_encoding += 1,
         }
         let tb_id = self.tb_id(e.guest_pc);
-        self.obs.trace(TraceStage::Fault, core, Some(e.guest_pc), tb_id, None, || e.to_string());
+        self.obs.trace(TraceStage::Fault, core, Some(e.guest_pc), tb_id, || e.to_string());
     }
 
     /// The static validation of [`VerifyLevel::Full`], run on a
@@ -284,10 +265,9 @@ impl Emulator {
     /// The one path by which host code becomes dispatchable, whatever
     /// tier produced it: Full-level static passes, install, the planned
     /// corruption hook, read-back, then mapping and bookkeeping — or
-    /// rollback. At any level above [`VerifyLevel::Off`] the installed
-    /// bytes are read back and checked *before* a block is mapped; a
-    /// mismatch discards the region, so corrupt code is never
-    /// dispatchable.
+    /// rollback. At every [`VerifyLevel`] the installed bytes are read
+    /// back and checked *before* a block is mapped; a mismatch discards
+    /// the region, so corrupt code is never dispatchable.
     fn commit(&mut self, core: Option<usize>, cand: Candidate) -> Result<u64, TbFault> {
         // Encoded once, here: these bytes are what the encoding check
         // reads, what the cache installs and what the read-back
@@ -318,29 +298,24 @@ impl Emulator {
             }
         }
         let Candidate { guest_pc, code, .. } = cand;
-        let (host, dur) = self.timed(Stage::Install, |e| {
-            let host = e.machine.install_bytes(bytes);
-            e.maybe_corrupt_install(host);
-            if e.verify != VerifyLevel::Off {
-                e.counts.verify_checked += 1;
-                if let Err(err) = e.check_install_bytes(guest_pc, host, bytes) {
-                    e.record_verify_violation(core, &err);
-                    e.machine.discard_region(host);
-                    return Err(TbFault::Verify);
-                }
-            }
-            e.machine.map_tb(guest_pc, host);
-            e.counts.tb_count += 1;
-            let meta = e.tbs.entry(guest_pc).or_default();
-            if meta.id.is_some() {
-                e.counts.retranslations += 1;
-            } else {
-                meta.id = Some(e.counts.tb_count as u64);
-            }
-            Ok(host)
-        })?;
-        let tb_id = self.tb_id(guest_pc);
-        self.obs.trace(TraceStage::Install, core, Some(guest_pc), tb_id, dur, || {
+        let host = self.machine.install_bytes(bytes);
+        self.maybe_corrupt_install(host);
+        self.counts.verify_checked += 1;
+        if let Err(err) = self.check_install_bytes(guest_pc, host, bytes) {
+            self.record_verify_violation(core, &err);
+            self.machine.discard_region(host);
+            return Err(TbFault::Verify);
+        }
+        self.machine.map_tb(guest_pc, host);
+        self.counts.tb_count += 1;
+        let meta = self.tbs.entry(guest_pc).or_default();
+        if meta.id.is_some() {
+            self.counts.retranslations += 1;
+        } else {
+            meta.id = Some(self.counts.tb_count as u64);
+        }
+        let tb_id = meta.id;
+        self.obs.trace(TraceStage::Install, core, Some(guest_pc), tb_id, || {
             format!("{} host insns", code.len())
         });
         Ok(host)
@@ -438,22 +413,19 @@ impl Emulator {
     /// backend lowering, one trace event per stage.
     fn produce_tier1(&mut self, core: Option<usize>, guest_pc: u64) -> Result<Candidate, TbFault> {
         let frontend = self.setup.frontend();
-        let (mut block, dur) = self.timed(Stage::Decode, |e| {
-            let (block, insns) = translate_block_counted(guest_pc, frontend, |a| e.fetch(a))
-                .map_err(|_| TbFault::Frontend)?;
-            // The denominator of the per-tier translation-cost metrics
-            // (`translate.insns`).
-            e.counts.tier1_insns += insns as u64;
-            for op in &block.ops {
-                if let TcgOp::Fence(k) = op {
-                    if let Some(i) = k.tcg_index() {
-                        e.counts.fence_inserted[i] += 1;
-                    }
+        let (mut block, insns) = translate_block_counted(guest_pc, frontend, |a| self.fetch(a))
+            .map_err(|_| TbFault::Frontend)?;
+        // The denominator of the per-tier translation-cost metrics
+        // (`translate.insns`).
+        self.counts.tier1_insns += insns as u64;
+        for op in &block.ops {
+            if let TcgOp::Fence(k) = op {
+                if let Some(i) = k.tcg_index() {
+                    self.counts.fence_inserted[i] += 1;
                 }
             }
-            Ok(block)
-        })?;
-        self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, dur, || {
+        }
+        self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, || {
             format!("{} ops", block.ops.len())
         });
         // Analysis-driven relaxation (docs/ANALYSIS.md): the engine
@@ -492,11 +464,9 @@ impl Emulator {
             }
         }
         let policy = self.setup.opt_policy();
-        let (stats, dur) = self.timed(Stage::Opt, |e| {
-            Ok(optimize_in(&mut block, policy, e.passes, &mut e.scratch.opt))
-        })?;
+        let stats = optimize_in(&mut block, policy, self.passes, &mut self.scratch.opt);
         self.counts.opt_totals += stats;
-        self.obs.trace(TraceStage::Opt, core, Some(guest_pc), None, dur, || {
+        self.obs.trace(TraceStage::Opt, core, Some(guest_pc), None, || {
             format!(
                 "folded {}, forwarded {}, fences merged {}, dce {}",
                 stats.folded, stats.loads_forwarded, stats.fences_merged, stats.dce_removed
@@ -504,16 +474,14 @@ impl Emulator {
         });
         self.lower_fault(guest_pc)?;
         let backend = self.backend_config();
-        let (code, dur) = self.timed(Stage::Encode, |e| {
-            let out = e
-                .backend_kind
-                .host()
-                .lower_block_in(&block, backend, &mut e.scratch.lower)
-                .map_err(|_| TbFault::Backend)?;
-            e.counts.regalloc_totals += out.alloc;
-            Ok(out.insns)
-        })?;
-        self.obs.trace(TraceStage::Encode, core, Some(guest_pc), None, dur, || {
+        let out = self
+            .backend_kind
+            .host()
+            .lower_block_in(&block, backend, &mut self.scratch.lower)
+            .map_err(|_| TbFault::Backend)?;
+        self.counts.regalloc_totals += out.alloc;
+        let code = out.insns;
+        self.obs.trace(TraceStage::Encode, core, Some(guest_pc), None, || {
             format!("{} host insns", code.len())
         });
         let full = full.then(|| FullCheck {
@@ -536,18 +504,15 @@ impl Emulator {
     ) -> Result<Candidate, TbFault> {
         let (frontend, backend) = (self.setup.frontend(), self.backend_config());
         let host = self.backend_kind.host();
-        let (blk, dur) = self.timed(Stage::Template, |e| {
-            translate_block_template(guest_pc, frontend, backend, host, |a| e.fetch(a)).map_err(
-                |err| match err {
-                    TemplateError::Decode(_) => TbFault::Frontend,
-                    TemplateError::Lower(_) => TbFault::Backend,
-                },
-            )
-        })?;
+        let blk = translate_block_template(guest_pc, frontend, backend, host, |a| self.fetch(a))
+            .map_err(|err| match err {
+                TemplateError::Decode(_) => TbFault::Frontend,
+                TemplateError::Lower(_) => TbFault::Backend,
+            })?;
         self.lower_fault(guest_pc)?;
         self.counts.template_stats.blocks += 1;
         self.counts.template_stats.insns += blk.insns as u64;
-        self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, dur, || {
+        self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, || {
             format!("tier-0 template: {} guest insns", blk.insns)
         });
         Ok(Candidate::block(guest_pc, blk.code))
@@ -590,7 +555,7 @@ impl Emulator {
                     self.counts.fallback_blocks += 1;
                 }
                 self.quarantine.note_failure(guest_pc);
-                self.obs.trace(TraceStage::Fault, core, Some(guest_pc), None, None, || {
+                self.obs.trace(TraceStage::Fault, core, Some(guest_pc), None, || {
                     let what = match fault {
                         TbFault::Injected => "injected fault",
                         TbFault::Frontend => "frontend decode failure",

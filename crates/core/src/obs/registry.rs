@@ -20,8 +20,6 @@ pub enum MetricKind {
     Counter,
     /// Point-in-time value.
     Gauge,
-    /// Summary of observed samples (count / sum / min / max).
-    Histogram,
 }
 
 impl MetricKind {
@@ -30,7 +28,6 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
         }
     }
 }
@@ -41,40 +38,12 @@ impl MetricKind {
 pub struct MetricSpec {
     /// Metric name; dot-separated, `<i>` marks a per-index family.
     pub name: String,
-    /// Counter, gauge, or histogram.
+    /// Counter or gauge.
     pub kind: MetricKind,
-    /// Unit of the value (e.g. `cycles`, `blocks`, `ns`).
+    /// Unit of the value (e.g. `cycles`, `blocks`, `insns`).
     pub unit: &'static str,
     /// One-line description.
     pub help: String,
-}
-
-/// Summary statistics of one histogram metric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HistSummary {
-    /// Number of observed samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-}
-
-impl HistSummary {
-    /// Records one sample.
-    pub(crate) fn observe(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-    }
 }
 
 /// The value of one metric in a snapshot.
@@ -84,26 +53,6 @@ pub enum MetricValue {
     Counter(u64),
     /// A gauge reading.
     Gauge(u64),
-    /// A histogram summary.
-    Histogram(HistSummary),
-}
-
-impl MetricValue {
-    /// The scalar value of a counter or gauge (`None` for histograms).
-    pub fn scalar(&self) -> Option<u64> {
-        match self {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => Some(*v),
-            MetricValue::Histogram(_) => None,
-        }
-    }
-
-    fn kind(&self) -> MetricKind {
-        match self {
-            MetricValue::Counter(_) => MetricKind::Counter,
-            MetricValue::Gauge(_) => MetricKind::Gauge,
-            MetricValue::Histogram(_) => MetricKind::Histogram,
-        }
-    }
 }
 
 /// Normalizes a concrete metric name to its documented form: numeric
@@ -126,26 +75,22 @@ pub fn doc_name(name: &str) -> String {
 /// A versioned, immutable copy of every metric, with a JSON exposition.
 ///
 /// ```
-/// use risotto_core::obs::{HistSummary, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION};
+/// use risotto_core::obs::{MetricValue, MetricsSnapshot, SNAPSHOT_VERSION};
 ///
 /// let snap = MetricsSnapshot {
 ///     version: SNAPSHOT_VERSION,
-///     metrics: [
-///         ("chain.hits", MetricValue::Counter(7)),
-///         ("exec.cycles", MetricValue::Gauge(1234)),
-///         (
-///             "stage.decode_ns",
-///             MetricValue::Histogram(HistSummary { count: 2, sum: 1000, min: 200, max: 800 }),
-///         ),
-///     ]
-///     .into_iter()
-///     .map(|(name, value)| (name.to_owned(), value))
-///     .collect(),
+///     metrics: [("chain.hits", MetricValue::Counter(7)), ("exec.cycles", MetricValue::Gauge(1234))]
+///         .into_iter()
+///         .map(|(name, value)| (name.to_owned(), value))
+///         .collect(),
 /// };
 /// assert_eq!(snap.counter("chain.hits"), 7);
 /// assert_eq!(snap.gauge("exec.cycles"), 1234);
-/// assert_eq!(snap.histogram("stage.decode_ns").sum, 1000);
-/// assert!(snap.to_json().starts_with("{\"version\": 1, \"metrics\": {"));
+/// assert_eq!(
+///     snap.to_json(),
+///     "{\"version\": 1, \"metrics\": {\"chain.hits\": {\"type\": \"counter\", \"value\": 7}, \
+///      \"exec.cycles\": {\"type\": \"gauge\", \"value\": 1234}}}"
+/// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -172,14 +117,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Reads a histogram summary (empty if absent).
-    pub fn histogram(&self, name: &str) -> HistSummary {
-        match self.metrics.get(name) {
-            Some(MetricValue::Histogram(h)) => *h,
-            _ => HistSummary::default(),
-        }
-    }
-
     /// Compact JSON exposition:
     /// `{"version":1,"metrics":{"name":{"type":"counter","value":N},…}}`.
     pub fn to_json(&self) -> String {
@@ -189,18 +126,11 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{name}\": "));
-            match v {
-                MetricValue::Counter(n) | MetricValue::Gauge(n) => {
-                    out.push_str(&format!("{{\"type\": \"{}\", \"value\": {n}}}", v.kind().name()));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{{\"type\": \"histogram\", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                        h.count, h.sum, h.min, h.max
-                    ));
-                }
-            }
+            let (kind, n) = match *v {
+                MetricValue::Counter(n) => (MetricKind::Counter, n),
+                MetricValue::Gauge(n) => (MetricKind::Gauge, n),
+            };
+            out.push_str(&format!("\"{name}\": {{\"type\": \"{}\", \"value\": {n}}}", kind.name()));
         }
         out.push_str("}}");
         out

@@ -4,7 +4,9 @@
 //!
 //! Tracing is opt-in ([`crate::Emulator::set_trace_sink`]); the default
 //! engine constructs no events at all. Sinks are observational only —
-//! they can never change simulated cycles.
+//! they can never change simulated cycles — and an event carries no host
+//! time, so a traced run's events are a deterministic function of the
+//! program and the configuration.
 
 use std::collections::VecDeque;
 
@@ -40,8 +42,6 @@ pub struct TraceEvent {
     pub guest_pc: Option<u64>,
     /// Engine TB id (1-based install order), when the block has one.
     pub tb_id: Option<u64>,
-    /// Stage wall time in nanoseconds, when stage timing is enabled.
-    pub dur_ns: Option<u64>,
     /// Free-form detail (fault site, op counts, …).
     pub detail: String,
 }
@@ -54,15 +54,6 @@ pub trait TraceSink {
 
     /// Flushes any buffered output (no-op by default).
     fn flush(&mut self) {}
-}
-
-/// Discards every event. A run with a `NullSink` is bit-identical to a
-/// run with any other sink (and to a run with tracing disabled).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: &TraceEvent) {}
 }
 
 /// Keeps the most recent `capacity` events in memory, overwriting the

@@ -149,7 +149,7 @@ fn tso_install_corruption_is_caught_by_pass3() {
 
     let mut clean = Emulator::new(&bin, Setup::Risotto, 2, BackendKind::Tso.cost_model());
     clean.set_backend(BackendKind::Tso);
-    clean.set_verify(VerifyLevel::Off);
+    clean.set_verify(VerifyLevel::Install);
     let reference = clean.run(FUEL).expect("clean tso run");
 
     let mut emu = Emulator::new(&bin, Setup::Risotto, 2, BackendKind::Tso.cost_model());

@@ -4,15 +4,15 @@
 //! * every counter of a snapshot equals its legacy `Report` source across
 //!   the full 16-kernel Fig. 12 suite (a snapshot is a view, not a second
 //!   set of books);
-//! * a fully instrumented run (ring-buffer sink + stage timing + hot-TB
-//!   profiling) is bit-identical in architectural results and simulated
-//!   cycles to a default run — observability is passive, and on the tier
-//!   ladder it moves no promotion;
+//! * a fully instrumented run (trace sink + hot-TB profiling) is the
+//!   default run: same architectural results, simulated cycles and
+//!   metrics snapshot, as a whole — observability is passive, and on the
+//!   tier ladder it moves no promotion — and the trace of a run is the
+//!   same trace every time;
 //! * `RingBufferSink` is bounded and overwrites oldest-first;
 //! * `docs/METRICS.md` documents 100% of the metric schema, and every
 //!   metric a real run emits maps back into that schema;
-//! * the stage histograms' sample counts reconcile with the counters of
-//!   the blocks that went through those stages, on every tier;
+//! * each tier leg's counters show the blocks that went through it;
 //! * `hot_tbs` is empty unless profiling was asked for, tiering or not.
 
 use std::cell::RefCell;
@@ -31,13 +31,13 @@ use risotto_bench::templates_only;
 
 const FUEL: u64 = 400_000_000;
 
-/// Forwards events into a shared ring buffer the test keeps a handle to
+/// Keeps every event, in order, in a list the test keeps a handle to
 /// (the engine owns the installed sink, so inspection goes through `Rc`).
-struct SharedSink(Rc<RefCell<RingBufferSink>>);
+struct VecSink(Rc<RefCell<Vec<TraceEvent>>>);
 
-impl TraceSink for SharedSink {
+impl TraceSink for VecSink {
     fn record(&mut self, event: &TraceEvent) {
-        self.0.borrow_mut().record(event);
+        self.0.borrow_mut().push(event.clone());
     }
 }
 
@@ -46,7 +46,6 @@ fn registry_counters_equal_legacy_report_on_all_kernels() {
     for w in kernels::all() {
         let bin = (w.build)(8, 2);
         let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-        emu.set_stage_timing(true);
         emu.set_profiling(true);
         let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let snap = emu.metrics();
@@ -104,17 +103,6 @@ fn registry_counters_equal_legacy_report_on_all_kernels() {
         assert!(snap.metrics.contains_key("core.0.insns"), "{}: core.0.insns missing", w.name);
         assert!(snap.metrics.contains_key("core.1.cycles"), "{}: core.1.cycles missing", w.name);
 
-        // Stage timing was on: every successful decode is followed by
-        // exactly one optimizer pass, and only lowered blocks leave
-        // encode samples.
-        let decode = snap.histogram("stage.decode_ns");
-        let opt = snap.histogram("stage.opt_ns");
-        let encode = snap.histogram("stage.encode_ns");
-        assert!(decode.count > 0, "{}: no decode samples despite stage timing", w.name);
-        assert_eq!(decode.count, opt.count, "{}: decode/opt sample counts differ", w.name);
-        assert!(encode.count > 0 && encode.count <= decode.count, "{}: encode samples", w.name);
-        assert!(decode.min <= decode.max && decode.sum >= decode.max, "{}: histogram", w.name);
-
         // The hot-TB profile covers real blocks and is sorted by execs.
         let hot = emu.hot_tbs(8);
         assert!(!hot.is_empty(), "{}: no hot TBs recorded", w.name);
@@ -123,11 +111,13 @@ fn registry_counters_equal_legacy_report_on_all_kernels() {
     }
 }
 
-/// Observability is passive on every tier: a run with a trace sink, the
-/// stage clock and the hot-TB profiler on is the default run, on tier-1
-/// alone and on the tier ladder at two warm thresholds — same cycles,
-/// exit values and output, and on the ladder the same promotions and
-/// translations, since nothing the profiler counts decides a promotion.
+/// Observability is passive on every tier, and what it records is a
+/// function of the program: a run with a trace sink and the hot-TB
+/// profiler on is the default run, on tier-1 alone and on the tier
+/// ladder at two warm thresholds — same cycles, exit values and output,
+/// the same metrics snapshot as a whole (so on the ladder the same
+/// promotions and translations, since nothing the profiler counts
+/// decides a promotion) — and two traced runs record the same events.
 #[test]
 fn instrumented_run_is_bit_identical_to_default_run() {
     let ladders =
@@ -139,38 +129,37 @@ fn instrumented_run_is_bit_identical_to_default_run() {
             let mut plain = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
             plain.set_tiering(tiers);
             let rp = plain.run(FUEL).unwrap_or_else(|e| panic!("{leg} plain: {e}"));
+            let plain_snap = plain.metrics();
 
-            let ring = Rc::new(RefCell::new(RingBufferSink::new(4096)));
-            let mut traced = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-            traced.set_tiering(tiers);
-            traced.set_trace_sink(Box::new(SharedSink(Rc::clone(&ring))));
-            traced.set_stage_timing(true);
-            traced.set_profiling(true);
-            let rt = traced.run(FUEL).unwrap_or_else(|e| panic!("{leg} traced: {e}"));
+            let traced_run = || {
+                let events = Rc::new(RefCell::new(Vec::new()));
+                let mut traced =
+                    Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
+                traced.set_tiering(tiers);
+                traced.set_trace_sink(Box::new(VecSink(Rc::clone(&events))));
+                traced.set_profiling(true);
+                let rt = traced.run(FUEL).unwrap_or_else(|e| panic!("{leg} traced: {e}"));
+                (rt, traced.metrics(), events.take())
+            };
+            let (rt, traced_snap, events) = traced_run();
 
             assert_eq!(rp.cycles, rt.cycles, "{leg}: observing changed simulated cycles");
             assert_eq!(rp.exit_vals, rt.exit_vals, "{leg}: observing changed exit values");
             assert_eq!(rp.output, rt.output, "{leg}: observing changed guest output");
-            // `template.promotions` and the rest of the template tier's
-            // counts, and `translate.blocks`.
-            assert_eq!(rp.template, rt.template, "{leg}: observing moved the tier ladder");
-            assert_eq!(rp.tb_count, rt.tb_count, "{leg}: observing changed the translations");
-            if tiers.is_some() {
-                continue;
-            }
+            // Every counter and gauge, `template.promotions` and
+            // `translate.blocks` among them.
+            assert_eq!(plain_snap, traced_snap, "{leg}: observing changed the metrics");
 
-            let ring = ring.borrow();
-            assert!(!ring.is_empty(), "{}: no trace events recorded", w.name);
             assert!(
-                ring.events().any(|e| e.stage == TraceStage::Dispatch),
-                "{}: no dispatch events",
-                w.name
+                events.iter().any(|e| e.stage == TraceStage::Dispatch),
+                "{leg}: no dispatch events"
             );
             assert!(
-                ring.events().any(|e| e.stage == TraceStage::Decode && e.dur_ns.is_some()),
-                "{}: no timed decode events",
-                w.name
+                events.iter().any(|e| e.stage == TraceStage::Decode),
+                "{leg}: no decode events"
             );
+            assert!(events.iter().map(|e| e.seq).eq(0..events.len() as u64), "{leg}: event seqs");
+            assert_eq!(events, traced_run().2, "{leg}: two traced runs recorded different events");
         }
     }
 }
@@ -187,7 +176,6 @@ fn ring_buffer_sink_is_bounded_and_overwrites_oldest() {
             core: Some(0),
             guest_pc: Some(0x1000 + seq),
             tb_id: None,
-            dur_ns: None,
             detail: String::new(),
         });
     }
@@ -217,7 +205,6 @@ fn metrics_md_documents_the_entire_schema() {
     let documented: Vec<String> = specs().into_iter().map(|s| s.name).collect();
     let bin = (kernels::all()[0].build)(8, 2);
     let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-    emu.set_stage_timing(true);
     emu.set_profiling(true);
     emu.run(FUEL).expect("kernel runs");
     for name in emu.metrics().metrics.keys() {
@@ -239,52 +226,32 @@ fn kmeans() -> GuestBinary {
     (kernel.build)(16, 2)
 }
 
-/// What a stage enum wired to the wrong table row would break: with the
-/// stage clock on and no fault plan, every stage's sample count is the
-/// count of blocks that went through it, on every tier; with it off no
-/// histogram has a sample.
+/// What a tier wired to the wrong counter would break: with no fault
+/// plan, each leg moves exactly the counters of the producers it runs,
+/// every install on the ladder is a template or a promotion, and two
+/// snapshots of one state are equal.
 #[test]
-fn stage_histograms_reconcile_with_the_counters() {
+fn tier_legs_reconcile_with_the_counters() {
     let bin = kmeans();
-    let stages: Vec<String> =
-        specs().into_iter().map(|s| s.name).filter(|n| n.ends_with("_ns")).collect();
-    assert_eq!(stages.len(), 5, "{stages:?}");
-
     for (leg, tiers) in
         [("tier-1", None), ("templates", Some(templates_only())), ("ladder", Some(LADDER))]
     {
-        for timing in [true, false] {
-            let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-            emu.set_tiering(tiers);
-            emu.set_stage_timing(timing);
-            emu.run(FUEL).unwrap_or_else(|e| panic!("{leg}: {e}"));
-            let snap = emu.metrics();
-            assert_eq!(snap, emu.metrics(), "{leg}: two snapshots of the same state differ");
-            if !timing {
-                for stage in &stages {
-                    assert_eq!(snap.histogram(stage).count, 0, "{leg}: `{stage}` timed while off");
-                }
-                continue;
-            }
-            let samples = |stage: &str| snap.histogram(stage).count;
-            let (decode, blocks) = (samples("stage.decode_ns"), snap.counter("translate.blocks"));
-            assert_eq!(decode, samples("stage.opt_ns"), "{leg}: decode vs opt");
-            assert_eq!(decode, samples("stage.encode_ns"), "{leg}: decode vs encode");
-            assert_eq!(samples("stage.template_ns"), snap.counter("template.blocks"), "{leg}");
-            assert_eq!(samples("stage.install_ns"), blocks, "{leg}");
-            assert_eq!(
-                decode + samples("stage.template_ns"),
-                blocks,
-                "{leg}: a producer per block"
-            );
-            // Each leg exercises the rows it is there for.
-            let (templates, promoted) =
-                (snap.counter("template.blocks"), snap.counter("template.promotions"));
-            match leg {
-                "tier-1" => assert!(decode > 0 && templates == 0 && promoted == 0, "{snap:?}"),
-                "templates" => assert!(decode == 0 && templates > 0 && promoted == 0, "{snap:?}"),
-                _ => assert!(decode > 0 && templates > 0 && promoted > 0, "{snap:?}"),
-            }
+        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
+        emu.set_tiering(tiers);
+        emu.run(FUEL).unwrap_or_else(|e| panic!("{leg}: {e}"));
+        let snap = emu.metrics();
+        assert_eq!(snap, emu.metrics(), "{leg}: two snapshots of the same state differ");
+        let tier1 = snap.counter("translate.insns");
+        let (templates, promoted) =
+            (snap.counter("template.blocks"), snap.counter("template.promotions"));
+        if tiers.is_some() {
+            assert_eq!(snap.counter("translate.blocks"), templates + promoted, "{leg}: {snap:?}");
+        }
+        // Each leg exercises the rows it is there for.
+        match leg {
+            "tier-1" => assert!(tier1 > 0 && templates == 0 && promoted == 0, "{snap:?}"),
+            "templates" => assert!(tier1 == 0 && templates > 0 && promoted == 0, "{snap:?}"),
+            _ => assert!(tier1 > 0 && templates > 0 && promoted > 0, "{snap:?}"),
         }
     }
 }
@@ -378,18 +345,19 @@ fn two_block_loop() -> GuestBinary {
 /// attempts: each piece ends with an `Install`; events after the last
 /// one form the final piece.
 fn install_attempts(tiers: Option<TierConfig>, plan: FaultPlan) -> Vec<Vec<TraceEvent>> {
-    let ring = Rc::new(RefCell::new(RingBufferSink::new(4096)));
+    let events = Rc::new(RefCell::new(Vec::new()));
     let mut emu = Emulator::new(&two_block_loop(), Setup::Risotto, 1, CostModel::thunderx2_like());
     emu.set_verify(VerifyLevel::Install);
     emu.set_tiering(tiers);
     emu.set_fault_plan(plan);
-    emu.set_trace_sink(Box::new(SharedSink(Rc::clone(&ring))));
+    emu.set_trace_sink(Box::new(VecSink(Rc::clone(&events))));
     let r = emu.run(FUEL).expect("loop runs");
     assert_eq!(r.exit_vals[0], Some(400));
     let mut attempts = vec![Vec::new()];
-    for e in ring.borrow().events().filter(|e| e.stage != TraceStage::Dispatch) {
-        attempts.last_mut().unwrap().push(e.clone());
-        if e.stage == TraceStage::Install {
+    for e in events.take().into_iter().filter(|e| e.stage != TraceStage::Dispatch) {
+        let install = e.stage == TraceStage::Install;
+        attempts.last_mut().unwrap().push(e);
+        if install {
             attempts.push(Vec::new());
         }
     }

@@ -12,9 +12,9 @@
 //!    downgrade one fence) and of the encoded bytes (flip one byte) are
 //!    each flagged by the verifier. 100% of generated mutants must die.
 //! 3. **Fault containment** — an injected install-time corruption
-//!    ([`FaultPlan::corrupt_install_at`]) is caught by
-//!    `VerifyLevel::Install` before the damaged code can dispatch, and
-//!    the run still produces the fault-free result.
+//!    ([`FaultPlan::corrupt_install_at`]) is caught at every
+//!    `VerifyLevel`, the default included, before the damaged code can
+//!    dispatch, and the run still produces the fault-free result.
 //!
 //! `RISOTTO_VERIFY_SMOKE=1` bounds the sweep for CI (fewer blocks per
 //! kernel, fewer litmus staggers).
@@ -262,6 +262,8 @@ fn litmus_corpus_runs_clean_at_full_verification() {
     assert!(checked_total > 0);
 }
 
+/// At every level, the default included, a corrupted install is read
+/// back and discarded before it can run.
 #[test]
 fn injected_install_corruption_is_caught_before_dispatch() {
     let w = kernels::all().into_iter().find(|w| w.name == "histogram").expect("histogram kernel");
@@ -269,39 +271,31 @@ fn injected_install_corruption_is_caught_before_dispatch() {
     let fuel = 2_000_000_000;
 
     let mut clean = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-    clean.set_verify(VerifyLevel::Off);
+    clean.set_verify(VerifyLevel::Install);
     let reference = clean.run(fuel).expect("clean run");
 
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-    emu.set_verify(VerifyLevel::Install);
-    emu.set_fault_plan(FaultPlan::seeded(7).corrupt_install_at(0).corrupt_install_at(3));
-    let report = emu.run(fuel).expect("verified run recovers");
+    for level in [None, Some(VerifyLevel::Install), Some(VerifyLevel::Full)] {
+        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
+        if let Some(level) = level {
+            emu.set_verify(level);
+        }
+        emu.set_fault_plan(FaultPlan::seeded(7).corrupt_install_at(0).corrupt_install_at(3));
+        let report = emu.run(fuel).unwrap_or_else(|e| panic!("{level:?}: run must recover: {e}"));
 
-    // The damaged installs were discarded before dispatch: results match
-    // the fault-free reference exactly.
-    assert_eq!(report.exit_vals, reference.exit_vals);
-    assert_eq!(report.output, reference.output);
+        // The damaged installs were discarded before dispatch: results
+        // match the fault-free reference exactly.
+        assert_eq!(report.exit_vals, reference.exit_vals, "{level:?}");
+        assert_eq!(report.output, reference.output, "{level:?}");
 
-    let m = emu.metrics();
-    assert_eq!(m.counter("verify.violations"), 2, "both corruptions must be flagged");
-    assert_eq!(m.counter("verify.encoding_violations"), 2);
-    assert!(m.counter("verify.checked") > 0);
-    assert!(m.counter("fault.injected") >= 2);
-    assert!(report.fallback_blocks >= 1, "rejected installs fall back to the interpreter");
-    // Ordinal 0 corrupts `main`'s entry block, which executes exactly once
-    // (interpreted, never revisited); only the re-reached loop block is
-    // re-translated after its quarantine entry.
-    assert!(report.retranslations >= 1, "quarantined pcs are re-translated");
-}
-
-#[test]
-fn verify_off_skips_all_checks() {
-    let w = &kernels::all()[0];
-    let bin = (w.build)(16, 2);
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-    emu.set_verify(VerifyLevel::Off);
-    emu.run(2_000_000_000).expect("run");
-    let m = emu.metrics();
-    assert_eq!(m.counter("verify.checked"), 0);
-    assert_eq!(m.counter("verify.violations"), 0);
+        let m = emu.metrics();
+        assert_eq!(m.counter("verify.violations"), 2, "{level:?}: both corruptions flagged");
+        assert_eq!(m.counter("verify.encoding_violations"), 2, "{level:?}");
+        assert!(m.counter("verify.checked") > 0, "{level:?}");
+        assert!(m.counter("fault.injected") >= 2, "{level:?}");
+        assert!(report.fallback_blocks >= 1, "{level:?}: rejected installs are interpreted");
+        // Ordinal 0 corrupts `main`'s entry block, which executes exactly
+        // once (interpreted, never revisited); only the re-reached loop
+        // block is re-translated after its quarantine entry.
+        assert!(report.retranslations >= 1, "{level:?}: quarantined pcs are re-translated");
+    }
 }
