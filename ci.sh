@@ -169,6 +169,21 @@ if grep -rnE "std::time|Instant::|\.elapsed\(\)|SystemTime" crates src; then
     exit 1
 fi
 
+# One config surface: an emulator is configured once, by the `EmuConfig`
+# `Emulator::with_config` builds it from. No setter that configured it
+# afterwards may come back, and only the frozen `benchmark/` replay still
+# calls the three `#[doc(hidden)]` shims left for it — ROADMAP item 6(b)
+# is the PR that deletes them.
+if grep -rnE "fn set_(rmw_style|backend|passes|fault_plan|sched_policy|chaining|profiling|watchdog|atomic_log)\b" crates/core/src; then
+    echo "ci: an Emulator setting is an EmuConfig field, not a setter" >&2
+    exit 1
+fi
+if grep -rnE "\.set_(verify|tiering|analysis)\(" crates src tests examples; then
+    echo "ci: set_verify/set_tiering/set_analysis are benchmark/'s replay shims" \
+        "until ROADMAP item 6(b) deletes them; build an EmuConfig instead" >&2
+    exit 1
+fi
+
 # Host-time facts, from the one harness that measures host time (the
 # calibrated `benchmark/` package; `crates/bench` reports simulated
 # cycles only): tier-0 template translation must be cheaper per guest

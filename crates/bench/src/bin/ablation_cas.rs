@@ -7,7 +7,7 @@
 //!   corrected Arm model of §3.3).
 
 use risotto_bench::{ops_per_sec, print_table, usage_error, BenchCli};
-use risotto_core::{RmwStyle, Setup};
+use risotto_core::{EmuConfig, Emulator, RmwStyle, Setup};
 use risotto_workloads::cas::{cas_bench, FIG15_CONFIGS};
 
 fn main() {
@@ -25,9 +25,10 @@ fn main() {
         // helper: the qemu setup (helper-call CAS).
         let helper = cli.run(&bin, Setup::Qemu, threads, false, None);
         // direct, rmw2-fenced.
-        let mut emu = cli.emulator(&bin, Setup::Risotto, threads);
-        emu.set_rmw_style(RmwStyle::Rmw2Fenced);
-        let rmw2 = emu.run(20_000_000_000).unwrap();
+        let config = EmuConfig { rmw_style: RmwStyle::Rmw2Fenced, ..cli.config(Setup::Risotto) };
+        let rmw2 = Emulator::with_config(&bin, Setup::Risotto, threads, config)
+            .run(20_000_000_000)
+            .unwrap();
         // direct, casal.
         let casal = cli.run(&bin, Setup::Risotto, threads, false, None);
         for r in [&helper, &rmw2, &casal] {

@@ -4,7 +4,7 @@
 //! fence placement makes possible).
 
 use risotto_bench::{print_table, usage_error, BenchCli};
-use risotto_core::Setup;
+use risotto_core::{EmuConfig, Emulator, Setup};
 use risotto_tcg::PassConfig;
 use risotto_workloads::kernels;
 
@@ -31,9 +31,10 @@ fn main() {
         let mut base = 0u64;
         let mut expect = None;
         for (i, (_, passes)) in variants.iter().enumerate() {
-            let mut emu = cli.emulator(&bin, Setup::TcgVer, threads);
-            emu.set_passes(*passes);
-            let r = emu.run(10_000_000_000).unwrap();
+            let config = EmuConfig { passes: *passes, ..cli.config(Setup::TcgVer) };
+            let r = Emulator::with_config(&bin, Setup::TcgVer, threads, config)
+                .run(10_000_000_000)
+                .unwrap();
             match expect {
                 None => expect = Some(r.exit_vals[0]),
                 Some(e) => {

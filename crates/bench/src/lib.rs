@@ -15,7 +15,7 @@ pub mod suite;
 
 use risotto_core::obs::{HotTb, MetricsSnapshot};
 use risotto_core::{
-    BackendKind, Emulator, HostLibrary, Idl, Report, Setup, TierConfig, VerifyLevel,
+    BackendKind, EmuConfig, Emulator, HostLibrary, Idl, Report, Setup, VerifyLevel,
 };
 use risotto_guest_x86::GuestBinary;
 
@@ -28,12 +28,10 @@ pub const HOT_TB_TOP_N: usize = 10;
 /// Simulated-cycle budget of one harness run.
 pub(crate) const FUEL: u64 = 20_000_000_000;
 
-/// The tier policy that pins every block to the tier-0 template
-/// translator: a warm threshold of `u64::MAX` never fires, so nothing is
-/// ever re-translated through the IR pipeline.
-pub fn templates_only() -> TierConfig {
-    TierConfig { warm_threshold: Some(u64::MAX) }
-}
+/// The warm threshold that pins every block to the tier-0 template
+/// translator: `u64::MAX` entries never arrive, so nothing is ever
+/// re-translated through the IR pipeline.
+pub const TEMPLATES_ONLY: Option<u64> = Some(u64::MAX);
 
 /// One workload's entry in a `--metrics-json` artifact.
 #[derive(Debug)]
@@ -113,7 +111,7 @@ pub struct BenchCli {
     pub metrics_json: Option<String>,
     /// Host backend from `--backend` (docs/BACKENDS.md); Arm when the
     /// flag is absent. The native-oracle setup always stays on Arm
-    /// (see [`BenchCli::emulator`]).
+    /// (see [`BenchCli::config`]).
     pub backend: BackendKind,
     /// Tier selection from `--tiers` (docs/ARCHITECTURE.md): `0` pins
     /// every block to the tier-0 template translator, `1` is today's
@@ -121,7 +119,7 @@ pub struct BenchCli {
     /// then the IR pipeline once warm). `None` when absent.
     pub tiers: Option<u8>,
     /// Whole-program analysis toggle from `--analysis on|off`
-    /// (docs/ANALYSIS.md). `None` when absent — [`BenchCli::emulator`]
+    /// (docs/ANALYSIS.md). `None` when absent — [`BenchCli::config`]
     /// defaults to on (the flag exists to measure the unrelaxed baseline).
     pub analysis: Option<bool>,
     /// Positional (non-flag) arguments, in order.
@@ -204,48 +202,43 @@ impl BenchCli {
         }
     }
 
-    /// The tier policy the `--tiers` selection pins on every DBT
-    /// emulator [`BenchCli::emulator`] builds:
+    /// The configuration every binary runs `setup` under — the one place
+    /// the shared flags are applied. [`Emulator::with_config`] prices the
+    /// machine with the backend's cost model, so cycle numbers are
+    /// comparable only within one backend. Install-time read-back is free
+    /// (no simulated cycles), so every harness run keeps it on:
+    /// `verify.violations` must be zero in any artifact the harness
+    /// produces. The native oracle runs precompiled Arm code whatever
+    /// `--backend` says, and has neither translation tiers nor fence
+    /// obligations to relax; every DBT setup gets the `--analysis` toggle
+    /// (on unless `off`) and the `--tiers` selection:
     ///
-    /// * `--tiers 0` — [`templates_only`]: every block stays tier-0
+    /// * `--tiers 0` — [`TEMPLATES_ONLY`]: every block stays tier-0
     ///   forever.
-    /// * `--tiers 1` (or no flag) — today's default: the IR pipeline
-    ///   translates everything, no tiering at all (`None`).
+    /// * `--tiers 1` (or no flag) — the IR pipeline translates
+    ///   everything, no tiering at all.
     /// * `--tiers 2` — the two-tier ladder: cold blocks via templates,
     ///   re-translated through the IR pipeline at 32 entries.
-    pub fn tier_config(&self) -> Option<TierConfig> {
-        match self.tiers {
-            Some(0) => Some(templates_only()),
-            Some(2) => Some(TierConfig { warm_threshold: Some(32) }),
+    pub fn config(&self, setup: Setup) -> EmuConfig {
+        let verify = VerifyLevel::Install;
+        if setup == Setup::Native {
+            return EmuConfig { verify, ..EmuConfig::default() };
+        }
+        let warm_threshold = match self.tiers {
+            Some(0) => TEMPLATES_ONLY,
+            Some(2) => Some(32),
             _ => None,
+        };
+        EmuConfig {
+            backend: self.backend,
+            verify,
+            warm_threshold,
+            analysis: self.analysis.unwrap_or(true),
+            ..EmuConfig::default()
         }
     }
 
-    /// The emulator every binary runs `bin` on — the one place the shared
-    /// flags are applied. The machine is priced with the backend's cost
-    /// model, so cycle numbers are comparable only within one backend.
-    /// Install-time read-back is free (no simulated cycles), so every
-    /// harness run keeps it on: `verify.violations` must be zero in any
-    /// artifact the harness produces. A `--tiers` pin and the
-    /// `--analysis` toggle apply to every DBT setup; the native oracle
-    /// runs precompiled Arm code whatever `--backend` says, and has
-    /// neither translation tiers nor fence obligations to relax.
-    pub fn emulator(&self, bin: &GuestBinary, setup: Setup, cores: usize) -> Emulator {
-        let dbt = setup != Setup::Native;
-        let backend = if dbt { self.backend } else { BackendKind::Arm };
-        let mut emu = Emulator::new(bin, setup, cores, backend.cost_model());
-        emu.set_backend(backend);
-        emu.set_verify(VerifyLevel::Install);
-        if dbt {
-            if let Some(cfg) = self.tier_config() {
-                emu.set_tiering(Some(cfg));
-            }
-            emu.set_analysis(self.analysis.unwrap_or(true));
-        }
-        emu
-    }
-
-    /// Runs `bin` to completion on [`BenchCli::emulator`], optionally
+    /// Runs `bin` to completion under [`BenchCli::config`], optionally
     /// linking the standard host libraries (libm + libcrypto + libkv).
     ///
     /// `collect` names the run as a workload of the `--metrics-json`
@@ -270,10 +263,8 @@ impl BenchCli {
         collect: Option<(&str, &mut Vec<MetricsEntry>)>,
     ) -> Report {
         let collect = collect.filter(|_| self.metrics_json.is_some());
-        let mut emu = self.emulator(bin, setup, cores);
-        if collect.is_some() {
-            emu.set_profiling(true);
-        }
+        let config = EmuConfig { profiling: collect.is_some(), ..self.config(setup) };
+        let mut emu = Emulator::with_config(bin, setup, cores, config);
         if link {
             let idl = Idl::parse(risotto_nativelib::hostlibs::IDL_TEXT).expect("IDL parses");
             for lib in [
@@ -415,6 +406,7 @@ pub fn speedup(base: u64, new: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::BenchCli;
+    use risotto_core::Setup;
 
     /// Every shared flag.
     const SHARED: [&str; 5] = ["--smoke", "--metrics-json", "--backend", "--tiers", "--analysis"];
@@ -493,12 +485,11 @@ mod tests {
 
         // Tier 1 (and the flag's absence) keep the engine default; 0
         // pins templates forever; 2 opens the ladder.
-        assert_eq!(parse(&[]).unwrap().tier_config(), None);
-        assert_eq!(parse(&["--tiers", "1"]).unwrap().tier_config(), None);
-        let t0 = parse(&["--tiers", "0"]).unwrap().tier_config().unwrap();
-        assert_eq!(t0.warm_threshold, Some(u64::MAX));
-        let t2 = parse(&["--tiers", "2"]).unwrap().tier_config().unwrap();
-        assert_eq!(t2.warm_threshold, Some(32));
+        let warm = |args: &[&str]| parse(args).unwrap().config(Setup::Risotto).warm_threshold;
+        assert_eq!(warm(&[]), None);
+        assert_eq!(warm(&["--tiers", "1"]), None);
+        assert_eq!(warm(&["--tiers", "0"]), Some(u64::MAX));
+        assert_eq!(warm(&["--tiers", "2"]), Some(32));
     }
 
     #[test]
@@ -513,24 +504,33 @@ mod tests {
 
     #[test]
     fn every_emulator_gets_the_shared_flags_and_the_native_oracle_stays_on_arm() {
-        use risotto_core::{BackendKind, Setup, VerifyLevel};
+        use risotto_core::{BackendKind, EmuConfig, Emulator, Setup, VerifyLevel};
         let bin = (risotto_workloads::kernels::all()[0].build)(4, 2);
-        let default = parse(&[]).unwrap();
-        let flagged = parse(&["--backend", "tso", "--analysis", "off"]).unwrap();
-        for setup in [Setup::Qemu, Setup::TcgVer, Setup::Risotto] {
-            let emu = default.emulator(&bin, setup, 2);
-            assert_eq!(emu.backend_kind(), BackendKind::Arm);
-            assert_eq!(emu.verify_level(), VerifyLevel::Install);
-            assert!(emu.analysis_enabled(), "{setup:?}: harness runs default to analysis on");
-            let emu = flagged.emulator(&bin, setup, 2);
-            assert_eq!(emu.backend_kind(), BackendKind::Tso);
-            assert_eq!(emu.verify_level(), VerifyLevel::Install);
-            assert!(!emu.analysis_enabled(), "{setup:?}: --analysis off ignored");
-        }
-        for cli in [&default, &flagged] {
-            let emu = cli.emulator(&bin, Setup::Native, 2);
-            assert_eq!(emu.backend_kind(), BackendKind::Arm);
-            assert!(!emu.analysis_enabled(), "native code has no fence obligations to relax");
+        let base = EmuConfig { verify: VerifyLevel::Install, ..EmuConfig::default() };
+        let flag_sets = [
+            (&[][..], EmuConfig { analysis: true, ..base.clone() }),
+            (
+                &["--backend", "tso", "--analysis", "off", "--tiers", "0"],
+                EmuConfig {
+                    backend: BackendKind::Tso,
+                    warm_threshold: Some(u64::MAX),
+                    ..base.clone()
+                },
+            ),
+            (
+                &["--tiers", "2"],
+                EmuConfig { analysis: true, warm_threshold: Some(32), ..base.clone() },
+            ),
+        ];
+        for (args, dbt) in flag_sets {
+            let cli = parse(args).unwrap();
+            for setup in Setup::ALL {
+                // Native code is Arm-compiled, has no tiers and no fence
+                // obligations to relax.
+                let want = if setup == Setup::Native { &base } else { &dbt };
+                let emu = Emulator::with_config(&bin, setup, 2, cli.config(setup));
+                assert_eq!(emu.config(), want, "{args:?} under {setup:?}");
+            }
         }
     }
 

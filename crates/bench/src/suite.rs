@@ -1,11 +1,11 @@
 //! The kernel suite behind `BENCH_pipeline.json`: the 16 Fig. 12 kernels
-//! under the risotto setup, once per `LEGS` entry, reported in simulated
+//! under the risotto setup, once per `legs()` entry, reported in simulated
 //! cycles and deterministic counters only — the artifact is a pure
 //! function of the source tree, which is what lets `ci.sh` use the
 //! checked-in copy as its own baseline.
 
 use risotto_core::obs::MetricsSnapshot;
-use risotto_core::{BackendKind, Emulator, Report, Setup};
+use risotto_core::{BackendKind, EmuConfig, Emulator, Report, Setup};
 use risotto_workloads::kernels;
 
 /// Kernel scale in smoke (CI) mode. `ci.sh` names the kernels whose
@@ -17,29 +17,28 @@ const SMOKE_SCALE: u64 = 16;
 struct Leg {
     /// Name in panic messages.
     name: &'static str,
-    backend: BackendKind,
-    configure: fn(&mut Emulator),
+    config: EmuConfig,
 }
 
 /// The legs, base run first: every later leg must reproduce the base
 /// run's exit values and output bit for bit — only cycles and counters
 /// may move. The base run keeps every observability feature off, so its
 /// numbers equal an uninstrumented build's.
-const LEGS: [Leg; 4] = [
-    Leg { name: "tier-1", backend: BackendKind::Arm, configure: |_| {} },
-    // The x86-TSO host backend: most TCG fences are no-ops under TSO, only
-    // W→R orderings cost an MFENCE, which executes as a full barrier
-    // (`fence.exec.dmb_ff`). Cycles are priced by its own cost model.
-    Leg { name: "tso", backend: BackendKind::Tso, configure: |_| {} },
-    // Whole-program fence relaxation (docs/ANALYSIS.md).
-    Leg { name: "analysis", backend: BackendKind::Arm, configure: |e| e.set_analysis(true) },
-    // Cold start: every block pinned to the template translator.
-    Leg {
-        name: "tier-0",
-        backend: BackendKind::Arm,
-        configure: |e| e.set_tiering(Some(crate::templates_only())),
-    },
-];
+fn legs() -> [Leg; 4] {
+    let base = EmuConfig::default();
+    [
+        Leg { name: "tier-1", config: base.clone() },
+        // The x86-TSO host backend: most TCG fences are no-ops under TSO,
+        // only W→R orderings cost an MFENCE, which executes as a full
+        // barrier (`fence.exec.dmb_ff`). Cycles are priced by its own cost
+        // model.
+        Leg { name: "tso", config: EmuConfig { backend: BackendKind::Tso, ..base.clone() } },
+        // Whole-program fence relaxation (docs/ANALYSIS.md).
+        Leg { name: "analysis", config: EmuConfig { analysis: true, ..base.clone() } },
+        // Cold start: every block pinned to the template translator.
+        Leg { name: "tier-0", config: EmuConfig { warm_threshold: crate::TEMPLATES_ONLY, ..base } },
+    ]
+}
 
 /// Runs the suite (`smoke` shrinks the scale for CI), prints one line per
 /// kernel, and returns the `BENCH_pipeline.json` text.
@@ -55,15 +54,14 @@ pub fn pipeline_json(smoke: bool) -> String {
     let mode = if smoke { "smoke" } else { "full" };
     println!("kernel suite ({mode}, scale {scale}, {threads} threads):");
     let mut entries = Vec::new();
+    let legs = legs();
     for w in kernels::all() {
         let bin = (w.build)(scale, threads);
-        let runs: Vec<(Report, MetricsSnapshot)> = LEGS
+        let runs: Vec<(Report, MetricsSnapshot)> = legs
             .iter()
             .map(|leg| {
                 let mut emu =
-                    Emulator::new(&bin, Setup::Risotto, threads, leg.backend.cost_model());
-                emu.set_backend(leg.backend);
-                (leg.configure)(&mut emu);
+                    Emulator::with_config(&bin, Setup::Risotto, threads, leg.config.clone());
                 let r = emu
                     .run(crate::FUEL)
                     .unwrap_or_else(|e| panic!("{} ({}): {e}", w.name, leg.name));
@@ -71,7 +69,7 @@ pub fn pipeline_json(smoke: bool) -> String {
             })
             .collect();
         let (r, base) = &runs[0];
-        for (leg, (other, _)) in LEGS.iter().zip(&runs).skip(1) {
+        for (leg, (other, _)) in legs.iter().zip(&runs).skip(1) {
             assert_eq!(other.exit_vals, r.exit_vals, "{} ({}): exit values", w.name, leg.name);
             assert_eq!(other.output, r.output, "{} ({}): output", w.name, leg.name);
         }

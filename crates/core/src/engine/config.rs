@@ -1,17 +1,17 @@
 //! The engine's configuration and result vocabulary: evaluation setups,
-//! backend selection, tier and verifier policy, host-library linking
-//! types, errors, and the end-of-run report.
+//! the one [`EmuConfig`], host-library linking types, errors, and the
+//! end-of-run report.
 
-use crate::faults::FaultSite;
+#[cfg(doc)]
+use super::Emulator;
+use crate::faults::{FaultPlan, FaultSite};
 use risotto_host_arm::{
     ArmBackend, BackendConfig, ChainStats, CoreStats, CostModel, HostBackend, HostFaultKind,
-    NativeFn, RmwStyle,
+    NativeFn, RmwStyle, SchedPolicy,
 };
 use risotto_host_tso::TsoBackend;
-use risotto_tcg::{FrontendConfig, OptPolicy, OptStats, TranslateError};
+use risotto_tcg::{FrontendConfig, OptPolicy, OptStats, PassConfig, TranslateError};
 use std::fmt;
-#[cfg(doc)]
-use {super::Emulator, crate::faults::FaultPlan};
 
 /// The evaluation setups of §7.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,8 +89,8 @@ impl Setup {
 }
 
 /// Which [`HostBackend`] translates, verifies and costs the host code
-/// (docs/BACKENDS.md). Selected via [`Emulator::set_backend`] and the
-/// bench bins' `--backend` flag.
+/// (docs/BACKENDS.md). Selected by [`EmuConfig::backend`] and the bench
+/// bins' `--backend` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// The MiniArm weak-memory host (`risotto-host-arm`) — the paper's
@@ -126,16 +126,102 @@ impl BackendKind {
     }
 
     /// Alias of [`host`](Self::host), kept for the frozen `benchmark/`
-    /// package (ROADMAP item 4(c)).
+    /// package (ROADMAP item 6(c)).
     pub fn ordering(self) -> &'static dyn HostBackend {
         self.host()
     }
 
-    /// This backend's calibrated cycle model (feed it to
-    /// [`Emulator::new`] so the simulated machine prices instructions
-    /// as this host would).
+    /// This backend's calibrated cycle model: the one
+    /// [`Emulator::with_config`] prices the simulated machine with.
     pub fn cost_model(self) -> CostModel {
         self.host().cost_model()
+    }
+}
+
+/// Everything that configures an [`Emulator`], fixed when
+/// [`Emulator::with_config`] builds it. `Default` is what
+/// [`Emulator::new`] runs: Arm, `casal`, every pass, tier-1 only, no
+/// analysis, no faults, deterministic scheduling, chaining, no observers.
+///
+/// ```
+/// use risotto_core::{EmuConfig, Emulator, FaultPlan, FaultSite, Setup};
+/// use risotto_guest_x86::{AluOp, Cond, GelfBuilder, Gpr};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = GelfBuilder::new("main");
+/// b.asm.label("main");
+/// b.asm.mov_ri(Gpr::RCX, 500);
+/// b.asm.label("loop");
+/// b.asm.alu_ri(AluOp::Add, Gpr::RAX, 2);
+/// b.asm.alu_ri(AluOp::Sub, Gpr::RCX, 1);
+/// b.asm.cmp_ri(Gpr::RCX, 0);
+/// b.asm.jcc_to(Cond::Ne, "loop");
+/// b.asm.hlt();
+/// let bin = b.finish()?;
+///
+/// let config = EmuConfig {
+///     fault_plan: FaultPlan::seeded(7)
+///         .fail_translate_at(bin.symbols["loop"]) // this block is interpreted
+///         .rate(FaultSite::TbCache, 2000), // ~3% eviction pressure
+///     watchdog: Some(1_000_000), // livelock → EmuError::Stalled
+///     ..EmuConfig::default()
+/// };
+/// let mut emu = Emulator::with_config(&bin, Setup::Risotto, 1, config);
+/// let report = emu.run(100_000_000)?; // same result, or a typed error
+/// assert_eq!(report.exit_vals[0], Some(1000));
+/// assert!(report.fallback_blocks >= 1);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct EmuConfig {
+    /// Host backend lowering, verifying and pricing every translation
+    /// (docs/BACKENDS.md); [`Setup::Native`] takes only Arm.
+    pub backend: BackendKind,
+    /// How direct TCG `Cas`/`AtomicAdd` ops are lowered (§6.3 ablation).
+    pub rmw_style: RmwStyle,
+    /// Optimizer passes (ablation studies).
+    pub passes: PassConfig,
+    /// Translation-verifier level; observational on clean translations.
+    pub verify: VerifyLevel,
+    /// `Some(w)`: cold blocks start as tier-0 templates and re-translate
+    /// through tier-1 at `w` entries. `None`: every block is tier-1.
+    pub warm_threshold: Option<u64>,
+    /// Analysis-driven fence relaxation (docs/ANALYSIS.md): the image is
+    /// analysed once, at construction.
+    pub analysis: bool,
+    /// Fault-injection plan (DESIGN.md §11).
+    pub fault_plan: FaultPlan,
+    /// Host scheduling policy.
+    pub sched_policy: SchedPolicy,
+    /// TB chaining and the jump cache; off, every exit goes through the
+    /// dispatcher (the reference chained runs are checked against).
+    pub chaining: bool,
+    /// The hot-TB profiler behind [`Emulator::hot_tbs`].
+    pub profiling: bool,
+    /// Machine steps without observable progress after which a run fails
+    /// with [`EmuError::Stalled`] (at least 1).
+    pub watchdog: Option<u64>,
+    /// The atomic-access event log [`Emulator::take_atomic_log`] drains.
+    pub atomic_log: bool,
+}
+
+impl Default for EmuConfig {
+    fn default() -> Self {
+        EmuConfig {
+            backend: BackendKind::Arm,
+            rmw_style: RmwStyle::Casal,
+            passes: PassConfig::all(),
+            verify: VerifyLevel::default(),
+            warm_threshold: None,
+            analysis: false,
+            fault_plan: FaultPlan::default(),
+            sched_policy: SchedPolicy::Deterministic,
+            chaining: true,
+            profiling: false,
+            watchdog: None,
+            atomic_log: false,
+        }
     }
 }
 
@@ -421,18 +507,16 @@ pub struct Report {
     /// Aggregated optimizer statistics over every translated block.
     pub opt: OptStats,
     /// Tier-0 template-translation statistics (all zero unless
-    /// [`TierConfig::warm_threshold`] enabled the template tier).
+    /// [`EmuConfig::warm_threshold`] enabled the template tier).
     pub template: TemplateStats,
 }
 
-/// The tier ladder, set via [`Emulator::set_tiering`].
+/// The argument of the `#[doc(hidden)]` `Emulator::set_tiering` shim the
+/// frozen `benchmark/` replay calls, and nothing else: everyone else sets
+/// [`EmuConfig::warm_threshold`]. ROADMAP item 6(b) deletes both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierConfig {
-    /// `Some(w)` enables the tier-0 template tier: cold blocks are first
-    /// translated by IR-less template instantiation (`risotto-template`)
-    /// and re-translated through the full tier-1 pipeline once their
-    /// entry count reaches `w`. `None` (the default) keeps the one-tier
-    /// engine: every block goes straight through tier-1.
+    /// [`EmuConfig::warm_threshold`].
     pub warm_threshold: Option<u64>,
 }
 
@@ -445,7 +529,7 @@ pub struct TemplateStats {
     /// Guest instructions covered by template translations.
     pub insns: u64,
     /// Template blocks re-translated through the tier-1 IR pipeline
-    /// after crossing [`TierConfig::warm_threshold`].
+    /// after crossing [`EmuConfig::warm_threshold`].
     pub promotions: u64,
     /// Tier-0→1 promotions that failed (injected fault or pipeline
     /// error); the template translation stays installed.

@@ -216,10 +216,11 @@ impl Emulator {
 
     /// The `n` hottest translation blocks by execution count: the
     /// machine's transfer profile plus the engine's dispatch-loop
-    /// entries (requires [`Emulator::set_profiling`]; empty otherwise).
+    /// entries (requires [`EmuConfig::profiling`](super::EmuConfig);
+    /// empty otherwise).
     pub fn hot_tbs(&mut self, n: usize) -> Vec<HotTb> {
         let mut profiler = HotTbProfiler::new();
-        if self.obs.profiling {
+        if self.config.profiling {
             for (&pc, meta) in self.tbs.iter().filter(|(_, meta)| meta.resumes > 0) {
                 profiler.record(meta.id.unwrap_or(0), pc, meta.resumes, meta.resumes);
             }

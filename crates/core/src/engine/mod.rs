@@ -10,8 +10,8 @@
 //! that calls the registered native host function directly (§6.2).
 //!
 //! This module holds the [`Emulator`] itself and its run loop; the rest
-//! of the engine is split by concern: `config` (setups, tier and
-//! verifier policy, errors, reports), `translate` (the per-tier
+//! of the engine is split by concern: `config` (setups, the one
+//! [`EmuConfig`], errors, reports), `translate` (the per-tier
 //! producers and the one commit path), `fallback` (block interpretation
 //! over the reference semantics), `syscall` and `metrics`.
 //!
@@ -20,14 +20,14 @@
 //! The pipeline is panic-free: every layer failure — decoder, optimizer
 //! backend, TB cache, host linker, syscall layer — is either *recovered*
 //! or surfaced as a typed [`EmuError`]. Translation and lowering failures
-//! (real or injected via [`FaultPlan`]) quarantine the guest pc and fall
-//! back to direct interpretation of that block, with a bounded number of
-//! re-translation retries; detected TB-cache corruption discards the
-//! entry and re-translates; failed host-library links fall back to the
-//! translated guest implementation behind the PLT stub. Under any fault
-//! plan a run either completes with the same observable output as the
-//! fault-free run, or returns a typed error — never a silently wrong
-//! result. See DESIGN.md §11.
+//! (real or injected via [`FaultPlan`](crate::FaultPlan)) quarantine the
+//! guest pc and fall back to direct interpretation of that block, with a
+//! bounded number of re-translation retries; detected TB-cache corruption
+//! discards the entry and re-translates; failed host-library links fall
+//! back to the translated guest implementation behind the PLT stub. Under
+//! any fault plan a run either completes with the same observable output
+//! as the fault-free run, or returns a typed error — never a silently
+//! wrong result. See DESIGN.md §11.
 
 mod config;
 mod fallback;
@@ -36,21 +36,18 @@ mod syscall;
 mod translate;
 
 pub use config::{
-    BackendKind, CoreDump, EmuError, HostExport, HostLibrary, LinkError, Report, Setup,
+    BackendKind, CoreDump, EmuConfig, EmuError, HostExport, HostLibrary, LinkError, Report, Setup,
     TemplateStats, TierConfig, VerifyLevel,
 };
 pub use metrics::specs;
 
-use crate::faults::FaultPlan;
 use crate::idl::Idl;
 use crate::obs::{Obs, TraceSink, TraceStage};
 use metrics::Counts;
 use risotto_analysis::{analyze_image, ImageFacts};
 use risotto_guest_x86::{Flags, Gpr, GuestBinary, DATA_BASE, STACK_SIZE, STACK_TOP, TEXT_BASE};
-use risotto_host_arm::{
-    AtomicEvent, CostModel, Event, Machine, RmwStyle, SchedPolicy, Xreg, ENV_BASE, SPILL_BASE,
-};
-use risotto_tcg::{env, PassConfig};
+use risotto_host_arm::{AtomicEvent, CostModel, Event, Machine, Xreg, ENV_BASE, SPILL_BASE};
+use risotto_tcg::env;
 use std::collections::{HashMap, HashSet};
 use syscall::SyscallOutcome;
 use translate::{Quarantine, TranslateScratch};
@@ -87,43 +84,34 @@ struct TbMeta {
 #[derive(Debug)]
 pub struct Emulator {
     setup: Setup,
+    /// Everything that configures this emulator, fixed at construction.
+    config: EmuConfig,
     machine: Machine,
     /// PLT vaddr → (native function id, arity) for host-linked imports.
     plt_natives: HashMap<u64, (u16, usize)>,
     exit_vals: Vec<Option<u64>>,
     output: Vec<u8>,
     core_started: Vec<bool>,
-    passes: PassConfig,
-    rmw_style: RmwStyle,
-    /// Host backend lowering/verifying every translation
-    /// (docs/BACKENDS.md); [`Setup::Native`] is pinned to Arm.
-    backend_kind: BackendKind,
-    plan: FaultPlan,
     /// Bounded guest pc → failed-translation-attempt map (fallback
     /// bookkeeping, satellite of the translation verifier).
     quarantine: Quarantine,
     /// Machine steps plus interpreted guest instructions at which the
     /// current run is out of fuel (see [`Emulator::fuel_left`]).
     fuel_end: u64,
-    watchdog: Option<u64>,
     /// Every total the engine keeps (docs/METRICS.md).
     counts: Counts,
-    /// Observability: trace sink and profiling flag.
+    /// Observability: the trace sink.
     obs: Obs,
-    /// [`TierConfig::warm_threshold`] of the tier ladder (`None` =
-    /// tier-1 only).
-    warm_threshold: Option<u64>,
     /// Guest pc → its one engine-side record.
     tbs: HashMap<u64, TbMeta>,
-    /// Active translation-verifier level (docs/VERIFIER.md).
-    verify: VerifyLevel,
     /// What the engine reads of the loaded image: its entry and the
-    /// `.text` that `fetch` decodes from and [`Emulator::set_analysis`]
-    /// analyses. Everything else is empty — `.data` is in machine
-    /// memory, the symbols are [`Emulator::link_library`]'s argument.
+    /// `.text` that `fetch` decodes from and the analysis analyses.
+    /// Everything else is empty — `.data` is in machine memory, the
+    /// symbols are [`Emulator::link_library`]'s argument.
     binary: GuestBinary,
     /// Whole-program analysis facts driving fence relaxation
-    /// (docs/ANALYSIS.md); `None` = analysis disabled (the default).
+    /// (docs/ANALYSIS.md); present exactly when [`EmuConfig::analysis`]
+    /// is on.
     analysis: Option<ImageFacts>,
     /// Test hook: guest pcs the relaxer pretends are private (mutant
     /// injection for verifier kill tests; see `force_private_for_test`).
@@ -133,30 +121,26 @@ pub struct Emulator {
 }
 
 impl Emulator {
-    /// Loads a guest binary under the given setup.
+    /// Loads a guest binary under the given setup with the default
+    /// [`EmuConfig`] (which is what a fresh machine runs), pricing the
+    /// machine with `cost`.
     pub fn new(binary: &GuestBinary, setup: Setup, n_cores: usize, cost: CostModel) -> Emulator {
         let mut machine = Machine::new(n_cores, cost);
         machine.mem.write_bytes(TEXT_BASE, &binary.text);
         machine.mem.write_bytes(DATA_BASE, &binary.data);
         Emulator {
             setup,
+            config: EmuConfig::default(),
             machine,
             plt_natives: HashMap::new(),
             exit_vals: vec![None; n_cores],
             output: Vec::new(),
             core_started: vec![false; n_cores],
-            passes: PassConfig::all(),
-            rmw_style: RmwStyle::Casal,
-            backend_kind: BackendKind::Arm,
-            plan: FaultPlan::default(),
             quarantine: Quarantine::default(),
             fuel_end: u64::MAX,
-            watchdog: None,
             counts: Counts::default(),
             obs: Obs::default(),
-            warm_threshold: None,
             tbs: HashMap::new(),
-            verify: VerifyLevel::default(),
             binary: GuestBinary {
                 entry: binary.entry,
                 text: binary.text.clone(),
@@ -170,80 +154,69 @@ impl Emulator {
         }
     }
 
-    /// Overrides how direct TCG `Cas`/`AtomicAdd` ops are lowered (§6.3
-    /// ablation): `casal` vs the `DMBFF; RMW2; DMBFF` exclusive loop. Only
-    /// affects setups whose frontend emits direct RMW ops (risotto,
-    /// no-fences).
-    pub fn set_rmw_style(&mut self, style: RmwStyle) {
-        self.rmw_style = style;
-    }
-
-    /// Selects the host backend (docs/BACKENDS.md). Call it before the
-    /// first translation: installed code is not retranslated. The
-    /// native-oracle setup models Arm-compiled binaries and stays on
-    /// the Arm backend.
+    /// Loads a guest binary under the given setup and configuration,
+    /// pricing the machine with the configured backend's cost model.
     ///
     /// # Panics
     ///
-    /// If a non-Arm backend is requested under [`Setup::Native`].
-    pub fn set_backend(&mut self, kind: BackendKind) {
+    /// If `config` asks for a non-Arm backend under [`Setup::Native`].
+    pub fn with_config(
+        binary: &GuestBinary,
+        setup: Setup,
+        n_cores: usize,
+        config: EmuConfig,
+    ) -> Emulator {
         assert!(
-            self.setup != Setup::Native || kind == BackendKind::Arm,
+            setup != Setup::Native || config.backend == BackendKind::Arm,
             "the native oracle is Arm-compiled code; it has no {} rendition",
-            kind.name()
+            config.backend.name()
         );
-        self.backend_kind = kind;
+        let mut emu = Emulator::new(binary, setup, n_cores, config.backend.cost_model());
+        emu.config = config;
+        emu.apply_config();
+        emu
     }
 
-    /// The active host backend.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend_kind
-    }
-
-    /// Overrides the optimizer pass configuration (ablation studies).
-    pub fn set_passes(&mut self, passes: PassConfig) {
-        self.passes = passes;
-    }
-
-    /// Installs a fault-injection plan (see [`FaultPlan`]). Set it before
-    /// [`Emulator::link_library`] for host-call faults to apply.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.plan = plan;
-    }
-
-    /// Selects the translation-verifier level (see [`VerifyLevel`];
-    /// defaults to [`VerifyLevel::Full`] in debug builds,
-    /// [`VerifyLevel::Install`] in release builds). Verification is purely
-    /// observational on clean translations: cycles, output and exit
-    /// values are bit-identical across levels.
-    pub fn set_verify(&mut self, level: VerifyLevel) {
-        self.verify = level;
-    }
-
-    /// The active translation-verifier level.
-    pub fn verify_level(&self) -> VerifyLevel {
-        self.verify
-    }
-
-    /// Enables or disables whole-program analysis-driven fence
-    /// relaxation (docs/ANALYSIS.md). Turning it on analyses the loaded
-    /// image here, once, into facts this emulator owns (turning it on
-    /// again keeps them; off drops them); already-installed
-    /// translations are not retroactively changed, so flip this before
-    /// running. Relaxation never weakens verification: the Full-level
-    /// verifier re-derives its own mask from the pristine facts and
-    /// rejects any translation that relaxed more.
-    pub fn set_analysis(&mut self, on: bool) {
-        if !on {
-            self.analysis = None;
-        } else if self.analysis.is_none() {
-            self.analysis = Some(analyze_image(&self.binary));
+    /// Makes the machine and the analysis facts what the config says.
+    fn apply_config(&mut self) {
+        let c = &self.config;
+        // The tier-0 promoter reads the machine's transfer profile, so it
+        // is on for as long as the template tier is.
+        self.machine.set_profiling(c.profiling || c.warm_threshold.is_some());
+        self.machine.set_hot_threshold(c.warm_threshold);
+        self.machine.set_sched_policy(c.sched_policy);
+        self.machine.set_chaining(c.chaining);
+        self.machine.set_atomic_log(c.atomic_log);
+        if c.analysis != self.analysis.is_some() {
+            self.analysis = c.analysis.then(|| analyze_image(&self.binary));
         }
     }
 
-    /// Whether analysis-driven relaxation is enabled.
-    pub fn analysis_enabled(&self) -> bool {
-        self.analysis.is_some()
+    /// The configuration this emulator was built with. A run consumes
+    /// its fault plan's one-shot faults and advances the plan's stream.
+    pub fn config(&self) -> &EmuConfig {
+        &self.config
+    }
+
+    /// Replay shim for [`EmuConfig::verify`] (ROADMAP item 6(b)).
+    #[doc(hidden)]
+    pub fn set_verify(&mut self, level: VerifyLevel) {
+        self.config.verify = level;
+        self.apply_config();
+    }
+
+    /// Replay shim for [`EmuConfig::warm_threshold`] (ROADMAP item 6(b)).
+    #[doc(hidden)]
+    pub fn set_tiering(&mut self, cfg: Option<TierConfig>) {
+        self.config.warm_threshold = cfg.and_then(|c| c.warm_threshold);
+        self.apply_config();
+    }
+
+    /// Replay shim for [`EmuConfig::analysis`] (ROADMAP item 6(b)).
+    #[doc(hidden)]
+    pub fn set_analysis(&mut self, on: bool) {
+        self.config.analysis = on;
+        self.apply_config();
     }
 
     /// The analysis facts for the loaded image (None while disabled).
@@ -261,54 +234,12 @@ impl Emulator {
         self.forced_private.insert(pc);
     }
 
-    /// Selects the host scheduling policy (see [`SchedPolicy`]).
-    pub fn set_sched_policy(&mut self, policy: SchedPolicy) {
-        self.machine.set_sched_policy(policy);
-    }
-
-    /// Enables or disables TB chaining and the indirect jump cache on the
-    /// host machine (on by default). The disabled configuration resolves
-    /// every exit through the dispatcher and is the reference that chained
-    /// runs are differentially checked against.
-    pub fn set_chaining(&mut self, on: bool) {
-        self.machine.set_chaining(on);
-    }
-
     /// Installs a trace sink and enables structured event emission at the
     /// decode / opt / encode / install / dispatch / fault boundaries.
     /// Tracing is purely observational: a traced run is bit-identical
     /// (cycles, output, exit values) to an untraced one.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.obs.sink = Some(sink);
-    }
-
-    /// Enables the hot-TB profiler on both the engine dispatch loop and
-    /// the host machine's transfer paths (off by default; observational
-    /// only). Disabling discards collected counts.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.obs.profiling = on;
-        // The tier-0 promoter owns the machine-side profile while the
-        // template tier is enabled; it must survive observability
-        // toggles.
-        self.machine.set_profiling(on || self.warm_threshold.is_some());
-        if !on {
-            self.tbs.values_mut().for_each(|meta| meta.resumes = 0);
-        }
-    }
-
-    /// Sets the tier ladder (`None`: tier-1 only). With a
-    /// [`TierConfig::warm_threshold`], cold blocks start as tier-0
-    /// templates and the machine's transfer profile — on for as long as
-    /// the template tier is, whatever [`Emulator::set_profiling`] says —
-    /// raises the events that promote them.
-    ///
-    /// Tiering never changes architectural results: both tiers translate
-    /// the same guest instructions under verified mappings. Cycle counts
-    /// *do* change — that is the point.
-    pub fn set_tiering(&mut self, cfg: Option<TierConfig>) {
-        self.warm_threshold = cfg.and_then(|c| c.warm_threshold);
-        self.machine.set_hot_threshold(self.warm_threshold);
-        self.machine.set_profiling(self.obs.profiling || self.warm_threshold.is_some());
     }
 
     /// Tier-0 template statistics so far (also in [`Report::template`]
@@ -318,23 +249,16 @@ impl Emulator {
     }
 
     /// `true` while the tier-0 template tier serves cold translations:
-    /// tiering must be on with a [`TierConfig::warm_threshold`], and the
-    /// setup must be a DBT one (the native oracle has no guest decode).
+    /// the config must set [`EmuConfig::warm_threshold`], and the setup
+    /// must be a DBT one (the native oracle has no guest decode).
     fn tier0_active(&self) -> bool {
-        self.setup != Setup::Native && self.warm_threshold.is_some()
+        self.setup != Setup::Native && self.config.warm_threshold.is_some()
     }
 
     /// Audits the machine's chain graph; empty means every patched chain
     /// word points at a live translation (see `Machine::validate_chains`).
     pub fn validate_chains(&self) -> Vec<(u64, u64, u64)> {
         self.machine.validate_chains()
-    }
-
-    /// Arms the livelock watchdog: a run that makes no observable
-    /// progress (new translation, completed syscall, output bytes, core
-    /// exit) for `steps` machine steps fails with [`EmuError::Stalled`].
-    pub fn set_watchdog(&mut self, steps: u64) {
-        self.watchdog = Some(steps.max(1));
     }
 
     /// The active setup.
@@ -371,16 +295,8 @@ impl Emulator {
         Flags { zf: set(env::ZF), sf: set(env::SF), cf: set(env::CF), of: set(env::OF) }
     }
 
-    /// Enables or disables the host machine's ordered atomic-access
-    /// event log (off by default; purely observational). The fuzzer's
-    /// per-access ordering oracle drains it with
-    /// [`Emulator::take_atomic_log`] after a run.
-    pub fn set_atomic_log(&mut self, on: bool) {
-        self.machine.set_atomic_log(on);
-    }
-
     /// Drains and returns the recorded [`AtomicEvent`]s in execution
-    /// order (empty when the log is disabled).
+    /// order (empty unless [`EmuConfig::atomic_log`] is on).
     pub fn take_atomic_log(&mut self) -> Vec<AtomicEvent> {
         self.machine.take_atomic_log()
     }
@@ -432,7 +348,7 @@ impl Emulator {
         let mut linked = Vec::new();
         for HostExport { name, arity, func } in lib.funcs {
             let Some(sym) = binary.dynsyms.iter().find(|d| d.name == name) else { continue };
-            if self.plan.host_call_fails(&name) {
+            if self.config.fault_plan.host_call_fails(&name) {
                 // Injected link failure: leave the import on its
                 // translated guest implementation (the PLT stub jumps
                 // there) — the run still produces the same output.
@@ -511,7 +427,7 @@ impl Emulator {
         loop {
             match self.ensure_translated(Some(core), pc) {
                 Ok(host) => {
-                    if self.obs.profiling {
+                    if self.config.profiling {
                         self.tbs.entry(pc).or_default().resumes += 1;
                     }
                     self.machine.start_core(core, host);
@@ -530,11 +446,11 @@ impl Emulator {
     /// and later re-translated — corrupted code never executes) and
     /// background eviction pressure.
     fn inject_tb_cache_faults(&mut self) {
-        if self.plan.is_empty() {
+        if self.config.fault_plan.is_empty() {
             return;
         }
-        for pc in self.plan.pending_corruptions() {
-            if self.machine.lookup_tb(pc).is_some() && self.plan.take_corrupt_tb(pc) {
+        for pc in self.config.fault_plan.pending_corruptions() {
+            if self.machine.lookup_tb(pc).is_some() && self.config.fault_plan.take_corrupt_tb(pc) {
                 self.machine.unmap_tb(pc);
                 let tb_id = self.tb_id(pc);
                 self.obs.trace(TraceStage::Fault, None, Some(pc), tb_id, || {
@@ -542,11 +458,11 @@ impl Emulator {
                 });
             }
         }
-        if self.plan.tb_cache_strikes() {
+        if self.config.fault_plan.tb_cache_strikes() {
             let mut tbs = self.machine.mapped_tbs();
             if !tbs.is_empty() {
                 tbs.sort_unstable();
-                let victim = tbs[self.plan.pick(tbs.len())];
+                let victim = tbs[self.config.fault_plan.pick(tbs.len())];
                 self.machine.unmap_tb(victim);
             }
         }
@@ -595,7 +511,7 @@ impl Emulator {
     /// Unrecoverable translation faults, runaway execution (`fuel` steps,
     /// counting both machine steps and fallback-interpreted guest
     /// instructions), syscall misuse, injected syscall faults, host-code
-    /// faults, and — with [`Emulator::set_watchdog`] armed — stalls.
+    /// faults, and — with [`EmuConfig::watchdog`] armed — stalls.
     pub fn run(&mut self, fuel: u64) -> Result<Report, EmuError> {
         self.run_sliced_for_test(fuel, u64::MAX)
     }
@@ -613,13 +529,14 @@ impl Emulator {
     pub fn run_sliced_for_test(&mut self, fuel: u64, slice: u64) -> Result<Report, EmuError> {
         self.fuel_end =
             (self.machine.total_steps() + self.counts.interp_steps).saturating_add(fuel);
+        let watchdog = self.config.watchdog.map(|w| w.max(1));
         self.init_core(0, None);
         self.resume_at(0, self.binary.entry)?;
         let mut last_marker = self.progress_marker();
         let mut no_progress: u64 = 0;
         loop {
             let before = self.machine.total_steps();
-            let budget = self.fuel_left().min(slice).min(self.watchdog.unwrap_or(u64::MAX));
+            let budget = self.fuel_left().min(slice).min(watchdog.unwrap_or(u64::MAX));
             let ev = self.machine.run(budget);
             self.inject_tb_cache_faults();
             match ev {
@@ -659,7 +576,7 @@ impl Emulator {
                 no_progress = 0;
             } else {
                 no_progress += (self.machine.total_steps() - before).max(1);
-                if let Some(w) = self.watchdog {
+                if let Some(w) = watchdog {
                     if no_progress >= w {
                         return Err(EmuError::Stalled {
                             steps: no_progress,
@@ -717,9 +634,8 @@ mod tests {
     #[test]
     fn a_record_keeps_its_id_its_tier_and_its_resumes_while_profiling() {
         let bin = counted_loop(40);
-        let mut emu = Emulator::new(&bin, Setup::Risotto, 1, CostModel::thunderx2_like());
-        emu.set_profiling(true);
-        emu.set_tiering(Some(TierConfig { warm_threshold: Some(8) }));
+        let config = EmuConfig { profiling: true, warm_threshold: Some(8), ..EmuConfig::default() };
+        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 1, config);
         let report = emu.run(100_000).unwrap();
         assert_eq!(report.exit_vals[0], Some(120));
         // The entry block is a template still; the loop crossed the warm
@@ -740,7 +656,21 @@ mod tests {
         assert!(emu.machine.unmap_tb(bin.entry));
         assert!(emu.ensure_translated(None, bin.entry).is_ok());
         assert_eq!((emu.tb_id(bin.entry), emu.counts.retranslations), (Some(1), promoted + 1));
-        emu.set_profiling(false);
-        assert!(emu.tbs.values().all(|meta| meta.resumes == 0), "disabling discards the counts");
+    }
+
+    /// One construction path: `with_config` is `new` priced by the
+    /// configured backend's cost model, on both backends.
+    #[test]
+    fn with_config_is_new_priced_by_the_backend() {
+        let bin = counted_loop(40);
+        for backend in BackendKind::ALL {
+            let config = EmuConfig { backend, ..EmuConfig::default() };
+            let mut configured = Emulator::with_config(&bin, Setup::Risotto, 1, config);
+            let mut plain = Emulator::new(&bin, Setup::Risotto, 1, backend.cost_model());
+            plain.config.backend = backend;
+            assert_eq!(plain.config(), configured.config());
+            let (a, b) = (configured.run(100_000).unwrap(), plain.run(100_000).unwrap());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{}", backend.name());
+        }
     }
 }

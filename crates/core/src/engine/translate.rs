@@ -19,7 +19,7 @@ use risotto_tcg::{
 use risotto_template::{translate_block_template, TemplateError};
 use std::collections::HashMap;
 #[cfg(doc)]
-use {super::EmuError, super::TierConfig, crate::faults::FaultPlan, risotto_host_arm::Event};
+use {super::EmuConfig, super::EmuError, crate::faults::FaultPlan, risotto_host_arm::Event};
 
 /// How many times a failing block is re-offered to the translator before
 /// it is permanently interpreted.
@@ -177,7 +177,7 @@ impl Emulator {
     /// The backend configuration every producer lowers with and the
     /// encoding check decodes against.
     fn backend_config(&self) -> BackendConfig {
-        self.setup.backend_config(self.rmw_style)
+        self.setup.backend_config(self.config.rmw_style)
     }
 
     /// Fires a planned install-time corruption ([`FaultPlan::corrupt_install_at`])
@@ -185,12 +185,12 @@ impl Emulator {
     fn maybe_corrupt_install(&mut self, host: u64) {
         let nth = self.counts.installs_done;
         self.counts.installs_done += 1;
-        if !self.plan.take_install_corruption(nth) {
+        if !self.config.fault_plan.take_install_corruption(nth) {
             return;
         }
         let len = self.machine.code_bytes(host).map_or(0, <[u8]>::len);
         if len > 0 {
-            let off = self.plan.pick(len);
+            let off = self.config.fault_plan.pick(len);
             if self.machine.corrupt_code_byte(host, off) {
                 self.counts.faults_injected += 1;
             }
@@ -249,7 +249,7 @@ impl Emulator {
         bytes: &[u8],
     ) -> Result<(), VerifyError> {
         let (fences, policy) = (self.setup.frontend().fences, self.setup.opt_policy());
-        let (host, backend) = (self.backend_kind.host(), self.backend_config());
+        let (host, backend) = (self.config.backend.host(), self.backend_config());
         let scratch = &mut self.scratch;
         tcg_verify::lint_in(&full.optimized, &mut scratch.verify)?;
         tcg_verify::check_captured(
@@ -324,7 +324,7 @@ impl Emulator {
     /// Routes [`Event::HotTb`] up the tier ladder: a block still
     /// installed as a tier-0 template re-translates through the tier-1
     /// IR pipeline. The machine raises the event at every multiple of
-    /// [`TierConfig::warm_threshold`] entries, so a failed promotion is
+    /// [`EmuConfig::warm_threshold`] entries, so a failed promotion is
     /// re-offered later; it counts those entries itself, so no
     /// observability setting moves a promotion.
     pub(super) fn on_hot_tb(&mut self, core: usize, guest_pc: u64) {
@@ -388,7 +388,7 @@ impl Emulator {
         if let Some(&(func, nargs)) = self.plt_natives.get(&guest_pc) {
             return Ok(Candidate::block(guest_pc, self.build_native_thunk(func, nargs)));
         }
-        if self.plan.translate_fails(guest_pc) {
+        if self.config.fault_plan.translate_fails(guest_pc) {
             self.counts.faults_injected += 1;
             return Err(TbFault::Injected);
         }
@@ -402,7 +402,7 @@ impl Emulator {
     /// The [`FaultPlan`]'s backend-boundary injection site: after the
     /// tier-1 optimizer, after a tier-0 template instantiation.
     fn lower_fault(&mut self, guest_pc: u64) -> Result<(), TbFault> {
-        if self.plan.lower_fails(guest_pc) {
+        if self.config.fault_plan.lower_fails(guest_pc) {
             self.counts.faults_injected += 1;
             return Err(TbFault::Injected);
         }
@@ -446,7 +446,7 @@ impl Emulator {
         });
         // The unoptimized block is the fence-obligation reference the
         // Full-level verifier validates the optimized result against.
-        let full = self.verify == VerifyLevel::Full;
+        let full = self.config.verify == VerifyLevel::Full;
         if full {
             let verifier_mask = masks.as_ref().map_or(&[][..], |(_, verifier)| verifier);
             self.scratch.verify.capture_reference(&block, frontend.fences, verifier_mask);
@@ -464,7 +464,7 @@ impl Emulator {
             }
         }
         let policy = self.setup.opt_policy();
-        let stats = optimize_in(&mut block, policy, self.passes, &mut self.scratch.opt);
+        let stats = optimize_in(&mut block, policy, self.config.passes, &mut self.scratch.opt);
         self.counts.opt_totals += stats;
         self.obs.trace(TraceStage::Opt, core, Some(guest_pc), None, || {
             format!(
@@ -473,10 +473,8 @@ impl Emulator {
             )
         });
         self.lower_fault(guest_pc)?;
-        let backend = self.backend_config();
-        let out = self
-            .backend_kind
-            .host()
+        let (host, backend) = (self.config.backend.host(), self.backend_config());
+        let out = host
             .lower_block_in(&block, backend, &mut self.scratch.lower)
             .map_err(|_| TbFault::Backend)?;
         self.counts.regalloc_totals += out.alloc;
@@ -503,7 +501,7 @@ impl Emulator {
         guest_pc: u64,
     ) -> Result<Candidate, TbFault> {
         let (frontend, backend) = (self.setup.frontend(), self.backend_config());
-        let host = self.backend_kind.host();
+        let host = self.config.backend.host();
         let blk = translate_block_template(guest_pc, frontend, backend, host, |a| self.fetch(a))
             .map_err(|err| match err {
                 TemplateError::Decode(_) => TbFault::Frontend,

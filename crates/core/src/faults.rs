@@ -72,9 +72,9 @@ impl fmt::Display for FaultSite {
 /// A deterministic, seeded fault-injection plan.
 ///
 /// Build one with [`FaultPlan::seeded`] and the chainable `fail_*` /
-/// [`FaultPlan::rate`] methods, then hand it to
-/// [`Emulator::set_fault_plan`](crate::Emulator::set_fault_plan) before
-/// linking and running. The default plan injects nothing.
+/// [`FaultPlan::rate`] methods, and run under it as
+/// [`EmuConfig::fault_plan`](crate::EmuConfig::fault_plan). The default
+/// plan injects nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Shared deterministic stream driving the background-rate rolls and

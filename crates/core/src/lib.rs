@@ -42,8 +42,8 @@ pub mod obs;
 mod rng;
 
 pub use engine::{
-    BackendKind, CoreDump, EmuError, Emulator, HostExport, HostLibrary, LinkError, Report, Setup,
-    TemplateStats, TierConfig, VerifyLevel, ENV_REGION, SPILL_REGION,
+    BackendKind, CoreDump, EmuConfig, EmuError, Emulator, HostExport, HostLibrary, LinkError,
+    Report, Setup, TemplateStats, TierConfig, VerifyLevel, ENV_REGION, SPILL_REGION,
 };
 pub use faults::{FaultPlan, FaultSite};
 pub use idl::{Idl, IdlError, IdlFunc, IdlType};

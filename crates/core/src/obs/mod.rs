@@ -38,16 +38,12 @@ pub use trace::{RingBufferSink, TraceEvent, TraceSink, TraceStage};
 
 use std::fmt;
 
-/// The engine's observability state: the trace sink and the profiling
-/// flag. Internal to the crate; the `Emulator` exposes it through
-/// accessors.
+/// The engine's observability state: the trace sink. Internal to the
+/// crate; the `Emulator` exposes it through accessors.
 #[derive(Default)]
 pub(crate) struct Obs {
     /// Events are only constructed while a sink is installed.
     pub(crate) sink: Option<Box<dyn TraceSink>>,
-    /// Engine-side dispatch-loop profiling (the machine has its own
-    /// flag, toggled in lockstep).
-    pub(crate) profiling: bool,
     seq: u64,
 }
 
@@ -55,7 +51,6 @@ impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Obs")
             .field("tracing", &self.sink.is_some())
-            .field("profiling", &self.profiling)
             .field("events", &self.seq)
             .finish()
     }

@@ -20,11 +20,10 @@
 
 use crate::spec::{ProgSpec, CELLS, SLOTS};
 use risotto_core::{
-    AtomicEvent, BackendKind, Emulator, FaultPlan, FaultSite, PassConfig, Report, Setup,
-    SplitMix64, TierConfig, VerifyLevel,
+    AtomicEvent, BackendKind, EmuConfig, Emulator, FaultPlan, FaultSite, PassConfig, Report, Setup,
+    SplitMix64, VerifyLevel,
 };
 use risotto_guest_x86::{Flags, Gpr, GuestBinary, Interp};
-use risotto_host_arm::CostModel;
 
 /// Warm threshold the fuzz harness wires into its tier-0 configuration —
 /// low enough that the short generated loops actually promote from
@@ -164,34 +163,31 @@ pub fn run_interp(spec: &ProgSpec, bin: &GuestBinary) -> Result<Outcome, String>
     })
 }
 
-/// Builds the emulator for one oracle configuration.
-fn build_emulator(bin: &GuestBinary, cores: usize, config: Config) -> Emulator {
-    let cost = match config {
-        Config::Tier1Tso => BackendKind::Tso.cost_model(),
-        _ => CostModel::thunderx2_like(),
+/// The emulator configuration of one oracle run over `spec`: the
+/// Full-level verifier, the atomic log and the livelock watchdog, plus
+/// what `config` varies.
+fn emu_config(spec: &ProgSpec, config: Config) -> EmuConfig {
+    let base = EmuConfig {
+        verify: VerifyLevel::Full,
+        atomic_log: true,
+        watchdog: Some(watchdog_steps(spec)),
+        ..EmuConfig::default()
     };
-    let mut emu = Emulator::new(bin, Setup::Risotto, cores, cost);
-    emu.set_verify(VerifyLevel::Full);
-    emu.set_atomic_log(true);
     match config {
-        Config::Tier1 => {}
-        Config::Tier1NoOpt => emu.set_passes(PassConfig::none()),
+        Config::Tier1 => base,
+        Config::Tier1NoOpt => EmuConfig { passes: PassConfig::none(), ..base },
         // Templates at birth, tier-1 once warm: every generated hot loop
         // crosses both tiers.
-        Config::Tier0 => {
-            emu.set_tiering(Some(TierConfig { warm_threshold: Some(FUZZ_HOT_THRESHOLD) }))
-        }
-        Config::Tier1Tso => emu.set_backend(BackendKind::Tso),
-        Config::Tier1Analysis => emu.set_analysis(true),
+        Config::Tier0 => EmuConfig { warm_threshold: Some(FUZZ_HOT_THRESHOLD), ..base },
+        Config::Tier1Tso => EmuConfig { backend: BackendKind::Tso, ..base },
+        Config::Tier1Analysis => EmuConfig { analysis: true, ..base },
     }
-    emu
 }
 
 /// Runs one DBT configuration and collects its outcome.
 pub fn run_config(spec: &ProgSpec, bin: &GuestBinary, config: Config) -> Result<Outcome, String> {
     let cores = spec.cores();
-    let mut emu = build_emulator(bin, cores, config);
-    emu.set_watchdog(watchdog_steps(spec));
+    let mut emu = Emulator::with_config(bin, Setup::Risotto, cores, emu_config(spec, config));
     let report: Report = emu.run(u64::MAX / 4).map_err(|e| format!("{}: {e}", config.name()))?;
     let data_base = risotto_guest_x86::DATA_BASE;
     let data =
@@ -397,10 +393,8 @@ pub fn fault_check(spec: &ProgSpec, plan: FaultPlan) -> Result<bool, Divergence>
     let bin =
         spec.lower().map_err(|e| Divergence { config: "fault", what: format!("lower: {e}") })?;
     let reference = run_interp(spec, &bin).map_err(|e| Divergence { config: "fault", what: e })?;
-    let cores = spec.cores();
-    let mut emu = build_emulator(&bin, cores, Config::Tier1);
-    emu.set_fault_plan(plan);
-    emu.set_watchdog(watchdog_steps(spec));
+    let config = EmuConfig { fault_plan: plan, ..emu_config(spec, Config::Tier1) };
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, spec.cores(), config);
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| emu.run(u64::MAX / 4)));
     match run {
         Err(_) => Err(Divergence { config: "fault", what: "panicked under fault plan".into() }),

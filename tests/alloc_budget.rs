@@ -15,7 +15,7 @@
 //! instructions exist, stepping it allocates nothing. One `#[test]`
 //! only: the counter is process-wide.
 
-use risotto::core::{BackendKind, Emulator, Setup, VerifyLevel};
+use risotto::core::{BackendKind, EmuConfig, Emulator, Setup, VerifyLevel};
 use risotto::fuzz::parse_corpus;
 use risotto::guest::GuestBinary;
 use risotto::host::{AOp, CostModel, Event, HostInsn, Machine, MemOrder, Xreg};
@@ -100,9 +100,10 @@ fn translate_path_stays_inside_its_allocation_budget() {
     {
         let (mut in_run, mut blocks) = (0u64, 0u64);
         for (name, bin, cores) in &programs {
-            let (mut emu, in_new) = counted(|| Emulator::new(bin, Setup::Risotto, *cores, cost));
+            let config = EmuConfig { verify: level, ..EmuConfig::default() };
+            let (mut emu, in_new) =
+                counted(|| Emulator::with_config(bin, Setup::Risotto, *cores, config));
             worst_new = worst_new.max(in_new);
-            emu.set_verify(level);
             let (report, n) = counted(|| emu.run(u64::MAX / 4));
             let report = report.unwrap_or_else(|e| panic!("{name}: {e}"));
             in_run += n;

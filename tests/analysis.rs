@@ -22,15 +22,15 @@
 //!    the analysis already proved private is a no-op (negative
 //!    control).
 //! 4. **Ownership** — facts live in the emulator that asked for them:
-//!    computed once per `set_analysis(true)`, dropped when turned off,
-//!    equal when re-derived, and equal across emulators over one image.
+//!    absent unless its `EmuConfig` turns analysis on, and equal across
+//!    emulators over one image.
 //!
 //! And across versions, [`FACTS_HASH`] pins the facts themselves over
 //! every corpus a gate or the benchmark analyses.
 
 use risotto::analysis::{analyze_image, AccessKind, SiteClass};
 use risotto::core::obs::MetricsSnapshot;
-use risotto::core::{BackendKind, Emulator, Report, Setup, VerifyLevel};
+use risotto::core::{BackendKind, EmuConfig, Emulator, Report, Setup, VerifyLevel};
 use risotto::fuzz::{generate, parse_corpus, program_seed, GenConfig};
 use risotto::guest::GuestBinary;
 use risotto::host::CostModel;
@@ -43,6 +43,11 @@ const SCALE: u64 = 4;
 const THREADS: usize = 2;
 const FUEL: u64 = 20_000_000_000;
 
+/// Analysis on, at the Full verifier level.
+fn verified_analysis() -> EmuConfig {
+    EmuConfig { analysis: true, verify: VerifyLevel::Full, ..EmuConfig::default() }
+}
+
 /// Transparency on Arm: bit-identical results, cycles never up, and
 /// strictly down on at least three kernels; without a relaxed fence,
 /// nothing moves at all.
@@ -53,8 +58,8 @@ fn kernels_bit_identical_and_no_slower_with_analysis() {
         let bin = (w.build)(SCALE, THREADS);
         let mut off = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
         let r_off = off.run(FUEL).unwrap_or_else(|e| panic!("{} (off): {e}", w.name));
-        let mut on = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
-        on.set_analysis(true);
+        let analysis = EmuConfig { analysis: true, ..EmuConfig::default() };
+        let mut on = Emulator::with_config(&bin, Setup::Risotto, THREADS, analysis);
         let r_on = on.run(FUEL).unwrap_or_else(|e| panic!("{} (on): {e}", w.name));
         assert_eq!(r_on.exit_vals, r_off.exit_vals, "{}: exit values diverge", w.name);
         assert_eq!(r_on.output, r_off.output, "{}: output diverges", w.name);
@@ -94,13 +99,14 @@ fn kernels_bit_identical_and_no_slower_with_analysis() {
 fn kernels_bit_identical_with_analysis_on_tso() {
     for w in kernels::all() {
         let bin = (w.build)(SCALE, THREADS);
-        let mut off = Emulator::new(&bin, Setup::Risotto, THREADS, BackendKind::Tso.cost_model());
-        off.set_backend(BackendKind::Tso);
-        let r_off = off.run(FUEL).unwrap_or_else(|e| panic!("{} (tso off): {e}", w.name));
-        let mut on = Emulator::new(&bin, Setup::Risotto, THREADS, BackendKind::Tso.cost_model());
-        on.set_backend(BackendKind::Tso);
-        on.set_analysis(true);
-        let r_on = on.run(FUEL).unwrap_or_else(|e| panic!("{} (tso on): {e}", w.name));
+        let tso = EmuConfig { backend: BackendKind::Tso, ..EmuConfig::default() };
+        let r_off = Emulator::with_config(&bin, Setup::Risotto, THREADS, tso.clone())
+            .run(FUEL)
+            .unwrap_or_else(|e| panic!("{} (tso off): {e}", w.name));
+        let on = EmuConfig { analysis: true, ..tso };
+        let r_on = Emulator::with_config(&bin, Setup::Risotto, THREADS, on)
+            .run(FUEL)
+            .unwrap_or_else(|e| panic!("{} (tso on): {e}", w.name));
         assert_eq!(r_on.exit_vals, r_off.exit_vals, "{}: tso exit values diverge", w.name);
         assert_eq!(r_on.output, r_off.output, "{}: tso output diverges", w.name);
     }
@@ -114,9 +120,7 @@ fn full_verifier_accepts_all_analysis_relaxations() {
     let mut relaxed_total = 0;
     for w in kernels::all() {
         let bin = (w.build)(SCALE, THREADS);
-        let mut emu = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
-        emu.set_analysis(true);
-        emu.set_verify(VerifyLevel::Full);
+        let mut emu = Emulator::with_config(&bin, Setup::Risotto, THREADS, verified_analysis());
         emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let m = emu.metrics();
         assert_eq!(
@@ -141,14 +145,12 @@ fn litmus_with_analysis_stays_within_x86_behaviors() {
         let allowed = behaviors(&prog, &X86Tso::new());
         for delays in [&[0u64, 0][..], &[0, 40], &[40, 0], &[13, 11]] {
             let compiled = compile_litmus(&prog, delays);
-            let mut emu = Emulator::new(
+            let mut emu = Emulator::with_config(
                 &compiled.binary,
                 Setup::Risotto,
                 compiled.threads,
-                CostModel::thunderx2_like(),
+                verified_analysis(),
             );
-            emu.set_analysis(true);
-            emu.set_verify(VerifyLevel::Full);
             emu.run(50_000_000).unwrap_or_else(|e| panic!("{}: {e}", prog.name));
             let obs = compiled.observe(emu.mem());
             assert!(
@@ -181,9 +183,7 @@ fn forced_private_mutants_die_at_install() {
         let r_base = base.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", w.name));
 
         // Clean analysis-on reference: how much the licensed mask relaxes.
-        let mut clean = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
-        clean.set_analysis(true);
-        clean.set_verify(VerifyLevel::Full);
+        let mut clean = Emulator::with_config(&bin, Setup::Risotto, THREADS, verified_analysis());
         let r_clean = clean.run(FUEL).unwrap_or_else(|e| panic!("{} (clean): {e}", w.name));
         let mc = clean.metrics();
         assert_eq!(mc.counter("verify.violations"), 0, "{}: clean run flagged", w.name);
@@ -192,7 +192,7 @@ fn forced_private_mutants_die_at_install() {
 
         let shared: Vec<u64> = clean
             .analysis_facts()
-            .expect("facts present after set_analysis")
+            .expect("facts present with analysis on")
             .sites
             .iter()
             .filter(|(_, s)| s.kind != AccessKind::Atomic && s.class == SiteClass::Shared)
@@ -203,9 +203,7 @@ fn forced_private_mutants_die_at_install() {
         }
         mutants += 1;
 
-        let mut evil = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
-        evil.set_analysis(true);
-        evil.set_verify(VerifyLevel::Full);
+        let mut evil = Emulator::with_config(&bin, Setup::Risotto, THREADS, verified_analysis());
         for &pc in &shared {
             evil.force_private_for_test(pc);
         }
@@ -235,9 +233,7 @@ fn forced_private_mutants_die_at_install() {
 fn forcing_an_already_private_site_is_harmless() {
     let w = kernels::all().into_iter().find(|w| w.name == "pca").expect("pca kernel exists");
     let bin = (w.build)(SCALE, THREADS);
-    let mut emu = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
-    emu.set_analysis(true);
-    emu.set_verify(VerifyLevel::Full);
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, THREADS, verified_analysis());
     let private: Vec<u64> = emu
         .analysis_facts()
         .expect("facts present")
@@ -256,9 +252,9 @@ fn forcing_an_already_private_site_is_harmless() {
     assert!(m.counter("analysis.relaxed") > 0, "pca should relax its private accesses");
 }
 
-/// Facts belong to the emulator: `set_analysis(true)` analyses the image
-/// once and keeps that object, off-then-on re-derives equal facts, and
-/// two emulators over one image are independent and indistinguishable.
+/// Facts belong to the emulator: there are none unless its config turns
+/// analysis on, and two emulators over one image are independent and
+/// indistinguishable.
 #[test]
 fn facts_are_per_emulator_and_reproducible() {
     let w = kernels::all().into_iter().find(|w| w.name == "pca").expect("pca kernel exists");
@@ -274,24 +270,15 @@ fn facts_are_per_emulator_and_reproducible() {
         (analysis, report.cycles, report.exit_vals, report.output)
     };
 
-    let mut a = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
-    assert!(a.analysis_facts().is_none(), "analysis is off by default");
-    a.set_analysis(true);
-    let facts = a.analysis_facts().expect("facts present after set_analysis");
-    let (first, summary) = (std::ptr::from_ref(facts), facts.summary());
+    let off = Emulator::with_config(&bin, Setup::Risotto, THREADS, EmuConfig::default());
+    assert!(off.analysis_facts().is_none(), "analysis is off by default");
+    let analysis = EmuConfig { analysis: true, ..EmuConfig::default() };
+    let mut a = Emulator::with_config(&bin, Setup::Risotto, THREADS, analysis.clone());
+    let summary = a.analysis_facts().expect("facts present with analysis on").summary();
     assert!(summary.relaxable > 0, "pca should have relaxable accesses");
-    a.set_analysis(true);
-    assert!(
-        std::ptr::eq(first, a.analysis_facts().expect("facts kept")),
-        "turning analysis on twice must keep the facts it already has"
-    );
-    a.set_analysis(false);
-    assert!(a.analysis_facts().is_none(), "turning analysis off drops the facts");
-    a.set_analysis(true);
-    assert_eq!(a.analysis_facts().expect("facts re-derived").summary(), summary);
 
-    let mut b = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
-    b.set_analysis(true);
+    let mut b = Emulator::with_config(&bin, Setup::Risotto, THREADS, analysis);
+    assert_eq!(b.analysis_facts().expect("facts present").summary(), summary);
     let (ra, rb) = (run(&mut a), run(&mut b));
     assert_eq!(ra, rb, "two emulators over one image must agree");
     assert!(a.metrics().counter("analysis.relaxed") > 0, "pca should relax fences");

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use risotto::core::{BackendKind, Emulator, FaultPlan, Setup, VerifyLevel};
+use risotto::core::{BackendKind, EmuConfig, Emulator, FaultPlan, Setup, VerifyLevel};
 use risotto::fuzz::{differential, generate, program_seed, GenConfig};
 use risotto::host::{ArmBackend, HostBackend};
 use risotto::litmus::{behaviors, corpus, Behavior, Program};
@@ -26,13 +26,16 @@ use risotto::workloads::litmus_compile::compile_litmus;
 
 const FUEL: u64 = 2_000_000_000;
 
+/// `backend` with the translation verifier at `verify`.
+fn config(backend: BackendKind, verify: VerifyLevel) -> EmuConfig {
+    EmuConfig { backend, verify, ..EmuConfig::default() }
+}
+
 fn run_kernel(
     bin: &risotto::guest::GuestBinary,
     backend: BackendKind,
 ) -> (risotto::core::Report, u64, u64, u64) {
-    let mut emu = Emulator::new(bin, Setup::Risotto, 2, backend.cost_model());
-    emu.set_backend(backend);
-    emu.set_verify(VerifyLevel::Full);
+    let mut emu = Emulator::with_config(bin, Setup::Risotto, 2, config(backend, VerifyLevel::Full));
     let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{} backend: {e}", backend.name()));
     let m = emu.metrics();
     (r, m.counter("verify.checked"), m.counter("verify.violations"), m.counter("fence.exec.dmb_ff"))
@@ -56,9 +59,10 @@ fn kernels_are_bit_identical_across_backends() {
         // The TSO dialect has no partial barriers: every fence it
         // executes is a full MFENCE, so the Ld/St barrier counters on
         // the machine side must stay at zero.
-        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, BackendKind::Tso.cost_model());
-        emu.set_backend(BackendKind::Tso);
-        let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let tso = EmuConfig { backend: BackendKind::Tso, ..EmuConfig::default() };
+        let r = Emulator::with_config(&bin, Setup::Risotto, 2, tso)
+            .run(FUEL)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert_eq!(r.stats.dmb[0], 0, "{}: TSO backend executed a DMB LD", w.name);
         assert_eq!(r.stats.dmb[1], 0, "{}: TSO backend executed a DMB ST", w.name);
     }
@@ -68,10 +72,8 @@ fn kernels_are_bit_identical_across_backends() {
 /// the observed behavior.
 fn run_litmus_once(prog: &Program, backend: BackendKind, delays: &[u64]) -> Behavior {
     let compiled = compile_litmus(prog, delays);
-    let mut emu =
-        Emulator::new(&compiled.binary, Setup::Risotto, compiled.threads, backend.cost_model());
-    emu.set_backend(backend);
-    emu.set_verify(VerifyLevel::Full);
+    let config = config(backend, VerifyLevel::Full);
+    let mut emu = Emulator::with_config(&compiled.binary, Setup::Risotto, compiled.threads, config);
     emu.run(50_000_000)
         .unwrap_or_else(|e| panic!("{} under {} backend: {e}", prog.name, backend.name()));
     compiled.observe(emu.mem())
@@ -147,15 +149,13 @@ fn tso_install_corruption_is_caught_by_pass3() {
     let w = kernels::all().into_iter().find(|w| w.name == "histogram").expect("histogram kernel");
     let bin = (w.build)(64, 2);
 
-    let mut clean = Emulator::new(&bin, Setup::Risotto, 2, BackendKind::Tso.cost_model());
-    clean.set_backend(BackendKind::Tso);
-    clean.set_verify(VerifyLevel::Install);
-    let reference = clean.run(FUEL).expect("clean tso run");
+    let clean = config(BackendKind::Tso, VerifyLevel::Install);
+    let reference = Emulator::with_config(&bin, Setup::Risotto, 2, clean.clone())
+        .run(FUEL)
+        .expect("clean tso run");
 
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 2, BackendKind::Tso.cost_model());
-    emu.set_backend(BackendKind::Tso);
-    emu.set_verify(VerifyLevel::Install);
-    emu.set_fault_plan(FaultPlan::seeded(7).corrupt_install_at(0).corrupt_install_at(3));
+    let fault_plan = FaultPlan::seeded(7).corrupt_install_at(0).corrupt_install_at(3);
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, EmuConfig { fault_plan, ..clean });
     let report = emu.run(FUEL).expect("verified tso run recovers");
 
     assert_eq!(report.exit_vals, reference.exit_vals);
@@ -167,13 +167,14 @@ fn tso_install_corruption_is_caught_by_pass3() {
     assert!(report.fallback_blocks >= 1, "rejected installs fall back to the interpreter");
 }
 
-/// The native oracle is Arm-compiled code; it has no TSO rendition.
+/// The native oracle is Arm-compiled code; it has no TSO rendition, and
+/// an emulator that asks for one is never built.
 #[test]
 #[should_panic(expected = "native oracle")]
 fn native_setup_rejects_tso_backend() {
     let bin = (kernels::all()[0].build)(4, 1);
-    let mut emu = Emulator::new(&bin, Setup::Native, 1, BackendKind::Arm.cost_model());
-    emu.set_backend(BackendKind::Tso);
+    let tso = EmuConfig { backend: BackendKind::Tso, ..EmuConfig::default() };
+    Emulator::with_config(&bin, Setup::Native, 1, tso);
 }
 
 /// The last path segment of each item. Every path must resolve, so a
@@ -211,7 +212,7 @@ fn known_free() -> Vec<&'static str> {
         risotto::host::arm_dmb_of,
         FenceKind::arm_dmb,
         FenceKind::tso_fence,
-        Emulator::set_backend,
+        Emulator::with_config,
         risotto::host::CostModel::thunderx2_like,
         risotto::host_tso::x86_server_like,
         risotto::mappings::scheme::verified_x86_to_tso,

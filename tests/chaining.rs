@@ -5,11 +5,17 @@
 //! bit-identical to a chaining-disabled reference run, which takes every
 //! TB exit through the dispatcher.
 
-use risotto::core::{Emulator, Setup};
+use risotto::core::{EmuConfig, Emulator, Setup};
 use risotto::host::CostModel;
 use risotto::workloads::kernels;
 
 const FUEL: u64 = 400_000_000;
+
+/// The reference configuration: chaining and the jump cache off, every
+/// exit through the dispatcher.
+fn dispatcher_only() -> EmuConfig {
+    EmuConfig { chaining: false, ..EmuConfig::default() }
+}
 
 #[test]
 fn chaining_matches_dispatcher_reference_on_all_kernels() {
@@ -21,8 +27,7 @@ fn chaining_matches_dispatcher_reference_on_all_kernels() {
         let mut chained = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
         let rc = chained.run(FUEL).unwrap_or_else(|e| panic!("{} (chained): {e}", w.name));
 
-        let mut reference = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-        reference.set_chaining(false);
+        let mut reference = Emulator::with_config(&bin, Setup::Risotto, 2, dispatcher_only());
         let rr = reference.run(FUEL).unwrap_or_else(|e| panic!("{} (reference): {e}", w.name));
 
         assert_eq!(
@@ -96,8 +101,7 @@ fn jump_cache_eviction_keeps_dispatch_accounting_consistent() {
     let mut cached = Emulator::new(&bin, Setup::Risotto, 1, CostModel::thunderx2_like());
     let rc = cached.run(FUEL).expect("cached run completes");
 
-    let mut reference = Emulator::new(&bin, Setup::Risotto, 1, CostModel::thunderx2_like());
-    reference.set_chaining(false);
+    let mut reference = Emulator::with_config(&bin, Setup::Risotto, 1, dispatcher_only());
     let rr = reference.run(FUEL).expect("reference run completes");
 
     assert_eq!(rc.exit_vals[0], Some(SITES as u64 * PASSES), "wrong call count");

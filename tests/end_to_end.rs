@@ -2,7 +2,7 @@
 //! images through the DBT, guest I/O, error paths, and cross-setup
 //! agreement on library-heavy programs.
 
-use risotto::core::{EmuError, Emulator, FaultPlan, FaultSite, Idl, Setup, TierConfig};
+use risotto::core::{EmuConfig, EmuError, Emulator, FaultPlan, FaultSite, Idl, Setup};
 use risotto::guest::{
     syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary, Interp, InterpError, DATA_BASE,
 };
@@ -240,12 +240,13 @@ fn translation_cache_reuses_blocks() {
 /// aside, tier-1 (the default), tier-0 templates only, and the fallback
 /// interpreter behind a plan that fails (nearly) every translation.
 fn dbt_paths(bin: &GuestBinary) -> [(&'static str, Emulator); 3] {
-    let tier1 = Emulator::new(bin, Setup::Risotto, 1, cost());
-    let mut tier0 = Emulator::new(bin, Setup::Risotto, 1, cost());
-    tier0.set_tiering(Some(TierConfig { warm_threshold: Some(u64::MAX) }));
-    let mut fallback = Emulator::new(bin, Setup::Risotto, 1, cost());
-    fallback.set_fault_plan(FaultPlan::seeded(1).rate(FaultSite::Translate, 65535));
-    [("tier-1", tier1), ("tier-0", tier0), ("fallback", fallback)]
+    let fallback = FaultPlan::seeded(1).rate(FaultSite::Translate, 65535);
+    [
+        ("tier-1", EmuConfig::default()),
+        ("tier-0", EmuConfig { warm_threshold: Some(u64::MAX), ..EmuConfig::default() }),
+        ("fallback", EmuConfig { fault_plan: fallback, ..EmuConfig::default() }),
+    ]
+    .map(|(path, config)| (path, Emulator::with_config(bin, Setup::Risotto, 1, config)))
 }
 
 /// The WRITE length is a guest register: a length no buffer could have

@@ -5,7 +5,7 @@
 //! identical to the fault-free reference interpreter, or returns a typed
 //! [`EmuError`] — never a panic, never a silently wrong result.
 
-use risotto::core::{EmuError, Emulator, FaultPlan, FaultSite, SchedPolicy, Setup};
+use risotto::core::{EmuConfig, EmuError, Emulator, FaultPlan, FaultSite, SchedPolicy, Setup};
 use risotto::fuzz::parse_corpus;
 use risotto::guest::{syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary, Interp, DATA_BASE};
 use risotto::host::CostModel;
@@ -15,6 +15,11 @@ const FUEL: u64 = 200_000_000;
 
 fn cost() -> CostModel {
     CostModel::thunderx2_like()
+}
+
+/// An emulator that runs `bin` under the fault plan `fault_plan`.
+fn faulted(bin: &GuestBinary, setup: Setup, cores: usize, fault_plan: FaultPlan) -> Emulator {
+    Emulator::with_config(bin, setup, cores, EmuConfig { fault_plan, ..EmuConfig::default() })
 }
 
 /// Fault-free reference: the guest interpreter's checksum and output.
@@ -64,8 +69,7 @@ fn seeded_fault_sweep_never_diverges_silently() {
         let (ref_exit, ref_out) = reference(&bin);
         for seed in 0..200u64 {
             let setup = setups[(seed % setups.len() as u64) as usize];
-            let mut emu = Emulator::new(&bin, setup, 2, cost());
-            emu.set_fault_plan(plan_for(seed));
+            let mut emu = faulted(&bin, setup, 2, plan_for(seed));
             match emu.run(FUEL) {
                 Ok(report) => {
                     assert_eq!(
@@ -136,8 +140,7 @@ fn translate_fault_falls_back_to_interpreter() {
     let bin = counting_binary(500, false);
     let loop_pc = bin.symbols["loop"];
     for setup in Setup::ALL {
-        let mut emu = Emulator::new(&bin, setup, 1, cost());
-        emu.set_fault_plan(FaultPlan::seeded(3).fail_translate_at(loop_pc));
+        let mut emu = faulted(&bin, setup, 1, FaultPlan::seeded(3).fail_translate_at(loop_pc));
         let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", setup.name()));
         assert_eq!(r.exit_vals[0], Some(500), "{}", setup.name());
         assert_eq!(r.output, b"ok\n", "{}", setup.name());
@@ -170,8 +173,8 @@ fn interpreted_loop_after_translated_code_stops_at_the_fuel() {
     b.asm.jmp_to("spin");
     let bin = b.finish().unwrap();
     for setup in Setup::ALL {
-        let mut emu = Emulator::new(&bin, setup, 1, cost());
-        emu.set_fault_plan(FaultPlan::seeded(6).fail_translate_at(bin.symbols["spin"]));
+        let mut emu =
+            faulted(&bin, setup, 1, FaultPlan::seeded(6).fail_translate_at(bin.symbols["spin"]));
         assert!(matches!(emu.run(fuel), Err(EmuError::OutOfFuel)), "{}", setup.name());
         let m = emu.metrics();
         let (steps, interpreted) = (m.counter("exec.insns"), m.counter("translate.interp_steps"));
@@ -184,8 +187,8 @@ fn interpreted_loop_after_translated_code_stops_at_the_fuel() {
 #[test]
 fn lower_fault_falls_back_to_interpreter() {
     let bin = counting_binary(500, false);
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 1, cost());
-    emu.set_fault_plan(FaultPlan::seeded(4).fail_lower_at(bin.symbols["loop"]));
+    let mut emu =
+        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(4).fail_lower_at(bin.symbols["loop"]));
     let r = emu.run(FUEL).unwrap();
     assert_eq!(r.exit_vals[0], Some(500));
     assert!(r.fallback_blocks >= 1);
@@ -196,8 +199,8 @@ fn lower_fault_falls_back_to_interpreter() {
 #[test]
 fn tb_corruption_is_retranslated() {
     let bin = counting_binary(500, true);
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 1, cost());
-    emu.set_fault_plan(FaultPlan::seeded(5).corrupt_tb_at(bin.symbols["loop"]));
+    let mut emu =
+        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(5).corrupt_tb_at(bin.symbols["loop"]));
     let r = emu.run(FUEL).unwrap();
     assert_eq!(r.exit_vals[0], Some(500));
     assert_eq!(r.output, b"ok\n");
@@ -241,8 +244,7 @@ fn unmapping_a_chained_into_tb_forces_retranslation() {
     let bin = b.finish().unwrap();
 
     let loop_pc = bin.symbols["loop"];
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 1, cost());
-    emu.set_fault_plan(FaultPlan::seeded(5).corrupt_tb_at(loop_pc));
+    let mut emu = faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(5).corrupt_tb_at(loop_pc));
     let r = emu.run(FUEL).unwrap();
     assert_eq!(r.exit_vals[0], Some(n));
     assert_eq!(r.output, b"ok\n");
@@ -265,8 +267,8 @@ fn high_churn_eviction_keeps_the_code_buffer_bounded() {
         let mut emu = Emulator::new(&bin, Setup::Risotto, 1, cost());
         emu.run(FUEL).unwrap().code_bytes
     };
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 1, cost());
-    emu.set_fault_plan(FaultPlan::seeded(7).rate(FaultSite::TbCache, 4000));
+    let mut emu =
+        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(7).rate(FaultSite::TbCache, 4000));
     let r = emu.run(FUEL).unwrap();
     assert_eq!(r.exit_vals[0], Some(2_000));
     assert!(r.retranslations >= 20, "eviction pressure too low to test reclamation");
@@ -283,8 +285,7 @@ fn high_churn_eviction_keeps_the_code_buffer_bounded() {
 #[test]
 fn syscall_fault_is_a_typed_error() {
     let bin = counting_binary(10, false);
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 1, cost());
-    emu.set_fault_plan(FaultPlan::seeded(6).fail_syscall_at(0));
+    let mut emu = faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(6).fail_syscall_at(0));
     match emu.run(FUEL) {
         Err(EmuError::Injected { site: FaultSite::Syscall, core: 0, pc }) => {
             assert!(pc > 0, "guest pc missing from the error");
@@ -304,9 +305,9 @@ fn watchdog_catches_spin_loop_under_all_schedulers() {
     b.asm.jmp_to("spin");
     let bin = b.finish().unwrap();
     for policy in [SchedPolicy::Deterministic, SchedPolicy::Random(11), SchedPolicy::Adversarial] {
-        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, cost());
-        emu.set_sched_policy(policy);
-        emu.set_watchdog(5_000);
+        let config =
+            EmuConfig { sched_policy: policy, watchdog: Some(5_000), ..EmuConfig::default() };
+        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
         match emu.run(FUEL) {
             Err(EmuError::Stalled { steps, cores }) => {
                 assert!(steps >= 5_000, "{policy:?}: fired early at {steps}");
@@ -323,8 +324,8 @@ fn watchdog_catches_spin_loop_under_all_schedulers() {
 #[test]
 fn watchdog_does_not_fire_on_progressing_runs() {
     let bin = counting_binary(2_000, false);
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 1, cost());
-    emu.set_watchdog(1_000_000);
+    let config = EmuConfig { watchdog: Some(1_000_000), ..EmuConfig::default() };
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 1, config);
     let r = emu.run(FUEL).unwrap();
     assert_eq!(r.exit_vals[0], Some(2_000));
 }
@@ -339,8 +340,8 @@ fn undecodable_bytes_stay_a_typed_error_under_faults() {
     b.asm.mov_ri(Gpr::RAX, 0xdead_0000);
     b.asm.insn(risotto::guest::Insn::JmpReg { reg: Gpr::RAX });
     let bin = b.finish().unwrap();
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 1, cost());
-    emu.set_fault_plan(FaultPlan::seeded(8).rate(FaultSite::Translate, 30_000));
+    let mut emu =
+        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(8).rate(FaultSite::Translate, 30_000));
     match emu.run(FUEL) {
         Err(EmuError::Translate { source, .. }) => assert_eq!(source.pc, 0xdead_0000),
         other => panic!("expected a translation error, got {other:?}"),
@@ -366,8 +367,7 @@ fn failed_host_link_uses_guest_implementation() {
 
     // Injected link failure for sha256: validation still passes, the
     // import silently stays on the translated guest code path.
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 1, cost());
-    emu.set_fault_plan(FaultPlan::seeded(9).fail_host_call("sha256"));
+    let mut emu = faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(9).fail_host_call("sha256"));
     let linked = emu.link_library(&bin, &idl, hostlibs::libcrypto()).unwrap();
     assert!(!linked.contains(&"sha256".to_string()));
     let guest = emu.run(FUEL).unwrap();
@@ -399,8 +399,12 @@ fn forced_fallback_matches_the_interpreter_on_kernels_and_corpus() {
         let mut interp = Interp::new(bin);
         interp.run(FUEL).unwrap_or_else(|e| panic!("{name}: reference interpreter: {e}"));
 
-        let mut emu = Emulator::new(bin, Setup::Risotto, *cores, cost());
-        emu.set_fault_plan(FaultPlan::seeded(seed as u64).rate(FaultSite::Translate, 65535));
+        let mut emu = faulted(
+            bin,
+            Setup::Risotto,
+            *cores,
+            FaultPlan::seeded(seed as u64).rate(FaultSite::Translate, 65535),
+        );
         let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{name}: forced fallback: {e}"));
 
         for (tid, exit) in r.exit_vals.iter().enumerate() {

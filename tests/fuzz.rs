@@ -4,13 +4,12 @@
 //! across all oracle configurations, fault-composed degradation, and
 //! replay of the checked-in reproducer corpus.
 
-use risotto::core::{Emulator, Setup, TierConfig};
+use risotto::core::{EmuConfig, Emulator, Setup};
 use risotto::fuzz::{
     differential, fault_check, generate, minimize, parse_corpus, program_seed, random_fault_plan,
     to_corpus_string, GenConfig, ProgSpec, Stmt, FUZZ_HOT_THRESHOLD,
 };
 use risotto::guest::Interp;
-use risotto::host::CostModel;
 
 /// Seeds used by the seeded property sweeps below. Fixed, so failures
 /// name a replayable program.
@@ -148,9 +147,12 @@ fn minimizer_preserves_predicate_and_is_idempotent() {
 /// to tier-1 while running `spec`.
 fn template_promotions(spec: &ProgSpec) -> u64 {
     let bin = spec.lower().expect("spec lowers");
-    let mut emu = Emulator::new(&bin, Setup::Risotto, spec.cores(), CostModel::thunderx2_like());
-    emu.set_tiering(Some(TierConfig { warm_threshold: Some(FUZZ_HOT_THRESHOLD) }));
-    emu.run(u64::MAX / 4).expect("spec runs").template.promotions
+    let config = EmuConfig { warm_threshold: Some(FUZZ_HOT_THRESHOLD), ..EmuConfig::default() };
+    Emulator::with_config(&bin, Setup::Risotto, spec.cores(), config)
+        .run(u64::MAX / 4)
+        .expect("spec runs")
+        .template
+        .promotions
 }
 
 /// Bounded differential sweep: every configuration agrees with the

@@ -20,16 +20,20 @@ use std::rc::Rc;
 
 use risotto::core::obs::{doc_name, specs};
 use risotto::core::{
-    Emulator, FaultPlan, HotTbProfiler, RingBufferSink, Setup, TierConfig, TraceEvent, TraceSink,
+    EmuConfig, Emulator, FaultPlan, HotTbProfiler, RingBufferSink, Setup, TraceEvent, TraceSink,
     TraceStage, VerifyLevel,
 };
 use risotto::guest::{AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
-use risotto::host::CostModel;
 use risotto::memmodel::FenceKind;
 use risotto::workloads::kernels;
-use risotto_bench::templates_only;
+use risotto_bench::TEMPLATES_ONLY;
 
 const FUEL: u64 = 400_000_000;
+
+/// The default configuration with the hot-TB profiler on.
+fn profiled() -> EmuConfig {
+    EmuConfig { profiling: true, ..EmuConfig::default() }
+}
 
 /// Keeps every event, in order, in a list the test keeps a handle to
 /// (the engine owns the installed sink, so inspection goes through `Rc`).
@@ -45,8 +49,7 @@ impl TraceSink for VecSink {
 fn registry_counters_equal_legacy_report_on_all_kernels() {
     for w in kernels::all() {
         let bin = (w.build)(8, 2);
-        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-        emu.set_profiling(true);
+        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, profiled());
         let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let snap = emu.metrics();
 
@@ -120,24 +123,20 @@ fn registry_counters_equal_legacy_report_on_all_kernels() {
 /// decides a promotion) — and two traced runs record the same events.
 #[test]
 fn instrumented_run_is_bit_identical_to_default_run() {
-    let ladders =
-        [None, Some(4), Some(32)].map(|w| w.map(|w| TierConfig { warm_threshold: Some(w) }));
     for w in kernels::all() {
         let bin = (w.build)(8, 2);
-        for tiers in ladders {
-            let leg = format!("{} ({tiers:?})", w.name);
-            let mut plain = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-            plain.set_tiering(tiers);
+        for warm_threshold in [None, Some(4), Some(32)] {
+            let leg = format!("{} ({warm_threshold:?})", w.name);
+            let plain = EmuConfig { warm_threshold, ..EmuConfig::default() };
+            let mut plain = Emulator::with_config(&bin, Setup::Risotto, 2, plain);
             let rp = plain.run(FUEL).unwrap_or_else(|e| panic!("{leg} plain: {e}"));
             let plain_snap = plain.metrics();
 
             let traced_run = || {
                 let events = Rc::new(RefCell::new(Vec::new()));
-                let mut traced =
-                    Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-                traced.set_tiering(tiers);
+                let traced = EmuConfig { warm_threshold, ..profiled() };
+                let mut traced = Emulator::with_config(&bin, Setup::Risotto, 2, traced);
                 traced.set_trace_sink(Box::new(VecSink(Rc::clone(&events))));
-                traced.set_profiling(true);
                 let rt = traced.run(FUEL).unwrap_or_else(|e| panic!("{leg} traced: {e}"));
                 (rt, traced.metrics(), events.take())
             };
@@ -204,8 +203,7 @@ fn metrics_md_documents_the_entire_schema() {
     // back to a documented spec name.
     let documented: Vec<String> = specs().into_iter().map(|s| s.name).collect();
     let bin = (kernels::all()[0].build)(8, 2);
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-    emu.set_profiling(true);
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, profiled());
     emu.run(FUEL).expect("kernel runs");
     for name in emu.metrics().metrics.keys() {
         let doc_name = doc_name(name);
@@ -216,9 +214,9 @@ fn metrics_md_documents_the_entire_schema() {
     }
 }
 
-/// The tier ladder the tiered tests below run `kmeans` under: a warm
-/// threshold low enough that templates promote.
-const LADDER: TierConfig = TierConfig { warm_threshold: Some(4) };
+/// The warm threshold of the tier ladder the tiered tests below run
+/// `kmeans` under: low enough that templates promote.
+const LADDER: Option<u64> = Some(4);
 
 /// A kernel that promotes templates under [`LADDER`].
 fn kmeans() -> GuestBinary {
@@ -233,18 +231,18 @@ fn kmeans() -> GuestBinary {
 #[test]
 fn tier_legs_reconcile_with_the_counters() {
     let bin = kmeans();
-    for (leg, tiers) in
-        [("tier-1", None), ("templates", Some(templates_only())), ("ladder", Some(LADDER))]
+    for (leg, warm_threshold) in
+        [("tier-1", None), ("templates", TEMPLATES_ONLY), ("ladder", LADDER)]
     {
-        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-        emu.set_tiering(tiers);
+        let config = EmuConfig { warm_threshold, ..EmuConfig::default() };
+        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
         emu.run(FUEL).unwrap_or_else(|e| panic!("{leg}: {e}"));
         let snap = emu.metrics();
         assert_eq!(snap, emu.metrics(), "{leg}: two snapshots of the same state differ");
         let tier1 = snap.counter("translate.insns");
         let (templates, promoted) =
             (snap.counter("template.blocks"), snap.counter("template.promotions"));
-        if tiers.is_some() {
+        if warm_threshold.is_some() {
             assert_eq!(snap.counter("translate.blocks"), templates + promoted, "{leg}: {snap:?}");
         }
         // Each leg exercises the rows it is there for.
@@ -264,9 +262,8 @@ fn tier_legs_reconcile_with_the_counters() {
 fn hot_tbs_is_empty_unless_profiling_was_asked_for() {
     let bin = kmeans();
     let run = |profiling: bool| {
-        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-        emu.set_tiering(Some(LADDER));
-        emu.set_profiling(profiling);
+        let config = EmuConfig { warm_threshold: LADDER, profiling, ..EmuConfig::default() };
+        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
         let r = emu.run(FUEL).expect("kmeans runs");
         assert!(r.template.promotions > 0, "the promoter's profile was live: {r:?}");
         emu.hot_tbs(4)
@@ -344,12 +341,15 @@ fn two_block_loop() -> GuestBinary {
 /// pipeline events (everything but `Dispatch`) cut into install
 /// attempts: each piece ends with an `Install`; events after the last
 /// one form the final piece.
-fn install_attempts(tiers: Option<TierConfig>, plan: FaultPlan) -> Vec<Vec<TraceEvent>> {
+fn install_attempts(warm_threshold: Option<u64>, fault_plan: FaultPlan) -> Vec<Vec<TraceEvent>> {
     let events = Rc::new(RefCell::new(Vec::new()));
-    let mut emu = Emulator::new(&two_block_loop(), Setup::Risotto, 1, CostModel::thunderx2_like());
-    emu.set_verify(VerifyLevel::Install);
-    emu.set_tiering(tiers);
-    emu.set_fault_plan(plan);
+    let config = EmuConfig {
+        verify: VerifyLevel::Install,
+        warm_threshold,
+        fault_plan,
+        ..EmuConfig::default()
+    };
+    let mut emu = Emulator::with_config(&two_block_loop(), Setup::Risotto, 1, config);
     emu.set_trace_sink(Box::new(VecSink(Rc::clone(&events))));
     let r = emu.run(FUEL).expect("loop runs");
     assert_eq!(r.exit_vals[0], Some(400));
@@ -389,14 +389,14 @@ fn trace_event_order_per_tier_and_on_rejected_installs() {
     assert!(tier1.pop().unwrap().is_empty(), "events after the last install");
     assert!(tier1.iter().all(|a| tier_of(a) == "tier-1"));
 
-    let mut clean = install_attempts(Some(LADDER), FaultPlan::default());
+    let mut clean = install_attempts(LADDER, FaultPlan::default());
     assert!(clean.pop().unwrap().is_empty(), "events after the last install");
     let tiers: Vec<&str> = clean.iter().map(|a| tier_of(a)).collect();
 
     for tier in ["tier-0", "tier-1"] {
         let nth = tiers.iter().position(|t| *t == tier).unwrap_or_else(|| panic!("no {tier}"));
         let plan = FaultPlan::seeded(1).corrupt_install_at(nth as u64);
-        let faulted = install_attempts(Some(LADDER), plan);
+        let faulted = install_attempts(LADDER, plan);
         assert_eq!(faulted[..nth], clean[..nth], "{tier}: installs before the corrupted one");
         // The rejected attempt: the clean attempt's events with the
         // `Install` replaced by the verifier's `Fault`.

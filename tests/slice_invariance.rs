@@ -5,9 +5,9 @@
 //! whatever the slice length, a run must leave the same clocks, counters,
 //! memory and atomic order behind, under every scheduling policy.
 
-use risotto::core::{Emulator, Setup};
+use risotto::core::{EmuConfig, Emulator, Setup};
 use risotto::guest::{GuestBinary, DATA_BASE};
-use risotto::host::{CostModel, SchedPolicy};
+use risotto::host::SchedPolicy;
 use risotto::workloads::{cas, kernels};
 
 const FUEL: u64 = 50_000_000;
@@ -18,9 +18,8 @@ const POLICIES: [SchedPolicy; 3] =
 /// Everything a run exposes, finished or out of fuel, that a different
 /// interleaving could have changed.
 fn observe(bin: &GuestBinary, cores: usize, policy: SchedPolicy, fuel: u64, slice: u64) -> String {
-    let mut emu = Emulator::new(bin, Setup::Risotto, cores, CostModel::thunderx2_like());
-    emu.set_sched_policy(policy);
-    emu.set_atomic_log(true);
+    let config = EmuConfig { sched_policy: policy, atomic_log: true, ..EmuConfig::default() };
+    let mut emu = Emulator::with_config(bin, Setup::Risotto, cores, config);
     let outcome = emu.run_sliced_for_test(fuel, slice);
     let snapshot = emu.metrics();
     let per_core: Vec<(u64, u64)> = (0..cores)

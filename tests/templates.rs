@@ -24,7 +24,7 @@
 //!    backends, with the Pass 3 install read-back at Full level; plus a
 //!    promotion/demotion churn test across both tiers.
 
-use risotto::core::{BackendKind, Emulator, FaultPlan, FaultSite, Setup, TierConfig, VerifyLevel};
+use risotto::core::{BackendKind, EmuConfig, Emulator, FaultPlan, FaultSite, Setup, VerifyLevel};
 use risotto::guest::{AluOp, Cond, FpOp, GelfBuilder, Gpr, Insn, Operand};
 use risotto::host::{
     ArmBackend, BackendConfig, Dmb, HostBackend, HostInsn, MemOrder, RmwStyle, ENV_BASE, SPILL_BASE,
@@ -57,15 +57,16 @@ fn fetch_of(bytes: Vec<u8>, base: u64) -> impl Fn(u64) -> [u8; 16] {
     }
 }
 
-/// A tier-0-only policy: templates serve everything, nothing ever warms
-/// up into tier-1 (a `u64::MAX` threshold never fires).
-fn tier0_only() -> TierConfig {
-    TierConfig { warm_threshold: Some(u64::MAX) }
-}
+/// A tier-0-only warm threshold: templates serve everything, nothing
+/// ever warms up into tier-1 (a `u64::MAX` threshold never fires).
+const TIER0_ONLY: Option<u64> = Some(u64::MAX);
 
-/// The two-tier ladder with a CI-scale warm threshold.
-fn ladder() -> TierConfig {
-    TierConfig { warm_threshold: Some(4) }
+/// The two-tier ladder's warm threshold at CI scale.
+const LADDER: Option<u64> = Some(4);
+
+/// `backend` at the Full verifier level under `warm_threshold`.
+fn config(backend: BackendKind, warm_threshold: Option<u64>) -> EmuConfig {
+    EmuConfig { backend, verify: VerifyLevel::Full, warm_threshold, ..EmuConfig::default() }
 }
 
 // ---------------------------------------------------------------------
@@ -589,12 +590,9 @@ fn fence_free_templates_fail_theorem1_on_arm() {
 fn run_with(
     bin: &risotto::guest::GuestBinary,
     backend: BackendKind,
-    tiers: Option<TierConfig>,
+    warm_threshold: Option<u64>,
 ) -> (risotto::core::Report, u64, u64) {
-    let mut emu = Emulator::new(bin, Setup::Risotto, 2, backend.cost_model());
-    emu.set_backend(backend);
-    emu.set_verify(VerifyLevel::Full);
-    emu.set_tiering(tiers);
+    let mut emu = Emulator::with_config(bin, Setup::Risotto, 2, config(backend, warm_threshold));
     let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{} backend: {e}", backend.name()));
     let m = emu.metrics();
     (r, m.counter("verify.violations"), m.counter("template.blocks"))
@@ -609,7 +607,7 @@ fn kernels_are_bit_identical_with_tier0_on_both_backends() {
         let bin = (w.build)(8, 2);
         for backend in [BackendKind::Arm, BackendKind::Tso] {
             let (r1, v1, t1) = run_with(&bin, backend, None);
-            let (r0, v0, t0) = run_with(&bin, backend, Some(tier0_only()));
+            let (r0, v0, t0) = run_with(&bin, backend, TIER0_ONLY);
             assert_eq!(
                 r0.exit_vals,
                 r1.exit_vals,
@@ -653,15 +651,12 @@ fn litmus_through_tier0_stays_within_x86_behaviors() {
         for backend in [BackendKind::Arm, BackendKind::Tso] {
             for delays in staggers {
                 let compiled = compile_litmus(&prog, delays);
-                let mut emu = Emulator::new(
+                let mut emu = Emulator::with_config(
                     &compiled.binary,
                     Setup::Risotto,
                     compiled.threads,
-                    backend.cost_model(),
+                    config(backend, TIER0_ONLY),
                 );
-                emu.set_backend(backend);
-                emu.set_verify(VerifyLevel::Full);
-                emu.set_tiering(Some(tier0_only()));
                 emu.run(50_000_000).unwrap_or_else(|e| {
                     panic!("{} via tier-0 on {}: {e}", prog.name, backend.name())
                 });
@@ -705,12 +700,15 @@ fn tier_churn_on_same_pc_is_clean_and_bit_identical() {
     let mut reference = Emulator::new(&bin, Setup::Risotto, 1, BackendKind::Arm.cost_model());
     let r1 = reference.run(FUEL).expect("reference run");
 
-    let mut emu = Emulator::new(&bin, Setup::Risotto, 1, BackendKind::Arm.cost_model());
-    emu.set_tiering(Some(TierConfig { warm_threshold: Some(2) }));
-    // Background TB-cache strikes evict translations — including the
-    // promoted tier-1 head — forcing cold tier-0 refills of the same pc
-    // and another climb up the tier ladder.
-    emu.set_fault_plan(FaultPlan::seeded(11).rate(FaultSite::TbCache, 400));
+    let config = EmuConfig {
+        warm_threshold: Some(2),
+        // Background TB-cache strikes evict translations — including the
+        // promoted tier-1 head — forcing cold tier-0 refills of the same
+        // pc and another climb up the tier ladder.
+        fault_plan: FaultPlan::seeded(11).rate(FaultSite::TbCache, 400),
+        ..EmuConfig::default()
+    };
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 1, config);
     let r = emu.run(FUEL).expect("churned run completes");
 
     assert_eq!(r.exit_vals, r1.exit_vals, "tier churn changed the architectural result");
@@ -737,8 +735,8 @@ fn two_tier_runs_match_tier1_on_all_kernels() {
         let mut tier1 = Emulator::new(&bin, Setup::Risotto, 2, BackendKind::Arm.cost_model());
         let r1 = tier1.run(FUEL).unwrap_or_else(|e| panic!("{} (tier-1): {e}", w.name));
 
-        let mut tiered = Emulator::new(&bin, Setup::Risotto, 2, BackendKind::Arm.cost_model());
-        tiered.set_tiering(Some(ladder()));
+        let ladder = EmuConfig { warm_threshold: LADDER, ..EmuConfig::default() };
+        let mut tiered = Emulator::with_config(&bin, Setup::Risotto, 2, ladder);
         let r2 = tiered.run(FUEL).unwrap_or_else(|e| panic!("{} (two-tier): {e}", w.name));
 
         assert_eq!(r2.exit_vals, r1.exit_vals, "{}: two-tier exit values diverge", w.name);

@@ -19,9 +19,9 @@
 //! `RISOTTO_VERIFY_SMOKE=1` bounds the sweep for CI (fewer blocks per
 //! kernel, fewer litmus staggers).
 
-use risotto::core::{Emulator, FaultPlan, Setup, VerifyLevel};
+use risotto::core::{EmuConfig, Emulator, FaultPlan, Setup, VerifyLevel};
 use risotto::guest::GuestBinary;
-use risotto::host::{ArmBackend, BackendConfig, CostModel, HostBackend, HostInsn, RmwStyle};
+use risotto::host::{ArmBackend, BackendConfig, HostBackend, HostInsn, RmwStyle};
 use risotto::litmus::corpus;
 use risotto::memmodel::FenceKind;
 use risotto::tcg::{
@@ -237,13 +237,12 @@ fn litmus_corpus_runs_clean_at_full_verification() {
         for setup in [Setup::Qemu, Setup::TcgVer, Setup::Risotto] {
             for delays in staggers {
                 let compiled = compile_litmus(&prog, delays);
-                let mut emu = Emulator::new(
+                let mut emu = Emulator::with_config(
                     &compiled.binary,
                     setup,
                     compiled.threads,
-                    CostModel::thunderx2_like(),
+                    EmuConfig { verify: VerifyLevel::Full, ..EmuConfig::default() },
                 );
-                emu.set_verify(VerifyLevel::Full);
                 emu.run(50_000_000)
                     .unwrap_or_else(|e| panic!("{} under {}: {e}", prog.name, setup.name()));
                 let m = emu.metrics();
@@ -270,16 +269,18 @@ fn injected_install_corruption_is_caught_before_dispatch() {
     let bin = (w.build)(64, 2);
     let fuel = 2_000_000_000;
 
-    let mut clean = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-    clean.set_verify(VerifyLevel::Install);
-    let reference = clean.run(fuel).expect("clean run");
+    let clean = EmuConfig { verify: VerifyLevel::Install, ..EmuConfig::default() };
+    let reference =
+        Emulator::with_config(&bin, Setup::Risotto, 2, clean).run(fuel).expect("clean run");
 
     for level in [None, Some(VerifyLevel::Install), Some(VerifyLevel::Full)] {
-        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-        if let Some(level) = level {
-            emu.set_verify(level);
-        }
-        emu.set_fault_plan(FaultPlan::seeded(7).corrupt_install_at(0).corrupt_install_at(3));
+        let fault_plan = FaultPlan::seeded(7).corrupt_install_at(0).corrupt_install_at(3);
+        let default = EmuConfig { fault_plan, ..EmuConfig::default() };
+        let config = match level {
+            Some(verify) => EmuConfig { verify, ..default },
+            None => default,
+        };
+        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
         let report = emu.run(fuel).unwrap_or_else(|e| panic!("{level:?}: run must recover: {e}"));
 
         // The damaged installs were discarded before dispatch: results
