@@ -104,8 +104,9 @@ cargo test -q --release --test alloc_budget
 # decode; risotto-core's unit suite holds the engine's per-pc record
 # (stable id, tier-0 flag, resume count) to the same build. So is what
 # that build reports about itself (tests/obs.rs): the metric table and
-# docs/METRICS.md name the same metrics, a snapshot's counters equal
-# their `Report` sources, an instrumented run's snapshot equals the plain
+# docs/METRICS.md name the same metrics, a snapshot's machine-wide rows
+# add up from its per-core and per-fence-kind rows on every kernel and
+# both backends, an instrumented run's snapshot equals the plain
 # run's as a whole and two traced runs record the same events, each tier
 # leg's counters show the blocks that went through it, and `hot_tbs` is
 # empty unless profiling was asked for.
@@ -181,6 +182,16 @@ fi
 if grep -rnE "\.set_(verify|tiering|analysis)\(" crates src tests examples; then
     echo "ci: set_verify/set_tiering/set_analysis are benchmark/'s replay shims" \
         "until ROADMAP item 6(b) deletes them; build an EmuConfig instead" >&2
+    exit 1
+fi
+
+# One counter surface: `Report` is the run's result (cycles, exit
+# values, output, translated blocks, code size) and every count is a row
+# of `Emulator::metrics()`. None of the deleted second copies may come
+# back: the template counter struct, the hot-TB aggregator type, or the
+# `Report` / `Emulator` readers that duplicated a row.
+if grep -rnE "TemplateStats|HotTbProfiler|fn chain_hit_rate|fn template_stats" crates src; then
+    echo "ci: a count is a row of Emulator::metrics(), read off its snapshot" >&2
     exit 1
 fi
 

@@ -23,14 +23,14 @@ fn main() {
         let bin = cas_bench(iters, threads, vars);
         let total = iters * threads as u64;
         // helper: the qemu setup (helper-call CAS).
-        let helper = cli.run(&bin, Setup::Qemu, threads, false, None);
+        let (helper, _) = cli.run(&bin, Setup::Qemu, threads, false, None);
         // direct, rmw2-fenced.
         let config = EmuConfig { rmw_style: RmwStyle::Rmw2Fenced, ..cli.config(Setup::Risotto) };
         let rmw2 = Emulator::with_config(&bin, Setup::Risotto, threads, config)
             .run(20_000_000_000)
             .unwrap();
         // direct, casal.
-        let casal = cli.run(&bin, Setup::Risotto, threads, false, None);
+        let (casal, _) = cli.run(&bin, Setup::Risotto, threads, false, None);
         for r in [&helper, &rmw2, &casal] {
             assert_eq!(r.exit_vals[0], Some(total));
         }

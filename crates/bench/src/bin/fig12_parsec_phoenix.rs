@@ -9,10 +9,9 @@
 //!
 //! `--smoke` shrinks every workload to a CI-sized scale; `--metrics-json`
 //! writes the versioned observability artifact (one metrics snapshot +
-//! hot-TB profile per kernel, collected under the risotto setup and
-//! cross-checked against the legacy `Report` counters).
+//! hot-TB profile per kernel, collected under the risotto setup).
 
-use risotto_bench::{print_table, BenchCli};
+use risotto_bench::{chain_hit_ratio, print_table, BenchCli};
 use risotto_core::Setup;
 use risotto_workloads::kernels;
 
@@ -43,33 +42,33 @@ fn main() {
             }
         };
         let bin = (w.build)(scale, threads);
-        let qemu = cli.run(&bin, Setup::Qemu, threads, false, None);
+        let (qemu, qemu_snap) = cli.run(&bin, Setup::Qemu, threads, false, None);
         let mut cells = vec![w.name.to_string()];
         for (i, s) in
             [Setup::NoFences, Setup::TcgVer, Setup::Risotto, Setup::Native].iter().enumerate()
         {
             // The risotto run carries the observability payload.
             let collect = (*s == Setup::Risotto).then_some((w.name, &mut metrics));
-            let r = cli.run(&bin, *s, threads, false, collect);
+            let (r, snap) = cli.run(&bin, *s, threads, false, collect);
             assert_eq!(r.exit_vals[0], qemu.exit_vals[0], "{} checksum mismatch", w.name);
             let rel = 100.0 * r.cycles as f64 / qemu.cycles as f64;
             avgs[i] += rel;
             cells.push(format!("{rel:.1}%"));
             if *s == Setup::Risotto {
-                tot_hits += r.chain.chain_hits;
-                tot_links += r.chain.chain_links;
+                tot_hits += snap.counter("chain.hits");
+                tot_links += snap.counter("chain.links");
                 chain_rows.push(vec![
                     w.name.to_string(),
-                    r.chain.chain_hits.to_string(),
-                    r.chain.chain_links.to_string(),
-                    r.chain.dispatch_hits.to_string(),
-                    r.chain.dispatch_misses.to_string(),
-                    format!("{:.1}%", 100.0 * r.chain_hit_rate()),
+                    snap.counter("chain.hits").to_string(),
+                    snap.counter("chain.links").to_string(),
+                    snap.counter("jcache.hits").to_string(),
+                    snap.counter("jcache.misses").to_string(),
+                    format!("{:.1}%", 100.0 * chain_hit_ratio(&snap)),
                 ]);
             }
         }
-        let fence_share =
-            qemu.stats.fence_cycles as f64 / (qemu.cycles.max(1) * threads as u64) as f64;
+        let fence_share = qemu_snap.counter("fence.exec.cycles") as f64
+            / (qemu.cycles.max(1) * threads as u64) as f64;
         fence_shares.push((w.name.to_string(), fence_share));
         cells.push(format!("{}", qemu.cycles));
         rows.push(cells);

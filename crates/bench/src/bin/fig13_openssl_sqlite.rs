@@ -6,7 +6,7 @@
 //! (one metrics snapshot + hot-TB profile per workload, risotto setup);
 //! `--smoke` shrinks buffers/iterations to a CI-sized configuration.
 
-use risotto_bench::{ops_per_sec, print_table, speedup, BenchCli};
+use risotto_bench::{chain_hit_ratio, ops_per_sec, print_table, speedup, BenchCli};
 use risotto_core::Setup;
 use risotto_workloads::libbench::{digest_bench, rsa_bench, sqlite_bench, DigestAlgo};
 
@@ -36,9 +36,10 @@ fn main() {
             };
             let bin = digest_bench(algo, len, iters);
             let label = format!("{name}-{len}");
-            let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
-            let ris = cli.run(&bin, Setup::Risotto, 1, true, Some((&label, &mut metrics)));
-            let nat = cli.run(&bin, Setup::Native, 1, true, None);
+            let (qemu, _) = cli.run(&bin, Setup::Qemu, 1, false, None);
+            let (ris, ris_snap) =
+                cli.run(&bin, Setup::Risotto, 1, true, Some((&label, &mut metrics)));
+            let (nat, _) = cli.run(&bin, Setup::Native, 1, true, None);
             assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "{label} digest mismatch");
             assert_eq!(qemu.exit_vals[0], nat.exit_vals[0]);
             rows.push(vec![
@@ -46,7 +47,7 @@ fn main() {
                 speedup(qemu.cycles, ris.cycles),
                 speedup(qemu.cycles, nat.cycles),
                 format!("{:.0} ops/s", ops_per_sec(iters, qemu.cycles)),
-                format!("{:.1}%", 100.0 * ris.chain_hit_rate()),
+                format!("{:.1}%", 100.0 * chain_hit_ratio(&ris_snap)),
             ]);
         }
     }
@@ -59,16 +60,17 @@ fn main() {
         for (sign, op) in [(true, "sign"), (false, "verify")] {
             let bin = rsa_bench(nlimbs, sign, 1);
             let name = format!("{label}-{op}");
-            let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
-            let ris = cli.run(&bin, Setup::Risotto, 1, true, Some((&name, &mut metrics)));
-            let nat = cli.run(&bin, Setup::Native, 1, true, None);
+            let (qemu, _) = cli.run(&bin, Setup::Qemu, 1, false, None);
+            let (ris, ris_snap) =
+                cli.run(&bin, Setup::Risotto, 1, true, Some((&name, &mut metrics)));
+            let (nat, _) = cli.run(&bin, Setup::Native, 1, true, None);
             assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "{name} result mismatch");
             rows.push(vec![
                 name,
                 speedup(qemu.cycles, ris.cycles),
                 speedup(qemu.cycles, nat.cycles),
                 format!("{:.0} ops/s", ops_per_sec(1, qemu.cycles)),
-                format!("{:.1}%", 100.0 * ris.chain_hit_rate()),
+                format!("{:.1}%", 100.0 * chain_hit_ratio(&ris_snap)),
             ]);
         }
     }
@@ -77,16 +79,17 @@ fn main() {
     {
         let rows_n: u64 = if smoke { 4 } else { 20 };
         let bin = sqlite_bench(rows_n);
-        let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
-        let ris = cli.run(&bin, Setup::Risotto, 1, true, Some(("sqlite", &mut metrics)));
-        let nat = cli.run(&bin, Setup::Native, 1, true, None);
+        let (qemu, _) = cli.run(&bin, Setup::Qemu, 1, false, None);
+        let (ris, ris_snap) =
+            cli.run(&bin, Setup::Risotto, 1, true, Some(("sqlite", &mut metrics)));
+        let (nat, _) = cli.run(&bin, Setup::Native, 1, true, None);
         assert_eq!(qemu.exit_vals[0], ris.exit_vals[0], "sqlite checksum mismatch");
         rows.push(vec![
             "sqlite".into(),
             speedup(qemu.cycles, ris.cycles),
             speedup(qemu.cycles, nat.cycles),
             format!("{:.0} ops/s", ops_per_sec(rows_n, qemu.cycles)),
-            format!("{:.1}%", 100.0 * ris.chain_hit_rate()),
+            format!("{:.1}%", 100.0 * chain_hit_ratio(&ris_snap)),
         ]);
     }
 

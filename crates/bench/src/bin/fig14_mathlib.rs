@@ -4,7 +4,7 @@
 //! risotto trails native here. `--smoke` shrinks the iteration count to
 //! a CI-sized configuration.
 
-use risotto_bench::{ops_per_sec, print_table, speedup, BenchCli};
+use risotto_bench::{chain_hit_ratio, ops_per_sec, print_table, speedup, BenchCli};
 use risotto_core::Setup;
 use risotto_nativelib::mathfn::MathFn;
 use risotto_workloads::libbench::math_bench;
@@ -26,15 +26,16 @@ fn main() {
             _ => 0.8,
         };
         let bin = math_bench(f.name(), x, iters);
-        let qemu = cli.run(&bin, Setup::Qemu, 1, false, None);
-        let ris = cli.run(&bin, Setup::Risotto, 1, true, Some((f.name(), &mut metrics)));
-        let nat = cli.run(&bin, Setup::Native, 1, true, None);
+        let (qemu, _) = cli.run(&bin, Setup::Qemu, 1, false, None);
+        let (ris, ris_snap) =
+            cli.run(&bin, Setup::Risotto, 1, true, Some((f.name(), &mut metrics)));
+        let (nat, _) = cli.run(&bin, Setup::Native, 1, true, None);
         rows.push(vec![
             f.name().to_string(),
             speedup(qemu.cycles, ris.cycles),
             speedup(qemu.cycles, nat.cycles),
             format!("{:.1} ops/ms", ops_per_sec(iters, qemu.cycles) / 1000.0),
-            format!("{:.1}%", 100.0 * ris.chain_hit_rate()),
+            format!("{:.1}%", 100.0 * chain_hit_ratio(&ris_snap)),
         ]);
     }
     print_table(&["function", "risotto", "native", "qemu raw", "ris chain"], &rows);

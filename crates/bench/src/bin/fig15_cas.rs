@@ -3,7 +3,7 @@
 //! (§6.3) vs native execution. `--smoke` shrinks the per-thread CAS
 //! count to a CI-sized configuration.
 
-use risotto_bench::{ops_per_sec, print_table, BenchCli};
+use risotto_bench::{chain_hit_ratio, ops_per_sec, print_table, BenchCli};
 use risotto_core::Setup;
 use risotto_workloads::cas::{cas_bench, FIG15_CONFIGS};
 
@@ -24,11 +24,11 @@ fn main() {
         let mut chain = String::new();
         for setup in [Setup::Qemu, Setup::Risotto, Setup::Native] {
             let collect = (setup == Setup::Risotto).then_some((name.as_str(), &mut metrics));
-            let r = cli.run(&bin, setup, threads, false, collect);
+            let (r, snap) = cli.run(&bin, setup, threads, false, collect);
             assert_eq!(r.exit_vals[0], Some(total_ops), "{setup:?} lost CAS increments");
             cells.push(format!("{:.1}", ops_per_sec(total_ops, r.cycles) / 1e6));
             if setup == Setup::Risotto {
-                chain = format!("{:.1}%", 100.0 * r.chain_hit_rate());
+                chain = format!("{:.1}%", 100.0 * chain_hit_ratio(&snap));
             }
         }
         cells.push(chain);

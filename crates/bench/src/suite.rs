@@ -84,14 +84,14 @@ pub fn pipeline_json(smoke: bool) -> String {
             ra.cycles,
             r.cycles
         );
-        assert!(r0.template.blocks > 0, "{}: tier-0 leg translated nothing", w.name);
+        assert!(t0.counter("template.blocks") > 0, "{}: tier-0 leg translated nothing", w.name);
         assert_eq!(t0.counter("translate.insns"), 0, "{}: tier-1 ran in the tier-0 leg", w.name);
 
         println!(
             "{:16} {:>10} cycles   chain {:>5.1}%   an {:+6} cy ({} relax)   tso {:>10} cy ({} mfence)   t0 {:>10} cy",
             w.name,
             r.cycles,
-            100.0 * r.chain_hit_rate(),
+            100.0 * crate::chain_hit_ratio(base),
             r.cycles as i64 - ra.cycles as i64,
             relaxed,
             rt.cycles,
@@ -113,11 +113,11 @@ pub fn pipeline_json(smoke: bool) -> String {
             ),
             w.name,
             r.cycles,
-            r.chain_hit_rate(),
-            r.chain.chain_hits,
-            r.chain.chain_links,
-            r.chain.dispatch_hits,
-            r.chain.dispatch_misses,
+            crate::chain_hit_ratio(base),
+            base.counter("chain.hits"),
+            base.counter("chain.links"),
+            base.counter("jcache.hits"),
+            base.counter("jcache.misses"),
             rt.cycles,
             tso.counter("fence.exec.dmb_ff"),
             base.counter("fence.exec.dmb_ff"),
@@ -130,8 +130,8 @@ pub fn pipeline_json(smoke: bool) -> String {
             an.counter("analysis.private"),
             an.counter("analysis.poisons"),
             r0.cycles,
-            r0.template.blocks,
-            r0.template.insns,
+            t0.counter("template.blocks"),
+            t0.counter("template.insns"),
             base.to_json()
         ));
     }

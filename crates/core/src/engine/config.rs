@@ -6,11 +6,11 @@
 use super::Emulator;
 use crate::faults::{FaultPlan, FaultSite};
 use risotto_host_arm::{
-    ArmBackend, BackendConfig, ChainStats, CoreStats, CostModel, HostBackend, HostFaultKind,
-    NativeFn, RmwStyle, SchedPolicy,
+    ArmBackend, BackendConfig, CostModel, HostBackend, HostFaultKind, NativeFn, RmwStyle,
+    SchedPolicy,
 };
 use risotto_host_tso::TsoBackend;
-use risotto_tcg::{FrontendConfig, OptPolicy, OptStats, PassConfig, TranslateError};
+use risotto_tcg::{FrontendConfig, OptPolicy, PassConfig, TranslateError};
 use std::fmt;
 
 /// The evaluation setups of §7.1.
@@ -169,7 +169,7 @@ impl BackendKind {
 /// let mut emu = Emulator::with_config(&bin, Setup::Risotto, 1, config);
 /// let report = emu.run(100_000_000)?; // same result, or a typed error
 /// assert_eq!(report.exit_vals[0], Some(1000));
-/// assert!(report.fallback_blocks >= 1);
+/// assert!(emu.metrics().counter("translate.fallback_blocks") >= 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -481,7 +481,8 @@ impl std::error::Error for EmuError {
     }
 }
 
-/// The result of a completed emulation.
+/// The result of a completed emulation. Counts are rows of
+/// [`Emulator::metrics`] (docs/METRICS.md).
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Parallel runtime in simulated cycles (max core clock).
@@ -490,25 +491,10 @@ pub struct Report {
     pub tb_count: usize,
     /// Bytes of generated host code.
     pub code_bytes: usize,
-    /// Aggregated core statistics.
-    pub stats: CoreStats,
     /// Exit value per core (`None` if the core never ran).
     pub exit_vals: Vec<Option<u64>>,
     /// Bytes written via the `WRITE` syscall.
     pub output: Vec<u8>,
-    /// Blocks that entered interpreter fallback after a translation or
-    /// lowering failure (quarantine episodes).
-    pub fallback_blocks: usize,
-    /// Translations performed beyond a block's first: cache-eviction /
-    /// corruption refills plus bounded retries of quarantined blocks.
-    pub retranslations: usize,
-    /// TB-chaining and dispatcher counters from the host machine.
-    pub chain: ChainStats,
-    /// Aggregated optimizer statistics over every translated block.
-    pub opt: OptStats,
-    /// Tier-0 template-translation statistics (all zero unless
-    /// [`EmuConfig::warm_threshold`] enabled the template tier).
-    pub template: TemplateStats,
 }
 
 /// The argument of the `#[doc(hidden)]` `Emulator::set_tiering` shim the
@@ -518,35 +504,6 @@ pub struct Report {
 pub struct TierConfig {
     /// [`EmuConfig::warm_threshold`].
     pub warm_threshold: Option<u64>,
-}
-
-/// Tier-0 template-translation counters (see `docs/METRICS.md`,
-/// `template.*`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TemplateStats {
-    /// Blocks translated by template instantiation.
-    pub blocks: u64,
-    /// Guest instructions covered by template translations.
-    pub insns: u64,
-    /// Template blocks re-translated through the tier-1 IR pipeline
-    /// after crossing [`EmuConfig::warm_threshold`].
-    pub promotions: u64,
-    /// Tier-0→1 promotions that failed (injected fault or pipeline
-    /// error); the template translation stays installed.
-    pub promotion_failures: u64,
-}
-
-impl Report {
-    /// Fraction of direct-jump exits resolved through a patched chain
-    /// slot rather than the dispatcher (0.0 when no direct exits ran).
-    pub fn chain_hit_rate(&self) -> f64 {
-        let total = self.chain.chain_hits + self.chain.chain_links;
-        if total == 0 {
-            0.0
-        } else {
-            self.chain.chain_hits as f64 / total as f64
-        }
-    }
 }
 
 /// How much of the static translation validator runs (docs/VERIFIER.md).

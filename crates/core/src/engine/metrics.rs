@@ -5,20 +5,19 @@
 //! ([`Emulator::metrics`] walks it once) and the only place a metric
 //! name is spelled in this crate.
 
-use super::{Emulator, TemplateStats};
-use crate::obs::{
-    HotTb, HotTbProfiler, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION,
-};
+use super::Emulator;
+use crate::obs::{HotTb, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION};
 #[cfg(doc)]
 use crate::{faults::FaultPlan, Report};
 use risotto_analysis::AnalysisSummary;
 use risotto_host_arm::AllocStats;
 use risotto_memmodel::FenceKind;
 use risotto_tcg::OptStats;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
-/// Every total the engine keeps while it runs. [`Report`] and the
-/// metric table read them; the run loop's watchdog and the
+/// Every total the engine keeps while it runs. The metric table reads
+/// them ([`Report`] only `tb_count`); the run loop's watchdog and the
 /// [`FaultPlan`]'s ordinals are the only things that steer by them.
 #[derive(Debug, Default)]
 pub(super) struct Counts {
@@ -39,8 +38,14 @@ pub(super) struct Counts {
     pub(super) syscalls_completed: u64,
     /// Optimizer statistics aggregated over every translated block.
     pub(super) opt_totals: OptStats,
-    /// Tier-0 template-translation counters.
-    pub(super) template_stats: TemplateStats,
+    /// Blocks translated by tier-0 template instantiation.
+    pub(super) template_blocks: u64,
+    /// Guest instructions covered by tier-0 template translations.
+    pub(super) template_insns: u64,
+    /// Template blocks re-translated through tier 1 on warming.
+    pub(super) template_promotions: u64,
+    /// Tier-0→1 promotions that failed; the template stays installed.
+    pub(super) template_promotion_failures: u64,
     /// Backend register-allocation statistics summed over every lowered
     /// tier-1 block.
     pub(super) regalloc_totals: AllocStats,
@@ -120,10 +125,10 @@ static METRICS: &[Metric] = &[
     row("translate.fallback_blocks", "blocks", "Quarantine episodes: blocks that entered interpreter fallback", Counter(|e| e.counts.fallback_blocks as u64)),
     row("translate.interp_steps", "insns", "Guest instructions executed by the fallback interpreter", Counter(|e| e.counts.interp_steps)),
     row("translate.insns", "insns", "Guest instructions covered by tier-1 translations", Counter(|e| e.counts.tier1_insns)),
-    row("template.blocks", "blocks", "Blocks translated by tier-0 template instantiation", Counter(|e| e.counts.template_stats.blocks)),
-    row("template.insns", "insns", "Guest instructions covered by tier-0 template translations", Counter(|e| e.counts.template_stats.insns)),
-    row("template.promotions", "blocks", "Tier-0 blocks re-translated through the tier-1 pipeline on warming", Counter(|e| e.counts.template_stats.promotions)),
-    row("template.promotion_failures", "blocks", "Tier-0→1 promotions that failed; the template stays installed", Counter(|e| e.counts.template_stats.promotion_failures)),
+    row("template.blocks", "blocks", "Blocks translated by tier-0 template instantiation", Counter(|e| e.counts.template_blocks)),
+    row("template.insns", "insns", "Guest instructions covered by tier-0 template translations", Counter(|e| e.counts.template_insns)),
+    row("template.promotions", "blocks", "Tier-0 blocks re-translated through the tier-1 pipeline on warming", Counter(|e| e.counts.template_promotions)),
+    row("template.promotion_failures", "blocks", "Tier-0→1 promotions that failed; the template stays installed", Counter(|e| e.counts.template_promotion_failures)),
     row("fault.injected", "faults", "Injected translate/lower/syscall faults encountered", Counter(|e| e.counts.faults_injected)),
     row("opt.folded", "ops", "Constants folded by the optimizer", Counter(|e| e.counts.opt_totals.folded as u64)),
     row("opt.loads_forwarded", "ops", "Loads forwarded (RAR + RAW elimination)", Counter(|e| e.counts.opt_totals.loads_forwarded as u64)),
@@ -139,6 +144,7 @@ static METRICS: &[Metric] = &[
     row("jcache.misses", "exits", "Indirect exits resolved by the full dispatcher lookup", Counter(|e| e.machine.chain_stats().dispatch_misses)),
     row("exec.insns", "insns", "Host instructions retired, all cores", Counter(|e| e.machine.total_stats().insns)),
     row("exec.atomics", "insns", "Atomic RMW instructions executed", Counter(|e| e.machine.total_stats().atomics)),
+    row("exec.native_calls", "calls", "Host-linked native library calls executed", Counter(|e| e.machine.total_stats().native_calls)),
     row("fence.exec.dmb_ld", "fences", "DMB LD barriers executed", Counter(|e| e.machine.total_stats().dmb[0])),
     row("fence.exec.dmb_st", "fences", "DMB ST barriers executed", Counter(|e| e.machine.total_stats().dmb[1])),
     row("fence.exec.dmb_ff", "fences", "DMB FF (SY) barriers executed", Counter(|e| e.machine.total_stats().dmb[2])),
@@ -192,8 +198,7 @@ impl Emulator {
     /// A versioned snapshot of every metric, read off the engine and
     /// machine state as they are now. Valid at any point — typically
     /// read after [`Emulator::run`] returns. See `docs/METRICS.md`.
-    pub fn metrics(&mut self) -> MetricsSnapshot {
-        let e = &*self;
+    pub fn metrics(&self) -> MetricsSnapshot {
         let mut metrics = BTreeMap::new();
         let mut put = |name: String, value: MetricValue| {
             metrics.insert(name, value);
@@ -201,33 +206,44 @@ impl Emulator {
         for m in METRICS {
             let name = || m.name.to_owned();
             match m.read {
-                Counter(read) => put(name(), MetricValue::Counter(read(e))),
-                Gauge(read) => put(name(), MetricValue::Gauge(read(e))),
+                Counter(read) => put(name(), MetricValue::Counter(read(self))),
+                Gauge(read) => put(name(), MetricValue::Gauge(read(self))),
                 PerFence(read) => FenceKind::TCG_ALL.iter().enumerate().for_each(|(i, &k)| {
-                    put(fence_name(m.name, k), MetricValue::Counter(read(e, i)));
+                    put(fence_name(m.name, k), MetricValue::Counter(read(self, i)));
                 }),
-                PerCore(read) => (0..e.machine.n_cores()).for_each(|c| {
-                    put(m.name.replace("<i>", &c.to_string()), MetricValue::Gauge(read(e, c)));
+                PerCore(read) => (0..self.machine.n_cores()).for_each(|c| {
+                    put(m.name.replace("<i>", &c.to_string()), MetricValue::Gauge(read(self, c)));
                 }),
             }
         }
         MetricsSnapshot { version: SNAPSHOT_VERSION, metrics }
     }
 
-    /// The `n` hottest translation blocks by execution count: the
-    /// machine's transfer profile plus the engine's dispatch-loop
-    /// entries (requires [`EmuConfig::profiling`](super::EmuConfig);
-    /// empty otherwise).
-    pub fn hot_tbs(&mut self, n: usize) -> Vec<HotTb> {
-        let mut profiler = HotTbProfiler::new();
-        if self.config.profiling {
-            for (&pc, meta) in self.tbs.iter().filter(|(_, meta)| meta.resumes > 0) {
-                profiler.record(meta.id.unwrap_or(0), pc, meta.resumes, meta.resumes);
-            }
-            for (pc, prof) in self.machine.tb_profile() {
-                profiler.record(self.tb_id(pc).unwrap_or(0), pc, prof.execs, prof.chain_misses);
-            }
+    /// The `n` hottest translation blocks, hottest first (ties broken
+    /// by guest pc): the machine's transfer profile plus the engine's
+    /// dispatch-loop entries, merged per guest pc (requires
+    /// [`EmuConfig::profiling`](super::EmuConfig); empty otherwise).
+    pub fn hot_tbs(&self, n: usize) -> Vec<HotTb> {
+        if !self.config.profiling {
+            return Vec::new();
         }
-        profiler.top_n(n)
+        // A dispatch-loop entry missed every fast path by definition.
+        let resumes = self.tbs.iter().map(|(&pc, meta)| (pc, meta.resumes, meta.resumes));
+        let transfers = self.machine.tb_profile().map(|(pc, p)| (pc, p.execs, p.chain_misses));
+        let mut blocks: HashMap<u64, HotTb> = HashMap::new();
+        for (pc, execs, chain_misses) in resumes.chain(transfers).filter(|&(_, n, _)| n > 0) {
+            let tb = blocks.entry(pc).or_insert_with(|| HotTb {
+                tb_id: self.tb_id(pc).unwrap_or(0),
+                guest_pc: pc,
+                execs: 0,
+                chain_misses: 0,
+            });
+            tb.execs += execs;
+            tb.chain_misses += chain_misses;
+        }
+        let mut hot: Vec<HotTb> = blocks.into_values().collect();
+        hot.sort_by_key(|tb| (Reverse(tb.execs), tb.guest_pc));
+        hot.truncate(n);
+        hot
     }
 }

@@ -37,7 +37,7 @@ mod translate;
 
 pub use config::{
     BackendKind, CoreDump, EmuConfig, EmuError, HostExport, HostLibrary, LinkError, Report, Setup,
-    TemplateStats, TierConfig, VerifyLevel,
+    TierConfig, VerifyLevel,
 };
 pub use metrics::specs;
 
@@ -240,12 +240,6 @@ impl Emulator {
     /// (cycles, output, exit values) to an untraced one.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.obs.sink = Some(sink);
-    }
-
-    /// Tier-0 template statistics so far (also in [`Report::template`]
-    /// after a run).
-    pub fn template_stats(&self) -> TemplateStats {
-        self.counts.template_stats
     }
 
     /// `true` while the tier-0 template tier serves cold translations:
@@ -599,14 +593,8 @@ impl Emulator {
             cycles: self.machine.clock(),
             tb_count: self.counts.tb_count,
             code_bytes: self.machine.code_size(),
-            stats: self.machine.total_stats(),
             exit_vals: self.exit_vals.clone(),
             output: self.output.clone(),
-            fallback_blocks: self.counts.fallback_blocks,
-            retranslations: self.counts.retranslations,
-            chain: self.machine.chain_stats(),
-            opt: self.counts.opt_totals,
-            template: self.counts.template_stats,
         })
     }
 }
@@ -642,8 +630,9 @@ mod tests {
         // threshold, and a promotion re-installs a pc that has its id.
         assert!(emu.tbs[&bin.entry].tier0);
         let promoted = emu.tbs.values().filter(|meta| !meta.tier0).count();
-        assert!(promoted >= 1 && promoted as u64 == report.template.promotions, "{report:?}");
-        assert_eq!(report.retranslations, promoted);
+        let snap = emu.metrics();
+        assert!(promoted >= 1 && promoted as u64 == snap.counter("template.promotions"));
+        assert_eq!(snap.counter("translate.retranslations"), promoted as u64);
         let ids: HashSet<u64> = emu.tbs.values().filter_map(|meta| meta.id).collect();
         let first_installs = (report.tb_count - promoted) as u64;
         assert_eq!(ids.len() as u64, first_installs, "one id per first install");
@@ -656,6 +645,21 @@ mod tests {
         assert!(emu.machine.unmap_tb(bin.entry));
         assert!(emu.ensure_translated(None, bin.entry).is_ok());
         assert_eq!((emu.tb_id(bin.entry), emu.counts.retranslations), (Some(1), promoted + 1));
+    }
+
+    /// `Report` is the run's result; every count is a row of
+    /// [`Emulator::metrics`]. Destructured field by field, so a field
+    /// added to it stops this test from compiling.
+    #[test]
+    fn report_is_the_result_and_every_count_is_a_row() {
+        let bin = counted_loop(40);
+        let mut emu = Emulator::new(&bin, Setup::Risotto, 1, CostModel::thunderx2_like());
+        let Report { cycles, tb_count, code_bytes, exit_vals, output } = emu.run(100_000).unwrap();
+        let snap = emu.metrics();
+        assert_eq!(cycles, snap.gauge("exec.cycles"));
+        assert_eq!(tb_count as u64, snap.counter("translate.blocks"));
+        assert!(code_bytes > 0);
+        assert_eq!((exit_vals, output), (vec![Some(120)], Vec::new()));
     }
 
     /// One construction path: `with_config` is `new` priced by the
@@ -671,6 +675,7 @@ mod tests {
             assert_eq!(plain.config(), configured.config());
             let (a, b) = (configured.run(100_000).unwrap(), plain.run(100_000).unwrap());
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "{}", backend.name());
+            assert_eq!(configured.metrics(), plain.metrics(), "{}", backend.name());
         }
     }
 }

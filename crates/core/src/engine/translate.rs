@@ -367,9 +367,9 @@ impl Emulator {
         match produced {
             Ok(_) => {
                 self.set_tier0(guest_pc, false);
-                self.counts.template_stats.promotions += 1;
+                self.counts.template_promotions += 1;
             }
-            Err(_) => self.counts.template_stats.promotion_failures += 1,
+            Err(_) => self.counts.template_promotion_failures += 1,
         }
     }
 
@@ -508,8 +508,8 @@ impl Emulator {
                 TemplateError::Lower(_) => TbFault::Backend,
             })?;
         self.lower_fault(guest_pc)?;
-        self.counts.template_stats.blocks += 1;
-        self.counts.template_stats.insns += blk.insns as u64;
+        self.counts.template_blocks += 1;
+        self.counts.template_insns += blk.insns as u64;
         self.obs.trace(TraceStage::Decode, core, Some(guest_pc), None, || {
             format!("tier-0 template: {} guest insns", blk.insns)
         });

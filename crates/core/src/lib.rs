@@ -43,13 +43,11 @@ mod rng;
 
 pub use engine::{
     BackendKind, CoreDump, EmuConfig, EmuError, Emulator, HostExport, HostLibrary, LinkError,
-    Report, Setup, TemplateStats, TierConfig, VerifyLevel, ENV_REGION, SPILL_REGION,
+    Report, Setup, TierConfig, VerifyLevel, ENV_REGION, SPILL_REGION,
 };
 pub use faults::{FaultPlan, FaultSite};
 pub use idl::{Idl, IdlError, IdlFunc, IdlType};
-pub use obs::{
-    HotTb, HotTbProfiler, MetricsSnapshot, RingBufferSink, TraceEvent, TraceSink, TraceStage,
-};
+pub use obs::{HotTb, MetricsSnapshot, RingBufferSink, TraceEvent, TraceSink, TraceStage};
 pub use risotto_host_arm::{AtomicEvent, RmwStyle, SchedPolicy};
 pub use risotto_tcg::{PassConfig, VerifyError, VerifyPass};
 pub use rng::SplitMix64;

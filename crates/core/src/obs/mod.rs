@@ -13,9 +13,9 @@
 //!   ([`TraceEvent`]) at the decode / opt / encode / install / dispatch
 //!   / fault boundaries, with guest-pc + core + TB-id context. Sinks:
 //!   [`RingBufferSink`], or a caller's own.
-//! * [`HotTbProfiler`] — per-TB execution and chain-miss counts with a
-//!   [`HotTbProfiler::top_n`] report, fed by the engine dispatch loop
-//!   and the host machine's transfer paths.
+//! * [`HotTb`] — one row of `Emulator::hot_tbs`: a block's execution
+//!   and chain-miss counts, merged from the engine dispatch loop and
+//!   the host machine's transfer paths.
 //!
 //! Everything here is **zero-cost when disabled** and *passive* when
 //! enabled: observability reads the authoritative execution state but
@@ -25,18 +25,32 @@
 //! is read: every metric and every event is a deterministic function of
 //! the program and the configuration.
 
-mod profile;
 mod registry;
 mod trace;
 
 pub use crate::engine::specs;
-pub use profile::{HotTb, HotTbProfiler};
 pub use registry::{
     doc_name, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION,
 };
 pub use trace::{RingBufferSink, TraceEvent, TraceSink, TraceStage};
 
 use std::fmt;
+
+/// One profiled translation block (see `Emulator::hot_tbs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HotTb {
+    /// Engine TB id: 1-based install order of the block's first
+    /// translation, or 0 for blocks only ever interpreted.
+    pub tb_id: u64,
+    /// Guest pc of the block.
+    pub guest_pc: u64,
+    /// Times the block was entered (chain hits, jump-cache hits,
+    /// dispatcher transfers, and engine dispatch-loop entries).
+    pub execs: u64,
+    /// Entries that missed every fast path and went through the
+    /// dispatcher or the engine's translation-miss handler.
+    pub chain_misses: u64,
+}
 
 /// The engine's observability state: the trace sink. Internal to the
 /// crate; the `Emulator` exposes it through accessors.

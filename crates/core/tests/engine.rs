@@ -230,7 +230,7 @@ fn dynamic_host_linker_redirects_plt_calls() {
     assert_eq!(linked, vec!["triple".to_string()]);
     let r = emu.run(1_000_000).unwrap();
     assert_eq!(r.exit_vals[0], Some(42));
-    assert_eq!(r.stats.native_calls, 1);
+    assert_eq!(emu.metrics().counter("exec.native_calls"), 1);
 }
 
 /// Performance sanity: the setups must order as the paper's Fig. 12

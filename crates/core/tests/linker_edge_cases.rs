@@ -58,7 +58,7 @@ fn export_outside_the_idl_is_a_typed_error_and_links_nothing() {
     assert_eq!(err, LinkError::NotInIdl { library: "test".into(), symbol: "g".into() });
     let r = emu.run(10_000_000).unwrap();
     assert_eq!(r.exit_vals[0], Some(3000), "all guest paths");
-    assert_eq!(r.stats.native_calls, 0);
+    assert_eq!(emu.metrics().counter("exec.native_calls"), 0);
 }
 
 #[test]

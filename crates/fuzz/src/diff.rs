@@ -207,7 +207,7 @@ pub fn run_config(spec: &ProgSpec, bin: &GuestBinary, config: Config) -> Result<
         regs,
         flags0,
         atomics,
-        atomic_total: report.stats.atomics,
+        atomic_total: snap.counter("exec.atomics"),
         verify_violations: snap.counter("verify.violations"),
     })
 }

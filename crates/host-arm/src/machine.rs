@@ -109,8 +109,6 @@ pub struct CoreStats {
     pub dmb: [u64; 3],
     /// Atomic RMW instructions executed.
     pub atomics: u64,
-    /// Helper calls.
-    pub helper_calls: u64,
     /// Native library calls.
     pub native_calls: u64,
     /// Cycles attributed to barriers.
@@ -401,7 +399,6 @@ impl Machine {
                 t.dmb[i] += c.stats.dmb[i];
             }
             t.atomics += c.stats.atomics;
-            t.helper_calls += c.stats.helper_calls;
             t.native_calls += c.stats.native_calls;
             t.fence_cycles += c.stats.fence_cycles;
         }
@@ -737,7 +734,6 @@ impl Machine {
                 kind: HostFaultKind::UnknownHelper(helper),
             });
         };
-        self.cores[core].stats.helper_calls += 1;
         self.cores[core].cycles += self.cost.helper_overhead;
         let a0 = self.cores[core].get(Xreg(0));
         let a1 = self.cores[core].get(Xreg(1));

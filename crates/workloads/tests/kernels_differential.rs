@@ -62,8 +62,8 @@ fn reports_are_bit_reproducible() {
         let rb = b.run(100_000_000).unwrap();
         assert_eq!(ra.cycles, rb.cycles, "{}", setup.name());
         assert_eq!(ra.exit_vals, rb.exit_vals);
-        assert_eq!(ra.stats, rb.stats);
         assert_eq!(ra.tb_count, rb.tb_count);
+        assert_eq!(a.metrics(), b.metrics(), "{}", setup.name());
     }
 }
 

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<10} {:>12} {:>14} {:>8}   (linked: {:?}, {:.1}x vs qemu)",
             setup.name(),
             report.cycles,
-            report.stats.native_calls,
+            emu.metrics().counter("exec.native_calls"),
             "yes",
             linked,
             qemu as f64 / report.cycles as f64,

@@ -60,11 +60,11 @@ fn kernels_are_bit_identical_across_backends() {
         // executes is a full MFENCE, so the Ld/St barrier counters on
         // the machine side must stay at zero.
         let tso = EmuConfig { backend: BackendKind::Tso, ..EmuConfig::default() };
-        let r = Emulator::with_config(&bin, Setup::Risotto, 2, tso)
-            .run(FUEL)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        assert_eq!(r.stats.dmb[0], 0, "{}: TSO backend executed a DMB LD", w.name);
-        assert_eq!(r.stats.dmb[1], 0, "{}: TSO backend executed a DMB ST", w.name);
+        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, tso);
+        emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let m = emu.metrics();
+        assert_eq!(m.counter("fence.exec.dmb_ld"), 0, "{}: TSO backend executed a DMB LD", w.name);
+        assert_eq!(m.counter("fence.exec.dmb_st"), 0, "{}: TSO backend executed a DMB ST", w.name);
     }
 }
 
@@ -164,7 +164,10 @@ fn tso_install_corruption_is_caught_by_pass3() {
     let m = emu.metrics();
     assert_eq!(m.counter("verify.violations"), 2, "both corruptions must be flagged");
     assert_eq!(m.counter("verify.encoding_violations"), 2);
-    assert!(report.fallback_blocks >= 1, "rejected installs fall back to the interpreter");
+    assert!(
+        m.counter("translate.fallback_blocks") >= 1,
+        "rejected installs fall back to the interpreter"
+    );
 }
 
 /// The native oracle is Arm-compiled code; it has no TSO rendition, and

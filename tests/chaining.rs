@@ -43,16 +43,17 @@ fn chaining_matches_dispatcher_reference_on_all_kernels() {
 
         // The reference config must never chain; the chained config must
         // actually exercise the chain slots on loopy kernels.
-        assert_eq!(rr.chain.chain_links, 0, "{}: reference run created chains", w.name);
-        assert_eq!(rr.chain.chain_hits, 0, "{}: reference run took a chain", w.name);
+        let (mc, mr) = (chained.metrics(), reference.metrics());
+        assert_eq!(mr.counter("chain.links"), 0, "{}: reference run created chains", w.name);
+        assert_eq!(mr.counter("chain.hits"), 0, "{}: reference run took a chain", w.name);
         assert!(
-            rc.chain.chain_hits + rc.chain.chain_links > 0,
+            mc.counter("chain.hits") + mc.counter("chain.links") > 0,
             "{}: chained run never took a direct-jump exit",
             w.name
         );
 
-        total_hits += rc.chain.chain_hits;
-        total_links += rc.chain.chain_links;
+        total_hits += mc.counter("chain.hits");
+        total_links += mc.counter("chain.links");
     }
     // ≥90% of all direct-jump exits resolved via an already-patched chain
     // slot (the remainder are the one-time linking dispatches).
@@ -111,10 +112,11 @@ fn jump_cache_eviction_keeps_dispatch_accounting_consistent() {
     // The reference run takes every indirect exit through the full
     // dispatcher; the cached run must split the same transfer total into
     // hits + misses, no transfer lost or double-counted.
-    assert_eq!(rr.chain.dispatch_hits, 0, "reference run must never hit the jump cache");
+    let (mc, mr) = (cached.metrics(), reference.metrics());
+    assert_eq!(mr.counter("jcache.hits"), 0, "reference run must never hit the jump cache");
     assert_eq!(
-        rc.chain.dispatch_hits + rc.chain.dispatch_misses,
-        rr.chain.dispatch_misses,
+        mc.counter("jcache.hits") + mc.counter("jcache.misses"),
+        mr.counter("jcache.misses"),
         "jump-cache hit/miss split must preserve the indirect-transfer total"
     );
 
@@ -122,10 +124,10 @@ fn jump_cache_eviction_keeps_dispatch_accounting_consistent() {
     // share a slot and evict each other on every pass — cold misses
     // alone (one per distinct target) cannot explain the miss count.
     assert!(
-        rc.chain.dispatch_misses > SITES as u64,
+        mc.counter("jcache.misses") > SITES as u64,
         "expected eviction re-misses beyond the {SITES} cold misses, got {}",
-        rc.chain.dispatch_misses
+        mc.counter("jcache.misses")
     );
     // Non-colliding slots still serve hits after their cold miss.
-    assert!(rc.chain.dispatch_hits > 0, "jump cache never hit despite repeated targets");
+    assert!(mc.counter("jcache.hits") > 0, "jump cache never hit despite repeated targets");
 }

@@ -189,7 +189,7 @@ fn mixed_library_program_linked_and_unlinked_agree() {
     let got = r.exit_vals[0].unwrap();
     // cos kernels agree to ~1e-9, so trunc(1000·cos) matches exactly here.
     assert_eq!(got, expect, "linked and translated runs disagree");
-    assert!(r.stats.native_calls >= 4);
+    assert!(emu.metrics().counter("exec.native_calls") >= 4);
 }
 
 /// Loops that straddle translation-block boundaries chain correctly: a
@@ -233,7 +233,7 @@ fn translation_cache_reuses_blocks() {
     let r = emu.run(10_000_000).unwrap();
     assert!(r.tb_count <= 4, "10k iterations must reuse the cached TB, got {}", r.tb_count);
     assert!(r.code_bytes > 0);
-    assert!(r.stats.insns > 10_000);
+    assert!(emu.metrics().counter("exec.insns") > 10_000);
 }
 
 /// The four ways one guest program executes: the reference interpreter

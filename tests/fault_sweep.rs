@@ -62,8 +62,8 @@ fn seeded_fault_sweep_never_diverges_silently() {
 
     let mut completed = 0u32;
     let mut typed_errors = 0u32;
-    let mut total_fallbacks = 0usize;
-    let mut total_retranslations = 0usize;
+    let mut total_fallbacks = 0u64;
+    let mut total_retranslations = 0u64;
     for w in &workloads {
         let bin = (w.build)(6, 2);
         let (ref_exit, ref_out) = reference(&bin);
@@ -87,8 +87,9 @@ fn seeded_fault_sweep_never_diverges_silently() {
                         setup.name(),
                     );
                     completed += 1;
-                    total_fallbacks += report.fallback_blocks;
-                    total_retranslations += report.retranslations;
+                    let m = emu.metrics();
+                    total_fallbacks += m.counter("translate.fallback_blocks");
+                    total_retranslations += m.counter("translate.retranslations");
                 }
                 // Any typed error is an acceptable outcome — the contract
                 // forbids only panics and silent divergence.
@@ -144,12 +145,13 @@ fn translate_fault_falls_back_to_interpreter() {
         let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", setup.name()));
         assert_eq!(r.exit_vals[0], Some(500), "{}", setup.name());
         assert_eq!(r.output, b"ok\n", "{}", setup.name());
-        assert!(r.fallback_blocks >= 1, "{}: no fallback reported", setup.name());
+        let m = emu.metrics();
+        let retranslations = m.counter("translate.retranslations");
+        assert!(m.counter("translate.fallback_blocks") >= 1, "{}: no fallback", setup.name());
         assert!(
-            (1..=4).contains(&r.retranslations),
-            "{}: retries not bounded: {}",
-            setup.name(),
-            r.retranslations
+            (1..=4).contains(&retranslations),
+            "{}: retries not bounded: {retranslations}",
+            setup.name()
         );
     }
 }
@@ -191,7 +193,7 @@ fn lower_fault_falls_back_to_interpreter() {
         faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(4).fail_lower_at(bin.symbols["loop"]));
     let r = emu.run(FUEL).unwrap();
     assert_eq!(r.exit_vals[0], Some(500));
-    assert!(r.fallback_blocks >= 1);
+    assert!(emu.metrics().counter("translate.fallback_blocks") >= 1);
 }
 
 /// Detected TB corruption discards the entry and re-translates it; the
@@ -204,8 +206,13 @@ fn tb_corruption_is_retranslated() {
     let r = emu.run(FUEL).unwrap();
     assert_eq!(r.exit_vals[0], Some(500));
     assert_eq!(r.output, b"ok\n");
-    assert!(r.retranslations >= 1, "corruption refill not counted");
-    assert_eq!(r.fallback_blocks, 0, "corruption must not force interpretation");
+    let m = emu.metrics();
+    assert!(m.counter("translate.retranslations") >= 1, "corruption refill not counted");
+    assert_eq!(
+        m.counter("translate.fallback_blocks"),
+        0,
+        "corruption must not force interpretation"
+    );
 }
 
 /// The PR-1 failure model meets TB chaining: corrupting (→ unmapping) the
@@ -248,12 +255,16 @@ fn unmapping_a_chained_into_tb_forces_retranslation() {
     let r = emu.run(FUEL).unwrap();
     assert_eq!(r.exit_vals[0], Some(n));
     assert_eq!(r.output, b"ok\n");
-    assert!(r.chain.chain_links >= 2, "the loop edges were never chained");
+    let m = emu.metrics();
+    assert!(m.counter("chain.links") >= 2, "the loop edges were never chained");
     assert!(
-        r.chain.chain_flushes >= 1,
+        m.counter("chain.flushes") >= 1,
         "unmapping the chained-into TB must unlink its incoming chains"
     );
-    assert!(r.retranslations >= 1, "after the unlink the dispatcher must miss and re-translate");
+    assert!(
+        m.counter("translate.retranslations") >= 1,
+        "after the unlink the dispatcher must miss and re-translate"
+    );
 }
 
 /// Satellite: retranslation churn must not grow the host code buffer
@@ -271,7 +282,10 @@ fn high_churn_eviction_keeps_the_code_buffer_bounded() {
         faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(7).rate(FaultSite::TbCache, 4000));
     let r = emu.run(FUEL).unwrap();
     assert_eq!(r.exit_vals[0], Some(2_000));
-    assert!(r.retranslations >= 20, "eviction pressure too low to test reclamation");
+    assert!(
+        emu.metrics().counter("translate.retranslations") >= 20,
+        "eviction pressure too low to test reclamation"
+    );
     assert!(
         r.code_bytes <= baseline * 2,
         "code buffer grew without bound under churn: {} vs fault-free {}",
@@ -363,7 +377,7 @@ fn failed_host_link_uses_guest_implementation() {
     let linked = emu.link_library(&bin, &idl, hostlibs::libcrypto()).unwrap();
     assert!(linked.contains(&"sha256".to_string()));
     let native = emu.run(FUEL).unwrap();
-    assert!(native.stats.native_calls >= 1);
+    assert!(emu.metrics().counter("exec.native_calls") >= 1);
 
     // Injected link failure for sha256: validation still passes, the
     // import silently stays on the translated guest code path.
@@ -372,7 +386,7 @@ fn failed_host_link_uses_guest_implementation() {
     assert!(!linked.contains(&"sha256".to_string()));
     let guest = emu.run(FUEL).unwrap();
     assert_eq!(guest.exit_vals[0], native.exit_vals[0], "digest changed");
-    assert_eq!(guest.stats.native_calls, 0);
+    assert_eq!(emu.metrics().counter("exec.native_calls"), 0);
 }
 
 /// With (nearly) every translation failing, whole programs run through
@@ -417,7 +431,8 @@ fn forced_fallback_matches_the_interpreter_on_kernels_and_corpus() {
             interp.mem.read_bytes(DATA_BASE, bin.data.len()),
             "{name}: final .data"
         );
-        assert!(r.fallback_blocks > 0, "{name}: nothing fell back");
-        assert!(emu.metrics().counter("translate.interp_steps") > 0, "{name}: nothing interpreted");
+        let m = emu.metrics();
+        assert!(m.counter("translate.fallback_blocks") > 0, "{name}: nothing fell back");
+        assert!(m.counter("translate.interp_steps") > 0, "{name}: nothing interpreted");
     }
 }

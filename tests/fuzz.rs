@@ -148,11 +148,9 @@ fn minimizer_preserves_predicate_and_is_idempotent() {
 fn template_promotions(spec: &ProgSpec) -> u64 {
     let bin = spec.lower().expect("spec lowers");
     let config = EmuConfig { warm_threshold: Some(FUZZ_HOT_THRESHOLD), ..EmuConfig::default() };
-    Emulator::with_config(&bin, Setup::Risotto, spec.cores(), config)
-        .run(u64::MAX / 4)
-        .expect("spec runs")
-        .template
-        .promotions
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, spec.cores(), config);
+    emu.run(u64::MAX / 4).expect("spec runs");
+    emu.metrics().counter("template.promotions")
 }
 
 /// Bounded differential sweep: every configuration agrees with the

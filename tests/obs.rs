@@ -1,9 +1,9 @@
 //! Acceptance tests for the observability layer (metrics snapshot,
-//! trace sinks, hot-TB profiler):
+//! trace sinks, hot-TB profile):
 //!
-//! * every counter of a snapshot equals its legacy `Report` source across
-//!   the full 16-kernel Fig. 12 suite (a snapshot is a view, not a second
-//!   set of books);
+//! * a snapshot's rows add up across the full 16-kernel Fig. 12 suite on
+//!   both backends: machine-wide rows against per-core ones, `Report`'s
+//!   cycles against the clock, per-kind fence merges against the total;
 //! * a fully instrumented run (trace sink + hot-TB profiling) is the
 //!   default run: same architectural results, simulated cycles and
 //!   metrics snapshot, as a whole — observability is passive, and on the
@@ -13,14 +13,15 @@
 //! * `docs/METRICS.md` documents 100% of the metric schema, and every
 //!   metric a real run emits maps back into that schema;
 //! * each tier leg's counters show the blocks that went through it;
-//! * `hot_tbs` is empty unless profiling was asked for, tiering or not.
+//! * `hot_tbs` is empty unless profiling was asked for, tiering or not,
+//!   and merges its two sources per block in a deterministic order.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use risotto::core::obs::{doc_name, specs};
 use risotto::core::{
-    EmuConfig, Emulator, FaultPlan, HotTbProfiler, RingBufferSink, Setup, TraceEvent, TraceSink,
+    BackendKind, EmuConfig, Emulator, FaultPlan, RingBufferSink, Setup, TraceEvent, TraceSink,
     TraceStage, VerifyLevel,
 };
 use risotto::guest::{AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
@@ -45,72 +46,53 @@ impl TraceSink for VecSink {
     }
 }
 
+/// A snapshot's rows add up: the machine-wide rows are the per-core ones
+/// summed (instructions) or maxed (cycles, which is also `Report`'s
+/// figure), and the per-kind fence merges decompose the aggregate —
+/// on every kernel, on both backends. The hot-TB profile covers real
+/// blocks, hottest first.
 #[test]
-fn registry_counters_equal_legacy_report_on_all_kernels() {
+fn counters_conserve_on_all_kernels_and_both_backends() {
     for w in kernels::all() {
         let bin = (w.build)(8, 2);
-        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, profiled());
-        let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let snap = emu.metrics();
+        for backend in BackendKind::ALL {
+            let leg = format!("{} ({})", w.name, backend.name());
+            let config = EmuConfig { backend, ..profiled() };
+            let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
+            let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{leg}: {e}"));
+            let snap = emu.metrics();
 
-        let expect = |metric: &str, legacy: u64| {
-            assert_eq!(
-                snap.counter(metric),
-                legacy,
-                "{}: metric `{metric}` diverged from its legacy Report source",
-                w.name
-            );
-        };
-        expect("translate.blocks", r.tb_count as u64);
-        expect("translate.retranslations", r.retranslations as u64);
-        expect("translate.fallback_blocks", r.fallback_blocks as u64);
-        expect("opt.folded", r.opt.folded as u64);
-        expect("opt.loads_forwarded", r.opt.loads_forwarded as u64);
-        expect("opt.stores_eliminated", r.opt.stores_eliminated as u64);
-        expect("opt.fences_merged", r.opt.fences_merged as u64);
-        expect("opt.dce_removed", r.opt.dce_removed as u64);
-        expect("chain.hits", r.chain.chain_hits);
-        expect("chain.links", r.chain.chain_links);
-        expect("chain.flushes", r.chain.chain_flushes);
-        expect("jcache.hits", r.chain.dispatch_hits);
-        expect("jcache.misses", r.chain.dispatch_misses);
-        expect("fence.exec.dmb_ld", r.stats.dmb[0]);
-        expect("fence.exec.dmb_st", r.stats.dmb[1]);
-        expect("fence.exec.dmb_ff", r.stats.dmb[2]);
-        expect("fence.exec.cycles", r.stats.fence_cycles);
-        expect("exec.insns", r.stats.insns);
-        assert_eq!(snap.gauge("exec.cycles"), r.cycles, "{}: exec.cycles gauge", w.name);
-        assert_eq!(snap.gauge("exec.cores"), 2, "{}: exec.cores gauge", w.name);
+            assert_eq!(snap.gauge("exec.cores"), 2, "{leg}: exec.cores gauge");
+            let per_core = |row: &str| -> Vec<u64> {
+                (0..2)
+                    .map(|c| {
+                        let name = format!("core.{c}.{row}");
+                        assert!(snap.metrics.contains_key(&name), "{leg}: {name} missing");
+                        snap.gauge(&name)
+                    })
+                    .collect()
+            };
+            let insns = per_core("insns");
+            assert_eq!(snap.counter("exec.insns"), insns.iter().sum(), "{leg}: {insns:?}");
+            let cycles = per_core("cycles");
+            assert_eq!(snap.gauge("exec.cycles"), *cycles.iter().max().unwrap(), "{leg}");
+            assert_eq!(snap.gauge("exec.cycles"), r.cycles, "{leg}: Report.cycles");
 
-        // Per-kind fence merges decompose the aggregate exactly.
-        let merged_by_kind: u64 = FenceKind::TCG_ALL
-            .iter()
-            .map(|k| snap.counter(&format!("fence.merged.{}", k.tcg_name().unwrap())))
-            .sum();
-        assert_eq!(
-            merged_by_kind, r.opt.fences_merged as u64,
-            "{}: per-kind fence merges don't sum to opt.fences_merged",
-            w.name
-        );
-        for (i, k) in FenceKind::TCG_ALL.iter().enumerate() {
+            let merged_by_kind: u64 = FenceKind::TCG_ALL
+                .iter()
+                .map(|k| snap.counter(&format!("fence.merged.{}", k.tcg_name().unwrap())))
+                .sum();
             assert_eq!(
-                snap.counter(&format!("fence.merged.{}", k.tcg_name().unwrap())),
-                r.opt.fences_merged_by_kind[i] as u64,
-                "{}: fence.merged.{} vs OptStats",
-                w.name,
-                k.tcg_name().unwrap()
+                merged_by_kind,
+                snap.counter("opt.fences_merged"),
+                "{leg}: per-kind fence merges don't sum to opt.fences_merged"
             );
+
+            let hot = emu.hot_tbs(8);
+            assert!(!hot.is_empty(), "{leg}: no hot TBs recorded");
+            assert!(hot.windows(2).all(|p| p[0].execs >= p[1].execs), "{leg}: not sorted");
+            assert!(hot.iter().all(|t| t.execs > 0), "{leg}: zero-exec TB in profile");
         }
-
-        // Per-core gauge family materialized for both cores.
-        assert!(snap.metrics.contains_key("core.0.insns"), "{}: core.0.insns missing", w.name);
-        assert!(snap.metrics.contains_key("core.1.cycles"), "{}: core.1.cycles missing", w.name);
-
-        // The hot-TB profile covers real blocks and is sorted by execs.
-        let hot = emu.hot_tbs(8);
-        assert!(!hot.is_empty(), "{}: no hot TBs recorded", w.name);
-        assert!(hot.windows(2).all(|p| p[0].execs >= p[1].execs), "{}: top_n not sorted", w.name);
-        assert!(hot.iter().all(|t| t.execs > 0), "{}: zero-exec TB in profile", w.name);
     }
 }
 
@@ -264,8 +246,9 @@ fn hot_tbs_is_empty_unless_profiling_was_asked_for() {
     let run = |profiling: bool| {
         let config = EmuConfig { warm_threshold: LADDER, profiling, ..EmuConfig::default() };
         let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
-        let r = emu.run(FUEL).expect("kmeans runs");
-        assert!(r.template.promotions > 0, "the promoter's profile was live: {r:?}");
+        emu.run(FUEL).expect("kmeans runs");
+        let promotions = emu.metrics().counter("template.promotions");
+        assert!(promotions > 0, "the promoter's profile was live");
         emu.hot_tbs(4)
     };
     assert!(run(false).is_empty(), "tiering alone must not surface a profile");
@@ -281,42 +264,37 @@ fn hot_tbs_is_empty_unless_profiling_was_asked_for() {
     );
 }
 
+/// `hot_tbs` merges the engine's dispatch-loop entries into the
+/// machine's transfer profile per guest pc, and orders blocks that ran
+/// equally often by guest pc, so the report does not depend on hash-map
+/// iteration order: `main` and `exit` run once each, `body` and `tail`
+/// 300 times each.
 #[test]
-fn hot_tb_profiler_default_is_empty_and_top_n_breaks_ties_by_pc() {
-    // `Default` and `new` agree and start empty.
-    let d = HotTbProfiler::default();
-    assert!(d.is_empty());
-    assert_eq!(d.len(), 0);
-    assert!(d.top_n(8).is_empty());
-    assert!(HotTbProfiler::new().is_empty());
-
-    // Regression: equal execution counts must order by guest pc, so the
-    // report is deterministic across HashMap iteration orders.
-    let mut p = HotTbProfiler::new();
-    p.record(3, 0x3000, 50, 0);
-    p.record(1, 0x1000, 50, 2);
-    p.record(4, 0x4000, 99, 1);
-    p.record(2, 0x2000, 50, 0);
-    let top = p.top_n(3);
-    assert_eq!(top.len(), 3);
-    assert_eq!(top[0].guest_pc, 0x4000, "hottest block first");
+fn hot_tbs_merge_both_sources_and_break_ties_by_pc() {
+    let mut b = GelfBuilder::new("main");
+    b.asm.label("main");
+    b.asm.mov_ri(Gpr::RCX, 300);
+    b.asm.jmp_to("body");
+    b.asm.label("body");
+    b.asm.alu_ri(AluOp::Add, Gpr::RAX, 1);
+    b.asm.jmp_to("tail");
+    b.asm.label("tail");
+    b.asm.alu_ri(AluOp::Sub, Gpr::RCX, 1);
+    b.asm.cmp_ri(Gpr::RCX, 0);
+    b.asm.jcc_to(Cond::Ne, "body");
+    b.asm.label("exit");
+    b.asm.hlt();
+    let bin = b.finish().unwrap();
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 1, profiled());
+    assert_eq!(emu.run(FUEL).expect("loop runs").exit_vals[0], Some(300));
+    let hot: Vec<_> = emu.hot_tbs(8).iter().map(|t| (t.guest_pc, t.execs)).collect();
+    let pc = |label: &str| bin.symbols[label];
     assert_eq!(
-        (top[1].guest_pc, top[2].guest_pc),
-        (0x1000, 0x2000),
-        "ties at 50 execs must order by ascending guest pc"
+        hot,
+        [(pc("body"), 300), (pc("tail"), 300), (pc("main"), 1), (pc("exit"), 1)],
+        "{hot:#x?}"
     );
-    // The full report keeps the remaining tied block in pc order too.
-    let all = p.top_n(10);
-    assert_eq!(all.len(), 4);
-    assert_eq!(all[3].guest_pc, 0x3000);
-
-    // Re-recording accumulates instead of clobbering, and a real tb_id
-    // upgrades an interpreted-only (id 0) entry.
-    let mut q = HotTbProfiler::new();
-    q.record(0, 0x5000, 1, 1);
-    q.record(7, 0x5000, 2, 0);
-    let only = q.top_n(1)[0];
-    assert_eq!((only.tb_id, only.execs, only.chain_misses), (7, 3, 1));
+    assert_eq!(emu.hot_tbs(1).len(), 1, "n caps the report");
 }
 
 /// A 400-iteration loop split over two blocks (`loop` jumps to `tail`,

@@ -24,7 +24,9 @@
 //!    backends, with the Pass 3 install read-back at Full level; plus a
 //!    promotion/demotion churn test across both tiers.
 
-use risotto::core::{BackendKind, EmuConfig, Emulator, FaultPlan, FaultSite, Setup, VerifyLevel};
+use risotto::core::{
+    BackendKind, EmuConfig, Emulator, FaultPlan, FaultSite, MetricsSnapshot, Setup, VerifyLevel,
+};
 use risotto::guest::{AluOp, Cond, FpOp, GelfBuilder, Gpr, Insn, Operand};
 use risotto::host::{
     ArmBackend, BackendConfig, Dmb, HostBackend, HostInsn, MemOrder, RmwStyle, ENV_BASE, SPILL_BASE,
@@ -591,11 +593,10 @@ fn run_with(
     bin: &risotto::guest::GuestBinary,
     backend: BackendKind,
     warm_threshold: Option<u64>,
-) -> (risotto::core::Report, u64, u64) {
+) -> (risotto::core::Report, MetricsSnapshot) {
     let mut emu = Emulator::with_config(bin, Setup::Risotto, 2, config(backend, warm_threshold));
     let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{} backend: {e}", backend.name()));
-    let m = emu.metrics();
-    (r, m.counter("verify.violations"), m.counter("template.blocks"))
+    (r, emu.metrics())
 }
 
 /// All 16 kernels, both backends: a tier-0-only run is bit-identical to
@@ -606,8 +607,10 @@ fn kernels_are_bit_identical_with_tier0_on_both_backends() {
     for w in kernels::all() {
         let bin = (w.build)(8, 2);
         for backend in [BackendKind::Arm, BackendKind::Tso] {
-            let (r1, v1, t1) = run_with(&bin, backend, None);
-            let (r0, v0, t0) = run_with(&bin, backend, TIER0_ONLY);
+            let (r1, m1) = run_with(&bin, backend, None);
+            let (r0, m0) = run_with(&bin, backend, TIER0_ONLY);
+            let (v1, v0) = (m1.counter("verify.violations"), m0.counter("verify.violations"));
+            let (t1, t0) = (m1.counter("template.blocks"), m0.counter("template.blocks"));
             assert_eq!(
                 r0.exit_vals,
                 r1.exit_vals,
@@ -626,8 +629,9 @@ fn kernels_are_bit_identical_with_tier0_on_both_backends() {
             assert_eq!(v0, 0, "{}: tier-0 install read-back flagged a clean template", w.name);
             assert_eq!(t1, 0, "{}: tier-1 run used templates", w.name);
             assert!(t0 > 0, "{}: tier-0 run never used a template", w.name);
-            assert_eq!(r0.template.promotions, 0, "{}: tier-0-only run promoted", w.name);
-            assert!(r0.template.insns >= r0.template.blocks, "{}: stats inconsistent", w.name);
+            let promoted = m0.counter("template.promotions");
+            assert_eq!(promoted, 0, "{}: tier-0-only run promoted", w.name);
+            assert!(m0.counter("template.insns") >= t0, "{}: stats inconsistent", w.name);
         }
     }
 }
@@ -667,7 +671,8 @@ fn litmus_through_tier0_stays_within_x86_behaviors() {
                     prog.name,
                     backend.name()
                 );
-                assert!(emu.template_stats().blocks > 0, "{}: no templates used", prog.name);
+                let templates = emu.metrics().counter("template.blocks");
+                assert!(templates > 0, "{}: no templates used", prog.name);
             }
         }
     }
@@ -713,11 +718,12 @@ fn tier_churn_on_same_pc_is_clean_and_bit_identical() {
 
     assert_eq!(r.exit_vals, r1.exit_vals, "tier churn changed the architectural result");
     assert_eq!(r.output, r1.output);
-    let stats = emu.template_stats();
-    assert!(stats.blocks > 0, "loop never entered through a template");
-    assert!(stats.promotions > 0, "no tier-0 → tier-1 promotion happened");
+    let m = emu.metrics();
+    let (blocks, promotions) = (m.counter("template.blocks"), m.counter("template.promotions"));
+    assert!(blocks > 0, "loop never entered through a template");
+    assert!(promotions > 0, "no tier-0 → tier-1 promotion happened");
     assert!(
-        stats.blocks > stats.promotions,
+        blocks > promotions,
         "every template promoted exactly once: eviction churn never refilled tier-0"
     );
     let bad = emu.validate_chains();
@@ -741,10 +747,11 @@ fn two_tier_runs_match_tier1_on_all_kernels() {
 
         assert_eq!(r2.exit_vals, r1.exit_vals, "{}: two-tier exit values diverge", w.name);
         assert_eq!(r2.output, r1.output, "{}: two-tier output diverges", w.name);
-        assert!(r2.template.blocks > 0, "{}: tier-0 never served a block", w.name);
+        let m = tiered.metrics();
+        assert!(m.counter("template.blocks") > 0, "{}: tier-0 never served a block", w.name);
         let bad = tiered.validate_chains();
         assert!(bad.is_empty(), "{}: dangling chain words: {bad:x?}", w.name);
-        total_promotions += r2.template.promotions;
+        total_promotions += m.counter("template.promotions");
     }
     assert!(total_promotions > 0, "no kernel ever promoted tier-0 → tier-1");
 }

@@ -293,10 +293,12 @@ fn injected_install_corruption_is_caught_before_dispatch() {
         assert_eq!(m.counter("verify.encoding_violations"), 2, "{level:?}");
         assert!(m.counter("verify.checked") > 0, "{level:?}");
         assert!(m.counter("fault.injected") >= 2, "{level:?}");
-        assert!(report.fallback_blocks >= 1, "{level:?}: rejected installs are interpreted");
+        let fallbacks = m.counter("translate.fallback_blocks");
+        assert!(fallbacks >= 1, "{level:?}: rejected installs are interpreted");
         // Ordinal 0 corrupts `main`'s entry block, which executes exactly
         // once (interpreted, never revisited); only the re-reached loop
         // block is re-translated after its quarantine entry.
-        assert!(report.retranslations >= 1, "{level:?}: quarantined pcs are re-translated");
+        let retranslations = m.counter("translate.retranslations");
+        assert!(retranslations >= 1, "{level:?}: quarantined pcs are re-translated");
     }
 }
