@@ -20,12 +20,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Cross-backend gate (docs/BACKENDS.md): the MiniTSO backend's unit
 # suite (lowering, dialect verifier, mutant kill), then the standing
 # Arm-vs-TSO differential — kernels bit-identical at VerifyLevel::Full,
-# litmus containment, seeded fuzz matrix, engine-level Pass-3 mutant
-# kill, and the BACKENDS.md completeness test in both directions — and
-# the tier-0 template suite, which holds the static check that TSO
-# templates stay inside the TSO dialect.
+# seeded fuzz matrix, engine-level Pass-3 mutant kill, and the
+# BACKENDS.md completeness test in both directions — the tier-0
+# template suite, which holds the static check that TSO templates stay
+# inside the TSO dialect, and the one dynamic Theorem-1 oracle
+# (tests/theorem1/mod.rs): every x86 litmus program × stagger under
+# every setup × backend × tier × analysis leg, at VerifyLevel::Full,
+# must stay within the x86-allowed behaviors with a clean verifier. Its
+# slices run in litmus_through_dbt (Arm tier-1), backends (TSO tier-1),
+# templates (tier-0), analysis (analysis on) and the verifier gate below
+# (the tier-0→1 ladder).
 cargo test -q --release -p risotto-host-tso
-cargo test -q --release --test backends --test templates
+cargo test -q --release --test backends --test templates --test litmus_through_dbt --test analysis
 # `dump_translation --backend tso` must show MiniTSO code on every leg:
 # no partial barrier, no exclusive pair, no Arm heading.
 tso_dump="$(mktemp /tmp/dump_tso.XXXXXX.txt)"
@@ -58,8 +64,10 @@ done
 cargo run -q --release -p risotto-bench --bin verify_mappings > /dev/null
 
 # Verifier gate: the translation-validator suite (mutation tests over
-# the 16-kernel corpus + litmus at VerifyLevel::Full) in bounded smoke
-# mode. Any clean-corpus violation or surviving mutant fails CI.
+# the 16-kernel corpus) in bounded smoke mode. Any clean-corpus
+# violation or surviving mutant fails CI. It also runs the ladder legs
+# of the litmus matrix at VerifyLevel::Full; the other legs run in the
+# cross-backend gate.
 RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test verifier
 
 # Determinism gate: the same IR must lower to bit-identical host bytes
@@ -199,7 +207,7 @@ fi
 # calibrated `benchmark/` package; `crates/bench` reports simulated
 # cycles only): tier-0 template translation must be cheaper per guest
 # instruction than the tier-1 IR pipeline measured in the same process
-# (`core.ir_overhead_ratio`, the figure ROADMAP item 4's tier-0 decision
+# (`core.ir_overhead_ratio`, the figure ROADMAP item 9's tier-0 decision
 # gate reads), no operation may fail, and each translate stage and the
 # machine loop must report a positive time. Same-process ratios and
 # signs only: an absolute threshold would measure the machine CI runs on.

@@ -172,7 +172,7 @@ pub fn analyze_image(bin: &GuestBinary) -> ImageFacts {
 }
 
 /// No hints: the known-bits IR pass is gone. Kept only because the
-/// frozen `benchmark/` replay still calls it; ROADMAP item 4 deletes it.
+/// frozen `benchmark/` replay still calls it; ROADMAP item 6(g) deletes it.
 #[doc(hidden)]
 pub fn ir_hints(_block: &TcgBlock) -> IrHints {
     IrHints

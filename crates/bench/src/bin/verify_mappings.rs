@@ -12,7 +12,7 @@ use risotto_litmus::corpus;
 use risotto_mappings::check::verify_suite;
 use risotto_mappings::gen::{generate_two_thread, x86_alphabet};
 use risotto_mappings::scheme::*;
-use risotto_memmodel::{Arm, FencePlacement, TcgIr, X86Tso};
+use risotto_memmodel::{Arm, FencePlacement, RmwStyle, TcgIr, X86Tso};
 
 fn main() {
     // It reads no flag; parsing rejects every one.
@@ -68,7 +68,7 @@ fn main() {
         verify_suite(&v1, &family, &x86, &tcg).len(),
         true,
     );
-    for rmw in [RmwLowering::Rmw2Fenced, RmwLowering::Casal] {
+    for rmw in [RmwStyle::Rmw2Fenced, RmwStyle::Casal] {
         let s = verified_x86_to_arm(rmw);
         check(
             &format!("verified x86->arm ({rmw:?})"),

@@ -24,7 +24,7 @@ use crate::cost::CostModel;
 use crate::insn::{ACond, AFpOp, AOp, Dmb, HostInsn, MemOrder, TbExitKind, Xreg};
 use crate::regalloc::{AllocScratch, AllocStats, Allocator};
 use crate::verify::{EncodingScratch, Point};
-use risotto_memmodel::FenceKind;
+use risotto_memmodel::{FenceKind, RmwStyle};
 use risotto_tcg::{
     with_thread_scratch, BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, VerifyError,
 };
@@ -85,25 +85,15 @@ pub const ENV_BASE: Xreg = Xreg(27);
 /// Spill area base register.
 pub const SPILL_BASE: Xreg = Xreg(28);
 
-/// How TCG `Cas`/`AtomicAdd` ops are lowered (Fig. 7b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RmwStyle {
-    /// `RMW1_AL`: single `casal` / `ldaddal` (needs the corrected Arm
-    /// model, §3.3/§6.3).
-    Casal,
-    /// `DMBFF; RMW2; DMBFF`: exclusive-pair loop bracketed by full fences.
-    Rmw2Fenced,
-}
-
 /// Backend configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendConfig {
     /// RMW lowering for TCG `Cas`/`AtomicAdd` ops.
     pub rmw: RmwStyle,
-    /// Lower FP helpers to hardware FP instead of `Hcall` soft-float.
-    pub hardware_fp: bool,
-    /// Native-oracle register mapping (no env traffic, no fences).
-    pub direct_regs: bool,
+    /// The native oracle (see module docs): guest registers map
+    /// directly to host registers (no env traffic, no fences), and FP
+    /// helpers lower to hardware FP instead of `Hcall` soft-float.
+    pub native: bool,
 }
 
 impl BackendConfig {
@@ -111,12 +101,12 @@ impl BackendConfig {
     /// setups (helper-based RMWs arrive as `CallHelper`, so `rmw` is
     /// irrelevant there) and by `risotto` (whose frontend emits `Cas`).
     pub fn dbt(rmw: RmwStyle) -> BackendConfig {
-        BackendConfig { rmw, hardware_fp: false, direct_regs: false }
+        BackendConfig { rmw, native: false }
     }
 
     /// The native-oracle backend (see module docs).
     pub fn native() -> BackendConfig {
-        BackendConfig { rmw: RmwStyle::Casal, hardware_fp: true, direct_regs: true }
+        BackendConfig { rmw: RmwStyle::Casal, native: true }
     }
 }
 
@@ -589,9 +579,7 @@ impl HostBackend for ArmBackend {
             // Hardware-FP float helpers lower to an in-line `Fp` insn (or
             // nothing without a result); everything else is an
             // out-of-line `Hcall`.
-            TcgOp::CallHelper { helper, .. }
-                if !(cfg.hardware_fp && fp_op_of(*helper).is_some()) =>
-            {
+            TcgOp::CallHelper { helper, .. } if !(cfg.native && fp_op_of(*helper).is_some()) => {
                 out.push(Point::Helper(helper_index(*helper)));
             }
             _ => {}
@@ -638,7 +626,7 @@ fn register_pool(cfg: BackendConfig) -> &'static [Xreg] {
         Xreg(9), Xreg(10), Xreg(11), Xreg(12), Xreg(13), Xreg(14), Xreg(15), Xreg(16), Xreg(17),
         Xreg(18), Xreg(19), Xreg(20), Xreg(21), Xreg(22), Xreg(23), Xreg(24), Xreg(25), Xreg(26),
     ];
-    if cfg.direct_regs {
+    if cfg.native {
         DIRECT
     } else {
         DBT
@@ -656,7 +644,7 @@ fn lower<B: HostBackend + ?Sized>(
     scratch: &mut LowerScratch,
 ) -> Result<LowerOutput, BackendError> {
     let pool = register_pool(cfg);
-    let mut alloc = Allocator::new(block, pool, !cfg.direct_regs, &mut scratch.alloc);
+    let mut alloc = Allocator::new(block, pool, !cfg.native, &mut scratch.alloc);
     let asm = &mut scratch.asm;
     asm.clear();
     let (mut get_regs, mut set_regs) = (0u64, 0u64);
@@ -680,7 +668,7 @@ fn lower<B: HostBackend + ?Sized>(
                 }
             }
             TcgOp::GetReg { dst, reg } => {
-                if cfg.direct_regs {
+                if cfg.native {
                     let rd = alloc.def_temp(asm, idx, idx, *dst, &[])?;
                     asm.push(HostInsn::MovReg { dst: rd, src: direct_reg(*reg) });
                 } else {
@@ -692,7 +680,7 @@ fn lower<B: HostBackend + ?Sized>(
             }
             TcgOp::SetReg { reg, src } => {
                 let rs = alloc.read_temp(asm, idx, idx, *src, &[])?;
-                if cfg.direct_regs {
+                if cfg.native {
                     asm.push(HostInsn::MovReg { dst: direct_reg(*reg), src: rs });
                 } else {
                     set_regs += 1;
@@ -761,7 +749,7 @@ fn lower<B: HostBackend + ?Sized>(
                 host.atomic_add(asm, rd, ra, rv, cfg);
             }
             TcgOp::CallHelper { helper, args, ret } => {
-                if cfg.hardware_fp {
+                if cfg.native {
                     if let Some(fp) = fp_op_of(*helper) {
                         let ra = alloc.read_temp(asm, idx, idx, args[0], &[])?;
                         let rb = alloc.read_temp(asm, idx, idx, args[1], &[ra])?;

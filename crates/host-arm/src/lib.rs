@@ -42,7 +42,7 @@ mod verify;
 
 pub use backend::{
     arm_dmb_of, fp_op_of, helper_at, helper_index, ArmBackend, BackendConfig, BackendError,
-    HostAsm, HostBackend, LowerOutput, LowerScratch, RmwStyle, ENV_BASE, SPILL_BASE,
+    HostAsm, HostBackend, LowerOutput, LowerScratch, ENV_BASE, SPILL_BASE,
 };
 pub use code_cache::{CacheStats, ChainStats, TbProf, CODE_BASE};
 pub use cost::CostModel;
@@ -51,5 +51,6 @@ pub use insn::{
 };
 pub use machine::{AtomicEvent, CoreStats, Event, HostFaultKind, Machine, NativeFn, NativeResult};
 pub use regalloc::AllocStats;
+pub use risotto_memmodel::RmwStyle;
 pub use sched::SchedPolicy;
 pub use verify::{EncodingScratch, Point};

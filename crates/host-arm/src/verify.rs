@@ -252,9 +252,9 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
     // register the IR wrote (`SetReg`) has a `STR` to its home slot
     // before the first exit of the host stream (flush-point stores and
     // dirty evictions both count); a `CondJump`'s second exit follows
-    // no further IR. Skipped in direct-regs (native-oracle) mode, where
-    // there is no env to write back.
-    if !cfg.direct_regs {
+    // no further IR. Skipped for the native oracle, whose guest
+    // registers are host registers: there is no env to write back.
+    if !cfg.native {
         // The point streams matched, so the block exit put one here.
         let first_exit =
             insns.iter().position(|i| matches!(i, HostInsn::ExitTb(_))).unwrap_or(insns.len());
@@ -325,7 +325,8 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{ArmBackend, RmwStyle};
+    use crate::backend::ArmBackend;
+    use crate::RmwStyle;
     use risotto_guest_x86::{Assembler, Gpr};
     use risotto_tcg::{optimize, FrontendConfig, OptPolicy};
 

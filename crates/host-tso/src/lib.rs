@@ -116,9 +116,7 @@ impl HostBackend for TsoBackend {
             // One RMW idiom regardless of `cfg.rmw`: the LOCK forms.
             TcgOp::Cas { .. } => out.push(Point::Cas { acq_rel: true }),
             TcgOp::AtomicAdd { .. } => out.push(Point::Ldadd),
-            TcgOp::CallHelper { helper, .. }
-                if !(cfg.hardware_fp && fp_op_of(*helper).is_some()) =>
-            {
+            TcgOp::CallHelper { helper, .. } if !(cfg.native && fp_op_of(*helper).is_some()) => {
                 out.push(Point::Helper(helper_index(*helper)));
             }
             _ => {}

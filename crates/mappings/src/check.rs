@@ -143,10 +143,9 @@ mod tests {
     use super::*;
     use crate::scheme::{
         no_fences_x86_to_arm, qemu_x86_to_arm, verified_x86_to_arm, ArmCatsIntended, HelperStyle,
-        RmwLowering,
     };
     use risotto_litmus::corpus;
-    use risotto_memmodel::{Arm, X86Tso};
+    use risotto_memmodel::{Arm, RmwStyle, X86Tso};
 
     #[test]
     fn verified_scheme_passes_on_paper_counterexamples() {
@@ -155,7 +154,7 @@ mod tests {
         for p in
             [corpus::mpq_x86(), corpus::sbq_x86(), corpus::sbal_x86(), corpus::mp(), corpus::sb()]
         {
-            for rmw in [RmwLowering::Rmw2Fenced, RmwLowering::Casal] {
+            for rmw in [RmwStyle::Rmw2Fenced, RmwStyle::Casal] {
                 let s = verified_x86_to_arm(rmw);
                 check_mapping(&s, &p, &x86, &arm)
                     .unwrap_or_else(|e| panic!("verified scheme failed on {}: {e}", p.name));

@@ -18,16 +18,16 @@
 //!
 //! ```
 //! use risotto_mappings::check::check_mapping;
-//! use risotto_mappings::scheme::{qemu_x86_to_arm, verified_x86_to_arm, HelperStyle, RmwLowering};
+//! use risotto_mappings::scheme::{qemu_x86_to_arm, verified_x86_to_arm, HelperStyle};
 //! use risotto_litmus::corpus;
-//! use risotto_memmodel::{Arm, X86Tso};
+//! use risotto_memmodel::{Arm, RmwStyle, X86Tso};
 //!
 //! let src = corpus::mpq_x86();
 //! // Qemu's scheme mistranslates MPQ…
 //! assert!(check_mapping(&qemu_x86_to_arm(HelperStyle::Gcc10Casal),
 //!                       &src, &X86Tso::new(), &Arm::corrected()).is_err());
 //! // …the verified scheme does not.
-//! assert!(check_mapping(&verified_x86_to_arm(RmwLowering::Casal),
+//! assert!(check_mapping(&verified_x86_to_arm(RmwStyle::Casal),
 //!                       &src, &X86Tso::new(), &Arm::corrected()).is_ok());
 //! ```
 

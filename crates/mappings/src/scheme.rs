@@ -14,7 +14,7 @@
 //! * the fence-free oracle used by the evaluation's `no-fences` setup.
 
 use risotto_litmus::{Instr, Program, RmwKind};
-use risotto_memmodel::{AccessMode, FenceKind, FencePlacement, GuestAccess};
+use risotto_memmodel::{AccessMode, FenceKind, FencePlacement, GuestAccess, RmwStyle};
 
 /// A translation scheme from one ISA's concurrency alphabet to another's.
 pub trait MappingScheme {
@@ -64,17 +64,6 @@ pub enum HelperStyle {
     Gcc9Lxsx,
     /// GCC 10: `casal` — `RMW1_AL`.
     Gcc10Casal,
-}
-
-/// How the verified IR→Arm scheme lowers TCG RMWs (Fig. 7b): either the
-/// exclusive pair bracketed by full fences, or a bare `casal` (which is
-/// only sound under the corrected Arm model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RmwLowering {
-    /// `DMBFF; RMW2; DMBFF`.
-    Rmw2Fenced,
-    /// `RMW1_AL` (`casal`).
-    Casal,
 }
 
 /// `rmw` (an [`Instr::Rmw`]) with its kind replaced by `kind`: every
@@ -179,14 +168,14 @@ impl MappingScheme for QemuTcgToArm {
 #[derive(Debug, Clone, Copy)]
 pub struct VerifiedTcgToArm {
     /// RMW lowering choice.
-    pub rmw: RmwLowering,
+    pub rmw: RmwStyle,
 }
 
 impl MappingScheme for VerifiedTcgToArm {
     fn name(&self) -> &str {
         match self.rmw {
-            RmwLowering::Rmw2Fenced => "verified-tcg-to-arm(rmw2)",
-            RmwLowering::Casal => "verified-tcg-to-arm(casal)",
+            RmwStyle::Rmw2Fenced => "verified-tcg-to-arm(rmw2)",
+            RmwStyle::Casal => "verified-tcg-to-arm(casal)",
         }
     }
 
@@ -196,12 +185,12 @@ impl MappingScheme for VerifiedTcgToArm {
             | Instr::Store { mode: AccessMode::Plain, .. }
             | Instr::Let { .. } => vec![instr.clone()],
             Instr::Rmw { kind: RmwKind::TcgSc, .. } => match self.rmw {
-                RmwLowering::Rmw2Fenced => vec![
+                RmwStyle::Rmw2Fenced => vec![
                     Instr::Fence(FenceKind::DmbFf),
                     rmw_as(instr, RmwKind::ArmLxsx { acq: false, rel: false }),
                     Instr::Fence(FenceKind::DmbFf),
                 ],
-                RmwLowering::Casal => vec![rmw_as(instr, RmwKind::ArmCasal)],
+                RmwStyle::Casal => vec![rmw_as(instr, RmwKind::ArmCasal)],
             },
             Instr::Fence(k) if k.is_tcg() => k.arm_dmb().map(Instr::Fence).into_iter().collect(),
             other => panic!("{}: not a TCG instruction: {other:?}", self.name()),
@@ -306,7 +295,7 @@ impl<F: MappingScheme, S: MappingScheme> MappingScheme for Composed<F, S> {
 }
 
 /// The end-to-end verified x86→Arm scheme of Fig. 7c.
-pub fn verified_x86_to_arm(rmw: RmwLowering) -> impl MappingScheme {
+pub fn verified_x86_to_arm(rmw: RmwStyle) -> impl MappingScheme {
     let first = X86ToTcg(FencePlacement::VerifiedTrailing);
     Composed::new(first, VerifiedTcgToArm { rmw }, "verified-x86-to-arm")
 }
@@ -329,7 +318,7 @@ pub fn qemu_x86_to_arm(helper: HelperStyle) -> impl MappingScheme {
 /// runs it: no access fences, `MFENCE → Fsc → DMB FF`, and `casal` RMWs
 /// — knowingly incorrect, used only as a performance upper bound.
 pub fn no_fences_x86_to_arm() -> impl MappingScheme {
-    let second = VerifiedTcgToArm { rmw: RmwLowering::Casal };
+    let second = VerifiedTcgToArm { rmw: RmwStyle::Casal };
     Composed::new(X86ToTcg(FencePlacement::None), second, "no-fences-x86-to-arm")
 }
 
@@ -395,7 +384,7 @@ mod tests {
     #[test]
     fn verified_end_to_end_reproduces_fig7c() {
         // RMOV → LDR; DMBLD and WMOV → DMBST; STR.
-        let p = verified_x86_to_arm(RmwLowering::Casal).map_program(&corpus::mp());
+        let p = verified_x86_to_arm(RmwStyle::Casal).map_program(&corpus::mp());
         let t0 = &p.threads[0].instrs;
         assert!(matches!(t0[0], Instr::Fence(FenceKind::DmbSt)));
         assert!(matches!(t0[1], Instr::Store { .. }));

@@ -8,12 +8,12 @@ use risotto_mappings::check::{check_translation, verify_suite, BehaviorScope};
 use risotto_mappings::gen::{generate_two_thread, x86_alphabet, x86_alphabet_small};
 use risotto_mappings::scheme::{
     qemu_x86_to_arm, verified_x86_to_arm, verified_x86_to_tso, HelperStyle, MappingScheme,
-    RmwLowering, VerifiedTcgToArm, VerifiedTcgToTso, X86ToTcg,
+    VerifiedTcgToArm, VerifiedTcgToTso, X86ToTcg,
 };
 use risotto_mappings::transform::{
     eliminate_at, eliminate_false_deps, merge_fences_at, reorder_at,
 };
-use risotto_memmodel::{Arm, ElimKind, FencePlacement, OptPolicy, TcgIr, X86Tso};
+use risotto_memmodel::{Arm, ElimKind, FencePlacement, OptPolicy, RmwStyle, TcgIr, X86Tso};
 
 /// The verified x86→TCG row (Fig. 7a) of the DBT's own table.
 const VERIFIED: X86ToTcg = X86ToTcg(FencePlacement::VerifiedTrailing);
@@ -62,7 +62,7 @@ fn qemu_x86_to_tcg_already_loses_failed_rmw_ordering() {
 #[test]
 fn verified_tcg_to_arm_passes_tcg_corpus() {
     let tcg_corpus: Vec<_> = x86_corpus().iter().map(|p| VERIFIED.map_program(p)).collect();
-    for rmw in [RmwLowering::Rmw2Fenced, RmwLowering::Casal] {
+    for rmw in [RmwStyle::Rmw2Fenced, RmwStyle::Casal] {
         let failures =
             verify_suite(&VerifiedTcgToArm { rmw }, &tcg_corpus, &TcgIr::new(), &Arm::corrected());
         assert!(failures.is_empty(), "rmw={rmw:?}: {failures:?}");
@@ -149,7 +149,7 @@ fn generated_sweep_verified_tso_small_alphabet_exhaustive() {
 
 #[test]
 fn verified_end_to_end_passes_corpus_both_lowerings() {
-    for rmw in [RmwLowering::Rmw2Fenced, RmwLowering::Casal] {
+    for rmw in [RmwStyle::Rmw2Fenced, RmwStyle::Casal] {
         let s = verified_x86_to_arm(rmw);
         let failures = verify_suite(&s, &x86_corpus(), &X86Tso::new(), &Arm::corrected());
         assert!(failures.is_empty(), "rmw={rmw:?}: {failures:?}");
@@ -176,7 +176,7 @@ fn qemu_end_to_end_fails_exactly_on_rmw_programs() {
 fn generated_sweep_verified_scheme_subsampled() {
     // ~66 programs from the full alphabet (stride 24).
     let family = generate_two_thread(&x86_alphabet(), 2, 24);
-    let s = verified_x86_to_arm(RmwLowering::Casal);
+    let s = verified_x86_to_arm(RmwStyle::Casal);
     let failures = verify_suite(&s, &family, &X86Tso::new(), &Arm::corrected());
     assert!(failures.is_empty(), "failures: {failures:?}");
 }
@@ -185,7 +185,7 @@ fn generated_sweep_verified_scheme_subsampled() {
 fn generated_sweep_verified_scheme_small_alphabet_exhaustive() {
     // All 325 programs over the fence-free alphabet.
     let family = generate_two_thread(&x86_alphabet_small(), 2, 1);
-    let s = verified_x86_to_arm(RmwLowering::Rmw2Fenced);
+    let s = verified_x86_to_arm(RmwStyle::Rmw2Fenced);
     let failures = verify_suite(&s, &family, &X86Tso::new(), &Arm::corrected());
     assert!(failures.is_empty(), "failures: {failures:?}");
 }

@@ -64,7 +64,7 @@ pub use event::{
     AccessClass, AccessMode, Event, EventId, EventKind, FenceKind, Loc, RmwTag, Tid, Val,
 };
 pub use execution::{Execution, ExecutionBuilder, RmwPair};
-pub use mapping::{elim_may_cross, ElimKind, FencePlacement, GuestAccess, OptPolicy};
+pub use mapping::{elim_may_cross, ElimKind, FencePlacement, GuestAccess, OptPolicy, RmwStyle};
 pub use models::{
     atomicity, common_axioms, sc_per_loc, Arm, ArmVariant, MemoryModel, Sc, TcgIr, X86Tso,
 };

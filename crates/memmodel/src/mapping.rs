@@ -27,6 +27,17 @@ pub enum FencePlacement {
     None,
 }
 
+/// How TCG `Cas`/`AtomicAdd` ops are lowered to Arm (Fig. 7b): the one
+/// choice the DBT's backend and the litmus-level verified scheme share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RmwStyle {
+    /// `RMW1_AL`: single `casal` / `ldaddal` (needs the corrected Arm
+    /// model, §3.3/§6.3).
+    Casal,
+    /// `DMBFF; RMW2; DMBFF`: exclusive-pair loop bracketed by full fences.
+    Rmw2Fenced,
+}
+
 /// A guest instruction shape the x86→TCG table places fences around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuestAccess {

@@ -106,12 +106,12 @@ impl PassConfig {
 
 /// Nothing: the known-bits IR pass that filled it is gone. Kept, with
 /// [`apply_hints`], only because the frozen `benchmark/` replay still
-/// names them; ROADMAP item 4 deletes both.
+/// names them; ROADMAP item 6(g) deletes both.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct IrHints;
 
-/// A no-op, kept for the frozen `benchmark/` replay; ROADMAP item 4
+/// A no-op, kept for the frozen `benchmark/` replay; ROADMAP item 6(g)
 /// deletes it (see [`IrHints`]).
 #[doc(hidden)]
 pub fn apply_hints(_block: &mut TcgBlock, _hints: &IrHints) {}

@@ -255,10 +255,7 @@ mod tests {
         let obs = c.observe(&i.mem);
         // The interpreter is SC; its outcome must be x86-allowed.
         let allowed = risotto_litmus::behaviors(&p, &risotto_memmodel::X86Tso::new());
-        assert!(
-            allowed.iter().any(|b| b.mem == obs.mem && b.regs == obs.regs),
-            "observed {obs:?} not in the allowed set"
-        );
+        assert!(allowed.contains(&obs), "observed {obs:?} not in the allowed set");
     }
 
     #[test]

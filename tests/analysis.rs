@@ -12,7 +12,8 @@
 //! 2. **Soundness under the verifier** — all relaxed translations pass
 //!    `VerifyLevel::Full` with zero violations (the verifier re-derives
 //!    the relaxation mask from the pristine facts), and litmus programs
-//!    run with analysis on stay within the x86-allowed behavior set.
+//!    run with analysis on stay within the x86-allowed behavior set (the
+//!    analysis-on legs of the `theorem1` litmus matrix).
 //! 3. **Mutant kill** — force-misclassifying shared accesses as
 //!    private (`force_private_for_test`) makes the engine relax fences
 //!    the verifier mask does not license; every mutant that actually
@@ -28,14 +29,15 @@
 //! And across versions, [`FACTS_HASH`] pins the facts themselves over
 //! every corpus a gate or the benchmark analyses.
 
+mod theorem1;
+
 use risotto::analysis::{analyze_image, AccessKind, SiteClass};
 use risotto::core::obs::MetricsSnapshot;
 use risotto::core::{BackendKind, EmuConfig, Emulator, Report, Setup, VerifyLevel};
 use risotto::fuzz::{generate, parse_corpus, program_seed, GenConfig};
 use risotto::guest::GuestBinary;
 use risotto::host::CostModel;
-use risotto::litmus::{behaviors, corpus};
-use risotto::memmodel::X86Tso;
+use risotto::litmus::corpus;
 use risotto::workloads::litmus_compile::compile_litmus;
 use risotto::workloads::{cas, kernels};
 
@@ -135,37 +137,14 @@ fn full_verifier_accepts_all_analysis_relaxations() {
     assert!(relaxed_total > 0, "no kernel relaxed any fence — subsystem went dead");
 }
 
-/// Litmus programs with analysis on: still within the x86-allowed set,
-/// still verifier-clean. (Results are *not* compared to the
-/// analysis-off run — removing private fences legitimately shifts
-/// interleavings; containment in the axiomatic set is the spec.)
+/// Litmus programs with analysis on stay within the x86-allowed set and
+/// verifier-clean, on every setup, backend and rung. (Results are *not*
+/// compared to the analysis-off run: removing private fences
+/// legitimately shifts interleavings; containment in the axiomatic set
+/// is the spec.)
 #[test]
 fn litmus_with_analysis_stays_within_x86_behaviors() {
-    for prog in [corpus::mp(), corpus::sb(), corpus::sb_fenced(), corpus::lb()] {
-        let allowed = behaviors(&prog, &X86Tso::new());
-        for delays in [&[0u64, 0][..], &[0, 40], &[40, 0], &[13, 11]] {
-            let compiled = compile_litmus(&prog, delays);
-            let mut emu = Emulator::with_config(
-                &compiled.binary,
-                Setup::Risotto,
-                compiled.threads,
-                verified_analysis(),
-            );
-            emu.run(50_000_000).unwrap_or_else(|e| panic!("{}: {e}", prog.name));
-            let obs = compiled.observe(emu.mem());
-            assert!(
-                allowed.iter().any(|b| b.mem == obs.mem && b.regs == obs.regs),
-                "{} (delays {delays:?}, analysis on): observed {obs:?} is NOT x86-allowed",
-                prog.name
-            );
-            assert_eq!(
-                emu.metrics().counter("verify.violations"),
-                0,
-                "{}: verifier flagged a litmus translation",
-                prog.name
-            );
-        }
-    }
+    theorem1::sweep(theorem1::Slice::Analysis);
 }
 
 /// Mutant kill: forcing every shared plain access private makes the

@@ -1,79 +1,26 @@
-//! End-to-end litmus runs through the complete DBT pipeline.
-//!
-//! Compiles litmus programs to guest binaries, executes them under the
-//! *correct* emulator setups across many interleaving staggers, and checks
-//! the soundness direction of Theorem 1 dynamically: every behavior
-//! observed operationally must be allowed by the axiomatic x86 model.
-//! (The machine is operationally TSO, so the observable set is a subset of
-//! what the Arm model would allow on silicon — containment in the x86 set
-//! is exactly what a correct x86 emulator must guarantee; see DESIGN.md
-//! §10.)
+//! Theorem 1, dynamic direction, on the paper's default host: the
+//! native oracle and the Arm tier-1 legs of the one litmus-through-DBT
+//! matrix (`theorem1/mod.rs`, which documents the whole table), plus two
+//! properties of the staggers that drive it.
 
-use risotto::core::{Emulator, Setup};
-use risotto::host::CostModel;
-use risotto::litmus::{behaviors, corpus, Behavior, Program};
+mod theorem1;
+
+use risotto::litmus::{behaviors, corpus, Behavior};
 use risotto::memmodel::X86Tso;
-use risotto::workloads::litmus_compile::compile_litmus;
 use std::collections::BTreeSet;
+use theorem1::{run_checked, sweep, Slice, RISOTTO, STAGGERS};
 
-/// Runs one compiled litmus program under a setup and returns the
-/// observed behavior.
-fn run_once(prog: &Program, setup: Setup, delays: &[u64]) -> Behavior {
-    let compiled = compile_litmus(prog, delays);
-    let mut emu =
-        Emulator::new(&compiled.binary, setup, compiled.threads, CostModel::thunderx2_like());
-    emu.run(50_000_000).unwrap_or_else(|e| panic!("{} under {}: {e}", prog.name, setup.name()));
-    compiled.observe(emu.mem())
-}
-
-/// Sweeps interleaving staggers; asserts containment in the x86-allowed
-/// set; returns the distinct observed behaviors.
-fn sweep(prog: &Program, setup: Setup) -> BTreeSet<Behavior> {
-    let allowed = behaviors(prog, &X86Tso::new());
-    let mut seen = BTreeSet::new();
-    let staggers: &[&[u64]] = &[
-        &[0, 0],
-        &[0, 40],
-        &[40, 0],
-        &[0, 7],
-        &[7, 0],
-        &[13, 11],
-        &[3, 90],
-        &[90, 3],
-        &[0, 200],
-        &[200, 0],
-    ];
-    for delays in staggers {
-        let obs = run_once(prog, setup, delays);
-        assert!(
-            allowed.iter().any(|b| b.mem == obs.mem && b.regs == obs.regs),
-            "{} under {} (delays {:?}): observed {:?} is NOT x86-allowed",
-            prog.name,
-            setup.name(),
-            delays,
-            obs
-        );
-        seen.insert(obs);
-    }
-    seen
-}
-
+/// The RMW-free programs under native and {qemu, tcg-ver, risotto} on
+/// the Arm backend, tier-1 only, analysis off.
 #[test]
 fn correct_setups_stay_within_x86_behaviors() {
-    for prog in [corpus::mp(), corpus::sb(), corpus::sb_fenced(), corpus::lb(), corpus::s_test()] {
-        for setup in [Setup::Qemu, Setup::TcgVer, Setup::Risotto, Setup::Native] {
-            sweep(&prog, setup);
-        }
-    }
+    sweep(Slice::Tier1Arm);
 }
 
+/// The LOCK-prefixed RMW programs (MPQ, SBQ, SBAL) under the same legs.
 #[test]
 fn rmw_litmus_through_the_dbt() {
-    for prog in [corpus::mpq_x86(), corpus::sbq_x86(), corpus::sbal_x86()] {
-        for setup in [Setup::Qemu, Setup::TcgVer, Setup::Risotto] {
-            sweep(&prog, setup);
-        }
-    }
+    sweep(Slice::Tier1ArmRmw);
 }
 
 /// The staggers actually explore different interleavings: on SB, multiple
@@ -81,7 +28,10 @@ fn rmw_litmus_through_the_dbt() {
 /// thread misses the other's store).
 #[test]
 fn staggers_explore_interleavings() {
-    let outcomes = sweep(&corpus::sb(), Setup::Risotto);
+    let sb = corpus::sb();
+    let allowed = behaviors(&sb, &X86Tso::new());
+    let outcomes: BTreeSet<Behavior> =
+        STAGGERS.iter().map(|delays| run_checked(&sb, &allowed, RISOTTO, delays).0).collect();
     assert!(outcomes.len() >= 2, "expected several SB outcomes across staggers, got {outcomes:?}");
     // And the store-buffer machine can produce the TSO-weak one (a=b=0)
     // under a simultaneous start.
@@ -90,11 +40,12 @@ fn staggers_explore_interleavings() {
 }
 
 /// Deterministic replay: same program, setup and stagger → identical
-/// behavior (the simulator is fully reproducible).
+/// behavior and metrics (the simulator is fully reproducible).
 #[test]
 fn runs_are_deterministic() {
-    let p = corpus::mp();
-    let a = run_once(&p, Setup::Risotto, &[5, 9]);
-    let b = run_once(&p, Setup::Risotto, &[5, 9]);
+    let mp = corpus::mp();
+    let allowed = behaviors(&mp, &X86Tso::new());
+    let a = run_checked(&mp, &allowed, RISOTTO, &[5, 9]);
+    let b = run_checked(&mp, &allowed, RISOTTO, &[5, 9]);
     assert_eq!(a, b);
 }

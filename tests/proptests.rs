@@ -401,8 +401,8 @@ fn cleanup_round_finds_nothing_without_a_forward() {
 fn verified_mapping_never_introduces_behaviors() {
     use risotto::litmus::{Program, Reg};
     use risotto::mappings::check::check_mapping;
-    use risotto::mappings::scheme::{verified_x86_to_arm, RmwLowering};
-    use risotto::memmodel::{Arm, Loc, X86Tso};
+    use risotto::mappings::scheme::verified_x86_to_arm;
+    use risotto::memmodel::{Arm, Loc, RmwStyle, X86Tso};
 
     check("verified_mapping_never_introduces_behaviors", 24, |rng| {
         let arb_steps = |rng: &mut Rng| {
@@ -451,7 +451,7 @@ fn verified_mapping_never_introduces_behaviors() {
             init: Default::default(),
             threads: vec![build(&t0, 0), build(&t1, 1)],
         };
-        for rmw in [RmwLowering::Rmw2Fenced, RmwLowering::Casal] {
+        for rmw in [RmwStyle::Rmw2Fenced, RmwStyle::Casal] {
             let scheme = verified_x86_to_arm(rmw);
             assert!(
                 check_mapping(&scheme, &prog, &X86Tso::new(), &Arm::corrected()).is_ok(),

@@ -18,11 +18,15 @@
 //!    models, per backend, exactly like the Fig. 7 schemes. This is the
 //!    *static* verification that lets tier-0 skip the per-block
 //!    Pass 1/2 verifier at runtime.
-//! 3. **End-to-end equivalence** — kernels, litmus programs and
-//!    hand-written instruction batteries produce bit-identical
-//!    guest-visible results with tier-0 enabled vs disabled, on both
-//!    backends, with the Pass 3 install read-back at Full level; plus a
-//!    promotion/demotion churn test across both tiers.
+//! 3. **End-to-end equivalence** — kernels and hand-written
+//!    instruction batteries produce bit-identical guest-visible results
+//!    with tier-0 enabled vs disabled, on both backends, with the Pass 3
+//!    install read-back at Full level; plus a promotion/demotion churn
+//!    test across both tiers. Litmus programs run through tier-0 alone
+//!    stay within the x86-allowed behavior set on both backends (the
+//!    tier-0 legs of the `theorem1` litmus matrix).
+
+mod theorem1;
 
 use risotto::core::{
     BackendKind, EmuConfig, Emulator, FaultPlan, FaultSite, MetricsSnapshot, Setup, VerifyLevel,
@@ -32,7 +36,7 @@ use risotto::host::{
     ArmBackend, BackendConfig, Dmb, HostBackend, HostInsn, MemOrder, RmwStyle, ENV_BASE, SPILL_BASE,
 };
 use risotto::host_tso::TsoBackend;
-use risotto::litmus::{behaviors, corpus, Instr, Program, RmwKind};
+use risotto::litmus::{corpus, Instr, Program, RmwKind};
 use risotto::mappings::check::check_mapping;
 use risotto::mappings::scheme::MappingScheme;
 use risotto::memmodel::{Arm, FenceKind, X86Tso};
@@ -40,7 +44,6 @@ use risotto::tcg::{translate_block, FrontendConfig};
 use risotto::template::insn_template;
 use risotto::template::translate_block_template;
 use risotto::workloads::kernels;
-use risotto::workloads::litmus_compile::compile_litmus;
 
 const FUEL: u64 = 2_000_000_000;
 
@@ -636,46 +639,13 @@ fn kernels_are_bit_identical_with_tier0_on_both_backends() {
     }
 }
 
-/// Litmus programs executed through tier-0 templates stay within the
-/// x86-allowed behavior set on both backends, across interleaving
-/// staggers — the dynamic counterpart of the Theorem-1 check above.
+/// Litmus programs executed through tier-0 templates alone stay within
+/// the x86-allowed behavior set under every DBT setup on both backends,
+/// with no block translated by tier-1 — the dynamic counterpart of the
+/// Theorem-1 check above.
 #[test]
 fn litmus_through_tier0_stays_within_x86_behaviors() {
-    let staggers: &[&[u64]] = &[&[0, 0], &[0, 40], &[40, 0], &[13, 11]];
-    let progs = [
-        corpus::mp(),
-        corpus::sb(),
-        corpus::sb_fenced(),
-        corpus::lb(),
-        corpus::mpq_x86(),
-        corpus::sbal_x86(),
-    ];
-    for prog in progs {
-        let allowed = behaviors(&prog, &X86Tso::new());
-        for backend in [BackendKind::Arm, BackendKind::Tso] {
-            for delays in staggers {
-                let compiled = compile_litmus(&prog, delays);
-                let mut emu = Emulator::with_config(
-                    &compiled.binary,
-                    Setup::Risotto,
-                    compiled.threads,
-                    config(backend, TIER0_ONLY),
-                );
-                emu.run(50_000_000).unwrap_or_else(|e| {
-                    panic!("{} via tier-0 on {}: {e}", prog.name, backend.name())
-                });
-                let obs = compiled.observe(emu.mem());
-                assert!(
-                    allowed.iter().any(|b| b.mem == obs.mem && b.regs == obs.regs),
-                    "{} via tier-0 on {} (delays {delays:?}): {obs:?} is NOT x86-allowed",
-                    prog.name,
-                    backend.name()
-                );
-                let templates = emu.metrics().counter("template.blocks");
-                assert!(templates > 0, "{}: no templates used", prog.name);
-            }
-        }
-    }
+    theorem1::sweep(theorem1::Slice::Tier0);
 }
 
 /// Tier churn on a single hot pc: the loop head starts as a tier-0

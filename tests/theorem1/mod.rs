@@ -1,0 +1,230 @@
+//! Theorem 1, dynamic direction: the one oracle that runs litmus
+//! programs through the DBT.
+//!
+//! Every x86-flavoured litmus program of the corpus is compiled to a
+//! guest binary and run under every leg of one table and every
+//! interleaving stagger. Each observed behavior must be allowed by the
+//! axiomatic x86 model. (The machine is operationally TSO, so the
+//! observable set is a subset of what the Arm model would allow on
+//! silicon — containment in the x86 set is exactly what a correct x86
+//! emulator must guarantee; see DESIGN.md §10.)
+//!
+//! The legs, all at `VerifyLevel::Full`: the native oracle, and
+//! {qemu, tcg-ver, risotto} × backend {Arm, TSO} × rung {tier-1 only,
+//! tier-0 only, the tier-0→1 ladder} × analysis {off, on}. A new axis or
+//! a new program source is one more entry here, not another sweep.
+//!
+//! The matrix runs in [`Slice`]s: each (leg, program) case belongs to
+//! exactly one, and each slice is one `#[test]` in the test file of the
+//! subsystem it exercises, so a failure names the axis that broke.
+//!
+//! Legs are not compared with each other: fewer or relaxed fences and
+//! templates drain store buffers on a different schedule, so the
+//! observed *sets* may legitimately differ. Containment in the axiomatic
+//! x86 set is the bar for every leg.
+
+// Each test binary that includes this module runs some of its slices.
+#![allow(dead_code)]
+
+use risotto::core::{BackendKind, EmuConfig, Emulator, MetricsSnapshot, Setup, VerifyLevel};
+use risotto::litmus::{behaviors, corpus, Behavior, Program};
+use risotto::memmodel::X86Tso;
+use risotto::workloads::litmus_compile::compile_litmus;
+use std::collections::BTreeSet;
+
+/// Per-thread spin iterations before each litmus body.
+pub const STAGGERS: [&[u64]; 10] = [
+    &[0, 0],
+    &[0, 40],
+    &[40, 0],
+    &[0, 7],
+    &[7, 0],
+    &[13, 11],
+    &[3, 90],
+    &[90, 3],
+    &[0, 200],
+    &[200, 0],
+];
+
+/// The programs `compile_litmus` turns into guest binaries: the
+/// x86-flavoured ones of `corpus::all()`, each paired with whether it
+/// holds a LOCK-prefixed RMW.
+fn programs() -> [(Program, bool); 11] {
+    [
+        (corpus::mp(), false),
+        (corpus::sb(), false),
+        (corpus::sb_fenced(), false),
+        (corpus::lb(), false),
+        (corpus::iriw(), false),
+        (corpus::two_plus_two_w(), false),
+        (corpus::s_test(), false),
+        (corpus::r_test(), false),
+        (corpus::mpq_x86(), true),
+        (corpus::sbq_x86(), true),
+        (corpus::sbal_x86(), true),
+    ]
+}
+
+/// Which translation tiers serve a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rung {
+    /// Every block through the tier-1 pipeline.
+    Tier1,
+    /// Every block a tier-0 template: the warm threshold is never reached.
+    Tier0,
+    /// Tier-0 templates, promoted to tier-1 at a block's fourth entry.
+    Ladder,
+}
+
+/// One emulator configuration every program runs under.
+#[derive(Debug, Clone, Copy)]
+pub struct Leg {
+    pub setup: Setup,
+    pub backend: BackendKind,
+    pub rung: Rung,
+    pub analysis: bool,
+}
+
+impl Leg {
+    fn config(self) -> EmuConfig {
+        let warm_threshold = match self.rung {
+            Rung::Tier1 => None,
+            Rung::Tier0 => Some(u64::MAX),
+            Rung::Ladder => Some(4),
+        };
+        EmuConfig {
+            backend: self.backend,
+            verify: VerifyLevel::Full,
+            warm_threshold,
+            analysis: self.analysis,
+            ..EmuConfig::default()
+        }
+    }
+}
+
+/// The paper's setup on the default host, every block through tier-1.
+pub const RISOTTO: Leg =
+    Leg { setup: Setup::Risotto, backend: BackendKind::Arm, rung: Rung::Tier1, analysis: false };
+
+/// The native oracle, then every DBT setup × backend × rung × analysis.
+fn legs() -> Vec<Leg> {
+    let native =
+        Leg { setup: Setup::Native, backend: BackendKind::Arm, rung: Rung::Tier1, analysis: false };
+    let mut legs = vec![native];
+    for setup in [Setup::Qemu, Setup::TcgVer, Setup::Risotto] {
+        for backend in BackendKind::ALL {
+            for rung in [Rung::Tier1, Rung::Tier0, Rung::Ladder] {
+                for analysis in [false, true] {
+                    legs.push(Leg { setup, backend, rung, analysis });
+                }
+            }
+        }
+    }
+    legs
+}
+
+/// A part of the matrix run by one test, in the file named.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slice {
+    /// Native and the Arm tier-1 legs, analysis off, RMW-free programs
+    /// (`litmus_through_dbt.rs`).
+    Tier1Arm,
+    /// Native and the Arm tier-1 legs, analysis off, RMW programs
+    /// (`litmus_through_dbt.rs`).
+    Tier1ArmRmw,
+    /// The TSO tier-1 legs, analysis off, RMW-free programs
+    /// (`backends.rs`).
+    Tier1Tso,
+    /// The TSO tier-1 legs, analysis off, RMW programs (`backends.rs`).
+    Tier1TsoRmw,
+    /// The tier-0-only legs, analysis off (`templates.rs`).
+    Tier0,
+    /// The ladder legs, analysis off (`verifier.rs`).
+    Ladder,
+    /// Every analysis-on leg (`analysis.rs`).
+    Analysis,
+}
+
+impl Slice {
+    /// The slice that runs `leg` on a program that holds an RMW or not.
+    /// Ladder and analysis legs never split by program, so the per-leg
+    /// checks of [`sweep`] see the whole corpus.
+    fn of(leg: Leg, rmw: bool) -> Slice {
+        if leg.analysis {
+            return Slice::Analysis;
+        }
+        match (leg.rung, leg.backend, rmw) {
+            (Rung::Tier0, ..) => Slice::Tier0,
+            (Rung::Ladder, ..) => Slice::Ladder,
+            (Rung::Tier1, BackendKind::Arm, false) => Slice::Tier1Arm,
+            (Rung::Tier1, BackendKind::Arm, true) => Slice::Tier1ArmRmw,
+            (Rung::Tier1, BackendKind::Tso, false) => Slice::Tier1Tso,
+            (Rung::Tier1, BackendKind::Tso, true) => Slice::Tier1TsoRmw,
+        }
+    }
+}
+
+/// Runs `prog` compiled with `delays` under `leg` and checks the run: it
+/// succeeds, its outcome is in `allowed`, the verifier ran and found
+/// nothing, and a tier-0-only run translated through templates alone.
+/// Returns the outcome and the run's metrics.
+pub fn run_checked(
+    prog: &Program,
+    allowed: &BTreeSet<Behavior>,
+    leg: Leg,
+    delays: &[u64],
+) -> (Behavior, MetricsSnapshot) {
+    let case = format!("{} under {leg:?} (delays {delays:?})", prog.name);
+    let compiled = compile_litmus(prog, delays);
+    let mut emu =
+        Emulator::with_config(&compiled.binary, leg.setup, compiled.threads, leg.config());
+    emu.run(50_000_000).unwrap_or_else(|e| panic!("{case}: {e}"));
+    let obs = compiled.observe(emu.mem());
+    assert!(allowed.contains(&obs), "{case}: observed {obs:?} is NOT x86-allowed");
+    let m = emu.metrics();
+    assert_eq!(m.counter("verify.violations"), 0, "{case}: the verifier flagged a translation");
+    assert!(m.counter("verify.checked") > 0, "{case}: the verifier never ran");
+    if leg.rung == Rung::Tier0 {
+        assert!(m.counter("template.blocks") > 0, "{case}: no template used");
+        assert_eq!(m.counter("translate.insns"), 0, "{case}: tier-1 translated a block");
+    }
+    (obs, m)
+}
+
+/// Every case of `slice` × stagger, each through [`run_checked`]. Over
+/// the whole corpus, every ladder leg must promote a block and every
+/// tier-1 analysis leg must relax a fence, or that leg has gone dead.
+/// (Templates never relax, and the blocks the ladder promotes are the
+/// stagger spin loops, which hold no memory event: the other analysis
+/// legs relax nothing.)
+pub fn sweep(slice: Slice) {
+    let programs = programs();
+    let allowed: Vec<_> = programs.iter().map(|(p, _)| behaviors(p, &X86Tso::new())).collect();
+    let mut runs = 0;
+    for leg in legs() {
+        let cases: Vec<_> = programs
+            .iter()
+            .zip(&allowed)
+            .filter(|((_, rmw), _)| Slice::of(leg, *rmw) == slice)
+            .collect();
+        if cases.is_empty() {
+            continue;
+        }
+        let (mut promotions, mut relaxed) = (0, 0);
+        for ((prog, _), allowed) in cases {
+            for delays in STAGGERS {
+                let m = run_checked(prog, allowed, leg, delays).1;
+                promotions += m.counter("template.promotions");
+                relaxed += m.counter("analysis.relaxed");
+                runs += 1;
+            }
+        }
+        if leg.rung == Rung::Ladder {
+            assert!(promotions > 0, "{leg:?}: no block promoted over the corpus");
+        }
+        if leg.rung == Rung::Tier1 && leg.analysis {
+            assert!(relaxed > 0, "{leg:?}: no fence relaxed over the corpus");
+        }
+    }
+    assert!(runs > 0, "{slice:?} holds no case");
+}
