@@ -18,20 +18,27 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Cross-backend gate (docs/BACKENDS.md): the MiniTSO backend's unit
-# suite (lowering, dialect verifier, mutant kill), then the standing
-# Arm-vs-TSO differential — kernels bit-identical at VerifyLevel::Full,
-# seeded fuzz matrix, engine-level Pass-3 mutant kill, and the
-# BACKENDS.md completeness test in both directions — the tier-0
-# template suite, which holds the static check that TSO templates stay
-# inside the TSO dialect, and the one dynamic Theorem-1 oracle
-# (tests/theorem1/mod.rs): every x86 litmus program × stagger under
-# every setup × backend × tier × analysis leg, at VerifyLevel::Full,
-# must stay within the x86-allowed behaviors with a clean verifier. Its
+# suite (lowering, dialect verifier, mutant kill), then the seeded fuzz
+# matrix, the engine-level Pass-3 mutant kill and the BACKENDS.md
+# completeness test in both directions, the tier-0 template suite
+# (which holds the static check that TSO templates stay inside the TSO
+# dialect), and both oracles over the one leg table
+# (tests/theorem1/mod.rs: native, every setup × backend × tier ×
+# analysis, risotto with chaining off; all at VerifyLevel::Full). The
+# functional matrix: every kernel, CAS-grid and fuzz-reproducer
+# program must end as the reference interpreter ends (exit values,
+# output, .data) with a clean verifier, and analysis-on runs must match
+# their analysis-off twins. Its slices run in end_to_end (native and
+# Arm tier-1), backends (TSO tier-1), templates (tier-0, ladder),
+# chaining (chaining off) and analysis (analysis on). The litmus matrix:
+# every x86 litmus program × stagger on every leg but no-fences must
+# stay within the x86-allowed behaviors with a clean verifier. Its
 # slices run in litmus_through_dbt (Arm tier-1), backends (TSO tier-1),
 # templates (tier-0), analysis (analysis on) and the verifier gate below
 # (the tier-0→1 ladder).
 cargo test -q --release -p risotto-host-tso
-cargo test -q --release --test backends --test templates --test litmus_through_dbt --test analysis
+cargo test -q --release --test backends --test templates --test litmus_through_dbt --test analysis \
+    --test chaining --test end_to_end
 # `dump_translation --backend tso` must show MiniTSO code on every leg:
 # no partial barrier, no exclusive pair, no Arm heading.
 tso_dump="$(mktemp /tmp/dump_tso.XXXXXX.txt)"
@@ -136,7 +143,11 @@ cargo bench -q -p risotto-bench --bench pipeline -- smoke
 # if the analysis leg's cycles move without a relaxed fence or do not
 # fall with one, or if the tier-0 leg translates nothing. On top: the
 # same rule read off the file (analysis only removes fences, so a kernel
-# that relaxes none runs in exactly the analysis-off cycles), and the
+# that relaxes none runs in exactly the analysis-off cycles; that
+# relaxing saves cycles is checked on kernels here and on kernels and
+# the CAS grid in the functional matrix, and is no law: the fuzz
+# reproducer spawn_cas_contention relaxes 31 fences, saves 1 138 fence
+# cycles, retries 13 more CAS and ends 458 cycles later), and the
 # kernels whose analysis leg actually removes fences must be exactly the
 # five named below (one fewer and the analysis got weaker, one more and
 # a relaxation appeared that nobody reviewed; swaptions, relaxable at

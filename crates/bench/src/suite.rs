@@ -75,7 +75,11 @@ pub fn pipeline_json(smoke: bool) -> String {
         }
         let [_, (rt, tso), (ra, an), (r0, t0)] = &runs[..] else { unreachable!("one run per leg") };
         // Analysis only removes fences: a leg that relaxed none runs in
-        // exactly the base cycles, one that relaxed some in fewer.
+        // exactly the base cycles, one that relaxed some in fewer. The
+        // second half holds on these kernels, not on every program: on
+        // the fuzz reproducer `spawn_cas_contention`, 31 relaxed fences
+        // save 1 138 fence cycles, but 13 more CAS retries end the run
+        // 458 cycles later.
         let relaxed = an.counter("analysis.relaxed");
         assert!(
             if relaxed == 0 { ra.cycles == r.cycles } else { ra.cycles < r.cycles },

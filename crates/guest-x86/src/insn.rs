@@ -460,10 +460,32 @@ impl Insn {
         out.len() - start
     }
 
-    /// The encoded length without encoding.
+    /// Bytes [`encode`](Self::encode) appends for this instruction — the
+    /// encoding's length table, for sizing code without producing it.
     pub fn encoded_len(&self) -> usize {
-        let mut buf = Vec::with_capacity(16);
-        self.encode(&mut buf)
+        use Insn::*;
+        match self {
+            Ret | Mfence | Nop | Hlt | Syscall => 1,
+            MulWide { .. }
+            | Div { .. }
+            | JmpReg { .. }
+            | CallReg { .. }
+            | Push { .. }
+            | Pop { .. } => 2,
+            MovRR { .. } | Cmp { b: Operand::Reg(_), .. } | Test { b: Operand::Reg(_), .. } => 3,
+            Alu { src: Operand::Reg(_), .. } | Fp { .. } => 4,
+            Jmp { .. } | Call { .. } => 5,
+            Jcc { .. } => 6,
+            Load { .. }
+            | Store { .. }
+            | LoadB { .. }
+            | StoreB { .. }
+            | Lea { .. }
+            | LockCmpxchg { .. }
+            | LockXadd { .. } => 7,
+            MovRI { .. } | Cmp { b: Operand::Imm(_), .. } | Test { b: Operand::Imm(_), .. } => 10,
+            Alu { src: Operand::Imm(_), .. } => 11,
+        }
     }
 
     /// Decodes one instruction from the front of `bytes`.
@@ -492,129 +514,87 @@ impl Insn {
 
         let op = *bytes.first().ok_or(DecodeError::Truncated)?;
         let insn = match op {
-            OP_MOV_RI => (Insn::MovRI { dst: reg(bytes, 1, op)?, imm: imm64(bytes, 2)? }, 10),
-            OP_MOV_RR => (Insn::MovRR { dst: reg(bytes, 1, op)?, src: reg(bytes, 2, op)? }, 3),
-            OP_LOAD => (
-                Insn::Load {
-                    dst: reg(bytes, 1, op)?,
-                    base: reg(bytes, 2, op)?,
-                    disp: imm32(bytes, 3)?,
-                },
-                7,
-            ),
-            OP_STORE => (
-                Insn::Store {
-                    base: reg(bytes, 1, op)?,
-                    src: reg(bytes, 2, op)?,
-                    disp: imm32(bytes, 3)?,
-                },
-                7,
-            ),
-            OP_LEA => (
-                Insn::Lea {
-                    dst: reg(bytes, 1, op)?,
-                    base: reg(bytes, 2, op)?,
-                    disp: imm32(bytes, 3)?,
-                },
-                7,
-            ),
+            OP_MOV_RI => Insn::MovRI { dst: reg(bytes, 1, op)?, imm: imm64(bytes, 2)? },
+            OP_MOV_RR => Insn::MovRR { dst: reg(bytes, 1, op)?, src: reg(bytes, 2, op)? },
+            OP_LOAD => Insn::Load {
+                dst: reg(bytes, 1, op)?,
+                base: reg(bytes, 2, op)?,
+                disp: imm32(bytes, 3)?,
+            },
+            OP_STORE => Insn::Store {
+                base: reg(bytes, 1, op)?,
+                src: reg(bytes, 2, op)?,
+                disp: imm32(bytes, 3)?,
+            },
+            OP_LEA => Insn::Lea {
+                dst: reg(bytes, 1, op)?,
+                base: reg(bytes, 2, op)?,
+                disp: imm32(bytes, 3)?,
+            },
             OP_ALU_RR => {
                 let o = AluOp::from_u8(*bytes.get(1).ok_or(DecodeError::Truncated)?)
                     .ok_or(DecodeError::BadOperand { opcode: op })?;
-                (
-                    Insn::Alu {
-                        op: o,
-                        dst: reg(bytes, 2, op)?,
-                        src: Operand::Reg(reg(bytes, 3, op)?),
-                    },
-                    4,
-                )
+                Insn::Alu { op: o, dst: reg(bytes, 2, op)?, src: Operand::Reg(reg(bytes, 3, op)?) }
             }
             OP_ALU_RI => {
                 let o = AluOp::from_u8(*bytes.get(1).ok_or(DecodeError::Truncated)?)
                     .ok_or(DecodeError::BadOperand { opcode: op })?;
-                (
-                    Insn::Alu {
-                        op: o,
-                        dst: reg(bytes, 2, op)?,
-                        src: Operand::Imm(imm64(bytes, 3)?),
-                    },
-                    11,
-                )
+                Insn::Alu { op: o, dst: reg(bytes, 2, op)?, src: Operand::Imm(imm64(bytes, 3)?) }
             }
-            OP_DIV => (Insn::Div { src: reg(bytes, 1, op)? }, 2),
+            OP_DIV => Insn::Div { src: reg(bytes, 1, op)? },
             OP_FP => {
                 let o = FpOp::from_u8(*bytes.get(1).ok_or(DecodeError::Truncated)?)
                     .ok_or(DecodeError::BadOperand { opcode: op })?;
-                (Insn::Fp { op: o, dst: reg(bytes, 2, op)?, src: reg(bytes, 3, op)? }, 4)
+                Insn::Fp { op: o, dst: reg(bytes, 2, op)?, src: reg(bytes, 3, op)? }
             }
-            OP_CMP_RR => {
-                (Insn::Cmp { a: reg(bytes, 1, op)?, b: Operand::Reg(reg(bytes, 2, op)?) }, 3)
-            }
-            OP_CMP_RI => {
-                (Insn::Cmp { a: reg(bytes, 1, op)?, b: Operand::Imm(imm64(bytes, 2)?) }, 10)
-            }
-            OP_TEST_RR => {
-                (Insn::Test { a: reg(bytes, 1, op)?, b: Operand::Reg(reg(bytes, 2, op)?) }, 3)
-            }
-            OP_TEST_RI => {
-                (Insn::Test { a: reg(bytes, 1, op)?, b: Operand::Imm(imm64(bytes, 2)?) }, 10)
-            }
+            OP_CMP_RR => Insn::Cmp { a: reg(bytes, 1, op)?, b: Operand::Reg(reg(bytes, 2, op)?) },
+            OP_CMP_RI => Insn::Cmp { a: reg(bytes, 1, op)?, b: Operand::Imm(imm64(bytes, 2)?) },
+            OP_TEST_RR => Insn::Test { a: reg(bytes, 1, op)?, b: Operand::Reg(reg(bytes, 2, op)?) },
+            OP_TEST_RI => Insn::Test { a: reg(bytes, 1, op)?, b: Operand::Imm(imm64(bytes, 2)?) },
             OP_JCC => {
                 let c = Cond::from_u8(*bytes.get(1).ok_or(DecodeError::Truncated)?)
                     .ok_or(DecodeError::BadOperand { opcode: op })?;
-                (Insn::Jcc { cond: c, rel: imm32(bytes, 2)? }, 6)
+                Insn::Jcc { cond: c, rel: imm32(bytes, 2)? }
             }
-            OP_JMP => (Insn::Jmp { rel: imm32(bytes, 1)? }, 5),
-            OP_JMP_REG => (Insn::JmpReg { reg: reg(bytes, 1, op)? }, 2),
-            OP_CALL => (Insn::Call { rel: imm32(bytes, 1)? }, 5),
-            OP_CALL_REG => (Insn::CallReg { reg: reg(bytes, 1, op)? }, 2),
-            OP_RET => (Insn::Ret, 1),
-            OP_PUSH => (Insn::Push { src: reg(bytes, 1, op)? }, 2),
-            OP_POP => (Insn::Pop { dst: reg(bytes, 1, op)? }, 2),
-            OP_CMPXCHG => (
-                Insn::LockCmpxchg {
-                    base: reg(bytes, 1, op)?,
-                    src: reg(bytes, 2, op)?,
-                    disp: imm32(bytes, 3)?,
-                },
-                7,
-            ),
-            OP_XADD => (
-                Insn::LockXadd {
-                    base: reg(bytes, 1, op)?,
-                    src: reg(bytes, 2, op)?,
-                    disp: imm32(bytes, 3)?,
-                },
-                7,
-            ),
-            OP_LOADB => (
-                Insn::LoadB {
-                    dst: reg(bytes, 1, op)?,
-                    base: reg(bytes, 2, op)?,
-                    disp: imm32(bytes, 3)?,
-                },
-                7,
-            ),
-            OP_STOREB => (
-                Insn::StoreB {
-                    base: reg(bytes, 1, op)?,
-                    src: reg(bytes, 2, op)?,
-                    disp: imm32(bytes, 3)?,
-                },
-                7,
-            ),
-            OP_MULWIDE => (Insn::MulWide { src: reg(bytes, 1, op)? }, 2),
-            OP_MFENCE => (Insn::Mfence, 1),
-            OP_NOP => (Insn::Nop, 1),
-            OP_HLT => (Insn::Hlt, 1),
-            OP_SYSCALL => (Insn::Syscall, 1),
+            OP_JMP => Insn::Jmp { rel: imm32(bytes, 1)? },
+            OP_JMP_REG => Insn::JmpReg { reg: reg(bytes, 1, op)? },
+            OP_CALL => Insn::Call { rel: imm32(bytes, 1)? },
+            OP_CALL_REG => Insn::CallReg { reg: reg(bytes, 1, op)? },
+            OP_RET => Insn::Ret,
+            OP_PUSH => Insn::Push { src: reg(bytes, 1, op)? },
+            OP_POP => Insn::Pop { dst: reg(bytes, 1, op)? },
+            OP_CMPXCHG => Insn::LockCmpxchg {
+                base: reg(bytes, 1, op)?,
+                src: reg(bytes, 2, op)?,
+                disp: imm32(bytes, 3)?,
+            },
+            OP_XADD => Insn::LockXadd {
+                base: reg(bytes, 1, op)?,
+                src: reg(bytes, 2, op)?,
+                disp: imm32(bytes, 3)?,
+            },
+            OP_LOADB => Insn::LoadB {
+                dst: reg(bytes, 1, op)?,
+                base: reg(bytes, 2, op)?,
+                disp: imm32(bytes, 3)?,
+            },
+            OP_STOREB => Insn::StoreB {
+                base: reg(bytes, 1, op)?,
+                src: reg(bytes, 2, op)?,
+                disp: imm32(bytes, 3)?,
+            },
+            OP_MULWIDE => Insn::MulWide { src: reg(bytes, 1, op)? },
+            OP_MFENCE => Insn::Mfence,
+            OP_NOP => Insn::Nop,
+            OP_HLT => Insn::Hlt,
+            OP_SYSCALL => Insn::Syscall,
             other => return Err(DecodeError::BadOpcode(other)),
         };
-        if bytes.len() < insn.1 {
+        let len = insn.encoded_len();
+        if bytes.len() < len {
             return Err(DecodeError::Truncated);
         }
-        Ok(insn)
+        Ok((insn, len))
     }
 
     /// `true` if the instruction ends a basic block (branch, call, return,

@@ -663,136 +663,97 @@ impl HostInsn {
             Ok(i32::from_le_bytes(b.get(i..i + 4).ok_or("truncated")?.try_into().unwrap()))
         }
         let op = *bytes.first().ok_or("empty")?;
-        let r = match op {
-            0x01 => (MovImm { dst: xr(bytes, 1)?, imm: u64_at(bytes, 2)? }, 10),
-            0x02 => (MovReg { dst: xr(bytes, 1)?, src: xr(bytes, 2)? }, 3),
-            0x03 => (
-                Ldr {
-                    dst: xr(bytes, 1)?,
-                    base: xr(bytes, 2)?,
-                    order: MemOrder::from_u8(*bytes.get(3).ok_or("truncated")?)
-                        .ok_or("bad order")?,
-                    off: i32_at(bytes, 4)?,
-                },
-                8,
-            ),
-            0x04 => (
-                Str {
-                    src: xr(bytes, 1)?,
-                    base: xr(bytes, 2)?,
-                    order: MemOrder::from_u8(*bytes.get(3).ok_or("truncated")?)
-                        .ok_or("bad order")?,
-                    off: i32_at(bytes, 4)?,
-                },
-                8,
-            ),
-            0x05 => (
-                Ldxr {
-                    dst: xr(bytes, 1)?,
-                    addr: xr(bytes, 2)?,
-                    acquire: *bytes.get(3).ok_or("truncated")? != 0,
-                },
-                4,
-            ),
-            0x06 => (
-                Stxr {
-                    status: xr(bytes, 1)?,
-                    src: xr(bytes, 2)?,
-                    addr: xr(bytes, 3)?,
-                    release: *bytes.get(4).ok_or("truncated")? != 0,
-                },
-                5,
-            ),
-            0x07 => (
-                Cas {
-                    cmp_old: xr(bytes, 1)?,
-                    new: xr(bytes, 2)?,
-                    addr: xr(bytes, 3)?,
-                    acq_rel: *bytes.get(4).ok_or("truncated")? != 0,
-                },
-                5,
-            ),
-            0x08 => (LdaddAl { old: xr(bytes, 1)?, addend: xr(bytes, 2)?, addr: xr(bytes, 3)? }, 4),
-            0x09 => (Barrier(Dmb::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad dmb")?), 2),
-            0x0a => (
-                Alu {
-                    op: AOp::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad op")?,
-                    dst: xr(bytes, 2)?,
-                    a: xr(bytes, 3)?,
-                    b: xr(bytes, 4)?,
-                },
-                5,
-            ),
-            0x0b => (
-                AluImm {
-                    op: AOp::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad op")?,
-                    dst: xr(bytes, 2)?,
-                    a: xr(bytes, 3)?,
-                    imm: u64_at(bytes, 4)?,
-                },
-                12,
-            ),
-            0x0c => (Cmp { a: xr(bytes, 1)?, b: xr(bytes, 2)? }, 3),
-            0x0d => (CmpImm { a: xr(bytes, 1)?, imm: u64_at(bytes, 2)? }, 10),
-            0x0e => (
-                Cset {
-                    dst: xr(bytes, 1)?,
-                    cond: ACond::from_u8(*bytes.get(2).ok_or("truncated")?).ok_or("bad cond")?,
-                },
-                3,
-            ),
-            0x0f => (
-                Fp {
-                    op: AFpOp::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad fp")?,
-                    dst: xr(bytes, 2)?,
-                    a: xr(bytes, 3)?,
-                    b: xr(bytes, 4)?,
-                },
-                5,
-            ),
-            0x10 => (
-                BCond {
-                    cond: ACond::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad cond")?,
-                    rel: i32_at(bytes, 2)?,
-                },
-                6,
-            ),
-            0x11 => (B { rel: i32_at(bytes, 1)? }, 5),
-            0x16 => (Hcall { helper: *bytes.get(1).ok_or("truncated")? }, 2),
-            0x17 => (
-                NativeCall {
-                    func: u16::from_le_bytes(
-                        bytes.get(1..3).ok_or("truncated")?.try_into().unwrap(),
-                    ),
-                },
-                3,
-            ),
+        let insn = match op {
+            0x01 => MovImm { dst: xr(bytes, 1)?, imm: u64_at(bytes, 2)? },
+            0x02 => MovReg { dst: xr(bytes, 1)?, src: xr(bytes, 2)? },
+            0x03 => Ldr {
+                dst: xr(bytes, 1)?,
+                base: xr(bytes, 2)?,
+                order: MemOrder::from_u8(*bytes.get(3).ok_or("truncated")?).ok_or("bad order")?,
+                off: i32_at(bytes, 4)?,
+            },
+            0x04 => Str {
+                src: xr(bytes, 1)?,
+                base: xr(bytes, 2)?,
+                order: MemOrder::from_u8(*bytes.get(3).ok_or("truncated")?).ok_or("bad order")?,
+                off: i32_at(bytes, 4)?,
+            },
+            0x05 => Ldxr {
+                dst: xr(bytes, 1)?,
+                addr: xr(bytes, 2)?,
+                acquire: *bytes.get(3).ok_or("truncated")? != 0,
+            },
+            0x06 => Stxr {
+                status: xr(bytes, 1)?,
+                src: xr(bytes, 2)?,
+                addr: xr(bytes, 3)?,
+                release: *bytes.get(4).ok_or("truncated")? != 0,
+            },
+            0x07 => Cas {
+                cmp_old: xr(bytes, 1)?,
+                new: xr(bytes, 2)?,
+                addr: xr(bytes, 3)?,
+                acq_rel: *bytes.get(4).ok_or("truncated")? != 0,
+            },
+            0x08 => LdaddAl { old: xr(bytes, 1)?, addend: xr(bytes, 2)?, addr: xr(bytes, 3)? },
+            0x09 => Barrier(Dmb::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad dmb")?),
+            0x0a => Alu {
+                op: AOp::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad op")?,
+                dst: xr(bytes, 2)?,
+                a: xr(bytes, 3)?,
+                b: xr(bytes, 4)?,
+            },
+            0x0b => AluImm {
+                op: AOp::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad op")?,
+                dst: xr(bytes, 2)?,
+                a: xr(bytes, 3)?,
+                imm: u64_at(bytes, 4)?,
+            },
+            0x0c => Cmp { a: xr(bytes, 1)?, b: xr(bytes, 2)? },
+            0x0d => CmpImm { a: xr(bytes, 1)?, imm: u64_at(bytes, 2)? },
+            0x0e => Cset {
+                dst: xr(bytes, 1)?,
+                cond: ACond::from_u8(*bytes.get(2).ok_or("truncated")?).ok_or("bad cond")?,
+            },
+            0x0f => Fp {
+                op: AFpOp::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad fp")?,
+                dst: xr(bytes, 2)?,
+                a: xr(bytes, 3)?,
+                b: xr(bytes, 4)?,
+            },
+            0x10 => BCond {
+                cond: ACond::from_u8(*bytes.get(1).ok_or("truncated")?).ok_or("bad cond")?,
+                rel: i32_at(bytes, 2)?,
+            },
+            0x11 => B { rel: i32_at(bytes, 1)? },
+            0x16 => Hcall { helper: *bytes.get(1).ok_or("truncated")? },
+            0x17 => NativeCall {
+                func: u16::from_le_bytes(bytes.get(1..3).ok_or("truncated")?.try_into().unwrap()),
+            },
             0x18 => {
                 let kind = *bytes.get(1).ok_or("truncated")?;
                 match kind {
-                    0 => (
-                        ExitTb(TbExitKind::Jump {
-                            guest_pc: u64_at(bytes, 2)?,
-                            chain: u64_at(bytes, JUMP_CHAIN_OFFSET)?,
-                        }),
-                        18,
-                    ),
-                    1 => (ExitTb(TbExitKind::JumpReg { reg: xr(bytes, 2)? }), 3),
-                    2 => (ExitTb(TbExitKind::Halt), 2),
-                    3 => (ExitTb(TbExitKind::Syscall { next: u64_at(bytes, 2)? }), 10),
+                    0 => ExitTb(TbExitKind::Jump {
+                        guest_pc: u64_at(bytes, 2)?,
+                        chain: u64_at(bytes, JUMP_CHAIN_OFFSET)?,
+                    }),
+                    1 => ExitTb(TbExitKind::JumpReg { reg: xr(bytes, 2)? }),
+                    2 => ExitTb(TbExitKind::Halt),
+                    3 => ExitTb(TbExitKind::Syscall { next: u64_at(bytes, 2)? }),
                     other => return Err(format!("bad exittb kind {other}")),
                 }
             }
-            0x19 => (Hlt, 1),
-            0x1a => (Nop, 1),
-            0x1b => (LdrB { dst: xr(bytes, 1)?, base: xr(bytes, 2)?, off: i32_at(bytes, 3)? }, 7),
-            0x1c => (StrB { src: xr(bytes, 1)?, base: xr(bytes, 2)?, off: i32_at(bytes, 3)? }, 7),
+            0x19 => Hlt,
+            0x1a => Nop,
+            0x1b => LdrB { dst: xr(bytes, 1)?, base: xr(bytes, 2)?, off: i32_at(bytes, 3)? },
+            0x1c => StrB { src: xr(bytes, 1)?, base: xr(bytes, 2)?, off: i32_at(bytes, 3)? },
             other => return Err(format!("unknown host opcode {other:#x}")),
         };
-        if bytes.len() < r.1 {
+        let len = insn.encoded_len();
+        if bytes.len() < len {
             return Err("truncated".into());
         }
-        Ok(r)
+        Ok((insn, len))
     }
 }
 

@@ -15,6 +15,8 @@
 //! instructions exist, stepping it allocates nothing. One `#[test]`
 //! only: the counter is process-wide.
 
+mod theorem1;
+
 use risotto::core::{BackendKind, EmuConfig, Emulator, Setup, VerifyLevel};
 use risotto::fuzz::parse_corpus;
 use risotto::guest::GuestBinary;
@@ -22,6 +24,7 @@ use risotto::host::{AOp, CostModel, Event, HostInsn, Machine, MemOrder, Xreg};
 use risotto::workloads::kernels;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use theorem1::functional::REPRODUCERS;
 
 /// Heap allocations (fresh and growing) since process start.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -67,18 +70,14 @@ const INSTALL_PER_BLOCK: u64 = 25;
 /// Ceiling per `Emulator::new`.
 const PER_NEW: u64 = 40;
 
-/// The corpus: the 16 kernels and every program under `tests/corpus/`,
-/// as `(name, image, cores)`.
+/// The corpus: the 16 kernels and the checked-in fuzz reproducers, by
+/// name, as `(name, image, cores)`.
 fn programs() -> Vec<(String, GuestBinary, usize)> {
     let mut out: Vec<_> =
         kernels::all().iter().map(|w| (w.name.to_owned(), (w.build)(8, 2), 2)).collect();
-    let corpus_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
-    for entry in std::fs::read_dir(corpus_dir).expect("tests/corpus exists") {
-        let path = entry.expect("corpus entry").path();
-        let name = path.file_stem().expect("corpus file name").to_string_lossy().into_owned();
-        let text = std::fs::read_to_string(&path).expect("corpus file reads");
-        let spec = parse_corpus(&text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-        out.push((name, spec.lower().expect("corpus program lowers"), spec.cores()));
+    for (name, text) in REPRODUCERS {
+        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
+        out.push((name.to_owned(), spec.lower().expect("corpus program lowers"), spec.cores()));
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));
     assert!(out.len() >= 22, "16 kernels and the checked-in corpus, got {}", out.len());

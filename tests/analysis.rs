@@ -1,13 +1,16 @@
 //! The whole-program-analysis gate (docs/ANALYSIS.md).
 //!
-//! Four claims are tested over the Fig. 12 kernel corpus and the litmus
-//! suite:
+//! Four claims are tested over the Fig. 12 kernel corpus, the CAS grid,
+//! the fuzz reproducers and the litmus suite:
 //!
-//! 1. **Transparency** — every kernel produces bit-identical results
-//!    with analysis-driven fence relaxation on and off, on both host
-//!    backends, and never runs slower on Arm. At least three kernels
-//!    must run strictly *faster* — the subsystem has to pay for itself —
-//!    and a kernel where no fence was relaxed must run exactly as with
+//! 1. **Transparency** (the analysis-on legs of the functional matrix,
+//!    `theorem1/functional.rs`, each with its analysis-off twins) —
+//!    every program ends as the reference interpreter ends with
+//!    analysis-driven fence relaxation on, on every setup, backend and
+//!    rung, and kernels and the CAS grid never run slower than their
+//!    twins. On risotto/Arm/tier-1 at least three kernels per scale must
+//!    run strictly *faster* — the subsystem has to pay for itself — and
+//!    a program where no fence was relaxed must run exactly as with
 //!    analysis off: same cycles, code and translation counters.
 //! 2. **Soundness under the verifier** — all relaxed translations pass
 //!    `VerifyLevel::Full` with zero violations (the verifier re-derives
@@ -32,14 +35,14 @@
 mod theorem1;
 
 use risotto::analysis::{analyze_image, AccessKind, SiteClass};
-use risotto::core::obs::MetricsSnapshot;
-use risotto::core::{BackendKind, EmuConfig, Emulator, Report, Setup, VerifyLevel};
+use risotto::core::{EmuConfig, Emulator, Setup, VerifyLevel};
 use risotto::fuzz::{generate, parse_corpus, program_seed, GenConfig};
 use risotto::guest::GuestBinary;
 use risotto::host::CostModel;
 use risotto::litmus::corpus;
 use risotto::workloads::litmus_compile::compile_litmus;
 use risotto::workloads::{cas, kernels};
+use theorem1::functional::REPRODUCERS;
 
 const SCALE: u64 = 4;
 const THREADS: usize = 2;
@@ -50,91 +53,31 @@ fn verified_analysis() -> EmuConfig {
     EmuConfig { analysis: true, verify: VerifyLevel::Full, ..EmuConfig::default() }
 }
 
-/// Transparency on Arm: bit-identical results, cycles never up, and
-/// strictly down on at least three kernels; without a relaxed fence,
-/// nothing moves at all.
+/// The Arm tier-1 analysis-on legs and their analysis-off twins, on
+/// every program of the functional table: transparency (each run ends
+/// as the reference interpreter ends; a twin with nothing relaxed is
+/// identical; kernels and the CAS grid never run slower) and risotto
+/// makes at least three kernels strictly faster at each scale.
 #[test]
 fn kernels_bit_identical_and_no_slower_with_analysis() {
-    let mut faster = Vec::new();
-    for w in kernels::all() {
-        let bin = (w.build)(SCALE, THREADS);
-        let mut off = Emulator::new(&bin, Setup::Risotto, THREADS, CostModel::thunderx2_like());
-        let r_off = off.run(FUEL).unwrap_or_else(|e| panic!("{} (off): {e}", w.name));
-        let analysis = EmuConfig { analysis: true, ..EmuConfig::default() };
-        let mut on = Emulator::with_config(&bin, Setup::Risotto, THREADS, analysis);
-        let r_on = on.run(FUEL).unwrap_or_else(|e| panic!("{} (on): {e}", w.name));
-        assert_eq!(r_on.exit_vals, r_off.exit_vals, "{}: exit values diverge", w.name);
-        assert_eq!(r_on.output, r_off.output, "{}: output diverges", w.name);
-        assert!(
-            r_on.cycles <= r_off.cycles,
-            "{}: analysis-on regressed cycles ({} > {})",
-            w.name,
-            r_on.cycles,
-            r_off.cycles
-        );
-        if r_on.cycles < r_off.cycles {
-            faster.push(w.name);
-        }
-        // Relaxing fences is all analysis does: with none relaxed, the
-        // two runs translate and execute the same code.
-        let m_on = on.metrics();
-        if m_on.counter("analysis.relaxed") == 0 {
-            let report = |r: &Report| (r.cycles, r.code_bytes, r.tb_count);
-            assert_eq!(report(&r_on), report(&r_off), "{}: nothing relaxed", w.name);
-            let translation = |mut m: MetricsSnapshot| {
-                m.metrics.retain(|n, _| n.starts_with("opt.") || n.starts_with("translate."));
-                m.metrics
-            };
-            let (t_on, t_off) = (translation(m_on), translation(off.metrics()));
-            assert_eq!(t_on, t_off, "{}: nothing relaxed", w.name);
-        }
-    }
-    assert!(
-        faster.len() >= 3,
-        "fence relaxation must strictly reduce cycles on >= 3 kernels, got {faster:?}"
-    );
+    theorem1::functional::sweep(theorem1::functional::Slice::AnalysisArmTier1);
 }
 
-/// Transparency on the MiniTSO backend: the relaxation mask is
+/// The same on the TSO analysis-on legs: the relaxation mask is
 /// backend-independent, and so are the guest-visible results.
 #[test]
 fn kernels_bit_identical_with_analysis_on_tso() {
-    for w in kernels::all() {
-        let bin = (w.build)(SCALE, THREADS);
-        let tso = EmuConfig { backend: BackendKind::Tso, ..EmuConfig::default() };
-        let r_off = Emulator::with_config(&bin, Setup::Risotto, THREADS, tso.clone())
-            .run(FUEL)
-            .unwrap_or_else(|e| panic!("{} (tso off): {e}", w.name));
-        let on = EmuConfig { analysis: true, ..tso };
-        let r_on = Emulator::with_config(&bin, Setup::Risotto, THREADS, on)
-            .run(FUEL)
-            .unwrap_or_else(|e| panic!("{} (tso on): {e}", w.name));
-        assert_eq!(r_on.exit_vals, r_off.exit_vals, "{}: tso exit values diverge", w.name);
-        assert_eq!(r_on.output, r_off.output, "{}: tso output diverges", w.name);
-    }
+    theorem1::functional::sweep(theorem1::functional::Slice::AnalysisTso);
 }
 
-/// Every relaxed translation passes the full verifier: the relaxation
-/// the engine applies is exactly the one the verifier's own mask
-/// licenses (zero false positives on the clean corpus).
+/// The same on the Arm tier-0 and ladder analysis-on legs. Every run of
+/// every analysis slice is at `VerifyLevel::Full`: the relaxation the
+/// engine applies is exactly the one the verifier's own mask licenses
+/// (zero false positives), and every ladder leg but no-fences relaxes
+/// a fence.
 #[test]
 fn full_verifier_accepts_all_analysis_relaxations() {
-    let mut relaxed_total = 0;
-    for w in kernels::all() {
-        let bin = (w.build)(SCALE, THREADS);
-        let mut emu = Emulator::with_config(&bin, Setup::Risotto, THREADS, verified_analysis());
-        emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let m = emu.metrics();
-        assert_eq!(
-            m.counter("verify.violations"),
-            0,
-            "{}: clean kernel flagged under analysis",
-            w.name
-        );
-        assert!(m.counter("verify.checked") > 0, "{}: verifier never ran", w.name);
-        relaxed_total += m.counter("analysis.relaxed");
-    }
-    assert!(relaxed_total > 0, "no kernel relaxed any fence — subsystem went dead");
+    theorem1::functional::sweep(theorem1::functional::Slice::AnalysisArmTiered);
 }
 
 /// Litmus programs with analysis on stay within the x86-allowed set and
@@ -305,14 +248,7 @@ fn analysed_images() -> Vec<GuestBinary> {
     for prog in &x86_litmus {
         images.push(compile_litmus(prog, &vec![0; prog.threads.len()]).binary);
     }
-    for text in [
-        include_str!("corpus/store_store_fence.risotto"),
-        include_str!("corpus/spawn_cas_contention.risotto"),
-        include_str!("corpus/hot_loop_promotion.risotto"),
-        include_str!("corpus/cmpxchg_fail_path.risotto"),
-        include_str!("corpus/fp_nan_chain.risotto"),
-        include_str!("corpus/fp_nan_cross_thread.risotto"),
-    ] {
+    for (_, text) in REPRODUCERS {
         images.push(parse_corpus(text).expect("corpus parses").lower().expect("corpus lowers"));
     }
     // `translate_cold` draws loop-free programs, `mixed_tiered` the

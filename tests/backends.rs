@@ -2,9 +2,11 @@
 //! MiniTSO host backends must be observationally equivalent for
 //! guest-visible state.
 //!
-//! * every Fig. 12 kernel produces bit-identical exit values and output
-//!   under both backends at `VerifyLevel::Full`, and the TSO run never
-//!   executes a partial barrier (x86 has only `MFENCE`);
+//! * every kernel, CAS-grid and reproducer program ends as the reference
+//!   interpreter ends on the TSO tier-1 legs of the functional matrix
+//!   (`theorem1/functional.rs`; the Arm legs run in `end_to_end.rs`), at
+//!   `VerifyLevel::Full`, and a TSO run never executes a partial barrier
+//!   (x86 has only `MFENCE`);
 //! * a seeded fuzz batch reports zero divergences across the full oracle
 //!   matrix (which includes the `tier1-tso` cross-backend leg);
 //! * install-time corruption of TSO-lowered code is caught by the
@@ -30,41 +32,12 @@ fn config(backend: BackendKind, verify: VerifyLevel) -> EmuConfig {
     EmuConfig { backend, verify, ..EmuConfig::default() }
 }
 
-fn run_kernel(
-    bin: &risotto::guest::GuestBinary,
-    backend: BackendKind,
-) -> (risotto::core::Report, u64, u64, u64) {
-    let mut emu = Emulator::with_config(bin, Setup::Risotto, 2, config(backend, VerifyLevel::Full));
-    let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{} backend: {e}", backend.name()));
-    let m = emu.metrics();
-    (r, m.counter("verify.checked"), m.counter("verify.violations"), m.counter("fence.exec.dmb_ff"))
-}
-
-/// Every kernel, both backends, full verification: guest-visible results
-/// are bit-identical; the verifier actually ran and found nothing.
+/// The TSO tier-1 legs, analysis off, on every program of the
+/// functional table: each run ends as the reference interpreter ends,
+/// verifier clean, and never executes a partial barrier.
 #[test]
 fn kernels_are_bit_identical_across_backends() {
-    for w in kernels::all() {
-        let bin = (w.build)(8, 2);
-        let (arm, arm_checked, arm_viol, _) = run_kernel(&bin, BackendKind::Arm);
-        let (tso, tso_checked, tso_viol, _) = run_kernel(&bin, BackendKind::Tso);
-
-        assert_eq!(tso.exit_vals, arm.exit_vals, "{}: exit values diverge across backends", w.name);
-        assert_eq!(tso.output, arm.output, "{}: output diverges across backends", w.name);
-        assert!(arm_checked > 0 && tso_checked > 0, "{}: verifier did not run", w.name);
-        assert_eq!(arm_viol, 0, "{}: Arm verifier flagged a clean pipeline", w.name);
-        assert_eq!(tso_viol, 0, "{}: TSO verifier flagged a clean pipeline", w.name);
-
-        // The TSO dialect has no partial barriers: every fence it
-        // executes is a full MFENCE, so the Ld/St barrier counters on
-        // the machine side must stay at zero.
-        let tso = EmuConfig { backend: BackendKind::Tso, ..EmuConfig::default() };
-        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, tso);
-        emu.run(FUEL).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let m = emu.metrics();
-        assert_eq!(m.counter("fence.exec.dmb_ld"), 0, "{}: TSO backend executed a DMB LD", w.name);
-        assert_eq!(m.counter("fence.exec.dmb_st"), 0, "{}: TSO backend executed a DMB ST", w.name);
-    }
+    theorem1::functional::sweep(theorem1::functional::Slice::Tier1Tso);
 }
 
 /// The RMW-free litmus programs under {qemu, tcg-ver, risotto} on the TSO

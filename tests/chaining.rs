@@ -1,13 +1,11 @@
-//! Acceptance test for direct TB chaining (the PR's tentpole): across the
-//! full 16-kernel Fig. 12 suite, a chaining-enabled run must resolve at
-//! least 90% of its direct-jump exits through patched chain slots, and its
-//! architectural results (per-thread exit values and WRITE output) must be
-//! bit-identical to a chaining-disabled reference run, which takes every
-//! TB exit through the dispatcher.
+//! Direct TB chaining and the jump cache: the chaining-off leg of the
+//! functional oracle (`theorem1/functional.rs`) with its chained twin,
+//! and the jump cache's hit/miss accounting under eviction.
+
+mod theorem1;
 
 use risotto::core::{EmuConfig, Emulator, Setup};
 use risotto::host::CostModel;
-use risotto::workloads::kernels;
 
 const FUEL: u64 = 400_000_000;
 
@@ -17,51 +15,14 @@ fn dispatcher_only() -> EmuConfig {
     EmuConfig { chaining: false, ..EmuConfig::default() }
 }
 
+/// Risotto/Arm/tier-1 with chaining off and its chained twin, on every
+/// program of the functional table: both end as the reference
+/// interpreter ends; the unchained run never links or takes a chain, the
+/// chained one takes direct-jump exits and resolves at least 90% of
+/// them on the scale-8 kernels through patched chain slots.
 #[test]
 fn chaining_matches_dispatcher_reference_on_all_kernels() {
-    let mut total_hits = 0u64;
-    let mut total_links = 0u64;
-    for w in kernels::all() {
-        let bin = (w.build)(8, 2);
-
-        let mut chained = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
-        let rc = chained.run(FUEL).unwrap_or_else(|e| panic!("{} (chained): {e}", w.name));
-
-        let mut reference = Emulator::with_config(&bin, Setup::Risotto, 2, dispatcher_only());
-        let rr = reference.run(FUEL).unwrap_or_else(|e| panic!("{} (reference): {e}", w.name));
-
-        assert_eq!(
-            rc.exit_vals, rr.exit_vals,
-            "{}: exit values diverge between chained and dispatcher runs",
-            w.name
-        );
-        assert_eq!(
-            rc.output, rr.output,
-            "{}: guest output diverges between chained and dispatcher runs",
-            w.name
-        );
-
-        // The reference config must never chain; the chained config must
-        // actually exercise the chain slots on loopy kernels.
-        let (mc, mr) = (chained.metrics(), reference.metrics());
-        assert_eq!(mr.counter("chain.links"), 0, "{}: reference run created chains", w.name);
-        assert_eq!(mr.counter("chain.hits"), 0, "{}: reference run took a chain", w.name);
-        assert!(
-            mc.counter("chain.hits") + mc.counter("chain.links") > 0,
-            "{}: chained run never took a direct-jump exit",
-            w.name
-        );
-
-        total_hits += mc.counter("chain.hits");
-        total_links += mc.counter("chain.links");
-    }
-    // ≥90% of all direct-jump exits resolved via an already-patched chain
-    // slot (the remainder are the one-time linking dispatches).
-    let rate = total_hits as f64 / (total_hits + total_links) as f64;
-    assert!(
-        rate >= 0.90,
-        "chain-hit rate {rate:.3} below 0.90 ({total_hits} hits / {total_links} links)"
-    );
+    theorem1::functional::sweep(theorem1::functional::Slice::Unchained);
 }
 
 /// A single-thread guest whose helper returns to `sites` distinct call

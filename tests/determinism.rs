@@ -24,6 +24,8 @@
 //! through a scratch before — including a block that failed half-way —
 //! the next block comes out as it does from a fresh one.
 
+mod theorem1;
+
 use risotto::fuzz::parse_corpus;
 use risotto::guest::GuestBinary;
 use risotto::host::{
@@ -39,6 +41,7 @@ use risotto::tcg::{
 };
 use risotto::workloads::kernels;
 use risotto::workloads::litmus_compile::compile_litmus;
+use theorem1::functional::REPRODUCERS;
 
 fn smoke() -> bool {
     std::env::var("RISOTTO_VERIFY_SMOKE").is_ok_and(|v| v == "1")
@@ -151,20 +154,10 @@ fn litmus_corpus_lowers_bit_identically() {
     }
 }
 
-/// The checked-in fuzz reproducers (`tests/corpus/*.risotto`).
-const FUZZ_CORPUS: [(&str, &str); 6] = [
-    ("store_store_fence", include_str!("corpus/store_store_fence.risotto")),
-    ("spawn_cas_contention", include_str!("corpus/spawn_cas_contention.risotto")),
-    ("hot_loop_promotion", include_str!("corpus/hot_loop_promotion.risotto")),
-    ("cmpxchg_fail_path", include_str!("corpus/cmpxchg_fail_path.risotto")),
-    ("fp_nan_chain", include_str!("corpus/fp_nan_chain.risotto")),
-    ("fp_nan_cross_thread", include_str!("corpus/fp_nan_cross_thread.risotto")),
-];
-
 /// The fuzz reproducers lower deterministically.
 #[test]
 fn fuzz_corpus_lowers_bit_identically() {
-    for (name, text) in FUZZ_CORPUS {
+    for (name, text) in REPRODUCERS {
         let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
         let bin = spec.lower().unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
         for (cfg, policy) in configs() {
@@ -238,7 +231,7 @@ fn images() -> Vec<(String, GuestBinary)> {
     for prog in [corpus::mp(), corpus::sb(), corpus::sb_fenced(), corpus::lb(), corpus::iriw()] {
         images.push((prog.name.clone(), compile_litmus(&prog, &[0, 0]).binary));
     }
-    for (name, text) in FUZZ_CORPUS {
+    for (name, text) in REPRODUCERS {
         let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
         images.push((name.to_owned(), spec.lower().unwrap_or_else(|e| panic!("`{name}`: {e}"))));
     }

@@ -1,6 +1,10 @@
 //! Workspace-level integration tests spanning every crate: built GELF
 //! images through the DBT, guest I/O, error paths, and cross-setup
-//! agreement on library-heavy programs.
+//! agreement on library-heavy programs and (the native and Arm tier-1
+//! legs of the functional oracle in `theorem1/functional.rs`) on every
+//! kernel, CAS-grid and reproducer program.
+
+mod theorem1;
 
 use risotto::core::{EmuConfig, EmuError, Emulator, FaultPlan, FaultSite, Idl, Setup};
 use risotto::guest::{
@@ -11,6 +15,21 @@ use risotto::nativelib::hostlibs;
 
 fn cost() -> CostModel {
     CostModel::thunderx2_like()
+}
+
+/// Native and the chained Arm tier-1 legs, analysis off, on every
+/// kernel at scales 4 and 8: each run ends as the reference interpreter
+/// ends.
+#[test]
+fn all_kernels_agree_across_setups() {
+    theorem1::functional::sweep(theorem1::functional::Slice::Tier1Arm);
+}
+
+/// The same legs on the CAS grid (whose total the interpreter must also
+/// compute) and the checked-in fuzz reproducers.
+#[test]
+fn cas_bench_agrees_across_setups() {
+    theorem1::functional::sweep(theorem1::functional::Slice::Tier1ArmCasAndCorpus);
 }
 
 /// A built GELF image carries everything the DBT needs (text, data, an

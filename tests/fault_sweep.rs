@@ -5,11 +5,14 @@
 //! identical to the fault-free reference interpreter, or returns a typed
 //! [`EmuError`] — never a panic, never a silently wrong result.
 
+mod theorem1;
+
 use risotto::core::{EmuConfig, EmuError, Emulator, FaultPlan, FaultSite, SchedPolicy, Setup};
 use risotto::fuzz::parse_corpus;
 use risotto::guest::{syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary, Interp, DATA_BASE};
 use risotto::host::CostModel;
 use risotto::workloads::kernels;
+use theorem1::functional::REPRODUCERS;
 
 const FUEL: u64 = 200_000_000;
 
@@ -398,14 +401,15 @@ fn failed_host_link_uses_guest_implementation() {
 fn forced_fallback_matches_the_interpreter_on_kernels_and_corpus() {
     let mut programs: Vec<(String, GuestBinary, usize)> =
         kernels::all().iter().map(|w| (w.name.to_owned(), (w.build)(6, 2), 2)).collect();
-    let corpus_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
-    for entry in std::fs::read_dir(corpus_dir).expect("tests/corpus exists") {
-        let path = entry.expect("corpus entry").path();
-        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let text = std::fs::read_to_string(&path).expect("corpus file reads");
-        let spec = parse_corpus(&text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-        programs.push((name, spec.lower().expect("corpus program lowers"), spec.cores()));
+    for (name, text) in REPRODUCERS {
+        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
+        programs.push((
+            name.to_owned(),
+            spec.lower().expect("corpus program lowers"),
+            spec.cores(),
+        ));
     }
+    // By name: each program's fault seed is its position.
     programs.sort_by(|a, b| a.0.cmp(&b.0));
     assert!(programs.len() >= 22, "16 kernels and the checked-in corpus, got {}", programs.len());
 

@@ -4,12 +4,15 @@
 //! across all oracle configurations, fault-composed degradation, and
 //! replay of the checked-in reproducer corpus.
 
+mod theorem1;
+
 use risotto::core::{EmuConfig, Emulator, Setup};
 use risotto::fuzz::{
     differential, fault_check, generate, minimize, parse_corpus, program_seed, random_fault_plan,
     to_corpus_string, GenConfig, ProgSpec, Stmt, FUZZ_HOT_THRESHOLD,
 };
 use risotto::guest::Interp;
+use theorem1::functional::REPRODUCERS;
 
 /// Seeds used by the seeded property sweeps below. Fixed, so failures
 /// name a replayable program.
@@ -202,20 +205,17 @@ fn fault_composition_degrades_gracefully() {
 /// across all configurations, and keep its intended coverage properties.
 #[test]
 fn corpus_replay_stays_green() {
-    let corpus: &[(&str, &str)] = &[
-        ("store_store_fence", include_str!("corpus/store_store_fence.risotto")),
-        ("spawn_cas_contention", include_str!("corpus/spawn_cas_contention.risotto")),
-        ("hot_loop_promotion", include_str!("corpus/hot_loop_promotion.risotto")),
-        ("cmpxchg_fail_path", include_str!("corpus/cmpxchg_fail_path.risotto")),
-        // Found by the 10k acceptance run: f64 NaN *payload* propagation
-        // differed between the interpreter and every DBT tier until all
-        // four evaluation sites were unified on guest_x86::softfloat
-        // (LLVM may commute `fa * fb`, so "identical" expressions at two
-        // call sites can return different NaN bits).
-        ("fp_nan_chain", include_str!("corpus/fp_nan_chain.risotto")),
-        ("fp_nan_cross_thread", include_str!("corpus/fp_nan_cross_thread.risotto")),
-    ];
-    for (name, text) in corpus {
+    // The list names every file under `tests/corpus/`.
+    let corpus_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
+    let mut files: Vec<String> = std::fs::read_dir(corpus_dir)
+        .expect("tests/corpus exists")
+        .map(|e| e.expect("corpus entry").path().file_stem().unwrap().to_string_lossy().into())
+        .collect();
+    files.sort();
+    let mut listed: Vec<&str> = REPRODUCERS.iter().map(|(name, _)| *name).collect();
+    listed.sort();
+    assert_eq!(files, listed, "tests/corpus and the reproducer list disagree");
+    for (name, text) in REPRODUCERS {
         let spec =
             parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}` failed to parse: {e}"));
         let result = differential(&spec);
@@ -231,7 +231,8 @@ fn corpus_replay_stays_green() {
     }
     // The promotion corpus exists to drive tier-0 → tier-1 promotion:
     // check it still does.
-    let spec = parse_corpus(include_str!("corpus/hot_loop_promotion.risotto")).unwrap();
+    let (_, text) = REPRODUCERS.iter().find(|(name, _)| *name == "hot_loop_promotion").unwrap();
+    let spec = parse_corpus(text).unwrap();
     assert!(template_promotions(&spec) > 0, "hot_loop_promotion no longer promotes a template");
 }
 

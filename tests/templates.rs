@@ -18,19 +18,18 @@
 //!    models, per backend, exactly like the Fig. 7 schemes. This is the
 //!    *static* verification that lets tier-0 skip the per-block
 //!    Pass 1/2 verifier at runtime.
-//! 3. **End-to-end equivalence** — kernels and hand-written
-//!    instruction batteries produce bit-identical guest-visible results
-//!    with tier-0 enabled vs disabled, on both backends, with the Pass 3
-//!    install read-back at Full level; plus a promotion/demotion churn
-//!    test across both tiers. Litmus programs run through tier-0 alone
+//! 3. **End-to-end equivalence** — every kernel, CAS-grid and reproducer
+//!    program ends as the reference interpreter ends under tier-0 alone
+//!    and under the two-tier ladder, on every setup and both backends,
+//!    with the Pass 3 install read-back at Full level (the tier-0 and
+//!    ladder legs of the functional matrix, `theorem1/functional.rs`);
+//!    plus a promotion/demotion churn test across both tiers. Litmus programs run through tier-0 alone
 //!    stay within the x86-allowed behavior set on both backends (the
 //!    tier-0 legs of the `theorem1` litmus matrix).
 
 mod theorem1;
 
-use risotto::core::{
-    BackendKind, EmuConfig, Emulator, FaultPlan, FaultSite, MetricsSnapshot, Setup, VerifyLevel,
-};
+use risotto::core::{BackendKind, EmuConfig, Emulator, FaultPlan, FaultSite, Setup};
 use risotto::guest::{AluOp, Cond, FpOp, GelfBuilder, Gpr, Insn, Operand};
 use risotto::host::{
     ArmBackend, BackendConfig, Dmb, HostBackend, HostInsn, MemOrder, RmwStyle, ENV_BASE, SPILL_BASE,
@@ -43,7 +42,6 @@ use risotto::memmodel::{Arm, FenceKind, X86Tso};
 use risotto::tcg::{translate_block, FrontendConfig};
 use risotto::template::insn_template;
 use risotto::template::translate_block_template;
-use risotto::workloads::kernels;
 
 const FUEL: u64 = 2_000_000_000;
 
@@ -60,18 +58,6 @@ fn fetch_of(bytes: Vec<u8>, base: u64) -> impl Fn(u64) -> [u8; 16] {
         }
         w
     }
-}
-
-/// A tier-0-only warm threshold: templates serve everything, nothing
-/// ever warms up into tier-1 (a `u64::MAX` threshold never fires).
-const TIER0_ONLY: Option<u64> = Some(u64::MAX);
-
-/// The two-tier ladder's warm threshold at CI scale.
-const LADDER: Option<u64> = Some(4);
-
-/// `backend` at the Full verifier level under `warm_threshold`.
-fn config(backend: BackendKind, warm_threshold: Option<u64>) -> EmuConfig {
-    EmuConfig { backend, verify: VerifyLevel::Full, warm_threshold, ..EmuConfig::default() }
 }
 
 // ---------------------------------------------------------------------
@@ -592,51 +578,13 @@ fn fence_free_templates_fail_theorem1_on_arm() {
 // 3. End-to-end equivalence and tier churn
 // ---------------------------------------------------------------------
 
-fn run_with(
-    bin: &risotto::guest::GuestBinary,
-    backend: BackendKind,
-    warm_threshold: Option<u64>,
-) -> (risotto::core::Report, MetricsSnapshot) {
-    let mut emu = Emulator::with_config(bin, Setup::Risotto, 2, config(backend, warm_threshold));
-    let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{} backend: {e}", backend.name()));
-    (r, emu.metrics())
-}
-
-/// All 16 kernels, both backends: a tier-0-only run is bit-identical to
-/// the tier-1 run, every block was served by a template, and the Pass 3
-/// install read-back (active at `VerifyLevel::Full`) flagged nothing.
+/// The tier-0-only legs, analysis off, on every program of the
+/// functional table: each run ends as the reference interpreter ends,
+/// every block was served by a template, and the Pass 3 install
+/// read-back (active at `VerifyLevel::Full`) flagged nothing.
 #[test]
 fn kernels_are_bit_identical_with_tier0_on_both_backends() {
-    for w in kernels::all() {
-        let bin = (w.build)(8, 2);
-        for backend in [BackendKind::Arm, BackendKind::Tso] {
-            let (r1, m1) = run_with(&bin, backend, None);
-            let (r0, m0) = run_with(&bin, backend, TIER0_ONLY);
-            let (v1, v0) = (m1.counter("verify.violations"), m0.counter("verify.violations"));
-            let (t1, t0) = (m1.counter("template.blocks"), m0.counter("template.blocks"));
-            assert_eq!(
-                r0.exit_vals,
-                r1.exit_vals,
-                "{} on {}: tier-0 exit values diverge",
-                w.name,
-                backend.name()
-            );
-            assert_eq!(
-                r0.output,
-                r1.output,
-                "{} on {}: tier-0 output diverges",
-                w.name,
-                backend.name()
-            );
-            assert_eq!(v1, 0, "{}: tier-1 verifier flagged a clean pipeline", w.name);
-            assert_eq!(v0, 0, "{}: tier-0 install read-back flagged a clean template", w.name);
-            assert_eq!(t1, 0, "{}: tier-1 run used templates", w.name);
-            assert!(t0 > 0, "{}: tier-0 run never used a template", w.name);
-            let promoted = m0.counter("template.promotions");
-            assert_eq!(promoted, 0, "{}: tier-0-only run promoted", w.name);
-            assert!(m0.counter("template.insns") >= t0, "{}: stats inconsistent", w.name);
-        }
-    }
+    theorem1::functional::sweep(theorem1::functional::Slice::Tier0);
 }
 
 /// Litmus programs executed through tier-0 templates alone stay within
@@ -700,28 +648,10 @@ fn tier_churn_on_same_pc_is_clean_and_bit_identical() {
     assert!(bad.is_empty(), "dangling chain words after tier churn: {bad:x?}");
 }
 
-/// The two-tier ladder is bit-identical to tier-1 across all kernels,
-/// with real tier-0 → tier-1 promotions happening somewhere in the
-/// suite.
+/// The ladder legs, analysis off, on every program of the functional
+/// table: each run ends as the reference interpreter ends with a clean
+/// chain graph, and every leg promotes tier-0 blocks to tier-1.
 #[test]
 fn two_tier_runs_match_tier1_on_all_kernels() {
-    let mut total_promotions = 0u64;
-    for w in kernels::all() {
-        let bin = (w.build)(16, 2);
-        let mut tier1 = Emulator::new(&bin, Setup::Risotto, 2, BackendKind::Arm.cost_model());
-        let r1 = tier1.run(FUEL).unwrap_or_else(|e| panic!("{} (tier-1): {e}", w.name));
-
-        let ladder = EmuConfig { warm_threshold: LADDER, ..EmuConfig::default() };
-        let mut tiered = Emulator::with_config(&bin, Setup::Risotto, 2, ladder);
-        let r2 = tiered.run(FUEL).unwrap_or_else(|e| panic!("{} (two-tier): {e}", w.name));
-
-        assert_eq!(r2.exit_vals, r1.exit_vals, "{}: two-tier exit values diverge", w.name);
-        assert_eq!(r2.output, r1.output, "{}: two-tier output diverges", w.name);
-        let m = tiered.metrics();
-        assert!(m.counter("template.blocks") > 0, "{}: tier-0 never served a block", w.name);
-        let bad = tiered.validate_chains();
-        assert!(bad.is_empty(), "{}: dangling chain words: {bad:x?}", w.name);
-        total_promotions += m.counter("template.promotions");
-    }
-    assert!(total_promotions > 0, "no kernel ever promoted tier-0 → tier-1");
+    theorem1::functional::sweep(theorem1::functional::Slice::Ladder);
 }

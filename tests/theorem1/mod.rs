@@ -1,30 +1,40 @@
-//! Theorem 1, dynamic direction: the one oracle that runs litmus
-//! programs through the DBT.
+//! The dynamic oracles: one leg table, two program sources.
 //!
-//! Every x86-flavoured litmus program of the corpus is compiled to a
-//! guest binary and run under every leg of one table and every
-//! interleaving stagger. Each observed behavior must be allowed by the
-//! axiomatic x86 model. (The machine is operationally TSO, so the
-//! observable set is a subset of what the Arm model would allow on
-//! silicon — containment in the x86 set is exactly what a correct x86
-//! emulator must guarantee; see DESIGN.md §10.)
+//! A leg is one emulator configuration. The table ([`legs`]), all at
+//! `VerifyLevel::Full`: the native oracle; {qemu, no-fences, tcg-ver,
+//! risotto} × backend {Arm, TSO} × rung {tier-1 only, tier-0 only, the
+//! tier-0→1 ladder} × analysis {off, on}; and risotto/Arm/tier-1 with
+//! chaining off. A new axis or a new program source is one more entry
+//! here, not another sweep. Two oracles read it:
 //!
-//! The legs, all at `VerifyLevel::Full`: the native oracle, and
-//! {qemu, tcg-ver, risotto} × backend {Arm, TSO} × rung {tier-1 only,
-//! tier-0 only, the tier-0→1 ladder} × analysis {off, on}. A new axis or
-//! a new program source is one more entry here, not another sweep.
+//! * **Theorem 1, dynamic direction** (this file): every x86-flavoured
+//!   litmus program of the corpus is compiled to a guest binary and run
+//!   under every leg except no-fences and every interleaving stagger.
+//!   Each observed behavior must be allowed by the axiomatic x86 model.
+//!   (The machine is operationally TSO, so the observable set is a
+//!   subset of what the Arm model would allow on silicon — containment
+//!   in the x86 set is exactly what a correct x86 emulator must
+//!   guarantee; see DESIGN.md §10.) Legs are not compared with each
+//!   other: fewer or relaxed fences and templates drain store buffers on
+//!   a different schedule, so the observed *sets* may legitimately
+//!   differ. Containment in the axiomatic x86 set is the bar for every
+//!   leg.
+//! * **Functional** ([`functional`]): every kernel, CAS-grid and fuzz
+//!   reproducer program runs under every leg and must end exactly as the
+//!   reference interpreter ends.
 //!
-//! The matrix runs in [`Slice`]s: each (leg, program) case belongs to
+//! No-fences drops the fences x86 ordering needs, so it is incorrect by
+//! design and the litmus oracle skips it. It passes the functional
+//! oracle only because the machine is operationally TSO (DESIGN.md §10).
+//!
+//! Each oracle runs in slices: each (leg, program) case belongs to
 //! exactly one, and each slice is one `#[test]` in the test file of the
 //! subsystem it exercises, so a failure names the axis that broke.
-//!
-//! Legs are not compared with each other: fewer or relaxed fences and
-//! templates drain store buffers on a different schedule, so the
-//! observed *sets* may legitimately differ. Containment in the axiomatic
-//! x86 set is the bar for every leg.
 
 // Each test binary that includes this module runs some of its slices.
 #![allow(dead_code)]
+
+pub mod functional;
 
 use risotto::core::{BackendKind, EmuConfig, Emulator, MetricsSnapshot, Setup, VerifyLevel};
 use risotto::litmus::{behaviors, corpus, Behavior, Program};
@@ -77,12 +87,15 @@ pub enum Rung {
 }
 
 /// One emulator configuration every program runs under.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Leg {
     pub setup: Setup,
     pub backend: BackendKind,
     pub rung: Rung,
     pub analysis: bool,
+    /// Direct TB chaining and the jump cache; off, every exit goes
+    /// through the dispatcher.
+    pub chaining: bool,
 }
 
 impl Leg {
@@ -97,33 +110,39 @@ impl Leg {
             verify: VerifyLevel::Full,
             warm_threshold,
             analysis: self.analysis,
+            chaining: self.chaining,
             ..EmuConfig::default()
         }
     }
 }
 
 /// The paper's setup on the default host, every block through tier-1.
-pub const RISOTTO: Leg =
-    Leg { setup: Setup::Risotto, backend: BackendKind::Arm, rung: Rung::Tier1, analysis: false };
+pub const RISOTTO: Leg = Leg {
+    setup: Setup::Risotto,
+    backend: BackendKind::Arm,
+    rung: Rung::Tier1,
+    analysis: false,
+    chaining: true,
+};
 
-/// The native oracle, then every DBT setup × backend × rung × analysis.
+/// The native oracle, every DBT setup × backend × rung × analysis, and
+/// [`RISOTTO`] with chaining off.
 fn legs() -> Vec<Leg> {
-    let native =
-        Leg { setup: Setup::Native, backend: BackendKind::Arm, rung: Rung::Tier1, analysis: false };
-    let mut legs = vec![native];
-    for setup in [Setup::Qemu, Setup::TcgVer, Setup::Risotto] {
+    let mut legs = vec![Leg { setup: Setup::Native, ..RISOTTO }];
+    for setup in [Setup::Qemu, Setup::NoFences, Setup::TcgVer, Setup::Risotto] {
         for backend in BackendKind::ALL {
             for rung in [Rung::Tier1, Rung::Tier0, Rung::Ladder] {
                 for analysis in [false, true] {
-                    legs.push(Leg { setup, backend, rung, analysis });
+                    legs.push(Leg { setup, backend, rung, analysis, chaining: true });
                 }
             }
         }
     }
+    legs.push(Leg { chaining: false, ..RISOTTO });
     legs
 }
 
-/// A part of the matrix run by one test, in the file named.
+/// A part of the litmus matrix run by one test, in the file named.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slice {
     /// Native and the Arm tier-1 legs, analysis off, RMW-free programs
@@ -191,9 +210,10 @@ pub fn run_checked(
     (obs, m)
 }
 
-/// Every case of `slice` × stagger, each through [`run_checked`]. Over
-/// the whole corpus, every ladder leg must promote a block and every
-/// tier-1 analysis leg must relax a fence, or that leg has gone dead.
+/// Every case of `slice` × stagger on every leg but no-fences, each
+/// through [`run_checked`]. Over the whole corpus, every ladder leg must
+/// promote a block and every tier-1 analysis leg must relax a fence, or
+/// that leg has gone dead.
 /// (Templates never relax, and the blocks the ladder promotes are the
 /// stagger spin loops, which hold no memory event: the other analysis
 /// legs relax nothing.)
@@ -201,7 +221,7 @@ pub fn sweep(slice: Slice) {
     let programs = programs();
     let allowed: Vec<_> = programs.iter().map(|(p, _)| behaviors(p, &X86Tso::new())).collect();
     let mut runs = 0;
-    for leg in legs() {
+    for leg in legs().into_iter().filter(|leg| leg.setup != Setup::NoFences) {
         let cases: Vec<_> = programs
             .iter()
             .zip(&allowed)
