@@ -94,12 +94,16 @@ RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test determinism
 # measured figures).
 cargo test -q --release --test alloc_budget
 
-# Machine-loop gate, in the build the benchmark measures: a run cut into
-# single steps (a scheduler scan before every step) must leave the same
-# clocks, counters, memory and atomic order as one cut into run quanta,
-# under all three policies — hand-built multi-core programs in the
-# machine's unit suite, the CAS grid and five kernels through the engine
-# — an atomic must be the same read-modify-write as an instruction
+# Machine-loop gate, in the build the benchmark measures: how a run's
+# fuel is sliced must not matter — one step per `run` call must leave the
+# same clocks, counters, memory and atomic order as `run(7)`, `run(1000)`
+# and `run(u64::MAX)`, under all three policies, fuel running out
+# mid-quantum included — and a completed run must end as it does with a
+# scheduler pick before every step: hand-built multi-core programs
+# against the unit suite's per-step reference (`machine.rs`), and the CAS
+# grid and the kernels through the engine against the checked-in
+# per-step-scan hash (`SCHEDULE_HASH` in tests/slice_invariance.rs) —
+# an atomic must be the same read-modify-write as an instruction
 # (`casal`, `ldaddal`) and as a helper (`CmpxchgSc`, `XaddSc`): same
 # memory, atomic log, count, cleared foreign monitor and contention
 # charge, the lost compare-exchange included; each scheduler policy's

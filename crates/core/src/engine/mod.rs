@@ -512,9 +512,10 @@ impl Emulator {
 
     /// [`Emulator::run`], handing the machine at most `slice` steps at a
     /// time. Without injected faults (which roll once per machine event)
-    /// nothing observable may depend on `slice`: a run cut into single
-    /// steps is the per-step definition of the machine's scheduler, which
-    /// is what the test suite holds its run quanta to.
+    /// nothing observable may depend on `slice`: a quantum the fuel cuts
+    /// short stays open and the next slice resumes it, so the machine
+    /// takes the same steps however the run is cut, and the test suite
+    /// holds every slicing to one step at a time.
     ///
     /// # Errors
     ///

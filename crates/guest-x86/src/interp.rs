@@ -515,7 +515,8 @@ impl Interp {
             _ => return Err(InterpError::NotRunnable { tid }),
         }
         let pc = self.threads[tid].pc;
-        let window = self.mem.read_bytes(pc, 16);
+        let mut window = [0u8; 16];
+        self.mem.read_into(pc, &mut window);
         let (insn, len) =
             Insn::decode(&window).map_err(|cause| InterpError::Decode { pc, cause })?;
         let next = pc.wrapping_add(len as u64);

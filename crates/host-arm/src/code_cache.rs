@@ -32,7 +32,7 @@
 //!
 //! Nothing else writes `code`.
 
-use crate::insn::{HostInsn, JUMP_CHAIN_OFFSET};
+use crate::insn::{HostInsn, TbExitKind, Xreg, JUMP_CHAIN_OFFSET};
 use crate::machine::Machine;
 use std::collections::HashMap;
 
@@ -279,6 +279,32 @@ impl CodeCache {
         }
         let hot = self.count_entry(guest_pc, true);
         Some(Transfer { host, via: Via::Dispatch, hot })
+    }
+
+    /// `true` if the TB exit `kind` on `core` will resolve without the
+    /// dispatcher — through a patched chain word, or a hit in the core's
+    /// own jump cache on the target `reg` reads — and so touches nothing
+    /// but counters that commute with other cores' steps. Only with
+    /// chaining on and profiling off: a profile count can raise
+    /// [`crate::Event::HotTb`].
+    #[inline]
+    pub(crate) fn resolves_locally(
+        &self,
+        core: usize,
+        kind: TbExitKind,
+        reg: impl FnOnce(Xreg) -> u64,
+    ) -> bool {
+        if !self.chaining || self.profiling {
+            return false;
+        }
+        match kind {
+            TbExitKind::Jump { chain, .. } => chain != 0,
+            TbExitKind::JumpReg { reg: r } => {
+                let guest_pc = reg(r);
+                self.jcache[core * JCACHE_SIZE + Self::jcache_idx(guest_pc)].0 == guest_pc
+            }
+            TbExitKind::Halt | TbExitKind::Syscall { .. } => false,
+        }
     }
 
     /// The decoded entry for the instruction at a host pc, as an index

@@ -133,6 +133,17 @@ pub struct AtomicEvent {
     pub new: u64,
 }
 
+/// What one [`Machine::step`] did.
+enum Step {
+    /// The instruction ran.
+    Ran,
+    /// The core was past its bound and the step was not core-local:
+    /// nothing ran.
+    Yielded,
+    /// The instruction ran, or faulted, and the machine must suspend.
+    Suspend(Event),
+}
+
 /// Cycles an ALU operation costs.
 fn alu_cost(cost: &CostModel, op: AOp) -> u64 {
     match op {
@@ -470,11 +481,23 @@ impl Machine {
     /// Runs until an [`Event`] occurs, executing at most `fuel` steps.
     ///
     /// Cores run in quanta: one scheduler pick, then the picked core is
-    /// stepped for as long as a fresh pick would choose it again. A step
-    /// moves only its own core's clock and run state, so that is
-    /// decidable from the core alone against the bound the pick returned,
-    /// and the order of steps is the per-step order exactly (DESIGN.md
-    /// §6, "Host machine inner loop").
+    /// stepped while a fresh pick would choose it again — while it stays
+    /// below the `(clock, index)` bound the pick returned — and, under
+    /// [`SchedPolicy::Deterministic`], past that bound for as long as
+    /// each next step is *core-local* (it reads and writes only the
+    /// core's own state and counters that commute). The first step that
+    /// is not hands the machine back to the scheduler before it has any
+    /// effect, so every step that touches shared state still runs when
+    /// its core holds the smallest `(clock, index)`, and a completed run
+    /// ends exactly as one with a pick before every step (DESIGN.md §6,
+    /// "Scheduling: run quanta").
+    ///
+    /// Fuel that runs out inside a quantum leaves it open, and the next
+    /// call resumes it unless the engine has changed what the pick read
+    /// (another core's clock or run state, the policy): slicing the fuel
+    /// moves no step. The engine writes [`Machine::mem`] directly only
+    /// at events, never at an [`Event::OutOfFuel`] boundary, and a
+    /// core-local step reads no memory anyway.
     pub fn run(&mut self, fuel: u64) -> Event {
         // The scheduler reads one clock per core, taken here. Until this
         // call returns only the stepped core's clock and run state
@@ -484,46 +507,122 @@ impl Machine {
         for (i, c) in self.cores.iter().enumerate() {
             self.sched.set_clock(i, c.sched_clock());
         }
+        let runs_ahead = self.sched.runs_ahead();
         let mut budget = fuel;
         loop {
             if budget == 0 {
                 return if self.sched.idle() { Event::AllHalted } else { Event::OutOfFuel };
             }
-            let Some((core, until)) = self.sched.pick() else {
-                return Event::AllHalted;
+            let (core, until, mut ahead) = match self.sched.resume() {
+                Some(open) => open,
+                None => match self.sched.pick() {
+                    // A fresh pick steps its core once whatever the bound:
+                    // `Random`'s is below every core.
+                    Some((core, until)) => (core, until, false),
+                    None => return Event::AllHalted,
+                },
             };
             loop {
-                budget -= 1;
-                if let Some(ev) = self.step(core) {
-                    return ev;
+                match self.step(core, ahead) {
+                    Step::Ran => {}
+                    Step::Yielded => break,
+                    Step::Suspend(ev) => return ev,
                 }
+                budget -= 1;
                 let c = &self.cores[core];
-                if budget == 0 || c.halted || (c.cycles, core) >= until {
+                ahead = (c.cycles, core) >= until;
+                if c.halted || (ahead && !runs_ahead) {
                     break;
+                }
+                if budget == 0 {
+                    self.sched.keep_open((core, until, ahead));
+                    return Event::OutOfFuel;
                 }
             }
             self.sched.set_clock(core, self.cores[core].sched_clock());
         }
     }
 
-    /// Executes one instruction on `core`; returns an event if the machine
-    /// must suspend.
-    fn step(&mut self, core: usize) -> Option<Event> {
-        self.total_steps += 1;
+    /// `true` if `insn`, as the next step of `core` (which has no store
+    /// due), reads and writes only the core's own registers, flags, pc,
+    /// clock, statistics and store buffer — and machine-wide counters
+    /// that commute. Such a step commutes with every other core's steps,
+    /// so it may run while the core is past its scheduler bound.
+    #[inline]
+    fn is_core_local(&self, core: usize, insn: &HostInsn) -> bool {
+        use HostInsn::*;
+        let c = &self.cores[core];
+        match *insn {
+            MovImm { .. }
+            | MovReg { .. }
+            | Alu { .. }
+            | AluImm { .. }
+            | Cmp { .. }
+            | CmpImm { .. }
+            | Cset { .. }
+            | Fp { .. }
+            | BCond { .. }
+            | B { .. }
+            | Nop
+            | Barrier(Dmb::Ld | Dmb::St) => true,
+            // Nothing to drain.
+            Barrier(Dmb::Ff) => c.sb.is_empty(),
+            // A push into the own buffer; a load it forwards.
+            Str { base, off, .. } => {
+                c.sb.probe(c.get(base).wrapping_add(off as i64 as u64)) != Probe::Overlap
+            }
+            Ldr { base, off, .. } => {
+                matches!(c.sb.probe(c.get(base).wrapping_add(off as i64 as u64)), Probe::Forward(_))
+            }
+            Hcall { helper } => helper_at(helper).and_then(fp_op_of).is_some(),
+            ExitTb(kind) => self.cache.resolves_locally(core, kind, |r| c.get(r)),
+            LdrB { .. }
+            | StrB { .. }
+            | Ldxr { .. }
+            | Stxr { .. }
+            | Cas { .. }
+            | LdaddAl { .. }
+            | NativeCall { .. }
+            | Hlt => false,
+        }
+    }
+
+    /// Executes one instruction on `core`. `ahead`: the core is past its
+    /// scheduler bound, so a step that is not core-local (a drain due, a
+    /// fetch fault, an instruction [`Machine::is_core_local`] rejects)
+    /// yields instead, leaving no trace but a decode-table fill. One
+    /// body for both: a monomorphized copy per mode, both inlined into
+    /// `run`, measured slower (EXPERIMENTS.md, "Run-ahead quanta").
+    fn step(&mut self, core: usize, ahead: bool) -> Step {
         let c = &self.cores[core];
         let (pc, now) = (c.pc, c.cycles);
         if now >= c.sb.due() {
+            if ahead {
+                return Step::Yielded;
+            }
             self.drain_due(core, now);
         }
         let Some(idx) = self.cache.fetch(pc) else {
+            if ahead {
+                return Step::Yielded;
+            }
+            self.total_steps += 1;
             // Leave the core parked on the faulting pc; the engine owns
             // the recovery decision.
-            return Some(Event::HostFault { core, host_pc: pc, kind: HostFaultKind::Decode });
+            return Step::Suspend(Event::HostFault {
+                core,
+                host_pc: pc,
+                kind: HostFaultKind::Decode,
+            });
         };
         // Matched where it lies: the bindings are copies, so each arm
         // loads the operands it uses and the table is free again before
         // the arm touches `self`.
         let (insn, len) = self.cache.entry(idx);
+        if ahead && !self.is_core_local(core, insn) {
+            return Step::Yielded;
+        }
+        self.total_steps += 1;
         let next = pc + *len as u64;
         // Arms that touch only the core work through `c`; the ones that
         // reach shared memory or other cores re-borrow after the call.
@@ -692,13 +791,13 @@ impl Machine {
             }
             Hcall { helper } => {
                 if let Some(ev) = self.exec_helper(core, pc, helper) {
-                    return Some(ev);
+                    return Step::Suspend(ev);
                 }
             }
             NativeCall { func } => {
                 if self.natives.get(func as usize).is_none() {
                     c.pc = pc;
-                    return Some(Event::HostFault {
+                    return Step::Suspend(Event::HostFault {
                         core,
                         host_pc: pc,
                         kind: HostFaultKind::UnknownNative(func),
@@ -716,12 +815,12 @@ impl Machine {
                 c.cycles += res.cost + self.cost.call;
             }
             ExitTb(kind) => {
-                return self.exit_tb(core, pc, kind);
+                return self.exit_tb(core, pc, kind).map_or(Step::Ran, Step::Suspend);
             }
             Hlt => self.halt_core(core),
             Nop => c.cycles += self.cost.alu,
         }
-        None
+        Step::Ran
     }
 
     fn exec_helper(&mut self, core: usize, pc: u64, helper: u8) -> Option<Event> {
@@ -1578,13 +1677,15 @@ mod tests {
         )
     }
 
+    const POLICIES: [SchedPolicy; 3] =
+        [SchedPolicy::Deterministic, SchedPolicy::Random(0xfeed), SchedPolicy::Adversarial];
+
     #[test]
     fn run_result_does_not_depend_on_how_the_fuel_is_sliced() {
-        let policies =
-            [SchedPolicy::Deterministic, SchedPolicy::Random(0xfeed), SchedPolicy::Adversarial];
         for build in [two_core_machine as fn() -> Machine, four_core_machine] {
-            for policy in policies {
-                // One step per `run` is a fresh scheduler pick per step.
+            for policy in POLICIES {
+                // One step per `run`: every step but a quantum's first
+                // resumes the quantum the last call left open.
                 let per_step = run_in_slices(build(), policy, 1);
                 for slice in [7, 1000, u64::MAX] {
                     assert_eq!(
@@ -1616,7 +1717,7 @@ mod tests {
             assert!(m.stats(3).insns > 0 && m.core_cycles(1) > 500);
             outcome(m)
         };
-        for policy in policies {
+        for policy in POLICIES {
             let per_step = engine_steps_in(policy, 1);
             for slice in [7, 1000, u64::MAX] {
                 assert_eq!(
@@ -1625,6 +1726,191 @@ mod tests {
                     "{policy:?}, slices of {slice}"
                 );
             }
+        }
+    }
+
+    /// The definition `run` had before run-ahead quanta, kept as their
+    /// reference: a scheduler pick before every step.
+    fn run_per_step_scan(m: &mut Machine) -> Event {
+        loop {
+            assert!(m.total_steps() < 100_000, "runaway program");
+            for (i, c) in m.cores.iter().enumerate() {
+                m.sched.set_clock(i, c.sched_clock());
+            }
+            let Some((core, _)) = m.sched.pick() else {
+                return Event::AllHalted;
+            };
+            if let Step::Suspend(ev) = m.step(core, false) {
+                return ev;
+            }
+        }
+    }
+
+    #[test]
+    fn completed_runs_end_as_with_a_pick_before_every_step() {
+        for build in [two_core_machine as fn() -> Machine, four_core_machine] {
+            for policy in POLICIES {
+                let mut reference = build();
+                reference.set_sched_policy(policy);
+                reference.set_atomic_log(true);
+                assert_eq!(run_per_step_scan(&mut reference), Event::AllHalted);
+                assert_eq!(
+                    run_in_slices(build(), policy, u64::MAX),
+                    outcome(reference),
+                    "{policy:?}"
+                );
+            }
+        }
+    }
+
+    /// `n` `Nop`s: core-local steps of one cycle each.
+    fn nops(n: usize) -> Vec<HostInsn> {
+        vec![HostInsn::Nop; n]
+    }
+
+    /// A two-core program in which core 0 runs `lead` core-local steps
+    /// ahead of core 1 and then reaches one kind of shared access, and
+    /// what only the per-step order leaves behind.
+    struct RunAhead {
+        what: &'static str,
+        build: fn(&mut Machine),
+        lead: u64,
+        check: fn(&Machine) -> bool,
+    }
+
+    /// One program per kind of step that is not core-local. Thunderx2
+    /// costs: `MovImm`, `Nop` and `B` take one cycle, so core 0 reaches
+    /// its shared access at clock `lead` or later, far past core 1's 0.
+    fn run_ahead_programs() -> [RunAhead; 5] {
+        use HostInsn::*;
+        const X: u64 = SHARED;
+        const Y: u64 = SHARED + 8;
+        fn mov(r: u8, imm: u64) -> HostInsn {
+            MovImm { dst: Xreg(r), imm }
+        }
+        // Accesses through X1.
+        fn str(src: u8) -> HostInsn {
+            Str { src: Xreg(src), base: Xreg(1), off: 0, order: MemOrder::Plain }
+        }
+        fn ldr(dst: u8) -> HostInsn {
+            Ldr { dst: Xreg(dst), base: Xreg(1), off: 0, order: MemOrder::Plain }
+        }
+        fn strb(src: u8) -> HostInsn {
+            StrB { src: Xreg(src), base: Xreg(1), off: 0 }
+        }
+        fn ldrb(dst: u8) -> HostInsn {
+            LdrB { dst: Xreg(dst), base: Xreg(1), off: 0 }
+        }
+        fn start(m: &mut Machine, core: usize, code: Vec<HostInsn>) {
+            let at = m.install_code(&code);
+            m.start_core(core, at);
+        }
+        [
+            RunAhead {
+                what: "a plain store, then a load of it on the other core",
+                build: |m| {
+                    // Stored at clock 2, drained when 96 cycles old.
+                    start(
+                        m,
+                        1,
+                        [vec![mov(1, X), mov(2, 7), str(2)], nops(120), vec![Hlt]].concat(),
+                    );
+                    start(m, 0, [vec![mov(1, X)], nops(150), vec![ldr(3), Hlt]].concat());
+                },
+                lead: 151,
+                check: |m| m.reg(0, Xreg(3)) == 7,
+            },
+            RunAhead {
+                what: "a byte store and a byte load each way",
+                build: |m| {
+                    // Core 1 stores X at clock 2 and loads Y at clock 200,
+                    // core 0 loads X at clock 151 and stores Y at 257.
+                    let one = [vec![mov(1, X), mov(2, 7), strb(2), mov(1, Y)], nops(195)];
+                    start(m, 1, [one.concat(), vec![ldrb(3), Hlt]].concat());
+                    let zero = [vec![mov(1, X)], nops(150), vec![ldrb(3), mov(1, Y), mov(2, 9)]];
+                    start(m, 0, [zero.concat(), nops(100), vec![strb(2), Hlt]].concat());
+                },
+                lead: 151,
+                check: |m| (m.reg(0, Xreg(3)), m.reg(1, Xreg(3)), m.mem.read_u8(Y)) == (7, 0, 9),
+            },
+            RunAhead {
+                what: "an exclusive pair on both cores",
+                build: |m| {
+                    let pair = [
+                        Ldxr { dst: Xreg(2), addr: Xreg(1), acquire: false },
+                        AluImm { op: AOp::Add, dst: Xreg(2), a: Xreg(2), imm: 1 },
+                        Stxr { status: Xreg(3), src: Xreg(2), addr: Xreg(1), release: false },
+                        Hlt,
+                    ];
+                    start(m, 1, [vec![mov(1, X)], pair.to_vec()].concat());
+                    start(m, 0, [vec![mov(1, X)], nops(150), pair.to_vec()].concat());
+                },
+                lead: 151,
+                // Both pairs succeed, core 1's first.
+                check: |m| (m.reg(0, Xreg(3)), m.reg(1, Xreg(3)), m.mem.read_u64(X)) == (0, 0, 2),
+            },
+            RunAhead {
+                what: "a DMB FF with a store buffered",
+                build: |m| {
+                    // Buffered at clock 2, fenced at 44; core 1 loads at 21.
+                    let fence = vec![Barrier(Dmb::Ff), Hlt];
+                    start(m, 0, [vec![mov(1, X), mov(2, 7), str(2)], nops(40), fence].concat());
+                    start(m, 1, [vec![mov(1, X)], nops(20), vec![ldr(3), Hlt]].concat());
+                },
+                lead: 43,
+                check: |m| (m.reg(1, Xreg(3)), m.mem.read_u64(X)) == (0, 7),
+            },
+            RunAhead {
+                what: "a chain the other core links",
+                build: |m| {
+                    let halt = m.install_code(&[ExitTb(TbExitKind::Halt)]);
+                    m.map_tb(0x2000, halt);
+                    // Core 1 starts on the shared exit; core 0 branches
+                    // back to it after 150 steps.
+                    let exit = ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 });
+                    let mut code = vec![exit];
+                    code.extend(nops(150));
+                    let back = encoded_len(&code) + encoded_len(&[B { rel: 0 }]);
+                    code.push(B { rel: -back });
+                    let at = m.install_code(&code);
+                    m.start_core(1, at);
+                    m.start_core(0, at + encoded_len(&[exit]) as u64);
+                },
+                lead: 151,
+                // Core 1 linked the exit at clock 0, core 0 followed the
+                // chain at 151.
+                check: |m| {
+                    let tb = CostModel::thunderx2_like();
+                    (m.core_cycles(0), m.core_cycles(1)) == (151 + tb.tb_chain, tb.tb_dispatch)
+                },
+            },
+        ]
+    }
+
+    #[test]
+    fn a_core_past_its_bound_yields_at_every_kind_of_shared_access() {
+        let fresh = |build: fn(&mut Machine)| {
+            let mut m = Machine::new(2, CostModel::thunderx2_like());
+            m.set_atomic_log(true);
+            build(&mut m);
+            m
+        };
+        for RunAhead { what, build, lead, check } in run_ahead_programs() {
+            // Core 0 runs ahead through every core-local step...
+            let mut m = fresh(build);
+            assert_eq!(m.run(lead), Event::OutOfFuel, "{what}");
+            assert_eq!((m.stats(0).insns, m.stats(1).insns), (lead, 0), "{what}");
+            assert!(m.core_cycles(0) >= lead && m.core_cycles(1) == 0, "{what}: not ahead");
+            // ...and the shared access hands the machine to core 1.
+            assert_eq!(m.run(1), Event::OutOfFuel, "{what}");
+            assert_eq!((m.stats(0).insns, m.stats(1).insns), (lead, 1), "{what}");
+            // Finished, it is the per-step order's run.
+            let mut m = fresh(build);
+            assert_eq!(m.run(u64::MAX), Event::AllHalted, "{what}");
+            assert!(check(&m), "{what}");
+            let mut reference = fresh(build);
+            assert_eq!(run_per_step_scan(&mut reference), Event::AllHalted, "{what}");
+            assert_eq!(outcome(m), outcome(reference), "{what}");
         }
     }
 

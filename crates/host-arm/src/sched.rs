@@ -6,7 +6,8 @@
 //! the core being stepped changes its clock or run state, so `run` hands
 //! over every key on entry and the stepped core's again when its quantum
 //! ends, and each pick reads exactly what a scan of the cores would read
-//! at that moment (DESIGN.md §6, "Host machine inner loop").
+//! at that moment (DESIGN.md §6, "Scheduling: run quanta"). A quantum the
+//! fuel cut short stays open here until the next `run` resumes it.
 
 /// How [`Machine::run`](crate::Machine::run) picks the next core to step.
 ///
@@ -40,12 +41,20 @@ const PARKED: u64 = u64::MAX;
 /// A `(clock, index)` pair no core's compares below.
 const NO_BOUND: (u64, usize) = (u64::MAX, usize::MAX);
 
+/// A run quantum: the core a pick chose, the `(clock, index)` bound it
+/// stays the pick below, and whether it has passed that bound (and so
+/// may take only core-local steps).
+pub(crate) type Quantum = (usize, (u64, usize), bool);
+
 pub(crate) struct Scheduler {
     policy: SchedPolicy,
     /// The `Random` policy's xorshift state.
     state: u64,
     /// Per core, its clock, or [`PARKED`].
     keys: Vec<u64>,
+    /// The quantum a `run` call left when its fuel ran out (see
+    /// [`Scheduler::keep_open`]).
+    open: Option<Quantum>,
 }
 
 impl Scheduler {
@@ -54,11 +63,13 @@ impl Scheduler {
             policy: SchedPolicy::Deterministic,
             state: 0x243F_6A88_85A3_08D3,
             keys: vec![PARKED; n_cores],
+            open: None,
         }
     }
 
     pub(crate) fn set_policy(&mut self, policy: SchedPolicy) {
         self.policy = policy;
+        self.open = None;
         if let SchedPolicy::Random(seed) = policy {
             // Never let the xorshift state be zero.
             self.state = seed | 1;
@@ -67,10 +78,42 @@ impl Scheduler {
 
     /// Records `core`'s clock, `None` while it is not runnable: every
     /// core's when a `run` call starts, the stepped core's when its
-    /// quantum ends.
+    /// quantum ends. An open quantum closes when its core stops being
+    /// runnable or any other core's key moves: its bound was read off
+    /// those keys, so whatever the engine did between two `run` calls
+    /// that could change a pick makes the next `run` pick afresh.
     #[inline]
     pub(crate) fn set_clock(&mut self, core: usize, clock: Option<u64>) {
-        self.keys[core] = clock.unwrap_or(PARKED);
+        let key = clock.unwrap_or(PARKED);
+        if let Some((open, ..)) = self.open {
+            if (core == open && key == PARKED) || (core != open && key != self.keys[core]) {
+                self.open = None;
+            }
+        }
+        self.keys[core] = key;
+    }
+
+    /// `true` if a core past its bound may go on taking core-local
+    /// steps: under `Deterministic` only. `Random` draws afresh for every
+    /// step and `Adversarial` never passes a bound, so both keep the
+    /// schedule a pick before every step would give.
+    #[inline]
+    pub(crate) fn runs_ahead(&self) -> bool {
+        self.policy == SchedPolicy::Deterministic
+    }
+
+    /// Keeps the quantum `run` was inside when its fuel ran out, for the
+    /// next `run` call to resume: the same steps then follow however the
+    /// fuel was sliced.
+    #[inline]
+    pub(crate) fn keep_open(&mut self, quantum: Quantum) {
+        self.open = Some(quantum);
+    }
+
+    /// The open quantum, if one survived since the last `run` call.
+    #[inline]
+    pub(crate) fn resume(&mut self) -> Option<Quantum> {
+        self.open.take()
     }
 
     /// `true` if no core is runnable. Asked when the fuel is gone, in
@@ -170,6 +213,37 @@ mod tests {
             assert_eq!(s.pick(), Some(([1, 2, 3, 5][nth], (0, 0))));
         }
         assert_eq!(s.state, stream);
+    }
+
+    #[test]
+    fn an_open_quantum_survives_only_while_the_other_keys_hold() {
+        let open = (1, (40, 0), true);
+        let reopened = |clocks: &[Option<u64>]| {
+            let mut s = scheduler(SchedPolicy::Deterministic, &[Some(40), Some(30), None]);
+            s.keep_open(open);
+            for (core, &clock) in clocks.iter().enumerate() {
+                s.set_clock(core, clock);
+            }
+            s.resume()
+        };
+        // The open core's own clock may move; it is being stepped.
+        assert_eq!(reopened(&[Some(40), Some(45), None]), Some(open));
+        // Another core charged, halted or started, or the open one
+        // halted: pick afresh.
+        assert_eq!(reopened(&[Some(90), Some(45), None]), None);
+        assert_eq!(reopened(&[None, Some(45), None]), None);
+        assert_eq!(reopened(&[Some(40), Some(45), Some(45)]), None);
+        assert_eq!(reopened(&[Some(40), None, None]), None);
+        // Resumed once, and a new policy closes it too.
+        let mut s = scheduler(SchedPolicy::Deterministic, &[Some(40), Some(30)]);
+        s.keep_open(open);
+        assert_eq!((s.resume(), s.resume()), (Some(open), None));
+        s.keep_open(open);
+        s.set_policy(SchedPolicy::Deterministic);
+        assert_eq!(s.resume(), None);
+        assert!(s.runs_ahead());
+        assert!(!scheduler(SchedPolicy::Random(1), &[]).runs_ahead());
+        assert!(!scheduler(SchedPolicy::Adversarial, &[]).runs_ahead());
     }
 
     #[test]

@@ -64,6 +64,12 @@ impl StoreBuffer {
         self.due
     }
 
+    /// `true` if nothing is buffered.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
     /// Buffers a store made at the owning core's clock `now`.
     #[inline]
     pub(crate) fn push(&mut self, addr: u64, value: u64, now: u64) {
