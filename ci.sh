@@ -97,24 +97,24 @@ cargo test -q --release --test alloc_budget
 # Machine-loop gate, in the build the benchmark measures: how a run's
 # fuel is sliced must not matter — one step per `run` call must leave the
 # same clocks, counters, memory and atomic order as `run(7)`, `run(1000)`
-# and `run(u64::MAX)`, under all three policies, fuel running out
-# mid-quantum included — and a completed run must end as it does with a
-# scheduler pick before every step: hand-built multi-core programs
-# against the unit suite's per-step reference (`machine.rs`), and the CAS
-# grid and the kernels through the engine against the checked-in
-# per-step-scan hash (`SCHEDULE_HASH` in tests/slice_invariance.rs) —
-# an atomic must be the same read-modify-write as an instruction
-# (`casal`, `ldaddal`) and as a helper (`CmpxchgSc`, `XaddSc`): same
-# memory, atomic log, count, cleared foreign monitor and contention
-# charge, the lost compare-exchange included; each scheduler policy's
-# pick and bound over a hand-written clock array must be the documented
-# one, with no `Random` draw when nothing is runnable (same unit suite,
-# `machine.rs` and `sched.rs`); the pre-decoded code table must never
-# serve an instruction from bytes that were patched, corrupted, freed or
-# reused, and the ring store
-# buffer must drain, forward and report overlaps exactly as the
-# `VecDeque` it replaced over 200 000 seeded operations, deadline
-# included (same unit suite; `SparseMem`'s word-wide accessors against
+# and `run(u64::MAX)`, fuel running out mid-quantum included — and a
+# completed run must end as it does with a scheduler pick before every
+# step: hand-built multi-core programs against the unit suite's
+# per-step reference (`machine.rs`), and the CAS grid and the kernels
+# through the engine against the checked-in per-step-scan hash
+# (`SCHEDULE_HASH` in tests/slice_invariance.rs) — an atomic must be the
+# same read-modify-write as an instruction (`casal`, `ldaddal`) and as a
+# helper (`CmpxchgSc`, `XaddSc`): same memory, atomic log, count,
+# cleared foreign monitor and contention charge, the lost
+# compare-exchange included; the machine's one schedule — the smallest
+# `(clock, index)` first, bounded by the runner-up's — must give the
+# documented pick and bound over a hand-written clock array, and no pick
+# when nothing is runnable (same unit suite, `machine.rs` and
+# `sched.rs`); the pre-decoded code table must never serve an
+# instruction from bytes that were patched, corrupted, freed or reused,
+# and the ring store buffer must drain, forward and report overlaps
+# exactly as the `VecDeque` it replaced over 200 000 seeded operations,
+# deadline included (same unit suite; `SparseMem`'s word-wide accessors against
 # their byte-wise definition ride along in guest-x86's). The code cache's
 # seeded churn (`code_cache.rs`: 50 000 install / map / remap / unmap /
 # replace / discard / corrupt / link / park operations) must leave,
@@ -200,6 +200,12 @@ fi
 # is the PR that deletes them.
 if grep -rnE "fn set_(rmw_style|backend|passes|fault_plan|sched_policy|chaining|profiling|watchdog|atomic_log)\b" crates/core/src; then
     echo "ci: an Emulator setting is an EmuConfig field, not a setter" >&2
+    exit 1
+fi
+# Discrete-event order is the machine's one schedule: the seeded and
+# adversarial policies, their knob and their setter stay deleted.
+if grep -rnE "SchedPolicy|set_sched_policy" crates src tests examples; then
+    echo "ci: the machine has one schedule; SchedPolicy/set_sched_policy are gone" >&2
     exit 1
 fi
 if grep -rnE "\.set_(verify|tiering|analysis)\(" crates src tests examples; then

@@ -7,7 +7,6 @@ use super::Emulator;
 use crate::faults::{FaultPlan, FaultSite};
 use risotto_host_arm::{
     ArmBackend, BackendConfig, CostModel, HostBackend, HostFaultKind, NativeFn, RmwStyle,
-    SchedPolicy,
 };
 use risotto_host_tso::TsoBackend;
 use risotto_tcg::{FrontendConfig, OptPolicy, PassConfig, TranslateError};
@@ -192,8 +191,6 @@ pub struct EmuConfig {
     pub analysis: bool,
     /// Fault-injection plan (DESIGN.md §11).
     pub fault_plan: FaultPlan,
-    /// Host scheduling policy.
-    pub sched_policy: SchedPolicy,
     /// TB chaining and the jump cache; off, every exit goes through the
     /// dispatcher (the reference chained runs are checked against).
     pub chaining: bool,
@@ -216,7 +213,6 @@ impl Default for EmuConfig {
             warm_threshold: None,
             analysis: false,
             fault_plan: FaultPlan::default(),
-            sched_policy: SchedPolicy::Deterministic,
             chaining: true,
             profiling: false,
             watchdog: None,

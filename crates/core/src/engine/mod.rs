@@ -184,7 +184,6 @@ impl Emulator {
         // is on for as long as the template tier is.
         self.machine.set_profiling(c.profiling || c.warm_threshold.is_some());
         self.machine.set_hot_threshold(c.warm_threshold);
-        self.machine.set_sched_policy(c.sched_policy);
         self.machine.set_chaining(c.chaining);
         self.machine.set_atomic_log(c.atomic_log);
         if c.analysis != self.analysis.is_some() {

@@ -46,18 +46,6 @@ const JCACHE_SIZE: usize = 64;
 /// An empty jump-cache slot (`u64::MAX` is never a valid guest pc here).
 const JCACHE_EMPTY: (u64, u64) = (u64::MAX, 0);
 
-/// Counters for the translation-block code cache (machine-wide totals).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Code regions installed (one per translation, thunk included).
-    pub installs: u64,
-    /// Installs that reused a freed region instead of growing the cache.
-    pub region_reuses: u64,
-    /// Mappings removed by [`Machine::unmap_tb`] (evictions,
-    /// invalidations, and link-library rebinds).
-    pub evictions: u64,
-}
-
 /// Per-translation-block execution profile (see
 /// [`Machine::set_profiling`]), read through [`Machine::tb_profile`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -196,7 +184,6 @@ pub(crate) struct CodeCache {
     profiling: bool,
     hot_threshold: Option<u64>,
     chain_stats: ChainStats,
-    cache_stats: CacheStats,
 }
 
 /// What stepping a core needs of the cache: fetch, and resolve a TB exit
@@ -356,11 +343,6 @@ impl Machine {
         self.cache.chain_stats
     }
 
-    /// Machine-wide code-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.cache_stats
-    }
-
     /// Enables or disables the per-TB execution profile (off by default;
     /// purely observational — never affects cycles or scheduling).
     /// Disabling discards any collected profile; re-enabling an already
@@ -406,10 +388,8 @@ impl Machine {
     pub fn install_bytes(&mut self, bytes: &[u8]) -> u64 {
         self.retry_pending_frees();
         let cache = &mut self.cache;
-        cache.cache_stats.installs += 1;
         let off = match cache.free_list.iter().position(|&(_, len)| len >= bytes.len()) {
             Some(slot) => {
-                cache.cache_stats.region_reuses += 1;
                 let (off, len) = cache.free_list.swap_remove(slot);
                 cache.code[off..off + bytes.len()].copy_from_slice(bytes);
                 // The hole is code again; its tail, if any, stays a hole.
@@ -469,7 +449,6 @@ impl Machine {
         let Some(host) = self.cache.tbs.get_mut(&guest_pc).and_then(|tb| tb.host.take()) else {
             return false;
         };
-        self.cache.cache_stats.evictions += 1;
         self.retire(guest_pc, host);
         self.retry_pending_frees();
         true
@@ -606,6 +585,7 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::insn::{TbExitKind, Xreg};
+    use crate::machine::xorshift;
 
     #[test]
     fn a_host_pc_names_a_guest_pc_only_inside_its_mapped_region() {
@@ -634,13 +614,6 @@ mod tests {
         // Two guest pcs on one region: the lowest.
         m.map_tb(0x0800, a);
         assert_eq!(m.guest_pc_of_host(a + 1), Some(0x0800));
-    }
-
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
     }
 
     /// What the churn test holds the cache to after every operation.
@@ -723,13 +696,30 @@ mod tests {
 
     const ROUND_STEPS: usize = 1_000;
 
+    /// Installs `insns`, counting in `reuses` an install that reused a
+    /// freed region: the only kind that leaves the code buffer as long
+    /// as it was.
+    fn install(m: &mut Machine, insns: &[HostInsn], reuses: &mut u64) -> u64 {
+        let size = m.code_size();
+        let host = m.install_code(insns);
+        *reuses += u64::from(m.code_size() == size);
+        host
+    }
+
     /// One round of seeded churn on a fresh two-core machine that never
     /// runs: every operation that moves a translation, with a core or two
     /// parked in the code, and [`check_invariants`] after each. Rounds
     /// are short because holes are never coalesced: the free list, and
     /// with it the cost of a check, grows with the length of a run.
-    fn churn_round(rng: &mut u64, first_step: usize, fired: &mut [usize; 10]) -> Machine {
+    /// Returns the machine, and how many installs reused a freed region
+    /// and how many unmaps removed a mapping.
+    fn churn_round(
+        rng: &mut u64,
+        first_step: usize,
+        fired: &mut [usize; 10],
+    ) -> (Machine, [u64; 2]) {
         const GUEST_PCS: u64 = 24;
+        let (mut reuses, mut evictions) = (0, 0);
         let mut m = Machine::new(2, CostModel::uniform());
         m.set_profiling(true);
         let guest_pc = |r: u64| 0x1000 + 8 * (r % GUEST_PCS);
@@ -760,7 +750,7 @@ mod tests {
             let kind = match r % 32 {
                 0..=5 => {
                     if live.len() < 48 {
-                        m.install_code(&body());
+                        install(&mut m, &body(), &mut reuses);
                     }
                     0
                 }
@@ -772,13 +762,13 @@ mod tests {
                     1
                 }
                 12..=15 => {
-                    m.unmap_tb(guest_pc(r2));
+                    evictions += u64::from(m.unmap_tb(guest_pc(r2)));
                     2
                 }
                 16..=17 => {
                     // A translation replaced by a fresh install, as a
                     // promotion or a refill does.
-                    let host = m.install_code(&body());
+                    let host = install(&mut m, &body(), &mut reuses);
                     m.map_tb(guest_pc(r2), host);
                     assert_eq!(m.lookup_tb(guest_pc(r2)), Some(host));
                     3
@@ -847,7 +837,7 @@ mod tests {
             fired[kind] += 1;
             check_invariants(&mut m, step);
         }
-        m
+        (m, [reuses, evictions])
     }
 
     #[test]
@@ -856,15 +846,15 @@ mod tests {
         let mut fired = [0usize; 10];
         let mut seen = [0u64; 6];
         for round in 0..50 {
-            let m = churn_round(&mut rng, round * ROUND_STEPS, &mut fired);
-            let (chain, cache) = (m.chain_stats(), m.cache_stats());
+            let (m, [reuses, evictions]) = churn_round(&mut rng, round * ROUND_STEPS, &mut fired);
+            let chain = m.chain_stats();
             let round = [
                 chain.chain_links,
                 chain.chain_hits,
                 chain.chain_flushes,
                 chain.dispatch_hits,
-                cache.region_reuses,
-                cache.evictions,
+                reuses,
+                evictions,
             ];
             for (total, n) in seen.iter_mut().zip(round) {
                 *total += n;

@@ -21,7 +21,7 @@ use crate::cost::CostModel;
 #[cfg(test)]
 use crate::insn::ACond;
 use crate::insn::{AFpOp, AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg};
-use crate::sched::{xorshift, SchedPolicy, Scheduler};
+use crate::sched::Scheduler;
 use crate::store_buffer::{Probe, StoreBuffer};
 #[cfg(test)]
 use crate::store_buffer::{DRAIN_AGE, STORE_BUFFER_CAP};
@@ -151,6 +151,17 @@ fn alu_cost(cost: &CostModel, op: AOp) -> u64 {
         AOp::Udiv | AOp::Urem => cost.div,
         _ => cost.alu,
     }
+}
+
+/// One step of the xorshift stream in `state` (which must not be zero):
+/// each core's jitter, and the seeded operation mixes of this crate's
+/// tests.
+#[inline]
+pub(crate) fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
 }
 
 #[derive(Debug, Clone)]
@@ -289,11 +300,6 @@ impl Machine {
         if let Some(log) = &mut self.atomic_log {
             log.push(AtomicEvent { core, addr, old, new });
         }
-    }
-
-    /// Selects the scheduling policy (see [`SchedPolicy`]).
-    pub fn set_sched_policy(&mut self, policy: SchedPolicy) {
-        self.sched.set_policy(policy);
     }
 
     /// Number of cores.
@@ -480,24 +486,24 @@ impl Machine {
 
     /// Runs until an [`Event`] occurs, executing at most `fuel` steps.
     ///
-    /// Cores run in quanta: one scheduler pick, then the picked core is
-    /// stepped while a fresh pick would choose it again — while it stays
-    /// below the `(clock, index)` bound the pick returned — and, under
-    /// [`SchedPolicy::Deterministic`], past that bound for as long as
-    /// each next step is *core-local* (it reads and writes only the
-    /// core's own state and counters that commute). The first step that
-    /// is not hands the machine back to the scheduler before it has any
-    /// effect, so every step that touches shared state still runs when
-    /// its core holds the smallest `(clock, index)`, and a completed run
-    /// ends exactly as one with a pick before every step (DESIGN.md §6,
-    /// "Scheduling: run quanta").
+    /// Cores run in quanta: one scheduler pick of the core with the
+    /// smallest `(clock, index)`, then the picked core is stepped while a
+    /// fresh pick would choose it again — while it stays below the
+    /// runner-up's `(clock, index)`, the bound the pick returned — and
+    /// past that bound for as long as each next step is *core-local* (it
+    /// reads and writes only the core's own state and counters that
+    /// commute). The first step that is not hands the machine back to
+    /// the scheduler before it has any effect, so every step that
+    /// touches shared state still runs when its core holds the smallest
+    /// `(clock, index)`, and a completed run ends exactly as one with a
+    /// pick before every step (DESIGN.md §6, "Scheduling: run quanta").
     ///
     /// Fuel that runs out inside a quantum leaves it open, and the next
     /// call resumes it unless the engine has changed what the pick read
-    /// (another core's clock or run state, the policy): slicing the fuel
-    /// moves no step. The engine writes [`Machine::mem`] directly only
-    /// at events, never at an [`Event::OutOfFuel`] boundary, and a
-    /// core-local step reads no memory anyway.
+    /// (another core's clock or run state): slicing the fuel moves no
+    /// step. The engine writes [`Machine::mem`] directly only at events,
+    /// never at an [`Event::OutOfFuel`] boundary, and a core-local step
+    /// reads no memory anyway.
     pub fn run(&mut self, fuel: u64) -> Event {
         // The scheduler reads one clock per core, taken here. Until this
         // call returns only the stepped core's clock and run state
@@ -507,17 +513,15 @@ impl Machine {
         for (i, c) in self.cores.iter().enumerate() {
             self.sched.set_clock(i, c.sched_clock());
         }
-        let runs_ahead = self.sched.runs_ahead();
         let mut budget = fuel;
         loop {
             if budget == 0 {
-                return if self.sched.idle() { Event::AllHalted } else { Event::OutOfFuel };
+                let idle = self.sched.pick().is_none();
+                return if idle { Event::AllHalted } else { Event::OutOfFuel };
             }
             let (core, until, mut ahead) = match self.sched.resume() {
                 Some(open) => open,
                 None => match self.sched.pick() {
-                    // A fresh pick steps its core once whatever the bound:
-                    // `Random`'s is below every core.
                     Some((core, until)) => (core, until, false),
                     None => return Event::AllHalted,
                 },
@@ -531,7 +535,7 @@ impl Machine {
                 budget -= 1;
                 let c = &self.cores[core];
                 ahead = (c.cycles, core) >= until;
-                if c.halted || (ahead && !runs_ahead) {
+                if c.halted {
                     break;
                 }
                 if budget == 0 {
@@ -1604,8 +1608,8 @@ mod tests {
         let (p, c) = (m.install_code(&producer), m.install_code(&consumer));
         m.start_core(0, p);
         m.start_core(1, c);
-        // A head start for core 1: under `Deterministic` core 0 opens
-        // with one long quantum, which every slice length must cut.
+        // A head start for core 1: core 0 opens with one long quantum,
+        // which every slice length must cut.
         m.add_cycles(1, 700);
         m
     }
@@ -1658,8 +1662,7 @@ mod tests {
     }
 
     /// Everything a run leaves behind that a schedule could change.
-    fn run_in_slices(mut m: Machine, policy: SchedPolicy, slice: u64) -> String {
-        m.set_sched_policy(policy);
+    fn run_in_slices(mut m: Machine, slice: u64) -> String {
         m.set_atomic_log(true);
         drive(&mut m, slice, u64::MAX);
         outcome(m)
@@ -1669,45 +1672,34 @@ mod tests {
         let cores: Vec<_> = m.cores.iter().map(|c| (c.cycles, c.stats, c.regs, c.nzcv)).collect();
         let words: Vec<u64> = (0..16).map(|i| m.mem.read_u64(SHARED + 8 * i)).collect();
         format!(
-            "{cores:?} {:?} {:?} {} {words:?} {:?}",
+            "{cores:?} {:?} {} {words:?} {:?}",
             m.chain_stats(),
-            m.cache_stats(),
             m.total_steps(),
             m.take_atomic_log()
         )
     }
 
-    const POLICIES: [SchedPolicy; 3] =
-        [SchedPolicy::Deterministic, SchedPolicy::Random(0xfeed), SchedPolicy::Adversarial];
-
     #[test]
     fn run_result_does_not_depend_on_how_the_fuel_is_sliced() {
         for build in [two_core_machine as fn() -> Machine, four_core_machine] {
-            for policy in POLICIES {
-                // One step per `run`: every step but a quantum's first
-                // resumes the quantum the last call left open.
-                let per_step = run_in_slices(build(), policy, 1);
-                for slice in [7, 1000, u64::MAX] {
-                    assert_eq!(
-                        run_in_slices(build(), policy, slice),
-                        per_step,
-                        "{policy:?}, slices of {slice}"
-                    );
-                }
+            // One step per `run`: every step but a quantum's first
+            // resumes the quantum the last call left open.
+            let per_step = run_in_slices(build(), 1);
+            for slice in [7, 1000, u64::MAX] {
+                assert_eq!(run_in_slices(build(), slice), per_step, "slices of {slice}");
             }
         }
-        let log = |m: Machine| run_in_slices(m, SchedPolicy::Deterministic, u64::MAX);
+        let log = |m: Machine| run_in_slices(m, u64::MAX);
         assert!(log(two_core_machine()).contains("AtomicEvent"), "the atomics ran");
         assert_ne!(log(two_core_machine()), log(four_core_machine()));
 
         // What the engine does between two `run` calls — a blocked wait
         // charged to one core, a thread spawned on another — is seen by
         // the next call whatever the slicing.
-        let engine_steps_in = |policy, slice| {
+        let engine_steps_in = |slice| {
             let mut m = four_core_machine();
             let spawned = m.lookup_tb(0x1300).expect("core 3's block is mapped");
             m.halt_core(3);
-            m.set_sched_policy(policy);
             m.set_atomic_log(true);
             drive(&mut m, slice, 150);
             assert_eq!((m.total_steps(), m.stats(3).insns), (150, 0));
@@ -1717,15 +1709,9 @@ mod tests {
             assert!(m.stats(3).insns > 0 && m.core_cycles(1) > 500);
             outcome(m)
         };
-        for policy in POLICIES {
-            let per_step = engine_steps_in(policy, 1);
-            for slice in [7, 1000, u64::MAX] {
-                assert_eq!(
-                    engine_steps_in(policy, slice),
-                    per_step,
-                    "{policy:?}, slices of {slice}"
-                );
-            }
+        let per_step = engine_steps_in(1);
+        for slice in [7, 1000, u64::MAX] {
+            assert_eq!(engine_steps_in(slice), per_step, "slices of {slice}");
         }
     }
 
@@ -1749,17 +1735,10 @@ mod tests {
     #[test]
     fn completed_runs_end_as_with_a_pick_before_every_step() {
         for build in [two_core_machine as fn() -> Machine, four_core_machine] {
-            for policy in POLICIES {
-                let mut reference = build();
-                reference.set_sched_policy(policy);
-                reference.set_atomic_log(true);
-                assert_eq!(run_per_step_scan(&mut reference), Event::AllHalted);
-                assert_eq!(
-                    run_in_slices(build(), policy, u64::MAX),
-                    outcome(reference),
-                    "{policy:?}"
-                );
-            }
+            let mut reference = build();
+            reference.set_atomic_log(true);
+            assert_eq!(run_per_step_scan(&mut reference), Event::AllHalted);
+            assert_eq!(run_in_slices(build(), u64::MAX), outcome(reference));
         }
     }
 

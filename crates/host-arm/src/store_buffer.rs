@@ -133,6 +133,7 @@ impl StoreBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::xorshift;
     use std::collections::VecDeque;
 
     /// The store buffer as the machine had it before this type existed:
@@ -203,13 +204,6 @@ mod tests {
                 Some(&(_, _, t)) => t + DRAIN_AGE,
             }
         }
-    }
-
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
     }
 
     /// Aligned words, their unaligned neighbours one to seven bytes off,

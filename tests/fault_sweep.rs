@@ -7,7 +7,7 @@
 
 mod theorem1;
 
-use risotto::core::{EmuConfig, EmuError, Emulator, FaultPlan, FaultSite, SchedPolicy, Setup};
+use risotto::core::{EmuConfig, EmuError, Emulator, FaultPlan, FaultSite, Setup};
 use risotto::fuzz::parse_corpus;
 use risotto::guest::{syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary, Interp, DATA_BASE};
 use risotto::host::CostModel;
@@ -312,8 +312,7 @@ fn syscall_fault_is_a_typed_error() {
 }
 
 /// A guest spin-loop makes no observable progress: with the watchdog
-/// armed, the run fails with [`EmuError::Stalled`] and a per-core dump —
-/// under every scheduling policy.
+/// armed, the run fails with [`EmuError::Stalled`] and a per-core dump.
 #[test]
 fn watchdog_catches_spin_loop_under_all_schedulers() {
     let mut b = GelfBuilder::new("main");
@@ -321,18 +320,15 @@ fn watchdog_catches_spin_loop_under_all_schedulers() {
     b.asm.label("spin");
     b.asm.jmp_to("spin");
     let bin = b.finish().unwrap();
-    for policy in [SchedPolicy::Deterministic, SchedPolicy::Random(11), SchedPolicy::Adversarial] {
-        let config =
-            EmuConfig { sched_policy: policy, watchdog: Some(5_000), ..EmuConfig::default() };
-        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
-        match emu.run(FUEL) {
-            Err(EmuError::Stalled { steps, cores }) => {
-                assert!(steps >= 5_000, "{policy:?}: fired early at {steps}");
-                assert_eq!(cores.len(), 2, "{policy:?}: dump missing cores");
-                assert!(!cores[0].halted, "{policy:?}: spinning core reported halted");
-            }
-            other => panic!("{policy:?}: expected a stall, got {other:?}"),
+    let config = EmuConfig { watchdog: Some(5_000), ..EmuConfig::default() };
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
+    match emu.run(FUEL) {
+        Err(EmuError::Stalled { steps, cores }) => {
+            assert!(steps >= 5_000, "fired early at {steps}");
+            assert_eq!(cores.len(), 2, "dump missing cores");
+            assert!(!cores[0].halted, "spinning core reported halted");
         }
+        other => panic!("expected a stall, got {other:?}"),
     }
 }
 
