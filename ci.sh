@@ -66,9 +66,24 @@ for f in crates/tcg/src/frontend.rs crates/tcg/src/verify.rs crates/tcg/src/opt.
         exit 1
     fi
 done
-# …and the full Theorem-1 sweep over the rows the engine runs must give
-# every scheme the paper's verdict (the binary asserts each one).
-cargo run -q --release -p risotto-bench --bin verify_mappings > /dev/null
+# …and every row of the Theorem-1 verdict table
+# (`risotto_mappings::check::table`: the verified x86→TCG, TCG→Arm
+# (both RMW styles), TCG→TSO, x86→Arm (both RMW styles) and x86→TSO
+# schemes, QEMU's x86→TCG and x86→Arm (GCC 9 and 10) schemes, the Fig. 3
+# intended mapping under both Arm models, and the no-fences oracle) must
+# fail exactly on its corpus programs and on its number of family
+# programs. x86 rows read the 11-program x86 corpus and all 1 225
+# two-thread length-2 programs; TCG rows read them through the verified
+# x86→TCG row, plus the 48 TCG fence patterns. The binary asserts every
+# row, and its stdout is results/verify.txt: fail if the two differ.
+verify_out="$(mktemp /tmp/verify_mappings.XXXXXX.txt)"
+cargo run -q --release -p risotto-bench --bin verify_mappings > "$verify_out"
+if ! cmp -s "$verify_out" results/verify.txt; then
+    diff "$verify_out" results/verify.txt >&2 || true
+    echo "ci: results/verify.txt is stale — regenerate it from verify_mappings" >&2
+    exit 1
+fi
+rm -f "$verify_out"
 
 # Verifier gate: the translation-validator suite (mutation tests over
 # the 16-kernel corpus) in bounded smoke mode. Any clean-corpus

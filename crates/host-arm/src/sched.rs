@@ -100,7 +100,7 @@ mod tests {
     }
 
     #[test]
-    fn each_policy_picks_and_bounds_as_documented() {
+    fn the_pick_and_its_bound_are_as_documented() {
         // Smallest clock, lowest index on a tie; the runner-up — here the
         // other half of the tie — is the bound.
         let mut s = scheduler(&[None, Some(40), Some(90), Some(40), None, Some(90)]);
@@ -142,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn nothing_runnable_is_no_pick_and_no_draw() {
+    fn nothing_runnable_is_no_pick() {
         let mut s = scheduler(&[None, None]);
         assert_eq!(s.pick(), None);
         s.set_clock(1, Some(3));

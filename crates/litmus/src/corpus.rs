@@ -567,6 +567,25 @@ pub fn mp_addr_dep() -> Program {
         .build()
 }
 
+/// The x86-flavoured programs: the sources of every x86→* mapping sweep
+/// and the programs `compile_litmus` turns into guest binaries. The order
+/// is the one the checked-in hashes fold them in.
+pub fn x86() -> [Program; 11] {
+    [
+        mp(),
+        sb(),
+        sb_fenced(),
+        lb(),
+        iriw(),
+        two_plus_two_w(),
+        s_test(),
+        r_test(),
+        mpq_x86(),
+        sbq_x86(),
+        sbal_x86(),
+    ]
+}
+
 /// Every named corpus program, for sweep-style tests.
 pub fn all() -> Vec<Program> {
     vec![

@@ -127,6 +127,39 @@ pub fn generate_two_thread(alphabet: &[Template], len: usize, stride: usize) -> 
     out
 }
 
+/// Every TCG fence kind between the two accesses of each thread of a
+/// two-thread MP/SB-shaped skeleton, in all four load/store orientations:
+/// 12 kinds × 4 = 48 TCG programs, the exhaustive fence-pattern source of
+/// the TCG→host rows of the verdict table.
+pub fn tcg_fence_patterns() -> Vec<Program> {
+    let mut out = Vec::new();
+    for &k in &FenceKind::TCG_ALL {
+        for (t0_store_first, t1_store_first) in
+            [(true, true), (true, false), (false, true), (false, false)]
+        {
+            let name = format!("tcg-fence-{k:?}-{t0_store_first}-{t1_store_first}");
+            let p = Program::builder(&name)
+                .thread(|t| {
+                    if t0_store_first {
+                        t.store(GX, 1).fence(k).load(Reg(0), GY);
+                    } else {
+                        t.load(Reg(0), GX).fence(k).store(GY, 1);
+                    }
+                })
+                .thread(|t| {
+                    if t1_store_first {
+                        t.store(GY, 1).fence(k).load(Reg(1), GX);
+                    } else {
+                        t.load(Reg(1), GY).fence(k).store(GX, 1);
+                    }
+                })
+                .build();
+            out.push(p);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +174,7 @@ mod tests {
         assert_eq!(all.len(), 325);
         let sampled = generate_two_thread(&a, 2, 10);
         assert_eq!(sampled.len(), 33);
+        assert_eq!(tcg_fence_patterns().len(), 48, "12 TCG fence kinds x 4 orientations");
     }
 
     #[test]

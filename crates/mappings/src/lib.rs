@@ -8,11 +8,13 @@
 //!   ones, Fig. 7), plus the Fig. 3 "intended" Arm-Cats mapping and the
 //!   fence-free oracle.
 //! * [`check`] — Theorem 1 as a decision procedure on litmus-sized
-//!   programs: `behaviors(target, Mt) ⊆ behaviors(source, Ms)`.
+//!   programs: `behaviors(target, Mt) ⊆ behaviors(source, Ms)`, and the
+//!   verdict table every scheme's expected verdict is one row of.
 //! * [`transform`] — the Fig. 10 eliminations with their fence side
 //!   conditions, fence merging/strengthening, reordering, and
 //!   false-dependency elimination.
-//! * [`gen`] — exhaustive two-thread program generation for sweeps.
+//! * [`gen`] — exhaustive two-thread program generation and the TCG
+//!   fence patterns for sweeps.
 //!
 //! ## Example
 //!

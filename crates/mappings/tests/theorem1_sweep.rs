@@ -1,193 +1,95 @@
-//! Theorem-1 sweeps over the corpus and the generated program family.
+//! Theorem-1 checks over the corpus and the generated program family.
 //!
-//! The default run subsamples the generated family to keep CI fast; the
-//! `verify_mappings` binary in `risotto-bench` runs the full sweep.
+//! Each scheme test is a slice of the verdict table
+//! (`risotto_mappings::check::table`): it names its rows and checks them
+//! over the debug-sized sources (`Sources::debug`: the 11-program x86
+//! corpus, the 325 small-alphabet programs and every 24th program of the
+//! full family; TCG rows read them through the verified x86→TCG row, plus
+//! the 48 TCG fence patterns). The `verify_mappings` binary in
+//! `risotto-bench` checks every row over the full 1 225-program family.
+//! The transformation, minimality and FMR tests below check their own
+//! rewrites, not a scheme.
 
 use risotto_litmus::{corpus, Instr};
-use risotto_mappings::check::{check_translation, verify_suite, BehaviorScope};
-use risotto_mappings::gen::{generate_two_thread, x86_alphabet, x86_alphabet_small};
-use risotto_mappings::scheme::{
-    qemu_x86_to_arm, verified_x86_to_arm, verified_x86_to_tso, HelperStyle, MappingScheme,
-    VerifiedTcgToArm, VerifiedTcgToTso, X86ToTcg,
-};
+use risotto_mappings::check::{assert_rows, check_translation, rows, BehaviorScope, Sources};
+use risotto_mappings::scheme::{MappingScheme, X86ToTcg};
 use risotto_mappings::transform::{
     eliminate_at, eliminate_false_deps, merge_fences_at, reorder_at,
 };
-use risotto_memmodel::{Arm, ElimKind, FencePlacement, OptPolicy, RmwStyle, TcgIr, X86Tso};
+use risotto_memmodel::{ElimKind, FencePlacement, OptPolicy, TcgIr, X86Tso};
 
 /// The verified x86→TCG row (Fig. 7a) of the DBT's own table.
 const VERIFIED: X86ToTcg = X86ToTcg(FencePlacement::VerifiedTrailing);
 
-/// x86-flavoured corpus programs (sources for x86→* mappings).
-fn x86_corpus() -> Vec<risotto_litmus::Program> {
-    vec![
-        corpus::mp(),
-        corpus::sb(),
-        corpus::sb_fenced(),
-        corpus::lb(),
-        corpus::iriw(),
-        corpus::two_plus_two_w(),
-        corpus::s_test(),
-        corpus::r_test(),
-        corpus::mpq_x86(),
-        corpus::sbq_x86(),
-        corpus::sbal_x86(),
-    ]
+/// The rows named `names`, checked over the debug-sized sources.
+fn slice(names: &[&str]) {
+    assert_rows(&rows(names), &Sources::debug());
 }
 
 #[test]
 fn verified_x86_to_tcg_passes_corpus() {
-    let failures = verify_suite(&VERIFIED, &x86_corpus(), &X86Tso::new(), &TcgIr::new());
-    assert!(failures.is_empty(), "failures: {failures:?}");
+    slice(&["verified x86->tcg"]);
 }
 
+/// QEMU's leading-fence x86→TCG step is already unsound under the TCG
+/// model for programs with failed RMWs: a failed TCG RMW generates a lone
+/// `Rsc`, which the GOrd axiom orders only with its successors
+/// (`[Rsc];po`), so the `a=Y → RMW-read` ordering of MPQ is lost; the
+/// verified scheme's trailing `Frm` restores it. On RMW-free programs
+/// QEMU's (over-strong) fences are sound.
 #[test]
 fn qemu_x86_to_tcg_already_loses_failed_rmw_ordering() {
-    // Qemu's leading-fence x86→TCG step is *already* unsound under the TCG
-    // model for programs with failed RMWs: a failed TCG RMW generates a
-    // lone `Rsc`, which the GOrd axiom orders only with its successors
-    // (`[Rsc];po`), so the `a=Y → RMW-read` ordering of MPQ is lost — the
-    // verified scheme's *trailing* `Frm` restores it. On RMW-free programs
-    // Qemu's (over-strong) fences are sound.
-    let failures = verify_suite(
-        &X86ToTcg(FencePlacement::QemuLeading),
-        &x86_corpus(),
-        &X86Tso::new(),
-        &TcgIr::new(),
-    );
-    let names: Vec<&str> = failures.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(names, vec!["MPQ(x86)"], "unexpected failure set: {failures:?}");
+    slice(&["qemu x86->tcg"]);
 }
 
 #[test]
 fn verified_tcg_to_arm_passes_tcg_corpus() {
-    let tcg_corpus: Vec<_> = x86_corpus().iter().map(|p| VERIFIED.map_program(p)).collect();
-    for rmw in [RmwStyle::Rmw2Fenced, RmwStyle::Casal] {
-        let failures =
-            verify_suite(&VerifiedTcgToArm { rmw }, &tcg_corpus, &TcgIr::new(), &Arm::corrected());
-        assert!(failures.is_empty(), "rmw={rmw:?}: {failures:?}");
-    }
+    slice(&["verified tcg->arm (Rmw2Fenced)", "verified tcg->arm (Casal)"]);
 }
 
 #[test]
 fn verified_tcg_to_tso_passes_tcg_corpus() {
-    // The TSO mirror of `verified_tcg_to_arm_passes_tcg_corpus`: the same
-    // TCG-translated corpus, checked against the executable x86-TSO model
-    // instead of the corrected Arm model. Theorem 1 requires
-    // behaviors(target, X86Tso) ⊆ behaviors(source, TcgIr) even though the
-    // scheme erases most fences.
-    let tcg_corpus: Vec<_> = x86_corpus().iter().map(|p| VERIFIED.map_program(p)).collect();
-    let failures = verify_suite(&VerifiedTcgToTso, &tcg_corpus, &TcgIr::new(), &X86Tso::new());
-    assert!(failures.is_empty(), "failures: {failures:?}");
+    slice(&["verified tcg->tso"]);
 }
 
 #[test]
 fn verified_tcg_to_tso_exhaustive_fence_patterns() {
-    // Exhaustive Theorem-1 enumeration over every TCG-event/fence pattern:
-    // for each TCG fence kind, a two-thread MP/SB-shaped skeleton with the
-    // fence between the two accesses of each thread, in all four
-    // load/store orientations. Every one of these programs must check
-    // under the no-op/MFENCE lowering — this is the enumeration recorded
-    // in DESIGN.md §14.
-    use risotto_litmus::{Program, Reg};
-    use risotto_memmodel::{FenceKind, Loc};
-    let (x, y) = (Loc(0), Loc(1));
-    let mut family = Vec::new();
-    for &k in &FenceKind::TCG_ALL {
-        for (t0_store_first, t1_store_first) in
-            [(true, true), (true, false), (false, true), (false, false)]
-        {
-            let name = format!("tso-enum-{k:?}-{t0_store_first}-{t1_store_first}");
-            let p = Program::builder(&name)
-                .thread(|t| {
-                    if t0_store_first {
-                        t.store(x, 1).fence(k).load(Reg(0), y);
-                    } else {
-                        t.load(Reg(0), x).fence(k).store(y, 1);
-                    }
-                })
-                .thread(|t| {
-                    if t1_store_first {
-                        t.store(y, 1).fence(k).load(Reg(1), x);
-                    } else {
-                        t.load(Reg(1), y).fence(k).store(x, 1);
-                    }
-                })
-                .build();
-            family.push(p);
-        }
-    }
-    assert_eq!(family.len(), 48, "12 TCG fence kinds x 4 orientations");
-    let failures = verify_suite(&VerifiedTcgToTso, &family, &TcgIr::new(), &X86Tso::new());
-    assert!(failures.is_empty(), "TSO lowering violates Theorem 1: {failures:?}");
+    slice(&["verified tcg->tso"]);
 }
 
 #[test]
 fn verified_end_to_end_tso_passes_corpus() {
-    let s = verified_x86_to_tso();
-    let failures = verify_suite(&s, &x86_corpus(), &X86Tso::new(), &X86Tso::new());
-    assert!(failures.is_empty(), "failures: {failures:?}");
+    slice(&["verified x86->tso"]);
 }
 
 #[test]
 fn generated_sweep_verified_tso_scheme_subsampled() {
-    // The TSO mirror of `generated_sweep_verified_scheme_subsampled`.
-    let family = generate_two_thread(&x86_alphabet(), 2, 24);
-    let s = verified_x86_to_tso();
-    let failures = verify_suite(&s, &family, &X86Tso::new(), &X86Tso::new());
-    assert!(failures.is_empty(), "failures: {failures:?}");
+    slice(&["verified x86->tso"]);
 }
 
 #[test]
 fn generated_sweep_verified_tso_small_alphabet_exhaustive() {
-    // All 325 programs over the fence-free alphabet, x86→TCG→TSO.
-    let family = generate_two_thread(&x86_alphabet_small(), 2, 1);
-    let s = verified_x86_to_tso();
-    let failures = verify_suite(&s, &family, &X86Tso::new(), &X86Tso::new());
-    assert!(failures.is_empty(), "failures: {failures:?}");
+    slice(&["verified x86->tso"]);
 }
 
 #[test]
 fn verified_end_to_end_passes_corpus_both_lowerings() {
-    for rmw in [RmwStyle::Rmw2Fenced, RmwStyle::Casal] {
-        let s = verified_x86_to_arm(rmw);
-        let failures = verify_suite(&s, &x86_corpus(), &X86Tso::new(), &Arm::corrected());
-        assert!(failures.is_empty(), "rmw={rmw:?}: {failures:?}");
-    }
+    slice(&["verified x86->arm (Rmw2Fenced)", "verified x86->arm (Casal)"]);
 }
 
 #[test]
 fn qemu_end_to_end_fails_exactly_on_rmw_programs() {
-    for helper in [HelperStyle::Gcc9Lxsx, HelperStyle::Gcc10Casal] {
-        let s = qemu_x86_to_arm(helper);
-        let failures = verify_suite(&s, &x86_corpus(), &X86Tso::new(), &Arm::corrected());
-        let names: Vec<&str> = failures.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(!failures.is_empty(), "Qemu scheme must fail somewhere ({helper:?})");
-        for name in &names {
-            assert!(
-                name.contains("MPQ") || name.contains("SBQ") || name.contains("SBAL"),
-                "unexpected failure on fence-only program {name} ({helper:?})"
-            );
-        }
-    }
+    slice(&["qemu x86->arm (Gcc9Lxsx)", "qemu x86->arm (Gcc10Casal)"]);
 }
 
 #[test]
 fn generated_sweep_verified_scheme_subsampled() {
-    // ~66 programs from the full alphabet (stride 24).
-    let family = generate_two_thread(&x86_alphabet(), 2, 24);
-    let s = verified_x86_to_arm(RmwStyle::Casal);
-    let failures = verify_suite(&s, &family, &X86Tso::new(), &Arm::corrected());
-    assert!(failures.is_empty(), "failures: {failures:?}");
+    slice(&["verified x86->arm (Casal)"]);
 }
 
 #[test]
 fn generated_sweep_verified_scheme_small_alphabet_exhaustive() {
-    // All 325 programs over the fence-free alphabet.
-    let family = generate_two_thread(&x86_alphabet_small(), 2, 1);
-    let s = verified_x86_to_arm(RmwStyle::Rmw2Fenced);
-    let failures = verify_suite(&s, &family, &X86Tso::new(), &Arm::corrected());
-    assert!(failures.is_empty(), "failures: {failures:?}");
+    slice(&["verified x86->arm (Rmw2Fenced)"]);
 }
 
 // ------------------------------------------------------------------------
@@ -242,7 +144,7 @@ fn verified_transformations_never_introduce_behaviors() {
                 .build(),
         ]
     };
-    let sources: Vec<_> = x86_corpus()
+    let sources: Vec<_> = corpus::x86()
         .iter()
         .map(|p| VERIFIED.map_program(p))
         .chain([corpus::lb_ir(), corpus::mp_ir(), corpus::merge_example(), corpus::false_dep()])

@@ -231,22 +231,8 @@ fn analysed_images() -> Vec<GuestBinary> {
     for (threads, vars) in [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (4, 4)] {
         images.push(cas::cas_bench(10_000, threads, vars));
     }
-    let x86_litmus = [
-        corpus::mp(),
-        corpus::sb(),
-        corpus::sb_fenced(),
-        corpus::lb(),
-        corpus::iriw(),
-        corpus::two_plus_two_w(),
-        corpus::s_test(),
-        corpus::r_test(),
-        corpus::mpq_x86(),
-        corpus::sbq_x86(),
-        corpus::sbal_x86(),
-        corpus::lb_ir_unfenced(),
-    ];
-    for prog in &x86_litmus {
-        images.push(compile_litmus(prog, &vec![0; prog.threads.len()]).binary);
+    for prog in corpus::x86().into_iter().chain([corpus::lb_ir_unfenced()]) {
+        images.push(compile_litmus(&prog, &vec![0; prog.threads.len()]).binary);
     }
     for (_, text) in REPRODUCERS {
         images.push(parse_corpus(text).expect("corpus parses").lower().expect("corpus lowers"));

@@ -13,11 +13,12 @@
 //!    the MiniTSO dialect (tier-0 code has no IR, so Pass 3's dialect
 //!    restriction never sees it at runtime).
 //! 2. **Theorem 1 per template** — the templates themselves, projected
-//!    to litmus instructions, form a mapping scheme; that scheme is run
-//!    through the executable Theorem-1 checker against the axiomatic
-//!    models, per backend, exactly like the Fig. 7 schemes. This is the
-//!    *static* verification that lets tier-0 skip the per-block
-//!    Pass 1/2 verifier at runtime.
+//!    to litmus instructions, form a mapping scheme; each configuration
+//!    is a row of the Theorem-1 verdict table's kind, checked per
+//!    backend through the same `check_row` as the Fig. 7 schemes, over
+//!    the x86 corpus and the debug-sized family. This is the *static*
+//!    verification that lets tier-0 skip the per-block Pass 1/2
+//!    verifier at runtime.
 //! 3. **End-to-end equivalence** — every kernel, CAS-grid and reproducer
 //!    program ends as the reference interpreter ends under tier-0 alone
 //!    and under the two-tier ladder, on every setup and both backends,
@@ -35,10 +36,10 @@ use risotto::host::{
     ArmBackend, BackendConfig, Dmb, HostBackend, HostInsn, MemOrder, RmwStyle, ENV_BASE, SPILL_BASE,
 };
 use risotto::host_tso::TsoBackend;
-use risotto::litmus::{corpus, Instr, Program, RmwKind};
-use risotto::mappings::check::check_mapping;
+use risotto::litmus::{Instr, Program, RmwKind};
+use risotto::mappings::check::{assert_rows, rows, Model, Row, Sources};
 use risotto::mappings::scheme::MappingScheme;
-use risotto::memmodel::{Arm, FenceKind, X86Tso};
+use risotto::memmodel::FenceKind;
 use risotto::tcg::{translate_block, FrontendConfig};
 use risotto::template::insn_template;
 use risotto::template::translate_block_template;
@@ -378,17 +379,17 @@ fn emitters_place_the_tables_fences_around_every_access() {
 /// instruction is mapped by instantiating the *actual* template for a
 /// representative guest instruction and projecting the host stream onto
 /// the litmus alphabet of the target model.
-struct TemplateScheme<'a> {
+struct TemplateScheme {
     nm: String,
     cfg: FrontendConfig,
     bcfg: BackendConfig,
-    host: &'a dyn HostBackend,
+    host: &'static dyn HostBackend,
     /// Projection alphabet: `true` targets the x86-TSO model (`MFENCE`,
     /// `X86Lock`), `false` the Arm model (`DMB*`, `casal`, exclusives).
     tso_host: bool,
 }
 
-impl TemplateScheme<'_> {
+impl TemplateScheme {
     fn fence_of(&self, d: Dmb) -> FenceKind {
         if self.tso_host {
             // The TSO dialect only ever emits the full barrier.
@@ -402,176 +403,119 @@ impl TemplateScheme<'_> {
             }
         }
     }
-
-    /// Instantiates the template for `g` and projects it around the
-    /// litmus payload `body(out)` invoked once per guest memory event.
-    fn walk(&self, g: &Insn, mut body: impl FnMut(&HostInsn, &mut Vec<Instr>)) -> Vec<Instr> {
-        let host = insn_template(g, 0x4000, self.cfg, self.bcfg, self.host)
-            .unwrap_or_else(|e| panic!("{}: template for {g:?}: {e}", self.nm));
-        let mut out = Vec::new();
-        let mut pending_acq = false;
-        for i in &host {
-            match *i {
-                HostInsn::Barrier(d) => out.push(Instr::Fence(self.fence_of(d))),
-                HostInsn::Ldxr { acquire, .. } => pending_acq = acquire,
-                _ => body(i, &mut out),
-            }
-        }
-        let _ = pending_acq;
-        out
-    }
 }
 
-impl MappingScheme for TemplateScheme<'_> {
+impl MappingScheme for TemplateScheme {
     fn name(&self) -> &str {
         &self.nm
     }
 
+    /// Instantiates the template of a representative guest instruction
+    /// for `instr` and projects its host stream onto `instr`'s events.
     fn map_instr(&self, instr: &Instr) -> Vec<Instr> {
         use risotto::memmodel::AccessMode;
-        match instr {
-            Instr::Load { dst, loc, mode: AccessMode::Plain } => {
-                let g = Insn::Load { dst: Gpr::RAX, base: Gpr::RBX, disp: 0 };
-                self.walk(&g, |i, out| {
-                    if let HostInsn::Ldr { base, .. } = *i {
-                        if base != ENV_BASE && base != SPILL_BASE {
-                            out.push(Instr::Load { dst: *dst, loc: *loc, mode: AccessMode::Plain });
-                        }
-                    }
-                })
+        let g = match instr {
+            Instr::Load { mode: AccessMode::Plain, .. } => {
+                Insn::Load { dst: Gpr::RAX, base: Gpr::RBX, disp: 0 }
             }
-            Instr::Store { loc, val, mode: AccessMode::Plain } => {
-                let g = Insn::Store { base: Gpr::RBX, disp: 0, src: Gpr::RAX };
-                self.walk(&g, |i, out| {
-                    if let HostInsn::Str { base, .. } = *i {
-                        if base != ENV_BASE && base != SPILL_BASE {
-                            out.push(Instr::Store {
-                                loc: *loc,
-                                val: val.clone(),
-                                mode: AccessMode::Plain,
-                            });
-                        }
-                    }
-                })
+            Instr::Store { mode: AccessMode::Plain, .. } => {
+                Insn::Store { base: Gpr::RBX, disp: 0, src: Gpr::RAX }
             }
-            Instr::Rmw { dst, loc, expected, desired, kind: RmwKind::X86Lock } => {
-                let g = Insn::LockCmpxchg { base: Gpr::RBX, disp: 0, src: Gpr::RCX };
-                let rmw = |kind: RmwKind| Instr::Rmw {
-                    dst: *dst,
-                    loc: *loc,
-                    expected: expected.clone(),
-                    desired: desired.clone(),
-                    kind,
-                };
-                let host = insn_template(&g, 0x4000, self.cfg, self.bcfg, self.host)
-                    .unwrap_or_else(|e| panic!("{}: template for {g:?}: {e}", self.nm));
-                let mut out = Vec::new();
-                let mut pending_acq = false;
-                for i in &host {
-                    match *i {
-                        HostInsn::Barrier(d) => out.push(Instr::Fence(self.fence_of(d))),
-                        HostInsn::Cas { acq_rel, .. } => {
-                            assert!(acq_rel, "{}: plain CAS in an RMW template", self.nm);
-                            out.push(rmw(if self.tso_host {
-                                RmwKind::X86Lock
-                            } else {
-                                RmwKind::ArmCasal
-                            }));
-                        }
-                        HostInsn::Ldxr { acquire, .. } => pending_acq = acquire,
-                        HostInsn::Stxr { release, .. } => {
-                            out.push(rmw(RmwKind::ArmLxsx { acq: pending_acq, rel: release }));
-                        }
-                        HostInsn::Hcall { .. } => {
-                            // The RMW helpers execute atomically with SC
-                            // semantics on the simulated machine.
-                            if self.tso_host {
-                                out.push(rmw(RmwKind::X86Lock));
-                            } else {
-                                out.push(Instr::Fence(FenceKind::DmbFf));
-                                out.push(rmw(RmwKind::ArmLxsx { acq: true, rel: true }));
-                                out.push(Instr::Fence(FenceKind::DmbFf));
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                out
+            Instr::Rmw { kind: RmwKind::X86Lock, .. } => {
+                Insn::LockCmpxchg { base: Gpr::RBX, disp: 0, src: Gpr::RCX }
             }
-            Instr::Fence(FenceKind::MFence) => self.walk(&Insn::Mfence, |_, _| {}),
-            Instr::Let { .. } => vec![instr.clone()],
+            Instr::Fence(FenceKind::MFence) => Insn::Mfence,
+            Instr::Let { .. } => return vec![instr.clone()],
             other => panic!("{}: not an x86 instruction: {other:?}", self.nm),
+        };
+        let rmw = |kind: RmwKind| {
+            let mut out = instr.clone();
+            if let Instr::Rmw { kind: k, .. } = &mut out {
+                *k = kind;
+            }
+            out
+        };
+        let host = insn_template(&g, 0x4000, self.cfg, self.bcfg, self.host)
+            .unwrap_or_else(|e| panic!("{}: template for {g:?}: {e}", self.nm));
+        let mut out = Vec::new();
+        let mut pending_acq = false;
+        for i in &host {
+            match (*i, instr) {
+                (HostInsn::Barrier(d), _) => out.push(Instr::Fence(self.fence_of(d))),
+                (HostInsn::Ldr { base, .. }, Instr::Load { .. })
+                | (HostInsn::Str { base, .. }, Instr::Store { .. })
+                    if base != ENV_BASE && base != SPILL_BASE =>
+                {
+                    out.push(instr.clone());
+                }
+                (HostInsn::Ldxr { acquire, .. }, _) => pending_acq = acquire,
+                (HostInsn::Cas { acq_rel, .. }, Instr::Rmw { .. }) => {
+                    assert!(acq_rel, "{}: plain CAS in an RMW template", self.nm);
+                    out.push(rmw(if self.tso_host { RmwKind::X86Lock } else { RmwKind::ArmCasal }));
+                }
+                (HostInsn::Stxr { release, .. }, Instr::Rmw { .. }) => {
+                    out.push(rmw(RmwKind::ArmLxsx { acq: pending_acq, rel: release }));
+                }
+                // The RMW helpers execute atomically with SC semantics on
+                // the simulated machine.
+                (HostInsn::Hcall { .. }, Instr::Rmw { .. }) if self.tso_host => {
+                    out.push(rmw(RmwKind::X86Lock));
+                }
+                (HostInsn::Hcall { .. }, Instr::Rmw { .. }) => out.extend([
+                    Instr::Fence(FenceKind::DmbFf),
+                    rmw(RmwKind::ArmLxsx { acq: true, rel: true }),
+                    Instr::Fence(FenceKind::DmbFf),
+                ]),
+                _ => {}
+            }
         }
+        out
     }
 }
 
-fn theorem1_suite() -> Vec<Program> {
-    vec![
-        corpus::mp(),
-        corpus::sb(),
-        corpus::sb_fenced(),
-        corpus::lb(),
-        corpus::s_test(),
-        corpus::mpq_x86(),
-        corpus::sbq_x86(),
-        corpus::sbal_x86(),
-    ]
+/// The sound template row of `cname`'s frontend scheme and `rmw` on
+/// the host `to` judges: the Arm backend under the corrected Arm model,
+/// the TSO backend under x86-TSO.
+fn template_row(cname: &str, cfg: FrontendConfig, rmw: RmwStyle, to: Model) -> Row {
+    let tso_host = to == Model::X86Tso;
+    let host: &'static dyn HostBackend = if tso_host { &TsoBackend } else { &ArmBackend };
+    let nm = format!("tier0-templates({cname}/{}/{rmw:?})", host.name());
+    let scheme =
+        TemplateScheme { nm: nm.clone(), cfg, bcfg: BackendConfig::dbt(rmw), host, tso_host };
+    Row::new(&nm, scheme, Model::X86Tso, to)
 }
 
-/// Every template of the verified configurations passes the executable
-/// Theorem-1 check per backend: projected to litmus instructions, the
-/// template translation of each corpus program (including the paper's
-/// RMW counterexamples) introduces no new behavior under the corrected
-/// Arm model, and none under x86-TSO for the TSO backend. This is the
-/// static verification that replaces the per-block Pass 1/2 runs for
-/// tier-0 code.
+/// The template rows of the verified configurations are sound per
+/// backend: projected to litmus instructions, the template translation
+/// of every x86 corpus and family program (the paper's RMW
+/// counterexamples included) introduces no new behavior under the
+/// corrected Arm model, and none under x86-TSO for the TSO backend. This
+/// is the static verification that replaces the per-block Pass 1/2 runs
+/// for tier-0 code.
 #[test]
 fn verified_templates_satisfy_theorem1_per_backend() {
-    let x86 = X86Tso::new();
-    let arm = Arm::corrected();
-    let cfgs = [("risotto", FrontendConfig::risotto()), ("tcg-ver", FrontendConfig::tcg_ver())];
-    for prog in theorem1_suite() {
-        for (cname, cfg) in cfgs {
-            for rmw in [RmwStyle::Casal, RmwStyle::Rmw2Fenced] {
-                let s = TemplateScheme {
-                    nm: format!("tier0-templates({cname}/arm/{rmw:?})"),
-                    cfg,
-                    bcfg: BackendConfig::dbt(rmw),
-                    host: &ArmBackend,
-                    tso_host: false,
-                };
-                check_mapping(&s, &prog, &x86, &arm)
-                    .unwrap_or_else(|e| panic!("{} failed on {}: {e}", s.nm, prog.name));
-            }
-            let s = TemplateScheme {
-                nm: format!("tier0-templates({cname}/tso)"),
-                cfg,
-                bcfg: BackendConfig::dbt(RmwStyle::Casal),
-                host: &TsoBackend,
-                tso_host: true,
-            };
-            check_mapping(&s, &prog, &x86, &x86)
-                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", s.nm, prog.name));
+    let mut rows = Vec::new();
+    for (cname, cfg) in
+        [("risotto", FrontendConfig::risotto()), ("tcg-ver", FrontendConfig::tcg_ver())]
+    {
+        for rmw in [RmwStyle::Casal, RmwStyle::Rmw2Fenced] {
+            rows.push(template_row(cname, cfg, rmw, Model::ArmCorrected));
         }
+        rows.push(template_row(cname, cfg, RmwStyle::Casal, Model::X86Tso));
     }
+    assert_rows(&rows, &Sources::debug());
 }
 
-/// Negative control: the fence-free template configuration must FAIL
-/// Theorem 1 on MP under the Arm model — if it passed, the checker
-/// would be vacuous for template schemes.
+/// Negative control: the fence-free template row on Arm fails exactly
+/// where the no-fences x86→Arm row of the table does — if it passed, the
+/// checker would be vacuous for template schemes.
 #[test]
 fn fence_free_templates_fail_theorem1_on_arm() {
-    let s = TemplateScheme {
-        nm: "tier0-templates(no-fences/arm)".into(),
-        cfg: FrontendConfig::no_fences(),
-        bcfg: BackendConfig::dbt(RmwStyle::Casal),
-        host: &ArmBackend,
-        tso_host: false,
-    };
-    assert!(
-        check_mapping(&s, &corpus::mp(), &X86Tso::new(), &Arm::corrected()).is_err(),
-        "fence-free templates must introduce behaviors on MP"
-    );
+    let no_fences = &rows(&["no-fences x86->arm"])[0];
+    let cfg = FrontendConfig::no_fences();
+    let row = template_row("no-fences", cfg, RmwStyle::Casal, Model::ArmCorrected)
+        .fails(no_fences.corpus_fails, no_fences.family_fails);
+    assert_rows(&[row], &Sources::debug());
 }
 
 // ---------------------------------------------------------------------

@@ -37,7 +37,7 @@
 pub mod functional;
 
 use risotto::core::{BackendKind, EmuConfig, Emulator, MetricsSnapshot, Setup, VerifyLevel};
-use risotto::litmus::{behaviors, corpus, Behavior, Program};
+use risotto::litmus::{behaviors, corpus, Behavior, Instr, Program};
 use risotto::memmodel::X86Tso;
 use risotto::workloads::litmus_compile::compile_litmus;
 use std::collections::BTreeSet;
@@ -56,23 +56,23 @@ pub const STAGGERS: [&[u64]; 10] = [
     &[200, 0],
 ];
 
-/// The programs `compile_litmus` turns into guest binaries: the
-/// x86-flavoured ones of `corpus::all()`, each paired with whether it
-/// holds a LOCK-prefixed RMW.
-fn programs() -> [(Program, bool); 11] {
-    [
-        (corpus::mp(), false),
-        (corpus::sb(), false),
-        (corpus::sb_fenced(), false),
-        (corpus::lb(), false),
-        (corpus::iriw(), false),
-        (corpus::two_plus_two_w(), false),
-        (corpus::s_test(), false),
-        (corpus::r_test(), false),
-        (corpus::mpq_x86(), true),
-        (corpus::sbq_x86(), true),
-        (corpus::sbal_x86(), true),
-    ]
+/// The programs `compile_litmus` turns into guest binaries
+/// (`corpus::x86()`), each paired with whether it holds a LOCK-prefixed
+/// RMW.
+fn programs() -> Vec<(Program, bool)> {
+    fn has_rmw(instrs: &[Instr]) -> bool {
+        instrs.iter().any(|i| match i {
+            Instr::Rmw { .. } => true,
+            Instr::If { then, els, .. } => has_rmw(then) || has_rmw(els),
+            _ => false,
+        })
+    }
+    (corpus::x86().into_iter())
+        .map(|p| {
+            let rmw = p.threads.iter().any(|t| has_rmw(&t.instrs));
+            (p, rmw)
+        })
+        .collect()
 }
 
 /// Which translation tiers serve a run.
