@@ -18,27 +18,33 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Cross-backend gate (docs/BACKENDS.md): the MiniTSO backend's unit
-# suite (lowering, dialect verifier, mutant kill), then the seeded fuzz
-# matrix, the engine-level Pass-3 mutant kill and the BACKENDS.md
-# completeness test in both directions, the tier-0 template suite
-# (which holds the static check that TSO templates stay inside the TSO
-# dialect), and both oracles over the one leg table
-# (tests/theorem1/mod.rs: native, every setup × backend × tier ×
-# analysis, risotto with chaining off; all at VerifyLevel::Full). The
-# functional matrix: every kernel, CAS-grid and fuzz-reproducer
-# program must end as the reference interpreter ends (exit values,
-# output, .data) with a clean verifier, and analysis-on runs must match
-# their analysis-off twins. Its slices run in end_to_end (native and
-# Arm tier-1), backends (TSO tier-1), templates (tier-0, ladder),
-# chaining (chaining off) and analysis (analysis on). The litmus matrix:
-# every x86 litmus program × stagger on every leg but no-fences must
-# stay within the x86-allowed behaviors with a clean verifier. Its
-# slices run in litmus_through_dbt (Arm tier-1), backends (TSO tier-1),
-# templates (tier-0), analysis (analysis on) and the verifier gate below
-# (the tier-0→1 ladder).
+# suite (lowering, dialect verifier, mutant kill), then the engine-level
+# Pass-3 mutant kill and the BACKENDS.md completeness test in both
+# directions, the tier-0 template suite (which holds the static check
+# that TSO templates stay inside the TSO dialect), and both oracles over
+# the one leg table (risotto_fuzz::legs: native, every setup × backend ×
+# tier × analysis, risotto with chaining off and with the optimizer
+# off; all at VerifyLevel::Full). The functional matrix: every kernel,
+# CAS-grid, fuzz-reproducer and generated program must pass the run
+# check the fuzzer shares (risotto_fuzz::run_checked: exit values,
+# output, .data and single-core registers and flags as the reference
+# interpreter ends them, a clean verifier and chain graph, the leg's
+# counters, and atomics as the program's risotto/Arm/tier-1 run), and
+# analysis-on runs must match their analysis-off twins. Its slices run
+# in end_to_end (native and Arm tier-1), backends (TSO tier-1, and the
+# generated batch 0xBAC0_0000 on every leg), templates (tier-0, ladder),
+# chaining (chaining off), analysis (analysis on) and fuzz (the
+# generated batch 0xD1F on every leg); in this release build the two
+# generated batches run their whole programs × legs product (a debug
+# build runs every 19th case). The litmus matrix: every x86 litmus
+# program × stagger on every leg but no-fences must stay within the
+# x86-allowed behaviors with a clean verifier. Its slices run in
+# litmus_through_dbt (Arm tier-1), backends (TSO tier-1), templates
+# (tier-0), analysis (analysis on) and the verifier gate below (the
+# tier-0→1 ladder).
 cargo test -q --release -p risotto-host-tso
 cargo test -q --release --test backends --test templates --test litmus_through_dbt --test analysis \
-    --test chaining --test end_to_end
+    --test chaining --test end_to_end --test fuzz
 # `dump_translation --backend tso` must show MiniTSO code on every leg:
 # no partial barrier, no exclusive pair, no Arm heading.
 tso_dump="$(mktemp /tmp/dump_tso.XXXXXX.txt)"
@@ -229,6 +235,15 @@ if grep -rnE "\.set_(verify|tiering|analysis)\(" crates src tests examples; then
     exit 1
 fi
 
+# One differential oracle: the leg table and the run check live in
+# risotto_fuzz::diff, and the fuzzer names its runs as legs of that
+# table. Its own warm threshold, configuration enum and run helpers stay
+# deleted.
+if grep -rnE "FUZZ_HOT_THRESHOLD|enum Config\b|fn (emu_config|run_config)\b" crates src tests examples; then
+    echo "ci: the fuzzer's runs are legs of risotto_fuzz::legs, checked by run_checked" >&2
+    exit 1
+fi
+
 # One counter surface: `Report` is the run's result (cycles, exit
 # values, output, translated blocks, code size) and every count is a row
 # of `Emulator::metrics()`. None of the deleted second copies may come
@@ -312,10 +327,13 @@ for w in doc["workloads"]:
 EOF
 rm -f "$metrics_json"
 
-# Differential-fuzz gate (docs/FUZZING.md): a seeded smoke run across
-# the full oracle matrix. The binary exits nonzero on any divergence,
-# validator violation, or fault-contract breach; the corpus replay
-# itself runs inside `cargo test --test fuzz` above. Fixed seed:
+# Differential-fuzz gate (docs/FUZZING.md): a seeded smoke run of the
+# interpreter and the five legs of risotto_fuzz::FUZZ_LEGS — risotto/
+# Arm/tier-1, the same with the optimizer off, on the tier-0→1 ladder,
+# on the TSO backend and with analysis on — each run through the run
+# check the functional matrix shares. The binary exits nonzero on any
+# divergence, validator violation, or fault-contract breach; the corpus
+# replay itself runs inside `cargo test --test fuzz` above. Fixed seed:
 # failures are replayable. The artifact holds the driver's own five
 # counters (docs/FUZZING.md § Metrics), nothing else.
 fuzz_json="$(mktemp /tmp/fuzz_metrics.XXXXXX.json)"
@@ -330,8 +348,7 @@ assert all(name.startswith("fuzz.") for name in m), sorted(m)
 assert m["fuzz.divergences"]["value"] == 0, m["fuzz.divergences"]
 assert m["fuzz.programs"]["value"] >= 300, m["fuzz.programs"]
 assert m["fuzz.fault_runs"]["value"] > 0, m["fuzz.fault_runs"]
-# The full oracle matrix is interp + tier0 + tier1 + tier1-noopt +
-# tier1-tso + tier1-analysis: exactly six configurations per program.
+# The interpreter and the five legs: exactly six runs per program.
 assert m["fuzz.configs_run"]["value"] == 6 * m["fuzz.programs"]["value"], m
 EOF
 rm -f "$fuzz_json"

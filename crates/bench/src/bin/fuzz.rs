@@ -1,8 +1,9 @@
 //! Differential fuzzing driver: seeded random MiniX86 programs through
-//! the full oracle matrix (interpreter, tier-1, tier-1 without the
-//! optimizer, the tier-0 ladder with a lowered warm threshold, tier-1 on
-//! MiniTSO, tier-1 with analysis), with the translation verifier as a
-//! second oracle on every DBT run (DESIGN.md §13, docs/FUZZING.md).
+//! the interpreter and the five legs of `risotto_fuzz::FUZZ_LEGS`
+//! (risotto/Arm/tier-1, the same with the optimizer off, on the tier-0→1
+//! ladder, on MiniTSO and with analysis on), each run checked by the one
+//! run check the functional matrix shares, the translation verifier
+//! included (DESIGN.md §13, docs/FUZZING.md).
 //!
 //! ```sh
 //! cargo run --release -p risotto-bench --bin fuzz -- \
@@ -38,8 +39,9 @@ const MINIMIZE_STEPS: u64 = 20_000;
 const DEFAULT_SEED: u64 = 0xD1FF_F022_2026_0808;
 
 fn main() {
-    // No `--backend`, `--tiers` or `--analysis`: the oracle matrix
-    // already runs every backend, tier and analysis setting.
+    // No `--backend`, `--tiers` or `--analysis`: the five legs fix them.
+    // Every setup × backend × tier × analysis leg runs on generated
+    // programs in the functional matrix (`tests/theorem1/functional.rs`).
     let cli = BenchCli::parse("fuzz", &["--smoke", "--metrics-json", "--seed", "--iters"]);
     let seed = cli.u64_value("--seed", DEFAULT_SEED).unwrap_or_else(die);
     let default_iters = if cli.smoke { SMOKE_ITERS } else { FULL_ITERS };
@@ -148,7 +150,7 @@ fn main() {
 
     println!();
     if divergent.is_empty() {
-        println!("zero divergences: all configurations agreed on every program.");
+        println!("zero divergences: every leg agreed with the interpreter on every program.");
     } else {
         println!("!! {} divergent program(s); reproducers in fuzz-failures/", divergent.len());
         std::process::exit(1);

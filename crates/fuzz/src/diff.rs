@@ -1,108 +1,355 @@
-//! Cross-tier differential execution: one program, six observers.
+//! The differential oracle: one leg table and one run check.
 //!
-//! Every generated program runs through the reference interpreter and
-//! five DBT configurations — tier-1, tier-1 with the optimizer off, the
-//! tier ladder with the tier-0 template translator enabled (cold blocks
-//! are IR-less templates that promote to tier-1 at a lowered
-//! threshold), tier-1 on the MiniTSO host backend (the cross-backend
-//! oracle) and tier-1 with analysis-driven relaxation — all with
-//! [`VerifyLevel::Full`] as a second oracle. The comparison covers exit
-//! values, the `WRITE` byte stream, the final data-section image, final
-//! register files and flags (single-core), atomic-access event orderings
-//! (single-core) and per-cell successful-update counts (multi-core), and
-//! the validator's violation counter. Any disagreement is a
-//! [`Divergence`].
+//! A leg ([`Leg`]) is one emulator configuration, and [`legs`] is the
+//! table every dynamic oracle reads: the native oracle; {qemu, no-fences,
+//! tcg-ver, risotto} × backend {Arm, TSO} × rung {tier-1 only, tier-0
+//! only, the tier-0→1 ladder} × analysis {off, on}; and [`RISOTTO`] with
+//! chaining off and with the optimizer off — 51 legs, all at
+//! [`VerifyLevel::Full`] with the atomic log on.
+//!
+//! A [`Subject`] is a guest program together with how the reference
+//! interpreter ends it. [`run_checked`] runs a subject under one leg and
+//! checks the run; [`differential`] runs a generated program under the
+//! five legs of [`FUZZ_LEGS`], and the functional matrix
+//! (`tests/theorem1/functional.rs`) runs its programs under every leg,
+//! both through [`run_checked`]. Any broken rule is a [`Divergence`].
 //!
 //! A separate fault-composed mode layers a random [`FaultPlan`] over the
 //! program and checks the graceful-degradation contract from PR 1:
 //! either the run completes with exactly the fault-free results, or it
 //! fails with a typed error — never a panic, never silent divergence.
 
-use crate::spec::{ProgSpec, CELLS, SLOTS};
+use crate::spec::ProgSpec;
 use risotto_core::{
-    AtomicEvent, BackendKind, EmuConfig, Emulator, FaultPlan, FaultSite, PassConfig, Report, Setup,
-    SplitMix64, VerifyLevel,
+    AtomicEvent, BackendKind, EmuConfig, EmuError, Emulator, FaultPlan, FaultSite, MetricsSnapshot,
+    PassConfig, Report, Setup, SplitMix64, VerifyLevel,
 };
-use risotto_guest_x86::{Flags, Gpr, GuestBinary, Interp};
+use risotto_guest_x86::{Flags, Gpr, GuestBinary, Interp, SparseMem, DATA_BASE};
+use std::collections::BTreeMap;
 
-/// Warm threshold the fuzz harness wires into its tier-0 configuration —
-/// low enough that the short generated loops actually promote from
-/// templates to tier-1.
-pub const FUZZ_HOT_THRESHOLD: u64 = 8;
-
-/// The DBT oracle configurations (the interpreter is always run too).
+/// Which translation tiers serve a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Config {
-    /// Tier-1 translation, full optimizer (the production path).
+pub enum Rung {
+    /// Every block through the tier-1 pipeline.
     Tier1,
-    /// Tier-1 with every optimization pass disabled.
-    Tier1NoOpt,
-    /// The tier ladder: cold blocks start as tier-0 IR-less templates
-    /// and re-translate through tier-1 at [`FUZZ_HOT_THRESHOLD`].
+    /// Every block a tier-0 template: the warm threshold is never reached.
     Tier0,
-    /// Tier-1 on the MiniTSO host backend (docs/BACKENDS.md): the
-    /// standing cross-backend differential oracle — guest-visible
-    /// state must be bit-identical to the Arm-backend runs.
-    Tier1Tso,
-    /// Tier-1 with whole-program analysis-driven fence relaxation
-    /// enabled (docs/ANALYSIS.md): guest-visible state must be
-    /// bit-identical to the unrelaxed tier-1 run, and the Full-level
-    /// verifier must accept every relaxed translation.
-    Tier1Analysis,
+    /// Tier-0 templates, promoted to tier-1 at a block's fourth entry.
+    Ladder,
 }
 
-impl Config {
-    /// All DBT configurations, in comparison order.
-    pub const ALL: [Config; 5] =
-        [Config::Tier1, Config::Tier1NoOpt, Config::Tier0, Config::Tier1Tso, Config::Tier1Analysis];
+/// One emulator configuration every program runs under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leg {
+    /// The evaluation setup.
+    pub setup: Setup,
+    /// The host backend.
+    pub backend: BackendKind,
+    /// Which tiers translate.
+    pub rung: Rung,
+    /// Analysis-driven fence relaxation.
+    pub analysis: bool,
+    /// Direct TB chaining and the jump cache; off, every exit goes
+    /// through the dispatcher.
+    pub chaining: bool,
+    /// Every optimizer pass; off, `PassConfig::none()`: the raw frontend
+    /// IR, in which only each block's last flag writer sets the flags.
+    pub optimize: bool,
+}
 
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Config::Tier1 => "tier1",
-            Config::Tier1NoOpt => "tier1-noopt",
-            Config::Tier0 => "tier0",
-            Config::Tier1Tso => "tier1-tso",
-            Config::Tier1Analysis => "tier1-analysis",
+impl Leg {
+    /// The emulator configuration of this leg.
+    pub fn config(self) -> EmuConfig {
+        let warm_threshold = match self.rung {
+            Rung::Tier1 => None,
+            Rung::Tier0 => Some(u64::MAX),
+            Rung::Ladder => Some(4),
+        };
+        EmuConfig {
+            backend: self.backend,
+            passes: if self.optimize { PassConfig::all() } else { PassConfig::none() },
+            verify: VerifyLevel::Full,
+            warm_threshold,
+            analysis: self.analysis,
+            chaining: self.chaining,
+            atomic_log: true,
+            ..EmuConfig::default()
         }
     }
 }
 
-/// Everything observable we collect from one execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Outcome {
-    /// Per-core exit values.
+/// The paper's setup on the default host, every block through tier-1.
+pub const RISOTTO: Leg = Leg {
+    setup: Setup::Risotto,
+    backend: BackendKind::Arm,
+    rung: Rung::Tier1,
+    analysis: false,
+    chaining: true,
+    optimize: true,
+};
+
+/// The native oracle, every DBT setup × backend × rung × analysis, and
+/// [`RISOTTO`] with chaining off and with the optimizer off.
+pub fn legs() -> Vec<Leg> {
+    let mut legs = vec![Leg { setup: Setup::Native, ..RISOTTO }];
+    for setup in [Setup::Qemu, Setup::NoFences, Setup::TcgVer, Setup::Risotto] {
+        for backend in BackendKind::ALL {
+            for rung in [Rung::Tier1, Rung::Tier0, Rung::Ladder] {
+                for analysis in [false, true] {
+                    legs.push(Leg { setup, backend, rung, analysis, ..RISOTTO });
+                }
+            }
+        }
+    }
+    legs.push(Leg { chaining: false, ..RISOTTO });
+    legs.push(Leg { optimize: false, ..RISOTTO });
+    legs
+}
+
+/// The legs [`differential`] runs, [`RISOTTO`] first: it with the
+/// optimizer off, on the ladder (so a generated hot loop crosses both
+/// tiers), on the TSO backend and with analysis on.
+pub const FUZZ_LEGS: [Leg; 5] = [
+    RISOTTO,
+    Leg { optimize: false, ..RISOTTO },
+    Leg { rung: Rung::Ladder, ..RISOTTO },
+    Leg { backend: BackendKind::Tso, ..RISOTTO },
+    Leg { analysis: true, ..RISOTTO },
+];
+
+/// A guest program and how the reference interpreter ends it.
+#[derive(Debug)]
+pub struct Subject {
+    /// Names the program in a failure.
+    pub name: String,
+    /// The program.
+    pub bin: GuestBinary,
+    /// Cores every run gets.
+    pub cores: usize,
+    /// The interpreter's exit value of each thread, by core; `None` for
+    /// a core the program never spawns a thread on.
     pub exit_vals: Vec<Option<u64>>,
     /// The `WRITE` byte stream.
     pub output: Vec<u8>,
-    /// Final data-section words (shared cells + every private region).
+    /// Every `.data` word.
     pub data: Vec<u64>,
-    /// Final register file of every core (DBT runs only fill core 0 for
-    /// multi-core programs; children end halted with squashed state).
-    pub regs: Vec<[u64; 16]>,
-    /// Final flags of core 0 (`None` for the interpreter, which does not
-    /// expose its flags).
-    pub flags0: Option<Flags>,
-    /// Ordered atomic events on guest data addresses (DBT runs only).
+    /// Thread 0's final register file.
+    pub regs: [u64; 16],
+    /// Thread 0's final flags.
+    pub flags: Flags,
+    /// Host steps a run may take: 64 per interpreted instruction, plus a
+    /// million, so a run that does not terminate fails rather than hangs.
+    fuel: u64,
+}
+
+/// Every `.data` word of `bin` in `mem`.
+fn data_words(mem: &SparseMem, bin: &GuestBinary) -> Vec<u64> {
+    (0..bin.data.len().div_ceil(8) as u64).map(|i| mem.read_u64(DATA_BASE + 8 * i)).collect()
+}
+
+impl Subject {
+    /// Runs `bin` through the reference interpreter, which may execute
+    /// `interp_fuel` instructions.
+    ///
+    /// # Errors
+    ///
+    /// The interpreter's error, when it does not end the program.
+    pub fn new(
+        name: String,
+        bin: GuestBinary,
+        cores: usize,
+        interp_fuel: u64,
+    ) -> Result<Self, String> {
+        let mut interp = Interp::new(&bin);
+        interp.run(interp_fuel).map_err(|e| format!("{name}: reference interpreter: {e}"))?;
+        let exit_vals =
+            (0..cores).map(|t| (t < interp.thread_count()).then(|| interp.exit_val(t))).collect();
+        Ok(Subject {
+            data: data_words(&interp.mem, &bin),
+            regs: std::array::from_fn(|i| interp.reg(0, Gpr(i as u8))),
+            flags: interp.flags(0),
+            fuel: interp.steps() * 64 + 1_000_000,
+            output: interp.output,
+            name,
+            bin,
+            cores,
+            exit_vals,
+        })
+    }
+
+    /// Lowers `spec` and runs it through the interpreter with twice its
+    /// computed step bound.
+    ///
+    /// # Errors
+    ///
+    /// The lowering's or the interpreter's error.
+    pub fn of_spec(spec: &ProgSpec) -> Result<Self, String> {
+        let bin = spec.lower().map_err(|e| format!("lower: {e}"))?;
+        let fuel = spec.max_interp_steps() * 2 + 10_000;
+        Subject::new(format!("seed {:#x}", spec.seed), bin, spec.cores(), fuel)
+    }
+
+    /// Runs the program under `setup` and `config`.
+    ///
+    /// # Errors
+    ///
+    /// The emulator's error.
+    pub fn run(&self, setup: Setup, config: EmuConfig) -> Result<Run, EmuError> {
+        let mut emu = Emulator::with_config(&self.bin, setup, self.cores, config);
+        let report = emu.run(self.fuel)?;
+        Ok(Run {
+            data: data_words(emu.mem(), &self.bin),
+            regs: emu.guest_regs(0),
+            flags: emu.guest_flags(0),
+            atomics: emu.take_atomic_log(),
+            metrics: emu.metrics(),
+            dangling: emu.validate_chains(),
+            report,
+        })
+    }
+}
+
+/// What one run leaves for the check to read.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The run's result.
+    pub report: Report,
+    /// The run's metrics.
+    pub metrics: MetricsSnapshot,
+    /// Every `.data` word.
+    pub data: Vec<u64>,
+    /// Core 0's final register file.
+    pub regs: [u64; 16],
+    /// Core 0's final flags.
+    pub flags: Flags,
+    /// The atomic-access log, in execution order.
     pub atomics: Vec<AtomicEvent>,
-    /// Total atomic RMWs executed (DBT runs only).
-    pub atomic_total: u64,
-    /// Verifier violation count (the second oracle; must stay 0).
-    pub verify_violations: u64,
+    /// Chain words that point at no live block.
+    pub dangling: Vec<(u64, u64, u64)>,
+}
+
+/// Per-cell successful-update counts: the projection of an atomic log
+/// that does not depend on the schedule.
+fn update_counts(events: &[AtomicEvent]) -> BTreeMap<u64, usize> {
+    let mut m = BTreeMap::new();
+    for e in events.iter().filter(|e| e.old != e.new) {
+        *m.entry(e.addr).or_default() += 1;
+    }
+    m
+}
+
+/// Runs `p` under `leg` and checks the run. Returns it, or every rule it
+/// broke:
+///
+/// * it ends: every core exits with the interpreter's exit value for its
+///   thread, and a core with no thread never runs;
+/// * the `WRITE` output and every `.data` word equal the interpreter's;
+/// * on a single-core program, core 0's register file and flags equal
+///   the interpreter's;
+/// * the verifier ran and found nothing, and no chain word dangles;
+/// * the leg's own counters: templates only with a tier-0 rung (and on
+///   tier-0 alone, nothing through tier-1 and no promotion), no partial
+///   barrier on TSO (x86 has only `MFENCE`), no chain linked or hit with
+///   chaining off. That a chained run chains is the program's property,
+///   not the run's (a generated program may enter every block once), so
+///   the functional matrix asserts it per program;
+/// * against `reference`, the program's [`RISOTTO`] run (the interpreter
+///   keeps no atomic log): on a single-core program the atomic log and
+///   the atomic total; on a multi-core program, whose interleaving is
+///   the leg's own, the per-cell successful-update counts.
+pub fn run_checked(p: &Subject, leg: Leg, reference: Option<&Run>) -> Result<Run, Vec<String>> {
+    let run = p.run(leg.setup, leg.config()).map_err(|e| vec![format!("run failed: {e}")])?;
+    let mut bad = Vec::new();
+    let m = &run.metrics;
+    if run.report.exit_vals != p.exit_vals {
+        bad.push(format!("exit values {:?} != interp {:?}", run.report.exit_vals, p.exit_vals));
+    }
+    if run.report.output != p.output {
+        bad.push(format!("output {:x?} != interp {:x?}", run.report.output, p.output));
+    }
+    if let Some(i) = (0..p.data.len()).find(|&i| run.data[i] != p.data[i]) {
+        bad.push(format!(".data word {i}: {:#x} != interp {:#x}", run.data[i], p.data[i]));
+    }
+    let single = p.cores == 1;
+    if let Some(r) = (0..16).find(|&r| single && run.regs[r] != p.regs[r]) {
+        let reg = Gpr(r as u8);
+        bad.push(format!("{reg}: {:#x} != interp {:#x}", run.regs[r], p.regs[r]));
+    }
+    if single && run.flags != p.flags {
+        bad.push(format!("flags {:?} != interp {:?}", run.flags, p.flags));
+    }
+    if m.counter("verify.checked") == 0 {
+        bad.push("the verifier never ran".into());
+    }
+    if m.counter("verify.violations") != 0 {
+        bad.push(format!("the verifier flagged {} translations", m.counter("verify.violations")));
+    }
+    if !run.dangling.is_empty() {
+        bad.push(format!("dangling chain words: {:x?}", run.dangling));
+    }
+    let templates = m.counter("template.blocks");
+    let rung_ok = match leg.rung {
+        Rung::Tier1 => templates == 0,
+        Rung::Tier0 => {
+            templates > 0
+                && m.counter("template.insns") >= templates
+                && m.counter("translate.insns") == 0
+                && m.counter("template.promotions") == 0
+        }
+        Rung::Ladder => templates > 0,
+    };
+    if !rung_ok {
+        bad.push(format!(
+            "{:?} rung: {templates} template blocks, {} tier-1 insns, {} promotions",
+            leg.rung,
+            m.counter("translate.insns"),
+            m.counter("template.promotions")
+        ));
+    }
+    let partial = m.counter("fence.exec.dmb_ld") + m.counter("fence.exec.dmb_st");
+    if leg.backend == BackendKind::Tso && partial != 0 {
+        bad.push(format!("the TSO backend executed {partial} partial barriers"));
+    }
+    let (hits, links) = (m.counter("chain.hits"), m.counter("chain.links"));
+    if !leg.chaining && hits + links > 0 {
+        bad.push(format!("chained with chaining off: {hits} chain hits, {links} links"));
+    }
+    if let Some(r) = reference {
+        if single {
+            if run.atomics != r.atomics {
+                bad.push(format!(
+                    "atomic log differs from risotto's ({} vs {} events)",
+                    run.atomics.len(),
+                    r.atomics.len()
+                ));
+            }
+            let total = |m: &MetricsSnapshot| m.counter("exec.atomics");
+            if total(m) != total(&r.metrics) {
+                bad.push(format!("{} atomics != risotto's {}", total(m), total(&r.metrics)));
+            }
+        } else if update_counts(&run.atomics) != update_counts(&r.atomics) {
+            bad.push("per-cell successful-update counts differ from risotto's".into());
+        }
+    }
+    if bad.is_empty() {
+        Ok(run)
+    } else {
+        Err(bad)
+    }
 }
 
 /// One observed disagreement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Configuration that disagreed (or errored).
-    pub config: &'static str,
+    /// The leg that disagreed, or the stage that failed.
+    pub leg: String,
     /// What disagreed.
     pub what: String,
 }
 
 impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}", self.config, self.what)
+        write!(f, "[{}] {}", self.leg, self.what)
     }
 }
 
@@ -115,252 +362,27 @@ pub struct DiffResult {
     pub configs_run: u64,
 }
 
-/// Words of `.data` the lowered program owns (shared cells + private
-/// regions; the lowering's tid scratch is excluded — it holds core
-/// indices that are equal across schedules anyway, but it is an
-/// implementation detail, not program state).
-fn data_words(spec: &ProgSpec) -> usize {
-    CELLS as usize + spec.cores() * SLOTS as usize
-}
-
-/// Fuel given to the interpreter (architectural steps).
-fn interp_fuel(spec: &ProgSpec) -> u64 {
-    spec.max_interp_steps() * 2 + 10_000
-}
-
-/// Host-instruction watchdog for DBT runs: generous multiple of the
-/// architectural bound so real non-termination still trips it.
-fn watchdog_steps(spec: &ProgSpec) -> u64 {
-    interp_fuel(spec) * 64 + 1_000_000
-}
-
-/// Runs the reference interpreter.
-pub fn run_interp(spec: &ProgSpec, bin: &GuestBinary) -> Result<Outcome, String> {
-    let mut interp = Interp::new(bin);
-    interp.run(interp_fuel(spec)).map_err(|e| format!("interp: {e:?}"))?;
-    let n = spec.cores();
-    let data_base = risotto_guest_x86::DATA_BASE;
-    let data =
-        (0..data_words(spec)).map(|i| interp.mem.read_u64(data_base + i as u64 * 8)).collect();
-    let regs = (0..n)
-        .map(|t| {
-            let mut r = [0u64; 16];
-            for (i, v) in r.iter_mut().enumerate() {
-                *v = interp.reg(t, Gpr(i as u8));
-            }
-            r
-        })
-        .collect();
-    Ok(Outcome {
-        exit_vals: (0..n).map(|t| Some(interp.exit_val(t))).collect(),
-        output: interp.output.clone(),
-        data,
-        regs,
-        flags0: None,
-        atomics: Vec::new(),
-        atomic_total: 0,
-        verify_violations: 0,
-    })
-}
-
-/// The emulator configuration of one oracle run over `spec`: the
-/// Full-level verifier, the atomic log and the livelock watchdog, plus
-/// what `config` varies.
-fn emu_config(spec: &ProgSpec, config: Config) -> EmuConfig {
-    let base = EmuConfig {
-        verify: VerifyLevel::Full,
-        atomic_log: true,
-        watchdog: Some(watchdog_steps(spec)),
-        ..EmuConfig::default()
-    };
-    match config {
-        Config::Tier1 => base,
-        Config::Tier1NoOpt => EmuConfig { passes: PassConfig::none(), ..base },
-        // Templates at birth, tier-1 once warm: every generated hot loop
-        // crosses both tiers.
-        Config::Tier0 => EmuConfig { warm_threshold: Some(FUZZ_HOT_THRESHOLD), ..base },
-        Config::Tier1Tso => EmuConfig { backend: BackendKind::Tso, ..base },
-        Config::Tier1Analysis => EmuConfig { analysis: true, ..base },
-    }
-}
-
-/// Runs one DBT configuration and collects its outcome.
-pub fn run_config(spec: &ProgSpec, bin: &GuestBinary, config: Config) -> Result<Outcome, String> {
-    let cores = spec.cores();
-    let mut emu = Emulator::with_config(bin, Setup::Risotto, cores, emu_config(spec, config));
-    let report: Report = emu.run(u64::MAX / 4).map_err(|e| format!("{}: {e}", config.name()))?;
-    let data_base = risotto_guest_x86::DATA_BASE;
-    let data =
-        (0..data_words(spec)).map(|i| emu.mem().read_u64(data_base + i as u64 * 8)).collect();
-    let regs = (0..cores).map(|c| emu.guest_regs(c)).collect();
-    let flags0 = Some(emu.guest_flags(0));
-    // Keep only events on the program's own data words; the runtime
-    // itself never issues atomics, so this is belt-and-braces.
-    let hi = data_base + data_words(spec) as u64 * 8;
-    let atomics: Vec<AtomicEvent> =
-        emu.take_atomic_log().into_iter().filter(|e| e.addr >= data_base && e.addr < hi).collect();
-    let snap = emu.metrics();
-    Ok(Outcome {
-        exit_vals: report.exit_vals.clone(),
-        output: report.output.clone(),
-        data,
-        regs,
-        flags0,
-        atomics,
-        atomic_total: snap.counter("exec.atomics"),
-        verify_violations: snap.counter("verify.violations"),
-    })
-}
-
-/// Per-cell successful-update counts — the schedule-invariant projection
-/// of the atomic event log used for multi-core comparison.
-fn update_counts(events: &[AtomicEvent]) -> Vec<(u64, usize)> {
-    let mut m: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
-    for e in events.iter().filter(|e| e.old != e.new) {
-        *m.entry(e.addr).or_default() += 1;
-    }
-    m.into_iter().collect()
-}
-
-/// Runs the full oracle matrix over `spec` and compares.
+/// Runs `spec` through the interpreter and [`run_checked`] under every
+/// leg of [`FUZZ_LEGS`], each later leg against the [`RISOTTO`] run.
 pub fn differential(spec: &ProgSpec) -> DiffResult {
-    let mut divs = Vec::new();
-    let mut configs_run = 0u64;
-
-    let bin = match spec.lower() {
-        Ok(b) => b,
-        Err(e) => {
-            return DiffResult {
-                divergences: vec![Divergence { config: "lower", what: e.to_string() }],
-                configs_run: 0,
-            }
+    let p = match Subject::of_spec(spec) {
+        Ok(p) => p,
+        Err(what) => {
+            let divergences = vec![Divergence { leg: "reference".into(), what }];
+            return DiffResult { divergences, configs_run: 0 };
         }
     };
-
-    let reference = match run_interp(spec, &bin) {
-        Ok(o) => {
-            configs_run += 1;
-            o
-        }
-        Err(e) => {
-            return DiffResult {
-                divergences: vec![Divergence { config: "interp", what: e }],
-                configs_run: 1,
-            }
-        }
-    };
-
-    let single = spec.threads.is_empty();
-    let mut dbt_outcomes: Vec<(Config, Outcome)> = Vec::new();
-    for config in Config::ALL {
-        configs_run += 1;
-        match run_config(spec, &bin, config) {
-            Ok(o) => dbt_outcomes.push((config, o)),
-            Err(e) => divs.push(Divergence { config: config.name(), what: e }),
+    let mut divergences = Vec::new();
+    let mut reference = None;
+    for leg in FUZZ_LEGS {
+        match run_checked(&p, leg, reference.as_ref()) {
+            Ok(run) if leg == RISOTTO => reference = Some(run),
+            Ok(_) => {}
+            Err(bad) => divergences
+                .extend(bad.into_iter().map(|what| Divergence { leg: format!("{leg:?}"), what })),
         }
     }
-
-    for (config, o) in &dbt_outcomes {
-        let name = config.name();
-        if o.verify_violations != 0 {
-            divs.push(Divergence {
-                config: name,
-                what: format!("validator flagged {} violations", o.verify_violations),
-            });
-        }
-        if o.exit_vals != reference.exit_vals {
-            divs.push(Divergence {
-                config: name,
-                what: format!("exit values {:?} != interp {:?}", o.exit_vals, reference.exit_vals),
-            });
-        }
-        if o.output != reference.output {
-            divs.push(Divergence {
-                config: name,
-                what: format!("output {:x?} != interp {:x?}", o.output, reference.output),
-            });
-        }
-        if o.data != reference.data {
-            let first = o.data.iter().zip(&reference.data).position(|(a, b)| a != b).unwrap_or(0);
-            divs.push(Divergence {
-                config: name,
-                what: format!(
-                    "data word {first}: {:#x} != interp {:#x}",
-                    o.data[first], reference.data[first]
-                ),
-            });
-        }
-        if single && o.regs[0] != reference.regs[0] {
-            let first = (0..16).find(|&i| o.regs[0][i] != reference.regs[0][i]).unwrap_or(0);
-            divs.push(Divergence {
-                config: name,
-                what: format!(
-                    "reg {}: {:#x} != interp {:#x}",
-                    Gpr(first as u8),
-                    o.regs[0][first],
-                    reference.regs[0][first]
-                ),
-            });
-        }
-    }
-
-    // Cross-config invariants among the DBT runs.
-    if let Some((base_cfg, base)) = dbt_outcomes.first() {
-        for (config, o) in dbt_outcomes.iter().skip(1) {
-            let name = config.name();
-            if single {
-                if o.regs != base.regs {
-                    divs.push(Divergence {
-                        config: name,
-                        what: format!("register file differs from {}", base_cfg.name()),
-                    });
-                }
-                if o.flags0 != base.flags0 {
-                    divs.push(Divergence {
-                        config: name,
-                        what: format!(
-                            "flags {:?} != {} flags {:?}",
-                            o.flags0,
-                            base_cfg.name(),
-                            base.flags0
-                        ),
-                    });
-                }
-                if o.atomics != base.atomics {
-                    divs.push(Divergence {
-                        config: name,
-                        what: format!(
-                            "atomic event order differs from {} ({} vs {} events)",
-                            base_cfg.name(),
-                            o.atomics.len(),
-                            base.atomics.len()
-                        ),
-                    });
-                }
-                if o.atomic_total != base.atomic_total {
-                    divs.push(Divergence {
-                        config: name,
-                        what: format!(
-                            "atomic totals {} != {} {}",
-                            o.atomic_total,
-                            base_cfg.name(),
-                            base.atomic_total
-                        ),
-                    });
-                }
-            } else if update_counts(&o.atomics) != update_counts(&base.atomics) {
-                divs.push(Divergence {
-                    config: name,
-                    what: format!(
-                        "per-cell successful-update counts differ from {}",
-                        base_cfg.name()
-                    ),
-                });
-            }
-        }
-    }
-
-    DiffResult { divergences: divs, configs_run }
+    DiffResult { divergences, configs_run: 1 + FUZZ_LEGS.len() as u64 }
 }
 
 /// Returns true iff `spec` diverges (the minimizer's default predicate).
@@ -386,39 +408,33 @@ pub fn random_fault_plan(seed: u64) -> FaultPlan {
     plan
 }
 
-/// Fault-composed check: layers `plan` over the tier-1 configuration and
+/// Fault-composed check: layers `plan` over the [`RISOTTO`] leg and
 /// asserts graceful degradation. `Ok(completed)` reports whether the run
 /// completed (vs. failing with an accepted typed error).
+///
+/// # Errors
+///
+/// A [`Divergence`] when the run panicked, or completed with results
+/// other than the interpreter's.
 pub fn fault_check(spec: &ProgSpec, plan: FaultPlan) -> Result<bool, Divergence> {
-    let bin =
-        spec.lower().map_err(|e| Divergence { config: "fault", what: format!("lower: {e}") })?;
-    let reference = run_interp(spec, &bin).map_err(|e| Divergence { config: "fault", what: e })?;
-    let config = EmuConfig { fault_plan: plan, ..emu_config(spec, Config::Tier1) };
-    let mut emu = Emulator::with_config(&bin, Setup::Risotto, spec.cores(), config);
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| emu.run(u64::MAX / 4)));
+    let diverged = |what: String| Divergence { leg: "fault".into(), what };
+    let p = Subject::of_spec(spec).map_err(diverged)?;
+    let config = EmuConfig { fault_plan: plan, ..RISOTTO.config() };
+    let run =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.run(RISOTTO.setup, config)));
     match run {
-        Err(_) => Err(Divergence { config: "fault", what: "panicked under fault plan".into() }),
+        Err(_) => Err(diverged("panicked under fault plan".into())),
         // Any typed error is acceptable degradation — the PR 1 contract
         // (see tests/fault_sweep.rs) forbids only panics and silent
         // divergence.
         Ok(Err(_)) => Ok(false),
-        Ok(Ok(report)) => {
-            if report.exit_vals != reference.exit_vals {
-                return Err(Divergence {
-                    config: "fault",
-                    what: format!(
-                        "completed with exit values {:?} != interp {:?}",
-                        report.exit_vals, reference.exit_vals
-                    ),
-                });
-            }
-            if report.output != reference.output {
-                return Err(Divergence {
-                    config: "fault",
-                    what: "completed with diverging output".into(),
-                });
-            }
-            Ok(true)
+        Ok(Ok(run)) if run.report.exit_vals != p.exit_vals => Err(diverged(format!(
+            "completed with exit values {:?} != interp {:?}",
+            run.report.exit_vals, p.exit_vals
+        ))),
+        Ok(Ok(run)) if run.report.output != p.output => {
+            Err(diverged("completed with diverging output".into()))
         }
+        Ok(Ok(_)) => Ok(true),
     }
 }

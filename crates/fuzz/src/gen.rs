@@ -53,8 +53,8 @@ pub struct GenConfig {
     pub multicore_pct: u64,
     /// Maximum child threads of a multi-threaded program.
     pub max_children: usize,
-    /// Guarantee at least one loop hot enough to cross the fuzz
-    /// harness's lowered tier-0 warm threshold.
+    /// Guarantee at least one loop hot enough to cross the ladder leg's
+    /// warm threshold.
     pub ensure_hot_loop: bool,
 }
 
@@ -88,7 +88,7 @@ pub fn generate(cfg: &GenConfig, seed: u64) -> ProgSpec {
     let main_len = 4 + rng.usize_below(cfg.max_body.saturating_sub(3).max(1));
     let mut main = main_gen.body(&mut rng, main_len, 0);
     if cfg.ensure_hot_loop && !has_loop(&main) {
-        // A hot counted loop over private state: crosses the lowered
+        // A hot counted loop over private state: crosses the ladder's
         // warm threshold, so its blocks run as templates and as tier-1.
         let n = 2 + rng.usize_below(3);
         let body = main_gen.body(&mut rng, n, 1);

@@ -5,10 +5,11 @@
 //! translation against its fence obligations, but nothing was hunting
 //! for inputs on which the tiers *disagree*. This subsystem generates
 //! random well-formed MiniX86 programs ([`gen`]), runs each through the
-//! reference interpreter and five DBT configurations with the verifier
-//! as a second oracle ([`diff`]), and delta-debugs any divergent program
-//! down to a minimal reproducer ([`mod@minimize`]) stored in the
-//! human-readable `.risotto` corpus format ([`corpus`]).
+//! reference interpreter and five legs of the one leg table with the
+//! verifier as a second oracle ([`diff`], which also holds the table and
+//! the run check the functional matrix shares), and delta-debugs any
+//! divergent program down to a minimal reproducer ([`mod@minimize`])
+//! stored in the human-readable `.risotto` corpus format ([`corpus`]).
 //!
 //! Everything is seeded: `generate(cfg, seed)` is a pure function, so a
 //! failing iteration is reproduced by its seed alone.
@@ -19,6 +20,8 @@
 //! let spec = generate(&GenConfig::default(), 42);
 //! let result = differential(&spec);
 //! assert!(result.divergences.is_empty());
+//! // The interpreter and the five legs of `FUZZ_LEGS`.
+//! assert_eq!(result.configs_run, 6);
 //! ```
 
 pub mod corpus;
@@ -29,8 +32,8 @@ pub mod spec;
 
 pub use corpus::{parse_corpus, to_corpus_string, CorpusError};
 pub use diff::{
-    differential, diverges, fault_check, random_fault_plan, Config, DiffResult, Divergence,
-    Outcome, FUZZ_HOT_THRESHOLD,
+    differential, diverges, fault_check, legs, random_fault_plan, run_checked, DiffResult,
+    Divergence, Leg, Run, Rung, Subject, FUZZ_LEGS, RISOTTO,
 };
 pub use gen::{generate, GenConfig, Weights};
 pub use minimize::{minimize, regression_test_skeleton, Minimized};

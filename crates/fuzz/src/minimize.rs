@@ -251,7 +251,7 @@ fn shrink_imm(imm: u64) -> u64 {
 
 /// Renders a regression-test skeleton for a minimized reproducer that
 /// was saved as `tests/corpus/<name>.risotto`. The emitted test replays
-/// the corpus file through the full oracle matrix.
+/// the corpus file through the differential oracle.
 pub fn regression_test_skeleton(spec: &ProgSpec, name: &str) -> String {
     format!(
         "/// Regression reproducer `{name}` (minimized from seed {seed:#x}).\n\

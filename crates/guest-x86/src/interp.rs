@@ -427,6 +427,16 @@ impl Interp {
         self.threads[tid].regs[r.index()]
     }
 
+    /// Flags of a thread (for assertions).
+    pub fn flags(&self, tid: usize) -> Flags {
+        self.threads[tid].flags
+    }
+
+    /// Threads spawned so far, the initial one included.
+    pub fn thread_count(&self) -> usize {
+        self.threads.len()
+    }
+
     /// Exit value of a halted thread.
     pub fn exit_val(&self, tid: usize) -> u64 {
         self.threads[tid].exit_val

@@ -18,7 +18,10 @@
 //! [`Sources`] and compares; the `verify_mappings` gate, the tests and the
 //! tier-0 template rows all check through it.
 
-use crate::gen::{generate_two_thread, tcg_fence_patterns, x86_alphabet, x86_alphabet_small};
+use crate::gen::{
+    generate_short_thread, generate_two_thread, tcg_fence_patterns, x86_alphabet,
+    x86_alphabet_small,
+};
 use crate::scheme::{
     no_fences_x86_to_arm, qemu_x86_to_arm, verified_x86_to_arm, verified_x86_to_tso,
     ArmCatsIntended, HelperStyle, MappingScheme, VerifiedTcgToArm, VerifiedTcgToTso, X86ToTcg,
@@ -273,12 +276,15 @@ impl Sources {
     }
 
     /// The debug-sized family: all 325 programs over
-    /// [`x86_alphabet_small`] and every 24th of the full family. A row
-    /// with no full-family counterexample must find none here either;
-    /// an unsound row's family count is not asserted.
+    /// [`x86_alphabet_small`], every 24th of the full family, and the 371
+    /// programs over [`x86_alphabet`] in which a thread holds one
+    /// instruction ([`generate_short_thread`]). A row with no full-family
+    /// counterexample must find none here either; an unsound row's family
+    /// count is not asserted.
     pub fn debug() -> Sources {
         let mut family = generate_two_thread(&x86_alphabet_small(), 2, 1);
         family.extend(generate_two_thread(&x86_alphabet(), 2, 24));
+        family.extend(generate_short_thread(&x86_alphabet()));
         Sources::with_family(family, false)
     }
 
@@ -358,29 +364,11 @@ pub fn assert_rows(rows: &[Row], sources: &Sources) {
 mod tests {
     use super::*;
 
-    /// The rows named `names`, checked over the debug-sized sources.
+    /// The rows named `names`, checked over the debug-sized sources. The
+    /// other rows are slices of `tests/theorem1_sweep.rs`; each row is in
+    /// one slice.
     fn slice(names: &[&str]) {
         assert_rows(&rows(names), &Sources::debug());
-    }
-
-    #[test]
-    fn verified_scheme_passes_on_paper_counterexamples() {
-        slice(&["verified x86->arm (Rmw2Fenced)", "verified x86->arm (Casal)"]);
-    }
-
-    #[test]
-    fn qemu_scheme_fails_on_mpq_with_gcc10() {
-        slice(&["qemu x86->arm (Gcc10Casal)"]);
-    }
-
-    #[test]
-    fn qemu_scheme_fails_on_sbq_with_gcc9() {
-        slice(&["qemu x86->arm (Gcc9Lxsx)"]);
-    }
-
-    #[test]
-    fn qemu_scheme_is_fine_on_fence_free_mp() {
-        slice(&["qemu x86->arm (Gcc10Casal)"]);
     }
 
     #[test]

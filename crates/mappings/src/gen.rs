@@ -114,17 +114,32 @@ pub fn generate_two_thread(alphabet: &[Template], len: usize, stride: usize) -> 
             if !(n - 1).is_multiple_of(stride) {
                 continue;
             }
-            out.push(Program {
-                name: format!("gen-{n}"),
-                init: Default::default(),
-                threads: vec![
-                    Thread { instrs: instantiate(t0, 0) },
-                    Thread { instrs: instantiate(t1, 8) },
-                ],
-            });
+            out.push(two_thread(format!("gen-{n}"), t0, t1));
         }
     }
     out
+}
+
+/// Every two-thread program over `alphabet` in which thread 0 holds one
+/// instruction and thread 1 one or two, deduplicated under thread swap:
+/// the shapes with a thread of one instruction, which no length-2
+/// family of [`generate_two_thread`] holds.
+pub fn generate_short_thread(alphabet: &[Template]) -> Vec<Program> {
+    let mut out = generate_two_thread(alphabet, 1, 1);
+    for t0 in &sequences(alphabet, 1) {
+        for t1 in &sequences(alphabet, 2) {
+            out.push(two_thread(format!("short-{}", out.len() + 1), t0, t1));
+        }
+    }
+    out
+}
+
+fn two_thread(name: String, t0: &[Template], t1: &[Template]) -> Program {
+    Program {
+        name,
+        init: Default::default(),
+        threads: vec![Thread { instrs: instantiate(t0, 0) }, Thread { instrs: instantiate(t1, 8) }],
+    }
 }
 
 /// Every TCG fence kind between the two accesses of each thread of a
@@ -174,6 +189,8 @@ mod tests {
         assert_eq!(all.len(), 325);
         let sampled = generate_two_thread(&a, 2, 10);
         assert_eq!(sampled.len(), 33);
+        // 5·6/2 = 15 one-by-one pairs, then 5 × 25 one-by-two.
+        assert_eq!(generate_short_thread(&a).len(), 15 + 125);
         assert_eq!(tcg_fence_patterns().len(), 48, "12 TCG fence kinds x 4 orientations");
     }
 

@@ -3,9 +3,11 @@
 //! Each scheme test is a slice of the verdict table
 //! (`risotto_mappings::check::table`): it names its rows and checks them
 //! over the debug-sized sources (`Sources::debug`: the 11-program x86
-//! corpus, the 325 small-alphabet programs and every 24th program of the
-//! full family; TCG rows read them through the verified x86→TCG row, plus
-//! the 48 TCG fence patterns). The `verify_mappings` binary in
+//! corpus, the 325 small-alphabet programs, every 24th program of the
+//! full family and the 371 programs with a one-instruction thread; TCG
+//! rows read them through the verified x86→TCG row, plus the 48 TCG
+//! fence patterns). Each row is in one slice: the intended and no-fences
+//! rows are `check.rs`' unit tests, every other row is here. The `verify_mappings` binary in
 //! `risotto-bench` checks every row over the full 1 225-program family.
 //! The transformation, minimality and FMR tests below check their own
 //! rewrites, not a scheme.
@@ -53,22 +55,7 @@ fn verified_tcg_to_tso_passes_tcg_corpus() {
 }
 
 #[test]
-fn verified_tcg_to_tso_exhaustive_fence_patterns() {
-    slice(&["verified tcg->tso"]);
-}
-
-#[test]
 fn verified_end_to_end_tso_passes_corpus() {
-    slice(&["verified x86->tso"]);
-}
-
-#[test]
-fn generated_sweep_verified_tso_scheme_subsampled() {
-    slice(&["verified x86->tso"]);
-}
-
-#[test]
-fn generated_sweep_verified_tso_small_alphabet_exhaustive() {
     slice(&["verified x86->tso"]);
 }
 
@@ -80,16 +67,6 @@ fn verified_end_to_end_passes_corpus_both_lowerings() {
 #[test]
 fn qemu_end_to_end_fails_exactly_on_rmw_programs() {
     slice(&["qemu x86->arm (Gcc9Lxsx)", "qemu x86->arm (Gcc10Casal)"]);
-}
-
-#[test]
-fn generated_sweep_verified_scheme_subsampled() {
-    slice(&["verified x86->arm (Casal)"]);
-}
-
-#[test]
-fn generated_sweep_verified_scheme_small_alphabet_exhaustive() {
-    slice(&["verified x86->arm (Rmw2Fenced)"]);
 }
 
 // ------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 //! the next block comes out as it does from a fresh one.
 
 mod theorem1;
+mod translate;
 
 use risotto::fuzz::parse_corpus;
 use risotto::guest::GuestBinary;
@@ -36,57 +37,16 @@ use risotto::host_tso::TsoBackend;
 use risotto::litmus::corpus;
 use risotto::tcg::verify::{check_captured, check_obligations_in, lint_in};
 use risotto::tcg::{
-    optimize_in, optimize_with, translate_block, BinOp, FrontendConfig, OptPolicy, OptScratch,
-    OptStats, PassConfig, TbExit, TcgBlock, TcgOp, Temp, VerifyScratch,
+    optimize_in, optimize_with, BinOp, FrontendConfig, OptPolicy, OptScratch, OptStats, PassConfig,
+    TbExit, TcgBlock, TcgOp, Temp, VerifyScratch,
 };
 use risotto::workloads::kernels;
 use risotto::workloads::litmus_compile::compile_litmus;
 use theorem1::functional::REPRODUCERS;
-
-fn smoke() -> bool {
-    std::env::var("RISOTTO_VERIFY_SMOKE").is_ok_and(|v| v == "1")
-}
-
-/// The frontend/optimizer pairings the engine's setups use.
-fn configs() -> [(FrontendConfig, OptPolicy); 4] {
-    [
-        (FrontendConfig::risotto(), OptPolicy::Verified),
-        (FrontendConfig::tcg_ver(), OptPolicy::Verified),
-        (FrontendConfig::qemu(), OptPolicy::QemuUnsound),
-        (FrontendConfig::no_fences(), OptPolicy::QemuUnsound),
-    ]
-}
+use translate::{configs, discover_blocks, smoke};
 
 fn backends() -> [BackendConfig; 2] {
     [BackendConfig::dbt(RmwStyle::Casal), BackendConfig::dbt(RmwStyle::Rmw2Fenced)]
-}
-
-/// BFS over the static control flow from the entry point, like tier-1
-/// translation would walk it.
-fn discover_blocks(bin: &GuestBinary, cfg: FrontendConfig, cap: usize) -> Vec<TcgBlock> {
-    let fetch = |pc: u64| bin.window(pc);
-    let mut seen = std::collections::HashSet::new();
-    let mut queue = vec![bin.entry];
-    let mut blocks = Vec::new();
-    while let Some(pc) = queue.pop() {
-        if blocks.len() >= cap || !seen.insert(pc) {
-            continue;
-        }
-        let Ok(block) = translate_block(pc, cfg, fetch) else {
-            continue;
-        };
-        match block.exit {
-            TbExit::Jump(t) => queue.push(t),
-            TbExit::CondJump { taken, fallthrough, .. } => {
-                queue.push(taken);
-                queue.push(fallthrough);
-            }
-            TbExit::Syscall { next } => queue.push(next),
-            TbExit::JumpReg(_) | TbExit::Halt => {}
-        }
-        blocks.push(block);
-    }
-    blocks
 }
 
 fn encode_all(code: &[HostInsn]) -> Vec<u8> {

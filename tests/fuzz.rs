@@ -1,18 +1,17 @@
 //! Integration tests for the differential fuzzing subsystem
 //! (DESIGN.md §13, docs/FUZZING.md): generator well-formedness,
-//! corpus round-trips, minimizer laws, a bounded differential sweep
-//! across all oracle configurations, fault-composed degradation, and
-//! replay of the checked-in reproducer corpus.
+//! corpus round-trips, minimizer laws, a batch of generated programs
+//! under every leg of the functional matrix, fault-composed degradation,
+//! and replay of the checked-in reproducer corpus.
 
 mod theorem1;
 
-use risotto::core::{EmuConfig, Emulator, Setup};
 use risotto::fuzz::{
     differential, fault_check, generate, minimize, parse_corpus, program_seed, random_fault_plan,
-    to_corpus_string, GenConfig, ProgSpec, Stmt, FUZZ_HOT_THRESHOLD,
+    to_corpus_string, GenConfig, Leg, ProgSpec, Rung, Stmt, Subject, RISOTTO,
 };
 use risotto::guest::Interp;
-use theorem1::functional::REPRODUCERS;
+use theorem1::functional::{sweep, Slice, BATCHES, REPRODUCERS};
 
 /// Seeds used by the seeded property sweeps below. Fixed, so failures
 /// name a replayable program.
@@ -146,41 +145,13 @@ fn minimizer_preserves_predicate_and_is_idempotent() {
     assert!(checked >= 10, "only {checked}/40 programs contained atomics");
 }
 
-/// Tier-0 blocks that the fuzz harness's tier-0 configuration promotes
-/// to tier-1 while running `spec`.
-fn template_promotions(spec: &ProgSpec) -> u64 {
-    let bin = spec.lower().expect("spec lowers");
-    let config = EmuConfig { warm_threshold: Some(FUZZ_HOT_THRESHOLD), ..EmuConfig::default() };
-    let mut emu = Emulator::with_config(&bin, Setup::Risotto, spec.cores(), config);
-    emu.run(u64::MAX / 4).expect("spec runs");
-    emu.metrics().counter("template.promotions")
-}
-
-/// Bounded differential sweep: every configuration agrees with the
-/// interpreter on every generated program, and the tier-0 configuration
-/// visibly promotes templates to tier-1 on a healthy fraction of them.
+/// The first generated batch (`program_seed(0xD1F, 0..40)`) under every
+/// leg of the functional matrix: each run passes the run check the
+/// fuzzer shares, and every ladder leg promotes on at least a quarter of
+/// the programs it runs.
 #[test]
 fn differential_sweep_finds_no_divergence() {
-    let cfg = GenConfig::default();
-    let mut promoted = 0u64;
-    const N: u64 = 40;
-    for seed in sweep_seeds(N, 0xD1F) {
-        let spec = generate(&cfg, seed);
-        let result = differential(&spec);
-        assert!(
-            result.divergences.is_empty(),
-            "seed {seed:#x} diverged: {:?}\n{}",
-            result.divergences,
-            to_corpus_string(&spec),
-        );
-        assert_eq!(result.configs_run, 6, "seed {seed:#x}: oracle matrix incomplete");
-        if template_promotions(&spec) > 0 {
-            promoted += 1;
-        }
-    }
-    // The generator guarantees a hot loop per program and the harness
-    // wires a warm threshold of 8, so promotion must be routine, not rare.
-    assert!(promoted * 100 >= N * 25, "only {promoted}/{N} sweeps promoted a template");
+    sweep(Slice::Generated { salt: BATCHES[0] });
 }
 
 /// Fault-composed runs degrade gracefully: no panic, and completed runs
@@ -229,11 +200,14 @@ fn corpus_replay_stays_green() {
         let back = parse_corpus(&to_corpus_string(&spec)).expect("re-serialized corpus parses");
         assert_eq!(back, spec, "corpus `{name}` did not round-trip");
     }
-    // The promotion corpus exists to drive tier-0 → tier-1 promotion:
-    // check it still does.
+    // The promotion corpus exists to drive tier-0 → tier-1 promotion on
+    // the ladder leg: check it still does.
     let (_, text) = REPRODUCERS.iter().find(|(name, _)| *name == "hot_loop_promotion").unwrap();
-    let spec = parse_corpus(text).unwrap();
-    assert!(template_promotions(&spec) > 0, "hot_loop_promotion no longer promotes a template");
+    let p = Subject::of_spec(&parse_corpus(text).unwrap()).expect("spec runs");
+    let ladder = Leg { rung: Rung::Ladder, ..RISOTTO };
+    let run = p.run(ladder.setup, ladder.config()).expect("spec runs");
+    let promotions = run.metrics.counter("template.promotions");
+    assert!(promotions > 0, "hot_loop_promotion no longer promotes a template");
 }
 
 /// The documented regression-test skeleton for a minimized reproducer

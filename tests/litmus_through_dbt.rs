@@ -5,10 +5,11 @@
 
 mod theorem1;
 
+use risotto::fuzz::RISOTTO;
 use risotto::litmus::{behaviors, corpus, Behavior};
 use risotto::memmodel::X86Tso;
 use std::collections::BTreeSet;
-use theorem1::{run_checked, sweep, Slice, RISOTTO, STAGGERS};
+use theorem1::{run_checked, sweep, Slice, STAGGERS};
 
 /// The RMW-free programs under native and {qemu, tcg-ver, risotto} on
 /// the Arm backend, tier-1 only, analysis off.

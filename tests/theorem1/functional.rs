@@ -1,26 +1,25 @@
 //! The functional oracle: every program of one table runs under every
-//! leg of [`legs`] and must end exactly as the reference interpreter
-//! (`Interp`) ends.
+//! leg of the one leg table (`risotto_fuzz::legs`) and must pass the run
+//! check the differential fuzzer shares (`risotto_fuzz::run_checked`,
+//! which lists its rules): end exactly as the reference interpreter
+//! (`Interp`) ends, registers and flags included on one core, with a
+//! clean verifier and chain graph and the leg's own counters, and agree
+//! with the program's risotto/Arm/tier-1 run on atomics.
 //!
 //! The programs: the 16 Fig. 12 kernels at scale 4 (where swaptions
 //! relaxes) and at scale 8 (where the chain-hit floor holds), with two
 //! threads; the CAS grid at (threads, vars) = (1, 1), (4, 2), (4, 4);
-//! and the checked-in fuzz reproducers.
-//!
-//! Every run (see [`run_checked`]) succeeds; every core that ran exits
-//! with the interpreter's exit value for its thread, and core 0 ran; the
-//! `WRITE` output and every `.data` word equal the interpreter's; the
-//! verifier ran and found nothing; the chain graph is clean; and the
-//! leg's own counters hold (templates only on tier-0, none on tier-1,
-//! no partial barrier on TSO, chains exactly when chaining is on).
+//! the checked-in fuzz reproducers; and the generated programs
+//! `program_seed(salt, 0..40)` for each salt of [`BATCHES`].
 //!
 //! A twin is an analysis-on run paired with the analysis-off run of the
 //! same program on the otherwise identical leg ([`check_twins`]).
 
-use super::{legs, Leg, Rung, RISOTTO};
-use risotto::core::{BackendKind, Emulator, MetricsSnapshot, Report, Setup};
-use risotto::fuzz::parse_corpus;
-use risotto::guest::{GuestBinary, Interp, SparseMem, DATA_BASE};
+use risotto::core::{BackendKind, MetricsSnapshot, Report, Setup};
+use risotto::fuzz::{
+    generate, legs, parse_corpus, program_seed, run_checked, GenConfig, Leg, Run, Rung, Subject,
+    RISOTTO,
+};
 use risotto::workloads::{cas, kernels};
 use std::sync::OnceLock;
 
@@ -39,8 +38,18 @@ pub const REPRODUCERS: [(&str, &str); 6] = [
     ("fp_nan_cross_thread", include_str!("../corpus/fp_nan_cross_thread.risotto")),
 ];
 
-/// Host steps a run may take.
-const FUEL: u64 = 2_000_000_000;
+/// The salts of the generated-program batches, one slice each
+/// (`tests/fuzz.rs`, `tests/backends.rs`).
+pub const BATCHES: [u64; 2] = [0xD1F, 0xBAC0_0000];
+
+/// Generated programs per batch.
+const BATCH: u64 = 40;
+
+/// In a debug build a generated-program slice runs every 19th case of
+/// its programs × legs product (each leg on two or three programs of the
+/// batch, each program under two or three legs); a release build runs
+/// all of it.
+const STRIDE: usize = if cfg!(debug_assertions) { 19 } else { 1 };
 
 /// Instructions the interpreter may execute.
 const INTERP_FUEL: u64 = 1_000_000_000;
@@ -52,53 +61,80 @@ enum Source {
     Kernel { scale: u64 },
     Cas,
     Reproducer,
+    Generated { salt: u64 },
 }
 
 /// One program of the table, with the interpreter's run of it.
 struct Program {
-    name: String,
     source: Source,
-    bin: GuestBinary,
-    cores: usize,
-    interp: Interp,
-    data: Vec<u64>,
+    subject: Subject,
+    /// The program's [`RISOTTO`] run, made when a slice first needs it.
+    reference: OnceLock<Run>,
 }
 
 impl Program {
-    fn new(name: String, source: Source, bin: GuestBinary, cores: usize) -> Program {
-        let mut interp = Interp::new(&bin);
-        interp.run(INTERP_FUEL).unwrap_or_else(|e| panic!("{name}: reference interpreter: {e}"));
-        let data = data_words(&interp.mem, &bin);
-        Program { name, source, bin, cores, interp, data }
+    fn new(source: Source, subject: Result<Subject, String>) -> Program {
+        let subject = subject.unwrap_or_else(|e| panic!("{e}"));
+        Program { source, subject, reference: OnceLock::new() }
+    }
+
+    /// The run of this program under `leg`, through the run check
+    /// against the program's [`RISOTTO`] run.
+    fn run(&self, leg: Leg) -> Run {
+        if leg == RISOTTO {
+            return self.reference().clone();
+        }
+        self.checked(leg, Some(self.reference()))
+    }
+
+    fn reference(&self) -> &Run {
+        self.reference.get_or_init(|| self.checked(RISOTTO, None))
+    }
+
+    fn checked(&self, leg: Leg, reference: Option<&Run>) -> Run {
+        let run = run_checked(&self.subject, leg, reference);
+        run.unwrap_or_else(|bad| panic!("{} under {leg:?}: {}", self.subject.name, bad.join("; ")))
     }
 }
 
-/// Every `.data` word of `bin` in `mem`.
-fn data_words(mem: &SparseMem, bin: &GuestBinary) -> Vec<u64> {
-    (0..bin.data.len().div_ceil(8) as u64).map(|i| mem.read_u64(DATA_BASE + 8 * i)).collect()
-}
-
-/// The program table, built and interpreted once per test binary.
-fn programs() -> &'static [Program] {
+/// The program table, built and interpreted once per test binary; the
+/// generated batches apart, so that their slices interpret no kernel.
+fn programs(generated: bool) -> &'static [Program] {
     static TABLE: OnceLock<Vec<Program>> = OnceLock::new();
+    static GENERATED: OnceLock<Vec<Program>> = OnceLock::new();
+    if generated {
+        return GENERATED.get_or_init(|| {
+            let batch = |salt| (0..BATCH).map(move |i| (salt, program_seed(salt, i)));
+            (BATCHES.into_iter().flat_map(batch))
+                .map(|(salt, seed)| {
+                    let spec = generate(&GenConfig::default(), seed);
+                    Program::new(Source::Generated { salt }, Subject::of_spec(&spec))
+                })
+                .collect()
+        });
+    }
     TABLE.get_or_init(|| {
         let mut table = Vec::new();
         for scale in [4, 8] {
             for w in kernels::all() {
                 let name = format!("{}@{scale}", w.name);
-                table.push(Program::new(name, Source::Kernel { scale }, (w.build)(scale, 2), 2));
+                let subject = Subject::new(name, (w.build)(scale, 2), 2, INTERP_FUEL);
+                table.push(Program::new(Source::Kernel { scale }, subject));
             }
         }
         for (threads, vars) in [(1, 1), (4, 2), (4, 4)] {
             let name = format!("cas({threads},{vars})");
-            let cas = Program::new(name, Source::Cas, cas::cas_bench(100, threads, vars), threads);
-            assert_eq!(cas.interp.exit_val(0), 100 * threads as u64, "{}: total", cas.name);
+            let bin = cas::cas_bench(100, threads, vars);
+            let cas = Program::new(Source::Cas, Subject::new(name, bin, threads, INTERP_FUEL));
+            let total = Some(100 * threads as u64);
+            assert_eq!(cas.subject.exit_vals[0], total, "{}: total", cas.subject.name);
             table.push(cas);
         }
         for (name, text) in REPRODUCERS {
             let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
             let bin = spec.lower().unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-            table.push(Program::new(name.to_owned(), Source::Reproducer, bin, spec.cores()));
+            let subject = Subject::new(name.to_owned(), bin, spec.cores(), INTERP_FUEL);
+            table.push(Program::new(Source::Reproducer, subject));
         }
         table
     })
@@ -106,7 +142,8 @@ fn programs() -> &'static [Program] {
 
 /// A part of the functional matrix run by one test, in the file named.
 /// Legs that carry a per-leg check over the program table (ladder,
-/// analysis, chaining off) never split by program.
+/// analysis, chaining off) never split by program, except that each
+/// generated batch is a slice of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slice {
     /// Native and the chained Arm tier-1 legs, analysis off, kernels
@@ -131,11 +168,17 @@ pub enum Slice {
     AnalysisArmTiered,
     /// The TSO analysis-on legs and their twins (`analysis.rs`).
     AnalysisTso,
+    /// Every leg on the generated programs of the batch `salt`
+    /// (`fuzz.rs` and `backends.rs`), strided in a debug build.
+    Generated { salt: u64 },
 }
 
 impl Slice {
     /// The slice that runs `leg` on a program from `source`.
     fn of(leg: Leg, source: Source) -> Slice {
+        if let Source::Generated { salt } = source {
+            return Slice::Generated { salt };
+        }
         if !leg.chaining {
             return Slice::Unchained;
         }
@@ -148,7 +191,7 @@ impl Slice {
             (false, BackendKind::Tso, Rung::Tier1) => Slice::Tier1Tso,
             (false, BackendKind::Arm, Rung::Tier1) => match source {
                 Source::Kernel { .. } => Slice::Tier1Arm,
-                Source::Cas | Source::Reproducer => Slice::Tier1ArmCasAndCorpus,
+                _ => Slice::Tier1ArmCasAndCorpus,
             },
         }
     }
@@ -166,73 +209,33 @@ impl Slice {
     }
 }
 
-/// A finished run: its result and its metrics.
-struct Run {
-    report: Report,
-    metrics: MetricsSnapshot,
-}
-
-/// Runs `p` under `leg` and checks that it ends as the interpreter ends
-/// and that the leg's counters hold.
-fn run_checked(p: &Program, leg: Leg) -> Run {
-    let case = format!("{} under {leg:?}", p.name);
-    let mut emu = Emulator::with_config(&p.bin, leg.setup, p.cores, leg.config());
-    let report = emu.run(FUEL).unwrap_or_else(|e| panic!("{case}: {e}"));
-
-    assert!(report.exit_vals.first().is_some_and(Option::is_some), "{case}: core 0 never ran");
-    for (tid, exit) in report.exit_vals.iter().enumerate() {
-        if let Some(exit) = exit {
-            assert_eq!(*exit, p.interp.exit_val(tid), "{case}: exit value of thread {tid}");
-        }
-    }
-    assert_eq!(report.output, p.interp.output, "{case}: WRITE output");
-    let data = data_words(emu.mem(), &p.bin);
-    if let Some(i) = (0..data.len()).find(|&i| data[i] != p.data[i]) {
-        panic!("{case}: .data word {i}: {:#x} != interp {:#x}", data[i], p.data[i]);
-    }
-
-    let m = emu.metrics();
-    assert!(m.counter("verify.checked") > 0, "{case}: the verifier never ran");
-    assert_eq!(m.counter("verify.violations"), 0, "{case}: the verifier flagged a translation");
-    let bad = emu.validate_chains();
-    assert!(bad.is_empty(), "{case}: dangling chain words: {bad:x?}");
-    let templates = m.counter("template.blocks");
-    match leg.rung {
-        Rung::Tier1 => assert_eq!(templates, 0, "{case}: tier-1 run used templates"),
-        Rung::Tier0 => {
-            assert!(templates > 0, "{case}: no template used");
-            assert!(m.counter("template.insns") >= templates, "{case}: stats inconsistent");
-            assert_eq!(m.counter("translate.insns"), 0, "{case}: tier-1 translated a block");
-            assert_eq!(m.counter("template.promotions"), 0, "{case}: tier-0-only run promoted");
-        }
-        Rung::Ladder => assert!(templates > 0, "{case}: tier-0 never served a block"),
-    }
-    // x86 has only MFENCE: the TSO dialect has no partial barrier.
-    if leg.backend == BackendKind::Tso {
-        assert_eq!(m.counter("fence.exec.dmb_ld"), 0, "{case}: TSO backend executed a DMB LD");
-        assert_eq!(m.counter("fence.exec.dmb_st"), 0, "{case}: TSO backend executed a DMB ST");
-    }
-    let (hits, links) = (m.counter("chain.hits"), m.counter("chain.links"));
-    if leg.chaining {
-        assert!(hits + links > 0, "{case}: never took a direct-jump exit");
-    } else {
-        assert_eq!((hits, links), (0, 0), "{case}: chained with chaining off");
-    }
-    Run { report, metrics: m }
-}
-
 /// Per-leg checks over the runs of one leg: every ladder leg promotes a
-/// block; every tier-1 and ladder analysis leg but no-fences (which has
-/// no fence to relax) relaxes one; chained risotto/Arm/tier-1 resolves at
-/// least 90% of its direct-jump exits on the scale-8 kernels through an
-/// already-patched chain slot (the rest are the one-time links).
+/// block on at least a quarter of the programs; outside the generated
+/// batches (where a debug build leaves two or three programs per leg),
+/// every tier-1 and ladder analysis leg but no-fences (which has no
+/// fence to relax) relaxes one; a chained leg takes a direct-jump exit
+/// through a chain on every kernel, CAS-grid and reproducer program, and
+/// on some program of a generated batch (one may enter every block
+/// once); chained risotto/Arm/tier-1 resolves at least 90% of its
+/// direct-jump exits on the scale-8 kernels through an already-patched
+/// chain slot (the rest are the one-time links).
 fn check_leg(leg: Leg, programs: &[&Program], runs: &[Run]) {
     let total = |name: &str| runs.iter().map(|r| r.metrics.counter(name)).sum::<u64>();
     if leg.rung == Rung::Ladder {
-        assert!(total("template.promotions") > 0, "{leg:?}: no block promoted");
+        let promoted = runs.iter().filter(|r| r.metrics.counter("template.promotions") > 0).count();
+        assert!(promoted * 4 >= runs.len(), "{leg:?}: promoted on {promoted}/{}", runs.len());
     }
-    if leg.analysis && leg.rung != Rung::Tier0 && leg.setup != Setup::NoFences {
+    let generated = matches!(programs[0].source, Source::Generated { .. });
+    if leg.analysis && leg.rung != Rung::Tier0 && leg.setup != Setup::NoFences && !generated {
         assert!(total("analysis.relaxed") > 0, "{leg:?}: no fence relaxed");
+    }
+    let chained = |r: &Run| r.metrics.counter("chain.hits") + r.metrics.counter("chain.links") > 0;
+    if leg.chaining && generated {
+        assert!(runs.iter().any(chained), "{leg:?}: no program took a chain");
+    } else if let Some((p, _)) =
+        programs.iter().zip(runs).find(|(_, r)| leg.chaining && !chained(r))
+    {
+        panic!("{} under {leg:?}: never took a direct-jump exit", p.subject.name);
     }
     let scale8: Vec<_> = programs
         .iter()
@@ -258,7 +261,7 @@ fn check_leg(leg: Leg, programs: &[&Program], runs: &[Run]) {
 fn check_twins(leg: Leg, programs: &[&Program], on: &[Run], off: &[Run]) {
     let mut faster = [0, 0];
     for ((p, on), off) in programs.iter().zip(on).zip(off) {
-        let case = format!("{} under {leg:?}", p.name);
+        let case = format!("{} under {leg:?}", p.subject.name);
         let (c_on, c_off) = (on.report.cycles, off.report.cycles);
         if on.metrics.counter("analysis.relaxed") == 0 {
             let shape = |r: &Report| (r.cycles, r.code_bytes, r.tb_count);
@@ -275,7 +278,7 @@ fn check_twins(leg: Leg, programs: &[&Program], on: &[Run], off: &[Run]) {
             );
         }
         match p.source {
-            Source::Reproducer => {
+            Source::Reproducer | Source::Generated { .. } => {
                 println!("{case}: analysis moved cycles by {:+}", c_on as i64 - c_off as i64);
             }
             Source::Kernel { .. } | Source::Cas => {
@@ -297,18 +300,22 @@ fn check_twins(leg: Leg, programs: &[&Program], on: &[Run], off: &[Run]) {
 /// Every case of `slice`, each through [`run_checked`], then the
 /// per-leg checks, and the twin rules where the slice has twins.
 pub fn sweep(slice: Slice) {
+    let generated = matches!(slice, Slice::Generated { .. });
+    let stride = if generated { STRIDE } else { 1 };
     let mut runs = 0;
-    for leg in legs() {
-        let cases: Vec<&Program> =
-            programs().iter().filter(|p| Slice::of(leg, p.source) == slice).collect();
+    for (j, leg) in legs().into_iter().enumerate() {
+        let cases: Vec<&Program> = (programs(generated).iter().enumerate())
+            .filter(|(i, p)| Slice::of(leg, p.source) == slice && (i + j) % stride == 0)
+            .map(|(_, p)| p)
+            .collect();
         if cases.is_empty() {
             continue;
         }
-        let ran: Vec<Run> = cases.iter().map(|p| run_checked(p, leg)).collect();
+        let ran: Vec<Run> = cases.iter().map(|p| p.run(leg)).collect();
         check_leg(leg, &cases, &ran);
         runs += ran.len();
         if let Some(twin) = slice.twin(leg) {
-            let twins: Vec<Run> = cases.iter().map(|p| run_checked(p, twin)).collect();
+            let twins: Vec<Run> = cases.iter().map(|p| p.run(twin)).collect();
             check_leg(twin, &cases, &twins);
             if leg.analysis {
                 check_twins(leg, &cases, &ran, &twins);

@@ -1,11 +1,13 @@
-//! The dynamic oracles: one leg table, two program sources.
+//! The dynamic oracles over the one leg table.
 //!
-//! A leg is one emulator configuration. The table ([`legs`]), all at
+//! A leg is one emulator configuration. The table (`risotto_fuzz::legs`,
+//! next to the run check it shares with the differential fuzzer), all at
 //! `VerifyLevel::Full`: the native oracle; {qemu, no-fences, tcg-ver,
 //! risotto} × backend {Arm, TSO} × rung {tier-1 only, tier-0 only, the
 //! tier-0→1 ladder} × analysis {off, on}; and risotto/Arm/tier-1 with
-//! chaining off. A new axis or a new program source is one more entry
-//! here, not another sweep. Two oracles read it:
+//! chaining off and with the optimizer off. A new axis or a new program
+//! source is one more entry there, not another sweep. Two oracles read
+//! it:
 //!
 //! * **Theorem 1, dynamic direction** (this file): every x86-flavoured
 //!   litmus program of the corpus is compiled to a guest binary and run
@@ -19,9 +21,12 @@
 //!   a different schedule, so the observed *sets* may legitimately
 //!   differ. Containment in the axiomatic x86 set is the bar for every
 //!   leg.
-//! * **Functional** ([`functional`]): every kernel, CAS-grid and fuzz
-//!   reproducer program runs under every leg and must end exactly as the
-//!   reference interpreter ends.
+//! * **Functional** ([`functional`]): every kernel, CAS-grid, fuzz
+//!   reproducer and generated program runs under every leg and must pass
+//!   the run check it shares with the fuzzer (`risotto_fuzz::run_checked`):
+//!   end exactly as the reference interpreter ends, with a clean verifier
+//!   and chain graph, and agree with the program's risotto run on
+//!   atomics.
 //!
 //! No-fences drops the fences x86 ordering needs, so it is incorrect by
 //! design and the litmus oracle skips it. It passes the functional
@@ -36,7 +41,8 @@
 
 pub mod functional;
 
-use risotto::core::{BackendKind, EmuConfig, Emulator, MetricsSnapshot, Setup, VerifyLevel};
+use risotto::core::{BackendKind, Emulator, MetricsSnapshot, Setup};
+use risotto::fuzz::{legs, Leg, Rung};
 use risotto::litmus::{behaviors, corpus, Behavior, Instr, Program};
 use risotto::memmodel::X86Tso;
 use risotto::workloads::litmus_compile::compile_litmus;
@@ -73,73 +79,6 @@ fn programs() -> Vec<(Program, bool)> {
             (p, rmw)
         })
         .collect()
-}
-
-/// Which translation tiers serve a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rung {
-    /// Every block through the tier-1 pipeline.
-    Tier1,
-    /// Every block a tier-0 template: the warm threshold is never reached.
-    Tier0,
-    /// Tier-0 templates, promoted to tier-1 at a block's fourth entry.
-    Ladder,
-}
-
-/// One emulator configuration every program runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Leg {
-    pub setup: Setup,
-    pub backend: BackendKind,
-    pub rung: Rung,
-    pub analysis: bool,
-    /// Direct TB chaining and the jump cache; off, every exit goes
-    /// through the dispatcher.
-    pub chaining: bool,
-}
-
-impl Leg {
-    fn config(self) -> EmuConfig {
-        let warm_threshold = match self.rung {
-            Rung::Tier1 => None,
-            Rung::Tier0 => Some(u64::MAX),
-            Rung::Ladder => Some(4),
-        };
-        EmuConfig {
-            backend: self.backend,
-            verify: VerifyLevel::Full,
-            warm_threshold,
-            analysis: self.analysis,
-            chaining: self.chaining,
-            ..EmuConfig::default()
-        }
-    }
-}
-
-/// The paper's setup on the default host, every block through tier-1.
-pub const RISOTTO: Leg = Leg {
-    setup: Setup::Risotto,
-    backend: BackendKind::Arm,
-    rung: Rung::Tier1,
-    analysis: false,
-    chaining: true,
-};
-
-/// The native oracle, every DBT setup × backend × rung × analysis, and
-/// [`RISOTTO`] with chaining off.
-fn legs() -> Vec<Leg> {
-    let mut legs = vec![Leg { setup: Setup::Native, ..RISOTTO }];
-    for setup in [Setup::Qemu, Setup::NoFences, Setup::TcgVer, Setup::Risotto] {
-        for backend in BackendKind::ALL {
-            for rung in [Rung::Tier1, Rung::Tier0, Rung::Ladder] {
-                for analysis in [false, true] {
-                    legs.push(Leg { setup, backend, rung, analysis, chaining: true });
-                }
-            }
-        }
-    }
-    legs.push(Leg { chaining: false, ..RISOTTO });
-    legs
 }
 
 /// A part of the litmus matrix run by one test, in the file named.

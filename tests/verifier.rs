@@ -20,58 +20,15 @@
 //! kernel, smaller kernels).
 
 mod theorem1;
+mod translate;
 
 use risotto::core::{EmuConfig, Emulator, FaultPlan, Setup, VerifyLevel};
 use risotto::guest::GuestBinary;
 use risotto::host::{ArmBackend, BackendConfig, HostBackend, HostInsn, RmwStyle};
 use risotto::memmodel::FenceKind;
-use risotto::tcg::{
-    optimize_with, translate_block, verify, FrontendConfig, OptPolicy, PassConfig, TbExit,
-    TcgBlock, TcgOp,
-};
+use risotto::tcg::{optimize_with, verify, FrontendConfig, OptPolicy, PassConfig, TcgBlock, TcgOp};
 use risotto::workloads::kernels;
-
-fn smoke() -> bool {
-    std::env::var("RISOTTO_VERIFY_SMOKE").is_ok_and(|v| v == "1")
-}
-
-/// The frontend/optimizer pairings the engine's setups use.
-fn configs() -> [(FrontendConfig, OptPolicy); 4] {
-    [
-        (FrontendConfig::risotto(), OptPolicy::Verified),
-        (FrontendConfig::tcg_ver(), OptPolicy::Verified),
-        (FrontendConfig::qemu(), OptPolicy::QemuUnsound),
-        (FrontendConfig::no_fences(), OptPolicy::QemuUnsound),
-    ]
-}
-
-/// BFS over the static control flow from the entry point: every block
-/// the tier-1 pipeline would translate, up to `cap` blocks.
-fn discover_blocks(bin: &GuestBinary, cfg: FrontendConfig, cap: usize) -> Vec<TcgBlock> {
-    let fetch = |pc: u64| bin.window(pc);
-    let mut seen = std::collections::HashSet::new();
-    let mut queue = vec![bin.entry];
-    let mut blocks = Vec::new();
-    while let Some(pc) = queue.pop() {
-        if blocks.len() >= cap || !seen.insert(pc) {
-            continue;
-        }
-        let Ok(block) = translate_block(pc, cfg, fetch) else {
-            continue; // PLT stubs / data — the engine quarantines these too
-        };
-        match block.exit {
-            TbExit::Jump(t) => queue.push(t),
-            TbExit::CondJump { taken, fallthrough, .. } => {
-                queue.push(taken);
-                queue.push(fallthrough);
-            }
-            TbExit::Syscall { next } => queue.push(next),
-            TbExit::JumpReg(_) | TbExit::Halt => {}
-        }
-        blocks.push(block);
-    }
-    blocks
-}
+use translate::{configs, discover_blocks, smoke};
 
 /// Runs the three verifier passes on an optimized block exactly as the
 /// engine's `VerifyLevel::Full` hook does.
