@@ -25,7 +25,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # the one leg table (risotto_fuzz::legs: native, every setup × backend ×
 # tier × analysis, risotto with chaining off and with the optimizer
 # off; all at VerifyLevel::Full). The functional matrix: every kernel,
-# CAS-grid, fuzz-reproducer and generated program must pass the run
+# CAS-grid, fuzz-reproducer, generated and hand-assembled program (one
+# that halts with CF and OF set) must pass the run
 # check the fuzzer shares (risotto_fuzz::run_checked: exit values,
 # output, .data and single-core registers and flags as the reference
 # interpreter ends them, a clean verifier and chain graph, the leg's
@@ -38,7 +39,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # generated batches run their whole programs × legs product (a debug
 # build runs every 19th case). The litmus matrix: every x86 litmus
 # program × stagger on every leg but no-fences must stay within the
-# x86-allowed behaviors with a clean verifier. Its slices run in
+# x86-allowed behaviors and keep the run check's leg-counter rules
+# (risotto_fuzz::check_leg_counters: a clean verifier and chain graph,
+# the rung's templates, no partial barrier on TSO, no chain with
+# chaining off). Its slices run in
 # litmus_through_dbt (Arm tier-1), backends (TSO tier-1), templates
 # (tier-0), analysis (analysis on) and the verifier gate below (the
 # tier-0→1 ladder).
@@ -127,7 +131,9 @@ cargo test -q --release --test alloc_budget
 # same read-modify-write as an instruction (`casal`, `ldaddal`) and as a
 # helper (`CmpxchgSc`, `XaddSc`): same memory, atomic log, count,
 # cleared foreign monitor and contention charge, the lost
-# compare-exchange included; the machine's one schedule — the smallest
+# compare-exchange included; the count of armed exclusive monitors, which
+# lets a write skip the monitor walk, must follow every `ldxr`, `stxr`,
+# foreign drain and engine-side store; the machine's one schedule — the smallest
 # `(clock, index)` first, bounded by the runner-up's — must give the
 # documented pick and bound over a hand-written clock array, and no pick
 # when nothing is runnable (same unit suite, `machine.rs` and
@@ -227,6 +233,17 @@ fi
 # adversarial policies, their knob and their setter stay deleted.
 if grep -rnE "SchedPolicy|set_sched_policy" crates src tests examples; then
     echo "ci: the machine has one schedule; SchedPolicy/set_sched_policy are gone" >&2
+    exit 1
+fi
+# One dispatch per machine step: each arm of `Machine::step` decides
+# whether its instruction is core-local, from the operands and the one
+# store-buffer probe it computes anyway. The separate locality check and
+# its second match on the decoded instruction stay deleted.
+step_matches="$(awk '/^mod tests/ { exit } /match \*?insn([^A-Za-z0-9_]|$)/ { n++ }
+                     END { print n + 0 }' \
+    crates/host-arm/src/machine.rs)"
+if grep -rnE "fn is_core_local" crates src tests examples || [ "$step_matches" -ne 1 ]; then
+    echo "ci: Machine::step matches a decoded instruction once, in the arm that runs it" >&2
     exit 1
 fi
 if grep -rnE "\.set_(verify|tiering|analysis)\(" crates src tests examples; then

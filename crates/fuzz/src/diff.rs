@@ -238,29 +238,33 @@ fn update_counts(events: &[AtomicEvent]) -> BTreeMap<u64, usize> {
     m
 }
 
-/// Runs `p` under `leg` and checks the run. Returns it, or every rule it
-/// broke:
+/// Runs `p` under `leg` and checks the run: the reference rules
+/// (`check_reference`) and the leg-counter rules
+/// ([`check_leg_counters`]). Returns it, or every rule it broke.
+pub fn run_checked(p: &Subject, leg: Leg, reference: Option<&Run>) -> Result<Run, Vec<String>> {
+    let run = p.run(leg.setup, leg.config()).map_err(|e| vec![format!("run failed: {e}")])?;
+    let mut bad = check_reference(p, &run, reference);
+    bad.extend(check_leg_counters(leg, &run.metrics, &run.dangling));
+    if bad.is_empty() {
+        Ok(run)
+    } else {
+        Err(bad)
+    }
+}
+
+/// The reference rules, every one `run` of `p` broke:
 ///
 /// * it ends: every core exits with the interpreter's exit value for its
 ///   thread, and a core with no thread never runs;
 /// * the `WRITE` output and every `.data` word equal the interpreter's;
 /// * on a single-core program, core 0's register file and flags equal
 ///   the interpreter's;
-/// * the verifier ran and found nothing, and no chain word dangles;
-/// * the leg's own counters: templates only with a tier-0 rung (and on
-///   tier-0 alone, nothing through tier-1 and no promotion), no partial
-///   barrier on TSO (x86 has only `MFENCE`), no chain linked or hit with
-///   chaining off. That a chained run chains is the program's property,
-///   not the run's (a generated program may enter every block once), so
-///   the functional matrix asserts it per program;
 /// * against `reference`, the program's [`RISOTTO`] run (the interpreter
 ///   keeps no atomic log): on a single-core program the atomic log and
 ///   the atomic total; on a multi-core program, whose interleaving is
 ///   the leg's own, the per-cell successful-update counts.
-pub fn run_checked(p: &Subject, leg: Leg, reference: Option<&Run>) -> Result<Run, Vec<String>> {
-    let run = p.run(leg.setup, leg.config()).map_err(|e| vec![format!("run failed: {e}")])?;
+fn check_reference(p: &Subject, run: &Run, reference: Option<&Run>) -> Vec<String> {
     let mut bad = Vec::new();
-    let m = &run.metrics;
     if run.report.exit_vals != p.exit_vals {
         bad.push(format!("exit values {:?} != interp {:?}", run.report.exit_vals, p.exit_vals));
     }
@@ -278,14 +282,55 @@ pub fn run_checked(p: &Subject, leg: Leg, reference: Option<&Run>) -> Result<Run
     if single && run.flags != p.flags {
         bad.push(format!("flags {:?} != interp {:?}", run.flags, p.flags));
     }
+    if let Some(r) = reference {
+        if single {
+            if run.atomics != r.atomics {
+                bad.push(format!(
+                    "atomic log differs from risotto's ({} vs {} events)",
+                    run.atomics.len(),
+                    r.atomics.len()
+                ));
+            }
+            let total = |m: &MetricsSnapshot| m.counter("exec.atomics");
+            if total(&run.metrics) != total(&r.metrics) {
+                bad.push(format!(
+                    "{} atomics != risotto's {}",
+                    total(&run.metrics),
+                    total(&r.metrics)
+                ));
+            }
+        } else if update_counts(&run.atomics) != update_counts(&r.atomics) {
+            bad.push("per-cell successful-update counts differ from risotto's".into());
+        }
+    }
+    bad
+}
+
+/// The leg-counter rules, every one a run under `leg` broke, read off its
+/// metrics `m` and its `dangling` chain words: they need no reference, so
+/// the litmus matrix checks its runs with them too.
+///
+/// * the verifier ran and found nothing, and no chain word dangles;
+/// * templates only with a tier-0 rung (and on tier-0 alone, nothing
+///   through tier-1 and no promotion), no partial barrier on TSO (x86 has
+///   only `MFENCE`), no chain linked or hit with chaining off. That a
+///   chained run chains is the program's property, not the run's (a
+///   generated program may enter every block once), so the functional
+///   matrix asserts it per program.
+pub fn check_leg_counters(
+    leg: Leg,
+    m: &MetricsSnapshot,
+    dangling: &[(u64, u64, u64)],
+) -> Vec<String> {
+    let mut bad = Vec::new();
     if m.counter("verify.checked") == 0 {
         bad.push("the verifier never ran".into());
     }
     if m.counter("verify.violations") != 0 {
         bad.push(format!("the verifier flagged {} translations", m.counter("verify.violations")));
     }
-    if !run.dangling.is_empty() {
-        bad.push(format!("dangling chain words: {:x?}", run.dangling));
+    if !dangling.is_empty() {
+        bad.push(format!("dangling chain words: {dangling:x?}"));
     }
     let templates = m.counter("template.blocks");
     let rung_ok = match leg.rung {
@@ -314,28 +359,7 @@ pub fn run_checked(p: &Subject, leg: Leg, reference: Option<&Run>) -> Result<Run
     if !leg.chaining && hits + links > 0 {
         bad.push(format!("chained with chaining off: {hits} chain hits, {links} links"));
     }
-    if let Some(r) = reference {
-        if single {
-            if run.atomics != r.atomics {
-                bad.push(format!(
-                    "atomic log differs from risotto's ({} vs {} events)",
-                    run.atomics.len(),
-                    r.atomics.len()
-                ));
-            }
-            let total = |m: &MetricsSnapshot| m.counter("exec.atomics");
-            if total(m) != total(&r.metrics) {
-                bad.push(format!("{} atomics != risotto's {}", total(m), total(&r.metrics)));
-            }
-        } else if update_counts(&run.atomics) != update_counts(&r.atomics) {
-            bad.push("per-cell successful-update counts differ from risotto's".into());
-        }
-    }
-    if bad.is_empty() {
-        Ok(run)
-    } else {
-        Err(bad)
-    }
+    bad
 }
 
 /// One observed disagreement.

@@ -53,8 +53,13 @@ pub struct GenConfig {
     pub multicore_pct: u64,
     /// Maximum child threads of a multi-threaded program.
     pub max_children: usize,
-    /// Guarantee at least one loop hot enough to cross the ladder leg's
-    /// warm threshold.
+    /// Append a counted loop of 24 to `MAX_TRIPS` trips to the main body
+    /// when that body holds no `Loop` statement, at its top level or in
+    /// an `if` arm. The test is syntactic, so this does not guarantee a
+    /// block that crosses the ladder leg's warm threshold: a loop already
+    /// there may sit in an `if` arm no run takes, or run as few as one
+    /// trip, and then nothing is appended (seed `0x124f6f6f6bb7117a` of
+    /// batch `0xBAC0_0000` enters each of its 14 blocks once).
     pub ensure_hot_loop: bool,
 }
 
@@ -108,6 +113,9 @@ pub fn generate(cfg: &GenConfig, seed: u64) -> ProgSpec {
     spec
 }
 
+/// `true` if `body` holds a `Loop` statement, at its top level or in an
+/// `if` arm, however many trips it runs and whether or not the arm is
+/// ever taken.
 fn has_loop(body: &[Stmt]) -> bool {
     body.iter().any(|s| match s {
         Stmt::Loop { .. } => true,

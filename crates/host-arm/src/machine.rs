@@ -241,6 +241,9 @@ pub struct Machine {
     /// Who has recently taken which line exclusively (`contention.rs`).
     contention: Contention,
     total_steps: u64,
+    /// How many cores have their exclusive monitor set: with none, a
+    /// write has no monitor to clear.
+    armed: usize,
     /// Picks the core each run quantum steps (`sched.rs`).
     sched: Scheduler,
     /// Ordered atomic RMW event log; `None` (the default) disables
@@ -276,6 +279,7 @@ impl Machine {
             cost,
             contention: Contention::new(cost.contend_window),
             total_steps: 0,
+            armed: 0,
             sched: Scheduler::new(n_cores),
             atomic_log: None,
         }
@@ -378,7 +382,7 @@ impl Machine {
     pub fn store_u8(&mut self, core: usize, addr: u64, v: u8) {
         self.drain_all(core);
         self.mem.write_u8(addr, v);
-        Self::invalidate_monitors(&mut self.cores, core, addr & !7);
+        self.invalidate_monitors(core, addr & !7);
     }
 
     /// The core's local clock.
@@ -440,15 +444,33 @@ impl Machine {
     /// core's `stxr` may succeed over it.
     fn write_word(&mut self, core: usize, addr: u64, v: u64) {
         self.mem.write_u64(addr, v);
-        Self::invalidate_monitors(&mut self.cores, core, addr);
+        self.invalidate_monitors(core, addr);
     }
 
-    fn invalidate_monitors(cores: &mut [Core], writer: usize, addr: u64) {
-        for (i, c) in cores.iter_mut().enumerate() {
-            if i != writer && c.monitor == Some(addr) {
-                c.monitor = None;
+    /// Clears every exclusive monitor on `addr` but the writer's own.
+    fn invalidate_monitors(&mut self, writer: usize, addr: u64) {
+        if self.armed == 0 {
+            return;
+        }
+        for i in 0..self.cores.len() {
+            if i != writer && self.cores[i].monitor == Some(addr) {
+                self.set_monitor(i, None);
             }
         }
+    }
+
+    /// The one way a core's exclusive monitor changes: `armed` counts
+    /// the cores that hold one.
+    fn set_monitor(&mut self, core: usize, monitor: Option<u64>) {
+        let c = &mut self.cores[core];
+        self.armed += usize::from(monitor.is_some());
+        self.armed -= usize::from(c.monitor.is_some());
+        c.monitor = monitor;
+        debug_assert_eq!(
+            self.armed,
+            self.cores.iter().filter(|c| c.monitor.is_some()).count(),
+            "armed-monitor count"
+        );
     }
 
     /// Cycle cost of an exclusive/atomic access to `addr`: `base` plus the
@@ -547,56 +569,12 @@ impl Machine {
         }
     }
 
-    /// `true` if `insn`, as the next step of `core` (which has no store
-    /// due), reads and writes only the core's own registers, flags, pc,
-    /// clock, statistics and store buffer — and machine-wide counters
-    /// that commute. Such a step commutes with every other core's steps,
-    /// so it may run while the core is past its scheduler bound.
-    #[inline]
-    fn is_core_local(&self, core: usize, insn: &HostInsn) -> bool {
-        use HostInsn::*;
-        let c = &self.cores[core];
-        match *insn {
-            MovImm { .. }
-            | MovReg { .. }
-            | Alu { .. }
-            | AluImm { .. }
-            | Cmp { .. }
-            | CmpImm { .. }
-            | Cset { .. }
-            | Fp { .. }
-            | BCond { .. }
-            | B { .. }
-            | Nop
-            | Barrier(Dmb::Ld | Dmb::St) => true,
-            // Nothing to drain.
-            Barrier(Dmb::Ff) => c.sb.is_empty(),
-            // A push into the own buffer; a load it forwards.
-            Str { base, off, .. } => {
-                c.sb.probe(c.get(base).wrapping_add(off as i64 as u64)) != Probe::Overlap
-            }
-            Ldr { base, off, .. } => {
-                matches!(c.sb.probe(c.get(base).wrapping_add(off as i64 as u64)), Probe::Forward(_))
-            }
-            Hcall { helper } => helper_at(helper).and_then(fp_op_of).is_some(),
-            ExitTb(kind) => self.cache.resolves_locally(core, kind, |r| c.get(r)),
-            LdrB { .. }
-            | StrB { .. }
-            | Ldxr { .. }
-            | Stxr { .. }
-            | Cas { .. }
-            | LdaddAl { .. }
-            | NativeCall { .. }
-            | Hlt => false,
-        }
-    }
-
     /// Executes one instruction on `core`. `ahead`: the core is past its
     /// scheduler bound, so a step that is not core-local (a drain due, a
-    /// fetch fault, an instruction [`Machine::is_core_local`] rejects)
-    /// yields instead, leaving no trace but a decode-table fill. One
-    /// body for both: a monomorphized copy per mode, both inlined into
-    /// `run`, measured slower (EXPERIMENTS.md, "Run-ahead quanta").
+    /// fetch fault, an instruction its own arm finds shared) yields
+    /// instead, leaving no trace but a decode-table fill. One body for
+    /// both: a monomorphized copy per mode, both inlined into `run`,
+    /// measured slower (EXPERIMENTS.md, "Run-ahead quanta").
     fn step(&mut self, core: usize, ahead: bool) -> Step {
         let c = &self.cores[core];
         let (pc, now) = (c.pc, c.cycles);
@@ -623,18 +601,25 @@ impl Machine {
         // loads the operands it uses and the table is free again before
         // the arm touches `self`.
         let (insn, len) = self.cache.entry(idx);
-        if ahead && !self.is_core_local(core, insn) {
-            return Step::Yielded;
-        }
-        self.total_steps += 1;
         let next = pc + *len as u64;
         // Arms that touch only the core work through `c`; the ones that
         // reach shared memory or other cores re-borrow after the call.
+        // Each arm decides first whether it is core-local, from what it
+        // reads anyway; the step is counted after it, at pc `to`.
         let c = &mut self.cores[core];
-        c.pc = next;
-        c.stats.insns += 1;
+        let mut to = next;
         use HostInsn::*;
         match *insn {
+            LdrB { .. } | StrB { .. } | Ldxr { .. } | Stxr { .. } if ahead => return Step::Yielded,
+            Cas { .. } | LdaddAl { .. } | NativeCall { .. } | Hlt if ahead => return Step::Yielded,
+            Barrier(Dmb::Ff) if ahead && !c.sb.is_empty() => return Step::Yielded,
+            // A float helper touches registers only.
+            Hcall { helper } if ahead && helper_at(helper).and_then(fp_op_of).is_none() => {
+                return Step::Yielded
+            }
+            ExitTb(kind) if ahead && !self.cache.resolves_locally(core, kind, |r| c.get(r)) => {
+                return Step::Yielded
+            }
             MovImm { dst, imm } => {
                 c.set(dst, imm);
                 c.cycles += self.cost.alu;
@@ -648,6 +633,7 @@ impl Machine {
                 let addr = c.get(base).wrapping_add(off as i64 as u64);
                 let v = match c.sb.probe(addr) {
                     Probe::Forward(v) => v,
+                    _ if ahead => return Step::Yielded,
                     Probe::Clear => self.mem.read_u64(addr),
                     Probe::Overlap => {
                         self.drain_all(core);
@@ -663,6 +649,9 @@ impl Machine {
                 let addr = c.get(base).wrapping_add(off as i64 as u64);
                 let v = c.get(src);
                 if c.sb.probe(addr) == Probe::Overlap {
+                    if ahead {
+                        return Step::Yielded;
+                    }
                     self.drain_all(core);
                 }
                 // All stores go through the FIFO buffer; its order already
@@ -698,9 +687,8 @@ impl Machine {
                 let a = c.get(addr);
                 self.drain_all(core);
                 let v = self.mem.read_u64(a);
-                let c = &mut self.cores[core];
-                c.set(dst, v);
-                c.monitor = Some(a);
+                self.cores[core].set(dst, v);
+                self.set_monitor(core, Some(a));
                 // Taking the line exclusively pays the same ping-pong
                 // penalty as a single-instruction atomic.
                 let ac = self.atomic_cost(core, a, self.cost.exclusive);
@@ -711,7 +699,7 @@ impl Machine {
                 let v = c.get(src);
                 self.drain_all(core);
                 let ok = self.cores[core].monitor == Some(a);
-                self.cores[core].monitor = None;
+                self.set_monitor(core, None);
                 if ok {
                     if self.atomic_log.is_some() {
                         let prev = self.mem.read_u64(a);
@@ -785,22 +773,22 @@ impl Machine {
             }
             BCond { cond, rel } => {
                 if cond.eval(c.nzcv) {
-                    c.pc = next.wrapping_add(rel as i64 as u64);
+                    to = next.wrapping_add(rel as i64 as u64);
                 }
                 c.cycles += self.cost.branch;
             }
             B { rel } => {
-                c.pc = next.wrapping_add(rel as i64 as u64);
+                to = next.wrapping_add(rel as i64 as u64);
                 c.cycles += self.cost.branch;
             }
+            // The arms that may suspend count the step first.
             Hcall { helper } => {
-                if let Some(ev) = self.exec_helper(core, pc, helper) {
-                    return Step::Suspend(ev);
-                }
+                self.count_step(core, next);
+                return self.exec_helper(core, pc, helper).map_or(Step::Ran, Step::Suspend);
             }
             NativeCall { func } => {
                 if self.natives.get(func as usize).is_none() {
-                    c.pc = pc;
+                    self.count_step(core, pc);
                     return Step::Suspend(Event::HostFault {
                         core,
                         host_pc: pc,
@@ -819,12 +807,22 @@ impl Machine {
                 c.cycles += res.cost + self.cost.call;
             }
             ExitTb(kind) => {
+                self.count_step(core, next);
                 return self.exit_tb(core, pc, kind).map_or(Step::Ran, Step::Suspend);
             }
             Hlt => self.halt_core(core),
             Nop => c.cycles += self.cost.alu,
         }
+        self.count_step(core, to);
         Step::Ran
+    }
+
+    /// Counts a step `core` has taken and moves its pc to `to`.
+    fn count_step(&mut self, core: usize, to: u64) {
+        self.total_steps += 1;
+        let c = &mut self.cores[core];
+        c.pc = to;
+        c.stats.insns += 1;
     }
 
     fn exec_helper(&mut self, core: usize, pc: u64, helper: u8) -> Option<Event> {
@@ -1339,6 +1337,70 @@ mod tests {
             m.halt_core(1);
         };
         assert_eq!(stxr_after(exit_with_a_buffered_store), (1, 7));
+    }
+
+    #[test]
+    fn the_armed_monitor_count_follows_every_monitor_change() {
+        use HostInsn::*;
+        const X: u64 = SHARED;
+        const Y: u64 = SHARED + 8;
+        // Each core runs the `Rmw2Fenced` shape, `DMB FF; LDXR; STXR;
+        // DMB FF`, on its own word; core 1 also stores to core 0's word
+        // between its pair's halves.
+        let pair = |word: u64, between: &[HostInsn]| {
+            let mut code = vec![
+                MovImm { dst: Xreg(1), imm: word },
+                Barrier(Dmb::Ff),
+                Ldxr { dst: Xreg(2), addr: Xreg(1), acquire: false },
+                AluImm { op: AOp::Add, dst: Xreg(2), a: Xreg(2), imm: 1 },
+            ];
+            code.extend_from_slice(between);
+            code.extend([
+                Stxr { status: Xreg(3), src: Xreg(2), addr: Xreg(1), release: false },
+                Barrier(Dmb::Ff),
+                Hlt,
+            ]);
+            code
+        };
+        let foreign_store = [
+            MovImm { dst: Xreg(5), imm: X },
+            MovImm { dst: Xreg(6), imm: 7 },
+            Str { src: Xreg(6), base: Xreg(5), off: 0, order: MemOrder::Plain },
+            Barrier(Dmb::Ff),
+        ];
+        let run_with = |engine: Option<fn(&mut Machine)>| {
+            let mut m = Machine::new(2, CostModel::uniform());
+            let (c0, c1) =
+                (m.install_code(&pair(X, &[])), m.install_code(&pair(Y, &foreign_store)));
+            // Core 0 takes its monitor, then sits out while core 1 runs.
+            m.start_core(0, c0);
+            assert_eq!(m.run(3), Event::OutOfFuel);
+            assert_eq!((m.armed, m.cores[0].monitor), (1, Some(X)));
+            m.add_cycles(0, 1000);
+            m.start_core(1, c1);
+            assert_eq!(m.run(3), Event::OutOfFuel);
+            assert_eq!((m.armed, m.cores[1].monitor), (2, Some(Y)));
+            // Core 1's `DMB FF` drains its store to X: core 0's monitor
+            // is gone, core 1's kept.
+            assert_eq!(m.run(1 + foreign_store.len() as u64), Event::OutOfFuel);
+            assert_eq!((m.armed, m.cores[0].monitor, m.cores[1].monitor), (1, None, Some(Y)));
+            if let Some(engine) = engine {
+                engine(&mut m);
+            }
+            assert_eq!(m.run(100), Event::AllHalted);
+            assert_eq!(m.armed, 0, "every monitor was cleared or consumed");
+            (m.reg(0, Xreg(3)), m.reg(1, Xreg(3)), m.mem.read_u64(X), m.mem.read_u64(Y))
+        };
+        // Core 0's `stxr` fails over the foreign drain; core 1's succeeds
+        // undisturbed, and fails after the engine writes its word.
+        assert_eq!(run_with(None), (1, 0, 7, 1));
+        assert_eq!(run_with(Some(|m| m.store_u64(0, Y, 9))), (1, 1, 7, 9));
+        assert_eq!(run_with(Some(|m| m.store_u8(0, Y + 1, 9))), (1, 1, 7, 9 << 8));
+        assert_eq!(
+            run_with(Some(|m| m.store_u64(1, Y, 9))),
+            (1, 0, 7, 1),
+            "the own write keeps it"
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! The programs: the 16 Fig. 12 kernels at scale 4 (where swaptions
 //! relaxes) and at scale 8 (where the chain-hit floor holds), with two
 //! threads; the CAS grid at (threads, vars) = (1, 1), (4, 2), (4, 4);
-//! the checked-in fuzz reproducers; and the generated programs
-//! `program_seed(salt, 0..40)` for each salt of [`BATCHES`].
+//! the checked-in fuzz reproducers; one hand-assembled program that
+//! halts with `CF` and `OF` set ([`flags_at_halt`]); and the generated
+//! programs `program_seed(salt, 0..40)` for each salt of [`BATCHES`].
 //!
 //! A twin is an analysis-on run paired with the analysis-off run of the
 //! same program on the otherwise identical leg ([`check_twins`]).
@@ -20,6 +21,7 @@ use risotto::fuzz::{
     generate, legs, parse_corpus, program_seed, run_checked, GenConfig, Leg, Run, Rung, Subject,
     RISOTTO,
 };
+use risotto::guest::{AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
 use risotto::workloads::{cas, kernels};
 use std::sync::OnceLock;
 
@@ -61,7 +63,26 @@ enum Source {
     Kernel { scale: u64 },
     Cas,
     Reproducer,
+    Assembled,
     Generated { salt: u64 },
+}
+
+/// A single-core program written with the assembler rather than the fuzz
+/// lowering: a counted loop, so every chained leg takes a chain and the
+/// ladder promotes, then a last block that ends in `hlt` with `CF` and
+/// `OF` set where the loop left both clear. Every generated program ends
+/// in `mul`/`xor` folds, which clear both, so only this one sees a
+/// translation drop the last block's carry or overflow write.
+fn flags_at_halt() -> GuestBinary {
+    let mut b = GelfBuilder::new("main");
+    let a = &mut b.asm;
+    a.label("main").mov_ri(Gpr::RCX, 10).mov_ri(Gpr::RAX, 0);
+    a.label("loop").alu_rr(AluOp::Add, Gpr::RAX, Gpr::RCX).alu_ri(AluOp::Sub, Gpr::RCX, 1);
+    a.jcc_to(Cond::Ne, "loop");
+    // i64::MAX - u64::MAX borrows (CF) and overflows (OF).
+    a.mov_ri(Gpr::RDX, i64::MAX as u64).mov_ri(Gpr::RSI, u64::MAX).cmp_rr(Gpr::RDX, Gpr::RSI);
+    a.hlt();
+    b.finish().expect("flags_at_halt assembles")
 }
 
 /// One program of the table, with the interpreter's run of it.
@@ -136,6 +157,10 @@ fn programs(generated: bool) -> &'static [Program] {
             let subject = Subject::new(name.to_owned(), bin, spec.cores(), INTERP_FUEL);
             table.push(Program::new(Source::Reproducer, subject));
         }
+        let name = "flags_at_halt".to_owned();
+        let flags = Program::new(Source::Assembled, Subject::new(name, flags_at_halt(), 1, 1000));
+        assert!(flags.subject.flags.cf && flags.subject.flags.of, "flags_at_halt: CF and OF");
+        table.push(flags);
         table
     })
 }
@@ -149,8 +174,8 @@ pub enum Slice {
     /// Native and the chained Arm tier-1 legs, analysis off, kernels
     /// (`end_to_end.rs`).
     Tier1Arm,
-    /// The same legs on the CAS grid and the reproducers
-    /// (`end_to_end.rs`).
+    /// The same legs on the CAS grid, the reproducers and the
+    /// hand-assembled program (`end_to_end.rs`).
     Tier1ArmCasAndCorpus,
     /// The TSO tier-1 legs, analysis off (`backends.rs`).
     Tier1Tso,
@@ -214,7 +239,8 @@ impl Slice {
 /// batches (where a debug build leaves two or three programs per leg),
 /// every tier-1 and ladder analysis leg but no-fences (which has no
 /// fence to relax) relaxes one; a chained leg takes a direct-jump exit
-/// through a chain on every kernel, CAS-grid and reproducer program, and
+/// through a chain on every kernel, CAS-grid, reproducer and
+/// hand-assembled program, and
 /// on some program of a generated batch (one may enter every block
 /// once); chained risotto/Arm/tier-1 resolves at least 90% of its
 /// direct-jump exits on the scale-8 kernels through an already-patched
@@ -253,8 +279,9 @@ fn check_leg(leg: Leg, programs: &[&Program], runs: &[Run]) {
 
 /// The twin rules for analysis-on `on` against analysis-off `off`.
 /// Relaxing fences is all analysis does: with none relaxed, the twins
-/// translate and execute the same code. On kernels and the CAS grid,
-/// relaxing never costs cycles; on the reproducers it can
+/// translate and execute the same code. On kernels, the CAS grid and
+/// the hand-assembled program, relaxing never costs cycles; on the
+/// reproducers it can
 /// (`spawn_cas_contention` retries more CAS rounds with fewer fences),
 /// so their deltas are printed, not asserted. Risotto/Arm/tier-1 must
 /// make at least three kernels strictly faster at each scale.
@@ -281,7 +308,7 @@ fn check_twins(leg: Leg, programs: &[&Program], on: &[Run], off: &[Run]) {
             Source::Reproducer | Source::Generated { .. } => {
                 println!("{case}: analysis moved cycles by {:+}", c_on as i64 - c_off as i64);
             }
-            Source::Kernel { .. } | Source::Cas => {
+            Source::Kernel { .. } | Source::Cas | Source::Assembled => {
                 assert!(c_on <= c_off, "{case}: analysis-on regressed cycles ({c_on} > {c_off})");
             }
         }

@@ -42,7 +42,7 @@
 pub mod functional;
 
 use risotto::core::{BackendKind, Emulator, MetricsSnapshot, Setup};
-use risotto::fuzz::{legs, Leg, Rung};
+use risotto::fuzz::{check_leg_counters, legs, Leg, Rung};
 use risotto::litmus::{behaviors, corpus, Behavior, Instr, Program};
 use risotto::memmodel::X86Tso;
 use risotto::workloads::litmus_compile::compile_litmus;
@@ -123,8 +123,10 @@ impl Slice {
 }
 
 /// Runs `prog` compiled with `delays` under `leg` and checks the run: it
-/// succeeds, its outcome is in `allowed`, the verifier ran and found
-/// nothing, and a tier-0-only run translated through templates alone.
+/// succeeds, its outcome is in `allowed`, and it keeps the leg-counter
+/// rules the functional matrix checks too (`risotto_fuzz::
+/// check_leg_counters`: a clean verifier and chain graph, the rung's
+/// templates, no partial barrier on TSO, no chain with chaining off).
 /// Returns the outcome and the run's metrics.
 pub fn run_checked(
     prog: &Program,
@@ -140,12 +142,8 @@ pub fn run_checked(
     let obs = compiled.observe(emu.mem());
     assert!(allowed.contains(&obs), "{case}: observed {obs:?} is NOT x86-allowed");
     let m = emu.metrics();
-    assert_eq!(m.counter("verify.violations"), 0, "{case}: the verifier flagged a translation");
-    assert!(m.counter("verify.checked") > 0, "{case}: the verifier never ran");
-    if leg.rung == Rung::Tier0 {
-        assert!(m.counter("template.blocks") > 0, "{case}: no template used");
-        assert_eq!(m.counter("translate.insns"), 0, "{case}: tier-1 translated a block");
-    }
+    let bad = check_leg_counters(leg, &m, &emu.validate_chains());
+    assert!(bad.is_empty(), "{case}: {}", bad.join("; "));
     (obs, m)
 }
 
