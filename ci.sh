@@ -45,10 +45,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # chaining off). Its slices run in
 # litmus_through_dbt (Arm tier-1), backends (TSO tier-1), templates
 # (tier-0), analysis (analysis on) and the verifier gate below (the
-# tier-0→1 ladder).
+# tier-0→1 ladder). The fault sweep: the functional matrix's programs ×
+# legs again, each case under one fault plan (risotto_fuzz::fault_plan,
+# the site rotating), through the same run check with its per-site
+# contract; its slices run in fault_sweep (kernels, CAS grid,
+# reproducers, hand-assembled program; forced fallback) and fuzz (the
+# generated batches), and in this release build cover all 6 222 cases.
 cargo test -q --release -p risotto-host-tso
 cargo test -q --release --test backends --test templates --test litmus_through_dbt --test analysis \
-    --test chaining --test end_to_end --test fuzz
+    --test chaining --test end_to_end --test fuzz --test fault_sweep
 # `dump_translation --backend tso` must show MiniTSO code on every leg:
 # no partial barrier, no exclusive pair, no Arm heading.
 tso_dump="$(mktemp /tmp/dump_tso.XXXXXX.txt)"
@@ -261,6 +266,17 @@ if grep -rnE "FUZZ_HOT_THRESHOLD|enum Config\b|fn (emu_config|run_config)\b" cra
     exit 1
 fi
 
+# One fault oracle: a fault plan is one more input of the one run check
+# (risotto_fuzz::run_checked), with one contract per fault site, and every
+# plan comes from one generator (risotto_fuzz::fault_plan). The private
+# fault check, the second plan generator and the fault sweep's own
+# interpreter reference stay deleted.
+if grep -rnE "fn (fault_check|plan_for|random_fault_plan)\b" crates src tests examples ||
+    grep -n "Interp::new" tests/fault_sweep.rs; then
+    echo "ci: a fault plan is an input of risotto_fuzz::run_checked, made by fault_plan" >&2
+    exit 1
+fi
+
 # One counter surface: `Report` is the run's result (cycles, exit
 # values, output, translated blocks, code size) and every count is a row
 # of `Emulator::metrics()`. None of the deleted second copies may come
@@ -374,6 +390,21 @@ rm -f "$fuzz_json"
 # evaluation gets exercised, not just fig12.
 cargo run -q --release -p risotto-bench --bin fig13_openssl_sqlite -- --smoke > /dev/null
 cargo run -q --release -p risotto-bench --bin fig14_mathlib -- --smoke > /dev/null
+# The committed paper-vs-measured record: each figure and ablation file
+# under results/ is its binary's full-size stdout, every number in it a
+# simulated count, so it must match byte for byte.
+for pair in fig12:fig12_parsec_phoenix fig13:fig13_openssl_sqlite fig14:fig14_mathlib \
+    fig15:fig15_cas ablation_passes:ablation_passes ablation_cas:ablation_cas; do
+    file="results/${pair%%:*}.txt"
+    out="$(mktemp /tmp/results.XXXXXX.txt)"
+    cargo run -q --release -p risotto-bench --bin "${pair#*:}" > "$out"
+    if ! cmp -s "$out" "$file"; then
+        diff "$out" "$file" >&2 || true
+        echo "ci: $file is stale — regenerate it from ${pair#*:}" >&2
+        exit 1
+    fi
+    rm -f "$out"
+done
 # fig15 is the run whose cycles move first if a scheduler pick or a
 # contention sweep stops being deterministic (the CAS grid at 1, 2 and 4
 # cores): run it twice and compare the tables.

@@ -3,7 +3,9 @@
 //! (risotto/Arm/tier-1, the same with the optimizer off, on the tier-0→1
 //! ladder, on MiniTSO and with analysis on), each run checked by the one
 //! run check the functional matrix shares, the translation verifier
-//! included (DESIGN.md §13, docs/FUZZING.md).
+//! included (DESIGN.md §13, docs/FUZZING.md). Every eighth program
+//! also runs under one fault plan (`risotto_fuzz::fault_plan`), the site
+//! and the leg rotating, through the same check.
 //!
 //! ```sh
 //! cargo run --release -p risotto-bench --bin fuzz -- \
@@ -19,9 +21,10 @@
 
 use risotto_bench::{print_table, BenchCli, MetricsEntry};
 use risotto_core::obs::{MetricValue, MetricsSnapshot, SNAPSHOT_VERSION};
+use risotto_core::FaultPlan;
 use risotto_fuzz::{
-    differential, diverges, fault_check, generate, minimize, program_seed, random_fault_plan,
-    regression_test_skeleton, to_corpus_string, GenConfig,
+    differential, diverges, fault_plan, generate, minimize, program_seed, regression_test_skeleton,
+    run_checked, to_corpus_string, Fault, GenConfig, Leg, ProgSpec, Subject, FUZZ_LEGS, RISOTTO,
 };
 
 /// Default iteration counts: the full run satisfies the "≥10k seeded
@@ -29,7 +32,7 @@ use risotto_fuzz::{
 const FULL_ITERS: u64 = 10_000;
 const SMOKE_ITERS: u64 = 300;
 
-/// Every Nth iteration also runs the fault-composed check.
+/// Every Nth iteration also runs under a fault plan.
 const FAULT_EVERY: u64 = 8;
 
 /// Minimizer budget per divergent program.
@@ -72,12 +75,15 @@ fn main() {
 
         if i % FAULT_EVERY == 0 {
             fault_runs += 1;
-            match fault_check(&spec, random_fault_plan(pseed ^ 0xFA)) {
+            let k = (i / FAULT_EVERY) as usize;
+            let (fault, leg) = (Fault::ALL[k % Fault::ALL.len()], FUZZ_LEGS[k % FUZZ_LEGS.len()]);
+            match fault_run(&spec, fault, leg, pseed) {
                 Ok(true) => fault_completed += 1,
                 Ok(false) => fault_degraded += 1,
-                Err(d) => {
+                Err(bad) => {
                     divergences += 1;
-                    divergent.push((pseed, spec, vec![d.to_string()]));
+                    let what = format!("[{leg:?}, {fault:?} plan] {}", bad.join("; "));
+                    divergent.push((pseed, spec, vec![what]));
                 }
             }
         }
@@ -155,6 +161,16 @@ fn main() {
         println!("!! {} divergent program(s); reproducers in fuzz-failures/", divergent.len());
         std::process::exit(1);
     }
+}
+
+/// Runs `spec` under `leg` and `fault`'s plan seeded with `seed`
+/// through the one run check, against its fault-free risotto run.
+/// `Ok(false)`: the run ended in its plan's injected syscall error.
+fn fault_run(spec: &ProgSpec, fault: Fault, leg: Leg, seed: u64) -> Result<bool, Vec<String>> {
+    let p = Subject::of_spec(spec).map_err(|e| vec![e])?;
+    let reference = run_checked(&p, RISOTTO, &FaultPlan::default(), None)?;
+    let plan = fault_plan(fault, seed, &p.bin);
+    Ok(run_checked(&p, leg, &plan, reference.as_ref())?.is_some())
 }
 
 fn die(msg: String) -> u64 {

@@ -103,4 +103,7 @@ impl GuestState for CoreState<'_> {
     fn store_u8(&mut self, addr: u64, v: u8) {
         self.emu.machine.store_u8(self.core, addr, v);
     }
+    fn rmw(&mut self, addr: u64, f: impl FnOnce(u64) -> Option<u64>) -> u64 {
+        self.emu.machine.rmw(self.core, addr, f)
+    }
 }

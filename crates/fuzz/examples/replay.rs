@@ -6,6 +6,7 @@
 //! cargo run -p risotto-fuzz --example replay -- path/to/file.risotto
 //! ```
 
+use risotto_core::FaultPlan;
 use risotto_fuzz::{Subject, RISOTTO};
 
 fn main() {
@@ -14,7 +15,7 @@ fn main() {
     let spec = risotto_fuzz::parse_corpus(&text).expect("parse corpus file");
     println!("spec:\n{}", risotto_fuzz::to_corpus_string(&spec));
     let p = Subject::of_spec(&spec).expect("reference run");
-    let run = p.run(RISOTTO.setup, RISOTTO.config()).expect("risotto run");
+    let run = p.run(RISOTTO, &FaultPlan::default()).expect("risotto run");
     for i in 0..16 {
         let (a, b) = (p.regs[i], run.regs[i]);
         let mark = if a == b { "  " } else { "!!" };

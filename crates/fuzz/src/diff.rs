@@ -14,10 +14,13 @@
 //! (`tests/theorem1/functional.rs`) runs its programs under every leg,
 //! both through [`run_checked`]. Any broken rule is a [`Divergence`].
 //!
-//! A separate fault-composed mode layers a random [`FaultPlan`] over the
-//! program and checks the graceful-degradation contract from PR 1:
-//! either the run completes with exactly the fault-free results, or it
-//! fails with a typed error — never a panic, never silent divergence.
+//! A fault plan is one more input of the check: under the empty plan a
+//! run must complete and pass every rule; under a plan of
+//! [`fault_plan`] it must do the same, except that a plan that rejects a
+//! syscall may instead end the run in that typed error. One contract per
+//! site, each exact: translate, lower, TB-cache and install faults are
+//! all recovered from, and the verifier flags exactly the corrupted
+//! installs.
 
 use crate::spec::ProgSpec;
 use risotto_core::{
@@ -189,13 +192,14 @@ impl Subject {
         Subject::new(format!("seed {:#x}", spec.seed), bin, spec.cores(), fuel)
     }
 
-    /// Runs the program under `setup` and `config`.
+    /// Runs the program under `leg` and the fault plan `plan`.
     ///
     /// # Errors
     ///
     /// The emulator's error.
-    pub fn run(&self, setup: Setup, config: EmuConfig) -> Result<Run, EmuError> {
-        let mut emu = Emulator::with_config(&self.bin, setup, self.cores, config);
+    pub fn run(&self, leg: Leg, plan: &FaultPlan) -> Result<Run, EmuError> {
+        let config = EmuConfig { fault_plan: plan.clone(), ..leg.config() };
+        let mut emu = Emulator::with_config(&self.bin, leg.setup, self.cores, config);
         let report = emu.run(self.fuel)?;
         Ok(Run {
             data: data_words(emu.mem(), &self.bin),
@@ -238,15 +242,31 @@ fn update_counts(events: &[AtomicEvent]) -> BTreeMap<u64, usize> {
     m
 }
 
-/// Runs `p` under `leg` and checks the run: the reference rules
-/// (`check_reference`) and the leg-counter rules
-/// ([`check_leg_counters`]). Returns it, or every rule it broke.
-pub fn run_checked(p: &Subject, leg: Leg, reference: Option<&Run>) -> Result<Run, Vec<String>> {
-    let run = p.run(leg.setup, leg.config()).map_err(|e| vec![format!("run failed: {e}")])?;
+/// Runs `p` under `leg` and the fault plan `plan` and checks the run:
+/// the reference rules (`check_reference`) and the leg-counter rules
+/// ([`check_leg_counters`]), whatever the plan. Returns the run, or
+/// `None` when it ended in the one error a plan may cause: the typed
+/// rejection of a syscall, under a plan that rejects syscalls. Any other
+/// error, and every rule the run broke, is returned as a divergence.
+pub fn run_checked(
+    p: &Subject,
+    leg: Leg,
+    plan: &FaultPlan,
+    reference: Option<&Run>,
+) -> Result<Option<Run>, Vec<String>> {
+    let run = match p.run(leg, plan) {
+        Ok(run) => run,
+        Err(EmuError::Injected { site: FaultSite::Syscall, .. })
+            if plan.injects(FaultSite::Syscall) =>
+        {
+            return Ok(None)
+        }
+        Err(e) => return Err(vec![format!("run failed: {e}")]),
+    };
     let mut bad = check_reference(p, &run, reference);
-    bad.extend(check_leg_counters(leg, &run.metrics, &run.dangling));
+    bad.extend(check_leg_counters(leg, plan, &run.metrics, &run.dangling));
     if bad.is_empty() {
-        Ok(run)
+        Ok(Some(run))
     } else {
         Err(bad)
     }
@@ -306,42 +326,60 @@ fn check_reference(p: &Subject, run: &Run, reference: Option<&Run>) -> Vec<Strin
     bad
 }
 
-/// The leg-counter rules, every one a run under `leg` broke, read off its
-/// metrics `m` and its `dangling` chain words: they need no reference, so
-/// the litmus matrix checks its runs with them too.
+/// The leg-counter rules, every one a run under `leg` and `plan` broke,
+/// read off its metrics `m` and its `dangling` chain words: they need no
+/// reference, so the litmus matrix checks its runs with them too.
 ///
-/// * the verifier ran and found nothing, and no chain word dangles;
+/// * the verifier flagged exactly the installs the plan corrupted: Pass 1
+///   and Pass 2 nothing, Pass 3 (the install read-back) each
+///   `fault.injected.install`; it ran if anything was installed; no
+///   chain word dangles;
+/// * under the empty plan nothing fell back to the interpreter and no
+///   fault fired, so a fault-free run installs something;
 /// * templates only with a tier-0 rung (and on tier-0 alone, nothing
-///   through tier-1 and no promotion), no partial barrier on TSO (x86 has
-///   only `MFENCE`), no chain linked or hit with chaining off. That a
-///   chained run chains is the program's property, not the run's (a
-///   generated program may enter every block once), so the functional
-///   matrix asserts it per program.
+///   through tier-1 and no promotion), on a run that installed anything;
+///   no partial barrier on TSO (x86 has only `MFENCE`), no chain linked
+///   or hit with chaining off. That a chained run chains is the
+///   program's property, not the run's (a generated program may enter
+///   every block once), so the functional matrix asserts it per program.
 pub fn check_leg_counters(
     leg: Leg,
+    plan: &FaultPlan,
     m: &MetricsSnapshot,
     dangling: &[(u64, u64, u64)],
 ) -> Vec<String> {
     let mut bad = Vec::new();
-    if m.counter("verify.checked") == 0 {
+    let installed = m.counter("translate.blocks") > 0;
+    if installed && m.counter("verify.checked") == 0 {
         bad.push("the verifier never ran".into());
     }
-    if m.counter("verify.violations") != 0 {
-        bad.push(format!("the verifier flagged {} translations", m.counter("verify.violations")));
+    let (flagged, corrupted) =
+        (m.counter("verify.violations"), m.counter("fault.injected.install"));
+    if flagged != corrupted || m.counter("verify.encoding_violations") != corrupted {
+        bad.push(format!(
+            "the verifier flagged {flagged} translations, {corrupted} installs corrupted"
+        ));
     }
     if !dangling.is_empty() {
         bad.push(format!("dangling chain words: {dangling:x?}"));
+    }
+    let (fallbacks, injected) =
+        (m.counter("translate.fallback_blocks"), m.counter("fault.injected"));
+    if plan.is_empty() && fallbacks + injected != 0 {
+        bad.push(format!(
+            "no faults planned, yet {fallbacks} fallback blocks and {injected} faults"
+        ));
     }
     let templates = m.counter("template.blocks");
     let rung_ok = match leg.rung {
         Rung::Tier1 => templates == 0,
         Rung::Tier0 => {
-            templates > 0
+            (templates > 0 || !installed)
                 && m.counter("template.insns") >= templates
                 && m.counter("translate.insns") == 0
                 && m.counter("template.promotions") == 0
         }
-        Rung::Ladder => templates > 0,
+        Rung::Ladder => templates > 0 || !installed,
     };
     if !rung_ok {
         bad.push(format!(
@@ -399,8 +437,8 @@ pub fn differential(spec: &ProgSpec) -> DiffResult {
     let mut divergences = Vec::new();
     let mut reference = None;
     for leg in FUZZ_LEGS {
-        match run_checked(&p, leg, reference.as_ref()) {
-            Ok(run) if leg == RISOTTO => reference = Some(run),
+        match run_checked(&p, leg, &FaultPlan::default(), reference.as_ref()) {
+            Ok(run) if leg == RISOTTO => reference = run,
             Ok(_) => {}
             Err(bad) => divergences
                 .extend(bad.into_iter().map(|what| Divergence { leg: format!("{leg:?}"), what })),
@@ -414,51 +452,57 @@ pub fn diverges(spec: &ProgSpec) -> bool {
     !differential(spec).divergences.is_empty()
 }
 
-/// A random fault plan for the fault-composed mode: background rates on
-/// the recoverable layers, plus occasionally a syscall-layer fault (which
-/// is allowed to surface as a typed error).
-pub fn random_fault_plan(seed: u64) -> FaultPlan {
-    let mut rng = SplitMix64::new(seed ^ 0xFA_017);
-    let mut plan = FaultPlan::seeded(seed)
-        .rate(FaultSite::Translate, 400 + rng.below(3000) as u16)
-        .rate(FaultSite::Lower, 400 + rng.below(3000) as u16)
-        .rate(FaultSite::TbCache, 200 + rng.below(1200) as u16);
-    if rng.chance(1, 4) {
-        plan = plan.rate(FaultSite::Syscall, 1 + rng.below(400) as u16);
-    }
-    if rng.chance(1, 3) {
-        plan = plan.corrupt_install_at(rng.below(6));
-    }
-    plan
+/// Where a plan of [`fault_plan`] injects: one site per plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Translations fail at a rate, and always for one labelled block.
+    Translate,
+    /// Lowerings fail at a rate, and always for one labelled block.
+    Lower,
+    /// TB-cache evictions at a rate; one labelled block's entry corrupted.
+    TbCache,
+    /// Every translation fails: the interpreter fallback runs it all.
+    Fallback,
+    /// One byte of one of the first six code installs flipped.
+    Install,
+    /// One of the first six syscalls rejected: the one fault that may
+    /// end a run, in [`EmuError::Injected`].
+    Syscall,
 }
 
-/// Fault-composed check: layers `plan` over the [`RISOTTO`] leg and
-/// asserts graceful degradation. `Ok(completed)` reports whether the run
-/// completed (vs. failing with an accepted typed error).
-///
-/// # Errors
-///
-/// A [`Divergence`] when the run panicked, or completed with results
-/// other than the interpreter's.
-pub fn fault_check(spec: &ProgSpec, plan: FaultPlan) -> Result<bool, Divergence> {
-    let diverged = |what: String| Divergence { leg: "fault".into(), what };
-    let p = Subject::of_spec(spec).map_err(diverged)?;
-    let config = EmuConfig { fault_plan: plan, ..RISOTTO.config() };
-    let run =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.run(RISOTTO.setup, config)));
-    match run {
-        Err(_) => Err(diverged("panicked under fault plan".into())),
-        // Any typed error is acceptable degradation — the PR 1 contract
-        // (see tests/fault_sweep.rs) forbids only panics and silent
-        // divergence.
-        Ok(Err(_)) => Ok(false),
-        Ok(Ok(run)) if run.report.exit_vals != p.exit_vals => Err(diverged(format!(
-            "completed with exit values {:?} != interp {:?}",
-            run.report.exit_vals, p.exit_vals
-        ))),
-        Ok(Ok(run)) if run.report.output != p.output => {
-            Err(diverged("completed with diverging output".into()))
+impl Fault {
+    /// Every site, in the order a sweep rotates through them.
+    pub const ALL: [Fault; 6] = [
+        Fault::Translate,
+        Fault::Lower,
+        Fault::TbCache,
+        Fault::Fallback,
+        Fault::Install,
+        Fault::Syscall,
+    ];
+}
+
+/// The one fault-plan generator: a plan seeded with `seed` that injects
+/// at `fault` alone, its rate and target drawn from `seed`; a target is
+/// one of `bin`'s labels (its entry when it has none).
+pub fn fault_plan(fault: Fault, seed: u64, bin: &GuestBinary) -> FaultPlan {
+    let mut rng = SplitMix64::new(seed ^ 0xFA_017);
+    let mut labels: Vec<u64> = bin.symbols.values().copied().collect();
+    labels.sort_unstable();
+    let target = labels.get(rng.usize_below(labels.len().max(1))).copied().unwrap_or(bin.entry);
+    let plan = FaultPlan::seeded(seed);
+    match fault {
+        Fault::Translate => {
+            plan.rate(FaultSite::Translate, 400 + rng.below(3000) as u16).fail_translate_at(target)
         }
-        Ok(Ok(_)) => Ok(true),
+        Fault::Lower => {
+            plan.rate(FaultSite::Lower, 400 + rng.below(3000) as u16).fail_lower_at(target)
+        }
+        Fault::TbCache => {
+            plan.rate(FaultSite::TbCache, 200 + rng.below(4000) as u16).corrupt_tb_at(target)
+        }
+        Fault::Fallback => plan.rate(FaultSite::Translate, u16::MAX),
+        Fault::Install => plan.corrupt_install_at(rng.below(6)),
+        Fault::Syscall => plan.fail_syscall_at(rng.below(6)),
     }
 }

@@ -32,8 +32,8 @@ pub mod spec;
 
 pub use corpus::{parse_corpus, to_corpus_string, CorpusError};
 pub use diff::{
-    check_leg_counters, differential, diverges, fault_check, legs, random_fault_plan, run_checked,
-    DiffResult, Divergence, Leg, Run, Rung, Subject, FUZZ_LEGS, RISOTTO,
+    check_leg_counters, differential, diverges, fault_plan, legs, run_checked, DiffResult,
+    Divergence, Fault, Leg, Run, Rung, Subject, FUZZ_LEGS, RISOTTO,
 };
 pub use gen::{generate, GenConfig, Weights};
 pub use minimize::{minimize, regression_test_skeleton, Minimized};

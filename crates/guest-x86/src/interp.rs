@@ -168,6 +168,18 @@ pub trait GuestState {
     fn load_u8(&self, addr: u64) -> u8;
     /// Stores one byte.
     fn store_u8(&mut self, addr: u64, v: u8);
+    /// A locked read-modify-write of the u64 at `addr`: `f` sees the
+    /// word and says what to leave there (`None`: nothing, a failed
+    /// compare-exchange); returns the value read. By default a load
+    /// then a store; a state whose memory is shared overrides it with
+    /// its own atomic access.
+    fn rmw(&mut self, addr: u64, f: impl FnOnce(u64) -> Option<u64>) -> u64 {
+        let old = self.load_u64(addr);
+        if let Some(new) = f(old) {
+            self.store_u64(addr, new);
+        }
+        old
+    }
 }
 
 /// What [`exec_insn`] left for its caller to do.
@@ -267,9 +279,9 @@ pub fn exec_insn<S: GuestState>(s: &mut S, insn: Insn, next: u64) -> Step {
         }
         Insn::LockCmpxchg { base, disp, src } => {
             let addr = ea(s, base, disp);
-            let cur = s.load_u64(addr);
-            if cur == s.reg(Gpr::RAX) {
-                s.store_u64(addr, s.reg(src));
+            let (expected, new) = (s.reg(Gpr::RAX), s.reg(src));
+            let cur = s.rmw(addr, |cur| (cur == expected).then_some(new));
+            if cur == expected {
                 s.set_flags(Flags::from_sub(0, 0)); // ZF=1
             } else {
                 s.set_reg(Gpr::RAX, cur);
@@ -278,8 +290,8 @@ pub fn exec_insn<S: GuestState>(s: &mut S, insn: Insn, next: u64) -> Step {
         }
         Insn::LockXadd { base, disp, src } => {
             let addr = ea(s, base, disp);
-            let cur = s.load_u64(addr);
-            s.store_u64(addr, cur.wrapping_add(s.reg(src)));
+            let add = s.reg(src);
+            let cur = s.rmw(addr, |cur| Some(cur.wrapping_add(add)));
             s.set_reg(src, cur);
         }
         Insn::Nop => {}

@@ -491,8 +491,9 @@ impl Machine {
     /// and says what to leave there (`None`: nothing, a failed
     /// compare-exchange). Written or not, the access is logged, counted
     /// and charged `CostModel::atomic` plus contention; returns the value
-    /// read.
-    fn rmw(&mut self, core: usize, addr: u64, f: impl FnOnce(u64) -> Option<u64>) -> u64 {
+    /// read. The engine calls it too, for the interpreter fallback's
+    /// locked instructions.
+    pub fn rmw(&mut self, core: usize, addr: u64, f: impl FnOnce(u64) -> Option<u64>) -> u64 {
         self.drain_all(core);
         let old = self.mem.read_u64(addr);
         let new = f(old);

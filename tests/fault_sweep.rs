@@ -1,18 +1,18 @@
 //! Fault-injection sweep and graceful-degradation tests.
 //!
-//! The robustness contract: under *any* [`FaultPlan`], a run either
-//! completes with observable output (thread-0 checksum + WRITE bytes)
-//! identical to the fault-free reference interpreter, or returns a typed
-//! [`EmuError`] — never a panic, never a silently wrong result.
+//! The robustness contract, one per fault site: under a plan of the one
+//! generator (`risotto_fuzz::fault_plan`) a run passes the same run check
+//! as a fault-free one (`risotto_fuzz::run_checked`), and only a plan
+//! that rejects a syscall may end it instead, in that typed
+//! [`EmuError`]. The sweep is the functional matrix's
+//! ([`fault_sweep`]); the tests after it each pin one recovery path.
 
 mod theorem1;
 
 use risotto::core::{EmuConfig, EmuError, Emulator, FaultPlan, FaultSite, Setup};
-use risotto::fuzz::parse_corpus;
-use risotto::guest::{syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary, Interp, DATA_BASE};
+use risotto::guest::{syscalls, AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
 use risotto::host::CostModel;
-use risotto::workloads::kernels;
-use theorem1::functional::REPRODUCERS;
+use theorem1::functional::{fault_sweep, FaultSlice};
 
 const FUEL: u64 = 200_000_000;
 
@@ -25,86 +25,11 @@ fn faulted(bin: &GuestBinary, setup: Setup, cores: usize, fault_plan: FaultPlan)
     Emulator::with_config(bin, setup, cores, EmuConfig { fault_plan, ..EmuConfig::default() })
 }
 
-/// Fault-free reference: the guest interpreter's checksum and output.
-fn reference(bin: &GuestBinary) -> (u64, Vec<u8>) {
-    let mut interp = Interp::new(bin);
-    interp.run(FUEL).expect("reference interpreter must complete");
-    (interp.exit_val(0), interp.output.clone())
-}
-
-/// A varied plan per seed: background rates over different site mixes,
-/// with an occasional targeted syscall rejection.
-fn plan_for(seed: u64) -> FaultPlan {
-    let mut p = FaultPlan::seeded(seed);
-    match seed % 4 {
-        0 => p = p.rate(FaultSite::Translate, 2000),
-        1 => p = p.rate(FaultSite::Lower, 2000),
-        2 => p = p.rate(FaultSite::TbCache, 4000),
-        _ => {
-            p = p
-                .rate(FaultSite::Translate, 900)
-                .rate(FaultSite::Lower, 900)
-                .rate(FaultSite::TbCache, 2000);
-        }
-    }
-    if seed % 10 == 9 {
-        p = p.fail_syscall_at(seed % 7);
-    }
-    p
-}
-
-/// ≥200 seeded plans × 4 workloads × rotating setups: every run must
-/// either match the reference exactly or fail with a typed error.
+/// Every leg on the kernels, the CAS grid, the reproducers and the
+/// hand-assembled program, one plan per case, the site rotating.
 #[test]
 fn seeded_fault_sweep_never_diverges_silently() {
-    let picks = ["histogram", "blackscholes", "matrixmultiply", "wordcount"];
-    let workloads: Vec<_> =
-        kernels::all().into_iter().filter(|w| picks.contains(&w.name)).collect();
-    assert_eq!(workloads.len(), 4);
-    let setups = [Setup::Qemu, Setup::TcgVer, Setup::Risotto, Setup::Native];
-
-    let mut completed = 0u32;
-    let mut typed_errors = 0u32;
-    let mut total_fallbacks = 0u64;
-    let mut total_retranslations = 0u64;
-    for w in &workloads {
-        let bin = (w.build)(6, 2);
-        let (ref_exit, ref_out) = reference(&bin);
-        for seed in 0..200u64 {
-            let setup = setups[(seed % setups.len() as u64) as usize];
-            let mut emu = faulted(&bin, setup, 2, plan_for(seed));
-            match emu.run(FUEL) {
-                Ok(report) => {
-                    assert_eq!(
-                        report.exit_vals[0],
-                        Some(ref_exit),
-                        "{} seed {seed} ({}): checksum diverged under faults",
-                        w.name,
-                        setup.name(),
-                    );
-                    assert_eq!(
-                        report.output,
-                        ref_out,
-                        "{} seed {seed} ({}): output diverged under faults",
-                        w.name,
-                        setup.name(),
-                    );
-                    completed += 1;
-                    let m = emu.metrics();
-                    total_fallbacks += m.counter("translate.fallback_blocks");
-                    total_retranslations += m.counter("translate.retranslations");
-                }
-                // Any typed error is an acceptable outcome — the contract
-                // forbids only panics and silent divergence.
-                Err(_) => typed_errors += 1,
-            }
-        }
-    }
-    // The sweep must actually exercise degradation, not just error out.
-    assert!(completed >= 500, "only {completed}/800 runs completed");
-    assert!(total_fallbacks > 0, "no run ever used the interpreter fallback");
-    assert!(total_retranslations > 0, "no run ever re-translated a block");
-    assert!(typed_errors > 0, "syscall injections never surfaced as typed errors");
+    fault_sweep(FaultSlice::Table);
 }
 
 /// Counts to `n` in a loop (exit value = n), with a WRITE on the way.
@@ -186,36 +111,6 @@ fn interpreted_loop_after_translated_code_stops_at_the_fuel() {
         assert!(steps > 3_000 && interpreted > 0, "{}: {steps} + {interpreted}", setup.name());
         assert!(steps + interpreted <= fuel, "{}: {steps} + {interpreted}", setup.name());
     }
-}
-
-/// Backend (lowering) faults degrade the same way as frontend faults.
-#[test]
-fn lower_fault_falls_back_to_interpreter() {
-    let bin = counting_binary(500, false);
-    let mut emu =
-        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(4).fail_lower_at(bin.symbols["loop"]));
-    let r = emu.run(FUEL).unwrap();
-    assert_eq!(r.exit_vals[0], Some(500));
-    assert!(emu.metrics().counter("translate.fallback_blocks") >= 1);
-}
-
-/// Detected TB corruption discards the entry and re-translates it; the
-/// result is unchanged and the refill is counted.
-#[test]
-fn tb_corruption_is_retranslated() {
-    let bin = counting_binary(500, true);
-    let mut emu =
-        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(5).corrupt_tb_at(bin.symbols["loop"]));
-    let r = emu.run(FUEL).unwrap();
-    assert_eq!(r.exit_vals[0], Some(500));
-    assert_eq!(r.output, b"ok\n");
-    let m = emu.metrics();
-    assert!(m.counter("translate.retranslations") >= 1, "corruption refill not counted");
-    assert_eq!(
-        m.counter("translate.fallback_blocks"),
-        0,
-        "corruption must not force interpretation"
-    );
 }
 
 /// The PR-1 failure model meets TB chaining: corrupting (→ unmapping) the
@@ -390,49 +285,9 @@ fn failed_host_link_uses_guest_implementation() {
 
 /// With (nearly) every translation failing, whole programs run through
 /// the interpreter fallback — the reference semantics executing over the
-/// env-in-machine-memory guest state — and must end where the reference
-/// interpreter ends: exit values, WRITE output and `.data`, on the 16
-/// kernels and the checked-in fuzz corpus.
+/// env-in-machine-memory guest state — and must pass the run check, on
+/// the kernels and the checked-in fuzz corpus.
 #[test]
 fn forced_fallback_matches_the_interpreter_on_kernels_and_corpus() {
-    let mut programs: Vec<(String, GuestBinary, usize)> =
-        kernels::all().iter().map(|w| (w.name.to_owned(), (w.build)(6, 2), 2)).collect();
-    for (name, text) in REPRODUCERS {
-        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-        programs.push((
-            name.to_owned(),
-            spec.lower().expect("corpus program lowers"),
-            spec.cores(),
-        ));
-    }
-    // By name: each program's fault seed is its position.
-    programs.sort_by(|a, b| a.0.cmp(&b.0));
-    assert!(programs.len() >= 22, "16 kernels and the checked-in corpus, got {}", programs.len());
-
-    for (seed, (name, bin, cores)) in programs.iter().enumerate() {
-        let mut interp = Interp::new(bin);
-        interp.run(FUEL).unwrap_or_else(|e| panic!("{name}: reference interpreter: {e}"));
-
-        let mut emu = faulted(
-            bin,
-            Setup::Risotto,
-            *cores,
-            FaultPlan::seeded(seed as u64).rate(FaultSite::Translate, 65535),
-        );
-        let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{name}: forced fallback: {e}"));
-
-        for (tid, exit) in r.exit_vals.iter().enumerate() {
-            let Some(exit) = exit else { continue };
-            assert_eq!(*exit, interp.exit_val(tid), "{name}: exit value of thread {tid}");
-        }
-        assert_eq!(r.output, interp.output, "{name}: WRITE output");
-        assert_eq!(
-            emu.mem().read_bytes(DATA_BASE, bin.data.len()),
-            interp.mem.read_bytes(DATA_BASE, bin.data.len()),
-            "{name}: final .data"
-        );
-        let m = emu.metrics();
-        assert!(m.counter("translate.fallback_blocks") > 0, "{name}: nothing fell back");
-        assert!(m.counter("translate.interp_steps") > 0, "{name}: nothing interpreted");
-    }
+    fault_sweep(FaultSlice::Fallback);
 }

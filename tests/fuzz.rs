@@ -6,12 +6,13 @@
 
 mod theorem1;
 
+use risotto::core::FaultPlan;
 use risotto::fuzz::{
-    differential, fault_check, generate, minimize, parse_corpus, program_seed, random_fault_plan,
-    to_corpus_string, GenConfig, Leg, ProgSpec, Rung, Stmt, Subject, RISOTTO,
+    differential, generate, minimize, parse_corpus, program_seed, to_corpus_string, GenConfig, Leg,
+    ProgSpec, Rung, Stmt, Subject, RISOTTO,
 };
 use risotto::guest::Interp;
-use theorem1::functional::{sweep, Slice, BATCHES, REPRODUCERS};
+use theorem1::functional::{fault_sweep, sweep, FaultSlice, Slice, BATCHES, REPRODUCERS};
 
 /// Seeds used by the seeded property sweeps below. Fixed, so failures
 /// name a replayable program.
@@ -154,22 +155,12 @@ fn differential_sweep_finds_no_divergence() {
     sweep(Slice::Generated { salt: BATCHES[0] });
 }
 
-/// Fault-composed runs degrade gracefully: no panic, and completed runs
-/// match the fault-free reference exactly.
+/// Fault-composed runs of the generated batches, one plan per case, the
+/// site rotating: each passes the run check or ends in its injected
+/// syscall error.
 #[test]
 fn fault_composition_degrades_gracefully() {
-    let cfg = GenConfig::default();
-    let mut completed = 0u64;
-    for seed in sweep_seeds(25, 0xFA) {
-        let spec = generate(&cfg, seed);
-        match fault_check(&spec, random_fault_plan(seed)) {
-            Ok(true) => completed += 1,
-            Ok(false) => {} // typed error: accepted degradation
-            Err(d) => panic!("seed {seed:#x}: fault contract violated: {d}"),
-        }
-    }
-    // Background rates are low; most runs must recover and complete.
-    assert!(completed >= 10, "only {completed}/25 fault-composed runs completed");
+    fault_sweep(FaultSlice::Generated);
 }
 
 /// Replays every checked-in reproducer: the corpus must parse, agree
@@ -205,7 +196,7 @@ fn corpus_replay_stays_green() {
     let (_, text) = REPRODUCERS.iter().find(|(name, _)| *name == "hot_loop_promotion").unwrap();
     let p = Subject::of_spec(&parse_corpus(text).unwrap()).expect("spec runs");
     let ladder = Leg { rung: Rung::Ladder, ..RISOTTO };
-    let run = p.run(ladder.setup, ladder.config()).expect("spec runs");
+    let run = p.run(ladder, &FaultPlan::default()).expect("spec runs");
     let promotions = run.metrics.counter("template.promotions");
     assert!(promotions > 0, "hot_loop_promotion no longer promotes a template");
 }

@@ -15,11 +15,15 @@
 //!
 //! A twin is an analysis-on run paired with the analysis-off run of the
 //! same program on the otherwise identical leg ([`check_twins`]).
+//!
+//! The fault sweep ([`fault_sweep`]) runs the same table under the same
+//! legs and the same check, each case under one plan of the one fault
+//! generator (`risotto_fuzz::fault_plan`).
 
-use risotto::core::{BackendKind, MetricsSnapshot, Report, Setup};
+use risotto::core::{BackendKind, FaultPlan, MetricsSnapshot, Report, Setup};
 use risotto::fuzz::{
-    generate, legs, parse_corpus, program_seed, run_checked, GenConfig, Leg, Run, Rung, Subject,
-    RISOTTO,
+    fault_plan, generate, legs, parse_corpus, program_seed, run_checked, Fault, GenConfig, Leg,
+    Run, Rung, Subject, RISOTTO,
 };
 use risotto::guest::{AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
 use risotto::workloads::{cas, kernels};
@@ -85,18 +89,29 @@ fn flags_at_halt() -> GuestBinary {
     b.finish().expect("flags_at_halt assembles")
 }
 
-/// One program of the table, with the interpreter's run of it.
+/// How to make a [`Subject`]: build the program, run the interpreter.
+type Build = Box<dyn Fn() -> Result<Subject, String> + Send + Sync>;
+
+/// One program of the table, interpreted when a slice first needs it.
 struct Program {
     source: Source,
-    subject: Subject,
+    build: Build,
+    subject: OnceLock<Subject>,
     /// The program's [`RISOTTO`] run, made when a slice first needs it.
     reference: OnceLock<Run>,
 }
 
 impl Program {
-    fn new(source: Source, subject: Result<Subject, String>) -> Program {
-        let subject = subject.unwrap_or_else(|e| panic!("{e}"));
-        Program { source, subject, reference: OnceLock::new() }
+    fn new(
+        source: Source,
+        build: impl Fn() -> Result<Subject, String> + Send + Sync + 'static,
+    ) -> Program {
+        let build = Box::new(build);
+        Program { source, build, subject: OnceLock::new(), reference: OnceLock::new() }
+    }
+
+    fn subject(&self) -> &Subject {
+        self.subject.get_or_init(|| (self.build)().unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// The run of this program under `leg`, through the run check
@@ -113,13 +128,16 @@ impl Program {
     }
 
     fn checked(&self, leg: Leg, reference: Option<&Run>) -> Run {
-        let run = run_checked(&self.subject, leg, reference);
-        run.unwrap_or_else(|bad| panic!("{} under {leg:?}: {}", self.subject.name, bad.join("; ")))
+        let run = run_checked(self.subject(), leg, &FaultPlan::default(), reference);
+        let run = run.unwrap_or_else(|bad| {
+            panic!("{} under {leg:?}: {}", self.subject().name, bad.join("; "))
+        });
+        run.expect("only a plan rejects a syscall")
     }
 }
 
-/// The program table, built and interpreted once per test binary; the
-/// generated batches apart, so that their slices interpret no kernel.
+/// The program table, built once per test binary; the generated
+/// batches apart, so that their slices build no kernel.
 fn programs(generated: bool) -> &'static [Program] {
     static TABLE: OnceLock<Vec<Program>> = OnceLock::new();
     static GENERATED: OnceLock<Vec<Program>> = OnceLock::new();
@@ -128,8 +146,9 @@ fn programs(generated: bool) -> &'static [Program] {
             let batch = |salt| (0..BATCH).map(move |i| (salt, program_seed(salt, i)));
             (BATCHES.into_iter().flat_map(batch))
                 .map(|(salt, seed)| {
-                    let spec = generate(&GenConfig::default(), seed);
-                    Program::new(Source::Generated { salt }, Subject::of_spec(&spec))
+                    Program::new(Source::Generated { salt }, move || {
+                        Subject::of_spec(&generate(&GenConfig::default(), seed))
+                    })
                 })
                 .collect()
         });
@@ -138,29 +157,33 @@ fn programs(generated: bool) -> &'static [Program] {
         let mut table = Vec::new();
         for scale in [4, 8] {
             for w in kernels::all() {
-                let name = format!("{}@{scale}", w.name);
-                let subject = Subject::new(name, (w.build)(scale, 2), 2, INTERP_FUEL);
-                table.push(Program::new(Source::Kernel { scale }, subject));
+                table.push(Program::new(Source::Kernel { scale }, move || {
+                    Subject::new(format!("{}@{scale}", w.name), (w.build)(scale, 2), 2, INTERP_FUEL)
+                }));
             }
         }
         for (threads, vars) in [(1, 1), (4, 2), (4, 4)] {
-            let name = format!("cas({threads},{vars})");
-            let bin = cas::cas_bench(100, threads, vars);
-            let cas = Program::new(Source::Cas, Subject::new(name, bin, threads, INTERP_FUEL));
-            let total = Some(100 * threads as u64);
-            assert_eq!(cas.subject.exit_vals[0], total, "{}: total", cas.subject.name);
-            table.push(cas);
+            table.push(Program::new(Source::Cas, move || {
+                let name = format!("cas({threads},{vars})");
+                let bin = cas::cas_bench(100, threads, vars);
+                let cas = Subject::new(name, bin, threads, INTERP_FUEL)?;
+                let total = Some(100 * threads as u64);
+                assert_eq!(cas.exit_vals[0], total, "{}: total", cas.name);
+                Ok(cas)
+            }));
         }
         for (name, text) in REPRODUCERS {
-            let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-            let bin = spec.lower().unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-            let subject = Subject::new(name.to_owned(), bin, spec.cores(), INTERP_FUEL);
-            table.push(Program::new(Source::Reproducer, subject));
+            table.push(Program::new(Source::Reproducer, move || {
+                let spec = parse_corpus(text).map_err(|e| format!("corpus `{name}`: {e}"))?;
+                let bin = spec.lower().map_err(|e| format!("corpus `{name}`: {e}"))?;
+                Subject::new(name.to_owned(), bin, spec.cores(), INTERP_FUEL)
+            }));
         }
-        let name = "flags_at_halt".to_owned();
-        let flags = Program::new(Source::Assembled, Subject::new(name, flags_at_halt(), 1, 1000));
-        assert!(flags.subject.flags.cf && flags.subject.flags.of, "flags_at_halt: CF and OF");
-        table.push(flags);
+        table.push(Program::new(Source::Assembled, || {
+            let flags = Subject::new("flags_at_halt".to_owned(), flags_at_halt(), 1, 1000)?;
+            assert!(flags.flags.cf && flags.flags.of, "flags_at_halt: CF and OF");
+            Ok(flags)
+        }));
         table
     })
 }
@@ -261,7 +284,7 @@ fn check_leg(leg: Leg, programs: &[&Program], runs: &[Run]) {
     } else if let Some((p, _)) =
         programs.iter().zip(runs).find(|(_, r)| leg.chaining && !chained(r))
     {
-        panic!("{} under {leg:?}: never took a direct-jump exit", p.subject.name);
+        panic!("{} under {leg:?}: never took a direct-jump exit", p.subject().name);
     }
     let scale8: Vec<_> = programs
         .iter()
@@ -288,7 +311,7 @@ fn check_leg(leg: Leg, programs: &[&Program], runs: &[Run]) {
 fn check_twins(leg: Leg, programs: &[&Program], on: &[Run], off: &[Run]) {
     let mut faster = [0, 0];
     for ((p, on), off) in programs.iter().zip(on).zip(off) {
-        let case = format!("{} under {leg:?}", p.subject.name);
+        let case = format!("{} under {leg:?}", p.subject().name);
         let (c_on, c_off) = (on.report.cycles, off.report.cycles);
         if on.metrics.counter("analysis.relaxed") == 0 {
             let shape = |r: &Report| (r.cycles, r.code_bytes, r.tb_count);
@@ -350,4 +373,77 @@ pub fn sweep(slice: Slice) {
         }
     }
     assert!(runs > 0, "{slice:?} holds no case");
+}
+
+/// A part of the fault sweep, run by one test in the file named.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultSlice {
+    /// Every leg on the kernels, the CAS grid, the reproducers and the
+    /// hand-assembled program (`fault_sweep.rs`).
+    Table,
+    /// Every leg on the generated batches (`fuzz.rs`).
+    Generated,
+    /// [`RISOTTO`] with every translation failing ([`Fault::Fallback`])
+    /// on the scale-4 kernels and the reproducers (`fault_sweep.rs`).
+    Fallback,
+}
+
+/// Every case of `slice` through [`run_checked`], against the program's
+/// fault-free [`RISOTTO`] run: it must pass every rule, or, under a
+/// syscall plan, end in the injected syscall error. In the table and
+/// generated slices the `k`-th case of the programs × legs product runs
+/// under `fault_plan(Fault::ALL[k % 6], k, ..)`, the site rotating with
+/// the case; a debug build runs every 7th table and every 337th
+/// generated case (strides prime to the six sites and the 51 legs,
+/// about 300 and a dozen cases), a release build all of them. Over
+/// those two slices the plans must have fired: a block fell back, one
+/// was re-translated, a syscall error ended a run and the install
+/// read-back caught a corrupted install. Per case, every block falls
+/// back under [`Fault::Fallback`] and none under [`Fault::TbCache`] (a
+/// detected cache fault re-translates).
+pub fn fault_sweep(slice: FaultSlice) {
+    let stride = match slice {
+        FaultSlice::Table if cfg!(debug_assertions) => 7,
+        FaultSlice::Generated if cfg!(debug_assertions) => 337,
+        _ => 1,
+    };
+    let legs = legs();
+    let mut totals = [0; 4]; // fallbacks, retranslations, syscall errors, Pass-3 catches
+    for (i, p) in programs(slice == FaultSlice::Generated).iter().enumerate() {
+        for (j, &leg) in legs.iter().enumerate() {
+            let k = i * legs.len() + j;
+            let fault = match slice {
+                FaultSlice::Fallback if leg != RISOTTO => continue,
+                FaultSlice::Fallback => match p.source {
+                    Source::Kernel { scale: 4 } | Source::Reproducer => Fault::Fallback,
+                    _ => continue,
+                },
+                _ if !k.is_multiple_of(stride) => continue,
+                _ => Fault::ALL[k % Fault::ALL.len()],
+            };
+            let plan = fault_plan(fault, k as u64, &p.subject().bin);
+            let case = format!("{} under {leg:?}, {fault:?} plan {k}", p.subject().name);
+            let Some(run) = run_checked(p.subject(), leg, &plan, Some(p.reference()))
+                .unwrap_or_else(|bad| panic!("{case}: {}", bad.join("; ")))
+            else {
+                totals[2] += 1;
+                continue;
+            };
+            let m = |name| run.metrics.counter(name);
+            let fell_back = m("translate.fallback_blocks");
+            let site_ok = match fault {
+                Fault::Fallback => fell_back > 0,
+                Fault::TbCache => fell_back == 0,
+                _ => true,
+            };
+            assert!(site_ok, "{case}: {fell_back} blocks fell back");
+            totals[0] += fell_back;
+            totals[1] += m("translate.retranslations");
+            totals[3] += m("verify.encoding_violations");
+        }
+    }
+    assert!(
+        slice == FaultSlice::Fallback || totals.iter().all(|&n| n > 0),
+        "{slice:?}: fallbacks, retranslations, syscall errors, Pass-3 catches: {totals:?}"
+    );
 }

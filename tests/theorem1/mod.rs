@@ -26,7 +26,8 @@
 //!   the run check it shares with the fuzzer (`risotto_fuzz::run_checked`):
 //!   end exactly as the reference interpreter ends, with a clean verifier
 //!   and chain graph, and agree with the program's risotto run on
-//!   atomics.
+//!   atomics. Its fault sweep runs the same cases under fault plans,
+//!   through the same check.
 //!
 //! No-fences drops the fences x86 ordering needs, so it is incorrect by
 //! design and the litmus oracle skips it. It passes the functional
@@ -41,7 +42,7 @@
 
 pub mod functional;
 
-use risotto::core::{BackendKind, Emulator, MetricsSnapshot, Setup};
+use risotto::core::{BackendKind, Emulator, FaultPlan, MetricsSnapshot, Setup};
 use risotto::fuzz::{check_leg_counters, legs, Leg, Rung};
 use risotto::litmus::{behaviors, corpus, Behavior, Instr, Program};
 use risotto::memmodel::X86Tso;
@@ -142,7 +143,7 @@ pub fn run_checked(
     let obs = compiled.observe(emu.mem());
     assert!(allowed.contains(&obs), "{case}: observed {obs:?} is NOT x86-allowed");
     let m = emu.metrics();
-    let bad = check_leg_counters(leg, &m, &emu.validate_chains());
+    let bad = check_leg_counters(leg, &FaultPlan::default(), &m, &emu.validate_chains());
     assert!(bad.is_empty(), "{case}: {}", bad.join("; "));
     (obs, m)
 }
