@@ -52,8 +52,10 @@ pub(super) struct Counts {
     /// Frontend-emitted fences counted pre-optimization, indexed per
     /// [`FenceKind::tcg_index`].
     pub(super) fence_inserted: [u64; 12],
-    /// Injected faults that fired, per site.
-    pub(super) faults: Faults,
+    /// Injected faults that fired (translate / lower / install / syscall).
+    pub(super) faults_injected: u64,
+    /// Of those, code installs corrupted ([`FaultPlan::corrupt_install_at`]).
+    pub(super) faults_install: u64,
     /// Guest instructions covered by tier-1 translations (denominator
     /// of the per-tier translation-cost comparison).
     pub(super) tier1_insns: u64,
@@ -74,23 +76,6 @@ pub(super) struct Counts {
     pub(super) analysis_relaxed: u64,
     /// Tier-1 translations with at least one relaxed event.
     pub(super) analysis_relaxed_blocks: u64,
-}
-
-/// Injected faults that fired, one count per site that counts them
-/// (TB-cache evictions and corruptions are seen in
-/// `translate.retranslations` instead).
-#[derive(Debug, Default)]
-pub(super) struct Faults {
-    /// Frontend translations failed by the plan.
-    pub(super) translate: u64,
-    /// Backend lowerings failed by the plan.
-    pub(super) lower: u64,
-    /// Code installs with one byte flipped by the plan
-    /// ([`FaultPlan::corrupt_install_at`]); the install read-back
-    /// (Pass 3) rejects each one.
-    pub(super) install: u64,
-    /// Syscalls rejected by the plan.
-    pub(super) syscall: u64,
 }
 
 /// How a metric is read off the engine — which also fixes its kind.
@@ -146,11 +131,8 @@ static METRICS: &[Metric] = &[
     row("template.insns", "insns", "Guest instructions covered by tier-0 template translations", Counter(|e| e.counts.template_insns)),
     row("template.promotions", "blocks", "Tier-0 blocks re-translated through the tier-1 pipeline on warming", Counter(|e| e.counts.template_promotions)),
     row("template.promotion_failures", "blocks", "Tier-0→1 promotions that failed; the template stays installed", Counter(|e| e.counts.template_promotion_failures)),
-    row("fault.injected", "faults", "Injected faults that fired, every site (the sum of the four rows below)", Counter(|e| { let f = &e.counts.faults; f.translate + f.lower + f.install + f.syscall })),
-    row("fault.injected.translate", "faults", "Frontend translations failed by the fault plan", Counter(|e| e.counts.faults.translate)),
-    row("fault.injected.lower", "faults", "Backend lowerings failed by the fault plan", Counter(|e| e.counts.faults.lower)),
-    row("fault.injected.install", "faults", "Code installs corrupted by the fault plan (each one rejected by the install read-back)", Counter(|e| e.counts.faults.install)),
-    row("fault.injected.syscall", "faults", "Syscalls rejected by the fault plan", Counter(|e| e.counts.faults.syscall)),
+    row("fault.injected", "faults", "Injected translate/lower/install/syscall faults that fired", Counter(|e| e.counts.faults_injected)),
+    row("fault.injected.install", "faults", "Code installs corrupted by the fault plan (each one rejected by the install read-back)", Counter(|e| e.counts.faults_install)),
     row("opt.folded", "ops", "Constants folded by the optimizer", Counter(|e| e.counts.opt_totals.folded as u64)),
     row("opt.loads_forwarded", "ops", "Loads forwarded (RAR + RAW elimination)", Counter(|e| e.counts.opt_totals.loads_forwarded as u64)),
     row("opt.stores_eliminated", "ops", "Dead stores removed (WAW elimination)", Counter(|e| e.counts.opt_totals.stores_eliminated as u64)),

@@ -25,7 +25,7 @@ impl Emulator {
         let nth = self.counts.syscall_attempts;
         self.counts.syscall_attempts += 1;
         if self.config.fault_plan.syscall_fails(nth) {
-            self.counts.faults.syscall += 1;
+            self.counts.faults_injected += 1;
             self.obs.trace(TraceStage::Fault, Some(core), Some(next), None, || {
                 "injected syscall fault (unrecoverable)".to_owned()
             });

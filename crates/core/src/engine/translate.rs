@@ -192,7 +192,8 @@ impl Emulator {
         if len > 0 {
             let off = self.config.fault_plan.pick(len);
             if self.machine.corrupt_code_byte(host, off) {
-                self.counts.faults.install += 1;
+                self.counts.faults_injected += 1;
+                self.counts.faults_install += 1;
             }
         }
     }
@@ -389,7 +390,7 @@ impl Emulator {
             return Ok(Candidate::block(guest_pc, self.build_native_thunk(func, nargs)));
         }
         if self.config.fault_plan.translate_fails(guest_pc) {
-            self.counts.faults.translate += 1;
+            self.counts.faults_injected += 1;
             return Err(TbFault::Injected);
         }
         if tier0 {
@@ -403,7 +404,7 @@ impl Emulator {
     /// tier-1 optimizer, after a tier-0 template instantiation.
     fn lower_fault(&mut self, guest_pc: u64) -> Result<(), TbFault> {
         if self.config.fault_plan.lower_fails(guest_pc) {
-            self.counts.faults.lower += 1;
+            self.counts.faults_injected += 1;
             return Err(TbFault::Injected);
         }
         Ok(())

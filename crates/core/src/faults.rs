@@ -45,13 +45,6 @@ pub enum FaultSite {
 
 impl FaultSite {
     const COUNT: usize = 5;
-    const ALL: [FaultSite; FaultSite::COUNT] = [
-        FaultSite::Translate,
-        FaultSite::Lower,
-        FaultSite::TbCache,
-        FaultSite::HostCall,
-        FaultSite::Syscall,
-    ];
 
     fn index(self) -> usize {
         match self {
@@ -216,23 +209,20 @@ impl FaultPlan {
         self.rng.usize_below(n)
     }
 
-    /// Whether the plan can inject at `site`: a background rate or a
-    /// target there. Install corruptions
-    /// ([`FaultPlan::corrupt_install_at`]) count as [`FaultSite::TbCache`].
-    pub fn injects(&self, site: FaultSite) -> bool {
-        self.rates[site.index()] != 0
-            || match site {
-                FaultSite::Translate => !self.translate_pcs.is_empty(),
-                FaultSite::Lower => !self.lower_pcs.is_empty(),
-                FaultSite::TbCache => !self.corrupt_pcs.is_empty() || !self.install_nths.is_empty(),
-                FaultSite::HostCall => !self.host_calls.is_empty(),
-                FaultSite::Syscall => !self.syscall_nths.is_empty(),
-            }
+    /// Whether the plan can reject a syscall: a rate or a target there.
+    pub fn rejects_syscalls(&self) -> bool {
+        self.rates[FaultSite::Syscall.index()] != 0 || !self.syscall_nths.is_empty()
     }
 
     /// `true` if the plan can never inject anything (the default plan).
     pub fn is_empty(&self) -> bool {
-        !FaultSite::ALL.into_iter().any(|site| self.injects(site))
+        self.rates.iter().all(|&r| r == 0)
+            && self.translate_pcs.is_empty()
+            && self.lower_pcs.is_empty()
+            && self.corrupt_pcs.is_empty()
+            && self.host_calls.is_empty()
+            && self.syscall_nths.is_empty()
+            && self.install_nths.is_empty()
     }
 }
 

@@ -256,9 +256,7 @@ pub fn run_checked(
 ) -> Result<Option<Run>, Vec<String>> {
     let run = match p.run(leg, plan) {
         Ok(run) => run,
-        Err(EmuError::Injected { site: FaultSite::Syscall, .. })
-            if plan.injects(FaultSite::Syscall) =>
-        {
+        Err(EmuError::Injected { site: FaultSite::Syscall, .. }) if plan.rejects_syscalls() => {
             return Ok(None)
         }
         Err(e) => return Err(vec![format!("run failed: {e}")]),
@@ -452,7 +450,8 @@ pub fn diverges(spec: &ProgSpec) -> bool {
     !differential(spec).divergences.is_empty()
 }
 
-/// Where a plan of [`fault_plan`] injects: one site per plan.
+/// Where a plan of [`fault_plan`] injects: one site per plan, or
+/// several at once ([`Fault::Mixed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Translations fail at a rate, and always for one labelled block.
@@ -468,23 +467,28 @@ pub enum Fault {
     /// One of the first six syscalls rejected: the one fault that may
     /// end a run, in [`EmuError::Injected`].
     Syscall,
+    /// Translate, lower and TB-cache rates and one labelled block's
+    /// entry corrupted, sometimes with a syscall rate or an install
+    /// corruption on top: the recovery paths of the sites meet.
+    Mixed,
 }
 
 impl Fault {
     /// Every site, in the order a sweep rotates through them.
-    pub const ALL: [Fault; 6] = [
+    pub const ALL: [Fault; 7] = [
         Fault::Translate,
         Fault::Lower,
         Fault::TbCache,
-        Fault::Fallback,
         Fault::Install,
         Fault::Syscall,
+        Fault::Fallback,
+        Fault::Mixed,
     ];
 }
 
 /// The one fault-plan generator: a plan seeded with `seed` that injects
-/// at `fault` alone, its rate and target drawn from `seed`; a target is
-/// one of `bin`'s labels (its entry when it has none).
+/// where `fault` says, its rates and targets drawn from `seed`; a target
+/// is one of `bin`'s labels (its entry when it has none).
 pub fn fault_plan(fault: Fault, seed: u64, bin: &GuestBinary) -> FaultPlan {
     let mut rng = SplitMix64::new(seed ^ 0xFA_017);
     let mut labels: Vec<u64> = bin.symbols.values().copied().collect();
@@ -504,5 +508,19 @@ pub fn fault_plan(fault: Fault, seed: u64, bin: &GuestBinary) -> FaultPlan {
         Fault::Fallback => plan.rate(FaultSite::Translate, u16::MAX),
         Fault::Install => plan.corrupt_install_at(rng.below(6)),
         Fault::Syscall => plan.fail_syscall_at(rng.below(6)),
+        Fault::Mixed => {
+            let mut plan = plan
+                .rate(FaultSite::Translate, 400 + rng.below(3000) as u16)
+                .rate(FaultSite::Lower, 400 + rng.below(3000) as u16)
+                .rate(FaultSite::TbCache, 200 + rng.below(1200) as u16)
+                .corrupt_tb_at(target);
+            if rng.chance(1, 4) {
+                plan = plan.rate(FaultSite::Syscall, 1 + rng.below(400) as u16);
+            }
+            if rng.chance(1, 3) {
+                plan = plan.corrupt_install_at(rng.below(6));
+            }
+            plan
+        }
     }
 }

@@ -84,36 +84,6 @@ fn translate_fault_falls_back_to_interpreter() {
     }
 }
 
-/// A host-code lowering fault is also recovered by interpretation.
-#[test]
-fn lower_fault_falls_back_to_interpreter() {
-    let bin = counting_binary(500, false);
-    let mut emu =
-        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(4).fail_lower_at(bin.symbols["loop"]));
-    let r = emu.run(FUEL).unwrap();
-    assert_eq!(r.exit_vals[0], Some(500));
-    assert!(emu.metrics().counter("translate.fallback_blocks") >= 1);
-}
-
-/// Detected TB corruption discards the entry and re-translates it; the
-/// result is unchanged and the refill is counted.
-#[test]
-fn tb_corruption_is_retranslated() {
-    let bin = counting_binary(500, true);
-    let mut emu =
-        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(5).corrupt_tb_at(bin.symbols["loop"]));
-    let r = emu.run(FUEL).unwrap();
-    assert_eq!(r.exit_vals[0], Some(500));
-    assert_eq!(r.output, b"ok\n");
-    let m = emu.metrics();
-    assert!(m.counter("translate.retranslations") >= 1, "corruption refill not counted");
-    assert_eq!(
-        m.counter("translate.fallback_blocks"),
-        0,
-        "corruption must not force interpretation"
-    );
-}
-
 /// Fuel counts machine steps and interpreted instructions together, in
 /// the fallback as in the run loop: a spin loop that is always
 /// interpreted, reached after a translated loop, stops once the two add
@@ -141,6 +111,36 @@ fn interpreted_loop_after_translated_code_stops_at_the_fuel() {
         assert!(steps > 3_000 && interpreted > 0, "{}: {steps} + {interpreted}", setup.name());
         assert!(steps + interpreted <= fuel, "{}: {steps} + {interpreted}", setup.name());
     }
+}
+
+/// Backend (lowering) faults degrade the same way as frontend faults.
+#[test]
+fn lower_fault_falls_back_to_interpreter() {
+    let bin = counting_binary(500, false);
+    let mut emu =
+        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(4).fail_lower_at(bin.symbols["loop"]));
+    let r = emu.run(FUEL).unwrap();
+    assert_eq!(r.exit_vals[0], Some(500));
+    assert!(emu.metrics().counter("translate.fallback_blocks") >= 1);
+}
+
+/// Detected TB corruption discards the entry and re-translates it; the
+/// result is unchanged and the refill is counted.
+#[test]
+fn tb_corruption_is_retranslated() {
+    let bin = counting_binary(500, true);
+    let mut emu =
+        faulted(&bin, Setup::Risotto, 1, FaultPlan::seeded(5).corrupt_tb_at(bin.symbols["loop"]));
+    let r = emu.run(FUEL).unwrap();
+    assert_eq!(r.exit_vals[0], Some(500));
+    assert_eq!(r.output, b"ok\n");
+    let m = emu.metrics();
+    assert!(m.counter("translate.retranslations") >= 1, "corruption refill not counted");
+    assert_eq!(
+        m.counter("translate.fallback_blocks"),
+        0,
+        "corruption must not force interpretation"
+    );
 }
 
 /// The PR-1 failure model meets TB chaining: corrupting (→ unmapping) the

@@ -27,7 +27,7 @@ use risotto::fuzz::{
 };
 use risotto::guest::{AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
 use risotto::workloads::{cas, kernels};
-use std::sync::OnceLock;
+use std::sync::{LazyLock, OnceLock};
 
 /// The checked-in fuzz reproducers (`tests/corpus/*.risotto`), in the
 /// order the hashes fold them.
@@ -89,14 +89,14 @@ fn flags_at_halt() -> GuestBinary {
     b.finish().expect("flags_at_halt assembles")
 }
 
-/// How to make a [`Subject`]: build the program, run the interpreter.
-type Build = Box<dyn Fn() -> Result<Subject, String> + Send + Sync>;
+/// How a program of the table is made: built, then interpreted.
+type Make = Box<dyn FnOnce() -> Subject + Send>;
 
-/// One program of the table, interpreted when a slice first needs it.
+/// One program of the table, with the interpreter's run of it, both made
+/// when a slice first needs them.
 struct Program {
     source: Source,
-    build: Build,
-    subject: OnceLock<Subject>,
+    subject: LazyLock<Subject, Make>,
     /// The program's [`RISOTTO`] run, made when a slice first needs it.
     reference: OnceLock<Run>,
 }
@@ -104,14 +104,10 @@ struct Program {
 impl Program {
     fn new(
         source: Source,
-        build: impl Fn() -> Result<Subject, String> + Send + Sync + 'static,
-    ) -> Program {
-        let build = Box::new(build);
-        Program { source, build, subject: OnceLock::new(), reference: OnceLock::new() }
-    }
-
-    fn subject(&self) -> &Subject {
-        self.subject.get_or_init(|| (self.build)().unwrap_or_else(|e| panic!("{e}")))
+        make: impl FnOnce() -> Result<Subject, String> + Send + 'static,
+    ) -> Self {
+        let make: Make = Box::new(|| make().unwrap_or_else(|e| panic!("{e}")));
+        Program { source, subject: LazyLock::new(make), reference: OnceLock::new() }
     }
 
     /// The run of this program under `leg`, through the run check
@@ -128,16 +124,16 @@ impl Program {
     }
 
     fn checked(&self, leg: Leg, reference: Option<&Run>) -> Run {
-        let run = run_checked(self.subject(), leg, &FaultPlan::default(), reference);
-        let run = run.unwrap_or_else(|bad| {
-            panic!("{} under {leg:?}: {}", self.subject().name, bad.join("; "))
-        });
-        run.expect("only a plan rejects a syscall")
+        let run = run_checked(&self.subject, leg, &FaultPlan::default(), reference);
+        let bad =
+            |bad: Vec<String>| panic!("{} under {leg:?}: {}", self.subject.name, bad.join("; "));
+        run.unwrap_or_else(bad).expect("only a plan rejects a syscall")
     }
 }
 
-/// The program table, built once per test binary; the generated
-/// batches apart, so that their slices build no kernel.
+/// The program table, built once per test binary, each program
+/// interpreted when first needed; the generated batches apart, so that
+/// their slices interpret no kernel.
 fn programs(generated: bool) -> &'static [Program] {
     static TABLE: OnceLock<Vec<Program>> = OnceLock::new();
     static GENERATED: OnceLock<Vec<Program>> = OnceLock::new();
@@ -146,9 +142,8 @@ fn programs(generated: bool) -> &'static [Program] {
             let batch = |salt| (0..BATCH).map(move |i| (salt, program_seed(salt, i)));
             (BATCHES.into_iter().flat_map(batch))
                 .map(|(salt, seed)| {
-                    Program::new(Source::Generated { salt }, move || {
-                        Subject::of_spec(&generate(&GenConfig::default(), seed))
-                    })
+                    let spec = generate(&GenConfig::default(), seed);
+                    Program::new(Source::Generated { salt }, move || Subject::of_spec(&spec))
                 })
                 .collect()
         });
@@ -157,27 +152,25 @@ fn programs(generated: bool) -> &'static [Program] {
         let mut table = Vec::new();
         for scale in [4, 8] {
             for w in kernels::all() {
-                table.push(Program::new(Source::Kernel { scale }, move || {
-                    Subject::new(format!("{}@{scale}", w.name), (w.build)(scale, 2), 2, INTERP_FUEL)
-                }));
+                let name = format!("{}@{scale}", w.name);
+                let subject = move || Subject::new(name, (w.build)(scale, 2), 2, INTERP_FUEL);
+                table.push(Program::new(Source::Kernel { scale }, subject));
             }
         }
         for (threads, vars) in [(1, 1), (4, 2), (4, 4)] {
+            let name = format!("cas({threads},{vars})");
+            let bin = cas::cas_bench(100, threads, vars);
             table.push(Program::new(Source::Cas, move || {
-                let name = format!("cas({threads},{vars})");
-                let bin = cas::cas_bench(100, threads, vars);
                 let cas = Subject::new(name, bin, threads, INTERP_FUEL)?;
-                let total = Some(100 * threads as u64);
-                assert_eq!(cas.exit_vals[0], total, "{}: total", cas.name);
+                assert_eq!(cas.exit_vals[0], Some(100 * threads as u64), "{}: total", cas.name);
                 Ok(cas)
             }));
         }
         for (name, text) in REPRODUCERS {
-            table.push(Program::new(Source::Reproducer, move || {
-                let spec = parse_corpus(text).map_err(|e| format!("corpus `{name}`: {e}"))?;
-                let bin = spec.lower().map_err(|e| format!("corpus `{name}`: {e}"))?;
-                Subject::new(name.to_owned(), bin, spec.cores(), INTERP_FUEL)
-            }));
+            let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
+            let bin = spec.lower().unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
+            let subject = move || Subject::new(name.to_owned(), bin, spec.cores(), INTERP_FUEL);
+            table.push(Program::new(Source::Reproducer, subject));
         }
         table.push(Program::new(Source::Assembled, || {
             let flags = Subject::new("flags_at_halt".to_owned(), flags_at_halt(), 1, 1000)?;
@@ -284,7 +277,7 @@ fn check_leg(leg: Leg, programs: &[&Program], runs: &[Run]) {
     } else if let Some((p, _)) =
         programs.iter().zip(runs).find(|(_, r)| leg.chaining && !chained(r))
     {
-        panic!("{} under {leg:?}: never took a direct-jump exit", p.subject().name);
+        panic!("{} under {leg:?}: never took a direct-jump exit", p.subject.name);
     }
     let scale8: Vec<_> = programs
         .iter()
@@ -311,7 +304,7 @@ fn check_leg(leg: Leg, programs: &[&Program], runs: &[Run]) {
 fn check_twins(leg: Leg, programs: &[&Program], on: &[Run], off: &[Run]) {
     let mut faster = [0, 0];
     for ((p, on), off) in programs.iter().zip(on).zip(off) {
-        let case = format!("{} under {leg:?}", p.subject().name);
+        let case = format!("{} under {leg:?}", p.subject.name);
         let (c_on, c_off) = (on.report.cycles, off.report.cycles);
         if on.metrics.counter("analysis.relaxed") == 0 {
             let shape = |r: &Report| (r.cycles, r.code_bytes, r.tb_count);
@@ -389,21 +382,21 @@ pub enum FaultSlice {
 }
 
 /// Every case of `slice` through [`run_checked`], against the program's
-/// fault-free [`RISOTTO`] run: it must pass every rule, or, under a
-/// syscall plan, end in the injected syscall error. In the table and
-/// generated slices the `k`-th case of the programs × legs product runs
-/// under `fault_plan(Fault::ALL[k % 6], k, ..)`, the site rotating with
-/// the case; a debug build runs every 7th table and every 337th
-/// generated case (strides prime to the six sites and the 51 legs,
-/// about 300 and a dozen cases), a release build all of them. Over
-/// those two slices the plans must have fired: a block fell back, one
+/// fault-free [`RISOTTO`] run: it must pass every rule, or, under a plan
+/// that rejects syscalls, end in the injected syscall error. In the table
+/// and generated slices the `k`-th case of the programs × legs product
+/// runs under `fault_plan(Fault::ALL[k % 7], k, ..)`, the site rotating
+/// with the case; a debug build runs every 8th table and every 337th
+/// generated case (strides prime to the seven sites and the 51 legs,
+/// about 270 and a dozen cases), a release build all of them. In each
+/// of those two slices the plans must have fired: a block fell back, one
 /// was re-translated, a syscall error ended a run and the install
-/// read-back caught a corrupted install. Per case, every block falls
-/// back under [`Fault::Fallback`] and none under [`Fault::TbCache`] (a
+/// read-back caught a corrupted install. Per case, blocks fall back
+/// under [`Fault::Fallback`] and none under [`Fault::TbCache`] (a
 /// detected cache fault re-translates).
 pub fn fault_sweep(slice: FaultSlice) {
     let stride = match slice {
-        FaultSlice::Table if cfg!(debug_assertions) => 7,
+        FaultSlice::Table if cfg!(debug_assertions) => 8,
         FaultSlice::Generated if cfg!(debug_assertions) => 337,
         _ => 1,
     };
@@ -412,34 +405,30 @@ pub fn fault_sweep(slice: FaultSlice) {
     for (i, p) in programs(slice == FaultSlice::Generated).iter().enumerate() {
         for (j, &leg) in legs.iter().enumerate() {
             let k = i * legs.len() + j;
-            let fault = match slice {
-                FaultSlice::Fallback if leg != RISOTTO => continue,
-                FaultSlice::Fallback => match p.source {
-                    Source::Kernel { scale: 4 } | Source::Reproducer => Fault::Fallback,
-                    _ => continue,
-                },
+            let fault = match (slice, p.source) {
+                (FaultSlice::Fallback, Source::Kernel { scale: 4 } | Source::Reproducer)
+                    if leg == RISOTTO =>
+                {
+                    Fault::Fallback
+                }
+                (FaultSlice::Fallback, _) => continue,
                 _ if !k.is_multiple_of(stride) => continue,
                 _ => Fault::ALL[k % Fault::ALL.len()],
             };
-            let plan = fault_plan(fault, k as u64, &p.subject().bin);
-            let case = format!("{} under {leg:?}, {fault:?} plan {k}", p.subject().name);
-            let Some(run) = run_checked(p.subject(), leg, &plan, Some(p.reference()))
+            let plan = fault_plan(fault, k as u64, &p.subject.bin);
+            let case = format!("{} under {leg:?}, {fault:?} plan {k}", p.subject.name);
+            let Some(run) = run_checked(&p.subject, leg, &plan, Some(p.reference()))
                 .unwrap_or_else(|bad| panic!("{case}: {}", bad.join("; ")))
             else {
                 totals[2] += 1;
                 continue;
             };
-            let m = |name| run.metrics.counter(name);
-            let fell_back = m("translate.fallback_blocks");
-            let site_ok = match fault {
-                Fault::Fallback => fell_back > 0,
-                Fault::TbCache => fell_back == 0,
-                _ => true,
-            };
-            assert!(site_ok, "{case}: {fell_back} blocks fell back");
+            let fell_back = run.metrics.counter("translate.fallback_blocks");
+            assert!(fell_back > 0 || fault != Fault::Fallback, "{case}: nothing fell back");
+            assert!(fell_back == 0 || fault != Fault::TbCache, "{case}: {fell_back} fell back");
             totals[0] += fell_back;
-            totals[1] += m("translate.retranslations");
-            totals[3] += m("verify.encoding_violations");
+            totals[1] += run.metrics.counter("translate.retranslations");
+            totals[3] += run.metrics.counter("verify.encoding_violations");
         }
     }
     assert!(
