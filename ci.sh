@@ -63,6 +63,10 @@ if grep -E 'Barrier\((Ld|St)\)|Ldxr|MiniArm' "$tso_dump"; then
     exit 1
 fi
 rm -f "$tso_dump"
+# The tool's two other modes: the tier-0 template dump and the
+# whole-program analysis walk-through must run clean too.
+cargo run -q --release -p risotto-bench --bin dump_translation -- --tiers 0 > /dev/null
+cargo run -q --release -p risotto-bench --bin dump_translation -- --analysis on > /dev/null
 
 # Mapping-table gate. The x86→TCG fence placement and the Fig. 10
 # elimination rule each live once, in risotto-memmodel
@@ -101,11 +105,11 @@ fi
 rm -f "$verify_out"
 
 # Verifier gate: the translation-validator suite (mutation tests over
-# the 16-kernel corpus) in bounded smoke mode. Any clean-corpus
-# violation or surviving mutant fails CI. It also runs the ladder legs
-# of the litmus matrix at VerifyLevel::Full; the other legs run in the
-# cross-backend gate.
-RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test verifier
+# the 16-kernel corpus) in the release build, at full size. Any
+# clean-corpus violation or surviving mutant fails CI. It also runs the
+# ladder legs of the litmus matrix at VerifyLevel::Full; the other legs
+# run in the cross-backend gate.
+cargo test -q --release --test verifier
 
 # Determinism gate: the same IR must lower to bit-identical host bytes
 # and allocation statistics twice, across the kernel/litmus/fuzz
@@ -115,7 +119,7 @@ RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test verifier
 # second one), and a block must come out of scratch tables that have
 # seen the whole corpus (failed translations included) exactly as it
 # does out of fresh ones.
-RISOTTO_VERIFY_SMOKE=1 cargo test -q --release --test determinism
+cargo test -q --release --test determinism
 
 # Allocation-budget gate, in the build the benchmark measures: heap
 # allocations per translated block (VerifyLevel::Full and Install) and

@@ -6,16 +6,12 @@
 //! * `casal`   — Risotto's single-instruction translation (needs the
 //!   corrected Arm model of §3.3).
 
-use risotto_bench::{ops_per_sec, print_table, usage_error, BenchCli};
+use risotto_bench::{harness_config, ops_per_sec, print_table, BenchCli};
 use risotto_core::{EmuConfig, Emulator, RmwStyle, Setup};
 use risotto_workloads::cas::{cas_bench, FIG15_CONFIGS};
 
 fn main() {
-    let cli = BenchCli::parse("ablation_cas", &["--smoke", "--backend", "--tiers", "--analysis"]);
-    // The rmw2+ff column is an exclusive-pair lowering; the MiniTSO
-    // dialect has no exclusives, so this ablation is Arm-only.
-    cli.require_arm("the ablation compares Arm CAS lowerings")
-        .unwrap_or_else(|e| usage_error("ablation_cas", &e));
+    let cli = BenchCli::parse("ablation_cas", &["--smoke"]);
     println!("CAS-translation ablation (Mops/s; §6.3)\n");
     let iters = if cli.smoke { 200u64 } else { 2000u64 };
     let mut rows = Vec::new();
@@ -25,7 +21,7 @@ fn main() {
         // helper: the qemu setup (helper-call CAS).
         let (helper, _) = cli.run(&bin, Setup::Qemu, threads, false, None);
         // direct, rmw2-fenced.
-        let config = EmuConfig { rmw_style: RmwStyle::Rmw2Fenced, ..cli.config(Setup::Risotto) };
+        let config = EmuConfig { rmw_style: RmwStyle::Rmw2Fenced, ..harness_config() };
         let rmw2 = Emulator::with_config(&bin, Setup::Risotto, threads, config)
             .run(20_000_000_000)
             .unwrap();

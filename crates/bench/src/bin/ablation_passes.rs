@@ -3,16 +3,13 @@
 //! notably the §6.1 fence-merging pass that the verified trailing/leading
 //! fence placement makes possible).
 
-use risotto_bench::{print_table, usage_error, BenchCli};
+use risotto_bench::{harness_config, print_table, BenchCli};
 use risotto_core::{EmuConfig, Emulator, Setup};
 use risotto_tcg::PassConfig;
 use risotto_workloads::kernels;
 
 fn main() {
-    let cli =
-        BenchCli::parse("ablation_passes", &["--smoke", "--backend", "--tiers", "--analysis"]);
-    cli.require_ir_pipeline("templates never run the optimizer passes being ablated")
-        .unwrap_or_else(|e| usage_error("ablation_passes", &e));
+    let cli = BenchCli::parse("ablation_passes", &["--smoke"]);
     let threads = 2;
     let scale = if cli.smoke { 256 } else { 1024 };
     println!("Optimizer-pass ablation (tcg-ver, % slowdown when the pass is disabled)\n");
@@ -31,7 +28,7 @@ fn main() {
         let mut base = 0u64;
         let mut expect = None;
         for (i, (_, passes)) in variants.iter().enumerate() {
-            let config = EmuConfig { passes: *passes, ..cli.config(Setup::TcgVer) };
+            let config = EmuConfig { passes: *passes, ..harness_config() };
             let r = Emulator::with_config(&bin, Setup::TcgVer, threads, config)
                 .run(10_000_000_000)
                 .unwrap();

@@ -3,17 +3,21 @@
 //! lowered host code — under each setup.
 //!
 //! ```sh
-//! cargo run --release -p risotto-bench --bin dump_translation [setup]
+//! cargo run --release -p risotto-bench --bin dump_translation -- \
+//!     [setup|all] [--backend arm|tso] [--tiers 0] [--analysis on]
 //! ```
 //!
-//! With `--analysis on` the tool instead dumps the whole-program
+//! `--backend tso` lowers to the MiniTSO host instead of MiniArm (the
+//! native oracle stays Arm-compiled). `--tiers 0` shows what the tier-0
+//! template translator emits for the same block instead of the IR
+//! stages. With `--analysis on` the tool instead dumps the whole-program
 //! analysis of a representative two-core image: per-access
 //! classification (private / read-only / shared / atomic), the
 //! relaxation mask for the entry block, and the TCG IR before and
 //! after analysis-driven fence relaxation (docs/ANALYSIS.md).
 
 use risotto_analysis::{analyze_image, event_sites, SiteClass};
-use risotto_bench::BenchCli;
+use risotto_bench::{usage_error, BenchCli};
 use risotto_core::{BackendKind, Setup};
 use risotto_guest_x86::{disassemble, syscalls, AluOp, Assembler, FpOp, GelfBuilder, Gpr, Insn};
 use risotto_host_arm::RmwStyle;
@@ -106,12 +110,27 @@ fn dump_analysis() {
     }
 }
 
+const TOOL: &str = "dump_translation";
+
 fn main() {
-    let cli = BenchCli::parse("dump_translation", &["--backend", "--tiers", "--analysis"]);
-    if cli.analysis == Some(true) {
+    let cli = BenchCli::parse(TOOL, &["--backend", "--tiers", "--analysis"]);
+    // `--tiers` and `--analysis` each select one mode; any other value
+    // is an error rather than a flag silently ignored.
+    let mode = |flag: &str, only: &str| match cli.value(flag) {
+        None => false,
+        Some(v) if v == only => true,
+        Some(v) => usage_error(TOOL, &format!("{flag} `{v}`: the only mode is `{flag} {only}`")),
+    };
+    if mode("--analysis", "on") {
         dump_analysis();
         return;
     }
+    let templates = mode("--tiers", "0");
+    let backend = cli.value("--backend").map_or(BackendKind::Arm, |v| {
+        BackendKind::parse(v).unwrap_or_else(|| {
+            usage_error(TOOL, &format!("--backend `{v}`: expected `arm` or `tso`"))
+        })
+    });
     let which = cli.positional.first().cloned().unwrap_or_else(|| "risotto".into());
     let setups: Vec<Setup> = match which.as_str() {
         "all" => Setup::ALL.to_vec(),
@@ -148,12 +167,12 @@ fn main() {
         let (fe, be, policy) =
             (setup.frontend(), setup.backend_config(RmwStyle::Casal), setup.opt_policy());
         // The native oracle is Arm-compiled code whatever `--backend` says.
-        let backend = if setup == Setup::Native { BackendKind::Arm } else { cli.backend };
+        let backend = if setup == Setup::Native { BackendKind::Arm } else { backend };
         println!("\n################ setup: {} ################", setup.name());
         // `--tiers 0`: show what the tier-0 template translator emits
         // for the same block — straight from guest bytes to host code,
         // no IR stage to print (the native oracle has no tiers).
-        if cli.tiers == Some(0) && setup != Setup::Native {
+        if templates && setup != Setup::Native {
             let host = backend.host();
             let tpl = risotto_template::translate_block_template(0x1000, fe, be, host, fetch)
                 .expect("template translation");

@@ -16,10 +16,7 @@ use risotto_core::Setup;
 use risotto_workloads::kernels;
 
 fn main() {
-    let cli = BenchCli::parse(
-        "fig12_parsec_phoenix",
-        &["--smoke", "--metrics-json", "--backend", "--tiers", "--analysis"],
-    );
+    let cli = BenchCli::parse("fig12_parsec_phoenix", &["--smoke", "--metrics-json"]);
     let smoke = cli.smoke;
     let mut metrics = Vec::new();
     let threads = if smoke { 2 } else { 4 };

@@ -12,10 +12,7 @@ use risotto_workloads::libbench::{digest_bench, rsa_bench, sqlite_bench, DigestA
 
 fn main() {
     println!("Figure 13 — OpenSSL & sqlite speedup over QEMU (higher is better)\n");
-    let cli = BenchCli::parse(
-        "fig13_openssl_sqlite",
-        &["--smoke", "--metrics-json", "--backend", "--tiers", "--analysis"],
-    );
+    let cli = BenchCli::parse("fig13_openssl_sqlite", &["--smoke", "--metrics-json"]);
     let smoke = cli.smoke;
     let mut metrics = Vec::new();
     let mut rows = Vec::new();

@@ -11,10 +11,7 @@ use risotto_workloads::libbench::math_bench;
 
 fn main() {
     println!("Figure 14 — math library speedup over QEMU (higher is better)\n");
-    let cli = BenchCli::parse(
-        "fig14_mathlib",
-        &["--smoke", "--metrics-json", "--backend", "--tiers", "--analysis"],
-    );
+    let cli = BenchCli::parse("fig14_mathlib", &["--smoke", "--metrics-json"]);
     let mut metrics = Vec::new();
     let iters = if cli.smoke { 8 } else { 60 };
     let mut rows = Vec::new();

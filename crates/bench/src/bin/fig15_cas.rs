@@ -9,10 +9,7 @@ use risotto_workloads::cas::{cas_bench, FIG15_CONFIGS};
 
 fn main() {
     println!("Figure 15 — CAS throughput (Mops/s) by (threads-vars) configuration\n");
-    let cli = BenchCli::parse(
-        "fig15_cas",
-        &["--smoke", "--metrics-json", "--backend", "--tiers", "--analysis"],
-    );
+    let cli = BenchCli::parse("fig15_cas", &["--smoke", "--metrics-json"]);
     let mut metrics = Vec::new();
     let iters = if cli.smoke { 200u64 } else { 2000u64 };
     let mut rows = Vec::new();

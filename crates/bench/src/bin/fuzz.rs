@@ -42,9 +42,9 @@ const MINIMIZE_STEPS: u64 = 20_000;
 const DEFAULT_SEED: u64 = 0xD1FF_F022_2026_0808;
 
 fn main() {
-    // No `--backend`, `--tiers` or `--analysis`: the five legs fix them.
-    // Every setup × backend × tier × analysis leg runs on generated
-    // programs in the functional matrix (`tests/theorem1/functional.rs`).
+    // The five legs fix backend, tier and analysis. Every setup ×
+    // backend × tier × analysis leg runs on generated programs in the
+    // functional matrix (`tests/theorem1/functional.rs`).
     let cli = BenchCli::parse("fuzz", &["--smoke", "--metrics-json", "--seed", "--iters"]);
     let seed = cli.u64_value("--seed", DEFAULT_SEED).unwrap_or_else(die);
     let default_iters = if cli.smoke { SMOKE_ITERS } else { FULL_ITERS };

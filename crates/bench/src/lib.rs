@@ -1,12 +1,14 @@
 //! # risotto-bench
 //!
-//! The evaluation harness: the one emulator constructor and runner every
-//! binary goes through, table formatting for the figure-regenerating
-//! binaries (`fig12_parsec_phoenix`, `fig13_openssl_sqlite`,
-//! `fig14_mathlib`, `fig15_cas`, `verify_mappings`), and the kernel suite
-//! behind `BENCH_pipeline.json` ([`suite`]). Everything here reports the
-//! simulated clock; host wall time is measured by the `benchmark/`
-//! package alone.
+//! The evaluation harness: the one configuration ([`harness_config`])
+//! and the one runner every figure and ablation binary goes through, the
+//! shared command line (`--smoke`, `--metrics-json`), table formatting
+//! for the figure-regenerating binaries (`fig12_parsec_phoenix`,
+//! `fig13_openssl_sqlite`, `fig14_mathlib`, `fig15_cas`,
+//! `verify_mappings`), and the kernel suite behind `BENCH_pipeline.json`
+//! ([`suite`]), which runs the TSO, analysis and tier-0 legs the figures
+//! do not. Everything here reports the simulated clock; host wall time
+//! is measured by the `benchmark/` package alone.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -14,9 +16,7 @@
 pub mod suite;
 
 use risotto_core::obs::{HotTb, MetricsSnapshot};
-use risotto_core::{
-    BackendKind, EmuConfig, Emulator, HostLibrary, Idl, Report, Setup, VerifyLevel,
-};
+use risotto_core::{EmuConfig, Emulator, HostLibrary, Idl, Report, Setup, VerifyLevel};
 use risotto_guest_x86::GuestBinary;
 
 /// Simulated host clock (the paper's testbed runs at 2.0 GHz).
@@ -66,32 +66,30 @@ pub fn usage_error(tool: &str, msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// The configuration every figure and ablation emulator is built from,
+/// whatever its setup: the engine's default (Arm backend, tier-1 only,
+/// no whole-program analysis), the paper's §7.1 setups as they stand.
+/// [`Emulator::with_config`] prices the machine with the backend's cost
+/// model. Install-time read-back is free (no simulated cycles), so every
+/// harness run keeps it on: `verify.violations` must be zero in any
+/// artifact the harness produces. An ablation overrides the one field
+/// it ablates by struct update.
+pub fn harness_config() -> EmuConfig {
+    EmuConfig { verify: VerifyLevel::Install, ..EmuConfig::default() }
+}
+
 /// The common command line of the `risotto-bench` binaries: the shared
-/// flags (`--smoke`, `--metrics-json <path>`, `--backend arm|tso`,
-/// `--tiers 0|1|2`, `--analysis on|off`), the value-carrying flags of a
-/// binary's own (e.g. the fuzzer's `--seed` / `--iters`), plus whatever
-/// positional arguments the binary itself defines. Every binary names
-/// the flags it reads; any other flag, shared or not, is a usage error,
-/// so no flag is accepted and then silently ignored.
+/// flags (`--smoke`, `--metrics-json <path>`), the value-carrying flags
+/// of a binary's own (e.g. the fuzzer's `--seed` / `--iters`), plus
+/// whatever positional arguments the binary itself defines. Every binary
+/// names the flags it reads; any other flag, shared or not, is a usage
+/// error, so no flag is accepted and then silently ignored.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct BenchCli {
     /// `--smoke` was passed (bounded quick mode).
     pub smoke: bool,
     /// Path from `--metrics-json`, when requested.
     pub metrics_json: Option<String>,
-    /// Host backend from `--backend` (docs/BACKENDS.md); Arm when the
-    /// flag is absent. The native-oracle setup always stays on Arm
-    /// (see [`BenchCli::config`]).
-    pub backend: BackendKind,
-    /// Tier selection from `--tiers` (docs/ARCHITECTURE.md): `0` pins
-    /// every block to the tier-0 template translator, `1` is today's
-    /// tier-1-only default, `2` enables the two-tier ladder (templates,
-    /// then the IR pipeline once warm). `None` when absent.
-    pub tiers: Option<u8>,
-    /// Whole-program analysis toggle from `--analysis on|off`
-    /// (docs/ANALYSIS.md). `None` when absent — [`BenchCli::config`]
-    /// defaults to on (the flag exists to measure the unrelaxed baseline).
-    pub analysis: Option<bool>,
     /// Positional (non-flag) arguments, in order.
     pub positional: Vec<String>,
     /// Values of the binary's own flags, in the order given (last
@@ -143,72 +141,13 @@ impl BenchCli {
             };
             match flag {
                 "--metrics-json" => cli.metrics_json = Some(v),
-                "--backend" => {
-                    cli.backend = BackendKind::parse(&v)
-                        .ok_or(format!("--backend `{v}`: expected `arm` or `tso`"))?;
-                }
-                "--tiers" => cli.tiers = Some(Self::parse_tiers(&v)?),
-                "--analysis" => cli.analysis = Some(Self::parse_analysis(&v)?),
                 _ => cli.values.push((flag.to_owned(), v)),
             }
         }
         Ok(cli)
     }
 
-    fn parse_tiers(v: &str) -> Result<u8, String> {
-        match v {
-            "0" => Ok(0),
-            "1" => Ok(1),
-            "2" => Ok(2),
-            _ => Err(format!("--tiers `{v}`: expected `0`, `1` or `2`")),
-        }
-    }
-
-    fn parse_analysis(v: &str) -> Result<bool, String> {
-        match v {
-            "on" => Ok(true),
-            "off" => Ok(false),
-            _ => Err(format!("--analysis `{v}`: expected `on` or `off`")),
-        }
-    }
-
-    /// The configuration every binary runs `setup` under — the one place
-    /// the shared flags are applied. [`Emulator::with_config`] prices the
-    /// machine with the backend's cost model, so cycle numbers are
-    /// comparable only within one backend. Install-time read-back is free
-    /// (no simulated cycles), so every harness run keeps it on:
-    /// `verify.violations` must be zero in any artifact the harness
-    /// produces. The native oracle runs precompiled Arm code whatever
-    /// `--backend` says, and has neither translation tiers nor fence
-    /// obligations to relax; every DBT setup gets the `--analysis` toggle
-    /// (on unless `off`) and the `--tiers` selection:
-    ///
-    /// * `--tiers 0` — [`TEMPLATES_ONLY`]: every block stays tier-0
-    ///   forever.
-    /// * `--tiers 1` (or no flag) — the IR pipeline translates
-    ///   everything, no tiering at all.
-    /// * `--tiers 2` — the two-tier ladder: cold blocks via templates,
-    ///   re-translated through the IR pipeline at 32 entries.
-    pub fn config(&self, setup: Setup) -> EmuConfig {
-        let verify = VerifyLevel::Install;
-        if setup == Setup::Native {
-            return EmuConfig { verify, ..EmuConfig::default() };
-        }
-        let warm_threshold = match self.tiers {
-            Some(0) => TEMPLATES_ONLY,
-            Some(2) => Some(32),
-            _ => None,
-        };
-        EmuConfig {
-            backend: self.backend,
-            verify,
-            warm_threshold,
-            analysis: self.analysis.unwrap_or(true),
-            ..EmuConfig::default()
-        }
-    }
-
-    /// Runs `bin` to completion under [`BenchCli::config`], optionally
+    /// Runs `bin` to completion under [`harness_config`], optionally
     /// linking the standard host libraries (libm + libcrypto + libkv),
     /// and returns its result with the metrics snapshot taken after it.
     ///
@@ -216,8 +155,6 @@ impl BenchCli {
     /// artifact and is ignored unless that flag was passed: then the run
     /// has hot-TB profiling on and appends its [`MetricsEntry`], built
     /// from the same snapshot.
-    /// (On the TSO backend `fence.exec.dmb_ff` counts executed `MFENCE`s,
-    /// the only barrier MiniTSO emits; `dmb_ld`/`dmb_st` stay 0.)
     ///
     /// # Panics
     ///
@@ -231,7 +168,7 @@ impl BenchCli {
         collect: Option<(&str, &mut Vec<MetricsEntry>)>,
     ) -> (Report, MetricsSnapshot) {
         let collect = collect.filter(|_| self.metrics_json.is_some());
-        let config = EmuConfig { profiling: collect.is_some(), ..self.config(setup) };
+        let config = EmuConfig { profiling: collect.is_some(), ..harness_config() };
         let mut emu = Emulator::with_config(bin, setup, cores, config);
         if link {
             let idl = Idl::parse(risotto_nativelib::hostlibs::IDL_TEXT).expect("IDL parses");
@@ -255,24 +192,6 @@ impl BenchCli {
             });
         }
         (report, snapshot)
-    }
-
-    /// `Err` unless the run is on the Arm backend — for a binary whose
-    /// subject (`what`) exists only in the Arm dialect.
-    pub fn require_arm(&self, what: &str) -> Result<(), String> {
-        match self.backend {
-            BackendKind::Arm => Ok(()),
-            other => Err(format!("--backend {} is not applicable: {what}", other.name())),
-        }
-    }
-
-    /// `Err` under `--tiers 0` — for a binary whose subject (`what`)
-    /// lives in the IR pipeline, which a templates-only run never enters.
-    pub fn require_ir_pipeline(&self, what: &str) -> Result<(), String> {
-        match self.tiers {
-            Some(0) => Err(format!("--tiers 0 is not applicable: {what}")),
-            _ => Ok(()),
-        }
     }
 
     /// The value of a declared flag (last occurrence wins).
@@ -378,10 +297,9 @@ pub fn speedup(base: u64, new: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::BenchCli;
-    use risotto_core::Setup;
 
     /// Every shared flag.
-    const SHARED: [&str; 5] = ["--smoke", "--metrics-json", "--backend", "--tiers", "--analysis"];
+    const SHARED: [&str; 2] = ["--smoke", "--metrics-json"];
 
     fn parse_reading(args: &[&str], reads: &[&str]) -> Result<BenchCli, String> {
         BenchCli::try_parse(args.iter().map(|s| s.to_string()), reads)
@@ -412,112 +330,20 @@ mod tests {
     }
 
     /// A shared flag a binary does not read is as unknown to it as any
-    /// other: each case is a flag some binary once accepted and ignored.
+    /// other, and so is another binary's own flag.
     #[test]
     fn shared_flags_a_binary_does_not_read_are_rejected() {
         let fuzz = ["--smoke", "--metrics-json", "--seed", "--iters"];
         assert!(parse_reading(&["--smoke", "--metrics-json", "m.json"], &fuzz).is_ok());
-        for args in [&["--backend", "tso"][..], &["--tiers", "1"], &["--analysis=off"]] {
-            let err = parse_reading(args, &fuzz).unwrap_err();
-            assert!(err.contains(args[0].split('=').next().unwrap()), "{args:?}: {err}");
-        }
         assert!(parse_reading(&["--metrics-json", "out.json"], &["--smoke", "--json"]).is_err());
-        assert!(parse_reading(&["--smoke"], &["--backend", "--tiers", "--analysis"]).is_err());
-        assert!(parse_reading(&["--tiers", "0"], &[]).is_err());
-        let ablation = ["--smoke", "--backend", "--tiers", "--analysis"];
-        assert!(parse_reading(&["--metrics-json=x"], &ablation).is_err());
+        assert!(parse_reading(&["--metrics-json=x"], &["--smoke"]).is_err());
+        assert!(parse_reading(&["--smoke"], &[]).is_err());
         // The check is by flag, not by value: a bad value of a flag the
         // binary does not read is still reported as the flag.
-        let err = parse_reading(&["--backend", "riscv"], &fuzz).unwrap_err();
-        assert!(err.contains("unknown flag `--backend`"), "{err}");
+        let err = parse_reading(&["--seed", "zz"], &SHARED).unwrap_err();
+        assert!(err.contains("unknown flag `--seed`"), "{err}");
         // Positionals are the binary's own business.
         assert_eq!(parse_reading(&["all"], &[]).unwrap().positional, ["all"]);
-    }
-
-    #[test]
-    fn backend_flag_parses_and_rejects_unknown_hosts() {
-        use risotto_core::BackendKind;
-        assert_eq!(parse(&[]).unwrap().backend, BackendKind::Arm);
-        assert_eq!(parse(&["--backend", "tso"]).unwrap().backend, BackendKind::Tso);
-        assert_eq!(parse(&["--backend=arm"]).unwrap().backend, BackendKind::Arm);
-        assert!(parse(&["--backend"]).is_err());
-        assert!(parse(&["--backend", "riscv"]).is_err());
-        assert!(parse(&["--backend=x86"]).is_err());
-    }
-
-    #[test]
-    fn tiers_flag_parses_and_rejects_invalid_combinations() {
-        assert_eq!(parse(&[]).unwrap().tiers, None);
-        assert_eq!(parse(&["--tiers", "0"]).unwrap().tiers, Some(0));
-        assert_eq!(parse(&["--tiers=2"]).unwrap().tiers, Some(2));
-        assert!(parse(&["--tiers"]).is_err(), "missing value");
-        assert!(parse(&["--tiers", "3"]).is_err(), "out-of-range tier");
-        assert!(parse(&["--tiers=templates"]).is_err(), "non-numeric tier");
-        assert!(parse(&["--tiers=01"]).is_err(), "non-canonical spelling");
-
-        // Tier 1 (and the flag's absence) keep the engine default; 0
-        // pins templates forever; 2 opens the ladder.
-        let warm = |args: &[&str]| parse(args).unwrap().config(Setup::Risotto).warm_threshold;
-        assert_eq!(warm(&[]), None);
-        assert_eq!(warm(&["--tiers", "1"]), None);
-        assert_eq!(warm(&["--tiers", "0"]), Some(u64::MAX));
-        assert_eq!(warm(&["--tiers", "2"]), Some(32));
-    }
-
-    #[test]
-    fn analysis_flag_parses_and_rejects_invalid_values() {
-        assert_eq!(parse(&[]).unwrap().analysis, None);
-        assert_eq!(parse(&["--analysis", "on"]).unwrap().analysis, Some(true));
-        assert_eq!(parse(&["--analysis=off"]).unwrap().analysis, Some(false));
-        assert!(parse(&["--analysis"]).is_err(), "missing value");
-        assert!(parse(&["--analysis", "maybe"]).is_err(), "invalid value");
-        assert!(parse(&["--analysis=1"]).is_err(), "numeric spelling rejected");
-    }
-
-    #[test]
-    fn every_emulator_gets_the_shared_flags_and_the_native_oracle_stays_on_arm() {
-        use risotto_core::{BackendKind, EmuConfig, Emulator, Setup, VerifyLevel};
-        let bin = (risotto_workloads::kernels::all()[0].build)(4, 2);
-        let base = EmuConfig { verify: VerifyLevel::Install, ..EmuConfig::default() };
-        let flag_sets = [
-            (&[][..], EmuConfig { analysis: true, ..base.clone() }),
-            (
-                &["--backend", "tso", "--analysis", "off", "--tiers", "0"],
-                EmuConfig {
-                    backend: BackendKind::Tso,
-                    warm_threshold: Some(u64::MAX),
-                    ..base.clone()
-                },
-            ),
-            (
-                &["--tiers", "2"],
-                EmuConfig { analysis: true, warm_threshold: Some(32), ..base.clone() },
-            ),
-        ];
-        for (args, dbt) in flag_sets {
-            let cli = parse(args).unwrap();
-            for setup in Setup::ALL {
-                // Native code is Arm-compiled, has no tiers and no fence
-                // obligations to relax.
-                let want = if setup == Setup::Native { &base } else { &dbt };
-                let emu = Emulator::with_config(&bin, setup, 2, cli.config(setup));
-                assert_eq!(emu.config(), want, "{args:?} under {setup:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn inapplicable_flags_are_errors_not_silently_ignored() {
-        assert!(parse(&[]).unwrap().require_arm("x").is_ok());
-        assert!(parse(&["--backend=arm"]).unwrap().require_arm("x").is_ok());
-        let err = parse(&["--backend", "tso"]).unwrap().require_arm("Arm-only").unwrap_err();
-        assert!(err.contains("--backend tso") && err.contains("Arm-only"), "{err}");
-
-        for ok in [&[][..], &["--tiers", "1"], &["--tiers", "2"]] {
-            assert!(parse(ok).unwrap().require_ir_pipeline("x").is_ok(), "{ok:?}");
-        }
-        let err = parse(&["--tiers=0"]).unwrap().require_ir_pipeline("no IR").unwrap_err();
-        assert!(err.contains("--tiers 0") && err.contains("no IR"), "{err}");
     }
 
     #[test]

@@ -88,8 +88,7 @@ impl Setup {
 }
 
 /// Which [`HostBackend`] translates, verifies and costs the host code
-/// (docs/BACKENDS.md). Selected by [`EmuConfig::backend`] and the bench
-/// bins' `--backend` flag.
+/// (docs/BACKENDS.md). Selected by [`EmuConfig::backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// The MiniArm weak-memory host (`risotto-host-arm`) — the paper's

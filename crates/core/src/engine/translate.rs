@@ -662,4 +662,20 @@ mod tests {
         }
         assert_eq!(q.attempts(0x42), 3, "below capacity, counts are exact");
     }
+
+    /// A pc that failed once and then translates leaves quarantine: its
+    /// next failure starts a fresh retry budget, not the old one.
+    #[test]
+    fn a_successful_translation_ends_the_quarantine() {
+        let mut b = risotto_guest_x86::GelfBuilder::new("main");
+        b.asm.label("main");
+        b.asm.mov_ri(Gpr::RAX, 7);
+        b.asm.hlt();
+        let bin = b.finish().unwrap();
+        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 1, crate::EmuConfig::default());
+        emu.quarantine.note_failure(bin.entry);
+        assert!(emu.ensure_translated(None, bin.entry).is_ok());
+        assert_eq!(emu.counts.retranslations, 1, "the success was a retry");
+        assert!(!emu.quarantine.contains(bin.entry));
+    }
 }

@@ -10,8 +10,6 @@
 //! allocator state**, under both `RmwStyle`s, and asserts the two
 //! encodings and the reported allocation statistics are identical.
 //!
-//! `RISOTTO_VERIFY_SMOKE=1` bounds the sweep for CI.
-//!
 //! Determinism across *versions* is pinned too: [`PIPELINE_HASH`] is a
 //! checked-in hash of every host byte and every optimizer / allocator
 //! statistic the same corpora produce on both backends, so a change to
@@ -43,7 +41,7 @@ use risotto::tcg::{
 use risotto::workloads::kernels;
 use risotto::workloads::litmus_compile::compile_litmus;
 use theorem1::functional::REPRODUCERS;
-use translate::{configs, discover_blocks, smoke};
+use translate::{configs, discover_blocks};
 
 fn backends() -> [BackendConfig; 2] {
     [BackendConfig::dbt(RmwStyle::Casal), BackendConfig::dbt(RmwStyle::Rmw2Fenced)]
@@ -79,13 +77,11 @@ fn assert_deterministic(block: &TcgBlock, be: BackendConfig, what: &str) {
 /// bytes twice.
 #[test]
 fn kernel_corpus_lowers_bit_identically() {
-    let scale = if smoke() { 16 } else { 64 };
-    let cap = if smoke() { 10 } else { 48 };
     let mut checked = 0usize;
     for w in kernels::all() {
-        let bin = (w.build)(scale, 2);
+        let bin = (w.build)(64, 2);
         for (cfg, policy) in configs() {
-            for mut block in discover_blocks(&bin, cfg, cap) {
+            for mut block in discover_blocks(&bin, cfg, 48) {
                 optimize_with(&mut block, policy, PassConfig::all());
                 for be in backends() {
                     assert_deterministic(&block, be, w.name);
@@ -209,8 +205,8 @@ const HOST_HASH: u64 = 0x0771_89e9_c6f3_68d9;
 
 /// Hashes host bytes + `AllocStats` (+ `OptStats` when `opt_stats`)
 /// over every tier-1 block of the kernel, litmus and fuzz corpora. The
-/// sweep bounds are fixed (not `RISOTTO_VERIFY_SMOKE`-dependent) so one
-/// constant serves the debug and the release gate.
+/// sweep bounds are fixed so one constant serves the debug and the
+/// release gate.
 fn pipeline_hash(opt_stats: bool) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let fold_stats = |h: &mut u64, s: OptStats| {

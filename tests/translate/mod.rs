@@ -7,11 +7,6 @@ use risotto::core::Setup;
 use risotto::guest::GuestBinary;
 use risotto::tcg::{translate_block, FrontendConfig, OptPolicy, TbExit, TcgBlock};
 
-/// `RISOTTO_VERIFY_SMOKE=1` bounds a sweep for CI.
-pub fn smoke() -> bool {
-    std::env::var("RISOTTO_VERIFY_SMOKE").is_ok_and(|v| v == "1")
-}
-
 /// The frontend/optimizer pairing of each DBT setup, in the order the
 /// checked-in hashes fold them.
 pub fn configs() -> [(FrontendConfig, OptPolicy); 4] {

@@ -15,9 +15,6 @@
 //!    ([`FaultPlan::corrupt_install_at`]) is caught at every
 //!    `VerifyLevel`, the default included, before the damaged code can
 //!    dispatch, and the run still produces the fault-free result.
-//!
-//! `RISOTTO_VERIFY_SMOKE=1` bounds the sweep for CI (fewer blocks per
-//! kernel, smaller kernels).
 
 mod theorem1;
 mod translate;
@@ -28,7 +25,7 @@ use risotto::host::{ArmBackend, BackendConfig, HostBackend, HostInsn, RmwStyle};
 use risotto::memmodel::FenceKind;
 use risotto::tcg::{optimize_with, verify, FrontendConfig, OptPolicy, PassConfig, TcgBlock, TcgOp};
 use risotto::workloads::kernels;
-use translate::{configs, discover_blocks, smoke};
+use translate::{configs, discover_blocks};
 
 /// Runs the three verifier passes on an optimized block exactly as the
 /// engine's `VerifyLevel::Full` hook does.
@@ -62,8 +59,7 @@ struct Translated {
 }
 
 fn translate_corpus(bin: &GuestBinary, cfg: FrontendConfig, policy: OptPolicy) -> Vec<Translated> {
-    let cap = if smoke() { 12 } else { 64 };
-    discover_blocks(bin, cfg, cap)
+    discover_blocks(bin, cfg, 64)
         .into_iter()
         .map(|reference| {
             let mut optimized = reference.clone();
@@ -80,10 +76,9 @@ fn translate_corpus(bin: &GuestBinary, cfg: FrontendConfig, policy: OptPolicy) -
 
 #[test]
 fn clean_kernel_corpus_has_zero_violations() {
-    let scale = if smoke() { 16 } else { 64 };
     let mut checked = 0usize;
     for w in kernels::all() {
-        let bin = (w.build)(scale, 2);
+        let bin = (w.build)(64, 2);
         for (cfg, policy) in configs() {
             for t in translate_corpus(&bin, cfg, policy) {
                 full_verify(&t.reference, &t.optimized, cfg, policy, &t.code, &t.bytes)
@@ -115,11 +110,10 @@ fn weaker_than(k: FenceKind) -> Option<FenceKind> {
 
 #[test]
 fn verifier_kills_every_fence_and_encoding_mutant() {
-    let scale = if smoke() { 16 } else { 64 };
     let (cfg, policy) = (FrontendConfig::risotto(), OptPolicy::Verified);
     let (mut drops, mut swaps, mut downgrades, mut corruptions) = (0usize, 0usize, 0usize, 0usize);
     for w in kernels::all() {
-        let bin = (w.build)(scale, 2);
+        let bin = (w.build)(64, 2);
         for t in translate_corpus(&bin, cfg, policy) {
             for i in fence_positions(&t.optimized) {
                 // Mutant 1: drop the fence.
