@@ -150,21 +150,22 @@ cargo test -q --release --test alloc_budget
 # instruction from bytes that were patched, corrupted, freed or reused,
 # and the ring store buffer must drain, forward and report overlaps
 # exactly as the `VecDeque` it replaced over 200 000 seeded operations,
-# deadline included (same unit suite; `SparseMem`'s word-wide accessors against
+# deadline included, and the per-core contention slots must count the
+# contenders the `Vec` they replaced counted, on 1 to 8 cores (same unit
+# suite; `SparseMem`'s word-wide accessors against
 # their byte-wise definition ride along in guest-x86's). The code cache's
 # seeded churn (`code_cache.rs`: 50 000 install / map / remap / unmap /
 # replace / discard / corrupt / link / park operations) must leave,
 # after every one, regions and holes tiling the buffer, every mapping on
 # a live region, no stale chain word, chain site, jump-cache entry or
 # decode; risotto-core's unit suite holds the engine's per-pc record
-# (stable id, tier-0 flag, resume count) to the same build. So is what
+# (stable id, tier-0 flag) to the same build. So is what
 # that build reports about itself (tests/obs.rs): the metric table and
 # docs/METRICS.md name the same metrics, a snapshot's machine-wide rows
 # add up from its per-core and per-fence-kind rows on every kernel and
 # both backends, an instrumented run's snapshot equals the plain
-# run's as a whole and two traced runs record the same events, each tier
-# leg's counters show the blocks that went through it, and `hot_tbs` is
-# empty unless profiling was asked for.
+# run's as a whole and two traced runs record the same events, and each
+# tier leg's counters show the blocks that went through it.
 cargo test -q --release -p risotto-host-arm -p risotto-guest-x86 -p risotto-core
 cargo test -q --release --test slice_invariance --test obs
 
@@ -284,9 +285,11 @@ fi
 # One counter surface: `Report` is the run's result (cycles, exit
 # values, output, translated blocks, code size) and every count is a row
 # of `Emulator::metrics()`. None of the deleted second copies may come
-# back: the template counter struct, the hot-TB aggregator type, or the
-# `Report` / `Emulator` readers that duplicated a row.
-if grep -rnE "TemplateStats|HotTbProfiler|fn chain_hit_rate|fn template_stats" crates src; then
+# back: the template counter struct, the hot-TB aggregator type, the
+# `Report` / `Emulator` readers that duplicated a row, or the
+# observational block profile (the machine counts block entries only to
+# promote, while a hot threshold is set).
+if grep -rnE "TemplateStats|HotTbProfiler|fn chain_hit_rate|fn template_stats|hot_tbs|struct HotTb|TbProf|tb_profile|set_profiling" crates src; then
     echo "ci: a count is a row of Emulator::metrics(), read off its snapshot" >&2
     exit 1
 fi
@@ -352,7 +355,7 @@ cargo run -q --release -p risotto-bench --bin fig12_parsec_phoenix -- \
 python3 - "$metrics_json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["version"] == 1, doc["version"]
+assert doc["version"] == 2, doc["version"]
 assert len(doc["workloads"]) == 16, len(doc["workloads"])
 for w in doc["workloads"]:
     assert w["metrics"]["version"] == 1
@@ -379,7 +382,7 @@ cargo run -q --release -p risotto-bench --bin fuzz -- \
 python3 - "$fuzz_json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["version"] == 1, doc["version"]
+assert doc["version"] == 2, doc["version"]
 m = doc["workloads"][0]["metrics"]["metrics"]
 assert all(name.startswith("fuzz.") for name in m), sorted(m)
 assert m["fuzz.divergences"]["value"] == 0, m["fuzz.divergences"]

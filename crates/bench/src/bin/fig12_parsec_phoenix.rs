@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `--smoke` shrinks every workload to a CI-sized scale; `--metrics-json`
-//! writes the versioned observability artifact (one metrics snapshot +
-//! hot-TB profile per kernel, collected under the risotto setup).
+//! writes the versioned observability artifact (one metrics snapshot per
+//! kernel, collected under the risotto setup).
 
 use risotto_bench::{chain_hit_ratio, print_table, BenchCli};
 use risotto_core::Setup;

@@ -3,7 +3,7 @@
 //! and native execution over QEMU (translated guest libraries).
 //!
 //! Pass `--metrics-json <path>` to also write the observability artifact
-//! (one metrics snapshot + hot-TB profile per workload, risotto setup);
+//! (one metrics snapshot per workload, risotto setup);
 //! `--smoke` shrinks buffers/iterations to a CI-sized configuration.
 
 use risotto_bench::{chain_hit_ratio, ops_per_sec, print_table, speedup, BenchCli};

@@ -145,12 +145,7 @@ fn main() {
         .map(|(name, total)| (name.to_owned(), MetricValue::Counter(total)))
         .collect();
         let snapshot = MetricsSnapshot { version: SNAPSHOT_VERSION, metrics };
-        let entries = [MetricsEntry {
-            name: "fuzz".to_string(),
-            setup: "differential",
-            snapshot,
-            hot_tbs: Vec::new(),
-        }];
+        let entries = [MetricsEntry { name: "fuzz".to_string(), setup: "differential", snapshot }];
         risotto_bench::write_metrics_json(path, "fuzz", &entries);
     }
 

@@ -15,15 +15,12 @@
 
 pub mod suite;
 
-use risotto_core::obs::{HotTb, MetricsSnapshot};
+use risotto_core::obs::MetricsSnapshot;
 use risotto_core::{EmuConfig, Emulator, HostLibrary, Idl, Report, Setup, VerifyLevel};
 use risotto_guest_x86::GuestBinary;
 
 /// Simulated host clock (the paper's testbed runs at 2.0 GHz).
 pub const CLOCK_HZ: f64 = 2.0e9;
-
-/// How many hot TBs each workload records in the metrics artifact.
-pub const HOT_TB_TOP_N: usize = 10;
 
 /// Simulated-cycle budget of one harness run.
 pub(crate) const FUEL: u64 = 20_000_000_000;
@@ -42,8 +39,6 @@ pub struct MetricsEntry {
     pub setup: &'static str,
     /// The metrics snapshot.
     pub snapshot: MetricsSnapshot,
-    /// The hottest TBs ([`HOT_TB_TOP_N`]), hottest first.
-    pub hot_tbs: Vec<HotTb>,
 }
 
 /// Fraction of direct-jump exits resolved through a patched chain slot
@@ -153,8 +148,7 @@ impl BenchCli {
     ///
     /// `collect` names the run as a workload of the `--metrics-json`
     /// artifact and is ignored unless that flag was passed: then the run
-    /// has hot-TB profiling on and appends its [`MetricsEntry`], built
-    /// from the same snapshot.
+    /// appends its [`MetricsEntry`], built from the same snapshot.
     ///
     /// # Panics
     ///
@@ -168,8 +162,7 @@ impl BenchCli {
         collect: Option<(&str, &mut Vec<MetricsEntry>)>,
     ) -> (Report, MetricsSnapshot) {
         let collect = collect.filter(|_| self.metrics_json.is_some());
-        let config = EmuConfig { profiling: collect.is_some(), ..harness_config() };
-        let mut emu = Emulator::with_config(bin, setup, cores, config);
+        let mut emu = Emulator::with_config(bin, setup, cores, harness_config());
         if link {
             let idl = Idl::parse(risotto_nativelib::hostlibs::IDL_TEXT).expect("IDL parses");
             for lib in [
@@ -188,7 +181,6 @@ impl BenchCli {
                 name: name.to_string(),
                 setup: setup.name(),
                 snapshot: snapshot.clone(),
-                hot_tbs: emu.hot_tbs(HOT_TB_TOP_N),
             });
         }
         (report, snapshot)
@@ -221,35 +213,26 @@ impl BenchCli {
 
 /// Writes the versioned metrics artifact shared by every `fig*` binary
 /// and `fuzz`:
-/// `{"version":1,"tool":…,"workloads":[{name,setup,hot_tbs,metrics},…]}`.
+/// `{"version":2,"tool":…,"workloads":[{name,setup,metrics},…]}`.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written — a requested artifact that
 /// silently fails to appear would be worse.
 pub fn write_metrics_json(path: &str, tool: &str, entries: &[MetricsEntry]) {
-    let mut workloads = Vec::with_capacity(entries.len());
-    for e in entries {
-        let hot: Vec<String> = e
-            .hot_tbs
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"tb_id\": {}, \"guest_pc\": {}, \"execs\": {}, \"chain_misses\": {}}}",
-                    t.tb_id, t.guest_pc, t.execs, t.chain_misses
-                )
-            })
-            .collect();
-        workloads.push(format!(
-            "    {{\"name\": \"{}\", \"setup\": \"{}\", \"hot_tbs\": [{}],\n     \"metrics\": {}}}",
-            e.name,
-            e.setup,
-            hot.join(", "),
-            e.snapshot.to_json()
-        ));
-    }
+    let workloads: Vec<String> = entries
+        .iter()
+        .map(|e| {
+            format!(
+                "    {{\"name\": \"{}\", \"setup\": \"{}\",\n     \"metrics\": {}}}",
+                e.name,
+                e.setup,
+                e.snapshot.to_json()
+            )
+        })
+        .collect();
     let json = format!(
-        "{{\n  \"version\": 1,\n  \"tool\": \"{tool}\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"version\": 2,\n  \"tool\": \"{tool}\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         workloads.join(",\n")
     );
     std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));

@@ -193,8 +193,6 @@ pub struct EmuConfig {
     /// TB chaining and the jump cache; off, every exit goes through the
     /// dispatcher (the reference chained runs are checked against).
     pub chaining: bool,
-    /// The hot-TB profiler behind [`Emulator::hot_tbs`].
-    pub profiling: bool,
     /// Machine steps without observable progress after which a run fails
     /// with [`EmuError::Stalled`] (at least 1).
     pub watchdog: Option<u64>,
@@ -213,7 +211,6 @@ impl Default for EmuConfig {
             analysis: false,
             fault_plan: FaultPlan::default(),
             chaining: true,
-            profiling: false,
             watchdog: None,
             atomic_log: false,
         }

@@ -46,6 +46,8 @@ impl Emulator {
             self.machine.add_cycles(core, INTERP_CYCLES_PER_INSN);
             match exec_insn(&mut CoreState { emu: self, core }, insn, next) {
                 Step::Next => {}
+                // Finds nothing (the entry drain and every store below drain
+                // first), but it is MFENCE's own semantics, so it stays.
                 Step::Fence => self.machine.drain_store_buffer(core),
                 Step::Branch(target) => return Ok(Some(target)),
                 Step::Halt => {

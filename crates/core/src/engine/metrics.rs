@@ -6,15 +6,14 @@
 //! name is spelled in this crate.
 
 use super::Emulator;
-use crate::obs::{HotTb, MetricKind, MetricSpec, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION};
+use crate::obs::{MetricKind, MetricSpec, MetricValue, MetricsSnapshot, SNAPSHOT_VERSION};
 #[cfg(doc)]
 use crate::{faults::FaultPlan, Report};
 use risotto_analysis::AnalysisSummary;
 use risotto_host_arm::AllocStats;
 use risotto_memmodel::FenceKind;
 use risotto_tcg::OptStats;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Every total the engine keeps while it runs. The metric table reads
 /// them ([`Report`] only `tb_count`); the run loop's watchdog and the
@@ -220,33 +219,5 @@ impl Emulator {
             }
         }
         MetricsSnapshot { version: SNAPSHOT_VERSION, metrics }
-    }
-
-    /// The `n` hottest translation blocks, hottest first (ties broken
-    /// by guest pc): the machine's transfer profile plus the engine's
-    /// dispatch-loop entries, merged per guest pc (requires
-    /// [`EmuConfig::profiling`](super::EmuConfig); empty otherwise).
-    pub fn hot_tbs(&self, n: usize) -> Vec<HotTb> {
-        if !self.config.profiling {
-            return Vec::new();
-        }
-        // A dispatch-loop entry missed every fast path by definition.
-        let resumes = self.tbs.iter().map(|(&pc, meta)| (pc, meta.resumes, meta.resumes));
-        let transfers = self.machine.tb_profile().map(|(pc, p)| (pc, p.execs, p.chain_misses));
-        let mut blocks: HashMap<u64, HotTb> = HashMap::new();
-        for (pc, execs, chain_misses) in resumes.chain(transfers).filter(|&(_, n, _)| n > 0) {
-            let tb = blocks.entry(pc).or_insert_with(|| HotTb {
-                tb_id: self.tb_id(pc).unwrap_or(0),
-                guest_pc: pc,
-                execs: 0,
-                chain_misses: 0,
-            });
-            tb.execs += execs;
-            tb.chain_misses += chain_misses;
-        }
-        let mut hot: Vec<HotTb> = blocks.into_values().collect();
-        hot.sort_by_key(|tb| (Reverse(tb.execs), tb.guest_pc));
-        hot.truncate(n);
-        hot
     }
 }

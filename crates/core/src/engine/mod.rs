@@ -63,21 +63,16 @@ const ENV_STRIDE: u64 = 0x100;
 const SPILL_STRIDE: u64 = 0x10000;
 
 /// What the engine knows about one guest pc across every translation it
-/// has had; created at the pc's first block install or resume, never
-/// removed.
-#[derive(Debug, Default)]
+/// has had; created at the pc's first block install (an install that
+/// finds one is a re-translation), never removed.
+#[derive(Debug)]
 struct TbMeta {
     /// Stable engine TB id: the 1-based `tb_count` of the pc's first
-    /// block install. A block install that finds it set is a
-    /// re-translation.
-    id: Option<u64>,
+    /// block install.
+    id: u64,
     /// The current translation is a tier-0 template block (a promotion
     /// candidate for the tier-1 re-translate).
     tier0: bool,
-    /// Dispatch-loop entries while profiling is enabled; each missed the
-    /// machine's fast paths by definition. Read only by
-    /// [`Emulator::hot_tbs`]: nothing the engine decides depends on it.
-    resumes: u64,
 }
 
 /// The DBT engine.
@@ -180,9 +175,8 @@ impl Emulator {
     /// Makes the machine and the analysis facts what the config says.
     fn apply_config(&mut self) {
         let c = &self.config;
-        // The tier-0 promoter reads the machine's transfer profile, so it
-        // is on for as long as the template tier is.
-        self.machine.set_profiling(c.profiling || c.warm_threshold.is_some());
+        // The tier-0 promoter reads the machine's entry counts, so they
+        // are kept for as long as the template tier is on.
         self.machine.set_hot_threshold(c.warm_threshold);
         self.machine.set_chaining(c.chaining);
         self.machine.set_atomic_log(c.atomic_log);
@@ -420,9 +414,6 @@ impl Emulator {
         loop {
             match self.ensure_translated(Some(core), pc) {
                 Ok(host) => {
-                    if self.config.profiling {
-                        self.tbs.entry(pc).or_default().resumes += 1;
-                    }
                     self.machine.start_core(core, host);
                     return Ok(());
                 }
@@ -469,7 +460,7 @@ impl Emulator {
 
     /// The stable engine id of the block at `guest_pc`, once it has one.
     fn tb_id(&self, guest_pc: u64) -> Option<u64> {
-        self.tbs.get(&guest_pc)?.id
+        self.tbs.get(&guest_pc).map(|meta| meta.id)
     }
 
     /// Observable-progress marker for the watchdog.
@@ -620,9 +611,9 @@ mod tests {
     }
 
     #[test]
-    fn a_record_keeps_its_id_its_tier_and_its_resumes_while_profiling() {
+    fn a_record_keeps_its_id_and_its_tier() {
         let bin = counted_loop(40);
-        let config = EmuConfig { profiling: true, warm_threshold: Some(8), ..EmuConfig::default() };
+        let config = EmuConfig { warm_threshold: Some(8), ..EmuConfig::default() };
         let mut emu = Emulator::with_config(&bin, Setup::Risotto, 1, config);
         let report = emu.run(100_000).unwrap();
         assert_eq!(report.exit_vals[0], Some(120));
@@ -633,13 +624,10 @@ mod tests {
         let snap = emu.metrics();
         assert!(promoted >= 1 && promoted as u64 == snap.counter("template.promotions"));
         assert_eq!(snap.counter("translate.retranslations"), promoted as u64);
-        let ids: HashSet<u64> = emu.tbs.values().filter_map(|meta| meta.id).collect();
+        let ids: HashSet<u64> = emu.tbs.values().map(|meta| meta.id).collect();
         let first_installs = (report.tb_count - promoted) as u64;
         assert_eq!(ids.len() as u64, first_installs, "one id per first install");
-        // Each block entered the dispatch loop once: the miss that made it.
-        assert!(emu.tbs.values().all(|meta| meta.resumes == 1));
-        let entry = emu.hot_tbs(8).into_iter().find(|tb| tb.guest_pc == bin.entry).unwrap();
-        assert_eq!((entry.tb_id, entry.execs, entry.chain_misses), (1, 1, 1));
+        assert_eq!(emu.tb_id(bin.entry), Some(1));
 
         // Evicted and translated again: same id, one more retranslation.
         assert!(emu.machine.unmap_tb(bin.entry));

@@ -4,7 +4,7 @@
 //! maps it (or rolls it back), plus the quarantine bookkeeping behind
 //! the interpreter fallback.
 
-use super::{Emulator, Setup, VerifyLevel};
+use super::{Emulator, Setup, TbMeta, VerifyLevel};
 use crate::obs::TraceStage;
 use risotto_analysis::event_sites;
 use risotto_guest_x86::Gpr;
@@ -17,6 +17,7 @@ use risotto_tcg::{
     VerifyError, VerifyPass, VerifyScratch,
 };
 use risotto_template::{translate_block_template, TemplateError};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 #[cfg(doc)]
 use {super::EmuConfig, super::EmuError, crate::faults::FaultPlan, risotto_host_arm::Event};
@@ -309,14 +310,16 @@ impl Emulator {
         }
         self.machine.map_tb(guest_pc, host);
         self.counts.tb_count += 1;
-        let meta = self.tbs.entry(guest_pc).or_default();
-        if meta.id.is_some() {
-            self.counts.retranslations += 1;
-        } else {
-            meta.id = Some(self.counts.tb_count as u64);
-        }
-        let tb_id = meta.id;
-        self.obs.trace(TraceStage::Install, core, Some(guest_pc), tb_id, || {
+        let id = match self.tbs.entry(guest_pc) {
+            Entry::Occupied(meta) => {
+                self.counts.retranslations += 1;
+                meta.get().id
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(TbMeta { id: self.counts.tb_count as u64, tier0: false }).id
+            }
+        };
+        self.obs.trace(TraceStage::Install, core, Some(guest_pc), Some(id), || {
             format!("{} host insns", code.len())
         });
         Ok(host)
@@ -538,7 +541,8 @@ impl Emulator {
             self.counts.retranslations += 1;
         }
         // Cold code gets the near-zero-latency template tier; the
-        // profiler re-translates it through tier-1 when it warms up.
+        // machine's entry count re-translates it through tier-1 when it
+        // warms up.
         let tier0 = self.tier0_active() && !self.plt_natives.contains_key(&guest_pc);
         let produced = self.produce(core, guest_pc, tier0).and_then(|cand| self.commit(core, cand));
         match produced {

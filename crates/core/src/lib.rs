@@ -47,7 +47,7 @@ pub use engine::{
 };
 pub use faults::{FaultPlan, FaultSite};
 pub use idl::{Idl, IdlError, IdlFunc, IdlType};
-pub use obs::{HotTb, MetricsSnapshot, RingBufferSink, TraceEvent, TraceSink, TraceStage};
+pub use obs::{MetricsSnapshot, RingBufferSink, TraceEvent, TraceSink, TraceStage};
 pub use risotto_host_arm::{AtomicEvent, RmwStyle};
 pub use risotto_tcg::{PassConfig, VerifyError, VerifyPass};
 pub use rng::SplitMix64;

@@ -1,4 +1,4 @@
-//! # Observability: metrics, tracing, and hot-TB profiling
+//! # Observability: metrics and tracing
 //!
 //! The unified observability layer of the engine (see `docs/METRICS.md`
 //! for the metric reference and `docs/ARCHITECTURE.md` for where it sits
@@ -13,9 +13,6 @@
 //!   ([`TraceEvent`]) at the decode / opt / encode / install / dispatch
 //!   / fault boundaries, with guest-pc + core + TB-id context. Sinks:
 //!   [`RingBufferSink`], or a caller's own.
-//! * [`HotTb`] — one row of `Emulator::hot_tbs`: a block's execution
-//!   and chain-miss counts, merged from the engine dispatch loop and
-//!   the host machine's transfer paths.
 //!
 //! Everything here is **zero-cost when disabled** and *passive* when
 //! enabled: observability reads the authoritative execution state but
@@ -35,22 +32,6 @@ pub use registry::{
 pub use trace::{RingBufferSink, TraceEvent, TraceSink, TraceStage};
 
 use std::fmt;
-
-/// One profiled translation block (see `Emulator::hot_tbs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotTb {
-    /// Engine TB id: 1-based install order of the block's first
-    /// translation, or 0 for blocks only ever interpreted.
-    pub tb_id: u64,
-    /// Guest pc of the block.
-    pub guest_pc: u64,
-    /// Times the block was entered (chain hits, jump-cache hits,
-    /// dispatcher transfers, and engine dispatch-loop entries).
-    pub execs: u64,
-    /// Entries that missed every fast path and went through the
-    /// dispatcher or the engine's translation-miss handler.
-    pub chain_misses: u64,
-}
 
 /// The engine's observability state: the trace sink. Internal to the
 /// crate; the `Emulator` exposes it through accessors.

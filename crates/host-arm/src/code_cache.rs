@@ -46,18 +46,6 @@ const JCACHE_SIZE: usize = 64;
 /// An empty jump-cache slot (`u64::MAX` is never a valid guest pc here).
 const JCACHE_EMPTY: (u64, u64) = (u64::MAX, 0);
 
-/// Per-translation-block execution profile (see
-/// [`Machine::set_profiling`]), read through [`Machine::tb_profile`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TbProf {
-    /// Times the block was entered via a machine-resolved transfer
-    /// (patched chain, jump cache, or dispatcher lookup).
-    pub execs: u64,
-    /// Entries that missed the fast path (dispatcher lookup after an
-    /// unpatched chain slot or a jump-cache miss).
-    pub chain_misses: u64,
-}
-
 /// Counters for the TB-chaining machinery (machine-wide totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainStats {
@@ -126,7 +114,7 @@ impl DecodeTable {
 }
 
 /// Everything the cache knows about one guest pc. A record is never
-/// removed: the profile outlives unmap and remap.
+/// removed: the entry count outlives unmap and remap.
 #[derive(Debug, Default)]
 struct Tb {
     /// Host address of the current translation; `None` = not mapped.
@@ -134,8 +122,9 @@ struct Tb {
     /// Host pcs of the `ExitTb(Jump)` sites currently patched to point
     /// at this translation, un-patched before the bytes go away.
     incoming: Vec<u64>,
-    /// Zero while profiling is off.
-    prof: TbProf,
+    /// Machine-resolved entries (patched chain, jump cache, or
+    /// dispatcher lookup); zero while no hot threshold is set.
+    execs: u64,
 }
 
 /// One install: its encoded length and how many [`Tb`] records map to
@@ -181,7 +170,6 @@ pub(crate) struct CodeCache {
     /// Every core's jump cache, [`JCACHE_SIZE`] slots each, core-major.
     jcache: Vec<(u64, u64)>,
     chaining: bool,
-    profiling: bool,
     hot_threshold: Option<u64>,
     chain_stats: ChainStats,
 }
@@ -216,15 +204,14 @@ impl CodeCache {
     /// Counts one machine-resolved entry into `guest_pc`; `true` when it
     /// crossed the hotness threshold.
     #[inline]
-    fn count_entry(&mut self, guest_pc: u64, miss: bool) -> bool {
-        // No profile: no lookup.
-        if !self.profiling {
+    fn count_entry(&mut self, guest_pc: u64) -> bool {
+        // No threshold: no lookup.
+        let Some(t) = self.hot_threshold else {
             return false;
-        }
+        };
         let tb = self.tbs.entry(guest_pc).or_default();
-        tb.prof.execs += 1;
-        tb.prof.chain_misses += miss as u64;
-        self.hot_threshold.is_some_and(|t| tb.prof.execs.is_multiple_of(t))
+        tb.execs += 1;
+        tb.execs.is_multiple_of(t)
     }
 
     /// Resolves the `ExitTb(Jump)` at host pc `site`, whose chain word
@@ -234,7 +221,7 @@ impl CodeCache {
     pub(crate) fn follow_jump(&mut self, site: u64, guest_pc: u64, chain: u64) -> Option<Transfer> {
         if self.chaining && chain != 0 {
             self.chain_stats.chain_hits += 1;
-            let hot = self.count_entry(guest_pc, false);
+            let hot = self.count_entry(guest_pc);
             return Some(Transfer { host: chain, via: Via::Chain, hot });
         }
         let tb = self.tbs.get_mut(&guest_pc)?;
@@ -245,7 +232,7 @@ impl CodeCache {
             self.chain_stats.chain_links += 1;
             self.patch_chain(site, host);
         }
-        let hot = self.count_entry(guest_pc, true);
+        let hot = self.count_entry(guest_pc);
         Some(Transfer { host, via: Via::Dispatch, hot })
     }
 
@@ -256,7 +243,7 @@ impl CodeCache {
         let slot = core * JCACHE_SIZE + Self::jcache_idx(guest_pc);
         if self.chaining && self.jcache[slot].0 == guest_pc {
             self.chain_stats.dispatch_hits += 1;
-            let hot = self.count_entry(guest_pc, false);
+            let hot = self.count_entry(guest_pc);
             return Some(Transfer { host: self.jcache[slot].1, via: Via::JumpCache, hot });
         }
         let host = self.lookup(guest_pc)?;
@@ -264,7 +251,7 @@ impl CodeCache {
         if self.chaining {
             self.jcache[slot] = (guest_pc, host);
         }
-        let hot = self.count_entry(guest_pc, true);
+        let hot = self.count_entry(guest_pc);
         Some(Transfer { host, via: Via::Dispatch, hot })
     }
 
@@ -272,7 +259,7 @@ impl CodeCache {
     /// dispatcher — through a patched chain word, or a hit in the core's
     /// own jump cache on the target `reg` reads — and so touches nothing
     /// but counters that commute with other cores' steps. Only with
-    /// chaining on and profiling off: a profile count can raise
+    /// chaining on and no hot threshold: an entry count can raise
     /// [`crate::Event::HotTb`].
     #[inline]
     pub(crate) fn resolves_locally(
@@ -281,7 +268,7 @@ impl CodeCache {
         kind: TbExitKind,
         reg: impl FnOnce(Xreg) -> u64,
     ) -> bool {
-        if !self.chaining || self.profiling {
+        if !self.chaining || self.hot_threshold.is_some() {
             return false;
         }
         match kind {
@@ -343,29 +330,11 @@ impl Machine {
         self.cache.chain_stats
     }
 
-    /// Enables or disables the per-TB execution profile (off by default;
-    /// purely observational — never affects cycles or scheduling).
-    /// Disabling discards any collected profile; re-enabling an already
-    /// active profile keeps its counts.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.cache.profiling = on;
-        if !on {
-            self.cache.tbs.values_mut().for_each(|tb| tb.prof = TbProf::default());
-        }
-    }
-
-    /// The collected profile, `(guest pc, counts)` for every block
-    /// entered since profiling was enabled, in unspecified order.
-    pub fn tb_profile(&self) -> impl Iterator<Item = (u64, TbProf)> + '_ {
-        self.cache.tbs.iter().filter(|(_, tb)| tb.prof.execs > 0).map(|(&pc, tb)| (pc, tb.prof))
-    }
-
-    /// Sets the execution-count threshold at which a profiled block
-    /// raises [`crate::Event::HotTb`] (every `t` entries, so a declined
-    /// promotion retriggers later). Requires profiling
-    /// ([`Machine::set_profiling`]) to be on to have any effect;
-    /// `None` (the default) never raises the event. Values are clamped
-    /// to at least 1.
+    /// Sets the entry count at which a block raises
+    /// [`crate::Event::HotTb`] (every `t` machine-resolved entries, so a
+    /// declined promotion retriggers later); the machine counts block
+    /// entries only while a threshold is set. `None` (the default) never
+    /// raises the event. Values are clamped to at least 1.
     pub fn set_hot_threshold(&mut self, threshold: Option<u64>) {
         self.cache.hot_threshold = threshold.map(|t| t.max(1));
     }
@@ -721,7 +690,7 @@ mod tests {
         const GUEST_PCS: u64 = 24;
         let (mut reuses, mut evictions) = (0, 0);
         let mut m = Machine::new(2, CostModel::uniform());
-        m.set_profiling(true);
+        m.set_hot_threshold(Some(8));
         let guest_pc = |r: u64| 0x1000 + 8 * (r % GUEST_PCS);
         for step in first_step..first_step + ROUND_STEPS {
             let mut live: Vec<u64> = m.cache.regions.keys().copied().collect();

@@ -44,7 +44,7 @@ pub use backend::{
     arm_dmb_of, fp_op_of, helper_at, helper_index, ArmBackend, BackendConfig, BackendError,
     HostAsm, HostBackend, LowerOutput, LowerScratch, ENV_BASE, SPILL_BASE,
 };
-pub use code_cache::{ChainStats, TbProf, CODE_BASE};
+pub use code_cache::{ChainStats, CODE_BASE};
 pub use cost::CostModel;
 pub use insn::{
     ACond, AFpOp, AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg, JUMP_CHAIN_OFFSET,

@@ -1,20 +1,18 @@
 //! Acceptance tests for the observability layer (metrics snapshot,
-//! trace sinks, hot-TB profile):
+//! trace sinks):
 //!
 //! * a snapshot's rows add up across the full 16-kernel Fig. 12 suite on
 //!   both backends: machine-wide rows against per-core ones, `Report`'s
 //!   cycles against the clock, per-kind fence merges against the total;
-//! * a fully instrumented run (trace sink + hot-TB profiling) is the
-//!   default run: same architectural results, simulated cycles and
-//!   metrics snapshot, as a whole — observability is passive, and on the
-//!   tier ladder it moves no promotion — and the trace of a run is the
-//!   same trace every time;
+//! * a run with a trace sink is the default run: same architectural
+//!   results, simulated cycles and metrics snapshot, as a whole —
+//!   observability is passive, and on the tier ladder it moves no
+//!   promotion — and the trace of a run is the same trace every time;
 //! * `RingBufferSink` is bounded and overwrites oldest-first;
 //! * `docs/METRICS.md` documents 100% of the metric schema, and every
 //!   metric a real run emits maps back into that schema;
 //! * each tier leg's counters show the blocks that went through it;
-//! * `hot_tbs` is empty unless profiling was asked for, tiering or not,
-//!   and merges its two sources per block in a deterministic order.
+//! * each tier's producer leaves its own trace-event order.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -31,11 +29,6 @@ use risotto_bench::TEMPLATES_ONLY;
 
 const FUEL: u64 = 400_000_000;
 
-/// The default configuration with the hot-TB profiler on.
-fn profiled() -> EmuConfig {
-    EmuConfig { profiling: true, ..EmuConfig::default() }
-}
-
 /// Keeps every event, in order, in a list the test keeps a handle to
 /// (the engine owns the installed sink, so inspection goes through `Rc`).
 struct VecSink(Rc<RefCell<Vec<TraceEvent>>>);
@@ -49,15 +42,14 @@ impl TraceSink for VecSink {
 /// A snapshot's rows add up: the machine-wide rows are the per-core ones
 /// summed (instructions) or maxed (cycles, which is also `Report`'s
 /// figure), and the per-kind fence merges decompose the aggregate —
-/// on every kernel, on both backends. The hot-TB profile covers real
-/// blocks, hottest first.
+/// on every kernel, on both backends.
 #[test]
 fn counters_conserve_on_all_kernels_and_both_backends() {
     for w in kernels::all() {
         let bin = (w.build)(8, 2);
         for backend in BackendKind::ALL {
             let leg = format!("{} ({})", w.name, backend.name());
-            let config = EmuConfig { backend, ..profiled() };
+            let config = EmuConfig { backend, ..EmuConfig::default() };
             let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
             let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{leg}: {e}"));
             let snap = emu.metrics();
@@ -87,37 +79,30 @@ fn counters_conserve_on_all_kernels_and_both_backends() {
                 snap.counter("opt.fences_merged"),
                 "{leg}: per-kind fence merges don't sum to opt.fences_merged"
             );
-
-            let hot = emu.hot_tbs(8);
-            assert!(!hot.is_empty(), "{leg}: no hot TBs recorded");
-            assert!(hot.windows(2).all(|p| p[0].execs >= p[1].execs), "{leg}: not sorted");
-            assert!(hot.iter().all(|t| t.execs > 0), "{leg}: zero-exec TB in profile");
         }
     }
 }
 
 /// Observability is passive on every tier, and what it records is a
-/// function of the program: a run with a trace sink and the hot-TB
-/// profiler on is the default run, on tier-1 alone and on the tier
-/// ladder at two warm thresholds — same cycles, exit values and output,
-/// the same metrics snapshot as a whole (so on the ladder the same
-/// promotions and translations, since nothing the profiler counts
-/// decides a promotion) — and two traced runs record the same events.
+/// function of the program: a run with a trace sink is the default run,
+/// on tier-1 alone and on the tier ladder at two warm thresholds — same
+/// cycles, exit values and output, the same metrics snapshot as a whole
+/// (so on the ladder the same promotions and translations) — and two
+/// traced runs record the same events.
 #[test]
 fn instrumented_run_is_bit_identical_to_default_run() {
     for w in kernels::all() {
         let bin = (w.build)(8, 2);
         for warm_threshold in [None, Some(4), Some(32)] {
             let leg = format!("{} ({warm_threshold:?})", w.name);
-            let plain = EmuConfig { warm_threshold, ..EmuConfig::default() };
-            let mut plain = Emulator::with_config(&bin, Setup::Risotto, 2, plain);
+            let config = EmuConfig { warm_threshold, ..EmuConfig::default() };
+            let mut plain = Emulator::with_config(&bin, Setup::Risotto, 2, config.clone());
             let rp = plain.run(FUEL).unwrap_or_else(|e| panic!("{leg} plain: {e}"));
             let plain_snap = plain.metrics();
 
             let traced_run = || {
                 let events = Rc::new(RefCell::new(Vec::new()));
-                let traced = EmuConfig { warm_threshold, ..profiled() };
-                let mut traced = Emulator::with_config(&bin, Setup::Risotto, 2, traced);
+                let mut traced = Emulator::with_config(&bin, Setup::Risotto, 2, config.clone());
                 traced.set_trace_sink(Box::new(VecSink(Rc::clone(&events))));
                 let rt = traced.run(FUEL).unwrap_or_else(|e| panic!("{leg} traced: {e}"));
                 (rt, traced.metrics(), events.take())
@@ -185,7 +170,7 @@ fn metrics_md_documents_the_entire_schema() {
     // back to a documented spec name.
     let documented: Vec<String> = specs().into_iter().map(|s| s.name).collect();
     let bin = (kernels::all()[0].build)(8, 2);
-    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, profiled());
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, EmuConfig::default());
     emu.run(FUEL).expect("kernel runs");
     for name in emu.metrics().metrics.keys() {
         let doc_name = doc_name(name);
@@ -234,67 +219,6 @@ fn tier_legs_reconcile_with_the_counters() {
             _ => assert!(tier1 > 0 && templates > 0 && promoted > 0, "{snap:?}"),
         }
     }
-}
-
-/// `hot_tbs` is the observational profile and nothing else: the tier
-/// ladder turns the machine-side profile on for its promoter, which must
-/// not leak out as half a profile (transfers without dispatch-loop
-/// entries).
-#[test]
-fn hot_tbs_is_empty_unless_profiling_was_asked_for() {
-    let bin = kmeans();
-    let run = |profiling: bool| {
-        let config = EmuConfig { warm_threshold: LADDER, profiling, ..EmuConfig::default() };
-        let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
-        emu.run(FUEL).expect("kmeans runs");
-        let promotions = emu.metrics().counter("template.promotions");
-        assert!(promotions > 0, "the promoter's profile was live");
-        emu.hot_tbs(4)
-    };
-    assert!(run(false).is_empty(), "tiering alone must not surface a profile");
-    // With profiling on: the run's hottest blocks, `(tb_id, guest_pc,
-    // execs, chain_misses)`, hottest first — transfers and dispatch-loop
-    // entries together.
-    let hot: Vec<_> =
-        run(true).iter().map(|t| (t.tb_id, t.guest_pc, t.execs, t.chain_misses)).collect();
-    assert_eq!(
-        hot,
-        [(5, 0x1010d, 32, 5), (11, 0x100cd, 30, 7), (7, 0x10135, 28, 4), (10, 0x10192, 22, 6)],
-        "{hot:#x?}"
-    );
-}
-
-/// `hot_tbs` merges the engine's dispatch-loop entries into the
-/// machine's transfer profile per guest pc, and orders blocks that ran
-/// equally often by guest pc, so the report does not depend on hash-map
-/// iteration order: `main` and `exit` run once each, `body` and `tail`
-/// 300 times each.
-#[test]
-fn hot_tbs_merge_both_sources_and_break_ties_by_pc() {
-    let mut b = GelfBuilder::new("main");
-    b.asm.label("main");
-    b.asm.mov_ri(Gpr::RCX, 300);
-    b.asm.jmp_to("body");
-    b.asm.label("body");
-    b.asm.alu_ri(AluOp::Add, Gpr::RAX, 1);
-    b.asm.jmp_to("tail");
-    b.asm.label("tail");
-    b.asm.alu_ri(AluOp::Sub, Gpr::RCX, 1);
-    b.asm.cmp_ri(Gpr::RCX, 0);
-    b.asm.jcc_to(Cond::Ne, "body");
-    b.asm.label("exit");
-    b.asm.hlt();
-    let bin = b.finish().unwrap();
-    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 1, profiled());
-    assert_eq!(emu.run(FUEL).expect("loop runs").exit_vals[0], Some(300));
-    let hot: Vec<_> = emu.hot_tbs(8).iter().map(|t| (t.guest_pc, t.execs)).collect();
-    let pc = |label: &str| bin.symbols[label];
-    assert_eq!(
-        hot,
-        [(pc("body"), 300), (pc("tail"), 300), (pc("main"), 1), (pc("exit"), 1)],
-        "{hot:#x?}"
-    );
-    assert_eq!(emu.hot_tbs(1).len(), 1, "n caps the report");
 }
 
 /// A 400-iteration loop split over two blocks (`loop` jumps to `tail`,
