@@ -322,6 +322,20 @@ for row in ("template.translate_ns_per_insn", "tcg.frontend_ns_per_insn",
             "tcg.opt_ns_per_insn", "host_arm.lower_ns_per_insn",
             "host_arm.machine_step_ns.alu"):
     assert m[row] > 0, (row, m[row])
+# The replay's deterministic counts over the smoke programs: what the
+# optimizer and the allocator's liveness decide on the benchmark's
+# generated code, next to what HOST_HASH pins on the test corpora.
+pinned = {
+    "host_arm.host_insns_per_guest_insn": 2.6896908549993532,
+    "host_arm.regalloc_spills": 0,
+    "host_arm.regalloc_env_loads_eliminated": 222,
+    "tcg.opt_ops_per_insn": 2.373366964170224,
+    "tcg.opt_folded": 13951,
+    "tcg.opt_dce_removed": 22388,
+    "tcg.opt_fences_merged": 60,
+}
+for row, want in pinned.items():
+    assert m[row] == want, (row, m[row], want)
 EOF
 rm -f "$layers_json"
 

@@ -111,8 +111,17 @@ pub struct Emulator {
     /// Test hook: guest pcs the relaxer pretends are private (mutant
     /// injection for verifier kill tests; see `force_private_for_test`).
     forced_private: HashSet<u64>,
-    /// The translate path's reusable working memory.
+    /// The translate path's reusable working memory, borrowed from the
+    /// thread's spare for the emulator's lifetime.
     scratch: TranslateScratch,
+}
+
+impl Drop for Emulator {
+    /// Hands the translate scratch back to the thread, so the next
+    /// emulator built there starts with tables already grown.
+    fn drop(&mut self) {
+        std::mem::take(&mut self.scratch).give_back();
+    }
 }
 
 impl Emulator {
@@ -145,7 +154,7 @@ impl Emulator {
             },
             analysis: None,
             forced_private: HashSet::new(),
-            scratch: TranslateScratch::default(),
+            scratch: TranslateScratch::take_spare(),
         }
     }
 

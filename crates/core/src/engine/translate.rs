@@ -17,6 +17,7 @@ use risotto_tcg::{
     VerifyError, VerifyPass, VerifyScratch,
 };
 use risotto_template::{translate_block_template, TemplateError};
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 #[cfg(doc)]
@@ -120,14 +121,16 @@ impl Quarantine {
     }
 }
 
-/// The translate path's working memory, one per [`Emulator`]: every
-/// table the optimizer, the register allocator, the assembler and the
-/// three verifier passes need per block, plus the buffer a candidate is
-/// encoded into. Stages clear what they use on entry and never shrink
-/// it, so once the largest block has been seen a translation allocates
-/// only what it hands to the code cache (DESIGN.md §6, "Translation
-/// scratch and allocation discipline") — and a stage
-/// that bailed out half-way cannot leak state into the next block.
+/// The translate path's working memory: every table the optimizer, the
+/// register allocator, the assembler and the three verifier passes need
+/// per block, plus the buffer a candidate is encoded into. Stages clear
+/// what they use on entry and never shrink it, so once the largest block
+/// has been seen a translation allocates only what it hands to the code
+/// cache (DESIGN.md §6, "Translation scratch and allocation discipline")
+/// — and a stage that bailed out half-way cannot leak state into the
+/// next block, nor an emulator into the next one on its thread: an
+/// [`Emulator`] takes its scratch from the thread's spare
+/// ([`TranslateScratch::take_spare`]) and gives it back when dropped.
 #[derive(Debug, Default)]
 pub(super) struct TranslateScratch {
     opt: OptScratch,
@@ -137,6 +140,26 @@ pub(super) struct TranslateScratch {
     /// The candidate's one encoding: what the encoding check reads,
     /// what the code cache installs and what the read-back compares.
     bytes: Vec<u8>,
+}
+
+thread_local!(static SPARE: Cell<Option<TranslateScratch>> = const { Cell::new(None) });
+
+impl TranslateScratch {
+    /// The calling thread's spare scratch — what the last emulator
+    /// dropped on this thread left — or a fresh one.
+    pub(super) fn take_spare() -> TranslateScratch {
+        SPARE.try_with(Cell::take).ok().flatten().unwrap_or_default()
+    }
+
+    /// Makes `self` the thread's spare unless it already has one (two
+    /// emulators alive on one thread: the first one dropped keeps it).
+    pub(super) fn give_back(self) {
+        // A thread that is exiting has no spare to keep.
+        let _ = SPARE.try_with(|spare| {
+            let kept = spare.take().unwrap_or(self);
+            spare.set(Some(kept));
+        });
+    }
 }
 
 /// What the [`VerifyLevel::Full`] static passes check
@@ -322,6 +345,7 @@ impl Emulator {
         self.obs.trace(TraceStage::Install, core, Some(guest_pc), Some(id), || {
             format!("{} host insns", code.len())
         });
+        self.scratch.lower.recycle(code);
         Ok(host)
     }
 

@@ -121,10 +121,15 @@ impl BackendConfig {
 /// is emitted with a zero displacement and patched by
 /// [`finish`](HostAsm::finish), from byte offsets tracked through
 /// [`HostInsn::encoded_len`] as the stream grows — nothing is encoded
-/// to be sized.
+/// to be sized. [`finish`](HostAsm::finish) hands the stream over, so
+/// the next block assembles into a fresh buffer sized for the last one
+/// (or into one handed back through [`LowerScratch::recycle`]).
 #[derive(Debug, Default)]
 pub struct HostAsm {
     insns: Vec<HostInsn>,
+    /// Length of the last stream handed out: what a fresh buffer is
+    /// sized for.
+    last_len: usize,
     /// Encoded size of `insns`.
     len: usize,
     /// label id → byte offset it is bound at ([`UNBOUND`] until then).
@@ -154,9 +159,11 @@ impl HostAsm {
     }
 
     /// Forgets every instruction and label, keeping the buffers for the
-    /// next block.
+    /// next block (an instruction buffer [`finish`](Self::finish) handed
+    /// over is replaced by one sized for the stream it held).
     pub fn clear(&mut self) {
         self.insns.clear();
+        self.insns.reserve(self.last_len);
         self.len = 0;
         self.label_at.clear();
         self.fixups.clear();
@@ -205,9 +212,9 @@ impl HostAsm {
         }
     }
 
-    /// Resolves labels into relative branches and returns the
-    /// instruction stream. The assembler keeps its contents;
-    /// [`clear`](Self::clear) it before assembling another block.
+    /// Resolves labels into relative branches and hands the instruction
+    /// stream over; [`clear`](Self::clear) the assembler before
+    /// assembling another block.
     ///
     /// Returns [`BackendError::UnboundLabel`] if a branch targets a
     /// label that was never [`bind`](Self::bind)-ed.
@@ -219,7 +226,8 @@ impl HostAsm {
             };
             self.insns[at] = Self::branch_insn(cond, target as i32 - end as i32);
         }
-        Ok(self.insns.clone())
+        self.last_len = self.insns.len();
+        Ok(std::mem::take(&mut self.insns))
     }
 }
 
@@ -438,8 +446,10 @@ pub trait HostBackend: std::fmt::Debug + Sync {
     /// before each exit, and direct-jump exits carry a zeroed chain
     /// word and the IR's targets. `insns` must be the direct output of
     /// lowering `block` under `cfg`; `bytes` the (possibly corrupted)
-    /// encoding under test — freshly encoded at translation time, read
-    /// back from the code cache at install time.
+    /// encoding under test. The engine runs this pass once per
+    /// translation, on the fresh encoding, before installing it; what
+    /// it reads back from the code cache after the install is compared
+    /// byte for byte with that encoding, not checked again here.
     fn check_encoding_in(
         &self,
         block: &TcgBlock,
@@ -614,6 +624,17 @@ thread_local!(static SPARE: RefCell<LowerScratch> = RefCell::default());
 pub struct LowerScratch {
     alloc: AllocScratch,
     asm: HostAsm,
+}
+
+impl LowerScratch {
+    /// Hands back a [`LowerOutput::insns`] its consumer is done with:
+    /// the next lowering assembles into it instead of a new buffer
+    /// (whichever of the two is larger is kept).
+    pub fn recycle(&mut self, insns: Vec<HostInsn>) {
+        if insns.capacity() > self.asm.insns.capacity() {
+            self.asm.insns = insns;
+        }
+    }
 }
 
 /// The allocatable host-register pool under `cfg`: X9–X26 for DBT mode,

@@ -3,10 +3,10 @@
 //!
 //! The allocator manages one unified *value* space per block: TCG temps
 //! (`0..n_temps`) and — in DBT mode — the guest env registers
-//! (`n_temps..n_temps + env::COUNT`). A liveness prepass records, for
-//! every value, the sorted list of read positions (op index, with
-//! `ops.len()` standing for the block exit) and the last position that
-//! references the value at all. During lowering the allocator keeps
+//! (`n_temps..n_temps + env::COUNT`). A liveness prepass lists every
+//! operand (op index, with `ops.len()` standing for the block exit) and
+//! marks each, in one backward walk, with its value's next read and
+//! whether the value dies there. During lowering the allocator keeps
 //! values in the host register pool and:
 //!
 //! * serves `GetReg` by *aliasing* the destination temp to the pinned
@@ -83,61 +83,73 @@ impl std::ops::AddAssign for AllocStats {
     }
 }
 
-/// Turns per-key counts into bucket bounds. On entry `off[k + 2]` holds
-/// the number of items of key `k` (`off[0] = off[1] = 0`); on return
-/// `off[k + 1]` is where bucket `k` starts, so a scatter that writes
-/// item by item through `off[k + 1]` and bumps it leaves bucket `k` at
-/// `off[k]..off[k + 1]`.
-fn bucket_starts(off: &mut [usize]) {
-    for k in 1..off.len() {
-        off[k] += off[k - 1];
-    }
+/// One operand of one op (or of the block exit): a read or a write of a
+/// value at a position — the op index, `ops.len()` for the exit.
+#[derive(Debug, Clone, Copy)]
+struct Operand {
+    /// The value id. The forward walk records an env value as
+    /// [`ENV_TAG`]` | reg` (the temp bound is not known yet); the
+    /// backward walk rewrites it to `n_temps + reg`.
+    v: u32,
+    pos: u32,
+    /// For a read: the index in [`Liveness::operands`] of `v`'s next
+    /// read ([`NO_READ`] when this is its last).
+    next_read: u32,
+    read: bool,
+    /// The value's last reference in the block: its register is free
+    /// once this position is lowered.
+    dies: bool,
 }
 
-/// The read positions and live ranges of every value in a block, in
+/// Marks an env register number in [`Operand::v`] during the forward
+/// walk.
+const ENV_TAG: u32 = 1 << 31;
+
+/// End of a read chain.
+const NO_READ: u32 = u32::MAX;
+
+/// Per-operand next-use and death marks of every value in a block, in
 /// flat tables that are recomputed — never reallocated — per block.
 #[derive(Debug, Default)]
 struct Liveness {
-    /// Number of temp values: the block's [`TcgBlock::temp_bound`], so
-    /// temp ids beyond an under-reporting `n_temps` are representable —
-    /// the backend must not rely on the IR lint having run.
+    /// Number of temp values: one past the highest temp the block
+    /// mentions (ops' defs and uses, the exit) and never less than
+    /// `n_temps`, so temp ids beyond an under-reporting `n_temps` are
+    /// representable — the backend must not rely on the IR lint having
+    /// run.
     n_temps: usize,
-    /// Value `v`'s sorted *read* positions (op index; `ops.len()` is the
-    /// block exit) are `read_pos[read_off[v]..read_off[v + 1]]`.
-    read_off: Vec<usize>,
-    read_pos: Vec<usize>,
-    /// `(value, position)` of every read in op order — what `read_pos`
-    /// is bucketed from.
-    reads_in_order: Vec<(usize, usize)>,
+    /// Every operand in position order; position `p`'s are
+    /// `operands[start[p]..start[p + 1]]`.
+    operands: Vec<Operand>,
+    start: Vec<u32>,
+    /// value id → its first read in `operands` ([`NO_READ`] = never
+    /// read); the reads of a value chain on through
+    /// [`Operand::next_read`] in position order.
+    first_read: Vec<u32>,
     /// value id → last position referencing the value (read or write);
     /// [`UNREFERENCED`] for a value the block never mentions.
     last_ref: Vec<usize>,
-    /// The values whose last reference is position `p` are
-    /// `dead_vals[dead_off[p]..dead_off[p + 1]]`.
-    dead_off: Vec<usize>,
-    dead_vals: Vec<usize>,
     /// temp → the env register it aliases and that register's write
-    /// generation when the alias formed (`compute` only).
+    /// generation when the alias formed (forward walk only).
     alias: Vec<Option<(u8, u32)>>,
 }
 
 /// [`Liveness::last_ref`] of a value no op and no exit mentions. Such a
-/// value is never resident, so nothing ever compares its entry; it
-/// keeps the (many) temps the optimizer deleted out of the death lists.
+/// value is never resident, so nothing ever compares its entry.
 const UNREFERENCED: usize = usize::MAX;
 
 impl Liveness {
+    /// Two walks. The forward one lists every operand and resolves
+    /// `GetReg` aliases, which only a forward walk can: an alias lives
+    /// until its temp is redefined or its register is overwritten by
+    /// anything but a copy of itself. It finds the temp bound on the
+    /// way. The backward one, in the shape of QEMU's `liveness_pass_1`,
+    /// leaves on each operand its value's next read and whether the
+    /// value dies there.
     fn compute(&mut self, block: &TcgBlock, manage_env: bool) {
-        let max_temp = block.temp_bound();
-        let n_values = max_temp + if manage_env { env::COUNT } else { 0 };
-        self.n_temps = max_temp;
-        reset(&mut self.last_ref, n_values, UNREFERENCED);
-        reset(&mut self.alias, max_temp, None);
-        self.reads_in_order.clear();
-        let Liveness { reads_in_order, last_ref, alias, .. } = self;
-        // (A read is a reference too: the bucketing below folds the
-        // reads into `last_ref`.)
-        let mut read = |v: usize, at: usize| reads_in_order.push((v, at));
+        reset(&mut self.alias, block.n_temps as usize, None);
+        self.operands.clear();
+        self.start.clear();
         // `alias` mirrors the allocator's GetReg aliasing: while a temp
         // aliases an env value, its reads are the env value's reads (the
         // deferred pin fill happens at the first such read). The chain
@@ -146,93 +158,153 @@ impl Liveness {
         // next-use information the Belady policy sees is exact. A write
         // bumps the register's generation, which breaks every alias to
         // it at once.
-        let mut env_gen = [0u32; env::COUNT];
-        let live_alias = |a: Option<(u8, u32)>, env_gen: &[u32; env::COUNT]| {
-            a.filter(|&(reg, gen)| env_gen[reg as usize] == gen).map(|(reg, _)| reg)
-        };
+        let mut w = ForwardWalk { live: self, env_gen: [0; env::COUNT] };
         for (i, op) in block.ops.iter().enumerate() {
-            op.uses().for_each(|u| {
-                let t = u.0 as usize;
-                read(t, i);
-                if let Some(reg) = live_alias(alias[t], &env_gen) {
-                    read(max_temp + reg as usize, i);
+            w.live.start.push(w.live.operands.len() as u32);
+            // One match per op for its reads (the order of an op's
+            // operands is immaterial: they share a position) and the
+            // temp it defines.
+            let def = match op {
+                TcgOp::MovI { dst, .. } => Some(*dst),
+                TcgOp::GetReg { dst, reg } if manage_env => {
+                    let t = w.cover(*dst);
+                    w.live.alias[t] = Some((*reg, w.env_gen[*reg as usize]));
+                    w.note(t as u32, i, false);
+                    continue;
                 }
-            });
-            if manage_env {
-                match op {
-                    TcgOp::GetReg { dst, reg } => {
-                        alias[dst.0 as usize] = Some((*reg, env_gen[*reg as usize]));
-                        last_ref[dst.0 as usize] = i;
-                        continue;
-                    }
-                    TcgOp::SetReg { reg, src } => {
+                TcgOp::GetReg { dst, .. } => Some(*dst),
+                TcgOp::SetReg { reg, src } => {
+                    w.read(*src, i);
+                    if manage_env {
                         // A self-copy (`src` aliases this very register)
                         // leaves the value unchanged: aliases survive.
-                        if live_alias(alias[src.0 as usize], &env_gen) != Some(*reg) {
-                            env_gen[*reg as usize] += 1;
+                        if w.live_alias(*src) != Some(*reg) {
+                            w.env_gen[*reg as usize] += 1;
                         }
-                        last_ref[max_temp + *reg as usize] = i;
+                        w.note(ENV_TAG | u32::from(*reg), i, false);
                     }
-                    _ => {}
+                    None
                 }
-            }
-            if let Some(d) = op.def() {
-                let t = d.0 as usize;
-                last_ref[t] = i;
-                alias[t] = None;
+                TcgOp::Mov { dst, src: a }
+                | TcgOp::Ld { dst, addr: a }
+                | TcgOp::Ld8 { dst, addr: a } => {
+                    w.read(*a, i);
+                    Some(*dst)
+                }
+                TcgOp::St { addr: a, src: b } | TcgOp::St8 { addr: a, src: b } => {
+                    w.read(*a, i);
+                    w.read(*b, i);
+                    None
+                }
+                TcgOp::Bin { dst, a, b, .. }
+                | TcgOp::Setcond { dst, a, b, .. }
+                | TcgOp::AtomicAdd { dst, addr: a, val: b } => {
+                    w.read(*a, i);
+                    w.read(*b, i);
+                    Some(*dst)
+                }
+                TcgOp::Cas { dst, addr, expect, new } => {
+                    w.read(*addr, i);
+                    w.read(*expect, i);
+                    w.read(*new, i);
+                    Some(*dst)
+                }
+                TcgOp::Fence(_) => None,
+                TcgOp::CallHelper { args, ret, .. } => {
+                    args.iter().for_each(|a| w.read(*a, i));
+                    *ret
+                }
+            };
+            if let Some(d) = def {
+                let t = w.cover(d);
+                w.note(t as u32, i, false);
+                w.live.alias[t] = None;
             }
         }
         let exit_pos = block.ops.len();
-        match &block.exit {
-            TbExit::JumpReg(t) | TbExit::CondJump { flag: t, .. } => {
-                let t = t.0 as usize;
-                read(t, exit_pos);
-                if let Some(reg) = live_alias(alias[t], &env_gen) {
-                    read(max_temp + reg as usize, exit_pos);
-                }
-            }
-            _ => {}
+        w.live.start.push(w.live.operands.len() as u32);
+        if let TbExit::JumpReg(t) | TbExit::CondJump { flag: t, .. } = &block.exit {
+            w.read(*t, exit_pos);
         }
+        w.live.start.push(w.live.operands.len() as u32);
 
-        // Bucket the reads by value (they were recorded in position
-        // order, so each bucket comes out sorted) and the values by
-        // their last reference.
-        reset(&mut self.read_off, n_values + 2, 0);
-        for &(v, _) in &self.reads_in_order {
-            self.read_off[v + 2] += 1;
-        }
-        bucket_starts(&mut self.read_off);
-        reset(&mut self.read_pos, self.reads_in_order.len(), 0);
-        for &(v, at) in &self.reads_in_order {
-            self.read_pos[self.read_off[v + 1]] = at;
-            self.read_off[v + 1] += 1;
-            let last = &mut self.last_ref[v];
-            if *last == UNREFERENCED || *last < at {
-                *last = at;
+        // Backward: the first reference met is a value's last.
+        self.n_temps = self.alias.len();
+        let n_values = self.n_temps + if manage_env { env::COUNT } else { 0 };
+        reset(&mut self.last_ref, n_values, UNREFERENCED);
+        reset(&mut self.first_read, n_values, NO_READ);
+        for k in (0..self.operands.len()).rev() {
+            let o = &mut self.operands[k];
+            if o.v & ENV_TAG != 0 {
+                o.v = (self.n_temps as u32) + (o.v & !ENV_TAG);
             }
-        }
-        reset(&mut self.dead_off, exit_pos + 3, 0);
-        let referenced = || self.last_ref.iter().enumerate().filter(|(_, &at)| at != UNREFERENCED);
-        for (_, &at) in referenced() {
-            self.dead_off[at + 2] += 1;
-        }
-        bucket_starts(&mut self.dead_off);
-        reset(&mut self.dead_vals, self.dead_off[exit_pos + 2], 0);
-        for (v, &at) in referenced() {
-            self.dead_vals[self.dead_off[at + 1]] = v;
-            self.dead_off[at + 1] += 1;
+            let v = o.v as usize;
+            if self.last_ref[v] == UNREFERENCED {
+                self.last_ref[v] = o.pos as usize;
+                o.dies = true;
+            }
+            if o.read {
+                o.next_read = std::mem::replace(&mut self.first_read[v], k as u32);
+            }
         }
     }
 
     /// Sorted read positions of value `v`.
     #[cfg(test)]
-    fn reads(&self, v: usize) -> &[usize] {
-        &self.read_pos[self.read_off[v]..self.read_off[v + 1]]
+    fn reads(&self, v: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut k = self.first_read[v];
+        while k != NO_READ {
+            out.push(self.operands[k as usize].pos as usize);
+            k = self.operands[k as usize].next_read;
+        }
+        out
     }
 
     /// The values last referenced at position `at`.
-    fn dying_at(&self, at: usize) -> &[usize] {
-        &self.dead_vals[self.dead_off[at]..self.dead_off[at + 1]]
+    #[cfg(test)]
+    fn dying_at(&self, at: usize) -> Vec<usize> {
+        let at = self.start[at] as usize..self.start[at + 1] as usize;
+        self.operands[at].iter().filter(|o| o.dies).map(|o| o.v as usize).collect()
+    }
+}
+
+/// The state of [`Liveness::compute`]'s forward walk.
+struct ForwardWalk<'a> {
+    live: &'a mut Liveness,
+    /// env register → write generation (see [`Liveness::alias`]).
+    env_gen: [u32; env::COUNT],
+}
+
+impl ForwardWalk<'_> {
+    /// Grows the temp-indexed table to cover `t`: its final length is
+    /// the temp bound.
+    fn cover(&mut self, t: Temp) -> usize {
+        let t = t.0 as usize;
+        if t >= self.live.alias.len() {
+            self.live.alias.resize(t + 1, None);
+        }
+        t
+    }
+
+    fn note(&mut self, v: u32, at: usize, read: bool) {
+        let pos = at as u32;
+        self.live.operands.push(Operand { v, pos, next_read: NO_READ, read, dies: false });
+    }
+
+    /// The env register `t` aliases right now, if any.
+    fn live_alias(&self, t: Temp) -> Option<u8> {
+        let a = self.live.alias.get(t.0 as usize).copied().flatten();
+        a.filter(|&(reg, gen)| self.env_gen[reg as usize] == gen).map(|(reg, _)| reg)
+    }
+
+    /// A read of `t` at `at`, and of the env value it aliases.
+    fn read(&mut self, t: Temp, at: usize) {
+        let v = self.cover(t);
+        self.note(v as u32, at, true);
+        if let Some(reg) = self.live_alias(t) {
+            self.note(ENV_TAG | u32::from(reg), at, true);
+        }
     }
 }
 
@@ -256,8 +328,9 @@ struct ValueState {
     /// `MovImm` instead of being spilled/reloaded, and equal constants
     /// share one host register.
     const_val: Option<u64>,
-    /// Monotone cursor into `live.read_pos` (next-use scan).
-    cursor: usize,
+    /// Monotone cursor along the value's read chain (next-use scan):
+    /// an index into `live.operands`, or [`NO_READ`].
+    cursor: u32,
 }
 
 /// The allocator's reusable per-block tables ([`Liveness`] and the
@@ -285,11 +358,15 @@ pub(crate) struct Allocator<'a> {
     manage_env: bool,
     /// host register number → value id held.
     holder: [Option<usize>; 32],
+    /// Bit per host register number: a pool register no value holds.
+    free: u32,
     /// host register number → constant the register is known to hold
     /// right now. Maintained at every instruction that writes a pool
     /// register; rebinding alone never changes register contents, so
     /// the knowledge survives ownership transfers and evictions.
     reg_const: [Option<u64>; 32],
+    /// Bit per host register number whose `reg_const` entry is known.
+    const_known: u32,
     /// env index → head of the chain in `alias_links` of the temps that
     /// aliased the register since it was last overwritten
     /// ([`NO_LINK`] = none). Links whose temp has moved on are skipped
@@ -314,20 +391,21 @@ impl<'a> Allocator<'a> {
         s: &'a mut AllocScratch,
     ) -> Allocator<'a> {
         s.live.compute(block, manage_env);
-        let n_values = s.live.last_ref.len();
         s.val.clear();
         s.val.extend(
-            s.live.read_off[..n_values]
-                .iter()
+            (s.live.first_read.iter())
                 .map(|&first_read| ValueState { cursor: first_read, ..ValueState::default() }),
         );
         s.alias_links.clear();
+        debug_assert!(pool.windows(2).all(|w| w[0].0 < w[1].0), "pool in register order");
         Allocator {
             s,
             pool,
             manage_env,
             holder: [None; 32],
+            free: pool.iter().fold(0, |free, r| free | 1 << r.0),
             reg_const: [None; 32],
+            const_known: 0,
             alias_head: [NO_LINK; env::COUNT],
             dead_dirty: 0,
             pinned: [false; env::COUNT],
@@ -342,14 +420,13 @@ impl<'a> Allocator<'a> {
     /// First read position of `v` at or after `idx` (`usize::MAX` when
     /// the value is never read again).
     fn next_use(&mut self, v: usize, idx: usize) -> usize {
-        let live = &self.s.live;
+        let ops = &self.s.live.operands;
         let c = &mut self.s.val[v].cursor;
-        let end = live.read_off[v + 1];
-        while *c < end && live.read_pos[*c] < idx {
-            *c += 1;
+        while *c != NO_READ && (ops[*c as usize].pos as usize) < idx {
+            *c = ops[*c as usize].next_read;
         }
-        if *c < end {
-            live.read_pos[*c]
+        if *c != NO_READ {
+            ops[*c as usize].pos as usize
         } else {
             usize::MAX
         }
@@ -358,12 +435,27 @@ impl<'a> Allocator<'a> {
     fn bind(&mut self, r: Xreg, v: usize) {
         self.s.val[v].loc = Some(r);
         self.holder[r.0 as usize] = Some(v);
+        self.free &= !(1 << r.0);
+    }
+
+    /// Records what `r` is known to hold after a write to it.
+    fn set_const(&mut self, r: Xreg, c: Option<u64>) {
+        self.reg_const[r.0 as usize] = c;
+        let bit = 1 << r.0;
+        self.const_known =
+            if c.is_some() { self.const_known | bit } else { self.const_known & !bit };
+    }
+
+    /// Frees `r` (its value's `loc` is the caller's to update).
+    fn release(&mut self, r: Xreg) {
+        self.holder[r.0 as usize] = None;
+        self.free |= 1 << r.0;
     }
 
     fn unbind(&mut self, v: usize) {
         if let Some(r) = self.s.val[v].loc.take() {
             self.s.val[v].dirty = false;
-            self.holder[r.0 as usize] = None;
+            self.release(r);
         }
     }
 
@@ -383,8 +475,13 @@ impl<'a> Allocator<'a> {
             }
         }
         let Some(prev) = idx.checked_sub(1) else { return };
-        for i in 0..self.s.live.dying_at(prev).len() {
-            let v = self.s.live.dying_at(prev)[i];
+        let (from, to) = (self.s.live.start[prev], self.s.live.start[prev + 1]);
+        for k in from as usize..to as usize {
+            let o = self.s.live.operands[k];
+            if !o.dies {
+                continue;
+            }
+            let v = o.v as usize;
             if self.is_env(v) && self.s.val[v].dirty {
                 self.dead_dirty |= 1 << (v - self.s.live.n_temps);
             } else {
@@ -422,7 +519,7 @@ impl<'a> Allocator<'a> {
             self.s.val[v].dirty = false;
         }
         self.s.val[v].loc = None;
-        self.holder[r.0 as usize] = None;
+        self.release(r);
     }
 
     /// Claims a register: the first free pool register in pool order,
@@ -436,10 +533,11 @@ impl<'a> Allocator<'a> {
         at_op: usize,
         forbid: &[Xreg],
     ) -> Result<Xreg, BackendError> {
-        for &r in self.pool {
-            if self.holder[r.0 as usize].is_none() && !forbid.contains(&r) {
-                return Ok(r);
-            }
+        // The pool is in register order, so its first free register is
+        // the lowest free bit.
+        let free = forbid.iter().fold(self.free, |free, r| free & !(1 << r.0));
+        if free != 0 {
+            return Ok(Xreg(free.trailing_zeros() as u8));
         }
         let mut best: Option<(Xreg, usize, usize, bool)> = None;
         for &r in self.pool {
@@ -494,15 +592,19 @@ impl<'a> Allocator<'a> {
             // Constants share registers: any pool register already known
             // to hold these bits serves the read (ownership unchanged —
             // register contents only change at writes, and the caller's
-            // forbid list protects the register for the whole op).
-            for &r in self.pool {
-                if self.reg_const[r.0 as usize] == Some(c) && !forbid.contains(&r) {
-                    return Ok(r);
+            // forbid list protects the register for the whole op). The
+            // first such register in pool order is the lowest one.
+            let mut known = forbid.iter().fold(self.const_known, |m, r| m & !(1 << r.0));
+            while known != 0 {
+                let r = known.trailing_zeros() as usize;
+                if self.reg_const[r] == Some(c) {
+                    return Ok(Xreg(r as u8));
                 }
+                known &= known - 1;
             }
             let r = self.take_reg(asm, idx, at_op, forbid)?;
             asm.push(HostInsn::MovImm { dst: r, imm: c });
-            self.reg_const[r.0 as usize] = Some(c);
+            self.set_const(r, Some(c));
             self.bind(r, v);
             return Ok(r);
         }
@@ -521,7 +623,7 @@ impl<'a> Allocator<'a> {
         });
         self.stats.reloads += 1;
         self.s.val[v].dirty = false;
-        self.reg_const[r.0 as usize] = None;
+        self.set_const(r, None);
         self.bind(r, v);
         Ok(r)
     }
@@ -551,7 +653,7 @@ impl<'a> Allocator<'a> {
         self.s.val[v].dirty = true;
         self.s.val[v].in_slot = false;
         // The caller writes `r` next; whatever constant it held is gone.
-        self.reg_const[r.0 as usize] = None;
+        self.set_const(r, None);
         Ok(r)
     }
 
@@ -564,7 +666,7 @@ impl<'a> Allocator<'a> {
         // MovI (re)defines dst: drop any register or alias it held (the
         // old register still holds its old bits — no write happened).
         if let Some(r) = self.s.val[v].loc {
-            self.holder[r.0 as usize] = None;
+            self.release(r);
             self.s.val[v].loc = None;
         }
         self.s.val[v].alias = None;
@@ -603,7 +705,7 @@ impl<'a> Allocator<'a> {
         });
         self.stats.env_loads += 1;
         self.pinned[reg as usize] = true;
-        self.reg_const[r.0 as usize] = None;
+        self.set_const(r, None);
         self.bind(r, v);
         Ok(r)
     }
@@ -615,7 +717,7 @@ impl<'a> Allocator<'a> {
         let t = dst.0 as usize;
         // GetReg (re)defines dst: drop any register it held.
         if let Some(r) = self.s.val[t].loc {
-            self.holder[r.0 as usize] = None;
+            self.release(r);
             self.s.val[t].loc = None;
         }
         self.s.val[t].alias = Some(self.s.live.n_temps + reg as usize);
@@ -691,7 +793,7 @@ impl<'a> Allocator<'a> {
             match home {
                 Some(rh) => {
                     asm.push(HostInsn::MovReg { dst: rt, src: rh });
-                    self.reg_const[rt.0 as usize] = self.reg_const[rh.0 as usize];
+                    self.set_const(rt, self.reg_const[rh.0 as usize]);
                 }
                 None => {
                     // Non-resident env values always have a current
@@ -703,7 +805,7 @@ impl<'a> Allocator<'a> {
                         order: MemOrder::Plain,
                     });
                     self.stats.env_loads += 1;
-                    self.reg_const[rt.0 as usize] = None;
+                    self.set_const(rt, None);
                     home = Some(rt);
                 }
             }
@@ -716,7 +818,7 @@ impl<'a> Allocator<'a> {
         // codegen does — and leave nothing for the flush to do.
         if self.s.live.last_ref[v] <= idx {
             if let Some(r_old) = self.s.val[v].loc {
-                self.holder[r_old.0 as usize] = None;
+                self.release(r_old);
                 self.s.val[v].loc = None;
             }
             asm.push(HostInsn::Str {
@@ -736,7 +838,7 @@ impl<'a> Allocator<'a> {
             && self.s.live.last_ref[src_v] <= idx
         {
             if let Some(r_old) = self.s.val[v].loc {
-                self.holder[r_old.0 as usize] = None;
+                self.release(r_old);
             }
             self.s.val[src_v].loc = None;
             self.bind(rs, v);
@@ -754,7 +856,7 @@ impl<'a> Allocator<'a> {
         };
         if re != rs {
             asm.push(HostInsn::MovReg { dst: re, src: rs });
-            self.reg_const[re.0 as usize] = self.reg_const[rs.0 as usize];
+            self.set_const(re, self.reg_const[rs.0 as usize]);
         }
         self.s.val[v].dirty = true;
         Ok(())
@@ -833,6 +935,19 @@ mod tests {
         let b = block_with(vec![TcgOp::MovI { dst: Temp(7), val: 0 }], TbExit::Halt, 1);
         let mut l = Liveness::default();
         l.compute(&b, true);
-        assert!(l.n_temps >= 8, "temp ids beyond n_temps must still be representable");
+        assert_eq!(l.n_temps, 8, "temp ids beyond n_temps must still be representable");
+        let mut b = block_with(
+            vec![TcgOp::Mov { dst: Temp(3), src: Temp(9) }],
+            TbExit::JumpReg(Temp(12)),
+            2,
+        );
+        l.compute(&b, true);
+        assert_eq!(l.n_temps, 13, "the exit temp is the highest");
+        b.exit = TbExit::Halt;
+        l.compute(&b, false);
+        assert_eq!(l.n_temps, 10);
+        b.n_temps = 64;
+        l.compute(&b, true);
+        assert_eq!(l.n_temps, 64, "never below n_temps");
     }
 }

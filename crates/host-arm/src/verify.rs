@@ -191,12 +191,23 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
     }
     // ...and the bytes decode back to the same instruction stream, each
     // instruction compared as it is decoded, with no bytes left over.
-    // From here on `insns` *is* the decoded stream.
+    // From here on `insns` *is* the decoded stream, and the same walk
+    // collects everything the later checks read of it: its ordering
+    // points, the env slots stored to before its first exit, and its
+    // direct-jump exits.
     let differs = || {
         err(block, None, "decoded instruction stream differs from the lowered instructions".into())
     };
+    actual.clear();
+    actual_jumps.clear();
+    // Env slot index (any `u8` register number) → stored to before the
+    // first exit.
+    let mut written_back = [false; 256];
+    let mut first_exit = None;
+    // The first direct-jump exit installed with a non-zero chain word.
+    let mut chained = None;
     let mut off = 0usize;
-    for want in insns {
+    for (at, want) in insns.iter().enumerate() {
         if off == bytes.len() {
             return Err(differs());
         }
@@ -207,6 +218,26 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
             return Err(differs());
         }
         off += len;
+        actual.extend(actual_point(want));
+        match *want {
+            HostInsn::Str { base, off: slot_off, .. }
+                if base == ENV_BASE && first_exit.is_none() && slot_off % 8 == 0 =>
+            {
+                if let Some(slot) = written_back.get_mut((slot_off / 8) as usize) {
+                    *slot = true;
+                }
+            }
+            HostInsn::ExitTb(exit) => {
+                first_exit.get_or_insert(at);
+                if let TbExitKind::Jump { guest_pc, chain } = exit {
+                    if chain != 0 {
+                        chained.get_or_insert(guest_pc);
+                    }
+                    actual_jumps.push(guest_pc);
+                }
+            }
+            _ => {}
+        }
     }
     if off != bytes.len() {
         return Err(differs());
@@ -221,14 +252,19 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
     })?;
 
     // 2. Ordering placement: barrier/atomic/access/exit interleaving
-    // matches the IR.
+    // matches the IR. The walk over the IR also finds the first env
+    // register it writes that 2b below finds no write-back for.
     expected.clear();
-    for op in &block.ops {
+    let mut unwritten = None;
+    for (i, op) in block.ops.iter().enumerate() {
         host.expected_points(op, cfg, expected);
+        if let TcgOp::SetReg { reg, .. } = op {
+            if !written_back[*reg as usize] && unwritten.is_none() {
+                unwritten = Some((i, *reg));
+            }
+        }
     }
     exit_points(&block.exit, expected);
-    actual.clear();
-    actual.extend(insns.iter().filter_map(actual_point));
     if expected != actual {
         let at = expected
             .iter()
@@ -255,35 +291,27 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
     // no further IR. Skipped for the native oracle, whose guest
     // registers are host registers: there is no env to write back.
     if !cfg.native {
-        // The point streams matched, so the block exit put one here.
-        let first_exit =
-            insns.iter().position(|i| matches!(i, HostInsn::ExitTb(_))).unwrap_or(insns.len());
-        // Env slot index (any `u8` register number) → stored to.
-        let mut written_back = [false; 256];
-        for insn in &insns[..first_exit] {
-            if let HostInsn::Str { base, off, .. } = insn {
-                if *base == ENV_BASE && *off % 8 == 0 {
-                    if let Some(slot) = written_back.get_mut((*off / 8) as usize) {
-                        *slot = true;
-                    }
-                }
-            }
-        }
-        for (i, op) in block.ops.iter().enumerate() {
-            let TcgOp::SetReg { reg, .. } = op else { continue };
-            if !written_back[*reg as usize] {
-                return Err(err(
-                    block,
-                    Some(i),
-                    format!(
-                        "env register {reg} is written by the IR but has no write-back to its env slot before the exit at host instruction {first_exit}"
-                    ),
-                ));
-            }
+        if let Some((i, reg)) = unwritten {
+            // The point streams matched, so the block exit put one here.
+            let first_exit = first_exit.unwrap_or(insns.len());
+            return Err(err(
+                block,
+                Some(i),
+                format!(
+                    "env register {reg} is written by the IR but has no write-back to its env slot before the exit at host instruction {first_exit}"
+                ),
+            ));
         }
     }
 
     // 3. Exit integrity: chain words are zeroed, exit targets match.
+    if let Some(guest_pc) = chained {
+        return Err(err(
+            block,
+            None,
+            format!("direct-jump exit to {guest_pc:#x} installed with a non-zero chain word"),
+        ));
+    }
     expected_jumps.clear();
     match &block.exit {
         TbExit::Jump(pc) => expected_jumps.push(*pc),
@@ -292,21 +320,6 @@ pub(crate) fn check<B: HostBackend + ?Sized>(
             expected_jumps.push(*taken);
         }
         _ => {}
-    }
-    actual_jumps.clear();
-    for insn in insns {
-        if let HostInsn::ExitTb(TbExitKind::Jump { guest_pc, chain }) = insn {
-            if *chain != 0 {
-                return Err(err(
-                    block,
-                    None,
-                    format!(
-                        "direct-jump exit to {guest_pc:#x} installed with a non-zero chain word"
-                    ),
-                ));
-            }
-            actual_jumps.push(*guest_pc);
-        }
     }
     expected_jumps.sort_unstable();
     actual_jumps.sort_unstable();

@@ -368,27 +368,6 @@ impl TcgBlock {
         t
     }
 
-    /// One past the highest temp id the block mentions anywhere — ops'
-    /// defs and uses, the exit — and never less than `n_temps`. Every
-    /// temp-indexed table (optimizer, lint, register allocator) is sized
-    /// by this, not by `n_temps` alone: a block whose `n_temps`
-    /// under-reports must reach the lint's structured error, not an
-    /// out-of-bounds index on the way there.
-    pub fn temp_bound(&self) -> usize {
-        let mut bound = self.n_temps as usize;
-        let mut mention = |t: Temp| bound = bound.max(t.0 as usize + 1);
-        for op in &self.ops {
-            op.uses().for_each(&mut mention);
-            if let Some(d) = op.def() {
-                mention(d);
-            }
-        }
-        if let TbExit::JumpReg(t) | TbExit::CondJump { flag: t, .. } = &self.exit {
-            mention(*t);
-        }
-        bound
-    }
-
     /// Counts ops matching a predicate (handy in tests and stats).
     pub fn count_ops<F: Fn(&TcgOp) -> bool>(&self, pred: F) -> usize {
         self.ops.iter().filter(|o| pred(o)).count()
@@ -437,22 +416,6 @@ mod tests {
         assert_eq!(BinOp::Shl.apply(1, 64), 1, "masked count");
         assert_eq!(CondOp::LtS.apply(u64::MAX, 0), 1);
         assert_eq!(CondOp::LtU.apply(u64::MAX, 0), 0);
-    }
-
-    #[test]
-    fn temp_bound_covers_every_mentioned_temp() {
-        let mut b = TcgBlock {
-            guest_pc: 0,
-            guest_len: 0,
-            ops: vec![TcgOp::Mov { dst: Temp(3), src: Temp(9) }],
-            exit: TbExit::JumpReg(Temp(12)),
-            n_temps: 2,
-        };
-        assert_eq!(b.temp_bound(), 13, "the exit temp is the highest");
-        b.exit = TbExit::Halt;
-        assert_eq!(b.temp_bound(), 10);
-        b.n_temps = 64;
-        assert_eq!(b.temp_bound(), 64, "never below n_temps");
     }
 
     #[test]

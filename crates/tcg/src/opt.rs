@@ -124,17 +124,19 @@ pub fn apply_hints(_block: &mut TcgBlock, _hints: &IrHints) {}
 /// pass that stopped half-way — left behind can be observed.
 #[derive(Debug, Default)]
 pub struct OptScratch {
-    /// temp → its known constant value (`constant_fold`).
+    /// temp → its known constant value (fold).
     konst: Vec<Option<u64>>,
-    /// temp → the temp it is a copy of, fully resolved (`constant_fold`).
+    /// temp → the temp it is a copy of, fully resolved (fold).
     alias: Vec<Option<Temp>>,
-    /// The accesses `forward_memory` can still forward from or delete.
+    /// The accesses forwarding can still forward from or delete.
     tracked: Vec<Tracked>,
-    /// temp → live at the current point of `dce`'s backward walk.
+    /// temp → live at the current point of DCE's backward walk.
     live: Vec<bool>,
-    /// op index → survives `dce`.
+    /// op index → survives fence merging and DCE.
     keep: Vec<bool>,
 }
+
+thread_local!(static SPARE: RefCell<OptScratch> = RefCell::default());
 
 /// Runs the full pass pipeline in place.
 pub fn optimize(block: &mut TcgBlock, policy: OptPolicy) -> OptStats {
@@ -143,12 +145,18 @@ pub fn optimize(block: &mut TcgBlock, policy: OptPolicy) -> OptStats {
 
 /// Runs a configurable pass pipeline in place.
 pub fn optimize_with(block: &mut TcgBlock, policy: OptPolicy, passes: PassConfig) -> OptStats {
-    thread_local!(static SPARE: RefCell<OptScratch> = RefCell::default());
     with_thread_scratch(&SPARE, |scratch| optimize_in(block, policy, passes, scratch))
 }
 
 /// [`optimize_with`] over a caller-owned [`OptScratch`] — what the
-/// engine calls, with the scratch of its `Emulator`.
+/// engine calls, with the translation scratch its `Emulator` borrows
+/// from the thread.
+///
+/// The passes run as two walks: fold and forward rewrite each op where
+/// it stands in one forward walk, then fence merging and DCE decide
+/// which ops stay in one backward walk and one compaction. Each walk
+/// gives every op the same input the passes gave it when they ran one
+/// after the other, so the output and the [`OptStats`] are theirs.
 pub fn optimize_in(
     block: &mut TcgBlock,
     policy: OptPolicy,
@@ -156,35 +164,54 @@ pub fn optimize_in(
     scratch: &mut OptScratch,
 ) -> OptStats {
     let mut stats = OptStats::default();
-    // No pass introduces a temp, so one bound sizes every table of
-    // every pass.
-    let bound = block.temp_bound();
-    if passes.constant_fold {
-        stats.folded += constant_fold(block, bound, scratch);
-    }
-    if passes.forward_memory {
-        forward_memory(block, policy, &mut stats, scratch);
-    }
-    if passes.merge_fences {
-        stats.fences_merged += merge_fences_counted(block, &mut stats.fences_merged_by_kind);
-    }
-    if passes.dce {
-        stats.dce_removed += dce(block, bound, scratch);
-    }
+    let PassConfig { constant_fold, forward_memory, merge_fences, dce } = passes;
+    fold_and_forward(block, policy, constant_fold, forward_memory, &mut stats, scratch);
+    merge_and_sweep(block, merge_fences, dce, &mut stats, scratch);
     // A second fold + DCE round cleans up values exposed by forwarding.
     // With nothing forwarded it would change nothing: fold is idempotent
     // on its own output, and fold has turned every `GetReg r` after a
     // `SetReg r` into a copy, so no dead read keeps a `SetReg` alive
     // past the first DCE walk. Without fold, such a read can.
-    if stats.loads_forwarded + stats.stores_eliminated > 0 || !passes.constant_fold {
-        if passes.constant_fold {
-            stats.folded += constant_fold(block, bound, scratch);
-        }
-        if passes.dce {
-            stats.dce_removed += dce(block, bound, scratch);
-        }
+    if stats.loads_forwarded + stats.stores_eliminated > 0 || !constant_fold {
+        fold_and_forward(block, policy, constant_fold, false, &mut stats, scratch);
+        merge_and_sweep(block, false, dce, &mut stats, scratch);
     }
     stats
+}
+
+/// The forward walk: constant folding and copy propagation, then memory
+/// forwarding, on each op in turn. Fold reads only what it recorded of
+/// the ops before, never the ops themselves, so forwarding's rewrites
+/// behind it change nothing it decides; forwarding looks only behind
+/// it, at ops fold has already rewritten.
+fn fold_and_forward(
+    block: &mut TcgBlock,
+    policy: OptPolicy,
+    fold: bool,
+    forward: bool,
+    stats: &mut OptStats,
+    scratch: &mut OptScratch,
+) {
+    if !fold && !forward {
+        return;
+    }
+    let OptScratch { konst, alias, tracked, .. } = scratch;
+    let mut folder = fold.then(|| Folder::new(block.n_temps as usize, konst, alias));
+    tracked.clear();
+    let ops = &mut block.ops;
+    let mut i = 0;
+    while i < ops.len() {
+        if let Some(f) = &mut folder {
+            stats.folded += f.op(&mut ops[i]);
+        }
+        if forward {
+            i = forward_op(ops, i, policy, stats, tracked);
+        }
+        i += 1;
+    }
+    if let Some(f) = &mut folder {
+        stats.folded += f.exit(&mut block.exit);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -192,41 +219,77 @@ pub fn optimize_in(
 // ---------------------------------------------------------------------
 
 /// Folds constants and propagates copies, each op rewritten where it
-/// stands; returns the number of ops rewritten. `bound` is the block's
-/// [`TcgBlock::temp_bound`].
-fn constant_fold(block: &mut TcgBlock, bound: usize, scratch: &mut OptScratch) -> usize {
-    use crate::ir::BinOp;
-    reset(&mut scratch.konst, bound, None);
-    reset(&mut scratch.alias, bound, None);
-    let (konst, alias) = (&mut scratch.konst, &mut scratch.alias);
-    // Track which temp (if any) currently holds each env register's value,
-    // so constants and copies propagate through SetReg/GetReg round-trips.
-    let mut env_alias: [Option<Temp>; crate::ir::env::COUNT] = [None; crate::ir::env::COUNT];
-    let mut changed = 0usize;
-    let ix = |t: Temp| t.0 as usize;
+/// stands.
+struct Folder<'a> {
+    /// temp → its known constant value.
+    konst: &'a mut Vec<Option<u64>>,
+    /// temp → the temp it is a copy of, fully resolved.
+    alias: &'a mut Vec<Option<Temp>>,
+    /// Which temp (if any) currently holds each env register's value,
+    /// so constants and copies propagate through SetReg/GetReg
+    /// round-trips.
+    env_alias: [Option<Temp>; crate::ir::env::COUNT],
+}
 
-    for op in &mut block.ops {
-        // Canonicalize uses through the alias map.
-        rewrite_uses(op, alias);
-        // Env-register forwarding: rewrite GetReg into a copy of the temp
-        // last stored to that register.
-        if let TcgOp::GetReg { dst, reg } = *op {
-            if let Some(src) = env_alias[reg as usize] {
-                changed += 1;
-                *op = TcgOp::Mov { dst, src };
-            }
-        }
-        if let TcgOp::SetReg { reg, src } = *op {
-            env_alias[reg as usize] = Some(resolve(alias, src));
-        }
-        let folded = match *op {
+impl<'a> Folder<'a> {
+    /// A folder over the scratch's tables, reset for `n_temps` temps.
+    fn new(
+        n_temps: usize,
+        konst: &'a mut Vec<Option<u64>>,
+        alias: &'a mut Vec<Option<Temp>>,
+    ) -> Folder<'a> {
+        reset(konst, n_temps, None);
+        reset(alias, n_temps, None);
+        Folder { konst, alias, env_alias: [None; crate::ir::env::COUNT] }
+    }
+
+    /// Rewrites `op`; returns the number of rewrites. One match per op
+    /// both canonicalizes its operands through the alias map and folds
+    /// it.
+    fn op(&mut self, op: &mut TcgOp) -> usize {
+        use crate::ir::BinOp;
+        let Folder { konst, alias, env_alias } = self;
+        let fix = |alias: &[Option<Temp>], t: &mut Temp| *t = resolve(alias, *t);
+        let mut changed = 0usize;
+        let folded = match op {
             TcgOp::MovI { dst, val } => {
-                konst[ix(dst)] = Some(val);
+                set(konst, *dst, Some(*val));
                 None
             }
-            TcgOp::Mov { dst, src } => fold_copy(konst, alias, dst, src, &mut changed),
+            TcgOp::Mov { dst, src } => {
+                fix(alias, src);
+                fold_copy(konst, alias, *dst, *src, &mut changed)
+            }
+            // Env-register forwarding: a GetReg becomes a copy of the
+            // temp last stored to that register, and folds as one.
+            TcgOp::GetReg { dst, reg } => match env_alias[*reg as usize] {
+                Some(src) => {
+                    changed += 1;
+                    let dst = *dst;
+                    *op = TcgOp::Mov { dst, src };
+                    fold_copy(konst, alias, dst, src, &mut changed)
+                }
+                None => None,
+            },
+            TcgOp::SetReg { reg, src } => {
+                fix(alias, src);
+                env_alias[*reg as usize] = Some(*src);
+                None
+            }
+            TcgOp::Ld { addr, .. } | TcgOp::Ld8 { addr, .. } => {
+                fix(alias, addr);
+                None
+            }
+            TcgOp::St { addr, src } | TcgOp::St8 { addr, src } => {
+                fix(alias, addr);
+                fix(alias, src);
+                None
+            }
             TcgOp::Bin { op: bop, dst, a, b } => {
-                let (ka, kb) = (konst[ix(a)], konst[ix(b)]);
+                fix(alias, a);
+                fix(alias, b);
+                let (bop, dst, a, b) = (*bop, *dst, *a, *b);
+                let (ka, kb) = (get(konst, a), get(konst, b));
                 if let (Some(x), Some(y)) = (ka, kb) {
                     changed += 1;
                     Some(TcgOp::MovI { dst, val: bop.apply(x, y) })
@@ -267,38 +330,63 @@ fn constant_fold(block: &mut TcgBlock, bound: usize, scratch: &mut OptScratch) -
                     }
                 }
             }
-            TcgOp::Setcond { cond, dst, a, b } => match (konst[ix(a)], konst[ix(b)]) {
-                (Some(x), Some(y)) => {
-                    changed += 1;
-                    Some(TcgOp::MovI { dst, val: cond.apply(x, y) })
+            TcgOp::Setcond { cond, dst, a, b } => {
+                fix(alias, a);
+                fix(alias, b);
+                match (get(konst, *a), get(konst, *b)) {
+                    (Some(x), Some(y)) => {
+                        changed += 1;
+                        Some(TcgOp::MovI { dst: *dst, val: cond.apply(x, y) })
+                    }
+                    _ => None,
                 }
-                _ => None,
-            },
-            _ => None,
+            }
+            TcgOp::Cas { addr, expect, new, .. } => {
+                fix(alias, addr);
+                fix(alias, expect);
+                fix(alias, new);
+                None
+            }
+            TcgOp::AtomicAdd { addr, val, .. } => {
+                fix(alias, addr);
+                fix(alias, val);
+                None
+            }
+            TcgOp::CallHelper { args, .. } => {
+                args.iter_mut().for_each(|t| fix(alias, t));
+                None
+            }
+            TcgOp::Fence(_) => None,
         };
         if let Some(new) = folded {
             if let TcgOp::MovI { dst, val } = new {
-                konst[ix(dst)] = Some(val);
+                set(konst, dst, Some(val));
             }
             *op = new;
         }
+        changed
     }
-    // Exit operands also go through the alias map.
-    match &mut block.exit {
-        TbExit::JumpReg(t) => *t = resolve(alias, *t),
-        TbExit::CondJump { flag, taken, fallthrough } => {
-            let f = resolve(alias, *flag);
-            *flag = f;
-            // A constant flag turns the conditional exit into a jump.
-            if let Some(v) = konst[ix(f)] {
-                let target = if v != 0 { *taken } else { *fallthrough };
-                block.exit = TbExit::Jump(target);
-                changed += 1;
+
+    /// Rewrites the block exit, after every op; returns the number of
+    /// rewrites.
+    fn exit(&mut self, exit: &mut TbExit) -> usize {
+        // Exit operands also go through the alias map.
+        match exit {
+            TbExit::JumpReg(t) => *t = resolve(self.alias, *t),
+            TbExit::CondJump { flag, taken, fallthrough } => {
+                let f = resolve(self.alias, *flag);
+                *flag = f;
+                // A constant flag turns the conditional exit into a jump.
+                if let Some(v) = get(self.konst, f) {
+                    let target = if v != 0 { *taken } else { *fallthrough };
+                    *exit = TbExit::Jump(target);
+                    return 1;
+                }
             }
+            _ => {}
         }
-        _ => {}
+        0
     }
-    changed
 }
 
 /// `dst = src`: a copy of a constant becomes that constant (returned as
@@ -306,56 +394,48 @@ fn constant_fold(block: &mut TcgBlock, bound: usize, scratch: &mut OptScratch) -
 /// recorded in the alias table and stays.
 fn fold_copy(
     konst: &[Option<u64>],
-    alias: &mut [Option<Temp>],
+    alias: &mut Vec<Option<Temp>>,
     dst: Temp,
     src: Temp,
     changed: &mut usize,
 ) -> Option<TcgOp> {
-    match konst[src.0 as usize] {
+    match get(konst, src) {
         Some(val) => {
             *changed += 1;
             Some(TcgOp::MovI { dst, val })
         }
         None => {
-            alias[dst.0 as usize] = Some(resolve(alias, src));
+            let root = resolve(alias, src);
+            set(alias, dst, Some(root));
             None
         }
     }
 }
 
+/// Entry `t` of a temp-indexed table, an entry past the end reading as
+/// unset. The tables start at `n_temps` entries and grow when written
+/// ([`set`]), so a temp beyond an under-reporting `n_temps` needs no
+/// walk to find the temp bound first: its entry reads as a fresh one
+/// would.
+fn get<T: Copy + Default>(table: &[T], t: Temp) -> T {
+    table.get(t.0 as usize).copied().unwrap_or_default()
+}
+
+/// Sets entry `t` of a temp-indexed table, growing it to cover `t`.
+fn set<T: Copy + Default>(table: &mut Vec<T>, t: Temp, value: T) {
+    let i = t.0 as usize;
+    if i >= table.len() {
+        table.resize(i + 1, T::default());
+    }
+    table[i] = value;
+}
+
 fn resolve(alias: &[Option<Temp>], t: Temp) -> Temp {
     let mut cur = t;
-    while let Some(next) = alias[cur.0 as usize] {
+    while let Some(next) = get(alias, cur) {
         cur = next;
     }
     cur
-}
-
-fn rewrite_uses(op: &mut TcgOp, alias: &[Option<Temp>]) {
-    let fix = |t: &mut Temp| *t = resolve(alias, *t);
-    match op {
-        TcgOp::Mov { src, .. } | TcgOp::SetReg { src, .. } => fix(src),
-        TcgOp::Ld { addr, .. } | TcgOp::Ld8 { addr, .. } => fix(addr),
-        TcgOp::St { addr, src } | TcgOp::St8 { addr, src } => {
-            fix(addr);
-            fix(src);
-        }
-        TcgOp::Bin { a, b, .. } | TcgOp::Setcond { a, b, .. } => {
-            fix(a);
-            fix(b);
-        }
-        TcgOp::Cas { addr, expect, new, .. } => {
-            fix(addr);
-            fix(expect);
-            fix(new);
-        }
-        TcgOp::AtomicAdd { addr, val, .. } => {
-            fix(addr);
-            fix(val);
-        }
-        TcgOp::CallHelper { args, .. } => args.iter_mut().for_each(fix),
-        TcgOp::MovI { .. } | TcgOp::GetReg { .. } | TcgOp::Fence(_) => {}
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -397,95 +477,93 @@ fn elim_allowed(kind: ElimKind, crossed: u16, policy: OptPolicy) -> bool {
             .all(|(i, f)| crossed & (1 << i) == 0 || policy.may_cross(kind, *f))
 }
 
-/// Forwards loads and removes dead stores. Two addresses are considered
-/// the same only when they are the *same temp* (SSA makes this sound);
-/// distinct temps conservatively alias, flushing the tracking state.
-fn forward_memory(
-    block: &mut TcgBlock,
+/// Memory forwarding at `ops[i]` (RAR / RAW / WAW), with `tracked` the
+/// accesses it can still forward from or delete; returns the index of
+/// the op just handled, one less than `i` when a dead store before it
+/// was removed. Two addresses are considered the same only when they are
+/// the *same temp* (SSA makes this sound); distinct temps conservatively
+/// alias, flushing the tracking state.
+fn forward_op(
+    ops: &mut Vec<TcgOp>,
+    mut i: usize,
     policy: OptPolicy,
     stats: &mut OptStats,
-    scratch: &mut OptScratch,
-) {
-    let tracked = &mut scratch.tracked;
-    tracked.clear();
-    let ops = &mut block.ops;
-    let mut i = 0;
-    while i < ops.len() {
-        match ops[i] {
-            TcgOp::Fence(k) => {
-                for t in tracked.iter_mut() {
-                    t.fences_since |= fence_bit(k);
-                }
+    tracked: &mut Vec<Tracked>,
+) -> usize {
+    match ops[i] {
+        TcgOp::Fence(k) => {
+            for t in tracked.iter_mut() {
+                t.fences_since |= fence_bit(k);
             }
-            TcgOp::Ld { dst, addr } => {
-                let forwarded = tracked.iter().find(|t| t.addr == addr).and_then(|t| {
-                    let (value, kind) = match t.kind {
-                        TrackedKind::Store { value } => (value, ElimKind::Raw),
-                        TrackedKind::Load { value } => (value, ElimKind::Rar),
-                    };
-                    elim_allowed(kind, t.fences_since, policy).then_some(value)
-                });
-                if let Some(src) = forwarded {
-                    stats.loads_forwarded += 1;
-                    ops[i] = TcgOp::Mov { dst, src };
-                } else {
-                    // A load from a different temp-address may alias a
-                    // tracked store… loads don't invalidate stores;
-                    // track this load.
-                    tracked.retain(|t| t.addr != addr);
-                    tracked.push(Tracked {
-                        addr,
-                        kind: TrackedKind::Load { value: dst },
-                        fences_since: 0,
-                    });
-                }
-            }
-            TcgOp::St { addr, src } => {
-                // WAW: a previous store to the same temp-address with no
-                // blocking fence and no intervening load of that address.
-                if let Some(pos) = tracked.iter().position(|t| t.addr == addr) {
-                    let t = tracked.remove(pos);
-                    if matches!(t.kind, TrackedKind::Store { .. })
-                        && elim_allowed(ElimKind::Waw, t.fences_since, policy)
-                    {
-                        // Find the previous store and drop it.
-                        if let Some(idx) = ops[..i]
-                            .iter()
-                            .rposition(|o| matches!(o, TcgOp::St { addr: a, .. } if *a == addr))
-                        {
-                            ops.remove(idx);
-                            i -= 1;
-                            stats.stores_eliminated += 1;
-                        }
-                    }
-                }
-                // Stores to *other* addresses may alias (different temps
-                // can hold the same address): invalidate everything except
-                // same-temp entries we just handled.
-                tracked.retain(|t| t.addr == addr);
+        }
+        TcgOp::Ld { dst, addr } => {
+            let forwarded = tracked.iter().find(|t| t.addr == addr).and_then(|t| {
+                let (value, kind) = match t.kind {
+                    TrackedKind::Store { value } => (value, ElimKind::Raw),
+                    TrackedKind::Load { value } => (value, ElimKind::Rar),
+                };
+                elim_allowed(kind, t.fences_since, policy).then_some(value)
+            });
+            if let Some(src) = forwarded {
+                stats.loads_forwarded += 1;
+                ops[i] = TcgOp::Mov { dst, src };
+            } else {
+                // A load from a different temp-address may alias a
+                // tracked store… loads don't invalidate stores; track
+                // this load.
+                tracked.retain(|t| t.addr != addr);
                 tracked.push(Tracked {
                     addr,
-                    kind: TrackedKind::Store { value: src },
+                    kind: TrackedKind::Load { value: dst },
                     fences_since: 0,
                 });
             }
-            TcgOp::Ld8 { .. }
-            | TcgOp::St8 { .. }
-            | TcgOp::Cas { .. }
-            | TcgOp::AtomicAdd { .. }
-            | TcgOp::CallHelper { .. } => {
-                // Byte accesses may partially overlap tracked 64-bit
-                // locations; RMWs and helpers clobber arbitrarily.
-                tracked.clear();
-            }
-            _ => {}
         }
-        i += 1;
+        TcgOp::St { addr, src } => {
+            // WAW: a previous store to the same temp-address with no
+            // blocking fence and no intervening load of that address.
+            if let Some(pos) = tracked.iter().position(|t| t.addr == addr) {
+                let t = tracked.remove(pos);
+                if matches!(t.kind, TrackedKind::Store { .. })
+                    && elim_allowed(ElimKind::Waw, t.fences_since, policy)
+                {
+                    // Find the previous store and drop it.
+                    if let Some(idx) = ops[..i]
+                        .iter()
+                        .rposition(|o| matches!(o, TcgOp::St { addr: a, .. } if *a == addr))
+                    {
+                        ops.remove(idx);
+                        i -= 1;
+                        stats.stores_eliminated += 1;
+                    }
+                }
+            }
+            // Stores to *other* addresses may alias (different temps can
+            // hold the same address): invalidate everything except
+            // same-temp entries we just handled.
+            tracked.retain(|t| t.addr == addr);
+            tracked.push(Tracked {
+                addr,
+                kind: TrackedKind::Store { value: src },
+                fences_since: 0,
+            });
+        }
+        TcgOp::Ld8 { .. }
+        | TcgOp::St8 { .. }
+        | TcgOp::Cas { .. }
+        | TcgOp::AtomicAdd { .. }
+        | TcgOp::CallHelper { .. } => {
+            // Byte accesses may partially overlap tracked 64-bit
+            // locations; RMWs and helpers clobber arbitrarily.
+            tracked.clear();
+        }
+        _ => {}
     }
+    i
 }
 
 // ---------------------------------------------------------------------
-// Fence merging (§6.1).
+// Fence merging (§6.1) and dead code elimination.
 // ---------------------------------------------------------------------
 
 /// Merges runs of fences with no intervening memory access into a single
@@ -498,91 +576,115 @@ pub fn merge_fences(block: &mut TcgBlock) -> usize {
 /// [`merge_fences`], additionally tallying each removed fence by kind
 /// into `by_kind` (indexed per [`FenceKind::tcg_index`]).
 pub fn merge_fences_counted(block: &mut TcgBlock, by_kind: &mut [usize; 12]) -> usize {
-    let ops = &mut block.ops;
-    // `ops[..kept]` is the output so far; the walk compacts in place.
-    let mut kept = 0usize;
-    // The fence a later one merges into — the last fence kept, while no
-    // memory access has been kept after it — with its current kind.
-    let mut open: Option<(usize, FenceKind)> = None;
-    let mut removed = 0usize;
-    for i in 0..ops.len() {
-        match ops[i] {
-            TcgOp::Fence(k) => {
-                debug_assert!(k.is_tcg(), "non-TCG fence in IR");
-                if let Some((at, prev)) = open {
-                    let joined = prev.tcg_join(k);
-                    ops[at] = TcgOp::Fence(joined);
-                    open = Some((at, joined));
-                    removed += 1;
-                    if let Some(kind) = k.tcg_index() {
-                        by_kind[kind] += 1;
-                    }
-                    continue;
-                }
-                open = Some((kept, k));
-            }
-            ref op if op.is_memory_access() => open = None,
-            _ => {}
+    with_thread_scratch(&SPARE, |scratch| {
+        let mut stats = OptStats::default();
+        merge_and_sweep(block, true, false, &mut stats, scratch);
+        for (total, n) in by_kind.iter_mut().zip(stats.fences_merged_by_kind) {
+            *total += n;
         }
-        if kept != i {
-            ops.swap(kept, i);
-        }
-        kept += 1;
-    }
-    ops.truncate(kept);
-    removed
+        stats.fences_merged
+    })
 }
 
-// ---------------------------------------------------------------------
-// Dead code elimination.
-// ---------------------------------------------------------------------
-
-/// Removes ops whose results are unused (including irrelevant loads) and
-/// `SetReg`s overwritten before any read. Returns the number removed.
-/// `bound` is the block's [`TcgBlock::temp_bound`].
-fn dce(block: &mut TcgBlock, bound: usize, scratch: &mut OptScratch) -> usize {
-    reset(&mut scratch.live, bound, false);
-    reset(&mut scratch.keep, block.ops.len(), true);
+/// The backward walk: fence merging (`merge`) and dead code elimination
+/// (`dce`), then one compaction.
+///
+/// Merging reads the block as it stands, before DCE, as it did when it
+/// ran first: an access DCE removes still separates two fences. A fence
+/// run met from its end keeps its earliest fence, as the join of every
+/// kind in it (the join is associative and commutative); each other
+/// fence is counted by its own kind. DCE removes ops whose results are
+/// unused (including irrelevant loads) and `SetReg`s overwritten before
+/// any read. Fences read no temp and DCE keeps every one, so neither
+/// decision moves the other.
+fn merge_and_sweep(
+    block: &mut TcgBlock,
+    merge: bool,
+    dce: bool,
+    stats: &mut OptStats,
+    scratch: &mut OptScratch,
+) {
+    if !merge && !dce {
+        return;
+    }
+    let ops = &mut block.ops;
+    reset(&mut scratch.keep, ops.len(), true);
+    reset(&mut scratch.live, if dce { block.n_temps as usize } else { 0 }, false);
     let (live, keep) = (&mut scratch.live, &mut scratch.keep);
-    match &block.exit {
-        TbExit::JumpReg(t) => live[t.0 as usize] = true,
-        TbExit::CondJump { flag, .. } => live[flag.0 as usize] = true,
-        _ => {}
+    if let (true, TbExit::JumpReg(t) | TbExit::CondJump { flag: t, .. }) = (dce, &block.exit) {
+        set(live, *t, true);
     }
     let mut env_overwritten = [false; crate::ir::env::COUNT];
-    for (i, op) in block.ops.iter().enumerate().rev() {
-        let needed = match op {
+    // The fence run met so far: its earliest fence and the join of the
+    // run's kinds, written back when the run ends.
+    let mut run: Option<(usize, FenceKind)> = None;
+    for i in (0..ops.len()).rev() {
+        // One match per op: whether DCE needs it, and whether it is a
+        // memory access (which ends a fence run).
+        let (needed, access) = match ops[i] {
+            TcgOp::Fence(k) => {
+                debug_assert!(k.is_tcg(), "non-TCG fence in IR");
+                if merge {
+                    run = Some(match run {
+                        Some((later, joined)) => {
+                            keep[later] = false;
+                            stats.fences_merged += 1;
+                            if let TcgOp::Fence(removed) = ops[later] {
+                                if let Some(kind) = removed.tcg_index() {
+                                    stats.fences_merged_by_kind[kind] += 1;
+                                }
+                            }
+                            (i, k.tcg_join(joined))
+                        }
+                        None => (i, k),
+                    });
+                }
+                (true, false)
+            }
             TcgOp::SetReg { reg, .. } => {
-                let r = *reg as usize;
-                let needed = !env_overwritten[r];
-                env_overwritten[r] = true;
-                needed
+                (!std::mem::replace(&mut env_overwritten[reg as usize], true), false)
             }
             TcgOp::GetReg { dst, reg } => {
-                env_overwritten[*reg as usize] = false;
-                live[dst.0 as usize]
+                env_overwritten[reg as usize] = false;
+                (get(live, dst), false)
             }
+            TcgOp::MovI { dst, .. }
+            | TcgOp::Mov { dst, .. }
+            | TcgOp::Bin { dst, .. }
+            | TcgOp::Setcond { dst, .. } => (get(live, dst), false),
+            TcgOp::Ld { dst, .. } | TcgOp::Ld8 { dst, .. } => (get(live, dst), true),
             TcgOp::St { .. }
-            | TcgOp::Fence(_)
+            | TcgOp::St8 { .. }
             | TcgOp::Cas { .. }
             | TcgOp::AtomicAdd { .. }
-            | TcgOp::CallHelper { .. } => true,
-            other => other.def().map(|d| live[d.0 as usize]).unwrap_or(true),
+            | TcgOp::CallHelper { .. } => (true, true),
         };
+        if merge && access {
+            if let Some((at, joined)) = run.take() {
+                ops[at] = TcgOp::Fence(joined);
+            }
+        }
+        if !dce {
+            continue;
+        }
         if needed {
-            op.uses().for_each(|u| live[u.0 as usize] = true);
+            ops[i].uses().for_each(|u| set(live, u, true));
         } else {
             keep[i] = false;
+            stats.dce_removed += 1;
         }
     }
-    let before = block.ops.len();
-    let mut i = 0;
-    block.ops.retain(|_| {
-        let k = keep[i];
-        i += 1;
-        k
-    });
-    before - block.ops.len()
+    if let Some((at, joined)) = run {
+        ops[at] = TcgOp::Fence(joined);
+    }
+    if keep.contains(&false) {
+        let mut i = 0;
+        ops.retain(|_| {
+            let k = keep[i];
+            i += 1;
+            k
+        });
+    }
 }
 
 #[cfg(test)]
@@ -609,6 +711,28 @@ mod tests {
         f(&mut a);
         let (bytes, _) = a.finish().unwrap();
         translate_block(0x1000, cfg, fetcher(bytes, 0x1000)).unwrap()
+    }
+
+    /// Memory forwarding alone.
+    fn forward(b: &mut TcgBlock, policy: OptPolicy, stats: &mut OptStats) {
+        fold_and_forward(b, policy, false, true, stats, &mut OptScratch::default());
+    }
+
+    /// The backward walk merges a fence run into the join of its kinds
+    /// taken from the end; the passes, run one after the other, took it
+    /// from the start. That is the same fence only because the join is
+    /// associative and commutative.
+    #[test]
+    fn fence_join_is_associative_and_commutative() {
+        for a in FenceKind::TCG_ALL {
+            for b in FenceKind::TCG_ALL {
+                assert_eq!(a.tcg_join(b), b.tcg_join(a), "{a:?} ⊔ {b:?}");
+                for c in FenceKind::TCG_ALL {
+                    let (left, right) = (a.tcg_join(b).tcg_join(c), a.tcg_join(b.tcg_join(c)));
+                    assert_eq!(left, right, "({a:?} ⊔ {b:?}) ⊔ {c:?}");
+                }
+            }
+        }
     }
 
     /// Optimized and unoptimized blocks must agree on env and memory.
@@ -670,8 +794,9 @@ mod tests {
             TcgOp::SetReg { reg: env::ZF, src: zf2 },
         ];
         let orig = b.clone();
-        let bound = b.temp_bound();
-        let removed = dce(&mut b, bound, &mut OptScratch::default());
+        let mut stats = OptStats::default();
+        merge_and_sweep(&mut b, false, true, &mut stats, &mut OptScratch::default());
+        let removed = stats.dce_removed;
         // The first ZF write, its Setcond and the zero it compares with.
         assert_eq!(removed, 3, "{:?}", b.ops);
         assert_eq!(b.count_ops(|o| matches!(o, TcgOp::SetReg { reg: env::ZF, .. })), 1);
@@ -700,7 +825,7 @@ mod tests {
         ];
         let orig = b.clone();
         let mut stats = OptStats::default();
-        forward_memory(&mut b, OptPolicy::Verified, &mut stats, &mut OptScratch::default());
+        forward(&mut b, OptPolicy::Verified, &mut stats);
         assert_eq!(stats.loads_forwarded, 1, "RAW across Fww is allowed");
         assert_eq!(b.count_ops(|o| matches!(o, TcgOp::Ld { .. })), 0);
         check_equivalent(&orig, &b);
@@ -709,14 +834,14 @@ mod tests {
         let mut c = orig.clone();
         c.ops[3] = TcgOp::Fence(FenceKind::Fmr);
         let mut stats = OptStats::default();
-        forward_memory(&mut c, OptPolicy::Verified, &mut stats, &mut OptScratch::default());
+        forward(&mut c, OptPolicy::Verified, &mut stats);
         assert_eq!(stats.loads_forwarded, 0, "RAW across Fmr is unsound (FMR)");
 
         // …while QEMU's policy (unsoundly) forwards.
         let mut d = orig.clone();
         d.ops[3] = TcgOp::Fence(FenceKind::Fmr);
         let mut stats = OptStats::default();
-        forward_memory(&mut d, OptPolicy::QemuUnsound, &mut stats, &mut OptScratch::default());
+        forward(&mut d, OptPolicy::QemuUnsound, &mut stats);
         assert_eq!(stats.loads_forwarded, 1);
     }
 
@@ -736,7 +861,7 @@ mod tests {
         ];
         let orig = b.clone();
         let mut stats = OptStats::default();
-        forward_memory(&mut b, OptPolicy::Verified, &mut stats, &mut OptScratch::default());
+        forward(&mut b, OptPolicy::Verified, &mut stats);
         assert_eq!(stats.stores_eliminated, 1);
         assert_eq!(b.count_ops(|o| matches!(o, TcgOp::St { .. })), 1);
         check_equivalent(&orig, &b);
@@ -758,7 +883,7 @@ mod tests {
             TcgOp::St { addr, src: v2 },
         ];
         let mut stats = OptStats::default();
-        forward_memory(&mut b, policy, &mut stats, &mut OptScratch::default());
+        forward(&mut b, policy, &mut stats);
         stats.stores_eliminated
     }
 
@@ -798,7 +923,7 @@ mod tests {
         ];
         let orig = b.clone();
         let mut stats = OptStats::default();
-        forward_memory(&mut b, OptPolicy::Verified, &mut stats, &mut OptScratch::default());
+        forward(&mut b, OptPolicy::Verified, &mut stats);
         assert_eq!(stats.loads_forwarded, 1);
         check_equivalent(&orig, &b);
     }

@@ -168,32 +168,79 @@ pub fn lint_in(block: &TcgBlock, scratch: &mut VerifyScratch) -> Result<(), Veri
     let n = block.n_temps;
     // Every index below is range-checked against `n` first.
     reset(&mut scratch.defined, n as usize, false);
+    let check_def = |defined: &mut [bool], Temp(d): Temp, i: usize| {
+        if d >= n {
+            return Err(err(Some(i), format!("def of out-of-range temp t{d} (n_temps {n})")));
+        }
+        defined[d as usize] = true;
+        Ok(())
+    };
+    let check_env = |reg: u8, i: usize| match reg as usize >= env::COUNT {
+        true => Err(err(Some(i), format!("env register {reg} out of range"))),
+        false => Ok(()),
+    };
     let defined = &mut scratch.defined;
     for (i, op) in block.ops.iter().enumerate() {
-        for Temp(u) in op.uses() {
+        let read = |defined: &[bool], Temp(u): Temp| {
             if u >= n {
                 return Err(err(Some(i), format!("use of out-of-range temp t{u} (n_temps {n})")));
             }
             if !defined[u as usize] {
                 return Err(err(Some(i), format!("use of t{u} before definition")));
             }
-        }
-        if let Some(Temp(d)) = op.def() {
-            if d >= n {
-                return Err(err(Some(i), format!("def of out-of-range temp t{d} (n_temps {n})")));
+            Ok(())
+        };
+        // One match per op: its reads in operand order, then the temp
+        // it defines.
+        let def = match op {
+            TcgOp::MovI { dst, .. } => Some(*dst),
+            TcgOp::GetReg { dst, reg } => {
+                check_def(defined, *dst, i)?;
+                check_env(*reg, i)?;
+                continue;
             }
-            defined[d as usize] = true;
-        }
-        match op {
-            TcgOp::Fence(k) if !k.is_tcg() => {
-                return Err(err(Some(i), format!("non-TCG fence {k:?} in IR")));
+            TcgOp::SetReg { reg, src } => {
+                read(defined, *src)?;
+                check_env(*reg, i)?;
+                continue;
             }
-            TcgOp::GetReg { reg, .. } | TcgOp::SetReg { reg, .. }
-                if *reg as usize >= env::COUNT =>
-            {
-                return Err(err(Some(i), format!("env register {reg} out of range")));
+            TcgOp::Mov { dst, src: a }
+            | TcgOp::Ld { dst, addr: a }
+            | TcgOp::Ld8 { dst, addr: a } => {
+                read(defined, *a)?;
+                Some(*dst)
             }
-            _ => {}
+            TcgOp::St { addr: a, src: b } | TcgOp::St8 { addr: a, src: b } => {
+                read(defined, *a)?;
+                read(defined, *b)?;
+                None
+            }
+            TcgOp::Bin { dst, a, b, .. }
+            | TcgOp::Setcond { dst, a, b, .. }
+            | TcgOp::AtomicAdd { dst, addr: a, val: b } => {
+                read(defined, *a)?;
+                read(defined, *b)?;
+                Some(*dst)
+            }
+            TcgOp::Cas { dst, addr, expect, new } => {
+                read(defined, *addr)?;
+                read(defined, *expect)?;
+                read(defined, *new)?;
+                Some(*dst)
+            }
+            TcgOp::Fence(k) => {
+                if !k.is_tcg() {
+                    return Err(err(Some(i), format!("non-TCG fence {k:?} in IR")));
+                }
+                None
+            }
+            TcgOp::CallHelper { args, ret, .. } => {
+                args.iter().try_for_each(|a| read(defined, *a))?;
+                *ret
+            }
+        };
+        if let Some(d) = def {
+            check_def(defined, d, i)?;
         }
     }
     let exit_temp = match &block.exit {

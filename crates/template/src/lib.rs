@@ -613,7 +613,9 @@ where
         // Size cap reached: continue at the next pc, like the frontend.
         e.exit(TbExitKind::Jump { guest_pc: cur, chain: 0 });
     }
-    let code = e.asm.finish().map_err(TemplateError::Lower)?;
+    let mut code = e.asm.finish().map_err(TemplateError::Lower)?;
+    // Give back the reservation's unused tail.
+    code.shrink_to_fit();
     Ok(TemplateBlock { guest_pc: pc, guest_len: (cur - pc) as usize, insns, code })
 }
 

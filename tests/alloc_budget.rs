@@ -1,12 +1,15 @@
 //! Allocation budget of the translate path.
 //!
-//! The tier-1 pipeline works over one reusable scratch per `Emulator`
-//! (DESIGN.md, "Translation scratch and allocation discipline"), so a
-//! steady-state translation allocates little beyond what it hands to the
-//! code cache. This suite is the oracle that keeps it that way: a
+//! The tier-1 pipeline works over one reusable scratch per thread: an
+//! `Emulator` takes it from the thread's spare and gives it back when
+//! dropped (DESIGN.md, "Translation scratch and allocation discipline"),
+//! so a steady-state translation allocates little beyond what it hands
+//! to the code cache. This suite is the oracle that keeps it that way: a
 //! counting global allocator around `Emulator::new` and `Emulator::run`
 //! over the 16 kernels and the checked-in fuzz corpus, with a ceiling on
-//! heap allocations per translated block and per constructed emulator.
+//! heap allocations per translated block and per constructed emulator,
+//! and one for a second emulator on a thread that already holds a grown
+//! scratch.
 //!
 //! `run` is measured whole — the machine's own allocations (guest
 //! memory pages, the code cache growing) count against the per-block
@@ -65,8 +68,11 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// Per-block ceilings (allocations inside `run` over blocks translated).
-const FULL_PER_BLOCK: u64 = 40;
-const INSTALL_PER_BLOCK: u64 = 25;
+const FULL_PER_BLOCK: u64 = 6;
+const INSTALL_PER_BLOCK: u64 = 6;
+/// Ceiling per block for an emulator whose thread already holds a grown
+/// translate scratch.
+const WARM_PER_BLOCK: u64 = 8;
 /// Ceiling per `Emulator::new`.
 const PER_NEW: u64 = 40;
 
@@ -115,6 +121,24 @@ fn translate_path_stays_inside_its_allocation_budget() {
             "{level:?}: {per_block:.1} allocations per tier-1 block exceeds the budget of {ceiling}"
         );
     }
+    // The pooled scratch: on a fresh thread the first emulator grows
+    // its translate scratch from nothing; a second one, built after the
+    // first is dropped, inherits it from the thread.
+    let (name, bin, cores) = &programs[0];
+    let config = EmuConfig { verify: VerifyLevel::Full, ..EmuConfig::default() };
+    let run = |config: EmuConfig| {
+        let mut emu = Emulator::with_config(bin, Setup::Risotto, *cores, config);
+        let (report, n) = counted(|| emu.run(u64::MAX / 4));
+        (report.unwrap_or_else(|e| panic!("{name}: {e}")).tb_count as u64, n)
+    };
+    let ((blocks, cold), (_, warm)) =
+        std::thread::scope(|s| s.spawn(|| (run(config.clone()), run(config))).join().unwrap());
+    println!("{name} on a fresh thread: {cold} allocations, then {warm} / {blocks} blocks");
+    assert!(
+        warm <= WARM_PER_BLOCK * blocks,
+        "a second emulator on a warm thread made {warm} allocations for {blocks} blocks"
+    );
+
     println!("Emulator::new: at most {worst_new} allocations");
     assert!(worst_new <= PER_NEW, "Emulator::new made {worst_new} allocations (> {PER_NEW})");
 

@@ -21,10 +21,13 @@
 //! holds it to the property that makes reuse invisible: whatever went
 //! through a scratch before — including a block that failed half-way —
 //! the next block comes out as it does from a fresh one.
+//! [`pooled_scratch_matches_a_fresh_thread`] extends that to the scratch
+//! an `Emulator` borrows from its thread and hands to the next one.
 
 mod theorem1;
 mod translate;
 
+use risotto::core::{BackendKind, EmuConfig, Emulator, FaultPlan, Setup, VerifyLevel};
 use risotto::fuzz::parse_corpus;
 use risotto::guest::GuestBinary;
 use risotto::host::{
@@ -351,4 +354,69 @@ fn reused_scratch_matches_fresh_scratch() {
             block.guest_pc
         );
     }
+}
+
+/// What one run of the pooled-scratch sequence injects.
+#[derive(Clone, Copy)]
+enum Injected {
+    Nothing,
+    /// `fail_lower_at(entry)`: the entry block is abandoned after the
+    /// optimizer and Pass 2's capture, before lowering, on every try.
+    LowerAtEntry,
+    /// `corrupt_install_at(0)`: the read-back rejects the first install.
+    FirstInstall,
+}
+
+/// The pooled-scratch sequence: (kernel, backend, verifier level,
+/// fault), mixing both backends, both levels and both kinds of
+/// abandoned translation.
+const POOLED: [(usize, BackendKind, VerifyLevel, Injected); 6] = [
+    (0, BackendKind::Arm, VerifyLevel::Full, Injected::Nothing),
+    (3, BackendKind::Arm, VerifyLevel::Full, Injected::LowerAtEntry),
+    (7, BackendKind::Tso, VerifyLevel::Full, Injected::Nothing),
+    (11, BackendKind::Arm, VerifyLevel::Install, Injected::FirstInstall),
+    (5, BackendKind::Tso, VerifyLevel::Full, Injected::LowerAtEntry),
+    (15, BackendKind::Arm, VerifyLevel::Full, Injected::FirstInstall),
+];
+
+/// Runs entry `i` of [`POOLED`] on the calling thread: its report and
+/// metrics snapshot, printed.
+fn pooled_run(i: usize) -> String {
+    let (kernel, backend, verify, injected) = POOLED[i];
+    let bin = (kernels::all()[kernel].build)(8, 2);
+    let fault_plan = match injected {
+        Injected::Nothing => FaultPlan::default(),
+        Injected::LowerAtEntry => FaultPlan::default().fail_lower_at(bin.entry),
+        Injected::FirstInstall => FaultPlan::default().corrupt_install_at(0),
+    };
+    let config = EmuConfig { backend, verify, fault_plan, ..EmuConfig::default() };
+    let mut emu = Emulator::with_config(&bin, Setup::Risotto, 2, config);
+    // Finite fuel: a translation that goes wrong must fail here, not
+    // spin.
+    let report = emu.run(20_000_000);
+    assert!(report.is_ok(), "run {i}: {report:?}");
+    let metrics = emu.metrics();
+    let fired = metrics.counter("fault.injected");
+    assert_eq!(fired > 0, !matches!(injected, Injected::Nothing), "run {i}: {fired} faults fired");
+    format!("{report:?}\n{metrics:?}")
+}
+
+/// An `Emulator` takes its translate scratch from its thread's spare
+/// and gives it back when dropped, so a scratch outlives the emulator
+/// that grew it. That is invisible: emulators run one after another on
+/// one thread — forward, then backward — each report and snapshot
+/// exactly what the same emulator reports on a fresh thread, whose
+/// spare is empty.
+#[test]
+fn pooled_scratch_matches_a_fresh_thread() {
+    let on_fresh_thread = |i: usize| std::thread::spawn(move || pooled_run(i)).join().unwrap();
+    let fresh: Vec<String> = (0..POOLED.len()).map(on_fresh_thread).collect();
+    std::thread::spawn(move || {
+        let forward = 0..POOLED.len();
+        for i in forward.clone().chain(forward.rev()) {
+            assert!(pooled_run(i) == fresh[i], "run {i} over a pooled scratch differs");
+        }
+    })
+    .join()
+    .unwrap();
 }
