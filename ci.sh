@@ -282,6 +282,17 @@ if grep -rnE "fn (fault_check|plan_for|random_fault_plan)\b" crates src tests ex
     exit 1
 fi
 
+# Fuzz reproducers are code: each is a `ProgSpec` constructor in
+# tests/theorem1/reproducers.rs, exactly as the minimizer's printer
+# (risotto_fuzz::spec_constructor) writes it, and the `fuzz` driver
+# leaves a ready-to-paste test. The `.risotto` text format, its parser
+# and printer and its files stay deleted.
+if grep -rnE "parse_corpus|to_corpus_string|CorpusError" crates src tests examples benchmark ||
+    [ -n "$(find crates src tests examples benchmark docs -name '*.risotto')" ]; then
+    echo "ci: a fuzz reproducer is a ProgSpec constructor, not a .risotto file" >&2
+    exit 1
+fi
+
 # One counter surface: `Report` is the run's result (cycles, exit
 # values, output, translated blocks, code size) and every count is a row
 # of `Emulator::metrics()`. None of the deleted second copies may come
@@ -386,8 +397,10 @@ rm -f "$metrics_json"
 # Arm/tier-1, the same with the optimizer off, on the tier-0→1 ladder,
 # on the TSO backend and with analysis on — each run through the run
 # check the functional matrix shares. The binary exits nonzero on any
-# divergence, validator violation, or fault-contract breach; the corpus
-# replay itself runs inside `cargo test --test fuzz` above. Fixed seed:
+# divergence, validator violation, or fault-contract breach; the
+# checked-in reproducers replay in `cargo test --test fuzz` above
+# (`corpus_replay_stays_green`, which also holds each to its documented
+# shape). Fixed seed:
 # failures are replayable. The artifact holds the driver's own five
 # counters (docs/FUZZING.md § Metrics), nothing else.
 fuzz_json="$(mktemp /tmp/fuzz_metrics.XXXXXX.json)"

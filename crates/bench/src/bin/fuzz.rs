@@ -16,15 +16,16 @@
 //! iteration replays as `--seed <run_seed> --iters <i+1>` (the driver
 //! derives per-iteration program seeds, it does not consume the RNG
 //! stream incrementally). Any divergent program is delta-debugged to a
-//! minimal reproducer: the `.risotto` corpus file and a ready-to-paste
-//! regression test land under `fuzz-failures/`, and the process exits 1.
+//! minimal reproducer, printed as a ready-to-paste regression test (a
+//! `#[test]` and the `ProgSpec` constructor it runs) under
+//! `fuzz-failures/`, and the process exits 1.
 
 use risotto_bench::{print_table, BenchCli, MetricsEntry};
 use risotto_core::obs::{MetricValue, MetricsSnapshot, SNAPSHOT_VERSION};
 use risotto_core::FaultPlan;
 use risotto_fuzz::{
     differential, diverges, fault_plan, generate, minimize, program_seed, regression_test_skeleton,
-    run_checked, to_corpus_string, Fault, GenConfig, Leg, ProgSpec, Subject, FUZZ_LEGS, RISOTTO,
+    run_checked, Fault, GenConfig, Leg, ProgSpec, Subject, FUZZ_LEGS, RISOTTO,
 };
 
 /// Default iteration counts: the full run satisfies the "≥10k seeded
@@ -105,7 +106,7 @@ fn main() {
     );
 
     // Delta-debug every divergent program to a minimal reproducer and
-    // write the corpus file + regression-test skeleton.
+    // write it as a regression test.
     for (pseed, spec, msgs) in &divergent {
         println!("\n!! seed {pseed:#x} diverged:");
         for m in msgs {
@@ -116,9 +117,6 @@ fn main() {
         let name = format!("divergent_{pseed:016x}");
         let dir = std::path::Path::new("fuzz-failures");
         std::fs::create_dir_all(dir).expect("create fuzz-failures/");
-        let corpus_path = dir.join(format!("{name}.risotto"));
-        std::fs::write(&corpus_path, to_corpus_string(&min.spec))
-            .unwrap_or_else(|e| panic!("writing {}: {e}", corpus_path.display()));
         let test_path = dir.join(format!("{name}.rs"));
         std::fs::write(&test_path, regression_test_skeleton(&min.spec, &name))
             .unwrap_or_else(|e| panic!("writing {}: {e}", test_path.display()));
@@ -126,9 +124,8 @@ fn main() {
             "   minimized in {} steps ({} reductions) -> {}",
             min.steps,
             min.accepted,
-            corpus_path.display()
+            test_path.display()
         );
-        println!("   regression test skeleton -> {}", test_path.display());
     }
 
     if let Some(path) = &cli.metrics_json {

@@ -16,7 +16,7 @@ use risotto_tcg::{
     optimize_in, translate_block_counted, verify as tcg_verify, OptScratch, TcgBlock, TcgOp,
     VerifyError, VerifyPass, VerifyScratch,
 };
-use risotto_template::{translate_block_template, TemplateError};
+use risotto_template::{translate_block_template_in, TemplateError};
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -522,15 +522,19 @@ impl Emulator {
     /// register allocator or per-block static verifier pass runs. The
     /// template set is verified once, statically, by the test suite
     /// (Theorem-1 per template per backend); only the install-time
-    /// encoding read-back remains on this path.
+    /// encoding read-back remains on this path. It assembles into the
+    /// lowering scratch's assembler, so the buffer [`Self::commit`]
+    /// recycles serves the next block of either tier.
     fn produce_template(
         &mut self,
         core: Option<usize>,
         guest_pc: u64,
     ) -> Result<Candidate, TbFault> {
         let (frontend, backend) = (self.setup.frontend(), self.backend_config());
-        let host = self.config.backend.host();
-        let blk = translate_block_template(guest_pc, frontend, backend, host, |a| self.fetch(a))
+        let (host, binary) = (self.config.backend.host(), &self.binary);
+        let fetch = |pc| binary.window(pc);
+        let asm = self.scratch.lower.asm();
+        let blk = translate_block_template_in(guest_pc, frontend, backend, host, fetch, asm)
             .map_err(|err| match err {
                 TemplateError::Decode(_) => TbFault::Frontend,
                 TemplateError::Lower(_) => TbFault::Backend,

@@ -281,6 +281,9 @@ pub fn run_checked(
 ///   keeps no atomic log): on a single-core program the atomic log and
 ///   the atomic total; on a multi-core program, whose interleaving is
 ///   the leg's own, the per-cell successful-update counts.
+///
+/// Each `.data` word and register that differs is a divergence of its
+/// own, with both values: the text is the whole state diff.
 fn check_reference(p: &Subject, run: &Run, reference: Option<&Run>) -> Vec<String> {
     let mut bad = Vec::new();
     if run.report.exit_vals != p.exit_vals {
@@ -289,11 +292,11 @@ fn check_reference(p: &Subject, run: &Run, reference: Option<&Run>) -> Vec<Strin
     if run.report.output != p.output {
         bad.push(format!("output {:x?} != interp {:x?}", run.report.output, p.output));
     }
-    if let Some(i) = (0..p.data.len()).find(|&i| run.data[i] != p.data[i]) {
+    for i in (0..p.data.len()).filter(|&i| run.data[i] != p.data[i]) {
         bad.push(format!(".data word {i}: {:#x} != interp {:#x}", run.data[i], p.data[i]));
     }
     let single = p.cores == 1;
-    if let Some(r) = (0..16).find(|&r| single && run.regs[r] != p.regs[r]) {
+    for r in (0..16).filter(|&r| single && run.regs[r] != p.regs[r]) {
         let reg = Gpr(r as u8);
         bad.push(format!("{reg}: {:#x} != interp {:#x}", run.regs[r], p.regs[r]));
     }

@@ -8,8 +8,9 @@
 //! reference interpreter and five legs of the one leg table with the
 //! verifier as a second oracle ([`diff`], which also holds the table and
 //! the run check the functional matrix shares), and delta-debugs any
-//! divergent program down to a minimal reproducer ([`mod@minimize`])
-//! stored in the human-readable `.risotto` corpus format ([`corpus`]).
+//! divergent program down to a minimal reproducer ([`mod@minimize`]),
+//! which it prints as a `ProgSpec` constructor in a ready-to-paste
+//! regression test.
 //!
 //! Everything is seeded: `generate(cfg, seed)` is a pure function, so a
 //! failing iteration is reproduced by its seed alone.
@@ -24,19 +25,17 @@
 //! assert_eq!(result.configs_run, 6);
 //! ```
 
-pub mod corpus;
 pub mod diff;
 pub mod gen;
 pub mod minimize;
 pub mod spec;
 
-pub use corpus::{parse_corpus, to_corpus_string, CorpusError};
 pub use diff::{
     check_leg_counters, differential, diverges, fault_plan, legs, run_checked, DiffResult,
     Divergence, Fault, Leg, Run, Rung, Subject, FUZZ_LEGS, RISOTTO,
 };
 pub use gen::{generate, GenConfig, Weights};
-pub use minimize::{minimize, regression_test_skeleton, Minimized};
+pub use minimize::{minimize, regression_test_skeleton, spec_constructor, Minimized};
 pub use spec::{ProgSpec, SpecError, Src, Stmt};
 
 /// Derives the per-iteration program seed from a run seed, so one

@@ -21,6 +21,8 @@
 //! covered by a property test).
 
 use crate::spec::{ProgSpec, Src, Stmt};
+use risotto_guest_x86::Gpr;
+use std::fmt;
 
 /// Outcome of a minimization run.
 #[derive(Debug, Clone)]
@@ -249,26 +251,188 @@ fn shrink_imm(imm: u64) -> u64 {
     }
 }
 
-/// Renders a regression-test skeleton for a minimized reproducer that
-/// was saved as `tests/corpus/<name>.risotto`. The emitted test replays
-/// the corpus file through the differential oracle.
+/// Prints `spec` as Rust source: a `#[rustfmt::skip]` function `name`
+/// that builds it, naming the IR types unqualified (`ProgSpec`, `Stmt`,
+/// `Src`, `Gpr`, `AluOp`, `FpOp`, `Cond`), one statement a line. The
+/// checked-in reproducers (`tests/theorem1/reproducers.rs`) are this
+/// function's output.
+pub fn spec_constructor(spec: &ProgSpec, name: &str) -> String {
+    let mut out = format!("#[rustfmt::skip]\nfn {name}() -> ProgSpec {{\n    ProgSpec {{\n");
+    out += &format!("        seed: {:#x},\n", spec.seed);
+    out += &format!("        note: {:?}.into(),\n", spec.note);
+    for (field, bodies) in [("routines", &spec.routines), ("threads", &spec.threads)] {
+        if bodies.is_empty() {
+            out += &format!("        {field}: vec![],\n");
+        } else {
+            out += &format!("        {field}: vec![\n");
+            for body in bodies {
+                out += &format!("            {},\n", Body(body, 3));
+            }
+            out += "        ],\n";
+        }
+    }
+    out += &format!("        main: {},\n    }}\n}}\n", Body(&spec.main, 2));
+    out
+}
+
+/// A body as `vec![..]`: its statements one a line, indented one level
+/// deeper than `.1`, the closing bracket at `.1`.
+struct Body<'a>(&'a [Stmt], usize);
+
+impl fmt::Display for Body<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Body(body, depth) = *self;
+        if body.is_empty() {
+            return f.write_str("vec![]");
+        }
+        f.write_str("vec![\n")?;
+        for s in body {
+            writeln!(f, "{:w$}{},", "", Code(s, depth + 1), w = 4 * (depth + 1))?;
+        }
+        write!(f, "{:w$}]", "", w = 4 * depth)
+    }
+}
+
+/// A statement as a `Stmt` expression at indent level `.1`.
+struct Code<'a>(&'a Stmt, usize);
+
+impl fmt::Display for Code<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Code(s, depth) = *self;
+        let gpr = |r: &Gpr| format!("Gpr::{}", r.to_string().to_uppercase());
+        let operand = |src: &Src| match src {
+            Src::Reg(r) => format!("Src::Reg({})", gpr(r)),
+            Src::Imm(i) => format!("Src::Imm({i:#x})"),
+        };
+        match s {
+            Stmt::MovImm { dst, imm } => {
+                write!(f, "Stmt::MovImm {{ dst: {}, imm: {imm:#x} }}", gpr(dst))
+            }
+            Stmt::MovReg { dst, src } => {
+                write!(f, "Stmt::MovReg {{ dst: {}, src: {} }}", gpr(dst), gpr(src))
+            }
+            Stmt::Alu { op, dst, src } => write!(
+                f,
+                "Stmt::Alu {{ op: AluOp::{op:?}, dst: {}, src: {} }}",
+                gpr(dst),
+                operand(src)
+            ),
+            Stmt::Div { src } => write!(f, "Stmt::Div {{ src: {} }}", gpr(src)),
+            Stmt::Fp { op, dst, src } => {
+                write!(f, "Stmt::Fp {{ op: FpOp::{op:?}, dst: {}, src: {} }}", gpr(dst), gpr(src))
+            }
+            Stmt::Load { dst, slot } => {
+                write!(f, "Stmt::Load {{ dst: {}, slot: {slot} }}", gpr(dst))
+            }
+            Stmt::Store { slot, src } => {
+                write!(f, "Stmt::Store {{ slot: {slot}, src: {} }}", gpr(src))
+            }
+            Stmt::LoadB { dst, slot, byte } => {
+                write!(f, "Stmt::LoadB {{ dst: {}, slot: {slot}, byte: {byte} }}", gpr(dst))
+            }
+            Stmt::StoreB { slot, byte, src } => {
+                write!(f, "Stmt::StoreB {{ slot: {slot}, byte: {byte}, src: {} }}", gpr(src))
+            }
+            Stmt::LoadShared { dst, cell } => {
+                write!(f, "Stmt::LoadShared {{ dst: {}, cell: {cell} }}", gpr(dst))
+            }
+            Stmt::Cmp { a, src } => {
+                write!(f, "Stmt::Cmp {{ a: {}, src: {} }}", gpr(a), operand(src))
+            }
+            Stmt::Test { a, b } => write!(f, "Stmt::Test {{ a: {}, b: {} }}", gpr(a), gpr(b)),
+            Stmt::Fence => f.write_str("Stmt::Fence"),
+            Stmt::Spill { reg, imm } => {
+                write!(f, "Stmt::Spill {{ reg: {}, imm: {imm:#x} }}", gpr(reg))
+            }
+            Stmt::If { cond, a, imm, then_body, else_body } => write!(
+                f,
+                "Stmt::If {{ cond: Cond::{cond:?}, a: {}, imm: {imm:#x}, then_body: {}, \
+                 else_body: {} }}",
+                gpr(a),
+                Body(then_body, depth),
+                Body(else_body, depth)
+            ),
+            Stmt::Loop { trips, body } => {
+                write!(f, "Stmt::Loop {{ trips: {trips}, body: {} }}", Body(body, depth))
+            }
+            Stmt::Call { routine } => write!(f, "Stmt::Call {{ routine: {routine} }}"),
+            Stmt::AtomicAdd { cell, k } => {
+                write!(f, "Stmt::AtomicAdd {{ cell: {cell}, k: {k:#x} }}")
+            }
+            Stmt::CasAdd { cell, k } => write!(f, "Stmt::CasAdd {{ cell: {cell}, k: {k:#x} }}"),
+            Stmt::Cmpxchg { slot, expect, newv } => {
+                write!(f, "Stmt::Cmpxchg {{ slot: {slot}, expect: {expect:#x}, newv: {newv:#x} }}")
+            }
+            Stmt::Write { slot } => write!(f, "Stmt::Write {{ slot: {slot} }}"),
+            Stmt::Gettid => f.write_str("Stmt::Gettid"),
+        }
+    }
+}
+
+/// Renders a ready-to-paste regression test for a minimized reproducer
+/// named `name` (an identifier): a `#[test]` that runs it through the
+/// differential oracle by name,
+/// and the [`spec_constructor`] it calls. Pasted into `tests/fuzz.rs`
+/// it runs alone; moving the constructor into
+/// `tests/theorem1/reproducers.rs` and listing it in `REPRODUCERS` runs
+/// it in every slice that reads the reproducers.
 pub fn regression_test_skeleton(spec: &ProgSpec, name: &str) -> String {
     format!(
         "/// Regression reproducer `{name}` (minimized from seed {seed:#x}).\n\
          /// Divergence note: {note}\n\
          #[test]\n\
-         fn corpus_{fn_name}() {{\n\
-         \x20   let text = include_str!(\"corpus/{name}.risotto\");\n\
-         \x20   let spec = risotto::fuzz::parse_corpus(text).expect(\"corpus must parse\");\n\
-         \x20   let result = risotto::fuzz::differential(&spec);\n\
+         fn reproducer_{name}() {{\n\
+         \x20   let result = differential(&{name}());\n\
          \x20   assert!(\n\
          \x20       result.divergences.is_empty(),\n\
          \x20       \"reproducer {name} diverged again: {{:?}}\",\n\
          \x20       result.divergences,\n\
          \x20   );\n\
-         }}\n",
+         }}\n\
+         \n\
+         {constructor}",
         seed = spec.seed,
         note = if spec.note.is_empty() { "(none)" } else { &spec.note },
-        fn_name = name.replace(['-', '.'], "_"),
+        constructor = spec_constructor(spec, name),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The statement kinds no checked-in reproducer uses, printed.
+    #[test]
+    fn constructor_prints_the_kinds_no_reproducer_uses() {
+        let spec = ProgSpec {
+            seed: 0x5,
+            main: vec![
+                Stmt::MovReg { dst: Gpr::RAX, src: Gpr::R10 },
+                Stmt::LoadB { dst: Gpr::RCX, slot: 7, byte: 3 },
+                Stmt::LoadShared { dst: Gpr::RDI, cell: 2 },
+                Stmt::Spill { reg: Gpr::RBP, imm: 0xfeed },
+            ],
+            threads: vec![],
+            routines: vec![],
+            note: String::new(),
+        };
+        let want = "\
+#[rustfmt::skip]
+fn rare_kinds() -> ProgSpec {
+    ProgSpec {
+        seed: 0x5,
+        note: \"\".into(),
+        routines: vec![],
+        threads: vec![],
+        main: vec![
+            Stmt::MovReg { dst: Gpr::RAX, src: Gpr::R10 },
+            Stmt::LoadB { dst: Gpr::RCX, slot: 7, byte: 3 },
+            Stmt::LoadShared { dst: Gpr::RDI, cell: 2 },
+            Stmt::Spill { reg: Gpr::RBP, imm: 0xfeed },
+        ],
+    }
+}
+";
+        assert_eq!(spec_constructor(&spec, "rare_kinds"), want);
+    }
 }

@@ -2,7 +2,7 @@
 //! deterministically to a MiniX86 [`GuestBinary`].
 //!
 //! The fuzzer never mutates raw instruction bytes. It generates, minimizes
-//! and serializes [`ProgSpec`]s — a small structured IR whose invariants
+//! and prints [`ProgSpec`]s — a small structured IR whose invariants
 //! (bounded loop trip counts, valid slot/cell indices, balanced
 //! spawn/join, schedule-invariant multi-core results) make every lowered
 //! program well-formed and terminating *by construction*. Delta-debugging
@@ -265,7 +265,7 @@ pub struct ProgSpec {
     pub threads: Vec<Vec<Stmt>>,
     /// Shared flat routines callable from any body.
     pub routines: Vec<Vec<Stmt>>,
-    /// Free-form note carried into the corpus file.
+    /// Free-form note carried into the printed constructor.
     pub note: String,
 }
 

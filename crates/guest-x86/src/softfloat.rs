@@ -13,7 +13,8 @@
 //! opposite operand orders and return *different NaN bit patterns*.
 //! The differential fuzzer found exactly that: the interpreter and the
 //! DBT tiers disagreed on a program whose `fp mul` chain ran through
-//! NaN values (`tests/corpus/fp_nan_chain.risotto`).
+//! NaN values (the reproducer `fp_nan_chain` in
+//! `tests/theorem1/reproducers.rs`).
 //!
 //! The fix is to never let hardware NaN propagation reach an
 //! architectural register. Every operation here applies an explicit,

@@ -627,6 +627,13 @@ pub struct LowerScratch {
 }
 
 impl LowerScratch {
+    /// The assembler lowerings assemble into, for a producer that emits
+    /// host code without lowering IR (tier-0 templates); what it hands
+    /// out is recycled like a lowering's output.
+    pub fn asm(&mut self) -> &mut HostAsm {
+        &mut self.asm
+    }
+
     /// Hands back a [`LowerOutput::insns`] its consumer is done with:
     /// the next lowering assembles into it instead of a new buffer
     /// (whichever of the two is larger is kept).

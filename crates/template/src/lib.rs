@@ -101,7 +101,7 @@ impl std::error::Error for TemplateError {}
 /// One template instantiation context: the output assembler plus the
 /// frontend/backend configuration the templates are parameterized on.
 struct Emit<'a, B: HostBackend + ?Sized> {
-    asm: HostAsm,
+    asm: &'a mut HostAsm,
     cfg: FrontendConfig,
     bcfg: BackendConfig,
     host: &'a B,
@@ -443,7 +443,7 @@ impl<B: HostBackend + ?Sized> Emit<'_, B> {
                 self.ld_gpr(T2, src);
                 match self.cfg.cas {
                     CasStrategy::TcgOp => {
-                        self.host.cas(&mut self.asm, T3, T0, T1, T2, self.bcfg);
+                        self.host.cas(self.asm, T3, T0, T1, T2, self.bcfg);
                     }
                     CasStrategy::Helper => self.hcall(Helper::CmpxchgSc, &[T0, T1, T2], T3),
                 }
@@ -461,7 +461,7 @@ impl<B: HostBackend + ?Sized> Emit<'_, B> {
                 self.ld_gpr(T1, src);
                 match self.cfg.cas {
                     CasStrategy::TcgOp => {
-                        self.host.atomic_add(&mut self.asm, T2, T0, T1, self.bcfg);
+                        self.host.atomic_add(self.asm, T2, T0, T1, self.bcfg);
                     }
                     CasStrategy::Helper => self.hcall(Helper::XaddSc, &[T0, T1], T2),
                 }
@@ -561,7 +561,8 @@ pub fn insn_template<B: HostBackend + ?Sized>(
     bcfg: BackendConfig,
     host: &B,
 ) -> Result<Vec<HostInsn>, BackendError> {
-    let mut e = Emit { asm: HostAsm::new(), cfg, bcfg, host };
+    let mut asm = HostAsm::new();
+    let mut e = Emit { asm: &mut asm, cfg, bcfg, host };
     let next = pc + insn.encoded_len() as u64;
     e.insn(insn, next);
     e.asm.finish()
@@ -589,10 +590,38 @@ where
     B: HostBackend + ?Sized,
     F: Fn(u64) -> [u8; 16],
 {
-    let mut e = Emit { asm: HostAsm::new(), cfg, bcfg, host };
+    let mut asm = HostAsm::new();
     // Typical templates expand to ~10 host insns per guest insn; one
     // up-front reservation keeps the emit loop reallocation-free.
-    e.asm.reserve(MAX_TB_INSNS * 12);
+    asm.reserve(MAX_TB_INSNS * 12);
+    let mut blk = translate_block_template_in(pc, cfg, bcfg, host, fetch, &mut asm)?;
+    // Give back the reservation's unused tail.
+    blk.code.shrink_to_fit();
+    Ok(blk)
+}
+
+/// [`translate_block_template`] into a caller-owned assembler, cleared
+/// on entry: the engine passes the one its tier-1 lowerings assemble
+/// into, so a template block reuses the instruction buffer the code
+/// cache's last install handed back instead of allocating its own.
+///
+/// # Errors
+///
+/// As [`translate_block_template`].
+pub fn translate_block_template_in<B, F>(
+    pc: u64,
+    cfg: FrontendConfig,
+    bcfg: BackendConfig,
+    host: &B,
+    fetch: F,
+    asm: &mut HostAsm,
+) -> Result<TemplateBlock, TemplateError>
+where
+    B: HostBackend + ?Sized,
+    F: Fn(u64) -> [u8; 16],
+{
+    asm.clear();
+    let mut e = Emit { asm, cfg, bcfg, host };
     let mut cur = pc;
     let mut insns = 0usize;
     let mut ended = false;
@@ -613,9 +642,7 @@ where
         // Size cap reached: continue at the next pc, like the frontend.
         e.exit(TbExitKind::Jump { guest_pc: cur, chain: 0 });
     }
-    let mut code = e.asm.finish().map_err(TemplateError::Lower)?;
-    // Give back the reservation's unused tail.
-    code.shrink_to_fit();
+    let code = e.asm.finish().map_err(TemplateError::Lower)?;
     Ok(TemplateBlock { guest_pc: pc, guest_len: (cur - pc) as usize, insns, code })
 }
 

@@ -6,10 +6,11 @@
 //! so a steady-state translation allocates little beyond what it hands
 //! to the code cache. This suite is the oracle that keeps it that way: a
 //! counting global allocator around `Emulator::new` and `Emulator::run`
-//! over the 16 kernels and the checked-in fuzz corpus, with a ceiling on
-//! heap allocations per translated block and per constructed emulator,
-//! and one for a second emulator on a thread that already holds a grown
-//! scratch.
+//! over the 16 kernels and the checked-in fuzz reproducers, with a
+//! ceiling on heap allocations per translated block — through tier-1 at
+//! `VerifyLevel::Full` and `Install`, and through tier-0 templates alone —
+//! and per constructed emulator, and one for a second emulator on a
+//! thread that already holds a grown scratch.
 //!
 //! `run` is measured whole — the machine's own allocations (guest
 //! memory pages, the code cache growing) count against the per-block
@@ -21,13 +22,12 @@
 mod theorem1;
 
 use risotto::core::{BackendKind, EmuConfig, Emulator, Setup, VerifyLevel};
-use risotto::fuzz::parse_corpus;
 use risotto::guest::GuestBinary;
 use risotto::host::{AOp, CostModel, Event, HostInsn, Machine, MemOrder, Xreg};
 use risotto::workloads::kernels;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use theorem1::functional::REPRODUCERS;
+use theorem1::reproducers::REPRODUCERS;
 
 /// Heap allocations (fresh and growing) since process start.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -70,23 +70,23 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// Per-block ceilings (allocations inside `run` over blocks translated).
 const FULL_PER_BLOCK: u64 = 6;
 const INSTALL_PER_BLOCK: u64 = 6;
+const TEMPLATE_PER_BLOCK: u64 = 4;
 /// Ceiling per block for an emulator whose thread already holds a grown
 /// translate scratch.
 const WARM_PER_BLOCK: u64 = 8;
 /// Ceiling per `Emulator::new`.
 const PER_NEW: u64 = 40;
 
-/// The corpus: the 16 kernels and the checked-in fuzz reproducers, by
-/// name, as `(name, image, cores)`.
+/// The 16 kernels and the checked-in fuzz reproducers, by name, as
+/// `(name, image, cores)`.
 fn programs() -> Vec<(String, GuestBinary, usize)> {
     let mut out: Vec<_> =
         kernels::all().iter().map(|w| (w.name.to_owned(), (w.build)(8, 2), 2)).collect();
-    for (name, text) in REPRODUCERS {
-        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-        out.push((name.to_owned(), spec.lower().expect("corpus program lowers"), spec.cores()));
+    for (name, spec) in REPRODUCERS.iter() {
+        out.push((name.to_string(), spec.lower().expect("reproducer lowers"), spec.cores()));
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));
-    assert!(out.len() >= 22, "16 kernels and the checked-in corpus, got {}", out.len());
+    assert!(out.len() >= 22, "16 kernels and the reproducers, got {}", out.len());
     out
 }
 
@@ -100,12 +100,16 @@ fn translate_path_stays_inside_its_allocation_budget() {
     Emulator::new(bin, Setup::Risotto, *cores, cost).run(u64::MAX / 4).expect("warm-up runs");
 
     let mut worst_new = 0;
-    for (level, ceiling) in
-        [(VerifyLevel::Full, FULL_PER_BLOCK), (VerifyLevel::Install, INSTALL_PER_BLOCK)]
-    {
-        let (mut in_run, mut blocks) = (0u64, 0u64);
+    let tier1 = |verify| EmuConfig { verify, ..EmuConfig::default() };
+    let templates = EmuConfig { warm_threshold: Some(u64::MAX), ..tier1(VerifyLevel::Install) };
+    for (leg, config, ceiling) in [
+        ("tier-1 Full", tier1(VerifyLevel::Full), FULL_PER_BLOCK),
+        ("tier-1 Install", tier1(VerifyLevel::Install), INSTALL_PER_BLOCK),
+        ("templates only", templates, TEMPLATE_PER_BLOCK),
+    ] {
+        let (mut in_run, mut blocks, mut template_blocks) = (0u64, 0u64, 0u64);
         for (name, bin, cores) in &programs {
-            let config = EmuConfig { verify: level, ..EmuConfig::default() };
+            let config = config.clone();
             let (mut emu, in_new) =
                 counted(|| Emulator::with_config(bin, Setup::Risotto, *cores, config));
             worst_new = worst_new.max(in_new);
@@ -113,12 +117,15 @@ fn translate_path_stays_inside_its_allocation_budget() {
             let report = report.unwrap_or_else(|e| panic!("{name}: {e}"));
             in_run += n;
             blocks += report.tb_count as u64;
+            template_blocks += emu.metrics().counter("template.blocks");
         }
+        let tier0 = config.warm_threshold.is_some();
+        assert_eq!(template_blocks, if tier0 { blocks } else { 0 }, "{leg}: template blocks");
         let per_block = in_run as f64 / blocks as f64;
-        println!("{level:?}: {in_run} allocations in run / {blocks} blocks = {per_block:.1}");
+        println!("{leg}: {in_run} allocations in run / {blocks} blocks = {per_block:.1}");
         assert!(
             in_run <= ceiling * blocks,
-            "{level:?}: {per_block:.1} allocations per tier-1 block exceeds the budget of {ceiling}"
+            "{leg}: {per_block:.1} allocations per block exceeds the budget of {ceiling}"
         );
     }
     // The pooled scratch: on a fresh thread the first emulator grows

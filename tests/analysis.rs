@@ -36,13 +36,13 @@ mod theorem1;
 
 use risotto::analysis::{analyze_image, AccessKind, SiteClass};
 use risotto::core::{EmuConfig, Emulator, Setup, VerifyLevel};
-use risotto::fuzz::{generate, parse_corpus, program_seed, GenConfig};
+use risotto::fuzz::{generate, program_seed, GenConfig};
 use risotto::guest::GuestBinary;
 use risotto::host::CostModel;
 use risotto::litmus::corpus;
 use risotto::workloads::litmus_compile::compile_litmus;
 use risotto::workloads::{cas, kernels};
-use theorem1::functional::REPRODUCERS;
+use theorem1::reproducers::REPRODUCERS;
 
 const SCALE: u64 = 4;
 const THREADS: usize = 2;
@@ -234,8 +234,8 @@ fn analysed_images() -> Vec<GuestBinary> {
     for prog in corpus::x86().into_iter().chain([corpus::lb_ir_unfenced()]) {
         images.push(compile_litmus(&prog, &vec![0; prog.threads.len()]).binary);
     }
-    for (_, text) in REPRODUCERS {
-        images.push(parse_corpus(text).expect("corpus parses").lower().expect("corpus lowers"));
+    for (_, spec) in REPRODUCERS.iter() {
+        images.push(spec.lower().expect("reproducer lowers"));
     }
     // `translate_cold` draws loop-free programs, `mixed_tiered` the
     // defaults, both from corpus seed 1.

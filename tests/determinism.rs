@@ -28,7 +28,6 @@ mod theorem1;
 mod translate;
 
 use risotto::core::{BackendKind, EmuConfig, Emulator, FaultPlan, Setup, VerifyLevel};
-use risotto::fuzz::parse_corpus;
 use risotto::guest::GuestBinary;
 use risotto::host::{
     AllocStats, ArmBackend, BackendConfig, EncodingScratch, HostBackend, HostInsn, LowerScratch,
@@ -43,7 +42,7 @@ use risotto::tcg::{
 };
 use risotto::workloads::kernels;
 use risotto::workloads::litmus_compile::compile_litmus;
-use theorem1::functional::REPRODUCERS;
+use theorem1::reproducers::REPRODUCERS;
 use translate::{configs, discover_blocks};
 
 fn backends() -> [BackendConfig; 2] {
@@ -116,9 +115,8 @@ fn litmus_corpus_lowers_bit_identically() {
 /// The fuzz reproducers lower deterministically.
 #[test]
 fn fuzz_corpus_lowers_bit_identically() {
-    for (name, text) in REPRODUCERS {
-        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-        let bin = spec.lower().unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
+    for (name, spec) in REPRODUCERS.iter() {
+        let bin = spec.lower().unwrap_or_else(|e| panic!("reproducer `{name}`: {e}"));
         for (cfg, policy) in configs() {
             for mut block in discover_blocks(&bin, cfg, 32) {
                 optimize_with(&mut block, policy, PassConfig::all());
@@ -190,9 +188,8 @@ fn images() -> Vec<(String, GuestBinary)> {
     for prog in [corpus::mp(), corpus::sb(), corpus::sb_fenced(), corpus::lb(), corpus::iriw()] {
         images.push((prog.name.clone(), compile_litmus(&prog, &[0, 0]).binary));
     }
-    for (name, text) in REPRODUCERS {
-        let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-        images.push((name.to_owned(), spec.lower().unwrap_or_else(|e| panic!("`{name}`: {e}"))));
+    for (name, spec) in REPRODUCERS.iter() {
+        images.push((name.to_string(), spec.lower().unwrap_or_else(|e| panic!("`{name}`: {e}"))));
     }
     images
 }

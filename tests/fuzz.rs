@@ -1,18 +1,21 @@
 //! Integration tests for the differential fuzzing subsystem
 //! (DESIGN.md §13, docs/FUZZING.md): generator well-formedness,
-//! corpus round-trips, minimizer laws, a batch of generated programs
-//! under every leg of the functional matrix, fault-composed degradation,
-//! and replay of the checked-in reproducer corpus.
+//! `ProgSpec::validate`'s rejections, minimizer laws, the reproducer
+//! printer, a batch of generated programs under every leg of the
+//! functional matrix, fault-composed degradation, and replay of the
+//! checked-in reproducers.
 
 mod theorem1;
 
-use risotto::core::FaultPlan;
+use risotto::core::{FaultPlan, MetricsSnapshot};
+use risotto::fuzz::spec::CELLS;
 use risotto::fuzz::{
-    differential, generate, minimize, parse_corpus, program_seed, to_corpus_string, GenConfig, Leg,
-    ProgSpec, Rung, Stmt, Subject, RISOTTO,
+    differential, generate, minimize, program_seed, regression_test_skeleton, spec_constructor,
+    GenConfig, Leg, ProgSpec, Rung, SpecError, Stmt, Subject, RISOTTO,
 };
-use risotto::guest::Interp;
-use theorem1::functional::{fault_sweep, sweep, FaultSlice, Slice, BATCHES, REPRODUCERS};
+use risotto::guest::{FpOp, Gpr, Interp};
+use theorem1::functional::{fault_sweep, sweep, FaultSlice, Slice, BATCHES};
+use theorem1::reproducers::REPRODUCERS;
 
 /// Seeds used by the seeded property sweeps below. Fixed, so failures
 /// name a replayable program.
@@ -38,21 +41,26 @@ fn spec_size(spec: &ProgSpec) -> usize {
         + spec.routines.iter().map(|b| stmt_count(b)).sum::<usize>()
 }
 
-fn contains_atomic(body: &[Stmt]) -> bool {
-    body.iter().any(|s| match s {
-        Stmt::AtomicAdd { .. } | Stmt::CasAdd { .. } => true,
-        Stmt::If { then_body, else_body, .. } => {
-            contains_atomic(then_body) || contains_atomic(else_body)
+/// Whether any statement of `body`, at any nesting depth, satisfies `f`.
+fn body_any(body: &[Stmt], f: &dyn Fn(&Stmt) -> bool) -> bool {
+    body.iter().any(|s| {
+        f(s) || match s {
+            Stmt::If { then_body, else_body, .. } => {
+                body_any(then_body, f) || body_any(else_body, f)
+            }
+            Stmt::Loop { body, .. } => body_any(body, f),
+            _ => false,
         }
-        Stmt::Loop { body, .. } => contains_atomic(body),
-        _ => false,
     })
 }
 
+/// Whether any statement of `spec`, in any body, satisfies `f`.
+fn spec_any(spec: &ProgSpec, f: &dyn Fn(&Stmt) -> bool) -> bool {
+    [&spec.main].into_iter().chain(&spec.threads).chain(&spec.routines).any(|b| body_any(b, f))
+}
+
 fn spec_has_atomic(spec: &ProgSpec) -> bool {
-    contains_atomic(&spec.main)
-        || spec.threads.iter().any(|b| contains_atomic(b))
-        || spec.routines.iter().any(|b| contains_atomic(b))
+    spec_any(spec, &|s| matches!(s, Stmt::AtomicAdd { .. } | Stmt::CasAdd { .. }))
 }
 
 /// Every generated spec validates, lowers, and terminates inside its own
@@ -83,34 +91,50 @@ fn generated_programs_are_wellformed_and_terminate() {
     assert!(multicore >= 40, "only {multicore}/250 programs were multi-core");
 }
 
-/// Corpus serialization round-trips exactly: parse(to_string(spec)) is
-/// identity, for generated programs of every shape.
-#[test]
-fn corpus_round_trips_exactly() {
-    let cfg = GenConfig::default();
-    for seed in sweep_seeds(150, 0xC0) {
-        let mut spec = generate(&cfg, seed);
-        spec.note = format!("round-trip check for {seed:#x}");
-        let text = to_corpus_string(&spec);
-        let back = parse_corpus(&text)
-            .unwrap_or_else(|e| panic!("seed {seed:#x}: reparse failed: {e}\n{text}"));
-        assert_eq!(back, spec, "seed {seed:#x}: corpus round-trip changed the spec");
-    }
+/// A spec with `main` as its only body.
+fn main_only(main: Vec<Stmt>) -> ProgSpec {
+    ProgSpec { seed: 0, main, threads: vec![], routines: vec![], note: String::new() }
 }
 
-/// Hand-edited corpus text cannot smuggle in malformed programs: the
-/// parser re-validates.
+/// `ProgSpec::validate` rejects one spec per structural error, each with
+/// exactly its variant: a hand-written reproducer relies on it (through
+/// `lower`) to be a well-formed, terminating program. `Lower` is the
+/// assembler's error, which no validated spec reaches.
 #[test]
-fn corpus_parser_rejects_invalid_programs() {
-    // Structurally fine, semantically invalid: xadd with k = 0.
-    let text = "risotto-fuzz v1\nseed 0x1\nmain {\n  xadd s0 += 0x0\n}\n";
-    assert!(parse_corpus(text).is_err(), "zero-increment atomic must be rejected");
-    // Loop nesting too deep.
-    let text = "risotto-fuzz v1\nseed 0x1\nmain {\n  loop 2 {\n    loop 2 {\n      loop 2 {\n        fence\n      }\n    }\n  }\n}\n";
-    assert!(parse_corpus(text).is_err(), "triple-nested loop must be rejected");
-    // Unknown register.
-    let text = "risotto-fuzz v1\nseed 0x1\nmain {\n  mov r99 = 0x1\n}\n";
-    assert!(parse_corpus(text).is_err(), "unknown register must be rejected");
+fn validate_rejects_each_malformed_shape() {
+    let fence = || vec![Stmt::Fence];
+    let deep = Stmt::Loop {
+        trips: 2,
+        body: vec![Stmt::Loop { trips: 2, body: vec![Stmt::Loop { trips: 2, body: fence() }] }],
+    };
+    let cases = [
+        (main_only(vec![Stmt::MovImm { dst: Gpr::RSP, imm: 1 }]), SpecError::BadReg(Gpr::RSP)),
+        (main_only(vec![Stmt::Load { dst: Gpr::RAX, slot: 8 }]), SpecError::BadSlot(8)),
+        (main_only(vec![Stmt::AtomicAdd { cell: CELLS, k: 1 }]), SpecError::BadCell(CELLS)),
+        (main_only(vec![Stmt::Loop { trips: 0, body: fence() }]), SpecError::BadTrips(0)),
+        (main_only(vec![deep]), SpecError::TooDeep),
+        (main_only(vec![Stmt::Call { routine: 0 }]), SpecError::BadRoutine(0)),
+        (
+            ProgSpec {
+                routines: vec![vec![Stmt::Loop { trips: 1, body: fence() }]],
+                ..main_only(vec![])
+            },
+            SpecError::RoutineNotFlat,
+        ),
+        (main_only(vec![Stmt::CasAdd { cell: 0, k: 0 }]), SpecError::ZeroIncrement),
+        (ProgSpec { threads: vec![fence(); 4], ..main_only(vec![]) }, SpecError::TooManyThreads(5)),
+        (
+            ProgSpec {
+                threads: vec![fence()],
+                ..main_only(vec![Stmt::LoadShared { dst: Gpr::RAX, cell: 0 }])
+            },
+            SpecError::ScheduleDependent("loadsh"),
+        ),
+    ];
+    for (spec, want) in cases {
+        assert_eq!(spec.validate(), Err(want.clone()), "{spec:?}");
+        assert_eq!(spec.lower().err(), Some(want), "lower validates: {spec:?}");
+    }
 }
 
 /// Minimization preserves the predicate, only shrinks, and is
@@ -137,7 +161,7 @@ fn minimizer_preserves_predicate_and_is_idempotent() {
             spec_size(&min.spec) <= 2,
             "seed {seed:#x}: fixpoint still has {} statements:\n{}",
             spec_size(&min.spec),
-            to_corpus_string(&min.spec),
+            spec_constructor(&min.spec, "fixpoint"),
         );
         let again = minimize(&min.spec, &spec_has_atomic, 50_000);
         assert_eq!(again.spec, min.spec, "seed {seed:#x}: minimize is not idempotent");
@@ -163,51 +187,123 @@ fn fault_composition_degrades_gracefully() {
     fault_sweep(FaultSlice::Generated);
 }
 
-/// Replays every checked-in reproducer: the corpus must parse, agree
-/// across all configurations, and keep its intended coverage properties.
+/// Replays every checked-in reproducer: each agrees across all legs of
+/// the differential oracle and keeps the shape docs/FUZZING.md documents
+/// for it, read off the spec and its risotto or ladder run. The ladder
+/// leg must promote `hot_loop_promotion`, the reproducer that exists to
+/// drive tier-0 → tier-1 promotion.
 #[test]
 fn corpus_replay_stays_green() {
-    // The list names every file under `tests/corpus/`.
-    let corpus_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
-    let mut files: Vec<String> = std::fs::read_dir(corpus_dir)
-        .expect("tests/corpus exists")
-        .map(|e| e.expect("corpus entry").path().file_stem().unwrap().to_string_lossy().into())
-        .collect();
-    files.sort();
-    let mut listed: Vec<&str> = REPRODUCERS.iter().map(|(name, _)| *name).collect();
-    listed.sort();
-    assert_eq!(files, listed, "tests/corpus and the reproducer list disagree");
-    for (name, text) in REPRODUCERS {
-        let spec =
-            parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}` failed to parse: {e}"));
-        let result = differential(&spec);
+    for (name, spec) in REPRODUCERS.iter() {
+        let result = differential(spec);
         assert!(
             result.divergences.is_empty(),
-            "corpus `{name}` diverged: {:?}",
+            "reproducer `{name}` diverged: {:?}",
             result.divergences
         );
-        // Round-trip the checked-in file too: serializer output parses
-        // back to the same spec (formatting may differ, semantics not).
-        let back = parse_corpus(&to_corpus_string(&spec)).expect("re-serialized corpus parses");
-        assert_eq!(back, spec, "corpus `{name}` did not round-trip");
+        let p = Subject::of_spec(spec).expect("reproducer runs");
+        let metrics = |leg| p.run(leg, &FaultPlan::default()).expect("reproducer runs").metrics;
+        let risotto = metrics(RISOTTO);
+        let ladder = metrics(Leg { rung: Rung::Ladder, ..RISOTTO });
+        assert!(shape_holds(name, spec, &p, &risotto, &ladder), "`{name}` lost its shape");
     }
-    // The promotion corpus exists to drive tier-0 → tier-1 promotion on
-    // the ladder leg: check it still does.
-    let (_, text) = REPRODUCERS.iter().find(|(name, _)| *name == "hot_loop_promotion").unwrap();
-    let p = Subject::of_spec(&parse_corpus(text).unwrap()).expect("spec runs");
-    let ladder = Leg { rung: Rung::Ladder, ..RISOTTO };
-    let run = p.run(ladder, &FaultPlan::default()).expect("spec runs");
-    let promotions = run.metrics.counter("template.promotions");
-    assert!(promotions > 0, "hot_loop_promotion no longer promotes a template");
 }
 
-/// The documented regression-test skeleton for a minimized reproducer
-/// contains the pieces a paste-in needs.
+/// The row of docs/FUZZING.md's reproducer table for `name`, as a check
+/// of the spec (cores, statement kinds), of how the interpreter ends it,
+/// and of one counter of its `risotto` or `ladder` run.
+fn shape_holds(
+    name: &str,
+    spec: &ProgSpec,
+    p: &Subject,
+    risotto: &MetricsSnapshot,
+    ladder: &MetricsSnapshot,
+) -> bool {
+    let has = |f: &dyn Fn(&Stmt) -> bool| spec_any(spec, f);
+    let nested_loop = |s: &Stmt| matches!(s, Stmt::Loop { body, .. } if body.iter().any(|t| matches!(t, Stmt::Loop { .. })));
+    let in_loop = |f: &dyn Fn(&Stmt) -> bool| {
+        has(&|s| matches!(s, Stmt::Loop { body, .. } if body_any(body, f)))
+    };
+    let fp_mul = |s: &Stmt| matches!(s, Stmt::Fp { op: FpOp::Mul, .. });
+    match name {
+        // Stores and fences in a hot loop: the adjacent fences merge, yet
+        // no store is eliminated and no load forwarded.
+        "store_store_fence" => {
+            spec.cores() == 1
+                && in_loop(&|s| matches!(s, Stmt::Store { .. }))
+                && in_loop(&|s| *s == Stmt::Fence)
+                && risotto.counter("opt.fences_merged") > 0
+                && risotto.counter("opt.stores_eliminated") == 0
+                && risotto.counter("opt.loads_forwarded") == 0
+        }
+        // Three cores, both RMW flavours on shared cells.
+        "spawn_cas_contention" => {
+            spec.cores() == 3
+                && has(&|s| matches!(s, Stmt::AtomicAdd { .. }))
+                && has(&|s| matches!(s, Stmt::CasAdd { .. }))
+                && risotto.counter("exec.atomics") > 0
+        }
+        // A nested hot loop around a branch: the ladder promotes.
+        "hot_loop_promotion" => {
+            has(&nested_loop)
+                && in_loop(&|s| matches!(s, Stmt::If { .. }))
+                && ladder.counter("template.promotions") > 0
+        }
+        // Every compare-exchange misses: the slot keeps the byte store's
+        // value. Div-by-zero and a byte store ride along.
+        "cmpxchg_fail_path" => {
+            let slot3 = p.data[usize::from(CELLS) + 3];
+            has(&|s| matches!(s, Stmt::Div { .. }))
+                && has(&|s| matches!(s, Stmt::StoreB { .. }))
+                && has(&|s| matches!(s, Stmt::Cmpxchg { .. }))
+                && slot3 == 9 | 9 << 40
+                && risotto.counter("exec.atomics") > 0
+        }
+        // An `fp mul` chain in a loop that ends on a NaN bit pattern.
+        "fp_nan_chain" => {
+            spec.cores() == 1
+                && in_loop(&fp_mul)
+                && f64::from_bits(p.regs[Gpr::RSI.index()]).is_nan()
+                && risotto.counter("chain.hits") > 0
+        }
+        // The same chain in a routine only a spawned thread calls, and
+        // that thread runs on core 1.
+        "fp_nan_cross_thread" => {
+            spec.cores() == 2
+                && spec.routines.iter().any(|r| body_any(r, &fp_mul))
+                && !body_any(&spec.main, &|s| matches!(s, Stmt::Call { .. }))
+                && risotto.gauge("core.1.insns") > 0
+        }
+        _ => panic!("reproducer `{name}` has no documented shape"),
+    }
+}
+
+/// The checked-in reproducers are the printer's own output: each
+/// constructor in `tests/theorem1/reproducers.rs` is exactly what
+/// `spec_constructor` prints for the spec it builds, and the list names
+/// every constructor.
+#[test]
+fn reproducers_are_the_printers_output() {
+    let source = include_str!("theorem1/reproducers.rs");
+    for (name, spec) in REPRODUCERS.iter() {
+        let printed = spec_constructor(spec, name);
+        assert!(source.contains(&printed), "`{name}` is not the printer's output:\n{printed}");
+    }
+    assert_eq!(source.matches("() -> ProgSpec {").count(), REPRODUCERS.len());
+}
+
+/// The regression-test skeleton for a minimized reproducer is a
+/// `#[test]` that runs the printer's constructor through the
+/// differential oracle.
 #[test]
 fn regression_skeleton_is_complete() {
     let spec = generate(&GenConfig::default(), 99);
-    let s = risotto::fuzz::regression_test_skeleton(&spec, "divergent_demo");
-    for needle in ["#[test]", "fn corpus_divergent_demo()", "parse_corpus", "differential"] {
+    let s = regression_test_skeleton(&spec, "divergent_demo");
+    for needle in [
+        "#[test]\nfn reproducer_divergent_demo() {",
+        "differential(&divergent_demo())",
+        &spec_constructor(&spec, "divergent_demo"),
+    ] {
         assert!(s.contains(needle), "skeleton missing `{needle}`:\n{s}");
     }
 }

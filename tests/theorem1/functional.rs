@@ -20,29 +20,15 @@
 //! legs and the same check, each case under one plan of the one fault
 //! generator (`risotto_fuzz::fault_plan`).
 
+use super::reproducers::REPRODUCERS;
 use risotto::core::{BackendKind, FaultPlan, MetricsSnapshot, Report, Setup};
 use risotto::fuzz::{
-    fault_plan, generate, legs, parse_corpus, program_seed, run_checked, Fault, GenConfig, Leg,
-    Run, Rung, Subject, RISOTTO,
+    fault_plan, generate, legs, program_seed, run_checked, Fault, GenConfig, Leg, Run, Rung,
+    Subject, RISOTTO,
 };
 use risotto::guest::{AluOp, Cond, GelfBuilder, Gpr, GuestBinary};
 use risotto::workloads::{cas, kernels};
 use std::sync::{LazyLock, OnceLock};
-
-/// The checked-in fuzz reproducers (`tests/corpus/*.risotto`), in the
-/// order the hashes fold them.
-pub const REPRODUCERS: [(&str, &str); 6] = [
-    ("store_store_fence", include_str!("../corpus/store_store_fence.risotto")),
-    ("spawn_cas_contention", include_str!("../corpus/spawn_cas_contention.risotto")),
-    ("hot_loop_promotion", include_str!("../corpus/hot_loop_promotion.risotto")),
-    ("cmpxchg_fail_path", include_str!("../corpus/cmpxchg_fail_path.risotto")),
-    // f64 NaN *payload* propagation differed between the interpreter and
-    // every DBT tier until all four evaluation sites were unified on
-    // guest_x86::softfloat (LLVM may commute `fa * fb`, so "identical"
-    // expressions at two call sites can return different NaN bits).
-    ("fp_nan_chain", include_str!("../corpus/fp_nan_chain.risotto")),
-    ("fp_nan_cross_thread", include_str!("../corpus/fp_nan_cross_thread.risotto")),
-];
 
 /// The salts of the generated-program batches, one slice each
 /// (`tests/fuzz.rs`, `tests/backends.rs`).
@@ -166,10 +152,10 @@ fn programs(generated: bool) -> &'static [Program] {
                 Ok(cas)
             }));
         }
-        for (name, text) in REPRODUCERS {
-            let spec = parse_corpus(text).unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-            let bin = spec.lower().unwrap_or_else(|e| panic!("corpus `{name}`: {e}"));
-            let subject = move || Subject::new(name.to_owned(), bin, spec.cores(), INTERP_FUEL);
+        for (name, spec) in REPRODUCERS.iter() {
+            let bin = spec.lower().unwrap_or_else(|e| panic!("reproducer `{name}`: {e}"));
+            let cores = spec.cores();
+            let subject = move || Subject::new(name.to_string(), bin, cores, INTERP_FUEL);
             table.push(Program::new(Source::Reproducer, subject));
         }
         table.push(Program::new(Source::Assembled, || {

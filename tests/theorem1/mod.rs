@@ -41,6 +41,7 @@
 #![allow(dead_code)]
 
 pub mod functional;
+pub mod reproducers;
 
 use risotto::core::{BackendKind, Emulator, FaultPlan, MetricsSnapshot, Setup};
 use risotto::fuzz::{check_leg_counters, legs, Leg, Rung};
